@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/sizedio"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -396,44 +397,51 @@ func (t *Table) Put(key string, meta map[string]string, blob []byte) error {
 	db := t.db
 	// Compress outside the lock: CPU-bound.
 	db.probe.BurnFor(len(blob), db.cost.CompressBps)
-	var cbuf bytes.Buffer
-	// BestSpeed: the compression *cost model* lives in the probe burn
-	// above; the real gzip pass only needs to shrink the stored bytes,
-	// and keeping it cheap avoids polluting time-dilated experiment runs
-	// with real CPU time.
-	zw := gzipWriterPool.Get().(*gzip.Writer)
-	zw.Reset(&cbuf)
-	if _, err := zw.Write(blob); err != nil {
-		gzipWriterPool.Put(zw)
+	comp, err := compress(blob)
+	if err != nil {
 		return err
 	}
-	if err := zw.Close(); err != nil {
-		gzipWriterPool.Put(zw)
-		return err
-	}
-	gzipWriterPool.Put(zw)
-	metaCopy := make(map[string]string, len(meta))
-	for k, v := range meta {
-		metaCopy[k] = v
-	}
-	entry := &walEntry{
-		Op: "put", Table: t.name, Key: key, Meta: metaCopy,
-		Comp: cbuf.Bytes(), RawSize: len(blob), StoredAt: db.clock.Now(),
-	}
+	return db.shardFor(t.name, key).commit(&walEntry{
+		Op: "put", Table: t.name, Key: key, Meta: cloneMeta(meta),
+		Comp: comp, RawSize: len(blob), StoredAt: db.clock.Now(),
+	})
+}
+
+// SetMeta replaces a record's metadata and leaves its blob alone: the
+// logged put entry reuses the row's stored gzip stream, so nothing is
+// inflated or compressed again. Everything else is a Put of the same
+// blob — a new StoredAt, a new generation, the same bytes on disk.
+func (t *Table) SetMeta(key string, meta map[string]string) error {
+	db := t.db
 	s := db.shardFor(t.name, key)
-	if s.gc != nil {
-		return s.gc.commit(entry)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
 	if s.closed {
+		s.mu.RUnlock()
 		return ErrClosed
 	}
-	if err := s.log(entry); err != nil {
-		return err
+	r, ok := s.tables[t.name][key]
+	s.mu.RUnlock()
+	if !ok {
+		return fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
-	s.apply(entry, s.seg)
-	return nil
+	// The cost model charges what the Get and Put this stands in for
+	// did (row read, inflate, re-compress), so virtual-time results do
+	// not move; only the real work is gone.
+	db.probe.DiskRead(len(r.comp))
+	db.probe.BurnFor(r.rawSize, db.cost.DecompressBps)
+	db.probe.BurnFor(r.rawSize, db.cost.CompressBps)
+	return s.commit(&walEntry{
+		Op: "put", Table: t.name, Key: key, Meta: cloneMeta(meta),
+		Comp: r.comp, RawSize: r.rawSize, StoredAt: db.clock.Now(),
+	})
+}
+
+func cloneMeta(meta map[string]string) map[string]string {
+	out := make(map[string]string, len(meta))
+	for k, v := range meta {
+		out[k] = v
+	}
+	return out
 }
 
 // Get returns the record with the blob decompressed. The disk read of the
@@ -451,10 +459,7 @@ func (t *Table) Get(key string) (*Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
-	meta := make(map[string]string, len(r.meta))
-	for k, v := range r.meta {
-		meta[k] = v
-	}
+	meta := cloneMeta(r.meta)
 	cacheKey := t.name + "\x00" + key
 	if db.cache != nil {
 		if blob, ok := db.cache.get(cacheKey, r.gen); ok {
@@ -472,13 +477,17 @@ func (t *Table) Get(key string) (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	out := bytes.NewBuffer(make([]byte, 0, r.rawSize))
-	_, err = io.Copy(out, io.LimitReader(zr, MaxBlobBytes+1))
+	// One buffer of the recorded size, filled in place; reading on to EOF
+	// is what checks the gzip trailer.
+	limit := int64(min(r.rawSize, MaxBlobBytes))
+	blob, err := sizedio.ReadAll(zr, int64(r.rawSize), limit)
 	gzipReaderPool.Put(zr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	blob := out.Bytes()
+	if len(blob) != r.rawSize {
+		return nil, fmt.Errorf("%w: %s/%s inflates to %d bytes, row says %d", ErrCorrupt, t.name, key, len(blob), r.rawSize)
+	}
 	if db.cache != nil {
 		db.cache.put(cacheKey, r.gen, blob)
 	}
@@ -488,10 +497,16 @@ func (t *Table) Get(key string) (*Record, error) {
 	}, nil
 }
 
-// GetCompressed returns a copy of the record's stored gzip bytes and the
+// GetCompressed returns the record's stored gzip bytes and the
 // decompressed size, without inflating. Only the disk read of the
 // compressed bytes is accounted — this is the cheap path the
 // wire-compression staging mode uses to ship the stored stream as-is.
+//
+// The slice is the row's own and is shared with every other reader, the
+// WAL encoder and the compactor: callers must treat it as read-only.
+// That is safe to hand out because rows are immutable after apply — a
+// re-publish installs a new row with a new slice, it never writes into
+// this one.
 func (t *Table) GetCompressed(key string) (comp []byte, rawSize int, err error) {
 	s := t.db.shardFor(t.name, key)
 	s.mu.RLock()
@@ -505,9 +520,7 @@ func (t *Table) GetCompressed(key string) (comp []byte, rawSize int, err error) 
 		return nil, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
 	t.db.probe.DiskRead(len(r.comp))
-	comp = make([]byte, len(r.comp))
-	copy(comp, r.comp)
-	return comp, r.rawSize, nil
+	return r.comp, r.rawSize, nil
 }
 
 // BlobCacheStats reports the decompressed-blob LRU's counters; all zero
@@ -587,10 +600,7 @@ func (t *Table) Stat(key string) (*Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
-	meta := make(map[string]string, len(r.meta))
-	for k, v := range r.meta {
-		meta[k] = v
-	}
+	meta := cloneMeta(r.meta)
 	return &Record{
 		Key: key, Meta: meta,
 		StoredAt: r.storedAt, CompressedSize: len(r.comp),
@@ -698,17 +708,44 @@ var fsyncDir = func(dir string) error {
 
 // --- codec pools ---
 
-// The gzip codecs and WAL encode buffers are pooled: Put/Get/log run on
-// the invocation hot path, and per-call allocation of a gzip state
-// machine (~1.4 MB for writers) dominated their profiles.
+// The gzip codecs and encode buffers are pooled: Put/Get/log run on the
+// invocation hot path, and per-call allocation of a gzip state machine
+// (~1.4 MB for writers) dominated their profiles. bufPool serves both
+// the compressor's scratch stream and the WAL encoder's frames.
 var (
 	gzipWriterPool = sync.Pool{New: func() any {
 		w, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
 		return w
 	}}
 	gzipReaderPool sync.Pool
-	walBufPool     = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	bufPool        = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 )
+
+// compress gzips blob into a pooled scratch buffer and returns one
+// exact-size copy: the only allocation a row's stored stream costs.
+func compress(blob []byte) ([]byte, error) {
+	scratch := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(scratch)
+	scratch.Reset()
+	// Room for the worst case (stored blocks: five bytes per 64 KB, plus
+	// header and trailer), so a scratch buffer the pool lost comes back in
+	// one allocation instead of doubling its way up from 64 bytes.
+	scratch.Grow(len(blob) + len(blob)>>10 + 64)
+	// BestSpeed: the compression *cost model* lives in Put's probe burn;
+	// the real gzip pass only needs to shrink the stored bytes, and
+	// keeping it cheap avoids polluting time-dilated experiment runs
+	// with real CPU time.
+	zw := gzipWriterPool.Get().(*gzip.Writer)
+	defer gzipWriterPool.Put(zw)
+	zw.Reset(scratch)
+	if _, err := zw.Write(blob); err != nil {
+		return nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(scratch.Bytes()), nil
+}
 
 // pooledGzipReader returns a reset pooled reader (or a fresh one) over r.
 // Return it with gzipReaderPool.Put when done.
@@ -725,17 +762,35 @@ func pooledGzipReader(r io.Reader) (*gzip.Reader, error) {
 
 // --- wire format: 4-byte big-endian length + JSON ---
 
+// appendEntry encodes one frame onto buf in place: the JSON goes
+// straight behind a four-byte gap that is back-patched with its length,
+// so the entry (base64 of the whole gzip stream) is never marshalled
+// into a buffer of its own and copied over. The bytes are exactly
+// json.Marshal's; Encode's trailing newline is cut. On error buf is
+// left as it was.
+func appendEntry(buf *bytes.Buffer, e *walEntry) error {
+	start := buf.Len()
+	var gap [4]byte
+	buf.Write(gap[:])
+	if err := json.NewEncoder(buf).Encode(e); err != nil {
+		buf.Truncate(start)
+		return err
+	}
+	buf.Truncate(buf.Len() - 1)
+	binary.BigEndian.PutUint32(buf.Bytes()[start:], uint32(buf.Len()-start-4))
+	return nil
+}
+
+// writeEntry frames one entry onto w (the snapshot writers' path)
+// through a pooled buffer.
 func writeEntry(w io.Writer, e *walEntry) error {
-	b, err := json.Marshal(e)
-	if err != nil {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	if err := appendEntry(buf, e); err != nil {
 		return err
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(b)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(b)
+	_, err := w.Write(buf.Bytes())
 	return err
 }
 

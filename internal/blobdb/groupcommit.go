@@ -108,16 +108,13 @@ func (g *groupCommitter) run() {
 // the entries in batch order and releases the waiters.
 func (g *groupCommitter) flush(batch []*commitReq) {
 	s := g.s
-	buf := walBufPool.Get().(*bytes.Buffer)
+	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	sizes := make([]int, len(batch))
 	errs := make([]error, len(batch))
 	prev := 0
 	for i, r := range batch {
-		if err := writeEntry(buf, r.entry); err != nil {
-			errs[i] = err
-			buf.Truncate(prev)
-		}
+		errs[i] = appendEntry(buf, r.entry)
 		sizes[i] = buf.Len() - prev
 		prev = buf.Len()
 	}
@@ -151,7 +148,7 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 		}
 	}
 	s.mu.Unlock()
-	walBufPool.Put(buf)
+	bufPool.Put(buf)
 	for i, r := range batch {
 		r.errc <- errs[i]
 	}

@@ -129,6 +129,24 @@ func (s *shard) apply(e *walEntry, seg int) {
 	}
 }
 
+// commit logs and applies one entry: through the shard's group
+// committer when it has one, under the shard lock otherwise.
+func (s *shard) commit(e *walEntry) error {
+	if s.gc != nil {
+		return s.gc.commit(e)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if err := s.log(e); err != nil {
+		return err
+	}
+	s.apply(e, s.seg)
+	return nil
+}
+
 // log appends an entry to the shard's WAL (if persistent), rolling the
 // live segment first when it is over the limit, and accounts the disk
 // write either way — the paper's DB writes hit disk whether or not our
@@ -139,16 +157,14 @@ func (s *shard) log(e *walEntry) error {
 		if err := s.maybeRoll(); err != nil {
 			return err
 		}
-		buf := walBufPool.Get().(*bytes.Buffer)
+		buf := bufPool.Get().(*bytes.Buffer)
+		defer bufPool.Put(buf)
 		buf.Reset()
-		if err := writeEntry(buf, e); err != nil {
-			walBufPool.Put(buf)
+		if err := appendEntry(buf, e); err != nil {
 			return err
 		}
 		n = buf.Len()
-		_, err := s.wal.Write(buf.Bytes())
-		walBufPool.Put(buf)
-		if err != nil {
+		if _, err := s.wal.Write(buf.Bytes()); err != nil {
 			return err
 		}
 		s.walWrites++

@@ -509,13 +509,17 @@ type statsFlight struct {
 }
 
 // stageExecutable makes sure the service's executable is present at the
-// target site. With Config.CoalesceStaging on, concurrent cold
-// invocations of one service single-flight the transfer per
-// service|site: the first arrival performs it, the rest block on its
-// result, so a cold burst costs exactly one WAN transfer per site. A
-// leader failure wakes the waiters and exactly one of them takes over
-// (each failed flight releases its leader with the error), so the
-// stampede can never come back through the retry path.
+// target site. With Config.CoalesceStaging on, transfers single-flight
+// per service|site, and the contract is about overlap, not about bursts:
+// an invocation that arrives while a transfer for its key is in flight
+// blocks on that transfer's result instead of starting its own; one that
+// arrives after the flight has landed starts a new one (StagingCache is
+// what spares that). A cold burst therefore costs one WAN transfer per
+// site exactly when its arrivals overlap the leader's transfer — a
+// property of timing the caller does not control. A leader failure
+// wakes the waiters and exactly one of them takes over (each failed
+// flight releases its leader with the error), so the stampede can never
+// come back through the retry path.
 func (o *OnServe) stageExecutable(sessionID, serviceName, stagedName, site string, blob []byte, sp *trace.Span) error {
 	if !o.cfg.CoalesceStaging {
 		return o.stageExecutableOnce(sessionID, serviceName, stagedName, site, blob, sp)
@@ -524,6 +528,7 @@ func (o *OnServe) stageExecutable(sessionID, serviceName, stagedName, site strin
 	for {
 		o.mu.Lock()
 		if f := o.stagingFlights[key]; f != nil {
+			f.waiters++
 			o.mu.Unlock()
 			<-f.done
 			if f.err == nil {
@@ -547,9 +552,12 @@ func (o *OnServe) stageExecutable(sessionID, serviceName, stagedName, site strin
 
 // stagingFlight is one in-flight staging transfer waiters block on. err
 // is written by the leader before done closes and only read after.
+// waiters (under OnServe.mu) counts the arrivals parked on the flight;
+// tests use it as the barrier that makes overlap deterministic.
 type stagingFlight struct {
-	done chan struct{}
-	err  error
+	done    chan struct{}
+	err     error
+	waiters int
 }
 
 // stageExecutableOnce performs one staging transfer: through the

@@ -540,12 +540,15 @@ func (o *OnServe) SetStageIn(serviceName string, files []string) error {
 			return fmt.Errorf("%w: stage-in file %q", ErrBadName, f)
 		}
 	}
-	rec, err := o.cfg.DB.Table(ExecutablesTable).Get(serviceName)
+	// Metadata only: the executable is neither inflated nor re-compressed
+	// to change one key.
+	tab := o.cfg.DB.Table(ExecutablesTable)
+	rec, err := tab.Stat(serviceName)
 	if err != nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchService, serviceName)
 	}
 	rec.Meta["stage_in"] = strings.Join(files, ",")
-	return o.cfg.DB.Table(ExecutablesTable).Put(serviceName, rec.Meta, rec.Blob)
+	return tab.SetMeta(serviceName, rec.Meta)
 }
 
 // RedeployAll regenerates, deploys and republishes a service for every

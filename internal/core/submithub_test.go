@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,9 +27,7 @@ import (
 // newWANFixture wires an onServe over a single-site grid whose servers
 // answer across the paper's shaped WAN (~85 KB/s), at a caller-chosen
 // time dilation so one staging transfer occupies tens of real
-// milliseconds — long enough that a concurrent burst reliably overlaps
-// the in-flight upload, which is what the coalescing tests need to be
-// deterministic.
+// milliseconds.
 func newWANFixture(t *testing.T, scale float64, mutate func(*Config)) *fixture {
 	t.Helper()
 	clk := vtime.NewScaled(scale)
@@ -78,10 +78,55 @@ func newWANFixture(t *testing.T, scale float64, mutate func(*Config)) *fixture {
 	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg}
 }
 
+// uploadGate is the grid-bound transport of a fixture whose staging
+// transfers can be held: once armed, a GridFTP PUT announces itself on
+// parked and waits for release to close.
+type uploadGate struct {
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func newUploadGate() *uploadGate {
+	return &uploadGate{parked: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (g *uploadGate) RoundTrip(req *http.Request) (*http.Response, error) {
+	if g.armed.Load() && req.Method == http.MethodPut && strings.HasPrefix(req.URL.Path, "/ftp/") {
+		g.parked <- struct{}{}
+		<-g.release
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// awaitStagingWaiters returns once n arrivals are parked on the one
+// open staging flight.
+func awaitStagingWaiters(t *testing.T, o *OnServe, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		got := 0
+		o.mu.Lock()
+		for _, fl := range o.stagingFlights {
+			got += fl.waiters
+		}
+		o.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d arrivals joined the staging flight", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // stagingBurst uploads a padded executable, warms the session and stats
 // caches with one sequential invocation, then fires n simultaneous
-// invocations and returns the submit-counter deltas over the burst.
-func stagingBurst(t *testing.T, f *fixture, n int) SubmitStats {
+// invocations and returns the submit-counter deltas over the burst. With
+// a gate, the first transfer of the burst is held on the wire until the
+// other n-1 invocations are parked on its flight.
+func stagingBurst(t *testing.T, f *fixture, n int, gate *uploadGate) SubmitStats {
 	t.Helper()
 	program := gsh.Pad([]byte("compute 1s\necho ok\n"), 512<<10)
 	if _, err := f.ons.UploadAndGenerate("alice", "burst.gsh", "", nil, program); err != nil {
@@ -91,6 +136,9 @@ func stagingBurst(t *testing.T, f *fixture, n int) SubmitStats {
 		t.Fatal(err)
 	}
 	before := f.ons.SubmitStats()
+	if gate != nil {
+		gate.armed.Store(true)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -107,6 +155,11 @@ func stagingBurst(t *testing.T, f *fixture, n int) SubmitStats {
 				errs <- errors.New("invocation ended " + string(st) + ": " + inv.Message())
 			}
 		}()
+	}
+	if gate != nil {
+		<-gate.parked
+		awaitStagingWaiters(t, f.ons, n-1)
+		close(gate.release)
 	}
 	wg.Wait()
 	close(errs)
@@ -127,7 +180,7 @@ func stagingBurst(t *testing.T, f *fixture, n int) SubmitStats {
 func TestColdBurstStagingStockUploadsPerInvocation(t *testing.T) {
 	f := newWANFixture(t, 300, nil)
 	const n = 8
-	d := stagingBurst(t, f, n)
+	d := stagingBurst(t, f, n, nil)
 	// Paper-faithful: every invocation pushes the full blob across the
 	// WAN again, even while an identical transfer is in flight.
 	if d.Uploads != n {
@@ -139,14 +192,18 @@ func TestColdBurstStagingStockUploadsPerInvocation(t *testing.T) {
 }
 
 func TestColdBurstStagingCoalescedSingleUpload(t *testing.T) {
-	// Scale 75 (not the stock test's 300): the leader upload's ~18
-	// virtual seconds span ~240 real ms, so even a burst goroutine the
-	// race detector stalls for ~100 ms still reaches stageExecutable
-	// while the flight is open and joins it — at 300 the ~60 ms window
-	// flaked under full-suite -race load.
-	f := newWANFixture(t, 75, func(cfg *Config) { cfg.CoalesceStaging = true })
+	// The contract is "arrivals while a transfer is in flight share it",
+	// so the test makes the overlap a fact instead of a likelihood: the
+	// leader's PUT is held at the transport until the other n-1
+	// invocations are parked on its flight. No dilation factor to tune.
+	gate := newUploadGate()
+	f := newFixtureHTTP(t, &http.Client{Transport: gate}, func(cfg *Config) {
+		cfg.CoalesceStaging = true
+		cfg.SessionCache = true
+		cfg.StatsTTL = time.Hour
+	})
 	const n = 8
-	d := stagingBurst(t, f, n)
+	d := stagingBurst(t, f, n, gate)
 	if d.Uploads != 1 {
 		t.Fatalf("coalesced burst made %d uploads, want exactly 1", d.Uploads)
 	}

@@ -28,11 +28,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
+
+	"repro/internal/sizedio"
 )
 
 // EncodingHeader negotiates the wire encoding of a chunked transfer
@@ -232,17 +235,17 @@ func (s *Server) putChunk(w http.ResponseWriter, r *http.Request, digest string)
 		httpError(w, http.StatusBadRequest, ErrBadInput.Error()+": malformed chunk digest")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxChunkBytes+1))
+	body, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxChunkBytes)
+	if errors.Is(err, sizedio.ErrTooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "gridftp: chunk too large")
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "gridftp: read chunk: "+err.Error())
 		return
 	}
 	if len(body) == 0 {
 		httpError(w, http.StatusBadRequest, ErrBadInput.Error()+": empty chunk")
-		return
-	}
-	if len(body) > MaxChunkBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "gridftp: chunk too large")
 		return
 	}
 	sum := sha256.Sum256(body)

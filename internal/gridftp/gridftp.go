@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"repro/internal/gridsim"
+	"repro/internal/sizedio"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 	"repro/internal/xsec"
@@ -247,13 +248,13 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) put(w http.ResponseWriter, r *http.Request, name string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxFileBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "gridftp: read body: "+err.Error())
+	body, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxFileBytes)
+	if errors.Is(err, sizedio.ErrTooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "gridftp: file too large")
 		return
 	}
-	if len(body) > MaxFileBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "gridftp: file too large")
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "gridftp: read body: "+err.Error())
 		return
 	}
 	sum := sha256.Sum256(body)
@@ -359,13 +360,13 @@ func (s *Server) fetch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("gridftp: source answered %d: %s", resp.StatusCode, srcBody))
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxFileBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadGateway, err.Error())
+	data, err := sizedio.ReadAll(resp.Body, resp.ContentLength, MaxFileBytes)
+	if errors.Is(err, sizedio.ErrTooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "gridftp: fetched file too large")
 		return
 	}
-	if len(data) > MaxFileBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "gridftp: fetched file too large")
+	if err != nil {
+		httpError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	sum := sha256.Sum256(data)

@@ -27,6 +27,7 @@
 package gsh
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -80,30 +81,50 @@ func Parse(src []byte) (*Program, error) {
 	if len(src) > MaxProgramBytes {
 		return nil, ErrTooLarge
 	}
-	lines := strings.Split(string(src), "\n")
+	lines := statementLines(src)
 	stmts, rest, err := parseBlock(lines, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	if rest != len(lines) {
-		return nil, fmt.Errorf("%w: 'end' without 'loop' at line %d", ErrUnbalanced, rest+1)
+		return nil, fmt.Errorf("%w: 'end' without 'loop' at line %d", ErrUnbalanced, lines[rest].no)
 	}
 	return &Program{Stmts: stmts, SourceBytes: len(src)}, nil
 }
 
+// srcLine is one statement line: trimmed text and 1-based line number.
+type srcLine struct {
+	text string
+	no   int
+}
+
+// statementLines walks src line by line and keeps the statements only.
+// Blank lines and comments are skipped on the bytes, so the padding of
+// a padded executable — all of a 1 MB upload but a few lines — is never
+// copied into a string.
+func statementLines(src []byte) []srcLine {
+	var out []srcLine
+	for no := 1; ; no++ {
+		line, rest, more := bytes.Cut(src, []byte{'\n'})
+		if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '#' {
+			out = append(out, srcLine{text: string(line), no: no})
+		}
+		if !more {
+			return out
+		}
+		src = rest
+	}
+}
+
 // parseBlock parses statements from line index i until EOF or a matching
 // 'end', returning the next unconsumed line index.
-func parseBlock(lines []string, i, depth int) ([]Stmt, int, error) {
+func parseBlock(lines []srcLine, i, depth int) ([]Stmt, int, error) {
 	var out []Stmt
 	for ; i < len(lines); i++ {
-		line := strings.TrimSpace(lines[i])
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
+		fields := strings.Fields(lines[i].text)
 		op := fields[0]
 		args := fields[1:]
-		lineNo := i + 1
+		lineNo := lines[i].no
 		switch op {
 		case "end":
 			if depth == 0 {
@@ -122,7 +143,7 @@ func parseBlock(lines []string, i, depth int) ([]Stmt, int, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			if next > len(lines) || (next == len(lines) && !closedByEnd(lines, i+1, next)) {
+			if next > len(lines) { // the body ran off the end of input
 				return nil, 0, fmt.Errorf("%w: loop at line %d never closed", ErrUnbalanced, lineNo)
 			}
 			out = append(out, Stmt{Op: "loop", Count: n, Body: body})
@@ -182,21 +203,6 @@ func parseBlock(lines []string, i, depth int) ([]Stmt, int, error) {
 		return nil, len(lines) + 1, nil // unbalanced, caught by caller
 	}
 	return out, len(lines), nil
-}
-
-func closedByEnd(lines []string, from, next int) bool {
-	// parseBlock at depth>0 returns next = index after the 'end' line; if
-	// it ran off the end of input it returns len(lines)+1, handled by the
-	// caller through the next > len(lines) check. Reaching exactly
-	// len(lines) means the last line was the 'end'.
-	for j := next - 1; j >= from; j-- {
-		l := strings.TrimSpace(lines[j])
-		if l == "" || strings.HasPrefix(l, "#") {
-			continue
-		}
-		return l == "end"
-	}
-	return false
 }
 
 func parseDur(s string, line int) (time.Duration, error) {

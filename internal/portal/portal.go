@@ -13,11 +13,13 @@ import (
 	"html/template"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/sizedio"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/uddi"
@@ -126,34 +128,25 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.probe.Burn(p.cost.RequestHandling)
-	if err := r.ParseMultipartForm(32 << 20); err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Errorf("portal: parse form: %w", err))
-		return
-	}
-	file, hdr, err := r.FormFile("file")
+	form, err := readUploadForm(w, r)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Errorf("portal: missing file: %w", err))
-		return
-	}
-	defer file.Close()
-	content, err := io.ReadAll(io.LimitReader(file, MaxUploadBytes+1))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(content) > MaxUploadBytes {
-		jsonError(w, http.StatusRequestEntityTooLarge, errors.New("portal: file too large"))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.Is(err, sizedio.ErrTooLarge) || errors.As(err, &tooLarge) {
+			status, err = http.StatusRequestEntityTooLarge, errors.New("portal: file too large")
+		}
+		jsonError(w, status, err)
 		return
 	}
 	// Reception CPU (Fig. 8): proportional to the upload size.
-	p.probe.BurnFor(len(content), p.cost.ReceiveBps)
+	p.probe.BurnFor(len(form.content), p.cost.ReceiveBps)
 
-	user := r.FormValue("user")
-	description := r.FormValue("description")
+	user := form.fields.Get("user")
+	description := form.fields.Get("description")
 	var params []wsdl.ParamDef
 	for i := 1; ; i++ {
-		name := strings.TrimSpace(r.FormValue("paramName" + strconv.Itoa(i)))
-		typ := strings.TrimSpace(r.FormValue("paramType" + strconv.Itoa(i)))
+		name := strings.TrimSpace(form.fields.Get("paramName" + strconv.Itoa(i)))
+		typ := strings.TrimSpace(form.fields.Get("paramType" + strconv.Itoa(i)))
 		if name == "" && typ == "" {
 			if i > 3 { // the form always posts three rows; APIs may post more
 				break
@@ -176,15 +169,15 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	// pure function of the filename, so evaluate it pre-admission. A
 	// name the core would reject is admitted under the raw filename and
 	// fails downstream exactly as it would without tenancy.
-	svcName := hdr.Filename
-	if n, err := core.ServiceNameFor(hdr.Filename); err == nil {
+	svcName := form.fileName
+	if n, err := core.ServiceNameFor(form.fileName); err == nil {
 		svcName = n
 	}
 	adm, ok := p.admit(w, pr, tenant.VerbUpload, svcName, tc)
 	if !ok {
 		return
 	}
-	rec, err := p.onserve.UploadAndGenerateCtx(user, hdr.Filename, description, params, content, adm.ParentFor(tc))
+	rec, err := p.onserve.UploadAndGenerateCtx(user, form.fileName, description, params, form.content, adm.ParentFor(tc))
 	if err != nil {
 		adm.Finish("", err)
 		jsonError(w, statusFor(err), err)
@@ -192,7 +185,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Optional comma-separated stage-in declaration: input files the
 	// owner stages to the Grid out of band.
-	if stageIn := strings.TrimSpace(r.FormValue("stageIn")); stageIn != "" {
+	if stageIn := strings.TrimSpace(form.fields.Get("stageIn")); stageIn != "" {
 		var files []string
 		for _, f := range strings.Split(stageIn, ",") {
 			if f = strings.TrimSpace(f); f != "" {
@@ -207,6 +200,77 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	}
 	adm.Finish("", nil)
 	writeJSON(w, http.StatusOK, rec)
+}
+
+// maxUploadBody bounds one /upload request body: the file cap plus
+// maxFieldBytes of form fields and multipart framing — the same figure
+// the fleet gateway buffers up to (its maxBody).
+const (
+	maxFieldBytes = 1 << 20
+	maxUploadBody = MaxUploadBytes + maxFieldBytes
+)
+
+// uploadForm is a decoded /upload request.
+type uploadForm struct {
+	fileName string
+	content  []byte
+	// fields holds the text fields, query-string values ahead of form
+	// fields — the precedence r.FormValue gives a multipart request.
+	fields url.Values
+}
+
+// readUploadForm streams the multipart body part by part. The file part
+// is read once, into one buffer sized from Content-Length (a few hundred
+// bytes of framing more than the file); nothing is staged in a second
+// buffer or spilled to a temp file, and a body past maxUploadBody is cut
+// off by http.MaxBytesReader before it is buffered. Parts may come in
+// any order; as in mime/multipart's ReadForm, a part without a filename
+// and without a Content-Type is a text field and the first file part
+// named "file" is the upload.
+func readUploadForm(w http.ResponseWriter, r *http.Request) (*uploadForm, error) {
+	if r.ContentLength > maxUploadBody {
+		return nil, sizedio.ErrTooLarge
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxUploadBody)
+	mr, err := r.MultipartReader()
+	if err != nil {
+		return nil, fmt.Errorf("portal: parse form: %w", err)
+	}
+	form := &uploadForm{fields: r.URL.Query()}
+	haveFile := false
+	fieldBudget := int64(maxFieldBytes)
+	for {
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("portal: parse form: %w", err)
+		}
+		name := part.FormName()
+		if _, typed := part.Header["Content-Type"]; !typed && part.FileName() == "" && name != "" {
+			fieldBudget -= int64(len(name))
+			if fieldBudget < 0 {
+				return nil, sizedio.ErrTooLarge
+			}
+			value, err := sizedio.ReadAll(part, -1, fieldBudget)
+			if err != nil {
+				return nil, fmt.Errorf("portal: parse form: %w", err)
+			}
+			fieldBudget -= int64(len(value))
+			form.fields.Add(name, string(value))
+		} else if name == "file" && !haveFile {
+			form.content, err = sizedio.ReadAll(part, min(r.ContentLength, MaxUploadBytes), MaxUploadBytes)
+			if err != nil {
+				return nil, fmt.Errorf("portal: parse form: %w", err)
+			}
+			form.fileName, haveFile = part.FileName(), true
+		}
+	}
+	if !haveFile {
+		return nil, fmt.Errorf("portal: missing file: %w", http.ErrMissingFile)
+	}
+	return form, nil
 }
 
 var registryTmpl = template.Must(template.New("registry").Parse(`<!DOCTYPE html>

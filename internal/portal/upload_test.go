@@ -1,0 +1,258 @@
+package portal
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"mime/multipart"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"testing"
+
+	"repro/internal/gsh"
+)
+
+// formPart is one part of a hand-built upload body: a text field, or the
+// file part when fileName is set.
+type formPart struct{ name, fileName, value string }
+
+func buildForm(t testing.TB, parts []formPart) (contentType string, body []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	mw := multipart.NewWriter(&buf)
+	for _, p := range parts {
+		if p.fileName != "" {
+			fw, err := mw.CreateFormFile(p.name, p.fileName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.WriteString(fw, p.value)
+			continue
+		}
+		if err := mw.WriteField(p.name, p.value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mw.Close()
+	return mw.FormDataContentType(), buf.Bytes()
+}
+
+// firstFilePart is the index of the upload among parts.
+func firstFilePart(parts []formPart) int {
+	for i, p := range parts {
+		if p.name == "file" && p.fileName != "" {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestUploadFormShapes drives /upload with the shapes a streaming
+// decoder could get wrong and the buffered one never had to think about.
+func TestUploadFormShapes(t *testing.T) {
+	f := newFixture(t)
+	file := func(name string) formPart { return formPart{"file", name, "echo ${a}${b}${c}${d}\n"} }
+	user := formPart{"user", "", "alice"}
+
+	cases := []struct {
+		name    string
+		parts   []formPart
+		query   string
+		chunked bool
+		cut     int // bytes to drop from the end of the body
+		status  int
+		service string
+		params  int
+		stageIn []string
+	}{
+		{name: "file part first", parts: []formPart{file("first.gsh"), user, {"paramName1", "", "a"}, {"paramType1", "", "int"}},
+			status: 200, service: "FirstService", params: 1},
+		{name: "file part last", parts: []formPart{user, {"description", "", "d"}, {"paramName1", "", "a"}, {"stageIn", "", "x.dat, y.dat"}, file("last.gsh")},
+			status: 200, service: "LastService", params: 1, stageIn: []string{"x.dat", "y.dat"}},
+		{name: "file part in the middle", parts: []formPart{user, file("middle.gsh"), {"paramName1", "", "a"}, {"paramName2", "", "b"}},
+			status: 200, service: "MiddleService", params: 2},
+		{name: "more than three param rows", parts: []formPart{file("rows.gsh"), user,
+			{"paramName1", "", "a"}, {"paramName2", "", "b"}, {"paramName3", "", "c"}, {"paramName4", "", "d"}, {"paramType4", "", "int"}},
+			status: 200, service: "RowsService", params: 4},
+		{name: "user in the query string", parts: []formPart{file("query.gsh")}, query: "?user=alice&paramName1=a",
+			status: 200, service: "QueryService", params: 1},
+		{name: "query string wins over a form field", parts: []formPart{file("wins.gsh"), {"user", "", "nobody"}}, query: "?user=alice",
+			status: 200, service: "WinsService"},
+		{name: "chunked transfer encoding", parts: []formPart{user, file("chunked.gsh"), {"paramName1", "", "a"}}, chunked: true,
+			status: 200, service: "ChunkedService", params: 1},
+		{name: "a second file part is ignored", parts: []formPart{file("one.gsh"), {"file", "two.gsh", "fail never stored\n"}, {"other", "x.bin", "zz"}, user},
+			status: 200, service: "OneService"},
+		{name: "missing file", parts: []formPart{user, {"paramName1", "", "a"}}, status: 400},
+		{name: "file under another field name", parts: []formPart{{"upload", "other.gsh", "echo x\n"}, user}, status: 400},
+		{name: "truncated inside the file", parts: []formPart{user, file("cut.gsh")}, cut: 60, status: 400},
+		{name: "truncated before the closing boundary", parts: []formPart{file("cut2.gsh"), user}, cut: 8, status: 400},
+		{name: "no parts at all", status: 400},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctype, body := buildForm(t, tc.parts)
+			body = body[:len(body)-tc.cut]
+			var rd io.Reader = bytes.NewReader(body)
+			if tc.chunked {
+				rd = struct{ io.Reader }{rd} // hides the length: no Content-Length
+			}
+			req, err := http.NewRequest(http.MethodPost, f.url+"/upload"+tc.query, rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", ctype)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, raw)
+			}
+			if tc.status != 200 {
+				var env map[string]string
+				if err := json.Unmarshal(raw, &env); err != nil || env["code"] != "bad_request" || env["error"] == "" {
+					t.Fatalf("error envelope: %s", raw)
+				}
+				return
+			}
+			info, err := f.onserve.ServiceInfo(tc.service)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Owner != "alice" || len(info.Params) != tc.params || info.FileName != tc.parts[firstFilePart(tc.parts)].fileName {
+				t.Fatalf("stored as %+v", info)
+			}
+			if fmt.Sprint(info.StageIn) != fmt.Sprint(tc.stageIn) {
+				t.Fatalf("stage-in %v, want %v", info.StageIn, tc.stageIn)
+			}
+		})
+	}
+}
+
+// TestUploadOversizeRefusedBeforeBuffering declares a body past the cap:
+// the 413 envelope must come back without the server waiting for (or
+// buffering) a single body byte.
+func TestUploadOversizeRefusedBeforeBuffering(t *testing.T) {
+	f := newFixture(t)
+	u, _ := url.Parse(f.url)
+	conn, err := net.Dial("tcp", u.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /upload HTTP/1.1\r\nHost: %s\r\nContent-Type: multipart/form-data; boundary=xyz\r\nContent-Length: %d\r\n\r\n",
+		u.Host, int64(maxUploadBody)+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var env map[string]string
+	json.Unmarshal(raw, &env)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env["code"] != "too_large" || env["error"] != "portal: file too large" {
+		t.Fatalf("status %d body %s", resp.StatusCode, raw)
+	}
+}
+
+// TestUploadBodyCapMapsTo413 checks the other oversize door: a body that
+// runs into an http.MaxBytesReader mid-stream. The real cap is 257 MB,
+// so the test narrows the request's body itself; the error is the same
+// *http.MaxBytesError either reader produces.
+func TestUploadBodyCapMapsTo413(t *testing.T) {
+	f := newFixture(t)
+	ctype, body := buildForm(t, []formPart{{"user", "", "alice"}, {"file", "big.gsh", string(gsh.Pad([]byte("echo x\n"), 64<<10))}})
+	for _, chunked := range []bool{false, true} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/upload", bytes.NewReader(body))
+		req.Header.Set("Content-Type", ctype)
+		if chunked {
+			req.ContentLength = -1
+		}
+		req.Body = http.MaxBytesReader(rec, req.Body, 16<<10)
+		f.portal.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), `"portal: file too large"`) {
+			t.Fatalf("chunked=%v: status %d body %s", chunked, rec.Code, rec.Body)
+		}
+		if _, err := f.onserve.ServiceInfo("BigService"); err == nil {
+			t.Fatal("oversize upload was stored")
+		}
+	}
+}
+
+func TestUploadFieldBudget(t *testing.T) {
+	ctype, body := buildForm(t, []formPart{
+		{"file", "f.gsh", "echo x\n"},
+		{"description", "", strings.Repeat("d", maxFieldBytes/2)},
+		{"user", "", strings.Repeat("u", maxFieldBytes/2)},
+	})
+	req := httptest.NewRequest(http.MethodPost, "/upload", bytes.NewReader(body))
+	req.Header.Set("Content-Type", ctype)
+	if _, err := readUploadForm(httptest.NewRecorder(), req); err == nil {
+		t.Fatal("text fields past maxFieldBytes were buffered")
+	}
+}
+
+// TestUploadDecodeByteBudget: decoding an upload allocates the file once.
+func TestUploadDecodeByteBudget(t *testing.T) {
+	program := gsh.Pad([]byte("echo ${n}\n"), 256<<10)
+	ctype, body := buildForm(t, []formPart{{"user", "", "alice"}, {"file", "budget.gsh", string(program)}, {"paramName1", "", "n"}})
+	rec := httptest.NewRecorder()
+	got := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			req := httptest.NewRequest(http.MethodPost, "/upload?x=1", bytes.NewReader(body))
+			req.Header.Set("Content-Type", ctype)
+			form, err := readUploadForm(rec, req)
+			if err != nil || len(form.content) != len(program) {
+				b.Fatalf("decode: %v", err)
+			}
+		}
+	}).AllocedBytesPerOp()
+	if limit := int64(len(body)) * 3 / 2; got > limit {
+		t.Fatalf("decoding a %d B upload allocates %d B, budget %d", len(body), got, limit)
+	}
+}
+
+func FuzzUploadForm(f *testing.F) {
+	ctype, body := buildForm(f, []formPart{{"user", "", "alice"}, {"file", "a.gsh", "echo x\n"}, {"paramName1", "", "n"}})
+	boundary := strings.TrimPrefix(ctype, "multipart/form-data; boundary=")
+	f.Add(boundary, body, false)
+	f.Add(boundary, body[:len(body)/2], true)
+	f.Add("b", []byte("--b\r\nContent-Disposition: form-data; name=\"file\"; filename=\"\"\r\n\r\n\r\n--b--\r\n"), false)
+	f.Add("b", []byte("--b\r\nContent-Disposition: form-data; name=\"file\"\r\nContent-Type: text/plain\r\n\r\nx\r\n--b\r\n\r\n--b--"), true)
+	f.Add("", []byte("--\r\n\r\n"), false)
+	f.Fuzz(func(t *testing.T, boundary string, body []byte, chunked bool) {
+		req := httptest.NewRequest(http.MethodPost, "/upload?user=q", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "multipart/form-data; boundary="+boundary)
+		if chunked {
+			req.ContentLength = -1
+		}
+		form, err := readUploadForm(httptest.NewRecorder(), req)
+		if err != nil {
+			return
+		}
+		if len(form.content) > len(body) || cap(form.content) > max(len(body), 512) {
+			t.Fatalf("file buffer of %d (cap %d) from a %d-byte body", len(form.content), cap(form.content), len(body))
+		}
+		total := 0
+		for k, vs := range form.fields {
+			for _, v := range vs {
+				total += len(k) + len(v)
+			}
+		}
+		if total > maxFieldBytes+len("userq") {
+			t.Fatalf("%d bytes of text fields buffered", total)
+		}
+		if form.fields.Get("user") != "q" {
+			t.Fatalf("query-string user lost: %q", form.fields.Get("user"))
+		}
+	})
+}

@@ -45,3 +45,11 @@ go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./
 # globs), so both must never panic.
 go test -run='^$' -fuzz=FuzzKeyHeader -fuzztime=5s ./internal/tenant
 go test -run='^$' -fuzz=FuzzPolicyMatch -fuzztime=5s ./internal/tenant
+# The upload door decodes an attacker's multipart body by hand.
+go test -run='^$' -fuzz=FuzzUploadForm -fuzztime=5s ./internal/portal
+
+# bench-smoke: cmd/bench is a module of its own, so nothing above reaches
+# it, yet it compiles against internal/... by exported name. Vet it and
+# run its tests (4 s) so a signature it uses cannot change unnoticed.
+go vet -C cmd/bench .
+go test -C cmd/bench .
