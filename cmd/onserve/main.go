@@ -8,6 +8,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -36,41 +37,12 @@ func (u *userList) String() string     { return strings.Join(*u, ",") }
 func (u *userList) Set(v string) error { *u = append(*u, v); return nil }
 
 func main() {
-	var (
-		endpointsPath = flag.String("endpoints", "grid-endpoints.json", "grid endpoints file written by gridd")
-		listen        = flag.String("listen", "127.0.0.1:0", "address for the appliance HTTP endpoint")
-		dbDir         = flag.String("db", "", "database directory (empty: in-memory)")
-		tracing       = flag.Bool("trace", false, "record appliance-side invocation spans (read back via /api/trace, /trace, onserve-cli trace)")
-		chunked       = flag.Bool("chunked-staging", false, "stage executables through the chunked, content-addressed GridFTP protocol")
-		dataAware     = flag.Bool("data-placement", false, "score sites by chunk possession + transfer cost + load instead of load alone (implies probing the chunk stores; pair with -chunked-staging)")
-		replicateTopK = flag.Int("replicate-topk", 0, "pre-replicate freshly staged executables to the K least-loaded sibling sites (0: off)")
-		pushEvents    = flag.Bool("push-events", false, "collect job status over the gatekeeper's long-lived event streams instead of polling (falls back to the poll hub against a stock gatekeeper)")
-		walShards     = flag.Int("wal-shards", 0, "split the database across N sharded, segmented WALs (0 or 1: stock single-WAL layout; changing the count migrates the directory in place)")
-		segmentBytes  = flag.Int64("segment-bytes", 0, "roll a shard's live WAL segment past this size (0: 16 MiB default; needs -wal-shards >= 2)")
-		autoCompact   = flag.Bool("auto-compact", false, "retire dead WAL segments in the background instead of stop-the-world compaction (needs -wal-shards >= 2)")
-		fleet         = flag.Int("fleet", 0, "boot N appliances behind a consistent-hash gateway on -listen instead of one appliance (0: single appliance, stock wire behaviour)")
-		tenancy       = flag.Bool("tenancy", false, "enforce the multi-tenant control plane: API keys, policy, rate limits, fair-share quotas and the audit log (needs -keys-file)")
-		keysFile      = flag.String("keys-file", "", "tenancy config JSON (owners, keys, limits, audit); see README for the schema")
-		users         userList
-	)
-	flag.Var(&users, "user", "portal-user:myproxy-passphrase to register (repeatable)")
-	flag.Parse()
-	opts := bootOptions{
-		endpointsPath: *endpointsPath,
-		listen:        *listen,
-		dbDir:         *dbDir,
-		tracing:       *tracing,
-		chunked:       *chunked,
-		dataAware:     *dataAware,
-		replicateTopK: *replicateTopK,
-		pushEvents:    *pushEvents,
-		walShards:     *walShards,
-		segmentBytes:  *segmentBytes,
-		autoCompact:   *autoCompact,
-		fleet:         *fleet,
-		tenancy:       *tenancy,
-		keysFile:      *keysFile,
-		users:         users,
+	opts, err := parseFlags(os.Args[1:])
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(2) // the flag set already printed the error and usage
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "onserve:", err)
@@ -82,24 +54,60 @@ type bootOptions struct {
 	endpointsPath string
 	listen        string
 	dbDir         string
-	tracing       bool
-	chunked       bool
-	dataAware     bool
-	replicateTopK int
-	pushEvents    bool
-	walShards     int
-	segmentBytes  int64
-	autoCompact   bool
-	fleet         int
-	tenancy       bool
-	keysFile      string
-	users         userList
+	// appliance is what -profile (and -db) resolved to; run completes it
+	// with the endpoints, tracing and tenancy.
+	appliance appliance.Config
+	tracing   bool
+	fleet     int
+	tenancy   bool
+	keysFile  string
+	users     userList
+}
+
+// parseFlags reads the command line. The appliance's behaviour is chosen
+// by -profile alone: the two supported configurations are the only ones
+// the command can boot.
+func parseFlags(args []string) (bootOptions, error) {
+	var opts bootOptions
+	var profile string
+	fs := flag.NewFlagSet("onserve", flag.ContinueOnError)
+	fs.StringVar(&opts.endpointsPath, "endpoints", "grid-endpoints.json", "grid endpoints file written by gridd")
+	fs.StringVar(&opts.listen, "listen", "127.0.0.1:0", "address for the appliance HTTP endpoint")
+	fs.StringVar(&opts.dbDir, "db", "", "database directory (empty: in-memory)")
+	fs.StringVar(&profile, "profile", "paper", "appliance configuration: paper (every extension off, what the paper's figures measure) or production (every cache and batched path on; with -db, the sharded storage engine)")
+	fs.BoolVar(&opts.tracing, "trace", false, "record appliance-side invocation spans (read back via /api/trace, /trace, onserve-cli trace)")
+	fs.IntVar(&opts.fleet, "fleet", 0, "boot N appliances behind a consistent-hash gateway on -listen instead of one appliance (0: single appliance, stock wire behaviour)")
+	fs.BoolVar(&opts.tenancy, "tenancy", false, "enforce the multi-tenant control plane: API keys, policy, rate limits, fair-share quotas and the audit log (needs -keys-file)")
+	fs.StringVar(&opts.keysFile, "keys-file", "", "tenancy config JSON (owners, keys, limits, audit); see README for the schema")
+	fs.Var(&opts.users, "user", "portal-user:myproxy-passphrase to register (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return opts, err
+	}
+	cfg, err := profileConfig(profile, opts.dbDir)
+	if err != nil {
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return opts, err
+	}
+	opts.appliance = cfg
+	return opts, nil
+}
+
+// profileConfig maps -profile (and -db) onto the appliance configuration.
+func profileConfig(profile, dbDir string) (appliance.Config, error) {
+	switch profile {
+	case "paper":
+		cfg := appliance.Paper()
+		cfg.DBDir = dbDir
+		return cfg, nil
+	case "production":
+		return appliance.Production(dbDir), nil
+	}
+	return appliance.Config{}, fmt.Errorf("unknown -profile %q (want paper or production)", profile)
 }
 
 func run(opts bootOptions) error {
-	endpointsPath, listen, dbDir, tracing, users :=
-		opts.endpointsPath, opts.listen, opts.dbDir, opts.tracing, opts.users
-	raw, err := os.ReadFile(endpointsPath)
+	raw, err := os.ReadFile(opts.endpointsPath)
 	if err != nil {
 		return fmt.Errorf("read endpoints (run gridd first?): %w", err)
 	}
@@ -108,22 +116,13 @@ func run(opts bootOptions) error {
 		return fmt.Errorf("parse endpoints: %w", err)
 	}
 
-	cfg := appliance.Config{
-		Endpoints: cyberaide.Endpoints{
-			GramURL:     eps.GramURL,
-			MyProxyAddr: eps.MyProxyAddr,
-			FTPURLs:     eps.FTPURLs,
-		},
-		DBDir:              dbDir,
-		ChunkedStaging:     opts.chunked,
-		DataAwarePlacement: opts.dataAware,
-		ReplicateTopK:      opts.replicateTopK,
-		PushEvents:         opts.pushEvents,
-		WALShards:          opts.walShards,
-		SegmentBytes:       opts.segmentBytes,
-		AutoCompact:        opts.autoCompact,
+	cfg := opts.appliance
+	cfg.Endpoints = cyberaide.Endpoints{
+		GramURL:     eps.GramURL,
+		MyProxyAddr: eps.MyProxyAddr,
+		FTPURLs:     eps.FTPURLs,
 	}
-	if tracing {
+	if opts.tracing {
 		// The grid services live in another process (gridd), so the
 		// trace tree covers the appliance's side of the pipeline.
 		cfg.Trace = trace.NewCollector(0, 0)
@@ -139,7 +138,7 @@ func run(opts bootOptions) error {
 		cfg.Tenancy = &tc
 	}
 	if opts.fleet > 0 {
-		return runFleet(cfg, opts, users)
+		return runFleet(cfg, opts)
 	}
 	img, err := appliance.BuildImage(cfg)
 	if err != nil {
@@ -147,7 +146,7 @@ func run(opts bootOptions) error {
 	}
 	fmt.Printf("appliance image built: %s\n", strings.Join(img.Manifest, ", "))
 
-	ln, err := net.Listen("tcp", listen)
+	ln, err := net.Listen("tcp", opts.listen)
 	if err != nil {
 		return err
 	}
@@ -157,7 +156,7 @@ func run(opts bootOptions) error {
 	}
 	defer app.Shutdown()
 
-	for _, u := range users {
+	for _, u := range opts.users {
 		name, pass, ok := strings.Cut(u, ":")
 		if !ok {
 			return fmt.Errorf("bad -user %q, want name:passphrase", u)
@@ -166,13 +165,13 @@ func run(opts bootOptions) error {
 		fmt.Printf("registered portal user %s\n", name)
 	}
 
-	if dbDir != "" {
+	if opts.dbDir != "" {
 		n, err := app.OnServe.RedeployAll()
 		if err != nil {
 			return fmt.Errorf("redeploy stored services: %w", err)
 		}
 		if n > 0 {
-			fmt.Printf("redeployed %d stored services from %s\n", n, dbDir)
+			fmt.Printf("redeployed %d stored services from %s\n", n, opts.dbDir)
 		}
 	}
 
@@ -191,7 +190,7 @@ func run(opts bootOptions) error {
 
 // runFleet boots opts.fleet appliances behind one consistent-hash
 // gateway and serves the portal API on -listen.
-func runFleet(cfg appliance.Config, opts bootOptions, users userList) error {
+func runFleet(cfg appliance.Config, opts bootOptions) error {
 	ln, err := net.Listen("tcp", opts.listen)
 	if err != nil {
 		return err
@@ -205,7 +204,7 @@ func runFleet(cfg appliance.Config, opts bootOptions, users userList) error {
 	}
 	defer gw.Shutdown()
 
-	for _, u := range users {
+	for _, u := range opts.users {
 		name, pass, ok := strings.Cut(u, ":")
 		if !ok {
 			return fmt.Errorf("bad -user %q, want name:passphrase", u)

@@ -56,19 +56,17 @@ type Config struct {
 	PollInterval      time.Duration
 	InvocationTimeout time.Duration
 	ProxyLifetime     time.Duration
-	// StagingCache / DirectDBWrite / UseLongPoll select the ablation and
-	// extension variants (see core.Config).
+	// StagingCache / DirectDBWrite select the ablation variants (see
+	// core.Config).
 	StagingCache  bool
 	DirectDBWrite bool
-	UseLongPoll   bool
 	// SessionCache / StatsTTL select the invocation hot-path caches (see
 	// core.Config); both default to the paper-faithful behaviour.
 	SessionCache bool
 	StatsTTL     time.Duration
-	// PollHub / PollHubShards select the sharded batched status collector
-	// (see core.Config); off keeps one poller goroutine per invocation.
-	PollHub       bool
-	PollHubShards int
+	// PollHub selects the sharded batched status collector (see
+	// core.Config); off keeps one poller goroutine per invocation.
+	PollHub bool
 	// PushEvents selects the push-based collector: one long-lived
 	// /gram/events stream per session instead of polling, with the poll
 	// hub as its fallback rung (see core.Config). Off by default.
@@ -85,25 +83,20 @@ type Config struct {
 	ChunkedStaging  bool
 	ChunkBytes      int
 	WireCompression bool
-	// DataAwarePlacement / PlacementProbeTTL select the possession-aware
-	// site scorer; ReplicateTopK / ReplicateWorkers /
-	// ReplicateBudgetBytes enable and bound the background pre-replicator
-	// (see core.Config). All off by default.
-	DataAwarePlacement   bool
-	PlacementProbeTTL    time.Duration
-	ReplicateTopK        int
-	ReplicateWorkers     int
-	ReplicateBudgetBytes int64
+	// DataAwarePlacement selects the possession-aware site scorer;
+	// ReplicateTopK enables the background pre-replicator (see
+	// core.Config). Both off by default, both need ChunkedStaging.
+	DataAwarePlacement bool
+	ReplicateTopK      int
 	// BlobCacheBytes / GroupCommit tune the blob database (see
 	// blobdb.Options); zero values keep the stock behaviour.
 	BlobCacheBytes int64
 	GroupCommit    bool
-	// WALShards / SegmentBytes / AutoCompact select the sharded, segmented
-	// storage engine and its background compactor (see blobdb.Options);
-	// zero values keep the stock single-WAL layout.
-	WALShards    int
-	SegmentBytes int64
-	AutoCompact  bool
+	// WALShards / AutoCompact select the sharded, segmented storage engine
+	// and its background compactor (see blobdb.Options); zero values keep
+	// the stock single-WAL layout.
+	WALShards   int
+	AutoCompact bool
 	// Trace, when non-nil, turns on distributed tracing in the onServe
 	// pipeline, recording spans into this collector. Share one collector
 	// with gridenv.Options.Trace to get single cross-service trees.
@@ -113,6 +106,40 @@ type Config struct {
 	// declarative config; cmd/onserve loads it from -keys-file. Nil —
 	// the default — keeps the appliance fully anonymous.
 	Tenancy *tenant.Config
+}
+
+// Paper is the paper's configuration: every extension off. Each
+// invocation re-inflates the blob, logs on to MyProxy, re-stages the
+// whole executable and is collected by its own tentative poller — what
+// Figs. 6–8 measure.
+func Paper() Config { return Config{} }
+
+// Production is the other supported configuration: every cache and
+// batched path on. SubmitHub and ReplicateTopK stay off (a coalescing
+// window and background pushes trade latency and WAN bytes for
+// throughput that only a bursty, multi-site load repays). A non-empty
+// dbDir persists the database there on the sharded engine with group
+// commit and the background compactor; empty keeps it in memory.
+func Production(dbDir string) Config {
+	cfg := Config{
+		SessionCache:       true,
+		StatsTTL:           30 * time.Second,
+		BlobCacheBytes:     64 << 20,
+		StagingCache:       true,
+		DirectDBWrite:      true,
+		PushEvents:         true,
+		CoalesceStaging:    true,
+		ChunkedStaging:     true,
+		WireCompression:    true,
+		DataAwarePlacement: true,
+	}
+	if dbDir != "" {
+		cfg.DBDir = dbDir
+		cfg.WALShards = 4
+		cfg.GroupCommit = true
+		cfg.AutoCompact = true
+	}
+	return cfg
 }
 
 // Image is a built appliance image: validated configuration plus the
@@ -182,8 +209,7 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 	dbOpts := blobdb.Options{
 		Dir: cfg.DBDir, Clock: cfg.Clock, Probe: cfg.Probe, Cost: cfg.Cost,
 		BlobCacheBytes: cfg.BlobCacheBytes, GroupCommit: cfg.GroupCommit,
-		WALShards: cfg.WALShards, SegmentBytes: cfg.SegmentBytes,
-		AutoCompact: cfg.AutoCompact,
+		WALShards: cfg.WALShards, AutoCompact: cfg.AutoCompact,
 	}
 	if cfg.Trace != nil {
 		dbOpts.Tracer = trace.NewTracer("blobdb", cfg.Clock, cfg.Trace)
@@ -204,36 +230,31 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		MyProxyDial: cfg.MyProxyDial,
 	})
 	coreCfg := core.Config{
-		DB:                   db,
-		Container:            container,
-		Registry:             registry,
-		Agent:                agent,
-		BaseURL:              baseURL,
-		Clock:                cfg.Clock,
-		Probe:                cfg.Probe,
-		Cost:                 cfg.Cost,
-		PollInterval:         cfg.PollInterval,
-		InvocationTimeout:    cfg.InvocationTimeout,
-		ProxyLifetime:        cfg.ProxyLifetime,
-		StagingCache:         cfg.StagingCache,
-		DirectDBWrite:        cfg.DirectDBWrite,
-		UseLongPoll:          cfg.UseLongPoll,
-		SessionCache:         cfg.SessionCache,
-		StatsTTL:             cfg.StatsTTL,
-		PollHub:              cfg.PollHub,
-		PollHubShards:        cfg.PollHubShards,
-		PushEvents:           cfg.PushEvents,
-		CoalesceStaging:      cfg.CoalesceStaging,
-		SubmitHub:            cfg.SubmitHub,
-		SubmitHubWindow:      cfg.SubmitHubWindow,
-		ChunkedStaging:       cfg.ChunkedStaging,
-		ChunkBytes:           cfg.ChunkBytes,
-		WireCompression:      cfg.WireCompression,
-		DataAwarePlacement:   cfg.DataAwarePlacement,
-		PlacementProbeTTL:    cfg.PlacementProbeTTL,
-		ReplicateTopK:        cfg.ReplicateTopK,
-		ReplicateWorkers:     cfg.ReplicateWorkers,
-		ReplicateBudgetBytes: cfg.ReplicateBudgetBytes,
+		DB:                 db,
+		Container:          container,
+		Registry:           registry,
+		Agent:              agent,
+		BaseURL:            baseURL,
+		Clock:              cfg.Clock,
+		Probe:              cfg.Probe,
+		Cost:               cfg.Cost,
+		PollInterval:       cfg.PollInterval,
+		InvocationTimeout:  cfg.InvocationTimeout,
+		ProxyLifetime:      cfg.ProxyLifetime,
+		StagingCache:       cfg.StagingCache,
+		DirectDBWrite:      cfg.DirectDBWrite,
+		SessionCache:       cfg.SessionCache,
+		StatsTTL:           cfg.StatsTTL,
+		PollHub:            cfg.PollHub,
+		PushEvents:         cfg.PushEvents,
+		CoalesceStaging:    cfg.CoalesceStaging,
+		SubmitHub:          cfg.SubmitHub,
+		SubmitHubWindow:    cfg.SubmitHubWindow,
+		ChunkedStaging:     cfg.ChunkedStaging,
+		ChunkBytes:         cfg.ChunkBytes,
+		WireCompression:    cfg.WireCompression,
+		DataAwarePlacement: cfg.DataAwarePlacement,
+		ReplicateTopK:      cfg.ReplicateTopK,
 	}
 	if cfg.Trace != nil {
 		coreCfg.Tracing = trace.NewTracer("onserve", cfg.Clock, cfg.Trace)
@@ -289,7 +310,7 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 	}
 	mux.Handle("/services/", services)
 	mux.Handle("/", p)
-	srv := &http.Server{Handler: mux}
+	srv := netsim.NewHTTPServer(mux)
 	go srv.Serve(ln)
 
 	return &Appliance{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -146,13 +147,12 @@ func (inv *Invocation) finish(s InvState, msg string, at time.Time) {
 	inv.state = s
 	inv.message = msg
 	inv.endedAt = at
-	close(inv.done)
 	cb := inv.onTerminal
 	inv.mu.Unlock()
-	// End the span tree exactly once, on whichever path won the race —
-	// stock poller, long-poll, hub, watchdog, or cancel. Any non-DONE
-	// terminal state ends it with error status, so cancelled and
-	// watchdog-killed invocations never leak an open or "ok" tree.
+	// End the span tree exactly once, on whichever path won the race — a
+	// collector, the watchdog, or cancel. Any non-DONE terminal state ends
+	// it with error status, so cancelled and watchdog-killed invocations
+	// never leak an open or "ok" tree.
 	if s != InvDone {
 		inv.collectSpan.Error(msg)
 		inv.rootSpan.Error(msg)
@@ -160,6 +160,9 @@ func (inv *Invocation) finish(s InvState, msg string, at time.Time) {
 	inv.collectSpan.Set("state", string(s))
 	inv.collectSpan.EndAt(at)
 	inv.rootSpan.EndAt(at)
+	// Only now wake the waiters: whoever sees DoneChan closed also sees the
+	// whole span tree recorded.
+	close(inv.done)
 	if cb != nil {
 		cb(inv)
 	}
@@ -168,8 +171,8 @@ func (inv *Invocation) finish(s InvState, msg string, at time.Time) {
 // Invoke is Use Scenario B (paper §VII-B): translate one Web-service
 // invocation into the JSE model. The pipeline follows the paper's steps
 // literally: file retrieval from the database, authentication through
-// the Cyberaide agent, upload to the Grid, job description generation,
-// and job submission — then the tentative output poller takes over.
+// the Cyberaide agent, upload to the Grid, job description generation
+// and submission — then the collector takes over.
 func (o *OnServe) Invoke(serviceName string, args map[string]string) (*Invocation, error) {
 	return o.InvokeCtx(serviceName, args, trace.SpanContext{})
 }
@@ -184,13 +187,24 @@ func (o *OnServe) InvokeCtx(serviceName string, args map[string]string, parent t
 	root.Set("service", serviceName)
 	inv, err := o.invoke(serviceName, args, root)
 	if err != nil {
-		root.Error(err.Error())
-		root.End()
-		return nil, err
+		endSpan(root, err)
 	}
-	return inv, nil
+	return inv, err
 }
 
+// endSpan closes one pipeline step's span, marking it failed when the
+// step returned an error.
+func endSpan(sp *trace.Span, err error) {
+	if err != nil {
+		sp.Error(err.Error())
+	}
+	sp.End()
+}
+
+// invoke runs the five steps — fetch, authenticate, stage, submit,
+// collect — each under one span of root. An auth fault on a cached
+// session invalidates it and the grid-facing steps run once more on a
+// fresh logon.
 func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace.Span) (*Invocation, error) {
 	info, err := o.ServiceInfo(serviceName)
 	if err != nil {
@@ -201,93 +215,93 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 	if err != nil {
 		return nil, err
 	}
-
-	// File retrieval: "the lookup of the associated file in the database.
-	// It is loaded from the database and then stored in a temporary
-	// location." Loading decompresses (the first CPU peak of Fig. 6);
-	// the temporary spill is a disk write.
-	dbSp := o.cfg.Tracing.StartSpan("db.fetch", root.Context())
-	rec, err := o.cfg.DB.Table(ExecutablesTable).Get(serviceName)
+	blob, err := o.fetchExecutable(serviceName, root)
 	if err != nil {
-		dbSp.Error(err.Error())
-		dbSp.End()
-		return nil, fmt.Errorf("onserve: load executable: %w", err)
-	}
-	dbSp.SetInt("bytes", int64(len(rec.Blob)))
-	dbSp.End()
-	o.cfg.Probe.DiskWrite(len(rec.Blob))
-
-	// Authentication: "Before any use of the Grid is possible, an
-	// authentication is required and performed by the Cyberaide agent."
-	// With the session cache on, the previous logon's session is reused
-	// until its proxy nears expiry; an auth fault on a cached session
-	// invalidates it and the pipeline retries once with a fresh logon.
-	lg := o.cfg.Tracing.StartSpan("logon", root.Context())
-	sessID, cached, err := o.gridSession(info.Owner, auth, lg.Context())
-	if err != nil {
-		lg.Error(err.Error())
-		lg.End()
 		return nil, err
 	}
-	lg.Set("cached", fmt.Sprintf("%t", cached))
-	lg.End()
-	site, jobID, err := o.submitPipeline(sessID, serviceName, info, args, rec.Blob, root.Context())
+	sessID, cached, err := o.authenticate(info.Owner, auth, root)
+	if err != nil {
+		return nil, err
+	}
+	site, jobID, err := o.stageAndSubmit(sessID, serviceName, info, args, blob, root.Context())
 	if err != nil && cached && isSessionFault(err) {
 		o.invalidateSession(info.Owner, sessID)
-		lg = o.cfg.Tracing.StartSpan("logon", root.Context())
-		if sessID, _, err = o.gridSession(info.Owner, auth, lg.Context()); err != nil {
-			lg.Error(err.Error())
-			lg.End()
+		if sessID, _, err = o.authenticate(info.Owner, auth, root); err != nil {
 			return nil, err
 		}
-		lg.Set("cached", "false")
-		lg.End()
-		site, jobID, err = o.submitPipeline(sessID, serviceName, info, args, rec.Blob, root.Context())
+		site, jobID, err = o.stageAndSubmit(sessID, serviceName, info, args, blob, root.Context())
 	}
 	if err != nil {
 		return nil, err
 	}
+	inv := o.newInvocation(serviceName, info.Owner, sessID, site, jobID, root)
+	o.collect.register(inv)
+	return inv, nil
+}
 
+// fetchExecutable is file retrieval: "the lookup of the associated file
+// in the database. It is loaded from the database and then stored in a
+// temporary location." Loading decompresses (the first CPU peak of
+// Fig. 6); the temporary spill is a disk write.
+func (o *OnServe) fetchExecutable(serviceName string, root *trace.Span) ([]byte, error) {
+	sp := o.cfg.Tracing.StartSpan("db.fetch", root.Context())
+	rec, err := o.cfg.DB.Table(ExecutablesTable).Get(serviceName)
+	if err != nil {
+		endSpan(sp, err)
+		return nil, fmt.Errorf("onserve: load executable: %w", err)
+	}
+	sp.SetInt("bytes", int64(len(rec.Blob)))
+	sp.End()
+	o.cfg.Probe.DiskWrite(len(rec.Blob))
+	return rec.Blob, nil
+}
+
+// authenticate is the logon step: "Before any use of the Grid is
+// possible, an authentication is required and performed by the Cyberaide
+// agent." With the session cache on, the previous logon's session is
+// reused until its proxy nears expiry.
+func (o *OnServe) authenticate(owner string, auth UserAuth, root *trace.Span) (sessID string, cached bool, err error) {
+	sp := o.cfg.Tracing.StartSpan("logon", root.Context())
+	sessID, cached, err = o.gridSession(owner, auth, sp.Context())
+	if err == nil {
+		sp.Set("cached", strconv.FormatBool(cached))
+	}
+	endSpan(sp, err)
+	return sessID, cached, err
+}
+
+// newInvocation issues the ticket and opens the collect span the
+// collector's per-event spans hang under.
+func (o *OnServe) newInvocation(serviceName, owner, sessID, site, jobID string, root *trace.Span) *Invocation {
 	o.mu.Lock()
 	o.seq++
 	inv := &Invocation{
-		Ticket:    newTicket(o.seq),
-		Service:   serviceName,
-		JobID:     jobID,
-		Site:      site,
-		User:      info.Owner,
-		StartedAt: o.clock.Now(),
-		sessionID: sessID,
-		state:     InvRunning,
-		done:      make(chan struct{}),
+		Ticket:      newTicket(o.seq),
+		Service:     serviceName,
+		JobID:       jobID,
+		Site:        site,
+		User:        owner,
+		StartedAt:   o.clock.Now(),
+		sessionID:   sessID,
+		onTerminal:  o.noteTerminal,
+		rootSpan:    root,
+		collectSpan: o.cfg.Tracing.StartSpan("collect", root.Context()),
+		state:       InvRunning,
+		done:        make(chan struct{}),
 	}
-	inv.onTerminal = o.noteTerminal
-	inv.rootSpan = root
-	inv.collectSpan = o.cfg.Tracing.StartSpan("collect", root.Context())
 	o.invocations[inv.Ticket] = inv
 	o.mu.Unlock()
 	root.Set("ticket", inv.Ticket)
 	root.Set("site", site)
 	root.Set("job_id", jobID)
-
-	switch {
-	case o.events != nil:
-		o.events.register(inv)
-	case o.hub != nil:
-		o.hub.register(inv)
-	case o.cfg.UseLongPoll:
-		go o.waitLongPoll(inv)
-	default:
-		go o.pollOutput(inv)
-	}
-	return inv, nil
+	return inv
 }
 
-// submitPipeline is the grid-facing half of Invoke: site choice, staging
-// and submission under one agent session. Services with declared
-// stage-in data may only run where the owner staged it, so later
+// stageAndSubmit is the grid-facing half of Invoke: site choice, then
+// the stage and submit steps under one agent session. Services with
+// declared stage-in data may only run where the owner staged it, so later
 // candidates are tried when submission reports a staging problem.
-func (o *OnServe) submitPipeline(sessionID, serviceName string, info *ExecutableInfo, args map[string]string, blob []byte, tc trace.SpanContext) (site, jobID string, err error) {
+func (o *OnServe) stageAndSubmit(sessionID, serviceName string, info *ExecutableInfo, args map[string]string, blob []byte, tc trace.SpanContext) (site, jobID string, err error) {
 	candidates, err := o.pickSites(sessionID, serviceName, info.Owner, blob, tc)
 	if err != nil {
 		return "", "", err
@@ -297,12 +311,11 @@ func (o *OnServe) submitPipeline(sessionID, serviceName string, info *Executable
 		st := o.cfg.Tracing.StartSpan("stage", tc)
 		st.Set("site", candidate)
 		st.SetInt("bytes", int64(len(blob)))
-		if err = o.stageExecutable(sessionID, serviceName, stagedName, candidate, blob, st); err != nil {
-			st.Error(err.Error())
-			st.End()
+		err = o.stageExecutable(sessionID, serviceName, stagedName, candidate, blob, st)
+		endSpan(st, err)
+		if err != nil {
 			return "", "", err
 		}
-		st.End()
 		// Job description generation + submission: "a job description is
 		// generated by using the specified parameters and the name of the
 		// executable. Finally, the job is submitted to the Grid." This is
@@ -318,18 +331,16 @@ func (o *OnServe) submitPipeline(sessionID, serviceName string, info *Executable
 		}
 		sb := o.cfg.Tracing.StartSpan("submit", tc)
 		sb.Set("site", candidate)
-		jobID, err = o.submitJob(sessionID, &desc, sb.Context())
-		if err == nil {
+		if jobID, err = o.submitJob(sessionID, &desc, sb.Context()); err == nil {
 			sb.Set("job_id", jobID)
 			sb.End()
 			return candidate, jobID, nil
 		}
-		sb.Error(err.Error())
-		sb.End()
+		endSpan(sb, err)
 		// Only a missing stage-in file justifies trying the next site.
 		if len(info.StageIn) == 0 || i == len(candidates)-1 ||
 			!strings.Contains(err.Error(), "not staged") {
-			return "", "", fmt.Errorf("onserve: submit: %w", err)
+			break
 		}
 	}
 	return "", "", fmt.Errorf("onserve: submit: %w", err)
@@ -640,130 +651,6 @@ func replicaSource(staged map[string]string, serviceName string) string {
 		}
 	}
 	return best
-}
-
-// pollOutput is the paper's workaround loop: "the local client has to
-// request the output tentatively. Finally this may result in a service
-// customer that requests the application's output more often than
-// necessary". Each poll fetches the whole stdout snapshot and writes it
-// to the local disk — the periodic disk-write peaks of Figs. 6 and 7 —
-// and the watchdog kills invocations that exceed their deadline ("a
-// watchdog class, that is used to react correctly ... when a process
-// takes too long to complete").
-func (o *OnServe) pollOutput(inv *Invocation) {
-	wd := NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-		o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
-		inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
-	})
-	defer wd.Stop()
-	lastLen := -1
-	for {
-		o.clock.Sleep(o.cfg.PollInterval)
-		if inv.State().Terminal() {
-			return // watchdog or cancel got there first
-		}
-		// Status first, then one output fetch: when the job turns out to
-		// be terminal, the snapshot taken after observing the terminal
-		// state is current by construction, so no second fetch is needed
-		// (the stock loop fetched the whole stdout twice on the DONE
-		// round).
-		ps := o.cfg.Tracing.StartSpan("poll", inv.collectCtx())
-		o.collector.statusRPCs.Add(1)
-		st, err := o.cfg.Agent.Status(inv.sessionID, inv.JobID)
-		if err != nil {
-			continue // transient; keep polling until the watchdog decides
-		}
-		changed := false
-		out, outErr := o.cfg.Agent.Output(inv.sessionID, inv.JobID)
-		if outErr == nil {
-			// The snapshot is written to disk on every poll, whether or
-			// not anything changed.
-			o.collector.outputFetches.Add(1)
-			o.collector.outputBytes.Add(uint64(len(out)))
-			o.collector.pollDiskWrites.Add(1)
-			o.cfg.Probe.DiskWrite(len(out))
-			inv.setOutput(out)
-			changed = len(out) != lastLen
-			lastLen = len(out)
-			ps.SetInt("bytes", int64(len(out)))
-		}
-		// Record only informative ticks (output moved or terminal state
-		// observed); a quiet tick abandons its span unrecorded, so
-		// sustained polling cannot flood the ring with no-op spans.
-		terminal := st.State == "DONE" || st.State == "FAILED" ||
-			st.State == "CANCELLED" || st.State == "TIMEOUT"
-		if changed || terminal {
-			ps.Set("state", st.State)
-			ps.End()
-		}
-		switch st.State {
-		case "DONE":
-			inv.finish(InvDone, "", o.clock.Now())
-			return
-		case "FAILED":
-			inv.finish(InvFailed, st.Message, o.clock.Now())
-			return
-		case "CANCELLED":
-			inv.finish(InvCancelled, st.Message, o.clock.Now())
-			return
-		case "TIMEOUT":
-			inv.finish(InvKilled, st.Message, o.clock.Now())
-			return
-		}
-	}
-}
-
-// waitLongPoll is the fixed collection path: block on the gatekeeper's
-// long-poll wait, then fetch the output exactly once. The watchdog still
-// guards runaway invocations.
-func (o *OnServe) waitLongPoll(inv *Invocation) {
-	wd := NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-		o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
-		inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
-	})
-	defer wd.Stop()
-	for {
-		if inv.State().Terminal() {
-			return
-		}
-		// The span is recorded only for the round that observes the
-		// terminal state; elapsed or failed rounds abandon it unrecorded.
-		ps := o.cfg.Tracing.StartSpan("poll", inv.collectCtx())
-		ps.Set("long_poll", "true")
-		o.collector.statusRPCs.Add(1)
-		st, err := o.cfg.Agent.Wait(inv.sessionID, inv.JobID, 30*time.Second)
-		if err != nil {
-			// Transient gatekeeper trouble: back off one poll interval and
-			// retry until the watchdog decides.
-			o.clock.Sleep(o.cfg.PollInterval)
-			continue
-		}
-		var terminal InvState
-		switch st.State {
-		case "DONE":
-			terminal = InvDone
-		case "FAILED":
-			terminal = InvFailed
-		case "CANCELLED":
-			terminal = InvCancelled
-		case "TIMEOUT":
-			terminal = InvKilled
-		default:
-			continue // long-poll round elapsed without a terminal state
-		}
-		if out, err := o.cfg.Agent.Output(inv.sessionID, inv.JobID); err == nil {
-			o.collector.outputFetches.Add(1)
-			o.collector.outputBytes.Add(uint64(len(out)))
-			o.collector.pollDiskWrites.Add(1)
-			o.cfg.Probe.DiskWrite(len(out))
-			inv.setOutput(out)
-			ps.SetInt("bytes", int64(len(out)))
-		}
-		ps.Set("state", st.State)
-		ps.End()
-		inv.finish(terminal, st.Message, o.clock.Now())
-		return
-	}
 }
 
 // noteTerminal records a newly terminal invocation and prunes the

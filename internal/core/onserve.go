@@ -108,12 +108,6 @@ type Config struct {
 	// ("the file is first stored temporarily and then in the database");
 	// the fix is benchmarked as an ablation.
 	DirectDBWrite bool
-	// UseLongPoll replaces the tentative output polling with the GRAM
-	// long-poll wait extension: one blocking request per invocation
-	// instead of periodic output fetches. This is the fix for the
-	// paper's workaround ("the local client has to request the output
-	// tentatively"), benchmarked in the poll-interval ablation.
-	UseLongPoll bool
 	// SessionCache, when true, reuses one authenticated agent session per
 	// owner across invocations until the delegated proxy nears expiry,
 	// instead of performing a fresh MyProxy logon per invocation (the
@@ -152,11 +146,11 @@ type Config struct {
 	// Output payloads still ride the hub's conditional /gram/output
 	// fetch. The fallback ladder degrades gracefully: a stock gatekeeper
 	// (404 on /gram/events) or a dead stream hands every in-flight
-	// invocation to the poll hub, which is always constructed alongside
-	// the collector; reconnects resume from a Last-Event-ID cursor so no
-	// transition is lost. Watchdog and cancel semantics are identical to
-	// the poll paths. Off by default: the paper-faithful poller stays the
-	// baseline, and push is measured as an ablation.
+	// invocation to the poll hub the collector owns; reconnects resume
+	// from a Last-Event-ID cursor so no transition is lost. Watchdog and
+	// cancel semantics are identical to the poll paths. Off by default:
+	// the paper-faithful poller stays the baseline, and push is measured
+	// as an ablation.
 	PushEvents bool
 	// CoalesceStaging single-flights concurrent stagings of one
 	// executable to one site, so a cold burst of N invocations costs one
@@ -231,14 +225,12 @@ type Config struct {
 type OnServe struct {
 	cfg   Config
 	clock vtime.Clock
-	// hub is the sharded poller (Config.PollHub); nil runs the stock
-	// per-invocation collection paths.
-	hub *pollHub
-	// collector tallies the output-collection work all three paths do.
+	// collect is the pipeline's fifth step, chosen once in New: the push
+	// collector (Config.PushEvents), the poll hub (Config.PollHub), or the
+	// paper's tentative poller.
+	collect collector
+	// collector tallies the output-collection work every collector does.
 	collector collectorCounters
-	// events is the push-based collector (Config.PushEvents); nil routes
-	// registrations to the hub or the stock pollers.
-	events *eventCollector
 	// push tallies the event-stream work (Config.PushEvents).
 	push eventCounters
 	// shub is the submission coalescer (Config.SubmitHub); nil submits
@@ -292,6 +284,13 @@ func New(cfg Config) (*OnServe, error) {
 	if cfg.DB == nil || cfg.Container == nil || cfg.Registry == nil || cfg.Agent == nil {
 		return nil, errors.New("onserve: DB, Container, Registry and Agent are required")
 	}
+	// The chunk store is the possession oracle placement probes and the
+	// only wire the replicator and the stored-gzip path ride: without it
+	// these knobs would be accepted and do nothing, or pay probe RPCs that
+	// can never score.
+	if !cfg.ChunkedStaging && (cfg.DataAwarePlacement || cfg.WireCompression || cfg.ReplicateTopK > 0) {
+		return nil, errors.New("onserve: DataAwarePlacement, WireCompression and ReplicateTopK require ChunkedStaging")
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real{}
 	}
@@ -331,13 +330,14 @@ func New(cfg Config) (*OnServe, error) {
 	}
 	o.poss.cache = make(map[string]possEntry)
 	o.poss.flights = make(map[string]*possFlight)
-	if cfg.PollHub || cfg.PushEvents {
-		// PushEvents always builds the hub too: it is the fallback rung
-		// when the event channel is absent or dies.
-		o.hub = newPollHub(o, cfg.PollHubShards)
-	}
-	if cfg.PushEvents {
-		o.events = newEventCollector(o)
+	switch {
+	case cfg.PushEvents:
+		// The hub is push's fallback rung for an absent or dead event channel.
+		o.collect = &eventCollector{o: o, hub: newPollHub(o, cfg.PollHubShards), workers: make(map[string]*eventWorker)}
+	case cfg.PollHub:
+		o.collect = newPollHub(o, cfg.PollHubShards)
+	default:
+		o.collect = tentativePoller{o}
 	}
 	if cfg.SubmitHub {
 		o.shub = newSubmitHub(o)

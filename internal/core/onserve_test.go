@@ -276,32 +276,6 @@ func TestTentativePollingAccumulatesOutput(t *testing.T) {
 	}
 }
 
-func TestWatchdogKillsRunawayInvocation(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.InvocationTimeout = 20 * time.Second
-		cfg.PollInterval = 2 * time.Second
-	})
-	if _, err := f.ons.UploadAndGenerate("alice", "forever.gsh", "", nil,
-		[]byte("compute 23h\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("ForeverService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never fired")
-	}
-	if inv.State() != InvKilled {
-		t.Fatalf("state %s: %s", inv.State(), inv.Message())
-	}
-	if !strings.Contains(inv.Message(), "watchdog") && !strings.Contains(inv.Message(), "walltime") {
-		t.Fatalf("message %q", inv.Message())
-	}
-}
-
 func TestCancelInvocation(t *testing.T) {
 	f := newFixture(t, nil)
 	if _, err := f.ons.UploadAndGenerate("alice", "slow.gsh", "", nil,
@@ -533,6 +507,26 @@ func TestDoubleWriteAccounting(t *testing.T) {
 func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+}
+
+func TestNewRejectsKnobsWithoutChunkedStaging(t *testing.T) {
+	// Placement probes, stored-gzip shipping and the replicator all ride
+	// the chunk store; accepted without it they would be silently inert.
+	for name, set := range map[string]func(*Config){
+		"DataAwarePlacement": func(c *Config) { c.DataAwarePlacement = true },
+		"WireCompression":    func(c *Config) { c.WireCompression = true },
+		"ReplicateTopK":      func(c *Config) { c.ReplicateTopK = 1 },
+	} {
+		cfg := newFixture(t, nil).cfg
+		set(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "require ChunkedStaging") {
+			t.Errorf("%s without ChunkedStaging: %v", name, err)
+		}
+		cfg.ChunkedStaging = true
+		if _, err := New(cfg); err != nil {
+			t.Errorf("%s with ChunkedStaging: %v", name, err)
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -11,12 +9,12 @@ import (
 )
 
 // CollectorStats counts the work the output-collection path performs,
-// whichever path is active (stock tentative poller, long-poll wait, or
-// the sharded hub). The poll-hub ablation reads it to compare gatekeeper
-// round-trips, bytes fetched and disk writes across variants.
+// whichever collector is active (tentative poller, poll hub, or push).
+// The poll-hub ablation reads it to compare gatekeeper round-trips, bytes
+// fetched and disk writes across variants.
 type CollectorStats struct {
 	// StatusRPCs is the number of gatekeeper status round-trips: one per
-	// Status/Wait call, one per status-batch chunk.
+	// Status call, one per status-batch chunk.
 	StatusRPCs uint64 `json:"status_rpcs"`
 	// OutputFetches counts output fetches that returned a body.
 	OutputFetches uint64 `json:"output_fetches"`
@@ -53,10 +51,9 @@ func (o *OnServe) CollectorStats() CollectorStats {
 // tentative pollers (Config.PollHub). Invocations are hashed onto a
 // small fixed set of shards; each shard worker wakes once per poll
 // interval, batches all its in-flight job IDs into one gatekeeper
-// status-batch round-trip per session, and fetches stdout only for jobs
-// whose output version moved since the last fetch. Watchdog and cancel
-// semantics are exactly the stock poller's: a per-invocation watchdog
-// still cancels and kills overdue jobs, and externally cancelled jobs
+// status-batch round-trip per session, and hands each entry to observe,
+// which fetches stdout only when the output version moved. Watchdog and
+// cancel semantics are the tentative poller's: externally cancelled jobs
 // are finished from the batched status like any other terminal state.
 type pollHub struct {
 	o      *OnServe
@@ -71,47 +68,31 @@ type hubShard struct {
 	hub *pollHub
 
 	mu      sync.Mutex
-	jobs    map[string]*hubJob // ticket -> entry
+	jobs    map[string]*collectJob // ticket -> entry
 	running bool
-}
-
-// hubJob is one invocation's hub-side state. After registration it is
-// only touched by the shard worker.
-type hubJob struct {
-	inv *Invocation
-	wd  *Watchdog
-	// lastVer is the output version of the snapshot last stored in the
-	// invocation; 0 before any output was seen.
-	lastVer uint64
 }
 
 func newPollHub(o *OnServe, shards int) *pollHub {
 	h := &pollHub{o: o}
 	for i := 0; i < shards; i++ {
-		h.shards = append(h.shards, &hubShard{hub: h, jobs: make(map[string]*hubJob)})
+		h.shards = append(h.shards, &hubShard{hub: h, jobs: make(map[string]*collectJob)})
 	}
 	return h
 }
 
-// register hands a freshly submitted invocation to its shard, arming the
-// same watchdog the stock poller would.
+// register hands a freshly submitted invocation to its shard.
 func (h *pollHub) register(inv *Invocation) {
-	o := h.o
-	wd := NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-		o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
-		inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
-	})
-	h.adopt(inv, wd, 0)
+	h.adopt(&collectJob{inv: inv, wd: h.o.armWatchdog(inv)})
 }
 
-// adopt inserts an invocation whose watchdog is already armed — a fresh
-// registration, or one handed down by the event collector when the push
-// channel died. The transferred output cursor keeps the conditional
-// fetch path from re-shipping a snapshot the event path already stored.
-func (h *pollHub) adopt(inv *Invocation, wd *Watchdog, lastVer uint64) {
-	sh := h.shards[shardIndex(inv.Ticket, len(h.shards))]
+// adopt inserts a job whose watchdog is already armed — a fresh
+// registration, or one handed down by the push collector when its stream
+// died. The job's output cursor travels with it, so the conditional fetch
+// never re-ships a snapshot the push path already stored.
+func (h *pollHub) adopt(j *collectJob) {
+	sh := h.shards[shardIndex(j.inv.Ticket, len(h.shards))]
 	sh.mu.Lock()
-	sh.jobs[inv.Ticket] = &hubJob{inv: inv, wd: wd, lastVer: lastVer}
+	sh.jobs[j.inv.Ticket] = j
 	if !sh.running {
 		sh.running = true
 		go sh.run()
@@ -134,9 +115,9 @@ func (sh *hubShard) run() {
 	for {
 		o.clock.Sleep(o.cfg.PollInterval)
 		sh.mu.Lock()
-		for ticket, hj := range sh.jobs {
-			if hj.inv.State().Terminal() {
-				hj.wd.Stop()
+		for ticket, j := range sh.jobs {
+			if j.inv.State().Terminal() {
+				j.wd.Stop()
 				delete(sh.jobs, ticket)
 			}
 		}
@@ -147,96 +128,27 @@ func (sh *hubShard) run() {
 			sh.mu.Unlock()
 			return
 		}
-		groups := make(map[string][]*hubJob)
-		for _, hj := range sh.jobs {
-			groups[hj.inv.sessionID] = append(groups[hj.inv.sessionID], hj)
+		groups := make(map[string][]*collectJob)
+		for _, j := range sh.jobs {
+			groups[j.inv.sessionID] = append(groups[j.inv.sessionID], j)
 		}
 		sh.mu.Unlock()
 		for sessionID, batch := range groups {
-			sh.pollBatch(sessionID, batch)
+			o.statusBatch(sessionID, batch, sh.collectOne)
 		}
 	}
 }
 
-// pollBatch issues one status-batch round-trip (per gram.MaxBatch chunk)
-// for the session's jobs and processes each entry in isolation.
-func (sh *hubShard) pollBatch(sessionID string, batch []*hubJob) {
+// collectOne applies one status-batch entry to its invocation; a terminal
+// job whose final fetch failed is simply seen again next tick. The run
+// loop reaps terminal entries (and stops their watchdogs) on its next
+// pass.
+func (sh *hubShard) collectOne(j *collectJob, ev gram.EventData) {
 	o := sh.hub.o
-	sort.Slice(batch, func(i, j int) bool { return batch[i].inv.JobID < batch[j].inv.JobID })
-	ids := make([]string, len(batch))
-	for i, hj := range batch {
-		ids[i] = hj.inv.JobID
-	}
-	o.collector.statusRPCs.Add(uint64((len(ids) + gram.MaxBatch - 1) / gram.MaxBatch))
-	entries, err := o.cfg.Agent.StatusBatch(sessionID, ids)
-	if err != nil || len(entries) != len(batch) {
-		return // transport trouble: retry next tick; the watchdog decides
-	}
-	for i, hj := range batch {
-		sh.collectOne(sessionID, hj, entries[i])
-	}
-}
-
-// collectOne applies one batch entry to its invocation: fetch output if
-// (and only if) the version moved, then record a terminal state. A
-// per-job error in the entry never affects its batch-mates.
-func (sh *hubShard) collectOne(sessionID string, hj *hubJob, e gram.BatchEntry) {
-	o := sh.hub.o
-	inv := hj.inv
-	if e.Error != "" {
-		return // isolated per-job failure: keep polling until the watchdog decides
-	}
-	if inv.State().Terminal() {
+	if j.inv.State().Terminal() {
 		return // cancel or watchdog got there between batching and now
 	}
-	terminal := e.State == "DONE" || e.State == "FAILED" ||
-		e.State == "CANCELLED" || e.State == "TIMEOUT"
-	// As in the stock poller, only informative ticks (output moved or
-	// terminal) record their span; quiet ticks abandon it unrecorded.
-	ps := o.cfg.Tracing.StartSpan("poll", inv.collectCtx())
+	ps := o.cfg.Tracing.StartSpan("poll", j.inv.collectCtx())
 	ps.Set("batched", "true")
-	fetched := false
-	if e.OutputVersion != hj.lastVer {
-		out, ver, changed, err := o.cfg.Agent.OutputIfChanged(sessionID, inv.JobID, hj.lastVer)
-		if err != nil {
-			if terminal {
-				return // retry next tick rather than finish with stale output
-			}
-		} else if changed {
-			hj.lastVer = ver
-			o.collector.outputFetches.Add(1)
-			o.collector.outputBytes.Add(uint64(len(out)))
-			o.collector.pollDiskWrites.Add(1)
-			o.cfg.Probe.DiskWrite(len(out))
-			inv.setOutput(out)
-			fetched = true
-			ps.SetInt("bytes", int64(len(out)))
-		} else {
-			o.collector.outputNotModified.Add(1)
-		}
-	} else {
-		// The gatekeeper reads job state before the output version, so a
-		// terminal state with an unchanged version means the snapshot we
-		// already hold is the final output — no fetch at all.
-		o.collector.outputNotModified.Add(1)
-	}
-	if fetched || terminal {
-		ps.Set("state", e.State)
-		ps.End()
-	}
-	if !terminal {
-		return
-	}
-	switch e.State {
-	case "DONE":
-		inv.finish(InvDone, "", o.clock.Now())
-	case "FAILED":
-		inv.finish(InvFailed, e.Message, o.clock.Now())
-	case "CANCELLED":
-		inv.finish(InvCancelled, e.Message, o.clock.Now())
-	case "TIMEOUT":
-		inv.finish(InvKilled, e.Message, o.clock.Now())
-	}
-	// The run loop reaps the now-terminal entry (and stops its watchdog)
-	// on the next tick.
+	o.observe(j, ev, true, ps)
 }

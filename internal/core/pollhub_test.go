@@ -10,33 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-func TestPollHubEndToEnd(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) { cfg.PollHub = true })
-	if _, err := f.ons.UploadAndGenerate("alice", "ticker.gsh", "", nil,
-		[]byte("emit 2s 5 line\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("TickerService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("hub never finished the invocation")
-	}
-	if inv.State() != InvDone {
-		t.Fatalf("state %s: %s", inv.State(), inv.Message())
-	}
-	if got := strings.Count(inv.Output(), "line"); got != 5 {
-		t.Fatalf("final output has %d lines: %q", got, inv.Output())
-	}
-	stats := f.ons.CollectorStats()
-	if stats.StatusRPCs == 0 || stats.OutputFetches == 0 {
-		t.Fatalf("collector saw no work: %+v", stats)
-	}
-}
-
 func TestPollHubSkipsUnchangedSnapshots(t *testing.T) {
 	// A job that is silent for three poll ticks and then emits once: the
 	// hub must confirm the unchanged snapshot without fetching any bytes.
@@ -171,52 +144,6 @@ func TestPollHubIsolatesFailingJob(t *testing.T) {
 	}
 	if good.State() != InvDone || good.Output() != "good\n" {
 		t.Fatalf("good: %s %q", good.State(), good.Output())
-	}
-}
-
-func TestPollHubWatchdogKillsRunaway(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.PollHub = true
-		cfg.InvocationTimeout = 20 * time.Second
-	})
-	if _, err := f.ons.UploadAndGenerate("alice", "forever.gsh", "", nil,
-		[]byte("compute 23h\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("ForeverService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never fired under the hub")
-	}
-	if inv.State() != InvKilled {
-		t.Fatalf("state %s: %s", inv.State(), inv.Message())
-	}
-}
-
-func TestPollHubCancelInvocation(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) { cfg.PollHub = true })
-	if _, err := f.ons.UploadAndGenerate("alice", "slow.gsh", "", nil,
-		[]byte("emit 2s 10000 t\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("SlowService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ons.CancelInvocation(inv.Ticket); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancel never completed under the hub")
-	}
-	if inv.State() != InvCancelled {
-		t.Fatalf("state %s", inv.State())
 	}
 }
 

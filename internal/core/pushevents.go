@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +73,11 @@ const maxPendingEvents = 4096
 // status RPCs drop to zero and detection latency is bounded by delivery,
 // not the poll interval. The ladder degrades gracefully: a stock
 // gatekeeper (404 on /gram/events) or a dead stream re-registers every
-// in-flight invocation with the poll hub, which is always constructed
-// alongside the collector.
+// in-flight invocation with the poll hub the collector owns as its
+// fallback rung.
 type eventCollector struct {
-	o *OnServe
+	o   *OnServe
+	hub *pollHub
 
 	mu      sync.Mutex
 	workers map[string]*eventWorker // sessionID -> stream worker
@@ -94,7 +93,7 @@ type eventWorker struct {
 	sessionID string
 
 	mu   sync.Mutex
-	jobs map[string]*evJob // jobID -> entry
+	jobs map[string]*collectJob // jobID -> entry
 	// pending stashes the latest event per job that arrived (via replay
 	// or a publish racing registration) before its invocation was added;
 	// register applies it immediately.
@@ -106,35 +105,17 @@ type eventWorker struct {
 	// cursor is the last state/output frame ID seen; reconnects resume
 	// from it so no transition is lost across a drop.
 	cursor atomic.Uint64
-	// hbTimedOut is set by the heartbeat monitor before it severs a
-	// silent stream.
-	hbTimedOut atomic.Bool
-}
-
-// evJob is one invocation's event-side state.
-type evJob struct {
-	inv *Invocation
-	wd  *Watchdog
-	// lastVer is the output version last stored into the invocation;
-	// guarded by the worker's mu.
-	lastVer uint64
-}
-
-func newEventCollector(o *OnServe) *eventCollector {
-	return &eventCollector{o: o, workers: make(map[string]*eventWorker)}
 }
 
 // register hands a freshly submitted invocation to its session's stream
-// worker (starting one if needed), arming the same watchdog every other
-// collection path does. Against a known-stock gatekeeper it delegates to
-// the poll hub directly.
+// worker (starting one if needed). Against a known-stock gatekeeper it
+// delegates to the poll hub directly.
 func (ec *eventCollector) register(inv *Invocation) {
-	o := ec.o
 	for {
 		ec.mu.Lock()
 		if ec.unsupported {
 			ec.mu.Unlock()
-			o.hub.register(inv)
+			ec.hub.register(inv)
 			return
 		}
 		w := ec.workers[inv.sessionID]
@@ -142,7 +123,7 @@ func (ec *eventCollector) register(inv *Invocation) {
 			w = &eventWorker{
 				ec:        ec,
 				sessionID: inv.sessionID,
-				jobs:      make(map[string]*evJob),
+				jobs:      make(map[string]*collectJob),
 				pending:   make(map[string]gram.EventData),
 			}
 			ec.workers[inv.sessionID] = w
@@ -156,11 +137,8 @@ func (ec *eventCollector) register(inv *Invocation) {
 			ec.mu.Unlock()
 			continue
 		}
-		wd := NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-			o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
-			inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
-		})
-		w.jobs[inv.JobID] = &evJob{inv: inv, wd: wd}
+		j := &collectJob{inv: inv, wd: ec.o.armWatchdog(inv)}
+		w.jobs[inv.JobID] = j
 		pend, havePend := w.pending[inv.JobID]
 		if havePend {
 			delete(w.pending, inv.JobID)
@@ -171,17 +149,10 @@ func (ec *eventCollector) register(inv *Invocation) {
 			// The job's events outran its registration (replay on a fresh
 			// stream, or publish racing the submit reply): apply the latest
 			// one now so a terminal state is never lost.
-			w.processEvent(pend, false)
+			w.apply(j, pend)
 		}
 		return
 	}
-}
-
-// markUnsupported latches the stock-server verdict.
-func (ec *eventCollector) markUnsupported() {
-	ec.mu.Lock()
-	ec.unsupported = true
-	ec.mu.Unlock()
 }
 
 // run is the worker's connect/serve/reconnect loop. Connection failures
@@ -200,7 +171,9 @@ func (w *eventWorker) run() {
 			if errors.Is(err, gram.ErrNoEvents) {
 				// Stock gatekeeper: no event endpoint, ever. Latch and
 				// re-register everything with the poll hub.
-				w.ec.markUnsupported()
+				w.ec.mu.Lock()
+				w.ec.unsupported = true
+				w.ec.mu.Unlock()
 				w.fallback()
 				return
 			}
@@ -248,7 +221,6 @@ func (w *eventWorker) run() {
 // announced intervals.
 func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 	o := w.ec.o
-	w.hbTimedOut.Store(false)
 	var lastFrame atomic.Int64
 	lastFrame.Store(o.clock.Now().UnixNano())
 	stop := make(chan struct{})
@@ -261,7 +233,6 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 			case <-o.clock.After(es.Heartbeat):
 			}
 			if o.clock.Now().UnixNano()-lastFrame.Load() > 3*int64(es.Heartbeat) {
-				w.hbTimedOut.Store(true)
 				es.Close()
 				return
 			}
@@ -294,7 +265,7 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 				continue
 			}
 			o.push.eventsDelivered.Add(1)
-			w.processEvent(ev, true)
+			w.processEvent(ev)
 		}
 		if w.drained() {
 			return frames
@@ -328,12 +299,10 @@ func (w *eventWorker) tryStop() bool {
 	return true
 }
 
-// fallback retires the worker and re-registers every in-flight
-// invocation with the poll hub, transferring each one's armed watchdog
-// and output cursor intact — no lost terminal states, no double kill
-// timers.
+// fallback retires the worker and hands every in-flight job to the poll
+// hub as it is — armed watchdog and output cursor intact, so no terminal
+// state is lost and no kill timer doubled.
 func (w *eventWorker) fallback() {
-	o := w.ec.o
 	w.ec.mu.Lock()
 	w.mu.Lock()
 	if w.stopped {
@@ -346,17 +315,17 @@ func (w *eventWorker) fallback() {
 		delete(w.ec.workers, w.sessionID)
 	}
 	jobs := w.jobs
-	w.jobs = make(map[string]*evJob)
+	w.jobs = make(map[string]*collectJob)
 	w.pending = make(map[string]gram.EventData)
 	w.mu.Unlock()
 	w.ec.mu.Unlock()
-	for _, ej := range jobs {
-		if ej.inv.State().Terminal() {
-			ej.wd.Stop()
+	for _, j := range jobs {
+		if j.inv.State().Terminal() {
+			j.wd.Stop()
 			continue
 		}
-		o.push.fallbacksToPoll.Add(1)
-		o.hub.adopt(ej.inv, ej.wd, ej.lastVer)
+		w.ec.o.push.fallbacksToPoll.Add(1)
+		w.ec.hub.adopt(j)
 	}
 }
 
@@ -364,172 +333,74 @@ func (w *eventWorker) fallback() {
 // status-batch round-trip — the resync the push channel falls back on
 // when its event history has a gap.
 func (w *eventWorker) syncAll() {
-	o := w.ec.o
 	w.mu.Lock()
-	ids := make([]string, 0, len(w.jobs))
-	for id := range w.jobs {
-		ids = append(ids, id)
+	jobs := make([]*collectJob, 0, len(w.jobs))
+	for _, j := range w.jobs {
+		jobs = append(jobs, j)
 	}
 	w.mu.Unlock()
-	if len(ids) == 0 {
-		return
-	}
-	sort.Strings(ids)
-	o.collector.statusRPCs.Add(uint64((len(ids) + gram.MaxBatch - 1) / gram.MaxBatch))
-	entries, err := o.cfg.Agent.StatusBatch(w.sessionID, ids)
-	if err != nil || len(entries) != len(ids) {
-		return // transient: the stream (or the watchdog) decides
-	}
-	for _, e := range entries {
-		if e.Error != "" {
-			continue
-		}
-		w.processEvent(gram.EventData{
-			JobID:         e.JobID,
-			State:         e.State,
-			Message:       e.Message,
-			Site:          e.Site,
-			OutputVersion: e.OutputVersion,
-		}, false)
+	if len(jobs) > 0 {
+		w.ec.o.statusBatch(w.sessionID, jobs, w.apply)
 	}
 }
 
-// processEvent routes one event (pushed, replayed, or synthesised by a
-// resync) to its invocation: fetch stdout through the hub's conditional
-// path when the version moved, then record a terminal state. Collection
-// semantics — counters, disk accounting, span discipline, terminal
-// mapping — mirror the poll hub's collectOne exactly. stash controls
-// whether an event for an unknown job is kept for its registration.
-func (w *eventWorker) processEvent(ev gram.EventData, stash bool) {
-	o := w.ec.o
+// processEvent routes one streamed event to its invocation. An event for
+// a job that has not registered yet is stashed for its registration.
+func (w *eventWorker) processEvent(ev gram.EventData) {
 	w.mu.Lock()
-	ej := w.jobs[ev.JobID]
-	if ej == nil {
-		if stash && !w.stopped && len(w.pending) < maxPendingEvents {
-			w.pending[ev.JobID] = ev // in-order stream: latest event wins
-		}
-		w.mu.Unlock()
-		return
+	j := w.jobs[ev.JobID]
+	if j == nil && !w.stopped && len(w.pending) < maxPendingEvents {
+		w.pending[ev.JobID] = ev // in-order stream: latest event wins
 	}
-	lastVer := ej.lastVer
 	w.mu.Unlock()
-	inv := ej.inv
-	if inv.State().Terminal() {
+	if j != nil {
+		w.apply(j, ev)
+	}
+}
+
+// apply lets observe act on one event — pushed, replayed, or synthesised
+// by a resync — and reaps the job once its invocation is terminal.
+func (w *eventWorker) apply(j *collectJob, ev gram.EventData) {
+	o := w.ec.o
+	if j.inv.State().Terminal() {
 		// Cancel or watchdog got there between publish and delivery.
-		w.reap(ej)
+		w.reap(j)
 		return
 	}
-	terminal := ev.State == "DONE" || ev.State == "FAILED" ||
-		ev.State == "CANCELLED" || ev.State == "TIMEOUT"
-	// As on the poll paths, only informative deliveries (output fetched
-	// or terminal) record their span; the rest abandon it unrecorded.
-	ps := o.cfg.Tracing.StartSpan("event", inv.collectCtx())
+	ps := o.cfg.Tracing.StartSpan("event", j.inv.collectCtx())
 	if ev.AtUnixNano > 0 {
 		ps.SetInt("delivery_us", o.clock.Now().Sub(time.Unix(0, ev.AtUnixNano)).Microseconds())
 	}
-	fetched := false
-	if ev.OutputVersion > lastVer {
-		out, ver, changed, err := o.cfg.Agent.OutputIfChanged(w.sessionID, ev.JobID, lastVer)
-		switch {
-		case err != nil:
-			if terminal {
-				// Never finish with stale output: retry the final fetch off
-				// the stream loop; the watchdog bounds how long.
-				go w.finishWhenFetchable(ej, ev)
-				return
-			}
-		case changed:
-			w.mu.Lock()
-			newer := ver > ej.lastVer
-			if newer {
-				ej.lastVer = ver
-			}
-			w.mu.Unlock()
-			if newer {
-				o.collector.outputFetches.Add(1)
-				o.collector.outputBytes.Add(uint64(len(out)))
-				o.collector.pollDiskWrites.Add(1)
-				o.cfg.Probe.DiskWrite(len(out))
-				inv.setOutput(out)
-				fetched = true
-				ps.SetInt("bytes", int64(len(out)))
-			} else {
-				o.collector.outputNotModified.Add(1)
-			}
-		default:
-			o.collector.outputNotModified.Add(1)
-		}
-	} else if terminal {
-		// Events arrive in publication order, so a terminal event whose
-		// version we already fetched means the snapshot we hold is final.
-		o.collector.outputNotModified.Add(1)
+	if !o.observe(j, ev, false, ps) {
+		// Retry the final fetch off the stream loop.
+		go w.finishWhenFetchable(j, ev)
+		return
 	}
-	if fetched || terminal {
-		if ev.State != "" {
-			ps.Set("state", ev.State)
-		}
-		ps.End()
-	}
-	if terminal {
-		w.finishInv(ej, ev)
+	if j.inv.State().Terminal() {
+		w.reap(j)
 	}
 }
 
-// finishWhenFetchable retries the final output fetch of a terminal
-// event until it lands (or the invocation went terminal another way),
-// then finishes the invocation. The watchdog bounds the retries.
-func (w *eventWorker) finishWhenFetchable(ej *evJob, ev gram.EventData) {
+// finishWhenFetchable retries a terminal event whose final output fetch
+// failed until it lands (or the invocation went terminal another way).
+// The watchdog bounds the retries.
+func (w *eventWorker) finishWhenFetchable(j *collectJob, ev gram.EventData) {
 	o := w.ec.o
 	for {
 		o.clock.Sleep(o.cfg.PollInterval)
-		if ej.inv.State().Terminal() {
-			w.reap(ej)
+		if j.inv.State().Terminal() || o.observe(j, ev, false, nil) {
+			w.reap(j)
 			return
 		}
-		out, ver, changed, err := o.cfg.Agent.OutputIfChanged(w.sessionID, ev.JobID, 0)
-		if err != nil {
-			continue
-		}
-		if changed {
-			w.mu.Lock()
-			if ver > ej.lastVer {
-				ej.lastVer = ver
-			}
-			w.mu.Unlock()
-			o.collector.outputFetches.Add(1)
-			o.collector.outputBytes.Add(uint64(len(out)))
-			o.collector.pollDiskWrites.Add(1)
-			o.cfg.Probe.DiskWrite(len(out))
-			ej.inv.setOutput(out)
-		}
-		w.finishInv(ej, ev)
-		return
 	}
-}
-
-// finishInv records the terminal state (same mapping as every other
-// collection path), disarms the watchdog and reaps the entry.
-func (w *eventWorker) finishInv(ej *evJob, ev gram.EventData) {
-	o := w.ec.o
-	switch ev.State {
-	case "DONE":
-		ej.inv.finish(InvDone, "", o.clock.Now())
-	case "FAILED":
-		ej.inv.finish(InvFailed, ev.Message, o.clock.Now())
-	case "CANCELLED":
-		ej.inv.finish(InvCancelled, ev.Message, o.clock.Now())
-	case "TIMEOUT":
-		ej.inv.finish(InvKilled, ev.Message, o.clock.Now())
-	}
-	w.reap(ej)
 }
 
 // reap drops a terminal invocation's entry and stops its watchdog.
-func (w *eventWorker) reap(ej *evJob) {
-	ej.wd.Stop()
+func (w *eventWorker) reap(j *collectJob) {
+	j.wd.Stop()
 	w.mu.Lock()
-	if w.jobs[ej.inv.JobID] == ej {
-		delete(w.jobs, ej.inv.JobID)
+	if w.jobs[j.inv.JobID] == j {
+		delete(w.jobs, j.inv.JobID)
 	}
 	w.mu.Unlock()
 }

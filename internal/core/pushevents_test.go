@@ -102,35 +102,6 @@ func waitInv(t *testing.T, inv *Invocation, what string) {
 	}
 }
 
-func TestPushEventsEndToEnd(t *testing.T) {
-	f := newPushFixture(t, nil, nil)
-	if _, err := f.ons.UploadAndGenerate("alice", "ticker.gsh", "", nil,
-		[]byte("emit 2s 5 line\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("TickerService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitInv(t, inv, "push end-to-end")
-	if inv.State() != InvDone {
-		t.Fatalf("state %s: %s", inv.State(), inv.Message())
-	}
-	if got := strings.Count(inv.Output(), "line"); got != 5 {
-		t.Fatalf("final output has %d lines: %q", got, inv.Output())
-	}
-	if inv.EndedAt().IsZero() {
-		t.Fatal("terminal invocation has no end time")
-	}
-	es := f.ons.EventStats()
-	if es.StreamsOpened == 0 || es.EventsDelivered == 0 {
-		t.Fatalf("push channel saw no traffic: %+v", es)
-	}
-	if es.FallbacksToPoll != 0 {
-		t.Fatalf("healthy server forced a fallback: %+v", es)
-	}
-}
-
 func TestPushEventsSteadyStateStatusRPCsNearZero(t *testing.T) {
 	// The acceptance bar: under a concurrent burst, the push collector's
 	// only status traffic is the one bootstrap resync per fresh stream —
@@ -156,46 +127,6 @@ func TestPushEventsSteadyStateStatusRPCsNearZero(t *testing.T) {
 	}
 	if es.StreamsOpened > n {
 		t.Fatalf("more streams than invocations: %+v", es)
-	}
-}
-
-func TestPushEventsStockServerFallsBackToHub(t *testing.T) {
-	// A gatekeeper without /gram/events must cost one probe, then behave
-	// exactly like the poll hub — no lost terminal states.
-	gate := &eventsGate{mode: gateNotFound}
-	f := newPushFixture(t, gate, nil)
-	if _, err := f.ons.UploadAndGenerate("alice", "ticker.gsh", "", nil,
-		[]byte("emit 2s 5 line\n")); err != nil {
-		t.Fatal(err)
-	}
-	invs := make([]*Invocation, 4)
-	for i := range invs {
-		inv, err := f.ons.Invoke("TickerService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		invs[i] = inv
-	}
-	for _, inv := range invs {
-		waitInv(t, inv, "stock fallback")
-		if inv.State() != InvDone {
-			t.Fatalf("state %s: %s", inv.State(), inv.Message())
-		}
-		if got := strings.Count(inv.Output(), "line"); got != 5 {
-			t.Fatalf("output lost in fallback: %q", inv.Output())
-		}
-	}
-	f.ons.events.mu.Lock()
-	unsupported := f.ons.events.unsupported
-	f.ons.events.mu.Unlock()
-	if !unsupported {
-		t.Fatal("stock-server verdict not latched")
-	}
-	if f.ons.EventStats().StreamsOpened != 0 {
-		t.Fatalf("stream counted against a 404 server: %+v", f.ons.EventStats())
-	}
-	if f.ons.CollectorStats().StatusRPCs == 0 {
-		t.Fatal("poll hub never polled after the fallback")
 	}
 }
 
@@ -258,49 +189,6 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 	after := f.ons.EventStats()
 	if after.StreamsOpened <= mid.StreamsOpened {
 		t.Fatalf("no new stream after recovery: %+v -> %+v", mid, after)
-	}
-}
-
-func TestPushEventsWatchdogKillsRunaway(t *testing.T) {
-	f := newPushFixture(t, nil, func(cfg *Config) {
-		cfg.InvocationTimeout = 20 * time.Second
-	})
-	if _, err := f.ons.UploadAndGenerate("alice", "forever.gsh", "", nil,
-		[]byte("compute 23h\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("ForeverService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitInv(t, inv, "watchdog under push")
-	// Either enforcement path may win the race: the client watchdog, or
-	// the site's own walltime limit (the job's walltime is derived from
-	// the invocation timeout) arriving as a pushed TIMEOUT event. Both
-	// must land on InvKilled.
-	if inv.State() != InvKilled {
-		t.Fatalf("state %s: %s", inv.State(), inv.Message())
-	}
-}
-
-func TestPushEventsCancelInvocation(t *testing.T) {
-	// Cancel mid-run: the CANCELLED transition arrives as a pushed event
-	// and must settle the invocation exactly as the poll paths do.
-	f := newPushFixture(t, nil, nil)
-	if _, err := f.ons.UploadAndGenerate("alice", "slow.gsh", "", nil,
-		[]byte("emit 2s 10000 t\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("SlowService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ons.CancelInvocation(inv.Ticket); err != nil {
-		t.Fatal(err)
-	}
-	waitInv(t, inv, "cancel under push")
-	if inv.State() != InvCancelled {
-		t.Fatalf("state %s", inv.State())
 	}
 }
 

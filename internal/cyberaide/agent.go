@@ -355,16 +355,6 @@ func (a *Agent) SubmitBatchTraced(sessionID string, descs []*jsdl.Description, t
 	return a.gramFor(sess).SubmitBatchTraced(owned, traces)
 }
 
-// Wait long-polls the gatekeeper until the job is terminal or timeout
-// elapses (the extension that obsoletes tentative output polling).
-func (a *Agent) Wait(sessionID, jobID string, timeout time.Duration) (*gram.StatusReply, error) {
-	sess, err := a.Session(sessionID)
-	if err != nil {
-		return nil, err
-	}
-	return a.gramFor(sess).Wait(jobID, timeout)
-}
-
 // Status polls a job.
 func (a *Agent) Status(sessionID, jobID string) (*gram.StatusReply, error) {
 	sess, err := a.Session(sessionID)

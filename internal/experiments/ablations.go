@@ -56,7 +56,7 @@ func AblationDoubleWrite(opts Options, fileKB int) (*AblationResult, error) {
 		direct bool
 	}{{"stock", false}, {"direct", true}} {
 		o := opts
-		o.DirectDBWrite = variant.direct
+		o.Appliance.DirectDBWrite = variant.direct
 		r, err := newRig(o)
 		if err != nil {
 			return nil, err
@@ -99,10 +99,10 @@ func AblationStagingCache(opts Options, fileKB, invocations int) (*AblationResul
 		cache bool
 	}{{"stock", false}, {"cache", true}} {
 		o := opts
-		o.StagingCache = variant.cache
+		o.Appliance.StagingCache = variant.cache
 		// Fine polling keeps completion-detection quantisation from
 		// drowning the staging-time difference under comparison.
-		o.PollInterval = 3 * time.Second
+		o.Appliance.PollInterval = 3 * time.Second
 		r, err := newRig(o)
 		if err != nil {
 			return nil, err
@@ -152,23 +152,11 @@ func AblationPolling(opts Options, intervals []time.Duration) (*AblationResult, 
 	res := &AblationResult{Notes: []string{
 		"a 60s job polled at each interval; faster polling means more traffic and disk writes",
 		"but slower polling delays completion detection (latency beyond job end)",
-		"longpoll is the gatekeeper wait extension: one blocking request, near-zero latency",
 	}}
-	type variantCfg struct {
-		name     string
-		interval time.Duration
-		longPoll bool
-	}
-	variants := []variantCfg{{name: "longpoll", longPoll: true}}
-	for _, iv := range intervals {
-		variants = append(variants, variantCfg{name: iv.String(), interval: iv})
-	}
-	for _, v := range variants {
+	for _, interval := range intervals {
+		variant := interval.String()
 		o := opts
-		o.UseLongPoll = v.longPoll
-		if v.interval > 0 {
-			o.PollInterval = v.interval
-		}
+		o.Appliance.PollInterval = interval
 		r, err := newRig(o)
 		if err != nil {
 			return nil, err
@@ -196,8 +184,8 @@ func AblationPolling(opts Options, intervals []time.Duration) (*AblationResult, 
 		elapsed := r.clock.Now().Sub(start).Seconds()
 		sum := seriesSummary(r.rec.Series())
 		res.Rows = append(res.Rows,
-			AblationRow{Study: "poll-interval", Variant: v.name, Metric: "poll_disk_write_kb", Value: sum["disk_write_total_b"] / 1024},
-			AblationRow{Study: "poll-interval", Variant: v.name, Metric: "completion_latency_s", Value: elapsed - 60},
+			AblationRow{Study: "poll-interval", Variant: variant, Metric: "poll_disk_write_kb", Value: sum["disk_write_total_b"] / 1024},
+			AblationRow{Study: "poll-interval", Variant: variant, Metric: "completion_latency_s", Value: elapsed - 60},
 		)
 		r.close()
 	}

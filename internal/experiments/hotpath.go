@@ -44,19 +44,19 @@ func AblationHotPath(opts Options, fileKB, invocations int, variants ...string) 
 		o := opts
 		// Fine polling keeps completion-detection quantisation from
 		// drowning the per-invocation setup difference under comparison.
-		o.PollInterval = 3 * time.Second
+		o.Appliance.PollInterval = 3 * time.Second
 		switch variant {
 		case "stock":
 		case "session-cache":
-			o.SessionCache = true
+			o.Appliance.SessionCache = true
 		case "stats-ttl":
-			o.StatsTTL = 30 * time.Second
+			o.Appliance.StatsTTL = 30 * time.Second
 		case "blob-lru":
-			o.BlobCacheBytes = 256 << 20
+			o.Appliance.BlobCacheBytes = 256 << 20
 		case "warm":
-			o.SessionCache = true
-			o.StatsTTL = 30 * time.Second
-			o.BlobCacheBytes = 256 << 20
+			o.Appliance.SessionCache = true
+			o.Appliance.StatsTTL = 30 * time.Second
+			o.Appliance.BlobCacheBytes = 256 << 20
 		default:
 			return nil, fmt.Errorf("experiments: unknown hot-path variant %q", variant)
 		}

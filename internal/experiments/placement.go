@@ -71,19 +71,19 @@ func AblationPlacement(opts Options, invocations int, sizesKB []int, variants ..
 		study := fmt.Sprintf("placement-%dkb", sizeKB)
 		for _, variant := range variants {
 			o := opts
-			o.SessionCache = true
-			o.StagingCache = false
-			o.CoalesceStaging = true
-			o.ChunkedStaging = true
-			o.ChunkBytes = placementChunkBytes
-			o.PollInterval = 3 * time.Second
+			o.Appliance.SessionCache = true
+			o.Appliance.StagingCache = false
+			o.Appliance.CoalesceStaging = true
+			o.Appliance.ChunkedStaging = true
+			o.Appliance.ChunkBytes = placementChunkBytes
+			o.Appliance.PollInterval = 3 * time.Second
 			switch variant {
 			case "load-only":
 			case "data-aware":
-				o.DataAwarePlacement = true
+				o.Appliance.DataAwarePlacement = true
 			case "data-aware+replicate":
-				o.DataAwarePlacement = true
-				o.ReplicateTopK = 1
+				o.Appliance.DataAwarePlacement = true
+				o.Appliance.ReplicateTopK = 1
 			default:
 				return nil, fmt.Errorf("experiments: unknown placement variant %q", variant)
 			}

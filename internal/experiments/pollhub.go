@@ -49,15 +49,15 @@ func AblationPollHub(opts Options, invocations int, variants ...string) (*Ablati
 	}}
 	for _, variant := range variants {
 		o := opts
-		o.SessionCache = true
-		o.StagingCache = true
-		o.PollInterval = 3 * time.Second
+		o.Appliance.SessionCache = true
+		o.Appliance.StagingCache = true
+		o.Appliance.PollInterval = 3 * time.Second
 		switch variant {
 		case "stock":
 		case "hub":
-			o.PollHub = true
+			o.Appliance.PollHub = true
 		case "push":
-			o.PushEvents = true
+			o.Appliance.PushEvents = true
 		default:
 			return nil, fmt.Errorf("experiments: unknown poll-hub variant %q", variant)
 		}

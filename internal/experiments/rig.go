@@ -23,7 +23,6 @@ import (
 	"repro/internal/gridsim"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -35,58 +34,15 @@ type Options struct {
 	Scale float64
 	// SampleInterval defaults to the paper's 3 seconds.
 	SampleInterval time.Duration
-	// PollInterval is the tentative output polling cadence; default 9s.
-	PollInterval time.Duration
 	// Sites defaults to a compact two-site grid (the figures measure the
 	// appliance host, not the grid).
 	Sites []gridsim.SiteConfig
-	// StagingCache / DirectDBWrite / UseLongPoll select ablation and
-	// extension variants.
-	StagingCache  bool
-	DirectDBWrite bool
-	UseLongPoll   bool
-	// SessionCache / StatsTTL / BlobCacheBytes / GroupCommit select the
-	// invocation hot-path optimisations (see core.Config and
-	// blobdb.Options); zero values keep the paper-faithful behaviour.
-	SessionCache   bool
-	StatsTTL       time.Duration
-	BlobCacheBytes int64
-	GroupCommit    bool
-	// WALShards / SegmentBytes / AutoCompact select the sharded, segmented
-	// storage engine and its background compactor (see blobdb.Options);
-	// zero values keep the stock single-WAL layout.
-	WALShards    int
-	SegmentBytes int64
-	AutoCompact  bool
-	// PollHub / PollHubShards select the sharded batched status collector
-	// (see core.Config); off keeps the paper's per-invocation poller.
-	PollHub       bool
-	PollHubShards int
-	// PushEvents selects the push-based collector: job completion rides
-	// one long-lived gatekeeper event stream per session instead of any
-	// polling (see core.Config); the poll hub rides along as fallback.
-	PushEvents bool
-	// CoalesceStaging / SubmitHub / SubmitHubWindow select the batched
-	// submission front-end (see core.Config); off keeps one upload and
-	// one submit RPC per invocation.
-	CoalesceStaging bool
-	SubmitHub       bool
-	SubmitHubWindow time.Duration
-	// ChunkedStaging / ChunkBytes / WireCompression select the chunked,
-	// content-addressed staging data plane (see core.Config); off keeps
-	// the paper's monolithic uncompressed PUT per staging.
-	ChunkedStaging  bool
-	ChunkBytes      int
-	WireCompression bool
-	// DataAwarePlacement / PlacementProbeTTL / ReplicateTopK select the
-	// possession-aware site scorer and the background pre-replicator
-	// (see core.Config); zero values keep load-only placement.
-	DataAwarePlacement bool
-	PlacementProbeTTL  time.Duration
-	ReplicateTopK      int
-	// Tenancy enables the multi-tenant control plane (API keys, policy,
-	// rate limits, fair-share quotas, audit); nil keeps it off.
-	Tenancy *tenant.Config
+	// Appliance is the configuration under test: the paper profile (the
+	// zero value) plus whatever knobs the experiment flips. newRig
+	// completes it with the rig's own wiring — Endpoints, Clock, Probe,
+	// Cost, the shaped grid and user links, Trace — and a one-hour
+	// InvocationTimeout.
+	Appliance appliance.Config
 	// Cost overrides the appliance CPU cost model (nil = defaults).
 	Cost *metrics.Cost
 	// Tracing turns on the distributed tracer: one collector shared by
@@ -101,9 +57,6 @@ func (o *Options) fill() {
 	}
 	if o.SampleInterval <= 0 {
 		o.SampleInterval = 3 * time.Second
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 9 * time.Second
 	}
 	if len(o.Sites) == 0 {
 		o.Sites = []gridsim.SiteConfig{
@@ -205,41 +158,17 @@ func newRig(opts Options) (*rig, error) {
 	if opts.Cost != nil {
 		cost = *opts.Cost
 	}
-	img, err := appliance.BuildImage(appliance.Config{
-		Endpoints:          env.Endpoints(),
-		Clock:              clk,
-		Probe:              probe,
-		Cost:               cost,
-		GridHTTP:           gridHTTP,
-		MyProxyDial:        myproxyDial,
-		UserProfile:        lan,
-		PollInterval:       opts.PollInterval,
-		InvocationTimeout:  time.Hour,
-		StagingCache:       opts.StagingCache,
-		DirectDBWrite:      opts.DirectDBWrite,
-		UseLongPoll:        opts.UseLongPoll,
-		SessionCache:       opts.SessionCache,
-		StatsTTL:           opts.StatsTTL,
-		BlobCacheBytes:     opts.BlobCacheBytes,
-		GroupCommit:        opts.GroupCommit,
-		WALShards:          opts.WALShards,
-		SegmentBytes:       opts.SegmentBytes,
-		AutoCompact:        opts.AutoCompact,
-		PollHub:            opts.PollHub,
-		PollHubShards:      opts.PollHubShards,
-		PushEvents:         opts.PushEvents,
-		CoalesceStaging:    opts.CoalesceStaging,
-		SubmitHub:          opts.SubmitHub,
-		SubmitHubWindow:    opts.SubmitHubWindow,
-		ChunkedStaging:     opts.ChunkedStaging,
-		ChunkBytes:         opts.ChunkBytes,
-		WireCompression:    opts.WireCompression,
-		DataAwarePlacement: opts.DataAwarePlacement,
-		PlacementProbeTTL:  opts.PlacementProbeTTL,
-		ReplicateTopK:      opts.ReplicateTopK,
-		Tenancy:            opts.Tenancy,
-		Trace:              col,
-	})
+	cfg := opts.Appliance
+	cfg.Endpoints = env.Endpoints()
+	cfg.Clock = clk
+	cfg.Probe = probe
+	cfg.Cost = cost
+	cfg.GridHTTP = gridHTTP
+	cfg.MyProxyDial = myproxyDial
+	cfg.UserProfile = lan
+	cfg.InvocationTimeout = time.Hour
+	cfg.Trace = col
+	img, err := appliance.BuildImage(cfg)
 	if err != nil {
 		env.Close()
 		return nil, err

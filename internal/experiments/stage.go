@@ -74,21 +74,21 @@ func perturbProgram(program string, frac float64) string {
 // provides the warm no-transfer measurement), fast polling.
 func stageRigOptions(opts Options, variant string) (Options, error) {
 	o := opts
-	o.SessionCache = true
-	o.StagingCache = true
+	o.Appliance.SessionCache = true
+	o.Appliance.StagingCache = true
 	// A tight poll keeps the cold-minus-warm subtraction from being
 	// quantised by poll-tick phase (the figures' 9 s default would put
 	// ±9 s of noise on an ~18 s measurement).
-	o.PollInterval = time.Second
+	o.Appliance.PollInterval = time.Second
 	switch variant {
 	case "stock":
 	case "chunked":
-		o.ChunkedStaging = true
-		o.ChunkBytes = stageChunkBytes
+		o.Appliance.ChunkedStaging = true
+		o.Appliance.ChunkBytes = stageChunkBytes
 	case "chunked-gzip":
-		o.ChunkedStaging = true
-		o.ChunkBytes = stageChunkBytes
-		o.WireCompression = true
+		o.Appliance.ChunkedStaging = true
+		o.Appliance.ChunkBytes = stageChunkBytes
+		o.Appliance.WireCompression = true
 	default:
 		return o, fmt.Errorf("experiments: unknown stage variant %q", variant)
 	}

@@ -42,16 +42,16 @@ func AblationSubmit(opts Options, invocations int, variants ...string) (*Ablatio
 	}}
 	for _, variant := range variants {
 		o := opts
-		o.SessionCache = true
-		o.StagingCache = false
-		o.PollInterval = 3 * time.Second
+		o.Appliance.SessionCache = true
+		o.Appliance.StagingCache = false
+		o.Appliance.PollInterval = 3 * time.Second
 		switch variant {
 		case "stock":
 		case "batched":
-			o.CoalesceStaging = true
-			o.SubmitHub = true
-			o.SubmitHubWindow = 2 * time.Second
-			o.StatsTTL = 10 * time.Second
+			o.Appliance.CoalesceStaging = true
+			o.Appliance.SubmitHub = true
+			o.Appliance.SubmitHubWindow = 2 * time.Second
+			o.Appliance.StatsTTL = 10 * time.Second
 		default:
 			return nil, fmt.Errorf("experiments: unknown submit variant %q", variant)
 		}

@@ -98,12 +98,12 @@ func AblationTenancy(opts Options, burst int) (*AblationResult, error) {
 // baseline the victim solo, fire the hog burst, probe through it, and
 // (tenancy on) audit the books.
 func tenancyRun(o Options, variant string, burst int, cfg *tenant.Config) ([]AblationRow, error) {
-	o.Tenancy = cfg
+	o.Appliance.Tenancy = cfg
 	// The staging + session caches keep per-invocation overhead flat so
 	// the contended resource is the grid itself — identical in both
 	// variants, so the comparison isolates the control plane.
-	o.StagingCache = true
-	o.SessionCache = true
+	o.Appliance.StagingCache = true
+	o.Appliance.SessionCache = true
 	o.Tracing = cfg != nil // the on-variant verifies audit <-> trace linkage
 	r, err := newRig(o)
 	if err != nil {

@@ -151,16 +151,16 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 		largeBytes = largeProgramSize
 	}
 	allKnobs := func(o Options) Options {
-		o.StagingCache = true
-		o.SessionCache = true
-		o.StatsTTL = 30 * time.Second
-		o.BlobCacheBytes = 64 << 20
-		o.GroupCommit = true
-		o.PollHub = true
-		o.CoalesceStaging = true
-		o.SubmitHub = true
-		o.ChunkedStaging = true
-		o.WireCompression = true
+		o.Appliance.StagingCache = true
+		o.Appliance.SessionCache = true
+		o.Appliance.StatsTTL = 30 * time.Second
+		o.Appliance.BlobCacheBytes = 64 << 20
+		o.Appliance.GroupCommit = true
+		o.Appliance.PollHub = true
+		o.Appliance.CoalesceStaging = true
+		o.Appliance.SubmitHub = true
+		o.Appliance.ChunkedStaging = true
+		o.Appliance.WireCompression = true
 		return o
 	}
 	largeProgram := string(gsh.Pad([]byte(smallProgram), largeBytes))

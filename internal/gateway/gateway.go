@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/appliance"
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -217,7 +218,7 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	}
 	g.ln = ln
 	g.BaseURL = "http://" + ln.Addr().String()
-	g.srv = &http.Server{Handler: g}
+	g.srv = netsim.NewHTTPServer(g)
 	go g.srv.Serve(ln)
 
 	// Seed the view before traffic arrives, then keep it fresh.

@@ -190,8 +190,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Write(data)
 		})
-	case r.Method == http.MethodGet && r.URL.Path == "/gram/wait":
-		s.wait(w, r)
 	case r.Method == http.MethodPost && r.URL.Path == "/gram/cancel":
 		s.cancel(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/gram/sites":
@@ -394,31 +392,6 @@ func (s *Server) withJob(w http.ResponseWriter, r *http.Request, fn func(*gridsi
 		return
 	}
 	fn(job)
-}
-
-// DefaultWaitTimeout bounds one long-poll round.
-const DefaultWaitTimeout = 30 * time.Second
-
-// wait is the long-poll extension: it blocks until the job reaches a
-// terminal state or the requested timeout elapses, then returns the
-// status. The paper's implementation could not retrieve job status and
-// fell back to tentative output polling; this endpoint is the fix that
-// 2010-era gatekeepers lacked, benchmarked against the workaround in the
-// poll-interval ablation.
-func (s *Server) wait(w http.ResponseWriter, r *http.Request) {
-	s.withJob(w, r, func(j *gridsim.Job) {
-		timeout := DefaultWaitTimeout
-		if t := r.URL.Query().Get("timeout_s"); t != "" {
-			if secs, err := strconv.Atoi(t); err == nil && secs > 0 {
-				timeout = time.Duration(secs) * time.Second
-			}
-		}
-		select {
-		case <-j.Done():
-		case <-s.clock.After(timeout):
-		}
-		writeJSON(w, http.StatusOK, statusOf(j))
-	})
 }
 
 func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
@@ -735,22 +708,6 @@ func (c *Client) Sites() ([]gridsim.SiteStats, error) {
 		return nil, err
 	}
 	return reply, nil
-}
-
-// Wait long-polls the gatekeeper: one request that blocks server-side
-// until the job is terminal or timeout elapses. Callers loop until the
-// returned state is terminal.
-func (c *Client) Wait(jobID string, timeout time.Duration) (*StatusReply, error) {
-	secs := int(timeout / time.Second)
-	if secs <= 0 {
-		secs = 1
-	}
-	var reply StatusReply
-	err := c.jobGet("/gram/wait", jobID, map[string]string{"timeout_s": strconv.Itoa(secs)}, &reply)
-	if err != nil {
-		return nil, err
-	}
-	return &reply, nil
 }
 
 // Usage fetches the caller's per-site accounting.

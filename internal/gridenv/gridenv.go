@@ -113,7 +113,7 @@ func Start(opts Options) (*Env, error) {
 		if err != nil {
 			return "", err
 		}
-		srv := &http.Server{Handler: h}
+		srv := netsim.NewHTTPServer(h)
 		env.httpSrvs = append(env.httpSrvs, srv)
 		go srv.Serve(ln)
 		return "http://" + ln.Addr().String(), nil

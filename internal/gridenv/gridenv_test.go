@@ -62,7 +62,12 @@ func TestAddUserAndAuthenticateThroughStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := gc.Wait(id, time.Hour)
+	job, err := env.Grid.Job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	st, err := gc.Status(id)
 	if err != nil || st.State != "DONE" {
 		t.Fatalf("job %v err %v", st, err)
 	}

@@ -34,10 +34,11 @@ go test -race -short ./...
 # the replicated UDDI view written by peer pushes while resolves read
 # it), and the tenant control plane (concurrent admits racing quota
 # release, key rotation mid-burst, DRR wakeups racing timeouts) are
-# the concurrency hot spots: run their packages fresh
+# the concurrency hot spots, and the appliance package boots the two
+# supported profiles end to end: run their packages fresh
 # (-count=1 defeats the test cache) so cached "ok" lines can never
 # mask a newly introduced race.
-go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant
+go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/appliance
 
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
