@@ -82,10 +82,15 @@ func (o *OnServe) armWatchdog(inv *Invocation) *Watchdog {
 	})
 }
 
-// storeOutput keeps a fetched stdout snapshot: the local spill is a disk
+// storeOutput keeps a stdout snapshot, counted by how it arrived — fetched
+// from /gram/output or inline in an event frame: the local spill is a disk
 // write on the appliance (the periodic peaks of Figs. 6 and 7).
-func (o *OnServe) storeOutput(inv *Invocation, out string, ps *trace.Span) {
-	o.collector.outputFetches.Add(1)
+func (o *OnServe) storeOutput(inv *Invocation, out string, inline bool, ps *trace.Span) {
+	if inline {
+		o.collector.outputInlined.Add(1)
+	} else {
+		o.collector.outputFetches.Add(1)
+	}
 	o.collector.outputBytes.Add(uint64(len(out)))
 	o.collector.pollDiskWrites.Add(1)
 	o.cfg.Probe.DiskWrite(len(out))
@@ -95,13 +100,16 @@ func (o *OnServe) storeOutput(inv *Invocation, out string, ps *trace.Span) {
 
 // observe applies one authoritative look at a grid job — an entry of a
 // status-batch reply or a pushed event — to its invocation: when the
-// output version moved past the stored snapshot, fetch it conditionally
-// and store it; then record a terminal state. polled marks a look the
-// collector asked for on its own cadence: finding the version unmoved is
-// then a confirmed-unchanged snapshot (CollectorStats.OutputNotModified),
-// which a pushed transition says only when it is the terminal one. ps is
-// the caller's span; only informative looks (output stored, or terminal)
-// record it, so sustained collection cannot flood the ring.
+// output version moved past the stored snapshot, store the new one — the
+// event's own when it carries the snapshot inline (a live frame of a small
+// output), a conditional fetch otherwise (a status entry, a replayed
+// frame, a large output, a gatekeeper that inlines nothing) — then record
+// a terminal state. polled marks a look the collector asked for on its own
+// cadence: finding the version unmoved is then a confirmed-unchanged
+// snapshot (CollectorStats.OutputNotModified), which a pushed transition
+// says only when it is the terminal one. ps is the caller's span; only
+// informative looks (output stored, or terminal) record it, so sustained
+// collection cannot flood the ring.
 //
 // It returns false for exactly one outcome: the job is terminal but its
 // final output could not be fetched. The invocation is left running —
@@ -115,14 +123,18 @@ func (o *OnServe) observe(j *collectJob, ev gram.EventData, polled bool, ps *tra
 	j.mu.Unlock()
 	stored := false
 	if ev.OutputVersion > lastVer {
-		out, ver, changed, err := o.cfg.Agent.OutputIfChanged(inv.sessionID, inv.JobID, lastVer)
+		inline := ev.Output != ""
+		out, ver, changed, err := ev.Output, ev.OutputVersion, true, error(nil)
+		if !inline {
+			out, ver, changed, err = o.cfg.Agent.OutputIfChanged(inv.sessionID, inv.JobID, lastVer)
+		}
 		switch {
 		case err != nil:
 			if terminal {
 				return false
 			}
 		case changed && j.advance(ver):
-			o.storeOutput(inv, out, ps)
+			o.storeOutput(inv, out, inline, ps)
 			stored = true
 		default:
 			o.collector.outputNotModified.Add(1)
@@ -199,7 +211,7 @@ func (o *OnServe) pollOutput(inv *Invocation) {
 		}
 		changed := false
 		if out, err := o.cfg.Agent.Output(inv.sessionID, inv.JobID); err == nil {
-			o.storeOutput(inv, out, ps)
+			o.storeOutput(inv, out, false, ps)
 			changed = len(out) != lastLen
 			lastLen = len(out)
 		}

@@ -1,13 +1,19 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/gram"
 )
 
 // flakyGram fails the first few requests to each listed gatekeeper path
@@ -38,11 +44,66 @@ func (f *flakyGram) RoundTrip(req *http.Request) (*http.Response, error) {
 	return f.base.RoundTrip(req)
 }
 
+// heldEvents delays every /gram/events connection until released: the
+// stream then opens on a job that is already over, so everything about it
+// arrives through the bootstrap resync and as replayed frames.
+type heldEvents struct {
+	base    http.RoundTripper
+	release chan struct{}
+}
+
+func (h *heldEvents) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/gram/events" {
+		<-h.release
+	}
+	return h.base.RoundTrip(req)
+}
+
+// bareFrames strips the inline snapshot from every event frame: a
+// gatekeeper that streams transitions but inlines nothing.
+type bareFrames struct{ base http.RoundTripper }
+
+func (b bareFrames) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := b.base.RoundTrip(req)
+	if err != nil || req.URL.Path != "/gram/events" || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	body := resp.Body
+	pr, pw := io.Pipe()
+	go func() {
+		br := bufio.NewReader(body)
+		for {
+			line, err := br.ReadBytes('\n')
+			if data, ok := bytes.CutPrefix(line, []byte("data: ")); ok {
+				var fields map[string]json.RawMessage
+				if json.Unmarshal(data, &fields) == nil {
+					delete(fields, "output")
+					data, _ = json.Marshal(fields)
+					line = append(append([]byte("data: "), data...), '\n')
+				}
+			}
+			if _, werr := pw.Write(line); werr != nil || err != nil {
+				pw.CloseWithError(err)
+				body.Close()
+				return
+			}
+		}
+	}()
+	resp.Body = struct {
+		io.Reader
+		io.Closer
+	}{pr, closerFunc(func() error { body.Close(); return pr.Close() })}
+	return resp, nil
+}
+
+type closerFunc func() error
+
+func (f closerFunc) Close() error { return f() }
+
 // collectorGoroutines returns the stacks of goroutines the collect step
-// runs on behalf of invocations: watchdog timers, tentative pollers, hub
-// shard workers and the push path's final-fetch retries. The push stream
-// worker itself is scoped to a session, not to an invocation, and is not
-// listed.
+// runs: watchdog timers, tentative pollers, hub shard workers, and the
+// push path's stream workers (with their heartbeat monitors) and
+// final-fetch retries.
 func collectorGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -50,7 +111,7 @@ func collectorGoroutines() []string {
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		for _, frame := range []string{
 			"core.NewWatchdog", "core.(*OnServe).pollOutput",
-			"core.(*hubShard).", "core.(*eventWorker).finishWhenFetchable",
+			"core.(*hubShard).", "core.(*eventWorker).",
 		} {
 			if strings.Contains(g, frame) {
 				owned = append(owned, g)
@@ -61,9 +122,10 @@ func collectorGoroutines() []string {
 	return owned
 }
 
-// waitCollectorsIdle asserts that, once every invocation is terminal, the
-// collect step parks nothing for them: watchdogs stopped, pollers and
-// retries returned, lazy hub shards retired.
+// waitCollectorsIdle asserts that, once every invocation is terminal and no
+// session is cached, the collect step parks nothing: watchdogs stopped,
+// pollers and retries returned, lazy hub shards and stream workers
+// retired.
 func waitCollectorsIdle(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -110,8 +172,11 @@ func TestCollectorContract(t *testing.T) {
 		timeout time.Duration
 		faults  map[string]int
 		cancel  bool
-		state   InvState
-		check   func(t *testing.T, oc outcome)
+		// lateStream opens the event stream only once the grid jobs are
+		// over; noInline strips the snapshot from every frame.
+		lateStream, noInline bool
+		state                InvState
+		check                func(t *testing.T, oc outcome)
 	}{
 		{
 			name: "done-with-output", program: "emit 2s 5 line\n", n: 3, state: InvDone,
@@ -121,8 +186,46 @@ func TestCollectorContract(t *testing.T) {
 						t.Errorf("final output has %d lines: %q", got, inv.Output())
 					}
 				}
-				if oc.after.OutputFetches == 0 || oc.after.OutputBytes == 0 {
-					t.Errorf("no output fetched: %+v", oc.after)
+				if oc.after.OutputFetches+oc.after.OutputInlined == 0 || oc.after.OutputBytes == 0 {
+					t.Errorf("no output collected: %+v", oc.after)
+				}
+				if !oc.col.streams && oc.after.OutputInlined != 0 {
+					t.Errorf("inline output without a stream: %+v", oc.after)
+				}
+			},
+		},
+		{
+			// Three bumps of 4 KB: the last two snapshots are over
+			// gram.InlineOutputMax and only announced.
+			name: "output-over-inline-limit", program: "emit 10m 3 " + strings.Repeat("x", gram.InlineOutputMax/2) + "\n", state: InvDone,
+			check: func(t *testing.T, oc outcome) {
+				if got, want := len(oc.invs[0].Output()), 3*(gram.InlineOutputMax/2+1); got != want {
+					t.Errorf("final output %d bytes, want %d", got, want)
+				}
+				if oc.after.OutputFetches == 0 {
+					t.Errorf("a 12 KB snapshot arrived without a fetch: %+v", oc.after)
+				}
+			},
+		},
+		{
+			name: "finished-before-stream", program: "echo early\n", lateStream: true, state: InvDone,
+			check: func(t *testing.T, oc outcome) {
+				if out := oc.invs[0].Output(); out != "early\n" {
+					t.Errorf("output %q", out)
+				}
+				if oc.after.OutputFetches == 0 || oc.after.OutputInlined != 0 {
+					t.Errorf("replayed frames carry no payload, the output is fetched: %+v", oc.after)
+				}
+			},
+		},
+		{
+			name: "gatekeeper-never-inlines", program: "echo head\ncompute 10m\necho tail\n", noInline: true, state: InvDone,
+			check: func(t *testing.T, oc outcome) {
+				if out := oc.invs[0].Output(); out != "head\ntail\n" {
+					t.Errorf("output %q", out)
+				}
+				if oc.after.OutputFetches == 0 || oc.after.OutputInlined != 0 {
+					t.Errorf("bare frames, the output is fetched: %+v", oc.after)
 				}
 			},
 		},
@@ -195,6 +298,13 @@ func TestCollectorContract(t *testing.T) {
 					flaky.left[path] = n
 				}
 				rt = flaky
+				late := &heldEvents{base: rt, release: make(chan struct{})}
+				if row.lateStream {
+					rt = late
+				}
+				if row.noInline {
+					rt = bareFrames{rt}
+				}
 				if col.noPush {
 					rt = &eventsGate{base: rt, mode: gateNotFound}
 				}
@@ -221,6 +331,16 @@ func TestCollectorContract(t *testing.T) {
 					if err := f.ons.CancelInvocation(oc.invs[0].Ticket); err != nil {
 						t.Fatal(err)
 					}
+				}
+				if row.lateStream {
+					for _, inv := range oc.invs {
+						job, err := f.env.Grid.Job(inv.JobID)
+						if err != nil {
+							t.Fatal(err)
+						}
+						<-job.Done()
+					}
+					close(late.release)
 				}
 				for _, inv := range oc.invs {
 					waitInv(t, inv, row.name)
@@ -331,11 +451,8 @@ func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
 	}
 	// The pushed CANCELLED frame is the only thing left that touches the
 	// job: it has been processed once the stream worker has reaped it.
-	ec := f.ons.collect.(*eventCollector)
 	reaped := func() bool {
-		ec.mu.Lock()
-		w := ec.workers[inv.sessionID]
-		ec.mu.Unlock()
+		w := pushWorker(f, inv.sessionID)
 		if w == nil {
 			return true
 		}

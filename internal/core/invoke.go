@@ -351,13 +351,8 @@ func (o *OnServe) stageAndSubmit(sessionID, serviceName string, info *Executable
 // its lifetime, a fresh MyProxy logon otherwise. cached reports whether
 // the ID came from the cache (and so may need the fault-retry path).
 func (o *OnServe) gridSession(owner string, auth UserAuth, tc trace.SpanContext) (id string, cached bool, err error) {
-	if o.cfg.SessionCache {
-		o.mu.Lock()
-		s := o.sessions[owner]
-		o.mu.Unlock()
-		if s != nil && o.clock.Now().Before(s.expiresAt) {
-			return s.id, true, nil
-		}
+	if id, ok := o.cachedSession(owner); ok {
+		return id, true, nil
 	}
 	sess, err := o.cfg.Agent.WithTrace(tc).Authenticate(auth.MyProxyUser, auth.Passphrase, o.cfg.ProxyLifetime)
 	if err != nil {
@@ -372,6 +367,19 @@ func (o *OnServe) gridSession(owner string, auth UserAuth, tc trace.SpanContext)
 		o.mu.Unlock()
 	}
 	return sess.ID, false, nil
+}
+
+// cachedSession returns the session owner's next invocation would reuse:
+// the cached one (Config.SessionCache; nothing is ever cached without it)
+// while its proxy is comfortably inside its lifetime.
+func (o *OnServe) cachedSession(owner string) (id string, ok bool) {
+	o.mu.Lock()
+	s := o.sessions[owner]
+	o.mu.Unlock()
+	if s == nil || !o.clock.Now().Before(s.expiresAt) {
+		return "", false
+	}
+	return s.id, true
 }
 
 // invalidateSession drops owner's cached session if it still is id.

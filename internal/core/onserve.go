@@ -140,11 +140,12 @@ type Config struct {
 	PollHubShards int
 	// PushEvents replaces polling altogether with the gatekeeper's
 	// long-lived event stream: one /gram/events connection per session
-	// multiplexes every job's state transitions and stdout-version bumps,
-	// so steady-state status RPCs drop to ~zero and completion is
+	// multiplexes the state transitions and stdout bumps of that session's
+	// jobs, so steady-state status RPCs drop to zero and completion is
 	// detected at push-delivery latency instead of the poll interval.
-	// Output payloads still ride the hub's conditional /gram/output
-	// fetch. The fallback ladder degrades gracefully: a stock gatekeeper
+	// A stdout snapshot of up to gram.InlineOutputMax rides in the frame
+	// itself; larger ones take the hub's conditional /gram/output fetch.
+	// The fallback ladder degrades gracefully: a stock gatekeeper
 	// (404 on /gram/events) or a dead stream hands every in-flight
 	// invocation to the poll hub the collector owns; reconnects resume
 	// from a Last-Event-ID cursor so no transition is lost. Watchdog and

@@ -18,10 +18,14 @@ type CollectorStats struct {
 	StatusRPCs uint64 `json:"status_rpcs"`
 	// OutputFetches counts output fetches that returned a body.
 	OutputFetches uint64 `json:"output_fetches"`
+	// OutputInlined counts snapshots stored straight from an event frame
+	// that carried them (Config.PushEvents), at no fetch.
+	OutputInlined uint64 `json:"output_inlined"`
 	// OutputNotModified counts polls that confirmed an unchanged
 	// snapshot without transferring it (version match or 304).
 	OutputNotModified uint64 `json:"output_not_modified"`
-	// OutputBytes is the total stdout bytes fetched from the gatekeeper.
+	// OutputBytes is the total stdout bytes received from the gatekeeper,
+	// fetched or inline.
 	OutputBytes uint64 `json:"output_bytes"`
 	// PollDiskWrites counts local snapshot spills to the appliance disk.
 	PollDiskWrites uint64 `json:"poll_disk_writes"`
@@ -31,6 +35,7 @@ type CollectorStats struct {
 type collectorCounters struct {
 	statusRPCs        atomic.Uint64
 	outputFetches     atomic.Uint64
+	outputInlined     atomic.Uint64
 	outputNotModified atomic.Uint64
 	outputBytes       atomic.Uint64
 	pollDiskWrites    atomic.Uint64
@@ -41,6 +46,7 @@ func (o *OnServe) CollectorStats() CollectorStats {
 	return CollectorStats{
 		StatusRPCs:        o.collector.statusRPCs.Load(),
 		OutputFetches:     o.collector.outputFetches.Load(),
+		OutputInlined:     o.collector.outputInlined.Load(),
 		OutputNotModified: o.collector.outputNotModified.Load(),
 		OutputBytes:       o.collector.outputBytes.Load(),
 		PollDiskWrites:    o.collector.pollDiskWrites.Load(),

@@ -17,8 +17,9 @@ type EventStats struct {
 	// StreamsOpened counts successful /gram/events connections
 	// (including reconnects).
 	StreamsOpened uint64 `json:"streams_opened"`
-	// EventsDelivered counts state/output frames routed to an invocation
-	// or stashed for one about to register.
+	// EventsDelivered counts the state/output frames the streams carried:
+	// routed to an invocation, stashed for one about to register, or
+	// discarded as late news of one already finished.
 	EventsDelivered uint64 `json:"events_delivered"`
 	// Heartbeats counts keepalive frames received.
 	Heartbeats uint64 `json:"heartbeats"`
@@ -64,14 +65,26 @@ const maxConnectAttempts = 3
 const maxServeStrikes = 2
 
 // maxPendingEvents caps the stash of events for jobs whose registration
-// has not landed yet (latest event per job wins).
+// has not landed yet (latest event per job wins). A stream carries only
+// its own session's jobs, so the stash holds in-flight submits and sits
+// near empty; if it ever fills, the oldest entry makes room — the newest
+// is by construction the in-flight submit's.
 const maxPendingEvents = 4096
+
+// maxReapedJobs is how many finished jobs a worker remembers in order to
+// discard their late frames. Such a frame was published before its job
+// was reaped, so it is among the next frames to arrive: one stream
+// buffer's worth of recent reaps covers them, and a frame that misses
+// the memory is merely stashed until the stash's bound evicts it.
+const maxReapedJobs = 1024
 
 // eventCollector is the push-based replacement for the poll hub's
 // periodic batches (Config.PushEvents): one long-lived /gram/events
-// stream per session carries every job's transitions, so steady-state
-// status RPCs drop to zero and detection latency is bounded by delivery,
-// not the poll interval. The ladder degrades gracefully: a stock
+// stream per session carries the transitions of every job submitted
+// under that session, and the stdout snapshot with them while it is
+// small, so steady-state status RPCs and output fetches drop to zero and
+// detection latency is bounded by delivery, not the poll interval. The
+// ladder degrades gracefully: a stock
 // gatekeeper (404 on /gram/events) or a dead stream re-registers every
 // in-flight invocation with the poll hub the collector owns as its
 // fallback rung.
@@ -88,23 +101,71 @@ type eventCollector struct {
 
 // eventWorker owns one session's stream: the connect/reconnect loop,
 // the cursor, and the set of in-flight invocations events route to.
+//
+// Lifetime: a worker lives as long as its session is the one core would
+// hand its owner's next invocation (the session cache's entry, inside its
+// lifetime) and retires once it is not and no job is registered. So a
+// cached session keeps one stream across invocations — the next one costs
+// no reconnect, replay or bootstrap status RPC — and a session nobody
+// will submit under again holds no stream and no goroutine. There is no
+// linger timer: the check runs after every frame, and an idle stream's
+// next frame is a heartbeat.
 type eventWorker struct {
 	ec        *eventCollector
+	owner     string
 	sessionID string
 
 	mu   sync.Mutex
 	jobs map[string]*collectJob // jobID -> entry
 	// pending stashes the latest event per job that arrived (via replay
-	// or a publish racing registration) before its invocation was added;
-	// register applies it immediately.
-	pending map[string]gram.EventData
-	// stopped latches when the worker drained or fell back; a register
+	// or a publish racing the submit reply) before its invocation was
+	// added; register applies it immediately. Bounded by maxPendingEvents,
+	// oldest (lowest n) evicted first.
+	pending map[string]pendingEvent
+	stashed uint64 // pending entries ever stashed; orders them
+	// reaped remembers the jobs finished most recently, so that their late
+	// frames are not mistaken for a registration yet to come.
+	reaped reapedJobs
+	// stopped latches when the worker retired or fell back; a register
 	// that observes it retries against a fresh worker.
 	stopped bool
 
 	// cursor is the last state/output frame ID seen; reconnects resume
 	// from it so no transition is lost across a drop.
 	cursor atomic.Uint64
+}
+
+// pendingEvent is one stashed event and its arrival rank.
+type pendingEvent struct {
+	ev gram.EventData
+	n  uint64
+}
+
+// reapedJobs is a bounded memory of job IDs: adding one beyond
+// maxReapedJobs forgets the oldest.
+type reapedJobs struct {
+	ring []string // grows to maxReapedJobs, then wraps at next
+	next int
+	set  map[string]struct{}
+}
+
+func (r *reapedJobs) add(jobID string) {
+	if r.set == nil {
+		r.set = make(map[string]struct{})
+	}
+	if len(r.ring) < maxReapedJobs {
+		r.ring = append(r.ring, jobID)
+	} else {
+		delete(r.set, r.ring[r.next])
+		r.ring[r.next] = jobID
+		r.next = (r.next + 1) % maxReapedJobs
+	}
+	r.set[jobID] = struct{}{}
+}
+
+func (r *reapedJobs) has(jobID string) bool {
+	_, ok := r.set[jobID]
+	return ok
 }
 
 // register hands a freshly submitted invocation to its session's stream
@@ -122,16 +183,17 @@ func (ec *eventCollector) register(inv *Invocation) {
 		if w == nil {
 			w = &eventWorker{
 				ec:        ec,
+				owner:     inv.User,
 				sessionID: inv.sessionID,
 				jobs:      make(map[string]*collectJob),
-				pending:   make(map[string]gram.EventData),
+				pending:   make(map[string]pendingEvent),
 			}
 			ec.workers[inv.sessionID] = w
 			go w.run()
 		}
 		w.mu.Lock()
 		if w.stopped {
-			// Lost a race with drain/fallback; the map entry is gone —
+			// Lost a race with retirement/fallback; the map entry is gone —
 			// retry against whatever register finds next.
 			w.mu.Unlock()
 			ec.mu.Unlock()
@@ -149,7 +211,7 @@ func (ec *eventCollector) register(inv *Invocation) {
 			// The job's events outran its registration (replay on a fresh
 			// stream, or publish racing the submit reply): apply the latest
 			// one now so a terminal state is never lost.
-			w.apply(j, pend)
+			w.apply(j, pend.ev)
 		}
 		return
 	}
@@ -157,8 +219,8 @@ func (ec *eventCollector) register(inv *Invocation) {
 
 // run is the worker's connect/serve/reconnect loop. Connection failures
 // and zero-frame connections strike toward fallback; a healthy stream
-// resets the strikes. The loop exits when the worker drains (no jobs, no
-// stash) or falls back.
+// resets the strikes. The loop exits when the worker retires (see
+// eventWorker) or falls back.
 func (w *eventWorker) run() {
 	o := w.ec.o
 	attempts := 0
@@ -216,7 +278,7 @@ func (w *eventWorker) run() {
 }
 
 // serve consumes one stream until it dies (error, heartbeat timeout) or
-// the worker drains; it returns how many frames arrived. A heartbeat
+// the worker may retire; it returns how many frames arrived. A heartbeat
 // monitor severs the stream when it has been silent for over three
 // announced intervals.
 func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
@@ -267,29 +329,42 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 			o.push.eventsDelivered.Add(1)
 			w.processEvent(ev)
 		}
-		if w.drained() {
+		if w.retirable() {
 			return frames
 		}
 	}
 }
 
-// drained reports an empty worker (no in-flight jobs, no stash).
-func (w *eventWorker) drained() bool {
+// retirable is the lifetime rule (see eventWorker): no registered job, and
+// a session core will not submit under again. A stash entry does not keep
+// a worker: its submit registers with a fresh worker, whose bootstrap
+// resync reads the job's state.
+func (w *eventWorker) retirable() bool {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.jobs) == 0 && len(w.pending) == 0
+	idle := len(w.jobs) == 0
+	w.mu.Unlock()
+	if !idle {
+		return false
+	}
+	id, cached := w.ec.o.cachedSession(w.owner)
+	return !cached || id != w.sessionID
 }
 
-// tryStop retires a drained worker (removing it from the collector) so
-// idle sessions hold no stream and leak no goroutines — the same
-// discipline as the poll hub's lazy shards. Returns false if jobs
-// remain or arrived concurrently.
+// tryStop retires the worker (removing it from the collector) if it still
+// is retirable, so a session nobody submits under holds no stream and
+// leaks no goroutine — the same discipline as the poll hub's lazy shards.
+// Returns false if the session is current or jobs arrived concurrently.
 func (w *eventWorker) tryStop() bool {
+	// Read before the locks below (core's lock is never taken under them):
+	// a session that left the cache does not return to it.
+	if !w.retirable() {
+		return false
+	}
 	w.ec.mu.Lock()
 	defer w.ec.mu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.jobs) > 0 || len(w.pending) > 0 {
+	if len(w.jobs) > 0 {
 		return false
 	}
 	w.stopped = true
@@ -316,7 +391,7 @@ func (w *eventWorker) fallback() {
 	}
 	jobs := w.jobs
 	w.jobs = make(map[string]*collectJob)
-	w.pending = make(map[string]gram.EventData)
+	w.pending = nil
 	w.mu.Unlock()
 	w.ec.mu.Unlock()
 	for _, j := range jobs {
@@ -345,17 +420,34 @@ func (w *eventWorker) syncAll() {
 }
 
 // processEvent routes one streamed event to its invocation. An event for
-// a job that has not registered yet is stashed for its registration.
+// a job that has not registered yet is stashed for its registration; one
+// for a job already reaped is late news and dropped.
 func (w *eventWorker) processEvent(ev gram.EventData) {
 	w.mu.Lock()
 	j := w.jobs[ev.JobID]
-	if j == nil && !w.stopped && len(w.pending) < maxPendingEvents {
-		w.pending[ev.JobID] = ev // in-order stream: latest event wins
+	if j == nil && !w.stopped && !w.reaped.has(ev.JobID) {
+		w.stashLocked(ev)
 	}
 	w.mu.Unlock()
 	if j != nil {
 		w.apply(j, ev)
 	}
+}
+
+// stashLocked keeps ev as its job's latest event (the stream is in order).
+// A full stash never refuses it: the entry stashed longest ago goes.
+func (w *eventWorker) stashLocked(ev gram.EventData) {
+	if _, held := w.pending[ev.JobID]; !held && len(w.pending) >= maxPendingEvents {
+		oldest, rank := "", w.stashed+1
+		for id, p := range w.pending {
+			if p.n < rank {
+				oldest, rank = id, p.n
+			}
+		}
+		delete(w.pending, oldest)
+	}
+	w.stashed++
+	w.pending[ev.JobID] = pendingEvent{ev: ev, n: w.stashed}
 }
 
 // apply lets observe act on one event — pushed, replayed, or synthesised
@@ -395,12 +487,14 @@ func (w *eventWorker) finishWhenFetchable(j *collectJob, ev gram.EventData) {
 	}
 }
 
-// reap drops a terminal invocation's entry and stops its watchdog.
+// reap drops a terminal invocation's entry, remembering the job so its
+// late frames are dropped too, and stops its watchdog.
 func (w *eventWorker) reap(j *collectJob) {
 	j.wd.Stop()
 	w.mu.Lock()
 	if w.jobs[j.inv.JobID] == j {
 		delete(w.jobs, j.inv.JobID)
+		w.reaped.add(j.inv.JobID)
 	}
 	w.mu.Unlock()
 }

@@ -1,14 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/gram"
 	"repro/internal/trace"
 )
 
@@ -309,5 +314,202 @@ func TestTracePushPathLinksParent(t *testing.T) {
 		if len(byName["poll"]) != 0 {
 			t.Errorf("poll spans under the push collector: %d", len(byName["poll"]))
 		}
+	}
+}
+
+// heldSubmit performs /gram/submit at the gatekeeper but holds the reply
+// until released, so the job runs — and its frames arrive — while the
+// appliance still waits to learn its ID. The reply's job ID is published
+// on sent.
+type heldSubmit struct {
+	base    http.RoundTripper
+	armed   atomic.Bool
+	sent    chan string
+	release chan struct{}
+}
+
+func (h *heldSubmit) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := h.base.RoundTrip(req)
+	if req.URL.Path != "/gram/submit" || err != nil || !h.armed.CompareAndSwap(true, false) {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var reply gram.SubmitReply
+	if err := json.Unmarshal(body, &reply); err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	h.sent <- reply.JobID
+	<-h.release
+	return resp, nil
+}
+
+// pushWorker returns the stream worker of a session (nil once retired).
+func pushWorker(f *fixture, sessionID string) *eventWorker {
+	ec := f.ons.collect.(*eventCollector)
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	return ec.workers[sessionID]
+}
+
+// TestFullStashEvictsOldestNotNewest is the regression for the lost
+// invocation: a full stash refused incoming events, and the events of an
+// in-flight submit are by construction the incoming ones — refused, their
+// job's DONE was gone and the invocation waited for the watchdog. The
+// stash is filled by hand (no real route parks that many any more); then a
+// real job runs to completion while its submit reply is held.
+func TestFullStashEvictsOldestNotNewest(t *testing.T) {
+	held := &heldSubmit{base: http.DefaultTransport, sent: make(chan string, 1), release: make(chan struct{})}
+	f := newFixtureHTTP(t, &http.Client{Transport: held}, func(cfg *Config) {
+		cfg.PushEvents = true
+		cfg.SessionCache = true
+	})
+	if _, err := f.ons.UploadAndGenerate("alice", "quick.gsh", "", nil, []byte("echo made-it\n")); err != nil {
+		t.Fatal(err)
+	}
+	// The first invocation opens the session's stream.
+	warm, err := f.ons.Invoke("QuickService", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitInv(t, warm, "warm-up")
+	w := pushWorker(f, warm.sessionID)
+	if w == nil {
+		t.Fatal("a cached session's worker retired")
+	}
+	for i := 0; i < maxPendingEvents; i++ {
+		w.processEvent(gram.EventData{JobID: fmt.Sprintf("ghost:job-%06d", i), State: "RUNNING"})
+	}
+
+	before := f.ons.CollectorStats().OutputFetches
+	held.armed.Store(true)
+	invoked := make(chan *Invocation, 1)
+	go func() {
+		inv, err := f.ons.Invoke("QuickService", nil)
+		if err != nil {
+			t.Error(err)
+		}
+		invoked <- inv
+	}()
+	jobID := <-held.sent
+	job, err := f.env.Grid.Job(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	// Every frame of the job has been consumed once its terminal one is
+	// the stash's entry for it.
+	waitFor(t, func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.pending[jobID].ev.State == "DONE"
+	})
+	w.mu.Lock()
+	size := len(w.pending)
+	_, oldestKept := w.pending["ghost:job-000000"]
+	_, newerKept := w.pending["ghost:job-000001"]
+	w.mu.Unlock()
+	if size != maxPendingEvents || oldestKept || !newerKept {
+		t.Fatalf("stash holds %d entries (bound %d), oldest kept=%v, second-oldest kept=%v",
+			size, maxPendingEvents, oldestKept, newerKept)
+	}
+	close(held.release)
+	inv := <-invoked
+	if inv == nil {
+		t.FailNow()
+	}
+	waitInv(t, inv, "in-flight submit over a full stash")
+	if inv.State() != InvDone || inv.Output() != "made-it\n" {
+		t.Fatalf("state %s (%s), output %q", inv.State(), inv.Message(), inv.Output())
+	}
+	if fetches := f.ons.CollectorStats().OutputFetches - before; fetches != 0 {
+		t.Errorf("%d output fetches: the stashed terminal frame carried the snapshot", fetches)
+	}
+}
+
+// TestPushStreamScopedToItsSession pins the fan-out key and the stream
+// lifetime rule on two sessions of one identity: each stream carries
+// exactly its own session's frames, a worker whose session left the cache
+// retires when its last job does, and the cached session's worker stays —
+// the next invocation costs no stream, resync or fetch — until the session
+// is invalidated.
+func TestPushStreamScopedToItsSession(t *testing.T) {
+	f := newPushFixture(t, nil, func(cfg *Config) { cfg.SessionCache = true })
+	if _, err := f.ons.UploadAndGenerate("alice", "along.gsh", "", nil,
+		[]byte("echo a1\ncompute 30m\necho a2\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ons.UploadAndGenerate("alice", "bshort.gsh", "", nil,
+		[]byte("emit 2s 3 b-line\n")); err != nil {
+		t.Fatal(err)
+	}
+	a, err := f.ons.Invoke("AlongService", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh logon: same identity, new proxy, new session.
+	f.ons.invalidateSession("alice", a.sessionID)
+	b, err := f.ons.Invoke("BshortService", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.sessionID == b.sessionID {
+		t.Fatal("invalidated session reused")
+	}
+	waitInv(t, b, "session B")
+	if b.State() != InvDone || strings.Count(b.Output(), "b-line") != 3 {
+		t.Fatalf("session B: %s %q", b.State(), b.Output())
+	}
+	// Session A's job is still running and has published at least RUNNING
+	// and its first line: under an identity-wide fan-out B's worker has
+	// heard them and parked them as "not registered yet".
+	wb := pushWorker(f, b.sessionID)
+	if wb == nil {
+		t.Fatal("the cached session's worker retired")
+	}
+	wb.mu.Lock()
+	for id := range wb.pending {
+		t.Errorf("session B's worker stashed an event of job %s", id)
+	}
+	wb.mu.Unlock()
+	waitInv(t, a, "session A")
+	if a.State() != InvDone || a.Output() != "a1\na2\n" {
+		t.Fatalf("session A: %s %q", a.State(), a.Output())
+	}
+	// A: RUNNING, two bumps, DONE; B: RUNNING, three bumps, DONE — each
+	// delivered once, to its own stream.
+	waitFor(t, func() bool { return pushWorker(f, a.sessionID) == nil })
+	es := f.ons.EventStats()
+	if es.EventsDelivered != 4+5 || es.StreamsOpened != 2 {
+		t.Fatalf("events %+v, want 9 frames over 2 streams", es)
+	}
+
+	// The cached session keeps its stream: one more invocation rides it.
+	before := f.ons.CollectorStats()
+	b2, err := f.ons.Invoke("BshortService", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitInv(t, b2, "second invocation on session B")
+	if b2.sessionID != b.sessionID || b2.State() != InvDone {
+		t.Fatalf("session %s state %s", b2.sessionID, b2.State())
+	}
+	after, es2 := f.ons.CollectorStats(), f.ons.EventStats()
+	if es2.StreamsOpened != 2 || es2.EventsDelivered != es.EventsDelivered+5 ||
+		after.StatusRPCs != before.StatusRPCs || after.OutputFetches != before.OutputFetches {
+		t.Fatalf("warm stream: events %+v -> %+v, collector %+v -> %+v", es, es2, before, after)
+	}
+	if pushWorker(f, b.sessionID) != wb {
+		t.Fatal("the cached session's worker was replaced")
+	}
+	// ... and lets go of it within a heartbeat of losing the session.
+	f.ons.invalidateSession("alice", b.sessionID)
+	waitCollectorsIdle(t)
+	if pushWorker(f, b.sessionID) != nil {
+		t.Fatal("worker still registered after its goroutine ended")
 	}
 }

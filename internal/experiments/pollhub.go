@@ -26,9 +26,9 @@ var PollHubVariants = []string{"stock", "hub", "push"}
 // ~100-byte report every 27 seconds, most polls see unchanged output —
 // the hub confirms those for zero bytes and zero disk writes, while the
 // stock poller re-fetches the full snapshot every tick, and the push
-// variant issues no steady-state status RPCs at all (completion is
-// pushed, so its detection latency is delivery-bound, not
-// poll-interval-bound).
+// variant issues no steady-state status RPCs or output fetches at all
+// (completion and the small snapshots are pushed, so its detection
+// latency is delivery-bound, not poll-interval-bound).
 //
 // With no explicit variants, every entry of PollHubVariants runs.
 func AblationPollHub(opts Options, invocations int, variants ...string) (*AblationResult, error) {
@@ -44,7 +44,7 @@ func AblationPollHub(opts Options, invocations int, variants ...string) (*Ablati
 		"one warm-up invocation precedes the burst so the whole fleet shares one grid session",
 		"stock: one poller per invocation, full stdout re-fetch per tick",
 		"hub: one batched status RPC per shard tick, stdout fetched only when its version changed",
-		"push: one /gram/events stream per session, zero steady-state status RPCs, detection at delivery latency",
+		"push: one /gram/events stream per session carrying state and the stdout snapshot, zero steady-state status RPCs and output fetches, detection at delivery latency",
 		"detect_latency_s: mean job-end to invocation-terminal gap — poll variants are bounded by the tick, push by delivery",
 	}}
 	for _, variant := range variants {
@@ -124,6 +124,7 @@ func AblationPollHub(opts Options, invocations int, variants ...string) (*Ablati
 		stats := r.app.OnServe.CollectorStats()
 		stats.StatusRPCs -= before.StatusRPCs
 		stats.OutputFetches -= before.OutputFetches
+		stats.OutputInlined -= before.OutputInlined
 		stats.OutputNotModified -= before.OutputNotModified
 		stats.OutputBytes -= before.OutputBytes
 		stats.PollDiskWrites -= before.PollDiskWrites
@@ -144,6 +145,7 @@ func AblationPollHub(opts Options, invocations int, variants ...string) (*Ablati
 		if variant == "push" {
 			es := r.app.OnServe.EventStats()
 			res.Rows = append(res.Rows,
+				AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_inlined", Value: float64(stats.OutputInlined)},
 				AblationRow{Study: "poll-hub", Variant: variant, Metric: "events_delivered", Value: float64(es.EventsDelivered)},
 				AblationRow{Study: "poll-hub", Variant: variant, Metric: "event_streams", Value: float64(es.StreamsOpened)},
 				AblationRow{Study: "poll-hub", Variant: variant, Metric: "fallbacks_to_poll", Value: float64(es.FallbacksToPoll)},

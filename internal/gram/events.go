@@ -1,12 +1,13 @@
 // Long-lived event streams: the push channel the paper's 2010-era
 // gatekeepers lacked. GET /gram/events holds one chunked
-// text/event-stream connection per session and multiplexes every job
-// the authenticated identity owns over it — state transitions and
-// stdout-version bumps arrive as SSE-style frames the moment the
-// scheduler publishes them, instead of being discovered by status
-// polling. Reconnects resume from a Last-Event-ID cursor; a cursor
-// older than the server's retained history yields a "resync" frame
-// telling the client to re-fetch authoritative state once.
+// text/event-stream connection per session and multiplexes over it every
+// job submitted under that session's proxy — state transitions and
+// stdout bumps arrive as SSE-style frames the moment the scheduler
+// publishes them, small stdout snapshots riding in the frame itself,
+// instead of being discovered by status polling and fetched. Reconnects
+// resume from a Last-Event-ID cursor; a cursor older than the server's
+// retained history yields a "resync" frame telling the client to
+// re-fetch authoritative state once.
 package gram
 
 import (
@@ -20,6 +21,7 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/gridsim"
 )
@@ -47,6 +49,14 @@ const DefaultHeartbeatInterval = 5 * time.Second
 // maxFrameLine bounds one frame line; longer lines poison the stream.
 const maxFrameLine = 64 << 10
 
+// InlineOutputMax is the largest stdout snapshot a frame carries in its
+// own data line. JSON escapes a byte into at most six (\u00XX), so 8 KB
+// of output is at most 48 KB on the line and the frame's other fields fit
+// the remaining quarter of maxFrameLine however hostile the output is.
+// Larger snapshots are announced by version only and fetched with the
+// conditional GET /gram/output.
+const InlineOutputMax = maxFrameLine / 8
+
 // ErrNoEvents reports that the gatekeeper does not implement
 // /gram/events (a stock server): callers should fall back to polling.
 var ErrNoEvents = errors.New("gram: server does not support event streams")
@@ -60,13 +70,18 @@ type EventFrame struct {
 	Data  []byte
 }
 
-// EventData is the JSON payload of state/output frames.
+// EventData is the JSON payload of state/output frames. Output, when
+// set, is the job's whole stdout snapshot at OutputVersion: the receiver
+// needs no /gram/output fetch for that version. A frame without it (a
+// replayed frame, a snapshot over InlineOutputMax, a gatekeeper that
+// inlines nothing) only announces the version.
 type EventData struct {
 	JobID         string `json:"job_id"`
 	State         string `json:"state,omitempty"`
 	Message       string `json:"message,omitempty"`
 	Site          string `json:"site,omitempty"`
 	OutputVersion uint64 `json:"output_version,omitempty"`
+	Output        string `json:"output,omitempty"`
 	AtUnixNano    int64  `json:"at_unix_ns,omitempty"`
 }
 
@@ -88,10 +103,14 @@ func (s *Server) heartbeatInterval() time.Duration {
 }
 
 // events serves GET /gram/events: one long-lived stream carrying every
-// transition of the authenticated identity's jobs. The session and
-// cursor are parsed before authentication (parse-before-auth: malformed
-// input degrades, never crashes); the token is verified over the fixed
-// message "events" like the other identity-scoped endpoints.
+// transition of the jobs submitted under the proxy that signed this
+// request — the feed key is the verified token's leaf fingerprint, the
+// same one submit recorded, so a stream hears its own session's jobs and
+// no other session's, even of the same identity. The session and cursor
+// are parsed before authentication (parse-before-auth: malformed input
+// degrades, never crashes); the token is verified over the fixed message
+// "events" like the other identity-scoped endpoints, and nothing is
+// subscribed before it verifies.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	session := r.URL.Query().Get("session")
 	// Cursor: Last-Event-ID header wins (SSE convention), else the
@@ -100,7 +119,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	if cursor == 0 {
 		cursor, _ = strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
 	}
-	id, err := s.authenticate(r, []byte("events"))
+	id, proxy, err := s.authenticateProxy(r, []byte("events"))
 	if err != nil {
 		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
 		return
@@ -110,7 +129,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorReply{Error: "gram: streaming unsupported"})
 		return
 	}
-	sub, replay, resync := s.grid.Events().Subscribe(id, cursor)
+	sub, replay, resync := s.grid.Events().Subscribe(id, proxy.Fingerprint(), cursor)
 	defer s.grid.Events().Unsubscribe(sub)
 
 	hb := s.heartbeatInterval()
@@ -127,7 +146,9 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, ev := range replay {
-		if err := writeEventFrame(w, busFrame(ev)); err != nil {
+		// Replayed frames announce versions only: a reconnect must not
+		// re-ship a snapshot per retained event.
+		if err := writeEventFrame(w, busFrame(ev, "")); err != nil {
 			return
 		}
 	}
@@ -140,14 +161,14 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case ev := <-sub.C:
-			if err := writeEventFrame(w, busFrame(ev)); err != nil {
+			if err := writeEventFrame(w, s.liveFrame(ev)); err != nil {
 				return
 			}
 			// Drain whatever queued behind it before flushing once.
 			for drained := false; !drained; {
 				select {
 				case ev := <-sub.C:
-					if err := writeEventFrame(w, busFrame(ev)); err != nil {
+					if err := writeEventFrame(w, s.liveFrame(ev)); err != nil {
 						return
 					}
 				default:
@@ -173,8 +194,29 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// busFrame converts a bus event to its wire frame.
-func busFrame(ev gridsim.JobEvent) EventFrame {
+// liveFrame is the wire frame of an event as it is published. When the
+// event says the job has output, the frame carries the stdout snapshot
+// itself, read with its own version as the frame is written — the bus
+// retains none of it — provided it fits InlineOutputMax and is valid
+// UTF-8 (a JSON string cannot carry other bytes unchanged). An output
+// frame saves the receiver its fetch; a terminal state frame carries the
+// snapshot again because a receiver that keeps only a job's latest event
+// must still end up with the final output.
+func (s *Server) liveFrame(ev gridsim.JobEvent) EventFrame {
+	if ev.OutputVersion > 0 {
+		if job, err := s.grid.Job(ev.JobID); err == nil {
+			if out, ver, ok := job.StdoutWithin(InlineOutputMax); ok && utf8.ValidString(out) {
+				ev.OutputVersion = ver
+				return busFrame(ev, out)
+			}
+		}
+	}
+	return busFrame(ev, "")
+}
+
+// busFrame converts a bus event to its wire frame, with output (when
+// non-empty) as the inline snapshot at ev.OutputVersion.
+func busFrame(ev gridsim.JobEvent, output string) EventFrame {
 	kind := EventOutput
 	if ev.Type == gridsim.EventState {
 		kind = EventState
@@ -185,6 +227,7 @@ func busFrame(ev gridsim.JobEvent) EventFrame {
 		Message:       ev.Message,
 		Site:          ev.Site,
 		OutputVersion: ev.OutputVersion,
+		Output:        output,
 		AtUnixNano:    ev.At.UnixNano(),
 	})
 	return EventFrame{ID: ev.Seq, Event: kind, Data: data}

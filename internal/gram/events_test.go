@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gridsim"
 	"repro/internal/xsec"
 )
 
@@ -199,6 +200,201 @@ func TestEventStreamCrossOwnerIsolation(t *testing.T) {
 	}
 }
 
+// proxyClients returns two gatekeeper clients holding two separately
+// delegated proxies of alice — two agent sessions of one identity.
+func proxyClients(t *testing.T, f *fixture) (a, b *Client) {
+	t.Helper()
+	mk := func() *Client {
+		proxy, err := f.client.Cred.Delegate(f.clock.Now(), 12*time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Client{BaseURL: f.client.BaseURL, Cred: proxy}
+	}
+	return mk(), mk()
+}
+
+// TestEventStreamProxyIsolation: a stream carries the jobs submitted
+// under its own proxy only. Session B of the same identity may poll and
+// fetch session A's job (it owns it), but neither replay nor live frames
+// of it reach B's stream.
+func TestEventStreamProxyIsolation(t *testing.T) {
+	f := newFixture(t)
+	f.srv.SetHeartbeatInterval(2 * time.Second)
+	a, b := proxyClients(t, f)
+	early, err := a.Submit(f.desc("hello.gsh")) // replay material
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.WaitTerminal(early, f.clock, time.Second, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	esB, err := b.Events("sess-b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer esB.Close()
+	esA, err := a.Events("sess-a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer esA.Close()
+	live, err := a.Submit(f.desc("hello.gsh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A's own stream carries both jobs to the end.
+	readUntilState(t, esA, live, "DONE")
+	if out, err := b.Output(live); err != nil || out != "hello\n" {
+		t.Fatalf("same identity, other proxy: output %q, %v", out, err)
+	}
+	for heartbeats := 0; heartbeats < 3; {
+		fr, err := esB.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Event == EventState || fr.Event == EventOutput {
+			t.Fatalf("session B's stream carried session A's frame: %+v %s", fr, fr.Data)
+		}
+		if fr.Event == EventHeartbeat {
+			heartbeats++
+		}
+	}
+}
+
+// TestEventFramesCarryOutputInline pins the frame schema: live output
+// frames and the terminal state frame carry the stdout snapshot with its
+// own version; replayed frames and snapshots over InlineOutputMax
+// announce the version only.
+func TestEventFramesCarryOutputInline(t *testing.T) {
+	f := newFixture(t)
+	f.srv.SetHeartbeatInterval(time.Hour)
+	siteA, _ := f.grid.Site("siteA")
+	big := strings.Repeat("x", InlineOutputMax/2)
+	siteA.Store().Put(f.alice, "grow.gsh", []byte("emit 10m 3 "+big+"\n"))
+	es, err := f.client.Events("sess-1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer es.Close()
+
+	id, err := f.client.Submit(f.desc("hello.gsh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cursor uint64
+	for _, fr := range readUntilState(t, es, id, "DONE") {
+		if fr.Event != EventState && fr.Event != EventOutput {
+			continue
+		}
+		cursor = fr.ID
+		d := decodeEventData(t, fr)
+		switch {
+		case d.State == "RUNNING":
+			if d.Output != "" || d.OutputVersion != 0 {
+				t.Fatalf("RUNNING frame carries output: %+v", d)
+			}
+		default: // the output bump and DONE
+			if d.Output != "hello\n" || d.OutputVersion != 1 {
+				t.Fatalf("%s frame: output %q v%d", fr.Event, d.Output, d.OutputVersion)
+			}
+		}
+	}
+
+	// Three bumps of 4 KB + newline: the first fits, the rest do not, and
+	// the terminal frame of a 12 KB output is bare.
+	id, err = f.client.Submit(f.desc("grow.gsh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inlined := 0
+	frames := readUntilState(t, es, id, "DONE")
+	for _, fr := range frames {
+		if fr.Event != EventState && fr.Event != EventOutput {
+			continue
+		}
+		d := decodeEventData(t, fr)
+		if d.Output != "" {
+			inlined++
+			if len(d.Output) > InlineOutputMax || d.OutputVersion == 0 {
+				t.Fatalf("inlined %d bytes at v%d", len(d.Output), d.OutputVersion)
+			}
+		}
+	}
+	if last := decodeEventData(t, frames[len(frames)-1]); last.Output != "" || last.OutputVersion != 3 {
+		t.Fatalf("terminal frame of an oversized output: %d bytes inline, v%d", len(last.Output), last.OutputVersion)
+	}
+	if inlined != 1 {
+		t.Fatalf("%d frames inlined a snapshot, want the first bump only", inlined)
+	}
+
+	// A reconnect replays what it missed without payload.
+	es2, err := f.client.Events("sess-1", cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer es2.Close()
+	for _, fr := range readUntilState(t, es2, id, "DONE") {
+		if fr.Event != EventState && fr.Event != EventOutput {
+			continue
+		}
+		if d := decodeEventData(t, fr); d.Output != "" {
+			t.Fatalf("replayed frame carries %d bytes of output", len(d.Output))
+		}
+	}
+}
+
+// TestInlineOutputFitsAFrame: the worst case JSON makes of
+// InlineOutputMax bytes still fits one frame line, and output a JSON
+// string cannot carry unchanged is never inlined.
+func TestInlineOutputFitsAFrame(t *testing.T) {
+	f := newFixture(t)
+	id, err := f.client.Submit(f.desc("hello.gsh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	ev := gridsim.JobEvent{Seq: 1<<64 - 1, Type: gridsim.EventState, JobID: id, Owner: f.alice,
+		State: "DONE", Message: strings.Repeat("m", 256), Site: "siteA", OutputVersion: 1<<64 - 1, At: f.clock.Now()}
+	var buf bytes.Buffer
+	// 0x01 escapes to \u0001: six bytes for one.
+	if err := writeEventFrame(&buf, busFrame(ev, strings.Repeat("\x01", InlineOutputMax))); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := readEventFrame(bufio.NewReader(&buf))
+	if err != nil {
+		t.Fatalf("worst-case inline frame does not parse: %v", err)
+	}
+	if d := decodeEventData(t, fr); len(d.Output) != InlineOutputMax {
+		t.Fatalf("round trip kept %d of %d bytes", len(d.Output), InlineOutputMax)
+	}
+	job, _ := f.grid.Job(id)
+	ev.OutputVersion = job.StdoutVersion()
+	if d := decodeEventData(t, f.srv.liveFrame(ev)); d.Output != "hello\n" {
+		t.Fatalf("valid output not inlined: %+v", d)
+	}
+
+	// Bytes that are not UTF-8 would come out of a JSON string as U+FFFD:
+	// they stay on the byte-exact GET.
+	siteA, _ := f.grid.Site("siteA")
+	siteA.Store().Put(f.alice, "raw.gsh", []byte("echo \xff\xfe\n"))
+	if id, err = f.client.Submit(f.desc("raw.gsh")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	ev.JobID, ev.OutputVersion = id, 1
+	if d := decodeEventData(t, f.srv.liveFrame(ev)); d.Output != "" || d.OutputVersion != 1 {
+		t.Fatalf("non-UTF-8 output inlined: %+v", d)
+	}
+	if out, err := f.client.Output(id); err != nil || out != "\xff\xfe\n" {
+		t.Fatalf("fetched %q, %v", out, err)
+	}
+}
+
 func TestEventStreamRequiresAuthentication(t *testing.T) {
 	f := newFixture(t)
 	bare := &Client{BaseURL: f.client.BaseURL, Cred: &xsec.Credential{}}
@@ -295,11 +491,23 @@ func FuzzEventFrame(f *testing.F) {
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte("data only, no colon\n\n"))
 	f.Add([]byte("id: 3\nid: 4\ndata: a\ndata: b\nevent: x\n\n"))
+	// Frames with an inline snapshot — the collector stores these bytes:
+	// a plain one, one whose escapes decode to control bytes and invalid
+	// UTF-8 surrogates, one over InlineOutputMax, and one whose version is
+	// behind any cursor (0) yet carries output.
+	f.Add([]byte("id: 7\nevent: output\ndata: {\"job_id\":\"siteA:job-1\",\"output_version\":2,\"output\":\"a\\nb\\n\"}\n\n"))
+	f.Add([]byte("id: 8\nevent: state\ndata: {\"job_id\":\"j\",\"state\":\"DONE\",\"output_version\":1,\"output\":\"\\u0000\\ud800\\u2028\"}\n\n"))
+	f.Add([]byte("id: 9\nevent: output\ndata: {\"job_id\":\"j\",\"output_version\":3,\"output\":\"" + strings.Repeat("x", InlineOutputMax+1) + "\"}\n\n"))
+	f.Add([]byte("id: 10\nevent: output\ndata: {\"job_id\":\"j\",\"output\":\"stale\"}\n\n"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, err := readEventFrame(bufio.NewReader(bytes.NewReader(raw)))
 		if err != nil {
 			return // reconnect-and-resync path; only panics are bugs
 		}
+		// What the collector does with a state/output frame: decoding may
+		// fail (it then resyncs), it must not panic.
+		var d EventData
+		_ = json.Unmarshal(fr.Data, &d)
 		var buf bytes.Buffer
 		if err := writeEventFrame(&buf, fr); err != nil {
 			t.Fatalf("serialize parsed frame %+v: %v", fr, err)

@@ -18,7 +18,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/gridsim"
@@ -141,19 +143,30 @@ func NewServer(grid *gridsim.Grid, trust *xsec.TrustStore, clock vtime.Clock) *S
 // authenticate verifies the signed token over msg and returns the caller
 // identity.
 func (s *Server) authenticate(r *http.Request, msg []byte) (string, error) {
+	id, _, err := s.authenticateProxy(r, msg)
+	return id, err
+}
+
+// authenticateProxy is authenticate for the endpoints that key an event
+// feed: it also returns the verified token's leaf certificate — the proxy
+// the caller holds the private key of. Its fingerprint is what submissions
+// record as their submitter and /gram/events subscribes under; a MyProxy
+// logon delegates a fresh proxy, so the key is one agent session's and
+// nobody without that session's private key can present it.
+func (s *Server) authenticateProxy(r *http.Request, msg []byte) (string, *xsec.Certificate, error) {
 	tok := r.Header.Get(TokenHeader)
 	if tok == "" {
-		return "", fmt.Errorf("%w: missing %s", ErrDenied, TokenHeader)
+		return "", nil, fmt.Errorf("%w: missing %s", ErrDenied, TokenHeader)
 	}
 	signed, err := xsec.DecodeSigned(tok)
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrDenied, err)
+		return "", nil, fmt.Errorf("%w: %v", ErrDenied, err)
 	}
 	id, err := s.trust.Verify(msg, signed, s.clock.Now())
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrDenied, err)
+		return "", nil, fmt.Errorf("%w: %v", ErrDenied, err)
 	}
-	return id, nil
+	return id, &signed.Chain[0], nil
 }
 
 // ServeHTTP implements http.Handler under the /gram/ prefix.
@@ -212,7 +225,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "gram: bad body"})
 		return
 	}
-	id, err := s.authenticate(r, body)
+	id, proxy, err := s.authenticateProxy(r, body)
 	if err != nil {
 		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
 		return
@@ -229,7 +242,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := s.startSubmitSpan(tc, false)
-	job, err := s.grid.SubmitTraced(*desc, sp.Context())
+	job, err := s.grid.SubmitTraced(*desc, proxy.Fingerprint(), sp.Context())
 	if err != nil {
 		sp.Error(err.Error())
 		sp.End()
@@ -266,7 +279,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "gram: bad body"})
 		return
 	}
-	id, err := s.authenticate(r, body)
+	id, proxy, err := s.authenticateProxy(r, body)
 	if err != nil {
 		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
 		return
@@ -311,7 +324,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 		spans = append(spans, sp)
 		tcs = append(tcs, sp.Context())
 	}
-	jobs, errs := s.grid.SubmitManyTraced(descs, tcs)
+	jobs, errs := s.grid.SubmitManyTraced(descs, proxy.Fingerprint(), tcs)
 	for k, i := range idx {
 		if errs[k] != nil {
 			entries[i].Error = errs[k].Error()
@@ -628,7 +641,7 @@ func (c *Client) StatusBatch(jobIDs []string) ([]BatchEntry, error) {
 // changed is false. On a fetch, version is the served snapshot's
 // version, to be passed back as since next time.
 func (c *Client) OutputIfChanged(jobID string, since uint64) (out string, version uint64, changed bool, err error) {
-	req, err := c.jobRequest("/gram/output", jobID, nil)
+	req, err := c.jobRequest(http.MethodGet, "/gram/output", jobID, nil)
 	if err != nil {
 		return "", 0, false, err
 	}
@@ -671,20 +684,15 @@ func parseOutputETag(tag string) (uint64, bool) {
 
 // OutputFile fetches a named output artifact.
 func (c *Client) OutputFile(jobID, name string) ([]byte, error) {
-	return c.jobGetRaw("/gram/outfile", jobID, map[string]string{"name": name})
+	return c.jobGetRaw("/gram/outfile", jobID, url.Values{"name": {name}})
 }
 
 // Cancel stops the job.
 func (c *Client) Cancel(jobID string) (*StatusReply, error) {
-	tok, err := c.sign([]byte("job:" + jobID))
+	req, err := c.jobRequest(http.MethodPost, "/gram/cancel", jobID, nil)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/gram/cancel?job="+jobID, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(TokenHeader, tok)
 	var reply StatusReply
 	if err := c.do(req, &reply); err != nil {
 		return nil, err
@@ -752,16 +760,16 @@ func (c *Client) WaitTerminal(jobID string, clock vtime.Clock, interval, timeout
 	}
 }
 
-func (c *Client) jobGet(path, jobID string, extra map[string]string, out any) error {
-	req, err := c.jobRequest(path, jobID, extra)
+func (c *Client) jobGet(path, jobID string, extra url.Values, out any) error {
+	req, err := c.jobRequest(http.MethodGet, path, jobID, extra)
 	if err != nil {
 		return err
 	}
 	return c.do(req, out)
 }
 
-func (c *Client) jobGetRaw(path, jobID string, extra map[string]string) ([]byte, error) {
-	req, err := c.jobRequest(path, jobID, extra)
+func (c *Client) jobGetRaw(path, jobID string, extra url.Values) ([]byte, error) {
+	req, err := c.jobRequest(http.MethodGet, path, jobID, extra)
 	if err != nil {
 		return nil, err
 	}
@@ -780,16 +788,29 @@ func (c *Client) jobGetRaw(path, jobID string, extra map[string]string) ([]byte,
 	return body, nil
 }
 
-func (c *Client) jobRequest(path, jobID string, extra map[string]string) (*http.Request, error) {
+// jobRequest builds a request on one job, its token signed over
+// "job:<id>". The job ID and any extra parameters are query-escaped, so a
+// value holding '&', '#', '+' or a space can neither be cut short nor add
+// a parameter to the signed request. The tentative poller builds two of
+// these per tick, so a well-formed ID costs nothing extra: the ':' of
+// "<site>:job-<n>", which a query may carry as it is, is kept and the
+// halves around it escaped, which copies only when there is something to
+// escape.
+func (c *Client) jobRequest(method, path, jobID string, extra url.Values) (*http.Request, error) {
 	tok, err := c.sign([]byte("job:" + jobID))
 	if err != nil {
 		return nil, err
 	}
-	url := c.BaseURL + path + "?job=" + jobID
-	for k, v := range extra {
-		url += "&" + k + "=" + v
+	site, job, colon := strings.Cut(jobID, ":")
+	sep := ""
+	if colon {
+		sep = ":"
 	}
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	u := c.BaseURL + path + "?job=" + url.QueryEscape(site) + sep + url.QueryEscape(job)
+	if len(extra) > 0 {
+		u += "&" + extra.Encode()
+	}
+	req, err := http.NewRequest(method, u, nil)
 	if err != nil {
 		return nil, err
 	}

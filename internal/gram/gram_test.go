@@ -119,6 +119,49 @@ func TestOutputFileRetrieval(t *testing.T) {
 	}
 }
 
+// TestJobRequestsEscapeQueryValues: an output-file name is data, not query
+// syntax. Unescaped, '&' and '#' cut the name short (and '&' adds a
+// parameter to a signed request), '+' and ' ' decode to the wrong bytes.
+func TestJobRequestsEscapeQueryValues(t *testing.T) {
+	f := newFixture(t)
+	siteA, _ := f.grid.Site("siteA")
+	siteA.Store().Put(f.alice, "named.gsh", []byte("write plain.dat 8\nwrite ${out} 32\ncompute 23h\n"))
+	for _, name := range []string{"a&job=siteA:job-999999", "frag#ment.dat", "one+two.dat", "with space.dat", "100%.dat"} {
+		desc := f.desc("named.gsh")
+		desc.Arguments = map[string]string{"out": name}
+		id, err := f.client.Submit(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			data, err := f.client.OutputFile(id, name)
+			if err == nil {
+				if len(data) != 32 {
+					t.Fatalf("%q: fetched %d bytes, want the 32-byte artifact", name, len(data))
+				}
+				break
+			}
+			if !errors.Is(err, ErrNoSuchJob) || time.Now().After(deadline) {
+				t.Fatalf("%q: %v", name, err)
+			}
+			time.Sleep(time.Millisecond) // not written yet
+		}
+		// The job ID is data too: the gatekeeper is asked about exactly the
+		// (non-existent) job named, not about a prefix of it.
+		if _, err := f.client.Status(id + "&job=" + id + "#x y+z"); !errors.Is(err, ErrNoSuchJob) {
+			t.Fatalf("hostile job id: %v", err)
+		}
+		// Cancel takes the same route: the job it names is the one stopped.
+		if st, err := f.client.Cancel(id); err != nil || st.JobID != id {
+			t.Fatalf("%q: cancel: %+v, %v", name, st, err)
+		}
+		if st, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil || st.State != "CANCELLED" {
+			t.Fatalf("%q: after cancel: %+v, %v", name, st, err)
+		}
+	}
+}
+
 func TestTentativeOutputPollingSeesPartialOutput(t *testing.T) {
 	f := newFixture(t)
 	id, err := f.client.Submit(f.desc("slow.gsh"))

@@ -23,12 +23,15 @@ const EventRingSize = 4096
 
 // JobEvent is one published job transition or output bump. Seq is a
 // bus-wide monotonic sequence number: subscribers use the last Seq they
-// saw as a resume cursor after a dropped connection.
+// saw as a resume cursor after a dropped connection. Submitter is the
+// job's Submitter key: together with Owner it names the one feed the
+// event belongs to.
 type JobEvent struct {
 	Seq           uint64
 	Type          string // EventState or EventOutput
 	JobID         string
 	Owner         string
+	Submitter     string
 	State         string // state name for EventState, "" for EventOutput
 	Message       string
 	Site          string
@@ -36,11 +39,14 @@ type JobEvent struct {
 	At            time.Time
 }
 
-// EventBus publishes job transitions to per-owner subscribers — the
-// subscription registry between the scheduler and the gatekeeper's event
-// streams. Publication is strictly non-blocking: a slow or stalled
-// subscriber overflows its buffer and is flagged for resync; the
-// scheduler never waits on a network peer.
+// EventBus publishes job transitions to subscribers keyed by (owner,
+// submitter) — the subscription registry between the scheduler and the
+// gatekeeper's event streams. A feed carries exactly the jobs submitted
+// under its own key, so two sessions of one identity never hear each
+// other's jobs; the replay history stays one bounded ring per owner.
+// Publication is strictly non-blocking: a slow or stalled subscriber
+// overflows its buffer and is flagged for resync; the scheduler never
+// waits on a network peer.
 type EventBus struct {
 	mu      sync.Mutex
 	seq     uint64
@@ -62,9 +68,10 @@ type eventRing struct {
 // on Overflow means the buffer spilled and the subscriber holds a gapped
 // view — the server forwards that as a resync signal.
 type EventSub struct {
-	owner string
-	id    int
-	// C carries this owner's events in publication order.
+	owner     string
+	submitter string
+	id        int
+	// C carries this feed's events in publication order.
 	C chan JobEvent
 	// Overflow is signalled (capacity 1) when an event had to be dropped.
 	Overflow chan struct{}
@@ -83,7 +90,7 @@ func NewEventBus() *EventBus {
 }
 
 // publish records ev in the owner's replay ring and fans it out to the
-// owner's live subscribers without ever blocking.
+// live subscribers of its (owner, submitter) feed without ever blocking.
 func (b *EventBus) publish(ev JobEvent) {
 	if b == nil {
 		return
@@ -104,7 +111,7 @@ func (b *EventBus) publish(ev JobEvent) {
 		r.start = (r.start + 1) % len(r.buf)
 	}
 	for _, sub := range b.subs {
-		if sub.owner != ev.Owner {
+		if sub.owner != ev.Owner || sub.submitter != ev.Submitter {
 			continue
 		}
 		select {
@@ -121,20 +128,22 @@ func (b *EventBus) publish(ev JobEvent) {
 	b.mu.Unlock()
 }
 
-// Subscribe opens a live feed of owner's events. Events already
-// published with Seq > since are returned as replay (oldest first);
-// resync reports that owner events in (since, now] were evicted from the
-// ring (or the cursor is bogus), so the subscriber's view has a gap only
-// a full state resynchronisation can close. since == 0 means "no cursor":
-// the whole retained history is replayed.
-func (b *EventBus) Subscribe(owner string, since uint64) (sub *EventSub, replay []JobEvent, resync bool) {
+// Subscribe opens a live feed of the events of owner's jobs submitted
+// under submitter. The feed's events already published with Seq > since
+// are returned as replay (oldest first); resync reports that owner events
+// in (since, now] were evicted from the ring (or the cursor is bogus), so
+// the subscriber's view may have a gap only a full state
+// resynchronisation can close. since == 0 means "no cursor": the feed's
+// whole retained history is replayed.
+func (b *EventBus) Subscribe(owner, submitter string, since uint64) (sub *EventSub, replay []JobEvent, resync bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	sub = &EventSub{
-		owner:    owner,
-		id:       b.nextSub,
-		C:        make(chan JobEvent, subBuffer),
-		Overflow: make(chan struct{}, 1),
+		owner:     owner,
+		submitter: submitter,
+		id:        b.nextSub,
+		C:         make(chan JobEvent, subBuffer),
+		Overflow:  make(chan struct{}, 1),
 	}
 	b.nextSub++
 	b.subs[sub.id] = sub
@@ -150,7 +159,7 @@ func (b *EventBus) Subscribe(owner string, since uint64) (sub *EventSub, replay 
 	}
 	for i := 0; i < len(r.buf); i++ {
 		ev := r.buf[(r.start+i)%len(r.buf)]
-		if ev.Seq > since {
+		if ev.Seq > since && ev.Submitter == submitter {
 			replay = append(replay, ev)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/jsdl"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -16,7 +17,7 @@ func TestEventBusReplayAndLive(t *testing.T) {
 	b := NewEventBus()
 	b.publish(busEvent("alice", "j1"))
 	b.publish(busEvent("alice", "j2"))
-	sub, replay, resync := b.Subscribe("alice", 0)
+	sub, replay, resync := b.Subscribe("alice", "", 0)
 	defer b.Unsubscribe(sub)
 	if resync {
 		t.Fatal("fresh cursor demanded resync")
@@ -43,7 +44,7 @@ func TestEventBusCursorSkipsReplayed(t *testing.T) {
 	b.publish(busEvent("alice", "j1"))
 	b.publish(busEvent("alice", "j2"))
 	b.publish(busEvent("alice", "j3"))
-	_, replay, resync := b.Subscribe("alice", 2)
+	_, replay, resync := b.Subscribe("alice", "", 2)
 	if resync {
 		t.Fatal("in-window cursor demanded resync")
 	}
@@ -58,7 +59,7 @@ func TestEventBusEvictionForcesResync(t *testing.T) {
 		b.publish(busEvent("alice", "j"))
 	}
 	// Cursor 1 predates the ring: its events were evicted.
-	_, replay, resync := b.Subscribe("alice", 1)
+	_, replay, resync := b.Subscribe("alice", "", 1)
 	if !resync {
 		t.Fatal("evicted cursor did not demand resync")
 	}
@@ -67,15 +68,15 @@ func TestEventBusEvictionForcesResync(t *testing.T) {
 	}
 	// A cursor strictly below the newest evicted seq has a gap; one at
 	// exactly the newest evicted seq saw everything that was dropped.
-	_, _, resync = b.Subscribe("alice", uint64(7))
+	_, _, resync = b.Subscribe("alice", "", uint64(7))
 	if !resync {
 		t.Fatal("cursor below evicted seq did not demand resync")
 	}
-	_, _, resync = b.Subscribe("alice", uint64(8))
+	_, _, resync = b.Subscribe("alice", "", uint64(8))
 	if resync {
 		t.Fatal("edge cursor (== newest evicted) demanded resync")
 	}
-	_, replay, resync = b.Subscribe("alice", uint64(EventRingSize+7))
+	_, replay, resync = b.Subscribe("alice", "", uint64(EventRingSize+7))
 	if resync || len(replay) != 1 {
 		t.Fatalf("tail cursor: resync=%v replay=%d", resync, len(replay))
 	}
@@ -84,7 +85,7 @@ func TestEventBusEvictionForcesResync(t *testing.T) {
 func TestEventBusFutureCursorForcesResync(t *testing.T) {
 	b := NewEventBus()
 	b.publish(busEvent("alice", "j1"))
-	_, replay, resync := b.Subscribe("alice", 99)
+	_, replay, resync := b.Subscribe("alice", "", 99)
 	if !resync || len(replay) != 0 {
 		// A cursor from another bus incarnation cannot be trusted.
 		t.Fatalf("future cursor: resync=%v replay=%d", resync, len(replay))
@@ -94,7 +95,7 @@ func TestEventBusFutureCursorForcesResync(t *testing.T) {
 func TestEventBusOwnerIsolation(t *testing.T) {
 	b := NewEventBus()
 	b.publish(busEvent("alice", "a1"))
-	bobSub, bobReplay, _ := b.Subscribe("bob", 0)
+	bobSub, bobReplay, _ := b.Subscribe("bob", "", 0)
 	defer b.Unsubscribe(bobSub)
 	if len(bobReplay) != 0 {
 		t.Fatalf("bob replayed alice's events: %+v", bobReplay)
@@ -116,9 +117,106 @@ func TestEventBusOwnerIsolation(t *testing.T) {
 	}
 }
 
+// TestEventBusSubmitterIsolation: two feeds of one owner share the
+// owner's ring and nothing else — neither replay nor live fan-out crosses
+// from one submitter key to the other.
+func TestEventBusSubmitterIsolation(t *testing.T) {
+	b := NewEventBus()
+	mine := busEvent("alice", "a1")
+	mine.Submitter = "proxy-1"
+	b.publish(mine)
+	other, otherReplay, resync := b.Subscribe("alice", "proxy-2", 0)
+	defer b.Unsubscribe(other)
+	if resync || len(otherReplay) != 0 {
+		t.Fatalf("proxy-2 replayed proxy-1's events: resync=%v %+v", resync, otherReplay)
+	}
+	own, ownReplay, _ := b.Subscribe("alice", "proxy-1", 0)
+	defer b.Unsubscribe(own)
+	if len(ownReplay) != 1 || ownReplay[0].JobID != "a1" {
+		t.Fatalf("proxy-1 replay %+v", ownReplay)
+	}
+	mine.JobID = "a2"
+	b.publish(mine)
+	select {
+	case ev := <-other.C:
+		t.Fatalf("proxy-2 received proxy-1's event %+v", ev)
+	default:
+	}
+	select {
+	case ev := <-own.C:
+		if ev.JobID != "a2" || ev.Submitter != "proxy-1" {
+			t.Fatalf("event %+v", ev)
+		}
+	default:
+		t.Fatal("proxy-1's own event not delivered")
+	}
+	select {
+	case <-other.Overflow:
+		t.Fatal("a foreign feed's event flagged proxy-2 for resync")
+	default:
+	}
+}
+
+// TestSubmitterRecordedBeforeDispatch: on an idle site the submission
+// itself dispatches the job, so its RUNNING event is published before
+// SubmitTraced returns — and must already carry the submitter key.
+func TestSubmitterRecordedBeforeDispatch(t *testing.T) {
+	clk := vtime.NewScaled(20000)
+	g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, _ := g.Site("siteA")
+	if err := site.Store().Put(owner, "hi.gsh", []byte("echo hi\n")); err != nil {
+		t.Fatal(err)
+	}
+	keyed, _, _ := g.Events().Subscribe(owner, "proxy-1", 0)
+	defer g.Events().Unsubscribe(keyed)
+	unkeyed, _, _ := g.Events().Subscribe(owner, "", 0)
+	defer g.Events().Unsubscribe(unkeyed)
+	j, err := g.SubmitTraced(jsdl.Description{Owner: owner, Executable: "hi.gsh"}, "proxy-1", trace.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Submitter != "proxy-1" {
+		t.Fatalf("job submitter %q", j.Submitter)
+	}
+	waitJob(t, j)
+	deadline := time.After(5 * time.Second)
+	for states := 0; states < 2; {
+		select {
+		case ev := <-keyed.C:
+			if ev.JobID != j.ID || ev.Submitter != "proxy-1" {
+				t.Fatalf("event %+v", ev)
+			}
+			if ev.Type == EventState {
+				states++ // RUNNING, then DONE
+			}
+		case <-deadline:
+			t.Fatalf("keyed feed saw %d state events", states)
+		}
+	}
+	select {
+	case ev := <-unkeyed.C:
+		t.Fatalf("keyless feed received a keyed job's event %+v", ev)
+	default:
+	}
+}
+
+func TestStdoutWithin(t *testing.T) {
+	j := newJob("s:job-1", jsdl.Description{}, "s", time.Time{}, 0)
+	j.writeStdout([]byte("12345"))
+	if out, ver, ok := j.StdoutWithin(5); !ok || out != "12345" || ver != 1 {
+		t.Fatalf("within limit: %q v%d ok=%v", out, ver, ok)
+	}
+	if out, _, ok := j.StdoutWithin(4); ok || out != "" {
+		t.Fatalf("over limit: %q ok=%v", out, ok)
+	}
+}
+
 func TestEventBusOverflowNeverBlocksPublisher(t *testing.T) {
 	b := NewEventBus()
-	sub, _, _ := b.Subscribe("alice", 0)
+	sub, _, _ := b.Subscribe("alice", "", 0)
 	defer b.Unsubscribe(sub)
 	// Publish past the subscriber buffer without draining: the publisher
 	// must not block, and the subscriber must learn its view has a gap.
@@ -162,7 +260,7 @@ func TestGridPublishesJobLifecycle(t *testing.T) {
 	if err := site.Store().Put(owner, "talk.gsh", []byte("echo one\ncompute 500ms\necho two\n")); err != nil {
 		t.Fatal(err)
 	}
-	sub, _, _ := g.Events().Subscribe(owner, 0)
+	sub, _, _ := g.Events().Subscribe(owner, "", 0)
 	defer g.Events().Unsubscribe(sub)
 	j, err := g.Submit(jsdl.Description{Owner: owner, Executable: "talk.gsh"})
 	if err != nil {
@@ -224,7 +322,7 @@ func TestCancelPublishesTerminalEvent(t *testing.T) {
 	if err := site.Store().Put(owner, "slow.gsh", []byte("emit 500ms 100 tick\n")); err != nil {
 		t.Fatal(err)
 	}
-	sub, _, _ := g.Events().Subscribe(owner, 0)
+	sub, _, _ := g.Events().Subscribe(owner, "", 0)
 	defer g.Events().Unsubscribe(sub)
 	// One slot: the first job runs, the second queues behind it.
 	running, err := g.Submit(jsdl.Description{Owner: owner, Executable: "slow.gsh"})

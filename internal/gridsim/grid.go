@@ -67,7 +67,8 @@ func New(clock vtime.Clock, configs ...SiteConfig) (*Grid, error) {
 func (g *Grid) Clock() vtime.Clock { return g.clock }
 
 // Events returns the grid-wide transition bus: every site's job
-// lifecycle transitions and stdout bumps publish here, keyed by owner.
+// lifecycle transitions and stdout bumps publish here, keyed by owner and
+// submitter.
 // The gatekeeper's event streams subscribe to it so completion is pushed
 // instead of discovered by polling.
 func (g *Grid) Events() *EventBus { return g.bus }
@@ -122,19 +123,20 @@ func (g *Grid) PickSite(cpus int) (*Site, error) {
 // set, otherwise the least-loaded site that has the executable staged is
 // chosen.
 func (g *Grid) Submit(desc jsdl.Description) (*Job, error) {
-	return g.SubmitTraced(desc, trace.SpanContext{})
+	return g.SubmitTraced(desc, "", trace.SpanContext{})
 }
 
-// SubmitTraced is Submit with a trace context: when valid (and a tracer
-// is set), the job's queue and run phases become spans under it.
-func (g *Grid) SubmitTraced(desc jsdl.Description, tc trace.SpanContext) (*Job, error) {
+// SubmitTraced is Submit on behalf of a remote submitter (the job's
+// Submitter key) with a trace context: when valid (and a tracer is set),
+// the job's queue and run phases become spans under it.
+func (g *Grid) SubmitTraced(desc jsdl.Description, submitter string, tc trace.SpanContext) (*Job, error) {
 	desc.Normalize()
 	if desc.Site != "" {
 		site, err := g.Site(desc.Site)
 		if err != nil {
 			return nil, err
 		}
-		return site.SubmitTraced(desc, tc)
+		return site.SubmitTraced(desc, submitter, tc)
 	}
 	// Prefer sites where the executable is already staged.
 	var candidates []*Site
@@ -154,7 +156,7 @@ func (g *Grid) SubmitTraced(desc jsdl.Description, tc trace.SpanContext) (*Job, 
 			best, bestLoad = s, load
 		}
 	}
-	return best.SubmitTraced(desc, tc)
+	return best.SubmitTraced(desc, submitter, tc)
 }
 
 // Job resolves a job ID ("site:job-n") anywhere in the grid.
@@ -188,12 +190,13 @@ func (g *Grid) Jobs(ids []string) (jobs []*Job, errs []error) {
 // nil. A rejected description never fails the batch — callers (the
 // gatekeeper's submit-batch endpoint) report per-entry errors instead.
 func (g *Grid) SubmitMany(descs []jsdl.Description) (jobs []*Job, errs []error) {
-	return g.SubmitManyTraced(descs, nil)
+	return g.SubmitManyTraced(descs, "", nil)
 }
 
-// SubmitManyTraced is SubmitMany with one trace context per description
-// (parallel to descs; shorter or nil allowed).
-func (g *Grid) SubmitManyTraced(descs []jsdl.Description, tcs []trace.SpanContext) (jobs []*Job, errs []error) {
+// SubmitManyTraced is SubmitMany on behalf of one remote submitter, with
+// one trace context per description (parallel to descs; shorter or nil
+// allowed).
+func (g *Grid) SubmitManyTraced(descs []jsdl.Description, submitter string, tcs []trace.SpanContext) (jobs []*Job, errs []error) {
 	jobs = make([]*Job, len(descs))
 	errs = make([]error, len(descs))
 	for i, desc := range descs {
@@ -201,7 +204,7 @@ func (g *Grid) SubmitManyTraced(descs []jsdl.Description, tcs []trace.SpanContex
 		if i < len(tcs) {
 			tc = tcs[i]
 		}
-		jobs[i], errs[i] = g.SubmitTraced(desc, tc)
+		jobs[i], errs[i] = g.SubmitTraced(desc, submitter, tc)
 	}
 	return jobs, errs
 }

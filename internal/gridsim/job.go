@@ -56,6 +56,11 @@ type Job struct {
 	Desc jsdl.Description
 	// Site is the executing site's name.
 	Site string
+	// Submitter keys the event feed the job publishes to (EventBus): the
+	// gatekeeper passes the fingerprint of the proxy that signed the
+	// submission; "" for a job submitted in process. Set before the job is
+	// enqueued and never changed.
+	Submitter string
 
 	mu        sync.Mutex
 	state     State
@@ -150,6 +155,17 @@ func (j *Job) StdoutVersioned() (string, uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.stdout.String(), j.stdoutVer
+}
+
+// StdoutWithin is StdoutVersioned for a snapshot of at most max bytes;
+// once the output has outgrown max, ok is false and nothing is copied.
+func (j *Job) StdoutWithin(max int) (out string, ver uint64, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.stdout.Len() > max {
+		return "", 0, false
+	}
+	return j.stdout.String(), j.stdoutVer, true
 }
 
 // OutputFile returns a named output artifact (nil if absent).

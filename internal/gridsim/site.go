@@ -167,6 +167,7 @@ func (s *Site) publishState(j *Job, st State, msg string, ver uint64, at time.Ti
 		Type:          EventState,
 		JobID:         j.ID,
 		Owner:         j.Desc.Owner,
+		Submitter:     j.Submitter,
 		State:         st.String(),
 		Message:       msg,
 		Site:          s.cfg.Name,
@@ -181,6 +182,7 @@ func (s *Site) publishOutput(j *Job, ver uint64) {
 		Type:          EventOutput,
 		JobID:         j.ID,
 		Owner:         j.Desc.Owner,
+		Submitter:     j.Submitter,
 		Site:          s.cfg.Name,
 		OutputVersion: ver,
 		At:            s.clock.Now(),
@@ -193,13 +195,14 @@ func (s *Site) Slots() int { return s.cfg.slots() }
 // Submit validates and enqueues a job. The executable must already be
 // staged for the owner (the JSE contract: stage first, then submit).
 func (s *Site) Submit(desc jsdl.Description) (*Job, error) {
-	return s.SubmitTraced(desc, trace.SpanContext{})
+	return s.SubmitTraced(desc, "", trace.SpanContext{})
 }
 
-// SubmitTraced is Submit with a trace context; when valid (and the site
-// has a tracer), the job records "job.queue" and "job.run" spans under
-// it at exact scheduler timestamps.
-func (s *Site) SubmitTraced(desc jsdl.Description, tc trace.SpanContext) (*Job, error) {
+// SubmitTraced is Submit on behalf of a remote submitter: submitter
+// becomes the job's Submitter key, and when tc is valid (and the site has
+// a tracer) the job records "job.queue" and "job.run" spans under it at
+// exact scheduler timestamps.
+func (s *Site) SubmitTraced(desc jsdl.Description, submitter string, tc trace.SpanContext) (*Job, error) {
 	desc.Normalize()
 	if err := desc.Validate(); err != nil {
 		return nil, err
@@ -224,6 +227,9 @@ func (s *Site) SubmitTraced(desc jsdl.Description, tc trace.SpanContext) (*Job, 
 	id := fmt.Sprintf("%s:job-%06d", s.cfg.Name, s.seq)
 	now := s.clock.Now()
 	job := newJob(id, desc, s.cfg.Name, now, s.cfg.MaxJobOutput)
+	// Before enqueue, like the trace below: dispatchLocked may publish
+	// RUNNING at once, and the event must already name its feed.
+	job.Submitter = submitter
 	if s.tracer != nil && tc.Valid() {
 		// Before enqueue: dispatchLocked may start the job immediately and
 		// markRunning must see the queue span.

@@ -18,6 +18,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
@@ -147,7 +148,9 @@ func writeElem(buf *bytes.Buffer, name, value string) {
 }
 
 // Decode parses a SOAP envelope into a Message, or returns the carried
-// *Fault as an error if the body is a fault.
+// *Fault as an error if the body is a fault. The document must be whole:
+// an envelope that is cut short or stops being XML part-way is ErrNotSOAP,
+// never the message read so far.
 func Decode(data []byte) (*Message, error) {
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	msg := &Message{Headers: map[string]string{}}
@@ -160,18 +163,22 @@ func Decode(data []byte) (*Message, error) {
 		paramBuf  bytes.Buffer
 		fault     *Fault
 		faultElem string
+		closed    bool // the envelope's end tag has been read
 	)
 	for {
 		tok, err := dec.Token()
+		if err == io.EOF {
+			break // the tokenizer reports EOF only once every element is closed
+		}
 		if err != nil {
-			break
+			return nil, fmt.Errorf("%w: %v", ErrNotSOAP, err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
 			depth++
 			switch {
 			case depth == 1:
-				if t.Name.Space != EnvelopeNS || t.Name.Local != "Envelope" {
+				if closed || t.Name.Space != EnvelopeNS || t.Name.Local != "Envelope" {
 					return nil, ErrNotSOAP
 				}
 			case depth == 2 && t.Name.Space == EnvelopeNS && t.Name.Local == "Header":
@@ -197,6 +204,9 @@ func Decode(data []byte) (*Message, error) {
 				paramBuf.Reset()
 			}
 		case xml.CharData:
+			if closed && len(bytes.TrimSpace(t)) > 0 {
+				return nil, fmt.Errorf("%w: text after the envelope", ErrNotSOAP)
+			}
 			if (inHeader && depth == 3) || (opDepth > 0 && depth == opDepth+1) || (fault != nil && depth == 4) {
 				paramBuf.Write(t)
 			}
@@ -223,7 +233,11 @@ func Decode(data []byte) (*Message, error) {
 				inBody = false
 			}
 			depth--
+			closed = depth == 0
 		}
+	}
+	if !closed {
+		return nil, fmt.Errorf("%w: no envelope", ErrNotSOAP)
 	}
 	if fault != nil {
 		return nil, fault

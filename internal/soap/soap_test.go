@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"net/http"
@@ -75,6 +76,52 @@ func TestDecodeRejectsNonSOAP(t *testing.T) {
 	empty := `<soapenv:Envelope xmlns:soapenv="` + EnvelopeNS + `"><soapenv:Body></soapenv:Body></soapenv:Envelope>`
 	if _, err := Decode([]byte(empty)); !errors.Is(err, ErrNoOperation) {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestDecodeRejectsBrokenEnvelopes: every proper prefix of an envelope —
+// request, response or fault — is an error, never a message with the
+// parameters (or the part of <return>) read so far; so is an envelope
+// with anything but white space after it.
+func TestDecodeRejectsBrokenEnvelopes(t *testing.T) {
+	request, err := Encode(&Message{
+		Namespace: "urn:x", Operation: "execute",
+		Params:  []Param{{Name: "digits", Value: "1000"}, {Name: "seed", Value: "a<b"}},
+		Headers: map[string]string{"Token": "t"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	response, err := Encode(&Message{
+		Namespace: "urn:x", Operation: "waitResponse",
+		Params: []Param{{Name: "return", Value: "line one\nline two\n"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, whole := range [][]byte{request, response, EncodeFault(&Fault{Code: FaultServer, String: "boom"})} {
+		for cut := 0; cut < len(whole); cut++ {
+			msg, err := Decode(whole[:cut])
+			var fault *Fault
+			if err == nil || errors.As(err, &fault) {
+				t.Fatalf("envelope cut at byte %d of %d decoded as %+v (%v):\n%s", cut, len(whole), msg, err, whole[:cut])
+			}
+			if !errors.Is(err, ErrNotSOAP) {
+				t.Fatalf("cut at byte %d: %v is not ErrNotSOAP", cut, err)
+			}
+		}
+	}
+	msg, err := Decode(request)
+	if err != nil || msg.Operation != "execute" || len(msg.Params) != 2 || msg.Params[1].Value != "a<b" {
+		t.Fatalf("whole envelope: %+v, %v", msg, err)
+	}
+	if _, err := Decode(append(append([]byte(nil), request...), " \r\n"...)); err != nil {
+		t.Fatalf("trailing white space: %v", err)
+	}
+	for _, tail := range []string{"x", "<", "<again/>", "</soapenv:Envelope>", string(request[len(xml.Header):])} {
+		if msg, err := Decode(append(append([]byte(nil), request...), tail...)); !errors.Is(err, ErrNotSOAP) {
+			t.Fatalf("tail %q: %+v, %v", tail, msg, err)
+		}
 	}
 }
 

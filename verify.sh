@@ -48,6 +48,10 @@ go test -run='^$' -fuzz=FuzzKeyHeader -fuzztime=5s ./internal/tenant
 go test -run='^$' -fuzz=FuzzPolicyMatch -fuzztime=5s ./internal/tenant
 # The upload door decodes an attacker's multipart body by hand.
 go test -run='^$' -fuzz=FuzzUploadForm -fuzztime=5s ./internal/portal
+# The push collector stores output bytes taken from a gatekeeper's event
+# frame, and both SOAP doors decode whatever envelope arrives.
+go test -run='^$' -fuzz=FuzzEventFrame -fuzztime=5s ./internal/gram
+go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/soap
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
