@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blobdb/blobtest"
 	"repro/internal/core"
 	"repro/internal/cyberaide"
 	"repro/internal/gridenv"
@@ -63,7 +64,10 @@ func boot(t *testing.T, mutate func(*Config)) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { app.Shutdown() })
+	t.Cleanup(func() {
+		blobtest.VerifyBlobCache(t, app.DB)
+		app.Shutdown()
+	})
 	app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
 	return &world{app: app, env: env, clock: clk}
 }

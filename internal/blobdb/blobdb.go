@@ -79,11 +79,29 @@ var (
 
 // Record is a stored row, returned with the blob decompressed.
 type Record struct {
-	Key            string
-	Meta           map[string]string
-	Blob           []byte
-	StoredAt       time.Time
+	Key string
+	// Meta is the caller's own copy.
+	Meta map[string]string
+	// Blob is the decompressed blob (nil from Stat), shared with the blob
+	// cache and every other reader of the row version: read-only, nobody
+	// writes to it, ever. It stays valid and unchanged while held, whatever
+	// happens to the row (re-Put, Delete, cache eviction, Close).
+	Blob     []byte
+	StoredAt time.Time
+	// RawSize and CompressedSize are the blob's and its gzip stream's length.
+	RawSize        int
 	CompressedSize int
+	// Gen is the row's generation: every Put or SetMeta of the key installs
+	// a higher one, so two reads with equal Gen saw the same bytes.
+	Gen uint64
+}
+
+// record renders r for the caller, with blob as its Blob.
+func (r *row) record(key string, blob []byte) *Record {
+	return &Record{
+		Key: key, Meta: cloneMeta(r.meta), Blob: blob, StoredAt: r.storedAt,
+		RawSize: r.rawSize, CompressedSize: len(r.comp), Gen: r.gen,
+	}
 }
 
 // row is the in-memory representation (blob kept compressed).
@@ -459,16 +477,12 @@ func (t *Table) Get(key string) (*Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
-	meta := cloneMeta(r.meta)
 	cacheKey := t.name + "\x00" + key
 	if db.cache != nil {
 		if blob, ok := db.cache.get(cacheKey, r.gen); ok {
 			// Hit: no disk read, no inflate, no modelled cost — the repeat-
 			// invocation CPU peak the cache exists to remove.
-			return &Record{
-				Key: key, Meta: meta, Blob: blob,
-				StoredAt: r.storedAt, CompressedSize: len(r.comp),
-			}, nil
+			return r.record(key, blob), nil
 		}
 	}
 	db.probe.DiskRead(len(r.comp))
@@ -477,8 +491,8 @@ func (t *Table) Get(key string) (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	// One buffer of the recorded size, filled in place; reading on to EOF
-	// is what checks the gzip trailer.
+	// One buffer of the recorded size, filled in place (the caller's view
+	// and the cache's entry); reading on to EOF checks the gzip trailer.
 	limit := int64(min(r.rawSize, MaxBlobBytes))
 	blob, err := sizedio.ReadAll(zr, int64(r.rawSize), limit)
 	gzipReaderPool.Put(zr)
@@ -491,10 +505,7 @@ func (t *Table) Get(key string) (*Record, error) {
 	if db.cache != nil {
 		db.cache.put(cacheKey, r.gen, blob)
 	}
-	return &Record{
-		Key: key, Meta: meta, Blob: blob,
-		StoredAt: r.storedAt, CompressedSize: len(r.comp),
-	}, nil
+	return r.record(key, blob), nil
 }
 
 // GetCompressed returns the record's stored gzip bytes and the
@@ -508,19 +519,27 @@ func (t *Table) Get(key string) (*Record, error) {
 // re-publish installs a new row with a new slice, it never writes into
 // this one.
 func (t *Table) GetCompressed(key string) (comp []byte, rawSize int, err error) {
+	comp, rawSize, _, err = t.GetCompressedGen(key)
+	return comp, rawSize, err
+}
+
+// GetCompressedGen is GetCompressed plus the generation of the row the
+// stream belongs to (Record.Gen), so a caller holding an earlier read of
+// the key can tell whether a re-publish has moved the row since.
+func (t *Table) GetCompressedGen(key string) (comp []byte, rawSize int, gen uint64, err error) {
 	s := t.db.shardFor(t.name, key)
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return nil, 0, ErrClosed
+		return nil, 0, 0, ErrClosed
 	}
 	r, ok := s.tables[t.name][key]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
+		return nil, 0, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
 	t.db.probe.DiskRead(len(r.comp))
-	return r.comp, r.rawSize, nil
+	return r.comp, r.rawSize, r.gen, nil
 }
 
 // BlobCacheStats reports the decompressed-blob LRU's counters; all zero
@@ -600,11 +619,7 @@ func (t *Table) Stat(key string) (*Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
-	meta := cloneMeta(r.meta)
-	return &Record{
-		Key: key, Meta: meta,
-		StoredAt: r.storedAt, CompressedSize: len(r.comp),
-	}, nil
+	return r.record(key, nil), nil
 }
 
 // Delete removes a record.

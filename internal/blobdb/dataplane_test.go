@@ -133,6 +133,61 @@ func TestGetCompressedAliasesImmutableRow(t *testing.T) {
 	}
 }
 
+// TestGenerationIdentifiesRowVersion: every read path reports the same
+// generation for one row version, and any write of the key — even a
+// re-Put of a blob of the same length, which sizes cannot tell apart —
+// installs a higher one.
+func TestGenerationIdentifiesRowVersion(t *testing.T) {
+	db, err := Open(Options{BlobCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tab := db.Table("t")
+	gens := func() (stat, get, comp uint64) {
+		t.Helper()
+		s, err := tab.Stat("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := tab.Get("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.RawSize != len(g.Blob) || g.RawSize != len(g.Blob) {
+			t.Fatalf("RawSize stat %d get %d, blob is %d bytes", s.RawSize, g.RawSize, len(g.Blob))
+		}
+		_, _, c, err := tab.GetCompressedGen("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Gen, g.Gen, c
+	}
+	if err := tab.Put("k", nil, []byte("version one")); err != nil {
+		t.Fatal(err)
+	}
+	s1, g1, c1 := gens()
+	if s1 != g1 || g1 != c1 {
+		t.Fatalf("one row version, three generations: stat %d get %d compressed %d", s1, g1, c1)
+	}
+	if _, hit, _ := gens(); hit != g1 {
+		t.Fatalf("a cache hit reports generation %d, the miss said %d", hit, g1)
+	}
+	if err := tab.Put("k", nil, []byte("version two")); err != nil { // same length
+		t.Fatal(err)
+	}
+	s2, g2, c2 := gens()
+	if s2 != g2 || g2 != c2 || g2 <= g1 {
+		t.Fatalf("same-size re-Put: generations %d/%d/%d after %d", s2, g2, c2, g1)
+	}
+	if err := tab.SetMeta("k", map[string]string{"a": "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if s3, _, _ := gens(); s3 <= g2 {
+		t.Fatalf("SetMeta kept generation %d", s3)
+	}
+}
+
 // --- SetMeta rewrites metadata without touching the blob ---
 
 func TestSetMetaReusesStoredStream(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -65,22 +66,144 @@ func TestBlobCacheHitSkipsLoadAndDecompress(t *testing.T) {
 	}
 }
 
-func TestBlobCacheCopiesAreIsolated(t *testing.T) {
-	db, _ := cachedDB(t, 1<<20)
+// TestRecordBlobIsSharedAndStable pins Record.Blob's contract: hits alias
+// the cache entry's one backing array (nothing is copied per read), and
+// the bytes a reader holds never change — not when the row is re-Put or
+// deleted, not when the LRU evicts the entry, not after Close. Readers
+// keep reading what they hold while a re-publisher does all of that, so
+// under -race a write into a shared slice anywhere in the engine fails
+// the test even if it happens to write the same bytes.
+func TestRecordBlobIsSharedAndStable(t *testing.T) {
+	const blobBytes = 16 << 10
+	versions := [][]byte{
+		bytes.Repeat([]byte("v0 payload "), blobBytes/11),
+		bytes.Repeat([]byte("v1 payload "), blobBytes/11),
+	}
+	// Room for two blobs: the filler keys below push "k" out of the LRU.
+	db, _ := cachedDB(t, 2*blobBytes)
 	tab := db.Table("t")
-	if err := tab.Put("k", nil, []byte("pristine")); err != nil {
+	if err := tab.Put("k", nil, versions[0]); err != nil {
 		t.Fatal(err)
 	}
-	warm, _ := tab.Get("k") // populate
-	warm.Blob[0] = 'X'
+	miss, err := tab.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
 	hit, err := tab.Get("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit.Blob[1] = 'Y'
-	again, _ := tab.Get("k")
-	if string(again.Blob) != "pristine" {
-		t.Fatalf("caller mutation leaked into the cache: %q", again.Blob)
+	if &miss.Blob[0] != &hit.Blob[0] {
+		t.Fatal("a hit returned a copy: the inflate buffer, the cache entry and every reader's view must be one array")
+	}
+
+	type held struct {
+		blob    []byte
+		version int
+	}
+	const readers, rounds = 4, 50
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		kept = []held{{miss.Blob, 0}, {hit.Blob, 0}}
+	)
+	stop := make(chan struct{})
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var mine []held
+			for {
+				select {
+				case <-stop:
+					mu.Lock()
+					kept = append(kept, mine...)
+					mu.Unlock()
+					return
+				default:
+				}
+				rec, err := tab.Get("k")
+				if errors.Is(err, ErrNotFound) {
+					continue // between the re-publisher's Delete and Put
+				}
+				if err != nil {
+					t.Errorf("get: %v", err)
+					return
+				}
+				v := int(rec.Blob[1] - '0')
+				if !bytes.Equal(rec.Blob, versions[v]) {
+					t.Errorf("read a torn version %d", v)
+					return
+				}
+				if len(mine) < 64 {
+					mine = append(mine, held{rec.Blob, v})
+				}
+			}
+		}()
+	}
+	for i := 1; i <= rounds; i++ {
+		var err error
+		switch i % 4 {
+		case 0:
+			if err = tab.Delete("k"); err == nil {
+				err = tab.Put("k", nil, versions[i%2])
+			}
+		case 1, 3:
+			err = tab.Put("k", nil, versions[i%2])
+		case 2: // LRU pressure: two other rows read through the cache
+			for _, filler := range []string{"f1", "f2"} {
+				if err = tab.Put(filler, nil, versions[0]); err == nil {
+					_, err = tab.Get(filler)
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range kept {
+		if !bytes.Equal(h.blob, versions[h.version]) {
+			t.Fatalf("held blob %d (version %d) changed under its reader", i, h.version)
+		}
+	}
+}
+
+// TestGetHitAllocationIndependentOfBlobSize is the deterministic guard
+// behind the benchmark claim: a cache hit hands out the entry's slice, so
+// it costs the same few small objects (metadata copy, key, Record)
+// whether the blob is 1 KB or 1 MB.
+func TestGetHitAllocationIndependentOfBlobSize(t *testing.T) {
+	hit := func(size int) (allocs float64, bytesPerHit int64) {
+		db, _ := cachedDB(t, 4<<20)
+		tab := db.Table("t")
+		if err := tab.Put("k", map[string]string{"owner": "alice"}, bytes.Repeat([]byte("x"), size)); err != nil {
+			t.Fatal(err)
+		}
+		get := func() {
+			if rec, err := tab.Get("k"); err != nil || len(rec.Blob) != size {
+				t.Fatalf("get: %v", err)
+			}
+		}
+		get() // populate
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, get) // runs+1 calls
+		runtime.ReadMemStats(&after)
+		return allocs, int64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	smallAllocs, smallBytes := hit(1 << 10)
+	largeAllocs, largeBytes := hit(1 << 20)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("a hit allocates %v objects for 1 KB but %v for 1 MB", smallAllocs, largeAllocs)
+	}
+	if smallBytes >= 1<<10 || largeBytes >= 1<<10 {
+		t.Fatalf("a hit allocates %d B (1 KB blob) / %d B (1 MB blob), want under 1 KB for both", smallBytes, largeBytes)
 	}
 }
 

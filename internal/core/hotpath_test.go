@@ -107,7 +107,7 @@ func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ons.pickSites(sessID, "MontecarloService", "", nil, trace.SpanContext{}); err != nil {
+	if _, err := f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	// Plant a sentinel snapshot: while the TTL holds, pickSites must use
@@ -116,7 +116,7 @@ func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 	f.ons.stats = []gridsim.SiteStats{{Name: "siteB", Slots: 8, FreeSlots: 8}}
 	f.ons.statsAt = f.clock.Now()
 	f.ons.mu.Unlock()
-	sites, err := f.ons.pickSites(sessID, "MontecarloService", "", nil, trace.SpanContext{})
+	sites, err := f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 	f.ons.mu.Lock()
 	f.ons.statsAt = f.clock.Now().Add(-2 * ttl)
 	f.ons.mu.Unlock()
-	sites, err = f.ons.pickSites(sessID, "MontecarloService", "", nil, trace.SpanContext{})
+	sites, err = f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,19 +214,17 @@ func TestUnlimitedRetentionKeepsEverything(t *testing.T) {
 }
 
 func TestReplicaSource(t *testing.T) {
-	staged := map[string]string{
-		"SvcService|siteC":   "sum1",
-		"SvcService|siteA":   "sum2",
-		"OtherService|siteZ": "sum3",
+	staged := map[string]map[string]string{
+		"SvcService":   {"siteC": "sum1", "siteA": "sum2"},
+		"OtherService": {"siteZ": "sum3"},
 	}
-	if got := replicaSource(staged, "SvcService"); got != "siteA" {
+	if got := replicaSource(staged["SvcService"]); got != "siteA" {
 		t.Fatalf("replicaSource = %q, want deterministic smallest site siteA", got)
 	}
-	if got := replicaSource(staged, "MissingService"); got != "" {
-		t.Fatalf("replicaSource for unstaged service = %q", got)
-	}
-	// "Svc" must not prefix-match "SvcService|..." keys.
-	if got := replicaSource(staged, "Svc"); got != "" {
-		t.Fatalf("replicaSource prefix leak: %q", got)
+	// An unstaged service, and one whose name merely prefixes a staged one.
+	for _, svc := range []string{"MissingService", "Svc"} {
+		if got := replicaSource(staged[svc]); got != "" {
+			t.Fatalf("replicaSource(%s) = %q", svc, got)
+		}
 	}
 }

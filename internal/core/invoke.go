@@ -205,36 +205,46 @@ func endSpan(sp *trace.Span, err error) {
 // collect — each under one span of root. An auth fault on a cached
 // session invalidates it and the grid-facing steps run once more on a
 // fresh logon.
+//
+// The fetch step runs here, where the paper puts it, unless the staging
+// cache records a staged copy of the service somewhere: then most likely
+// nothing will send the bytes, and a stage that does need them fetches
+// through the handle. Without Config.StagingCache nothing is ever
+// recorded, so the paper profile always fetches here.
 func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace.Span) (*Invocation, error) {
-	info, err := o.ServiceInfo(serviceName)
+	exe, err := o.openExecutable(serviceName, root)
 	if err != nil {
 		return nil, err
 	}
-	root.Set("user", info.Owner)
-	auth, err := o.userAuth(info.Owner)
+	root.Set("user", exe.owner)
+	auth, err := o.userAuth(exe.owner)
 	if err != nil {
 		return nil, err
 	}
-	blob, err := o.fetchExecutable(serviceName, root)
-	if err != nil {
-		return nil, err
-	}
-	sessID, cached, err := o.authenticate(info.Owner, auth, root)
-	if err != nil {
-		return nil, err
-	}
-	site, jobID, err := o.stageAndSubmit(sessID, serviceName, info, args, blob, root.Context())
-	if err != nil && cached && isSessionFault(err) {
-		o.invalidateSession(info.Owner, sessID)
-		if sessID, _, err = o.authenticate(info.Owner, auth, root); err != nil {
+	o.mu.Lock()
+	staged := len(o.staged[serviceName]) > 0
+	o.mu.Unlock()
+	if !staged {
+		if _, err := exe.bytes(); err != nil {
 			return nil, err
 		}
-		site, jobID, err = o.stageAndSubmit(sessID, serviceName, info, args, blob, root.Context())
+	}
+	sessID, cached, err := o.authenticate(exe.owner, auth, root)
+	if err != nil {
+		return nil, err
+	}
+	site, jobID, err := o.stageAndSubmit(sessID, exe, args, root.Context())
+	if err != nil && cached && isSessionFault(err) {
+		o.invalidateSession(exe.owner, sessID)
+		if sessID, _, err = o.authenticate(exe.owner, auth, root); err != nil {
+			return nil, err
+		}
+		site, jobID, err = o.stageAndSubmit(sessID, exe, args, root.Context())
 	}
 	if err != nil {
 		return nil, err
 	}
-	inv := o.newInvocation(serviceName, info.Owner, sessID, site, jobID, root)
+	inv := o.newInvocation(serviceName, exe.owner, sessID, site, jobID, root)
 	o.collect.register(inv)
 	return inv, nil
 }
@@ -242,18 +252,20 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 // fetchExecutable is file retrieval: "the lookup of the associated file
 // in the database. It is loaded from the database and then stored in a
 // temporary location." Loading decompresses (the first CPU peak of
-// Fig. 6); the temporary spill is a disk write.
-func (o *OnServe) fetchExecutable(serviceName string, root *trace.Span) ([]byte, error) {
-	sp := o.cfg.Tracing.StartSpan("db.fetch", root.Context())
-	rec, err := o.cfg.DB.Table(ExecutablesTable).Get(serviceName)
+// Fig. 6); the temporary spill is a disk write. Called by x.bytes alone,
+// under x.mu.
+func (o *OnServe) fetchExecutable(x *executable) error {
+	sp := o.cfg.Tracing.StartSpan("db.fetch", x.root.Context())
+	rec, err := o.cfg.DB.Table(ExecutablesTable).Get(x.service)
 	if err != nil {
 		endSpan(sp, err)
-		return nil, fmt.Errorf("onserve: load executable: %w", err)
+		return fmt.Errorf("onserve: load executable: %w", err)
 	}
 	sp.SetInt("bytes", int64(len(rec.Blob)))
 	sp.End()
 	o.cfg.Probe.DiskWrite(len(rec.Blob))
-	return rec.Blob, nil
+	x.blob, x.size, x.gen = rec.Blob, rec.RawSize, rec.Gen
+	return nil
 }
 
 // authenticate is the logon step: "Before any use of the Grid is
@@ -301,17 +313,17 @@ func (o *OnServe) newInvocation(serviceName, owner, sessID, site, jobID string, 
 // the stage and submit steps under one agent session. Services with
 // declared stage-in data may only run where the owner staged it, so later
 // candidates are tried when submission reports a staging problem.
-func (o *OnServe) stageAndSubmit(sessionID, serviceName string, info *ExecutableInfo, args map[string]string, blob []byte, tc trace.SpanContext) (site, jobID string, err error) {
-	candidates, err := o.pickSites(sessionID, serviceName, info.Owner, blob, tc)
+func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[string]string, tc trace.SpanContext) (site, jobID string, err error) {
+	candidates, err := o.pickSites(sessionID, exe, tc)
 	if err != nil {
 		return "", "", err
 	}
-	stagedName := serviceName + ".gsh"
 	for i, candidate := range candidates {
 		st := o.cfg.Tracing.StartSpan("stage", tc)
 		st.Set("site", candidate)
-		st.SetInt("bytes", int64(len(blob)))
-		err = o.stageExecutable(sessionID, serviceName, stagedName, candidate, blob, st)
+		size, _ := exe.version()
+		st.SetInt("bytes", int64(size))
+		err = o.stageExecutable(sessionID, exe, candidate, st)
 		endSpan(st, err)
 		if err != nil {
 			return "", "", err
@@ -322,12 +334,12 @@ func (o *OnServe) stageAndSubmit(sessionID, serviceName string, info *Executable
 		// the second CPU peak of Fig. 6.
 		o.cfg.Probe.Burn(o.cfg.Cost.JobSubmit)
 		desc := jsdl.Description{
-			Name:       serviceName,
-			Executable: stagedName,
+			Name:       exe.service,
+			Executable: exe.staged,
 			Site:       candidate,
 			Arguments:  args,
 			WallTime:   o.cfg.InvocationTimeout,
-			StageIn:    info.StageIn,
+			StageIn:    exe.stageIn,
 		}
 		sb := o.cfg.Tracing.StartSpan("submit", tc)
 		sb.Set("site", candidate)
@@ -338,7 +350,7 @@ func (o *OnServe) stageAndSubmit(sessionID, serviceName string, info *Executable
 		}
 		endSpan(sb, err)
 		// Only a missing stage-in file justifies trying the next site.
-		if len(info.StageIn) == 0 || i == len(candidates)-1 ||
+		if len(exe.stageIn) == 0 || i == len(candidates)-1 ||
 			!strings.Contains(err.Error(), "not staged") {
 			break
 		}
@@ -404,17 +416,17 @@ func isSessionFault(err error) bool {
 // With Config.StatsTTL set, the snapshot is cached so heavy invocation
 // traffic stops paying one SOAP round-trip per call; slightly stale
 // load data only shifts which site wins, never correctness.
-func (o *OnServe) pickSites(sessionID, serviceName, owner string, blob []byte, tc trace.SpanContext) ([]string, error) {
+func (o *OnServe) pickSites(sessionID string, exe *executable, tc trace.SpanContext) ([]string, error) {
 	stats, err := o.gridStats(sessionID)
 	if err != nil {
 		return nil, fmt.Errorf("onserve: grid stats: %w", err)
 	}
-	cands := o.siteFilter(owner, o.stageableLoads(stats))
+	cands := o.siteFilter(exe.owner, o.stageableLoads(stats))
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("onserve: no stageable site available")
 	}
 	if o.cfg.DataAwarePlacement {
-		return o.placeDataAware(sessionID, serviceName, cands, blob, tc), nil
+		return o.placeDataAware(sessionID, exe, cands, tc), nil
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].load != cands[j].load {
@@ -539,11 +551,11 @@ type statsFlight struct {
 // wakes the waiters and exactly one of them takes over (each failed
 // flight releases its leader with the error), so the stampede can never
 // come back through the retry path.
-func (o *OnServe) stageExecutable(sessionID, serviceName, stagedName, site string, blob []byte, sp *trace.Span) error {
+func (o *OnServe) stageExecutable(sessionID string, exe *executable, site string, sp *trace.Span) error {
 	if !o.cfg.CoalesceStaging {
-		return o.stageExecutableOnce(sessionID, serviceName, stagedName, site, blob, sp)
+		return o.stageExecutableOnce(sessionID, exe, site, sp)
 	}
-	key := serviceName + "|" + site
+	key := exe.service + "|" + site
 	for {
 		o.mu.Lock()
 		if f := o.stagingFlights[key]; f != nil {
@@ -560,7 +572,7 @@ func (o *OnServe) stageExecutable(sessionID, serviceName, stagedName, site strin
 		f := &stagingFlight{done: make(chan struct{})}
 		o.stagingFlights[key] = f
 		o.mu.Unlock()
-		f.err = o.stageExecutableOnce(sessionID, serviceName, stagedName, site, blob, sp)
+		f.err = o.stageExecutableOnce(sessionID, exe, site, sp)
 		o.mu.Lock()
 		delete(o.stagingFlights, key)
 		o.mu.Unlock()
@@ -583,17 +595,17 @@ type stagingFlight struct {
 // staging cache and site-to-site replication when enabled, otherwise by
 // uploading across the WAN — the paper's behaviour, where files "will
 // even be reloaded when executed a 2nd time".
-func (o *OnServe) stageExecutableOnce(sessionID, serviceName, stagedName, site string, blob []byte, sp *trace.Span) error {
-	cacheKey := serviceName + "|" + site
+func (o *OnServe) stageExecutableOnce(sessionID string, exe *executable, site string, sp *trace.Span) error {
 	if o.cfg.StagingCache {
 		o.mu.Lock()
-		cached := o.staged[cacheKey]
+		sites := o.staged[exe.service]
+		cached := sites[site]
 		// Not at the target site, but maybe at a sibling: a GridFTP
 		// third-party transfer moves it site-to-site without re-crossing
 		// the appliance's WAN link.
 		replicateFrom := ""
 		if cached == "" {
-			replicateFrom = replicaSource(o.staged, serviceName)
+			replicateFrom = replicaSource(sites)
 		}
 		o.mu.Unlock()
 		if cached != "" {
@@ -602,11 +614,9 @@ func (o *OnServe) stageExecutableOnce(sessionID, serviceName, stagedName, site s
 		}
 		if replicateFrom != "" {
 			sp.Set("replicated_from", replicateFrom)
-			sum, err := o.cfg.Agent.WithTrace(sp.Context()).Replicate(sessionID, replicateFrom, site, stagedName)
+			sum, err := o.cfg.Agent.WithTrace(sp.Context()).Replicate(sessionID, replicateFrom, site, exe.staged)
 			if err == nil {
-				o.mu.Lock()
-				o.staged[cacheKey] = sum
-				o.mu.Unlock()
+				o.noteStaged(exe.service, site, sum)
 				return nil
 			}
 			// A session fault would doom the fresh upload too: surface it
@@ -619,42 +629,42 @@ func (o *OnServe) stageExecutableOnce(sessionID, serviceName, stagedName, site s
 			// upload.
 		}
 	}
-	checksum, err := o.uploadExecutable(sessionID, serviceName, stagedName, site, blob, sp)
+	checksum, err := o.uploadExecutable(sessionID, exe, site, sp)
 	if err != nil {
 		return fmt.Errorf("onserve: stage executable: %w", err)
 	}
 	if o.rep != nil {
 		// The executable just landed cold at one site: queue a background
 		// push to the top-K least-loaded siblings (deduped per version).
-		o.rep.enqueue(repTask{
-			sessionID:  sessionID,
-			service:    serviceName,
-			stagedName: stagedName,
-			sourceSite: site,
-			checksum:   checksum,
-			blob:       blob,
-		})
+		o.rep.enqueue(repTask{sessionID: sessionID, exe: exe, sourceSite: site, checksum: checksum})
 	}
 	if o.cfg.StagingCache {
-		o.mu.Lock()
-		o.staged[cacheKey] = checksum
-		o.mu.Unlock()
+		o.noteStaged(exe.service, site, checksum)
 	}
 	return nil
 }
 
-// replicaSource picks the site a staged replica of serviceName is pulled
-// from. Candidates are sorted so the choice is deterministic (map
-// iteration order is not), which keeps replication fan-out stable and
-// testable.
-func replicaSource(staged map[string]string, serviceName string) string {
-	prefix := serviceName + "|"
+// noteStaged records in the staging cache that site holds service's
+// executable with the given checksum.
+func (o *OnServe) noteStaged(service, site, checksum string) {
+	o.mu.Lock()
+	sites := o.staged[service]
+	if sites == nil {
+		sites = make(map[string]string)
+		o.staged[service] = sites
+	}
+	sites[site] = checksum
+	o.mu.Unlock()
+}
+
+// replicaSource picks the site a staged replica is pulled from, out of
+// the sites the staging cache records for one service. The smallest name
+// wins so the choice is deterministic (map iteration order is not), which
+// keeps replication fan-out stable and testable.
+func replicaSource(sites map[string]string) string {
 	best := ""
-	for k := range staged {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if site := strings.TrimPrefix(k, prefix); best == "" || site < best {
+	for site := range sites {
+		if best == "" || site < best {
 			best = site
 		}
 	}

@@ -254,8 +254,10 @@ type OnServe struct {
 	mu          sync.Mutex
 	users       map[string]UserAuth    // portal user -> myproxy logon
 	invocations map[string]*Invocation // ticket -> invocation
-	staged      map[string]string      // service+site -> staged checksum
-	seq         int
+	// staged is the staging cache (Config.StagingCache; empty forever
+	// without it): service -> site -> staged checksum.
+	staged map[string]map[string]string
+	seq    int
 	// sessions caches one authenticated agent session per owner
 	// (Config.SessionCache).
 	sessions map[string]*ownerSession
@@ -324,7 +326,7 @@ func New(cfg Config) (*OnServe, error) {
 		clock:          cfg.Clock,
 		users:          make(map[string]UserAuth),
 		invocations:    make(map[string]*Invocation),
-		staged:         make(map[string]string),
+		staged:         make(map[string]map[string]string),
 		sessions:       make(map[string]*ownerSession),
 		termTallies:    make(map[InvState]int),
 		stagingFlights: make(map[string]*stagingFlight),
@@ -601,11 +603,7 @@ func (o *OnServe) DeleteService(serviceName string) error {
 		return err
 	}
 	o.mu.Lock()
-	for k := range o.staged {
-		if strings.HasPrefix(k, serviceName+"|") {
-			delete(o.staged, k)
-		}
-	}
+	delete(o.staged, serviceName)
 	o.mu.Unlock()
 	o.forgetPossession(serviceName)
 	if o.rep != nil {

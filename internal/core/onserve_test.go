@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/blobdb/blobtest"
 	"repro/internal/cyberaide"
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
@@ -25,6 +26,9 @@ type fixture struct {
 	rec   *metrics.Recorder
 	clock *vtime.Scaled
 	cfg   Config
+	// probes logs the cost-model calls made through the fixture's Probe
+	// (by the core, the database and the agent) while switched on.
+	probes *probeLog
 }
 
 // newFixture wires a full onServe over a two-site grid with fast polling
@@ -64,7 +68,9 @@ func newFixtureTraced(t *testing.T, gridHTTP *http.Client, col *trace.Collector,
 	if _, err := env.AddUser("alice", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
-	rec := metrics.NewRecorder(clk, 3*time.Second)
+	probes := &probeLog{Clock: clk}
+	rec := metrics.NewRecorder(probes, 3*time.Second)
+	probes.rec = rec
 	probe := metrics.NewProbe(rec)
 	db, err := blobdb.Open(blobdb.Options{Clock: clk, Probe: probe, Cost: metrics.DefaultCost()})
 	if err != nil {
@@ -98,7 +104,10 @@ func newFixtureTraced(t *testing.T, gridHTTP *http.Client, col *trace.Collector,
 		t.Fatal(err)
 	}
 	ons.RegisterUser("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg}
+	// Runs before any database is closed: whatever the test did, nothing
+	// may have written into an executable's shared bytes.
+	t.Cleanup(func() { blobtest.VerifyBlobCache(t, cfg.DB) })
+	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, probes: probes}
 }
 
 const demoProgram = "echo pi=${digits}\ncompute 1s\nwrite result.dat 256\n"

@@ -127,15 +127,14 @@ type possState struct {
 	flights map[string]*possFlight
 }
 
-// wireChunkSet lazily summarises how a service's blob would chunk on
-// the wire, so a placement where every site answers from cache never
-// pays the SHA-256 pass. ok is false when the chunk protocol would not
-// apply (empty wire or oversized manifest) and possession cannot be
-// probed.
+// wireChunkSet lazily summarises how a service's executable would chunk
+// on the wire, so a placement where every site answers from cache never
+// pays the SHA-256 pass — nor the fetch: the executable's bytes are read
+// only when they, not the stored gzip stream, are the wire. ok is false
+// when the chunk protocol would not apply (empty wire or oversized
+// manifest) and possession cannot be probed.
 type wireChunkSet struct {
-	o       *OnServe
-	service string
-	blob    []byte
+	exe *executable
 
 	once    sync.Once
 	digests []string
@@ -146,11 +145,15 @@ type wireChunkSet struct {
 
 func (w *wireChunkSet) cut() ([]string, map[string]int, int64, bool) {
 	w.once.Do(func() {
-		wire := w.blob
-		if gz := w.o.storedGzip(w.service, w.blob); gz != nil && len(gz) < len(w.blob) {
-			wire = gz
+		size, _ := w.exe.version()
+		o := w.exe.o
+		wire := o.storedGzip(w.exe)
+		if wire == nil || len(wire) >= size {
+			// A failed fetch leaves the wire empty: possession unknown here,
+			// and the stage step reports the error.
+			wire, _ = w.exe.bytes()
 		}
-		chunkBytes := w.o.cfg.ChunkBytes
+		chunkBytes := o.cfg.ChunkBytes
 		if chunkBytes <= 0 {
 			chunkBytes = gridftp.DefaultChunkBytes
 		}
@@ -169,17 +172,18 @@ func (w *wireChunkSet) cut() ([]string, map[string]int, int64, bool) {
 	return w.digests, w.sizes, w.total, w.ok
 }
 
-// storedGzip returns the database's stored gzip stream for serviceName
-// when wire compression is on and the stored record still matches blob
-// (a concurrent re-publish may have moved it). Shared by the staging
-// upload, the placement scorer and the replicator so all three agree on
-// what the wire would carry.
-func (o *OnServe) storedGzip(serviceName string, blob []byte) []byte {
+// storedGzip returns the database's stored gzip stream for exe when wire
+// compression is on and the stored row is still the generation exe stands
+// for (a concurrent re-publish may have moved it, and a new version of
+// the same length would ship under the old one's checksum). Shared by the
+// staging upload, the placement scorer and the replicator so all three
+// agree on what the wire would carry.
+func (o *OnServe) storedGzip(exe *executable) []byte {
 	if !o.cfg.WireCompression {
 		return nil
 	}
-	comp, rawSize, err := o.cfg.DB.Table(ExecutablesTable).GetCompressed(serviceName)
-	if err != nil || rawSize != len(blob) {
+	comp, _, gen, err := o.cfg.DB.Table(ExecutablesTable).GetCompressedGen(exe.service)
+	if _, want := exe.version(); err != nil || gen != want {
 		return nil
 	}
 	return comp
@@ -219,10 +223,10 @@ func orderScores(scores []siteScore) {
 // failed probe degrades that site to possession-unknown — scored on
 // load alone plus a full cold transfer, never an error. The decision is
 // recorded as a "place" span under the invocation.
-func (o *OnServe) placeDataAware(sessionID, serviceName string, cands []siteLoad, blob []byte, tc trace.SpanContext) []string {
+func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []siteLoad, tc trace.SpanContext) []string {
 	sp := o.cfg.Tracing.StartSpan("place", tc)
-	sp.Set("service", serviceName)
-	chunks := &wireChunkSet{o: o, service: serviceName, blob: blob}
+	sp.Set("service", exe.service)
+	chunks := &wireChunkSet{exe: exe}
 
 	scores := make([]siteScore, len(cands))
 	var wg sync.WaitGroup
@@ -231,7 +235,7 @@ func (o *OnServe) placeDataAware(sessionID, serviceName string, cands []siteLoad
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			entry, hit := o.probePossession(sessionID, serviceName, c.name, chunks)
+			entry, hit := o.probePossession(sessionID, c.name, chunks)
 			scores[i] = siteScore{
 				name:       c.name,
 				load:       c.load,
@@ -278,8 +282,8 @@ func (o *OnServe) placeDataAware(sessionID, serviceName string, cands []siteLoad
 // site?" from the TTL cache when fresh, otherwise through one batched
 // HaveChunks probe concurrent callers share. hit reports whether the
 // answer came without issuing a new probe (cache or joined flight).
-func (o *OnServe) probePossession(sessionID, serviceName, site string, chunks *wireChunkSet) (possEntry, bool) {
-	key := serviceName + "|" + site
+func (o *OnServe) probePossession(sessionID, site string, chunks *wireChunkSet) (possEntry, bool) {
+	key := chunks.exe.service + "|" + site
 	ttl := o.cfg.PlacementProbeTTL
 	if ttl <= 0 {
 		ttl = DefaultPlacementProbeTTL
@@ -299,7 +303,7 @@ func (o *OnServe) probePossession(sessionID, serviceName, site string, chunks *w
 		o.poss.flights[key] = f
 		o.poss.mu.Unlock()
 
-		f.entry = o.probeOnce(sessionID, serviceName, site, chunks)
+		f.entry = o.probeOnce(sessionID, site, chunks)
 		o.poss.mu.Lock()
 		delete(o.poss.flights, key)
 		o.poss.cache[key] = f.entry
@@ -310,13 +314,14 @@ func (o *OnServe) probePossession(sessionID, serviceName, site string, chunks *w
 }
 
 // probeOnce issues one possession probe against site.
-func (o *OnServe) probeOnce(sessionID, serviceName, site string, chunks *wireChunkSet) possEntry {
+func (o *OnServe) probeOnce(sessionID, site string, chunks *wireChunkSet) possEntry {
 	now := o.clock.Now()
 	digests, sizes, total, ok := chunks.cut()
 	if !ok {
 		// Chunk protocol inapplicable: possession unknown, score the site
 		// as a full cold transfer of the raw blob.
-		return possEntry{missing: int64(len(chunks.blob)), total: int64(len(chunks.blob)), at: now}
+		size, _ := chunks.exe.version()
+		return possEntry{missing: int64(size), total: int64(size), at: now}
 	}
 	o.placement.probesSent.Add(1)
 	missing, err := o.cfg.Agent.HaveChunks(sessionID, site, digests)

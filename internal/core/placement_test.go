@@ -294,7 +294,7 @@ func TestReplicatorPushesToSiblings(t *testing.T) {
 		}
 	}
 	f.ons.mu.Lock()
-	_, warm := f.ons.staged["HotService|"+sibling]
+	_, warm := f.ons.staged["HotService"][sibling]
 	f.ons.mu.Unlock()
 	if !warm {
 		t.Fatalf("staging cache has no replica entry for %s", sibling)
@@ -472,19 +472,17 @@ func TestProbeCacheSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := f.cfg.DB.Table(ExecutablesTable).Get("FlockService")
+	exe, err := f.ons.openExecutable("FlockService", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := rec.Blob
 	const callers = 16
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			chunks := &wireChunkSet{o: f.ons, service: "FlockService", blob: blob}
-			f.ons.probePossession(sess, "FlockService", "siteA", chunks)
+			f.ons.probePossession(sess, "siteA", &wireChunkSet{exe: exe})
 		}()
 	}
 	wg.Wait()

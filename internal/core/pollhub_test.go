@@ -205,7 +205,7 @@ func TestPickSitesZeroSlotSiteSortsLast(t *testing.T) {
 	}
 	f.ons.statsAt = f.clock.Now()
 	f.ons.mu.Unlock()
-	sites, err := f.ons.pickSites("session-unused-cache-warm", "MontecarloService", "", nil, trace.SpanContext{})
+	sites, err := f.ons.pickSites("session-unused-cache-warm", heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,9 @@ const (
 // where it just landed to the top-K least-loaded siblings.
 type repTask struct {
 	sessionID  string
-	service    string
-	stagedName string
+	exe        *executable
 	sourceSite string
 	checksum   string
-	blob       []byte
 }
 
 // replicator runs the bounded push pipeline. Workers start lazily on
@@ -69,11 +67,11 @@ func newReplicator(o *OnServe) *replicator {
 // are dropped; a re-publish with a new checksum queues again.
 func (r *replicator) enqueue(t repTask) {
 	r.mu.Lock()
-	if r.seen[t.service] == t.checksum {
+	if r.seen[t.exe.service] == t.checksum {
 		r.mu.Unlock()
 		return
 	}
-	r.seen[t.service] = t.checksum
+	r.seen[t.exe.service] = t.checksum
 	r.queue = append(r.queue, t)
 	if r.workers < r.o.cfg.ReplicateWorkers {
 		r.workers++
@@ -144,15 +142,10 @@ func (r *replicator) pushAll(t repTask) {
 		o.placement.repFailures.Add(1)
 		return
 	}
-	cands := o.stageableLoads(stats)
-	if o.cfg.Tenancy != nil {
-		// Pre-replication must respect the owner's site allow-list: a
-		// policy that pins a tenant to certain sites would be defeated
-		// by background copies landing elsewhere.
-		if info, err := o.ServiceInfo(t.service); err == nil {
-			cands = o.siteFilter(info.Owner, cands)
-		}
-	}
+	// Pre-replication must respect the owner's site allow-list: a policy
+	// that pins a tenant to certain sites would be defeated by background
+	// copies landing elsewhere.
+	cands := o.siteFilter(t.exe.owner, o.stageableLoads(stats))
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].load != cands[j].load {
 			return cands[i].load < cands[j].load
@@ -192,11 +185,11 @@ func (r *replicator) pushOne(t repTask, site string) {
 	r.mu.Unlock()
 
 	sp := o.cfg.Tracing.StartSpan("replicate", trace.SpanContext{})
-	sp.Set("service", t.service)
+	sp.Set("service", t.exe.service)
 	sp.Set("from", t.sourceSite)
 	sp.Set("site", site)
-	gz := o.storedGzip(t.service, t.blob)
-	st, err := o.cfg.Agent.WithTrace(sp.Context()).UploadChunked(t.sessionID, site, t.stagedName, t.blob, gz, o.cfg.ChunkBytes)
+	blob, _ := t.exe.bytes() // cannot fail: the upload that queued the task already fetched them
+	st, err := o.cfg.Agent.WithTrace(sp.Context()).UploadChunked(t.sessionID, site, t.exe.staged, blob, o.storedGzip(t.exe), o.cfg.ChunkBytes)
 	if err != nil {
 		o.placement.repFailures.Add(1)
 		sp.Error(err.Error())
@@ -215,10 +208,8 @@ func (r *replicator) pushOne(t repTask, site string) {
 	// The target is now warm: credit it in the possession cache and —
 	// when the staging cache is on — record the replica so foreground
 	// stagings skip the WAN entirely.
-	o.notePossession(t.service, site, st.LogicalBytes)
+	o.notePossession(t.exe.service, site, st.LogicalBytes)
 	if o.cfg.StagingCache {
-		o.mu.Lock()
-		o.staged[t.service+"|"+site] = st.Checksum
-		o.mu.Unlock()
+		o.noteStaged(t.exe.service, site, st.Checksum)
 	}
 }

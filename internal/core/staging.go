@@ -70,30 +70,35 @@ func (o *OnServe) StageStats() StageStats {
 // retried exactly once after a short backoff — a blip at second 59 of a
 // 60 s WAN upload no longer kills the invocation. Session faults are
 // never retried here (Invoke's invalidate-and-retry owns those), and
-// neither are the server's definitive rejections.
-func (o *OnServe) uploadExecutable(sessionID, serviceName, stagedName, site string, blob []byte, sp *trace.Span) (string, error) {
-	checksum, err := o.uploadOnce(sessionID, serviceName, stagedName, site, blob, sp)
+// neither are the server's definitive rejections. This is the consumer
+// the executable's bytes exist for.
+func (o *OnServe) uploadExecutable(sessionID string, exe *executable, site string, sp *trace.Span) (string, error) {
+	blob, err := exe.bytes()
+	if err != nil {
+		return "", err
+	}
+	checksum, err := o.uploadOnce(sessionID, exe, blob, site, sp)
 	if err == nil || !retryableStageErr(err) {
 		return checksum, err
 	}
 	o.submit.uploadRetries.Add(1)
 	sp.Set("retried", "true")
 	o.clock.Sleep(stageRetryBackoff)
-	return o.uploadOnce(sessionID, serviceName, stagedName, site, blob, sp)
+	return o.uploadOnce(sessionID, exe, blob, site, sp)
 }
 
-// uploadOnce is one transfer attempt.
-func (o *OnServe) uploadOnce(sessionID, serviceName, stagedName, site string, blob []byte, sp *trace.Span) (string, error) {
+// uploadOnce is one transfer attempt of blob, exe's bytes.
+func (o *OnServe) uploadOnce(sessionID string, exe *executable, blob []byte, site string, sp *trace.Span) (string, error) {
 	o.submit.uploads.Add(1)
 	ag := o.cfg.Agent.WithTrace(sp.Context())
 	if !o.cfg.ChunkedStaging {
-		return ag.Upload(sessionID, site, stagedName, blob)
+		return ag.Upload(sessionID, site, exe.staged, blob)
 	}
 	// Ship the database's stored gzip stream as-is when wire compression
 	// is on — no re-compress CPU on the appliance (see storedGzip for
 	// the re-publish guard).
-	gz := o.storedGzip(serviceName, blob)
-	stats, err := ag.UploadChunked(sessionID, site, stagedName, blob, gz, o.cfg.ChunkBytes)
+	gz := o.storedGzip(exe)
+	stats, err := ag.UploadChunked(sessionID, site, exe.staged, blob, gz, o.cfg.ChunkBytes)
 	if err != nil {
 		return "", err
 	}
@@ -116,7 +121,7 @@ func (o *OnServe) uploadOnce(sessionID, serviceName, stagedName, site string, bl
 		// the possession cache without waiting out the probe TTL. A
 		// fallback PUT leaves the chunk store untouched, so it earns no
 		// credit.
-		o.notePossession(serviceName, site, stats.LogicalBytes)
+		o.notePossession(exe.service, site, stats.LogicalBytes)
 	}
 	return stats.Checksum, nil
 }

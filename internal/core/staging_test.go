@@ -71,7 +71,7 @@ func TestUploadGivesUpAfterSecondFault(t *testing.T) {
 
 func TestSessionFaultNotRetried(t *testing.T) {
 	f := newFixture(t, nil)
-	_, err := f.ons.uploadExecutable("no-such-session", "XService", "staged.gsh", "siteA", []byte("x"), nil)
+	_, err := f.ons.uploadExecutable("no-such-session", heldExecutable(f.ons, "XService", []byte("x")), "siteA", nil)
 	if !errors.Is(err, cyberaide.ErrNoSession) {
 		t.Fatalf("got %v", err)
 	}

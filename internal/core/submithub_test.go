@@ -250,13 +250,13 @@ func TestReplicateSessionFaultPropagatesWithoutDoomedUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := []byte("echo hi\n")
-	if err := f.ons.stageExecutable(sess.ID, "RepService", "RepService.gsh", "siteA", blob, nil); err != nil {
+	exe := heldExecutable(f.ons, "RepService", []byte("echo hi\n"))
+	if err := f.ons.stageExecutable(sess.ID, exe, "siteA", nil); err != nil {
 		t.Fatal(err)
 	}
 	f.cfg.Agent.Logout(sess.ID)
 	before := f.ons.SubmitStats().Uploads
-	err = f.ons.stageExecutable(sess.ID, "RepService", "RepService.gsh", "siteB", blob, nil)
+	err = f.ons.stageExecutable(sess.ID, exe, "siteB", nil)
 	if !errors.Is(err, cyberaide.ErrNoSession) {
 		t.Fatalf("replicate session fault not propagated: %v", err)
 	}

@@ -41,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/portal"
+	"repro/internal/sizedio"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/uddi"
@@ -112,9 +113,10 @@ func (cfg *Config) fill() {
 	}
 }
 
-// maxBody bounds one buffered request body: the portal's upload cap
-// plus envelope slack.
-const maxBody = portal.MaxUploadBytes + (1 << 20)
+// maxBody bounds one buffered request or response body: the portal's
+// upload cap plus envelope slack. A body past it is refused, never cut
+// short and passed on. A variable only so tests can lower it.
+var maxBody int64 = portal.MaxUploadBytes + (1 << 20)
 
 // catalogEntry is one proxied upload, kept verbatim so the gateway can
 // replay it onto a ring successor (failover) or a rejoined shard.
@@ -533,9 +535,14 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodHead {
 		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxBody))
+		// One buffer of the declared size, handed to every hop as it is.
+		body, err = sizedio.ReadAll(r.Body, r.ContentLength, maxBody)
 		if err != nil {
-			jsonError(w, http.StatusBadRequest, fmt.Errorf("gateway: read body: %w", err))
+			status := http.StatusBadRequest
+			if errors.Is(err, sizedio.ErrTooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			jsonError(w, status, fmt.Errorf("gateway: read body: %w", err))
 			return
 		}
 	}
@@ -1096,10 +1103,10 @@ func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Spa
 		return nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	respBody, err := sizedio.ReadAll(resp.Body, resp.ContentLength, maxBody)
 	if err != nil {
 		m.proxyErrs.Add(1)
-		return nil, err
+		return nil, fmt.Errorf("read response body: %w", err)
 	}
 	header := resp.Header.Clone()
 	header.Del("Content-Length") // length may change if callers re-frame

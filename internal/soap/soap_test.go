@@ -346,10 +346,10 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 	f := func(vals []string) bool {
 		msg := &Message{Namespace: "urn:p", Operation: "op"}
 		for i, v := range vals {
-			// XML cannot carry arbitrary control bytes; strip them as any
-			// transport binding would.
+			// XML cannot carry arbitrary control bytes or the non-characters
+			// U+FFFE/U+FFFF; strip them as any transport binding would.
 			clean := strings.Map(func(r rune) rune {
-				if r < 0x20 && r != '\t' && r != '\n' && r != '\r' {
+				if r < 0x20 && r != '\t' && r != '\n' && r != '\r' || r == 0xFFFE || r == 0xFFFF {
 					return -1
 				}
 				return r

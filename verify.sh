@@ -52,6 +52,16 @@ go test -run='^$' -fuzz=FuzzUploadForm -fuzztime=5s ./internal/portal
 # frame, and both SOAP doors decode whatever envelope arrives.
 go test -run='^$' -fuzz=FuzzEventFrame -fuzztime=5s ./internal/gram
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/soap
+# jsdl.Marshal writes its document by hand and must stay byte-identical
+# to encoding/xml's rendering of the same description.
+go test -run='^$' -fuzz=FuzzMarshalMatchesEncodingXML -fuzztime=5s ./internal/jsdl
+
+# Allocation guard, deterministic (object and byte counts, no timing):
+# a blob-cache hit costs the same for 1 KB and 1 MB, and a hot
+# invocation of a staged 1 MB executable allocates no object of its
+# size. Both ran above; run them fresh and without the race detector's
+# own allocations so a regression reads as a number, not as noise.
+go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject' ./internal/blobdb ./internal/core
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
