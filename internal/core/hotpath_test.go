@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cyberaide"
 	"repro/internal/gridsim"
 	"repro/internal/trace"
 )
@@ -96,6 +98,61 @@ func TestSessionCacheInvalidatedOnAuthFault(t *testing.T) {
 	f.ons.mu.Unlock()
 	if newID == cachedID {
 		t.Fatalf("stale session %q still cached", cachedID)
+	}
+}
+
+// TestDeadSessionIsLoggedOutOfTheAgent: a cached session whose proxy
+// has expired under it is refused by the agent; the invocation that finds
+// out re-authenticates, and the dead session leaves the agent's table
+// with the cache entry instead of staying there for good. An invocation
+// still in flight on the dead session ends as it did before — nothing
+// can poll for it, so the watchdog kills it.
+func TestDeadSessionIsLoggedOutOfTheAgent(t *testing.T) {
+	f := newFixture(t, func(cfg *Config) {
+		cfg.SessionCache = true
+		// 180 ms and 360 ms of real time: room for the first invocation
+		// to be submitted on a loaded machine before its proxy runs out.
+		cfg.ProxyLifetime = time.Hour
+		cfg.InvocationTimeout = 2 * time.Hour
+	})
+	f.uploadDemo(t)
+	if _, err := f.ons.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("compute 90m\necho late\n")); err != nil {
+		t.Fatal(err)
+	}
+	inFlight, err := f.ons.Invoke("LongService", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cache goes on believing in the session past the proxy's end.
+	f.ons.mu.Lock()
+	dead := f.ons.sessions["alice"].id
+	f.ons.sessions["alice"].expiresAt = f.clock.Now().Add(24 * time.Hour)
+	f.ons.mu.Unlock()
+	if dead != inFlight.sessionID || f.cfg.Agent.SessionCount() != 1 {
+		t.Fatalf("cached session %q, invocation's %q, %d agent sessions", dead, inFlight.sessionID, f.cfg.Agent.SessionCount())
+	}
+	waitFor(t, func() bool {
+		_, err := f.cfg.Agent.Session(dead)
+		return errors.Is(err, cyberaide.ErrExpired)
+	})
+	if out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "2"}); err != nil {
+		t.Fatalf("invocation on an expired cached session failed (%q): %v", out, err)
+	}
+	f.ons.mu.Lock()
+	fresh := f.ons.sessions["alice"].id
+	f.ons.mu.Unlock()
+	if fresh == dead {
+		t.Fatalf("dead session %q still cached", dead)
+	}
+	if _, err := f.cfg.Agent.Session(dead); !errors.Is(err, cyberaide.ErrNoSession) {
+		t.Fatalf("dead session still in the agent's table: %v", err)
+	}
+	if n := f.cfg.Agent.SessionCount(); n != 1 {
+		t.Fatalf("%d agent sessions, want the fresh one alone", n)
+	}
+	waitInv(t, inFlight, "invocation in flight on the dead session")
+	if inFlight.State() != InvKilled || !strings.Contains(inFlight.Message(), "watchdog") {
+		t.Fatalf("in-flight invocation ended %s %q, want the watchdog's kill", inFlight.State(), inFlight.Message())
 	}
 }
 

@@ -235,7 +235,10 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 	}
 	site, jobID, err := o.stageAndSubmit(sessID, exe, args, root.Context())
 	if err != nil && cached && isSessionFault(err) {
+		// The agent has refused the session, so nothing can use it
+		// again: drop it from the cache and from the agent's table.
 		o.invalidateSession(exe.owner, sessID)
+		o.cfg.Agent.Logout(sessID)
 		if sessID, _, err = o.authenticate(exe.owner, auth, root); err != nil {
 			return nil, err
 		}

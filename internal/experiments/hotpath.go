@@ -75,6 +75,7 @@ func AblationHotPath(opts Options, fileKB, invocations int, variants ...string) 
 			return nil, err
 		}
 		r.rec.Reset()
+		logons, statsRPCs := r.app.Agent.SessionCount(), r.app.OnServe.SubmitStats().StatsRPCs
 		start := r.clock.Now()
 		for i := 0; i < invocations; i++ {
 			ticket, err := proxy.Invoke("execute", nil)
@@ -89,11 +90,17 @@ func AblationHotPath(opts Options, fileKB, invocations int, variants ...string) 
 		}
 		elapsed := r.clock.Now().Sub(start).Seconds()
 		sum := seriesSummary(r.rec.Series())
+		// What the levers remove, counted: nothing logs a session out
+		// during the run, so the table's growth is the MyProxy logons.
+		logons = r.app.Agent.SessionCount() - logons
+		statsRPCs = r.app.OnServe.SubmitStats().StatsRPCs - statsRPCs
 		res.Rows = append(res.Rows,
 			AblationRow{Study: "hot-path", Variant: variant, Metric: "makespan_s", Value: elapsed},
 			AblationRow{Study: "hot-path", Variant: variant, Metric: "per_invoke_s", Value: elapsed / float64(invocations)},
 			AblationRow{Study: "hot-path", Variant: variant, Metric: "net_out_total_kb", Value: sum["net_out_total_b"] / 1024},
 			AblationRow{Study: "hot-path", Variant: variant, Metric: "cpu_total_s", Value: sum["cpu_total_s"]},
+			AblationRow{Study: "hot-path", Variant: variant, Metric: "logons", Value: float64(logons)},
+			AblationRow{Study: "hot-path", Variant: variant, Metric: "stats_rpcs", Value: float64(statsRPCs)},
 		)
 		r.close()
 	}

@@ -3,28 +3,35 @@ package experiments
 import "testing"
 
 func TestAblationHotPath(t *testing.T) {
-	res, err := AblationHotPath(fastOpts(), 256, 3)
+	const invocations = 3
+	res, err := AblationHotPath(fastOpts(), 256, invocations)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vals := ablationMap(res)
-	// Byte counts are deterministic under the shaped links: each lever
-	// removes grid-bound round-trips (MyProxy logon, stats SOAP call), so
-	// warm must send strictly less than stock.
-	stock, warm := vals["hot-path/stock/net_out_total_kb"], vals["hot-path/warm/net_out_total_kb"]
-	if warm >= stock {
-		t.Fatalf("warm path should cut grid traffic: stock %v KB vs warm %v KB", stock, warm)
-	}
-	if vals["hot-path/session-cache/net_out_total_kb"] >= stock {
-		t.Fatalf("session cache alone should cut grid traffic: %v", vals)
+	// The verdict is what each lever removes, counted where it happens:
+	// MyProxy logons and scheduler-statistics fetches. Bytes and makespans
+	// are reported but not judged — the number of polls in a run, and so
+	// its traffic, follows the host's speed through the dilated clock.
+	for _, variant := range HotPathVariants {
+		sessionCache := variant == "session-cache" || variant == "warm"
+		statsTTL := variant == "stats-ttl" || variant == "warm"
+		logons := vals["hot-path/"+variant+"/logons"]
+		if want := map[bool]float64{true: 1, false: invocations}[sessionCache]; logons != want {
+			t.Errorf("%s: %v MyProxy logons for %d invocations, want %v", variant, logons, invocations, want)
+		}
+		// The TTL is 30 virtual seconds against ~11 per invocation, so
+		// one fetch serves the run; a host stalled for tens of real
+		// milliseconds between two invocations can age the snapshot out
+		// once, so "fewer than one per invocation" is what must hold.
+		rpcs := vals["hot-path/"+variant+"/stats_rpcs"]
+		if statsTTL && (rpcs < 1 || rpcs >= invocations) || !statsTTL && rpcs != invocations {
+			t.Errorf("%s: %v statistics fetches for %d invocations", variant, rpcs, invocations)
+		}
 	}
 	// Warm also skips the per-invocation auth burn and repeat decompress.
 	if vals["hot-path/warm/cpu_total_s"] >= vals["hot-path/stock/cpu_total_s"] {
-		t.Fatalf("warm path should burn less CPU: %v", vals)
-	}
-	// Makespans inherit host jitter through time dilation: sanity only.
-	if vals["hot-path/warm/makespan_s"] >= vals["hot-path/stock/makespan_s"]*1.5 {
-		t.Fatalf("warm path grossly slower: %v", vals)
+		t.Errorf("warm path should burn less CPU: %v", vals)
 	}
 }
 

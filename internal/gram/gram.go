@@ -484,11 +484,7 @@ func (c *Client) httpClient() *http.Client {
 }
 
 func (c *Client) sign(msg []byte) (string, error) {
-	tok, err := c.Cred.Sign(msg)
-	if err != nil {
-		return "", err
-	}
-	return xsec.EncodeSigned(tok)
+	return c.Cred.SignToken(msg)
 }
 
 // Submit sends the description and returns the job ID.

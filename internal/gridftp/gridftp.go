@@ -427,11 +427,7 @@ func (c *Client) setTrace(req *http.Request) {
 }
 
 func (c *Client) sign(method, name, checksum string) (string, error) {
-	tok, err := c.Cred.Sign(signPayload(method, name, checksum))
-	if err != nil {
-		return "", err
-	}
-	return xsec.EncodeSigned(tok)
+	return c.Cred.SignToken(signPayload(method, name, checksum))
 }
 
 // Put uploads data as name, returning the server-confirmed checksum.

@@ -747,3 +747,27 @@ func TestUploadAndInvokeJoinCallerTrace(t *testing.T) {
 		t.Fatalf("malformed header did not mint a fresh root trace")
 	}
 }
+
+// TestHotRepliesRenderLikeTheMaps: /api/invoke and /api/wait answered
+// with map[string]string until their replies became structs; the bytes
+// on the wire are those the maps gave, whatever the values hold.
+func TestHotRepliesRenderLikeTheMaps(t *testing.T) {
+	awkward := []string{"", "plain", "3.14159\n", `quote " backslash \ slash /`, "<script>&amp;</script>",
+		"tab\tnul\x00bell\x07", "non-UTF-8 \xff\xfe", "\u2028 line \u2029 sep", "größe 大小 😀"}
+	render := func(v any) string {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		return rec.Body.String()
+	}
+	for i, a := range awkward {
+		b, c := awkward[(i+1)%len(awkward)], awkward[(i+2)%len(awkward)]
+		got := render(invokeReply{JobID: a, Site: b, Ticket: c})
+		if want := render(map[string]string{"ticket": c, "job_id": a, "site": b}); got != want {
+			t.Errorf("invoke reply %q, the map gave %q", got, want)
+		}
+		got = render(waitReply{Message: a, Output: b, State: c})
+		if want := render(map[string]string{"state": c, "message": a, "output": b}); got != want {
+			t.Errorf("wait reply %q, the map gave %q", got, want)
+		}
+	}
+}

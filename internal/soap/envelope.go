@@ -15,18 +15,18 @@ package soap
 
 import (
 	"bytes"
-	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
 	"sync"
+	"unicode/utf8"
 )
 
 // encBufPool recycles envelope build buffers: every SOAP request and
 // response on the container hot path encodes through here, and the
-// envelopes are small enough that the buffers stay warm. The encoded
-// bytes are copied out before the buffer returns to the pool.
+// envelopes are small enough that the buffers stay warm. Encode and
+// EncodeFault copy the bytes out before the buffer returns to the pool;
+// the server writes them to the connection instead.
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // EnvelopeNS is the SOAP 1.1 envelope namespace.
@@ -92,43 +92,71 @@ func (m *Message) ParamMap() map[string]string {
 	return out
 }
 
+// The fixed parts of every envelope Encode writes. xmlHeader is
+// encoding/xml's Header constant, spelled out so that only the tests
+// import that package.
+const (
+	xmlHeader    = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
+	envelopeOpen = xmlHeader + `<soapenv:Envelope xmlns:soapenv="` + EnvelopeNS + `">`
+	bodyClose    = `</soapenv:Body></soapenv:Envelope>`
+)
+
 // Encode renders the message as a SOAP envelope.
 func Encode(m *Message) ([]byte, error) {
 	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
 	defer encBufPool.Put(buf)
-	buf.WriteString(xml.Header)
-	buf.WriteString(`<soapenv:Envelope xmlns:soapenv="` + EnvelopeNS + `">`)
-	if len(m.Headers) > 0 {
+	writeEnvelope(buf, m.Headers, m.Namespace, m.Operation, "", m.Params)
+	return bytes.Clone(buf.Bytes()), nil
+}
+
+// writeEnvelope resets buf and builds in it the envelope of the operation
+// element named op+suffix in namespace. Names go out as they are; values
+// are escaped.
+func writeEnvelope(buf *bytes.Buffer, headers map[string]string, namespace, op, suffix string, params []Param) {
+	buf.Reset()
+	buf.WriteString(envelopeOpen)
+	if len(headers) > 0 {
 		buf.WriteString(`<soapenv:Header>`)
-		keys := make([]string, 0, len(m.Headers))
-		for k := range m.Headers {
+		var arr [8]string
+		keys := arr[:0]
+		for k := range headers {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		for _, k := range keys {
-			writeElem(buf, k, m.Headers[k])
+			writeElem(buf, k, headers[k])
 		}
 		buf.WriteString(`</soapenv:Header>`)
 	}
-	buf.WriteString(`<soapenv:Body>`)
-	buf.WriteString(`<ns:` + m.Operation + ` xmlns:ns="` + m.Namespace + `">`)
-	for _, p := range m.Params {
+	buf.WriteString(`<soapenv:Body><ns:`)
+	buf.WriteString(op)
+	buf.WriteString(suffix)
+	buf.WriteString(` xmlns:ns="`)
+	buf.WriteString(namespace)
+	buf.WriteString(`">`)
+	for _, p := range params {
 		writeElem(buf, p.Name, p.Value)
 	}
-	buf.WriteString(`</ns:` + m.Operation + `>`)
-	buf.WriteString(`</soapenv:Body></soapenv:Envelope>`)
-	return append([]byte(nil), buf.Bytes()...), nil
+	buf.WriteString(`</ns:`)
+	buf.WriteString(op)
+	buf.WriteString(suffix)
+	buf.WriteString(`>`)
+	buf.WriteString(bodyClose)
 }
 
 // EncodeFault renders a fault envelope.
 func EncodeFault(f *Fault) []byte {
 	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
 	defer encBufPool.Put(buf)
-	buf.WriteString(xml.Header)
-	buf.WriteString(`<soapenv:Envelope xmlns:soapenv="` + EnvelopeNS + `"><soapenv:Body>`)
-	buf.WriteString(`<soapenv:Fault>`)
+	writeFault(buf, f)
+	return bytes.Clone(buf.Bytes())
+}
+
+// writeFault resets buf and builds the fault's envelope in it.
+func writeFault(buf *bytes.Buffer, f *Fault) {
+	buf.Reset()
+	buf.WriteString(envelopeOpen)
+	buf.WriteString(`<soapenv:Body><soapenv:Fault>`)
 	writeElem(buf, "faultcode", f.Code)
 	writeElem(buf, "faultstring", f.String)
 	if f.Actor != "" {
@@ -137,113 +165,55 @@ func EncodeFault(f *Fault) []byte {
 	if f.Detail != "" {
 		writeElem(buf, "detail", f.Detail)
 	}
-	buf.WriteString(`</soapenv:Fault></soapenv:Body></soapenv:Envelope>`)
-	return append([]byte(nil), buf.Bytes()...)
+	buf.WriteString(`</soapenv:Fault>`)
+	buf.WriteString(bodyClose)
 }
 
 func writeElem(buf *bytes.Buffer, name, value string) {
-	buf.WriteString("<" + name + ">")
-	xml.EscapeText(buf, []byte(value))
-	buf.WriteString("</" + name + ">")
+	buf.WriteByte('<')
+	buf.WriteString(name)
+	buf.WriteByte('>')
+	escapeText(buf, value)
+	buf.WriteString("</")
+	buf.WriteString(name)
+	buf.WriteByte('>')
 }
 
-// Decode parses a SOAP envelope into a Message, or returns the carried
-// *Fault as an error if the body is a fault. The document must be whole:
-// an envelope that is cut short or stops being XML part-way is ErrNotSOAP,
-// never the message read so far.
-func Decode(data []byte) (*Message, error) {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	msg := &Message{Headers: map[string]string{}}
-	var (
-		inHeader  bool
-		inBody    bool
-		depth     int
-		opDepth   = -1
-		paramName string
-		paramBuf  bytes.Buffer
-		fault     *Fault
-		faultElem string
-		closed    bool // the envelope's end tag has been read
-	)
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break // the tokenizer reports EOF only once every element is closed
+// asciiEscape holds what xml.EscapeText writes for each ASCII byte it
+// does not copy: the five markup characters and tab, newline and carriage
+// return as references, every other control character as U+FFFD.
+var asciiEscape = func() (t [utf8.RuneSelf]string) {
+	for c := 0; c < 0x20; c++ {
+		t[c] = "\uFFFD"
+	}
+	t['\t'], t['\n'], t['\r'] = "&#x9;", "&#xA;", "&#xD;"
+	t['"'], t['\''], t['&'], t['<'], t['>'] = "&#34;", "&#39;", "&amp;", "&lt;", "&gt;"
+	return
+}()
+
+// escapeText appends s to buf byte for byte as xml.EscapeText would
+// (FuzzEscapeMatchesEncodingXML holds it to that), without the []byte
+// copy of s and the rune decode of every ASCII byte. Bytes that are not
+// UTF-8 and characters XML cannot carry become U+FFFD.
+func escapeText(buf *bytes.Buffer, s string) {
+	last := 0
+	for i := 0; i < len(s); {
+		esc, width := "", 1
+		if c := s[i]; c < utf8.RuneSelf {
+			esc = asciiEscape[c]
+		} else {
+			var r rune
+			r, width = utf8.DecodeRuneInString(s[i:])
+			if (r == utf8.RuneError && width == 1) || r == 0xFFFE || r == 0xFFFF {
+				esc = "\uFFFD"
+			}
 		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNotSOAP, err)
+		if esc != "" {
+			buf.WriteString(s[last:i])
+			buf.WriteString(esc)
+			last = i + width
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			switch {
-			case depth == 1:
-				if closed || t.Name.Space != EnvelopeNS || t.Name.Local != "Envelope" {
-					return nil, ErrNotSOAP
-				}
-			case depth == 2 && t.Name.Space == EnvelopeNS && t.Name.Local == "Header":
-				inHeader = true
-			case depth == 2 && t.Name.Space == EnvelopeNS && t.Name.Local == "Body":
-				inBody = true
-			case inHeader && depth == 3:
-				paramName = t.Name.Local
-				paramBuf.Reset()
-			case inBody && depth == 3:
-				if t.Name.Local == "Fault" {
-					fault = &Fault{}
-				} else if msg.Operation == "" {
-					msg.Operation = t.Name.Local
-					msg.Namespace = t.Name.Space
-					opDepth = depth
-				}
-			case fault != nil && depth == 4:
-				faultElem = t.Name.Local
-				paramBuf.Reset()
-			case opDepth > 0 && depth == opDepth+1:
-				paramName = t.Name.Local
-				paramBuf.Reset()
-			}
-		case xml.CharData:
-			if closed && len(bytes.TrimSpace(t)) > 0 {
-				return nil, fmt.Errorf("%w: text after the envelope", ErrNotSOAP)
-			}
-			if (inHeader && depth == 3) || (opDepth > 0 && depth == opDepth+1) || (fault != nil && depth == 4) {
-				paramBuf.Write(t)
-			}
-		case xml.EndElement:
-			switch {
-			case inHeader && depth == 3:
-				msg.Headers[paramName] = paramBuf.String()
-			case fault != nil && depth == 4:
-				switch faultElem {
-				case "faultcode":
-					fault.Code = paramBuf.String()
-				case "faultstring":
-					fault.String = paramBuf.String()
-				case "faultactor":
-					fault.Actor = paramBuf.String()
-				case "detail":
-					fault.Detail = paramBuf.String()
-				}
-			case opDepth > 0 && depth == opDepth+1:
-				msg.Params = append(msg.Params, Param{Name: paramName, Value: paramBuf.String()})
-			case depth == 2 && t.Name.Local == "Header":
-				inHeader = false
-			case depth == 2 && t.Name.Local == "Body":
-				inBody = false
-			}
-			depth--
-			closed = depth == 0
-		}
+		i += width
 	}
-	if !closed {
-		return nil, fmt.Errorf("%w: no envelope", ErrNotSOAP)
-	}
-	if fault != nil {
-		return nil, fault
-	}
-	if msg.Operation == "" {
-		return nil, ErrNoOperation
-	}
-	return msg, nil
+	buf.WriteString(s[last:])
 }

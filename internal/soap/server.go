@@ -1,15 +1,16 @@
 package soap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/metrics"
+	"repro/internal/sizedio"
 	"repro/internal/trace"
 	"repro/internal/wsdl"
 )
@@ -246,13 +247,15 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	// Container overhead per request (Fig. 8's CPU commentary).
 	s.probe.Burn(s.cost.RequestHandling)
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBytes+1))
-	if err != nil {
-		s.fault(w, http.StatusBadRequest, &Fault{Code: FaultClient, String: "read body: " + err.Error()})
+	// One buffer of the declared length; a request that declares more
+	// than the limit is refused before any of its body is read.
+	body, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxRequestBytes)
+	if errors.Is(err, sizedio.ErrTooLarge) {
+		s.fault(w, http.StatusRequestEntityTooLarge, &Fault{Code: FaultClient, String: "request too large"})
 		return
 	}
-	if len(body) > MaxRequestBytes {
-		s.fault(w, http.StatusRequestEntityTooLarge, &Fault{Code: FaultClient, String: "request too large"})
+	if err != nil {
+		s.fault(w, http.StatusBadRequest, &Fault{Code: FaultClient, String: "read body: " + err.Error()})
 		return
 	}
 	msg, err := Decode(body)
@@ -306,22 +309,21 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 		s.fault(w, http.StatusInternalServerError, f)
 		return
 	}
-	resp := &Message{
-		Namespace: svc.Def.Namespace,
-		Operation: msg.Operation + "Response",
-		Params:    []Param{{Name: "return", Value: result}},
-	}
-	out, err := Encode(resp)
-	if err != nil {
-		s.fault(w, http.StatusInternalServerError, &Fault{Code: FaultServer, String: err.Error()})
-		return
-	}
+	// The reply goes from the build buffer to the connection: Write
+	// copies what it is given, so the buffer is free once it returns.
+	buf := encBufPool.Get().(*bytes.Buffer)
+	defer encBufPool.Put(buf)
+	ret := [1]Param{{Name: "return", Value: result}}
+	writeEnvelope(buf, nil, svc.Def.Namespace, msg.Operation, "Response", ret[:])
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	w.Write(out)
+	w.Write(buf.Bytes())
 }
 
 func (s *Server) fault(w http.ResponseWriter, status int, f *Fault) {
+	buf := encBufPool.Get().(*bytes.Buffer)
+	defer encBufPool.Put(buf)
+	writeFault(buf, f)
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	w.WriteHeader(status)
-	w.Write(EncodeFault(f))
+	w.Write(buf.Bytes())
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -106,6 +107,13 @@ func (c *Certificate) ValidAt(at time.Time) bool {
 type Credential struct {
 	Chain []Certificate      `json:"chain"`
 	Key   ed25519.PrivateKey `json:"key"`
+
+	// What every token SignToken makes starts with, encoded on first
+	// use: the chain does not change for the life of a credential.
+	headOnce sync.Once
+	headB64  string // base64 of the token's JSON up to a multiple of three bytes short of the signature
+	headRest string // the zero to two JSON bytes between that and the signature
+	headErr  error
 }
 
 // Leaf returns the end of the chain the private key belongs to.
@@ -389,6 +397,45 @@ func UnmarshalChain(s string) ([]Certificate, error) {
 		return nil, fmt.Errorf("xsec: decode chain: %w", err)
 	}
 	return chain, nil
+}
+
+// SignToken signs msg and returns the token in its protocol-header form,
+// the string EncodeSigned gives for Sign's result. A session signs every
+// request with one credential, so everything before the signature —
+// the JSON of the chain, in base64 — is encoded once per credential and
+// each token costs the signature and the one string it is returned in.
+// The chain must not change after the first call.
+func (c *Credential) SignToken(msg []byte) (string, error) {
+	if c.Leaf() == nil {
+		return "", ErrEmptyChain
+	}
+	c.headOnce.Do(func() {
+		chain, err := json.Marshal(c.Chain)
+		if err != nil {
+			c.headErr = err
+			return
+		}
+		head := `{"chain":` + string(chain) + `,"signature":"`
+		// Base64 works in groups of three bytes: a prefix of whole
+		// groups encodes the same whatever follows it.
+		whole := len(head) - len(head)%3
+		c.headB64 = base64.StdEncoding.EncodeToString([]byte(head[:whole]))
+		c.headRest = head[whole:]
+	})
+	if c.headErr != nil {
+		return "", c.headErr
+	}
+	h := sha256.Sum256(msg)
+	sig := ed25519.Sign(c.Key, h[:])
+	const sigB64Len = (ed25519.SignatureSize + 2) / 3 * 4
+	var tail [2 + sigB64Len + len(`"}`)]byte
+	n := copy(tail[:], c.headRest)
+	base64.StdEncoding.Encode(tail[n:], sig)
+	n += sigB64Len
+	n += copy(tail[n:], `"}`)
+	var enc [(len(tail) + 2) / 3 * 4]byte
+	base64.StdEncoding.Encode(enc[:], tail[:n])
+	return c.headB64 + string(enc[:base64.StdEncoding.EncodedLen(n)]), nil
 }
 
 // EncodeSigned encodes a Signed token for a protocol header.

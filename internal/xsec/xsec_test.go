@@ -2,6 +2,8 @@ package xsec
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -206,6 +208,78 @@ func TestSignedTokenWireRoundTrip(t *testing.T) {
 	ts := NewTrustStore(ca.Cert)
 	if _, err := ts.Verify([]byte("payload"), dec, t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSignTokenIsTheEncodedSignature: the token built from the cached
+// chain prefix is, byte for byte, EncodeSigned of Sign — for every
+// alignment of the prefix against base64's three-byte groups — so it
+// decodes to the same Signed and verifies under the same trust store,
+// and making one costs the signature and the token.
+func TestSignTokenIsTheEncodedSignature(t *testing.T) {
+	ca := newCA(t)
+	ts := NewTrustStore(ca.Cert)
+	seen := map[int]bool{}
+	for _, cn := range []string{"a", "ab", "abc", "alice"} {
+		user := newUser(t, ca, cn)
+		proxy, err := user.Delegate(t0, time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cred := range []*Credential{user, proxy} {
+			for _, msg := range []string{"", "payload", "POST\n/jobs\nbody"} {
+				signed, err := cred.Sign([]byte(msg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := EncodeSigned(signed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cred.SignToken([]byte(msg))
+				if err != nil || got != want {
+					t.Fatalf("%s %q: SignToken gave\n%s (%v)\nEncodeSigned\n%s", cn, msg, got, err, want)
+				}
+				dec, err := DecodeSigned(got)
+				if err != nil || !reflect.DeepEqual(dec, signed) {
+					t.Fatalf("%s %q: decoded %+v (%v), signed %+v", cn, msg, dec, err, signed)
+				}
+				if id, err := ts.Verify([]byte(msg), dec, t0.Add(time.Minute)); err != nil || id != user.Subject() {
+					t.Fatalf("%s %q: verified as %q, %v", cn, msg, id, err)
+				}
+				if _, err := ts.Verify([]byte(msg+"x"), dec, t0.Add(time.Minute)); !errors.Is(err, ErrBadSignature) {
+					t.Fatalf("%s %q: token verifies another message: %v", cn, msg, err)
+				}
+			}
+			seen[len(cred.headRest)] = true
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("prefix remainders exercised: %v, want 0, 1 and 2", seen)
+	}
+	if _, err := new(Credential).SignToken(nil); !errors.Is(err, ErrEmptyChain) {
+		t.Fatalf("empty credential: %v", err)
+	}
+
+	// A session's GRAM and GridFTP clients share one credential: the
+	// first tokens may be asked for at once.
+	cred := newUser(t, ca, "alice")
+	msg := []byte("payload")
+	signed, _ := cred.Sign(msg)
+	want, _ := EncodeSigned(signed)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := cred.SignToken(msg); err != nil || got != want {
+				t.Errorf("concurrent SignToken: %v, token differs: %t", err, got != want)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := testing.AllocsPerRun(50, func() { cred.SignToken(msg) }); n > 2 {
+		t.Fatalf("SignToken allocates %v objects, want the signature and the token", n)
 	}
 }
 

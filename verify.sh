@@ -49,19 +49,25 @@ go test -run='^$' -fuzz=FuzzPolicyMatch -fuzztime=5s ./internal/tenant
 # The upload door decodes an attacker's multipart body by hand.
 go test -run='^$' -fuzz=FuzzUploadForm -fuzztime=5s ./internal/portal
 # The push collector stores output bytes taken from a gatekeeper's event
-# frame, and both SOAP doors decode whatever envelope arrives.
+# frame, and both SOAP doors decode whatever envelope arrives — with a
+# hand-written decoder that FuzzDecode holds, differentially, to the
+# encoding/xml-based one it replaced (internal/soap/reference_test.go).
 go test -run='^$' -fuzz=FuzzEventFrame -fuzztime=5s ./internal/gram
-go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/soap
+go test -run='^$' -fuzz=FuzzDecode -fuzztime=15s ./internal/soap
 # jsdl.Marshal writes its document by hand and must stay byte-identical
 # to encoding/xml's rendering of the same description.
 go test -run='^$' -fuzz=FuzzMarshalMatchesEncodingXML -fuzztime=5s ./internal/jsdl
+# So does the SOAP envelope writer's escaper, to xml.EscapeText.
+go test -run='^$' -fuzz=FuzzEscapeMatchesEncodingXML -fuzztime=5s ./internal/soap
 
 # Allocation guard, deterministic (object and byte counts, no timing):
-# a blob-cache hit costs the same for 1 KB and 1 MB, and a hot
-# invocation of a staged 1 MB executable allocates no object of its
-# size. Both ran above; run them fresh and without the race detector's
-# own allocations so a regression reads as a number, not as noise.
-go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject' ./internal/blobdb ./internal/core
+# a blob-cache hit costs the same for 1 KB and 1 MB, a hot invocation
+# of a staged 1 MB executable allocates no object of its size, and the
+# SOAP door decodes an invocation's envelope in three objects and
+# serves one in eleven. All ran above; run them fresh and without the
+# race detector's own allocations so a regression reads as a number,
+# not as noise.
+go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestHotDoorAllocations' ./internal/blobdb ./internal/core ./internal/soap
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
