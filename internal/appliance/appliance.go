@@ -92,9 +92,10 @@ type Config struct {
 	// blobdb.Options); zero values keep the stock behaviour.
 	BlobCacheBytes int64
 	GroupCommit    bool
-	// WALShards / AutoCompact select the sharded, segmented storage engine
-	// and its background compactor (see blobdb.Options); zero values keep
-	// the stock single-WAL layout.
+	// WALShards is the shard count a new DBDir is created with (0 means
+	// one; an existing directory keeps its own) and AutoCompact runs the
+	// background compactor (see blobdb.Options). Both profiles persist on
+	// the same storage engine; these only size and tend it.
 	WALShards   int
 	AutoCompact bool
 	// Trace, when non-nil, turns on distributed tracing in the onServe
@@ -111,15 +112,16 @@ type Config struct {
 // Paper is the paper's configuration: every extension off. Each
 // invocation re-inflates the blob, logs on to MyProxy, re-stages the
 // whole executable and is collected by its own tentative poller — what
-// Figs. 6–8 measure.
+// Figs. 6–8 measure. Given a DBDir it persists on the storage engine
+// Production uses, with one shard, no group commit and no compactor.
 func Paper() Config { return Config{} }
 
 // Production is the other supported configuration: every cache and
 // batched path on. SubmitHub and ReplicateTopK stay off (a coalescing
 // window and background pushes trade latency and WAN bytes for
 // throughput that only a bursty, multi-site load repays). A non-empty
-// dbDir persists the database there on the sharded engine with group
-// commit and the background compactor; empty keeps it in memory.
+// dbDir persists the database there with four shards, group commit and
+// the background compactor; empty keeps it in memory.
 func Production(dbDir string) Config {
 	cfg := Config{
 		SessionCache:       true,

@@ -7,18 +7,19 @@
 //
 // Durability follows the classic WAL + snapshot recipe: every mutation is
 // appended to a write-ahead log before it is applied, Compact folds the
-// state into a snapshot and truncates the log, and Open replays snapshot
-// then log. Opening with an empty directory yields a purely in-memory
-// store.
+// state into a snapshot and drops the log it covers, and Open replays
+// snapshot then log. Opening with an empty directory yields a purely
+// in-memory store.
 //
-// The stock layout is one wal.log + snapshot.db, byte-identical to the
-// original engine. Options.WALShards >= 2 selects the scaled engine:
-// keys hash to N shards, each with its own lock, its own segmented WAL
-// (wal-<shard>-<seg>.log rolled at SegmentBytes) and — with GroupCommit —
-// its own batcher; Options.AutoCompact adds a background compactor that
-// retires sealed segments incrementally instead of Compact's
-// stop-the-world snapshot. Opening an existing directory with a
-// different shard count migrates the layout in place.
+// There is one storage engine. Keys hash to N >= 1 shards, each with its
+// own lock, its own snapshot (snapshot-<shard>.db), its own segmented WAL
+// (wal-<shard>-<seg>.log, rolled at SegmentBytes) and — with GroupCommit
+// — its own batcher; compaction works a shard at a time, so the others
+// keep serving, and Options.AutoCompact runs it in the background. N is
+// a property of the directory, declared by wal-manifest.json: a new
+// directory is created with Options.WALShards of them and every later
+// Open follows the manifest. A directory in the retired wal.log +
+// snapshot.db layout is imported once, at Open (see importStock).
 package blobdb
 
 import (
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -41,9 +41,10 @@ import (
 	"repro/internal/vtime"
 )
 
-// File names inside the database directory. The stock single-shard
-// layout uses walName/snapshotName; sharded layouts are declared by
-// manifestName and use wal-<shard>-<seg>.log / snapshot-<shard>.db.
+// File names inside the database directory, beside the per-shard
+// wal-<shard>-<seg>.log / snapshot-<shard>.db. walName and snapshotName
+// are the retired layout's: only the importer reads (and then unlinks)
+// them, nothing creates either.
 const (
 	walName      = "wal.log"
 	snapshotName = "snapshot.db"
@@ -61,11 +62,10 @@ const DefaultSegmentBytes = 16 << 20
 // Options.CompactEvery is zero.
 const DefaultCompactEvery = time.Second
 
-// opFloor marks a sharded snapshot's coverage: segments with an index
-// below the recorded floor are superseded by the snapshot and skipped
-// (and removed) at replay, which is what makes segment retirement
-// crash-safe in any unlink order. Stock files never carry it; old
-// readers ignored unknown ops, so the format stays forward-compatible.
+// opFloor marks a snapshot's coverage: segments with an index below the
+// recorded floor are superseded by the snapshot and skipped (and
+// removed) at replay, which is what makes segment retirement crash-safe
+// in any unlink order. A snapshot without one covers nothing (floor 0).
 const opFloor = "floor"
 
 // Errors.
@@ -141,10 +141,6 @@ type DB struct {
 	cost   metrics.Cost
 	tracer *trace.Tracer
 
-	// sharded is true when the directory uses the manifest-declared
-	// multi-WAL layout; stock databases run on shards[0] alone with the
-	// legacy file names.
-	sharded  bool
 	segLimit int64
 	shards   []*shard
 
@@ -171,28 +167,27 @@ type Options struct {
 	// paper-faithful behaviour, where every load decompresses.
 	BlobCacheBytes int64
 	// GroupCommit batches concurrent WAL appends into one write with a
-	// single fsync (append-before-apply preserved). Off by default: the
-	// stock path performs one unsynced write per mutation, as the paper's
-	// MySQL stand-in did. Only effective for persistent databases. With
-	// WALShards >= 2 each shard runs its own committer, so batches on
-	// different shards flush in parallel.
+	// single fsync (append-before-apply preserved). Off by default: a
+	// mutation is then one unsynced write, as the paper's MySQL stand-in
+	// did. Only effective for persistent databases. Each shard runs its
+	// own committer, so batches on different shards flush in parallel.
 	GroupCommit bool
-	// WALShards splits the keyspace across N independent WALs: keys hash
-	// to a shard, and each shard has its own lock and its own segmented
-	// log, so concurrent puts to different shards never contend. 0 or 1
-	// keeps the stock single-WAL layout, byte-identical on disk. Opening
-	// an existing directory with a different shard count migrates the
-	// layout in place (both directions, any count change).
+	// WALShards is the shard count a new (or imported) directory is
+	// created with; 0 means 1. Keys hash to a shard, and each shard has
+	// its own lock and its own segmented log, so concurrent puts to
+	// different shards never contend. An existing directory keeps the
+	// count its manifest declares, whatever is asked for here: there is
+	// no re-sharding, and asking for a different count is not an error.
+	// An in-memory database simply gets this many lock shards.
 	WALShards int
 	// SegmentBytes rolls a shard's live WAL segment once it grows past
 	// this size; sealed segments are the unit the compactor retires.
-	// Zero means DefaultSegmentBytes. Sharded layouts only.
+	// Zero means DefaultSegmentBytes.
 	SegmentBytes int64
 	// AutoCompact runs a background compactor that incrementally retires
 	// sealed segments whose entries are all superseded and snapshots one
-	// shard per scan when its sealed garbage passes 50%, replacing
-	// stop-the-world Compact calls with rate-limited work under live
-	// traffic. Sharded persistent databases only.
+	// shard per scan when its sealed garbage passes 50%, so nobody has to
+	// call Compact. Persistent databases only, at any shard count.
 	AutoCompact bool
 	// CompactEvery is the background compactor's scan cadence (real
 	// time, not the virtual clock); zero means DefaultCompactEvery.
@@ -208,10 +203,7 @@ func Open(opts Options) (*DB, error) {
 	if clock == nil {
 		clock = vtime.Real{}
 	}
-	n := opts.WALShards
-	if n < 2 {
-		n = 1
-	}
+	n := max(1, opts.WALShards)
 	segLimit := opts.SegmentBytes
 	if segLimit <= 0 {
 		segLimit = DefaultSegmentBytes
@@ -222,23 +214,19 @@ func Open(opts Options) (*DB, error) {
 		probe:    opts.Probe,
 		cost:     opts.Cost,
 		tracer:   opts.Tracer,
-		sharded:  n > 1,
 		segLimit: segLimit,
-	}
-	db.shards = make([]*shard, n)
-	for i := range db.shards {
-		db.shards[i] = &shard{db: db, idx: i, tables: make(map[string]map[string]*row)}
 	}
 	if opts.BlobCacheBytes > 0 {
 		db.cache = newBlobCache(opts.BlobCacheBytes)
 	}
 	if opts.Dir == "" {
+		db.shards = newShards(db, n)
 		return db, nil
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("blobdb: create dir: %w", err)
 	}
-	if err := db.recover(); err != nil {
+	if err := db.recover(n); err != nil {
 		return nil, err
 	}
 	if opts.GroupCommit {
@@ -246,7 +234,7 @@ func Open(opts Options) (*DB, error) {
 			s.gc = startGroupCommitter(s)
 		}
 	}
-	if opts.AutoCompact && db.sharded {
+	if opts.AutoCompact {
 		every := opts.CompactEvery
 		if every <= 0 {
 			every = DefaultCompactEvery
@@ -316,84 +304,16 @@ func (db *DB) Close() error {
 	return first
 }
 
-// Compact folds current state into snapshots and truncates the logs.
-// Stock layout: one snapshot written to a temp file and renamed (with a
-// directory fsync so the rename survives a crash), then the WAL is
-// truncated — all under the database lock, stopping the world. Sharded
-// layout: each shard is compacted in turn with only the seal and the
-// state copy under that shard's lock, so the other shards keep serving.
+// Compact folds current state into snapshots and retires the segments
+// they cover, one shard at a time: only the seal and the state copy run
+// under that shard's lock, so the other shards — and, for most of it,
+// that one — keep serving. A no-op on an in-memory database.
 func (db *DB) Compact() error {
-	if db.sharded {
-		for _, s := range db.shards {
-			if _, err := s.compactSnapshot(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	s := db.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if db.dir == "" {
-		return nil
-	}
-	sp := db.tracer.StartRoot("db.compact")
-	sp.Set("layout", "stock")
-	err := db.compactStockLocked(s)
-	if err != nil {
-		sp.Error(err.Error())
-	}
-	sp.End()
-	return err
-}
-
-// compactStockLocked is the legacy stop-the-world compaction; the caller
-// holds shard 0's write lock.
-func (db *DB) compactStockLocked(s *shard) error {
-	tmp, err := os.CreateTemp(db.dir, "snaptmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	for table, rows := range s.tables {
-		for key, r := range rows {
-			e := &walEntry{Op: "put", Table: table, Key: key, Meta: r.meta,
-				Comp: r.comp, RawSize: r.rawSize, StoredAt: r.storedAt}
-			if err := writeEntry(tmp, e); err != nil {
-				tmp.Close()
-				return err
-			}
+	for _, s := range db.shards {
+		if _, err := s.compactSnapshot(); err != nil {
+			return err
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(db.dir, snapshotName)); err != nil {
-		return err
-	}
-	// The rename is only durable once the directory entry is: without
-	// this fsync a crash here could roll back to a snapshot that the
-	// about-to-be-truncated WAL no longer covers.
-	if err := fsyncDir(db.dir); err != nil {
-		return err
-	}
-	// Truncate the WAL now that the snapshot covers everything.
-	if s.wal != nil {
-		s.wal.Close()
-	}
-	wal, err := os.OpenFile(filepath.Join(db.dir, walName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	s.wal = newWALFile(wal)
-	s.segBytes = 0
 	return nil
 }
 
@@ -578,7 +498,6 @@ type ShardStats struct {
 // Stats is the storage engine's monitoring surface.
 type Stats struct {
 	Shards    int            `json:"shards"`
-	Sharded   bool           `json:"sharded"`
 	WALWrites int64          `json:"wal_writes"`
 	WALSyncs  int64          `json:"wal_syncs"`
 	Segments  int            `json:"segments"`
@@ -590,14 +509,14 @@ type Stats struct {
 // Stats reports per-shard WAL/segment counters and the background
 // compactor's totals.
 func (db *DB) Stats() Stats {
-	st := Stats{Shards: len(db.shards), Sharded: db.sharded}
+	st := Stats{Shards: len(db.shards)}
 	for _, s := range db.shards {
 		ss := s.stats()
 		st.WALWrites += ss.WALWrites
 		st.WALSyncs += ss.WALSyncs
 		st.Segments += ss.Segments
 		st.Bytes += ss.Bytes
-		if db.sharded {
+		if db.dir != "" {
 			st.PerShard = append(st.PerShard, ss)
 		}
 	}
@@ -675,12 +594,16 @@ func (t *Table) Len() int {
 	return n
 }
 
-// shardFor routes a key to its shard: FNV-1a over table and key, with a
-// separator so ("ab","c") and ("a","bc") differ. Stable across restarts
-// — the on-disk grouping depends on it.
 func (db *DB) shardFor(table, key string) *shard {
-	if len(db.shards) == 1 {
-		return db.shards[0]
+	return db.shards[shardIndex(table, key, len(db.shards))]
+}
+
+// shardIndex routes a key to one of n shards: FNV-1a over table and key,
+// with a separator so ("ab","c") and ("a","bc") differ. Stable across
+// restarts and releases — the on-disk grouping depends on it.
+func shardIndex(table, key string, n int) int {
+	if n == 1 {
+		return 0
 	}
 	h := uint32(2166136261)
 	for i := 0; i < len(table); i++ {
@@ -692,7 +615,7 @@ func (db *DB) shardFor(table, key string) *shard {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return db.shards[h%uint32(len(db.shards))]
+	return int(h % uint32(n))
 }
 
 // --- fault-injection seams ---

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -173,7 +172,7 @@ func TestCompactAndRecover(t *testing.T) {
 	db.Table("t").Put("post", nil, []byte("after compact"))
 	db.Close()
 
-	wal, err := os.Stat(filepath.Join(dir, walName))
+	wal, err := os.Stat(liveSegment(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestTornWALTailTolerated(t *testing.T) {
 	db.Table("t").Put("good", nil, []byte("v"))
 	db.Close()
 	// Simulate a crash mid-append: write a partial entry.
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(liveSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +216,7 @@ func TestCorruptWALEntryReported(t *testing.T) {
 	db.Close()
 	// Corrupt the middle of the log: valid length, garbage JSON, then the
 	// file continues, so this is not a torn tail.
-	path := filepath.Join(dir, walName)
+	path := liveSegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

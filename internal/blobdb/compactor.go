@@ -18,6 +18,10 @@ type CompactorStats struct {
 	RetiredBytes int64 `json:"retired_bytes"`
 	// SnapshotBytes is the total bytes of snapshots written.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
+	// Failures counts snapshot compactions that returned an error (a disk
+	// that cannot take the snapshot): the segments stay and the next sweep
+	// tries again.
+	Failures int64 `json:"failures"`
 }
 
 // compactor incrementally reclaims WAL garbage under live traffic. Each
@@ -92,14 +96,15 @@ func (c *compactor) sweep() {
 		}
 	}
 	var out compactOutcome
+	var err error
 	if worst >= 0 {
-		res, err := c.db.shards[worst].compactSnapshot()
-		if err == nil {
-			out = res
-		}
+		out, err = c.db.shards[worst].compactSnapshot()
 	}
 	c.mu.Lock()
 	c.stats.Runs++
+	if err != nil {
+		c.stats.Failures++
+	}
 	c.stats.SegmentsRetired += retired + int64(out.retiredSegs)
 	c.stats.RetiredBytes += retiredBytes + out.retiredBytes
 	if out.snapBytes > 0 {

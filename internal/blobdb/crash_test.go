@@ -51,147 +51,97 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// TestCrashRecoveryEveryTruncationStock kills the stock WAL at every
-// byte boundary inside the final entry: every earlier (acked) put must
-// recover, only the torn tail may vanish, and the truncated log must
-// keep accepting appends that survive another reopen.
-func TestCrashRecoveryEveryTruncationStock(t *testing.T) {
-	src := t.TempDir()
-	db, err := Open(Options{Dir: src})
-	if err != nil {
-		t.Fatal(err)
+// liveSegment returns the path of shard 0's highest segment in dir — the
+// file a one-shard database is appending to.
+func liveSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := listSegments(dir, 0)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment of shard 0 in %s: %v", dir, err)
 	}
-	tab := db.Table("t")
-	const puts = 5
-	for i := 0; i < puts; i++ {
-		if err := tab.Put(fmt.Sprintf("k%d", i), map[string]string{"i": fmt.Sprint(i)}, []byte("payload")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	walPath := filepath.Join(src, walName)
-	offs, keys := entryOffsets(t, walPath)
-	if len(offs) != puts {
-		t.Fatalf("parsed %d entries, want %d", len(offs), puts)
-	}
-	prevGood := offs[len(offs)-2]
-	end := offs[len(offs)-1]
-	lastKey := keys[len(keys)-1]
-	for cut := prevGood + 1; cut < end; cut++ {
-		dir := copyDir(t, src)
-		if err := os.Truncate(filepath.Join(dir, walName), cut); err != nil {
-			t.Fatal(err)
-		}
-		db, err := Open(Options{Dir: dir})
-		if err != nil {
-			t.Fatalf("cut %d: open: %v", cut, err)
-		}
-		tab := db.Table("t")
-		for _, k := range keys[:len(keys)-1] {
-			if _, err := tab.Stat(k); err != nil {
-				t.Fatalf("cut %d: lost acked put %s: %v", cut, k, err)
-			}
-		}
-		if _, err := tab.Stat(lastKey); err == nil {
-			t.Fatalf("cut %d: torn entry %s survived", cut, lastKey)
-		}
-		// The fixed recovery truncates the torn bytes, so this append must
-		// not bury garbage mid-log.
-		if err := tab.Put("after-crash", nil, []byte("x")); err != nil {
-			t.Fatalf("cut %d: put after recovery: %v", cut, err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatalf("cut %d: close: %v", cut, err)
-		}
-		db2, err := Open(Options{Dir: dir})
-		if err != nil {
-			t.Fatalf("cut %d: reopen after append: %v", cut, err)
-		}
-		if _, err := db2.Table("t").Stat("after-crash"); err != nil {
-			t.Fatalf("cut %d: post-crash append lost: %v", cut, err)
-		}
-		db2.Close()
-	}
+	return filepath.Join(dir, segmentFile(0, segs[len(segs)-1]))
 }
 
-// TestCrashRecoveryEveryTruncationSharded does the same for a sharded
-// layout: the torn shard loses only its final entry; the other shards
-// are untouched.
-func TestCrashRecoveryEveryTruncationSharded(t *testing.T) {
-	src := t.TempDir()
-	opts := Options{Dir: src, WALShards: 3}
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := db.Table("t")
-	var keys []string
-	for i := 0; i < 24; i++ {
-		k := fmt.Sprintf("k%d", i)
-		keys = append(keys, k)
-		if err := tab.Put(k, nil, []byte("payload")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Pick the busiest shard's live segment to tear.
-	victim := -1
-	var segPath string
-	var best int
-	for s := 0; s < 3; s++ {
-		p := filepath.Join(src, segmentFile(s, 0))
-		offs, _ := entryOffsets(t, p)
-		if len(offs) > best {
-			best, victim, segPath = len(offs), s, p
-		}
-	}
-	if victim < 0 || best < 2 {
-		t.Fatalf("no shard with >= 2 entries (best %d)", best)
-	}
-	offs, segKeys := entryOffsets(t, segPath)
-	prevGood := offs[len(offs)-2]
-	end := offs[len(offs)-1]
-	lastKey := segKeys[len(segKeys)-1]
-	for cut := prevGood + 1; cut < end; cut++ {
-		dir := copyDir(t, src)
-		if err := os.Truncate(filepath.Join(dir, segmentFile(victim, 0)), cut); err != nil {
-			t.Fatal(err)
-		}
-		db, err := Open(Options{Dir: dir, WALShards: 3})
-		if err != nil {
-			t.Fatalf("cut %d: open: %v", cut, err)
-		}
-		tab := db.Table("t")
-		for _, k := range keys {
-			_, err := tab.Stat(k)
-			if k == lastKey {
-				if err == nil {
-					t.Fatalf("cut %d: torn entry %s survived", cut, k)
-				}
-				continue
-			}
+// TestCrashRecoveryEveryTruncation kills a shard's live segment at every
+// byte boundary inside its final entry, at one shard and at four: every
+// earlier (acked) put must recover, only the torn tail may vanish, the
+// other shards are untouched, and the truncated log must keep accepting
+// appends that survive another reopen.
+func TestCrashRecoveryEveryTruncation(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			src := t.TempDir()
+			db, err := Open(Options{Dir: src, WALShards: shards})
 			if err != nil {
-				t.Fatalf("cut %d: lost acked put %s: %v", cut, k, err)
+				t.Fatal(err)
 			}
-		}
-		if err := tab.Put("after-crash", nil, []byte("x")); err != nil {
-			t.Fatalf("cut %d: put after recovery: %v", cut, err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatalf("cut %d: close: %v", cut, err)
-		}
-		db2, err := Open(Options{Dir: dir, WALShards: 3})
-		if err != nil {
-			t.Fatalf("cut %d: reopen: %v", cut, err)
-		}
-		if _, err := db2.Table("t").Stat("after-crash"); err != nil {
-			t.Fatalf("cut %d: post-crash append lost: %v", cut, err)
-		}
-		db2.Close()
+			tab := db.Table("t")
+			var keys []string
+			for i := 0; i < 24; i++ {
+				k := fmt.Sprintf("k%d", i)
+				keys = append(keys, k)
+				if err := tab.Put(k, map[string]string{"i": fmt.Sprint(i)}, []byte("payload")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Tear the busiest shard's live segment.
+			var victim string
+			var offs []int64
+			var segKeys []string
+			for s := 0; s < shards; s++ {
+				name := segmentFile(s, 0)
+				if o, k := entryOffsets(t, filepath.Join(src, name)); len(o) > len(offs) {
+					victim, offs, segKeys = name, o, k
+				}
+			}
+			if len(offs) < 2 {
+				t.Fatalf("no shard with >= 2 entries (best %d)", len(offs))
+			}
+			prevGood, end := offs[len(offs)-2], offs[len(offs)-1]
+			lastKey := segKeys[len(segKeys)-1]
+			for cut := prevGood + 1; cut < end; cut++ {
+				dir := copyDir(t, src)
+				if err := os.Truncate(filepath.Join(dir, victim), cut); err != nil {
+					t.Fatal(err)
+				}
+				db, err := Open(Options{Dir: dir, WALShards: shards})
+				if err != nil {
+					t.Fatalf("cut %d: open: %v", cut, err)
+				}
+				tab := db.Table("t")
+				for _, k := range keys {
+					_, err := tab.Stat(k)
+					if k == lastKey {
+						if err == nil {
+							t.Fatalf("cut %d: torn entry %s survived", cut, k)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("cut %d: lost acked put %s: %v", cut, k, err)
+					}
+				}
+				// Recovery truncated the torn bytes, so this append must not
+				// bury garbage mid-log.
+				if err := tab.Put(lastKey, nil, []byte("x")); err != nil {
+					t.Fatalf("cut %d: put after recovery: %v", cut, err)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatalf("cut %d: close: %v", cut, err)
+				}
+				db2, err := Open(Options{Dir: dir, WALShards: shards})
+				if err != nil {
+					t.Fatalf("cut %d: reopen after append: %v", cut, err)
+				}
+				if got := db2.Table("t").Len(); got != len(keys) {
+					t.Fatalf("cut %d: %d rows after the post-crash append, want %d", cut, got, len(keys))
+				}
+				db2.Close()
+			}
+		})
 	}
 }
 

@@ -379,7 +379,8 @@ func fixtureBlob(seed, n int) []byte {
 // by the commit before the encoder changed (json.Marshal framing; puts,
 // overwrites, deletes, a Compact in the middle, two tables; the sharded
 // one with 1 KB segments so it holds snapshots with floors and several
-// segments) — in their own layout and migrated to the other.
+// segments) — the sharded one as it is (its manifest says 4 shards,
+// whatever Open asks for), the stock one imported into 1 and 4 shards.
 func TestParentWrittenDirectoryReplays(t *testing.T) {
 	cases := []struct {
 		dir  string
@@ -398,44 +399,51 @@ func TestParentWrittenDirectoryReplays(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			exe := db.Table("executables")
-			if got := exe.Len(); got != 11 {
-				t.Fatalf("%d executables, want 11: %v", got, exe.Keys())
-			}
-			alpha, err := exe.Get("AlphaService")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(alpha.Blob, fixtureBlob(3, 900)) || alpha.Meta["stage_in"] != "a.dat,b.dat" || len(alpha.Meta) != 2 {
-				t.Fatalf("AlphaService: meta %v, %d blob bytes", alpha.Meta, len(alpha.Blob))
-			}
-			want := time.Date(2010, 7, 1, 0, 0, 10, 0, time.UTC) // the fixture clock's tenth put
-			if !alpha.StoredAt.Equal(want) {
-				t.Fatalf("AlphaService stored at %v, want %v", alpha.StoredAt, want)
-			}
-			empty, err := exe.Get("EmptyService")
-			if err != nil || len(empty.Blob) != 0 || len(empty.Meta) != 0 {
-				t.Fatalf("EmptyService: %v %+v", err, empty)
-			}
-			for i := 1; i < 10; i++ {
-				rec, err := exe.Get(fmt.Sprintf("Bulk%dService", i))
-				if err != nil || !bytes.Equal(rec.Blob, fixtureBlob(10+i, 400)) || rec.Meta["i"] != fmt.Sprint(i) {
-					t.Fatalf("Bulk%dService: %v", i, err)
-				}
-			}
-			for _, gone := range []string{"GoneService", "Bulk0Service"} {
-				if _, err := exe.Get(gone); !errors.Is(err, ErrNotFound) {
-					t.Fatalf("%s: %v, want ErrNotFound", gone, err)
-				}
-			}
-			if rec, err := db.Table("audit").Stat("0000000000000001"); err != nil || rec.Meta["verb"] != "upload" {
-				t.Fatalf("audit row: %v", err)
-			}
+			checkParentRows(t, db)
 			// And the directory keeps taking writes.
-			if err := exe.Put("NewService", nil, []byte("echo hi\n")); err != nil {
+			if err := db.Table("executables").Put("NewService", nil, []byte("echo hi\n")); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// checkParentRows asserts db holds exactly what the parent commit wrote
+// into testdata/parent-stock and testdata/parent-sharded.
+func checkParentRows(t *testing.T, db *DB) {
+	t.Helper()
+	exe := db.Table("executables")
+	if got := exe.Len(); got != 11 {
+		t.Fatalf("%d executables, want 11: %v", got, exe.Keys())
+	}
+	alpha, err := exe.Get("AlphaService")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(alpha.Blob, fixtureBlob(3, 900)) || alpha.Meta["stage_in"] != "a.dat,b.dat" || len(alpha.Meta) != 2 {
+		t.Fatalf("AlphaService: meta %v, %d blob bytes", alpha.Meta, len(alpha.Blob))
+	}
+	want := time.Date(2010, 7, 1, 0, 0, 10, 0, time.UTC) // the fixture clock's tenth put
+	if !alpha.StoredAt.Equal(want) {
+		t.Fatalf("AlphaService stored at %v, want %v", alpha.StoredAt, want)
+	}
+	empty, err := exe.Get("EmptyService")
+	if err != nil || len(empty.Blob) != 0 || len(empty.Meta) != 0 {
+		t.Fatalf("EmptyService: %v %+v", err, empty)
+	}
+	for i := 1; i < 10; i++ {
+		rec, err := exe.Get(fmt.Sprintf("Bulk%dService", i))
+		if err != nil || !bytes.Equal(rec.Blob, fixtureBlob(10+i, 400)) || rec.Meta["i"] != fmt.Sprint(i) {
+			t.Fatalf("Bulk%dService: %v", i, err)
+		}
+	}
+	for _, gone := range []string{"GoneService", "Bulk0Service"} {
+		if _, err := exe.Get(gone); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: %v, want ErrNotFound", gone, err)
+		}
+	}
+	if rec, err := db.Table("audit").Stat("0000000000000001"); err != nil || rec.Meta["verb"] != "upload" {
+		t.Fatalf("audit row: %v", err)
 	}
 }
 

@@ -2,9 +2,12 @@ package blobdb
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // faultFile wraps a real WAL file and injects errors on demand.
@@ -14,12 +17,15 @@ type faultFile struct {
 }
 
 // faultPlan is shared by every file the plan wraps; tests flip the error
-// fields between operations.
+// fields between operations. opens and closes count the files wrapped
+// and the Close calls they received.
 type faultPlan struct {
 	mu        sync.Mutex
 	syncErr   error
 	closeErr  error
 	syncCalls int
+	opens     int
+	closes    int
 }
 
 func (p *faultPlan) set(syncErr, closeErr error) {
@@ -44,6 +50,7 @@ func (ff *faultFile) Sync() error {
 func (ff *faultFile) Close() error {
 	ff.fault.mu.Lock()
 	err := ff.fault.closeErr
+	ff.fault.closes++
 	ff.fault.mu.Unlock()
 	cerr := ff.f.Close()
 	if err != nil {
@@ -58,18 +65,27 @@ func installFaultPlan(t *testing.T) *faultPlan {
 	t.Helper()
 	plan := &faultPlan{}
 	prev := newWALFile
-	newWALFile = func(f *os.File) walFile { return &faultFile{f: f, fault: plan} }
+	newWALFile = func(f *os.File) walFile {
+		plan.mu.Lock()
+		plan.opens++
+		plan.mu.Unlock()
+		return &faultFile{f: f, fault: plan}
+	}
 	t.Cleanup(func() { newWALFile = prev })
 	return plan
 }
 
 // installFsyncDirCounter reroutes fsyncDir through a counter with an
-// injectable error.
+// injectable error: every call fails with err while it is set, and the
+// failAt-th call (1-based) fails with errDirFsync.
 type dirFsyncPlan struct {
-	mu    sync.Mutex
-	calls int
-	err   error
+	mu     sync.Mutex
+	calls  int
+	err    error
+	failAt int
 }
+
+var errDirFsync = errors.New("dir fsync boom")
 
 func installFsyncDirCounter(t *testing.T) *dirFsyncPlan {
 	t.Helper()
@@ -79,6 +95,9 @@ func installFsyncDirCounter(t *testing.T) *dirFsyncPlan {
 		plan.mu.Lock()
 		plan.calls++
 		err := plan.err
+		if plan.calls == plan.failAt {
+			err = errDirFsync
+		}
 		plan.mu.Unlock()
 		if err != nil {
 			return err
@@ -95,10 +114,16 @@ func (p *dirFsyncPlan) count() int {
 	return p.calls
 }
 
-// TestCompactFsyncsDirectory pins the satellite bugfix: stock Compact
-// must fsync the directory after the snapshot rename, and must surface
-// an injected directory-fsync failure instead of truncating the WAL on
-// top of a rename that may not be durable.
+func (p *dirFsyncPlan) setErr(err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.err = err
+}
+
+// TestCompactFsyncsDirectory: Compact must fsync the directory after the
+// snapshot rename, and must surface an injected directory-fsync failure
+// instead of retiring segments on top of a rename that may not be
+// durable.
 func TestCompactFsyncsDirectory(t *testing.T) {
 	plan := installFsyncDirCounter(t)
 	db, err := Open(Options{Dir: t.TempDir()})
@@ -116,25 +141,23 @@ func TestCompactFsyncsDirectory(t *testing.T) {
 	if plan.count() <= before {
 		t.Fatal("Compact did not fsync the directory after its rename")
 	}
-	boom := errors.New("dir fsync boom")
-	plan.mu.Lock()
-	plan.err = boom
-	plan.mu.Unlock()
-	if err := db.Compact(); !errors.Is(err, boom) {
-		t.Fatalf("Compact error = %v, want injected %v", err, boom)
+	// Something to fold: a Compact with nothing sealed touches no file.
+	if err := db.Table("t").Put("k1", nil, []byte("v1")); err != nil {
+		t.Fatal(err)
 	}
-	plan.mu.Lock()
-	plan.err = nil
-	plan.mu.Unlock()
+	plan.setErr(errDirFsync)
+	if err := db.Compact(); !errors.Is(err, errDirFsync) {
+		t.Fatalf("Compact error = %v, want injected %v", err, errDirFsync)
+	}
+	plan.setErr(nil)
 	// The failed compact must leave the store serving and durable.
 	if err := db.Table("t").Put("k2", nil, []byte("v2")); err != nil {
 		t.Fatalf("put after failed compact: %v", err)
 	}
 }
 
-// TestSegmentRollFsyncsDirectory checks the sharded counterpart: sealing
-// a segment fsyncs the directory so the new segment file's existence
-// survives a crash.
+// TestSegmentRollFsyncsDirectory: sealing a segment fsyncs the directory
+// so the new segment file's existence survives a crash.
 func TestSegmentRollFsyncsDirectory(t *testing.T) {
 	plan := installFsyncDirCounter(t)
 	db, err := Open(Options{Dir: t.TempDir(), WALShards: 2, SegmentBytes: 1})
@@ -234,5 +257,100 @@ func TestCloseSyncErrorPoisonsSharded(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil", err)
+	}
+}
+
+// TestOpenFailureClosesReplayedShards: shards replay in parallel and each
+// ends by opening its live segment, so when one of them is corrupt the
+// others' handles must be closed before Open returns its error.
+func TestOpenFailureClosesReplayedShards(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, WALShards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := db.Table("t").Put(fmt.Sprintf("k%02d", i), nil, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Garble shard 2's first entry behind its length prefix: bad JSON with
+	// whole entries after it is corruption, not a torn tail.
+	path := filepath.Join(dir, segmentFile(2, 0))
+	offs, _ := entryOffsets(t, path)
+	if len(offs) < 2 {
+		t.Fatalf("shard 2 holds %d entries, want >= 2", len(offs))
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(4); i < offs[0]; i++ {
+		raw[i] ^= 0x55
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plan := installFaultPlan(t)
+	if _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	}
+	plan.mu.Lock()
+	defer plan.mu.Unlock()
+	if plan.opens != 3 || plan.closes != plan.opens {
+		t.Fatalf("failed Open opened %d live segments and closed %d, want 3 and 3", plan.opens, plan.closes)
+	}
+}
+
+// TestCompactorCountsFailedSnapshots: a disk that cannot take a snapshot
+// must show in CompactorStats.Failures, keep its segments, and lose them
+// to the next sweep that works.
+func TestCompactorCountsFailedSnapshots(t *testing.T) {
+	plan := installFsyncDirCounter(t)
+	dir := t.TempDir()
+	// The compactor exists but its ticker never fires: the test sweeps.
+	db, err := Open(Options{Dir: dir, AutoCompact: true, CompactEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// One sealed segment, three of its five entries dead but not all of
+	// them (retireDead alone frees nothing), and an empty live one, so the
+	// only directory fsync a sweep performs is the snapshot's.
+	tab, s := db.Table("t"), db.shards[0]
+	for _, k := range []string{"a", "a", "a", "a", "b"} {
+		if err := tab.Put(k, nil, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	err = s.roll()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.setErr(errDirFsync)
+	db.comp.sweep()
+	st := db.Stats()
+	if st.Compactor.Failures != 1 || st.Compactor.SegmentsRetired != 0 || st.Segments != 2 {
+		t.Fatalf("after a failed snapshot: %+v, %d segments; want 1 failure, nothing retired, 2 segments", st.Compactor, st.Segments)
+	}
+	if n := countFiles(t, dir, "wal-0-*.log"); n != 2 {
+		t.Fatalf("%d segment files after a failed snapshot, want 2", n)
+	}
+	plan.setErr(nil)
+	db.comp.sweep()
+	st = db.Stats()
+	if st.Compactor.Failures != 1 || st.Compactor.SegmentsRetired != 1 || st.Compactor.Snapshots != 1 {
+		t.Fatalf("after the healthy sweep: %+v, want the sealed segment retired by 1 snapshot", st.Compactor)
+	}
+	if n := countFiles(t, dir, "wal-0-*.log"); n != 1 {
+		t.Fatalf("%d segment files after the healthy sweep, want the live one", n)
+	}
+	if got := tab.Len(); got != 2 {
+		t.Fatalf("%d rows, want 2", got)
 	}
 }

@@ -14,77 +14,83 @@ import (
 	"repro/internal/trace"
 )
 
-// layoutManifest declares a sharded directory. Its presence is the
-// commit point for layout migrations: when it exists the sharded files
-// are authoritative and any legacy wal.log/snapshot.db is stale; when it
-// is absent the directory is a stock layout and any wal-<s>-<seg>.log /
-// snapshot-<s>.db files are leftovers of a migration that never
-// committed.
+// layoutManifest declares the directory's shard count and is the commit
+// point of the stock-layout import: once it exists the per-shard files
+// are authoritative and any wal.log/snapshot.db is stale; while it is
+// absent the stock files are, and any snapshot-<s>.db is the leftover of
+// an import that never committed.
 type layoutManifest struct {
 	Shards int `json:"shards"`
 }
 
-// recover loads whatever layout the directory holds into the configured
-// shard count, migrating the files in place when the counts differ, and
-// leaves every shard with an open live WAL.
-func (db *DB) recover() error {
+// recover loads the directory into db.shards — as many as the manifest
+// declares, or want of them for a directory that has none yet — and
+// leaves every shard with an open live segment.
+func (db *DB) recover(want int) error {
 	sp := db.tracer.StartRoot("db.replay")
-	sp.SetInt("shards", int64(len(db.shards)))
-	err := db.recoverLayout(sp)
+	err := db.recoverLayout(sp, want)
 	if err != nil {
 		sp.Error(err.Error())
+		// Every shard that did replay holds an open live segment.
+		for _, s := range db.shards {
+			if s.wal != nil {
+				s.wal.Close()
+			}
+		}
 	}
 	sp.End()
 	return err
 }
 
-func (db *DB) recoverLayout(sp *trace.Span) error {
+func (db *DB) recoverLayout(sp *trace.Span, want int) error {
 	db.cleanTempFiles()
 	have, err := db.readManifest()
 	if err != nil {
 		return err
 	}
-	want := len(db.shards)
-	if have != want {
-		sp.Set("migrate", fmt.Sprintf("%d->%d", have, want))
-		return db.migrate(have)
+	if have == 0 {
+		if err := db.importStock(want); err != nil {
+			return err
+		}
+		have = want
 	}
-	if !db.sharded {
-		n, err := db.shards[0].recoverStock()
-		sp.SetInt("entries", n)
-		return err
-	}
-	// Sharded, matching count: replay the shards in parallel — each one
-	// reads only its own snapshot and segments.
+	sp.SetInt("shards", int64(have))
+	db.shards = newShards(db, have)
+	// Replay the shards in parallel — each one reads only its own snapshot
+	// and segments.
 	var wg sync.WaitGroup
-	errs := make([]error, len(db.shards))
-	counts := make([]int64, len(db.shards))
+	errs := make([]error, have)
+	counts := make([]int64, have)
 	for i, s := range db.shards {
 		wg.Add(1)
 		go func(i int, s *shard) {
 			defer wg.Done()
-			counts[i], errs[i] = s.recoverSharded()
+			counts[i], errs[i] = s.replay()
 		}(i, s)
 	}
 	wg.Wait()
 	var total int64
-	for i, err := range errs {
-		if err != nil {
-			return err
-		}
+	for i := range errs {
 		total += counts[i]
+		if err == nil {
+			err = errs[i]
+		}
+	}
+	if err != nil {
+		return err
 	}
 	sp.SetInt("entries", total)
-	// A sharded->stock migration that crashed after writing its full
-	// legacy snapshot but before removing the manifest leaves stale stock
-	// files behind; the manifest said this layout wins.
+	// An import that crashed after its manifest landed leaves the stock
+	// files behind; the manifest said they are stale.
 	return db.removeStockFiles()
 }
 
+// readManifest returns the directory's shard count, 0 when it has no
+// manifest.
 func (db *DB) readManifest() (int, error) {
 	raw, err := os.ReadFile(filepath.Join(db.dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
-		return 1, nil
+		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("blobdb: read manifest: %w", err)
@@ -93,85 +99,57 @@ func (db *DB) readManifest() (int, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return 0, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
-	if m.Shards < 2 {
+	if m.Shards < 1 {
 		return 0, fmt.Errorf("%w: manifest shard count %d", ErrCorrupt, m.Shards)
 	}
 	return m.Shards, nil
 }
 
-func (db *DB) writeManifest() error {
-	tmp, err := os.CreateTemp(db.dir, "snaptmp-*")
-	if err != nil {
+// importStock turns a directory with no manifest — a new one, or one in
+// the retired wal.log + snapshot.db layout — into an n-shard directory:
+// the stock files are replayed, written out as per-shard snapshots, and
+// the manifest commits the result. Nothing stock is unlinked before that
+// (recoverLayout does it afterwards), so a crash anywhere before the
+// manifest is durable starts over from the untouched stock files.
+func (db *DB) importStock(n int) error {
+	// Snapshots of an earlier attempt that never committed.
+	if err := db.removeShardFiles(); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	raw, _ := json.Marshal(layoutManifest{Shards: len(db.shards)})
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(db.dir, manifestName)); err != nil {
-		return err
-	}
-	return fsyncDir(db.dir)
-}
-
-// recoverStock replays the legacy snapshot + single WAL into shard 0 and
-// opens the WAL for appending. A torn final WAL entry — the expected
-// crash artifact — is truncated away, so post-recovery appends continue
-// a clean log instead of burying garbage mid-file; corruption earlier in
-// the log is reported.
-func (s *shard) recoverStock() (int64, error) {
-	db := s.db
-	// Leftover sharded files from a migration that crashed before its
-	// manifest landed: this directory is authoritatively stock.
-	if err := db.removeShardedFiles(); err != nil {
-		return 0, err
-	}
-	var entries int64
+	shards := newShards(db, n)
 	apply := func(e *walEntry) {
-		entries++
-		s.apply(e, -1)
+		shards[shardIndex(e.Table, e.Key, n)].apply(e, -1)
 	}
 	if err := replayPath(filepath.Join(db.dir, snapshotName), true, "snapshot", apply); err != nil {
-		return entries, err
+		return err
 	}
-	walPath := filepath.Join(db.dir, walName)
-	if f, err := os.Open(walPath); err == nil {
-		_, good, torn, rerr := replayReader(f, false, apply)
-		f.Close()
-		if rerr != nil {
-			return entries, fmt.Errorf("%w: wal: %v", ErrCorrupt, rerr)
+	if err := replayPath(filepath.Join(db.dir, walName), false, "wal", apply); err != nil {
+		return err
+	}
+	for _, s := range shards {
+		if len(s.tables) == 0 {
+			continue // replay treats a missing snapshot as empty
 		}
-		if torn {
-			if err := os.Truncate(walPath, good); err != nil {
-				return entries, fmt.Errorf("blobdb: truncate torn wal: %w", err)
-			}
+		if _, err := db.writeSnapshotFile(shardSnapshotFile(s.idx), 0, s.tables); err != nil {
+			return err
 		}
-		s.segBytes = good
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return entries, fmt.Errorf("blobdb: open wal: %w", err)
 	}
-	wal, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return entries, fmt.Errorf("blobdb: open wal: %w", err)
-	}
-	s.wal = newWALFile(wal)
-	return entries, nil
+	raw, _ := json.Marshal(layoutManifest{Shards: n})
+	_, err := db.writeFileAtomic(manifestName, func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
+	return err
 }
 
-// recoverSharded replays one shard's snapshot and segments, rebuilds its
-// per-segment liveness counts, truncates torn tails, and opens the
-// highest segment for appending. Segments below the snapshot's floor are
-// superseded leftovers (compaction unlinks them lazily) and are removed.
-func (s *shard) recoverSharded() (int64, error) {
+// replay loads one shard's snapshot and segments, rebuilds its
+// per-segment liveness counts, truncates torn tails — the expected crash
+// artifact, so later appends continue a clean log instead of burying
+// garbage mid-file — and opens the highest segment for appending.
+// Corruption before a tail is reported. Segments below the snapshot's
+// floor are superseded leftovers (compaction unlinks them lazily) and
+// are removed.
+func (s *shard) replay() (int64, error) {
 	db := s.db
 	s.segs = make(map[int]*segMeta)
 	s.tombs = make(map[string]int)
@@ -192,7 +170,7 @@ func (s *shard) recoverSharded() (int64, error) {
 	if err != nil {
 		return entries, err
 	}
-	maxSeg := -1
+	s.seg = floor
 	for _, seg := range segList {
 		path := filepath.Join(db.dir, segmentFile(s.idx, seg))
 		if seg < floor {
@@ -220,14 +198,8 @@ func (s *shard) recoverSharded() (int64, error) {
 				return entries, fmt.Errorf("blobdb: truncate torn segment: %w", err)
 			}
 		}
-		m := s.segMeta(seg)
-		m.bytes = good
-		maxSeg = seg
-	}
-	if maxSeg < 0 {
-		s.seg = floor
-	} else {
-		s.seg = maxSeg
+		s.segMeta(seg).bytes = good
+		s.seg = seg
 	}
 	live := s.segMeta(s.seg)
 	for i, m := range s.segs {
@@ -242,190 +214,58 @@ func (s *shard) recoverSharded() (int64, error) {
 	return entries, nil
 }
 
-// migrate rewrites the directory from a have-shard layout into the
-// configured one. Whole-file snapshots are written and made durable
-// before anything old is unlinked; the manifest create/remove is the
-// atomic flip. Per-key entry ordering survives any regrouping because a
-// key's entries all live in one stream of the old layout.
-func (db *DB) migrate(have int) error {
-	want := len(db.shards)
-	apply := func(e *walEntry) {
-		if e.Op == opFloor {
-			return
-		}
-		db.shardFor(e.Table, e.Key).apply(e, -1)
-	}
-	// 1. Replay the old layout into the new in-memory partitioning.
-	if have == 1 {
-		if err := replayPath(filepath.Join(db.dir, snapshotName), true, "snapshot", apply); err != nil {
+// writeSnapshotFile is the one place snapshot files come from: a floor
+// entry (the first segment the snapshot does NOT cover) and one put per
+// row of tables, written atomically as name. It reports the file's size.
+func (db *DB) writeSnapshotFile(name string, floor int, tables map[string]map[string]*row) (int64, error) {
+	return db.writeFileAtomic(name, func(w io.Writer) error {
+		if err := writeEntry(w, &walEntry{Op: opFloor, RawSize: floor}); err != nil {
 			return err
 		}
-		if err := replayPath(filepath.Join(db.dir, walName), false, "wal", apply); err != nil {
-			return err
-		}
-	} else {
-		for i := 0; i < have; i++ {
-			floor := 0
-			if err := replayPath(filepath.Join(db.dir, shardSnapshotFile(i)), true, "snapshot", func(e *walEntry) {
-				if e.Op == opFloor {
-					floor = e.RawSize
-					return
-				}
-				apply(e)
-			}); err != nil {
-				return err
-			}
-			segList, err := listSegments(db.dir, i)
-			if err != nil {
-				return err
-			}
-			for _, seg := range segList {
-				if seg < floor {
-					continue
-				}
-				if err := replayPath(filepath.Join(db.dir, segmentFile(i, seg)), false, "segment", apply); err != nil {
+		for table, rows := range tables {
+			for key, r := range rows {
+				e := &walEntry{Op: "put", Table: table, Key: key, Meta: r.meta,
+					Comp: r.comp, RawSize: r.rawSize, StoredAt: r.storedAt}
+				if err := writeEntry(w, e); err != nil {
 					return err
 				}
-			}
-		}
-		// 2. Collapse through the stock layout: one full snapshot, durable
-		// before the manifest flip makes it authoritative.
-		if err := db.writeStockSnapshot(); err != nil {
-			return err
-		}
-		if err := os.Remove(filepath.Join(db.dir, manifestName)); err != nil {
-			return err
-		}
-		if err := fsyncDir(db.dir); err != nil {
-			return err
-		}
-		if err := db.removeShardedFiles(); err != nil {
-			return err
-		}
-	}
-	if want == 1 {
-		// Collapse done: the stock snapshot covers everything; open an
-		// empty WAL (any old wal.log content was folded in and must not
-		// replay).
-		s := db.shards[0]
-		wal, err := os.OpenFile(filepath.Join(db.dir, walName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("blobdb: open wal: %w", err)
-		}
-		s.wal = newWALFile(wal)
-		return fsyncDir(db.dir)
-	}
-	// 3. Expand stock -> sharded: per-shard snapshots, then the manifest
-	// flip, then the legacy files go.
-	if err := db.removeShardedFiles(); err != nil { // crashed earlier attempt
-		return err
-	}
-	for _, s := range db.shards {
-		if err := db.writeShardSnapshot(s); err != nil {
-			return err
-		}
-	}
-	if err := fsyncDir(db.dir); err != nil {
-		return err
-	}
-	if err := db.writeManifest(); err != nil {
-		return err
-	}
-	if err := db.removeStockFiles(); err != nil {
-		return err
-	}
-	for _, s := range db.shards {
-		s.segs = make(map[int]*segMeta)
-		s.tombs = make(map[string]int)
-		f, err := os.OpenFile(filepath.Join(db.dir, segmentFile(s.idx, 0)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("blobdb: open segment: %w", err)
-		}
-		s.seg = 0
-		s.segBytes = 0
-		s.segMeta(0)
-		s.wal = newWALFile(f)
-	}
-	return nil
-}
-
-// writeStockSnapshot writes every shard's state into one legacy
-// snapshot.db (temp + sync + rename + dir fsync).
-func (db *DB) writeStockSnapshot() error {
-	return db.writeSnapshotFile(snapshotName, -1, func(emit func(*walEntry) error) error {
-		for _, s := range db.shards {
-			if err := emitTables(s.tables, emit); err != nil {
-				return err
 			}
 		}
 		return nil
 	})
 }
 
-func (db *DB) writeShardSnapshot(s *shard) error {
-	if shardLen(s) == 0 {
-		return nil // replay treats a missing snapshot as empty
-	}
-	return db.writeSnapshotFile(shardSnapshotFile(s.idx), -1, func(emit func(*walEntry) error) error {
-		return emitTables(s.tables, emit)
-	})
-}
-
-func shardLen(s *shard) int {
-	n := 0
-	for _, rows := range s.tables {
-		n += len(rows)
-	}
-	return n
-}
-
-func emitTables(tables map[string]map[string]*row, emit func(*walEntry) error) error {
-	for table, rows := range tables {
-		for key, r := range rows {
-			e := &walEntry{Op: "put", Table: table, Key: key, Meta: r.meta,
-				Comp: r.comp, RawSize: r.rawSize, StoredAt: r.storedAt}
-			if err := emit(e); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// writeSnapshotFile writes entries to a temp file, syncs, renames to
-// name, and fsyncs the directory. floor >= 0 prepends a floor entry.
-func (db *DB) writeSnapshotFile(name string, floor int, fill func(emit func(*walEntry) error) error) error {
+// writeFileAtomic fills a temp file, syncs it, renames it to name and
+// fsyncs the directory: after a crash name holds either its old content
+// or all of the new. It reports the bytes written.
+func (db *DB) writeFileAtomic(name string, fill func(io.Writer) error) (int64, error) {
 	tmp, err := os.CreateTemp(db.dir, "snaptmp-*")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if floor >= 0 {
-		if err := writeEntry(bw, &walEntry{Op: opFloor, RawSize: floor}); err != nil {
-			tmp.Close()
-			return err
-		}
+	bw := bufio.NewWriterSize(tmp, 64<<10)
+	err = fill(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := fill(func(e *walEntry) error { return writeEntry(bw, e) }); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
+	size, _ := tmp.Seek(0, io.SeekCurrent)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err != nil {
+		return 0, err
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(db.dir, name)); err != nil {
-		return err
+		return 0, err
 	}
-	return fsyncDir(db.dir)
+	// The rename is only durable once the directory entry is: without this
+	// fsync a crash could roll back to a file that the about-to-be-unlinked
+	// segments (or stock files) no longer back.
+	return size, fsyncDir(db.dir)
 }
 
 // --- directory helpers ---
@@ -448,30 +288,35 @@ func listSegments(dir string, idx int) ([]int, error) {
 	return segs, nil
 }
 
+// parseSegmentName accepts exactly the names segmentFile produces.
 func parseSegmentName(name string) (shard, seg int, ok bool) {
-	var sh, sg int
-	n, err := fmt.Sscanf(name, "wal-%d-%d.log", &sh, &sg)
-	if err != nil || n != 2 {
+	n, err := fmt.Sscanf(name, "wal-%d-%d.log", &shard, &seg)
+	if err != nil || n != 2 || shard < 0 || seg < 0 || name != segmentFile(shard, seg) {
 		return 0, 0, false
 	}
-	if name != segmentFile(sh, sg) && name != fmt.Sprintf("wal-%d-%d.log", sh, sg) {
-		return 0, 0, false
-	}
-	return sh, sg, true
+	return shard, seg, true
 }
 
+// removeStockFiles unlinks the retired layout's two files, if present.
 func (db *DB) removeStockFiles() error {
+	removed := false
 	for _, name := range []string{walName, snapshotName} {
-		if err := os.Remove(filepath.Join(db.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		err := os.Remove(filepath.Join(db.dir, name))
+		if err == nil {
+			removed = true
+		} else if !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 	}
-	return fsyncDir(db.dir)
+	if removed {
+		return fsyncDir(db.dir)
+	}
+	return nil
 }
 
-// removeShardedFiles unlinks every wal-<s>-<seg>.log and snapshot-<s>.db
+// removeShardFiles unlinks every wal-<s>-<seg>.log and snapshot-<s>.db
 // in the directory, whatever the shard count that produced them.
-func (db *DB) removeShardedFiles() error {
+func (db *DB) removeShardFiles() error {
 	ents, err := os.ReadDir(db.dir)
 	if err != nil {
 		return err
@@ -479,15 +324,10 @@ func (db *DB) removeShardedFiles() error {
 	removed := false
 	for _, ent := range ents {
 		name := ent.Name()
-		if _, _, ok := parseSegmentName(name); ok {
-			if err := os.Remove(filepath.Join(db.dir, name)); err != nil {
-				return err
-			}
-			removed = true
-			continue
-		}
+		_, _, isSeg := parseSegmentName(name)
 		var idx int
-		if n, err := fmt.Sscanf(name, "snapshot-%d.db", &idx); err == nil && n == 1 && name == shardSnapshotFile(idx) {
+		n, _ := fmt.Sscanf(name, "snapshot-%d.db", &idx)
+		if isSeg || (n == 1 && name == shardSnapshotFile(idx)) {
 			if err := os.Remove(filepath.Join(db.dir, name)); err != nil {
 				return err
 			}
@@ -521,11 +361,9 @@ func replayPath(path string, strict bool, kind string, apply func(*walEntry)) er
 		return fmt.Errorf("blobdb: open %s: %w", kind, err)
 	}
 	defer f.Close()
-	_, _, torn, rerr := replayReader(f, strict, apply)
-	if rerr != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCorrupt, kind, rerr)
+	if _, _, _, err := replayReader(f, strict, apply); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, kind, err)
 	}
-	_ = torn
 	return nil
 }
 

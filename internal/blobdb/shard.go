@@ -8,10 +8,9 @@ import (
 	"sync"
 )
 
-// shard is one slice of the keyspace with its own lock, tables, and WAL.
-// Stock databases run a single shard over the legacy wal.log (segs nil,
-// no rolling); sharded databases give each shard a segmented log and
-// track per-segment liveness so compaction can retire sealed segments.
+// shard is one slice of the keyspace with its own lock, tables, and — in
+// a persistent database — its own segmented WAL, with per-segment
+// liveness tracked so compaction can retire sealed segments.
 type shard struct {
 	db  *DB
 	idx int
@@ -22,10 +21,10 @@ type shard struct {
 	genSeq uint64
 
 	wal      walFile
-	seg      int   // live segment index (always 0 for stock)
+	seg      int   // live segment index
 	segBytes int64 // bytes in the live segment
-	// segs tracks per-segment entry/liveness counts; nil for the stock
-	// layout and for in-memory databases.
+	// segs tracks per-segment entry/liveness counts; nil for in-memory
+	// databases, which have no WAL.
 	segs map[int]*segMeta
 	// tombs maps table\x00key to the segment holding the latest delete
 	// entry for a key with no surviving row — the delete must stay on
@@ -43,6 +42,14 @@ type shard struct {
 	// background compactor): interleaved snapshot renames could otherwise
 	// let an older snapshot land after a newer one retired its segments.
 	compactMu sync.Mutex
+}
+
+func newShards(db *DB, n int) []*shard {
+	shards := make([]*shard, n)
+	for i := range shards {
+		shards[i] = &shard{db: db, idx: i, tables: make(map[string]map[string]*row)}
+	}
+	return shards
 }
 
 // segMeta is one WAL segment's bookkeeping.
@@ -77,7 +84,7 @@ func (s *shard) noteDead(seg int) {
 }
 
 // apply installs one entry into the in-memory state, maintaining the
-// per-segment liveness counts when the shard is segmented. seg is the
+// per-segment liveness counts when the shard is persistent. seg is the
 // segment the entry was logged to; -1 means "from a snapshot". Callers
 // hold s.mu (or own the shard exclusively, as recovery does).
 func (s *shard) apply(e *walEntry, seg int) {
@@ -179,15 +186,13 @@ func (s *shard) log(e *walEntry) error {
 // noteWritten accounts n appended bytes to the live segment.
 func (s *shard) noteWritten(n int64) {
 	s.segBytes += n
-	if s.segs != nil {
-		s.segMeta(s.seg).bytes += n
-	}
+	s.segMeta(s.seg).bytes += n
 }
 
 // maybeRoll seals the live segment and opens the next once it passes the
-// limit. Stock shards (segs nil) never roll.
+// limit.
 func (s *shard) maybeRoll() error {
-	if s.segs == nil || s.segBytes < s.db.segLimit {
+	if s.segBytes < s.db.segLimit {
 		return nil
 	}
 	return s.roll()
@@ -236,7 +241,6 @@ func (s *shard) compactSnapshot() (compactOutcome, error) {
 	defer s.compactMu.Unlock()
 
 	sp := db.tracer.StartRoot("db.compact")
-	sp.Set("layout", "sharded")
 	sp.SetInt("shard", int64(s.idx))
 	fail := func(err error) (compactOutcome, error) {
 		sp.Error(err.Error())
@@ -249,7 +253,7 @@ func (s *shard) compactSnapshot() (compactOutcome, error) {
 		s.mu.Unlock()
 		return fail(ErrClosed)
 	}
-	if s.wal == nil || s.segs == nil {
+	if s.segs == nil {
 		s.mu.Unlock()
 		sp.End()
 		return out, nil // in-memory
@@ -289,40 +293,8 @@ func (s *shard) compactSnapshot() (compactOutcome, error) {
 	}
 	s.mu.Unlock()
 
-	tmp, err := os.CreateTemp(db.dir, "snaptmp-*")
+	snapBytes, err := db.writeSnapshotFile(shardSnapshotFile(s.idx), cut+1, state)
 	if err != nil {
-		return fail(err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := writeEntry(tmp, &walEntry{Op: opFloor, RawSize: cut + 1}); err != nil {
-		tmp.Close()
-		return fail(err)
-	}
-	var snapBytes int64
-	for table, rows := range state {
-		for key, r := range rows {
-			e := &walEntry{Op: "put", Table: table, Key: key, Meta: r.meta,
-				Comp: r.comp, RawSize: r.rawSize, StoredAt: r.storedAt}
-			if err := writeEntry(tmp, e); err != nil {
-				tmp.Close()
-				return fail(err)
-			}
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fail(err)
-	}
-	if fi, err := tmp.Stat(); err == nil {
-		snapBytes = fi.Size()
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(db.dir, shardSnapshotFile(s.idx))); err != nil {
-		return fail(err)
-	}
-	if err := fsyncDir(db.dir); err != nil {
 		return fail(err)
 	}
 
@@ -366,10 +338,6 @@ type compactOutcome struct {
 // victim — which also makes the unlink crash-safe.
 func (s *shard) retireDead() (segs int, bytes int64) {
 	s.mu.Lock()
-	if s.segs == nil {
-		s.mu.Unlock()
-		return 0, 0
-	}
 	var victims []int
 	for i, m := range s.segs {
 		if m.sealed && m.live == 0 {
@@ -410,13 +378,10 @@ func (s *shard) stats() ShardStats {
 		ss.LiveEntries += m.live
 		ss.DeadEntries += m.entries - m.live
 	}
-	if s.segs == nil {
-		ss.Bytes = s.segBytes
-	}
 	return ss
 }
 
-// --- sharded-layout file names ---
+// --- file names ---
 
 func segmentFile(shard, seg int) string {
 	return fmt.Sprintf("wal-%d-%06d.log", shard, seg)

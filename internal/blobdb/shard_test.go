@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestShardedRoundTripAndReopen(t *testing.T) {
 		t.Fatalf("TableNames = %v", names)
 	}
 	st := db.Stats()
-	if !st.Sharded || st.Shards != 4 || len(st.PerShard) != 4 {
+	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("Stats = %+v", st)
 	}
 	if st.WALWrites == 0 {
@@ -212,101 +213,102 @@ func TestAutoCompactRetiresDeadSegmentsUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestLayoutMigration walks stock -> 4 shards -> 2 shards -> stock,
-// checking data and the on-disk layout at each step.
-func TestLayoutMigration(t *testing.T) {
+// TestShardCountFollowsManifest: the shard count is a property of the
+// directory. Whatever a later Open asks for, it gets the count the
+// directory was created with — no error, no re-sharding, no file touched.
+func TestShardCountFollowsManifest(t *testing.T) {
 	dir := t.TempDir()
-	check := func(db *DB, want map[string]string) {
-		t.Helper()
-		tab := db.Table("t")
-		if got := tab.Len(); got != len(want) {
-			t.Fatalf("Len = %d, want %d", got, len(want))
-		}
-		for k, v := range want {
-			rec, err := tab.Get(k)
-			if err != nil {
-				t.Fatalf("Get(%s): %v", k, err)
-			}
-			if string(rec.Blob) != v {
-				t.Fatalf("Get(%s) = %q, want %q", k, rec.Blob, v)
-			}
-		}
-	}
-	want := map[string]string{}
-	db, err := Open(Options{Dir: dir})
+	db, err := Open(Options{Dir: dir, WALShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
 		k := fmt.Sprintf("k%02d", i)
-		want[k] = "v0-" + k
-		if err := db.Table("t").Put(k, nil, []byte(want[k])); err != nil {
+		if err := db.Table("t").Put(k, nil, []byte("v-"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// stock -> 4 shards
-	db, err = Open(Options{Dir: dir, WALShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(db, want)
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("manifest missing after expansion: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, walName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy wal.log survived expansion: %v", err)
-	}
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("new%d", i)
-		want[k] = "v1-" + k
-		if err := db.Table("t").Put(k, nil, []byte(want[k])); err != nil {
+	before := dirListing(t, dir)
+	for _, ask := range []int{0, 1, 16} {
+		db, err := Open(Options{Dir: dir, WALShards: ask})
+		if err != nil {
+			t.Fatalf("WALShards %d: %v", ask, err)
+		}
+		if got := db.Stats().Shards; got != 4 {
+			t.Fatalf("WALShards %d: %d shards, want the manifest's 4", ask, got)
+		}
+		for i := 0; i < 30; i++ {
+			k := fmt.Sprintf("k%02d", i)
+			if rec, err := db.Table("t").Get(k); err != nil || string(rec.Blob) != "v-"+k {
+				t.Fatalf("WALShards %d: Get(%s) = %v, %v", ask, k, rec, err)
+			}
+		}
+		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if after := dirListing(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("WALShards %d: directory changed:\n%v\nwas\n%v", ask, after, before)
+		}
 	}
-	delete(want, "k03")
-	if err := db.Table("t").Delete("k03"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// 4 shards -> 2 shards (reshard)
-	db, err = Open(Options{Dir: dir, WALShards: 2})
+// dirListing renders dir's entries as "name size", sorted by name.
+func dirListing(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(db, want)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	var out []string
+	for _, ent := range ents {
+		fi, err := ent.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%s %d", fi.Name(), fi.Size()))
 	}
+	return out
+}
 
-	// 2 shards -> stock
-	db, err = Open(Options{Dir: dir})
+// TestParseSegmentName: only the spelling segmentFile produces is a
+// segment. The unpadded one used to be accepted too, and recovery then
+// went looking for the padded file it implied.
+func TestParseSegmentName(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		shard, seg int
+		ok         bool
+	}{
+		{"wal-0-000001.log", 0, 1, true},
+		{"wal-12-1234567.log", 12, 1234567, true},
+		{"wal-0-1.log", 0, 0, false},
+		{"wal-00-000001.log", 0, 0, false},
+		{"wal-0-000001.log.bak", 0, 0, false},
+		{"wal-0-000001.logx", 0, 0, false},
+		{"wal--1-000001.log", 0, 0, false},
+		{"wal.log", 0, 0, false},
+	} {
+		shard, seg, ok := parseSegmentName(tc.name)
+		if shard != tc.shard || seg != tc.seg || ok != tc.ok {
+			t.Errorf("parseSegmentName(%q) = %d, %d, %v; want %d, %d, %v", tc.name, shard, seg, ok, tc.shard, tc.seg, tc.ok)
+		}
+	}
+	// And recovery says so instead of failing to open a file nobody named.
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(db, want)
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("manifest survived collapse: %v", err)
-	}
-	if n := countFiles(t, dir, "wal-*-*.log"); n != 0 {
-		t.Fatalf("%d shard segments survived collapse", n)
-	}
-	if err := db.Close(); err != nil {
+	db.Close()
+	if err := os.WriteFile(filepath.Join(dir, "wal-0-1.log"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// And a plain stock reopen still sees everything.
-	db, err = Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unexpected wal file wal-0-1.log") {
+		t.Fatalf("Open beside wal-0-1.log = %v, want ErrCorrupt naming it", err)
 	}
-	defer db.Close()
-	check(db, want)
 }
 
 // TestShardedGroupCommitCrashDurability: per-shard committers must make
@@ -458,39 +460,5 @@ func TestCloseRacesCompaction(t *testing.T) {
 			return true
 		})
 		db2.Close()
-	}
-}
-
-// TestStockLayoutFileSetUnchanged pins the off-by-default contract: with
-// the knobs at zero value, the on-disk layout is exactly the seed's —
-// wal.log plus snapshot.db, no manifest, no segments.
-func TestStockLayoutFileSetUnchanged(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Table("t").Put("k", nil, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Table("t").Put("k2", nil, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	if !reflect.DeepEqual(names, []string{"snapshot.db", "wal.log"}) {
-		t.Fatalf("stock layout files = %v, want [snapshot.db wal.log]", names)
 	}
 }

@@ -759,8 +759,8 @@ func (o *OnServe) Invocations() []*Invocation {
 type Monitoring struct {
 	Services    []soap.ServiceStats `json:"services"`
 	Invocations map[string]int      `json:"invocations"`
-	// DB surfaces the blob store's WAL and compaction counters —
-	// per-shard when the sharded engine (blobdb.Options.WALShards) is on.
+	// DB surfaces the blob store's WAL and compaction counters — per
+	// shard too when the database is persistent.
 	DB blobdb.Stats `json:"db"`
 }
 

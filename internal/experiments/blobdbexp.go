@@ -12,7 +12,7 @@ import (
 )
 
 // incompressible fills n bytes from a xorshift stream so gzip cannot
-// shrink the payload — the studies below measure the WAL, not the
+// shrink the payload — the study below measures the WAL, not the
 // compressor.
 func incompressible(n int, seed uint64) []byte {
 	b := make([]byte, n)
@@ -35,246 +35,105 @@ func durP99(d []time.Duration) time.Duration {
 	return sorted[len(sorted)*99/100]
 }
 
-// AblationBlobDB measures the sharded, segmented storage engine against
-// the stock single-WAL layout. Like AblationGroupCommit it runs in real
-// time against real files — time dilation would hide exactly the fsync
-// and lock-hold costs the sharding exists to remove. Three studies:
+// AblationBlobDB sweeps the storage engine's one structural knob, the
+// shard count, over {1, 4, 16} with everything else held equal. Like
+// AblationGroupCommit it runs in real time against real files — time
+// dilation would hide exactly the fsync and lock-hold costs sharding
+// exists to remove. Each count gets two runs:
 //
-//   - throughput: concurrent group-committed puts/sec as the shard count
-//     grows (1 = stock layout); more shards means narrower mutexes and
-//     parallel per-shard fsyncs.
-//   - p99: per-put latency on an overwrite-heavy store while compaction
-//     runs — the stock engine's stop-the-world Compact() against the
-//     sharded engine's incremental background compactor.
-//   - replay: cold-boot Open() wall time on a replayRecords-record
-//     store — one sequential log against parallel per-shard replay.
+//   - load: sustained overwrites on a preloaded store that must reclaim
+//     space while serving (a WAL-structured store cannot take overwrites
+//     forever without compaction, so the background compactor is part of
+//     the steady state): puts/s, p99 put latency, segments retired.
+//   - replay: cold Open() wall time on a replayRecords-record store —
+//     shards replay in parallel, overlapping one's decode with the
+//     others' reads.
 func AblationBlobDB(replayRecords int) (*AblationResult, error) {
 	if replayRecords <= 0 {
 		replayRecords = 1_000_000
 	}
 	res := &AblationResult{Notes: []string{
-		"real-time study of the blobdb storage engine (see DESIGN.md, storage engine section)",
-		"throughput: sustained overwrite load on a store that must reclaim space while serving; shards-1 is the stock layout with periodic stop-the-world Compact(), shards-N reclaim in the background one 1/N-of-keyspace snapshot at a time",
-		"p99: overwrite-heavy 32 KB puts on a preloaded store; stock reclaims space stop-the-world mid-run, sharded-8 compacts incrementally in the background",
-		fmt.Sprintf("replay: cold Open() of a %d-record store (page cache dropped when permitted); sharded-16 replays shards in parallel, overlapping decode with reads", replayRecords),
+		"real-time sweep of blobdb's shard count, all other options equal (see DESIGN.md, storage engine section)",
+		"blobdb-load: 8 writers x 500 overwriting 32 KB puts on a preloaded 512-key store, 1 MB segments, background compactor every 50 ms; more shards means narrower locks and smaller reclamation units (one 1/N-of-keyspace snapshot at a time)",
+		fmt.Sprintf("blobdb-replay: cold Open() of a %d-record store (page cache dropped when permitted)", replayRecords),
 	}}
-	if err := blobThroughput(res); err != nil {
-		return nil, err
-	}
-	if err := blobCompactionP99(res); err != nil {
-		return nil, err
-	}
-	if err := blobReplay(res, replayRecords); err != nil {
-		return nil, err
+	for _, shards := range []int{1, 4, 16} {
+		variant := fmt.Sprintf("shards-%d", shards)
+		row := func(study, metric string, v float64) {
+			res.Rows = append(res.Rows, AblationRow{Study: study, Variant: variant, Metric: metric, Value: v})
+		}
+		if err := blobLoad(shards, row); err != nil {
+			return nil, err
+		}
+		if err := blobReplay(shards, replayRecords, row); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
 
-// blobThroughput: sustained puts/sec vs shard count on a store that has
-// to reclaim space while serving. A WAL-structured store cannot run an
-// overwrite workload forever without compaction, so compaction is part
-// of the steady state being measured: the stock layout (shards-1) can
-// only reclaim with stop-the-world Compact(), which rewrites the whole
-// store under the WAL mutex while every writer waits; a sharded store
-// reclaims in the background, one shard at a time, each snapshot
-// covering 1/N of the keyspace — so more shards means smaller, shorter
-// reclamation units and more puts landing between them.
-func blobThroughput(res *AblationResult) error {
+// withTempDB opens a database in a fresh temp directory, runs fn and
+// removes the directory; fn owns (and closes) the handle.
+func withTempDB(opts blobdb.Options, fn func(opts blobdb.Options, db *blobdb.DB) error) error {
+	dir, err := os.MkdirTemp("", "blobdb-exp-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	opts.Dir = dir
+	db, err := blobdb.Open(opts)
+	if err != nil {
+		return err
+	}
+	return fn(opts, db)
+}
+
+// blobLoad times every put of an overwrite-heavy burst while the
+// compactor reclaims behind it.
+func blobLoad(shards int, row func(study, metric string, v float64)) error {
 	const keys, writers, perWriter, payload = 512, 8, 500, 32 << 10
 	blob := incompressible(payload, 7)
-	for _, shards := range []int{1, 4, 16} {
-		dir, err := os.MkdirTemp("", "blobdb-tput-*")
-		if err != nil {
-			return err
-		}
-		opts := blobdb.Options{Dir: dir, WALShards: shards}
-		if shards > 1 {
-			opts.SegmentBytes = 1 << 20
-			opts.AutoCompact = true
-			opts.CompactEvery = 50 * time.Millisecond
-		}
-		db, err := blobdb.Open(opts)
-		if err != nil {
-			os.RemoveAll(dir)
-			return err
-		}
+	opts := blobdb.Options{WALShards: shards, SegmentBytes: 1 << 20,
+		AutoCompact: true, CompactEvery: 50 * time.Millisecond}
+	return withTempDB(opts, func(_ blobdb.Options, db *blobdb.DB) error {
+		defer db.Close()
 		tab := db.Table("bench")
 		for i := 0; i < keys; i++ {
 			if err := tab.Put(fmt.Sprintf("k%04d", i), nil, blob); err != nil {
-				db.Close()
-				os.RemoveAll(dir)
 				return err
 			}
 		}
-		// The stock variant reclaims the only way it can: periodic
-		// stop-the-world compaction alongside the writers.
-		stop := make(chan struct{})
-		var compWG sync.WaitGroup
-		if shards == 1 {
-			compWG.Add(1)
-			go func() {
-				defer compWG.Done()
-				tick := time.NewTicker(50 * time.Millisecond)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-						db.Compact()
-					}
-				}
-			}()
-		}
+		lats := make([][]time.Duration, writers)
+		errs := make([]error, writers)
 		start := time.Now()
 		var wg sync.WaitGroup
-		errc := make(chan error, writers)
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for i := 0; i < perWriter; i++ {
-					if err := tab.Put(fmt.Sprintf("k%04d", (w*perWriter+i)%keys), nil, blob); err != nil {
-						errc <- err
-						return
-					}
+				for i := 0; i < perWriter && errs[w] == nil; i++ {
+					t0 := time.Now()
+					errs[w] = tab.Put(fmt.Sprintf("k%04d", (w*perWriter+i)%keys), nil, blob)
+					lats[w] = append(lats[w], time.Since(t0))
 				}
 			}(w)
 		}
 		wg.Wait()
 		elapsed := time.Since(start)
-		close(errc)
-		close(stop)
-		compWG.Wait()
-		if err := <-errc; err != nil {
-			db.Close()
-			os.RemoveAll(dir)
-			return err
-		}
-		st := db.Stats()
-		if err := db.Close(); err != nil {
-			os.RemoveAll(dir)
-			return err
-		}
-		os.RemoveAll(dir)
-		variant := fmt.Sprintf("shards-%d", shards)
-		puts := float64(writers * perWriter)
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "blobdb-tput", Variant: variant, Metric: "puts_per_s", Value: puts / elapsed.Seconds()},
-			AblationRow{Study: "blobdb-tput", Variant: variant, Metric: "wall_ms", Value: float64(elapsed.Milliseconds())},
-			AblationRow{Study: "blobdb-tput", Variant: variant, Metric: "segments_retired", Value: float64(st.Compactor.SegmentsRetired)},
-		)
-	}
-	return nil
-}
-
-// blobCompactionP99: tail latency of puts while the store reclaims an
-// overwrite-heavy WAL. The stock engine can only Compact() stop-the-world
-// — every put issued during the rewrite waits for the whole snapshot.
-// The sharded engine's background compactor holds a shard lock only to
-// snapshot its in-memory state, so puts slip between compactions.
-func blobCompactionP99(res *AblationResult) error {
-	const keys, writers, perWriter, payload = 512, 4, 500, 32 << 10
-	blob := incompressible(payload, 11)
-	run := func(opts blobdb.Options, stopWorld bool) (lat []time.Duration, compactions float64, retired float64, err error) {
-		dir, err := os.MkdirTemp("", "blobdb-p99-*")
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		defer os.RemoveAll(dir)
-		opts.Dir = dir
-		db, err := blobdb.Open(opts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		defer db.Close()
-		tab := db.Table("bench")
-		for i := 0; i < keys; i++ {
-			if err := tab.Put(fmt.Sprintf("k%04d", i), nil, blob); err != nil {
-				return nil, 0, 0, err
+		var all []time.Duration
+		for w := range lats {
+			if errs[w] != nil {
+				return errs[w]
 			}
+			all = append(all, lats[w]...)
 		}
-		// The stock variant reclaims space the only way it can: periodic
-		// stop-the-world compaction concurrent with the writers. Every put
-		// issued while the snapshot is rewritten waits on the WAL mutex.
-		stop := make(chan struct{})
-		var compWG sync.WaitGroup
-		var manual int
-		if stopWorld {
-			compWG.Add(1)
-			go func() {
-				defer compWG.Done()
-				tick := time.NewTicker(50 * time.Millisecond)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-						if err := db.Compact(); err == nil {
-							manual++
-						}
-					}
-				}
-			}()
-		}
-		var mu sync.Mutex
-		lat = make([]time.Duration, 0, writers*perWriter)
-		var wg sync.WaitGroup
-		errc := make(chan error, writers)
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				local := make([]time.Duration, 0, perWriter)
-				for i := 0; i < perWriter; i++ {
-					k := fmt.Sprintf("k%04d", (w*perWriter+i)%keys)
-					t0 := time.Now()
-					if err := tab.Put(k, nil, blob); err != nil {
-						errc <- err
-						return
-					}
-					local = append(local, time.Since(t0))
-				}
-				mu.Lock()
-				lat = append(lat, local...)
-				mu.Unlock()
-			}(w)
-		}
-		wg.Wait()
-		close(errc)
-		close(stop)
-		compWG.Wait()
-		if err := <-errc; err != nil {
-			return nil, 0, 0, err
-		}
-		st := db.Stats()
-		if stopWorld {
-			return lat, float64(manual), 0, nil
-		}
-		return lat, float64(st.Compactor.Snapshots), float64(st.Compactor.SegmentsRetired), nil
-	}
-
-	stockLat, stockComp, _, err := run(blobdb.Options{}, true)
-	if err != nil {
-		return err
-	}
-	shardLat, shardSnaps, shardRetired, err := run(blobdb.Options{
-		WALShards: 8, SegmentBytes: 2 << 20,
-		AutoCompact: true, CompactEvery: 50 * time.Millisecond,
-	}, false)
-	if err != nil {
-		return err
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	res.Rows = append(res.Rows,
-		AblationRow{Study: "blobdb-p99", Variant: "stock-stopworld", Metric: "p99_put_ms", Value: ms(durP99(stockLat))},
-		AblationRow{Study: "blobdb-p99", Variant: "stock-stopworld", Metric: "compactions", Value: stockComp},
-		AblationRow{Study: "blobdb-p99", Variant: "sharded-bg", Metric: "p99_put_ms", Value: ms(durP99(shardLat))},
-		AblationRow{Study: "blobdb-p99", Variant: "sharded-bg", Metric: "compactions", Value: shardSnaps},
-		AblationRow{Study: "blobdb-p99", Variant: "sharded-bg", Metric: "segments_retired", Value: shardRetired},
-	)
-	return nil
+		st := db.Stats().Compactor
+		row("blobdb-load", "puts_per_s", float64(writers*perWriter)/elapsed.Seconds())
+		row("blobdb-load", "p99_put_ms", float64(durP99(all).Microseconds())/1e3)
+		row("blobdb-load", "segments_retired", float64(st.SegmentsRetired))
+		row("blobdb-load", "snapshots", float64(st.Snapshots))
+		return db.Close()
+	})
 }
 
 // dropPageCache makes a reopen genuinely cold. Best-effort: it needs
@@ -285,55 +144,35 @@ func dropPageCache() {
 	os.WriteFile("/proc/sys/vm/drop_caches", []byte("3"), 0)
 }
 
-// blobReplay: cold-boot recovery time. Both variants hold the same
-// records; the stock layout replays one log with a single goroutine —
-// its entry decode stalls behind every read — while the sharded layout
-// replays every shard on its own goroutine, overlapping one shard's
-// decode with the others' reads.
-func blobReplay(res *AblationResult, records int) error {
+// blobReplay times a cold-boot Open of a store holding records small
+// rows.
+func blobReplay(shards, records int, row func(study, metric string, v float64)) error {
 	blob := incompressible(64, 13)
-	for _, shards := range []int{1, 16} {
-		dir, err := os.MkdirTemp("", "blobdb-replay-*")
-		if err != nil {
-			return err
-		}
-		opts := blobdb.Options{Dir: dir, WALShards: shards, SegmentBytes: 64 << 20}
-		db, err := blobdb.Open(opts)
-		if err != nil {
-			os.RemoveAll(dir)
-			return err
-		}
+	opts := blobdb.Options{WALShards: shards, SegmentBytes: 64 << 20}
+	return withTempDB(opts, func(opts blobdb.Options, db *blobdb.DB) error {
 		tab := db.Table("bench")
 		for i := 0; i < records; i++ {
 			if err := tab.Put(fmt.Sprintf("k%07d", i), nil, blob); err != nil {
 				db.Close()
-				os.RemoveAll(dir)
 				return err
 			}
 		}
 		if err := db.Close(); err != nil {
-			os.RemoveAll(dir)
 			return err
 		}
 		dropPageCache()
 		start := time.Now()
-		db, err = blobdb.Open(opts)
+		db, err := blobdb.Open(opts)
 		if err != nil {
-			os.RemoveAll(dir)
 			return err
 		}
 		elapsed := time.Since(start)
-		n := db.Table("bench").Len()
-		db.Close()
-		os.RemoveAll(dir)
-		if n != records {
+		defer db.Close()
+		if n := db.Table("bench").Len(); n != records {
 			return fmt.Errorf("blobdb replay: recovered %d of %d records (shards=%d)", n, records, shards)
 		}
-		variant := fmt.Sprintf("shards-%d", shards)
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "blobdb-replay", Variant: variant, Metric: "open_ms", Value: float64(elapsed.Milliseconds())},
-			AblationRow{Study: "blobdb-replay", Variant: variant, Metric: "records_per_s", Value: float64(records) / elapsed.Seconds()},
-		)
-	}
-	return nil
+		row("blobdb-replay", "open_ms", float64(elapsed.Milliseconds()))
+		row("blobdb-replay", "records_per_s", float64(records)/elapsed.Seconds())
+		return nil
+	})
 }
