@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -319,8 +318,8 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 			if f.ID > w.cursor.Load() {
 				w.cursor.Store(f.ID)
 			}
-			var ev gram.EventData
-			if err := json.Unmarshal(f.Data, &ev); err != nil || ev.JobID == "" {
+			ev, err := gram.DecodeEventData(f.Data)
+			if err != nil || ev.JobID == "" {
 				// Malformed frame: the stream framing still holds, but this
 				// event's content is lost — resync rather than guess.
 				w.syncAll()

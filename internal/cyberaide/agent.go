@@ -130,16 +130,15 @@ func (a *Agent) WithTrace(sc trace.SpanContext) *Agent {
 	return &b
 }
 
-// gramFor returns the session's GRAM client, stamped with the agent's
-// trace context when one is set. The shallow copy keeps the shared
-// session client immutable under concurrent invocations.
+// gramFor returns the session's GRAM client, or one like it stamped with
+// the agent's trace context when one is set: the shared session client
+// stays immutable under concurrent invocations.
 func (a *Agent) gramFor(sess *Session) *gram.Client {
 	if !a.trace.Valid() {
 		return sess.gram
 	}
-	c := *sess.gram
-	c.Trace = a.trace.String()
-	return &c
+	c := sess.gram
+	return &gram.Client{BaseURL: c.BaseURL, Cred: c.Cred, HTTP: c.HTTP, Trace: a.trace.String()}
 }
 
 // ftpFor is gramFor for a site's GridFTP client.
@@ -148,9 +147,7 @@ func (a *Agent) ftpFor(sess *Session, site string) (*gridftp.Client, bool) {
 	if !ok || !a.trace.Valid() {
 		return ftp, ok
 	}
-	c := *ftp
-	c.Trace = a.trace.String()
-	return &c, true
+	return &gridftp.Client{BaseURL: ftp.BaseURL, Cred: ftp.Cred, HTTP: ftp.HTTP, Trace: a.trace.String()}, true
 }
 
 // Authenticate performs a MyProxy logon, obtaining a freshly delegated

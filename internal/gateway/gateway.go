@@ -22,7 +22,6 @@
 package gateway
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,6 +29,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -39,6 +39,8 @@ import (
 
 	"repro/internal/appliance"
 	"repro/internal/core"
+	"repro/internal/flatjson"
+	"repro/internal/hop"
 	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/sizedio"
@@ -470,19 +472,29 @@ func (g *Gateway) refreshView() {
 }
 
 func (g *Gateway) fetchRegistry(base string) ([]uddi.Record, error) {
-	resp, err := g.httpc.Get(base + "/api/registry")
+	reply, err := g.send(http.MethodGet, base, "/api/registry", nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("gateway: registry pull: %s", resp.Status)
+	if reply.Status != http.StatusOK {
+		return nil, fmt.Errorf("gateway: registry pull: http %d", reply.Status)
 	}
 	var recs []uddi.Record
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&recs); err != nil {
+	if err := json.Unmarshal(reply.Body, &recs); err != nil {
 		return nil, err
 	}
 	return recs, nil
+}
+
+// send makes one request of the gateway's own (a registry pull, a peer
+// push, a replayed upload, a delete sweep) to a server named by its base
+// URL; the proxied hop itself is forward.
+func (g *Gateway) send(method, base, target string, header http.Header, body []byte) (hop.Reply, error) {
+	root, err := url.Parse(base)
+	if err != nil {
+		return hop.Reply{}, err
+	}
+	return hop.Do(g.httpc, method, root, target, header, body, maxBody)
 }
 
 // pushPeers sends one view mutation to every peer gateway.
@@ -502,24 +514,20 @@ func (g *Gateway) pushPeers(op string, rec uddi.Record) {
 		g.bg.Add(1)
 		go func() {
 			defer g.bg.Done()
-			resp, err := g.httpc.Post(peer+"/gateway/uddi", "application/json", bytes.NewReader(body))
-			if err == nil {
-				resp.Body.Close()
-			}
+			// Best effort: a peer that misses a push catches up on its next pull.
+			g.send(http.MethodPost, peer, "/gateway/uddi", hop.Header("Content-Type", "application/json"), body)
 		}()
 	}
 }
 
 // replayUpload re-POSTs a catalogued upload to one appliance.
 func (g *Gateway) replayUpload(base string, e *catalogEntry) error {
-	resp, err := g.httpc.Post(base+"/upload", e.contentType, bytes.NewReader(e.body))
+	reply, err := g.send(http.MethodPost, base, "/upload", hop.Header("Content-Type", e.contentType), e.body)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("gateway: replay upload: %s", resp.Status)
+	if reply.Status != http.StatusOK {
+		return fmt.Errorf("gateway: replay upload: http %d", reply.Status)
 	}
 	return nil
 }
@@ -661,7 +669,7 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 		}
 	}
 
-	g.learn(rt, m, body, r.Header.Get("Content-Type"), resp)
+	g.learn(rt, m, r.Header, body, resp)
 	sp.SetInt("status", int64(resp.status))
 	sp.End()
 	resp.write(w)
@@ -679,25 +687,22 @@ func (g *Gateway) nextHealthy(succ []*member, skip *member) *member {
 
 // learn harvests placement facts from a successful response: tickets
 // map back to the shard that issued them, uploads enter the catalog and
-// the replicated view, deletes leave both.
-func (g *Gateway) learn(rt Route, m *member, body []byte, contentType string, resp *bufferedResponse) {
+// the replicated view, deletes leave both. header is the caller's.
+func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, resp *bufferedResponse) {
 	if resp.status != http.StatusOK {
 		return
 	}
 	switch rt.Kind {
 	case KindInvoke:
-		var out struct {
-			Ticket string `json:"ticket"`
-		}
-		if json.Unmarshal(resp.body, &out) == nil && out.Ticket != "" {
-			g.tickets.Store(out.Ticket, m)
+		if ticket := invokeTicket(resp.body); ticket != "" {
+			g.tickets.Store(ticket, m)
 			m.ticketHints.Add(1)
 		}
 	case KindUpload:
 		e := &catalogEntry{
 			service:     rt.Service,
 			owner:       rt.Owner,
-			contentType: contentType,
+			contentType: header.Get("Content-Type"),
 			body:        append([]byte(nil), body...),
 		}
 		g.mu.Lock()
@@ -715,21 +720,45 @@ func (g *Gateway) learn(rt Route, m *member, body []byte, contentType string, re
 		g.view.remove(rt.Service)
 		g.pushPeers("delete", uddi.Record{Name: rt.Service})
 		// Failover replays may have spread the service: sweep the rest of
-		// the fleet so a later scatter cannot resurrect it.
+		// the fleet so a later scatter cannot resurrect it. The sweep acts
+		// for the caller, so it carries the caller's key and trace context
+		// — a shard with tenancy on refuses a delete that shows no key.
 		for _, other := range g.members {
 			if other == m || !other.healthy() {
 				continue
 			}
-			base, _ := other.snapshot()
-			req, err := http.NewRequest(http.MethodPost, base+"/api/delete?name="+rt.Service, nil)
-			if err != nil {
-				continue
-			}
-			if resp, err := g.httpc.Do(req); err == nil {
-				resp.Body.Close()
-			}
+			g.send(http.MethodPost, memberBase(other), "/api/delete?name="+url.QueryEscape(rt.Service),
+				hop.Header(tenant.KeyHeader, header.Get(tenant.KeyHeader), trace.Header, header.Get(trace.Header)), nil)
 		}
 	}
+}
+
+// invokeTicket reads the ticket out of an appliance's /api/invoke reply,
+// {"job_id":…,"site":…,"ticket":…}; any other document is
+// encoding/json's to read.
+func invokeTicket(doc []byte) string {
+	var ticket string
+	o := flatjson.Open(doc)
+	for o.Next() {
+		switch string(o.Key()) {
+		case "ticket":
+			ticket = o.String()
+		case "job_id", "site":
+			o.Skip()
+		default:
+			o.Fail()
+		}
+	}
+	if o.Done() {
+		return ticket
+	}
+	var out struct {
+		Ticket string `json:"ticket"`
+	}
+	if json.Unmarshal(doc, &out) != nil {
+		return ""
+	}
+	return out.Ticket
 }
 
 func (g *Gateway) catalogGet(service string) *catalogEntry {
@@ -1075,23 +1104,25 @@ func (b *bufferedResponse) write(w http.ResponseWriter) {
 	w.Write(b.body)
 }
 
-// forward proxies one request to m, buffering the response. sp, when
-// non-nil, is the gateway span whose context replaces X-Grid-Trace on
-// the hop so appliance spans hang under it.
+// forward proxies one request to m, buffering the response. The caller's
+// header goes out as it is; sp, when non-nil, is the gateway span whose
+// context replaces X-Grid-Trace on the hop, in a copy, so appliance spans
+// hang under it.
 func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Span) (*bufferedResponse, error) {
-	base, _ := m.snapshot()
-	req, err := http.NewRequest(r.Method, base+r.URL.RequestURI(), bytes.NewReader(body))
+	root, err := m.root()
 	if err != nil {
 		return nil, err
 	}
-	for k, vs := range r.Header {
-		req.Header[k] = vs
-	}
-	if hop := sp.Context(); hop.Valid() {
-		req.Header.Set(trace.Header, hop.String())
+	header := r.Header
+	if tc := sp.Context(); tc.Valid() {
+		header = make(http.Header, len(r.Header)+1)
+		for k, vs := range r.Header {
+			header[k] = vs
+		}
+		header.Set(trace.Header, tc.String())
 	}
 	m.proxied.Add(1)
-	resp, err := g.httpc.Do(req)
+	reply, err := hop.Do(g.httpc, r.Method, root, r.URL.RequestURI(), header, body, maxBody)
 	if err != nil {
 		m.proxyErrs.Add(1)
 		// Flush pooled keep-alive connections: a crashed upstream surfaces
@@ -1102,15 +1133,10 @@ func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Spa
 		g.httpc.CloseIdleConnections()
 		return nil, err
 	}
-	defer resp.Body.Close()
-	respBody, err := sizedio.ReadAll(resp.Body, resp.ContentLength, maxBody)
-	if err != nil {
-		m.proxyErrs.Add(1)
-		return nil, fmt.Errorf("read response body: %w", err)
-	}
-	header := resp.Header.Clone()
-	header.Del("Content-Length") // length may change if callers re-frame
-	return &bufferedResponse{status: resp.StatusCode, header: header, body: respBody}, nil
+	// The reply's header is nobody else's: hand it on, less the length,
+	// which may change if callers re-frame.
+	delete(reply.Header, "Content-Length")
+	return &bufferedResponse{status: reply.Status, header: reply.Header, body: reply.Body}, nil
 }
 
 // startSpan opens the gateway-side span for one proxied request. Nil

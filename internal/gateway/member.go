@@ -3,11 +3,13 @@ package gateway
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/appliance"
+	"repro/internal/hop"
 )
 
 // memberState is the health FSM: healthy → (FailThreshold consecutive
@@ -32,7 +34,8 @@ type member struct {
 	mu        sync.Mutex
 	app       *appliance.Appliance // nil only transiently during rejoin
 	base      string
-	attached  bool // not owned: Kill/Rejoin/Shutdown leave it alone
+	parsed    hop.Base // base as a URL, parsed again only when base changes
+	attached  bool     // not owned: Kill/Rejoin/Shutdown leave it alone
 	killed    bool
 	state     memberState
 	fails     int       // consecutive failures
@@ -51,6 +54,13 @@ func (m *member) snapshot() (string, *appliance.Appliance) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.base, m.app
+}
+
+// root returns the base URL parsed.
+func (m *member) root() (*url.URL, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.parsed.Parse(m.base)
 }
 
 func (m *member) healthy() bool {

@@ -23,7 +23,9 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"repro/internal/flatjson"
 	"repro/internal/gridsim"
+	"repro/internal/trace"
 )
 
 // Event frame types on the wire.
@@ -63,7 +65,8 @@ var ErrNoEvents = errors.New("gram: server does not support event streams")
 
 // EventFrame is one wire frame: an optional cursor ID, an event type,
 // and a raw data payload (JSON for hello/state/output, empty for
-// heartbeat/resync).
+// heartbeat/resync). The Data of a frame EventStream.Next returned is the
+// stream's buffer, valid until the next call of Next.
 type EventFrame struct {
 	ID    uint64
 	Event string
@@ -83,6 +86,52 @@ type EventData struct {
 	OutputVersion uint64 `json:"output_version,omitempty"`
 	Output        string `json:"output,omitempty"`
 	AtUnixNano    int64  `json:"at_unix_ns,omitempty"`
+}
+
+// DecodeEventData decodes the data of a state or output frame. The object
+// a gatekeeper writes (busFrame: the seven members above, each at most
+// once, in any order, no white space) is walked by hand, the state names
+// the grid uses shared rather than allocated; any other document goes to
+// json.Unmarshal, so this accepts, rejects and returns what that does.
+func DecodeEventData(data []byte) (EventData, error) {
+	var ev EventData
+	o := flatjson.Open(data)
+	for o.Next() {
+		switch string(o.Key()) {
+		case "job_id":
+			ev.JobID = o.String()
+		case "state":
+			ev.State = stateName(o.Token())
+		case "message":
+			ev.Message = o.String()
+		case "site":
+			ev.Site = o.String()
+		case "output_version":
+			ev.OutputVersion = o.Uint()
+		case "output":
+			ev.Output = o.String()
+		case "at_unix_ns":
+			ev.AtUnixNano = o.Int()
+		default:
+			o.Fail()
+		}
+	}
+	if o.Done() {
+		return ev, nil
+	}
+	var slow EventData // its own variable, or ev moves to the heap on the fast path too
+	err := json.Unmarshal(data, &slow)
+	return slow, err
+}
+
+// stateName is string(b), shared when b names a job state.
+func stateName(b []byte) string {
+	for s := gridsim.Queued; s <= gridsim.TimedOut; s++ {
+		if name := s.String(); name == string(b) {
+			return name
+		}
+	}
+	return string(b)
 }
 
 // helloData is the JSON payload of the hello frame.
@@ -251,15 +300,31 @@ func writeEventFrame(w io.Writer, f EventFrame) error {
 	return err
 }
 
-// readEventFrame parses one frame from the stream. Unknown fields and
-// comment lines (":") are skipped per the SSE contract; a malformed id
-// degrades to 0; an oversized line or truncated stream is an error —
-// the caller reconnects and resumes from its cursor.
-func readEventFrame(br *bufio.Reader) (EventFrame, error) {
+// EventStream is one live connection to /gram/events. It is read by one
+// goroutine at a time.
+type EventStream struct {
+	body io.ReadCloser
+	br   *bufio.Reader
+	// Heartbeat is the server's announced keepalive interval from the
+	// hello frame; a reader silent for several multiples of it should
+	// treat the stream as dead.
+	Heartbeat time.Duration
+
+	long []byte // a line longer than br's buffer is put together here
+	data []byte // the last frame's data field
+}
+
+// Next blocks for the next frame. The frame's Data is the stream's own
+// buffer: it is valid until the next call of Next, so a caller that keeps
+// a frame copies it. Unknown fields and comment lines (":") are skipped
+// per the SSE contract; a malformed id degrades to 0. Any error (an
+// oversized line, a truncated stream) means the stream is unusable: close
+// it and reconnect from the last good cursor.
+func (es *EventStream) Next() (EventFrame, error) {
 	var f EventFrame
 	seen := false
 	for {
-		line, err := readBoundedLine(br)
+		line, err := es.readLine()
 		if err != nil {
 			return EventFrame{}, err
 		}
@@ -276,49 +341,49 @@ func readEventFrame(br *bufio.Reader) (EventFrame, error) {
 		case "id":
 			f.ID, _ = strconv.ParseUint(string(value), 10, 64)
 		case "event":
-			f.Event = string(value)
+			f.Event = eventName(value)
 		case "data":
-			f.Data = append([]byte(nil), value...)
-		case "":
-			// comment line (":...")
+			es.data = append(es.data[:0], value...)
+			f.Data = es.data
 		}
 	}
 }
 
-// readBoundedLine reads one \n-terminated line, rejecting lines longer
-// than maxFrameLine.
-func readBoundedLine(br *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, more, err := br.ReadLine()
-		if err != nil {
-			return nil, err
-		}
-		line = append(line, chunk...)
-		if len(line) > maxFrameLine {
-			return nil, fmt.Errorf("%w: frame line over %d bytes", ErrBadInput, maxFrameLine)
-		}
-		if !more {
-			return line, nil
+// eventName is string(b) without the allocation for the five names a
+// gatekeeper sends.
+func eventName(b []byte) string {
+	for _, name := range [...]string{EventState, EventOutput, EventHeartbeat, EventResync, EventHello} {
+		if string(b) == name {
+			return name
 		}
 	}
+	return string(b)
 }
 
-// EventStream is one live connection to /gram/events.
-type EventStream struct {
-	body io.ReadCloser
-	br   *bufio.Reader
-	// Heartbeat is the server's announced keepalive interval from the
-	// hello frame; a reader silent for several multiples of it should
-	// treat the stream as dead.
-	Heartbeat time.Duration
-}
-
-// Next blocks for the next frame. Any error (including a malformed
-// frame) means the stream is unusable: close it and reconnect from the
-// last good cursor.
-func (es *EventStream) Next() (EventFrame, error) {
-	return readEventFrame(es.br)
+// readLine returns the next line without its "\n" or "\r\n", valid until
+// the next read, and rejects one longer than maxFrameLine. A line that
+// fits the reader's buffer is a slice of it; a longer one is put together
+// in the stream's own buffer.
+func (es *EventStream) readLine() ([]byte, error) {
+	line, err := es.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		es.long = es.long[:0]
+		// Two over the limit is over it with the line ending taken off.
+		for err == bufio.ErrBufferFull && len(es.long) <= maxFrameLine+2 {
+			es.long = append(es.long, line...)
+			line, err = es.br.ReadSlice('\n')
+		}
+		es.long = append(es.long, line...)
+		line = es.long
+	}
+	if err != nil && err != bufio.ErrBufferFull {
+		return nil, err // a line the stream ends in the middle of is no line
+	}
+	line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
+	if len(line) > maxFrameLine {
+		return nil, fmt.Errorf("%w: frame line over %d bytes", ErrBadInput, maxFrameLine)
+	}
+	return line, nil
 }
 
 // Close tears the stream down; it is safe to call concurrently with
@@ -347,7 +412,9 @@ func (c *Client) Events(session string, since uint64) (*EventStream, error) {
 	if since > 0 {
 		req.Header.Set("Last-Event-ID", strconv.FormatUint(since, 10))
 	}
-	c.setTrace(req)
+	if c.Trace != "" {
+		req.Header.Set(trace.Header, c.Trace)
+	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("gram: /gram/events: %w", err)

@@ -26,6 +26,7 @@ func readUntilState(t *testing.T, es *EventStream, jobID, want string) []EventFr
 		if err != nil {
 			t.Fatalf("stream died after %d frames: %v", len(frames), err)
 		}
+		f.Data = bytes.Clone(f.Data) // the stream's buffer until the next Next
 		frames = append(frames, f)
 		if f.Event != EventState {
 			continue

@@ -12,7 +12,6 @@
 package gram
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +22,9 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/flatjson"
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/jsdl"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -456,24 +457,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// Client is the hand-rolled gatekeeper client.
+// Client is the hand-rolled gatekeeper client. Every call but Events goes
+// through internal/hop: the transport of HTTP directly (no redirects, no
+// cookies, no client timeout), BaseURL parsed once, the reply read whole at
+// its declared length. A Client holds a lock: share it by pointer.
 type Client struct {
 	// BaseURL is the gatekeeper root, e.g. "http://grid-host:2119".
 	BaseURL string
 	// Cred signs every request.
 	Cred *xsec.Credential
-	// HTTP defaults to http.DefaultClient.
+	// HTTP defaults to http.DefaultClient; only its Transport is used,
+	// except by Events.
 	HTTP *http.Client
 	// Trace, when non-empty, rides every request as the X-Grid-Trace
 	// header so the gatekeeper parents its spans under the caller's.
 	Trace string
-}
 
-// setTrace stamps the propagation header on an outgoing request.
-func (c *Client) setTrace(req *http.Request) {
-	if c.Trace != "" {
-		req.Header.Set(trace.Header, c.Trace)
-	}
+	base hop.Base
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -487,24 +487,76 @@ func (c *Client) sign(msg []byte) (string, error) {
 	return c.Cred.SignToken(msg)
 }
 
+// send signs signed and makes one request, returning the reply whatever
+// its status. etag, when non-empty, is sent as If-None-Match.
+func (c *Client) send(method, target string, signed []byte, contentType, etag string, body []byte, limit int64) (hop.Reply, error) {
+	tok, err := c.sign(signed)
+	if err != nil {
+		return hop.Reply{}, err
+	}
+	root, err := c.base.Parse(c.BaseURL)
+	if err != nil {
+		return hop.Reply{}, err
+	}
+	reply, err := hop.Do(c.HTTP, method, root, target,
+		hop.Header(TokenHeader, tok, "Content-Type", contentType, trace.Header, c.Trace, "If-None-Match", etag),
+		body, limit)
+	if err != nil {
+		path, _, _ := strings.Cut(target, "?")
+		return reply, fmt.Errorf("gram: %s: %w", path, err)
+	}
+	return reply, nil
+}
+
+// okBody returns the body of a 200 reply; any other status becomes the
+// error it names.
+func okBody(reply hop.Reply, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	if reply.Status != http.StatusOK {
+		return nil, decodeError(reply.Status, reply.Body)
+	}
+	return reply.Body, nil
+}
+
+// call is send for the JSON endpoints: a 200 reply is decoded into out.
+func (c *Client) call(method, target string, signed []byte, contentType string, body []byte, out any) error {
+	doc, err := okBody(c.send(method, target, signed, contentType, "", body, MaxBody))
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(doc, out)
+}
+
+// submitReplyID reads the reply the gatekeeper's encoder writes,
+// {"job_id":"…"}; any other document is encoding/json's to judge.
+func submitReplyID(doc []byte) (id string, ok bool) {
+	o := flatjson.Open(doc)
+	for o.Next() {
+		if string(o.Key()) != "job_id" {
+			o.Fail()
+		}
+		id = o.String()
+	}
+	return id, o.Done()
+}
+
 // Submit sends the description and returns the job ID.
 func (c *Client) Submit(desc *jsdl.Description) (string, error) {
 	body, err := jsdl.Marshal(desc)
 	if err != nil {
 		return "", err
 	}
-	tok, err := c.sign(body)
+	doc, err := okBody(c.send(http.MethodPost, "/gram/submit", body, "text/xml", "", body, MaxBody))
 	if err != nil {
 		return "", err
 	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/gram/submit", bytes.NewReader(body))
-	if err != nil {
-		return "", err
+	if id, ok := submitReplyID(doc); ok {
+		return id, nil
 	}
-	req.Header.Set(TokenHeader, tok)
-	req.Header.Set("Content-Type", "text/xml")
 	var reply SubmitReply
-	if err := c.do(req, &reply); err != nil {
+	if err := json.Unmarshal(doc, &reply); err != nil {
 		return "", err
 	}
 	return reply.JobID, nil
@@ -554,18 +606,8 @@ func (c *Client) SubmitBatchTraced(descs []*jsdl.Description, traces []string) (
 		if err != nil {
 			return nil, err
 		}
-		tok, err := c.sign(body)
-		if err != nil {
-			return nil, err
-		}
-		req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/gram/submit-batch", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set(TokenHeader, tok)
-		req.Header.Set("Content-Type", "application/json")
 		var reply submitBatchReply
-		if err := c.do(req, &reply); err != nil {
+		if err := c.call(http.MethodPost, "/gram/submit-batch", body, "application/json", body, &reply); err != nil {
 			return nil, err
 		}
 		if len(reply.Entries) != end-start {
@@ -581,7 +623,7 @@ func (c *Client) SubmitBatchTraced(descs []*jsdl.Description, traces []string) (
 // Status polls the job state.
 func (c *Client) Status(jobID string) (*StatusReply, error) {
 	var reply StatusReply
-	if err := c.jobGet("/gram/status", jobID, nil, &reply); err != nil {
+	if err := c.call(http.MethodGet, jobTarget("/gram/status", jobID, nil), jobMessage(jobID), "", nil, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
@@ -591,10 +633,7 @@ func (c *Client) Status(jobID string) (*StatusReply, error) {
 // tentative poller.
 func (c *Client) Output(jobID string) (string, error) {
 	raw, err := c.jobGetRaw("/gram/output", jobID, nil)
-	if err != nil {
-		return "", err
-	}
-	return string(raw), nil
+	return string(raw), err
 }
 
 // StatusBatch fetches many job statuses (plus output versions) in
@@ -609,18 +648,8 @@ func (c *Client) StatusBatch(jobIDs []string) ([]BatchEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		tok, err := c.sign(body)
-		if err != nil {
-			return nil, err
-		}
-		req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/gram/status-batch", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set(TokenHeader, tok)
-		req.Header.Set("Content-Type", "application/json")
 		var reply BatchReply
-		if err := c.do(req, &reply); err != nil {
+		if err := c.call(http.MethodPost, "/gram/status-batch", body, "application/json", body, &reply); err != nil {
 			return nil, err
 		}
 		if len(reply.Entries) != end-start {
@@ -637,32 +666,22 @@ func (c *Client) StatusBatch(jobIDs []string) ([]BatchEntry, error) {
 // changed is false. On a fetch, version is the served snapshot's
 // version, to be passed back as since next time.
 func (c *Client) OutputIfChanged(jobID string, since uint64) (out string, version uint64, changed bool, err error) {
-	req, err := c.jobRequest(http.MethodGet, "/gram/output", jobID, nil)
+	reply, err := c.send(http.MethodGet, jobTarget("/gram/output", jobID, nil), jobMessage(jobID),
+		"", outputETag(since), nil, gridsim.MaxJobOutputBytes+1)
 	if err != nil {
 		return "", 0, false, err
 	}
-	req.Header.Set("If-None-Match", outputETag(since))
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", 0, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotModified {
-		io.Copy(io.Discard, resp.Body)
+	if reply.Status == http.StatusNotModified {
 		return "", since, false, nil
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, gridsim.MaxJobOutputBytes+1))
-	if err != nil {
-		return "", 0, false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", 0, false, decodeError(resp.StatusCode, body)
+	if reply.Status != http.StatusOK {
+		return "", 0, false, decodeError(reply.Status, reply.Body)
 	}
 	version = since
-	if v, ok := parseOutputETag(resp.Header.Get("ETag")); ok {
+	if v, ok := parseOutputETag(reply.Header.Get("ETag")); ok {
 		version = v
 	}
-	return string(body), version, true, nil
+	return string(reply.Body), version, true, nil
 }
 
 // outputETag formats an output version as the entity tag served by
@@ -685,12 +704,8 @@ func (c *Client) OutputFile(jobID, name string) ([]byte, error) {
 
 // Cancel stops the job.
 func (c *Client) Cancel(jobID string) (*StatusReply, error) {
-	req, err := c.jobRequest(http.MethodPost, "/gram/cancel", jobID, nil)
-	if err != nil {
-		return nil, err
-	}
 	var reply StatusReply
-	if err := c.do(req, &reply); err != nil {
+	if err := c.call(http.MethodPost, jobTarget("/gram/cancel", jobID, nil), jobMessage(jobID), "", nil, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
@@ -698,17 +713,8 @@ func (c *Client) Cancel(jobID string) (*StatusReply, error) {
 
 // Sites fetches grid-wide scheduler statistics.
 func (c *Client) Sites() ([]gridsim.SiteStats, error) {
-	tok, err := c.sign([]byte("sites"))
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/gram/sites", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(TokenHeader, tok)
 	var reply []gridsim.SiteStats
-	if err := c.do(req, &reply); err != nil {
+	if err := c.call(http.MethodGet, "/gram/sites", []byte("sites"), "", nil, &reply); err != nil {
 		return nil, err
 	}
 	return reply, nil
@@ -716,17 +722,8 @@ func (c *Client) Sites() ([]gridsim.SiteStats, error) {
 
 // Usage fetches the caller's per-site accounting.
 func (c *Client) Usage() ([]gridsim.SiteUsage, error) {
-	tok, err := c.sign([]byte("usage"))
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/gram/usage", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(TokenHeader, tok)
 	var reply []gridsim.SiteUsage
-	if err := c.do(req, &reply); err != nil {
+	if err := c.call(http.MethodGet, "/gram/usage", []byte("usage"), "", nil, &reply); err != nil {
 		return nil, err
 	}
 	return reply, nil
@@ -756,83 +753,31 @@ func (c *Client) WaitTerminal(jobID string, clock vtime.Clock, interval, timeout
 	}
 }
 
-func (c *Client) jobGet(path, jobID string, extra url.Values, out any) error {
-	req, err := c.jobRequest(http.MethodGet, path, jobID, extra)
-	if err != nil {
-		return err
-	}
-	return c.do(req, out)
-}
-
 func (c *Client) jobGetRaw(path, jobID string, extra url.Values) ([]byte, error) {
-	req, err := c.jobRequest(http.MethodGet, path, jobID, extra)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, gridsim.MaxJobOutputBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp.StatusCode, body)
-	}
-	return body, nil
+	return okBody(c.send(http.MethodGet, jobTarget(path, jobID, extra), jobMessage(jobID), "", "", nil, gridsim.MaxJobOutputBytes+1))
 }
 
-// jobRequest builds a request on one job, its token signed over
-// "job:<id>". The job ID and any extra parameters are query-escaped, so a
-// value holding '&', '#', '+' or a space can neither be cut short nor add
-// a parameter to the signed request. The tentative poller builds two of
-// these per tick, so a well-formed ID costs nothing extra: the ':' of
-// "<site>:job-<n>", which a query may carry as it is, is kept and the
-// halves around it escaped, which copies only when there is something to
-// escape.
-func (c *Client) jobRequest(method, path, jobID string, extra url.Values) (*http.Request, error) {
-	tok, err := c.sign([]byte("job:" + jobID))
-	if err != nil {
-		return nil, err
-	}
+// jobMessage is what the token of a request on one job is signed over.
+func jobMessage(jobID string) []byte { return []byte("job:" + jobID) }
+
+// jobTarget is the request target of a call on one job. The job ID and
+// any extra parameters are query-escaped, so a value holding '&', '#',
+// '+' or a space can neither be cut short nor add a parameter to the
+// signed request. The tentative poller builds two of these per tick, so a
+// well-formed ID costs nothing extra: the ':' of "<site>:job-<n>", which
+// a query may carry as it is, is kept and the halves around it escaped,
+// which copies only when there is something to escape.
+func jobTarget(path, jobID string, extra url.Values) string {
 	site, job, colon := strings.Cut(jobID, ":")
 	sep := ""
 	if colon {
 		sep = ":"
 	}
-	u := c.BaseURL + path + "?job=" + url.QueryEscape(site) + sep + url.QueryEscape(job)
+	t := path + "?job=" + url.QueryEscape(site) + sep + url.QueryEscape(job)
 	if len(extra) > 0 {
-		u += "&" + extra.Encode()
+		t += "&" + extra.Encode()
 	}
-	req, err := http.NewRequest(method, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(TokenHeader, tok)
-	c.setTrace(req)
-	return req, nil
-}
-
-func (c *Client) do(req *http.Request, out any) error {
-	c.setTrace(req)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("gram: %s: %w", req.URL.Path, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBody))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp.StatusCode, body)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(body, out)
+	return t
 }
 
 // decodeError maps server errors back to sentinel errors where possible.

@@ -1,7 +1,6 @@
 package gram
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -626,17 +625,8 @@ func TestSubmitBatchOversizedRejectedServerSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok, err := f.client.sign(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, f.client.BaseURL+"/gram/submit-batch", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(TokenHeader, tok)
 	var reply submitBatchReply
-	if err := f.client.do(req, &reply); !errors.Is(err, ErrBadInput) {
+	if err := f.client.call(http.MethodPost, "/gram/submit-batch", body, "application/json", body, &reply); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("oversized batch: %v", err)
 	}
 }

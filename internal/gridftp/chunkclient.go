@@ -1,13 +1,11 @@
 package gridftp
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -74,52 +72,30 @@ func (c *Client) haveChunksOne(digests []string) ([]string, error) {
 		return nil, err
 	}
 	sum := sha256.Sum256(body)
-	tok, err := c.sign("CHUNK-HAVE", "", hex.EncodeToString(sum[:]))
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/ftp/chunks/have", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(TokenHeader, tok)
-	c.setTrace(req)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
+	reply, err := c.do(call{method: http.MethodPost, target: "/ftp/chunks/have",
+		op: "CHUNK-HAVE", checksum: hex.EncodeToString(sum[:]), contentType: "application/json", body: body})
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: chunks/have: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readError(resp)
+	if reply.Status != http.StatusOK {
+		return nil, replyError(reply)
 	}
-	var reply haveReply
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&reply); err != nil {
+	var have haveReply
+	if err := json.Unmarshal(reply.Body, &have); err != nil {
 		return nil, err
 	}
-	return reply.Missing, nil
+	return have.Missing, nil
 }
 
 // PutChunk ships one wire chunk under its digest.
 func (c *Client) PutChunk(digest string, chunk []byte) error {
-	tok, err := c.sign("CHUNK-PUT", digest, "")
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPut, c.BaseURL+"/ftp/chunk/"+digest, bytes.NewReader(chunk))
-	if err != nil {
-		return err
-	}
-	req.Header.Set(TokenHeader, tok)
-	c.setTrace(req)
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.httpClient().Do(req)
+	reply, err := c.do(call{method: http.MethodPut, target: "/ftp/chunk/" + digest,
+		op: "CHUNK-PUT", name: digest, contentType: "application/octet-stream", body: chunk})
 	if err != nil {
 		return fmt.Errorf("gridftp: put chunk %s: %w", digest[:12], err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return readError(resp)
+	if reply.Status != http.StatusCreated {
+		return replyError(reply)
 	}
 	return nil
 }
@@ -136,29 +112,16 @@ func (c *Client) Commit(name, encoding, fileSha256 string, chunks []string) (str
 	if err != nil {
 		return "", err
 	}
-	tok, err := c.sign("CHUNK-COMMIT", name, fileSha256)
-	if err != nil {
-		return "", err
-	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/ftp/commit", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set(TokenHeader, tok)
-	c.setTrace(req)
-	req.Header.Set("Content-Type", "application/json")
-	if encoding != "" {
-		req.Header.Set(EncodingHeader, encoding)
-	}
-	resp, err := c.httpClient().Do(req)
+	reply, err := c.do(call{method: http.MethodPost, target: "/ftp/commit",
+		op: "CHUNK-COMMIT", name: name, checksum: fileSha256,
+		contentType: "application/json", header: EncodingHeader, value: encoding, body: body})
 	if err != nil {
 		return "", fmt.Errorf("gridftp: commit %s: %w", name, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return "", readError(resp)
+	if reply.Status != http.StatusCreated {
+		return "", replyError(reply)
 	}
-	return resp.Header.Get(ChecksumHeader), nil
+	return reply.Header.Get(ChecksumHeader), nil
 }
 
 // cutChunks splits wire into chunkBytes pieces and returns the ordered

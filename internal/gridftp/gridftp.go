@@ -12,7 +12,6 @@
 package gridftp
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -24,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/sizedio"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -399,62 +399,73 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// Client stages files to and from one site's GridFTP server.
+// Client stages files to and from one site's GridFTP server. Every call
+// goes through internal/hop: the transport of HTTP directly, BaseURL
+// parsed once, the reply read whole at its declared length. A Client
+// holds a lock: share it by pointer.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://site-host:2811".
 	BaseURL string
 	// Cred signs every request; the authenticated identity owns the files.
 	Cred *xsec.Credential
-	// HTTP defaults to http.DefaultClient.
+	// HTTP defaults to http.DefaultClient; only its Transport is used.
 	HTTP *http.Client
 	// Trace, when non-empty, rides every request as the X-Grid-Trace
 	// header so the server parents its spans under the caller's.
 	Trace string
-}
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP == nil {
-		return http.DefaultClient
-	}
-	return c.HTTP
-}
-
-// setTrace stamps the propagation header on an outgoing request.
-func (c *Client) setTrace(req *http.Request) {
-	if c.Trace != "" {
-		req.Header.Set(trace.Header, c.Trace)
-	}
+	base hop.Base
 }
 
 func (c *Client) sign(method, name, checksum string) (string, error) {
 	return c.Cred.SignToken(signPayload(method, name, checksum))
 }
 
+// call is one signed request. The token is signed over the payload of
+// (op, name, checksum); header, when set, is one more header and its
+// value; a zero limit means a reply that carries no file: a status, a
+// checksum header, a list of names or of missing digests.
+type call struct {
+	method, target     string
+	op, name, checksum string
+	contentType        string
+	header, value      string
+	body               []byte
+	limit              int64
+}
+
+// do signs and sends rq and returns the reply whatever its status.
+func (c *Client) do(rq call) (hop.Reply, error) {
+	tok, err := c.sign(rq.op, rq.name, rq.checksum)
+	if err != nil {
+		return hop.Reply{}, err
+	}
+	root, err := c.base.Parse(c.BaseURL)
+	if err != nil {
+		return hop.Reply{}, err
+	}
+	if rq.limit == 0 {
+		rq.limit = 1 << 20
+	}
+	return hop.Do(c.HTTP, rq.method, root, rq.target,
+		hop.Header(TokenHeader, tok, trace.Header, c.Trace, "Content-Type", rq.contentType, rq.header, rq.value),
+		rq.body, rq.limit)
+}
+
 // Put uploads data as name, returning the server-confirmed checksum.
 func (c *Client) Put(name string, data []byte) (string, error) {
 	sum := sha256.Sum256(data)
 	checksum := hex.EncodeToString(sum[:])
-	tok, err := c.sign(http.MethodPut, name, checksum)
-	if err != nil {
-		return "", err
-	}
-	req, err := http.NewRequest(http.MethodPut, c.fileURL(name), bytes.NewReader(data))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set(TokenHeader, tok)
-	c.setTrace(req)
-	req.Header.Set(ChecksumHeader, checksum)
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.httpClient().Do(req)
+	reply, err := c.do(call{method: http.MethodPut, target: filePath(name),
+		op: http.MethodPut, name: name, checksum: checksum,
+		contentType: "application/octet-stream", header: ChecksumHeader, value: checksum, body: data})
 	if err != nil {
 		return "", fmt.Errorf("gridftp: put %s: %w", name, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return "", readError(resp)
+	if reply.Status != http.StatusCreated {
+		return "", replyError(reply)
 	}
-	if got := resp.Header.Get(ChecksumHeader); got != checksum {
+	if got := reply.Header.Get(ChecksumHeader); got != checksum {
 		return "", fmt.Errorf("%w: server stored %s, sent %s", ErrChecksum, got, checksum)
 	}
 	return checksum, nil
@@ -462,54 +473,28 @@ func (c *Client) Put(name string, data []byte) (string, error) {
 
 // Get downloads name, verifying the checksum trailer.
 func (c *Client) Get(name string) ([]byte, error) {
-	tok, err := c.sign(http.MethodGet, name, "")
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodGet, c.fileURL(name), nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(TokenHeader, tok)
-	c.setTrace(req)
-	resp, err := c.httpClient().Do(req)
+	reply, err := c.do(call{method: http.MethodGet, target: filePath(name), op: http.MethodGet, name: name, limit: MaxFileBytes})
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: get %s: %w", name, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readError(resp)
+	if reply.Status != http.StatusOK {
+		return nil, replyError(reply)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxFileBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(data)
-	if want := resp.Header.Get(ChecksumHeader); want != hex.EncodeToString(sum[:]) {
+	sum := sha256.Sum256(reply.Body)
+	if want := reply.Header.Get(ChecksumHeader); want != hex.EncodeToString(sum[:]) {
 		return nil, fmt.Errorf("%w: payload damaged in transit", ErrChecksum)
 	}
-	return data, nil
+	return reply.Body, nil
 }
 
 // Delete removes name.
 func (c *Client) Delete(name string) error {
-	tok, err := c.sign(http.MethodDelete, name, "")
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodDelete, c.fileURL(name), nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(TokenHeader, tok)
-	c.setTrace(req)
-	resp, err := c.httpClient().Do(req)
+	reply, err := c.do(call{method: http.MethodDelete, target: filePath(name), op: http.MethodDelete, name: name})
 	if err != nil {
 		return fmt.Errorf("gridftp: delete %s: %w", name, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return readError(resp)
+	if reply.Status != http.StatusNoContent {
+		return replyError(reply)
 	}
 	return nil
 }
@@ -524,10 +509,6 @@ func (c *Client) FetchFrom(sourceURL, name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	fetchToken, err := c.sign("FETCH", name, sourceURL)
-	if err != nil {
-		return "", err
-	}
 	body, err := json.Marshal(fetchRequest{
 		SourceURL:   sourceURL,
 		Name:        name,
@@ -536,66 +517,46 @@ func (c *Client) FetchFrom(sourceURL, name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/ftp-fetch", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set(TokenHeader, fetchToken)
-	c.setTrace(req)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
+	reply, err := c.do(call{method: http.MethodPost, target: "/ftp-fetch", op: "FETCH", name: name, checksum: sourceURL,
+		contentType: "application/json", body: body})
 	if err != nil {
 		return "", fmt.Errorf("gridftp: fetch %s from %s: %w", name, sourceURL, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return "", readError(resp)
+	if reply.Status != http.StatusCreated {
+		return "", replyError(reply)
 	}
-	return resp.Header.Get(ChecksumHeader), nil
+	return reply.Header.Get(ChecksumHeader), nil
 }
 
 // List returns the caller's staged file names.
 func (c *Client) List() ([]string, error) {
-	tok, err := c.sign(http.MethodGet, "/ftp-list", "")
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/ftp-list", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(TokenHeader, tok)
-	c.setTrace(req)
-	resp, err := c.httpClient().Do(req)
+	reply, err := c.do(call{method: http.MethodGet, target: "/ftp-list", op: http.MethodGet, name: "/ftp-list"})
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: list: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readError(resp)
+	if reply.Status != http.StatusOK {
+		return nil, replyError(reply)
 	}
 	var names []string
-	if err := json.NewDecoder(resp.Body).Decode(&names); err != nil {
+	if err := json.Unmarshal(reply.Body, &names); err != nil {
 		return nil, err
 	}
 	return names, nil
 }
 
-func (c *Client) fileURL(name string) string {
-	return c.BaseURL + "/ftp/" + url.PathEscape(name)
-}
+func filePath(name string) string { return "/ftp/" + url.PathEscape(name) }
 
-func readError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+// replyError names the error a reply of an unexpected status carries.
+func replyError(reply hop.Reply) error {
 	var er struct {
 		Error string `json:"error"`
 	}
-	msg := string(body)
-	if json.Unmarshal(body, &er) == nil && er.Error != "" {
+	msg := string(reply.Body)
+	if json.Unmarshal(reply.Body, &er) == nil && er.Error != "" {
 		msg = er.Error
 	}
 	var sentinel error
-	switch resp.StatusCode {
+	switch reply.Status {
 	case http.StatusForbidden:
 		sentinel = ErrDenied
 	case http.StatusNotFound:
@@ -605,5 +566,5 @@ func readError(resp *http.Response) error {
 	default:
 		sentinel = ErrBadInput
 	}
-	return fmt.Errorf("%w: http %d: %s", sentinel, resp.StatusCode, msg)
+	return fmt.Errorf("%w: http %d: %s", sentinel, reply.Status, msg)
 }

@@ -592,6 +592,23 @@ type waitReply struct {
 	State   string `json:"state"`
 }
 
+// cancelReply, deleteReply and errorReply are the bodies of /api/cancel,
+// /api/delete and every error envelope, maps until they followed the two
+// above; errorReply declares "code" before "error" because that is the
+// order a map's keys were written in.
+type cancelReply struct {
+	State string `json:"state"`
+}
+
+type deleteReply struct {
+	Deleted string `json:"deleted"`
+}
+
+type errorReply struct {
+	Code  string `json:"code"`
+	Error string `json:"error"`
+}
+
 func (p *Portal) withInvocation(w http.ResponseWriter, r *http.Request, fn func(*core.Invocation)) {
 	inv, err := p.onserve.Invocation(r.URL.Query().Get("ticket"))
 	if err != nil {
@@ -648,7 +665,7 @@ func (p *Portal) apiCancel(w http.ResponseWriter, r *http.Request) {
 			jsonError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"state": "cancelling"})
+		writeJSON(w, http.StatusOK, cancelReply{State: "cancelling"})
 	})
 }
 
@@ -673,7 +690,7 @@ func (p *Portal) apiDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	adm.Finish("", nil)
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
+	writeJSON(w, http.StatusOK, deleteReply{Deleted: name})
 }
 
 // apiAudit serves the control plane's audit ring, newest first
@@ -791,5 +808,5 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // /api/* and /upload error speaks this envelope, and the fleet
 // gateway passes it through verbatim.
 func jsonError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error(), "code": errCode(status, err)})
+	writeJSON(w, status, errorReply{Code: errCode(status, err), Error: err.Error()})
 }

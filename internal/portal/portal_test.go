@@ -3,6 +3,7 @@ package portal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"mime/multipart"
 	"net/http"
@@ -768,6 +769,44 @@ func TestHotRepliesRenderLikeTheMaps(t *testing.T) {
 		got = render(waitReply{Message: a, Output: b, State: c})
 		if want := render(map[string]string{"state": c, "message": a, "output": b}); got != want {
 			t.Errorf("wait reply %q, the map gave %q", got, want)
+		}
+	}
+}
+
+// TestErrorCancelDeleteRepliesRenderLikeTheMaps: the last three
+// map[string]string replies, golden and against the maps they were.
+func TestErrorCancelDeleteRepliesRenderLikeTheMaps(t *testing.T) {
+	render := func(status int, write func(w http.ResponseWriter)) string {
+		rec := httptest.NewRecorder()
+		write(rec)
+		if rec.Code != status || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
+		}
+		return rec.Body.String()
+	}
+	asJSON := func(v any) func(http.ResponseWriter) {
+		return func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, v) }
+	}
+	if got, want := render(http.StatusOK, asJSON(deleteReply{Deleted: "MonteService"})), `{"deleted":"MonteService"}`+"\n"; got != want {
+		t.Errorf("delete reply %q, want %q", got, want)
+	}
+	if got, want := render(http.StatusOK, asJSON(cancelReply{State: "cancelling"})), `{"state":"cancelling"}`+"\n"; got != want {
+		t.Errorf("cancel reply %q, want %q", got, want)
+	}
+	got := render(http.StatusNotFound, func(w http.ResponseWriter) { jsonError(w, http.StatusNotFound, core.ErrNoSuchService) })
+	if want := `{"code":"not_found","error":"` + core.ErrNoSuchService.Error() + `"}` + "\n"; got != want {
+		t.Errorf("error envelope %q, want %q", got, want)
+	}
+	for _, s := range []string{"", `quote " backslash \`, "<script>&amp;</script>", "nul\x00 non-UTF-8 \xff", "  größe 😀"} {
+		if got, want := render(http.StatusOK, asJSON(deleteReply{Deleted: s})), render(http.StatusOK, asJSON(map[string]string{"deleted": s})); got != want {
+			t.Errorf("delete reply %q, the map gave %q", got, want)
+		}
+		got := render(http.StatusBadRequest, func(w http.ResponseWriter) { jsonError(w, http.StatusBadRequest, errors.New(s)) })
+		want := render(http.StatusBadRequest, func(w http.ResponseWriter) {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": s, "code": "bad_request"})
+		})
+		if got != want {
+			t.Errorf("error envelope %q, the map gave %q", got, want)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -234,14 +235,39 @@ func proxyDepth(chain []Certificate) int {
 	return n
 }
 
-// TrustStore holds the CA certificates a verifier accepts.
+// TrustStore holds the CA certificates a verifier accepts, and remembers
+// the chains it has verified: a session presents the same chain with every
+// request, and checking its signatures again proves nothing new. A chain
+// is remembered under a SHA-256 over every certificate's to-be-signed
+// bytes and signature, so changing any signed field of any certificate is
+// a different chain and is verified in full; with it are kept the identity
+// and the span of time in which every certificate checked, the trusted
+// root included, is valid. A remembered chain presented inside that span
+// is accepted on those two facts alone; outside it, it is verified in full
+// and fails as it always did. Add forgets every chain, since what a chain
+// proves depends on the roots. The memo holds at most maxVerified chains
+// and is emptied when full. A TrustStore is safe for concurrent use.
 type TrustStore struct {
-	roots map[string]Certificate // by subject
+	mu sync.Mutex
+	// roots is by subject. It is replaced, never written to, once built:
+	// a verification reads the map it found without the lock.
+	roots map[string]Certificate
+	// memo belongs to roots: Add starts a new one along with the new map.
+	memo map[[sha256.Size]byte]verifiedChain
+	// fullVerifies counts the verifications that checked signatures.
+	fullVerifies int
 }
+
+type verifiedChain struct {
+	identity            string
+	notBefore, notAfter time.Time
+}
+
+const maxVerified = 1024
 
 // NewTrustStore builds a store from root certificates.
 func NewTrustStore(roots ...Certificate) *TrustStore {
-	ts := &TrustStore{roots: make(map[string]Certificate, len(roots))}
+	ts := &TrustStore{roots: make(map[string]Certificate, len(roots)), memo: make(map[[sha256.Size]byte]verifiedChain)}
 	for _, r := range roots {
 		ts.roots[r.Subject] = r
 	}
@@ -249,16 +275,85 @@ func NewTrustStore(roots ...Certificate) *TrustStore {
 }
 
 // Add registers another trusted root.
-func (ts *TrustStore) Add(root Certificate) { ts.roots[root.Subject] = root }
+func (ts *TrustStore) Add(root Certificate) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	roots := make(map[string]Certificate, len(ts.roots)+1)
+	for subject, r := range ts.roots {
+		roots[subject] = r
+	}
+	roots[root.Subject] = root
+	ts.roots, ts.memo = roots, make(map[[sha256.Size]byte]verifiedChain)
+}
+
+// chainKey is what a verified chain is remembered under.
+func chainKey(chain []Certificate) (key [sha256.Size]byte) {
+	h := sha256.New()
+	var n [8]byte
+	for i := range chain {
+		for _, part := range [2][]byte{chain[i].tbs(), chain[i].Signature} {
+			binary.BigEndian.PutUint64(n[:], uint64(len(part)))
+			h.Write(n[:])
+			h.Write(part)
+		}
+	}
+	h.Sum(key[:0])
+	return key
+}
 
 // VerifyChain checks a leaf-first chain at instant at: every signature,
 // every validity window, the proxy delegation rules, and that the chain
 // terminates at a trusted CA. On success it returns the end-entity
-// identity the chain speaks for.
+// identity the chain speaks for. A chain verified before is checked
+// against the validity span kept with it (see TrustStore).
 func (ts *TrustStore) VerifyChain(chain []Certificate, at time.Time) (string, error) {
 	if len(chain) == 0 {
 		return "", ErrEmptyChain
 	}
+	key := chainKey(chain)
+	ts.mu.Lock()
+	roots, memo := ts.roots, ts.memo
+	v, known := memo[key]
+	if known = known && !at.Before(v.notBefore) && !at.After(v.notAfter); !known {
+		ts.fullVerifies++
+	}
+	ts.mu.Unlock()
+	if known {
+		return v.identity, nil
+	}
+	id, err := verifyChain(roots, chain, at)
+	if err != nil {
+		return "", err
+	}
+	// Everything verifyChain held against at: each certificate's window
+	// and, when the chain does not end in the root itself, the root's.
+	v = verifiedChain{identity: id, notBefore: chain[0].NotBefore, notAfter: chain[0].NotAfter}
+	narrow := func(c *Certificate) {
+		if c.NotBefore.After(v.notBefore) {
+			v.notBefore = c.NotBefore
+		}
+		if c.NotAfter.Before(v.notAfter) {
+			v.notAfter = c.NotAfter
+		}
+	}
+	for i := range chain {
+		narrow(&chain[i])
+	}
+	if last := &chain[len(chain)-1]; last.Kind != KindCA {
+		root := roots[last.Issuer]
+		narrow(&root)
+	}
+	ts.mu.Lock()
+	if len(memo) >= maxVerified {
+		clear(memo)
+	}
+	memo[key] = v // a memo Add has since replaced is written in vain, never read
+	ts.mu.Unlock()
+	return id, nil
+}
+
+// verifyChain is the whole verification, under the given roots.
+func verifyChain(roots map[string]Certificate, chain []Certificate, at time.Time) (string, error) {
 	if d := proxyDepth(chain); d > MaxProxyDepth {
 		return "", ErrProxyTooDeep
 	}
@@ -304,12 +399,12 @@ func (ts *TrustStore) VerifyChain(chain []Certificate, at time.Time) (string, er
 	// cert whose issuer we trust.
 	last := &chain[len(chain)-1]
 	if last.Kind == KindCA {
-		root, ok := ts.roots[last.Subject]
+		root, ok := roots[last.Subject]
 		if !ok || !sameCert(&root, last) {
 			return "", ErrUntrusted
 		}
 	} else {
-		root, ok := ts.roots[last.Issuer]
+		root, ok := roots[last.Issuer]
 		if !ok {
 			return "", ErrUntrusted
 		}

@@ -32,13 +32,15 @@ go test -race -short ./...
 # gateway (concurrent bursts racing a mid-burst appliance kill and
 # rejoin: health FSM transitions fed by probes and proxies at once,
 # the replicated UDDI view written by peer pushes while resolves read
-# it), and the tenant control plane (concurrent admits racing quota
+# it), the trust store (gatekeeper and GridFTP handlers verifying chains
+# against one memo while a root is added), and the tenant control plane
+# (concurrent admits racing quota
 # release, key rotation mid-burst, DRR wakeups racing timeouts) are
 # the concurrency hot spots, and the appliance package boots the two
 # supported profiles end to end: run their packages fresh
 # (-count=1 defeats the test cache) so cached "ok" lines can never
 # mask a newly introduced race.
-go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/appliance
+go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/appliance ./internal/xsec
 
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
@@ -53,6 +55,9 @@ go test -run='^$' -fuzz=FuzzUploadForm -fuzztime=5s ./internal/portal
 # hand-written decoder that FuzzDecode holds, differentially, to the
 # encoding/xml-based one it replaced (internal/soap/reference_test.go).
 go test -run='^$' -fuzz=FuzzEventFrame -fuzztime=5s ./internal/gram
+# ... and it decodes the frame's data with a hand-written walk that
+# FuzzEventData holds, differentially, to json.Unmarshal.
+go test -run='^$' -fuzz=FuzzEventData -fuzztime=5s ./internal/gram
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=15s ./internal/soap
 # jsdl.Marshal writes its document by hand and must stay byte-identical
 # to encoding/xml's rendering of the same description.
@@ -64,10 +69,11 @@ go test -run='^$' -fuzz=FuzzEscapeMatchesEncodingXML -fuzztime=5s ./internal/soa
 # a blob-cache hit costs the same for 1 KB and 1 MB, a hot invocation
 # of a staged 1 MB executable allocates no object of its size, and the
 # SOAP door decodes an invocation's envelope in three objects and
-# serves one in eleven. All ran above; run them fresh and without the
-# race detector's own allocations so a regression reads as a number,
-# not as noise.
-go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestHotDoorAllocations' ./internal/blobdb ./internal/core ./internal/soap
+# serves one in eleven, a signed submit costs at most 24 objects, the
+# three event frames of a hot invocation 10 and the gateway's proxy hop
+# 16. All ran above; run them fresh and without the race detector's own
+# allocations so a regression reads as a number, not as noise.
+go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
