@@ -1,326 +1,111 @@
 // Command experiments regenerates the paper's evaluation: Figures 6-8,
 // the §VIII-D scalability sweep, the §VIII-B many-small-jobs check, and
-// the design-choice ablations. Each experiment prints an ASCII rendering
-// of the figure and writes the raw series as CSV under -out.
+// the design-choice ablations — every entry of experiments.Studies (the
+// index, with what each measures, is in EXPERIMENTS.md). Each study
+// prints an ASCII rendering and writes its artifact, when it has one,
+// under -out.
 //
-//	experiments -fig 7            # one figure
-//	experiments -all              # everything the paper reports
+//	experiments -fig 7            # one figure -> results/fig7.csv
+//	experiments -all              # everything
 //	experiments -scalability -scale 500
-//	experiments -hotpath          # invocation hot-path ablations -> results/hotpath.json
-//	experiments -pollhub          # output-collection ablation -> results/pollhub.json
-//	experiments -submit           # batched-submission ablation -> results/submit.json
-//	experiments -stage            # staging data-plane ablation -> results/stage.json
-//	experiments -placement        # data-aware placement ablation -> results/placement.json
-//	experiments -blobdb           # storage-engine ablation -> results/blobdb.json
-//	experiments -trace            # per-request span breakdown -> results/trace.json
-//	experiments -fleet            # consistent-hash fleet scale-out -> results/fleet.json
-//	experiments -tenancy          # multi-tenant noisy-neighbor ablation -> results/tenancy.json
+//	experiments -hotpath          # one ablation -> results/hotpath.json
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/experiments"
 )
 
 func main() {
-	var (
-		fig          = flag.Int("fig", 0, "regenerate one figure (6, 7 or 8)")
-		scalability  = flag.Bool("scalability", false, "run the §VIII-D concurrency sweep")
-		smallJobs    = flag.Bool("smalljobs", false, "run the §VIII-B many-small-jobs check")
-		ablations    = flag.Bool("ablations", false, "run the design-choice ablations")
-		hotpath      = flag.Bool("hotpath", false, "run the invocation hot-path ablations")
-		pollhub      = flag.Bool("pollhub", false, "run the poll-hub output-collection ablation")
-		submit       = flag.Bool("submit", false, "run the batched-submission front-end ablation")
-		stage        = flag.Bool("stage", false, "run the chunked-staging data-plane ablation")
-		placement    = flag.Bool("placement", false, "run the data-aware placement + pre-replication ablation")
-		blobdbFlag   = flag.Bool("blobdb", false, "run the storage-engine sharding/compaction/replay ablation")
-		replayRecs   = flag.Int("replay-records", 1_000_000, "record count for the -blobdb cold-boot replay study")
-		traceFlag    = flag.Bool("trace", false, "run the traced small/large stock/all-knobs breakdown")
-		fleetFlag    = flag.Bool("fleet", false, "run the consistent-hash fleet scale-out ablation (1/4/16 appliances + kill-one failover)")
-		tenancyFlag  = flag.Bool("tenancy", false, "run the multi-tenant noisy-neighbor ablation (hog burst vs victim p99, off/on)")
-		tenancyBurst = flag.Int("tenancy-burst", 1000, "hog burst size for -tenancy")
-		baseline     = flag.Bool("baseline", false, "compare raw JSE access with the SaaS path")
-		all          = flag.Bool("all", false, "run every experiment")
-		scale        = flag.Float64("scale", 200, "virtual-time dilation factor")
-		outDir       = flag.String("out", "results", "directory for CSV output")
-		jobs         = flag.Int("jobs", 50, "job count for -smalljobs")
-	)
-	flag.Parse()
-	if err := run(*fig, *scalability, *smallJobs, *ablations, *hotpath, *pollhub, *submit, *stage, *placement, *blobdbFlag, *traceFlag, *fleetFlag, *tenancyFlag, *baseline, *all, *scale, *outDir, *jobs, *replayRecs, *tenancyBurst); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig int, scalability, smallJobs, ablations, hotpath, pollhub, submit, stage, placement, blobdbFlag, traceFlag, fleetFlag, tenancyFlag, baseline, all bool, scale float64, outDir string, jobs, replayRecs, tenancyBurst int) error {
-	opts := experiments.Options{Scale: scale}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+// figureNumber is N for a study that -fig N selects (fig6: 6), and 0 for
+// one selected by a flag of its own name.
+func figureNumber(s experiments.Study) int {
+	n := 0
+	fmt.Sscanf(s.Name, "fig%d", &n)
+	return n
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	var p experiments.Params
+	fig := fs.Int("fig", 0, "regenerate one figure (6, 7 or 8)")
+	all := fs.Bool("all", false, "run every experiment")
+	fs.Float64Var(&p.Options.Scale, "scale", 200, "virtual-time dilation factor")
+	outDir := fs.String("out", "results", "directory for CSV output")
+	fs.IntVar(&p.Jobs, "jobs", 50, "job count for -smalljobs")
+	fs.IntVar(&p.ReplayRecords, "replay-records", 1_000_000, "record count for the -blobdb cold-boot replay study")
+	fs.IntVar(&p.TenancyBurst, "tenancy-burst", 1000, "hog burst size for -tenancy")
+	pick := map[string]*bool{}
+	use := []string{"-fig N"}
+	for _, s := range experiments.Studies {
+		if figureNumber(s) == 0 {
+			pick[s.Name] = fs.Bool(s.Name, false, s.Help)
+			use = append(use, "-"+s.Name)
+		}
+	}
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	any := false
-
-	runFig := func(n int, f func(experiments.Options) (*experiments.Result, error)) error {
-		any = true
-		res, err := f(opts)
-		if err != nil {
-			return fmt.Errorf("fig%d: %w", n, err)
-		}
-		fmt.Print(res.Render())
-		path := filepath.Join(outDir, fmt.Sprintf("fig%d.csv", n))
-		if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-		return nil
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return err
 	}
 
-	if all || fig == 6 {
-		if err := runFig(6, experiments.Fig6); err != nil {
-			return err
+	want := func(s experiments.Study) bool {
+		if n := figureNumber(s); n != 0 {
+			return n == *fig
 		}
+		return *pick[s.Name]
 	}
-	if all || fig == 7 {
-		if err := runFig(7, experiments.Fig7); err != nil {
-			return err
+	ran := false
+	for _, s := range experiments.Studies {
+		if !*all && !want(s) {
+			continue
 		}
-	}
-	if all || fig == 8 {
-		if err := runFig(8, experiments.Fig8); err != nil {
-			return err
-		}
-	}
-	if all || scalability {
-		any = true
-		res, err := experiments.Scalability(opts, []int{1, 2, 4, 8}, 512)
+		ran = true
+		res, err := s.Run(p)
 		if err != nil {
-			return fmt.Errorf("scalability: %w", err)
+			return fmt.Errorf("%s: %w", s.Name, err)
 		}
-		fmt.Print(res.Render())
-		path := filepath.Join(outDir, "scalability.csv")
-		if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || smallJobs {
-		any = true
-		res, err := experiments.SmallJobs(opts, jobs, 8)
-		if err != nil {
-			return fmt.Errorf("smalljobs: %w", err)
-		}
-		fmt.Print(res.Render())
-		fmt.Println()
-	}
-	if all || ablations {
-		any = true
-		type study struct {
-			name string
-			run  func() (*experiments.AblationResult, error)
-		}
-		studies := []study{
-			{"double-write", func() (*experiments.AblationResult, error) {
-				return experiments.AblationDoubleWrite(opts, 1024)
-			}},
-			{"staging-cache", func() (*experiments.AblationResult, error) {
-				return experiments.AblationStagingCache(opts, 768, 3)
-			}},
-			{"poll-interval", func() (*experiments.AblationResult, error) {
-				return experiments.AblationPolling(opts, nil)
-			}},
-			{"compression", func() (*experiments.AblationResult, error) {
-				return experiments.AblationCompression(opts, 4096)
-			}},
-		}
-		for _, s := range studies {
-			res, err := s.run()
-			if err != nil {
-				return fmt.Errorf("ablation %s: %w", s.name, err)
+		fmt.Fprint(stdout, res.Render())
+		if s.Artifact != "" {
+			path := filepath.Join(*outDir, s.Artifact)
+			if err := writeArtifact(path, res); err != nil {
+				return err
 			}
-			fmt.Print(res.Render())
-			fmt.Println()
+			fmt.Fprintf(stdout, "wrote %s\n", path)
 		}
-		sched, err := experiments.SchedulerPolicies(scale)
-		if err != nil {
-			return fmt.Errorf("ablation schedulers: %w", err)
-		}
-		fmt.Print(sched.Render())
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	if all || hotpath {
-		any = true
-		res, err := experiments.AblationHotPath(opts, 256, 3)
-		if err != nil {
-			return fmt.Errorf("hotpath: %w", err)
-		}
-		gc, err := experiments.AblationGroupCommit(64, 8, 16)
-		if err != nil {
-			return fmt.Errorf("hotpath group-commit: %w", err)
-		}
-		res.Rows = append(res.Rows, gc.Rows...)
-		res.Notes = append(res.Notes, gc.Notes...)
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "hotpath.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || pollhub {
-		any = true
-		res, err := experiments.AblationPollHub(opts, 64)
-		if err != nil {
-			return fmt.Errorf("pollhub: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "pollhub.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || submit {
-		any = true
-		res, err := experiments.AblationSubmit(opts, 64)
-		if err != nil {
-			return fmt.Errorf("submit: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "submit.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || stage {
-		any = true
-		res, err := experiments.AblationStage(opts, 0)
-		if err != nil {
-			return fmt.Errorf("stage: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "stage.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || placement {
-		any = true
-		res, err := experiments.AblationPlacement(opts, 64, nil)
-		if err != nil {
-			return fmt.Errorf("placement: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "placement.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || blobdbFlag {
-		any = true
-		res, err := experiments.AblationBlobDB(replayRecs)
-		if err != nil {
-			return fmt.Errorf("blobdb: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "blobdb.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || traceFlag {
-		any = true
-		res, err := experiments.TraceBreakdown(opts, 0)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "trace.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || fleetFlag {
-		any = true
-		res, err := experiments.AblationFleet(opts, nil, 64)
-		if err != nil {
-			return fmt.Errorf("fleet: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "fleet.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || tenancyFlag {
-		any = true
-		res, err := experiments.AblationTenancy(opts, tenancyBurst)
-		if err != nil {
-			return fmt.Errorf("tenancy: %w", err)
-		}
-		fmt.Print(res.Render())
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(outDir, "tenancy.json")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
-	if all || baseline {
-		any = true
-		res, err := experiments.BaselineJSE(opts, 256)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		fmt.Print(res.Render())
-		fmt.Println()
-	}
-	if !any {
-		return fmt.Errorf("nothing selected; use -fig N, -scalability, -smalljobs, -ablations, -hotpath, -pollhub, -submit, -stage, -placement, -blobdb, -trace, -fleet, -tenancy, -baseline or -all")
+	if !ran {
+		return fmt.Errorf("nothing selected; use %s or -all", strings.Join(use, ", "))
 	}
 	return nil
+}
+
+// writeArtifact writes a result as its file's extension says: the CSV
+// the result renders, or the result itself as indented JSON.
+func writeArtifact(path string, res any) error {
+	if filepath.Ext(path) == ".csv" {
+		// A study whose artifact is a .csv returns a result with CSV().
+		return os.WriteFile(path, []byte(res.(interface{ CSV() string }).CSV()), 0o644)
+	}
+	blob, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, blob, 0o644)
 }

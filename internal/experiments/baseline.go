@@ -1,20 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"strings"
 	"time"
 
 	"repro/internal/gram"
 	"repro/internal/gridftp"
-	"repro/internal/gsh"
 	"repro/internal/jsdl"
 	"repro/internal/myproxy"
-	"repro/internal/netsim"
-	"repro/internal/wsclient"
 	"repro/internal/xsec"
 )
 
@@ -41,10 +35,7 @@ func (r *BaselineResult) Render() string {
 		fmt.Fprintf(&sb, "%-13s %9.1f %8.1f %12d\n",
 			row.Model, row.LatencyS, row.WANBytes/1024, row.UserSteps)
 	}
-	for _, n := range r.Notes {
-		sb.WriteString("note: " + n + "\n")
-	}
-	return sb.String()
+	return sb.String() + renderNotes(r.Notes)
 }
 
 // BaselineJSE quantifies the paper's motivation: accessing a production
@@ -55,10 +46,8 @@ func (r *BaselineResult) Render() string {
 // and reports the latency, WAN traffic, and the number of protocol
 // interactions the user must implement themselves.
 func BaselineJSE(opts Options, fileKB int) (*BaselineResult, error) {
-	if fileKB <= 0 {
-		fileKB = 256
-	}
-	program := gsh.Pad([]byte("compute 2s\necho baseline done\n"), fileKB<<10)
+	fileKB = orDefault(fileKB, 256)
+	program := padded("compute 2s\necho baseline done\n", fileKB<<10)
 
 	res := &BaselineResult{Notes: []string{
 		"identical executable and job, identical ~85 KB/s WAN",
@@ -67,36 +56,42 @@ func BaselineJSE(opts Options, fileKB int) (*BaselineResult, error) {
 		"user_steps counts distinct protocol interactions the user must implement",
 	}}
 
-	// --- JSE direct: the user's own client drives every grid protocol.
-	{
-		r, err := newRig(opts)
-		if err != nil {
-			return nil, err
-		}
-		// The "user" works from their own machine across the WAN.
-		dialer := &netsim.Dialer{Profile: r.wan, Probe: r.probe}
-		userGridHTTP := &http.Client{Transport: &http.Transport{DialContext: dialer.DialContext}}
+	direct, err := baselineDirect(opts, program)
+	if err != nil {
+		return nil, err
+	}
+	saas, err := baselineSaaS(opts, program)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = []BaselineRow{
+		{Model: "jse-direct", LatencyS: direct.seconds, WANBytes: direct.sum["net_out_total_b"] + direct.sum["net_in_total_b"], UserSteps: 6},
+		{Model: "onserve-saas", LatencyS: saas.seconds, WANBytes: saas.sum["net_out_total_b"] + saas.sum["net_in_total_b"], UserSteps: 2},
+	}
+	return res, nil
+}
 
-		r.rec.Reset()
-		start := r.clock.Now()
+// baselineDirect is the JSE model: the user's own client, on their own
+// machine across the WAN, drives every grid protocol.
+func baselineDirect(opts Options, program string) (measurement, error) {
+	r, err := newRig(opts)
+	if err != nil {
+		return measurement{}, err
+	}
+	defer r.close()
+	userGridHTTP, dial := wanUplink(r.wan, r.probe)
+	return r.measure(func() error {
 		// Step 1: MyProxy logon.
-		mp := &myproxy.Client{
-			Addr: r.env.MyProxyAddr,
-			Dial: func(network, addr string) (nc net.Conn, err error) {
-				return dialer.DialContext(context.Background(), network, addr)
-			},
-		}
+		mp := &myproxy.Client{Addr: r.env.MyProxyAddr, Dial: dial}
 		proxy, err := mp.Get("alice", "pw", time.Hour)
 		if err != nil {
-			r.close()
-			return nil, fmt.Errorf("baseline: logon: %w", err)
+			return fmt.Errorf("baseline: logon: %w", err)
 		}
 		// Step 2: choose a site and stage the executable via GridFTP.
 		siteName := r.env.Grid.SiteNames()[0]
 		ftp := &gridftp.Client{BaseURL: r.env.FTPURLs[siteName], Cred: proxy, HTTP: userGridHTTP}
-		if _, err := ftp.Put("baseline.gsh", program); err != nil {
-			r.close()
-			return nil, fmt.Errorf("baseline: stage: %w", err)
+		if _, err := ftp.Put("baseline.gsh", []byte(program)); err != nil {
+			return fmt.Errorf("baseline: stage: %w", err)
 		}
 		// Step 3: write the job description; Step 4: submit via GRAM. The
 		// proxy speaks for alice, so the owner is the end-entity identity.
@@ -105,61 +100,28 @@ func BaselineJSE(opts Options, fileKB int) (*BaselineResult, error) {
 			Owner: xsec.Identity(proxy.Chain), Executable: "baseline.gsh", Site: siteName,
 		})
 		if err != nil {
-			r.close()
-			return nil, fmt.Errorf("baseline: submit: %w", err)
+			return fmt.Errorf("baseline: submit: %w", err)
 		}
 		// Step 5: poll status; Step 6: fetch output.
 		st, err := gc.WaitTerminal(jobID, r.clock, 9*time.Second, time.Hour)
 		if err != nil || st.State != "DONE" {
-			r.close()
-			return nil, fmt.Errorf("baseline: job %v: %v", st, err)
+			return fmt.Errorf("baseline: job %v: %v", st, err)
 		}
-		if _, err := gc.Output(jobID); err != nil {
-			r.close()
-			return nil, err
-		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		sum := seriesSummary(r.rec.Series())
-		res.Rows = append(res.Rows, BaselineRow{
-			Model: "jse-direct", LatencyS: elapsed,
-			WANBytes: sum["net_out_total_b"] + sum["net_in_total_b"], UserSteps: 6,
-		})
-		r.close()
-	}
+		_, err = gc.Output(jobID)
+		return err
+	})
+}
 
-	// --- SaaS through onServe: one service invocation.
-	{
-		r, err := newRig(opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.uploadViaPortal("baseline.gsh", string(program)); err != nil {
-			r.close()
-			return nil, err
-		}
-		proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/BaselineService", r.userHTTP)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.rec.Reset()
-		start := r.clock.Now()
-		ticket, err := proxy.Invoke("execute", nil)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-			r.close()
-			return nil, err
-		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		sum := seriesSummary(r.rec.Series())
-		res.Rows = append(res.Rows, BaselineRow{
-			Model: "onserve-saas", LatencyS: elapsed,
-			WANBytes: sum["net_out_total_b"] + sum["net_in_total_b"], UserSteps: 2,
-		})
-		r.close()
+// baselineSaaS is the same job through onServe: one service invocation.
+func baselineSaaS(opts Options, program string) (measurement, error) {
+	r, err := newRig(opts)
+	if err != nil {
+		return measurement{}, err
 	}
-	return res, nil
+	defer r.close()
+	svc, err := r.deploy("baseline.gsh", program)
+	if err != nil {
+		return measurement{}, err
+	}
+	return r.measure(func() error { _, err := svc.call(nil); return err })
 }

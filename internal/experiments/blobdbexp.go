@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"sort"
-	"sync"
 	"syscall"
 	"time"
 
@@ -26,15 +24,6 @@ func incompressible(n int, seed uint64) []byte {
 	return b
 }
 
-func durP99(d []time.Duration) time.Duration {
-	if len(d) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), d...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)*99/100]
-}
-
 // AblationBlobDB sweeps the storage engine's one structural knob, the
 // shard count, over {1, 4, 16} with everything else held equal. Like
 // AblationGroupCommit it runs in real time against real files — time
@@ -49,9 +38,7 @@ func durP99(d []time.Duration) time.Duration {
 //     shards replay in parallel, overlapping one's decode with the
 //     others' reads.
 func AblationBlobDB(replayRecords int) (*AblationResult, error) {
-	if replayRecords <= 0 {
-		replayRecords = 1_000_000
-	}
+	replayRecords = orDefault(replayRecords, 1_000_000)
 	res := &AblationResult{Notes: []string{
 		"real-time sweep of blobdb's shard count, all other options equal (see DESIGN.md, storage engine section)",
 		"blobdb-load: 8 writers x 500 overwriting 32 KB puts on a preloaded 512-key store, 1 MB segments, background compactor every 50 ms; more shards means narrower locks and smaller reclamation units (one 1/N-of-keyspace snapshot at a time)",
@@ -59,13 +46,10 @@ func AblationBlobDB(replayRecords int) (*AblationResult, error) {
 	}}
 	for _, shards := range []int{1, 4, 16} {
 		variant := fmt.Sprintf("shards-%d", shards)
-		row := func(study, metric string, v float64) {
-			res.Rows = append(res.Rows, AblationRow{Study: study, Variant: variant, Metric: metric, Value: v})
-		}
-		if err := blobLoad(shards, row); err != nil {
+		if err := blobLoad(shards, res.at("blobdb-load", variant)); err != nil {
 			return nil, err
 		}
-		if err := blobReplay(shards, replayRecords, row); err != nil {
+		if err := blobReplay(shards, replayRecords, res.at("blobdb-replay", variant)); err != nil {
 			return nil, err
 		}
 	}
@@ -90,7 +74,7 @@ func withTempDB(opts blobdb.Options, fn func(opts blobdb.Options, db *blobdb.DB)
 
 // blobLoad times every put of an overwrite-heavy burst while the
 // compactor reclaims behind it.
-func blobLoad(shards int, row func(study, metric string, v float64)) error {
+func blobLoad(shards int, row func(metric string, v float64)) error {
 	const keys, writers, perWriter, payload = 512, 8, 500, 32 << 10
 	blob := incompressible(payload, 7)
 	opts := blobdb.Options{WALShards: shards, SegmentBytes: 1 << 20,
@@ -103,35 +87,31 @@ func blobLoad(shards int, row func(study, metric string, v float64)) error {
 				return err
 			}
 		}
-		lats := make([][]time.Duration, writers)
-		errs := make([]error, writers)
+		lats := make([][]float64, writers) // per-put latency, ms
 		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < perWriter && errs[w] == nil; i++ {
-					t0 := time.Now()
-					errs[w] = tab.Put(fmt.Sprintf("k%04d", (w*perWriter+i)%keys), nil, blob)
-					lats[w] = append(lats[w], time.Since(t0))
+		err := fanOut(writers, 0, func(w int) error {
+			for i := 0; i < perWriter; i++ {
+				t0 := time.Now()
+				if err := tab.Put(fmt.Sprintf("k%04d", (w*perWriter+i)%keys), nil, blob); err != nil {
+					return err
 				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		var all []time.Duration
-		for w := range lats {
-			if errs[w] != nil {
-				return errs[w]
+				lats[w] = append(lats[w], float64(time.Since(t0).Microseconds())/1e3)
 			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		elapsed := time.Since(start)
+		var all []float64
+		for w := range lats {
 			all = append(all, lats[w]...)
 		}
 		st := db.Stats().Compactor
-		row("blobdb-load", "puts_per_s", float64(writers*perWriter)/elapsed.Seconds())
-		row("blobdb-load", "p99_put_ms", float64(durP99(all).Microseconds())/1e3)
-		row("blobdb-load", "segments_retired", float64(st.SegmentsRetired))
-		row("blobdb-load", "snapshots", float64(st.Snapshots))
+		row("puts_per_s", float64(writers*perWriter)/elapsed.Seconds())
+		row("p99_put_ms", pctile(all, 99))
+		row("segments_retired", float64(st.SegmentsRetired))
+		row("snapshots", float64(st.Snapshots))
 		return db.Close()
 	})
 }
@@ -146,7 +126,7 @@ func dropPageCache() {
 
 // blobReplay times a cold-boot Open of a store holding records small
 // rows.
-func blobReplay(shards, records int, row func(study, metric string, v float64)) error {
+func blobReplay(shards, records int, row func(metric string, v float64)) error {
 	blob := incompressible(64, 13)
 	opts := blobdb.Options{WALShards: shards, SegmentBytes: 64 << 20}
 	return withTempDB(opts, func(opts blobdb.Options, db *blobdb.DB) error {
@@ -171,8 +151,8 @@ func blobReplay(shards, records int, row func(study, metric string, v float64)) 
 		if n := db.Table("bench").Len(); n != records {
 			return fmt.Errorf("blobdb replay: recovered %d of %d records (shards=%d)", n, records, shards)
 		}
-		row("blobdb-replay", "open_ms", float64(elapsed.Milliseconds()))
-		row("blobdb-replay", "records_per_s", float64(records)/elapsed.Seconds())
+		row("open_ms", float64(elapsed.Milliseconds()))
+		row("records_per_s", float64(records)/elapsed.Seconds())
 		return nil
 	})
 }

@@ -1,16 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"mime/multipart"
-	"net/http"
 	"strings"
 
-	"repro/internal/gsh"
 	"repro/internal/metrics"
-	"repro/internal/wsclient"
 )
 
 // smallProgram is the Fig. 6 workload: "a very small file (some bytes)".
@@ -20,51 +14,6 @@ const smallProgram = "# tiny grid job\ncompute 2s\nemit 9s 3 partial-output ${ta
 
 // largeProgramSize is Fig. 7's "much larger file (~5MB)".
 const largeProgramSize = 5 << 20
-
-// uploadViaPortal posts the multipart upload form, as the paper's
-// browser dialog does.
-func (r *rig) uploadViaPortal(fileName, program string, paramNames ...string) error {
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile("file", fileName)
-	if err != nil {
-		return err
-	}
-	if _, err := io.WriteString(fw, program); err != nil {
-		return err
-	}
-	mw.WriteField("user", "alice")
-	mw.WriteField("description", "experiment upload")
-	for i, name := range paramNames {
-		mw.WriteField(fmt.Sprintf("paramName%d", i+1), name)
-		mw.WriteField(fmt.Sprintf("paramType%d", i+1), "string")
-	}
-	mw.Close()
-	resp, err := r.userHTTP.Post(r.app.BaseURL+"/upload", mw.FormDataContentType(), &buf)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("experiments: upload failed (%d): %s", resp.StatusCode, body)
-	}
-	return nil
-}
-
-// invokeGenerated drives the generated service through a wsimport-style
-// proxy: execute, then wait for the final output.
-func (r *rig) invokeGenerated(serviceName string, args map[string]string) (string, error) {
-	proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/"+serviceName, r.userHTTP)
-	if err != nil {
-		return "", err
-	}
-	ticket, err := proxy.Invoke("execute", args)
-	if err != nil {
-		return "", err
-	}
-	return proxy.Invoke("wait", map[string]string{"ticket": ticket})
-}
 
 // Fig6 reproduces "Web service execution: CPU utilization, network and
 // hard disk I/O (3 seconds interval)". Expected shape: hard-disk use very
@@ -78,21 +27,23 @@ func Fig6(opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer r.close()
-	if err := r.uploadViaPortal("smalljob.gsh", smallProgram, "tag"); err != nil {
+	svc, err := r.deploy("smalljob.gsh", smallProgram, "tag")
+	if err != nil {
 		return nil, err
 	}
 
 	// Measurement covers only the Web-service execution.
-	r.rec.Reset()
-	out, err := r.invokeGenerated("SmalljobService", map[string]string{"tag": "fig6"})
+	m, err := r.measure(func() error {
+		out, err := svc.call(map[string]string{"tag": "fig6"})
+		if err == nil && !strings.Contains(out, "final fig6") {
+			err = fmt.Errorf("experiments: unexpected job output %q", out)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if !strings.Contains(out, "final fig6") {
-		return nil, fmt.Errorf("experiments: unexpected job output %q", out)
-	}
-	series := r.rec.Series()
-	sum := seriesSummary(series)
+	series, sum := m.series, m.sum
 	sum["disk_write_peaks"] = float64(countPeaks(series,
 		func(s metrics.Sample) float64 { return s.DiskWriteBytes }, 1))
 	return &Result{
@@ -120,21 +71,19 @@ func Fig7(opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer r.close()
-	program := string(gsh.Pad([]byte(smallProgram), largeProgramSize))
-	if err := r.uploadViaPortal("bigjob.gsh", program, "tag"); err != nil {
+	svc, err := r.deploy("bigjob.gsh", padded(smallProgram, largeProgramSize), "tag")
+	if err != nil {
 		return nil, err
 	}
-
-	r.rec.Reset()
-	if _, err := r.invokeGenerated("BigjobService", map[string]string{"tag": "fig7"}); err != nil {
+	m, err := r.measure(func() error { _, err := svc.call(map[string]string{"tag": "fig7"}); return err })
+	if err != nil {
 		return nil, err
 	}
-	series := r.rec.Series()
-	sum := seriesSummary(series)
+	series, sum := m.series, m.sum
 
 	// Estimate the upload plateau: buckets where outbound traffic is
 	// within half of the per-bucket WAN capacity.
-	capacity := 85.0 * 1024 * 3 // bytes per 3s bucket at 85 KB/s
+	capacity := 85.0 * 1024 * bucketS // bytes per bucket at 85 KB/s
 	plateau := 0
 	var plateauBytes float64
 	for _, s := range series {
@@ -143,9 +92,9 @@ func Fig7(opts Options) (*Result, error) {
 			plateauBytes += s.NetOutBytes
 		}
 	}
-	sum["upload_plateau_s"] = float64(plateau) * 3
+	sum["upload_plateau_s"] = float64(plateau) * bucketS
 	if plateau > 0 {
-		sum["upload_rate_kbps"] = plateauBytes / float64(plateau) / 3 / 1024
+		sum["upload_rate_kbps"] = plateauBytes / float64(plateau) / bucketS / 1024
 	}
 	return &Result{
 		Name:    "fig7",
@@ -173,14 +122,12 @@ func Fig8(opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer r.close()
-	program := string(gsh.Pad([]byte(smallProgram), largeProgramSize))
-
-	r.rec.Reset()
-	if err := r.uploadViaPortal("genjob.gsh", program, "tag"); err != nil {
+	program := padded(smallProgram, largeProgramSize)
+	m, err := r.measure(func() error { return r.uploadViaPortal("genjob.gsh", program, "tag") })
+	if err != nil {
 		return nil, err
 	}
-	series := r.rec.Series()
-	sum := seriesSummary(series)
+	series, sum := m.series, m.sum
 	sum["disk_write_peaks"] = float64(countPeaks(series,
 		func(s metrics.Sample) float64 { return s.DiskWriteBytes }, float64(largeProgramSize)/4))
 	return &Result{

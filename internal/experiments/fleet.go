@@ -1,24 +1,14 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"mime/multipart"
-	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/appliance"
-	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/gridenv"
-	"repro/internal/gridsim"
-	"repro/internal/gsh"
 	"repro/internal/netsim"
 	"repro/internal/vtime"
 )
@@ -49,14 +39,10 @@ func AblationFleet(opts Options, fleets []int, invocations int) (*AblationResult
 	if len(fleets) == 0 {
 		fleets = FleetSizes
 	}
-	if invocations <= 0 {
-		invocations = 64
-	}
+	invocations = orDefault(invocations, 64)
 	// The burst multiplies every real-scheduling cost by the fleet width;
 	// cap the dilation like the other burst ablations do.
-	if opts.Scale <= 0 || opts.Scale > 40 {
-		opts.Scale = 40
-	}
+	opts.capScale()
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("%d simultaneous invocations, 4 per service over %d services, POSTed through the fleet gateway", invocations, invocations/4),
 		fmt.Sprintf("each service's executable is %d KB; the staging cache is off, so every invocation re-stages it across its appliance's ~85 KB/s WAN uplink — the paper's single-appliance bottleneck", fleetPayloadKB),
@@ -89,24 +75,11 @@ type fleetRig struct {
 }
 
 func newFleetRig(o Options, fleetN int) (*fleetRig, error) {
-	o.fill()
-	clk := vtime.NewScaled(o.Scale)
-	env, err := gridenv.Start(gridenv.Options{
-		Clock: clk,
-		// Ample grid capacity: the experiment measures the appliance tier,
-		// not grid queueing. The grid's server side stays unshaped; each
-		// appliance's own client-side WAN uplink is the measured link.
-		Sites: []gridsim.SiteConfig{
-			{Name: "ncsa-abe", Nodes: 16, CoresPerNode: 8},
-			{Name: "sdsc-ds", Nodes: 16, CoresPerNode: 8},
-		},
-	})
+	clk := o.clock()
+	// The grid's server side stays unshaped; each appliance's own
+	// client-side WAN uplink is the measured link.
+	env, err := bootGrid(clk, nil, nil)
 	if err != nil {
-		return nil, err
-	}
-	env.Gatekeeper.SetHeartbeatInterval(time.Minute)
-	if _, err := env.AddUser("alice", "pw", 0); err != nil {
-		env.Close()
 		return nil, err
 	}
 	gw, err := gateway.Boot(gateway.Config{
@@ -121,12 +94,7 @@ func newFleetRig(o Options, fleetN int) (*fleetRig, error) {
 		// Each shard gets its own shaped WAN uplink toward the grid — the
 		// fleet's whole point is multiplying this link.
 		PerShard: func(i int, cfg appliance.Config) appliance.Config {
-			wan := netsim.WAN(clk)
-			dialer := &netsim.Dialer{Profile: wan}
-			cfg.GridHTTP = &http.Client{Transport: &http.Transport{DialContext: dialer.DialContext}}
-			cfg.MyProxyDial = func(network, addr string) (net.Conn, error) {
-				return dialer.DialContext(context.Background(), network, addr)
-			}
+			cfg.GridHTTP, cfg.MyProxyDial = wanUplink(netsim.WAN(clk), nil)
 			return cfg
 		},
 		Clock:         clk,
@@ -140,7 +108,7 @@ func newFleetRig(o Options, fleetN int) (*fleetRig, error) {
 		env.Close()
 		return nil, err
 	}
-	gw.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
+	gw.RegisterUser("alice", aliceAuth)
 	return &fleetRig{clock: clk, env: env, gw: gw}, nil
 }
 
@@ -149,70 +117,8 @@ func (r *fleetRig) close() {
 	r.env.Close()
 }
 
-// uploadService publishes one padded executable through the gateway.
-func (r *fleetRig) uploadService(fileName string) error {
-	program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), fleetPayloadKB<<10))
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile("file", fileName)
-	if err != nil {
-		return err
-	}
-	io.WriteString(fw, program)
-	mw.WriteField("user", "alice")
-	mw.WriteField("description", "fleet ablation")
-	mw.Close()
-	resp, err := http.Post(r.gw.BaseURL+"/upload", mw.FormDataContentType(), &buf)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("upload %s: status %d: %s", fileName, resp.StatusCode, body)
-	}
-	return nil
-}
-
-// fleetInvoke drives one invocation through the gateway, returning an
-// error on any non-200 so callers can re-issue.
-func fleetInvoke(base, service, arg string) error {
-	payload, _ := json.Marshal(map[string]any{"service": service, "args": map[string]string{"x": arg}})
-	resp, err := http.Post(base+"/api/invoke", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("invoke: status %d: %s", resp.StatusCode, body)
-	}
-	var inv struct {
-		Ticket string `json:"ticket"`
-	}
-	if err := json.Unmarshal(body, &inv); err != nil || inv.Ticket == "" {
-		return fmt.Errorf("invoke reply %q: %v", body, err)
-	}
-	resp, err = http.Get(base + "/api/wait?ticket=" + inv.Ticket)
-	if err != nil {
-		return err
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("wait: status %d: %s", resp.StatusCode, body)
-	}
-	var done struct {
-		State string `json:"state"`
-	}
-	if err := json.Unmarshal(body, &done); err != nil {
-		return err
-	}
-	if done.State != string(core.InvDone) {
-		return fmt.Errorf("wait: state %s", done.State)
-	}
-	return nil
-}
+// door reaches the fleet through its gateway.
+func (r *fleetRig) door() door { return door{r.gw.BaseURL, http.DefaultClient, ""} }
 
 // fleetBurst boots one fleet, publishes the service set, fires the
 // burst, and accounts gateway + fleet-wide counters. With kill set, one
@@ -228,9 +134,11 @@ func fleetBurst(o Options, study, variant string, fleetN, invocations int, kill 
 	if nServices < 1 {
 		nServices = 1
 	}
+	front := r.door()
+	program := padded("compute 1s\necho ok\n", fleetPayloadKB<<10)
 	services := make([]string, nServices)
 	for i := range services {
-		if err := r.uploadService(fmt.Sprintf("fleetjob%02d.gsh", i)); err != nil {
+		if err := front.upload(fmt.Sprintf("fleetjob%02d.gsh", i), program); err != nil {
 			return nil, err
 		}
 		services[i] = fmt.Sprintf("Fleetjob%02dService", i)
@@ -253,49 +161,40 @@ func fleetBurst(o Options, study, variant string, fleetN, invocations int, kill 
 	}
 
 	start := r.clock.Now()
-	var (
-		wg        sync.WaitGroup
-		completed atomic.Uint64
-		reissues  atomic.Uint64
-	)
-	errs := make(chan error, invocations)
-	for i := 0; i < invocations; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			svc := services[i%len(services)]
-			var lastErr error
+	var completed, reissues atomic.Uint64
+	burstDone := make(chan error, 1)
+	go func() {
+		burstDone <- fanOut(invocations, 0, func(i int) error {
+			var err error
 			for attempt := 0; attempt < 10; attempt++ {
 				if attempt > 0 {
 					reissues.Add(1)
 					time.Sleep(100 * time.Millisecond)
 				}
-				if lastErr = fleetInvoke(r.gw.BaseURL, svc, fmt.Sprint(i)); lastErr == nil {
+				if _, err = front.call(services[i%len(services)], fmt.Sprint(i)); err == nil {
 					completed.Add(1)
-					return
+					return nil
 				}
 				if !kill {
 					break // healthy runs must succeed first try
 				}
 			}
-			errs <- fmt.Errorf("invocation %d: %w", i, lastErr)
-		}()
-	}
+			return fmt.Errorf("invocation %d: %w", i, err)
+		})
+	}()
 	if kill {
 		// Hard-kill the victim once the burst is demonstrably in flight —
 		// after the first completion, while the victim still holds most of
 		// its share of the burst.
-		for completed.Load() == 0 {
+		for completed.Load() == 0 && len(burstDone) == 0 {
 			time.Sleep(5 * time.Millisecond)
 		}
 		if err := r.gw.Kill(victim); err != nil {
+			<-burstDone
 			return nil, err
 		}
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+	if err := <-burstDone; err != nil {
 		return nil, err
 	}
 	elapsed := r.clock.Now().Sub(start).Seconds()

@@ -2,19 +2,29 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
+	"repro/internal/appliance"
 	"repro/internal/blobdb"
 	"repro/internal/gsh"
-	"repro/internal/wsclient"
 )
+
+func sessionCache(c *appliance.Config) { c.SessionCache = true }
+func statsTTL(c *appliance.Config)     { c.StatsTTL = 30 * time.Second }
+func blobLRU(c *appliance.Config)      { c.BlobCacheBytes = 256 << 20 }
+
+var hotPathTable = variantTable{"hot-path", []variant{
+	{"stock", nil},
+	{"session-cache", sessionCache},
+	{"stats-ttl", statsTTL},
+	{"blob-lru", blobLRU},
+	{"warm", func(c *appliance.Config) { sessionCache(c); statsTTL(c); blobLRU(c) }},
+}}
 
 // HotPathVariants lists the invocation hot-path ablation variants in
 // the order they are reported: the paper-faithful stock pipeline, each
 // optimisation lever alone, and all levers together ("warm").
-var HotPathVariants = []string{"stock", "session-cache", "stats-ttl", "blob-lru", "warm"}
+var HotPathVariants = hotPathTable.names()
 
 // AblationHotPath compares the invocation hot path with each
 // optimisation lever against the paper's stock behaviour: per-owner
@@ -26,86 +36,47 @@ var HotPathVariants = []string{"stock", "session-cache", "stats-ttl", "blob-lru"
 //
 // With no explicit variants, every entry of HotPathVariants runs.
 func AblationHotPath(opts Options, fileKB, invocations int, variants ...string) (*AblationResult, error) {
-	if fileKB <= 0 {
-		fileKB = 256
-	}
-	if invocations <= 0 {
-		invocations = 3
-	}
-	if len(variants) == 0 {
-		variants = HotPathVariants
+	fileKB = orDefault(fileKB, 256)
+	invocations = orDefault(invocations, 3)
+	table, err := hotPathTable.pick(variants...)
+	if err != nil {
+		return nil, err
 	}
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("%d back-to-back invocations of a %d KB executable", invocations, fileKB),
 		"stock re-authenticates, re-fetches grid stats and re-inflates the blob per invocation",
 		"warm enables the session cache, stats TTL and blob LRU together",
 	}}
-	for _, variant := range variants {
-		o := opts
-		// Fine polling keeps completion-detection quantisation from
-		// drowning the per-invocation setup difference under comparison.
-		o.Appliance.PollInterval = 3 * time.Second
-		switch variant {
-		case "stock":
-		case "session-cache":
-			o.Appliance.SessionCache = true
-		case "stats-ttl":
-			o.Appliance.StatsTTL = 30 * time.Second
-		case "blob-lru":
-			o.Appliance.BlobCacheBytes = 256 << 20
-		case "warm":
-			o.Appliance.SessionCache = true
-			o.Appliance.StatsTTL = 30 * time.Second
-			o.Appliance.BlobCacheBytes = 256 << 20
-		default:
-			return nil, fmt.Errorf("experiments: unknown hot-path variant %q", variant)
-		}
-		r, err := newRig(o)
-		if err != nil {
-			return nil, err
-		}
-		program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), fileKB<<10))
-		if err := r.uploadViaPortal("hotjob.gsh", program); err != nil {
-			r.close()
-			return nil, err
-		}
-		proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/HotjobService", r.userHTTP)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.rec.Reset()
-		logons, statsRPCs := r.app.Agent.SessionCount(), r.app.OnServe.SubmitStats().StatsRPCs
-		start := r.clock.Now()
-		for i := 0; i < invocations; i++ {
-			ticket, err := proxy.Invoke("execute", nil)
-			if err != nil {
-				r.close()
-				return nil, err
-			}
-			if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-				r.close()
-				return nil, err
-			}
-		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		sum := seriesSummary(r.rec.Series())
+	// Fine polling keeps completion-detection quantisation from drowning
+	// the per-invocation setup difference under comparison.
+	opts.Appliance.PollInterval = 3 * time.Second
+	err = table.run(opts, func(variant string, r *rig) error {
 		// What the levers remove, counted: nothing logs a session out
 		// during the run, so the table's growth is the MyProxy logons.
-		logons = r.app.Agent.SessionCount() - logons
-		statsRPCs = r.app.OnServe.SubmitStats().StatsRPCs - statsRPCs
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "makespan_s", Value: elapsed},
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "per_invoke_s", Value: elapsed / float64(invocations)},
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "net_out_total_kb", Value: sum["net_out_total_b"] / 1024},
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "cpu_total_s", Value: sum["cpu_total_s"]},
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "logons", Value: float64(logons)},
-			AblationRow{Study: "hot-path", Variant: variant, Metric: "stats_rpcs", Value: float64(statsRPCs)},
-		)
-		r.close()
+		logons, submitted := r.app.Agent.SessionCount(), since(r.app.OnServe.SubmitStats)
+		m, err := r.backToBack("hotjob.gsh", fileKB, invocations)
+		if err != nil {
+			return err
+		}
+		row := res.at("hot-path", variant)
+		row("makespan_s", m.seconds)
+		row("per_invoke_s", m.seconds/float64(invocations))
+		row("net_out_total_kb", m.sum["net_out_total_b"]/1024)
+		row("cpu_total_s", m.sum["cpu_total_s"])
+		row("logons", float64(r.app.Agent.SessionCount()-logons))
+		row("stats_rpcs", float64(submitted().StatsRPCs))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
+
+var groupCommitTable = variantTable{"group-commit", []variant{
+	{"stock", nil},
+	{"group", func(c *appliance.Config) { c.GroupCommit = true }},
+}}
 
 // AblationGroupCommit measures the WAL append path under concurrent
 // writers: the stock one-unsynced-write-per-mutation behaviour against
@@ -114,71 +85,52 @@ func AblationHotPath(opts Options, fileKB, invocations int, variants ...string) 
 // WAL — virtual-time dilation would hide the syscall costs it exists to
 // show.
 func AblationGroupCommit(payloadKB, writers, putsPerWriter int) (*AblationResult, error) {
-	if payloadKB <= 0 {
-		payloadKB = 64
-	}
-	if writers <= 0 {
-		writers = 8
-	}
-	if putsPerWriter <= 0 {
-		putsPerWriter = 16
-	}
+	payloadKB = orDefault(payloadKB, 64)
+	writers = orDefault(writers, 8)
+	putsPerWriter = orDefault(putsPerWriter, 16)
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("%d writers x %d puts of %d KB against an on-disk WAL (real time)", writers, putsPerWriter, payloadKB),
 		"stock: one unsynced write per put; group: batched appends, one fsync per batch",
 		"group commit upgrades durability (acked puts survive a crash) while amortising the flush",
 	}}
 	blob := gsh.Pad([]byte("echo x\n"), payloadKB<<10)
-	for _, variant := range []struct {
-		name  string
-		group bool
-	}{{"stock", false}, {"group", true}} {
-		dir, err := os.MkdirTemp("", "hotpath-wal-*")
-		if err != nil {
-			return nil, err
+	for _, v := range groupCommitTable.all {
+		// The appliance hands this knob to its database; the study drives
+		// the database directly.
+		var cfg appliance.Config
+		if v.knobs != nil {
+			v.knobs(&cfg)
 		}
-		db, err := blobdb.Open(blobdb.Options{Dir: dir, GroupCommit: variant.group})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		tab := db.Table("bench")
-		start := time.Now()
-		var wg sync.WaitGroup
-		errc := make(chan error, writers)
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
+		err := withTempDB(blobdb.Options{GroupCommit: cfg.GroupCommit}, func(_ blobdb.Options, db *blobdb.DB) error {
+			defer db.Close()
+			tab := db.Table("bench")
+			start := time.Now()
+			err := fanOut(writers, 0, func(w int) error {
 				for i := 0; i < putsPerWriter; i++ {
 					if err := tab.Put(fmt.Sprintf("w%02d-k%03d", w, i), nil, blob); err != nil {
-						errc <- err
-						return
+						return err
 					}
 				}
-			}(w)
-		}
-		wg.Wait()
-		close(errc)
-		if err := <-errc; err != nil {
-			db.Close()
-			os.RemoveAll(dir)
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			elapsed := time.Since(start)
+			walWrites, walSyncs := db.WALStats()
+			if err := db.Close(); err != nil {
+				return err
+			}
+			row := res.at("group-commit", v.name)
+			row("wall_ms", float64(elapsed.Milliseconds()))
+			row("puts_per_s", float64(writers*putsPerWriter)/elapsed.Seconds())
+			row("wal_writes", float64(walWrites))
+			row("wal_syncs", float64(walSyncs))
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start)
-		walWrites, walSyncs := db.WALStats()
-		if err := db.Close(); err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		os.RemoveAll(dir)
-		puts := float64(writers * putsPerWriter)
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "group-commit", Variant: variant.name, Metric: "wall_ms", Value: float64(elapsed.Milliseconds())},
-			AblationRow{Study: "group-commit", Variant: variant.name, Metric: "puts_per_s", Value: puts / elapsed.Seconds()},
-			AblationRow{Study: "group-commit", Variant: variant.name, Metric: "wal_writes", Value: float64(walWrites)},
-			AblationRow{Study: "group-commit", Variant: variant.name, Metric: "wal_syncs", Value: float64(walSyncs)},
-		)
 	}
 	return res, nil
 }

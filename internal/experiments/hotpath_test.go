@@ -8,6 +8,7 @@ func TestAblationHotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinKeys(t, res, "hotpath.json")
 	vals := ablationMap(res)
 	// The verdict is what each lever removes, counted where it happens:
 	// MyProxy logons and scheduler-statistics fetches. Bytes and makespans

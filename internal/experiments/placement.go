@@ -2,22 +2,25 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/appliance"
 	"repro/internal/gridsim"
-	"repro/internal/gsh"
 	"repro/internal/jsdl"
-	"repro/internal/wsclient"
 )
+
+var placementTable = variantTable{"placement", []variant{
+	{"load-only", nil},
+	{"data-aware", func(c *appliance.Config) { c.DataAwarePlacement = true }},
+	{"data-aware+replicate", func(c *appliance.Config) { c.DataAwarePlacement = true; c.ReplicateTopK = 1 }},
+}}
 
 // PlacementVariants lists the site-selection ablation variants: the
 // paper's load-only broker, the possession-aware scorer (probe the chunk
 // stores, weigh missing bytes as WAN seconds against queue load), and
 // the scorer plus the background pre-replicator that warms the sibling
 // site before the burst arrives.
-var PlacementVariants = []string{"load-only", "data-aware", "data-aware+replicate"}
+var PlacementVariants = placementTable.names()
 
 // placementChunkBytes matches the stage ablation's chunk size.
 const placementChunkBytes = 64 << 10
@@ -42,21 +45,18 @@ const placementChunkBytes = 64 << 10
 // is not. With no explicit variants, every entry of PlacementVariants
 // runs at each size.
 func AblationPlacement(opts Options, invocations int, sizesKB []int, variants ...string) (*AblationResult, error) {
-	if invocations <= 0 {
-		invocations = 64
-	}
+	invocations = orDefault(invocations, 64)
 	if len(sizesKB) == 0 {
 		sizesKB = []int{64, 1536}
 	}
-	if len(variants) == 0 {
-		variants = PlacementVariants
+	table, err := placementTable.pick(variants...)
+	if err != nil {
+		return nil, err
 	}
 	// Like the stage ablation: the chunked data plane plus per-site
 	// probes make many more round-trips than a stock PUT, so cap the
 	// dilation or their real scheduling cost would bias the makespan.
-	if opts.Scale <= 0 || opts.Scale > 40 {
-		opts.Scale = 40
-	}
+	opts.capScale()
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("%d simultaneous invocations of one executable; chunked staging + coalescing on, staging cache off for every variant", invocations),
 		"one priming invocation stages the payload at a single site — steered away from the load broker's idle-grid favourite, so possession and load order disagree when the burst arrives",
@@ -67,31 +67,20 @@ func AblationPlacement(opts Options, invocations int, sizesKB []int, variants ..
 		"small payloads place like load-only (re-shipping is cheaper than queueing); large payloads chase the bytes — that crossover is the scorer's whole point",
 	}}
 
+	opts.Appliance.SessionCache = true
+	opts.Appliance.StagingCache = false
+	opts.Appliance.CoalesceStaging = true
+	opts.Appliance.ChunkedStaging = true
+	opts.Appliance.ChunkBytes = placementChunkBytes
+	opts.Appliance.PollInterval = 3 * time.Second
 	for _, sizeKB := range sizesKB {
 		study := fmt.Sprintf("placement-%dkb", sizeKB)
-		for _, variant := range variants {
-			o := opts
-			o.Appliance.SessionCache = true
-			o.Appliance.StagingCache = false
-			o.Appliance.CoalesceStaging = true
-			o.Appliance.ChunkedStaging = true
-			o.Appliance.ChunkBytes = placementChunkBytes
-			o.Appliance.PollInterval = 3 * time.Second
-			switch variant {
-			case "load-only":
-			case "data-aware":
-				o.Appliance.DataAwarePlacement = true
-			case "data-aware+replicate":
-				o.Appliance.DataAwarePlacement = true
-				o.Appliance.ReplicateTopK = 1
-			default:
-				return nil, fmt.Errorf("experiments: unknown placement variant %q", variant)
-			}
-			rows, err := placementBurst(o, study, variant, sizeKB, invocations)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: placement %s/%s: %w", study, variant, err)
-			}
-			res.Rows = append(res.Rows, rows...)
+		table.what = study
+		err := table.run(opts, func(variant string, r *rig) error {
+			return placementBurst(r, res.at(study, variant), sizeKB, invocations)
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
@@ -102,12 +91,7 @@ func AblationPlacement(opts Options, invocations int, sizesKB []int, variants ..
 // next placement prefers the sibling. Returns the site and the hog job
 // IDs so the caller can cancel them.
 func hogTieBreakSite(r *rig) (*gridsim.Site, []string, error) {
-	names := make([]string, 0, 2)
-	for name := range r.env.Endpoints().FTPURLs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	site, err := r.env.Grid.Site(names[0])
+	site, err := r.env.Grid.Site(r.env.Grid.SiteNames()[0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,22 +110,12 @@ func hogTieBreakSite(r *rig) (*gridsim.Site, []string, error) {
 	return site, ids, nil
 }
 
-// placementBurst boots one rig, primes one site with the payload, then
-// fires the burst and accounts the deltas.
-func placementBurst(o Options, study, variant string, sizeKB, invocations int) ([]AblationRow, error) {
-	r, err := newRig(o)
+// placementBurst primes one site with the payload, then fires the burst
+// and accounts the deltas.
+func placementBurst(r *rig, row func(string, float64), sizeKB, invocations int) error {
+	svc, err := r.deploy("burstjob.gsh", padded("compute 1s\necho ok\n", sizeKB<<10))
 	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-
-	program := string(gsh.Pad([]byte("compute 1s\necho ok\n"), sizeKB<<10))
-	if err := r.uploadViaPortal("burstjob.gsh", program); err != nil {
-		return nil, err
-	}
-	proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/BurstjobService", r.userHTTP)
-	if err != nil {
-		return nil, err
+		return err
 	}
 	// Priming invocation: shares one grid session with the burst and
 	// stages the payload at exactly one site. A few hog jobs briefly load
@@ -152,14 +126,10 @@ func placementBurst(o Options, study, variant string, sizeKB, invocations int) (
 	// burst idle.
 	hogSite, hogIDs, err := hogTieBreakSite(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ticket, err := proxy.Invoke("execute", nil)
-	if err == nil {
-		_, err = proxy.Invoke("wait", map[string]string{"ticket": ticket})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("priming invocation: %w", err)
+	if _, err := svc.call(nil); err != nil {
+		return fmt.Errorf("priming invocation: %w", err)
 	}
 	for _, id := range hogIDs {
 		hogSite.Cancel(id)
@@ -168,50 +138,23 @@ func placementBurst(o Options, study, variant string, sizeKB, invocations int) (
 	// warm before timing starts.
 	r.app.OnServe.DrainReplicator()
 
-	placeBefore := r.app.OnServe.PlacementStats()
-	stageBefore := r.app.OnServe.StageStats()
-	r.rec.Reset()
-	start := r.clock.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, invocations)
-	for i := 0; i < invocations; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ticket, err := proxy.Invoke("execute", nil)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-				errs <- err
-			}
-		}()
+	placed, staged := since(r.app.OnServe.PlacementStats), since(r.app.OnServe.StageStats)
+	m, err := r.measure(func() error { return svc.burst(invocations) })
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-	elapsed := r.clock.Now().Sub(start).Seconds()
-	place := r.app.OnServe.PlacementStats()
-	stage := r.app.OnServe.StageStats()
-	wireB := seriesSummary(r.rec.Series())["net_out_total_b"]
-
-	row := func(metric string, v float64) AblationRow {
-		return AblationRow{Study: study, Variant: variant, Metric: metric, Value: v}
-	}
-	return []AblationRow{
-		row("makespan_s", elapsed),
-		row("wan_wire_b", wireB),
-		row("chunk_wire_b", float64(stage.WireBytes-stageBefore.WireBytes)),
-		row("chunks_shipped", float64(stage.ChunksShipped-stageBefore.ChunksShipped)),
-		row("probe_rpcs", float64(place.ProbesSent-placeBefore.ProbesSent)),
-		row("probe_cache_hits", float64(place.ProbeCacheHits-placeBefore.ProbeCacheHits)),
-		row("placements_redirected", float64(place.PlacementsRedirected-placeBefore.PlacementsRedirected)),
-		// Lifetime replicator totals: the pre-push happens before the
-		// burst, which is the point.
-		row("replicator_pushes", float64(place.ReplicatorPushes)),
-		row("replicator_push_bytes", float64(place.ReplicatorPushBytes)),
-	}, nil
+	place, stage := placed(), staged()
+	row("makespan_s", m.seconds)
+	row("wan_wire_b", m.sum["net_out_total_b"])
+	row("chunk_wire_b", float64(stage.WireBytes))
+	row("chunks_shipped", float64(stage.ChunksShipped))
+	row("probe_rpcs", float64(place.ProbesSent))
+	row("probe_cache_hits", float64(place.ProbeCacheHits))
+	row("placements_redirected", float64(place.PlacementsRedirected))
+	// Lifetime replicator totals: the pre-push happens before the burst,
+	// which is the point.
+	life := r.app.OnServe.PlacementStats()
+	row("replicator_pushes", float64(life.ReplicatorPushes))
+	row("replicator_push_bytes", float64(life.ReplicatorPushBytes))
+	return nil
 }

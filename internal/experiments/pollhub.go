@@ -3,11 +3,16 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/wsclient"
+	"repro/internal/appliance"
 )
+
+var pollHubTable = variantTable{"poll-hub", []variant{
+	{"stock", nil},
+	{"hub", func(c *appliance.Config) { c.PollHub = true }},
+	{"push", func(c *appliance.Config) { c.PushEvents = true }},
+}}
 
 // PollHubVariants lists the output-collection ablation variants: the
 // paper's one-poller-goroutine-per-invocation loop, the sharded hub that
@@ -15,7 +20,7 @@ import (
 // stdout only when its version changed, and the push collector that
 // retires polling altogether — job transitions arrive over one
 // long-lived gatekeeper event stream per session.
-var PollHubVariants = []string{"stock", "hub", "push"}
+var PollHubVariants = pollHubTable.names()
 
 // AblationPollHub measures the output-collection path under many
 // concurrent invocations. All variants run with the session and staging
@@ -32,11 +37,10 @@ var PollHubVariants = []string{"stock", "hub", "push"}
 //
 // With no explicit variants, every entry of PollHubVariants runs.
 func AblationPollHub(opts Options, invocations int, variants ...string) (*AblationResult, error) {
-	if invocations <= 0 {
-		invocations = 64
-	}
-	if len(variants) == 0 {
-		variants = PollHubVariants
+	invocations = orDefault(invocations, 64)
+	table, err := pollHubTable.pick(variants...)
+	if err != nil {
+		return nil, err
 	}
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("%d simultaneous invocations of a job emitting every 27s, polled every 3s", invocations),
@@ -47,111 +51,62 @@ func AblationPollHub(opts Options, invocations int, variants ...string) (*Ablati
 		"push: one /gram/events stream per session carrying state and the stdout snapshot, zero steady-state status RPCs and output fetches, detection at delivery latency",
 		"detect_latency_s: mean job-end to invocation-terminal gap — poll variants are bounded by the tick, push by delivery",
 	}}
-	for _, variant := range variants {
-		o := opts
-		o.Appliance.SessionCache = true
-		o.Appliance.StagingCache = true
-		o.Appliance.PollInterval = 3 * time.Second
-		switch variant {
-		case "stock":
-		case "hub":
-			o.Appliance.PollHub = true
-		case "push":
-			o.Appliance.PushEvents = true
-		default:
-			return nil, fmt.Errorf("experiments: unknown poll-hub variant %q", variant)
-		}
-		r, err := newRig(o)
+	opts.Appliance.SessionCache = true
+	opts.Appliance.StagingCache = true
+	opts.Appliance.PollInterval = 3 * time.Second
+	// Three 96-byte progress reports separated by 27 silent seconds: most
+	// polls see an unchanged snapshot, and every re-fetch of the full
+	// snapshot costs real bytes.
+	program := fmt.Sprintf("emit 27s 3 %s\n", strings.Repeat("progress-report ", 6))
+	err = table.run(opts, func(variant string, r *rig) error {
+		svc, err := r.deploy("ticker.gsh", program)
 		if err != nil {
-			return nil, err
-		}
-		// Three 96-byte progress reports separated by 27 silent seconds:
-		// most polls see an unchanged snapshot, and every re-fetch of the
-		// full snapshot costs real bytes.
-		program := fmt.Sprintf("emit 27s 3 %s\n", strings.Repeat("progress-report ", 6))
-		if err := r.uploadViaPortal("ticker.gsh", program); err != nil {
-			r.close()
-			return nil, err
-		}
-		proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/TickerService", r.userHTTP)
-		if err != nil {
-			r.close()
-			return nil, err
+			return err
 		}
 		// Warm up the session and staging caches with one sequential
 		// invocation: a simultaneous cold burst would stampede the session
 		// cache (every invocation missing at once and authenticating its
 		// own session), and the hub batches per session.
-		ticket, err := proxy.Invoke("execute", nil)
-		if err == nil {
-			_, err = proxy.Invoke("wait", map[string]string{"ticket": ticket})
+		if _, err := svc.call(nil); err != nil {
+			return fmt.Errorf("warm-up: %w", err)
 		}
+		collected := since(r.app.OnServe.CollectorStats)
+		tickets := make([]string, invocations)
+		m, err := r.measure(func() error {
+			return fanOut(invocations, 0, func(i int) (err error) {
+				if tickets[i], err = svc.start(nil); err == nil {
+					_, err = svc.wait(tickets[i])
+				}
+				return err
+			})
+		})
 		if err != nil {
-			r.close()
-			return nil, fmt.Errorf("experiments: poll-hub %s warm-up: %w", variant, err)
+			return err
 		}
-		before := r.app.OnServe.CollectorStats()
-		r.rec.Reset()
-		start := r.clock.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, invocations)
-		var mu sync.Mutex
-		var tickets []string
-		for i := 0; i < invocations; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ticket, err := proxy.Invoke("execute", nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				mu.Lock()
-				tickets = append(tickets, ticket)
-				mu.Unlock()
-				if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-					errs <- err
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			r.close()
-			return nil, fmt.Errorf("experiments: poll-hub %s: %w", variant, err)
-		}
-		elapsed := r.clock.Now().Sub(start).Seconds()
-		stats := r.app.OnServe.CollectorStats()
-		stats.StatusRPCs -= before.StatusRPCs
-		stats.OutputFetches -= before.OutputFetches
-		stats.OutputInlined -= before.OutputInlined
-		stats.OutputNotModified -= before.OutputNotModified
-		stats.OutputBytes -= before.OutputBytes
-		stats.PollDiskWrites -= before.PollDiskWrites
+		stats := collected()
 		detect, err := meanDetectLatency(r, tickets)
 		if err != nil {
-			r.close()
-			return nil, fmt.Errorf("experiments: poll-hub %s: %w", variant, err)
+			return err
 		}
-		res.Rows = append(res.Rows,
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "makespan_s", Value: elapsed},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "status_rpcs", Value: float64(stats.StatusRPCs)},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_fetches", Value: float64(stats.OutputFetches)},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_not_modified", Value: float64(stats.OutputNotModified)},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_bytes_kb", Value: float64(stats.OutputBytes) / 1024},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "poll_disk_writes", Value: float64(stats.PollDiskWrites)},
-			AblationRow{Study: "poll-hub", Variant: variant, Metric: "detect_latency_s", Value: detect},
-		)
+		row := res.at("poll-hub", variant)
+		row("makespan_s", m.seconds)
+		row("status_rpcs", float64(stats.StatusRPCs))
+		row("output_fetches", float64(stats.OutputFetches))
+		row("output_not_modified", float64(stats.OutputNotModified))
+		row("output_bytes_kb", float64(stats.OutputBytes)/1024)
+		row("poll_disk_writes", float64(stats.PollDiskWrites))
+		row("detect_latency_s", detect)
 		if variant == "push" {
 			es := r.app.OnServe.EventStats()
-			res.Rows = append(res.Rows,
-				AblationRow{Study: "poll-hub", Variant: variant, Metric: "output_inlined", Value: float64(stats.OutputInlined)},
-				AblationRow{Study: "poll-hub", Variant: variant, Metric: "events_delivered", Value: float64(es.EventsDelivered)},
-				AblationRow{Study: "poll-hub", Variant: variant, Metric: "event_streams", Value: float64(es.StreamsOpened)},
-				AblationRow{Study: "poll-hub", Variant: variant, Metric: "fallbacks_to_poll", Value: float64(es.FallbacksToPoll)},
-			)
+			row("output_inlined", float64(stats.OutputInlined))
+			row("events_delivered", float64(es.EventsDelivered))
+			row("event_streams", float64(es.StreamsOpened))
+			row("fallbacks_to_poll", float64(es.FallbacksToPoll))
 		}
-		r.close()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

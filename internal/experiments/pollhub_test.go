@@ -8,6 +8,7 @@ func TestAblationPollHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinKeys(t, res, "pollhub.json")
 	vals := ablationMap(res)
 	// The hub batches every in-flight job of a shard into one status
 	// round-trip, so it must poll the gatekeeper far less often than n

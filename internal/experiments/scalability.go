@@ -3,11 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
-
-	"repro/internal/gsh"
-	"repro/internal/wsclient"
 )
 
 // ScalabilityRow is one cell of the §VIII-D sweep.
@@ -38,10 +33,7 @@ func (r *ScalabilityResult) Render() string {
 			row.Scenario, row.Link, row.Concurrency, row.FileKB,
 			row.MakespanS, row.PerReqS, row.ThroughputR, row.CPUPeakPct)
 	}
-	for _, n := range r.Notes {
-		sb.WriteString("note: " + n + "\n")
-	}
-	return sb.String()
+	return sb.String() + renderNotes(r.Notes)
 }
 
 // CSV renders the sweep for EXPERIMENTS.md.
@@ -66,9 +58,7 @@ func Scalability(opts Options, concurrencies []int, fileKB int) (*ScalabilityRes
 	if len(concurrencies) == 0 {
 		concurrencies = []int{1, 2, 4, 8}
 	}
-	if fileKB <= 0 {
-		fileKB = 256
-	}
+	fileKB = orDefault(fileKB, 256)
 	out := &ScalabilityResult{Notes: []string{
 		"invoke: staging shares the ~85 KB/s WAN; makespan grows ~linearly with concurrency",
 		"upload: the 1000 Mbit/s LAN is not the bottleneck; CPU/disk costs dominate",
@@ -98,40 +88,20 @@ func scalabilityInvoke(opts Options, conc, fileKB int) (*ScalabilityRow, error) 
 		return nil, err
 	}
 	defer r.close()
-	program := string(gsh.Pad([]byte("compute 1s\necho done ${tag}\n"), fileKB<<10))
-	if err := r.uploadViaPortal("sweep.gsh", program, "tag"); err != nil {
-		return nil, err
-	}
-	proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/SweepService", r.userHTTP)
+	svc, err := r.deploy("sweep.gsh", padded("compute 1s\necho done ${tag}\n", fileKB<<10), "tag")
 	if err != nil {
 		return nil, err
 	}
-
-	r.rec.Reset()
-	start := r.clock.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, conc)
-	for i := 0; i < conc; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ticket, err := proxy.Invoke("execute", map[string]string{"tag": fmt.Sprint(i)})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	m, err := r.measure(func() error {
+		return fanOut(conc, 0, func(i int) error {
+			_, err := svc.call(map[string]string{"tag": fmt.Sprint(i)})
+			return err
+		})
+	})
+	if err != nil {
 		return nil, fmt.Errorf("experiments: invoke sweep (conc=%d): %w", conc, err)
 	}
-	makespan := r.clock.Now().Sub(start)
-	return buildRow("invoke", "wan", conc, fileKB, makespan, r), nil
+	return buildRow("invoke", "wan", conc, fileKB, m), nil
 }
 
 // scalabilityUpload measures conc simultaneous portal uploads.
@@ -141,44 +111,30 @@ func scalabilityUpload(opts Options, conc, fileKB int) (*ScalabilityRow, error) 
 		return nil, err
 	}
 	defer r.close()
-	program := string(gsh.Pad([]byte("echo stored\n"), fileKB<<10))
-
-	r.rec.Reset()
-	start := r.clock.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, conc)
-	for i := 0; i < conc; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			name := fmt.Sprintf("up%c.gsh", 'a'+i)
-			if err := r.uploadViaPortal(name, program); err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	program := padded("echo stored\n", fileKB<<10)
+	m, err := r.measure(func() error {
+		return fanOut(conc, 0, func(i int) error {
+			return r.uploadViaPortal(fmt.Sprintf("up%c.gsh", 'a'+i), program)
+		})
+	})
+	if err != nil {
 		return nil, fmt.Errorf("experiments: upload sweep (conc=%d): %w", conc, err)
 	}
-	makespan := r.clock.Now().Sub(start)
-	return buildRow("upload", "lan", conc, fileKB, makespan, r), nil
+	return buildRow("upload", "lan", conc, fileKB, m), nil
 }
 
-func buildRow(scenario, link string, conc, fileKB int, makespan time.Duration, r *rig) *ScalabilityRow {
-	sum := seriesSummary(r.rec.Series())
+func buildRow(scenario, link string, conc, fileKB int, m measurement) *ScalabilityRow {
 	row := &ScalabilityRow{
 		Scenario:    scenario,
 		Link:        link,
 		Concurrency: conc,
 		FileKB:      fileKB,
-		MakespanS:   makespan.Seconds(),
-		PerReqS:     makespan.Seconds() / float64(conc),
-		CPUPeakPct:  sum["cpu_peak_pct"],
+		MakespanS:   m.seconds,
+		PerReqS:     m.seconds / float64(conc),
+		CPUPeakPct:  m.sum["cpu_peak_pct"],
 	}
-	if makespan > 0 {
-		row.ThroughputR = float64(conc) / makespan.Minutes()
+	if m.seconds > 0 {
+		row.ThroughputR = float64(conc) / (m.seconds / 60)
 	}
 	return row
 }

@@ -33,10 +33,7 @@ func (r *SchedulerResult) Render() string {
 		fmt.Fprintf(&sb, "%-13s %10.1f %12.1f %14.1f\n",
 			row.Policy, row.MakespanS, row.MeanWaitWideS, row.MeanWaitNarrow)
 	}
-	for _, n := range r.Notes {
-		sb.WriteString("note: " + n + "\n")
-	}
-	return sb.String()
+	return sb.String() + renderNotes(r.Notes)
 }
 
 // SchedulerPolicies runs an identical mixed workload — wide long jobs
@@ -45,9 +42,7 @@ func (r *SchedulerResult) Render() string {
 // right; this ablation documents the fairness/throughput trade of the
 // backfill choice DESIGN.md calls out.
 func SchedulerPolicies(scale float64) (*SchedulerResult, error) {
-	if scale <= 0 {
-		scale = 2000
-	}
+	scale = orDefault(scale, 2000)
 	res := &SchedulerResult{Notes: []string{
 		"workload: 6 wide jobs (8 cpus, 20s) interleaved with 24 narrow jobs (1 cpu, 5s) on 16 slots",
 		"aggressive: narrow jobs overtake freely; wide jobs wait longest",

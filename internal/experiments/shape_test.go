@@ -17,6 +17,7 @@ func TestAblationStageShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinKeys(t, res, "stage.json")
 	vals := ablationMap(res)
 	for _, variant := range StageVariants {
 		if got := vals["stage-cold/"+variant+"/logical_b"]; got < 256<<10 {
@@ -72,6 +73,7 @@ func TestAblationFleetShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinKeys(t, res, "fleet.json")
 	vals := ablationMap(res)
 	for _, n := range []int{1, 2} {
 		key := fmt.Sprintf("fleet-%d/scale-out/", n)
@@ -157,6 +159,7 @@ func TestAblationBlobDBShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinKeys(t, res, "blobdb.json")
 	vals := ablationMap(res)
 	for _, shards := range []int{1, 4, 16} {
 		variant := fmt.Sprintf("shards-%d", shards)

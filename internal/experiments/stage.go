@@ -1,27 +1,33 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/appliance"
 	"repro/internal/core"
 	"repro/internal/gridftp"
 	"repro/internal/myproxy"
-	"repro/internal/netsim"
 )
+
+func chunked(c *appliance.Config) { c.ChunkedStaging, c.ChunkBytes = true, stageChunkBytes }
+
+var stageTable = variantTable{"stage", []variant{
+	{"stock", nil},
+	{"chunked", chunked},
+	{"chunked-gzip", func(c *appliance.Config) { chunked(c); c.WireCompression = true }},
+}}
 
 // StageVariants lists the staging data-plane ablation variants: the
 // paper's monolithic uncompressed PUT per staging, the chunked
 // content-addressed protocol over raw bytes, and the same protocol
 // shipping the database's stored gzip stream.
-var StageVariants = []string{"stock", "chunked", "chunked-gzip"}
+var StageVariants = stageTable.names()
 
 // stageChunkBytes is the chunk size the ablation runs with: small enough
 // that a one-line edit of the test payload dirties exactly one chunk.
@@ -50,49 +56,19 @@ func compressibleProgram(size int) string {
 }
 
 // perturbProgram returns an in-place (same length) modification of
-// program: the noise token of one comment line near frac of the file is
-// overwritten. One chunk changes, every other chunk's bytes — and so
-// their digests — stay identical, which is what the re-publish dedup leg
-// relies on.
-func perturbProgram(program string, frac float64) string {
-	at := int(float64(len(program)) * frac)
-	i := strings.Index(program[at:], "\n# block ")
+// program: the noise token of the first comment line past the middle of
+// the file is overwritten. One chunk changes, every other chunk's bytes —
+// and so their digests — stay identical, which is what the re-publish
+// dedup leg relies on. A program with no such line comes back unchanged.
+func perturbProgram(program string) string {
+	mid := len(program) / 2
+	i := strings.Index(program[mid:], "\n# block ")
 	if i < 0 {
-		i = strings.LastIndex(program[:at], "\n# block ")
-		if i < 0 {
-			return program
-		}
-		at = 0
+		return program
 	}
 	// The 48-hex noise token sits after "\n# block NNNNNN " (16 bytes).
-	tok := at + i + len("\n# block 000000 ")
+	tok := mid + i + len("\n# block 000000 ")
 	return program[:tok] + strings.Repeat("f", 48) + program[tok+48:]
-}
-
-// stageRigOptions applies the shared knobs of the cold/re-publish legs:
-// session cache on (auth measured separately), staging cache on (it
-// provides the warm no-transfer measurement), fast polling.
-func stageRigOptions(opts Options, variant string) (Options, error) {
-	o := opts
-	o.Appliance.SessionCache = true
-	o.Appliance.StagingCache = true
-	// A tight poll keeps the cold-minus-warm subtraction from being
-	// quantised by poll-tick phase (the figures' 9 s default would put
-	// ±9 s of noise on an ~18 s measurement).
-	o.Appliance.PollInterval = time.Second
-	switch variant {
-	case "stock":
-	case "chunked":
-		o.Appliance.ChunkedStaging = true
-		o.Appliance.ChunkBytes = stageChunkBytes
-	case "chunked-gzip":
-		o.Appliance.ChunkedStaging = true
-		o.Appliance.ChunkBytes = stageChunkBytes
-		o.Appliance.WireCompression = true
-	default:
-		return o, fmt.Errorf("experiments: unknown stage variant %q", variant)
-	}
-	return o, nil
 }
 
 // AblationStage measures the staging data plane: cold stage wall-clock
@@ -103,20 +79,14 @@ func stageRigOptions(opts Options, variant string) (Options, error) {
 // With no explicit variants, every entry of StageVariants runs; the
 // resume study always compares stock against chunked.
 func AblationStage(opts Options, fileKB int, variants ...string) (*AblationResult, error) {
-	if fileKB <= 0 {
-		fileKB = 1536
-	}
-	if len(variants) == 0 {
-		variants = StageVariants
+	fileKB = orDefault(fileKB, 1536)
+	table, err := stageTable.pick(variants...)
+	if err != nil {
+		return nil, err
 	}
 	// Wall-clock here is the measurement, and the chunked variants make
-	// an order of magnitude more round-trips than the stock PUT: at the
-	// default ×200 dilation their real scheduling cost inflates into
-	// whole virtual seconds and biases the comparison against them. Cap
-	// the dilation for this ablation.
-	if opts.Scale <= 0 || opts.Scale > 40 {
-		opts.Scale = 40
-	}
+	// an order of magnitude more round-trips than the stock PUT.
+	opts.capScale()
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("one %d KB executable staged across the ~85 KB/s WAN; chunk size %d KB", fileKB, stageChunkBytes>>10),
 		"stage_s = cold invocation minus warm invocation (staging cache serves the warm one), so auth/submit/poll overhead subtracts out",
@@ -128,26 +98,25 @@ func AblationStage(opts Options, fileKB int, variants ...string) (*AblationResul
 		"resume: the WAN faults after 60% of the file; chunks committed before the fault are not re-shipped on retry, stock restarts from byte zero",
 	}}
 	program := compressibleProgram(fileKB << 10)
-	programV2 := perturbProgram(program, 0.5)
+	programV2 := perturbProgram(program)
 	if len(program) != len(programV2) || program == programV2 {
 		return nil, errors.New("experiments: stage payload perturbation failed")
 	}
 
-	for _, variant := range variants {
-		o, err := stageRigOptions(opts, variant)
-		if err != nil {
-			return nil, err
-		}
-		r, err := newRig(o)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := stageColdRepublish(r, variant, program, programV2)
-		r.close()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: stage %s: %w", variant, err)
-		}
-		res.Rows = append(res.Rows, rows...)
+	// Session cache on (auth is measured elsewhere) and staging cache on (it
+	// provides the warm no-transfer measurement). A tight poll keeps the
+	// cold-minus-warm subtraction from being quantised by poll-tick phase
+	// (the figures' 9 s default would put ±9 s of noise on an ~18 s
+	// measurement).
+	o := opts
+	o.Appliance.SessionCache = true
+	o.Appliance.StagingCache = true
+	o.Appliance.PollInterval = time.Second
+	err = table.run(o, func(variant string, r *rig) error {
+		return stageColdRepublish(r, res, variant, program, programV2)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Derived speedups against the stock baseline, so "reduced in
@@ -163,129 +132,95 @@ func AblationStage(opts Options, fileKB int, variants ...string) (*AblationResul
 		}
 		return 0
 	}
-	for _, variant := range variants {
+	for _, variant := range table.names() {
 		if variant == "stock" {
 			continue
 		}
+		row := res.at("stage-cold", variant)
 		if base, v := coldOf("stock", "stage_s"), coldOf(variant, "stage_s"); base > 0 && v > 0 {
-			res.Rows = append(res.Rows, AblationRow{
-				Study: "stage-cold", Variant: variant,
-				Metric: "stage_speedup_x", Value: base / v,
-			})
+			row("stage_speedup_x", base/v)
 		}
 		if base, v := coldOf("stock", "wan_wire_b"), coldOf(variant, "wan_wire_b"); base > 0 && v > 0 {
-			res.Rows = append(res.Rows, AblationRow{
-				Study: "stage-cold", Variant: variant,
-				Metric: "wire_reduction_x", Value: base / v,
-			})
+			row("wire_reduction_x", base/v)
 		}
 	}
 
-	resumeRows, err := stageResume(opts, fileKB<<10)
-	if err != nil {
+	if err := stageResume(opts, res, fileKB<<10); err != nil {
 		return nil, fmt.Errorf("experiments: stage resume: %w", err)
 	}
-	res.Rows = append(res.Rows, resumeRows...)
 	return res, nil
 }
 
 // stageColdRepublish runs the cold, warm and re-publish legs on one
-// booted rig and returns their rows.
-func stageColdRepublish(r *rig, variant, program, programV2 string) ([]AblationRow, error) {
+// booted rig and appends their rows.
+func stageColdRepublish(r *rig, res *AblationResult, variant, program, programV2 string) error {
 	// Prime the session cache with a separate tiny service so the cold
 	// leg of the real payload pays for staging, not for the MyProxy
 	// logon.
-	if err := r.uploadViaPortal("warmup.gsh", "compute 1s\necho ok\n"); err != nil {
-		return nil, err
+	warmup, err := r.deploy("warmup.gsh", "compute 1s\necho ok\n")
+	if err != nil {
+		return err
 	}
-	if _, err := r.invokeGenerated("WarmupService", nil); err != nil {
-		return nil, fmt.Errorf("warm-up: %w", err)
+	if _, err := warmup.call(nil); err != nil {
+		return fmt.Errorf("warm-up: %w", err)
 	}
-	if err := r.uploadViaPortal("stagejob.gsh", program); err != nil {
-		return nil, err
+	svc, err := r.deploy("stagejob.gsh", program)
+	if err != nil {
+		return err
 	}
 	gzRatio := 0.0
 	if rec, err := r.app.DB.Table(core.ExecutablesTable).Stat("StagejobService"); err == nil && rec.CompressedSize > 0 {
 		gzRatio = float64(len(program)) / float64(rec.CompressedSize)
 	}
 
-	leg := func(fn func() error) (elapsed float64, wireB float64, stats core.StageStats, err error) {
-		before := r.app.OnServe.StageStats()
-		r.rec.Reset()
-		start := r.clock.Now()
-		if err := fn(); err != nil {
-			return 0, 0, core.StageStats{}, err
+	// leg measures one invocation and what staging it shipped.
+	leg := func(name string) (measurement, core.StageStats, error) {
+		staged := since(r.app.OnServe.StageStats)
+		m, err := r.measure(func() error { _, err := svc.call(nil); return err })
+		if err != nil {
+			return m, core.StageStats{}, fmt.Errorf("%s invoke: %w", name, err)
 		}
-		elapsed = r.clock.Now().Sub(start).Seconds()
-		wireB = seriesSummary(r.rec.Series())["net_out_total_b"]
-		after := r.app.OnServe.StageStats()
-		stats = core.StageStats{
-			ChunkedUploads: after.ChunkedUploads - before.ChunkedUploads,
-			ChunksShipped:  after.ChunksShipped - before.ChunksShipped,
-			ChunksDeduped:  after.ChunksDeduped - before.ChunksDeduped,
-			WireBytes:      after.WireBytes - before.WireBytes,
-			LogicalBytes:   after.LogicalBytes - before.LogicalBytes,
-			Resumes:        after.Resumes - before.Resumes,
-			Fallbacks:      after.Fallbacks - before.Fallbacks,
-		}
-		return elapsed, wireB, stats, nil
+		return m, staged(), nil
 	}
-	invoke := func() error {
-		_, err := r.invokeGenerated("StagejobService", nil)
+	cold, coldStats, err := leg("cold")
+	if err != nil {
 		return err
 	}
-
-	coldS, coldWire, coldStats, err := leg(invoke)
+	warm, _, err := leg("warm")
 	if err != nil {
-		return nil, fmt.Errorf("cold invoke: %w", err)
-	}
-	warmS, _, _, err := leg(invoke)
-	if err != nil {
-		return nil, fmt.Errorf("warm invoke: %w", err)
-	}
-	stageS := coldS - warmS
-	if stageS < 0 {
-		stageS = 0
+		return err
 	}
 
 	// Re-publish: delete the service, upload the in-place edited payload,
 	// invoke. The staging cache entry dies with the service, so staging
 	// happens again — what differs per variant is how many bytes it costs.
 	if err := r.app.OnServe.DeleteService("StagejobService"); err != nil {
-		return nil, err
+		return err
 	}
-	if err := r.uploadViaPortal("stagejob.gsh", programV2); err != nil {
-		return nil, err
+	if svc, err = r.deploy("stagejob.gsh", programV2); err != nil {
+		return err
 	}
-	_, repubWire, repubStats, err := leg(invoke)
+	repub, repubStats, err := leg("re-publish")
 	if err != nil {
-		return nil, fmt.Errorf("re-publish invoke: %w", err)
+		return err
 	}
 
-	row := func(metric string, v float64) AblationRow {
-		return AblationRow{Study: "stage-cold", Variant: variant, Metric: metric, Value: v}
-	}
-	rows := []AblationRow{
-		row("stage_s", stageS),
-		row("invoke_cold_s", coldS),
-		row("invoke_warm_s", warmS),
-		row("logical_b", float64(len(program))),
-		row("wan_wire_b", coldWire),
-		row("payload_gzip_ratio", gzRatio),
-		row("chunk_wire_b", float64(coldStats.WireBytes)),
-		row("chunks_shipped", float64(coldStats.ChunksShipped)),
-		row("chunks_deduped", float64(coldStats.ChunksDeduped)),
-	}
-	rrow := func(metric string, v float64) AblationRow {
-		return AblationRow{Study: "stage-republish", Variant: variant, Metric: metric, Value: v}
-	}
-	rows = append(rows,
-		rrow("wan_wire_b", repubWire),
-		rrow("chunk_wire_b", float64(repubStats.WireBytes)),
-		rrow("chunks_shipped", float64(repubStats.ChunksShipped)),
-		rrow("chunks_deduped", float64(repubStats.ChunksDeduped)),
-	)
-	return rows, nil
+	row := res.at("stage-cold", variant)
+	row("stage_s", max(cold.seconds-warm.seconds, 0))
+	row("invoke_cold_s", cold.seconds)
+	row("invoke_warm_s", warm.seconds)
+	row("logical_b", float64(len(program)))
+	row("wan_wire_b", cold.sum["net_out_total_b"])
+	row("payload_gzip_ratio", gzRatio)
+	row("chunk_wire_b", float64(coldStats.WireBytes))
+	row("chunks_shipped", float64(coldStats.ChunksShipped))
+	row("chunks_deduped", float64(coldStats.ChunksDeduped))
+	row = res.at("stage-republish", variant)
+	row("wan_wire_b", repub.sum["net_out_total_b"])
+	row("chunk_wire_b", float64(repubStats.WireBytes))
+	row("chunks_shipped", float64(repubStats.ChunksShipped))
+	row("chunks_deduped", float64(repubStats.ChunksDeduped))
+	return nil
 }
 
 // faultTransport errors every request body read once budget bytes have
@@ -335,32 +270,21 @@ func (b *faultBody) Close() error { return b.rc.Close() }
 // shaped WAN, the appliance path minus the portal) and compares what a
 // retry after a mid-transfer fault costs: stock restarts from byte zero,
 // chunked resumes from the committed chunk set.
-func stageResume(opts Options, size int) ([]AblationRow, error) {
+func stageResume(opts Options, res *AblationResult, size int) error {
 	r, err := newRig(opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer r.close()
-	endpoints := r.env.Endpoints()
-	ftpURL := ""
-	for _, u := range endpoints.FTPURLs {
-		if ftpURL == "" || u < ftpURL {
-			ftpURL = u
-		}
-	}
-	if ftpURL == "" {
-		return nil, errors.New("experiments: no GridFTP endpoint")
-	}
-	dialer := &netsim.Dialer{Profile: r.wan, Probe: r.probe}
-	mp := &myproxy.Client{Addr: endpoints.MyProxyAddr, Dial: func(network, addr string) (net.Conn, error) {
-		return dialer.DialContext(context.Background(), network, addr)
-	}}
-	cred, err := mp.Get("alice", "pw", time.Hour)
+	ftpURL := r.env.FTPURLs[r.env.Grid.SiteNames()[0]]
+	_, dial := wanUplink(r.wan, r.probe)
+	cred, err := (&myproxy.Client{Addr: r.env.MyProxyAddr, Dial: dial}).Get("alice", "pw", time.Hour)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	newClient := func(budget int64) (*gridftp.Client, *faultTransport) {
-		ft := &faultTransport{rt: &http.Transport{DialContext: dialer.DialContext}}
+		uplink, _ := wanUplink(r.wan, r.probe)
+		ft := &faultTransport{rt: uplink.Transport}
 		ft.budget.Store(budget)
 		return &gridftp.Client{BaseURL: ftpURL, Cred: cred, HTTP: &http.Client{Transport: ft}}, ft
 	}
@@ -375,42 +299,39 @@ func stageResume(opts Options, size int) ([]AblationRow, error) {
 	faultAfter := int64(len(payload)) * 6 / 10
 	const countOnly = int64(1) << 60
 
-	var rows []AblationRow
 	// Stock: the monolithic PUT dies at 60%; the retry restarts from byte
 	// zero and re-ships the whole file.
 	client, _ := newClient(faultAfter)
 	if _, err := client.Put("resume-stock.dat", payload); err == nil {
-		return nil, errors.New("experiments: stock transfer survived the injected fault")
+		return errors.New("experiments: stock transfer survived the injected fault")
 	}
 	retry, counter := newClient(countOnly)
 	if _, err := retry.Put("resume-stock.dat", payload); err != nil {
-		return nil, fmt.Errorf("stock retry: %w", err)
+		return fmt.Errorf("stock retry: %w", err)
 	}
-	rows = append(rows,
-		AblationRow{Study: "stage-resume", Variant: "stock", Metric: "wire_before_fault_b", Value: float64(faultAfter)},
-		AblationRow{Study: "stage-resume", Variant: "stock", Metric: "retry_wire_b", Value: float64(counter.consumed(countOnly))},
-	)
+	row := res.at("stage-resume", "stock")
+	row("wire_before_fault_b", float64(faultAfter))
+	row("retry_wire_b", float64(counter.consumed(countOnly)))
 
 	// Chunked: chunks committed before the fault stay in the site's
 	// content-addressed store; the retry's have-probe finds them and
 	// ships only the remainder.
 	client, _ = newClient(faultAfter)
 	if _, err := client.PutChunked("resume-chunked.dat", payload, nil, stageChunkBytes); err == nil {
-		return nil, errors.New("experiments: chunked transfer survived the injected fault")
+		return errors.New("experiments: chunked transfer survived the injected fault")
 	}
 	retry, counter = newClient(countOnly)
 	stats, err := retry.PutChunked("resume-chunked.dat", payload, nil, stageChunkBytes)
 	if err != nil {
-		return nil, fmt.Errorf("chunked retry: %w", err)
+		return fmt.Errorf("chunked retry: %w", err)
 	}
 	if !stats.Resumed {
-		return nil, errors.New("experiments: chunked retry did not resume from committed chunks")
+		return errors.New("experiments: chunked retry did not resume from committed chunks")
 	}
-	rows = append(rows,
-		AblationRow{Study: "stage-resume", Variant: "chunked", Metric: "wire_before_fault_b", Value: float64(faultAfter)},
-		AblationRow{Study: "stage-resume", Variant: "chunked", Metric: "retry_wire_b", Value: float64(counter.consumed(countOnly))},
-		AblationRow{Study: "stage-resume", Variant: "chunked", Metric: "retry_chunks_shipped", Value: float64(stats.ChunksShipped)},
-		AblationRow{Study: "stage-resume", Variant: "chunked", Metric: "retry_chunks_resumed", Value: float64(stats.ChunksDeduped)},
-	)
-	return rows, nil
+	row = res.at("stage-resume", "chunked")
+	row("wire_before_fault_b", float64(faultAfter))
+	row("retry_wire_b", float64(counter.consumed(countOnly)))
+	row("retry_chunks_shipped", float64(stats.ChunksShipped))
+	row("retry_chunks_resumed", float64(stats.ChunksDeduped))
+	return nil
 }

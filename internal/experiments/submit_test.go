@@ -8,6 +8,7 @@ func TestAblationSubmitShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinKeys(t, res, "submit.json")
 	vals := ablationMap(res)
 	// Stock pays the full per-invocation price: one WAN upload, one
 	// submit RPC and one stats fetch per burst member.

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/hex"
 	"fmt"
-	"io"
-	"mime/multipart"
 	"net/http"
 	"sort"
-	"sync"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/tenant"
@@ -63,14 +60,10 @@ func tenancyConfig() *tenant.Config {
 // checks the audit log: every admitted or denied action appears exactly
 // once, and each record's trace ID resolves to its tenant.admit span.
 func AblationTenancy(opts Options, burst int) (*AblationResult, error) {
-	if burst <= 0 {
-		burst = tenancyBurst
-	}
+	burst = orDefault(burst, tenancyBurst)
 	// The burst multiplies every real-scheduling cost; cap the dilation
 	// like the other burst ablations do.
-	if opts.Scale <= 0 || opts.Scale > 40 {
-		opts.Scale = 40
-	}
+	opts.capScale()
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("hog fires %d concurrent invocations while the victim issues %d paced probes of its own service", burst, tenancyProbes),
 		fmt.Sprintf("fair-share bound = %.0fx the victim's solo p50, measured per variant before the burst", tenancySlack),
@@ -80,24 +73,19 @@ func AblationTenancy(opts Options, burst int) (*AblationResult, error) {
 		"trace_resolvable = 1 means every audit record carries a well-formed trace ID and a sampled victim record's ID matches the tenant.admit span in its invocation trace",
 	}}
 
-	off, err := tenancyRun(opts, "tenancy-off", burst, nil)
-	if err != nil {
+	if err := tenancyRun(opts, res.at("noisy-neighbor", "tenancy-off"), burst, nil); err != nil {
 		return nil, fmt.Errorf("experiments: tenancy off: %w", err)
 	}
-	res.Rows = append(res.Rows, off...)
-
-	on, err := tenancyRun(opts, "tenancy-on", burst, tenancyConfig())
-	if err != nil {
+	if err := tenancyRun(opts, res.at("noisy-neighbor", "tenancy-on"), burst, tenancyConfig()); err != nil {
 		return nil, fmt.Errorf("experiments: tenancy on: %w", err)
 	}
-	res.Rows = append(res.Rows, on...)
 	return res, nil
 }
 
 // tenancyRun executes one variant: boot, publish the victim's service,
 // baseline the victim solo, fire the hog burst, probe through it, and
 // (tenancy on) audit the books.
-func tenancyRun(o Options, variant string, burst int, cfg *tenant.Config) ([]AblationRow, error) {
+func tenancyRun(o Options, row func(string, float64), burst int, cfg *tenant.Config) error {
 	o.Appliance.Tenancy = cfg
 	// The staging + session caches keep per-invocation overhead flat so
 	// the contended resource is the grid itself — identical in both
@@ -107,27 +95,31 @@ func tenancyRun(o Options, variant string, burst int, cfg *tenant.Config) ([]Abl
 	o.Tracing = cfg != nil // the on-variant verifies audit <-> trace linkage
 	r, err := newRig(o)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer r.close()
 
-	victimKey, hogKey := "", ""
+	victim, hog := r.door(""), r.door("")
 	if cfg != nil {
-		victimKey, hogKey = "victim-secret", "hog-secret"
+		victim.key, hog.key = "victim-secret", "hog-secret"
 	}
-	if err := r.uploadWithKey("probejob.gsh", "compute 1s\necho ok\n", victimKey); err != nil {
-		return nil, err
+	if err := victim.upload("probejob.gsh", "compute 1s\necho ok\n"); err != nil {
+		return err
 	}
 	const service = "ProbejobService"
+	// probe times one victim invocation end to end in virtual ms.
+	probe := func(tag string) (ticket string, ms float64, err error) {
+		start := r.clock.Now()
+		ticket, err = victim.call(service, tag)
+		return ticket, float64(r.clock.Now().Sub(start).Milliseconds()), err
+	}
 
 	// Solo baseline: the victim's latency with nobody else on the box.
-	solo := make([]float64, 0, tenancyWarmup)
-	for i := 0; i < tenancyWarmup; i++ {
-		ms, err := r.probeOnce(service, victimKey, fmt.Sprintf("warm%d", i))
-		if err != nil {
-			return nil, fmt.Errorf("warmup probe %d: %w", i, err)
+	solo := make([]float64, tenancyWarmup)
+	for i := range solo {
+		if _, solo[i], err = probe(fmt.Sprintf("warm%d", i)); err != nil {
+			return fmt.Errorf("warmup probe %d: %w", i, err)
 		}
-		solo = append(solo, ms)
 	}
 	soloP50 := pctile(solo, 50)
 	bound := tenancySlack * soloP50
@@ -135,78 +127,53 @@ func tenancyRun(o Options, variant string, burst int, cfg *tenant.Config) ([]Abl
 	// Fire the burst; probe through it. The hog never waits for job
 	// completion — the jobs contend for the grid either way — so every
 	// burst goroutine is just one admission attempt.
-	var (
-		wg          sync.WaitGroup
-		hogAdmitted atomic.Uint64
-		hogDenied   atomic.Uint64
-	)
-	hogErrs := make(chan error, burst)
-	for i := 0; i < burst; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, status, err := r.invokeJSON(service, hogKey, map[string]string{"x": fmt.Sprintf("hog%d", i)})
+	var hogAdmitted, hogDenied atomic.Uint64
+	hogDone := make(chan error, 1)
+	go func() {
+		hogDone <- fanOut(burst, 0, func(i int) error {
+			_, status, err := hog.invoke(service, fmt.Sprintf("hog%d", i))
 			switch {
 			case err != nil:
-				hogErrs <- err
+				return err
 			case status == http.StatusOK:
 				hogAdmitted.Add(1)
 			case status == http.StatusTooManyRequests:
 				hogDenied.Add(1)
 			default:
-				hogErrs <- fmt.Errorf("hog invoke %d: status %d", i, status)
+				return fmt.Errorf("hog invoke %d: status %d", i, status)
 			}
-		}()
-	}
+			return nil
+		})
+	}()
 
-	probes := make([]float64, 0, tenancyProbes)
+	probes := make([]float64, tenancyProbes)
 	var lastTicket string
-	for i := 0; i < tenancyProbes; i++ {
-		start := r.clock.Now()
-		ticket, status, err := r.invokeJSON(service, victimKey, map[string]string{"x": fmt.Sprintf("probe%d", i)})
-		if err != nil {
-			return nil, fmt.Errorf("victim probe %d: %w", i, err)
+	for i := range probes {
+		// The victim must always admit: a refusal is an error too.
+		if lastTicket, probes[i], err = probe(fmt.Sprintf("probe%d", i)); err != nil {
+			<-hogDone
+			return fmt.Errorf("victim probe %d: %w", i, err)
 		}
-		if status != http.StatusOK {
-			return nil, fmt.Errorf("victim probe %d: status %d (the victim must always admit)", i, status)
-		}
-		if err := r.waitTicket(ticket); err != nil {
-			return nil, fmt.Errorf("victim probe %d: %w", i, err)
-		}
-		probes = append(probes, float64(r.clock.Now().Sub(start).Milliseconds()))
-		lastTicket = ticket
 	}
-	wg.Wait()
-	close(hogErrs)
-	if err := <-hogErrs; err != nil {
-		return nil, err
+	if err := <-hogDone; err != nil {
+		return err
 	}
 
 	p99 := pctile(probes, 99)
-	row := func(metric string, v float64) AblationRow {
-		return AblationRow{Study: "noisy-neighbor", Variant: variant, Metric: metric, Value: v}
+	row("burst", float64(burst))
+	row("victim_probes", float64(tenancyProbes))
+	row("victim_solo_p50_ms", soloP50)
+	row("victim_p50_ms", pctile(probes, 50))
+	row("victim_p99_ms", p99)
+	row("fair_share_bound_ms", bound)
+	row("bound_ok", b2f(p99 <= bound))
+	row("hog_admitted", float64(hogAdmitted.Load()))
+	row("hog_denied", float64(hogDenied.Load()))
+	if cfg == nil {
+		return nil
 	}
-	rows := []AblationRow{
-		row("burst", float64(burst)),
-		row("victim_probes", float64(tenancyProbes)),
-		row("victim_solo_p50_ms", soloP50),
-		row("victim_p50_ms", pctile(probes, 50)),
-		row("victim_p99_ms", p99),
-		row("fair_share_bound_ms", bound),
-		row("bound_ok", b2f(p99 <= bound)),
-		row("hog_admitted", float64(hogAdmitted.Load())),
-		row("hog_denied", float64(hogDenied.Load())),
-	}
-	if cfg != nil {
-		auditRows, err := r.tenancyAuditRows(variant, lastTicket,
-			int(hogAdmitted.Load())+tenancyWarmup+tenancyProbes, int(hogDenied.Load()))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, auditRows...)
-	}
-	return rows, nil
+	return r.tenancyAuditRows(row, lastTicket,
+		int(hogAdmitted.Load())+tenancyWarmup+tenancyProbes, int(hogDenied.Load()))
 }
 
 // tenancyAuditRows pulls /api/audit and cross-checks it against the
@@ -214,22 +181,13 @@ func tenancyRun(o Options, variant string, burst int, cfg *tenant.Config) ([]Abl
 // tickets), every denial accounted, trace IDs well formed, and one
 // sampled record's ID resolving to the tenant.admit span of its
 // invocation trace.
-func (r *rig) tenancyAuditRows(variant, sampleTicket string, wantOK, wantDenied int) ([]AblationRow, error) {
-	resp, err := r.userHTTP.Get(r.app.BaseURL + "/api/audit?n=100000")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("audit fetch failed (%d): %s", resp.StatusCode, body)
-	}
+func (r *rig) tenancyAuditRows(row func(string, float64), sampleTicket string, wantOK, wantDenied int) error {
 	var doc struct {
 		Records []tenant.Record `json:"records"`
 		Dropped uint64          `json:"dropped"`
 	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, err
+	if err := r.door("").get("/api/audit?n=100000", &doc); err != nil {
+		return err
 	}
 
 	okInvokes, denied := 0, 0
@@ -261,9 +219,9 @@ func (r *rig) tenancyAuditRows(variant, sampleTicket string, wantOK, wantDenied 
 	// trace must contain the tenant.admit span under the same trace ID.
 	resolved := false
 	if sampleTrace != "" {
-		spans, err := r.fetchTrace(sampleTicket)
+		spans, err := r.door("").trace(sampleTicket)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, sd := range spans {
 			if sd.Name == "tenant.admit" && sd.TraceID == sampleTrace {
@@ -272,111 +230,13 @@ func (r *rig) tenancyAuditRows(variant, sampleTicket string, wantOK, wantDenied 
 		}
 	}
 
-	row := func(metric string, v float64) AblationRow {
-		return AblationRow{Study: "noisy-neighbor", Variant: variant, Metric: metric, Value: v}
-	}
-	return []AblationRow{
-		row("audit_records", float64(len(doc.Records))),
-		row("audit_ok_invokes", float64(okInvokes)),
-		row("audit_denied", float64(denied)),
-		row("audit_dropped", float64(doc.Dropped)),
-		row("audit_exactly_once", b2f(exactlyOnce)),
-		row("trace_resolvable", b2f(tracesOK && resolved)),
-	}, nil
-}
-
-// uploadWithKey posts the multipart upload form, stamping the tenant
-// key when the control plane is on.
-func (r *rig) uploadWithKey(fileName, program, key string) error {
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile("file", fileName)
-	if err != nil {
-		return err
-	}
-	io.WriteString(fw, program)
-	mw.WriteField("user", "alice")
-	mw.WriteField("description", "tenancy ablation")
-	mw.Close()
-	req, err := http.NewRequest(http.MethodPost, r.app.BaseURL+"/upload", &buf)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", mw.FormDataContentType())
-	if key != "" {
-		req.Header.Set(tenant.KeyHeader, key)
-	}
-	resp, err := r.userHTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("upload failed (%d): %s", resp.StatusCode, body)
-	}
+	row("audit_records", float64(len(doc.Records)))
+	row("audit_ok_invokes", float64(okInvokes))
+	row("audit_denied", float64(denied))
+	row("audit_dropped", float64(doc.Dropped))
+	row("audit_exactly_once", b2f(exactlyOnce))
+	row("trace_resolvable", b2f(tracesOK && resolved))
 	return nil
-}
-
-// invokeJSON drives one invocation through the portal's JSON API,
-// returning the HTTP status so callers can count 429 sheds without
-// treating them as errors.
-func (r *rig) invokeJSON(service, key string, args map[string]string) (string, int, error) {
-	payload, _ := json.Marshal(map[string]any{"service": service, "args": args})
-	req, err := http.NewRequest(http.MethodPost, r.app.BaseURL+"/api/invoke", bytes.NewReader(payload))
-	if err != nil {
-		return "", 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if key != "" {
-		req.Header.Set(tenant.KeyHeader, key)
-	}
-	resp, err := r.userHTTP.Do(req)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return "", resp.StatusCode, nil
-	}
-	var inv struct {
-		Ticket string `json:"ticket"`
-	}
-	if err := json.Unmarshal(body, &inv); err != nil || inv.Ticket == "" {
-		return "", resp.StatusCode, fmt.Errorf("invoke reply %q: %v", body, err)
-	}
-	return inv.Ticket, resp.StatusCode, nil
-}
-
-// waitTicket blocks until the invocation reaches its terminal state.
-func (r *rig) waitTicket(ticket string) error {
-	resp, err := r.userHTTP.Get(r.app.BaseURL + "/api/wait?ticket=" + ticket)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("wait: status %d: %s", resp.StatusCode, body)
-	}
-	return nil
-}
-
-// probeOnce times one victim invocation end to end in virtual ms.
-func (r *rig) probeOnce(service, key, tag string) (float64, error) {
-	start := r.clock.Now()
-	ticket, status, err := r.invokeJSON(service, key, map[string]string{"x": tag})
-	if err != nil {
-		return 0, err
-	}
-	if status != http.StatusOK {
-		return 0, fmt.Errorf("probe invoke: status %d", status)
-	}
-	if err := r.waitTicket(ticket); err != nil {
-		return 0, err
-	}
-	return float64(r.clock.Now().Sub(start).Milliseconds()), nil
 }
 
 // pctile returns the p-th percentile (nearest-rank) of the samples.
@@ -387,13 +247,7 @@ func pctile(samples []float64, p float64) float64 {
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
 	rank := int(p/100*float64(len(s))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
+	return s[min(max(rank, 0), len(s)-1)]
 }
 
 func b2f(b bool) float64 {
@@ -405,14 +259,6 @@ func b2f(b bool) float64 {
 
 // hex32 reports whether s is a 32-digit lowercase hex trace ID.
 func hex32(s string) bool {
-	if len(s) != 32 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	_, err := hex.DecodeString(s)
+	return len(s) == 32 && err == nil && s == strings.ToLower(s)
 }

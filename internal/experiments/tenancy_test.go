@@ -11,6 +11,7 @@ func TestAblationTenancyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinKeys(t, res, "tenancy.json")
 	vals := ablationMap(res)
 	study := "noisy-neighbor"
 

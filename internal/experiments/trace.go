@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
 	"time"
 
-	"repro/internal/gsh"
+	"repro/internal/appliance"
 	"repro/internal/trace"
-	"repro/internal/wsclient"
 )
 
 // TraceSpanSummary aggregates one span name within one scenario.
@@ -50,48 +46,7 @@ func (r *TraceResult) Render() string {
 			out += fmt.Sprintf("  %-10s %-14s x%-4d %10.1f ms\n", b.Service, b.Name, b.Count, b.TotalMS)
 		}
 	}
-	for _, n := range r.Notes {
-		out += "note: " + n + "\n"
-	}
-	return out
-}
-
-// invokeTicketed is invokeGenerated, but returns the invocation ticket
-// so the caller can pull its trace afterwards.
-func (r *rig) invokeTicketed(serviceName string, args map[string]string) (string, error) {
-	proxy, err := wsclient.ImportURL(r.app.BaseURL+"/services/"+serviceName, r.userHTTP)
-	if err != nil {
-		return "", err
-	}
-	ticket, err := proxy.Invoke("execute", args)
-	if err != nil {
-		return "", err
-	}
-	if _, err := proxy.Invoke("wait", map[string]string{"ticket": ticket}); err != nil {
-		return "", err
-	}
-	return ticket, nil
-}
-
-// fetchTrace pulls the invocation's span tree through the portal's JSON
-// export, exercising the same path `onserve-cli trace` uses.
-func (r *rig) fetchTrace(ticket string) ([]trace.SpanData, error) {
-	resp, err := r.userHTTP.Get(r.app.BaseURL + "/api/trace/" + ticket)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("experiments: trace fetch failed (%d): %s", resp.StatusCode, body)
-	}
-	var doc struct {
-		Spans []trace.SpanData `json:"spans"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, err
-	}
-	return doc.Spans, nil
+	return out + renderNotes(r.Notes)
 }
 
 func summarize(scenario, ticket string, spans []trace.SpanData) TraceScenario {
@@ -147,33 +102,22 @@ func summarize(scenario, ticket string, spans []trace.SpanData) TraceScenario {
 // staging, submit, polling) that the 3-second resource buckets cannot
 // resolve. largeBytes <= 0 picks the paper's ~5 MB file.
 func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
-	if largeBytes <= 0 {
-		largeBytes = largeProgramSize
-	}
-	allKnobs := func(o Options) Options {
-		o.Appliance.StagingCache = true
-		o.Appliance.SessionCache = true
-		o.Appliance.StatsTTL = 30 * time.Second
-		o.Appliance.BlobCacheBytes = 64 << 20
-		o.Appliance.GroupCommit = true
-		o.Appliance.PollHub = true
-		o.Appliance.CoalesceStaging = true
-		o.Appliance.SubmitHub = true
-		o.Appliance.ChunkedStaging = true
-		o.Appliance.WireCompression = true
-		return o
-	}
-	largeProgram := string(gsh.Pad([]byte(smallProgram), largeBytes))
-	scenarios := []struct {
-		name    string
-		program string
-		opts    Options
-	}{
-		{"small-stock", smallProgram, opts},
-		{"small-allknobs", smallProgram, allKnobs(opts)},
-		{"large-stock", largeProgram, opts},
-		{"large-allknobs", largeProgram, allKnobs(opts)},
-	}
+	largeBytes = orDefault(largeBytes, largeProgramSize)
+	table := variantTable{"trace", []variant{
+		{"stock", nil},
+		{"allknobs", func(c *appliance.Config) {
+			c.StagingCache = true
+			c.SessionCache = true
+			c.StatsTTL = 30 * time.Second
+			c.BlobCacheBytes = 64 << 20
+			c.GroupCommit = true
+			c.PollHub = true
+			c.CoalesceStaging = true
+			c.SubmitHub = true
+			c.ChunkedStaging = true
+			c.WireCompression = true
+		}},
+	}}
 	res := &TraceResult{
 		Name:  "trace",
 		Title: "Per-request span breakdown, small vs large invocation, stock vs all knobs",
@@ -183,31 +127,34 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 			"all-knobs rows show the optimised pipeline: cached logon, coalesced/chunked staging, batched submit and poll",
 		},
 	}
-	for _, sc := range scenarios {
-		o := sc.opts
-		o.Tracing = true
-		r, err := newRig(o)
+	opts.Tracing = true
+	for _, size := range []struct{ name, program string }{
+		{"small", smallProgram},
+		{"large", padded(smallProgram, largeBytes)},
+	} {
+		table.what = "trace " + size.name
+		err := table.run(opts, func(variant string, r *rig) error {
+			scenario := size.name + "-" + variant
+			svc, err := r.deploy("tracejob.gsh", size.program, "tag")
+			if err != nil {
+				return err
+			}
+			ticket, err := svc.start(map[string]string{"tag": scenario})
+			if err != nil {
+				return err
+			}
+			if _, err := svc.wait(ticket); err != nil {
+				return err
+			}
+			spans, err := r.door("").trace(ticket)
+			if err != nil {
+				return err
+			}
+			res.Rows = append(res.Rows, summarize(scenario, ticket, spans))
+			return nil
+		})
 		if err != nil {
 			return nil, err
-		}
-		err = func() error {
-			defer r.close()
-			if err := r.uploadViaPortal("tracejob.gsh", sc.program, "tag"); err != nil {
-				return err
-			}
-			ticket, err := r.invokeTicketed("TracejobService", map[string]string{"tag": sc.name})
-			if err != nil {
-				return err
-			}
-			spans, err := r.fetchTrace(ticket)
-			if err != nil {
-				return err
-			}
-			res.Rows = append(res.Rows, summarize(sc.name, ticket, spans))
-			return nil
-		}()
-		if err != nil {
-			return nil, fmt.Errorf("trace %s: %w", sc.name, err)
 		}
 	}
 	return res, nil

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"html/template"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -51,8 +50,8 @@ import (
 )
 
 // Config describes a fleet gateway. The zero value of every tuning field
-// selects a sensible default; only Fleet (or Attach) plus the appliance
-// template are required.
+// selects a sensible default; only Fleet plus the appliance template are
+// required.
 type Config struct {
 	// Fleet is how many appliances to boot from the Appliance template.
 	Fleet int
@@ -62,10 +61,6 @@ type Config struct {
 	// PerShard, when non-nil, customises shard i's config (per-shard
 	// probes, shaped grid dialers, trace collectors).
 	PerShard func(i int, cfg appliance.Config) appliance.Config
-	// Attach routes across an existing fleet instead of booting one —
-	// how a second gateway shares the appliances of the first. Attached
-	// appliances are not shut down, killed, or rejoined by this gateway.
-	Attach []*appliance.Appliance
 	// VirtualNodes per member on the hash ring (default 64).
 	VirtualNodes int
 	// FailThreshold consecutive failures eject an upstream (default 3).
@@ -144,7 +139,6 @@ type Gateway struct {
 	mu      sync.Mutex
 	catalog map[string]*catalogEntry
 	users   map[string]core.UserAuth
-	peers   []string
 
 	tickets sync.Map // ticket -> *member
 
@@ -157,13 +151,12 @@ type Gateway struct {
 	bg      sync.WaitGroup
 }
 
-// Boot builds and boots the fleet (or attaches to cfg.Attach), starts
-// the health probers and the UDDI view puller, and serves the front
+// Boot builds and boots the fleet, starts the health probers and the UDDI view puller, and serves the front
 // door on ln (nil: an ephemeral loopback port).
 func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	cfg.fill()
-	if cfg.Fleet <= 0 && len(cfg.Attach) == 0 {
-		return nil, errors.New("gateway: Fleet must be >= 1 (or Attach non-empty)")
+	if cfg.Fleet <= 0 {
+		return nil, errors.New("gateway: Fleet must be >= 1")
 	}
 	httpc := cfg.HTTP
 	if httpc == nil {
@@ -182,27 +175,18 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 		g.tracer = trace.NewTracer("gateway", cfg.Clock, cfg.Trace)
 	}
 
-	if len(cfg.Attach) > 0 {
-		for i, app := range cfg.Attach {
-			g.members = append(g.members, &member{
-				id: fmt.Sprintf("shard-%d", i), idx: i, gw: g,
-				app: app, base: app.BaseURL, attached: true,
-			})
-		}
-	} else {
-		for i := 0; i < cfg.Fleet; i++ {
-			app, err := g.bootShard(i)
-			if err != nil {
-				for _, m := range g.members {
-					m.app.Shutdown()
-				}
-				return nil, err
+	for i := 0; i < cfg.Fleet; i++ {
+		app, err := g.bootShard(i)
+		if err != nil {
+			for _, m := range g.members {
+				m.app.Shutdown()
 			}
-			g.members = append(g.members, &member{
-				id: fmt.Sprintf("shard-%d", i), idx: i, gw: g,
-				app: app, base: app.BaseURL,
-			})
+			return nil, err
 		}
+		g.members = append(g.members, &member{
+			id: fmt.Sprintf("shard-%d", i), idx: i, gw: g,
+			app: app, base: app.BaseURL,
+		})
 	}
 	ids := make([]string, len(g.members))
 	g.byID = make(map[string]*member, len(g.members))
@@ -285,14 +269,6 @@ func (g *Gateway) RegisterUser(user string, auth core.UserAuth) {
 	}
 }
 
-// SetPeers names the sibling gateways' base URLs for on-write UDDI
-// pushes.
-func (g *Gateway) SetPeers(urls ...string) {
-	g.mu.Lock()
-	g.peers = append([]string(nil), urls...)
-	g.mu.Unlock()
-}
-
 // PrimaryFor reports which shard index the ring maps service|owner to —
 // the stickiness target, health aside. Experiments and tests use it to
 // pick a victim shard.
@@ -318,9 +294,6 @@ func (g *Gateway) Kill(i int) error {
 	m := g.members[i]
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.attached {
-		return fmt.Errorf("gateway: shard %d is attached, not owned", i)
-	}
 	if m.killed || m.app == nil {
 		return nil
 	}
@@ -339,10 +312,6 @@ func (g *Gateway) Rejoin(i int) error {
 	}
 	m := g.members[i]
 	m.mu.Lock()
-	if m.attached {
-		m.mu.Unlock()
-		return fmt.Errorf("gateway: shard %d is attached, not owned", i)
-	}
 	if !m.killed {
 		m.mu.Unlock()
 		return fmt.Errorf("gateway: shard %d is not killed", i)
@@ -401,7 +370,7 @@ func (g *Gateway) Shutdown() error {
 func (g *Gateway) shutdownFleet() {
 	for _, m := range g.members {
 		m.mu.Lock()
-		if !m.attached && !m.killed && m.app != nil {
+		if !m.killed && m.app != nil {
 			m.app.Shutdown()
 			m.killed = true
 		}
@@ -486,38 +455,15 @@ func (g *Gateway) fetchRegistry(base string) ([]uddi.Record, error) {
 	return recs, nil
 }
 
-// send makes one request of the gateway's own (a registry pull, a peer
-// push, a replayed upload, a delete sweep) to a server named by its base
-// URL; the proxied hop itself is forward.
+// send makes one request of the gateway's own (a registry pull, a
+// replayed upload, a delete sweep) to a server named by its base URL;
+// the proxied hop itself is forward.
 func (g *Gateway) send(method, base, target string, header http.Header, body []byte) (hop.Reply, error) {
 	root, err := url.Parse(base)
 	if err != nil {
 		return hop.Reply{}, err
 	}
 	return hop.Do(g.httpc, method, root, target, header, body, maxBody)
-}
-
-// pushPeers sends one view mutation to every peer gateway.
-func (g *Gateway) pushPeers(op string, rec uddi.Record) {
-	g.mu.Lock()
-	peers := append([]string(nil), g.peers...)
-	g.mu.Unlock()
-	if len(peers) == 0 {
-		return
-	}
-	body, err := json.Marshal(map[string]any{"op": op, "record": rec})
-	if err != nil {
-		return
-	}
-	for _, peer := range peers {
-		peer := peer
-		g.bg.Add(1)
-		go func() {
-			defer g.bg.Done()
-			// Best effort: a peer that misses a push catches up on its next pull.
-			g.send(http.MethodPost, peer, "/gateway/uddi", hop.Header("Content-Type", "application/json"), body)
-		}()
-	}
 }
 
 // replayUpload re-POSTs a catalogued upload to one appliance.
@@ -711,14 +657,12 @@ func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, re
 		var rec uddi.Record
 		if json.Unmarshal(resp.body, &rec) == nil && rec.Name != "" {
 			g.view.upsert(rec)
-			g.pushPeers("upsert", rec)
 		}
 	case KindDelete:
 		g.mu.Lock()
 		delete(g.catalog, rt.Service)
 		g.mu.Unlock()
 		g.view.remove(rt.Service)
-		g.pushPeers("delete", uddi.Record{Name: rt.Service})
 		// Failover replays may have spread the service: sweep the rest of
 		// the fleet so a later scatter cannot resurrect it. The sweep acts
 		// for the caller, so it carries the caller's key and trace context
@@ -1051,32 +995,13 @@ func (g *Gateway) serveRegistry(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveInternal handles the gateway's own endpoints: the replicated
-// view as JSON (GET /gateway/uddi), peer pushes (POST /gateway/uddi),
-// and the stats block (GET /gateway/stats).
+// view as JSON (GET /gateway/uddi) and the stats block (GET
+// /gateway/stats). Both are read-only: the view changes only through
+// this gateway's own proxied uploads and deletes and its periodic pull.
 func (g *Gateway) serveInternal(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.URL.Path == "/gateway/uddi" && r.Method == http.MethodGet:
 		writeJSON(w, http.StatusOK, g.view.list(r.URL.Query().Get("pattern")))
-	case r.URL.Path == "/gateway/uddi" && r.Method == http.MethodPost:
-		var push struct {
-			Op     string      `json:"op"`
-			Record uddi.Record `json:"record"`
-		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&push); err != nil {
-			jsonError(w, http.StatusBadRequest, err)
-			return
-		}
-		switch push.Op {
-		case "upsert":
-			g.view.upsert(push.Record)
-		case "delete":
-			g.view.remove(push.Record.Name)
-		default:
-			jsonError(w, http.StatusBadRequest, fmt.Errorf("gateway: unknown op %q", push.Op))
-			return
-		}
-		g.ctr.viewPushes.Add(1)
-		writeJSON(w, http.StatusOK, map[string]string{"applied": push.Op})
 	case r.URL.Path == "/gateway/stats" && r.Method == http.MethodGet:
 		writeJSON(w, http.StatusOK, g.GatewayStats())
 	default:

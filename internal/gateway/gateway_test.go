@@ -7,6 +7,7 @@ import (
 	"io"
 	"mime/multipart"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -432,25 +433,13 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 		st.Routed, st.StickyHits, st.Failovers, st.Retried, st.Redeploys, st.Ejections, st.Recoveries)
 }
 
-// TestReplicatedUDDIWriteVsResolve races an upload through gateway A
-// against resolves on gateway B (attached to the same fleet, linked as
-// peers): B must become able to route the service without ever serving
-// a torn view, and B's replicated listing must converge to A's.
+// TestReplicatedUDDIWriteVsResolve races an upload through the gateway
+// against reads of its replicated view: GET /gateway/uddi must never
+// serve a torn listing, must show the new record once the upload has
+// answered (the on-write upsert, not the hourly pull), and the service
+// must then route sticky.
 func TestReplicatedUDDIWriteVsResolve(t *testing.T) {
 	w := bootFleet(t, 2, nil)
-	gwB, err := Boot(Config{
-		Attach:        w.gw.Fleet(),
-		Clock:         w.clock,
-		ProbeInterval: 10 * time.Minute,
-		HalfOpenAfter: 20 * time.Minute,
-		PullInterval:  time.Hour,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gwB.Shutdown() })
-	w.gw.SetPeers(gwB.BaseURL)
-	gwB.SetPeers(w.gw.BaseURL)
 
 	done := make(chan struct{})
 	var resolveErr error
@@ -458,17 +447,10 @@ func TestReplicatedUDDIWriteVsResolve(t *testing.T) {
 		defer close(done)
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			// Hammer B's replicated view while A is writing it.
-			resp, err := http.Get(gwB.BaseURL + "/gateway/uddi")
+			// Hammer the view while the proxied upload is writing it.
+			recs, err := listView(w.gw.BaseURL)
 			if err != nil {
 				resolveErr = err
-				return
-			}
-			var recs []uddi.Record
-			err = json.NewDecoder(resp.Body).Decode(&recs)
-			resp.Body.Close()
-			if err != nil {
-				resolveErr = fmt.Errorf("torn view: %v", err)
 				return
 			}
 			for _, rec := range recs {
@@ -477,7 +459,7 @@ func TestReplicatedUDDIWriteVsResolve(t *testing.T) {
 				}
 			}
 		}
-		resolveErr = fmt.Errorf("gateway B never saw the pushed record")
+		resolveErr = fmt.Errorf("the view never showed the uploaded record")
 	}()
 
 	w.upload(t, w.gw.BaseURL, "raced.gsh", "echo raced=${x}\n")
@@ -485,17 +467,68 @@ func TestReplicatedUDDIWriteVsResolve(t *testing.T) {
 	if resolveErr != nil {
 		t.Fatal(resolveErr)
 	}
+	if w.gw.PrimaryFor("RacedService", "") != w.gw.PrimaryFor("RacedService", "alice") {
+		t.Fatal("the view does not resolve the service's owner")
+	}
+	if _, out, err := invokeWait(w.gw.BaseURL, "RacedService", map[string]string{"x": "7"}); err != nil || out != "raced=7\n" {
+		t.Fatalf("invoke: %q %v", out, err)
+	}
+	if st := gatewayStats(t, w.gw); st.StickyHits != st.Routed {
+		t.Fatalf("routing not sticky: %+v", st)
+	}
+}
 
-	// B can now route the service sticky (same ring, converged view).
-	if got, want := gwB.PrimaryFor("RacedService", ""), w.gw.PrimaryFor("RacedService", ""); got != want {
-		t.Fatalf("gateways disagree on placement: %d vs %d", got, want)
+// listView reads GET /gateway/uddi; a body that does not decode is a
+// torn view.
+func listView(base string) ([]uddi.Record, error) {
+	resp, err := http.Get(base + "/gateway/uddi")
+	if err != nil {
+		return nil, err
 	}
-	if _, out, err := invokeWait(gwB.BaseURL, "RacedService", map[string]string{"x": "7"}); err != nil || out != "raced=7\n" {
-		t.Fatalf("invoke via B: %q %v", out, err)
+	defer resp.Body.Close()
+	var recs []uddi.Record
+	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
+		return nil, fmt.Errorf("torn view: %v", err)
 	}
-	stB := gatewayStats(t, gwB)
-	if stB.ViewPushes == 0 {
-		t.Fatalf("B never applied a peer push: %+v", stB)
+	return recs, nil
+}
+
+// TestViewIsReadOnlyFromOutside pins that the gateway's public listener
+// takes no view mutation: POST /gateway/uddi (once the peer-push door,
+// reachable before any key check) is refused and changes nothing, so the
+// owner half of the service|owner ring key cannot be rewritten by a
+// caller.
+func TestViewIsReadOnlyFromOutside(t *testing.T) {
+	w := bootFleet(t, 2, nil)
+	w.upload(t, w.gw.BaseURL, "pinned.gsh", "echo ok\n")
+	before, err := listView(w.gw.BaseURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := w.gw.PrimaryFor("PinnedService", "")
+	for _, body := range []string{
+		`{"op":"upsert","record":{"name":"PinnedService","owner":"mallory"}}`,
+		`{"op":"upsert","record":{"name":"GhostService","owner":"mallory"}}`,
+		`{"op":"delete","record":{"name":"PinnedService"}}`,
+	} {
+		resp, err := http.Post(w.gw.BaseURL+"/gateway/uddi", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("POST /gateway/uddi %s: status %d, want 404 or 405", body, resp.StatusCode)
+		}
+	}
+	after, err := listView(w.gw.BaseURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("view changed:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if got := w.gw.PrimaryFor("PinnedService", ""); got != primary {
+		t.Fatalf("placement moved from shard %d to %d", primary, got)
 	}
 }
 

@@ -35,7 +35,6 @@ type member struct {
 	app       *appliance.Appliance // nil only transiently during rejoin
 	base      string
 	parsed    hop.Base // base as a URL, parsed again only when base changes
-	attached  bool     // not owned: Kill/Rejoin/Shutdown leave it alone
 	killed    bool
 	state     memberState
 	fails     int       // consecutive failures

@@ -29,11 +29,10 @@ type Stats struct {
 	// Ejections / Recoveries sum the upstream circuit transitions.
 	Ejections  uint64 `json:"ejections"`
 	Recoveries uint64 `json:"recoveries"`
-	// ViewServices / ViewPulls / ViewPushes describe the replicated UDDI
-	// view: its size, periodic pull cycles, and peer pushes applied.
+	// ViewServices / ViewPulls describe the replicated UDDI view: its
+	// size and periodic pull cycles.
 	ViewServices int    `json:"view_services"`
 	ViewPulls    uint64 `json:"view_pulls"`
-	ViewPushes   uint64 `json:"view_pushes"`
 	// Upstreams is the per-appliance health and traffic breakdown.
 	Upstreams []UpstreamStats `json:"upstreams"`
 }
@@ -61,7 +60,7 @@ type counters struct {
 	retried                   atomic.Uint64
 	scatters, ticketRoutes    atomic.Uint64
 	redeploys                 atomic.Uint64
-	viewPulls, viewPushes     atomic.Uint64
+	viewPulls                 atomic.Uint64
 }
 
 // GatewayStats snapshots the gateway block.
@@ -79,7 +78,6 @@ func (g *Gateway) GatewayStats() Stats {
 		Redeploys:    g.ctr.redeploys.Load(),
 		ViewServices: g.view.size(),
 		ViewPulls:    g.ctr.viewPulls.Load(),
-		ViewPushes:   g.ctr.viewPushes.Load(),
 	}
 	for _, m := range g.members {
 		m.mu.Lock()

@@ -8,12 +8,11 @@ import (
 )
 
 // view is the gateway's replicated UDDI cache: every registration in the
-// fleet, keyed by service name, so any gateway resolves any service's
+// fleet, keyed by service name, so the gateway resolves any service's
 // owner and endpoint without a cross-shard hop. It converges two ways —
 // a periodic pull of every healthy appliance's registry listing, and an
-// on-write push: the gateway that proxies an upload or delete upserts
-// its own view synchronously and pushes the change to its peer gateways'
-// /gateway/uddi endpoints.
+// on-write upsert: proxying an upload or delete updates the view
+// synchronously. It is served read-only at GET /gateway/uddi.
 type view struct {
 	mu   sync.RWMutex
 	recs map[string]uddi.Record

@@ -31,8 +31,8 @@ go test -race -short ./...
 # workers — the agent carries the batched probe client), and the fleet
 # gateway (concurrent bursts racing a mid-burst appliance kill and
 # rejoin: health FSM transitions fed by probes and proxies at once,
-# the replicated UDDI view written by peer pushes while resolves read
-# it), the trust store (gatekeeper and GridFTP handlers verifying chains
+# the replicated UDDI view upserted by a proxied upload while reads of
+# GET /gateway/uddi list it), the trust store (gatekeeper and GridFTP handlers verifying chains
 # against one memo while a root is added), and the tenant control plane
 # (concurrent admits racing quota
 # release, key rotation mid-burst, DRR wakeups racing timeouts) are
@@ -81,8 +81,18 @@ go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAl
 go vet -C cmd/bench .
 go test -C cmd/bench .
 
-# Not a gate, a number: the non-test lines of the three packages ROADMAP
-# item 4 wants smaller, counted the same way every time so each PR's
-# CHANGES.md line can quote it.
+# experiments-smoke: the study table end to end — flags built from it,
+# one figure run, its artifact written (into a directory that is thrown
+# away: results/ is checked in).
+smoke=$(mktemp -d)
+go run ./cmd/experiments -fig 6 -out "$smoke"
+test -s "$smoke/fig6.csv"
+rm -rf "$smoke"
+
+# Not a gate, two numbers: the non-test lines of the three packages
+# ROADMAP item 4 wants smaller, and of the evaluation harness alone,
+# counted the same way every time so each PR's CHANGES.md line can quote
+# them.
 set +x
-echo "non-test Go lines, internal/core + internal/blobdb + internal/experiments: $(find internal/core internal/blobdb internal/experiments -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+count() { find "$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
+echo "non-test Go lines, internal/core + internal/blobdb + internal/experiments: $(count internal/core internal/blobdb internal/experiments); internal/experiments + cmd/experiments: $(count internal/experiments cmd/experiments)"
