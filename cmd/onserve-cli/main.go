@@ -16,67 +16,38 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/portal"
 	"repro/internal/soap"
 	"repro/internal/tenant"
 	"repro/internal/uddi"
 	"repro/internal/wsclient"
+	"repro/internal/wsdl"
 )
 
 func main() {
-	var portalURL, key string
-	flag.StringVar(&portalURL, "portal", "http://127.0.0.1:8080", "appliance base URL")
-	flag.StringVar(&key, "key", os.Getenv("ONSERVE_KEY"), "tenant API key sent as X-Grid-Key (default: $ONSERVE_KEY)")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
-	}
-	cli := newClient(key)
-	cmd, rest := args[0], args[1:]
-	var err error
-	switch cmd {
-	case "upload":
-		err = cmdUpload(cli, portalURL, rest)
-	case "list":
-		err = cmdList(cli, portalURL)
-	case "describe":
-		err = cmdDescribe(cli, portalURL, rest)
-	case "discover":
-		err = cmdDiscover(cli, portalURL, rest)
-	case "invoke":
-		err = cmdInvoke(cli, portalURL, rest)
-	case "status", "output", "cancel":
-		err = cmdTicket(cli, portalURL, cmd, rest)
-	case "trace":
-		err = cmdTrace(cli, portalURL, rest)
-	case "delete":
-		err = cmdDelete(cli, portalURL, rest)
-	case "audit":
-		err = cmdAudit(cli, portalURL, rest)
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "onserve-cli:", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: onserve-cli [-portal URL] [-key K] <command> [flags]
+var errUsage = errors.New("usage")
+
+const usage = `usage: onserve-cli [-portal URL] [-key K] <command> [flags]
 commands:
   upload   -file F -user U [-desc D] [-param name:type ...]
   list
@@ -88,7 +59,37 @@ commands:
   cancel   -ticket T
   trace    -ticket T
   delete   -service S
-  audit    [-owner O] [-n N]  (tenancy audit log, needs -tenancy on the appliance)`)
+  audit    [-owner O] [-n N]  (tenancy audit log, needs -tenancy on the appliance)`
+
+// cli is one command's context: where the appliance is, the client that
+// stamps the key, and where output goes.
+type cli struct {
+	portal.Client
+	out io.Writer
+}
+
+// run is the whole command line: global flags, then a command on its own
+// flag set. A flag that does not parse exits with its usage, as package
+// flag's command line does.
+func run(args []string, stdout io.Writer) error {
+	var c cli
+	var key string
+	fs := flag.NewFlagSet("onserve-cli", flag.ExitOnError)
+	fs.StringVar(&c.Base, "portal", "http://127.0.0.1:8080", "appliance base URL")
+	fs.StringVar(&key, "key", os.Getenv("ONSERVE_KEY"), "tenant API key sent as X-Grid-Key (default: $ONSERVE_KEY)")
+	fs.Parse(args)
+	c.HTTP, c.out = newClient(key), stdout
+	cmd := commands[fs.Arg(0)]
+	if cmd == nil {
+		return errUsage
+	}
+	return cmd(c, flag.NewFlagSet(fs.Arg(0), flag.ExitOnError), fs.Args()[1:])
+}
+
+var commands = map[string]func(cli, *flag.FlagSet, []string) error{
+	"upload": cli.upload, "list": cli.list, "describe": cli.describe, "discover": cli.discover,
+	"invoke": cli.invoke, "status": cli.ticket, "output": cli.ticket, "cancel": cli.ticket,
+	"trace": cli.waterfall, "delete": cli.remove, "audit": cli.audit,
 }
 
 // keyTransport stamps the tenant API key onto every outgoing request,
@@ -110,18 +111,16 @@ func newClient(key string) *http.Client {
 	return &http.Client{Transport: &keyTransport{key: key, next: http.DefaultTransport}}
 }
 
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-func cmdUpload(cli *http.Client, portalURL string, args []string) error {
-	fs := flag.NewFlagSet("upload", flag.ExitOnError)
+func (c cli) upload(fs *flag.FlagSet, args []string) error {
 	file := fs.String("file", "", "gsh executable to upload")
 	user := fs.String("user", "", "portal user (must be registered on the appliance)")
 	desc := fs.String("desc", "", "service description")
-	var params multiFlag
-	fs.Var(&params, "param", "parameter as name:type (repeatable)")
+	var params []wsdl.ParamDef
+	fs.Func("param", "parameter as name:type (repeatable)", func(p string) error {
+		name, typ, _ := strings.Cut(p, ":")
+		params = append(params, wsdl.ParamDef{Name: name, Type: typ})
+		return nil
+	})
 	fs.Parse(args)
 	if *file == "" || *user == "" {
 		return fmt.Errorf("upload needs -file and -user")
@@ -130,86 +129,50 @@ func cmdUpload(cli *http.Client, portalURL string, args []string) error {
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile("file", filepath.Base(*file))
+	rec, err := c.Upload(portal.UploadRequest{FileName: filepath.Base(*file), Content: content,
+		User: *user, Description: *desc, Params: params})
 	if err != nil {
 		return err
 	}
-	fw.Write(content)
-	mw.WriteField("user", *user)
-	mw.WriteField("description", *desc)
-	for i, p := range params {
-		name, typ, _ := strings.Cut(p, ":")
-		if typ == "" {
-			typ = "string"
-		}
-		mw.WriteField(fmt.Sprintf("paramName%d", i+1), name)
-		mw.WriteField(fmt.Sprintf("paramType%d", i+1), typ)
-	}
-	mw.Close()
-	resp, err := cli.Post(portalURL+"/upload", mw.FormDataContentType(), &buf)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("upload failed (%d): %s", resp.StatusCode, body)
-	}
-	var rec uddi.Record
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return err
-	}
-	fmt.Printf("published %s\n  key      %s\n  endpoint %s\n  wsdl     %s\n",
+	fmt.Fprintf(c.out, "published %s\n  key      %s\n  endpoint %s\n  wsdl     %s\n",
 		rec.Name, rec.Key, rec.Endpoint, rec.WSDLURL)
 	return nil
 }
 
-func cmdList(cli *http.Client, portalURL string) error {
-	resp, err := cli.Get(portalURL + "/api/services")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	var services []map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&services); err != nil {
-		return err
-	}
+func (c cli) list(*flag.FlagSet, []string) error {
+	services, err := c.Services()
 	for _, s := range services {
-		fmt.Printf("%-28v %-10v %v\n", s["service_name"], s["owner"], s["description"])
+		fmt.Fprintf(c.out, "%-28v %-10v %v\n", s.ServiceName, s.Owner, s.Description)
 	}
-	return nil
+	return err
 }
 
-func cmdDescribe(cli *http.Client, portalURL string, args []string) error {
-	fs := flag.NewFlagSet("describe", flag.ExitOnError)
+// serviceURL is where a generated service's SOAP endpoint and WSDL live.
+func (c cli) serviceURL(name string) string { return c.Base + "/services/" + name }
+
+func (c cli) describe(fs *flag.FlagSet, args []string) error {
 	service := fs.String("service", "", "service name")
 	fs.Parse(args)
-	proxy, err := wsclient.ImportURL(portalURL+"/services/"+*service, cli)
+	proxy, err := wsclient.ImportURL(c.serviceURL(*service), c.HTTP)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s (%s)\n%s\n", proxy.Def.Name, proxy.Def.Namespace, proxy.Def.Doc)
+	fmt.Fprintf(c.out, "%s (%s)\n%s\n", proxy.Def.Name, proxy.Def.Namespace, proxy.Def.Doc)
 	for _, op := range proxy.Operations() {
-		fmt.Printf("  %s(", op.Name)
+		params := make([]string, len(op.Params))
 		for i, p := range op.Params {
-			if i > 0 {
-				fmt.Print(", ")
-			}
-			fmt.Printf("%s %s", p.Name, p.Type)
+			params[i] = p.Name + " " + p.Type
 		}
-		fmt.Println(")")
+		fmt.Fprintf(c.out, "  %s(%s)\n", op.Name, strings.Join(params, ", "))
 	}
 	return nil
 }
 
-func cmdDiscover(cli *http.Client, portalURL string, args []string) error {
-	fs := flag.NewFlagSet("discover", flag.ExitOnError)
+func (c cli) discover(fs *flag.FlagSet, args []string) error {
 	pattern := fs.String("pattern", "%", "UDDI name pattern")
 	fs.Parse(args)
-	c := soap.Client{HTTP: cli}
-	out, err := c.Call(portalURL+"/services/"+uddi.ServiceName, uddi.Namespace, "find",
+	sc := soap.Client{HTTP: c.HTTP}
+	out, err := sc.Call(c.serviceURL(uddi.ServiceName), uddi.Namespace, "find",
 		[]soap.Param{{Name: "pattern", Value: *pattern}}, nil)
 	if err != nil {
 		return err
@@ -219,33 +182,33 @@ func cmdDiscover(cli *http.Client, portalURL string, args []string) error {
 		return err
 	}
 	for _, r := range recs {
-		fmt.Printf("%-28s %s\n  %s\n", r.Name, r.Key, r.Endpoint)
+		fmt.Fprintf(c.out, "%-28s %s\n  %s\n", r.Name, r.Key, r.Endpoint)
 	}
 	if len(recs) == 0 {
-		fmt.Println("no services match", *pattern)
+		fmt.Fprintln(c.out, "no services match", *pattern)
 	}
 	return nil
 }
 
-func cmdInvoke(cli *http.Client, portalURL string, args []string) error {
-	fs := flag.NewFlagSet("invoke", flag.ExitOnError)
+// invoke goes through the service's own SOAP door, as the paper's
+// customers do.
+func (c cli) invoke(fs *flag.FlagSet, args []string) error {
 	service := fs.String("service", "", "service name")
 	wait := fs.Bool("wait", false, "block until the job finishes and print its output")
-	var kvs multiFlag
-	fs.Var(&kvs, "arg", "argument as key=value (repeatable)")
+	callArgs := map[string]string{}
+	fs.Func("arg", "argument as key=value (repeatable)", func(kv string) error {
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			return errors.New("want key=value")
+		}
+		callArgs[k] = v
+		return nil
+	})
 	fs.Parse(args)
 	if *service == "" {
 		return fmt.Errorf("invoke needs -service")
 	}
-	callArgs := map[string]string{}
-	for _, kv := range kvs {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return fmt.Errorf("bad -arg %q, want key=value", kv)
-		}
-		callArgs[k] = v
-	}
-	proxy, err := wsclient.ImportURL(portalURL+"/services/"+*service, cli)
+	proxy, err := wsclient.ImportURL(c.serviceURL(*service), c.HTTP)
 	if err != nil {
 		return err
 	}
@@ -253,7 +216,7 @@ func cmdInvoke(cli *http.Client, portalURL string, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("ticket:", ticket)
+	fmt.Fprintln(c.out, "ticket:", ticket)
 	if !*wait {
 		return nil
 	}
@@ -261,77 +224,53 @@ func cmdInvoke(cli *http.Client, portalURL string, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(out)
+	fmt.Fprint(c.out, out)
 	return nil
 }
 
-func cmdTicket(cli *http.Client, portalURL, cmd string, args []string) error {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+// ticketFlag parses the one flag the ticket commands share.
+func ticketFlag(fs *flag.FlagSet, args []string) (string, error) {
 	ticket := fs.String("ticket", "", "invocation ticket")
 	fs.Parse(args)
 	if *ticket == "" {
-		return fmt.Errorf("%s needs -ticket", cmd)
+		return "", fmt.Errorf("%s needs -ticket", fs.Name())
 	}
-	var resp *http.Response
-	var err error
-	switch cmd {
-	case "cancel":
-		resp, err = cli.Post(portalURL+"/api/cancel?ticket="+*ticket, "", nil)
-	default:
-		resp, err = cli.Get(portalURL + "/api/" + cmd + "?ticket=" + *ticket)
-	}
+	return *ticket, nil
+}
+
+// ticket is status, output and cancel: the portal's reply, printed.
+func (c cli) ticket(fs *flag.FlagSet, args []string) error {
+	ticket, err := ticketFlag(fs, args)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s failed (%d): %s", cmd, resp.StatusCode, body)
+	call := map[string]func(string) ([]byte, error){"status": c.Status, "output": c.Output, "cancel": c.Cancel}[fs.Name()]
+	body, err := call(ticket)
+	if err != nil {
+		return err
 	}
-	fmt.Println(strings.TrimSpace(string(body)))
+	fmt.Fprintln(c.out, strings.TrimSpace(string(body)))
 	return nil
 }
 
-// cmdTrace fetches the invocation's span tree and renders a text
+// waterfall fetches the invocation's span tree and renders a text
 // waterfall: one line per span, indented by depth, with duration and
 // the attributes that attribute the time (site, bytes, state).
-func cmdTrace(cli *http.Client, portalURL string, args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	ticket := fs.String("ticket", "", "invocation ticket")
-	fs.Parse(args)
-	if *ticket == "" {
-		return fmt.Errorf("trace needs -ticket")
-	}
-	resp, err := cli.Get(portalURL + "/api/trace?ticket=" + *ticket)
+func (c cli) waterfall(fs *flag.FlagSet, args []string) error {
+	ticket, err := ticketFlag(fs, args)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("trace failed (%d): %s", resp.StatusCode, body)
-	}
-	var doc struct {
-		Spans []struct {
-			SpanID     string            `json:"span_id"`
-			ParentID   string            `json:"parent_id"`
-			Service    string            `json:"service"`
-			Name       string            `json:"name"`
-			DurationMS float64           `json:"duration_ms"`
-			Status     string            `json:"status"`
-			Message    string            `json:"message"`
-			Attrs      map[string]string `json:"attrs"`
-		} `json:"spans"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
+	spans, err := c.Trace(ticket)
+	if err != nil {
 		return err
 	}
-	if len(doc.Spans) == 0 {
-		fmt.Println("no spans recorded (tracing off, or evicted from the ring)")
+	if len(spans) == 0 {
+		fmt.Fprintln(c.out, "no spans recorded (tracing off, or evicted from the ring)")
 		return nil
 	}
-	depth := make(map[string]int, len(doc.Spans))
-	for _, sp := range doc.Spans { // spans arrive start-sorted, parents first
+	depth := make(map[string]int, len(spans))
+	for _, sp := range spans { // spans arrive start-sorted, parents first
 		d := 0
 		if sp.ParentID != "" {
 			d = depth[sp.ParentID] + 1
@@ -349,59 +288,36 @@ func cmdTrace(cli *http.Client, portalURL string, args []string) error {
 				line += " (" + sp.Message + ")"
 			}
 		}
-		fmt.Println(line)
+		fmt.Fprintln(c.out, line)
 	}
 	return nil
 }
 
-func cmdDelete(cli *http.Client, portalURL string, args []string) error {
-	fs := flag.NewFlagSet("delete", flag.ExitOnError)
+func (c cli) remove(fs *flag.FlagSet, args []string) error {
 	service := fs.String("service", "", "service name")
 	fs.Parse(args)
-	resp, err := cli.Post(portalURL+"/api/delete?name="+*service, "", nil)
-	if err != nil {
+	if err := c.Delete(*service); err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("delete failed (%d): %s", resp.StatusCode, body)
-	}
-	fmt.Println("deleted", *service)
+	fmt.Fprintln(c.out, "deleted", *service)
 	return nil
 }
 
-// cmdAudit prints the appliance's tenancy audit log, newest first.
-func cmdAudit(cli *http.Client, portalURL string, args []string) error {
-	fs := flag.NewFlagSet("audit", flag.ExitOnError)
+// audit prints the appliance's tenancy audit log, newest first.
+func (c cli) audit(fs *flag.FlagSet, args []string) error {
 	owner := fs.String("owner", "", "filter records to one owner (empty: all)")
 	n := fs.Int("n", 50, "maximum records to print")
 	fs.Parse(args)
-	url := fmt.Sprintf("%s/api/audit?n=%d", portalURL, *n)
-	if *owner != "" {
-		url += "&owner=" + *owner
+	doc, err := c.Audit(*owner, *n)
+	var refused *portal.StatusError
+	if errors.As(err, &refused) && refused.Status == http.StatusNotFound {
+		return fmt.Errorf("audit log unavailable (appliance running without -tenancy?)")
 	}
-	resp, err := cli.Get(url)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("audit log unavailable (appliance running without -tenancy?)")
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("audit failed (%d): %s", resp.StatusCode, body)
-	}
-	var doc struct {
-		Records []tenant.Record `json:"records"`
-		Dropped uint64          `json:"dropped"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return err
-	}
 	if len(doc.Records) == 0 {
-		fmt.Println("no audit records")
+		fmt.Fprintln(c.out, "no audit records")
 		return nil
 	}
 	for _, r := range doc.Records {
@@ -416,10 +332,10 @@ func cmdAudit(cli *http.Client, portalURL string, args []string) error {
 		if r.TraceID != "" {
 			line += " trace=" + r.TraceID
 		}
-		fmt.Println(line)
+		fmt.Fprintln(c.out, line)
 	}
 	if doc.Dropped > 0 {
-		fmt.Printf("(%d older records evicted from the ring)\n", doc.Dropped)
+		fmt.Fprintf(c.out, "(%d older records evicted from the ring)\n", doc.Dropped)
 	}
 	return nil
 }

@@ -10,21 +10,19 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"log"
-	"mime/multipart"
-	"net/http"
 	"time"
 
 	"repro/internal/appliance"
 	"repro/internal/core"
 	"repro/internal/gridenv"
+	"repro/internal/portal"
 	"repro/internal/soap"
 	"repro/internal/uddi"
 	"repro/internal/vtime"
 	"repro/internal/wsclient"
+	"repro/internal/wsdl"
 )
 
 const program = `# estimate pi badly but enthusiastically
@@ -66,23 +64,12 @@ func main() {
 	fmt.Printf("appliance up: portal at %s\n", app.BaseURL)
 
 	// 3. Use Scenario A: upload the executable through the portal form.
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, _ := mw.CreateFormFile("file", "pi.gsh")
-	io.WriteString(fw, program)
-	mw.WriteField("user", "alice")
-	mw.WriteField("description", "enthusiastic pi estimator")
-	mw.WriteField("paramName1", "digits")
-	mw.WriteField("paramType1", "int")
-	mw.Close()
-	resp, err := http.Post(app.BaseURL+"/upload", mw.FormDataContentType(), &buf)
-	if err != nil {
+	if _, err := (portal.Client{Base: app.BaseURL}).Upload(portal.UploadRequest{
+		FileName: "pi.gsh", Content: []byte(program),
+		User: "alice", Description: "enthusiastic pi estimator",
+		Params: []wsdl.ParamDef{{Name: "digits", Type: "int"}},
+	}); err != nil {
 		log.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("upload failed: %d", resp.StatusCode)
 	}
 	fmt.Println("uploaded pi.gsh -> PiService generated and published")
 

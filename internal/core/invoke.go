@@ -501,45 +501,22 @@ func (o *OnServe) gridStats(sessionID string) ([]gridsim.SiteStats, error) {
 		o.submit.statsRPCs.Add(1)
 		return o.cfg.Agent.GridStats(sessionID)
 	}
-	for {
-		o.mu.Lock()
-		if o.stats != nil && o.clock.Now().Sub(o.statsAt) < ttl {
-			stats := o.stats
-			o.mu.Unlock()
-			return stats, nil
-		}
-		if f := o.statsFlight; f != nil {
-			o.mu.Unlock()
-			<-f.done
-			if f.err == nil {
-				o.submit.statsCollapsed.Add(1)
-				return f.stats, nil
-			}
-			continue // leader failed: re-check the cache or take over
-		}
-		f := &statsFlight{done: make(chan struct{})}
-		o.statsFlight = f
-		o.mu.Unlock()
+	stats, joined, err := o.statsFlights.do(&o.mu, "", func() ([]gridsim.SiteStats, bool) {
+		return o.stats, o.stats != nil && o.clock.Now().Sub(o.statsAt) < ttl
+	}, func() ([]gridsim.SiteStats, error) {
 		o.submit.statsRPCs.Add(1)
-		f.stats, f.err = o.cfg.Agent.GridStats(sessionID)
-		o.mu.Lock()
-		o.statsFlight = nil
-		if f.err == nil {
-			o.stats, o.statsAt = f.stats, o.clock.Now()
+		stats, err := o.cfg.Agent.GridStats(sessionID)
+		if err == nil {
+			o.mu.Lock()
+			o.stats, o.statsAt = stats, o.clock.Now()
+			o.mu.Unlock()
 		}
-		o.mu.Unlock()
-		close(f.done)
-		return f.stats, f.err
+		return stats, err
+	})
+	if joined {
+		o.submit.statsCollapsed.Add(1)
 	}
-}
-
-// statsFlight is one in-flight scheduler-statistics fetch concurrent
-// pickSites callers wait on. err and stats are written by the leader
-// before done closes and only read by waiters after.
-type statsFlight struct {
-	done  chan struct{}
-	stats []gridsim.SiteStats
-	err   error
+	return stats, err
 }
 
 // stageExecutable makes sure the service's executable is present at the
@@ -558,40 +535,14 @@ func (o *OnServe) stageExecutable(sessionID string, exe *executable, site string
 	if !o.cfg.CoalesceStaging {
 		return o.stageExecutableOnce(sessionID, exe, site, sp)
 	}
-	key := exe.service + "|" + site
-	for {
-		o.mu.Lock()
-		if f := o.stagingFlights[key]; f != nil {
-			f.waiters++
-			o.mu.Unlock()
-			<-f.done
-			if f.err == nil {
-				o.submit.uploadsCoalesced.Add(1)
-				sp.Set("coalesced", "true")
-				return nil
-			}
-			continue // leader failed: elect a new one
-		}
-		f := &stagingFlight{done: make(chan struct{})}
-		o.stagingFlights[key] = f
-		o.mu.Unlock()
-		f.err = o.stageExecutableOnce(sessionID, exe, site, sp)
-		o.mu.Lock()
-		delete(o.stagingFlights, key)
-		o.mu.Unlock()
-		close(f.done)
-		return f.err
+	_, joined, err := o.stagingFlights.do(&o.mu, exe.service+"|"+site, nil, func() (struct{}, error) {
+		return struct{}{}, o.stageExecutableOnce(sessionID, exe, site, sp)
+	})
+	if joined {
+		o.submit.uploadsCoalesced.Add(1)
+		sp.Set("coalesced", "true")
 	}
-}
-
-// stagingFlight is one in-flight staging transfer waiters block on. err
-// is written by the leader before done closes and only read after.
-// waiters (under OnServe.mu) counts the arrivals parked on the flight;
-// tests use it as the barrier that makes overlap deterministic.
-type stagingFlight struct {
-	done    chan struct{}
-	err     error
-	waiters int
+	return err
 }
 
 // stageExecutableOnce performs one staging transfer: through the

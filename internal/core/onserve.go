@@ -262,13 +262,13 @@ type OnServe struct {
 	// (Config.SessionCache).
 	sessions map[string]*ownerSession
 	// stats / statsAt cache the grid-stats snapshot (Config.StatsTTL);
-	// statsFlight is the in-flight refresh concurrent callers share.
-	stats       []gridsim.SiteStats
-	statsAt     time.Time
-	statsFlight *statsFlight
+	// statsFlights is the in-flight refresh concurrent callers share.
+	stats        []gridsim.SiteStats
+	statsAt      time.Time
+	statsFlights flights[[]gridsim.SiteStats]
 	// stagingFlights holds in-flight staging transfers keyed
 	// service|site (Config.CoalesceStaging).
-	stagingFlights map[string]*stagingFlight
+	stagingFlights flights[struct{}]
 	// termOrder tracks terminal tickets oldest-first for pruning;
 	// termTallies retains per-state counts of pruned invocations so
 	// Monitoring stays correct.
@@ -329,10 +329,11 @@ func New(cfg Config) (*OnServe, error) {
 		staged:         make(map[string]map[string]string),
 		sessions:       make(map[string]*ownerSession),
 		termTallies:    make(map[InvState]int),
-		stagingFlights: make(map[string]*stagingFlight),
+		statsFlights:   make(flights[[]gridsim.SiteStats]),
+		stagingFlights: make(flights[struct{}]),
 	}
 	o.poss.cache = make(map[string]possEntry)
-	o.poss.flights = make(map[string]*possFlight)
+	o.poss.flights = make(flights[possEntry])
 	switch {
 	case cfg.PushEvents:
 		// The hub is push's fallback rung for an absent or dead event channel.

@@ -112,19 +112,12 @@ func (e *possEntry) possession() float64 {
 	return 1 - float64(e.missing)/float64(e.total)
 }
 
-// possFlight is one in-flight possession probe concurrent placements
-// wait on. entry is written by the leader before done closes.
-type possFlight struct {
-	done  chan struct{}
-	entry possEntry
-}
-
 // possState is the possession probe cache: answers keyed service|site
 // plus the in-flight probes concurrent bursts collapse onto.
 type possState struct {
 	mu      sync.Mutex
 	cache   map[string]possEntry
-	flights map[string]*possFlight
+	flights flights[possEntry]
 }
 
 // wireChunkSet lazily summarises how a service's executable would chunk
@@ -288,29 +281,19 @@ func (o *OnServe) probePossession(sessionID, site string, chunks *wireChunkSet) 
 	if ttl <= 0 {
 		ttl = DefaultPlacementProbeTTL
 	}
-	for {
+	led := false
+	e, _, _ := o.poss.flights.do(&o.poss.mu, key, func() (possEntry, bool) {
+		e, ok := o.poss.cache[key]
+		return e, ok && o.clock.Now().Sub(e.at) < ttl
+	}, func() (possEntry, error) {
+		led = true
+		e := o.probeOnce(sessionID, site, chunks)
 		o.poss.mu.Lock()
-		if e, ok := o.poss.cache[key]; ok && o.clock.Now().Sub(e.at) < ttl {
-			o.poss.mu.Unlock()
-			return e, true
-		}
-		if f := o.poss.flights[key]; f != nil {
-			o.poss.mu.Unlock()
-			<-f.done
-			return f.entry, true
-		}
-		f := &possFlight{done: make(chan struct{})}
-		o.poss.flights[key] = f
+		o.poss.cache[key] = e
 		o.poss.mu.Unlock()
-
-		f.entry = o.probeOnce(sessionID, site, chunks)
-		o.poss.mu.Lock()
-		delete(o.poss.flights, key)
-		o.poss.cache[key] = f.entry
-		o.poss.mu.Unlock()
-		close(f.done)
-		return f.entry, false
-	}
+		return e, nil
+	})
+	return e, !led
 }
 
 // probeOnce issues one possession probe against site.

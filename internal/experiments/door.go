@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"mime/multipart"
 	"net/http"
 
 	"repro/internal/core"
-	"repro/internal/tenant"
-	"repro/internal/trace"
+	"repro/internal/portal"
 	"repro/internal/wsclient"
+	"repro/internal/wsdl"
 )
 
 // service is a deployed executable reached the way the paper's customers
@@ -61,16 +57,15 @@ func (s *service) burst(n int) error {
 	return fanOut(n, 0, func(int) error { _, err := s.call(nil); return err })
 }
 
-// door is a client of the portal's form and JSON API on an appliance or
-// on a fleet gateway, presenting key as X-Grid-Key when it has one.
-type door struct {
-	base string
-	http *http.Client
-	key  string
-}
+// door is the portal's client (form and JSON API) on an appliance or on a
+// fleet gateway, with the three shapes the studies use it in.
+type door struct{ portal.Client }
 
-// door reaches the appliance over the shaped LAN.
-func (r *rig) door(key string) door { return door{r.app.BaseURL, r.userHTTP, key} }
+// door reaches the appliance over the shaped LAN, presenting key as
+// X-Grid-Key when it has one.
+func (r *rig) door(key string) door {
+	return door{portal.Client{Base: r.app.BaseURL, HTTP: r.userHTTP, Key: key}}
+}
 
 // uploadViaPortal posts the multipart upload form, as the paper's
 // browser dialog does.
@@ -78,101 +73,26 @@ func (r *rig) uploadViaPortal(fileName, program string, paramNames ...string) er
 	return r.door("").upload(fileName, program, paramNames...)
 }
 
-// do sends one request and returns the status and the whole reply body.
-func (d door) do(method, path, contentType string, body io.Reader) (int, []byte, error) {
-	req, err := http.NewRequest(method, d.base+path, body)
-	if err != nil {
-		return 0, nil, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if d.key != "" {
-		req.Header.Set(tenant.KeyHeader, d.key)
-	}
-	resp, err := d.http.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	reply, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	return resp.StatusCode, reply, err
-}
-
-// get fetches path and decodes its JSON reply into v.
-func (d door) get(path string, v any) error {
-	status, reply, err := d.do(http.MethodGet, path, "", nil)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("experiments: GET %s failed (%d): %s", path, status, reply)
-	}
-	return json.Unmarshal(reply, v)
-}
-
 // upload posts the upload form for user alice: the file, and one string
 // parameter per name.
 func (d door) upload(fileName, program string, paramNames ...string) error {
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile("file", fileName)
-	if err != nil {
-		return err
+	req := portal.UploadRequest{FileName: fileName, Content: []byte(program), User: "alice", Description: "experiment upload"}
+	for _, name := range paramNames {
+		req.Params = append(req.Params, wsdl.ParamDef{Name: name})
 	}
-	io.WriteString(fw, program)
-	mw.WriteField("user", "alice")
-	mw.WriteField("description", "experiment upload")
-	for i, name := range paramNames {
-		mw.WriteField(fmt.Sprintf("paramName%d", i+1), name)
-		mw.WriteField(fmt.Sprintf("paramType%d", i+1), "string")
-	}
-	mw.Close()
-	status, reply, err := d.do(http.MethodPost, "/upload", mw.FormDataContentType(), &buf)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("experiments: upload %s failed (%d): %s", fileName, status, reply)
-	}
-	return nil
+	_, err := d.Upload(req)
+	return err
 }
 
-// invoke starts one invocation with the single argument x. The HTTP
-// status comes back beside the ticket so a caller can count 429 sheds
-// without treating them as errors; the ticket is empty unless it is 200.
+// invoke starts one invocation with the single argument x; the status
+// is Client.Invoke's, so a caller can count 429 sheds.
 func (d door) invoke(service, x string) (ticket string, status int, err error) {
-	payload, _ := json.Marshal(map[string]any{"service": service, "args": map[string]string{"x": x}})
-	status, reply, err := d.do(http.MethodPost, "/api/invoke", "application/json", bytes.NewReader(payload))
-	if err != nil || status != http.StatusOK {
-		return "", status, err
-	}
-	var inv struct {
-		Ticket string `json:"ticket"`
-	}
-	if err := json.Unmarshal(reply, &inv); err != nil || inv.Ticket == "" {
-		return "", status, fmt.Errorf("invoke reply %q: %v", reply, err)
-	}
-	return inv.Ticket, status, nil
+	inv, status, err := d.Invoke(service, map[string]string{"x": x})
+	return inv.Ticket, status, err
 }
 
-// wait blocks until the invocation is over; anything but DONE is an
-// error.
-func (d door) wait(ticket string) error {
-	var done struct {
-		State   string `json:"state"`
-		Message string `json:"message"`
-	}
-	if err := d.get("/api/wait?ticket="+ticket, &done); err != nil {
-		return err
-	}
-	if done.State != string(core.InvDone) {
-		return fmt.Errorf("wait %s: state %s: %s", ticket, done.State, done.Message)
-	}
-	return nil
-}
-
-// call is invoke then wait: one whole invocation, any refusal an error.
+// call is invoke then wait: one whole invocation, any refusal and any
+// end but DONE an error.
 func (d door) call(service, x string) (string, error) {
 	ticket, status, err := d.invoke(service, x)
 	if err != nil {
@@ -181,15 +101,9 @@ func (d door) call(service, x string) (string, error) {
 	if status != http.StatusOK {
 		return "", fmt.Errorf("invoke %s: status %d", service, status)
 	}
-	return ticket, d.wait(ticket)
-}
-
-// trace pulls an invocation's span tree through the portal's JSON
-// export, the path `onserve-cli trace` uses.
-func (d door) trace(ticket string) ([]trace.SpanData, error) {
-	var doc struct {
-		Spans []trace.SpanData `json:"spans"`
+	done, err := d.Wait(ticket)
+	if err == nil && done.State != string(core.InvDone) {
+		err = fmt.Errorf("wait %s: state %s: %s", ticket, done.State, done.Message)
 	}
-	err := d.get("/api/trace/"+ticket, &doc)
-	return doc.Spans, err
+	return ticket, err
 }

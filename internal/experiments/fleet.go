@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/gridenv"
 	"repro/internal/netsim"
+	"repro/internal/portal"
 	"repro/internal/vtime"
 )
 
@@ -118,7 +118,7 @@ func (r *fleetRig) close() {
 }
 
 // door reaches the fleet through its gateway.
-func (r *fleetRig) door() door { return door{r.gw.BaseURL, http.DefaultClient, ""} }
+func (r *fleetRig) door() door { return door{portal.Client{Base: r.gw.BaseURL}} }
 
 // fleetBurst boots one fleet, publishes the service set, fires the
 // burst, and accounts gateway + fleet-wide counters. With kill set, one

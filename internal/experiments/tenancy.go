@@ -101,7 +101,7 @@ func tenancyRun(o Options, row func(string, float64), burst int, cfg *tenant.Con
 
 	victim, hog := r.door(""), r.door("")
 	if cfg != nil {
-		victim.key, hog.key = "victim-secret", "hog-secret"
+		victim.Key, hog.Key = "victim-secret", "hog-secret"
 	}
 	if err := victim.upload("probejob.gsh", "compute 1s\necho ok\n"); err != nil {
 		return err
@@ -182,11 +182,8 @@ func tenancyRun(o Options, row func(string, float64), burst int, cfg *tenant.Con
 // sampled record's ID resolving to the tenant.admit span of its
 // invocation trace.
 func (r *rig) tenancyAuditRows(row func(string, float64), sampleTicket string, wantOK, wantDenied int) error {
-	var doc struct {
-		Records []tenant.Record `json:"records"`
-		Dropped uint64          `json:"dropped"`
-	}
-	if err := r.door("").get("/api/audit?n=100000", &doc); err != nil {
+	doc, err := r.door("").Audit("", 100000)
+	if err != nil {
 		return err
 	}
 
@@ -219,7 +216,7 @@ func (r *rig) tenancyAuditRows(row func(string, float64), sampleTicket string, w
 	// trace must contain the tenant.admit span under the same trace ID.
 	resolved := false
 	if sampleTrace != "" {
-		spans, err := r.door("").trace(sampleTicket)
+		spans, err := r.door("").Trace(sampleTicket)
 		if err != nil {
 			return err
 		}

@@ -146,7 +146,7 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 			if _, err := svc.wait(ticket); err != nil {
 				return err
 			}
-			spans, err := r.door("").trace(ticket)
+			spans, err := r.door("").Trace(ticket)
 			if err != nil {
 				return err
 			}

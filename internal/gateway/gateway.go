@@ -25,7 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"html/template"
+	"maps"
 	"net"
 	"net/http"
 	"net/url"
@@ -34,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/appliance"
@@ -115,12 +116,17 @@ func (cfg *Config) fill() {
 // short and passed on. A variable only so tests can lower it.
 var maxBody int64 = portal.MaxUploadBytes + (1 << 20)
 
-// catalogEntry is one proxied upload, kept verbatim so the gateway can
-// replay it onto a ring successor (failover) or a rejoined shard.
+// catalogEntry is one proxied upload, kept as it was sent — the form, the
+// query string that outranks the form's fields, the uploader's key — so
+// that replaying it onto a ring successor (failover) or a rejoined shard
+// is the same upload: admitted where tenancy is on, published under the
+// same owner.
 type catalogEntry struct {
 	service     string
 	owner       string
 	contentType string
+	key         string // the uploader's X-Grid-Key value, "" when none
+	query       string
 	body        []byte
 }
 
@@ -140,10 +146,9 @@ type Gateway struct {
 	catalog map[string]*catalogEntry
 	users   map[string]core.UserAuth
 
-	tickets sync.Map // ticket -> *member
+	tickets ticketTable
 
-	rr      uint64 // round-robin cursor for KindAny (under atomic)
-	rrMu    sync.Mutex
+	rr      atomic.Uint64 // round-robin cursor for KindAny
 	BaseURL string
 	srv     *http.Server
 	ln      net.Listener
@@ -195,6 +200,7 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 		g.byID[m.id] = m
 	}
 	g.ring = newRing(cfg.VirtualNodes, ids)
+	g.tickets.limit = len(g.members) * core.DefaultInvocationRetention
 
 	if ln == nil {
 		var err error
@@ -212,19 +218,27 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	// Seed the view before traffic arrives, then keep it fresh.
 	g.refreshView()
 	for _, m := range g.members {
-		m := m
-		g.bg.Add(1)
-		go func() {
-			defer g.bg.Done()
-			g.probeLoop(m)
-		}()
+		g.every(cfg.ProbeInterval, m.probe)
 	}
+	g.every(cfg.PullInterval, g.refreshView)
+	return g, nil
+}
+
+// every runs fn once per interval of the gateway's clock until shutdown:
+// the shard health checks and the replicated view's periodic pull.
+func (g *Gateway) every(interval time.Duration, fn func()) {
 	g.bg.Add(1)
 	go func() {
 		defer g.bg.Done()
-		g.pullLoop()
+		for {
+			select {
+			case <-g.stop:
+				return
+			case <-g.clock.After(interval):
+			}
+			fn()
+		}
 	}()
-	return g, nil
 }
 
 // bootShard builds and boots shard i from the template.
@@ -323,10 +337,7 @@ func (g *Gateway) Rejoin(i int) error {
 		return err
 	}
 	g.mu.Lock()
-	users := make(map[string]core.UserAuth, len(g.users))
-	for u, a := range g.users {
-		users[u] = a
-	}
+	users := maps.Clone(g.users)
 	entries := make([]*catalogEntry, 0, len(g.catalog))
 	for _, e := range g.catalog {
 		entries = append(entries, e)
@@ -378,97 +389,37 @@ func (g *Gateway) shutdownFleet() {
 	}
 }
 
-// probeLoop runs shard health checks until shutdown.
-func (g *Gateway) probeLoop(m *member) {
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-g.clock.After(g.cfg.ProbeInterval):
-		}
-		m.probe()
-	}
-}
-
-// pullLoop periodically refreshes the replicated UDDI view.
-func (g *Gateway) pullLoop() {
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-g.clock.After(g.cfg.PullInterval):
-		}
-		g.refreshView()
-	}
-}
+// registryPull is the request refreshView puts to every member.
+var registryPull = &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/api/registry"}}
 
 // refreshView pulls every healthy appliance's registry listing and
 // installs the union. Ejected members keep their last-known records so
 // a crashed shard's services remain resolvable for rerouting.
 func (g *Gateway) refreshView() {
-	union := make(map[string]uddi.Record)
-	for _, rec := range g.view.list("") {
-		union[rec.Name] = rec
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, m := range g.members {
-		if !m.healthy() && g.ctr.viewPulls.Load() > 0 {
-			continue
+	union := g.view.list("")
+	for _, resp := range g.gather(registryPull, nil) {
+		var recs []uddi.Record
+		if resp != nil && resp.status == http.StatusOK && json.Unmarshal(resp.body, &recs) == nil {
+			union = append(union, recs...) // a later record of a name replaces an earlier one
 		}
-		base, _ := m.snapshot()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			recs, err := g.fetchRegistry(base)
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			for _, rec := range recs {
-				union[rec.Name] = rec
-			}
-			mu.Unlock()
-		}()
 	}
-	wg.Wait()
-	recs := make([]uddi.Record, 0, len(union))
-	for _, rec := range union {
-		recs = append(recs, rec)
-	}
-	g.view.replaceAll(recs)
+	g.view.replaceAll(union)
 	g.ctr.viewPulls.Add(1)
 }
 
-func (g *Gateway) fetchRegistry(base string) ([]uddi.Record, error) {
-	reply, err := g.send(http.MethodGet, base, "/api/registry", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if reply.Status != http.StatusOK {
-		return nil, fmt.Errorf("gateway: registry pull: http %d", reply.Status)
-	}
-	var recs []uddi.Record
-	if err := json.Unmarshal(reply.Body, &recs); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// send makes one request of the gateway's own (a registry pull, a
-// replayed upload, a delete sweep) to a server named by its base URL;
-// the proxied hop itself is forward.
-func (g *Gateway) send(method, base, target string, header http.Header, body []byte) (hop.Reply, error) {
+// replayUpload re-POSTs a catalogued upload to the appliance at base: a
+// request of the gateway's own, not a proxied one, so it bypasses ask.
+func (g *Gateway) replayUpload(base string, e *catalogEntry) error {
 	root, err := url.Parse(base)
 	if err != nil {
-		return hop.Reply{}, err
+		return err
 	}
-	return hop.Do(g.httpc, method, root, target, header, body, maxBody)
-}
-
-// replayUpload re-POSTs a catalogued upload to one appliance.
-func (g *Gateway) replayUpload(base string, e *catalogEntry) error {
-	reply, err := g.send(http.MethodPost, base, "/upload", hop.Header("Content-Type", e.contentType), e.body)
+	target := "/upload"
+	if e.query != "" {
+		target += "?" + e.query
+	}
+	reply, err := hop.Do(g.httpc, http.MethodPost, root, target,
+		hop.Header("Content-Type", e.contentType, tenant.KeyHeader, e.key), e.body, maxBody)
 	if err != nil {
 		return err
 	}
@@ -496,24 +447,21 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, sizedio.ErrTooLarge) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			jsonError(w, status, fmt.Errorf("gateway: read body: %w", err))
+			portal.WriteError(w, status, fmt.Errorf("gateway: read body: %w", err))
 			return
 		}
 	}
 	rt, err := DecodeRoute(r.Method, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+		portal.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	switch rt.Kind {
 	case KindStats:
-		g.ctr.scatters.Add(1)
 		g.serveStats(w, r)
 	case KindAudit:
-		g.ctr.scatters.Add(1)
 		g.serveAudit(w, r)
 	case KindServices:
-		g.ctr.scatters.Add(1)
 		g.serveServices(w, r)
 	case KindRegistry:
 		g.serveRegistry(w, r)
@@ -525,6 +473,84 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.serveKeyed(w, r, rt, body)
 	}
 }
+
+// ---- the two loops ----
+
+// ask proxies one request to m and is the one place proxied traffic
+// feeds the member's passive health: a hop that fails counts against m
+// and marks sp, any reply — a 5xx too, the appliance is there — counts
+// for it. Every request the gateway sends a member goes through here,
+// its own registry pulls and delete sweeps included.
+func (g *Gateway) ask(m *member, r *http.Request, body []byte, sp *trace.Span) (*bufferedResponse, error) {
+	resp, err := g.forward(m, r, body, sp)
+	if err != nil {
+		m.fail()
+		sp.Error(err.Error())
+		return nil, err
+	}
+	m.ok()
+	return resp, nil
+}
+
+// gather asks every healthy member but skip concurrently and returns the
+// replies index-aligned with g.members: nil where a member was left out
+// or its hop failed. What the replies mean is the caller's merge.
+func (g *Gateway) gather(r *http.Request, skip *member) []*bufferedResponse {
+	replies := make([]*bufferedResponse, len(g.members))
+	var wg sync.WaitGroup
+	for i, m := range g.members {
+		if m == skip || !m.healthy() {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies[i], _ = g.ask(m, r, nil, nil)
+		}()
+	}
+	wg.Wait()
+	return replies
+}
+
+// first asks order's members one at a time and returns the first reply
+// accept takes, with the member that gave it. When none is taken it
+// returns the last reply accept refused (nil when nobody answered) and
+// the first hop error. It moves past a failed hop only where serveKeyed
+// would retry: never once a write may have reached an upstream.
+func (g *Gateway) first(order []*member, r *http.Request, body []byte, accept func(*bufferedResponse) bool) (*member, *bufferedResponse, error) {
+	var refused *bufferedResponse
+	var firstErr error
+	for _, m := range order {
+		resp, err := g.ask(m, r, body, nil)
+		switch {
+		case err == nil && accept(resp):
+			return m, resp, nil
+		case err == nil:
+			refused = resp
+		default:
+			if firstErr == nil {
+				firstErr = err
+			}
+			if !safeToRetry(r.Method, err) {
+				return nil, refused, firstErr
+			}
+		}
+	}
+	return nil, refused, firstErr
+}
+
+// healthyMembers is the fleet in index order, less the ejected.
+func (g *Gateway) healthyMembers() []*member {
+	out := make([]*member, 0, len(g.members))
+	for _, m := range g.members {
+		if m.healthy() {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// ---- keyed, ticket and affinity-free requests ----
 
 // orderedMembers resolves the successor list to members.
 func (g *Gateway) orderedMembers(key string) []*member {
@@ -551,10 +577,11 @@ func pickHealthy(succ []*member) (*member, int) {
 	return succ[0], 0
 }
 
-// serveKeyed routes one consistent-hash request, with one retry on the
-// next healthy successor where that cannot double-execute, and a
-// catalog replay when an upstream turns out not to hold a service the
-// fleet owns.
+// serveKeyed routes one consistent-hash request. Its two second chances
+// are policy, spelled out here over ask rather than bent into first: one
+// retry on the next healthy successor where that cannot double-execute,
+// and a catalog replay when an upstream turns out not to hold a service
+// the fleet owns.
 func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
 	owner := rt.Owner
 	if owner == "" && rt.Service != "" {
@@ -563,7 +590,7 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 	succ := g.orderedMembers(rt.Key(owner))
 	m, pos := pickHealthy(succ)
 	if m == nil {
-		jsonError(w, http.StatusServiceUnavailable, errors.New("gateway: no upstreams"))
+		portal.WriteError(w, http.StatusServiceUnavailable, errors.New("gateway: no upstreams"))
 		return
 	}
 	g.ctr.routed.Add(1)
@@ -574,43 +601,35 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 	}
 
 	sp := g.startSpan(r, rt, m)
-	resp, err := g.forward(m, r, body, sp)
-	if err != nil {
-		m.fail()
+	resp, err := g.ask(m, r, body, sp)
+	if err != nil && safeToRetry(r.Method, err) {
 		// Retry once on the next healthy successor. GETs are idempotent;
-		// POSTs retry only when the dial itself failed, so the request
-		// can never have reached (or executed on) the first upstream.
-		if retry := g.nextHealthy(succ, m); retry != nil && safeToRetry(r.Method, err) {
+		// POSTs retry only when the dial itself failed, so the request can
+		// never have reached (or executed on) the first upstream.
+		if retry := g.nextHealthy(succ, m); retry != nil {
 			g.ctr.retried.Add(1)
 			sp.Set("retry", retry.id)
-			resp, err = g.forward(retry, r, body, sp)
-			if err != nil {
-				retry.fail()
-			} else {
-				m = retry
-			}
-		}
-		if err != nil {
-			sp.Error(err.Error())
-			sp.End()
-			jsonError(w, http.StatusBadGateway, fmt.Errorf("gateway: upstream %s: %w", m.id, err))
-			return
+			m = retry
+			resp, err = g.ask(m, r, body, sp)
 		}
 	}
-	m.ok()
+	if err != nil {
+		sp.End()
+		portal.WriteError(w, http.StatusBadGateway, fmt.Errorf("gateway: upstream %s: %w", m.id, err))
+		return
+	}
 
 	// A 404 for a service the fleet owns means this upstream simply has
 	// not seen the upload (ring failover or a fresh rejoin): replay the
-	// catalog entry onto it and retry the original request once.
+	// catalog entry onto it and ask the original request once more.
 	if resp.status == http.StatusNotFound && rt.Service != "" && rt.Kind != KindUpload && rt.Kind != KindDelete {
-		if e := g.catalogGet(rt.Service); e != nil {
-			if err := g.replayUpload(memberBase(m), e); err == nil {
-				g.ctr.redeploys.Add(1)
-				m.redeploys.Add(1)
-				sp.Set("redeploy", rt.Service)
-				if resp2, err2 := g.forward(m, r, body, sp); err2 == nil {
-					resp = resp2
-				}
+		base, _ := m.snapshot()
+		if e := g.catalogGet(rt.Service); e != nil && g.replayUpload(base, e) == nil {
+			g.ctr.redeploys.Add(1)
+			m.redeploys.Add(1)
+			sp.Set("redeploy", rt.Service)
+			if again, err := g.ask(m, r, body, sp); err == nil {
+				resp = again
 			}
 		}
 	}
@@ -642,13 +661,14 @@ func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, re
 	case KindInvoke:
 		if ticket := invokeTicket(resp.body); ticket != "" {
 			g.tickets.Store(ticket, m)
-			m.ticketHints.Add(1)
 		}
 	case KindUpload:
 		e := &catalogEntry{
 			service:     rt.Service,
 			owner:       rt.Owner,
 			contentType: header.Get("Content-Type"),
+			key:         header.Get(tenant.KeyHeader),
+			query:       rt.query,
 			body:        append([]byte(nil), body...),
 		}
 		g.mu.Lock()
@@ -665,15 +685,11 @@ func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, re
 		g.view.remove(rt.Service)
 		// Failover replays may have spread the service: sweep the rest of
 		// the fleet so a later scatter cannot resurrect it. The sweep acts
-		// for the caller, so it carries the caller's key and trace context
-		// — a shard with tenancy on refuses a delete that shows no key.
-		for _, other := range g.members {
-			if other == m || !other.healthy() {
-				continue
-			}
-			g.send(http.MethodPost, memberBase(other), "/api/delete?name="+url.QueryEscape(rt.Service),
-				hop.Header(tenant.KeyHeader, header.Get(tenant.KeyHeader), trace.Header, header.Get(trace.Header)), nil)
-		}
+		// for the caller, so it carries the caller's header — key and
+		// trace context: a shard with tenancy on refuses a delete that
+		// shows no key.
+		g.gather(&http.Request{Method: http.MethodPost, Header: header,
+			URL: &url.URL{Path: "/api/delete", RawQuery: url.Values{"name": {rt.Service}}.Encode()}}, m)
 	}
 }
 
@@ -696,9 +712,7 @@ func invokeTicket(doc []byte) string {
 	if o.Done() {
 		return ticket
 	}
-	var out struct {
-		Ticket string `json:"ticket"`
-	}
+	var out portal.InvokeReply
 	if json.Unmarshal(doc, &out) != nil {
 		return ""
 	}
@@ -712,87 +726,58 @@ func (g *Gateway) catalogGet(service string) *catalogEntry {
 }
 
 // serveTicket routes ticket-addressed requests to the shard that issued
-// the ticket, scattering only for tickets this gateway never saw (for
-// example a sibling gateway issued them).
+// the ticket, searching the fleet only for tickets the table does not
+// hold: one a sibling gateway issued, or one it has since evicted.
 func (g *Gateway) serveTicket(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
-	if v, ok := g.tickets.Load(rt.Ticket); ok {
-		m := v.(*member)
+	if m, ok := g.tickets.Load(rt.Ticket); ok {
 		g.ctr.ticketRoutes.Add(1)
 		sp := g.startSpan(r, rt, m)
-		resp, err := g.forward(m, r, body, sp)
+		resp, err := g.ask(m, r, body, sp)
+		sp.End()
 		if err != nil {
-			m.fail()
-			sp.Error(err.Error())
-			sp.End()
-			jsonError(w, http.StatusBadGateway, fmt.Errorf("gateway: upstream %s: %w", m.id, err))
+			portal.WriteError(w, http.StatusBadGateway, fmt.Errorf("gateway: upstream %s: %w", m.id, err))
 			return
 		}
-		m.ok()
-		sp.End()
 		resp.write(w)
 		return
 	}
 	g.ctr.scatters.Add(1)
-	var last *bufferedResponse
-	for _, m := range g.members {
-		if !m.healthy() {
-			continue
-		}
-		resp, err := g.forward(m, r, body, nil)
-		if err != nil {
-			m.fail()
-			continue
-		}
-		m.ok()
-		if resp.status != http.StatusNotFound {
-			if rt.Ticket != "" {
-				g.tickets.Store(rt.Ticket, m)
-			}
-			resp.write(w)
-			return
-		}
-		last = resp
+	known := func(resp *bufferedResponse) bool { return resp.status != http.StatusNotFound }
+	m, resp, _ := g.first(g.healthyMembers(), r, body, known)
+	if m != nil && rt.Ticket != "" {
+		g.tickets.Store(rt.Ticket, m)
 	}
-	if last != nil {
-		last.write(w)
+	if resp == nil {
+		portal.WriteError(w, http.StatusBadGateway, errors.New("gateway: no upstream answered"))
 		return
 	}
-	jsonError(w, http.StatusBadGateway, errors.New("gateway: no upstream answered"))
+	resp.write(w)
 }
 
 // serveAny proxies affinity-free requests round-robin over the healthy
-// fleet, retrying transport errors once.
+// fleet, moving on past a member whose hop fails.
 func (g *Gateway) serveAny(w http.ResponseWriter, r *http.Request, body []byte) {
-	g.rrMu.Lock()
-	start := g.rr
-	g.rr++
-	g.rrMu.Unlock()
-	n := len(g.members)
-	var firstErr error
-	for i := 0; i < n; i++ {
-		m := g.members[(int(start)+i)%n]
-		if !m.healthy() && i < n-1 {
-			continue
+	start := int(g.rr.Add(1) - 1)
+	order := make([]*member, 0, len(g.members))
+	for i := range g.members {
+		// The last in the rotation is asked even when it looks down: the
+		// attempt is the passive probe of a fleet that is all ejected.
+		if m := g.members[(start+i)%len(g.members)]; m.healthy() || i == len(g.members)-1 {
+			order = append(order, m)
 		}
-		resp, err := g.forward(m, r, body, nil)
-		if err != nil {
-			m.fail()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	}
+	_, resp, err := g.first(order, r, body, func(*bufferedResponse) bool { return true })
+	if resp == nil {
+		if err == nil {
+			err = errors.New("gateway: no upstreams")
 		}
-		m.ok()
-		resp.write(w)
+		portal.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
-	if firstErr == nil {
-		firstErr = errors.New("gateway: no upstreams")
-	}
-	jsonError(w, http.StatusBadGateway, firstErr)
+	resp.write(w)
 }
 
-// serveStats scatter-gathers /api/stats and prepends the gateway block.
+// serveStats gathers /api/stats and prepends the gateway block.
 func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 	type shardDoc struct {
 		ID    string          `json:"id"`
@@ -800,50 +785,32 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 		State string          `json:"state"`
 		Stats json.RawMessage `json:"stats,omitempty"`
 	}
+	g.ctr.scatters.Add(1)
+	replies := g.gather(r, nil)
 	now := g.clock.Now()
 	docs := make([]shardDoc, len(g.members))
-	var wg sync.WaitGroup
-	for i, m := range g.members {
-		base, _ := m.snapshot()
-		docs[i] = shardDoc{ID: m.id, Base: base, State: m.stateName(now)}
-		if !m.healthy() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			resp, err := g.forward(m, r, nil, nil)
-			if err != nil {
-				m.fail()
-				return
-			}
-			m.ok()
-			if resp.status == http.StatusOK {
-				docs[i].Stats = json.RawMessage(resp.body)
-			}
-		}(i, m)
-	}
-	wg.Wait()
-	doc := map[string]any{
-		"gateway": g.GatewayStats(),
-		"fleet":   docs,
-	}
 	// When any shard runs with tenancy on, surface a fleet-wide tenant
 	// block: counters sum across shards, gauges take the fleet max.
 	var merged tenant.Stats
 	found := false
-	for _, d := range docs {
-		if len(d.Stats) == 0 {
+	for i, m := range g.members {
+		base, _ := m.snapshot()
+		docs[i] = shardDoc{ID: m.id, Base: base, State: m.stateName(now)}
+		if replies[i] == nil || replies[i].status != http.StatusOK {
 			continue
 		}
+		docs[i].Stats = replies[i].body
 		var payload struct {
 			Tenant *tenant.Stats `json:"tenant"`
 		}
-		if json.Unmarshal(d.Stats, &payload) != nil || payload.Tenant == nil {
-			continue
+		if json.Unmarshal(replies[i].body, &payload) == nil && payload.Tenant != nil {
+			merged.Merge(*payload.Tenant)
+			found = true
 		}
-		merged.Merge(*payload.Tenant)
-		found = true
+	}
+	doc := map[string]any{
+		"gateway": g.GatewayStats(),
+		"fleet":   docs,
 	}
 	if found {
 		doc["tenant"] = merged
@@ -851,11 +818,11 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// serveAudit scatter-gathers /api/audit across the fleet: per-shard
-// enforcement means each shard holds only the audit records for actions
-// it admitted or denied, so the fleet-wide view merges them newest
-// first. When no shard runs with tenancy on, the gateway answers 404
-// exactly like a single appliance would.
+// serveAudit gathers /api/audit across the fleet: per-shard enforcement
+// means each shard holds only the audit records for actions it admitted
+// or denied, so the fleet-wide view merges them newest first. When no
+// shard runs with tenancy on, the gateway answers 404 exactly like a
+// single appliance would.
 func (g *Gateway) serveAudit(w http.ResponseWriter, r *http.Request) {
 	n := 50
 	if s := r.URL.Query().Get("n"); s != "" {
@@ -863,135 +830,60 @@ func (g *Gateway) serveAudit(w http.ResponseWriter, r *http.Request) {
 			n = v
 		}
 	}
-	type auditDoc struct {
-		Records []tenant.Record `json:"records"`
-		Dropped uint64          `json:"dropped"`
-	}
-	docs := make([]*auditDoc, len(g.members))
-	var wg sync.WaitGroup
-	for i, m := range g.members {
-		if !m.healthy() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			resp, err := g.forward(m, r, nil, nil)
-			if err != nil {
-				m.fail()
-				return
-			}
-			m.ok()
-			if resp.status != http.StatusOK {
-				return
-			}
-			var doc auditDoc
-			if json.Unmarshal(resp.body, &doc) == nil {
-				docs[i] = &doc
-			}
-		}(i, m)
-	}
-	wg.Wait()
-	var records []tenant.Record
-	var dropped uint64
+	g.ctr.scatters.Add(1)
+	merged := portal.AuditReply{Records: []tenant.Record{}}
 	found := false
-	for _, d := range docs {
-		if d == nil {
-			continue
+	for _, resp := range g.gather(r, nil) {
+		var doc portal.AuditReply
+		if resp != nil && resp.status == http.StatusOK && json.Unmarshal(resp.body, &doc) == nil {
+			found = true
+			merged.Records = append(merged.Records, doc.Records...)
+			merged.Dropped += doc.Dropped
 		}
-		found = true
-		records = append(records, d.Records...)
-		dropped += d.Dropped
 	}
 	if !found {
 		http.NotFound(w, r)
 		return
 	}
-	sort.Slice(records, func(i, j int) bool {
-		if !records[i].Time.Equal(records[j].Time) {
-			return records[i].Time.After(records[j].Time)
+	sort.Slice(merged.Records, func(i, j int) bool {
+		a, b := merged.Records[i], merged.Records[j]
+		if !a.Time.Equal(b.Time) {
+			return a.Time.After(b.Time)
 		}
-		return records[i].Seq > records[j].Seq
+		return a.Seq > b.Seq
 	})
-	if len(records) > n {
-		records = records[:n]
-	}
-	if records == nil {
-		records = []tenant.Record{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"records": records,
-		"dropped": dropped,
-	})
+	merged.Records = merged.Records[:min(n, len(merged.Records))]
+	writeJSON(w, http.StatusOK, merged)
 }
 
-// serveServices scatter-gathers /api/services, deduplicates by service
-// name (failover replays can make a service live on two shards), and
-// returns a deterministically sorted merge.
+// serveServices gathers /api/services, deduplicates by service name
+// (failover replays can make a service live on two shards; the lowest
+// shard's copy is listed), and returns the merge sorted by name.
 func (g *Gateway) serveServices(w http.ResponseWriter, r *http.Request) {
-	var mu sync.Mutex
-	merged := make(map[string]core.ExecutableInfo)
-	var wg sync.WaitGroup
-	for _, m := range g.members {
-		if !m.healthy() {
+	g.ctr.scatters.Add(1)
+	seen := make(map[string]bool)
+	out := []core.ExecutableInfo{}
+	for _, resp := range g.gather(r, nil) {
+		var infos []core.ExecutableInfo
+		if resp == nil || resp.status != http.StatusOK || json.Unmarshal(resp.body, &infos) != nil {
 			continue
 		}
-		wg.Add(1)
-		go func(m *member) {
-			defer wg.Done()
-			resp, err := g.forward(m, r, nil, nil)
-			if err != nil {
-				m.fail()
-				return
+		for _, info := range infos {
+			if !seen[info.ServiceName] {
+				seen[info.ServiceName] = true
+				out = append(out, info)
 			}
-			m.ok()
-			if resp.status != http.StatusOK {
-				return
-			}
-			var infos []core.ExecutableInfo
-			if json.Unmarshal(resp.body, &infos) != nil {
-				return
-			}
-			mu.Lock()
-			for _, info := range infos {
-				if _, ok := merged[info.ServiceName]; !ok {
-					merged[info.ServiceName] = info
-				}
-			}
-			mu.Unlock()
-		}(m)
-	}
-	wg.Wait()
-	out := make([]core.ExecutableInfo, 0, len(merged))
-	for _, info := range merged {
-		out = append(out, info)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ServiceName < out[j].ServiceName })
 	writeJSON(w, http.StatusOK, out)
 }
 
-var registryTmpl = template.Must(template.New("registry").Parse(`<!DOCTYPE html>
-<html><head><title>Replicated UDDI view</title></head>
-<body>
-<h1>Replicated UDDI view</h1>
-<p>{{len .}} service(s) across the fleet. Pattern filtering: append ?pattern=Monte%25</p>
-<table border="1" cellpadding="4">
-<tr><th>name</th><th>owner</th><th>endpoint</th><th>WSDL</th></tr>
-{{range .}}<tr>
-  <td>{{.Name}}</td><td>{{.Owner}}</td>
-  <td><a href="{{.Endpoint}}">{{.Endpoint}}</a></td>
-  <td><a href="{{.WSDLURL}}">wsdl</a></td>
-</tr>
-{{end}}</table>
-</body></html>
-`))
-
 // serveRegistry renders the replicated view — the fleet-wide answer to
-// the portal's /registry browser, no cross-shard hop required.
+// the portal's /registry browser, on the portal's page, no cross-shard
+// hop required.
 func (g *Gateway) serveRegistry(w http.ResponseWriter, r *http.Request) {
-	recs := g.view.list(r.URL.Query().Get("pattern"))
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	registryTmpl.Execute(w, recs)
+	portal.WriteRegistryPage(w, g.view.list(r.URL.Query().Get("pattern")))
 }
 
 // serveInternal handles the gateway's own endpoints: the replicated
@@ -1090,42 +982,8 @@ func safeToRetry(method string, err error) bool {
 	return errors.As(err, &opErr) && opErr.Op == "dial"
 }
 
-func memberBase(m *member) string {
-	base, _ := m.snapshot()
-	return base
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-func jsonError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error(), "code": errCode(status)})
-}
-
-// errCode mirrors the portal's machine-readable error codes so a client
-// behind the gateway sees one envelope vocabulary. Upstream envelopes
-// pass through verbatim; this only names errors the gateway itself
-// originates.
-func errCode(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusUnauthorized:
-		return "unauthorized"
-	case http.StatusForbidden:
-		return "forbidden"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusRequestEntityTooLarge:
-		return "too_large"
-	case http.StatusBadGateway:
-		return "bad_gateway"
-	default:
-		return "internal"
-	}
 }

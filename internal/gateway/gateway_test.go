@@ -243,6 +243,55 @@ func TestFleetRoutingSticksAndMerges(t *testing.T) {
 	}
 }
 
+// TestUploadRoutesOnTheOwnerItIsPublishedAs: the portal takes an upload's
+// user from the query string before the form and from the first field of
+// several; a route decoder that read the form its own way sent such an
+// upload to the shard of another owner's key, where no later request for
+// the service goes, and only a catalog replay papered over it.
+func TestUploadRoutesOnTheOwnerItIsPublishedAs(t *testing.T) {
+	w := bootFleet(t, 4, nil)
+	// A file whose service the ring places differently for the two owners.
+	fileFor := func(tag string) (file, service string) {
+		for i := 0; ; i++ {
+			file = fmt.Sprintf("%s%d.gsh", tag, i)
+			service, _ = core.ServiceNameFor(file)
+			if w.gw.PrimaryFor(service, "alice") != w.gw.PrimaryFor(service, "mallory") {
+				return file, service
+			}
+		}
+	}
+	for name, shape := range map[string]struct {
+		query string
+		users []string
+	}{
+		"query string before the form": {"?user=alice", []string{"mallory"}},
+		"first field of two":           {"", []string{"alice", "mallory"}},
+	} {
+		file, service := fileFor(strings.Fields(name)[0])
+		ct, body := multipartUpload(t, file, shape.users...)
+		resp, err := http.Post(w.gw.BaseURL+"/upload"+shape.query, ct, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec uddi.Record
+		err = json.NewDecoder(resp.Body).Decode(&rec)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || rec.Name != service || rec.Owner != "alice" {
+			t.Fatalf("%s: upload status %d, record %+v (%v)", name, resp.StatusCode, rec, err)
+		}
+		rt, err := DecodeRoute(http.MethodPost, "/upload", strings.TrimPrefix(shape.query, "?"), ct, body)
+		if err != nil || rt.Owner != rec.Owner || rt.Service != rec.Name {
+			t.Fatalf("%s: routed as %+v (%v), published as %s of %s", name, rt, err, rec.Name, rec.Owner)
+		}
+		if _, _, err := invokeWait(w.gw.BaseURL, service, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := gatewayStats(t, w.gw); st.Redeploys != 0 || st.StickyHits != st.Routed {
+			t.Fatalf("%s: the invoke went where the upload had not: redeploys %d, sticky %d of %d", name, st.Redeploys, st.StickyHits, st.Routed)
+		}
+	}
+}
+
 // TestFleetOfOneMatchesSingleAppliance pins the opt-in contract: a
 // gateway fronting one appliance returns byte-identical portal API
 // bodies to the appliance itself.

@@ -41,11 +41,11 @@ type member struct {
 	ejectedAt time.Time // gateway clock; start of the half-open cooldown
 
 	// Counters (atomic; read by GatewayStats).
-	probes, probeFails     atomic.Uint64
-	proxied, proxyErrs     atomic.Uint64
-	ejections, recoveries  atomic.Uint64
-	halfOpenTrials         atomic.Uint64
-	redeploys, ticketHints atomic.Uint64
+	probes, probeFails    atomic.Uint64
+	proxied, proxyErrs    atomic.Uint64
+	ejections, recoveries atomic.Uint64
+	halfOpenTrials        atomic.Uint64
+	redeploys             atomic.Uint64
 }
 
 // snapshot returns the base URL and appliance under the lock.

@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
 	"net/url"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/portal"
 )
 
 // Kind classifies how the gateway dispatches one portal request.
@@ -83,6 +81,7 @@ type Route struct {
 	Service string // keyed kinds: the service the request addresses
 	Owner   string // KindUpload only; other kinds resolve it via the view
 	Ticket  string // KindTicket: may be empty (the appliance will 404)
+	query   string // KindUpload: the raw query, part of the upload a failover replays
 }
 
 // Keyed reports whether the route shards by consistent hash.
@@ -122,14 +121,22 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 		if method != http.MethodPost {
 			return Route{Kind: KindAny}, nil // the portal answers 405
 		}
-		return decodeUpload(contentType, body)
+		// The portal's own walk of the form: the route cannot name another
+		// service or owner than the appliance will publish under.
+		fileName, owner, err := portal.UploadIdentity(contentType, rawQuery, body)
+		if err != nil {
+			return Route{}, fmt.Errorf("%w: %v", errBadRequest, err)
+		}
+		service, err := core.ServiceNameFor(fileName)
+		if err != nil {
+			return Route{}, fmt.Errorf("%w: %v", errBadRequest, err)
+		}
+		return Route{Kind: KindUpload, Service: service, Owner: owner, query: rawQuery}, nil
 	case "/api/invoke":
 		if method != http.MethodPost {
 			return Route{Kind: KindAny}, nil
 		}
-		var req struct {
-			Service string `json:"service"`
-		}
+		var req portal.InvokeRequest
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			return Route{}, fmt.Errorf("%w: invoke body: %v", errBadRequest, err)
 		}
@@ -172,44 +179,6 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 		return Route{Kind: KindSOAP, Service: name}, nil
 	}
 	return Route{Kind: KindAny}, nil
-}
-
-// decodeUpload extracts the upload's routing identity — the service name
-// the portal will derive from the file name, and the owner — by walking
-// the multipart body exactly as the portal's ParseMultipartForm will.
-func decodeUpload(contentType string, body []byte) (Route, error) {
-	mediaType, params, err := mime.ParseMediaType(contentType)
-	if err != nil || !strings.HasPrefix(mediaType, "multipart/") || params["boundary"] == "" {
-		return Route{}, fmt.Errorf("%w: upload content type %q", errBadRequest, contentType)
-	}
-	mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
-	var service, owner string
-	for {
-		part, err := mr.NextPart()
-		if err != nil {
-			break // io.EOF or malformed tail: judge by what we saw
-		}
-		switch part.FormName() {
-		case "file":
-			if service == "" && part.FileName() != "" {
-				name, err := core.ServiceNameFor(part.FileName())
-				if err != nil {
-					part.Close()
-					return Route{}, fmt.Errorf("%w: %v", errBadRequest, err)
-				}
-				service = name
-			}
-		case "user":
-			if b, err := io.ReadAll(io.LimitReader(part, 4096)); err == nil {
-				owner = string(b)
-			}
-		}
-		part.Close()
-	}
-	if service == "" {
-		return Route{}, fmt.Errorf("%w: upload carries no file", errBadRequest)
-	}
-	return Route{Kind: KindUpload, Service: service, Owner: owner}, nil
 }
 
 // queryValue parses rawQuery and returns key's value; a query string

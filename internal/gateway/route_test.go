@@ -7,9 +7,12 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/portal"
 )
 
-func multipartUpload(t testing.TB, filename, user string) (string, []byte) {
+func multipartUpload(t testing.TB, filename string, users ...string) (string, []byte) {
 	var buf bytes.Buffer
 	mw := multipart.NewWriter(&buf)
 	fw, err := mw.CreateFormFile("file", filename)
@@ -17,7 +20,9 @@ func multipartUpload(t testing.TB, filename, user string) (string, []byte) {
 		t.Fatal(err)
 	}
 	fw.Write([]byte("echo hi\n"))
-	mw.WriteField("user", user)
+	for _, user := range users {
+		mw.WriteField("user", user)
+	}
 	mw.WriteField("description", "test")
 	mw.Close()
 	return mw.FormDataContentType(), buf.Bytes()
@@ -25,6 +30,7 @@ func multipartUpload(t testing.TB, filename, user string) (string, []byte) {
 
 func TestDecodeRouteTable(t *testing.T) {
 	uploadCT, uploadBody := multipartUpload(t, "monte.gsh", "alice")
+	twiceCT, twiceBody := multipartUpload(t, "monte.gsh", "bob", "alice")
 	cases := []struct {
 		name                       string
 		method, path, rawQuery, ct string
@@ -34,6 +40,12 @@ func TestDecodeRouteTable(t *testing.T) {
 	}{
 		{"upload", "POST", "/upload", "", uploadCT, uploadBody,
 			Route{Kind: KindUpload, Service: "MonteService", Owner: "alice"}, false},
+		// The owner is the one the portal publishes under: the query string
+		// before the form, the first value of either.
+		{"upload query user wins", "POST", "/upload", "user=bob", uploadCT, uploadBody,
+			Route{Kind: KindUpload, Service: "MonteService", Owner: "bob", query: "user=bob"}, false},
+		{"upload first user field wins", "POST", "/upload", "", twiceCT, twiceBody,
+			Route{Kind: KindUpload, Service: "MonteService", Owner: "bob"}, false},
 		{"upload GET passes through", "GET", "/upload", "", "", nil, Route{Kind: KindAny}, false},
 		{"upload bad content type", "POST", "/upload", "", "text/plain", nil, Route{}, true},
 		{"upload bad filename", "POST", "/upload", "", func() string {
@@ -113,7 +125,11 @@ func TestRouteKeyDeterministic(t *testing.T) {
 // FuzzRoutePath pins the gateway's parse-before-proxy contract: DecodeRoute
 // never panics, is deterministic (same request bytes can never route to two
 // different shards), rejects garbage with errBadRequest (the gateway's 400),
-// and every keyed route has a stable non-empty key component layout.
+// and every keyed route has a stable non-empty key component layout. For
+// POST /upload it is differential: whatever the bytes, the route names the
+// service and owner the portal's own reading of the form gives
+// (portal.UploadIdentity, which FuzzUploadIdentity in internal/portal holds
+// to readUploadForm), or both refuse.
 func FuzzRoutePath(f *testing.F) {
 	uploadCT, uploadBody := multipartUpload(f, "demo.gsh", "alice")
 	f.Add("POST", "/upload", "", uploadCT, uploadBody)
@@ -124,11 +140,25 @@ func FuzzRoutePath(f *testing.F) {
 	f.Add("GET", "/api/status", "a=%zz", "", []byte(nil))
 	f.Add("POST", "/upload", "", "multipart/form-data; boundary=x", []byte("--x--"))
 	f.Add("GET", "/\x00\xff", "=&=%", "garbage", []byte{0, 1, 2})
+	f.Add("POST", "/upload", "user=bob&user=carol", uploadCT, uploadBody)
+	twiceCT, twiceBody := multipartUpload(f, "demo.gsh", "bob", "alice")
+	f.Add("POST", "/upload", "a=%zz&user=", twiceCT, twiceBody)
+	f.Add("POST", "/upload", "", uploadCT, uploadBody[:len(uploadBody)-8])
 	f.Fuzz(func(t *testing.T, method, path, rawQuery, contentType string, body []byte) {
 		rt1, err1 := DecodeRoute(method, path, rawQuery, contentType, body)
 		rt2, err2 := DecodeRoute(method, path, rawQuery, contentType, body)
 		if (err1 == nil) != (err2 == nil) || rt1 != rt2 {
 			t.Fatalf("non-deterministic: %+v/%v vs %+v/%v", rt1, err1, rt2, err2)
+		}
+		if method == http.MethodPost && path == "/upload" {
+			fileName, user, err := portal.UploadIdentity(contentType, rawQuery, body)
+			service, nameErr := core.ServiceNameFor(fileName)
+			switch refused := err != nil || nameErr != nil; {
+			case refused != (err1 != nil):
+				t.Fatalf("the portal reads (%q, %q, %v, %v), the route is %+v, %v", fileName, user, err, nameErr, rt1, err1)
+			case !refused && (rt1.Service != service || rt1.Owner != user):
+				t.Fatalf("the portal publishes %s for %q, routed as %+v", service, user, rt1)
+			}
 		}
 		if err1 != nil {
 			// Every decode failure is the gateway's own 400.
@@ -139,7 +169,7 @@ func FuzzRoutePath(f *testing.F) {
 		}
 		switch rt1.Kind {
 		case KindAny, KindUpload, KindInvoke, KindService, KindSOAP,
-			KindDelete, KindTicket, KindServices, KindStats, KindRegistry:
+			KindDelete, KindTicket, KindServices, KindStats, KindAudit, KindRegistry:
 		default:
 			t.Fatalf("invalid kind %d", rt1.Kind)
 		}

@@ -3,11 +3,13 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
+	"repro/internal/portal"
 	"repro/internal/tenant"
 )
 
@@ -122,6 +124,58 @@ func TestFleetTenancyForwardsKeysAndMerges(t *testing.T) {
 	}
 	if okInvokes != 1 || denials != 1 {
 		t.Fatalf("fleet audit ok-invokes=%d denials=%d, want 1/1 (records: %+v)", okInvokes, denials, audit.Records)
+	}
+}
+
+// TestFleetTenancyFailoverReplaysAsTheUploader: a catalog replay is the
+// upload it replays — the uploader's key rides with it. Without the key a
+// shard with tenancy on refuses the replay 401, so neither the failover
+// redeploy nor Rejoin could work on such a fleet.
+func TestFleetTenancyFailoverReplaysAsTheUploader(t *testing.T) {
+	w := bootFleet(t, 2, func(cfg *Config) {
+		cfg.Appliance.Tenancy = fleetTenancyConfig()
+		cfg.FailThreshold = 2
+	})
+	front := portal.Client{Base: w.gw.BaseURL, Key: "acme-secret"}
+	rec, err := front.Upload(portal.UploadRequest{FileName: "failover.gsh", Content: []byte("echo f=${x}\n"), User: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := w.gw.PrimaryFor(rec.Name, "alice")
+	if err := w.gw.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	call := func() (portal.WaitReply, error) {
+		inv, status, err := front.Invoke(rec.Name, map[string]string{"x": "1"})
+		if err != nil || status != http.StatusOK {
+			return portal.WaitReply{}, fmt.Errorf("invoke: status %d: %v", status, err)
+		}
+		return front.Wait(inv.Ticket)
+	}
+	// The first attempt may die on a pooled connection, ambiguously, and
+	// is then not the gateway's to retry: the client asks again.
+	done, err := call()
+	for attempt := 1; err != nil && attempt < 5; attempt++ {
+		done, err = call()
+	}
+	if err != nil || done.State != "DONE" || done.Output != "f=1\n" {
+		t.Fatalf("failover invoke: %+v, %v", done, err)
+	}
+	if st := gatewayStats(t, w.gw); st.Redeploys < 1 {
+		t.Fatalf("no catalog replay onto the successor: %+v", st)
+	}
+	replayed := false
+	for _, rec := range w.gw.Fleet()[1-victim].OnServe.Tenancy().Audit("", 100) {
+		if rec.Code == "unauthorized" {
+			t.Errorf("the successor refused a %s as unauthorized: the replay showed no key", rec.Verb)
+		}
+		replayed = replayed || (rec.Verb == "upload" && rec.Owner == "acme" && rec.Outcome == "ok")
+	}
+	if !replayed {
+		t.Error("the successor's audit does not show the replayed upload under the uploader's owner")
+	}
+	if err := w.gw.Rejoin(victim); err != nil {
+		t.Fatalf("rejoin: %v", err)
 	}
 }
 

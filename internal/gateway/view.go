@@ -45,13 +45,6 @@ func (v *view) owner(name string) (string, bool) {
 	return rec.Owner, ok
 }
 
-func (v *view) lookup(name string) (uddi.Record, bool) {
-	v.mu.RLock()
-	rec, ok := v.recs[name]
-	v.mu.RUnlock()
-	return rec, ok
-}
-
 // list returns the whole view sorted by service name, matching the
 // deterministic order the appliances' own registry listings use so
 // replicated and authoritative listings compare stably.

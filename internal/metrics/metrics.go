@@ -103,9 +103,8 @@ func (r *Recorder) Account(k Kind, at time.Time, amount float64) {
 	if amount == 0 {
 		return
 	}
-	idx := r.index(at)
 	r.mu.Lock()
-	r.get(idx).vals[k] += amount
+	r.get(r.index(at)).vals[k] += amount // index reads the epoch Reset moves
 	r.mu.Unlock()
 }
 

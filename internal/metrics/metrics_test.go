@@ -256,3 +256,21 @@ func TestDefaultCostSane(t *testing.T) {
 		t.Fatalf("non-positive cost: %+v", c)
 	}
 }
+
+// TestResetRacesAccount: a server goroutine still accounting the bytes of
+// a reply while the experiment that read it resets the recorder. Run
+// under -race: Account used to read the epoch outside the lock.
+func TestResetRacesAccount(t *testing.T) {
+	clk, rec := newTestRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			rec.Account(NetOut, clk.Now(), 1)
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		rec.Reset()
+	}
+	<-done
+}

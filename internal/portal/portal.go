@@ -7,11 +7,14 @@
 package portal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"html/template"
 	"io"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -117,7 +120,7 @@ func (p *Portal) home(w http.ResponseWriter, r *http.Request) {
 // server, and the onServe function generates and publishes the service.
 func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
 	// The key rides in the header block, so authentication happens
@@ -135,7 +138,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, sizedio.ErrTooLarge) || errors.As(err, &tooLarge) {
 			status, err = http.StatusRequestEntityTooLarge, errors.New("portal: file too large")
 		}
-		jsonError(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
 	// Reception CPU (Fig. 8): proportional to the upload size.
@@ -180,7 +183,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	rec, err := p.onserve.UploadAndGenerateCtx(user, form.fileName, description, params, form.content, adm.ParentFor(tc))
 	if err != nil {
 		adm.Finish("", err)
-		jsonError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	// Optional comma-separated stage-in declaration: input files the
@@ -194,7 +197,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := p.onserve.SetStageIn(rec.Name, files); err != nil {
 			adm.Finish("", err)
-			jsonError(w, statusFor(err), err)
+			WriteError(w, statusFor(err), err)
 			return
 		}
 	}
@@ -207,6 +210,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 // the fleet gateway buffers up to (its maxBody).
 const (
 	maxFieldBytes = 1 << 20
+	maxUserBytes  = 4 << 10
 	maxUploadBody = MaxUploadBytes + maxFieldBytes
 )
 
@@ -219,58 +223,110 @@ type uploadForm struct {
 	fields url.Values
 }
 
-// readUploadForm streams the multipart body part by part. The file part
-// is read once, into one buffer sized from Content-Length (a few hundred
-// bytes of framing more than the file); nothing is staged in a second
-// buffer or spilled to a temp file, and a body past maxUploadBody is cut
-// off by http.MaxBytesReader before it is buffered. Parts may come in
-// any order; as in mime/multipart's ReadForm, a part without a filename
-// and without a Content-Type is a text field and the first file part
-// named "file" is the upload.
-func readUploadForm(w http.ResponseWriter, r *http.Request) (*uploadForm, error) {
-	if r.ContentLength > maxUploadBody {
-		return nil, sizedio.ErrTooLarge
+// formParts opens an upload body as the multipart form its content type
+// declares, under the rules of http.Request.MultipartReader.
+func formParts(contentType string, body io.Reader) (*multipart.Reader, error) {
+	mediaType, params, err := mime.ParseMediaType(contentType)
+	if err != nil || (mediaType != "multipart/form-data" && mediaType != "multipart/mixed") {
+		return nil, fmt.Errorf("portal: parse form: %w", http.ErrNotMultipart)
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxUploadBody)
-	mr, err := r.MultipartReader()
-	if err != nil {
-		return nil, fmt.Errorf("portal: parse form: %w", err)
+	boundary, ok := params["boundary"]
+	if !ok {
+		return nil, fmt.Errorf("portal: parse form: %w", http.ErrMissingBoundary)
 	}
-	form := &uploadForm{fields: r.URL.Query()}
+	return multipart.NewReader(body, boundary), nil
+}
+
+// walkUploadForm reads an upload body part by part, in any order, and is
+// the one place the form's rules live. As in mime/multipart's ReadForm, a
+// part without a filename and without a Content-Type is a text field: it
+// is read under the form's budget (maxFieldBytes over all names and
+// values, maxUserBytes for one "user") and handed to field. The first
+// other part named "file" is the upload and goes to file unread; what
+// file leaves of it, and every other part, is skipped. A body that does
+// not parse to its closing boundary, or carries no file, is an error.
+// Callers that collect the fields behind the query string's values and
+// take the first of each give the query the precedence r.FormValue does.
+func walkUploadForm(mr *multipart.Reader, field func(name, value string), file func(fileName string, content io.Reader) error) error {
 	haveFile := false
-	fieldBudget := int64(maxFieldBytes)
+	budget := int64(maxFieldBytes)
 	for {
 		part, err := mr.NextPart()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("portal: parse form: %w", err)
+			return fmt.Errorf("portal: parse form: %w", err)
 		}
 		name := part.FormName()
 		if _, typed := part.Header["Content-Type"]; !typed && part.FileName() == "" && name != "" {
-			fieldBudget -= int64(len(name))
-			if fieldBudget < 0 {
-				return nil, sizedio.ErrTooLarge
+			if budget -= int64(len(name)); budget < 0 {
+				return sizedio.ErrTooLarge
 			}
-			value, err := sizedio.ReadAll(part, -1, fieldBudget)
+			limit := budget
+			if name == "user" {
+				limit = min(limit, maxUserBytes)
+			}
+			value, err := sizedio.ReadAll(part, -1, limit)
 			if err != nil {
-				return nil, fmt.Errorf("portal: parse form: %w", err)
+				return fmt.Errorf("portal: parse form: %w", err)
 			}
-			fieldBudget -= int64(len(value))
-			form.fields.Add(name, string(value))
+			budget -= int64(len(value))
+			field(name, string(value))
 		} else if name == "file" && !haveFile {
-			form.content, err = sizedio.ReadAll(part, min(r.ContentLength, MaxUploadBytes), MaxUploadBytes)
-			if err != nil {
-				return nil, fmt.Errorf("portal: parse form: %w", err)
+			haveFile = true
+			if err := file(part.FileName(), part); err != nil {
+				return fmt.Errorf("portal: parse form: %w", err)
 			}
-			form.fileName, haveFile = part.FileName(), true
 		}
 	}
 	if !haveFile {
-		return nil, fmt.Errorf("portal: missing file: %w", http.ErrMissingFile)
+		return fmt.Errorf("portal: missing file: %w", http.ErrMissingFile)
 	}
-	return form, nil
+	return nil
+}
+
+// readUploadForm streams the multipart body through walkUploadForm. The
+// file part is read once, into one buffer sized from Content-Length (a
+// few hundred bytes of framing more than the file); nothing is staged in
+// a second buffer or spilled to a temp file, and a body past
+// maxUploadBody is cut off by http.MaxBytesReader before it is buffered.
+func readUploadForm(w http.ResponseWriter, r *http.Request) (*uploadForm, error) {
+	if r.ContentLength > maxUploadBody {
+		return nil, sizedio.ErrTooLarge
+	}
+	mr, err := formParts(r.Header.Get("Content-Type"), http.MaxBytesReader(w, r.Body, maxUploadBody))
+	if err != nil {
+		return nil, err
+	}
+	form := &uploadForm{fields: r.URL.Query()}
+	err = walkUploadForm(mr, form.fields.Add, func(fileName string, content io.Reader) (err error) {
+		form.fileName = fileName
+		form.content, err = sizedio.ReadAll(content, min(r.ContentLength, MaxUploadBytes), MaxUploadBytes)
+		return err
+	})
+	return form, err
+}
+
+// UploadIdentity reads from an /upload request what names the service it
+// will publish: the uploaded file's name and the user, as readUploadForm
+// finds them (the same walk, so the two cannot disagree) but without
+// copying the file. The fleet gateway routes uploads by it.
+func UploadIdentity(contentType, rawQuery string, body []byte) (fileName, user string, err error) {
+	mr, err := formParts(contentType, bytes.NewReader(body))
+	if err != nil {
+		return "", "", err
+	}
+	fields, _ := url.ParseQuery(rawQuery) // what parses, as URL.Query has it
+	err = walkUploadForm(mr, func(name, value string) {
+		if name == "user" {
+			fields.Add(name, value)
+		}
+	}, func(name string, _ io.Reader) error {
+		fileName = name
+		return nil
+	})
+	return fileName, fields.Get("user"), err
 }
 
 var registryTmpl = template.Must(template.New("registry").Parse(`<!DOCTYPE html>
@@ -298,7 +354,12 @@ func (p *Portal) registryPage(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "registry browsing not enabled", http.StatusNotFound)
 		return
 	}
-	recs := p.registry.Find(r.URL.Query().Get("pattern"))
+	WriteRegistryPage(w, p.registry.Find(r.URL.Query().Get("pattern")))
+}
+
+// WriteRegistryPage renders the registry browser over recs; the fleet
+// gateway serves its replicated view through the same page.
+func WriteRegistryPage(w http.ResponseWriter, recs []uddi.Record) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	registryTmpl.Execute(w, recs)
 }
@@ -309,7 +370,7 @@ func (p *Portal) registryPage(w http.ResponseWriter, r *http.Request) {
 // UDDI '%' wildcard.
 func (p *Portal) apiRegistry(w http.ResponseWriter, r *http.Request) {
 	if p.registry == nil {
-		jsonError(w, http.StatusNotFound, errors.New("portal: no registry"))
+		WriteError(w, http.StatusNotFound, errors.New("portal: no registry"))
 		return
 	}
 	recs := p.registry.Find(r.URL.Query().Get("pattern"))
@@ -412,17 +473,17 @@ func (p *Portal) apiClient(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	info, err := p.onserve.ServiceInfo(name)
 	if err != nil {
-		jsonError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	proxy, err := wsclient.ImportURL(info.Endpoint, nil)
 	if err != nil {
-		jsonError(w, http.StatusBadGateway, err)
+		WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	stub, err := wsclient.GenerateStub(proxy.Def)
 	if err != nil {
-		jsonError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/x-go; charset=utf-8")
@@ -434,7 +495,7 @@ func (p *Portal) apiOutputFile(w http.ResponseWriter, r *http.Request) {
 	data, err := p.onserve.InvocationOutputFile(
 		r.URL.Query().Get("ticket"), r.URL.Query().Get("name"))
 	if err != nil {
-		jsonError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -504,7 +565,7 @@ func (p *Portal) apiTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	spans, err := p.onserve.InvocationTrace(ticket)
 	if err != nil {
-		jsonError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	if spans == nil {
@@ -516,7 +577,7 @@ func (p *Portal) apiTrace(w http.ResponseWriter, r *http.Request) {
 func (p *Portal) apiServices(w http.ResponseWriter, r *http.Request) {
 	services, err := p.onserve.Services()
 	if err != nil {
-		jsonError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, services)
@@ -525,7 +586,7 @@ func (p *Portal) apiServices(w http.ResponseWriter, r *http.Request) {
 func (p *Portal) apiService(w http.ResponseWriter, r *http.Request) {
 	info, err := p.onserve.ServiceInfo(r.URL.Query().Get("name"))
 	if err != nil {
-		jsonError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -533,7 +594,7 @@ func (p *Portal) apiService(w http.ResponseWriter, r *http.Request) {
 
 func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
 	pr, ok := p.authenticate(w, tenant.VerbInvoke, r)
@@ -541,12 +602,9 @@ func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.probe.Burn(p.cost.RequestHandling)
-	var req struct {
-		Service string            `json:"service"`
-		Args    map[string]string `json:"args"`
-	}
+	var req InvokeRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	tc, _ := trace.Parse(r.Header.Get(trace.Header))
@@ -558,7 +616,7 @@ func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		adm.Release()
 		adm.Finish("", err)
-		jsonError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	if adm != nil {
@@ -572,30 +630,40 @@ func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	adm.Finish(inv.Ticket, nil)
-	writeJSON(w, http.StatusOK, invokeReply{JobID: inv.JobID, Site: inv.Site, Ticket: inv.Ticket})
+	writeJSON(w, http.StatusOK, InvokeReply{JobID: inv.JobID, Site: inv.Site, Ticket: inv.Ticket})
 }
 
-// invokeReply and waitReply are the bodies of /api/invoke and /api/wait,
+// InvokeRequest is the body of POST /api/invoke. The wire's documents
+// are exported so that whoever speaks it — Client, the fleet gateway's
+// route decoder — names the portal's own types instead of re-declaring
+// them.
+type InvokeRequest struct {
+	Service string            `json:"service"`
+	Args    map[string]string `json:"args"`
+}
+
+// InvokeReply and WaitReply are the bodies of /api/invoke and /api/wait,
 // the two replies every invocation through the JSON door gets. They were
 // map[string]string; the fields are declared in the order encoding/json
 // sorts map keys, so the bytes are the same without the sort and the
 // reflective map walk.
-type invokeReply struct {
+type InvokeReply struct {
 	JobID  string `json:"job_id"`
 	Site   string `json:"site"`
 	Ticket string `json:"ticket"`
 }
 
-type waitReply struct {
+type WaitReply struct {
 	Message string `json:"message"`
 	Output  string `json:"output"`
 	State   string `json:"state"`
 }
 
-// cancelReply, deleteReply and errorReply are the bodies of /api/cancel,
+// cancelReply, deleteReply and ErrorReply are the bodies of /api/cancel,
 // /api/delete and every error envelope, maps until they followed the two
-// above; errorReply declares "code" before "error" because that is the
-// order a map's keys were written in.
+// above; ErrorReply declares "code" before "error" because that is the
+// order a map's keys were written in. AuditReply, the body of /api/audit,
+// is in that order for the same reason.
 type cancelReply struct {
 	State string `json:"state"`
 }
@@ -604,15 +672,20 @@ type deleteReply struct {
 	Deleted string `json:"deleted"`
 }
 
-type errorReply struct {
+type ErrorReply struct {
 	Code  string `json:"code"`
 	Error string `json:"error"`
+}
+
+type AuditReply struct {
+	Dropped uint64          `json:"dropped"`
+	Records []tenant.Record `json:"records"`
 }
 
 func (p *Portal) withInvocation(w http.ResponseWriter, r *http.Request, fn func(*core.Invocation)) {
 	inv, err := p.onserve.Invocation(r.URL.Query().Get("ticket"))
 	if err != nil {
-		jsonError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	fn(inv)
@@ -622,7 +695,7 @@ func (p *Portal) apiStatus(w http.ResponseWriter, r *http.Request) {
 	p.withInvocation(w, r, func(inv *core.Invocation) {
 		s, err := inv.StatusJSON()
 		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -640,13 +713,13 @@ func (p *Portal) apiOutput(w http.ResponseWriter, r *http.Request) {
 func (p *Portal) apiWait(w http.ResponseWriter, r *http.Request) {
 	p.withInvocation(w, r, func(inv *core.Invocation) {
 		<-inv.DoneChan()
-		writeJSON(w, http.StatusOK, waitReply{Message: inv.Message(), Output: inv.Output(), State: string(inv.State())})
+		writeJSON(w, http.StatusOK, WaitReply{Message: inv.Message(), Output: inv.Output(), State: string(inv.State())})
 	})
 }
 
 func (p *Portal) apiCancel(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
 	pr, ok := p.authenticate(w, tenant.VerbCancel, r)
@@ -662,7 +735,7 @@ func (p *Portal) apiCancel(w http.ResponseWriter, r *http.Request) {
 		err := p.onserve.CancelInvocation(inv.Ticket)
 		adm.Finish(inv.Ticket, err)
 		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, cancelReply{State: "cancelling"})
@@ -671,7 +744,7 @@ func (p *Portal) apiCancel(w http.ResponseWriter, r *http.Request) {
 
 func (p *Portal) apiDelete(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
 	pr, ok := p.authenticate(w, tenant.VerbDelete, r)
@@ -686,7 +759,7 @@ func (p *Portal) apiDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := p.onserve.DeleteService(name); err != nil {
 		adm.Finish("", err)
-		jsonError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	adm.Finish("", nil)
@@ -712,7 +785,7 @@ func (p *Portal) apiAudit(w http.ResponseWriter, r *http.Request) {
 	if recs == nil {
 		recs = []tenant.Record{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"records": recs, "dropped": ctl.AuditDropped()})
+	writeJSON(w, http.StatusOK, AuditReply{Dropped: ctl.AuditDropped(), Records: recs})
 }
 
 // authenticate resolves the X-Grid-Key header to a principal before
@@ -725,7 +798,7 @@ func (p *Portal) authenticate(w http.ResponseWriter, verb tenant.Verb, r *http.R
 	}
 	pr, err := ctl.Authenticate(r.Header.Get(tenant.KeyHeader), verb)
 	if err != nil {
-		jsonError(w, http.StatusUnauthorized, err)
+		WriteError(w, http.StatusUnauthorized, err)
 		return tenant.Principal{}, false
 	}
 	return pr, true
@@ -741,7 +814,7 @@ func (p *Portal) admit(w http.ResponseWriter, pr tenant.Principal, verb tenant.V
 	}
 	adm, err := ctl.Admit(pr, verb, service, tc)
 	if err != nil {
-		jsonError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return nil, false
 	}
 	return adm, true
@@ -803,10 +876,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// jsonError writes the API error envelope {"error":..., "code":...}.
+// WriteError writes the API error envelope {"error":..., "code":...}.
 // HTML pages (/, /registry, /trace) keep their plain responses; every
-// /api/* and /upload error speaks this envelope, and the fleet
-// gateway passes it through verbatim.
-func jsonError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorReply{Code: errCode(status, err), Error: err.Error()})
+// /api/* and /upload error speaks this envelope, and the fleet gateway
+// passes it through verbatim and writes its own refusals with it.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, ErrorReply{Code: errCode(status, err), Error: err.Error()})
 }

@@ -762,11 +762,11 @@ func TestHotRepliesRenderLikeTheMaps(t *testing.T) {
 	}
 	for i, a := range awkward {
 		b, c := awkward[(i+1)%len(awkward)], awkward[(i+2)%len(awkward)]
-		got := render(invokeReply{JobID: a, Site: b, Ticket: c})
+		got := render(InvokeReply{JobID: a, Site: b, Ticket: c})
 		if want := render(map[string]string{"ticket": c, "job_id": a, "site": b}); got != want {
 			t.Errorf("invoke reply %q, the map gave %q", got, want)
 		}
-		got = render(waitReply{Message: a, Output: b, State: c})
+		got = render(WaitReply{Message: a, Output: b, State: c})
 		if want := render(map[string]string{"state": c, "message": a, "output": b}); got != want {
 			t.Errorf("wait reply %q, the map gave %q", got, want)
 		}
@@ -793,7 +793,7 @@ func TestErrorCancelDeleteRepliesRenderLikeTheMaps(t *testing.T) {
 	if got, want := render(http.StatusOK, asJSON(cancelReply{State: "cancelling"})), `{"state":"cancelling"}`+"\n"; got != want {
 		t.Errorf("cancel reply %q, want %q", got, want)
 	}
-	got := render(http.StatusNotFound, func(w http.ResponseWriter) { jsonError(w, http.StatusNotFound, core.ErrNoSuchService) })
+	got := render(http.StatusNotFound, func(w http.ResponseWriter) { WriteError(w, http.StatusNotFound, core.ErrNoSuchService) })
 	if want := `{"code":"not_found","error":"` + core.ErrNoSuchService.Error() + `"}` + "\n"; got != want {
 		t.Errorf("error envelope %q, want %q", got, want)
 	}
@@ -801,7 +801,7 @@ func TestErrorCancelDeleteRepliesRenderLikeTheMaps(t *testing.T) {
 		if got, want := render(http.StatusOK, asJSON(deleteReply{Deleted: s})), render(http.StatusOK, asJSON(map[string]string{"deleted": s})); got != want {
 			t.Errorf("delete reply %q, the map gave %q", got, want)
 		}
-		got := render(http.StatusBadRequest, func(w http.ResponseWriter) { jsonError(w, http.StatusBadRequest, errors.New(s)) })
+		got := render(http.StatusBadRequest, func(w http.ResponseWriter) { WriteError(w, http.StatusBadRequest, errors.New(s)) })
 		want := render(http.StatusBadRequest, func(w http.ResponseWriter) {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": s, "code": "bad_request"})
 		})

@@ -256,3 +256,33 @@ func FuzzUploadForm(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUploadIdentity holds UploadIdentity — what the fleet gateway routes
+// an upload by — to readUploadForm, what the appliance publishes it by:
+// whatever the bytes and the query, both refuse or both name the same
+// file and user.
+func FuzzUploadIdentity(f *testing.F) {
+	ctype, body := buildForm(f, []formPart{{"user", "", "bob"}, {"file", "a.gsh", "echo x\n"}, {"user", "", "alice"}})
+	boundary := strings.TrimPrefix(ctype, "multipart/form-data; boundary=")
+	f.Add("multipart/form-data; boundary="+boundary, "", body)
+	f.Add("multipart/form-data; boundary="+boundary, "user=carol&user=dave", body)
+	f.Add("multipart/form-data; boundary="+boundary, "user=&a=%zz", body)
+	f.Add("multipart/mixed; boundary="+boundary, "x=1", body[:len(body)-8])
+	f.Add("multipart/form-data; boundary=b", "", []byte("--b\r\nContent-Disposition: form-data; name=\"file\"\r\nContent-Type: text/plain\r\n\r\nx\r\n--b\r\nContent-Disposition: form-data; name=\"user\"; filename=\"u\"\r\n\r\neve\r\n--b--"))
+	f.Add("multipart/form-data; boundary=b", "", []byte("--b\r\nContent-Disposition: form-data; name=\"user\"\r\n\r\n"+strings.Repeat("u", maxUserBytes+1)+"\r\n--b--"))
+	f.Add("multipart/related; boundary=b", "", []byte("--b--"))
+	f.Add("text/plain", "user=q", []byte(nil))
+	f.Fuzz(func(t *testing.T, contentType, rawQuery string, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/upload", bytes.NewReader(body))
+		req.URL.RawQuery = rawQuery
+		req.Header.Set("Content-Type", contentType)
+		form, formErr := readUploadForm(httptest.NewRecorder(), req)
+		fileName, user, err := UploadIdentity(contentType, rawQuery, body)
+		if (err != nil) != (formErr != nil) {
+			t.Fatalf("readUploadForm: %v, UploadIdentity: %v", formErr, err)
+		}
+		if err == nil && (fileName != form.fileName || user != form.fields.Get("user")) {
+			t.Fatalf("the form is file %q of user %q, the identity file %q of user %q", form.fileName, form.fields.Get("user"), fileName, user)
+		}
+	})
+}

@@ -30,7 +30,11 @@ go test -race -short ./...
 # possession probes, TTL cache + singleflight, background replicator
 # workers — the agent carries the batched probe client), and the fleet
 # gateway (concurrent bursts racing a mid-burst appliance kill and
-# rejoin: health FSM transitions fed by probes and proxies at once,
+# rejoin: health FSM transitions fed by the prober and by ask — the one
+# place proxied traffic counts for or against a member — at once,
+# gather's goroutines writing index-aligned replies, the bounded ticket
+# table stored into by invokes while waits load from it, a tenancy-on
+# failover replaying the catalogued upload under the uploader's key,
 # the replicated UDDI view upserted by a proxied upload while reads of
 # GET /gateway/uddi list it), the trust store (gatekeeper and GridFTP handlers verifying chains
 # against one memo while a root is added), and the tenant control plane
@@ -48,8 +52,14 @@ go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./
 # globs), so both must never panic.
 go test -run='^$' -fuzz=FuzzKeyHeader -fuzztime=5s ./internal/tenant
 go test -run='^$' -fuzz=FuzzPolicyMatch -fuzztime=5s ./internal/tenant
-# The upload door decodes an attacker's multipart body by hand.
+# The upload door decodes an attacker's multipart body by hand, and the
+# fleet gateway routes that body by what the same walk says of it:
+# FuzzUploadIdentity holds the routing identity to the form the appliance
+# reads, FuzzRoutePath holds DecodeRoute to the identity (differential:
+# equal, or both refuse).
 go test -run='^$' -fuzz=FuzzUploadForm -fuzztime=5s ./internal/portal
+go test -run='^$' -fuzz=FuzzUploadIdentity -fuzztime=5s ./internal/portal
+go test -run='^$' -fuzz=FuzzRoutePath -fuzztime=5s ./internal/gateway
 # The push collector stores output bytes taken from a gatekeeper's event
 # frame, and both SOAP doors decode whatever envelope arrives — with a
 # hand-written decoder that FuzzDecode holds, differentially, to the
@@ -89,10 +99,10 @@ go run ./cmd/experiments -fig 6 -out "$smoke"
 test -s "$smoke/fig6.csv"
 rm -rf "$smoke"
 
-# Not a gate, two numbers: the non-test lines of the three packages
-# ROADMAP item 4 wants smaller, and of the evaluation harness alone,
-# counted the same way every time so each PR's CHANGES.md line can quote
-# them.
+# Not a gate, three numbers: the non-test lines of the three packages
+# ROADMAP item 4 wants smaller, of the evaluation harness alone, and of
+# the front door (gateway, portal and its one client's CLI), counted the
+# same way every time so each PR's CHANGES.md line can quote them.
 set +x
 count() { find "$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
-echo "non-test Go lines, internal/core + internal/blobdb + internal/experiments: $(count internal/core internal/blobdb internal/experiments); internal/experiments + cmd/experiments: $(count internal/experiments cmd/experiments)"
+echo "non-test Go lines, internal/core + internal/blobdb + internal/experiments: $(count internal/core internal/blobdb internal/experiments); internal/experiments + cmd/experiments: $(count internal/experiments cmd/experiments); internal/gateway + internal/portal + cmd/onserve-cli: $(count internal/gateway internal/portal cmd/onserve-cli)"
