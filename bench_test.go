@@ -99,244 +99,180 @@ func BenchmarkManySmallJobs(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDoubleWrite compares the paper's temp-file+DB store
-// path against direct streaming (§VIII-D3).
-func BenchmarkAblationDoubleWrite(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationDoubleWrite(benchOpts(), 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "double-write", "stock", "disk_write_total_kb", "stock_disk_kb")
-		report(b, res, "double-write", "direct", "disk_write_total_kb", "direct_disk_kb")
+// metric is one reported quantity of an ablation benchmark: the result
+// row it reads and the unit it is reported under.
+type metric struct{ study, variant, metric, unit string }
+
+// ablationBenches is every benchmark that runs one ablation study and
+// reports rows of its result: `go test -bench=Ablation/SubmitStock`.
+var ablationBenches = []struct {
+	name    string
+	run     func() (*experiments.AblationResult, error)
+	metrics []metric
+}{
+	// The paper's temp-file+DB store path against direct streaming
+	// (§VIII-D3).
+	{"DoubleWrite", func() (*experiments.AblationResult, error) {
+		return experiments.AblationDoubleWrite(benchOpts(), 1024)
+	}, []metric{
+		{"double-write", "stock", "disk_write_total_kb", "stock_disk_kb"},
+		{"double-write", "direct", "disk_write_total_kb", "direct_disk_kb"},
+	}},
+	// Per-invocation re-upload against the content-hash staging cache
+	// (§VIII-B's suggested improvement).
+	{"StagingCache", func() (*experiments.AblationResult, error) {
+		return experiments.AblationStagingCache(benchOpts(), 512, 3)
+	}, []metric{
+		{"staging-cache", "stock", "net_out_total_kb", "stock_wan_kb"},
+		{"staging-cache", "cache", "net_out_total_kb", "cache_wan_kb"},
+	}},
+	// The tentative-poll interval sweep.
+	{"Polling", func() (*experiments.AblationResult, error) {
+		return experiments.AblationPolling(benchOpts(), []time.Duration{3 * time.Second, 30 * time.Second})
+	}, []metric{
+		{"poll-interval", "3s", "poll_disk_write_kb", "poll3s_disk_kb"},
+		{"poll-interval", "30s", "poll_disk_write_kb", "poll30s_disk_kb"},
+	}},
+	// The database compression cost model (the Fig. 6 decompress CPU
+	// peak's knob).
+	{"Compression", func() (*experiments.AblationResult, error) {
+		return experiments.AblationCompression(benchOpts(), 2048)
+	}, []metric{
+		{"compression", "fast-8MBps", "upload_cpu_total_s", "fast_cpu_s"},
+		{"compression", "slow-512KBps", "upload_cpu_total_s", "slow_cpu_s"},
+	}},
+	// The paper-faithful invocation pipeline (fresh MyProxy logon, stats
+	// fetch and blob decompress per invocation) — the baseline the warm
+	// benchmark is compared against.
+	{"InvokeHotPathCold", hotPath("stock"), []metric{
+		{"hot-path", "stock", "per_invoke_s", "virtual_s/invoke"},
+		{"hot-path", "stock", "net_out_total_kb", "grid_kb"},
+	}},
+	// The same workload with the session cache, stats TTL and blob LRU
+	// on: repeat invocations skip the logon, the stats round-trip and the
+	// decompress.
+	{"InvokeHotPathWarm", hotPath("warm"), []metric{
+		{"hot-path", "warm", "per_invoke_s", "virtual_s/invoke"},
+		{"hot-path", "warm", "net_out_total_kb", "grid_kb"},
+	}},
+	// The three hot-path levers, each alone.
+	{"SessionCache", hotPath("stock", "session-cache"), []metric{
+		{"hot-path", "stock", "net_out_total_kb", "stock_grid_kb"},
+		{"hot-path", "session-cache", "net_out_total_kb", "cached_grid_kb"},
+	}},
+	{"StatsTTL", hotPath("stock", "stats-ttl"), []metric{
+		{"hot-path", "stock", "net_out_total_kb", "stock_grid_kb"},
+		{"hot-path", "stats-ttl", "net_out_total_kb", "ttl_grid_kb"},
+	}},
+	{"BlobLRU", hotPath("stock", "blob-lru"), []metric{
+		{"hot-path", "stock", "cpu_total_s", "stock_cpu_s"},
+		{"hot-path", "blob-lru", "cpu_total_s", "lru_cpu_s"},
+	}},
+	// The output-collection workload (many simultaneous mostly-silent
+	// invocations) under the paper's one-poller-goroutine-per-invocation
+	// loop: one status round-trip and one full stdout re-fetch per
+	// invocation per tick.
+	{"PollHubStock", pollHub("stock"), []metric{
+		{"poll-hub", "stock", "status_rpcs", "status_rpcs"},
+		{"poll-hub", "stock", "output_bytes_kb", "output_kb"},
+	}},
+	// The sharded poll hub: one batched status RPC per shard tick, stdout
+	// fetched only when its version changed.
+	{"PollHubSharded", pollHub("hub"), []metric{
+		{"poll-hub", "hub", "status_rpcs", "status_rpcs"},
+		{"poll-hub", "hub", "output_bytes_kb", "output_kb"},
+		{"poll-hub", "hub", "output_not_modified", "not_modified"},
+	}},
+	// The push collector: state transitions and output bumps arrive over
+	// one gatekeeper event stream per session, so steady-state status
+	// RPCs collapse to (at most) the handful spent bootstrapping streams.
+	{"PushEvents", pollHub("push"), []metric{
+		{"poll-hub", "push", "status_rpcs", "status_rpcs"},
+		{"poll-hub", "push", "events_delivered", "events"},
+		{"poll-hub", "push", "detect_latency_s", "detect_s"},
+	}},
+	// The submission workload (a simultaneous cold burst of one service)
+	// under the paper's front-end: one stats RPC, one WAN staging upload
+	// and one submit RPC per invocation.
+	{"SubmitStock", submit("stock"), []metric{
+		{"submit", "stock", "uploads", "uploads"},
+		{"submit", "stock", "submit_rpcs", "submit_rpcs"},
+		{"submit", "stock", "stats_rpcs", "stats_rpcs"},
+	}},
+	// The same burst with coalesced staging and the stats singleflight.
+	{"SubmitCoalesced", submit("coalesced"), []metric{
+		{"submit", "coalesced", "uploads", "uploads"},
+		{"submit", "coalesced", "uploads_coalesced", "coalesced"},
+		{"submit", "coalesced", "submit_rpcs", "submit_rpcs"},
+		{"submit", "coalesced", "stats_rpcs", "stats_rpcs"},
+	}},
+	// The staging data plane under the paper's monolithic uncompressed
+	// PUT: the whole executable crosses the WAN on every cold staging and
+	// again in full after any fault.
+	{"StageStock", stage("stock"), []metric{
+		{"stage-cold", "stock", "stage_s", "stage_virtual_s"},
+		{"stage-cold", "stock", "wan_wire_b", "wan_wire_b"},
+		{"stage-resume", "stock", "retry_wire_b", "retry_wire_b"},
+	}},
+	// Chunked content-addressed staging shipping the stored gzip stream:
+	// fewer cold wire bytes by the payload's gzip ratio, and a faulted
+	// transfer resumes from its committed chunks.
+	{"StageChunked", stage("chunked-gzip"), []metric{
+		{"stage-cold", "chunked-gzip", "stage_s", "stage_virtual_s"},
+		{"stage-cold", "chunked-gzip", "wan_wire_b", "wan_wire_b"},
+		{"stage-cold", "chunked-gzip", "chunks_shipped", "chunks_shipped"},
+		{"stage-resume", "chunked", "retry_wire_b", "retry_wire_b"},
+	}},
+	// The stock one-write-per-put WAL path against batched group commit
+	// (real time, on-disk WAL).
+	{"WALGroupCommit", func() (*experiments.AblationResult, error) {
+		return experiments.AblationGroupCommit(64, 8, 16)
+	}, []metric{
+		{"group-commit", "stock", "wal_writes", "stock_wal_writes"},
+		{"group-commit", "group", "wal_writes", "group_wal_writes"},
+		{"group-commit", "group", "wal_syncs", "group_wal_syncs"},
+	}},
+}
+
+func hotPath(variants ...string) func() (*experiments.AblationResult, error) {
+	return func() (*experiments.AblationResult, error) {
+		return experiments.AblationHotPath(benchOpts(), 256, 3, variants...)
 	}
 }
 
-// BenchmarkAblationStagingCache compares per-invocation re-upload against
-// the content-hash staging cache (§VIII-B's suggested improvement).
-func BenchmarkAblationStagingCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationStagingCache(benchOpts(), 512, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "staging-cache", "stock", "net_out_total_kb", "stock_wan_kb")
-		report(b, res, "staging-cache", "cache", "net_out_total_kb", "cache_wan_kb")
+func pollHub(variant string) func() (*experiments.AblationResult, error) {
+	return func() (*experiments.AblationResult, error) {
+		return experiments.AblationPollHub(benchOpts(), 16, variant)
 	}
 }
 
-// BenchmarkAblationPolling sweeps the tentative-poll interval.
-func BenchmarkAblationPolling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationPolling(benchOpts(),
-			[]time.Duration{3 * time.Second, 30 * time.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "poll-interval", "3s", "poll_disk_write_kb", "poll3s_disk_kb")
-		report(b, res, "poll-interval", "30s", "poll_disk_write_kb", "poll30s_disk_kb")
+func submit(variant string) func() (*experiments.AblationResult, error) {
+	return func() (*experiments.AblationResult, error) {
+		return experiments.AblationSubmit(benchOpts(), 16, variant)
 	}
 }
 
-// BenchmarkAblationCompression sweeps the database compression cost
-// model (the Fig. 6 decompress CPU peak's knob).
-func BenchmarkAblationCompression(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationCompression(benchOpts(), 2048)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "compression", "fast-8MBps", "upload_cpu_total_s", "fast_cpu_s")
-		report(b, res, "compression", "slow-512KBps", "upload_cpu_total_s", "slow_cpu_s")
+func stage(variant string) func() (*experiments.AblationResult, error) {
+	return func() (*experiments.AblationResult, error) {
+		return experiments.AblationStage(benchOpts(), 256, variant)
 	}
 }
 
-// BenchmarkInvokeHotPathCold runs the paper-faithful invocation pipeline
-// (fresh MyProxy logon, stats fetch and blob decompress per invocation)
-// — the baseline the warm benchmark is compared against.
-func BenchmarkInvokeHotPathCold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationHotPath(benchOpts(), 256, 3, "stock")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "hot-path", "stock", "per_invoke_s", "virtual_s/invoke")
-		report(b, res, "hot-path", "stock", "net_out_total_kb", "grid_kb")
-	}
-}
-
-// BenchmarkInvokeHotPathWarm runs the same workload with the session
-// cache, stats TTL and blob LRU on: repeat invocations skip the logon,
-// the stats round-trip and the decompress.
-func BenchmarkInvokeHotPathWarm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationHotPath(benchOpts(), 256, 3, "warm")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "hot-path", "warm", "per_invoke_s", "virtual_s/invoke")
-		report(b, res, "hot-path", "warm", "net_out_total_kb", "grid_kb")
-	}
-}
-
-// BenchmarkAblationSessionCache isolates the per-owner session cache
-// lever of the hot-path overhaul.
-func BenchmarkAblationSessionCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationHotPath(benchOpts(), 256, 3, "stock", "session-cache")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "hot-path", "stock", "net_out_total_kb", "stock_grid_kb")
-		report(b, res, "hot-path", "session-cache", "net_out_total_kb", "cached_grid_kb")
-	}
-}
-
-// BenchmarkAblationStatsTTL isolates the grid-stats snapshot TTL lever.
-func BenchmarkAblationStatsTTL(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationHotPath(benchOpts(), 256, 3, "stock", "stats-ttl")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "hot-path", "stock", "net_out_total_kb", "stock_grid_kb")
-		report(b, res, "hot-path", "stats-ttl", "net_out_total_kb", "ttl_grid_kb")
-	}
-}
-
-// BenchmarkAblationBlobLRU isolates the decompressed-blob LRU lever (the
-// Fig. 6 repeat-decompress CPU peak).
-func BenchmarkAblationBlobLRU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationHotPath(benchOpts(), 256, 3, "stock", "blob-lru")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "hot-path", "stock", "cpu_total_s", "stock_cpu_s")
-		report(b, res, "hot-path", "blob-lru", "cpu_total_s", "lru_cpu_s")
-	}
-}
-
-// BenchmarkPollHubStock runs the output-collection workload (many
-// simultaneous mostly-silent invocations) under the paper's
-// one-poller-goroutine-per-invocation loop: one status round-trip and
-// one full stdout re-fetch per invocation per tick.
-func BenchmarkPollHubStock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationPollHub(benchOpts(), 16, "stock")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "poll-hub", "stock", "status_rpcs", "status_rpcs")
-		report(b, res, "poll-hub", "stock", "output_bytes_kb", "output_kb")
-	}
-}
-
-// BenchmarkPollHubSharded runs the same workload under the sharded poll
-// hub: one batched status RPC per shard tick, stdout fetched only when
-// its version changed.
-func BenchmarkPollHubSharded(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationPollHub(benchOpts(), 16, "hub")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "poll-hub", "hub", "status_rpcs", "status_rpcs")
-		report(b, res, "poll-hub", "hub", "output_bytes_kb", "output_kb")
-		report(b, res, "poll-hub", "hub", "output_not_modified", "not_modified")
-	}
-}
-
-// BenchmarkPushEvents runs the same workload under the push collector:
-// state transitions and output bumps arrive over one gatekeeper event
-// stream per session, so steady-state status RPCs collapse to (at most)
-// the handful spent bootstrapping streams.
-func BenchmarkPushEvents(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationPollHub(benchOpts(), 16, "push")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "poll-hub", "push", "status_rpcs", "status_rpcs")
-		report(b, res, "poll-hub", "push", "events_delivered", "events")
-		report(b, res, "poll-hub", "push", "detect_latency_s", "detect_s")
-	}
-}
-
-// BenchmarkSubmitStock runs the submission workload (a simultaneous
-// cold burst of one service) under the paper's front-end: one stats
-// RPC, one WAN staging upload and one submit RPC per invocation.
-func BenchmarkSubmitStock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationSubmit(benchOpts(), 16, "stock")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "submit", "stock", "uploads", "uploads")
-		report(b, res, "submit", "stock", "submit_rpcs", "submit_rpcs")
-		report(b, res, "submit", "stock", "stats_rpcs", "stats_rpcs")
-	}
-}
-
-// BenchmarkSubmitCoalesced runs the same burst under the batched
-// front-end: coalesced staging, the submit hub's windowed batch RPC,
-// and the stats singleflight.
-func BenchmarkSubmitCoalesced(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationSubmit(benchOpts(), 16, "batched")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "submit", "batched", "uploads", "uploads")
-		report(b, res, "submit", "batched", "uploads_coalesced", "coalesced")
-		report(b, res, "submit", "batched", "submit_rpcs", "submit_rpcs")
-		report(b, res, "submit", "batched", "stats_rpcs", "stats_rpcs")
-	}
-}
-
-// BenchmarkStageStock runs the staging data-plane ablation under the
-// paper's monolithic uncompressed PUT: the whole executable crosses the
-// WAN on every cold staging and again in full after any fault.
-func BenchmarkStageStock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationStage(benchOpts(), 256, "stock")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "stage-cold", "stock", "stage_s", "stage_virtual_s")
-		report(b, res, "stage-cold", "stock", "wan_wire_b", "wan_wire_b")
-		report(b, res, "stage-resume", "stock", "retry_wire_b", "retry_wire_b")
-	}
-}
-
-// BenchmarkStageChunked runs the same workload with chunked
-// content-addressed staging shipping the stored gzip stream: fewer cold
-// wire bytes by the payload's gzip ratio, and a faulted transfer resumes
-// from its committed chunks.
-func BenchmarkStageChunked(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationStage(benchOpts(), 256, "chunked-gzip")
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "stage-cold", "chunked-gzip", "stage_s", "stage_virtual_s")
-		report(b, res, "stage-cold", "chunked-gzip", "wan_wire_b", "wan_wire_b")
-		report(b, res, "stage-cold", "chunked-gzip", "chunks_shipped", "chunks_shipped")
-		report(b, res, "stage-resume", "chunked", "retry_wire_b", "retry_wire_b")
-	}
-}
-
-// BenchmarkAblationWALGroupCommit compares the stock one-write-per-put
-// WAL path with batched group commit (real time, on-disk WAL).
-func BenchmarkAblationWALGroupCommit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationGroupCommit(64, 8, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, res, "group-commit", "stock", "wal_writes", "stock_wal_writes")
-		report(b, res, "group-commit", "group", "wal_writes", "group_wal_writes")
-		report(b, res, "group-commit", "group", "wal_syncs", "group_wal_syncs")
+// BenchmarkAblation runs every row of ablationBenches as a
+// sub-benchmark named after it.
+func BenchmarkAblation(b *testing.B) {
+	for _, bench := range ablationBenches {
+		b.Run(bench.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := bench.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, m := range bench.metrics {
+					report(b, res, m)
+				}
+			}
+		})
 	}
 }
 
@@ -376,12 +312,12 @@ func BenchmarkBaselineJSE(b *testing.B) {
 	}
 }
 
-func report(b *testing.B, res *experiments.AblationResult, study, variant, metric, unit string) {
+func report(b *testing.B, res *experiments.AblationResult, m metric) {
 	for _, row := range res.Rows {
-		if row.Study == study && row.Variant == variant && row.Metric == metric {
-			b.ReportMetric(row.Value, unit)
+		if row.Study == m.study && row.Variant == m.variant && row.Metric == m.metric {
+			b.ReportMetric(row.Value, m.unit)
 			return
 		}
 	}
-	b.Fatalf("missing %s/%s/%s", study, variant, metric)
+	b.Fatalf("missing %s/%s/%s", m.study, m.variant, m.metric)
 }

@@ -71,23 +71,19 @@ type Config struct {
 	// /gram/events stream per session instead of polling, with the poll
 	// hub as its fallback rung (see core.Config). Off by default.
 	PushEvents bool
-	// CoalesceStaging / SubmitHub / SubmitHubWindow select the batched
-	// submission front-end (see core.Config); off keeps one upload and
-	// one submit RPC per invocation.
+	// CoalesceStaging single-flights concurrent stagings of one
+	// executable to one site (see core.Config); off keeps one upload per
+	// invocation.
 	CoalesceStaging bool
-	SubmitHub       bool
-	SubmitHubWindow time.Duration
 	// ChunkedStaging / ChunkBytes / WireCompression select the chunked,
 	// content-addressed staging data plane (see core.Config); off keeps
 	// the paper's monolithic uncompressed PUT per staging.
 	ChunkedStaging  bool
 	ChunkBytes      int
 	WireCompression bool
-	// DataAwarePlacement selects the possession-aware site scorer;
-	// ReplicateTopK enables the background pre-replicator (see
-	// core.Config). Both off by default, both need ChunkedStaging.
+	// DataAwarePlacement selects the possession-aware site scorer (see
+	// core.Config). Off by default; needs ChunkedStaging.
 	DataAwarePlacement bool
-	ReplicateTopK      int
 	// BlobCacheBytes / GroupCommit tune the blob database (see
 	// blobdb.Options); zero values keep the stock behaviour.
 	BlobCacheBytes int64
@@ -117,11 +113,9 @@ type Config struct {
 func Paper() Config { return Config{} }
 
 // Production is the other supported configuration: every cache and
-// batched path on. SubmitHub and ReplicateTopK stay off (a coalescing
-// window and background pushes trade latency and WAN bytes for
-// throughput that only a bursty, multi-site load repays). A non-empty
-// dbDir persists the database there with four shards, group commit and
-// the background compactor; empty keeps it in memory.
+// batched path on. A non-empty dbDir persists the database there with
+// four shards, group commit and the background compactor; empty keeps
+// it in memory.
 func Production(dbDir string) Config {
 	cfg := Config{
 		SessionCache:       true,
@@ -250,13 +244,10 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		PollHub:            cfg.PollHub,
 		PushEvents:         cfg.PushEvents,
 		CoalesceStaging:    cfg.CoalesceStaging,
-		SubmitHub:          cfg.SubmitHub,
-		SubmitHubWindow:    cfg.SubmitHubWindow,
 		ChunkedStaging:     cfg.ChunkedStaging,
 		ChunkBytes:         cfg.ChunkBytes,
 		WireCompression:    cfg.WireCompression,
 		DataAwarePlacement: cfg.DataAwarePlacement,
-		ReplicateTopK:      cfg.ReplicateTopK,
 	}
 	if cfg.Trace != nil {
 		coreCfg.Tracing = trace.NewTracer("onserve", cfg.Clock, cfg.Trace)

@@ -1,11 +1,14 @@
 package appliance
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gsh"
 )
 
 // TestProfilesEndToEnd boots the two supported configurations against a
@@ -70,9 +73,9 @@ func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Endpoints", "Clock", "Probe", "Cost", "DBDir", "GridHTTP", "MyProxyDial", "UserProfile",
 		"PollInterval", "InvocationTimeout", "ProxyLifetime", "StagingCache", "DirectDBWrite",
-		"SessionCache", "StatsTTL", "PollHub", "PushEvents", "CoalesceStaging", "SubmitHub",
-		"SubmitHubWindow", "ChunkedStaging", "ChunkBytes", "WireCompression", "DataAwarePlacement",
-		"ReplicateTopK", "BlobCacheBytes", "GroupCommit", "WALShards", "AutoCompact", "Trace", "Tenancy",
+		"SessionCache", "StatsTTL", "PollHub", "PushEvents", "CoalesceStaging", "ChunkedStaging",
+		"ChunkBytes", "WireCompression", "DataAwarePlacement", "BlobCacheBytes", "GroupCommit",
+		"WALShards", "AutoCompact", "Trace", "Tenancy",
 	}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
@@ -80,5 +83,95 @@ func TestConfigSurface(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("appliance.Config fields changed:\n got %v\nwant %v\na new knob needs two callers at the parent commit that want different values", got, want)
+	}
+}
+
+// tableLen reads the length of one of OnServe's unexported maps or
+// slices ("staged", "poss.cache"): the tables are core's own business,
+// but how full they are after a soak is the appliance's.
+func tableLen(ons *core.OnServe, path string) int {
+	v := reflect.ValueOf(ons).Elem()
+	for _, name := range strings.Split(path, ".") {
+		v = v.FieldByName(name)
+	}
+	return v.Len()
+}
+
+// TestPublishCycleLeavesNoApplianceState follows ROADMAP item 3c's lead
+// (a publish → invoke → delete loop over unique names grew the process
+// by hundreds of MB) on the appliance's side of the wire: after 200
+// cycles of a 256 KB executable on the on-disk production profile every
+// table the appliance keeps is back at its idle size, and the ticket map
+// holds one ticket per cycle, short of its retention bound. What does grow in that loop is the
+// sites' file stores — DeleteService leaves the staged copy behind.
+func TestPublishCycleLeavesNoApplianceState(t *testing.T) {
+	// The owner's proxy outlives the soak at any host speed: at this
+	// dilation the default 12 h is two seconds of host time, and a cached
+	// session that ages out stays in the agent's table — ROADMAP item
+	// 3c's open lead, which would make this verdict the host's.
+	const soakProxy = 2 * 365 * 24 * time.Hour
+	w := boot(t, func(cfg *Config) {
+		wiring := *cfg // as TestProfilesEndToEnd: the fixture's grid, clock and cadence
+		*cfg = Production(t.TempDir())
+		cfg.Endpoints, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.Clock, wiring.Cost
+		cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
+		cfg.ProxyLifetime = soakProxy
+	})
+	w.env.Gatekeeper.SetHeartbeatInterval(10 * time.Minute)
+	ons := w.app.OnServe
+	if _, err := w.env.AddUser("soak", "pw", 2*soakProxy); err != nil {
+		t.Fatal(err)
+	}
+	ons.RegisterUser("soak", core.UserAuth{MyProxyUser: "soak", Passphrase: "pw"})
+	program := gsh.Pad([]byte("echo ok\n"), 256<<10)
+	cycle := func(i int) {
+		t.Helper()
+		rec, err := ons.UploadAndGenerate("soak", fmt.Sprintf("cycle%04d.gsh", i), "", nil, program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := ons.Invoke(rec.Name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-inv.DoneChan():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cycle %d stuck in %s", i, inv.State())
+		}
+		if inv.State() != core.InvDone {
+			t.Fatalf("cycle %d: %s (%s)", i, inv.State(), inv.Message())
+		}
+		if err := ons.DeleteService(rec.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := func() map[string]int {
+		sizes := map[string]int{
+			"container names":   len(w.app.Container.Names()),
+			"registry records":  w.app.Registry.Len(),
+			"agent sessions":    w.app.Agent.SessionCount(),
+			"executables table": len(w.app.DB.Table(core.ExecutablesTable).Keys()),
+		}
+		for _, table := range []string{"staged", "poss.cache", "poss.flights", "sessions", "stagingFlights", "statsFlights"} {
+			sizes[table] = tableLen(ons, table)
+		}
+		return sizes
+	}
+	// The first cycle logs on and opens the session's event stream; what
+	// it leaves behind is the idle state every later cycle must return to.
+	cycle(0)
+	want := idle()
+	const cycles = 200
+	for i := 1; i <= cycles; i++ {
+		cycle(i)
+	}
+	if got := idle(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after %d publish cycles:\n got %v\nidle %v", cycles, got, want)
+	}
+	// One ticket per cycle and nothing else: the ticket map is the one
+	// table meant to grow, up to core.DefaultInvocationRetention.
+	if n := tableLen(ons, "invocations"); n != cycles+1 {
+		t.Errorf("ticket map holds %d invocations after %d cycles", n, cycles+1)
 	}
 }

@@ -346,7 +346,8 @@ func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[str
 		}
 		sb := o.cfg.Tracing.StartSpan("submit", tc)
 		sb.Set("site", candidate)
-		if jobID, err = o.submitJob(sessionID, &desc, sb.Context()); err == nil {
+		o.submit.submitRPCs.Add(1)
+		if jobID, err = o.cfg.Agent.WithTrace(sb.Context()).Submit(sessionID, &desc); err == nil {
 			sb.Set("job_id", jobID)
 			sb.End()
 			return candidate, jobID, nil
@@ -586,11 +587,6 @@ func (o *OnServe) stageExecutableOnce(sessionID string, exe *executable, site st
 	checksum, err := o.uploadExecutable(sessionID, exe, site, sp)
 	if err != nil {
 		return fmt.Errorf("onserve: stage executable: %w", err)
-	}
-	if o.rep != nil {
-		// The executable just landed cold at one site: queue a background
-		// push to the top-K least-loaded siblings (deduped per version).
-		o.rep.enqueue(repTask{sessionID: sessionID, exe: exe, sourceSite: site, checksum: checksum})
 	}
 	if o.cfg.StagingCache {
 		o.noteStaged(exe.service, site, checksum)

@@ -51,9 +51,6 @@ const (
 	// DefaultPollHubShards is how many shard workers the poll hub runs
 	// when Config.PollHubShards is unset.
 	DefaultPollHubShards = 4
-	// DefaultSubmitHubWindow is the submit hub's coalescing window when
-	// Config.SubmitHubWindow is unset.
-	DefaultSubmitHubWindow = 5 * time.Millisecond
 )
 
 // Errors.
@@ -158,14 +155,6 @@ type Config struct {
 	// WAN transfer per site instead of N. Off by default: the paper
 	// re-stages per invocation.
 	CoalesceStaging bool
-	// SubmitHub coalesces job submissions arriving within
-	// SubmitHubWindow into one gatekeeper submit-batch round-trip per
-	// session, with per-entry error isolation. Off by default: the paper
-	// submits one RPC per invocation.
-	SubmitHub bool
-	// SubmitHubWindow is the hub's coalescing window; 0 means
-	// DefaultSubmitHubWindow. Ignored unless SubmitHub is set.
-	SubmitHubWindow time.Duration
 	// ChunkedStaging routes executable staging through the chunked,
 	// content-addressed GridFTP protocol: the site is probed for chunks
 	// it already holds, only missing chunks cross the WAN, and a transfer
@@ -197,17 +186,6 @@ type Config struct {
 	// PlacementProbeTTL is how long one possession probe's answer is
 	// trusted; 0 means DefaultPlacementProbeTTL.
 	PlacementProbeTTL time.Duration
-	// ReplicateTopK, when positive, enables the background
-	// pre-replicator: after a service's executable lands cold at one
-	// site, push it asynchronously to the K least-loaded sibling sites
-	// through the chunked pipeline. 0 (the default) disables it.
-	ReplicateTopK int
-	// ReplicateWorkers bounds the replicator's concurrent pushes; 0
-	// means DefaultReplicateWorkers.
-	ReplicateWorkers int
-	// ReplicateBudgetBytes caps the wire bytes the replicator pushes per
-	// minute-long cycle; 0 means DefaultReplicateBudgetBytes.
-	ReplicateBudgetBytes int64
 	// Tracing, when set, records a distributed span tree per invocation
 	// (logon, DB fetch, staging, submit, polling, output collection) and
 	// propagates context to every grid service via the X-Grid-Trace
@@ -234,22 +212,16 @@ type OnServe struct {
 	collector collectorCounters
 	// push tallies the event-stream work (Config.PushEvents).
 	push eventCounters
-	// shub is the submission coalescer (Config.SubmitHub); nil submits
-	// one RPC per invocation.
-	shub *submitHub
 	// submit tallies the submission-path work (uploads, submit RPCs,
-	// stats fetches) across stock and batched paths.
+	// stats fetches).
 	submit submitCounters
 	// stage tallies the chunked staging data plane (Config.ChunkedStaging).
 	stage stageCounters
 	// placement tallies the data-aware placement control plane
-	// (Config.DataAwarePlacement and the replicator).
+	// (Config.DataAwarePlacement).
 	placement placementCounters
 	// poss is the possession probe cache data-aware placement reads.
 	poss possState
-	// rep is the background pre-replicator (Config.ReplicateTopK); nil
-	// when replication is off.
-	rep *replicator
 
 	mu          sync.Mutex
 	users       map[string]UserAuth    // portal user -> myproxy logon
@@ -288,11 +260,10 @@ func New(cfg Config) (*OnServe, error) {
 		return nil, errors.New("onserve: DB, Container, Registry and Agent are required")
 	}
 	// The chunk store is the possession oracle placement probes and the
-	// only wire the replicator and the stored-gzip path ride: without it
-	// these knobs would be accepted and do nothing, or pay probe RPCs that
-	// can never score.
-	if !cfg.ChunkedStaging && (cfg.DataAwarePlacement || cfg.WireCompression || cfg.ReplicateTopK > 0) {
-		return nil, errors.New("onserve: DataAwarePlacement, WireCompression and ReplicateTopK require ChunkedStaging")
+	// only wire the stored-gzip path rides: without it these knobs would
+	// be accepted and do nothing, or pay probe RPCs that can never score.
+	if !cfg.ChunkedStaging && (cfg.DataAwarePlacement || cfg.WireCompression) {
+		return nil, errors.New("onserve: DataAwarePlacement and WireCompression require ChunkedStaging")
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real{}
@@ -309,17 +280,8 @@ func New(cfg Config) (*OnServe, error) {
 	if cfg.PollHubShards <= 0 {
 		cfg.PollHubShards = DefaultPollHubShards
 	}
-	if cfg.SubmitHubWindow <= 0 {
-		cfg.SubmitHubWindow = DefaultSubmitHubWindow
-	}
 	if cfg.PlacementProbeTTL <= 0 {
 		cfg.PlacementProbeTTL = DefaultPlacementProbeTTL
-	}
-	if cfg.ReplicateWorkers <= 0 {
-		cfg.ReplicateWorkers = DefaultReplicateWorkers
-	}
-	if cfg.ReplicateBudgetBytes <= 0 {
-		cfg.ReplicateBudgetBytes = DefaultReplicateBudgetBytes
 	}
 	o := &OnServe{
 		cfg:            cfg,
@@ -342,12 +304,6 @@ func New(cfg Config) (*OnServe, error) {
 		o.collect = newPollHub(o, cfg.PollHubShards)
 	default:
 		o.collect = tentativePoller{o}
-	}
-	if cfg.SubmitHub {
-		o.shub = newSubmitHub(o)
-	}
-	if cfg.ReplicateTopK > 0 {
-		o.rep = newReplicator(o)
 	}
 	return o, nil
 }
@@ -607,9 +563,6 @@ func (o *OnServe) DeleteService(serviceName string) error {
 	delete(o.staged, serviceName)
 	o.mu.Unlock()
 	o.forgetPossession(serviceName)
-	if o.rep != nil {
-		o.rep.forget(serviceName)
-	}
 	return nil
 }
 

@@ -520,12 +520,11 @@ func TestNewValidatesConfig(t *testing.T) {
 }
 
 func TestNewRejectsKnobsWithoutChunkedStaging(t *testing.T) {
-	// Placement probes, stored-gzip shipping and the replicator all ride
-	// the chunk store; accepted without it they would be silently inert.
+	// Placement probes and stored-gzip shipping both ride the chunk
+	// store; accepted without it they would be silently inert.
 	for name, set := range map[string]func(*Config){
 		"DataAwarePlacement": func(c *Config) { c.DataAwarePlacement = true },
 		"WireCompression":    func(c *Config) { c.WireCompression = true },
-		"ReplicateTopK":      func(c *Config) { c.ReplicateTopK = 1 },
 	} {
 		cfg := newFixture(t, nil).cfg
 		set(&cfg)

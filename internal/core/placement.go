@@ -39,7 +39,7 @@ const (
 )
 
 // PlacementStats counts the data-aware placement control plane's work.
-// All zero while Config.DataAwarePlacement and the replicator are off.
+// All zero while Config.DataAwarePlacement is off.
 type PlacementStats struct {
 	// ProbesSent counts possession probes issued to sites (one per site
 	// per cache miss; concurrent misses collapse onto one probe).
@@ -55,13 +55,6 @@ type PlacementStats struct {
 	// the subset where possession overruled the pure load order.
 	PlacementsScored     uint64 `json:"placements_scored"`
 	PlacementsRedirected uint64 `json:"placements_redirected"`
-	// ReplicatorPushes/PushBytes/Failures/Skips count the background
-	// pre-replicator's work: completed pushes, their wire bytes, failed
-	// pushes, and pushes dropped by the per-cycle byte budget.
-	ReplicatorPushes    uint64 `json:"replicator_pushes"`
-	ReplicatorPushBytes uint64 `json:"replicator_push_bytes"`
-	ReplicatorFailures  uint64 `json:"replicator_failures"`
-	ReplicatorSkips     uint64 `json:"replicator_skips"`
 }
 
 // placementCounters is the mutable, atomically updated form.
@@ -71,10 +64,6 @@ type placementCounters struct {
 	probeFailures  atomic.Uint64
 	scored         atomic.Uint64
 	redirected     atomic.Uint64
-	repPushes      atomic.Uint64
-	repPushBytes   atomic.Uint64
-	repFailures    atomic.Uint64
-	repSkips       atomic.Uint64
 }
 
 // PlacementStats snapshots the placement control-plane counters.
@@ -85,10 +74,6 @@ func (o *OnServe) PlacementStats() PlacementStats {
 		ProbeFailures:        o.placement.probeFailures.Load(),
 		PlacementsScored:     o.placement.scored.Load(),
 		PlacementsRedirected: o.placement.redirected.Load(),
-		ReplicatorPushes:     o.placement.repPushes.Load(),
-		ReplicatorPushBytes:  o.placement.repPushBytes.Load(),
-		ReplicatorFailures:   o.placement.repFailures.Load(),
-		ReplicatorSkips:      o.placement.repSkips.Load(),
 	}
 }
 
@@ -169,8 +154,8 @@ func (w *wireChunkSet) cut() ([]string, map[string]int, int64, bool) {
 // compression is on and the stored row is still the generation exe stands
 // for (a concurrent re-publish may have moved it, and a new version of
 // the same length would ship under the old one's checksum). Shared by the
-// staging upload, the placement scorer and the replicator so all three
-// agree on what the wire would carry.
+// staging upload and the placement scorer so both agree on what the wire
+// would carry.
 func (o *OnServe) storedGzip(exe *executable) []byte {
 	if !o.cfg.WireCompression {
 		return nil
@@ -324,7 +309,7 @@ func (o *OnServe) probeOnce(sessionID, site string, chunks *wireChunkSet) possEn
 }
 
 // notePossession records that site now holds serviceName's full wire
-// (a staging or replicator push just completed there), so the next
+// (a staging just completed there), so the next
 // placement credits it without waiting out the probe TTL.
 func (o *OnServe) notePossession(serviceName, site string, total int64) {
 	if !o.cfg.DataAwarePlacement {

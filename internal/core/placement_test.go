@@ -260,112 +260,10 @@ func TestPlacementProbeFailureDegradesToLoad(t *testing.T) {
 	}
 }
 
-// TestReplicatorPushesToSiblings: after one cold staging the background
-// replicator warms the sibling site and records the replica in the
-// staging cache.
-func TestReplicatorPushesToSiblings(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.ChunkedStaging = true
-		cfg.ChunkBytes = 4 << 10
-		cfg.StagingCache = true
-		cfg.ReplicateTopK = 1
-	})
-	if _, err := f.ons.UploadAndGenerate("alice", "hot.gsh", "", nil,
-		[]byte(fillerProgram(32<<10))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ons.ExecuteAndWait("HotService", nil); err != nil {
-		t.Fatal(err)
-	}
-	home := f.ons.Invocations()[0].Site
-	f.ons.DrainReplicator()
-
-	st := f.ons.PlacementStats()
-	if st.ReplicatorPushes != 1 {
-		t.Fatalf("replicator pushes %d, want 1: %+v", st.ReplicatorPushes, st)
-	}
-	if st.ReplicatorPushBytes == 0 || st.ReplicatorFailures != 0 {
-		t.Fatalf("replicator stats %+v", st)
-	}
-	var sibling string
-	for _, s := range []string{"siteA", "siteB"} {
-		if s != home {
-			sibling = s
-		}
-	}
-	f.ons.mu.Lock()
-	_, warm := f.ons.staged["HotService"][sibling]
-	f.ons.mu.Unlock()
-	if !warm {
-		t.Fatalf("staging cache has no replica entry for %s", sibling)
-	}
-
-	// The push pipeline really delivered the runnable file to the sibling.
-	site, _ := f.env.Grid.Site(sibling)
-	if _, err := site.Store().Size("/O=Repro/CN=alice", "HotService.gsh"); err != nil {
-		t.Fatalf("replica missing at %s: %v", sibling, err)
-	}
-
-	// The same version never replicates twice.
-	if _, err := f.ons.ExecuteAndWait("HotService", nil); err != nil {
-		t.Fatal(err)
-	}
-	f.ons.DrainReplicator()
-	if got := f.ons.PlacementStats().ReplicatorPushes; got != 1 {
-		t.Fatalf("re-invocation re-replicated: %d pushes", got)
-	}
-}
-
-// TestReplicatorBudgetSkips pins the per-cycle byte budget: with the
-// cycle pinned open and the budget exhausted, the next push is dropped
-// and counted, not queued forever.
-func TestReplicatorBudgetSkips(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.ChunkedStaging = true
-		cfg.ChunkBytes = 4 << 10
-		cfg.ReplicateTopK = 1
-	})
-	if _, err := f.ons.UploadAndGenerate("alice", "first.gsh", "", nil,
-		[]byte(fillerProgram(16<<10))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ons.ExecuteAndWait("FirstService", nil); err != nil {
-		t.Fatal(err)
-	}
-	f.ons.DrainReplicator()
-	if got := f.ons.PlacementStats().ReplicatorPushes; got != 1 {
-		t.Fatalf("pushes %d, want 1", got)
-	}
-
-	// Exhaust the budget and pin the cycle open (a start time in the
-	// future never expires), then stage a second service.
-	r := f.ons.rep
-	r.mu.Lock()
-	r.cycleStart = f.clock.Now().Add(time.Hour)
-	r.cycleBytes = 10
-	r.mu.Unlock()
-	f.ons.cfg.ReplicateBudgetBytes = 1
-
-	if _, err := f.ons.UploadAndGenerate("alice", "second.gsh", "", nil,
-		[]byte(fillerProgram(16<<10))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ons.ExecuteAndWait("SecondService", nil); err != nil {
-		t.Fatal(err)
-	}
-	f.ons.DrainReplicator()
-	st := f.ons.PlacementStats()
-	if st.ReplicatorSkips != 1 {
-		t.Fatalf("replicator skips %d, want 1: %+v", st.ReplicatorSkips, st)
-	}
-	if st.ReplicatorPushes != 1 {
-		t.Fatalf("budget-blocked push went out anyway: %+v", st)
-	}
-}
-
 // TestConcurrentPlacementAndReplication races a burst through every
 // placement-path feature at once — probe cache, singleflight, staging
-// coalescing and the background replicator — under -race.
+// coalescing and the staging cache's site-to-site replication — under
+// -race.
 func TestConcurrentPlacementAndReplication(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) {
 		cfg.InvocationTimeout = 100 * time.Hour
@@ -374,7 +272,6 @@ func TestConcurrentPlacementAndReplication(t *testing.T) {
 		cfg.ChunkedStaging = true
 		cfg.ChunkBytes = 4 << 10
 		cfg.DataAwarePlacement = true
-		cfg.ReplicateTopK = 1
 		cfg.StatsTTL = 3 * time.Second
 	})
 	if _, err := f.ons.UploadAndGenerate("alice", "racey.gsh", "", nil,
@@ -394,7 +291,6 @@ func TestConcurrentPlacementAndReplication(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	f.ons.DrainReplicator()
 	close(errs)
 	if err := <-errs; err != nil {
 		t.Fatal(err)
@@ -403,13 +299,13 @@ func TestConcurrentPlacementAndReplication(t *testing.T) {
 	if st.PlacementsScored != workers {
 		t.Fatalf("placements scored %d, want %d", st.PlacementsScored, workers)
 	}
-	if st.ProbeFailures != 0 || st.ReplicatorFailures != 0 {
+	if st.ProbeFailures != 0 {
 		t.Fatalf("healthy grid produced failures: %+v", st)
 	}
 }
 
 // TestPlacementStatsZeroWhenOff pins the paper-faithful default: with
-// the knobs off, no probes, no scoring, no replication.
+// the knob off, no probes and no scoring.
 func TestPlacementStatsZeroWhenOff(t *testing.T) {
 	f := newFixture(t, nil)
 	f.uploadDemo(t)

@@ -15,11 +15,9 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
-	"repro/internal/jsdl"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/soap"
-	"repro/internal/trace"
 	"repro/internal/uddi"
 	"repro/internal/vtime"
 )
@@ -171,7 +169,6 @@ func stagingBurst(t *testing.T, f *fixture, n int, gate *uploadGate) SubmitStats
 		Uploads:          after.Uploads - before.Uploads,
 		UploadsCoalesced: after.UploadsCoalesced - before.UploadsCoalesced,
 		SubmitRPCs:       after.SubmitRPCs - before.SubmitRPCs,
-		SubmitsBatched:   after.SubmitsBatched - before.SubmitsBatched,
 		StatsRPCs:        after.StatsRPCs - before.StatsRPCs,
 		StatsCollapsed:   after.StatsCollapsed - before.StatsCollapsed,
 	}
@@ -291,157 +288,10 @@ func TestInvocationsSortedByTicket(t *testing.T) {
 	}
 }
 
-// hubWindow is the submit-hub window used by the hub tests: 10 virtual
-// minutes at the fixture's 20000x dilation is ~30 real milliseconds —
-// wide enough that a goroutine burst lands inside one window.
-const hubWindow = 10 * time.Minute
-
-func TestSubmitHubBatchesConcurrentSubmissions(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.SubmitHub = true
-		cfg.SubmitHubWindow = hubWindow
-	})
-	sess, err := f.cfg.Agent.Authenticate("alice", "pw", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.cfg.Agent.Upload(sess.ID, "siteA", "hello.gsh", []byte("echo hello\n")); err != nil {
-		t.Fatal(err)
-	}
-	before := f.ons.SubmitStats()
-	const n = 8
-	jobIDs := make([]string, n)
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			desc := jsdl.Description{Executable: "hello.gsh", Site: "siteA", WallTime: time.Hour}
-			id, err := f.ons.submitJob(sess.ID, &desc, trace.SpanContext{})
-			if err != nil {
-				errs <- err
-				return
-			}
-			jobIDs[i] = id
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for i, id := range jobIDs {
-		if id == "" || seen[id] {
-			t.Fatalf("job %d: bad or duplicate id %q", i, id)
-		}
-		seen[id] = true
-	}
-	d := f.ons.SubmitStats()
-	if got := d.SubmitRPCs - before.SubmitRPCs; got != 1 {
-		t.Fatalf("burst of %d submissions cost %d RPCs, want 1", n, got)
-	}
-	if got := d.SubmitsBatched - before.SubmitsBatched; got != n {
-		t.Fatalf("%d submissions batched, want %d", got, n)
-	}
-}
-
-func TestSubmitHubIsolatesPerEntryFailures(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.SubmitHub = true
-		cfg.SubmitHubWindow = hubWindow
-	})
-	sess, err := f.cfg.Agent.Authenticate("alice", "pw", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.cfg.Agent.Upload(sess.ID, "siteA", "good.gsh", []byte("echo ok\n")); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var goodID string
-	var goodErr, badErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		desc := jsdl.Description{Executable: "good.gsh", Site: "siteA", WallTime: time.Hour}
-		goodID, goodErr = f.ons.submitJob(sess.ID, &desc, trace.SpanContext{})
-	}()
-	go func() {
-		defer wg.Done()
-		desc := jsdl.Description{Executable: "ghost.gsh", Site: "siteA", WallTime: time.Hour}
-		_, badErr = f.ons.submitJob(sess.ID, &desc, trace.SpanContext{})
-	}()
-	wg.Wait()
-	if goodErr != nil || goodID == "" {
-		t.Fatalf("good submission failed alongside a bad batch-mate: %v", goodErr)
-	}
-	// The per-entry error keeps the substring submitPipeline's candidate
-	// retry keys on.
-	if badErr == nil || !strings.Contains(badErr.Error(), "not staged") {
-		t.Fatalf("unstaged submission error %v, want a per-entry \"not staged\"", badErr)
-	}
-}
-
-func TestSubmitHubDeliversSessionFaultUnwrapped(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) { cfg.SubmitHub = true })
-	desc := jsdl.Description{Executable: "x.gsh", Site: "siteA"}
-	_, err := f.ons.submitJob("no-such-session", &desc, trace.SpanContext{})
-	// Invoke's invalidate-and-retry path matches with errors.Is: the hub
-	// must not lose the sentinel on the way back to each submitter.
-	if !errors.Is(err, cyberaide.ErrNoSession) {
-		t.Fatalf("whole-batch session fault not delivered as sentinel: %v", err)
-	}
-}
-
-func TestSubmitHubEndToEndBurst(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.SessionCache = true
-		cfg.SubmitHub = true
-		cfg.SubmitHubWindow = hubWindow
-	})
-	f.uploadDemo(t)
-	if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
-		t.Fatal(err)
-	}
-	before := f.ons.SubmitStats()
-	const n = 6
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "3"})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !strings.Contains(out, "pi=3") {
-				errs <- errors.New("unexpected output " + out)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	d := f.ons.SubmitStats()
-	if got := d.SubmitsBatched - before.SubmitsBatched; got != n {
-		t.Fatalf("%d submissions went through the hub, want %d", got, n)
-	}
-	if got := d.SubmitRPCs - before.SubmitRPCs; got >= n {
-		t.Fatalf("burst of %d cost %d submit RPCs: no coalescing", n, got)
-	}
-}
-
-func TestSubmitHubStageInRetryFallsBackToStagedSite(t *testing.T) {
-	// The per-candidate-site retry on "not staged" must survive the hub:
-	// the first candidate's per-entry rejection sends the pipeline to the
-	// site where the owner actually staged the data.
-	f := newFixture(t, func(cfg *Config) { cfg.SubmitHub = true })
+func TestStageInRetryFallsBackToStagedSite(t *testing.T) {
+	// A submission rejected "not staged" sends the pipeline to the next
+	// candidate: the site where the owner actually staged the data.
+	f := newFixture(t, nil)
 	if _, err := f.ons.UploadAndGenerate("alice", "wordcount.gsh", "", nil,
 		[]byte("process corpus.txt 1000\necho counted\n")); err != nil {
 		t.Fatal(err)
@@ -464,35 +314,6 @@ func TestSubmitHubStageInRetryFallsBackToStagedSite(t *testing.T) {
 	if inv.State() != InvDone {
 		t.Fatalf("state %s: %s", inv.State(), inv.Message())
 	}
-}
-
-func TestSubmitHubWatchdogKillsOverdueInvocation(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.SubmitHub = true
-		cfg.InvocationTimeout = 15 * time.Second
-	})
-	if _, err := f.ons.UploadAndGenerate("alice", "forever.gsh", "", nil, []byte("compute 10h\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("ForeverService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never fired under the hub")
-	}
-	if inv.State() != InvKilled {
-		t.Fatalf("state %s", inv.State())
-	}
-}
-
-func TestCancelOnCompletionTickSubmitHub(t *testing.T) {
-	cancelOnCompletionTick(t, func(cfg *Config) {
-		cfg.SubmitHub = true
-		cfg.SubmitHubWindow = time.Minute
-	})
 }
 
 func TestGridStatsExpiryStampedeCollapsesToOneFetch(t *testing.T) {

@@ -121,14 +121,13 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceHubPathsLinkParent is the satellite-2 regression: with the
-// submit hub and poll hub on, the batched submit and status entries
-// still parent under their own invocation's span tree — no orphan
-// spans, and the batched work is attributable per invocation.
+// TestTraceHubPathsLinkParent is the satellite-2 regression: with
+// coalesced staging and the poll hub on, each submit and each batched
+// status entry still parents under its own invocation's span tree — no
+// orphan spans, and the batched work is attributable per invocation.
 func TestTraceHubPathsLinkParent(t *testing.T) {
 	col := trace.NewCollector(0, 0)
 	f := newFixtureTraced(t, nil, col, func(c *Config) {
-		c.SubmitHub = true
 		c.CoalesceStaging = true
 		c.PollHub = true
 	})
@@ -167,14 +166,11 @@ func TestTraceHubPathsLinkParent(t *testing.T) {
 		byName, byID := indexSpans(spans)
 		subs := byName["gram.submit"]
 		if len(subs) == 0 {
-			t.Fatal("batched submit recorded no gram.submit span")
+			t.Fatal("submit recorded no gram.submit span")
 		}
 		for _, sd := range subs {
-			if sd.Attrs["batched"] != "true" {
-				t.Errorf("gram.submit not marked batched: %+v", sd.Attrs)
-			}
 			if p, ok := byID[sd.ParentID]; !ok || p.Name != "submit" {
-				t.Errorf("batched gram.submit detached from its invocation's submit span")
+				t.Errorf("gram.submit detached from its invocation's submit span")
 			}
 		}
 		polled := false

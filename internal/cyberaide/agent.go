@@ -326,32 +326,6 @@ func (a *Agent) Submit(sessionID string, desc *jsdl.Description) (string, error)
 	return jobID, nil
 }
 
-// SubmitBatch sends many job descriptions in one gatekeeper round-trip
-// per gram.MaxBatch chunk (the submit hub's flush primitive). Each
-// description's owner is forced to the session identity, like Submit;
-// per-description failures come back in each entry's Error field.
-func (a *Agent) SubmitBatch(sessionID string, descs []*jsdl.Description) ([]gram.SubmitBatchEntry, error) {
-	return a.SubmitBatchTraced(sessionID, descs, nil)
-}
-
-// SubmitBatchTraced is SubmitBatch with one trace-context wire string
-// per description (the submit hub queues each invocation's submit-span
-// context alongside its description). traces may be nil or shorter than
-// descs; empty entries mean "untraced".
-func (a *Agent) SubmitBatchTraced(sessionID string, descs []*jsdl.Description, traces []string) ([]gram.SubmitBatchEntry, error) {
-	sess, err := a.Session(sessionID)
-	if err != nil {
-		return nil, err
-	}
-	owned := make([]*jsdl.Description, len(descs))
-	for i, desc := range descs {
-		d := *desc
-		d.Owner = sess.Identity
-		owned[i] = &d
-	}
-	return a.gramFor(sess).SubmitBatchTraced(owned, traces)
-}
-
 // Status polls a job.
 func (a *Agent) Status(sessionID, jobID string) (*gram.StatusReply, error) {
 	sess, err := a.Session(sessionID)

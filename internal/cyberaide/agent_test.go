@@ -388,47 +388,3 @@ func TestSOAPFacadeFaults(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
-
-func TestSubmitBatchForcesSessionOwner(t *testing.T) {
-	w := newWorld(t)
-	sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
-	w.agent.Upload(sess.ID, "siteA", "e.gsh", []byte("echo x\n"))
-	// One forged owner, one blank: both must submit as alice, and the
-	// unstaged entry must fail alone without sinking the batch.
-	entries, err := w.agent.SubmitBatch(sess.ID, []*jsdl.Description{
-		{Executable: "e.gsh", Site: "siteA", Owner: "/O=Repro/CN=mallory"},
-		{Executable: "ghost.gsh", Site: "siteA"},
-		{Executable: "e.gsh", Site: "siteA"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("got %d entries, want 3", len(entries))
-	}
-	for _, i := range []int{0, 2} {
-		if entries[i].Error != "" || entries[i].JobID == "" {
-			t.Fatalf("entry %d: %+v", i, entries[i])
-		}
-		job, err := w.grid.Job(entries[i].JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if job.Desc.Owner != "/O=Repro/CN=alice" {
-			t.Fatalf("entry %d owner %q", i, job.Desc.Owner)
-		}
-	}
-	if entries[1].JobID != "" || !strings.Contains(entries[1].Error, "not staged") {
-		t.Fatalf("entry 1: %+v", entries[1])
-	}
-}
-
-func TestSubmitBatchNoSession(t *testing.T) {
-	w := newWorld(t)
-	_, err := w.agent.SubmitBatch("no-such-session", []*jsdl.Description{
-		{Executable: "e.gsh", Site: "siteA"},
-	})
-	if !errors.Is(err, ErrNoSession) {
-		t.Fatalf("got %v, want ErrNoSession", err)
-	}
-}

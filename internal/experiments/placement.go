@@ -12,14 +12,11 @@ import (
 var placementTable = variantTable{"placement", []variant{
 	{"load-only", nil},
 	{"data-aware", func(c *appliance.Config) { c.DataAwarePlacement = true }},
-	{"data-aware+replicate", func(c *appliance.Config) { c.DataAwarePlacement = true; c.ReplicateTopK = 1 }},
 }}
 
 // PlacementVariants lists the site-selection ablation variants: the
-// paper's load-only broker, the possession-aware scorer (probe the chunk
-// stores, weigh missing bytes as WAN seconds against queue load), and
-// the scorer plus the background pre-replicator that warms the sibling
-// site before the burst arrives.
+// paper's load-only broker and the possession-aware scorer (probe the
+// chunk stores, weigh missing bytes as WAN seconds against queue load).
 var PlacementVariants = placementTable.names()
 
 // placementChunkBytes matches the stage ablation's chunk size.
@@ -35,10 +32,7 @@ const placementChunkBytes = 64 << 10
 //     it re-ships the executable to a site that never saw the bytes;
 //   - data-aware sends the burst to the possessing site until its queue
 //     costs more than the cold transfer it avoids, so the chunk store
-//     answers nearly every staging without a WAN payload;
-//   - data-aware+replicate pre-pushes the executable to the sibling site
-//     after the priming invocation, so the burst splits by load again —
-//     but both halves stage warm.
+//     answers nearly every staging without a WAN payload.
 //
 // The sizeKB grid pins the tradeoff the scorer encodes: a small payload
 // is cheaper to re-ship than to queue behind one busy site, a large one
@@ -62,7 +56,6 @@ func AblationPlacement(opts Options, invocations int, sizesKB []int, variants ..
 		"one priming invocation stages the payload at a single site — steered away from the load broker's idle-grid favourite, so possession and load order disagree when the burst arrives",
 		"load-only: the paper's broker — sites ordered by queue load alone",
 		"data-aware: sites scored by load seconds + missing wire bytes over the ~85 KB/s WAN (possession probed via the chunk stores, TTL cache + singleflight)",
-		"data-aware+replicate: the scorer plus a top-1 background pre-push after the priming staging (drained before the burst)",
 		"wan_wire_b is appliance WAN net-out during the burst; chunk_wire_b counts chunk payload bytes only; probe_rpcs the possession probes actually issued",
 		"small payloads place like load-only (re-shipping is cheaper than queueing); large payloads chase the bytes — that crossover is the scorer's whole point",
 	}}
@@ -134,9 +127,6 @@ func placementBurst(r *rig, row func(string, float64), sizeKB, invocations int) 
 	for _, id := range hogIDs {
 		hogSite.Cancel(id)
 	}
-	// The replicate variant drains the background push so the sibling is
-	// warm before timing starts.
-	r.app.OnServe.DrainReplicator()
 
 	placed, staged := since(r.app.OnServe.PlacementStats), since(r.app.OnServe.StageStats)
 	m, err := r.measure(func() error { return svc.burst(invocations) })
@@ -151,10 +141,5 @@ func placementBurst(r *rig, row func(string, float64), sizeKB, invocations int) 
 	row("probe_rpcs", float64(place.ProbesSent))
 	row("probe_cache_hits", float64(place.ProbeCacheHits))
 	row("placements_redirected", float64(place.PlacementsRedirected))
-	// Lifetime replicator totals: the pre-push happens before the burst,
-	// which is the point.
-	life := r.app.OnServe.PlacementStats()
-	row("replicator_pushes", float64(life.ReplicatorPushes))
-	row("replicator_push_bytes", float64(life.ReplicatorPushBytes))
 	return nil
 }

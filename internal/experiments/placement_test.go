@@ -34,18 +34,6 @@ func TestAblationPlacementShape(t *testing.T) {
 		t.Fatal("data-aware burst neither probed nor hit the possession cache")
 	}
 
-	// The replicate variant pre-pushed to the sibling, so the burst can
-	// split by load and still stage warm everywhere.
-	if got := vals[study+"/data-aware+replicate/replicator_pushes"]; got < 1 {
-		t.Fatalf("replicate variant pushed %v times, want >= 1", got)
-	}
-	if got := vals[study+"/data-aware+replicate/replicator_push_bytes"]; got <= 0 {
-		t.Fatalf("replicate variant pushed %v bytes", got)
-	}
-	if got := vals[study+"/data-aware+replicate/chunks_shipped"]; got != 0 {
-		t.Fatalf("replicate burst shipped %v chunks, want 0", got)
-	}
-
 	// Possession can only reduce the WAN bill, never raise it: the
 	// data-aware chunk payload is bounded by the load-only one.
 	if vals[study+"/data-aware/chunk_wire_b"] > vals[study+"/load-only/chunk_wire_b"] {

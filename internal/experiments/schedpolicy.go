@@ -61,6 +61,12 @@ func SchedulerPolicies(scale float64) (*SchedulerResult, error) {
 	return res, nil
 }
 
+// policySlack is the least walltime headroom a healthy job of the
+// workload has: a narrow job computes 5 s under an 8 s limit. At dilation
+// d that is policySlack/d of host time in which the site must see the job
+// finish, so it bounds the dilation a caller can ask for on a loaded host.
+const policySlack = 3 * time.Second
+
 func runPolicyWorkload(policy gridsim.Policy, scale float64) (*SchedulerRow, error) {
 	clk := vtime.NewScaled(scale)
 	site := gridsim.NewSite(gridsim.SiteConfig{
@@ -87,7 +93,7 @@ func runPolicyWorkload(policy gridsim.Policy, scale float64) (*SchedulerRow, err
 		wide = append(wide, j)
 		for n := 0; n < 4; n++ {
 			j, err := site.Submit(jsdl.Description{
-				Owner: owner, Executable: "narrow.gsh", CPUs: 1, WallTime: 8 * time.Second,
+				Owner: owner, Executable: "narrow.gsh", CPUs: 1, WallTime: 5*time.Second + policySlack,
 			})
 			if err != nil {
 				return nil, err

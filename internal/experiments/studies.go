@@ -94,13 +94,13 @@ var Studies = []Study{
 	{"pollhub", "run the poll-hub output-collection ablation", "pollhub.json", func(p Params) (rendered, error) {
 		return AblationPollHub(p.Options, 64)
 	}},
-	{"submit", "run the batched-submission front-end ablation", "submit.json", func(p Params) (rendered, error) {
+	{"submit", "run the coalesced-submission front-end ablation", "submit.json", func(p Params) (rendered, error) {
 		return AblationSubmit(p.Options, 64)
 	}},
 	{"stage", "run the chunked-staging data-plane ablation", "stage.json", func(p Params) (rendered, error) {
 		return AblationStage(p.Options, 0)
 	}},
-	{"placement", "run the data-aware placement + pre-replication ablation", "placement.json", func(p Params) (rendered, error) {
+	{"placement", "run the data-aware placement ablation", "placement.json", func(p Params) (rendered, error) {
 		return AblationPlacement(p.Options, 64, nil)
 	}},
 	{"blobdb", "run the storage-engine sharding/compaction/replay ablation", "blobdb.json", func(p Params) (rendered, error) {

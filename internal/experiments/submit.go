@@ -9,29 +9,25 @@ import (
 
 var submitTable = variantTable{"submit", []variant{
 	{"stock", nil},
-	{"batched", func(c *appliance.Config) {
+	{"coalesced", func(c *appliance.Config) {
 		c.CoalesceStaging = true
-		c.SubmitHub = true
-		c.SubmitHubWindow = 2 * time.Second
 		c.StatsTTL = 10 * time.Second
 	}},
 }}
 
 // SubmitVariants lists the submission-side ablation variants: the
 // paper's one-RPC-chain-per-invocation front-end (stats fetch, WAN
-// staging upload, GRAM submit) against the batched front-end that
-// single-flights cold stagings, coalesces submissions into one
-// gatekeeper round-trip per window, and collapses concurrent stats
-// fetches onto one in-flight request.
+// staging upload, GRAM submit) against the coalesced front-end that
+// single-flights cold stagings and collapses concurrent stats fetches
+// onto one in-flight request.
 var SubmitVariants = submitTable.names()
 
 // AblationSubmit measures the submission path under a simultaneous cold
 // burst. Both variants run with the session cache on and the staging
-// cache off, so what differs is only how stats, staging bytes and
-// submit RPCs reach the grid: stock pays one stats round-trip, one full
-// WAN upload and one submit RPC per invocation; batched shares one
-// in-flight stats fetch, one staging transfer per site, and one
-// submit-batch RPC per coalescing window.
+// cache off, so what differs is only how stats and staging bytes reach
+// the grid: stock pays one stats round-trip and one full WAN upload per
+// invocation; coalesced shares one in-flight stats fetch and one staging
+// transfer per site. Both submit one job per RPC, as the paper does.
 //
 // With no explicit variants, every entry of SubmitVariants runs.
 func AblationSubmit(opts Options, invocations int, variants ...string) (*AblationResult, error) {
@@ -45,7 +41,7 @@ func AblationSubmit(opts Options, invocations int, variants ...string) (*Ablatio
 		"session cache on, staging cache off for both variants: only the submission front-end differs",
 		"one warm-up invocation precedes the burst so the whole fleet shares one grid session",
 		"stock: one stats RPC, one WAN upload and one submit RPC per invocation",
-		"batched: coalesced staging + submit hub (2 s window) + stats singleflight (10 s TTL)",
+		"coalesced: coalesced staging + stats singleflight (10 s TTL); one submit RPC per invocation, like stock",
 	}}
 	opts.Appliance.SessionCache = true
 	opts.Appliance.StagingCache = false
@@ -59,8 +55,7 @@ func AblationSubmit(opts Options, invocations int, variants ...string) (*Ablatio
 		}
 		// Warm up the session cache with one sequential invocation: a
 		// simultaneous cold burst would stampede the session cache (every
-		// invocation missing at once and authenticating its own session),
-		// and the submit hub batches per session.
+		// invocation missing at once and authenticating its own session).
 		if _, err := svc.call(nil); err != nil {
 			return fmt.Errorf("warm-up: %w", err)
 		}
@@ -75,7 +70,6 @@ func AblationSubmit(opts Options, invocations int, variants ...string) (*Ablatio
 		row("uploads", float64(stats.Uploads))
 		row("uploads_coalesced", float64(stats.UploadsCoalesced))
 		row("submit_rpcs", float64(stats.SubmitRPCs))
-		row("submits_batched", float64(stats.SubmitsBatched))
 		row("stats_rpcs", float64(stats.StatsRPCs))
 		row("stats_collapsed", float64(stats.StatsCollapsed))
 		return nil

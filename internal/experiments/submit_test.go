@@ -18,30 +18,26 @@ func TestAblationSubmitShape(t *testing.T) {
 	if vals["submit/stock/submit_rpcs"] != n {
 		t.Fatalf("stock submit_rpcs = %v, want %d", vals["submit/stock/submit_rpcs"], n)
 	}
-	// The batched front-end amortises every leg of the chain.
-	if vals["submit/batched/uploads"] >= vals["submit/stock/uploads"] {
-		t.Fatalf("batched uploads %v not below stock %v",
-			vals["submit/batched/uploads"], vals["submit/stock/uploads"])
+	// The coalesced front-end amortises the staging and stats legs; the
+	// submit leg stays one RPC per invocation.
+	if vals["submit/coalesced/uploads"] >= vals["submit/stock/uploads"] {
+		t.Fatalf("coalesced uploads %v not below stock %v",
+			vals["submit/coalesced/uploads"], vals["submit/stock/uploads"])
 	}
 	// Every burst member either led or joined a staging flight.
-	if got := vals["submit/batched/uploads"] + vals["submit/batched/uploads_coalesced"]; got != n {
-		t.Fatalf("batched uploads+coalesced = %v, want %d", got, n)
+	if got := vals["submit/coalesced/uploads"] + vals["submit/coalesced/uploads_coalesced"]; got != n {
+		t.Fatalf("coalesced uploads+coalesced = %v, want %d", got, n)
 	}
-	if vals["submit/batched/submit_rpcs"] >= vals["submit/stock/submit_rpcs"] {
-		t.Fatalf("batched submit_rpcs %v not below stock %v",
-			vals["submit/batched/submit_rpcs"], vals["submit/stock/submit_rpcs"])
+	if vals["submit/coalesced/submit_rpcs"] != n {
+		t.Fatalf("coalesced submit_rpcs = %v, want %d", vals["submit/coalesced/submit_rpcs"], n)
 	}
-	if vals["submit/batched/submits_batched"] != n {
-		t.Fatalf("batched submits_batched = %v, want %d", vals["submit/batched/submits_batched"], n)
+	if vals["submit/coalesced/stats_rpcs"] >= vals["submit/stock/stats_rpcs"] {
+		t.Fatalf("coalesced stats_rpcs %v not below stock %v",
+			vals["submit/coalesced/stats_rpcs"], vals["submit/stock/stats_rpcs"])
 	}
-	if vals["submit/batched/stats_rpcs"] >= vals["submit/stock/stats_rpcs"] {
-		t.Fatalf("batched stats_rpcs %v not below stock %v",
-			vals["submit/batched/stats_rpcs"], vals["submit/stock/stats_rpcs"])
-	}
-	// Trading a short coalescing wait for the removed RPCs must not blow
-	// up the makespan.
-	if vals["submit/batched/makespan_s"] > vals["submit/stock/makespan_s"]*1.5 {
-		t.Fatalf("batched makespan %v vs stock %v",
-			vals["submit/batched/makespan_s"], vals["submit/stock/makespan_s"])
+	// Waiting on a shared transfer must not blow up the makespan.
+	if vals["submit/coalesced/makespan_s"] > vals["submit/stock/makespan_s"]*1.5 {
+		t.Fatalf("coalesced makespan %v vs stock %v",
+			vals["submit/coalesced/makespan_s"], vals["submit/stock/makespan_s"])
 	}
 }

@@ -113,7 +113,6 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 			c.GroupCommit = true
 			c.PollHub = true
 			c.CoalesceStaging = true
-			c.SubmitHub = true
 			c.ChunkedStaging = true
 			c.WireCompression = true
 		}},
@@ -124,7 +123,7 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 		Notes: []string{
 			"each scenario is one invocation's full cross-service span tree",
 			"stock rows show the paper's pipeline: logon, db.fetch, stage, submit, poll ticks",
-			"all-knobs rows show the optimised pipeline: cached logon, coalesced/chunked staging, batched submit and poll",
+			"all-knobs rows show the optimised pipeline: cached logon, coalesced/chunked staging, batched poll",
 		},
 	}
 	opts.Tracing = true

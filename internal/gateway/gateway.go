@@ -2,9 +2,9 @@
 // that boots N onServe appliances (reusing appliance.BuildImage/Boot)
 // and shards every portal API call across them by consistent hashing on
 // "service|owner". One shard therefore owns everything downstream for
-// its keys — grid sessions, cached stats, submit-hub batches, staged
-// chunks — while read-style fan-out endpoints (/api/services,
-// /api/stats, unknown-ticket lookups) scatter-gather and merge.
+// its keys — grid sessions, cached stats, staged chunks — while
+// read-style fan-out endpoints (/api/services, /api/stats,
+// unknown-ticket lookups) scatter-gather and merge.
 //
 // Each upstream is health-checked actively (a periodic /api/stats probe
 // with consecutive-failure ejection and half-open recovery) and

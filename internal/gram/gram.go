@@ -87,30 +87,6 @@ type SubmitReply struct {
 	JobID string `json:"job_id"`
 }
 
-// submitBatchRequest carries many job descriptions (each one jsdl XML
-// document) in one submit round-trip. Traces, when present, is parallel
-// to Jobs and carries each entry's X-Grid-Trace wire context; riding in
-// the signed body keeps batch entries exactly as tamper-proof as the
-// single-submit header (which is covered by the token over the body).
-type submitBatchRequest struct {
-	Jobs   []string `json:"jobs"`
-	Traces []string `json:"traces,omitempty"`
-}
-
-// SubmitBatchEntry is one description's answer inside a submit-batch
-// reply. Error is set (and JobID empty) when this entry was rejected —
-// a bad description never fails its batch-mates.
-type SubmitBatchEntry struct {
-	JobID string `json:"job_id,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// submitBatchReply answers a submit-batch request; Entries is parallel
-// to the submitted descriptions.
-type submitBatchReply struct {
-	Entries []SubmitBatchEntry `json:"entries"`
-}
-
 // errorReply is the uniform error body.
 type errorReply struct {
 	Error string `json:"error"`
@@ -177,8 +153,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.submit(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/gram/status":
 		s.withJob(w, r, func(j *gridsim.Job) { writeJSON(w, http.StatusOK, statusOf(j)) })
-	case r.Method == http.MethodPost && r.URL.Path == "/gram/submit-batch":
-		s.submitBatch(w, r)
 	case r.Method == http.MethodPost && r.URL.Path == "/gram/status-batch":
 		s.statusBatch(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/gram/output":
@@ -242,7 +216,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	sp := s.startSubmitSpan(tc, false)
+	sp := s.startSubmitSpan(tc)
 	job, err := s.grid.SubmitTraced(*desc, proxy.Fingerprint(), sp.Context())
 	if err != nil {
 		sp.Error(err.Error())
@@ -259,86 +233,11 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 // startSubmitSpan opens a "gram.submit" span under the caller's context,
 // or returns nil (a no-op span) when tracing is off or no valid context
 // arrived.
-func (s *Server) startSubmitSpan(tc trace.SpanContext, batched bool) *trace.Span {
+func (s *Server) startSubmitSpan(tc trace.SpanContext) *trace.Span {
 	if s.tracer == nil || !tc.Valid() {
 		return nil
 	}
-	sp := s.tracer.StartSpan("gram.submit", tc)
-	if batched {
-		sp.Set("batched", "true")
-	}
-	return sp
-}
-
-// submitBatch submits many job descriptions in one round-trip (token
-// signed over the body, like submit). Failures are reported per entry:
-// a malformed, foreign or rejected description yields an entry with
-// Error set and never fails the batch.
-func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBody+1))
-	if err != nil || len(body) > MaxBody {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "gram: bad body"})
-		return
-	}
-	id, proxy, err := s.authenticateProxy(r, body)
-	if err != nil {
-		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
-		return
-	}
-	var req submitBatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("%v: %v", ErrBadInput, err)})
-		return
-	}
-	if len(req.Jobs) == 0 || len(req.Jobs) > MaxBatch {
-		writeJSON(w, http.StatusBadRequest, errorReply{
-			Error: fmt.Sprintf("%v: batch of %d jobs (1..%d)", ErrBadInput, len(req.Jobs), MaxBatch),
-		})
-		return
-	}
-	// Parse and authorize each entry first; only the valid ones reach the
-	// grid, with idx mapping their compacted position back. Per-entry
-	// trace contexts (parallel to Jobs) get their own "gram.submit"
-	// spans; malformed or missing contexts leave their entry untraced.
-	entries := make([]SubmitBatchEntry, len(req.Jobs))
-	var descs []jsdl.Description
-	var idx []int
-	var spans []*trace.Span
-	var tcs []trace.SpanContext
-	for i, doc := range req.Jobs {
-		desc, err := jsdl.Unmarshal([]byte(doc))
-		if err != nil {
-			entries[i].Error = fmt.Sprintf("%v: %v", ErrBadInput, err)
-			continue
-		}
-		if desc.Owner != id {
-			entries[i].Error = fmt.Sprintf("%v: description owner %q, authenticated %q", ErrDenied, desc.Owner, id)
-			continue
-		}
-		var tc trace.SpanContext
-		if i < len(req.Traces) {
-			tc, _ = trace.Parse(req.Traces[i])
-		}
-		sp := s.startSubmitSpan(tc, true)
-		descs = append(descs, *desc)
-		idx = append(idx, i)
-		spans = append(spans, sp)
-		tcs = append(tcs, sp.Context())
-	}
-	jobs, errs := s.grid.SubmitManyTraced(descs, proxy.Fingerprint(), tcs)
-	for k, i := range idx {
-		if errs[k] != nil {
-			entries[i].Error = errs[k].Error()
-			spans[k].Error(errs[k].Error())
-			spans[k].End()
-			continue
-		}
-		entries[i].JobID = jobs[k].ID
-		spans[k].Set("site", jobs[k].Site)
-		spans[k].Set("job_id", jobs[k].ID)
-		spans[k].End()
-	}
-	writeJSON(w, http.StatusOK, submitBatchReply{Entries: entries})
+	return s.tracer.StartSpan("gram.submit", tc)
 }
 
 // statusBatch answers one status poll for many jobs at once (token
@@ -560,64 +459,6 @@ func (c *Client) Submit(desc *jsdl.Description) (string, error) {
 		return "", err
 	}
 	return reply.JobID, nil
-}
-
-// SubmitBatch submits many descriptions in ⌈n/MaxBatch⌉ round-trips
-// instead of one per job. Entries come back parallel to descs;
-// per-description failures (including local marshal failures) are
-// reported in each entry's Error field, so one bad description never
-// fails the rest.
-func (c *Client) SubmitBatch(descs []*jsdl.Description) ([]SubmitBatchEntry, error) {
-	return c.SubmitBatchTraced(descs, nil)
-}
-
-// SubmitBatchTraced is SubmitBatch with one trace-context wire string
-// per description (parallel to descs, shorter or nil allowed); each
-// non-empty entry parents that job's gatekeeper span.
-func (c *Client) SubmitBatchTraced(descs []*jsdl.Description, traces []string) ([]SubmitBatchEntry, error) {
-	entries := make([]SubmitBatchEntry, len(descs))
-	// Marshal everything first; failures stay local to their entry and
-	// idx maps each shippable document back to its description.
-	var docs, tcs []string
-	anyTrace := false
-	var idx []int
-	for i, desc := range descs {
-		body, err := jsdl.Marshal(desc)
-		if err != nil {
-			entries[i].Error = fmt.Sprintf("%v: %v", ErrBadInput, err)
-			continue
-		}
-		docs = append(docs, string(body))
-		t := ""
-		if i < len(traces) {
-			t = traces[i]
-		}
-		anyTrace = anyTrace || t != ""
-		tcs = append(tcs, t)
-		idx = append(idx, i)
-	}
-	for start := 0; start < len(docs); start += MaxBatch {
-		end := min(start+MaxBatch, len(docs))
-		breq := submitBatchRequest{Jobs: docs[start:end]}
-		if anyTrace {
-			breq.Traces = tcs[start:end]
-		}
-		body, err := json.Marshal(breq)
-		if err != nil {
-			return nil, err
-		}
-		var reply submitBatchReply
-		if err := c.call(http.MethodPost, "/gram/submit-batch", body, "application/json", body, &reply); err != nil {
-			return nil, err
-		}
-		if len(reply.Entries) != end-start {
-			return nil, fmt.Errorf("%w: batch answered %d of %d entries", ErrBadInput, len(reply.Entries), end-start)
-		}
-		for k, e := range reply.Entries {
-			entries[idx[start+k]] = e
-		}
-	}
-	return entries, nil
 }
 
 // Status polls the job state.

@@ -1,12 +1,9 @@
 package gram
 
 import (
-	"encoding/json"
 	"errors"
-	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -499,134 +496,5 @@ func TestUnknownEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
 		t.Fatalf("status %d", resp.StatusCode)
-	}
-}
-
-func TestSubmitBatch(t *testing.T) {
-	f := newFixture(t)
-	entries, err := f.client.SubmitBatch([]*jsdl.Description{
-		f.desc("hello.gsh"),
-		f.desc("ghost.gsh"), // never staged: per-entry rejection
-		f.desc("writer.gsh"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("%d entries", len(entries))
-	}
-	if entries[0].JobID == "" || entries[0].Error != "" {
-		t.Fatalf("entry 0: %+v", entries[0])
-	}
-	if entries[1].JobID != "" || !strings.Contains(entries[1].Error, "not staged") {
-		t.Fatalf("unstaged entry did not error per-entry: %+v", entries[1])
-	}
-	if entries[2].JobID == "" || entries[2].Error != "" {
-		t.Fatalf("entry 2 after bad entry: %+v", entries[2])
-	}
-	// Both accepted jobs actually run to completion.
-	for _, id := range []string{entries[0].JobID, entries[2].JobID} {
-		st, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour)
-		if err != nil || st.State != "DONE" {
-			t.Fatalf("job %s: %+v err %v", id, st, err)
-		}
-	}
-}
-
-func TestSubmitBatchOwnershipPerEntry(t *testing.T) {
-	f := newFixture(t)
-	// bob ships a description claiming alice's identity: the forged entry
-	// is rejected, bob's own (unstaged) entry errors independently.
-	forged := f.desc("hello.gsh") // Owner = alice
-	entries, err := f.other.SubmitBatch([]*jsdl.Description{forged})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries[0].JobID != "" || !strings.Contains(entries[0].Error, "description owner") {
-		t.Fatalf("forged owner not rejected per-entry: %+v", entries[0])
-	}
-}
-
-func TestSubmitBatchEmpty(t *testing.T) {
-	f := newFixture(t)
-	// A zero-length batch is degenerate client-side (no chunks, no
-	// round-trips, empty result).
-	entries, err := f.client.SubmitBatch(nil)
-	if err != nil || len(entries) != 0 {
-		t.Fatalf("entries %v err %v", entries, err)
-	}
-}
-
-// countingTransport counts POSTs per path on their way to the wrapped
-// round-tripper.
-type countingTransport struct {
-	base http.RoundTripper
-	mu   sync.Mutex
-	hits map[string]int
-}
-
-func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	c.mu.Lock()
-	if c.hits == nil {
-		c.hits = map[string]int{}
-	}
-	c.hits[req.URL.Path]++
-	c.mu.Unlock()
-	return c.base.RoundTrip(req)
-}
-
-func TestSubmitBatchChunksAtMaxBatch(t *testing.T) {
-	f := newFixture(t)
-	ct := &countingTransport{base: http.DefaultTransport}
-	f.client.HTTP = &http.Client{Transport: ct}
-	n := MaxBatch + 44 // 300: two chunks
-	descs := make([]*jsdl.Description, n)
-	for i := range descs {
-		d := f.desc("hello.gsh")
-		d.WallTime = time.Hour // queue depth exceeds the slots; give slack
-		descs[i] = d
-	}
-	entries, err := f.client.SubmitBatch(descs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != n {
-		t.Fatalf("%d entries, want %d", len(entries), n)
-	}
-	seen := map[string]bool{}
-	for i, e := range entries {
-		if e.Error != "" || e.JobID == "" || seen[e.JobID] {
-			t.Fatalf("entry %d: %+v", i, e)
-		}
-		seen[e.JobID] = true
-	}
-	want := (n + MaxBatch - 1) / MaxBatch
-	ct.mu.Lock()
-	got := ct.hits["/gram/submit-batch"]
-	ct.mu.Unlock()
-	if got != want {
-		t.Fatalf("%d descriptions cost %d round-trips, want ceil(n/MaxBatch) = %d", n, got, want)
-	}
-}
-
-func TestSubmitBatchOversizedRejectedServerSide(t *testing.T) {
-	f := newFixture(t)
-	// Drive the endpoint directly (the client never builds an oversized
-	// chunk): > MaxBatch jobs in one request must be refused.
-	docs := make([]string, MaxBatch+1)
-	doc, err := jsdl.Marshal(f.desc("hello.gsh"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range docs {
-		docs[i] = string(doc)
-	}
-	body, err := json.Marshal(submitBatchRequest{Jobs: docs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reply submitBatchReply
-	if err := f.client.call(http.MethodPost, "/gram/submit-batch", body, "application/json", body, &reply); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("oversized batch: %v", err)
 	}
 }

@@ -185,30 +185,6 @@ func (g *Grid) Jobs(ids []string) (jobs []*Job, errs []error) {
 	return jobs, errs
 }
 
-// SubmitMany submits many descriptions in one pass. The result slices
-// are parallel to descs: jobs[i] is non-nil exactly when errs[i] is
-// nil. A rejected description never fails the batch — callers (the
-// gatekeeper's submit-batch endpoint) report per-entry errors instead.
-func (g *Grid) SubmitMany(descs []jsdl.Description) (jobs []*Job, errs []error) {
-	return g.SubmitManyTraced(descs, "", nil)
-}
-
-// SubmitManyTraced is SubmitMany on behalf of one remote submitter, with
-// one trace context per description (parallel to descs; shorter or nil
-// allowed).
-func (g *Grid) SubmitManyTraced(descs []jsdl.Description, submitter string, tcs []trace.SpanContext) (jobs []*Job, errs []error) {
-	jobs = make([]*Job, len(descs))
-	errs = make([]error, len(descs))
-	for i, desc := range descs {
-		var tc trace.SpanContext
-		if i < len(tcs) {
-			tc = tcs[i]
-		}
-		jobs[i], errs[i] = g.SubmitTraced(desc, submitter, tc)
-	}
-	return jobs, errs
-}
-
 // SiteUsage pairs a site name with one owner's usage there.
 type SiteUsage struct {
 	Site  string     `json:"site"`

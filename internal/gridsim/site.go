@@ -554,25 +554,48 @@ func (s *Site) execute(j *Job, startedAt time.Time) (State, string) {
 	result := make(chan error, 1)
 	go func() { result <- prog.Run(env) }()
 
-	select {
-	case err := <-result:
-		switch {
-		case err == nil:
-			return Succeeded, ""
-		case errors.Is(err, gsh.ErrCancelled):
-			return Cancelled, "cancelled by user"
-		default:
-			return Failed, err.Error()
-		}
-	case <-s.clock.After(wallTime):
+	st, msg := awaitProgram(result, s.clock.After(wallTime), j.cancel)
+	if st == TimedOut {
 		// The interpreter goroutine unwinds at its next statement
 		// boundary; its late writes are ignored because the job will
 		// already be terminal.
 		j.requestCancel()
-		return TimedOut, fmt.Sprintf("walltime limit %v exceeded", wallTime)
-	case <-j.cancel:
+		msg = fmt.Sprintf("walltime limit %v exceeded", wallTime)
+	}
+	return st, msg
+}
+
+// awaitProgram blocks until the program returns, its walltime expires or
+// the job is cancelled, and reports the terminal state that follows. A
+// program that has returned by the time the limit is seen to expire
+// finished within it: on a dilated clock the two are a few host
+// milliseconds apart, and a select with both ready picks at random.
+func awaitProgram(result <-chan error, expired <-chan time.Time, cancel <-chan struct{}) (State, string) {
+	select {
+	case err := <-result:
+		return programState(err)
+	case <-expired:
+		select {
+		case err := <-result:
+			return programState(err)
+		default:
+			return TimedOut, ""
+		}
+	case <-cancel:
 		// Cancel of a dispatched job: release the slots immediately even
 		// if the interpreter is mid-sleep.
 		return Cancelled, "cancelled by user"
+	}
+}
+
+// programState maps what the interpreter returned to a terminal state.
+func programState(err error) (State, string) {
+	switch {
+	case err == nil:
+		return Succeeded, ""
+	case errors.Is(err, gsh.ErrCancelled):
+		return Cancelled, "cancelled by user"
+	default:
+		return Failed, err.Error()
 	}
 }

@@ -137,7 +137,8 @@ func TestRSLDefaultsCount(t *testing.T) {
 }
 
 // Property: marshal/unmarshal preserves arbitrary argument maps (with
-// XML-safe keys).
+// XML-safe keys, and values of XML characters: a document cannot hold a
+// control character, U+FFFE or U+FFFF, and the encoder writes U+FFFD).
 func TestPropertyArgumentsRoundTrip(t *testing.T) {
 	f := func(vals []string) bool {
 		d := Description{Owner: "o", Executable: "e.gsh", CPUs: 1}
@@ -147,7 +148,7 @@ func TestPropertyArgumentsRoundTrip(t *testing.T) {
 				break
 			}
 			clean := strings.Map(func(r rune) rune {
-				if r < 0x20 {
+				if r < 0x20 || r == 0xFFFE || r == 0xFFFF {
 					return -1
 				}
 				return r

@@ -504,9 +504,9 @@ func (p *Portal) apiOutputFile(w http.ResponseWriter, r *http.Request) {
 
 // statsPayload is the /api/stats document: the monitoring tallies the
 // seed portal served (inlined, so existing consumers keep decoding it
-// into core.Monitoring), extended with the poll-hub, submit-hub, and
-// staging counters of PRs 2-4 and — when tracing is on — the trace
-// ring's occupancy.
+// into core.Monitoring), extended with the poll-hub, submission and
+// staging counters and — when tracing is on — the trace ring's
+// occupancy.
 type statsPayload struct {
 	core.Monitoring
 	// Collector is the poll-side counters: status RPCs, output fetches
@@ -515,14 +515,14 @@ type statsPayload struct {
 	// Events is the push-collection path: streams opened, events
 	// delivered, reconnects/cursor resumes, fallbacks to polling.
 	Events core.EventStats `json:"events"`
-	// Submit is the submission front-end: submit RPCs, batched submits,
-	// upload counts/retries, coalesced stagings.
+	// Submit is the submission front-end: submit RPCs, upload
+	// counts/retries, coalesced stagings, stats fetches.
 	Submit core.SubmitStats `json:"submit"`
 	// Stage is the chunked-staging data plane: chunks shipped/deduped,
 	// wire vs payload bytes, fallbacks, replications.
 	Stage core.StageStats `json:"stage"`
 	// Placement is the data-aware placement control plane: possession
-	// probes and cache hits, redirected placements, replicator pushes.
+	// probes and cache hits, redirected placements.
 	Placement core.PlacementStats `json:"placement"`
 	// Trace is the span ring's occupancy (spans, bytes, evictions);
 	// omitted while tracing is off.

@@ -570,7 +570,7 @@ func TestServiceDescribeAPI(t *testing.T) {
 
 // TestStatsSurfacesSubsystemCounters pins the /api/stats extension: the
 // monitoring tallies stay inline (TestMonitoringStats still decodes the
-// document into core.Monitoring), and the poll-hub, submit-hub, staging,
+// document into core.Monitoring), and the poll-hub, submission, staging
 // and trace-ring counters ride alongside.
 func TestStatsSurfacesSubsystemCounters(t *testing.T) {
 	f := newTracedFixture(t, trace.NewCollector(0, 0))
