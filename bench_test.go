@@ -141,21 +141,20 @@ var ablationBenches = []struct {
 		{"compression", "fast-8MBps", "upload_cpu_total_s", "fast_cpu_s"},
 		{"compression", "slow-512KBps", "upload_cpu_total_s", "slow_cpu_s"},
 	}},
-	// The paper-faithful invocation pipeline (fresh MyProxy logon, stats
-	// fetch and blob decompress per invocation) — the baseline the warm
-	// benchmark is compared against.
+	// The paper-faithful invocation pipeline (fresh MyProxy logon and stats
+	// fetch per invocation) — the baseline the warm benchmark is compared
+	// against.
 	{"InvokeHotPathCold", hotPath("stock"), []metric{
 		{"hot-path", "stock", "per_invoke_s", "virtual_s/invoke"},
 		{"hot-path", "stock", "net_out_total_kb", "grid_kb"},
 	}},
-	// The same workload with the session cache, stats TTL and blob LRU
-	// on: repeat invocations skip the logon, the stats round-trip and the
-	// decompress.
+	// The same workload with the session cache and stats TTL on: repeat
+	// invocations skip the logon and the stats round-trip.
 	{"InvokeHotPathWarm", hotPath("warm"), []metric{
 		{"hot-path", "warm", "per_invoke_s", "virtual_s/invoke"},
 		{"hot-path", "warm", "net_out_total_kb", "grid_kb"},
 	}},
-	// The three hot-path levers, each alone.
+	// The two hot-path levers, each alone.
 	{"SessionCache", hotPath("stock", "session-cache"), []metric{
 		{"hot-path", "stock", "net_out_total_kb", "stock_grid_kb"},
 		{"hot-path", "session-cache", "net_out_total_kb", "cached_grid_kb"},
@@ -163,10 +162,6 @@ var ablationBenches = []struct {
 	{"StatsTTL", hotPath("stock", "stats-ttl"), []metric{
 		{"hot-path", "stock", "net_out_total_kb", "stock_grid_kb"},
 		{"hot-path", "stats-ttl", "net_out_total_kb", "ttl_grid_kb"},
-	}},
-	{"BlobLRU", hotPath("stock", "blob-lru"), []metric{
-		{"hot-path", "stock", "cpu_total_s", "stock_cpu_s"},
-		{"hot-path", "blob-lru", "cpu_total_s", "lru_cpu_s"},
 	}},
 	// The output-collection workload (many simultaneous mostly-silent
 	// invocations) under the paper's one-poller-goroutine-per-invocation

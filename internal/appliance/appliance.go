@@ -85,7 +85,10 @@ type Config struct {
 	// core.Config). Off by default; needs ChunkedStaging.
 	DataAwarePlacement bool
 	// BlobCacheBytes / GroupCommit tune the blob database (see
-	// blobdb.Options); zero values keep the stock behaviour.
+	// blobdb.Options); zero values keep the stock behaviour. The blob
+	// cache sits in front of Table.Get, which nothing in the appliance
+	// calls any more: neither profile sets it, cmd/bench's prod profile
+	// still does (ROADMAP 4b).
 	BlobCacheBytes int64
 	GroupCommit    bool
 	// WALShards is the shard count a new DBDir is created with (0 means
@@ -120,7 +123,6 @@ func Production(dbDir string) Config {
 	cfg := Config{
 		SessionCache:       true,
 		StatsTTL:           30 * time.Second,
-		BlobCacheBytes:     64 << 20,
 		StagingCache:       true,
 		DirectDBWrite:      true,
 		PushEvents:         true,

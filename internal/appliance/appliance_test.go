@@ -65,7 +65,7 @@ func boot(t *testing.T, mutate func(*Config)) *world {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		blobtest.VerifyBlobCache(t, app.DB)
+		blobtest.VerifyStored(t, app.DB)
 		app.Shutdown()
 	})
 	app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})

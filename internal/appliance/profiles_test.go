@@ -100,11 +100,25 @@ func tableLen(ons *core.OnServe, path string) int {
 // TestPublishCycleLeavesNoApplianceState follows ROADMAP item 3c's lead
 // (a publish → invoke → delete loop over unique names grew the process
 // by hundreds of MB) on the appliance's side of the wire: after 200
-// cycles of a 256 KB executable on the on-disk production profile every
-// table the appliance keeps is back at its idle size, and the ticket map
-// holds one ticket per cycle, short of its retention bound. What does grow in that loop is the
-// sites' file stores — DeleteService leaves the staged copy behind.
+// cycles of a 256 KB executable on either profile, persisted on disk,
+// every table the appliance keeps is back at its idle size — the paper
+// profile's per-invocation sessions included, each logged out with its
+// invocation — and the ticket map holds one ticket per cycle, short of
+// its retention bound. What does grow in that loop is the sites' file
+// stores — DeleteService leaves the staged copy behind.
 func TestPublishCycleLeavesNoApplianceState(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		profile func(dbDir string) Config
+	}{
+		{"production", Production},
+		{"paper", func(dbDir string) Config { cfg := Paper(); cfg.DBDir = dbDir; return cfg }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { publishCycleSoak(t, tc.profile) })
+	}
+}
+
+func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
 	// The owner's proxy outlives the soak at any host speed: at this
 	// dilation the default 12 h is two seconds of host time, and a cached
 	// session that ages out stays in the agent's table — ROADMAP item
@@ -112,7 +126,7 @@ func TestPublishCycleLeavesNoApplianceState(t *testing.T) {
 	const soakProxy = 2 * 365 * 24 * time.Hour
 	w := boot(t, func(cfg *Config) {
 		wiring := *cfg // as TestProfilesEndToEnd: the fixture's grid, clock and cadence
-		*cfg = Production(t.TempDir())
+		*cfg = profile(t.TempDir())
 		cfg.Endpoints, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.Clock, wiring.Cost
 		cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
 		cfg.ProxyLifetime = soakProxy
@@ -158,15 +172,28 @@ func TestPublishCycleLeavesNoApplianceState(t *testing.T) {
 		}
 		return sizes
 	}
-	// The first cycle logs on and opens the session's event stream; what
-	// it leaves behind is the idle state every later cycle must return to.
+	// The first cycle logs on and, with a session cache, opens the cached
+	// session's event stream; what it leaves behind is the idle state every
+	// later cycle must return to. A session that is not cached is logged
+	// out by whoever records its invocation's end, just after the waiters
+	// here are woken.
+	settled := func(ok func(map[string]int) bool) map[string]int {
+		got := idle()
+		for deadline := time.Now().Add(5 * time.Second); !ok(got) && time.Now().Before(deadline); got = idle() {
+			time.Sleep(2 * time.Millisecond)
+		}
+		return got
+	}
 	cycle(0)
-	want := idle()
+	want := settled(func(got map[string]int) bool { return got["agent sessions"] == got["sessions"] })
+	if want["agent sessions"] != want["sessions"] {
+		t.Fatalf("idle with %d agent sessions, %d of them cached", want["agent sessions"], want["sessions"])
+	}
 	const cycles = 200
 	for i := 1; i <= cycles; i++ {
 		cycle(i)
 	}
-	if got := idle(); !reflect.DeepEqual(got, want) {
+	if got := settled(func(got map[string]int) bool { return reflect.DeepEqual(got, want) }); !reflect.DeepEqual(got, want) {
 		t.Errorf("after %d publish cycles:\n got %v\nidle %v", cycles, got, want)
 	}
 	// One ticket per cycle and nothing else: the ticket map is the one

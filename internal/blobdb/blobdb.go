@@ -25,6 +25,7 @@ package blobdb
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -33,6 +34,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -120,6 +122,43 @@ type row struct {
 	// segment's live count so the compactor can retire fully-dead
 	// segments without rewriting anything.
 	seg int
+	// sum is the SHA-256 of the raw bytes, recorded at Put and valid once
+	// sumKnown is set. A row replayed from a log written before entries
+	// carried it has none until digest is asked: rows are shared, so that
+	// one late write is made under sumMu and published through sumKnown.
+	sum      [sha256.Size]byte
+	sumKnown atomic.Bool
+	sumMu    sync.Mutex
+}
+
+// digest returns the SHA-256 of the raw bytes. A row without one pays a
+// streaming inflate of its stored stream for it, once; a stream that does
+// not inflate to rawSize bytes is ErrCorrupt every time it is asked.
+func (r *row) digest() ([sha256.Size]byte, error) {
+	if !r.sumKnown.Load() {
+		r.sumMu.Lock()
+		defer r.sumMu.Unlock()
+		if !r.sumKnown.Load() {
+			sr := newStoredReader(r)
+			defer sr.Close()
+			if _, err := io.Copy(io.Discard, sr); err != nil {
+				return [sha256.Size]byte{}, err
+			}
+			sr.sum.Sum(r.sum[:0])
+			r.sumKnown.Store(true)
+		}
+	}
+	return r.sum, nil
+}
+
+// putEntry renders the row as the log entry that installs it — what
+// SetMeta and the snapshot writers log to carry a row forward.
+func (r *row) putEntry(table, key string, meta map[string]string, storedAt time.Time) *walEntry {
+	e := &walEntry{Op: "put", Table: table, Key: key, Meta: meta, Comp: r.comp, RawSize: r.rawSize, StoredAt: storedAt}
+	if r.sumKnown.Load() {
+		e.Sum = r.sum[:]
+	}
+	return e
 }
 
 // walEntry is one log record.
@@ -130,7 +169,10 @@ type walEntry struct {
 	Meta     map[string]string `json:"meta,omitempty"`
 	Comp     []byte            `json:"comp,omitempty"` // gzip bytes (JSON base64)
 	RawSize  int               `json:"raw_size,omitempty"`
+	Sum      []byte            `json:"sha256,omitempty"` // of the raw bytes; older logs carry none
 	StoredAt time.Time         `json:"stored_at,omitempty"`
+
+	sum [sha256.Size]byte // Put's Sum points here: the digest costs it no object
 }
 
 // DB is the database handle. All methods are safe for concurrent use.
@@ -161,10 +203,9 @@ type Options struct {
 	Probe *metrics.Probe
 	// Cost supplies the compression CPU rates; zero rates disable burning.
 	Cost metrics.Cost
-	// BlobCacheBytes bounds a decompressed-blob LRU in front of Get;
-	// repeat reads of an unchanged record skip the disk read and gzip
-	// inflate (and their modelled costs). Zero disables the cache — the
-	// paper-faithful behaviour, where every load decompresses.
+	// BlobCacheBytes bounds a decompressed-blob LRU in front of Get; zero
+	// disables it. Nothing in the product calls Get since staging reads
+	// through Open, so only cmd/bench and tests set this (ROADMAP 4b).
 	BlobCacheBytes int64
 	// GroupCommit batches concurrent WAL appends into one write with a
 	// single fsync (append-before-apply preserved). Off by default: a
@@ -339,10 +380,12 @@ func (t *Table) Put(key string, meta map[string]string, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	return db.shardFor(t.name, key).commit(&walEntry{
+	e := &walEntry{
 		Op: "put", Table: t.name, Key: key, Meta: cloneMeta(meta),
-		Comp: comp, RawSize: len(blob), StoredAt: db.clock.Now(),
-	})
+		Comp: comp, RawSize: len(blob), StoredAt: db.clock.Now(), sum: sha256.Sum256(blob),
+	}
+	e.Sum = e.sum[:]
+	return db.shardFor(t.name, key).commit(e)
 }
 
 // SetMeta replaces a record's metadata and leaves its blob alone: the
@@ -351,16 +394,9 @@ func (t *Table) Put(key string, meta map[string]string, blob []byte) error {
 // blob — a new StoredAt, a new generation, the same bytes on disk.
 func (t *Table) SetMeta(key string, meta map[string]string) error {
 	db := t.db
-	s := db.shardFor(t.name, key)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
-	r, ok := s.tables[t.name][key]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
+	r, err := t.row(key)
+	if err != nil {
+		return err
 	}
 	// The cost model charges what the Get and Put this stands in for
 	// did (row read, inflate, re-compress), so virtual-time results do
@@ -368,10 +404,7 @@ func (t *Table) SetMeta(key string, meta map[string]string) error {
 	db.probe.DiskRead(len(r.comp))
 	db.probe.BurnFor(r.rawSize, db.cost.DecompressBps)
 	db.probe.BurnFor(r.rawSize, db.cost.CompressBps)
-	return s.commit(&walEntry{
-		Op: "put", Table: t.name, Key: key, Meta: cloneMeta(meta),
-		Comp: r.comp, RawSize: r.rawSize, StoredAt: db.clock.Now(),
-	})
+	return db.shardFor(t.name, key).commit(r.putEntry(t.name, key, cloneMeta(meta), db.clock.Now()))
 }
 
 func cloneMeta(meta map[string]string) map[string]string {
@@ -382,27 +415,19 @@ func cloneMeta(meta map[string]string) map[string]string {
 	return out
 }
 
-// Get returns the record with the blob decompressed. The disk read of the
-// compressed bytes and the decompression CPU are accounted.
+// Get returns the record with the blob decompressed, whole. The disk read
+// of the compressed bytes and the decompression CPU are accounted. Its
+// callers are cmd/bench's rungs and tests: the product reads through Open.
 func (t *Table) Get(key string) (*Record, error) {
 	db := t.db
-	s := db.shardFor(t.name, key)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	r, ok := s.tables[t.name][key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
+	r, err := t.row(key)
+	if err != nil {
+		return nil, err
 	}
 	cacheKey := t.name + "\x00" + key
 	if db.cache != nil {
 		if blob, ok := db.cache.get(cacheKey, r.gen); ok {
-			// Hit: no disk read, no inflate, no modelled cost — the repeat-
-			// invocation CPU peak the cache exists to remove.
-			return r.record(key, blob), nil
+			return r.record(key, blob), nil // no disk read, no inflate, no modelled cost
 		}
 	}
 	db.probe.DiskRead(len(r.comp))
@@ -428,38 +453,16 @@ func (t *Table) Get(key string) (*Record, error) {
 	return r.record(key, blob), nil
 }
 
-// GetCompressed returns the record's stored gzip bytes and the
-// decompressed size, without inflating. Only the disk read of the
-// compressed bytes is accounted — this is the cheap path the
-// wire-compression staging mode uses to ship the stored stream as-is.
-//
-// The slice is the row's own and is shared with every other reader, the
-// WAL encoder and the compactor: callers must treat it as read-only.
-// That is safe to hand out because rows are immutable after apply — a
-// re-publish installs a new row with a new slice, it never writes into
-// this one.
+// GetCompressed returns the stored gzip bytes (Version.Gzip: the row's own
+// slice, read-only) and the decompressed size, and accounts the disk read.
+// Its callers are cmd/bench's rungs and tests.
 func (t *Table) GetCompressed(key string) (comp []byte, rawSize int, err error) {
-	comp, rawSize, _, err = t.GetCompressedGen(key)
-	return comp, rawSize, err
-}
-
-// GetCompressedGen is GetCompressed plus the generation of the row the
-// stream belongs to (Record.Gen), so a caller holding an earlier read of
-// the key can tell whether a re-publish has moved the row since.
-func (t *Table) GetCompressedGen(key string) (comp []byte, rawSize int, gen uint64, err error) {
-	s := t.db.shardFor(t.name, key)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, 0, 0, ErrClosed
-	}
-	r, ok := s.tables[t.name][key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
+	r, err := t.row(key)
+	if err != nil {
+		return nil, 0, err
 	}
 	t.db.probe.DiskRead(len(r.comp))
-	return r.comp, r.rawSize, r.gen, nil
+	return r.comp, r.rawSize, nil
 }
 
 // BlobCacheStats reports the decompressed-blob LRU's counters; all zero
@@ -528,6 +531,16 @@ func (db *DB) Stats() Stats {
 
 // Stat returns metadata without touching the blob (no decompression).
 func (t *Table) Stat(key string) (*Record, error) {
+	r, err := t.row(key)
+	if err != nil {
+		return nil, err
+	}
+	return r.record(key, nil), nil
+}
+
+// row returns the row now stored under key. Rows are immutable once
+// applied, so it stays readable after the shard lock is gone.
+func (t *Table) row(key string) (*row, error) {
 	s := t.db.shardFor(t.name, key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -538,7 +551,7 @@ func (t *Table) Stat(key string) (*Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
-	return r.record(key, nil), nil
+	return r, nil
 }
 
 // Delete removes a record.
@@ -546,11 +559,8 @@ func (t *Table) Delete(key string) error {
 	entry := &walEntry{Op: "delete", Table: t.name, Key: key}
 	s := t.db.shardFor(t.name, key)
 	if s.gc != nil {
-		s.mu.RLock()
-		_, ok := s.tables[t.name][key]
-		s.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
+		if _, err := t.row(key); err != nil {
+			return err
 		}
 		return s.gc.commit(entry)
 	}

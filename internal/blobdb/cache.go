@@ -5,21 +5,14 @@ import (
 	"sync"
 )
 
-// blobCache is the size-bounded LRU of decompressed blobs sitting in
-// front of Table.Get. Entries are keyed by table/key plus the row's
-// generation, so any Put or Delete naturally invalidates earlier cached
-// inflations — a stale generation never serves. An entry's slice is
-// shared and immutable, like the row's gzip stream GetCompressed hands
-// out: put adopts the buffer Table.Get just inflated, get returns that
-// slice to every reader, and eviction, invalidate and a re-publish only
-// drop the cache's reference — nobody ever writes into a slice a reader
-// may hold, and callers must treat Record.Blob as read-only.
-//
-// A hit skips the modelled disk read and decompress burn as well as the
-// real gzip inflate — the Fig. 6 "loading and decompressing the file
-// from the database" CPU peak disappears for repeat invocations. The
-// cache is off by default (BlobCacheBytes == 0), keeping first-touch
-// behaviour paper-faithful.
+// blobCache is the size-bounded LRU of decompressed blobs in front of
+// Table.Get (Options.BlobCacheBytes; off by default), keyed by table/key
+// plus the row's generation, so a stale inflation never serves. An
+// entry's slice is shared and immutable: put adopts the buffer Get just
+// inflated, get returns it to every reader, and eviction, invalidate and
+// a re-publish only drop the cache's reference. Staging reads executables
+// through Table.Open, so no product code reaches this cache any more;
+// cmd/bench's prod profile and get_hit rung do (ROADMAP 4b).
 type blobCache struct {
 	mu    sync.Mutex
 	max   int64

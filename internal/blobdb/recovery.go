@@ -224,9 +224,7 @@ func (db *DB) writeSnapshotFile(name string, floor int, tables map[string]map[st
 		}
 		for table, rows := range tables {
 			for key, r := range rows {
-				e := &walEntry{Op: "put", Table: table, Key: key, Meta: r.meta,
-					Comp: r.comp, RawSize: r.rawSize, StoredAt: r.storedAt}
-				if err := writeEntry(w, e); err != nil {
+				if err := writeEntry(w, r.putEntry(table, key, r.meta, r.storedAt)); err != nil {
 					return err
 				}
 			}

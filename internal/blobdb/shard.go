@@ -106,8 +106,13 @@ func (s *shard) apply(e *walEntry, seg int) {
 				delete(s.tombs, tk)
 			}
 		}
-		t[e.Key] = &row{meta: e.Meta, comp: e.Comp, rawSize: e.RawSize,
+		r := &row{meta: e.Meta, comp: e.Comp, rawSize: e.RawSize,
 			storedAt: e.StoredAt, gen: s.genSeq, seg: seg}
+		if len(e.Sum) == len(r.sum) {
+			copy(r.sum[:], e.Sum)
+			r.sumKnown.Store(true)
+		}
+		t[e.Key] = r
 	case "delete":
 		if s.segs != nil {
 			s.noteEntry(seg)

@@ -60,13 +60,15 @@ func terminalState(gramState string) (st InvState, ok bool) {
 	return "", false
 }
 
-// finishAs records the terminal state the gatekeeper reported. A DONE job
-// carries no message.
+// finishAs records the terminal state the gatekeeper reported — a DONE job
+// carries no message — and, if that ends the invocation, its session.
 func (o *OnServe) finishAs(inv *Invocation, st InvState, message string) {
 	if st == InvDone {
 		message = ""
 	}
-	inv.finish(st, message, o.clock.Now())
+	if inv.finish(st, message, o.clock.Now()) {
+		o.releaseSession(inv.sessionID)
+	}
 }
 
 // armWatchdog starts the invocation's deadline timer ("a watchdog class,
@@ -77,8 +79,11 @@ func (o *OnServe) finishAs(inv *Invocation, st InvState, message string) {
 // ignored instead of racing the kill for the final state.
 func (o *OnServe) armWatchdog(inv *Invocation) *Watchdog {
 	return NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-		inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
+		killed := inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
 		o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
+		if killed {
+			o.releaseSession(inv.sessionID)
+		}
 	})
 }
 

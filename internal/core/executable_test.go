@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -115,10 +116,12 @@ func TestPaperProfileProbeSequence(t *testing.T) {
 
 // TestStoredGzipComparesGenerations: the benchmark's own programs are
 // padded to one size, so a re-publish racing an invocation installs a row
-// of the same raw length. Shipping that row's gzip stream under the
-// checksum of the bytes already in hand fails the commit (twice: the one
-// retry repeats it) and kills the invocation; sizes cannot tell, the row
-// generation does.
+// of the same raw length, and sizes cannot tell whose gzip stream and whose
+// checksum belong together. A handle does not have to: it pins one row
+// version when it opens, and stages that version's bytes over that
+// version's stream under that version's checksum at every site, whatever
+// is published meanwhile; a handle opened after the re-publish stages the
+// new one's.
 func TestStoredGzipComparesGenerations(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) {
 		cfg.ChunkedStaging = true
@@ -135,6 +138,7 @@ func TestStoredGzipComparesGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gz1, _, _ := tab.GetCompressed("SameService")
 	sess, _, err := f.ons.gridSession("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"}, trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,43 +151,47 @@ func TestStoredGzipComparesGenerations(t *testing.T) {
 		}
 		return exe
 	}
+	// stage uploads exe to site and checks what the site then holds.
+	stage := func(exe *executable, site string, want []byte) {
+		t.Helper()
+		before := f.ons.StageStats()
+		sum, err := f.ons.uploadExecutable(sess, exe, site, nil)
+		if err != nil {
+			t.Fatalf("staging to %s across a same-size re-publish: %v", site, err)
+		}
+		st, _ := f.env.Grid.Site(site)
+		got, err := st.Store().Get(aliceDN, "SameService.gsh")
+		if err != nil || !bytes.Equal(got, want) || sum != sha256Hex(want) {
+			t.Fatalf("%s holds %d bytes (%v) under checksum %s, want the handle's version under %s", site, len(got), err, sum, sha256Hex(want))
+		}
+		after := f.ons.StageStats()
+		if after.Fallbacks != before.Fallbacks || after.WireBytes-before.WireBytes >= uint64(len(want)) {
+			t.Fatalf("%s was not staged over the stored gzip stream: %+v -> %+v", site, before, after)
+		}
+	}
 
-	held := open() // v1 in hand before the re-publish lands
-	if _, err := held.bytes(); err != nil {
-		t.Fatal(err)
-	}
-	if f.ons.storedGzip(held) == nil {
-		t.Fatal("unmoved row: the stored stream should be the wire")
-	}
-	unfetched := open() // opened on v1, fetches after the re-publish
+	held := open() // pins v1 before the re-publish lands
 	if err := tab.Put("SameService", row.Meta, v2); err != nil {
 		t.Fatal(err)
 	}
-	if gz := f.ons.storedGzip(held); gz != nil {
-		t.Fatal("storedGzip handed v2's stream to a handle holding v1's bytes")
+	if file, err := held.file(); err != nil || &file.Gzip[0] != &gz1[0] || file.SHA256 != sha256Hex(v1) {
+		t.Fatalf("a handle opened on v1 describes checksum %s over another stream (%v)", file.SHA256, err)
 	}
-	sum, err := f.ons.uploadExecutable(sess, held, "siteA", nil)
-	if err != nil {
-		t.Fatalf("staging v1 across a same-size re-publish: %v", err)
+	stage(held, "siteA", v1)
+	stage(held, "siteB", v1)
+	late := open()
+	if file, err := late.file(); err != nil || &file.Gzip[0] == &gz1[0] || file.SHA256 != sha256Hex(v2) {
+		t.Fatalf("a handle opened after the re-publish describes checksum %s over v1's stream (%v)", file.SHA256, err)
 	}
-	if sum != sha256Hex(v1) {
-		t.Fatalf("staged checksum %s, want v1's", sum)
-	}
-	// A handle that had not fetched yet adopts the new row whole.
-	sum, err = f.ons.uploadExecutable(sess, unfetched, "siteB", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != sha256Hex(v2) || f.ons.storedGzip(unfetched) == nil {
-		t.Fatalf("late fetch staged %s with stored stream %v, want v2's checksum over v2's stream", sum, f.ons.storedGzip(unfetched) != nil)
-	}
+	stage(late, "siteA", v2)
 }
 
-// TestHotInvokeReadsNoExecutable: with a copy staged, an invocation
-// touches no executable byte — no row read, no inflate, no db.fetch span
-// — although the database has no blob cache to make the read cheap. The
-// two ways a warm invocation can still need the bytes each fetch them
-// exactly once, when they find out, and end DONE.
+// TestHotInvokeReadsNoExecutable: with a copy staged, an invocation opens
+// its handle and reads nothing through it — no row read or inflate charged,
+// no db.fetch span, no stream — although the database has no blob cache to
+// make a read cheap. The two ways a warm invocation can still need the
+// content each run the fetch step exactly once, when they find out, read
+// the one version the handle pinned as one stream, and end DONE.
 func TestHotInvokeReadsNoExecutable(t *testing.T) {
 	const size = 48 << 10
 	// onlySite makes the cached scheduler snapshot offer one idle site.
@@ -236,6 +244,14 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 		}
 		if fetches != 1 || loads(probes) != 1 {
 			t.Fatalf("fall-through fetched %d times (%d row reads), want once: %q", fetches, loads(probes), probes)
+		}
+		spans, _ := f.ons.InvocationTrace(inv.Ticket)
+		byName, _ := indexSpans(spans)
+		if st := byName["stage"]; len(st) != 1 || st[0].Attrs["wire"] != "stream" || st[0].Attrs["replicated_from"] != first.Site {
+			t.Fatalf("stage spans %+v, want one that tried %s and then streamed", st, first.Site)
+		}
+		if puts := byName["ftp.put"]; len(puts) != 1 {
+			t.Fatalf("%d ftp.put spans, want the one stream", len(puts))
 		}
 		f.ons.mu.Lock()
 		sum := f.ons.staged["FallService"][sibling]

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blobdb"
 	"repro/internal/metrics"
 	"repro/internal/vtime"
 )
@@ -68,10 +69,23 @@ func (l *probeLog) record(f func()) []string {
 	return l.calls
 }
 
-// heldExecutable is a handle whose bytes are already in hand, for tests
-// that drive one pipeline stage on a service the database never stored.
+// heldExecutable is a handle on blob as service's executable, pinned in a
+// database of its own, for tests that drive one pipeline stage on a
+// service the fixture's database never stored.
 func heldExecutable(o *OnServe, service string, blob []byte) *executable {
-	return &executable{o: o, service: service, staged: service + ".gsh", fetched: true, blob: blob, size: len(blob)}
+	db, err := blobdb.Open(blobdb.Options{})
+	if err != nil {
+		panic(err)
+	}
+	tab := db.Table(ExecutablesTable)
+	if err := tab.Put(service, nil, blob); err != nil {
+		panic(err)
+	}
+	row, err := tab.Open(service)
+	if err != nil {
+		panic(err)
+	}
+	return &executable{o: o, row: row, service: service, staged: service + ".gsh"}
 }
 
 // newHTTPServer mounts h on a test HTTP server and returns its base URL.

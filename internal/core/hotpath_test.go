@@ -47,9 +47,11 @@ func TestStockAuthenticatesPerInvocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := f.cfg.Agent.SessionCount(); n != 2 {
-		t.Fatalf("agent holds %d sessions, want one fresh logon per invocation", n)
+	if n := f.cfg.Agent.Logons(); n != 2 {
+		t.Fatalf("%d logons, want one fresh logon per invocation", n)
 	}
+	// ... and each is logged out when its invocation is over.
+	waitFor(t, func() bool { return f.cfg.Agent.SessionCount() == 0 })
 }
 
 func TestGridSessionExpiryReauthenticates(t *testing.T) {

@@ -137,12 +137,12 @@ func (inv *Invocation) setOutput(out string) {
 	inv.mu.Unlock()
 }
 
-// finish records a terminal state once.
-func (inv *Invocation) finish(s InvState, msg string, at time.Time) {
+// finish records a terminal state once; it reports whether this call did.
+func (inv *Invocation) finish(s InvState, msg string, at time.Time) bool {
 	inv.mu.Lock()
 	if inv.state.Terminal() {
 		inv.mu.Unlock()
-		return
+		return false
 	}
 	inv.state = s
 	inv.message = msg
@@ -166,6 +166,7 @@ func (inv *Invocation) finish(s InvState, msg string, at time.Time) {
 	if cb != nil {
 		cb(inv)
 	}
+	return true
 }
 
 // Invoke is Use Scenario B (paper §VII-B): translate one Web-service
@@ -208,9 +209,9 @@ func endSpan(sp *trace.Span, err error) {
 //
 // The fetch step runs here, where the paper puts it, unless the staging
 // cache records a staged copy of the service somewhere: then most likely
-// nothing will send the bytes, and a stage that does need them fetches
-// through the handle. Without Config.StagingCache nothing is ever
-// recorded, so the paper profile always fetches here.
+// nothing will send the executable, and a stage that does fetches through
+// the handle. Without Config.StagingCache nothing is ever recorded, so
+// the paper profile always fetches here.
 func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace.Span) (*Invocation, error) {
 	exe, err := o.openExecutable(serviceName, root)
 	if err != nil {
@@ -225,9 +226,7 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 	staged := len(o.staged[serviceName]) > 0
 	o.mu.Unlock()
 	if !staged {
-		if _, err := exe.bytes(); err != nil {
-			return nil, err
-		}
+		exe.fetch()
 	}
 	sessID, cached, err := o.authenticate(exe.owner, auth, root)
 	if err != nil {
@@ -245,30 +244,12 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 		site, jobID, err = o.stageAndSubmit(sessID, exe, args, root.Context())
 	}
 	if err != nil {
+		o.releaseSession(sessID)
 		return nil, err
 	}
 	inv := o.newInvocation(serviceName, exe.owner, sessID, site, jobID, root)
 	o.collect.register(inv)
 	return inv, nil
-}
-
-// fetchExecutable is file retrieval: "the lookup of the associated file
-// in the database. It is loaded from the database and then stored in a
-// temporary location." Loading decompresses (the first CPU peak of
-// Fig. 6); the temporary spill is a disk write. Called by x.bytes alone,
-// under x.mu.
-func (o *OnServe) fetchExecutable(x *executable) error {
-	sp := o.cfg.Tracing.StartSpan("db.fetch", x.root.Context())
-	rec, err := o.cfg.DB.Table(ExecutablesTable).Get(x.service)
-	if err != nil {
-		endSpan(sp, err)
-		return fmt.Errorf("onserve: load executable: %w", err)
-	}
-	sp.SetInt("bytes", int64(len(rec.Blob)))
-	sp.End()
-	o.cfg.Probe.DiskWrite(len(rec.Blob))
-	x.blob, x.size, x.gen = rec.Blob, rec.RawSize, rec.Gen
-	return nil
 }
 
 // authenticate is the logon step: "Before any use of the Grid is
@@ -324,8 +305,7 @@ func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[str
 	for i, candidate := range candidates {
 		st := o.cfg.Tracing.StartSpan("stage", tc)
 		st.Set("site", candidate)
-		size, _ := exe.version()
-		st.SetInt("bytes", int64(size))
+		st.SetInt("bytes", int64(exe.row.RawSize))
 		err = o.stageExecutable(sessionID, exe, candidate, st)
 		endSpan(st, err)
 		if err != nil {
@@ -396,6 +376,16 @@ func (o *OnServe) cachedSession(owner string) (id string, ok bool) {
 		return "", false
 	}
 	return s.id, true
+}
+
+// releaseSession logs out the session one invocation logged on with, once
+// nothing of that invocation will use it again: it is terminal, or failed
+// before a ticket existed. With Config.SessionCache the session is the
+// owner's, shared and kept, and this does nothing.
+func (o *OnServe) releaseSession(id string) {
+	if !o.cfg.SessionCache {
+		o.cfg.Agent.Logout(id)
+	}
 }
 
 // invalidateSession drops owner's cached session if it still is id.
@@ -669,20 +659,34 @@ func (o *OnServe) CancelInvocation(ticket string) error {
 	if inv.State().Terminal() {
 		return nil
 	}
-	if _, err := o.cfg.Agent.Cancel(inv.sessionID, inv.JobID); err != nil {
+	if _, err := o.cfg.Agent.Cancel(inv.sessionID, inv.JobID); err != nil && !inv.State().Terminal() {
 		return fmt.Errorf("onserve: cancel %s: %w", inv.JobID, err)
 	}
 	return nil
 }
 
 // InvocationOutputFile fetches a named output artifact of the
-// invocation's Grid job through the agent.
+// invocation's Grid job through the agent: on the invocation's session
+// while it has one, on a logon of its own once that was released.
 func (o *OnServe) InvocationOutputFile(ticket, name string) ([]byte, error) {
 	inv, err := o.Invocation(ticket)
 	if err != nil {
 		return nil, err
 	}
-	return o.cfg.Agent.OutputFile(inv.sessionID, inv.JobID, name)
+	data, err := o.cfg.Agent.OutputFile(inv.sessionID, inv.JobID, name)
+	if !errors.Is(err, cyberaide.ErrNoSession) {
+		return data, err
+	}
+	auth, err := o.userAuth(inv.User)
+	if err != nil {
+		return nil, err
+	}
+	sessID, _, err := o.gridSession(inv.User, auth, trace.SpanContext{})
+	if err != nil {
+		return nil, err
+	}
+	defer o.releaseSession(sessID)
+	return o.cfg.Agent.OutputFile(sessID, inv.JobID, name)
 }
 
 // Invocations lists tickets issued so far, ordered by ticket (the

@@ -106,7 +106,7 @@ func newFixtureTraced(t *testing.T, gridHTTP *http.Client, col *trace.Collector,
 	ons.RegisterUser("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
 	// Runs before any database is closed: whatever the test did, nothing
 	// may have written into an executable's shared bytes.
-	t.Cleanup(func() { blobtest.VerifyBlobCache(t, cfg.DB) })
+	t.Cleanup(func() { blobtest.VerifyStored(t, cfg.DB) })
 	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, probes: probes}
 }
 

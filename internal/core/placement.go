@@ -105,66 +105,23 @@ type possState struct {
 	flights flights[possEntry]
 }
 
-// wireChunkSet lazily summarises how a service's executable would chunk
-// on the wire, so a placement where every site answers from cache never
-// pays the SHA-256 pass — nor the fetch: the executable's bytes are read
-// only when they, not the stored gzip stream, are the wire. ok is false
-// when the chunk protocol would not apply (empty wire or oversized
-// manifest) and possession cannot be probed.
-type wireChunkSet struct {
-	exe *executable
-
-	once    sync.Once
-	digests []string
-	sizes   map[string]int
-	total   int64
-	ok      bool
-}
-
-func (w *wireChunkSet) cut() ([]string, map[string]int, int64, bool) {
-	w.once.Do(func() {
-		size, _ := w.exe.version()
-		o := w.exe.o
-		wire := o.storedGzip(w.exe)
-		if wire == nil || len(wire) >= size {
-			// A failed fetch leaves the wire empty: possession unknown here,
-			// and the stage step reports the error.
-			wire, _ = w.exe.bytes()
-		}
-		chunkBytes := o.cfg.ChunkBytes
-		if chunkBytes <= 0 {
-			chunkBytes = gridftp.DefaultChunkBytes
-		}
-		if chunkBytes > gridftp.MaxChunkBytes {
-			chunkBytes = gridftp.MaxChunkBytes
-		}
-		if len(wire) == 0 || (len(wire)+chunkBytes-1)/chunkBytes > gridftp.MaxManifestChunks {
-			// The staging path would fall back to a monolithic PUT here;
-			// there is no possession to discover.
+// wireChunks is how the executable would chunk on the wire, cut on first
+// demand so a placement every site answers from cache pays no SHA-256
+// pass — and no fetch, which runs only when the raw bytes, not the stored
+// gzip, are the wire. Nil means possession cannot be probed: the chunk
+// protocol does not apply, or the row does not read (the stage step says).
+func (x *executable) wireChunks() *gridftp.Cut {
+	x.cutOnce.Do(func() {
+		file, err := x.file()
+		if err != nil {
 			return
 		}
-		w.digests, w.sizes = gridftp.WireChunks(wire, chunkBytes)
-		w.total = int64(len(wire))
-		w.ok = true
+		if !file.GzipWire() {
+			x.fetch()
+		}
+		x.cut, _ = file.Cut(x.o.cfg.ChunkBytes)
 	})
-	return w.digests, w.sizes, w.total, w.ok
-}
-
-// storedGzip returns the database's stored gzip stream for exe when wire
-// compression is on and the stored row is still the generation exe stands
-// for (a concurrent re-publish may have moved it, and a new version of
-// the same length would ship under the old one's checksum). Shared by the
-// staging upload and the placement scorer so both agree on what the wire
-// would carry.
-func (o *OnServe) storedGzip(exe *executable) []byte {
-	if !o.cfg.WireCompression {
-		return nil
-	}
-	comp, _, gen, err := o.cfg.DB.Table(ExecutablesTable).GetCompressedGen(exe.service)
-	if _, want := exe.version(); err != nil || gen != want {
-		return nil
-	}
-	return comp
+	return x.cut
 }
 
 // placementScore folds one site's load and missing wire bytes into the
@@ -204,7 +161,6 @@ func orderScores(scores []siteScore) {
 func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []siteLoad, tc trace.SpanContext) []string {
 	sp := o.cfg.Tracing.StartSpan("place", tc)
 	sp.Set("service", exe.service)
-	chunks := &wireChunkSet{exe: exe}
 
 	scores := make([]siteScore, len(cands))
 	var wg sync.WaitGroup
@@ -213,7 +169,7 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			entry, hit := o.probePossession(sessionID, c.name, chunks)
+			entry, hit := o.probePossession(sessionID, c.name, exe)
 			scores[i] = siteScore{
 				name:       c.name,
 				load:       c.load,
@@ -260,8 +216,8 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 // site?" from the TTL cache when fresh, otherwise through one batched
 // HaveChunks probe concurrent callers share. hit reports whether the
 // answer came without issuing a new probe (cache or joined flight).
-func (o *OnServe) probePossession(sessionID, site string, chunks *wireChunkSet) (possEntry, bool) {
-	key := chunks.exe.service + "|" + site
+func (o *OnServe) probePossession(sessionID, site string, exe *executable) (possEntry, bool) {
+	key := exe.service + "|" + site
 	ttl := o.cfg.PlacementProbeTTL
 	if ttl <= 0 {
 		ttl = DefaultPlacementProbeTTL
@@ -272,7 +228,7 @@ func (o *OnServe) probePossession(sessionID, site string, chunks *wireChunkSet) 
 		return e, ok && o.clock.Now().Sub(e.at) < ttl
 	}, func() (possEntry, error) {
 		led = true
-		e := o.probeOnce(sessionID, site, chunks)
+		e := o.probeOnce(sessionID, site, exe)
 		o.poss.mu.Lock()
 		o.poss.cache[key] = e
 		o.poss.mu.Unlock()
@@ -282,17 +238,18 @@ func (o *OnServe) probePossession(sessionID, site string, chunks *wireChunkSet) 
 }
 
 // probeOnce issues one possession probe against site.
-func (o *OnServe) probeOnce(sessionID, site string, chunks *wireChunkSet) possEntry {
+func (o *OnServe) probeOnce(sessionID, site string, exe *executable) possEntry {
 	now := o.clock.Now()
-	digests, sizes, total, ok := chunks.cut()
-	if !ok {
+	cut := exe.wireChunks()
+	if cut == nil {
 		// Chunk protocol inapplicable: possession unknown, score the site
 		// as a full cold transfer of the raw blob.
-		size, _ := chunks.exe.version()
-		return possEntry{missing: int64(size), total: int64(size), at: now}
+		size := int64(exe.row.RawSize)
+		return possEntry{missing: size, total: size, at: now}
 	}
+	total := cut.WireBytes
 	o.placement.probesSent.Add(1)
-	missing, err := o.cfg.Agent.HaveChunks(sessionID, site, digests)
+	missing, err := o.cfg.Agent.HaveChunks(sessionID, site, cut.Digests())
 	if err != nil {
 		// Degradation, not failure: the site is scored possession-unknown
 		// — the load term plus a full cold transfer — so a dead or
@@ -303,7 +260,7 @@ func (o *OnServe) probeOnce(sessionID, site string, chunks *wireChunkSet) possEn
 	}
 	var missingBytes int64
 	for _, d := range missing {
-		missingBytes += int64(sizes[d])
+		missingBytes += int64(cut.Sizes[d])
 	}
 	return possEntry{missing: missingBytes, total: total, ok: true, at: now}
 }

@@ -378,7 +378,7 @@ func TestProbeCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f.ons.probePossession(sess, "siteA", &wireChunkSet{exe: exe})
+			f.ons.probePossession(sess, "siteA", exe)
 		}()
 	}
 	wg.Wait()

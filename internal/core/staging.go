@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/blobdb"
 	"repro/internal/cyberaide"
 	"repro/internal/gridftp"
 	"repro/internal/trace"
@@ -68,37 +69,36 @@ func (o *OnServe) StageStats() StageStats {
 // the chunk protocol when Config.ChunkedStaging is on, as the paper's
 // monolithic PUT otherwise. Either way a transiently failed transfer is
 // retried exactly once after a short backoff — a blip at second 59 of a
-// 60 s WAN upload no longer kills the invocation. Session faults are
-// never retried here (Invoke's invalidate-and-retry owns those), and
-// neither are the server's definitive rejections. This is the consumer
-// the executable's bytes exist for.
+// 60 s WAN upload no longer kills the invocation — and the retry reads
+// the executable from the start again. Session faults are never retried
+// here (Invoke's invalidate-and-retry owns those), and neither are the
+// server's definitive rejections or a stored stream found corrupt.
 func (o *OnServe) uploadExecutable(sessionID string, exe *executable, site string, sp *trace.Span) (string, error) {
-	blob, err := exe.bytes()
+	exe.fetch()
+	file, err := exe.file()
 	if err != nil {
 		return "", err
 	}
-	checksum, err := o.uploadOnce(sessionID, exe, blob, site, sp)
+	checksum, err := o.uploadOnce(sessionID, exe, file, site, sp)
 	if err == nil || !retryableStageErr(err) {
 		return checksum, err
 	}
 	o.submit.uploadRetries.Add(1)
 	sp.Set("retried", "true")
 	o.clock.Sleep(stageRetryBackoff)
-	return o.uploadOnce(sessionID, exe, blob, site, sp)
+	return o.uploadOnce(sessionID, exe, file, site, sp)
 }
 
-// uploadOnce is one transfer attempt of blob, exe's bytes.
-func (o *OnServe) uploadOnce(sessionID string, exe *executable, blob []byte, site string, sp *trace.Span) (string, error) {
+// uploadOnce is one transfer attempt of file, exe's content. The stage
+// span's wire attribute says which way the bytes went.
+func (o *OnServe) uploadOnce(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (string, error) {
 	o.submit.uploads.Add(1)
 	ag := o.cfg.Agent.WithTrace(sp.Context())
 	if !o.cfg.ChunkedStaging {
-		return ag.Upload(sessionID, site, exe.staged, blob)
+		sp.Set("wire", "stream")
+		return ag.UploadFile(sessionID, site, exe.staged, file)
 	}
-	// Ship the database's stored gzip stream as-is when wire compression
-	// is on — no re-compress CPU on the appliance (see storedGzip for
-	// the re-publish guard).
-	gz := o.storedGzip(exe)
-	stats, err := ag.UploadChunked(sessionID, site, exe.staged, blob, gz, o.cfg.ChunkBytes)
+	stats, err := ag.UploadChunked(sessionID, site, exe.staged, file, o.cfg.ChunkBytes)
 	if err != nil {
 		return "", err
 	}
@@ -113,6 +113,7 @@ func (o *OnServe) uploadOnce(sessionID string, exe *executable, blob []byte, sit
 	if stats.Fallback {
 		o.stage.fallbacks.Add(1)
 	}
+	sp.Set("wire", stats.Wire())
 	sp.SetInt("wire_bytes", stats.WireBytes)
 	sp.SetInt("chunks_shipped", int64(stats.ChunksShipped))
 	sp.SetInt("chunks_deduped", int64(stats.ChunksDeduped))
@@ -127,14 +128,16 @@ func (o *OnServe) uploadOnce(sessionID string, exe *executable, blob []byte, sit
 }
 
 // retryableStageErr reports whether a failed transfer is worth the one
-// bounded retry: transient transport trouble is, a session fault or the
-// server's definitive rejection is not. A checksum mismatch is
-// retryable — both transfer paths are idempotent.
+// bounded retry: transient transport trouble is, a session fault, the
+// server's definitive rejection or a corrupt stored row — which a second
+// read finds corrupt again — is not. A checksum mismatch is retryable —
+// both transfer paths are idempotent.
 func retryableStageErr(err error) bool {
 	if err == nil || isSessionFault(err) {
 		return false
 	}
 	if errors.Is(err, cyberaide.ErrUnknownSite) ||
+		errors.Is(err, blobdb.ErrCorrupt) ||
 		errors.Is(err, gridftp.ErrDenied) ||
 		errors.Is(err, gridftp.ErrBadInput) ||
 		errors.Is(err, gridftp.ErrNoFile) {

@@ -85,6 +85,7 @@ type Agent struct {
 type sessionTable struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
+	logons   uint64 // sessions ever opened
 }
 
 // Options configures New.
@@ -176,6 +177,7 @@ func (a *Agent) Authenticate(user, passphrase string, lifetime time.Duration) (*
 	}
 	a.state.mu.Lock()
 	a.state.sessions[sess.ID] = sess
+	a.state.logons++
 	a.state.mu.Unlock()
 	return sess, nil
 }
@@ -208,6 +210,14 @@ func (a *Agent) SessionCount() int {
 	return len(a.state.sessions)
 }
 
+// Logons reports how many sessions Authenticate has opened so far,
+// logged out since or not.
+func (a *Agent) Logons() uint64 {
+	a.state.mu.Lock()
+	defer a.state.mu.Unlock()
+	return a.state.logons
+}
+
 // SiteURL reports the GridFTP endpoint configured for site.
 func (a *Agent) SiteURL(site string) (string, bool) {
 	url, ok := a.endpoints.FTPURLs[site]
@@ -225,32 +235,8 @@ func (a *Agent) Sites() []string {
 	return out
 }
 
-// Upload stages a file to a site's GridFTP server under the session
-// identity. It returns the content checksum the server confirmed.
-func (a *Agent) Upload(sessionID, site, name string, data []byte) (string, error) {
-	sess, err := a.Session(sessionID)
-	if err != nil {
-		return "", err
-	}
-	ftp, ok := a.ftpFor(sess, site)
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownSite, site)
-	}
-	checksum, err := ftp.Put(name, data)
-	if err != nil {
-		return "", fmt.Errorf("cyberaide: stage %s to %s: %w", name, site, err)
-	}
-	return checksum, nil
-}
-
-// UploadChunked stages a file via the chunked, content-addressed GridFTP
-// protocol: probe the site for chunks it already holds, ship only the
-// missing ones, commit the manifest. gz, when non-nil, is the gzip
-// encoding of data and rides the wire instead when smaller (the site
-// inflates at commit). Against a site whose server does not speak the
-// chunk protocol the transfer silently downgrades to a plain PUT — see
-// the returned stats' Fallback field.
-func (a *Agent) UploadChunked(sessionID, site, name string, data, gz []byte, chunkBytes int) (*gridftp.ChunkedPutStats, error) {
+// ftp resolves the GridFTP client a session stages to site with.
+func (a *Agent) ftp(sessionID, site string) (*gridftp.Client, error) {
 	sess, err := a.Session(sessionID)
 	if err != nil {
 		return nil, err
@@ -259,7 +245,42 @@ func (a *Agent) UploadChunked(sessionID, site, name string, data, gz []byte, chu
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSite, site)
 	}
-	stats, err := ftp.PutChunked(name, data, gz, chunkBytes)
+	return ftp, nil
+}
+
+// Upload stages data to a site's GridFTP server under the session
+// identity. It returns the content checksum the server confirmed.
+func (a *Agent) Upload(sessionID, site, name string, data []byte) (string, error) {
+	return a.UploadFile(sessionID, site, name, gridftp.BytesFile(data, nil))
+}
+
+// UploadFile is Upload of a file read as it is sent: one PUT at the
+// file's declared length.
+func (a *Agent) UploadFile(sessionID, site, name string, f gridftp.File) (string, error) {
+	ftp, err := a.ftp(sessionID, site)
+	if err != nil {
+		return "", err
+	}
+	checksum, err := ftp.PutFile(name, f)
+	if err != nil {
+		return "", fmt.Errorf("cyberaide: stage %s to %s: %w", name, site, err)
+	}
+	return checksum, nil
+}
+
+// UploadChunked stages a file via the chunked, content-addressed GridFTP
+// protocol: probe the site for chunks it already holds, ship only the
+// missing ones, commit the manifest. f.Gzip, when non-nil, rides the wire
+// in place of the file's bytes when smaller (the site inflates at commit).
+// Against a site whose server does not speak the chunk protocol the
+// transfer silently downgrades to a plain PUT — see the returned stats'
+// Fallback field.
+func (a *Agent) UploadChunked(sessionID, site, name string, f gridftp.File, chunkBytes int) (*gridftp.ChunkedPutStats, error) {
+	ftp, err := a.ftp(sessionID, site)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := ftp.PutChunkedFile(name, f, chunkBytes)
 	if err != nil {
 		return nil, fmt.Errorf("cyberaide: stage %s to %s (chunked): %w", name, site, err)
 	}
@@ -271,13 +292,9 @@ func (a *Agent) UploadChunked(sessionID, site, name string, data, gz []byte, chu
 // data-aware placement as a possession oracle. Oversized digest lists
 // are batched by the client transparently.
 func (a *Agent) HaveChunks(sessionID, site string, digests []string) ([]string, error) {
-	sess, err := a.Session(sessionID)
+	ftp, err := a.ftp(sessionID, site)
 	if err != nil {
 		return nil, err
-	}
-	ftp, ok := a.ftpFor(sess, site)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSite, site)
 	}
 	missing, err := ftp.HaveChunks(digests)
 	if err != nil {

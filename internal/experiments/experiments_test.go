@@ -20,6 +20,17 @@ func fastOpts() Options {
 	return Options{Scale: 300}
 }
 
+// wanOpts is fastOpts for tests whose verdict is the pace of a WAN
+// transfer. The executable is inflated into the PUT as it is sent, and
+// race-instrumented flate manages a few MB/s of host time: under -race,
+// dilate little enough for it to stay ahead of the 85 KB/s link.
+func wanOpts() Options {
+	if raceEnabled {
+		return Options{Scale: 20}
+	}
+	return fastOpts()
+}
+
 func TestFig6Shape(t *testing.T) {
 	res, err := Fig6(fastOpts())
 	if err != nil {
@@ -54,7 +65,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res, err := Fig7(fastOpts())
+	res, err := Fig7(wanOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +120,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestScalabilitySweep(t *testing.T) {
-	res, err := Scalability(fastOpts(), []int{1, 4}, 1024)
+	res, err := Scalability(wanOpts(), []int{1, 4}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestAblationHotPath(t *testing.T) {
 			t.Errorf("%s: %v statistics fetches for %d invocations", variant, rpcs, invocations)
 		}
 	}
-	// Warm also skips the per-invocation auth burn and repeat decompress.
+	// Warm also skips the per-invocation auth burn.
 	if vals["hot-path/warm/cpu_total_s"] >= vals["hot-path/stock/cpu_total_s"] {
 		t.Errorf("warm path should burn less CPU: %v", vals)
 	}

@@ -57,14 +57,6 @@ func TestStudyTable(t *testing.T) {
 // of the checked-in results/<file> too, for each Study that file covers
 // (a reduced run may sweep sizes the production run does not). A renamed
 // metric is then a red test, not a silent drift of the result schema.
-//
-// postdates lists the metrics a study gained after its file was last
-// generated; the files stay as they are until ROADMAP item 1 makes them
-// reproducible, so these are exempt until then — and nothing else is.
-var postdates = map[string]map[string]bool{
-	"hotpath.json": {"logons": true, "stats_rpcs": true}, // PR 16
-}
-
 func pinKeys(t *testing.T, res *AblationResult, file string) {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join(resultsDir, file))
@@ -83,7 +75,7 @@ func pinKeys(t *testing.T, res *AblationResult, file string) {
 	}
 	pinned := 0
 	for _, row := range res.Rows {
-		if !covered[row.Study] || postdates[file][row.Metric] {
+		if !covered[row.Study] {
 			continue
 		}
 		pinned++

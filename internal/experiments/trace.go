@@ -109,7 +109,6 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 			c.StagingCache = true
 			c.SessionCache = true
 			c.StatsTTL = 30 * time.Second
-			c.BlobCacheBytes = 64 << 20
 			c.GroupCommit = true
 			c.PollHub = true
 			c.CoalesceStaging = true

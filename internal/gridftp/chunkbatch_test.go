@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -57,10 +58,11 @@ func TestHaveChunksBatchesLargeProbes(t *testing.T) {
 
 func TestWireChunks(t *testing.T) {
 	wire := bytes.Repeat([]byte("abcdefgh"), 3000) // 24000 bytes
-	digests, sizes := WireChunks(wire, 8<<10)
-	if len(digests) == 0 {
-		t.Fatal("no digests")
+	cut, err := BytesFile(wire, nil).Cut(8 << 10)
+	if err != nil || cut == nil || cut.Encoding != "" || cut.WireBytes != int64(len(wire)) || len(cut.Order) != 3 {
+		t.Fatalf("cut %+v, %v", cut, err)
 	}
+	digests, sizes := cut.Digests(), cut.Sizes
 	// Digests are unique and sorted; sizes cover every digest.
 	var total int
 	for i, d := range digests {
@@ -81,7 +83,15 @@ func TestWireChunks(t *testing.T) {
 	if len(digests) != 2 { // 2 distinct 8 KiB patterns: repeats + 8000-byte tail
 		t.Fatalf("expected heavy intra-file dedup, got %d unique chunks", len(digests))
 	}
-	if d, s := WireChunks(nil, 0); d != nil || s != nil {
-		t.Fatalf("empty wire chunked: %v %v", d, s)
+	if cut, err := BytesFile(nil, nil).Cut(0); cut != nil || err != nil {
+		t.Fatalf("empty wire chunked: %+v %v", cut, err)
+	}
+	// The gzip stream is the wire when it is the smaller, and is cut where
+	// it lies: Open is never called.
+	gz := gzipBytes(t, wire)
+	f := BytesFile(wire, gz)
+	f.Open = func() (io.ReadCloser, error) { t.Error("gzip wire opened the raw bytes"); return nil, io.EOF }
+	if cut, err := f.Cut(64); err != nil || cut.Encoding != "gzip" || cut.WireBytes != int64(len(gz)) {
+		t.Fatalf("gzip cut %+v, %v", cut, err)
 	}
 }

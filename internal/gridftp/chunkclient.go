@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -39,6 +40,19 @@ type ChunkedPutStats struct {
 	Fallback bool
 	// Checksum is the server-confirmed whole-file SHA-256.
 	Checksum string
+}
+
+// Wire names the way the file's bytes travelled, as a stage span records
+// it: the stored gzip stream in chunks, the raw bytes in chunks, or the
+// plain PUT a transfer fell back to.
+func (s *ChunkedPutStats) Wire() string {
+	switch {
+	case s.Fallback:
+		return "fallback-put"
+	case s.Compressed:
+		return "gzip-chunks"
+	}
+	return "raw-chunks"
 }
 
 // HaveChunks asks the server which of digests it is missing — the
@@ -124,97 +138,118 @@ func (c *Client) Commit(name, encoding, fileSha256 string, chunks []string) (str
 	return reply.Header.Get(ChecksumHeader), nil
 }
 
-// cutChunks splits wire into chunkBytes pieces and returns the ordered
-// digest list plus a digest->chunk map (duplicates collapse).
-func cutChunks(wire []byte, chunkBytes int) (order []string, byDigest map[string][]byte) {
-	byDigest = make(map[string][]byte)
-	for off := 0; off < len(wire); off += chunkBytes {
-		end := off + chunkBytes
-		if end > len(wire) {
-			end = len(wire)
-		}
-		piece := wire[off:end]
-		sum := sha256.Sum256(piece)
-		d := hex.EncodeToString(sum[:])
-		order = append(order, d)
-		byDigest[d] = piece
-	}
-	return order, byDigest
+// Cut is how one file travels through the chunk protocol: which wire
+// carries it and the chunks that wire falls into.
+type Cut struct {
+	// Encoding is "gzip" when the wire is the file's gzip stream, "" when it
+	// is the file's own bytes.
+	Encoding string
+	// Order lists the chunk digests in wire order — the commit manifest;
+	// chunk i covers wire bytes from i*ChunkBytes on.
+	Order      []string
+	ChunkBytes int
+	// Sizes maps every distinct digest to its chunk's length.
+	Sizes map[string]int
+	// WireBytes is the length of the wire.
+	WireBytes int64
 }
 
-// WireChunks summarises how data would chunk on the wire: the unique
-// digest set plus each digest's chunk size. It is the read-only half of
-// PutChunked's cut, exported so placement can ask a site "which of
-// these would you still need?" without preparing an upload.
-func WireChunks(wire []byte, chunkBytes int) (digests []string, sizes map[string]int) {
+// Digests returns the distinct chunk digests, sorted.
+func (c *Cut) Digests() []string {
+	out := make([]string, 0, len(c.Sizes))
+	for d := range c.Sizes {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// GzipWire reports whether the chunk protocol carries f as its gzip stream:
+// there is one and it is the smaller.
+func (f File) GzipWire() bool { return f.Gzip != nil && int64(len(f.Gzip)) < f.Size }
+
+// Cut chunks f's wire at chunkBytes (zero means DefaultChunkBytes) without
+// preparing an upload — placement asks a site "which of these would you
+// still need?" with it. The gzip wire is cut where it lies; the raw wire
+// is read through once from Open, a chunk at a time. A nil Cut means the
+// chunk protocol does not apply: the wire is empty or has more chunks than
+// one manifest holds, and PutChunkedFile would send a plain PUT.
+func (f File) Cut(chunkBytes int) (*Cut, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
-	if chunkBytes > MaxChunkBytes {
-		chunkBytes = MaxChunkBytes
+	chunkBytes = min(chunkBytes, MaxChunkBytes)
+	c := &Cut{ChunkBytes: chunkBytes, WireBytes: f.Size, Sizes: make(map[string]int)}
+	if f.GzipWire() {
+		c.Encoding, c.WireBytes = "gzip", int64(len(f.Gzip))
 	}
-	if len(wire) == 0 {
+	if c.WireBytes == 0 || (c.WireBytes+int64(chunkBytes)-1)/int64(chunkBytes) > MaxManifestChunks {
 		return nil, nil
 	}
-	_, byDigest := cutChunks(wire, chunkBytes)
-	digests = make([]string, 0, len(byDigest))
-	sizes = make(map[string]int, len(byDigest))
-	for d, chunk := range byDigest {
-		digests = append(digests, d)
-		sizes[d] = len(chunk)
+	var wire io.Reader // the raw wire; the gzip wire is sliced where it lies
+	var buf []byte     // ... read a chunk at a time into this
+	if c.Encoding == "" {
+		rc, err := f.Open()
+		if err != nil {
+			return nil, err
+		}
+		defer rc.Close()
+		wire, buf = rc, make([]byte, min(int64(chunkBytes), c.WireBytes))
 	}
-	sort.Strings(digests)
-	return digests, sizes
+	for off := int64(0); off < c.WireBytes; off += int64(chunkBytes) {
+		n := min(int64(chunkBytes), c.WireBytes-off)
+		var piece []byte
+		if wire == nil {
+			piece = f.Gzip[off : off+n]
+		} else {
+			piece = buf[:n]
+			if _, err := io.ReadFull(wire, piece); err != nil {
+				return nil, fmt.Errorf("gridftp: cut chunks: %w", err)
+			}
+		}
+		sum := sha256.Sum256(piece)
+		d := hex.EncodeToString(sum[:])
+		c.Order = append(c.Order, d)
+		c.Sizes[d] = len(piece)
+	}
+	return c, nil
 }
 
-// PutChunked uploads data as name via the chunk protocol: probe the
+// PutChunked uploads data as name via the chunk protocol; gz is the gzip
+// encoding of data, or nil.
+func (c *Client) PutChunked(name string, data, gz []byte, chunkBytes int) (*ChunkedPutStats, error) {
+	return c.PutChunkedFile(name, BytesFile(data, gz), chunkBytes)
+}
+
+// PutChunkedFile uploads f as name via the chunk protocol: probe the
 // server for chunks it already holds, ship only the missing ones
-// (pipelined), then commit the manifest. When gz (the gzip encoding of
-// data) is non-nil and smaller, the wire carries the compressed stream
-// and the server inflates at commit. Against a server that does not
-// speak the chunk protocol the transfer falls back to a plain PUT.
+// (pipelined), then commit the manifest under f's SHA-256. When f.Gzip is
+// the smaller wire it carries the file and the server inflates at commit.
+// Against a server that does not speak the chunk protocol, and for a wire
+// the protocol does not apply to, the transfer falls back to PutFile.
 //
 // A transfer killed mid-flight resumes on retry: chunks that reached the
 // server stay in its content-addressed store, so the probe reports them
 // present and only the remainder is re-shipped — the restart-marker
 // behaviour of real GridFTP.
-func (c *Client) PutChunked(name string, data, gz []byte, chunkBytes int) (*ChunkedPutStats, error) {
-	if chunkBytes <= 0 {
-		chunkBytes = DefaultChunkBytes
+func (c *Client) PutChunkedFile(name string, f File, chunkBytes int) (*ChunkedPutStats, error) {
+	cut, err := f.Cut(chunkBytes)
+	if err != nil {
+		return nil, err
 	}
-	if chunkBytes > MaxChunkBytes {
-		chunkBytes = MaxChunkBytes
-	}
-	wire, encoding := data, ""
-	if gz != nil && len(gz) < len(data) {
-		wire, encoding = gz, "gzip"
-	}
-	if len(wire) == 0 || (len(wire)+chunkBytes-1)/chunkBytes > MaxManifestChunks {
-		// Empty or too many chunks for one manifest: plain PUT.
-		checksum, err := c.Put(name, data)
+	stats := &ChunkedPutStats{LogicalBytes: f.Size}
+	fallback := func() (*ChunkedPutStats, error) {
+		checksum, err := c.PutFile(name, f)
 		if err != nil {
 			return nil, err
 		}
-		return &ChunkedPutStats{
-			WireBytes:    int64(len(data)),
-			LogicalBytes: int64(len(data)),
-			Fallback:     true,
-			Checksum:     checksum,
-		}, nil
+		stats.WireBytes, stats.Fallback, stats.Checksum = f.Size, true, checksum
+		return stats, nil
 	}
-	fileSum := sha256.Sum256(data)
-	fileSha := hex.EncodeToString(fileSum[:])
-	order, byDigest := cutChunks(wire, chunkBytes)
-	unique := make([]string, 0, len(byDigest))
-	for d := range byDigest {
-		unique = append(unique, d)
+	if cut == nil {
+		return fallback()
 	}
-
-	stats := &ChunkedPutStats{
-		ChunksTotal:  len(order),
-		LogicalBytes: int64(len(data)),
-		Compressed:   encoding == "gzip",
-	}
+	unique := cut.Digests()
 	// One full probe->ship->commit cycle, retried once if the commit
 	// races an eviction (ErrNoChunk).
 	for attempt := 0; ; attempt++ {
@@ -223,79 +258,115 @@ func (c *Client) PutChunked(name string, data, gz []byte, chunkBytes int) (*Chun
 			if errors.Is(err, ErrBadInput) || errors.Is(err, ErrNoFile) {
 				// Stock server: the chunk paths are rejected as bad file
 				// names. Downgrade to a monolithic PUT.
-				checksum, perr := c.Put(name, data)
-				if perr != nil {
-					return nil, perr
-				}
-				stats.ChunksTotal = 0
-				stats.WireBytes = int64(len(data))
-				stats.Fallback = true
-				stats.Checksum = checksum
-				return stats, nil
+				return fallback()
 			}
 			return nil, err
 		}
 		if attempt == 0 && len(missing) < len(unique) {
 			stats.Resumed = true
 		}
-		if err := c.putChunks(missing, byDigest, stats); err != nil {
+		if err := c.putChunks(f, cut, missing, stats); err != nil {
 			return nil, err
 		}
-		checksum, err := c.Commit(name, encoding, fileSha, order)
+		checksum, err := c.Commit(name, cut.Encoding, f.SHA256, cut.Order)
 		if err != nil {
 			if errors.Is(err, ErrNoChunk) && attempt == 0 {
 				continue
 			}
 			return nil, err
 		}
-		if checksum != fileSha {
-			return nil, fmt.Errorf("%w: server assembled %s, sent %s", ErrChecksum, checksum, fileSha)
+		if checksum != f.SHA256 {
+			return nil, fmt.Errorf("%w: server assembled %s, sent %s", ErrChecksum, checksum, f.SHA256)
 		}
+		stats.ChunksTotal = len(cut.Order)
 		stats.ChunksDeduped = stats.ChunksTotal - stats.ChunksShipped
+		stats.Compressed = cut.Encoding == "gzip"
 		stats.Checksum = checksum
 		return stats, nil
 	}
 }
 
 // putChunks ships the missing chunks through a small worker pool.
-func (c *Client) putChunks(missing []string, byDigest map[string][]byte, stats *ChunkedPutStats) error {
+func (c *Client) putChunks(f File, cut *Cut, missing []string, stats *ChunkedPutStats) error {
 	if len(missing) == 0 {
 		return nil
-	}
-	workers := putChunkWorkers
-	if workers > len(missing) {
-		workers = len(missing)
 	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	work := make(chan string)
-	for i := 0; i < workers; i++ {
+	type piece struct {
+		digest string
+		data   []byte
+	}
+	work := make(chan piece)
+	for i := 0; i < min(putChunkWorkers, len(missing)); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for d := range work {
-				if err := c.PutChunk(d, byDigest[d]); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
+			for p := range work {
+				err := c.PutChunk(p.digest, p.data)
 				mu.Lock()
-				stats.ChunksShipped++
-				stats.WireBytes += int64(len(byDigest[d]))
+				if err == nil {
+					stats.ChunksShipped++
+					stats.WireBytes += int64(len(p.data))
+				} else if firstErr == nil {
+					firstErr = err
+				}
 				mu.Unlock()
 			}
 		}()
 	}
-	for _, d := range missing {
-		work <- d
-	}
+	err := f.eachMissing(cut, missing, func(digest string, data []byte) { work <- piece{digest, data} })
 	close(work)
 	wg.Wait()
+	if err != nil {
+		return err
+	}
 	return firstErr
+}
+
+// eachMissing hands send every chunk of cut the server lacks, in wire order:
+// slices of the gzip stream where that is the wire, otherwise chunks of a
+// second read of Open, each in a buffer of its own that nothing but send's
+// receiver holds.
+func (f File) eachMissing(cut *Cut, missing []string, send func(digest string, data []byte)) error {
+	need := make(map[string]bool, len(missing))
+	for _, d := range missing {
+		need[d] = true
+	}
+	var raw io.ReadCloser
+	if cut.Encoding == "" {
+		var err error
+		if raw, err = f.Open(); err != nil {
+			return err
+		}
+		defer raw.Close()
+	}
+	for i, d := range cut.Order {
+		if len(need) == 0 {
+			break
+		}
+		n := cut.Sizes[d]
+		var data []byte
+		var err error
+		switch {
+		case raw == nil:
+			data = f.Gzip[i*cut.ChunkBytes:][:n]
+		case need[d]:
+			data = make([]byte, n)
+			_, err = io.ReadFull(raw, data)
+		default:
+			_, err = io.CopyN(io.Discard, raw, int64(n))
+		}
+		if err != nil {
+			return fmt.Errorf("gridftp: read chunk %d: %w", i, err)
+		}
+		if need[d] {
+			delete(need, d)
+			send(d, data)
+		}
+	}
+	return nil
 }

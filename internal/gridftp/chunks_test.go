@@ -7,11 +7,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 func digestOf(b []byte) string {
@@ -211,6 +213,20 @@ func TestChunkDedupAcrossOwners(t *testing.T) {
 	if _, err := f.bob.Get("a.gsh"); !errors.Is(err, ErrNoFile) {
 		t.Fatalf("ownership leaked: %v", err)
 	}
+}
+
+// cutChunks is data's raw-wire cut with every chunk's bytes, for tests
+// that ship chunks by hand.
+func cutChunks(data []byte, chunkBytes int) (order []string, byDigest map[string][]byte) {
+	cut, err := BytesFile(data, nil).Cut(chunkBytes)
+	if err != nil {
+		panic(err)
+	}
+	byDigest = make(map[string][]byte)
+	for i, d := range cut.Order {
+		byDigest[d] = data[i*chunkBytes:][:cut.Sizes[d]]
+	}
+	return cut.Order, byDigest
 }
 
 func TestChunkedResume(t *testing.T) {
@@ -425,4 +441,32 @@ func FuzzChunkManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFileSourceFailuresRegisterNothing: a source that cannot be opened,
+// or ends before its declared size, fails the transfer on either path
+// and leaves no file at the site.
+func TestFileSourceFailuresRegisterNothing(t *testing.T) {
+	f := newFixture(t)
+	data := bytes.Repeat([]byte("declared but not delivered "), 2000)
+	boom := errors.New("source went away")
+	for name, open := range map[string]func() (io.ReadCloser, error){
+		"cannot open": func() (io.ReadCloser, error) { return nil, boom },
+		"ends short":  func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data[:len(data)/2])), nil },
+		"fails midway": func() (io.ReadCloser, error) {
+			return io.NopCloser(io.MultiReader(bytes.NewReader(data[:9000]), iotest.ErrReader(boom))), nil
+		},
+	} {
+		file := BytesFile(data, nil)
+		file.Open = open
+		if sum, err := f.alice.PutFile("one.gsh", file); err == nil {
+			t.Errorf("%s: PutFile confirmed %s", name, sum)
+		}
+		if stats, err := f.alice.PutChunkedFile("chunked.gsh", file, 4<<10); err == nil {
+			t.Errorf("%s: PutChunkedFile confirmed %+v", name, stats)
+		}
+	}
+	if names, err := f.alice.List(); err != nil || len(names) != 0 {
+		t.Fatalf("site registered %v (%v)", names, err)
+	}
 }

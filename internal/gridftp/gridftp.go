@@ -12,6 +12,7 @@
 package gridftp
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -431,6 +432,7 @@ type call struct {
 	contentType        string
 	header, value      string
 	body               []byte
+	file               *File // sent in place of body, streamed
 	limit              int64
 }
 
@@ -447,28 +449,60 @@ func (c *Client) do(rq call) (hop.Reply, error) {
 	if rq.limit == 0 {
 		rq.limit = 1 << 20
 	}
-	return hop.Do(c.HTTP, rq.method, root, rq.target,
-		hop.Header(TokenHeader, tok, trace.Header, c.Trace, "Content-Type", rq.contentType, rq.header, rq.value),
-		rq.body, rq.limit)
+	header := hop.Header(TokenHeader, tok, trace.Header, c.Trace, "Content-Type", rq.contentType, rq.header, rq.value)
+	if rq.file != nil {
+		return hop.DoStream(c.HTTP, rq.method, root, rq.target, header, rq.file.Size, rq.file.Open, rq.limit)
+	}
+	return hop.Do(c.HTTP, rq.method, root, rq.target, header, rq.body, rq.limit)
+}
+
+// File is what one transfer sends: Size bytes that hash to SHA256, read
+// from Open as they go out, so a transfer holds none of them. PutFile and
+// PutChunkedFile are the only two implementations of "send a file".
+type File struct {
+	Size int64
+	// SHA256 is the hex digest of the bytes. The request token signs it,
+	// the site hashes what arrived against it, and the client compares the
+	// site's answer with it.
+	SHA256 string
+	// Open returns the bytes from the start. It is called once per attempt
+	// at sending them — again when the transport replays a request that met
+	// a dead keep-alive connection — and every reader it returns is closed.
+	Open func() (io.ReadCloser, error)
+	// Gzip, when non-nil, is the gzip encoding of the bytes. PutChunkedFile
+	// cuts it, not the bytes, into chunks when it is the smaller of the two
+	// (the site inflates at commit) and then never calls Open.
+	Gzip []byte
+}
+
+// BytesFile is the File of data already in hand, gz its gzip encoding or nil.
+func BytesFile(data, gz []byte) File {
+	sum := sha256.Sum256(data)
+	return File{Size: int64(len(data)), SHA256: hex.EncodeToString(sum[:]), Gzip: gz,
+		Open: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }}
 }
 
 // Put uploads data as name, returning the server-confirmed checksum.
 func (c *Client) Put(name string, data []byte) (string, error) {
-	sum := sha256.Sum256(data)
-	checksum := hex.EncodeToString(sum[:])
+	return c.PutFile(name, BytesFile(data, nil))
+}
+
+// PutFile uploads f as name in one PUT at its declared length, returning
+// the server-confirmed checksum.
+func (c *Client) PutFile(name string, f File) (string, error) {
 	reply, err := c.do(call{method: http.MethodPut, target: filePath(name),
-		op: http.MethodPut, name: name, checksum: checksum,
-		contentType: "application/octet-stream", header: ChecksumHeader, value: checksum, body: data})
+		op: http.MethodPut, name: name, checksum: f.SHA256,
+		contentType: "application/octet-stream", header: ChecksumHeader, value: f.SHA256, file: &f})
 	if err != nil {
 		return "", fmt.Errorf("gridftp: put %s: %w", name, err)
 	}
 	if reply.Status != http.StatusCreated {
 		return "", replyError(reply)
 	}
-	if got := reply.Header.Get(ChecksumHeader); got != checksum {
-		return "", fmt.Errorf("%w: server stored %s, sent %s", ErrChecksum, got, checksum)
+	if got := reply.Header.Get(ChecksumHeader); got != f.SHA256 {
+		return "", fmt.Errorf("%w: server stored %s, sent %s", ErrChecksum, got, f.SHA256)
 	}
-	return checksum, nil
+	return f.SHA256, nil
 }
 
 // Get downloads name, verifying the checksum trailer.

@@ -81,6 +81,19 @@ func newPayload(b []byte) *payload {
 // reply of more than limit bytes is sizedio.ErrTooLarge; any other failure
 // to send or read is a *url.Error, as from http.Client.Do.
 func Do(c *http.Client, method string, root *url.URL, target string, header http.Header, body []byte, limit int64) (Reply, error) {
+	if len(body) == 0 {
+		return DoStream(c, method, root, target, header, 0, nil, limit)
+	}
+	open := func() (io.ReadCloser, error) { return newPayload(body), nil }
+	return DoStream(c, method, root, target, header, int64(len(body)), open, limit)
+}
+
+// DoStream is Do with a body that is read as it is sent: size bytes from
+// open, which is called once for the request and once more for each replay
+// the transport makes of it. The transport closes every body it was given,
+// possibly after DoStream has returned. A size of zero sends no body and
+// never calls open.
+func DoStream(c *http.Client, method string, root *url.URL, target string, header http.Header, size int64, open func() (io.ReadCloser, error), limit int64) (Reply, error) {
 	path, query, hasQuery := strings.Cut(target, "?")
 	u := new(url.URL)
 	*u = *root
@@ -97,21 +110,28 @@ func Do(c *http.Client, method string, root *url.URL, target string, header http
 		header = http.Header{} // the transport refuses a nil map
 	}
 	req := &http.Request{Method: method, URL: u, Host: u.Host, Header: header}
-	if len(body) > 0 {
-		req.Body, req.ContentLength = newPayload(body), int64(len(body))
-		req.GetBody = func() (io.ReadCloser, error) { return newPayload(body), nil }
+	fail := func(err error) (Reply, error) {
+		return Reply{}, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u.String(), Err: err}
+	}
+	if size > 0 {
+		body, err := open()
+		if err != nil {
+			return fail(err)
+		}
+		req.Body, req.ContentLength, req.GetBody = body, size, open
 	}
 	var rt http.RoundTripper = http.DefaultTransport
 	if c != nil && c.Transport != nil {
 		rt = c.Transport
 	}
 	resp, err := rt.RoundTrip(req)
-	if err == nil {
-		defer resp.Body.Close()
-		var data []byte
-		if data, err = sizedio.ReadAll(resp.Body, resp.ContentLength, limit); err == nil {
-			return Reply{Status: resp.StatusCode, Header: resp.Header, Body: data}, nil
-		}
+	if err != nil {
+		return fail(err)
 	}
-	return Reply{}, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u.String(), Err: err}
+	defer resp.Body.Close()
+	data, err := sizedio.ReadAll(resp.Body, resp.ContentLength, limit)
+	if err != nil {
+		return fail(err)
+	}
+	return Reply{Status: resp.StatusCode, Header: resp.Header, Body: data}, nil
 }

@@ -181,6 +181,73 @@ func TestDoOverTheWire(t *testing.T) {
 	}
 }
 
+// closeCounter is a body that counts its Close calls.
+type closeCounter struct {
+	io.Reader
+	closed *int
+}
+
+func (c closeCounter) Close() error { *c.closed++; return nil }
+
+// TestDoStream: the body is read as it is sent, at its declared length,
+// from a fresh open per attempt — over the wire, with the replay a dead
+// keep-alive connection forces, every body the transport was given is
+// closed — and a source that cannot be opened fails the call before
+// anything is sent.
+func TestDoStream(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		w.Header().Set("X-Length", r.Header.Get("Content-Length"))
+		w.Write(b)
+	}))
+	defer srv.Close()
+	root := mustParse(t, srv.URL)
+	opens, closes := 0, 0
+	open := func() (io.ReadCloser, error) {
+		opens++
+		return closeCounter{strings.NewReader("streamed body"), &closes}, nil
+	}
+	// The transport of a pooled connection that died: the first body is
+	// partly read and given up, GetBody supplies the replay.
+	replaying := roundTripper(func(r *http.Request) (*http.Response, error) {
+		io.CopyN(io.Discard, r.Body, 4)
+		r.Body.Close()
+		again, err := r.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		r = r.Clone(r.Context())
+		r.Body = again
+		return http.DefaultTransport.RoundTrip(r)
+	})
+	rep, err := DoStream(&http.Client{Transport: replaying}, http.MethodPut, root, "/f", nil, 13, open, 64)
+	if err != nil || string(rep.Body) != "streamed body" || rep.Header.Get("X-Length") != "13" {
+		t.Fatalf("reply %+v, %v", rep, err)
+	}
+	if opens != 2 || closes != 2 {
+		t.Fatalf("%d opens, %d closes; want two of each", opens, closes)
+	}
+
+	boom := errors.New("row is corrupt")
+	unreachable := &http.Client{Transport: roundTripper(func(*http.Request) (*http.Response, error) {
+		t.Error("a request whose body could not be opened was sent")
+		return nil, boom
+	})}
+	var ue *url.Error
+	_, err = DoStream(unreachable, http.MethodPut, root, "/f", nil, 13, func() (io.ReadCloser, error) { return nil, boom }, 64)
+	if !errors.Is(err, boom) || !errors.As(err, &ue) || ue.Op != "Put" {
+		t.Fatalf("unopenable source: %v", err)
+	}
+	// Nothing to send: no body, and open is never asked.
+	rep, err = DoStream(nil, http.MethodPut, root, "/f", nil, 0, func() (io.ReadCloser, error) {
+		t.Error("an empty body was opened")
+		return nil, boom
+	}, 64)
+	if err != nil || len(rep.Body) != 0 {
+		t.Fatalf("empty body: %+v, %v", rep, err)
+	}
+}
+
 func TestDoRefusesBadEscape(t *testing.T) {
 	c := &http.Client{Transport: roundTripper(func(*http.Request) (*http.Response, error) {
 		t.Fatal("a path that does not unescape reached the transport")

@@ -87,16 +87,21 @@ go test -run='^$' -fuzz=FuzzDecode -fuzztime=15s ./internal/soap
 go test -run='^$' -fuzz=FuzzMarshalMatchesEncodingXML -fuzztime=5s ./internal/jsdl
 # So does the SOAP envelope writer's escaper, to xml.EscapeText.
 go test -run='^$' -fuzz=FuzzEscapeMatchesEncodingXML -fuzztime=5s ./internal/soap
+# A transfer reads the stored executable as a stream (blobdb's
+# Open().Reader()); FuzzStoredReader holds it, read in pieces of any size,
+# to the materialised Get().Blob.
+go test -run='^$' -fuzz=FuzzStoredReader -fuzztime=5s ./internal/blobdb
 
 # Allocation guard, deterministic (object and byte counts, no timing):
 # a blob-cache hit costs the same for 1 KB and 1 MB, a hot invocation
-# of a staged 1 MB executable allocates no object of its size, and the
-# SOAP door decodes an invocation's envelope in three objects and
-# serves one in eleven, a signed submit costs at most 24 objects, the
-# three event frames of a hot invocation 10 and the gateway's proxy hop
-# 16. All ran above; run them fresh and without the race detector's own
+# of a staged 1 MB executable allocates no object of its size and a cold
+# one — streamed into one PUT, or shipped as the stored gzip in chunks —
+# under a quarter of it, and the SOAP door decodes an invocation's
+# envelope in three objects and serves one in eleven, a signed submit
+# costs at most 24 objects, the three event frames of a hot invocation 10
+# and the gateway's proxy hop 16. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise.
-go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway
+go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
