@@ -367,22 +367,29 @@ type Table struct {
 // Put stores (or replaces) a record. The blob is gzip-compressed; the
 // compression CPU and the WAL disk write are accounted to the probe.
 func (t *Table) Put(key string, meta map[string]string, blob []byte) error {
-	if key == "" {
-		return ErrBadrecord
-	}
 	if len(blob) > MaxBlobBytes {
 		return ErrTooLarge
 	}
-	db := t.db
 	// Compress outside the lock: CPU-bound.
-	db.probe.BurnFor(len(blob), db.cost.CompressBps)
 	comp, err := compress(blob)
 	if err != nil {
 		return err
 	}
+	return t.PutStored(key, meta, &Stored{Gzip: comp, RawSize: len(blob), Sum: sha256.Sum256(blob)})
+}
+
+// PutStored is the commit half of every put, and all of one whose blob was
+// deflated and hashed as it arrived (ReadStored): the row keeps s.Gzip
+// itself, and the probe is charged for compressing s.RawSize bytes.
+func (t *Table) PutStored(key string, meta map[string]string, s *Stored) error {
+	if key == "" {
+		return ErrBadrecord
+	}
+	db := t.db
+	db.probe.BurnFor(s.RawSize, db.cost.CompressBps)
 	e := &walEntry{
 		Op: "put", Table: t.name, Key: key, Meta: cloneMeta(meta),
-		Comp: comp, RawSize: len(blob), StoredAt: db.clock.Now(), sum: sha256.Sum256(blob),
+		Comp: s.Gzip, RawSize: s.RawSize, StoredAt: db.clock.Now(), sum: s.Sum,
 	}
 	e.Sum = e.sum[:]
 	return db.shardFor(t.name, key).commit(e)
@@ -667,18 +674,28 @@ var (
 	}}
 	gzipReaderPool sync.Pool
 	bufPool        = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	chunkPool      = sync.Pool{New: func() any { return new([32 << 10]byte) }} // ReadStored's
 )
 
-// compress gzips blob into a pooled scratch buffer and returns one
-// exact-size copy: the only allocation a row's stored stream costs.
+// compress gzips blob.
 func compress(blob []byte) ([]byte, error) {
+	return deflate(len(blob), func(zw io.Writer) error {
+		_, err := zw.Write(blob)
+		return err
+	})
+}
+
+// deflate has fill write rawHint bytes, or so, to a pooled gzip writer over
+// a pooled scratch buffer and returns one exact-size copy of the stream:
+// the only allocation a row's stored stream costs.
+func deflate(rawHint int, fill func(zw io.Writer) error) ([]byte, error) {
 	scratch := bufPool.Get().(*bytes.Buffer)
 	defer bufPool.Put(scratch)
 	scratch.Reset()
 	// Room for the worst case (stored blocks: five bytes per 64 KB, plus
 	// header and trailer), so a scratch buffer the pool lost comes back in
 	// one allocation instead of doubling its way up from 64 bytes.
-	scratch.Grow(len(blob) + len(blob)>>10 + 64)
+	scratch.Grow(rawHint + rawHint>>10 + 64)
 	// BestSpeed: the compression *cost model* lives in Put's probe burn;
 	// the real gzip pass only needs to shrink the stored bytes, and
 	// keeping it cheap avoids polluting time-dilated experiment runs
@@ -686,7 +703,7 @@ func compress(blob []byte) ([]byte, error) {
 	zw := gzipWriterPool.Get().(*gzip.Writer)
 	defer gzipWriterPool.Put(zw)
 	zw.Reset(scratch)
-	if _, err := zw.Write(blob); err != nil {
+	if err := fill(zw); err != nil {
 		return nil, err
 	}
 	if err := zw.Close(); err != nil {

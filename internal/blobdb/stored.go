@@ -9,7 +9,46 @@ import (
 	"io"
 	"io/fs"
 	"sync"
+
+	"repro/internal/sizedio"
 )
+
+// Stored is a blob in the form a row keeps it: the gzip stream, and the
+// length and SHA-256 of what it inflates to.
+type Stored struct {
+	Gzip    []byte
+	RawSize int
+	Sum     [sha256.Size]byte
+}
+
+// ReadStored reads r to EOF in one pass, 32 KB at a time: every piece is
+// hashed, deflated and forgotten, so the one object of the blob's size it
+// allocates is the stream a row will keep (Table.PutStored). declared is
+// the length the sender announced (negative: none) and sizes the scratch
+// buffer, up to sizedio.MaxPrealloc. More than limit bytes, declared or
+// delivered, is ErrTooLarge as soon as it shows; r's own error comes back
+// as it is.
+func ReadStored(r io.Reader, declared, limit int64) (*Stored, error) {
+	if declared > limit {
+		return nil, ErrTooLarge
+	}
+	chunk := chunkPool.Get().(*[32 << 10]byte)
+	defer chunkPool.Put(chunk)
+	sum := sha256.New()
+	var n int64
+	comp, err := deflate(int(min(max(declared, 0), sizedio.MaxPrealloc)), func(zw io.Writer) (err error) {
+		if n, err = io.CopyBuffer(io.MultiWriter(sum, zw), io.LimitReader(r, limit+1), chunk[:]); n > limit {
+			err = ErrTooLarge
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := &Stored{Gzip: comp, RawSize: int(n)}
+	sum.Sum(s.Sum[:0])
+	return s, nil
+}
 
 // Version is one row version, pinned: what Open found under the key,
 // whatever is put there or deleted afterwards.

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/gridftp"
@@ -373,5 +374,127 @@ func TestPutRecordsDigestWithoutAnObject(t *testing.T) {
 	}
 	if sum, _ := v.Digest(); sum != sha256.Sum256(blob) {
 		t.Fatalf("digest %x", sum)
+	}
+}
+
+// TestReadStoredPutStored: a blob deflated and hashed as it was read is the
+// row Put would have made of it — same bytes back, same digest, same sizes,
+// across a reopen — whatever the reader's piece sizes and whatever length
+// was declared for it.
+func TestReadStoredPutStored(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := db.Table("t")
+	blobs := map[string][]byte{
+		"empty":        nil,
+		"small":        []byte("echo hi\n"),
+		"compressible": bytes.Repeat([]byte("compressible "), 40000),
+		"noise":        noise(5, 300<<10), // ten pieces of 32 KB
+	}
+	for key, blob := range blobs {
+		for _, declared := range []int64{-1, 0, int64(len(blob)), int64(len(blob)) + 700, MaxBlobBytes} {
+			s, err := ReadStored(iotest.HalfReader(bytes.NewReader(blob)), declared, MaxBlobBytes)
+			if err != nil {
+				t.Fatalf("%s declared %d: %v", key, declared, err)
+			}
+			if s.RawSize != len(blob) || s.Sum != sha256.Sum256(blob) {
+				t.Fatalf("%s declared %d: %d bytes hashing to %x", key, declared, s.RawSize, s.Sum)
+			}
+			if err := tab.PutStored(key, map[string]string{"k": key}, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(db *DB) {
+		t.Helper()
+		for key, blob := range blobs {
+			rec, err := db.Table("t").Get(key)
+			if err != nil || !bytes.Equal(rec.Blob, blob) || rec.RawSize != len(blob) || rec.Meta["k"] != key {
+				t.Fatalf("%s reads back as %d bytes, %v, %v", key, len(rec.Blob), rec.Meta, err)
+			}
+			v, err := db.Table("t").Open(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum, err := v.Digest(); err != nil || sum != sha256.Sum256(blob) {
+				t.Fatalf("%s: digest %x, %v", key, sum, err)
+			}
+		}
+	}
+	check(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check(db)
+	if err := db.Table("t").PutStored("", nil, &Stored{}); !errors.Is(err, ErrBadrecord) {
+		t.Fatalf("PutStored without a key: %v", err)
+	}
+}
+
+// TestReadStoredRefusals: a stream past the limit stops being read where
+// it crosses it, a reader's failure comes back as it is, and neither leaves
+// anything of itself in the pooled writer and scratch the next read uses.
+func TestReadStoredRefusals(t *testing.T) {
+	blob := noise(6, 200<<10)
+	if _, err := ReadStored(bytes.NewReader(blob), int64(len(blob)), 100<<10); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("declared past the limit: %v", err)
+	}
+	src := bytes.NewReader(blob)
+	if _, err := ReadStored(src, -1, 100<<10); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("delivered past the limit: %v", err)
+	}
+	if read := len(blob) - src.Len(); read > 100<<10+32<<10 {
+		t.Fatalf("%d bytes read of a stream refused at %d", read, 100<<10)
+	}
+	if s, err := ReadStored(bytes.NewReader(blob[:100<<10]), -1, 100<<10); err != nil || s.RawSize != 100<<10 {
+		t.Fatalf("exactly the limit: %v", err)
+	}
+	if _, err := ReadStored(iotest.TimeoutReader(bytes.NewReader(blob)), -1, MaxBlobBytes); !errors.Is(err, iotest.ErrTimeout) {
+		t.Fatalf("a reader that fails: %v", err)
+	}
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s, err := ReadStored(bytes.NewReader(blob), -1, MaxBlobBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Table("t").PutStored("after", nil, s); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := db.Table("t").Get("after"); err != nil || !bytes.Equal(rec.Blob, blob) {
+		t.Fatalf("the read after the refusals: %v", err)
+	}
+}
+
+// TestReadStoredByteBudget: reading a 256 KB blob into its stored form
+// allocates that form and small change — no buffer of the blob's size.
+func TestReadStoredByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds the gzip writer under -race")
+	}
+	blob := benchBlob(256 << 10)
+	s, err := ReadStored(bytes.NewReader(blob), int64(len(blob)), MaxBlobBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(blob)
+	got := bytesPerOp(func() {
+		src.Reset(blob)
+		if _, err := ReadStored(src, int64(len(blob)), MaxBlobBytes); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := int64(len(s.Gzip)) + 16<<10; got > limit { // the clone rounds up to whole pages
+		t.Fatalf("ReadStored allocates %d B for a %d B gzip stream, budget %d (one clone)", got, len(s.Gzip), limit)
 	}
 }

@@ -10,11 +10,13 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -394,23 +396,62 @@ func ServiceNameFor(fileName string) (string, error) {
 	return sb.String() + "Service", nil
 }
 
+// Upload is an uploaded executable, read once: the form a database row
+// keeps it in, and gsh's verdict on it. Nobody holds the raw bytes.
+type Upload struct {
+	stored  *blobdb.Stored
+	program error // nil, or why the file is not a program the Grid can run
+}
+
+// RawSize is the length of the file as it was uploaded.
+func (u *Upload) RawSize() int { return u.stored.RawSize }
+
+// ReadUpload reads an uploaded executable from r in one pass: each piece
+// goes to a gsh.Scanner, which keeps its statement lines, and on into
+// blobdb.ReadStored, which hashes and deflates it. declared is the length
+// announced for r, or for a body r is most of; negative means none. A file
+// that is not a program is still an Upload, refused by
+// UploadAndGenerateFrom in its turn — after user, name and parameters —
+// except that the first byte past gsh.MaxProgramBytes ends the read with
+// ErrBadProgram.
+func ReadUpload(r io.Reader, declared int64) (*Upload, error) {
+	return readUpload(r, declared, gsh.MaxProgramBytes)
+}
+
+func readUpload(r io.Reader, declared, limit int64) (*Upload, error) {
+	var scan gsh.Scanner
+	stored, err := blobdb.ReadStored(io.TeeReader(r, &scan), min(declared, limit), limit)
+	if errors.Is(err, blobdb.ErrTooLarge) || errors.Is(err, gsh.ErrTooLarge) {
+		return nil, fmt.Errorf("%w: %v", ErrBadProgram, gsh.ErrTooLarge)
+	} else if err != nil {
+		return nil, fmt.Errorf("onserve: read upload: %w", err)
+	}
+	_, err = scan.Program()
+	return &Upload{stored: stored, program: err}, nil
+}
+
 // UploadAndGenerate is Use Scenario A (paper §VII-A): store the uploaded
 // executable in the database, build a Web service linked to it, deploy
 // the service, and publish it in the UDDI registry. It returns the
-// published record.
+// published record. This is UploadAndGenerateFrom for a file held whole.
 func (o *OnServe) UploadAndGenerate(user, fileName, description string, params []wsdl.ParamDef, content []byte) (*uddi.Record, error) {
-	return o.UploadAndGenerateCtx(user, fileName, description, params, content, trace.SpanContext{})
+	file, err := ReadUpload(bytes.NewReader(content), int64(len(content)))
+	if err != nil {
+		return nil, err
+	}
+	return o.UploadAndGenerateFrom(user, fileName, description, params, file, trace.SpanContext{})
 }
 
-// UploadAndGenerateCtx is UploadAndGenerate with a caller trace context:
-// the upload records one "upload" span (a new root trace when the parent
-// is invalid, e.g. the portal received no X-Grid-Trace header).
-func (o *OnServe) UploadAndGenerateCtx(user, fileName, description string, params []wsdl.ParamDef, content []byte, parent trace.SpanContext) (*uddi.Record, error) {
+// UploadAndGenerateFrom is UploadAndGenerate of a file ReadUpload read,
+// under a caller trace context: it records one "upload" span (a new root
+// trace when the parent is invalid, e.g. no X-Grid-Trace header came).
+func (o *OnServe) UploadAndGenerateFrom(user, fileName, description string, params []wsdl.ParamDef, file *Upload, parent trace.SpanContext) (*uddi.Record, error) {
 	sp := o.cfg.Tracing.StartSpan("upload", parent)
 	sp.Set("user", user)
 	sp.Set("file", fileName)
-	sp.SetInt("bytes", int64(len(content)))
-	rec, err := o.uploadAndGenerate(user, fileName, description, params, content)
+	sp.SetInt("bytes", int64(file.RawSize()))
+	sp.SetInt("stored_bytes", int64(len(file.stored.Gzip)))
+	rec, err := o.uploadAndGenerate(user, fileName, description, params, file)
 	if err != nil {
 		sp.Error(err.Error())
 	} else {
@@ -420,7 +461,7 @@ func (o *OnServe) UploadAndGenerateCtx(user, fileName, description string, param
 	return rec, err
 }
 
-func (o *OnServe) uploadAndGenerate(user, fileName, description string, params []wsdl.ParamDef, content []byte) (*uddi.Record, error) {
+func (o *OnServe) uploadAndGenerate(user, fileName, description string, params []wsdl.ParamDef, file *Upload) (*uddi.Record, error) {
 	if _, err := o.userAuth(user); err != nil {
 		return nil, err
 	}
@@ -434,8 +475,8 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 		}
 	}
 	// The uploaded file must be an executable the Grid can actually run.
-	if _, err := gsh.Parse(content); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadProgram, err)
+	if file.program != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadProgram, file.program)
 	}
 
 	// Storage (paper §VII-A "Storage"). The stock implementation spills
@@ -444,8 +485,8 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 	// operation necessary just to store one file" (§VIII-D3). These are
 	// the two disk-write peaks of Fig. 8.
 	if !o.cfg.DirectDBWrite {
-		o.cfg.Probe.DiskWrite(len(content)) // temp spill
-		o.cfg.Probe.DiskRead(len(content))  // read back for the insert
+		o.cfg.Probe.DiskWrite(file.RawSize()) // temp spill
+		o.cfg.Probe.DiskRead(file.RawSize())  // read back for the insert
 	}
 	paramsJSON, err := json.Marshal(params)
 	if err != nil {
@@ -457,7 +498,7 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 		"file_name":   fileName,
 		"params":      string(paramsJSON),
 	}
-	if err := o.cfg.DB.Table(ExecutablesTable).Put(serviceName, meta, content); err != nil {
+	if err := o.cfg.DB.Table(ExecutablesTable).PutStored(serviceName, meta, file.stored); err != nil {
 		return nil, fmt.Errorf("onserve: store executable: %w", err)
 	}
 

@@ -154,7 +154,11 @@ func (a *Agent) ftpFor(sess *Session, site string) (*gridftp.Client, bool) {
 // Authenticate performs a MyProxy logon, obtaining a freshly delegated
 // proxy, and opens a session. This is the "security credential request
 // and the associated answer" whose traffic dominates Fig. 6 for small
-// payloads.
+// payloads. It is also where the session table is bounded: every session
+// whose proxy has expired — Session answers ErrExpired for it already, and
+// nobody may ever log it out — is dropped as the new one goes in, so an
+// owner who logs on once per proxy lifetime holds one session, not one per
+// lifetime. A session whose proxy is still valid is never touched.
 func (a *Agent) Authenticate(user, passphrase string, lifetime time.Duration) (*Session, error) {
 	if lifetime <= 0 {
 		lifetime = DefaultProxyLifetime
@@ -175,11 +179,23 @@ func (a *Agent) Authenticate(user, passphrase string, lifetime time.Duration) (*
 	for site, url := range a.endpoints.FTPURLs {
 		sess.ftps[site] = &gridftp.Client{BaseURL: url, Cred: proxy, HTTP: a.http}
 	}
+	now := a.clock.Now()
 	a.state.mu.Lock()
+	for id, old := range a.state.sessions {
+		if !old.validAt(now) {
+			delete(a.state.sessions, id)
+		}
+	}
 	a.state.sessions[sess.ID] = sess
 	a.state.logons++
 	a.state.mu.Unlock()
 	return sess, nil
+}
+
+// validAt reports whether the session's proxy is inside its lifetime.
+func (s *Session) validAt(now time.Time) bool {
+	leaf := s.proxy.Leaf()
+	return leaf != nil && leaf.ValidAt(now)
 }
 
 // Session resolves a session ID, rejecting expired proxies.
@@ -190,7 +206,7 @@ func (a *Agent) Session(id string) (*Session, error) {
 	if !ok {
 		return nil, ErrNoSession
 	}
-	if leaf := sess.proxy.Leaf(); leaf == nil || !leaf.ValidAt(a.clock.Now()) {
+	if !sess.validAt(a.clock.Now()) {
 		return nil, ErrExpired
 	}
 	return sess, nil

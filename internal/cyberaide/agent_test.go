@@ -388,3 +388,70 @@ func TestSOAPFacadeFaults(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
+
+// TestExpiredSessionsAreReaped: nobody logs out a session whose owner has
+// simply stopped using it — the core's session cache replaces one that
+// nears the end of its proxy and forgets it — so the agent drops what has
+// expired whenever somebody logs on. Fifteen logons, each after the
+// previous proxy ran out, leave one session; a session whose proxy is
+// still good (an invocation may be in flight on it) is never touched.
+func TestExpiredSessionsAreReaped(t *testing.T) {
+	clk := vtime.NewManual(time.Date(2010, 9, 13, 0, 0, 0, 0, time.UTC))
+	ca, err := xsec.NewCA("CA", clk.Now(), 10*365*24*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpSrv := myproxy.NewServer(clk)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go mpSrv.Serve(ln)
+	t.Cleanup(func() { mpSrv.Close() })
+	alice, err := ca.IssueUser("alice", clk.Now(), 30*24*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&myproxy.Client{Addr: ln.Addr().String()}).Put("alice", "pw", alice); err != nil {
+		t.Fatal(err)
+	}
+	agent := New(Options{Endpoints: Endpoints{MyProxyAddr: ln.Addr().String()}, Clock: clk})
+
+	const lifetime = time.Hour
+	var last *Session
+	for i := 0; i < 15; i++ {
+		if last, err = agent.Authenticate("alice", "pw", lifetime); err != nil {
+			t.Fatal(err)
+		}
+		if got := agent.SessionCount(); got != 1 {
+			t.Fatalf("after logon %d the agent holds %d sessions, want 1", i+1, got)
+		}
+		clk.Advance(lifetime + time.Minute)
+	}
+	if _, err := agent.Session(last.ID); !errors.Is(err, ErrExpired) {
+		t.Fatalf("an expired session nobody has reaped yet: %v", err)
+	}
+
+	long, err := agent.Authenticate("alice", "pw", 100*lifetime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agent.Session(last.ID); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("an expired session after the next logon: %v", err)
+	}
+	for i := 0; i < 15; i++ {
+		if _, err := agent.Authenticate("alice", "pw", lifetime); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(lifetime + time.Minute)
+		if sess, err := agent.Session(long.ID); err != nil || sess != long {
+			t.Fatalf("logon %d took a valid session away: %v", i+1, err)
+		}
+	}
+	if got := agent.SessionCount(); got != 2 {
+		t.Fatalf("the agent holds %d sessions, want the long one and the last", got)
+	}
+	if agent.Logons() != 31 {
+		t.Fatalf("%d logons counted, want 31", agent.Logons())
+	}
+}

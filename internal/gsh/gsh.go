@@ -76,20 +76,12 @@ type Program struct {
 	SourceBytes int
 }
 
-// Parse parses src, validating statically checkable limits.
+// Parse parses src, validating statically checkable limits. It is a
+// Scanner fed one Write.
 func Parse(src []byte) (*Program, error) {
-	if len(src) > MaxProgramBytes {
-		return nil, ErrTooLarge
-	}
-	lines := statementLines(src)
-	stmts, rest, err := parseBlock(lines, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	if rest != len(lines) {
-		return nil, fmt.Errorf("%w: 'end' without 'loop' at line %d", ErrUnbalanced, lines[rest].no)
-	}
-	return &Program{Stmts: stmts, SourceBytes: len(src)}, nil
+	var s Scanner
+	s.Write(src)
+	return s.Program()
 }
 
 // srcLine is one statement line: trimmed text and 1-based line number.
@@ -98,22 +90,98 @@ type srcLine struct {
 	no   int
 }
 
-// statementLines walks src line by line and keeps the statements only.
-// Blank lines and comments are skipped on the bytes, so the padding of
-// a padded executable — all of a 1 MB upload but a few lines — is never
-// copied into a string.
-func statementLines(src []byte) []srcLine {
-	var out []srcLine
-	for no := 1; ; no++ {
-		line, rest, more := bytes.Cut(src, []byte{'\n'})
-		if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '#' {
-			out = append(out, srcLine{text: string(line), no: no})
-		}
-		if !more {
-			return out
-		}
-		src = rest
+// Scanner parses a program that arrives in pieces: Write it the source in
+// any split, then ask for the Program. It keeps the statement lines only.
+// Blank lines and comments are dropped on the bytes as they pass, so the
+// padding of a padded executable — all of a 1 MB upload but a few lines —
+// is never held, let alone copied into a string. The zero value is ready.
+type Scanner struct {
+	lines []srcLine
+	// line holds the current line from its first non-blank byte on, while
+	// that line may still be a statement and its end has not arrived.
+	line  []byte
+	where int   // atLineStart, inComment or inText
+	ended int   // line ends seen
+	size  int64 // bytes written
+}
+
+// Where the scanner stands in the current line.
+const (
+	atLineStart = iota // nothing but ASCII blanks so far
+	inComment          // behind a '#': dropping up to the line end
+	inText             // behind anything else: keeping up to the line end
+)
+
+// Write scans the next piece of the source. The first byte past
+// MaxProgramBytes is ErrTooLarge, then and on every later call.
+func (s *Scanner) Write(p []byte) (int, error) {
+	if s.size += int64(len(p)); s.size > MaxProgramBytes {
+		s.lines, s.line = nil, nil
+		return 0, ErrTooLarge
 	}
+	n := len(p)
+	for len(p) > 0 {
+		if s.where == atLineStart {
+			for len(p) > 0 && (p[0] == ' ' || p[0] == '\t' || p[0] == '\r' || p[0] == '\v' || p[0] == '\f') {
+				p = p[1:]
+			}
+			if len(p) == 0 {
+				break
+			}
+			if p[0] == '#' {
+				s.where = inComment
+			} else if p[0] != '\n' {
+				s.where = inText
+			}
+		}
+		rest, end := p, bytes.IndexByte(p, '\n')
+		if end >= 0 {
+			rest = p[:end]
+		}
+		if s.where == inText && (end < 0 || len(s.line) > 0) {
+			s.line = append(s.line, rest...) // a line that spans Writes
+			rest = s.line
+		}
+		if end < 0 {
+			break
+		}
+		s.endLine(rest)
+		p = p[end+1:]
+	}
+	return n, nil
+}
+
+// endLine closes the current line, text being what was kept of it. A
+// comment can still surface here, behind blanks that are not ASCII.
+func (s *Scanner) endLine(text []byte) {
+	s.ended++
+	if s.where == inText {
+		if text = bytes.TrimSpace(text); len(text) > 0 && text[0] != '#' {
+			s.lines = append(s.lines, srcLine{text: string(text), no: s.ended})
+		}
+		s.line = s.line[:0]
+	}
+	s.where = atLineStart
+}
+
+// Program parses what was written, validating statically checkable
+// limits. It ends the source: a last line needs no newline.
+func (s *Scanner) Program() (*Program, error) {
+	if s.size > MaxProgramBytes {
+		return nil, ErrTooLarge
+	}
+	if s.where != atLineStart {
+		s.endLine(s.line)
+		s.ended-- // the line had no end of its own; asked again, nothing moves
+	}
+	stmts, rest, err := parseBlock(s.lines, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	if rest != len(s.lines) {
+		return nil, fmt.Errorf("%w: 'end' without 'loop' at line %d", ErrUnbalanced, s.lines[rest].no)
+	}
+	return &Program{Stmts: stmts, SourceBytes: int(s.size)}, nil
 }
 
 // parseBlock parses statements from line index i until EOF or a matching

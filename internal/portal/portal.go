@@ -30,7 +30,9 @@ import (
 	"repro/internal/wsdl"
 )
 
-// MaxUploadBytes bounds one uploaded executable.
+// MaxUploadBytes bounds one upload request's file part (the fleet gateway
+// sizes its body buffer by it). A file is refused well inside it: the
+// first byte past gsh.MaxProgramBytes ends the read (core.ReadUpload).
 const MaxUploadBytes = 256 << 20
 
 // Portal serves the UI and JSON API on top of an OnServe instance.
@@ -142,7 +144,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Reception CPU (Fig. 8): proportional to the upload size.
-	p.probe.BurnFor(len(form.content), p.cost.ReceiveBps)
+	p.probe.BurnFor(form.file.RawSize(), p.cost.ReceiveBps)
 
 	user := form.fields.Get("user")
 	description := form.fields.Get("description")
@@ -180,7 +182,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rec, err := p.onserve.UploadAndGenerateCtx(user, form.fileName, description, params, form.content, adm.ParentFor(tc))
+	rec, err := p.onserve.UploadAndGenerateFrom(user, form.fileName, description, params, form.file, adm.ParentFor(tc))
 	if err != nil {
 		adm.Finish("", err)
 		WriteError(w, statusFor(err), err)
@@ -217,7 +219,7 @@ const (
 // uploadForm is a decoded /upload request.
 type uploadForm struct {
 	fileName string
-	content  []byte
+	file     *core.Upload
 	// fields holds the text fields, query-string values ahead of form
 	// fields — the precedence r.FormValue gives a multipart request.
 	fields url.Values
@@ -243,8 +245,9 @@ func formParts(contentType string, body io.Reader) (*multipart.Reader, error) {
 // is read under the form's budget (maxFieldBytes over all names and
 // values, maxUserBytes for one "user") and handed to field. The first
 // other part named "file" is the upload and goes to file unread; what
-// file leaves of it, and every other part, is skipped. A body that does
-// not parse to its closing boundary, or carries no file, is an error.
+// file leaves of it, and every other part, is skipped, and an error of
+// file's comes back as it is. A body that does not parse to its closing
+// boundary, or carries no file, is an error.
 // Callers that collect the fields behind the query string's values and
 // take the first of each give the query the precedence r.FormValue does.
 func walkUploadForm(mr *multipart.Reader, field func(name, value string), file func(fileName string, content io.Reader) error) error {
@@ -276,7 +279,7 @@ func walkUploadForm(mr *multipart.Reader, field func(name, value string), file f
 		} else if name == "file" && !haveFile {
 			haveFile = true
 			if err := file(part.FileName(), part); err != nil {
-				return fmt.Errorf("portal: parse form: %w", err)
+				return err
 			}
 		}
 	}
@@ -287,10 +290,11 @@ func walkUploadForm(mr *multipart.Reader, field func(name, value string), file f
 }
 
 // readUploadForm streams the multipart body through walkUploadForm. The
-// file part is read once, into one buffer sized from Content-Length (a
-// few hundred bytes of framing more than the file); nothing is staged in
-// a second buffer or spilled to a temp file, and a body past
-// maxUploadBody is cut off by http.MaxBytesReader before it is buffered.
+// file part is read once, by core.ReadUpload, which hashes, scans and
+// deflates it as it arrives: the form holds the stored stream a row will
+// keep and never the file. Nothing is spilled to a temp file, nothing is
+// stored before the body has parsed to its closing boundary, and a body
+// past maxUploadBody is cut off by http.MaxBytesReader.
 func readUploadForm(w http.ResponseWriter, r *http.Request) (*uploadForm, error) {
 	if r.ContentLength > maxUploadBody {
 		return nil, sizedio.ErrTooLarge
@@ -302,7 +306,7 @@ func readUploadForm(w http.ResponseWriter, r *http.Request) (*uploadForm, error)
 	form := &uploadForm{fields: r.URL.Query()}
 	err = walkUploadForm(mr, form.fields.Add, func(fileName string, content io.Reader) (err error) {
 		form.fileName = fileName
-		form.content, err = sizedio.ReadAll(content, min(r.ContentLength, MaxUploadBytes), MaxUploadBytes)
+		form.file, err = core.ReadUpload(content, r.ContentLength)
 		return err
 	})
 	return form, err

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/blobdb/blobtest"
 	"repro/internal/core"
 	"repro/internal/cyberaide"
 	"repro/internal/gridenv"
@@ -26,11 +27,13 @@ import (
 )
 
 type fixture struct {
-	portal   *Portal
-	onserve  *core.OnServe
-	registry *uddi.Registry
-	url      string
-	clock    *vtime.Scaled
+	portal    *Portal
+	onserve   *core.OnServe
+	db        *blobdb.DB
+	container *soap.Server
+	registry  *uddi.Registry
+	url       string
+	clock     *vtime.Scaled
 }
 
 // newFixture wires a portal over a real onServe + grid; unlike the
@@ -61,7 +64,10 @@ func newTracedFixture(t *testing.T, col *trace.Collector) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	t.Cleanup(func() {
+		blobtest.VerifyStored(t, db)
+		db.Close()
+	})
 	container := soap.NewServer(nil, metrics.Cost{})
 	registry := uddi.NewRegistry(clk)
 	agent := cyberaide.New(cyberaide.Options{Endpoints: env.Endpoints(), Clock: clk})
@@ -85,7 +91,7 @@ func newTracedFixture(t *testing.T, col *trace.Collector) *fixture {
 	p := New(ons, registry, nil, metrics.Cost{})
 	mux.Handle("/services/", container)
 	mux.Handle("/", p)
-	return &fixture{portal: p, onserve: ons, registry: registry, url: hs.URL, clock: clk}
+	return &fixture{portal: p, onserve: ons, db: db, container: container, registry: registry, url: hs.URL, clock: clk}
 }
 
 func (f *fixture) upload(t *testing.T, filename, program string) {

@@ -3,7 +3,9 @@ package portal
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
@@ -14,7 +16,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blobdb"
+	"repro/internal/blobdb/blobtest"
+	"repro/internal/core"
 	"repro/internal/gsh"
+	"repro/internal/tenant"
 )
 
 // formPart is one part of a hand-built upload body: a text field, or the
@@ -200,9 +206,17 @@ func TestUploadFieldBudget(t *testing.T) {
 	}
 }
 
-// TestUploadDecodeByteBudget: decoding an upload allocates the file once.
+// TestUploadDecodeByteBudget: decoding an upload allocates the stream a
+// row will keep of the file, and nothing else of the file's size.
 func TestUploadDecodeByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds the gzip writer under -race")
+	}
 	program := gsh.Pad([]byte("echo ${n}\n"), 256<<10)
+	stored, err := blobdb.ReadStored(bytes.NewReader(program), -1, blobdb.MaxBlobBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctype, body := buildForm(t, []formPart{{"user", "", "alice"}, {"file", "budget.gsh", string(program)}, {"paramName1", "", "n"}})
 	rec := httptest.NewRecorder()
 	got := testing.Benchmark(func(b *testing.B) {
@@ -211,13 +225,13 @@ func TestUploadDecodeByteBudget(t *testing.T) {
 			req := httptest.NewRequest(http.MethodPost, "/upload?x=1", bytes.NewReader(body))
 			req.Header.Set("Content-Type", ctype)
 			form, err := readUploadForm(rec, req)
-			if err != nil || len(form.content) != len(program) {
+			if err != nil || form.file.RawSize() != len(program) {
 				b.Fatalf("decode: %v", err)
 			}
 		}
 	}).AllocedBytesPerOp()
-	if limit := int64(len(body)) * 3 / 2; got > limit {
-		t.Fatalf("decoding a %d B upload allocates %d B, budget %d", len(body), got, limit)
+	if limit := int64(len(stored.Gzip)) + 64<<10; got > limit {
+		t.Fatalf("decoding a %d B upload allocates %d B, budget %d (its %d B stored stream + 64 KB)", len(body), got, limit, len(stored.Gzip))
 	}
 }
 
@@ -239,8 +253,8 @@ func FuzzUploadForm(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(form.content) > len(body) || cap(form.content) > max(len(body), 512) {
-			t.Fatalf("file buffer of %d (cap %d) from a %d-byte body", len(form.content), cap(form.content), len(body))
+		if form.file.RawSize() > len(body) {
+			t.Fatalf("a file of %d bytes from a %d-byte body", form.file.RawSize(), len(body))
 		}
 		total := 0
 		for k, vs := range form.fields {
@@ -285,4 +299,124 @@ func FuzzUploadIdentity(f *testing.F) {
 			t.Fatalf("the form is file %q of user %q, the identity file %q of user %q", form.fileName, form.fields.Get("user"), fileName, user)
 		}
 	})
+}
+
+// TestStreamedUploadEdges: the file part is hashed, scanned and deflated
+// while the rest of the form is still on the wire, so every way a request
+// can end after that — cut short, over a cap, refused by a later check —
+// must leave nothing behind: no row, no deployed service, no registry
+// record, and a pooled gzip writer and scratch buffer that serve the next
+// upload as if nothing had passed through them. What is accepted is stored
+// under the digest and length of exactly the bytes of the first file part.
+func TestStreamedUploadEdges(t *testing.T) {
+	f := newTenantFixture(t, tenant.Config{
+		Owners: []tenant.OwnerConfig{
+			{Name: "open"},
+			{Name: "meter", Rates: map[string]float64{"upload": 0.000001}, Bursts: map[string]float64{"upload": 1}},
+		},
+		Keys: []tenant.KeyConfig{{Key: "open-secret", Owner: "open"}, {Key: "meter-secret", Owner: "meter"}},
+	})
+	program := string(gsh.Pad([]byte("echo ${a}\n"), 64<<10))
+	file := func(name string) formPart { return formPart{"file", name, program} }
+	user := formPart{"user", "", "alice"}
+	param := formPart{"paramName1", "", "a"}
+
+	// post sends one upload straight into the handler; capAt narrows the
+	// body the way the listener's 257 MB MaxBytesReader would cut it.
+	post := func(key string, parts []formPart, chunked bool, cut int, capAt int64) *httptest.ResponseRecorder {
+		ctype, body := buildForm(t, parts)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/upload", bytes.NewReader(body[:len(body)-cut]))
+		req.Header.Set("Content-Type", ctype)
+		req.Header.Set(tenant.KeyHeader, key)
+		if chunked {
+			req.ContentLength = -1
+		}
+		if capAt > 0 {
+			req.Body = http.MaxBytesReader(rec, req.Body, capAt)
+		}
+		f.portal.ServeHTTP(rec, req)
+		return rec
+	}
+	// stored checks service against the bytes it was published from.
+	stored := func(service, content string) {
+		t.Helper()
+		v, err := f.db.Table(core.ExecutablesTable).Open(service)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum, err := v.Digest(); err != nil || sum != sha256.Sum256([]byte(content)) || v.RawSize != len(content) {
+			t.Fatalf("%s is stored as %d bytes hashing to %x (%v), uploaded were %d", service, v.RawSize, sum, err, len(content))
+		}
+		if _, ok := f.container.Lookup(service); !ok {
+			t.Fatalf("%s is stored and not deployed", service)
+		}
+	}
+	if rec := post("meter-secret", []formPart{user, file("drain.gsh")}, false, 0, 0); rec.Code != http.StatusOK {
+		t.Fatalf("draining the meter: %d %s", rec.Code, rec.Body)
+	}
+
+	cases := []struct {
+		name    string
+		key     string // "" means open-secret
+		parts   []formPart
+		chunked bool
+		cut     int
+		capAt   int64
+		status  int
+		message string // substring of the error envelope
+	}{
+		{name: "file first", parts: []formPart{file("first.gsh"), user, param}, status: 200},
+		{name: "file last", parts: []formPart{user, param, file("last.gsh")}, status: 200},
+		{name: "file between fields", parts: []formPart{user, file("between.gsh"), param}, status: 200},
+		{name: "second file part", parts: []formPart{user, file("one.gsh"), {"file", "two.gsh", "bogus: never handed to the reader\n"}, param}, status: 200},
+		{name: "chunked, no Content-Length", parts: []formPart{file("chunked.gsh"), user, param}, chunked: true, status: 200},
+		{name: "cut inside the file", parts: []formPart{user, file("cutfile.gsh")}, cut: 32 << 10, status: 400},
+		{name: "cut before the closing boundary", parts: []formPart{file("cutend.gsh"), user}, cut: 8, status: 400},
+		{name: "cut inside the file, chunked", parts: []formPart{user, file("cutchunked.gsh")}, chunked: true, cut: 32 << 10, status: 400},
+		{name: "body cap mid-file", parts: []formPart{user, file("capped.gsh")}, capAt: 16 << 10, status: 413, message: "portal: file too large"},
+		{name: "body cap mid-file, chunked", parts: []formPart{user, file("cappedchunked.gsh")}, chunked: true, capAt: 16 << 10, status: 413, message: "portal: file too large"},
+		{name: "bad program", parts: []formPart{user, {"file", "bad.gsh", program + "bogus statement\n"}}, status: 400, message: "not a valid gsh program"},
+		{name: "unknown user", parts: []formPart{{"user", "", "stranger"}, file("stranger.gsh")}, status: 400, message: "no grid credentials"},
+		{name: "unknown user outranks a bad program", parts: []formPart{{"file", "both.gsh", "bogus\n"}, {"user", "", "stranger"}}, status: 400, message: "no grid credentials"},
+		{name: "bad parameter type", parts: []formPart{user, file("badparam.gsh"), param, {"paramType1", "", "quaternion"}}, status: 400, message: "parameter"},
+		{name: "admission refused", key: "meter-secret", parts: []formPart{user, file("metered.gsh")}, status: 429, message: "rate"},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			key := tc.key
+			if key == "" {
+				key = "open-secret"
+			}
+			upload := tc.parts[firstFilePart(tc.parts)]
+			service, err := core.ServiceNameFor(upload.fileName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := post(key, tc.parts, tc.chunked, tc.cut, tc.capAt)
+			if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.message) {
+				t.Fatalf("status %d, want %d with %q: %s", rec.Code, tc.status, tc.message, rec.Body)
+			}
+			if tc.status == http.StatusOK {
+				stored(service, upload.value)
+				return
+			}
+			if _, err := f.db.Table(core.ExecutablesTable).Stat(service); !errors.Is(err, blobdb.ErrNotFound) {
+				t.Fatalf("a refused upload left a row: %v", err)
+			}
+			if _, ok := f.container.Lookup(service); ok {
+				t.Fatal("a refused upload left a deployed service")
+			}
+			if _, err := f.registry.GetByName(service); err == nil {
+				t.Fatal("a refused upload left a registry record")
+			}
+			// The pooled codec state the refused upload used is clean.
+			next := formPart{"file", fmt.Sprintf("after%d.gsh", i), program + fmt.Sprintf("echo %d\n", i)}
+			if rec := post("open-secret", []formPart{user, next}, false, 0, 0); rec.Code != http.StatusOK {
+				t.Fatalf("the upload after it: %d %s", rec.Code, rec.Body)
+			}
+			stored(fmt.Sprintf("After%dService", i), next.value)
+			blobtest.VerifyStored(t, f.db)
+		})
+	}
 }

@@ -91,17 +91,23 @@ go test -run='^$' -fuzz=FuzzEscapeMatchesEncodingXML -fuzztime=5s ./internal/soa
 # Open().Reader()); FuzzStoredReader holds it, read in pieces of any size,
 # to the materialised Get().Blob.
 go test -run='^$' -fuzz=FuzzStoredReader -fuzztime=5s ./internal/blobdb
+# An upload's file part reaches the gsh parser in whatever pieces the
+# socket delivers: FuzzScannerSplits holds any split of a program into
+# Writes to the one-Write parse (lines, line numbers, Program, error),
+# and that to a reference walk over the program held whole.
+go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 
 # Allocation guard, deterministic (object and byte counts, no timing):
 # a blob-cache hit costs the same for 1 KB and 1 MB, a hot invocation
 # of a staged 1 MB executable allocates no object of its size and a cold
 # one — streamed into one PUT, or shipped as the stored gzip in chunks —
-# under a quarter of it, and the SOAP door decodes an invocation's
+# under a quarter of it, publishing one allocates the stream its row keeps
+# and under a quarter of it beside that, and the SOAP door decodes an invocation's
 # envelope in three objects and serves one in eleven, a signed submit
 # costs at most 24 objects, the three event frames of a hot invocation 10
 # and the gateway's proxy hop 16. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise.
-go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway
+go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
