@@ -171,13 +171,6 @@ var ablationBenches = []struct {
 		{"poll-hub", "stock", "status_rpcs", "status_rpcs"},
 		{"poll-hub", "stock", "output_bytes_kb", "output_kb"},
 	}},
-	// The sharded poll hub: one batched status RPC per shard tick, stdout
-	// fetched only when its version changed.
-	{"PollHubSharded", pollHub("hub"), []metric{
-		{"poll-hub", "hub", "status_rpcs", "status_rpcs"},
-		{"poll-hub", "hub", "output_bytes_kb", "output_kb"},
-		{"poll-hub", "hub", "output_not_modified", "not_modified"},
-	}},
 	// The push collector: state transitions and output bumps arrive over
 	// one gatekeeper event stream per session, so steady-state status
 	// RPCs collapse to (at most) the handful spent bootstrapping streams.

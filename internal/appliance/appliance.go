@@ -9,19 +9,16 @@
 package appliance
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/blobdb"
 	"repro/internal/core"
 	"repro/internal/cyberaide"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/soap"
@@ -31,82 +28,9 @@ import (
 	"repro/internal/vtime"
 )
 
-// Config describes an appliance image.
-type Config struct {
-	// Endpoints locates the production Grid's access points.
-	Endpoints cyberaide.Endpoints
-	// Clock; nil means real time.
-	Clock vtime.Clock
-	// Probe accounts the appliance host's resources; may be nil.
-	Probe *metrics.Probe
-	// Cost is the CPU cost model; zero value disables cost burning.
-	Cost metrics.Cost
-	// DBDir persists the database; empty keeps it in memory.
-	DBDir string
-	// GridHTTP carries grid-bound traffic (agent); nil uses the default
-	// client. Experiments install a shaped transport here.
-	GridHTTP *http.Client
-	// MyProxyDial overrides the MyProxy TCP dialer (for shaping).
-	MyProxyDial func(network, addr string) (net.Conn, error)
-	// UserProfile shapes the appliance's user-facing listener (the LAN of
-	// Fig. 8); nil leaves it unshaped.
-	UserProfile *netsim.Profile
-	// PollInterval / InvocationTimeout / ProxyLifetime tune the onServe
-	// pipeline; zero values use the core defaults.
-	PollInterval      time.Duration
-	InvocationTimeout time.Duration
-	ProxyLifetime     time.Duration
-	// StagingCache / DirectDBWrite select the ablation variants (see
-	// core.Config).
-	StagingCache  bool
-	DirectDBWrite bool
-	// SessionCache / StatsTTL select the invocation hot-path caches (see
-	// core.Config); both default to the paper-faithful behaviour.
-	SessionCache bool
-	StatsTTL     time.Duration
-	// PollHub selects the sharded batched status collector (see
-	// core.Config); off keeps one poller goroutine per invocation.
-	PollHub bool
-	// PushEvents selects the push-based collector: one long-lived
-	// /gram/events stream per session instead of polling, with the poll
-	// hub as its fallback rung (see core.Config). Off by default.
-	PushEvents bool
-	// CoalesceStaging single-flights concurrent stagings of one
-	// executable to one site (see core.Config); off keeps one upload per
-	// invocation.
-	CoalesceStaging bool
-	// ChunkedStaging / ChunkBytes / WireCompression select the chunked,
-	// content-addressed staging data plane (see core.Config); off keeps
-	// the paper's monolithic uncompressed PUT per staging.
-	ChunkedStaging  bool
-	ChunkBytes      int
-	WireCompression bool
-	// DataAwarePlacement selects the possession-aware site scorer (see
-	// core.Config). Off by default; needs ChunkedStaging.
-	DataAwarePlacement bool
-	// BlobCacheBytes / GroupCommit tune the blob database (see
-	// blobdb.Options); zero values keep the stock behaviour. The blob
-	// cache sits in front of Table.Get, which nothing in the appliance
-	// calls any more: neither profile sets it, cmd/bench's prod profile
-	// still does (ROADMAP 4b).
-	BlobCacheBytes int64
-	GroupCommit    bool
-	// WALShards is the shard count a new DBDir is created with (0 means
-	// one; an existing directory keeps its own) and AutoCompact runs the
-	// background compactor (see blobdb.Options). Both profiles persist on
-	// the same storage engine; these only size and tend it.
-	WALShards   int
-	AutoCompact bool
-	// Trace, when non-nil, turns on distributed tracing in the onServe
-	// pipeline, recording spans into this collector. Share one collector
-	// with gridenv.Options.Trace to get single cross-service trees.
-	Trace *trace.Collector
-	// Tenancy, when non-nil, boots the multi-tenant control plane (API
-	// keys, policy, rate limits, fair-share quotas, audit) from this
-	// declarative config; cmd/onserve loads it from -keys-file. Nil —
-	// the default — keeps the appliance fully anonymous.
-	Tenancy *tenant.Config
-}
+// Config describes an appliance image. It is core.Config: the knobs are
+// declared once, in the package that reads most of them.
+type Config = core.Config
 
 // Paper is the paper's configuration: every extension off. Each
 // invocation re-inflates the blob, logs on to MyProxy, re-stages the
@@ -154,6 +78,9 @@ func BuildImage(cfg Config) (*Image, error) {
 	}
 	if len(cfg.Endpoints.FTPURLs) == 0 {
 		return nil, errors.New("appliance: at least one GridFTP endpoint required")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real{}
@@ -227,48 +154,23 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		HTTP:        cfg.GridHTTP,
 		MyProxyDial: cfg.MyProxyDial,
 	})
-	coreCfg := core.Config{
-		DB:                 db,
-		Container:          container,
-		Registry:           registry,
-		Agent:              agent,
-		BaseURL:            baseURL,
-		Clock:              cfg.Clock,
-		Probe:              cfg.Probe,
-		Cost:               cfg.Cost,
-		PollInterval:       cfg.PollInterval,
-		InvocationTimeout:  cfg.InvocationTimeout,
-		ProxyLifetime:      cfg.ProxyLifetime,
-		StagingCache:       cfg.StagingCache,
-		DirectDBWrite:      cfg.DirectDBWrite,
-		SessionCache:       cfg.SessionCache,
-		StatsTTL:           cfg.StatsTTL,
-		PollHub:            cfg.PollHub,
-		PushEvents:         cfg.PushEvents,
-		CoalesceStaging:    cfg.CoalesceStaging,
-		ChunkedStaging:     cfg.ChunkedStaging,
-		ChunkBytes:         cfg.ChunkBytes,
-		WireCompression:    cfg.WireCompression,
-		DataAwarePlacement: cfg.DataAwarePlacement,
-	}
+	parts := core.Parts{DB: db, Container: container, Registry: registry, Agent: agent, BaseURL: baseURL}
 	if cfg.Trace != nil {
-		coreCfg.Tracing = trace.NewTracer("onserve", cfg.Clock, cfg.Trace)
+		parts.Tracing = trace.NewTracer("onserve", cfg.Clock, cfg.Trace)
 	}
-	var ctl *tenant.Controller
 	if cfg.Tenancy != nil {
 		topts := tenant.Options{Clock: cfg.Clock, DB: db}
 		if cfg.Trace != nil {
 			topts.Tracer = trace.NewTracer("tenant", cfg.Clock, cfg.Trace)
 		}
-		ctl, err = tenant.NewController(*cfg.Tenancy, topts)
+		parts.Tenancy, err = tenant.NewController(*cfg.Tenancy, topts)
 		if err != nil {
 			db.Close()
 			ln.Close()
 			return nil, fmt.Errorf("appliance: tenancy: %w", err)
 		}
-		coreCfg.Tenancy = ctl
 	}
-	ons, err := core.New(coreCfg)
+	ons, err := core.New(cfg, parts)
 	if err != nil {
 		db.Close()
 		ln.Close()
@@ -293,7 +195,7 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 	p := portal.New(ons, registry, cfg.Probe, cfg.Cost)
 	mux := http.NewServeMux()
 	var services http.Handler = container
-	if ctl != nil {
+	if parts.Tenancy != nil {
 		// The SOAP container is the portal's side door: without this
 		// guard a keyless caller could drive generated services (and
 		// their execute operations) directly. SOAP calls authenticate
@@ -301,7 +203,7 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		// the full rate/quota pipeline stays at the portal edge, which
 		// is the only surface that creates invocations on behalf of
 		// anonymous SOAP-era clients when tenancy is off.
-		services = guardServices(ctl, container)
+		services = guardServices(parts.Tenancy, container)
 	}
 	mux.Handle("/services/", services)
 	mux.Handle("/", p)
@@ -347,22 +249,16 @@ func guardServices(ctl *tenant.Controller, next http.Handler) http.Handler {
 		}
 		pr, err := ctl.Authenticate(r.Header.Get(tenant.KeyHeader), tenant.VerbInvoke)
 		if err != nil {
-			writeGuardError(w, http.StatusUnauthorized, "unauthorized", err)
+			portal.WriteError(w, http.StatusUnauthorized, err)
 			return
 		}
-		name := strings.TrimPrefix(r.URL.Path, "/services/")
+		name, _, _ := soap.ServiceName(r.URL.Path)
 		if !ctl.Allows(pr.Owner, tenant.VerbInvoke, name) {
-			writeGuardError(w, http.StatusForbidden, "forbidden", tenant.ErrForbidden)
+			portal.WriteError(w, http.StatusForbidden, tenant.ErrForbidden)
 			return
 		}
 		next.ServeHTTP(w, r)
 	})
-}
-
-func writeGuardError(w http.ResponseWriter, status int, code string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error(), "code": code})
 }
 
 // ServicesURL returns the SOAP container root URL.

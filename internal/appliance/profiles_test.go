@@ -68,12 +68,14 @@ func TestProfilesEndToEnd(t *testing.T) {
 
 // TestConfigSurface pins the exported fields of Config. The list is the
 // knob matrix every test, benchmark and operator has to reason about;
-// it only shrinks.
+// it only shrinks. It is declared once: Config is core's type, and what
+// Boot hands core.New beside it holds built components, nothing a knob
+// could hide in.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Endpoints", "Clock", "Probe", "Cost", "DBDir", "GridHTTP", "MyProxyDial", "UserProfile",
 		"PollInterval", "InvocationTimeout", "ProxyLifetime", "StagingCache", "DirectDBWrite",
-		"SessionCache", "StatsTTL", "PollHub", "PushEvents", "CoalesceStaging", "ChunkedStaging",
+		"SessionCache", "StatsTTL", "PushEvents", "CoalesceStaging", "ChunkedStaging",
 		"ChunkBytes", "WireCompression", "DataAwarePlacement", "BlobCacheBytes", "GroupCommit",
 		"WALShards", "AutoCompact", "Trace", "Tenancy",
 	}
@@ -81,8 +83,19 @@ func TestConfigSurface(t *testing.T) {
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
 		got = append(got, f.Name)
 	}
+	t.Logf("appliance.Config: %d fields", len(got)) // verify.sh prints this
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("appliance.Config fields changed:\n got %v\nwant %v\na new knob needs two callers at the parent commit that want different values", got, want)
+	}
+	if reflect.TypeOf(Config{}) != reflect.TypeOf(core.Config{}) {
+		t.Fatal("appliance.Config is no longer core.Config: the knobs are declared twice")
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(core.Parts{})) {
+		switch k := f.Type.Kind(); {
+		case k == reflect.Bool, reflect.Int <= k && k <= reflect.Uintptr:
+			// time.Duration is an int64 and lands here too.
+			t.Errorf("core.Parts.%s is a %s: a setting belongs in Config", f.Name, f.Type)
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // collector is the seam of the pipeline's fifth step. Invoke hands every
 // freshly submitted invocation to the one collector New chose — the
-// paper's tentative poller, the poll hub, or the push collector with the
-// hub as its fallback rung — and that collector owns the invocation until
+// paper's tentative poller, or the push collector with the poll hub as
+// its fallback rung — and that collector owns the invocation until
 // it is terminal: it arms the watchdog, stores output as it appears and
 // records the final state.
 type collector interface {
@@ -80,7 +80,7 @@ func (o *OnServe) finishAs(inv *Invocation, st InvState, message string) {
 func (o *OnServe) armWatchdog(inv *Invocation) *Watchdog {
 	return NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
 		killed := inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
-		o.cfg.Agent.Cancel(inv.sessionID, inv.JobID)
+		o.parts.Agent.Cancel(inv.sessionID, inv.JobID)
 		if killed {
 			o.releaseSession(inv.sessionID)
 		}
@@ -131,7 +131,7 @@ func (o *OnServe) observe(j *collectJob, ev gram.EventData, polled bool, ps *tra
 		inline := ev.Output != ""
 		out, ver, changed, err := ev.Output, ev.OutputVersion, true, error(nil)
 		if !inline {
-			out, ver, changed, err = o.cfg.Agent.OutputIfChanged(inv.sessionID, inv.JobID, lastVer)
+			out, ver, changed, err = o.parts.Agent.OutputIfChanged(inv.sessionID, inv.JobID, lastVer)
 		}
 		switch {
 		case err != nil:
@@ -174,7 +174,7 @@ func (o *OnServe) statusBatch(sessionID string, batch []*collectJob, apply func(
 		ids[i] = j.inv.JobID
 	}
 	o.collector.statusRPCs.Add(uint64((len(ids) + gram.MaxBatch - 1) / gram.MaxBatch))
-	entries, err := o.cfg.Agent.StatusBatch(sessionID, ids)
+	entries, err := o.parts.Agent.StatusBatch(sessionID, ids)
 	if err != nil || len(entries) != len(batch) {
 		return
 	}
@@ -208,14 +208,14 @@ func (o *OnServe) pollOutput(inv *Invocation) {
 		// Status first, then one output fetch: when the job turns out to
 		// be terminal, the snapshot taken after observing the terminal
 		// state is current by construction, so no second fetch is needed.
-		ps := o.cfg.Tracing.StartSpan("poll", inv.collectCtx())
+		ps := o.parts.Tracing.StartSpan("poll", inv.collectCtx())
 		o.collector.statusRPCs.Add(1)
-		status, err := o.cfg.Agent.Status(inv.sessionID, inv.JobID)
+		status, err := o.parts.Agent.Status(inv.sessionID, inv.JobID)
 		if err != nil {
 			continue // transient; keep polling until the watchdog decides
 		}
 		changed := false
-		if out, err := o.cfg.Agent.Output(inv.sessionID, inv.JobID); err == nil {
+		if out, err := o.parts.Agent.Output(inv.sessionID, inv.JobID); err == nil {
 			o.storeOutput(inv, out, false, ps)
 			changed = len(out) != lastLen
 			lastLen = len(out)

@@ -142,19 +142,21 @@ func waitCollectorsIdle(t *testing.T) {
 }
 
 // TestCollectorContract is what every collector promises, whichever one
-// New chose: rows are job behaviours, columns the three collectors plus
-// the push → hub fallback rung (a stock gatekeeper without /gram/events).
+// New chose: rows are job behaviours, columns the three collectors — the
+// hub on its own too, which New only ever puts behind push — plus the
+// push → hub fallback rung (a stock gatekeeper without /gram/events).
 func TestCollectorContract(t *testing.T) {
 	type column struct {
 		name    string
 		mutate  func(*Config)
+		hub     bool // the hub alone: what push falls back to, with no stream before it
 		noPush  bool // gatekeeper answers 404 on /gram/events
 		polls   bool // status RPCs are how this column learns of progress
 		streams bool // a healthy event stream carries this column
 	}
 	columns := []column{
 		{name: "tentative", polls: true},
-		{name: "hub", mutate: func(c *Config) { c.PollHub = true }, polls: true},
+		{name: "hub", hub: true, polls: true},
 		{name: "push", mutate: func(c *Config) { c.PushEvents = true }, streams: true},
 		{name: "push-to-hub", mutate: func(c *Config) { c.PushEvents = true }, noPush: true, polls: true},
 	}
@@ -316,6 +318,9 @@ func TestCollectorContract(t *testing.T) {
 						col.mutate(cfg)
 					}
 				})
+				if col.hub {
+					f.hubAlone(pollHubShards)
+				}
 				if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte(row.program)); err != nil {
 					t.Fatal(err)
 				}

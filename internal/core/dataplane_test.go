@@ -21,7 +21,7 @@ func TestSetStageInKeepsTheStoredExecutable(t *testing.T) {
 	if _, err := f.ons.UploadAndGenerate("alice", "wordcount.gsh", "counts words", nil, program); err != nil {
 		t.Fatal(err)
 	}
-	tab := f.cfg.DB.Table(ExecutablesTable)
+	tab := f.parts.DB.Table(ExecutablesTable)
 	before, err := tab.Stat("WordcountService")
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +86,7 @@ func TestStagingSharesStoredStreamWhileRepublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	f := newFixture(t, func(cfg *Config) {
-		cfg.DB = db
+	f := newFixtureDB(t, db, nil, nil, func(cfg *Config) {
 		// At the fixture's 20000x dilation the default hour is 180 real
 		// milliseconds, which a loaded -race run can exceed.
 		cfg.InvocationTimeout = 160 * time.Hour

@@ -34,7 +34,7 @@ type executable struct {
 
 // openExecutable pins serviceName's stored executable.
 func (o *OnServe) openExecutable(serviceName string, root *trace.Span) (*executable, error) {
-	row, err := o.cfg.DB.Table(ExecutablesTable).Open(serviceName)
+	row, err := o.parts.DB.Table(ExecutablesTable).Open(serviceName)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchService, serviceName)
 	}
@@ -54,7 +54,7 @@ func (o *OnServe) openExecutable(serviceName string, root *trace.Span) (*executa
 func (x *executable) fetch() {
 	x.fetched.Do(func() {
 		o, raw, stored := x.o, x.row.RawSize, len(x.row.Gzip)
-		sp := o.cfg.Tracing.StartSpan("db.fetch", x.root.Context())
+		sp := o.parts.Tracing.StartSpan("db.fetch", x.root.Context())
 		o.cfg.Probe.DiskRead(stored)
 		o.cfg.Probe.BurnFor(raw, o.cfg.Cost.DecompressBps)
 		sp.SetInt("bytes", int64(raw))

@@ -83,7 +83,7 @@ func TestPaperProfileProbeSequence(t *testing.T) {
 		cfg.InvocationTimeout = 100 * time.Hour
 	})
 	content := f.uploadPadded(t, "paper", "echo paper\n", 64<<10)
-	st, err := f.cfg.DB.Table(ExecutablesTable).Stat("PaperService")
+	st, err := f.parts.DB.Table(ExecutablesTable).Stat("PaperService")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStoredGzipComparesGenerations(t *testing.T) {
 	if len(v2) != len(v1) {
 		t.Fatalf("versions are %d and %d bytes, want equal", len(v1), len(v2))
 	}
-	tab := f.cfg.DB.Table(ExecutablesTable)
+	tab := f.parts.DB.Table(ExecutablesTable)
 	row, err := tab.Stat("SameService")
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +206,8 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 		f := newFixtureTraced(t, nil, trace.NewCollector(0, 0), func(cfg *Config) {
 			cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
 			cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
-			cfg.PlacementProbeTTL = 100 * time.Hour // 30 s is 1.5 ms of this clock
 		})
+		f.ons.probeTTL = 100 * time.Hour // 30 s is 1.5 ms of this clock
 		content := f.uploadPadded(t, "hot", "echo hot\n", size)
 		inflate := fmt.Sprintf("%s %d", metrics.CPU, time.Duration(
 			float64(len(content))/metrics.DefaultCost().DecompressBps*float64(time.Second)))
@@ -265,8 +265,8 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 		f := newFixtureTraced(t, nil, trace.NewCollector(0, 0), func(cfg *Config) {
 			cfg.StagingCache, cfg.StatsTTL = true, 100*time.Hour
 			cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true
-			cfg.PlacementProbeTTL = time.Minute
 		})
+		f.ons.probeTTL = time.Minute
 		f.uploadPadded(t, "probe", "echo probed\n", size)
 		f.invokeLogged(t, "ProbeService")
 		f.clock.Sleep(2 * time.Minute)
@@ -301,8 +301,7 @@ func TestHotInvokeAllocatesNoExecutableSizedObject(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
-		f := newFixture(t, func(cfg *Config) {
-			cfg.DB = db
+		f := newFixtureDB(t, db, nil, nil, func(cfg *Config) {
 			cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
 			cfg.PushEvents = true
 			cfg.InvocationTimeout, cfg.ProxyLifetime = 100*time.Hour, 100*time.Hour

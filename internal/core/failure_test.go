@@ -30,7 +30,7 @@ func TestInvokeAfterExecutableDeletedFromDB(t *testing.T) {
 	f := newFixture(t, nil)
 	f.uploadDemo(t)
 	// Pull the record out from under the deployed service.
-	if err := f.cfg.DB.Table(ExecutablesTable).Delete("MontecarloService"); err != nil {
+	if err := f.parts.DB.Table(ExecutablesTable).Delete("MontecarloService"); err != nil {
 		t.Fatal(err)
 	}
 	_, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})

@@ -34,7 +34,7 @@ func TestSessionCacheReusesSession(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := f.cfg.Agent.SessionCount(); n != 1 {
+	if n := f.parts.Agent.SessionCount(); n != 1 {
 		t.Fatalf("agent holds %d sessions, want 1 reused session", n)
 	}
 }
@@ -47,11 +47,11 @@ func TestStockAuthenticatesPerInvocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := f.cfg.Agent.Logons(); n != 2 {
+	if n := f.parts.Agent.Logons(); n != 2 {
 		t.Fatalf("%d logons, want one fresh logon per invocation", n)
 	}
 	// ... and each is logged out when its invocation is over.
-	waitFor(t, func() bool { return f.cfg.Agent.SessionCount() == 0 })
+	waitFor(t, func() bool { return f.parts.Agent.SessionCount() == 0 })
 }
 
 func TestGridSessionExpiryReauthenticates(t *testing.T) {
@@ -74,8 +74,8 @@ func TestGridSessionExpiryReauthenticates(t *testing.T) {
 	if err != nil || cached {
 		t.Fatalf("expired session id=%q cached=%v err=%v, want fresh logon", id3, cached, err)
 	}
-	if f.cfg.Agent.SessionCount() != 2 {
-		t.Fatalf("agent sessions %d, want 2 (initial + re-auth)", f.cfg.Agent.SessionCount())
+	if f.parts.Agent.SessionCount() != 2 {
+		t.Fatalf("agent sessions %d, want 2 (initial + re-auth)", f.parts.Agent.SessionCount())
 	}
 }
 
@@ -91,7 +91,7 @@ func TestSessionCacheInvalidatedOnAuthFault(t *testing.T) {
 	// Kill the session behind the cache's back (an agent-side expiry): the
 	// next invocation must invalidate the stale entry, re-authenticate and
 	// still succeed.
-	f.cfg.Agent.Logout(cachedID)
+	f.parts.Agent.Logout(cachedID)
 	if out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "2"}); err != nil {
 		t.Fatalf("invocation after session loss failed (%q): %v", out, err)
 	}
@@ -130,11 +130,11 @@ func TestDeadSessionIsLoggedOutOfTheAgent(t *testing.T) {
 	dead := f.ons.sessions["alice"].id
 	f.ons.sessions["alice"].expiresAt = f.clock.Now().Add(24 * time.Hour)
 	f.ons.mu.Unlock()
-	if dead != inFlight.sessionID || f.cfg.Agent.SessionCount() != 1 {
-		t.Fatalf("cached session %q, invocation's %q, %d agent sessions", dead, inFlight.sessionID, f.cfg.Agent.SessionCount())
+	if dead != inFlight.sessionID || f.parts.Agent.SessionCount() != 1 {
+		t.Fatalf("cached session %q, invocation's %q, %d agent sessions", dead, inFlight.sessionID, f.parts.Agent.SessionCount())
 	}
 	waitFor(t, func() bool {
-		_, err := f.cfg.Agent.Session(dead)
+		_, err := f.parts.Agent.Session(dead)
 		return errors.Is(err, cyberaide.ErrExpired)
 	})
 	if out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "2"}); err != nil {
@@ -146,10 +146,10 @@ func TestDeadSessionIsLoggedOutOfTheAgent(t *testing.T) {
 	if fresh == dead {
 		t.Fatalf("dead session %q still cached", dead)
 	}
-	if _, err := f.cfg.Agent.Session(dead); !errors.Is(err, cyberaide.ErrNoSession) {
+	if _, err := f.parts.Agent.Session(dead); !errors.Is(err, cyberaide.ErrNoSession) {
 		t.Fatalf("dead session still in the agent's table: %v", err)
 	}
-	if n := f.cfg.Agent.SessionCount(); n != 1 {
+	if n := f.parts.Agent.SessionCount(); n != 1 {
 		t.Fatalf("%d agent sessions, want the fresh one alone", n)
 	}
 	waitInv(t, inFlight, "invocation in flight on the dead session")
@@ -218,13 +218,14 @@ func TestConcurrentWarmInvocations(t *testing.T) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if n := f.cfg.Agent.SessionCount(); n < 1 || n > workers {
+	if n := f.parts.Agent.SessionCount(); n < 1 || n > workers {
 		t.Fatalf("agent sessions %d", n)
 	}
 }
 
 func TestInvocationPruning(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) { cfg.InvocationRetention = 2 })
+	f := newFixture(t, nil)
+	f.ons.retention = 2
 	f.uploadDemo(t)
 	var tickets []string
 	for i := 0; i < 4; i++ {
@@ -253,22 +254,6 @@ func TestInvocationPruning(t *testing.T) {
 	// Monitoring still tallies all four through the retained counters.
 	if got := f.ons.Monitoring().Invocations[string(InvDone)]; got != 4 {
 		t.Fatalf("monitoring DONE = %d, want 4", got)
-	}
-}
-
-func TestUnlimitedRetentionKeepsEverything(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) { cfg.InvocationRetention = -1 })
-	f.uploadDemo(t)
-	for i := 0; i < 3; i++ {
-		if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(f.ons.Invocations()); n != 3 {
-		t.Fatalf("invocations retained %d, want 3", n)
-	}
-	if got := f.ons.Monitoring().Invocations[string(InvDone)]; got != 3 {
-		t.Fatalf("monitoring DONE = %d, want 3", got)
 	}
 }
 

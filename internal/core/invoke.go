@@ -178,13 +178,13 @@ func (o *OnServe) Invoke(serviceName string, args map[string]string) (*Invocatio
 	return o.InvokeCtx(serviceName, args, trace.SpanContext{})
 }
 
-// InvokeCtx is Invoke with a caller trace context: with Config.Tracing
+// InvokeCtx is Invoke with a caller trace context: with Config.Trace
 // set, the invocation records an "invoke" root span (under the caller's
 // context when valid, a new root trace otherwise) with child spans for
 // every pipeline stage, and propagates context to every grid service.
-// With Tracing nil this is Invoke — no spans, no allocations.
+// With Trace nil this is Invoke — no spans, no allocations.
 func (o *OnServe) InvokeCtx(serviceName string, args map[string]string, parent trace.SpanContext) (*Invocation, error) {
-	root := o.cfg.Tracing.StartSpan("invoke", parent)
+	root := o.parts.Tracing.StartSpan("invoke", parent)
 	root.Set("service", serviceName)
 	inv, err := o.invoke(serviceName, args, root)
 	if err != nil {
@@ -237,7 +237,7 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 		// The agent has refused the session, so nothing can use it
 		// again: drop it from the cache and from the agent's table.
 		o.invalidateSession(exe.owner, sessID)
-		o.cfg.Agent.Logout(sessID)
+		o.parts.Agent.Logout(sessID)
 		if sessID, _, err = o.authenticate(exe.owner, auth, root); err != nil {
 			return nil, err
 		}
@@ -257,7 +257,7 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 // agent." With the session cache on, the previous logon's session is
 // reused until its proxy nears expiry.
 func (o *OnServe) authenticate(owner string, auth UserAuth, root *trace.Span) (sessID string, cached bool, err error) {
-	sp := o.cfg.Tracing.StartSpan("logon", root.Context())
+	sp := o.parts.Tracing.StartSpan("logon", root.Context())
 	sessID, cached, err = o.gridSession(owner, auth, sp.Context())
 	if err == nil {
 		sp.Set("cached", strconv.FormatBool(cached))
@@ -281,7 +281,7 @@ func (o *OnServe) newInvocation(serviceName, owner, sessID, site, jobID string, 
 		sessionID:   sessID,
 		onTerminal:  o.noteTerminal,
 		rootSpan:    root,
-		collectSpan: o.cfg.Tracing.StartSpan("collect", root.Context()),
+		collectSpan: o.parts.Tracing.StartSpan("collect", root.Context()),
 		state:       InvRunning,
 		done:        make(chan struct{}),
 	}
@@ -303,7 +303,7 @@ func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[str
 		return "", "", err
 	}
 	for i, candidate := range candidates {
-		st := o.cfg.Tracing.StartSpan("stage", tc)
+		st := o.parts.Tracing.StartSpan("stage", tc)
 		st.Set("site", candidate)
 		st.SetInt("bytes", int64(exe.row.RawSize))
 		err = o.stageExecutable(sessionID, exe, candidate, st)
@@ -324,10 +324,10 @@ func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[str
 			WallTime:   o.cfg.InvocationTimeout,
 			StageIn:    exe.stageIn,
 		}
-		sb := o.cfg.Tracing.StartSpan("submit", tc)
+		sb := o.parts.Tracing.StartSpan("submit", tc)
 		sb.Set("site", candidate)
 		o.submit.submitRPCs.Add(1)
-		if jobID, err = o.cfg.Agent.WithTrace(sb.Context()).Submit(sessionID, &desc); err == nil {
+		if jobID, err = o.parts.Agent.WithTrace(sb.Context()).Submit(sessionID, &desc); err == nil {
 			sb.Set("job_id", jobID)
 			sb.End()
 			return candidate, jobID, nil
@@ -350,7 +350,7 @@ func (o *OnServe) gridSession(owner string, auth UserAuth, tc trace.SpanContext)
 	if id, ok := o.cachedSession(owner); ok {
 		return id, true, nil
 	}
-	sess, err := o.cfg.Agent.WithTrace(tc).Authenticate(auth.MyProxyUser, auth.Passphrase, o.cfg.ProxyLifetime)
+	sess, err := o.parts.Agent.WithTrace(tc).Authenticate(auth.MyProxyUser, auth.Passphrase, o.cfg.ProxyLifetime)
 	if err != nil {
 		return "", false, fmt.Errorf("onserve: authenticate %s: %w", owner, err)
 	}
@@ -384,7 +384,7 @@ func (o *OnServe) cachedSession(owner string) (id string, ok bool) {
 // owner's, shared and kept, and this does nothing.
 func (o *OnServe) releaseSession(id string) {
 	if !o.cfg.SessionCache {
-		o.cfg.Agent.Logout(id)
+		o.parts.Agent.Logout(id)
 	}
 }
 
@@ -448,7 +448,7 @@ type siteLoad struct {
 // where, and the core never sees the caller's key. With tenancy off
 // (or an unconstrained owner) the slice passes through untouched.
 func (o *OnServe) siteFilter(owner string, cands []siteLoad) []siteLoad {
-	ctl := o.cfg.Tenancy
+	ctl := o.parts.Tenancy
 	if ctl == nil || owner == "" {
 		return cands
 	}
@@ -466,7 +466,7 @@ func (o *OnServe) siteFilter(owner string, cands []siteLoad) []siteLoad {
 func (o *OnServe) stageableLoads(stats []gridsim.SiteStats) []siteLoad {
 	var cands []siteLoad
 	for _, st := range stats {
-		if _, ok := o.cfg.Agent.SiteURL(st.Name); !ok {
+		if _, ok := o.parts.Agent.SiteURL(st.Name); !ok {
 			continue // no staging endpoint for this site
 		}
 		// A drained site (zero slots) counts as fully loaded: dividing by
@@ -490,13 +490,13 @@ func (o *OnServe) gridStats(sessionID string) ([]gridsim.SiteStats, error) {
 	if ttl <= 0 {
 		// Paper-faithful: one scheduler round-trip per invocation.
 		o.submit.statsRPCs.Add(1)
-		return o.cfg.Agent.GridStats(sessionID)
+		return o.parts.Agent.GridStats(sessionID)
 	}
 	stats, joined, err := o.statsFlights.do(&o.mu, "", func() ([]gridsim.SiteStats, bool) {
 		return o.stats, o.stats != nil && o.clock.Now().Sub(o.statsAt) < ttl
 	}, func() ([]gridsim.SiteStats, error) {
 		o.submit.statsRPCs.Add(1)
-		stats, err := o.cfg.Agent.GridStats(sessionID)
+		stats, err := o.parts.Agent.GridStats(sessionID)
 		if err == nil {
 			o.mu.Lock()
 			o.stats, o.statsAt = stats, o.clock.Now()
@@ -559,7 +559,7 @@ func (o *OnServe) stageExecutableOnce(sessionID string, exe *executable, site st
 		}
 		if replicateFrom != "" {
 			sp.Set("replicated_from", replicateFrom)
-			sum, err := o.cfg.Agent.WithTrace(sp.Context()).Replicate(sessionID, replicateFrom, site, exe.staged)
+			sum, err := o.parts.Agent.WithTrace(sp.Context()).Replicate(sessionID, replicateFrom, site, exe.staged)
 			if err == nil {
 				o.noteStaged(exe.service, site, sum)
 				return nil
@@ -616,17 +616,10 @@ func replicaSource(sites map[string]string) string {
 // cannot grow the ticket map without bound. Pruned invocations stay in
 // Monitoring through the retained tallies.
 func (o *OnServe) noteTerminal(inv *Invocation) {
-	retain := o.cfg.InvocationRetention
-	if retain == 0 {
-		retain = DefaultInvocationRetention
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.termOrder = append(o.termOrder, inv.Ticket)
-	if retain < 0 {
-		return
-	}
-	for len(o.termOrder) > retain {
+	for len(o.termOrder) > o.retention {
 		oldest := o.termOrder[0]
 		o.termOrder = o.termOrder[1:]
 		old, ok := o.invocations[oldest]
@@ -659,7 +652,7 @@ func (o *OnServe) CancelInvocation(ticket string) error {
 	if inv.State().Terminal() {
 		return nil
 	}
-	if _, err := o.cfg.Agent.Cancel(inv.sessionID, inv.JobID); err != nil && !inv.State().Terminal() {
+	if _, err := o.parts.Agent.Cancel(inv.sessionID, inv.JobID); err != nil && !inv.State().Terminal() {
 		return fmt.Errorf("onserve: cancel %s: %w", inv.JobID, err)
 	}
 	return nil
@@ -673,7 +666,7 @@ func (o *OnServe) InvocationOutputFile(ticket, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := o.cfg.Agent.OutputFile(inv.sessionID, inv.JobID, name)
+	data, err := o.parts.Agent.OutputFile(inv.sessionID, inv.JobID, name)
 	if !errors.Is(err, cyberaide.ErrNoSession) {
 		return data, err
 	}
@@ -686,7 +679,7 @@ func (o *OnServe) InvocationOutputFile(ticket, name string) ([]byte, error) {
 		return nil, err
 	}
 	defer o.releaseSession(sessID)
-	return o.cfg.Agent.OutputFile(sessID, inv.JobID, name)
+	return o.parts.Agent.OutputFile(sessID, inv.JobID, name)
 }
 
 // Invocations lists tickets issued so far, ordered by ticket (the
@@ -720,9 +713,9 @@ type Monitoring struct {
 // retention cap.
 func (o *OnServe) Monitoring() Monitoring {
 	m := Monitoring{
-		Services:    o.cfg.Container.Stats(),
+		Services:    o.parts.Container.Stats(),
 		Invocations: map[string]int{},
-		DB:          o.cfg.DB.Stats(),
+		DB:          o.parts.DB.Stats(),
 	}
 	o.mu.Lock()
 	for st, n := range o.termTallies {

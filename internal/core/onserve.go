@@ -24,11 +24,8 @@ import (
 	"unicode"
 
 	"repro/internal/blobdb"
-	"repro/internal/cyberaide"
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
-	"repro/internal/metrics"
-	"repro/internal/soap"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/uddi"
@@ -50,9 +47,8 @@ const (
 	// resolvable by ticket before the oldest are pruned (their state
 	// tallies are retained for Monitoring).
 	DefaultInvocationRetention = 4096
-	// DefaultPollHubShards is how many shard workers the poll hub runs
-	// when Config.PollHubShards is unset.
-	DefaultPollHubShards = 4
+	// pollHubShards is how many shard workers the poll hub runs.
+	pollHubShards = 4
 )
 
 // Errors.
@@ -71,144 +67,20 @@ type UserAuth struct {
 	Passphrase  string
 }
 
-// Config wires an OnServe instance.
-type Config struct {
-	// DB stores uploaded executables.
-	DB *blobdb.DB
-	// Container hosts the generated SOAP services.
-	Container *soap.Server
-	// Registry is the UDDI registry services are published into.
-	Registry *uddi.Registry
-	// Agent mediates all Grid access.
-	Agent *cyberaide.Agent
-	// BaseURL is the public root of the SOAP container, used in WSDL
-	// endpoint addresses and UDDI records.
-	BaseURL string
-	// Clock; nil means real time.
-	Clock vtime.Clock
-	// Probe accounts appliance-host resources; may be nil.
-	Probe *metrics.Probe
-	// Cost supplies the CPU cost model.
-	Cost metrics.Cost
-	// PollInterval overrides DefaultPollInterval.
-	PollInterval time.Duration
-	// InvocationTimeout overrides DefaultInvocationTimeout (watchdog).
-	InvocationTimeout time.Duration
-	// ProxyLifetime for per-invocation MyProxy logons; default 12h.
-	ProxyLifetime time.Duration
-	// StagingCache, when true, skips re-uploading an executable whose
-	// checksum is already staged at the target site. The paper leaves
-	// this off — files "will even be reloaded when executed a 2nd time" —
-	// and suggests the cache as an improvement; it is benchmarked as an
-	// ablation.
-	StagingCache bool
-	// DirectDBWrite, when true, skips the temporary-file spill before the
-	// database insert. The paper's implementation has the double write
-	// ("the file is first stored temporarily and then in the database");
-	// the fix is benchmarked as an ablation.
-	DirectDBWrite bool
-	// SessionCache, when true, reuses one authenticated agent session per
-	// owner across invocations until the delegated proxy nears expiry,
-	// instead of performing a fresh MyProxy logon per invocation (the
-	// paper's behaviour — "Before any use of the Grid is possible, an
-	// authentication is required"). Cached sessions are invalidated on
-	// auth faults and the invocation retried once with a fresh logon.
-	SessionCache bool
-	// StatsTTL, when positive, caches the gatekeeper scheduler-statistics
-	// snapshot pickSites orders sites by, so site selection stops costing
-	// one SOAP round-trip per invocation under load. Zero keeps the
-	// paper-faithful fetch-per-invocation.
-	StatsTTL time.Duration
-	// InvocationRetention caps terminal invocations kept in the ticket
-	// map: 0 means DefaultInvocationRetention, negative means unlimited.
-	// Pruned invocations keep contributing to Monitoring through
-	// retained per-state tallies.
-	InvocationRetention int
-	// PollHub replaces the per-invocation tentative pollers with a small
-	// fixed set of shard workers: each tick a shard batches all its
-	// in-flight job IDs into one gatekeeper status-batch round-trip per
-	// session, and fetches stdout only when the reply's output version
-	// says it changed (conditional fetch; an unchanged snapshot costs
-	// zero body bytes and zero disk writes). Watchdog and cancel
-	// semantics are identical to the stock poller. Off by default: the
-	// paper-faithful one-goroutine-per-invocation poller stays the
-	// baseline, and the hub is measured as an ablation.
-	PollHub bool
-	// PollHubShards is the hub's worker count; 0 means
-	// DefaultPollHubShards. Ignored unless PollHub is set.
-	PollHubShards int
-	// PushEvents replaces polling altogether with the gatekeeper's
-	// long-lived event stream: one /gram/events connection per session
-	// multiplexes the state transitions and stdout bumps of that session's
-	// jobs, so steady-state status RPCs drop to zero and completion is
-	// detected at push-delivery latency instead of the poll interval.
-	// A stdout snapshot of up to gram.InlineOutputMax rides in the frame
-	// itself; larger ones take the hub's conditional /gram/output fetch.
-	// The fallback ladder degrades gracefully: a stock gatekeeper
-	// (404 on /gram/events) or a dead stream hands every in-flight
-	// invocation to the poll hub the collector owns; reconnects resume
-	// from a Last-Event-ID cursor so no transition is lost. Watchdog and
-	// cancel semantics are identical to the poll paths. Off by default:
-	// the paper-faithful poller stays the baseline, and push is measured
-	// as an ablation.
-	PushEvents bool
-	// CoalesceStaging single-flights concurrent stagings of one
-	// executable to one site, so a cold burst of N invocations costs one
-	// WAN transfer per site instead of N. Off by default: the paper
-	// re-stages per invocation.
-	CoalesceStaging bool
-	// ChunkedStaging routes executable staging through the chunked,
-	// content-addressed GridFTP protocol: the site is probed for chunks
-	// it already holds, only missing chunks cross the WAN, and a transfer
-	// killed mid-flight resumes from the committed chunk set instead of
-	// byte zero (real GridFTP's partial transfers and restart markers).
-	// Off by default: the paper ships every staging as one monolithic
-	// PUT. Sites whose servers predate the chunk protocol transparently
-	// fall back to that PUT.
-	ChunkedStaging bool
-	// ChunkBytes is the chunk size for ChunkedStaging; 0 means
-	// gridftp.DefaultChunkBytes.
-	ChunkBytes int
-	// WireCompression, with ChunkedStaging, ships the database's stored
-	// gzip bytes across the WAN instead of the inflated executable; the
-	// site decompresses at commit. Off by default (the paper stages the
-	// raw file). Compressed chunking trades dedup granularity for wire
-	// bytes: a mid-file edit perturbs the gzip stream from that point on,
-	// so re-publish dedup works best with WireCompression off.
-	WireCompression bool
-	// DataAwarePlacement replaces load-only site ordering with a scorer
-	// that also weighs how many of the service's wire chunks each site
-	// already possesses (discovered through the chunk store's dedup
-	// probe, cached per service|site with singleflight) and the
-	// estimated cold-transfer time of the missing bytes over the shaped
-	// WAN. Off by default: the paper orders sites by load alone. A probe
-	// failure degrades the site to possession-unknown, never fails
-	// placement.
-	DataAwarePlacement bool
-	// PlacementProbeTTL is how long one possession probe's answer is
-	// trusted; 0 means DefaultPlacementProbeTTL.
-	PlacementProbeTTL time.Duration
-	// Tracing, when set, records a distributed span tree per invocation
-	// (logon, DB fetch, staging, submit, polling, output collection) and
-	// propagates context to every grid service via the X-Grid-Trace
-	// header. Off (nil) by default; the nil tracer is a zero-allocation
-	// no-op, so the invoke hot path is untouched when tracing is off.
-	Tracing *trace.Tracer
-	// Tenancy, when set, is the multi-tenant control plane (API keys,
-	// policy, rate limits, fair-share quotas, audit). The core consults
-	// it for per-site allow-lists when placing work; admission itself
-	// happens at the portal edge. Off (nil) by default: the stock path
-	// performs no tenancy work at all.
-	Tenancy *tenant.Controller
-}
-
 // OnServe is the middleware instance.
 type OnServe struct {
 	cfg   Config
+	parts Parts
 	clock vtime.Clock
+	// retention caps the terminal invocations kept in the ticket map
+	// (DefaultInvocationRetention) and probeTTL is how long one
+	// possession probe's answer is trusted (placementProbeTTL): fixed in
+	// New, fields so that this package's tests can shrink them.
+	retention int
+	probeTTL  time.Duration
 	// collect is the pipeline's fifth step, chosen once in New: the push
-	// collector (Config.PushEvents), the poll hub (Config.PollHub), or the
-	// paper's tentative poller.
+	// collector with the poll hub as its fallback rung
+	// (Config.PushEvents), or the paper's tentative poller.
 	collect collector
 	// collector tallies the output-collection work every collector does.
 	collector collectorCounters
@@ -256,16 +128,13 @@ type ownerSession struct {
 	expiresAt time.Time
 }
 
-// New builds an OnServe over the supplied substrates.
-func New(cfg Config) (*OnServe, error) {
-	if cfg.DB == nil || cfg.Container == nil || cfg.Registry == nil || cfg.Agent == nil {
+// New builds an OnServe configured by cfg over the components in parts.
+func New(cfg Config, parts Parts) (*OnServe, error) {
+	if parts.DB == nil || parts.Container == nil || parts.Registry == nil || parts.Agent == nil {
 		return nil, errors.New("onserve: DB, Container, Registry and Agent are required")
 	}
-	// The chunk store is the possession oracle placement probes and the
-	// only wire the stored-gzip path rides: without it these knobs would
-	// be accepted and do nothing, or pay probe RPCs that can never score.
-	if !cfg.ChunkedStaging && (cfg.DataAwarePlacement || cfg.WireCompression) {
-		return nil, errors.New("onserve: DataAwarePlacement and WireCompression require ChunkedStaging")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real{}
@@ -279,15 +148,12 @@ func New(cfg Config) (*OnServe, error) {
 	if cfg.ProxyLifetime <= 0 {
 		cfg.ProxyLifetime = 12 * time.Hour
 	}
-	if cfg.PollHubShards <= 0 {
-		cfg.PollHubShards = DefaultPollHubShards
-	}
-	if cfg.PlacementProbeTTL <= 0 {
-		cfg.PlacementProbeTTL = DefaultPlacementProbeTTL
-	}
 	o := &OnServe{
 		cfg:            cfg,
+		parts:          parts,
 		clock:          cfg.Clock,
+		retention:      DefaultInvocationRetention,
+		probeTTL:       placementProbeTTL,
 		users:          make(map[string]UserAuth),
 		invocations:    make(map[string]*Invocation),
 		staged:         make(map[string]map[string]string),
@@ -298,20 +164,17 @@ func New(cfg Config) (*OnServe, error) {
 	}
 	o.poss.cache = make(map[string]possEntry)
 	o.poss.flights = make(flights[possEntry])
-	switch {
-	case cfg.PushEvents:
+	if cfg.PushEvents {
 		// The hub is push's fallback rung for an absent or dead event channel.
-		o.collect = &eventCollector{o: o, hub: newPollHub(o, cfg.PollHubShards), workers: make(map[string]*eventWorker)}
-	case cfg.PollHub:
-		o.collect = newPollHub(o, cfg.PollHubShards)
-	default:
+		o.collect = &eventCollector{o: o, hub: newPollHub(o, pollHubShards), workers: make(map[string]*eventWorker)}
+	} else {
 		o.collect = tentativePoller{o}
 	}
 	return o, nil
 }
 
 // Tracer returns the configured tracer (nil when tracing is off).
-func (o *OnServe) Tracer() *trace.Tracer { return o.cfg.Tracing }
+func (o *OnServe) Tracer() *trace.Tracer { return o.parts.Tracing }
 
 // InvocationTrace returns every retained span of the invocation's trace,
 // sorted by start time. Unknown tickets error; an untraced invocation
@@ -323,7 +186,7 @@ func (o *OnServe) InvocationTrace(ticket string) ([]trace.SpanData, error) {
 		return nil, err
 	}
 	id := inv.TraceID()
-	col := o.cfg.Tracing.Collector()
+	col := o.parts.Tracing.Collector()
 	if id == "" || col == nil {
 		return nil, nil
 	}
@@ -446,7 +309,7 @@ func (o *OnServe) UploadAndGenerate(user, fileName, description string, params [
 // under a caller trace context: it records one "upload" span (a new root
 // trace when the parent is invalid, e.g. no X-Grid-Trace header came).
 func (o *OnServe) UploadAndGenerateFrom(user, fileName, description string, params []wsdl.ParamDef, file *Upload, parent trace.SpanContext) (*uddi.Record, error) {
-	sp := o.cfg.Tracing.StartSpan("upload", parent)
+	sp := o.parts.Tracing.StartSpan("upload", parent)
 	sp.Set("user", user)
 	sp.Set("file", fileName)
 	sp.SetInt("bytes", int64(file.RawSize()))
@@ -498,7 +361,7 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 		"file_name":   fileName,
 		"params":      string(paramsJSON),
 	}
-	if err := o.cfg.DB.Table(ExecutablesTable).PutStored(serviceName, meta, file.stored); err != nil {
+	if err := o.parts.DB.Table(ExecutablesTable).PutStored(serviceName, meta, file.stored); err != nil {
 		return nil, fmt.Errorf("onserve: store executable: %w", err)
 	}
 
@@ -506,12 +369,12 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 	// instantiates the service template — a CPU burst on the appliance.
 	o.cfg.Probe.Burn(o.cfg.Cost.ServiceBuild)
 	svc := o.buildService(serviceName, description, params)
-	if err := o.cfg.Container.Deploy(svc); err != nil {
+	if err := o.parts.Container.Deploy(svc); err != nil {
 		return nil, fmt.Errorf("onserve: deploy %s: %w", serviceName, err)
 	}
 
 	// Publishing (paper §VII-A "Publishing").
-	endpoint := o.cfg.BaseURL + o.cfg.Container.BasePath() + serviceName
+	endpoint := o.parts.BaseURL + o.parts.Container.BasePath() + serviceName
 	rec := uddi.Record{
 		Name:        serviceName,
 		Description: description,
@@ -519,12 +382,12 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 		Endpoint:    endpoint,
 		Owner:       user,
 	}
-	key, err := o.cfg.Registry.Publish(rec)
+	key, err := o.parts.Registry.Publish(rec)
 	if err != nil {
-		o.cfg.Container.Undeploy(serviceName)
+		o.parts.Container.Undeploy(serviceName)
 		return nil, fmt.Errorf("onserve: publish %s: %w", serviceName, err)
 	}
-	published, err := o.cfg.Registry.Get(key)
+	published, err := o.parts.Registry.Get(key)
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +406,7 @@ func (o *OnServe) SetStageIn(serviceName string, files []string) error {
 	}
 	// Metadata only: the executable is neither inflated nor re-compressed
 	// to change one key.
-	tab := o.cfg.DB.Table(ExecutablesTable)
+	tab := o.parts.DB.Table(ExecutablesTable)
 	rec, err := tab.Stat(serviceName)
 	if err != nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchService, serviceName)
@@ -563,16 +426,16 @@ func (o *OnServe) RedeployAll() (int, error) {
 	}
 	n := 0
 	for _, info := range infos {
-		if _, deployed := o.cfg.Container.Lookup(info.ServiceName); deployed {
+		if _, deployed := o.parts.Container.Lookup(info.ServiceName); deployed {
 			continue
 		}
 		o.cfg.Probe.Burn(o.cfg.Cost.ServiceBuild)
 		svc := o.buildService(info.ServiceName, info.Description, info.Params)
-		if err := o.cfg.Container.Deploy(svc); err != nil {
+		if err := o.parts.Container.Deploy(svc); err != nil {
 			return n, fmt.Errorf("onserve: redeploy %s: %w", info.ServiceName, err)
 		}
-		if _, err := o.cfg.Registry.GetByName(info.ServiceName); err != nil {
-			if _, err := o.cfg.Registry.Publish(uddi.Record{
+		if _, err := o.parts.Registry.GetByName(info.ServiceName); err != nil {
+			if _, err := o.parts.Registry.Publish(uddi.Record{
 				Name:        info.ServiceName,
 				Description: info.Description,
 				WSDLURL:     info.WSDLURL,
@@ -590,14 +453,14 @@ func (o *OnServe) RedeployAll() (int, error) {
 // DeleteService undeploys the generated service, removes its UDDI record
 // and deletes the stored executable.
 func (o *OnServe) DeleteService(serviceName string) error {
-	if _, err := o.cfg.DB.Table(ExecutablesTable).Stat(serviceName); err != nil {
+	if _, err := o.parts.DB.Table(ExecutablesTable).Stat(serviceName); err != nil {
 		return fmt.Errorf("%w: %s", ErrNoSuchService, serviceName)
 	}
-	o.cfg.Container.Undeploy(serviceName)
-	if rec, err := o.cfg.Registry.GetByName(serviceName); err == nil {
-		o.cfg.Registry.Delete(rec.Key)
+	o.parts.Container.Undeploy(serviceName)
+	if rec, err := o.parts.Registry.GetByName(serviceName); err == nil {
+		o.parts.Registry.Delete(rec.Key)
 	}
-	if err := o.cfg.DB.Table(ExecutablesTable).Delete(serviceName); err != nil {
+	if err := o.parts.DB.Table(ExecutablesTable).Delete(serviceName); err != nil {
 		return err
 	}
 	o.mu.Lock()
@@ -609,18 +472,18 @@ func (o *OnServe) DeleteService(serviceName string) error {
 
 // Tenancy exposes the multi-tenant control plane; nil when the
 // subsystem is off, which callers treat as "admit everything".
-func (o *OnServe) Tenancy() *tenant.Controller { return o.cfg.Tenancy }
+func (o *OnServe) Tenancy() *tenant.Controller { return o.parts.Tenancy }
 
 // SetTenancy installs the controller after construction. Call it before
 // serving traffic — the admission path reads the field without a lock.
-func (o *OnServe) SetTenancy(ctl *tenant.Controller) { o.cfg.Tenancy = ctl }
+func (o *OnServe) SetTenancy(ctl *tenant.Controller) { o.parts.Tenancy = ctl }
 
 // Services lists the generated services, sorted by service name. The
 // order is part of the API: fleet gateways merge listings from many
 // appliances and diff replicated registry views against authoritative
 // ones, which only works if every listing is deterministic.
 func (o *OnServe) Services() ([]ExecutableInfo, error) {
-	tab := o.cfg.DB.Table(ExecutablesTable)
+	tab := o.parts.DB.Table(ExecutablesTable)
 	var out []ExecutableInfo
 	for _, key := range tab.Keys() {
 		info, err := o.ServiceInfo(key)
@@ -638,7 +501,7 @@ func (o *OnServe) Services() ([]ExecutableInfo, error) {
 
 // ServiceInfo describes one generated service.
 func (o *OnServe) ServiceInfo(serviceName string) (*ExecutableInfo, error) {
-	rec, err := o.cfg.DB.Table(ExecutablesTable).Stat(serviceName)
+	rec, err := o.parts.DB.Table(ExecutablesTable).Stat(serviceName)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchService, serviceName)
 	}
@@ -652,7 +515,7 @@ func (o *OnServe) ServiceInfo(serviceName string) (*ExecutableInfo, error) {
 	if s := rec.Meta["stage_in"]; s != "" {
 		stageIn = strings.Split(s, ",")
 	}
-	endpoint := o.cfg.BaseURL + o.cfg.Container.BasePath() + serviceName
+	endpoint := o.parts.BaseURL + o.parts.Container.BasePath() + serviceName
 	return &ExecutableInfo{
 		ServiceName: serviceName,
 		FileName:    rec.Meta["file_name"],

@@ -26,6 +26,7 @@ type fixture struct {
 	rec   *metrics.Recorder
 	clock *vtime.Scaled
 	cfg   Config
+	parts Parts
 	// probes logs the cost-model calls made through the fixture's Probe
 	// (by the core, the database and the agent) while switched on.
 	probes *probeLog
@@ -46,6 +47,12 @@ func newFixtureHTTP(t *testing.T, gridHTTP *http.Client, mutate func(*Config)) *
 // newFixtureTraced is newFixtureHTTP with a shared span collector wired
 // into every grid service and the onServe core.
 func newFixtureTraced(t *testing.T, gridHTTP *http.Client, col *trace.Collector, mutate func(*Config)) *fixture {
+	return newFixtureDB(t, nil, gridHTTP, col, mutate)
+}
+
+// newFixtureDB is newFixtureTraced over a database the caller opened (and
+// closes); nil opens a fresh in-memory one.
+func newFixtureDB(t *testing.T, db *blobdb.DB, gridHTTP *http.Client, col *trace.Collector, mutate func(*Config)) *fixture {
 	t.Helper()
 	clk := vtime.NewScaled(20000)
 	env, err := gridenv.Start(gridenv.Options{
@@ -72,42 +79,54 @@ func newFixtureTraced(t *testing.T, gridHTTP *http.Client, col *trace.Collector,
 	rec := metrics.NewRecorder(probes, 3*time.Second)
 	probes.rec = rec
 	probe := metrics.NewProbe(rec)
-	db, err := blobdb.Open(blobdb.Options{Clock: clk, Probe: probe, Cost: metrics.DefaultCost()})
-	if err != nil {
-		t.Fatal(err)
+	if db == nil {
+		db, err = blobdb.Open(blobdb.Options{Clock: clk, Probe: probe, Cost: metrics.DefaultCost()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
 	}
-	t.Cleanup(func() { db.Close() })
-	agent := cyberaide.New(cyberaide.Options{
-		Endpoints: env.Endpoints(), Clock: clk, Probe: probe, Cost: metrics.DefaultCost(),
-		HTTP: gridHTTP,
-	})
 	cfg := Config{
-		DB:                db,
-		Container:         soap.NewServer(probe, metrics.DefaultCost()),
-		Registry:          uddi.NewRegistry(clk),
-		Agent:             agent,
-		BaseURL:           "http://appliance.test",
 		Clock:             clk,
 		Probe:             probe,
 		Cost:              metrics.DefaultCost(),
 		PollInterval:      2 * time.Second,
 		InvocationTimeout: time.Hour,
+		Trace:             col,
+	}
+	parts := Parts{
+		DB:        db,
+		Container: soap.NewServer(probe, metrics.DefaultCost()),
+		Registry:  uddi.NewRegistry(clk),
+		Agent: cyberaide.New(cyberaide.Options{
+			Endpoints: env.Endpoints(), Clock: clk, Probe: probe, Cost: metrics.DefaultCost(),
+			HTTP: gridHTTP,
+		}),
+		BaseURL: "http://appliance.test",
 	}
 	if col != nil {
-		cfg.Tracing = trace.NewTracer("onserve", clk, col)
+		parts.Tracing = trace.NewTracer("onserve", clk, col)
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	ons, err := New(cfg)
+	ons, err := New(cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ons.RegisterUser("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
 	// Runs before any database is closed: whatever the test did, nothing
 	// may have written into an executable's shared bytes.
-	t.Cleanup(func() { blobtest.VerifyStored(t, cfg.DB) })
-	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, probes: probes}
+	t.Cleanup(func() { blobtest.VerifyStored(t, db) })
+	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, parts: parts, probes: probes}
+}
+
+// hubAlone makes the poll hub f's collector with no event stream in
+// front of it: the rung push falls back to, which no configuration
+// selects. Call it before the first invocation.
+func (f *fixture) hubAlone(shards int) *fixture {
+	f.ons.collect = newPollHub(f.ons, shards)
+	return f
 }
 
 const demoProgram = "echo pi=${digits}\ncompute 1s\nwrite result.dat 256\n"
@@ -153,7 +172,7 @@ func TestUploadAndGenerate(t *testing.T) {
 		t.Fatalf("endpoint %q", rec.Endpoint)
 	}
 	// Deployed in the container with the full operation set.
-	svc, ok := f.cfg.Container.Lookup("MontecarloService")
+	svc, ok := f.parts.Container.Lookup("MontecarloService")
 	if !ok {
 		t.Fatal("service not deployed")
 	}
@@ -163,11 +182,11 @@ func TestUploadAndGenerate(t *testing.T) {
 		}
 	}
 	// Stored in the database.
-	if _, err := f.cfg.DB.Table(ExecutablesTable).Stat("MontecarloService"); err != nil {
+	if _, err := f.parts.DB.Table(ExecutablesTable).Stat("MontecarloService"); err != nil {
 		t.Fatal(err)
 	}
 	// Discoverable through UDDI.
-	if got := f.cfg.Registry.Find("Monte%"); len(got) != 1 {
+	if got := f.parts.Registry.Find("Monte%"); len(got) != 1 {
 		t.Fatalf("uddi find %v", got)
 	}
 	// Info reflects the upload.
@@ -360,7 +379,7 @@ func TestStagingCacheReplicatesAcrossSites(t *testing.T) {
 	// the next job fails; replication from the already-staged good copy
 	// succeeds.
 	meta := map[string]string{"owner": "alice", "description": "", "file_name": "rep.gsh", "params": "null"}
-	if err := f.cfg.DB.Table(ExecutablesTable).Put("RepService", meta, []byte("fail poisoned-db\n")); err != nil {
+	if err := f.parts.DB.Table(ExecutablesTable).Put("RepService", meta, []byte("fail poisoned-db\n")); err != nil {
 		t.Fatal(err)
 	}
 	// Saturate inv1's site so the broker must pick the sibling.
@@ -468,10 +487,10 @@ func TestDeleteService(t *testing.T) {
 	if err := f.ons.DeleteService("MontecarloService"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.cfg.Container.Lookup("MontecarloService"); ok {
+	if _, ok := f.parts.Container.Lookup("MontecarloService"); ok {
 		t.Fatal("service still deployed")
 	}
-	if f.cfg.Registry.Len() != 0 {
+	if f.parts.Registry.Len() != 0 {
 		t.Fatal("uddi record remains")
 	}
 	if _, err := f.ons.ServiceInfo("MontecarloService"); !errors.Is(err, ErrNoSuchService) {
@@ -514,7 +533,7 @@ func TestDoubleWriteAccounting(t *testing.T) {
 }
 
 func TestNewValidatesConfig(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(Config{}, Parts{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }
@@ -526,13 +545,14 @@ func TestNewRejectsKnobsWithoutChunkedStaging(t *testing.T) {
 		"DataAwarePlacement": func(c *Config) { c.DataAwarePlacement = true },
 		"WireCompression":    func(c *Config) { c.WireCompression = true },
 	} {
-		cfg := newFixture(t, nil).cfg
+		f := newFixture(t, nil)
+		cfg := f.cfg
 		set(&cfg)
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "require ChunkedStaging") {
+		if _, err := New(cfg, f.parts); err == nil || !strings.Contains(err.Error(), "require ChunkedStaging") {
 			t.Errorf("%s without ChunkedStaging: %v", name, err)
 		}
 		cfg.ChunkedStaging = true
-		if _, err := New(cfg); err != nil {
+		if _, err := New(cfg, f.parts); err != nil {
 			t.Errorf("%s with ChunkedStaging: %v", name, err)
 		}
 	}
@@ -568,7 +588,7 @@ func TestGeneratedServiceOverSOAP(t *testing.T) {
 	f.uploadDemo(t)
 	// The container is not mounted on a real HTTP server in this fixture;
 	// mount it.
-	hs := newHTTPServer(t, f.cfg.Container)
+	hs := newHTTPServer(t, f.parts.Container)
 	var c soap.Client
 	url := hs + "/services/MontecarloService"
 	ns := "urn:onserve:MontecarloService"
@@ -592,7 +612,7 @@ func TestGeneratedServiceOverSOAP(t *testing.T) {
 func TestGeneratedServiceRejectsBadArgs(t *testing.T) {
 	f := newFixture(t, nil)
 	f.uploadDemo(t)
-	hs := newHTTPServer(t, f.cfg.Container)
+	hs := newHTTPServer(t, f.parts.Container)
 	var c soap.Client
 	url := hs + "/services/MontecarloService"
 	ns := "urn:onserve:MontecarloService"

@@ -14,7 +14,7 @@ func TestOutputFileThroughGeneratedService(t *testing.T) {
 		[]byte("write data.bin 64\necho done\n")); err != nil {
 		t.Fatal(err)
 	}
-	hs := newHTTPServer(t, f.cfg.Container)
+	hs := newHTTPServer(t, f.parts.Container)
 	var c soap.Client
 	url := hs + "/services/ArtifactsService"
 	ns := "urn:onserve:ArtifactsService"

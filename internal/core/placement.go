@@ -20,12 +20,12 @@ import (
 )
 
 const (
-	// DefaultPlacementProbeTTL is how long one possession probe's answer
-	// is trusted when Config.PlacementProbeTTL is unset. Staleness is
-	// benign in both directions: chunks only accumulate (an overestimate
-	// of missing bytes just re-probes sooner), and eviction at the site
-	// is healed by the upload path's own probe-and-ship cycle.
-	DefaultPlacementProbeTTL = 30 * time.Second
+	// placementProbeTTL is how long one possession probe's answer is
+	// trusted. Staleness is benign in both directions: chunks only
+	// accumulate (an overestimate of missing bytes just re-probes
+	// sooner), and eviction at the site is healed by the upload path's
+	// own probe-and-ship cycle.
+	placementProbeTTL = 30 * time.Second
 	// placementLoadPenalty converts the load term (committed+queued work
 	// per slot) into comparable seconds: one full load unit is scored as
 	// this much queueing delay. It is a coarse stand-in for the paper
@@ -159,7 +159,7 @@ func orderScores(scores []siteScore) {
 // load alone plus a full cold transfer, never an error. The decision is
 // recorded as a "place" span under the invocation.
 func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []siteLoad, tc trace.SpanContext) []string {
-	sp := o.cfg.Tracing.StartSpan("place", tc)
+	sp := o.parts.Tracing.StartSpan("place", tc)
 	sp.Set("service", exe.service)
 
 	scores := make([]siteScore, len(cands))
@@ -218,14 +218,10 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 // answer came without issuing a new probe (cache or joined flight).
 func (o *OnServe) probePossession(sessionID, site string, exe *executable) (possEntry, bool) {
 	key := exe.service + "|" + site
-	ttl := o.cfg.PlacementProbeTTL
-	if ttl <= 0 {
-		ttl = DefaultPlacementProbeTTL
-	}
 	led := false
 	e, _, _ := o.poss.flights.do(&o.poss.mu, key, func() (possEntry, bool) {
 		e, ok := o.poss.cache[key]
-		return e, ok && o.clock.Now().Sub(e.at) < ttl
+		return e, ok && o.clock.Now().Sub(e.at) < o.probeTTL
 	}, func() (possEntry, error) {
 		led = true
 		e := o.probeOnce(sessionID, site, exe)
@@ -249,7 +245,7 @@ func (o *OnServe) probeOnce(sessionID, site string, exe *executable) possEntry {
 	}
 	total := cut.WireBytes
 	o.placement.probesSent.Add(1)
-	missing, err := o.cfg.Agent.HaveChunks(sessionID, site, cut.Digests())
+	missing, err := o.parts.Agent.HaveChunks(sessionID, site, cut.Digests())
 	if err != nil {
 		// Degradation, not failure: the site is scored possession-unknown
 		// — the load term plus a full cold transfer — so a dead or

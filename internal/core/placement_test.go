@@ -111,10 +111,10 @@ func TestDataAwarePlacementPrefersPossessingSite(t *testing.T) {
 		cfg.ChunkedStaging = true
 		cfg.ChunkBytes = 4 << 10
 		cfg.DataAwarePlacement = true
-		// Far beyond the test's virtual runtime (the scaled clock turns
-		// milliseconds of wall time into virtual hours).
-		cfg.PlacementProbeTTL = 1000 * time.Hour
 	})
+	// Far beyond the test's virtual runtime (the scaled clock turns
+	// milliseconds of wall time into virtual hours).
+	f.ons.probeTTL = 1000 * time.Hour
 	if _, err := f.ons.UploadAndGenerate("alice", "warm.gsh", "", nil,
 		[]byte(fillerProgram(64<<10))); err != nil {
 		t.Fatal(err)
@@ -190,10 +190,10 @@ func TestPlacementProbeFailureDegradesToLoad(t *testing.T) {
 		cfg.ProxyLifetime = 1000 * time.Hour
 		cfg.ChunkedStaging = true
 		cfg.DataAwarePlacement = true
-		// Expire possession answers immediately so the burst keeps probing
-		// the dead site instead of coasting on the cache.
-		cfg.PlacementProbeTTL = time.Nanosecond
 	})
+	// Expire possession answers immediately so the burst keeps probing
+	// the dead site instead of coasting on the cache.
+	f.ons.probeTTL = time.Nanosecond
 	// Big enough that the possessing site wins even while the burst loads
 	// it: a full cold transfer scores worse than six busy slots.
 	if _, err := f.ons.UploadAndGenerate("alice", "big.gsh", "", nil,
@@ -212,7 +212,7 @@ func TestPlacementProbeFailureDegradesToLoad(t *testing.T) {
 			sibling = s
 		}
 	}
-	ftpURL, ok := f.cfg.Agent.SiteURL(sibling)
+	ftpURL, ok := f.parts.Agent.SiteURL(sibling)
 	if !ok {
 		t.Fatalf("no FTP URL for %s", sibling)
 	}
@@ -323,8 +323,8 @@ func TestDeleteServiceForgetsPossession(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) {
 		cfg.ChunkedStaging = true
 		cfg.DataAwarePlacement = true
-		cfg.PlacementProbeTTL = 10 * time.Minute
 	})
+	f.ons.probeTTL = 10 * time.Minute
 	f.uploadDemo(t)
 	if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
 		t.Fatal(err)
@@ -354,8 +354,8 @@ func TestProbeCacheSingleflight(t *testing.T) {
 		cfg.SessionCache = true
 		cfg.ChunkedStaging = true
 		cfg.DataAwarePlacement = true
-		cfg.PlacementProbeTTL = 10 * time.Minute
 	})
+	f.ons.probeTTL = 10 * time.Minute
 	if _, err := f.ons.UploadAndGenerate("alice", "flock.gsh", "", nil,
 		[]byte(fillerProgram(16<<10))); err != nil {
 		t.Fatal(err)

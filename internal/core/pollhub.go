@@ -54,7 +54,9 @@ func (o *OnServe) CollectorStats() CollectorStats {
 }
 
 // pollHub is the sharded replacement for the paper's per-invocation
-// tentative pollers (Config.PollHub). Invocations are hashed onto a
+// tentative pollers that the push collector falls back to; no
+// configuration selects it alone (results/pollhub.json has push ahead of
+// it on every metric). Invocations are hashed onto a
 // small fixed set of shards; each shard worker wakes once per poll
 // interval, batches all its in-flight job IDs into one gatekeeper
 // status-batch round-trip per session, and hands each entry to observe,
@@ -154,7 +156,7 @@ func (sh *hubShard) collectOne(j *collectJob, ev gram.EventData) {
 	if j.inv.State().Terminal() {
 		return // cancel or watchdog got there between batching and now
 	}
-	ps := o.cfg.Tracing.StartSpan("poll", j.inv.collectCtx())
+	ps := o.parts.Tracing.StartSpan("poll", j.inv.collectCtx())
 	ps.Set("batched", "true")
 	o.observe(j, ev, true, ps)
 }

@@ -13,7 +13,7 @@ import (
 func TestPollHubSkipsUnchangedSnapshots(t *testing.T) {
 	// A job that is silent for three poll ticks and then emits once: the
 	// hub must confirm the unchanged snapshot without fetching any bytes.
-	f := newFixture(t, func(cfg *Config) { cfg.PollHub = true })
+	f := newFixture(t, nil).hubAlone(pollHubShards)
 	if _, err := f.ons.UploadAndGenerate("alice", "quiet.gsh", "", nil,
 		[]byte("compute 5m\necho fin\n")); err != nil {
 		t.Fatal(err)
@@ -84,11 +84,7 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 	// its pollers of ticks and can invert the count comparison.
 	const n = 6
 	stock := newFixture(t, func(cfg *Config) { cfg.SessionCache = true })
-	hub := newFixture(t, func(cfg *Config) {
-		cfg.SessionCache = true
-		cfg.PollHub = true
-		cfg.PollHubShards = 1
-	})
+	hub := newFixture(t, func(cfg *Config) { cfg.SessionCache = true }).hubAlone(1)
 	var wg sync.WaitGroup
 	for _, f := range []*fixture{stock, hub} {
 		wg.Add(1)
@@ -111,11 +107,7 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 func TestPollHubIsolatesFailingJob(t *testing.T) {
 	// A failing job and a succeeding one share a session (and with one
 	// shard, a batch); each must reach its own terminal state.
-	f := newFixture(t, func(cfg *Config) {
-		cfg.SessionCache = true
-		cfg.PollHub = true
-		cfg.PollHubShards = 1
-	})
+	f := newFixture(t, func(cfg *Config) { cfg.SessionCache = true }).hubAlone(1)
 	if _, err := f.ons.UploadAndGenerate("alice", "boom.gsh", "", nil,
 		[]byte("compute 4s\nfail kaboom\n")); err != nil {
 		t.Fatal(err)
@@ -151,9 +143,8 @@ func TestPollHubIsolatesFailingJob(t *testing.T) {
 // just completing: whichever side wins, the invocation must finish
 // exactly once with a terminal state (finish double-closing DoneChan
 // would panic, and -race flags unsynchronised state).
-func cancelOnCompletionTick(t *testing.T, mutate func(*Config)) {
+func cancelOnCompletionTick(t *testing.T, f *fixture) {
 	t.Helper()
-	f := newFixture(t, mutate)
 	if _, err := f.ons.UploadAndGenerate("alice", "quick.gsh", "", nil,
 		[]byte("compute 1s\necho done\n")); err != nil {
 		t.Fatal(err)
@@ -182,14 +173,11 @@ func cancelOnCompletionTick(t *testing.T, mutate func(*Config)) {
 }
 
 func TestCancelOnCompletionTickStockPoller(t *testing.T) {
-	cancelOnCompletionTick(t, nil)
+	cancelOnCompletionTick(t, newFixture(t, nil))
 }
 
 func TestCancelOnCompletionTickPollHub(t *testing.T) {
-	cancelOnCompletionTick(t, func(cfg *Config) {
-		cfg.PollHub = true
-		cfg.PollHubShards = 2
-	})
+	cancelOnCompletionTick(t, newFixture(t, nil).hubAlone(2))
 }
 
 func TestPickSitesZeroSlotSiteSortsLast(t *testing.T) {

@@ -227,7 +227,7 @@ func (w *eventWorker) run() {
 	first := true
 	for {
 		cursor := w.cursor.Load()
-		es, err := o.cfg.Agent.Events(w.sessionID, cursor)
+		es, err := o.parts.Agent.Events(w.sessionID, cursor)
 		if err != nil {
 			if errors.Is(err, gram.ErrNoEvents) {
 				// Stock gatekeeper: no event endpoint, ever. Latch and
@@ -458,7 +458,7 @@ func (w *eventWorker) apply(j *collectJob, ev gram.EventData) {
 		w.reap(j)
 		return
 	}
-	ps := o.cfg.Tracing.StartSpan("event", j.inv.collectCtx())
+	ps := o.parts.Tracing.StartSpan("event", j.inv.collectCtx())
 	if ev.AtUnixNano > 0 {
 		ps.SetInt("delivery_us", o.clock.Now().Sub(time.Unix(0, ev.AtUnixNano)).Microseconds())
 	}

@@ -202,7 +202,7 @@ func TestCancelOnCompletionTickPushEvents(t *testing.T) {
 	// terminal frame and CancelInvocation wins, the invocation finishes
 	// exactly once (finish double-closing DoneChan would panic; -race
 	// covers the rest).
-	cancelOnCompletionTick(t, func(cfg *Config) { cfg.PushEvents = true })
+	cancelOnCompletionTick(t, newFixture(t, func(cfg *Config) { cfg.PushEvents = true }))
 }
 
 func TestPushEventsTwoSessionsDoNotCrossDeliver(t *testing.T) {

@@ -93,7 +93,7 @@ func (o *OnServe) uploadExecutable(sessionID string, exe *executable, site strin
 // span's wire attribute says which way the bytes went.
 func (o *OnServe) uploadOnce(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (string, error) {
 	o.submit.uploads.Add(1)
-	ag := o.cfg.Agent.WithTrace(sp.Context())
+	ag := o.parts.Agent.WithTrace(sp.Context())
 	if !o.cfg.ChunkedStaging {
 		sp.Set("wire", "stream")
 		return ag.UploadFile(sessionID, site, exe.staged, file)

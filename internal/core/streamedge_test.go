@@ -258,7 +258,7 @@ func TestStreamedEdgeFaults(t *testing.T) {
 					if stage := spans["stage"]; len(stage) != 1 || stage[0].Status != "error" || spans["invoke"][0].Status != "error" {
 						t.Fatalf("stage spans %+v under %+v, want one failed stage under a failed invoke", stage, spans["invoke"])
 					}
-					waitFor(t, func() bool { return f.cfg.Agent.SessionCount() == 0 })
+					waitFor(t, func() bool { return f.parts.Agent.SessionCount() == 0 })
 					return
 				}
 				if err != nil {
@@ -362,12 +362,7 @@ func TestStreamedEdgeRefusesCorruptRow(t *testing.T) {
 				defer db.Close()
 				edge := &faultyEdge{stock: w.stock}
 				col := trace.NewCollector(0, 0)
-				f := newFixtureTraced(t, &http.Client{Transport: edge}, col, func(cfg *Config) {
-					if w.knobs != nil {
-						w.knobs(cfg)
-					}
-					cfg.DB = db
-				})
+				f := newFixtureDB(t, db, &http.Client{Transport: edge}, col, w.knobs)
 				_, spans, err := invokeTraced(t, f, col, "BadService")
 				if !errors.Is(err, blobdb.ErrCorrupt) || !strings.Contains(err.Error(), "stage executable") {
 					t.Fatalf("invocation error %v, want ErrCorrupt from the stage step", err)
@@ -518,8 +513,8 @@ func TestPaperProfileReleasesSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.cfg.Agent.Logons(); got != invocations {
+	if got := f.parts.Agent.Logons(); got != invocations {
 		t.Fatalf("%d logons for %d invocations", got, invocations)
 	}
-	waitFor(t, func() bool { return f.cfg.Agent.SessionCount() == 0 })
+	waitFor(t, func() bool { return f.parts.Agent.SessionCount() == 0 })
 }

@@ -48,15 +48,16 @@ func newWANFixture(t *testing.T, scale float64, mutate func(*Config)) *fixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	agent := cyberaide.New(cyberaide.Options{
-		Endpoints: env.Endpoints(), Clock: clk, Probe: probe, Cost: metrics.DefaultCost(),
-	})
+	parts := Parts{
+		DB:        db,
+		Container: soap.NewServer(probe, metrics.DefaultCost()),
+		Registry:  uddi.NewRegistry(clk),
+		Agent: cyberaide.New(cyberaide.Options{
+			Endpoints: env.Endpoints(), Clock: clk, Probe: probe, Cost: metrics.DefaultCost(),
+		}),
+		BaseURL: "http://appliance.test",
+	}
 	cfg := Config{
-		DB:                db,
-		Container:         soap.NewServer(probe, metrics.DefaultCost()),
-		Registry:          uddi.NewRegistry(clk),
-		Agent:             agent,
-		BaseURL:           "http://appliance.test",
 		Clock:             clk,
 		Probe:             probe,
 		Cost:              metrics.DefaultCost(),
@@ -68,12 +69,12 @@ func newWANFixture(t *testing.T, scale float64, mutate func(*Config)) *fixture {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	ons, err := New(cfg)
+	ons, err := New(cfg, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ons.RegisterUser("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg}
+	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, parts: parts}
 }
 
 // uploadGate is the grid-bound transport of a fixture whose staging
@@ -229,7 +230,7 @@ func TestStagingSessionFaultRetriesWithFreshLogon(t *testing.T) {
 		f.ons.mu.Lock()
 		cached := f.ons.sessions["alice"].id
 		f.ons.mu.Unlock()
-		f.cfg.Agent.Logout(cached)
+		f.parts.Agent.Logout(cached)
 		out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "2"})
 		if err != nil {
 			t.Fatalf("coalesce=%v: invocation after session death: %v (%q)", coalesce, err, out)
@@ -243,7 +244,7 @@ func TestReplicateSessionFaultPropagatesWithoutDoomedUpload(t *testing.T) {
 	// is doomed too — the error must surface (so Invoke's retry fires)
 	// without burning a second WAN round-trip on the dead session.
 	f := newFixture(t, func(cfg *Config) { cfg.StagingCache = true })
-	sess, err := f.cfg.Agent.Authenticate("alice", "pw", time.Hour)
+	sess, err := f.parts.Agent.Authenticate("alice", "pw", time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestReplicateSessionFaultPropagatesWithoutDoomedUpload(t *testing.T) {
 	if err := f.ons.stageExecutable(sess.ID, exe, "siteA", nil); err != nil {
 		t.Fatal(err)
 	}
-	f.cfg.Agent.Logout(sess.ID)
+	f.parts.Agent.Logout(sess.ID)
 	before := f.ons.SubmitStats().Uploads
 	err = f.ons.stageExecutable(sess.ID, exe, "siteB", nil)
 	if !errors.Is(err, cyberaide.ErrNoSession) {
@@ -318,7 +319,7 @@ func TestStageInRetryFallsBackToStagedSite(t *testing.T) {
 
 func TestGridStatsExpiryStampedeCollapsesToOneFetch(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) { cfg.StatsTTL = 30 * time.Second })
-	sess, err := f.cfg.Agent.Authenticate("alice", "pw", time.Hour)
+	sess, err := f.parts.Agent.Authenticate("alice", "pw", time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func (o *OnServe) buildService(serviceName, description string, params []wsdl.Pa
 		Name:        serviceName,
 		Namespace:   "urn:onserve:" + serviceName,
 		Doc:         description,
-		EndpointURL: o.cfg.BaseURL + o.cfg.Container.BasePath() + serviceName,
+		EndpointURL: o.parts.BaseURL + o.parts.Container.BasePath() + serviceName,
 		Operations: []wsdl.OperationDef{
 			{
 				Name:   "execute",

@@ -127,10 +127,7 @@ func TestTraceEndToEnd(t *testing.T) {
 // orphan spans, and the batched work is attributable per invocation.
 func TestTraceHubPathsLinkParent(t *testing.T) {
 	col := trace.NewCollector(0, 0)
-	f := newFixtureTraced(t, nil, col, func(c *Config) {
-		c.CoalesceStaging = true
-		c.PollHub = true
-	})
+	f := newFixtureTraced(t, nil, col, func(c *Config) { c.CoalesceStaging = true }).hubAlone(pollHubShards)
 	f.uploadDemo(t)
 
 	const n = 3
@@ -225,10 +222,10 @@ func TestTraceWatchdogEndsSpanTree(t *testing.T) {
 	}{{"stock", false}, {"pollhub", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			col := trace.NewCollector(0, 0)
-			f := newFixtureTraced(t, nil, col, func(c *Config) {
-				c.InvocationTimeout = 20 * time.Second
-				c.PollHub = tc.hub
-			})
+			f := newFixtureTraced(t, nil, col, func(c *Config) { c.InvocationTimeout = 20 * time.Second })
+			if tc.hub {
+				f.hubAlone(pollHubShards)
+			}
 			if _, err := f.ons.UploadAndGenerate("alice", "slow.gsh", "sleeps", nil, []byte(slowProgram)); err != nil {
 				t.Fatal(err)
 			}

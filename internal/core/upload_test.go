@@ -34,7 +34,7 @@ func TestUploadProbeSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	st, err := f.cfg.DB.Table(ExecutablesTable).Stat("Fig8Service")
+	st, err := f.parts.DB.Table(ExecutablesTable).Stat("Fig8Service")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestUploadSpanCarriesStoredBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := f.cfg.Tracing.StartRoot("test")
+		root := f.parts.Tracing.StartRoot("test")
 		_, err = f.ons.UploadAndGenerateFrom(tc.user, "traced.gsh", "", nil, file, root.Context())
 		root.End()
 		if (err != nil) != (tc.status == "error") {
@@ -160,8 +160,7 @@ func TestUploadAllocatesNoRawSizedObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	f := newFixture(t, func(cfg *Config) {
-		cfg.DB = db
+	f := newFixtureDB(t, db, nil, nil, func(cfg *Config) {
 		cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL, cfg.DirectDBWrite = true, true, 100*time.Hour, true
 		cfg.PushEvents, cfg.CoalesceStaging = true, true
 		cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true

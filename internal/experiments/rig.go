@@ -51,12 +51,9 @@ type Options struct {
 	// Appliance is the configuration under test: the paper profile (the
 	// zero value) plus whatever knobs the experiment flips. newRig
 	// completes it with the rig's own wiring — Endpoints, Clock, Probe,
-	// Cost (unless it brings its own), the shaped grid and user links,
-	// Trace — and a one-hour InvocationTimeout.
+	// Cost (metrics.DefaultCost unless it brings its own), the shaped
+	// grid and user links, Trace — and a one-hour InvocationTimeout.
 	Appliance appliance.Config
-	// Cost overrides the appliance CPU cost model (nil = defaults) for a
-	// configuration that sets none of its own.
-	Cost *metrics.Cost
 	// Tracing turns on the distributed tracer: one collector shared by
 	// the grid environment and the appliance, so each invocation yields
 	// a single cross-service span tree (read back via door.trace).
@@ -210,9 +207,6 @@ func newRig(opts Options) (*rig, error) {
 	cfg.Probe = probe
 	if cfg.Cost == (metrics.Cost{}) {
 		cfg.Cost = metrics.DefaultCost()
-		if opts.Cost != nil {
-			cfg.Cost = *opts.Cost
-		}
 	}
 	cfg.GridHTTP, cfg.MyProxyDial = wanUplink(wan, probe)
 	cfg.UserProfile = lan

@@ -117,7 +117,7 @@ func TestTraceBreakdownShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"small-stock", "small-allknobs", "large-stock", "large-allknobs"}
+	want := []string{"small-stock", "small-production", "large-stock", "large-production"}
 	if len(res.Rows) != len(want) {
 		t.Fatalf("%d scenarios, want %d", len(res.Rows), len(want))
 	}

@@ -106,7 +106,7 @@ var Studies = []Study{
 	{"blobdb", "run the storage-engine sharding/compaction/replay ablation", "blobdb.json", func(p Params) (rendered, error) {
 		return AblationBlobDB(p.ReplayRecords)
 	}},
-	{"trace", "run the traced small/large stock/all-knobs breakdown", "trace.json", func(p Params) (rendered, error) {
+	{"trace", "run the traced small/large paper/production breakdown", "trace.json", func(p Params) (rendered, error) {
 		return TraceBreakdown(p.Options, 0)
 	}},
 	{"fleet", "run the consistent-hash fleet scale-out ablation (1/4/16 appliances + kill-one failover)", "fleet.json", func(p Params) (rendered, error) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/appliance"
 	"repro/internal/trace"
@@ -95,8 +94,8 @@ func summarize(scenario, ticket string, spans []trace.SpanData) TraceScenario {
 	return row
 }
 
-// TraceBreakdown runs the Fig. 6/7-style small and large invocations,
-// stock and with every optimisation knob on, with tracing enabled, and
+// TraceBreakdown runs the Fig. 6/7-style small and large invocations
+// under the two profiles — stock is appliance.Paper — with tracing on, and
 // reports each run's span breakdown: the per-request attribution of
 // where an invocation spends its time (credential traffic, DB fetch,
 // staging, submit, polling) that the 3-second resource buckets cannot
@@ -105,24 +104,15 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 	largeBytes = orDefault(largeBytes, largeProgramSize)
 	table := variantTable{"trace", []variant{
 		{"stock", nil},
-		{"allknobs", func(c *appliance.Config) {
-			c.StagingCache = true
-			c.SessionCache = true
-			c.StatsTTL = 30 * time.Second
-			c.GroupCommit = true
-			c.PollHub = true
-			c.CoalesceStaging = true
-			c.ChunkedStaging = true
-			c.WireCompression = true
-		}},
+		{"production", func(c *appliance.Config) { *c = appliance.Production("") }},
 	}}
 	res := &TraceResult{
 		Name:  "trace",
-		Title: "Per-request span breakdown, small vs large invocation, stock vs all knobs",
+		Title: "Per-request span breakdown, small vs large invocation, paper vs production profile",
 		Notes: []string{
 			"each scenario is one invocation's full cross-service span tree",
 			"stock rows show the paper's pipeline: logon, db.fetch, stage, submit, poll ticks",
-			"all-knobs rows show the optimised pipeline: cached logon, coalesced/chunked staging, batched poll",
+			"production rows show the other profile: placement probe, chunked gzip staging, pushed events in place of poll ticks",
 		},
 	}
 	opts.Tracing = true

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/portal"
+	"repro/internal/soap"
 )
 
 // Kind classifies how the gateway dispatches one portal request.
@@ -171,11 +172,7 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 	if t, ok := strings.CutPrefix(path, "/api/trace/"); ok {
 		return Route{Kind: KindTicket, Ticket: t}, nil
 	}
-	if rest, ok := strings.CutPrefix(path, "/services/"); ok && rest != "" {
-		name, _, _ := strings.Cut(rest, "/")
-		if name == "" {
-			return Route{Kind: KindAny}, nil
-		}
+	if name, _, _ := soap.ServiceName(path); name != "" {
 		return Route{Kind: KindSOAP, Service: name}, nil
 	}
 	return Route{Kind: KindAny}, nil

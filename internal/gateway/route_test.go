@@ -79,6 +79,9 @@ func TestDecodeRouteTable(t *testing.T) {
 			Route{Kind: KindSOAP, Service: "MonteService"}, false},
 		{"soap wsdl", "GET", "/services/MonteService", "wsdl", "", nil,
 			Route{Kind: KindSOAP, Service: "MonteService"}, false},
+		{"soap trailing slash", "POST", "/services/MonteService/", "", "text/xml", []byte("<x/>"),
+			Route{Kind: KindSOAP, Service: "MonteService"}, false},
+		{"soap index", "GET", "/services/", "", "", nil, Route{Kind: KindAny}, false},
 		{"services", "GET", "/api/services", "", "", nil, Route{Kind: KindServices}, false},
 		{"stats", "GET", "/api/stats", "", "", nil, Route{Kind: KindStats}, false},
 		{"registry", "GET", "/registry", "", "", nil, Route{Kind: KindRegistry}, false},

@@ -76,14 +76,11 @@ func newTracedFixture(t *testing.T, col *trace.Collector) *fixture {
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
 
-	coreCfg := core.Config{
-		DB: db, Container: container, Registry: registry, Agent: agent,
-		BaseURL: hs.URL, Clock: clk, PollInterval: 2 * time.Second,
-	}
+	parts := core.Parts{DB: db, Container: container, Registry: registry, Agent: agent, BaseURL: hs.URL}
 	if col != nil {
-		coreCfg.Tracing = trace.NewTracer("onserve", clk, col)
+		parts.Tracing = trace.NewTracer("onserve", clk, col)
 	}
-	ons, err := core.New(coreCfg)
+	ons, err := core.New(core.Config{Clock: clk, PollInterval: 2 * time.Second, Trace: col}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,12 +98,11 @@ func (s *Service) MustBind(op string, h Handler) {
 
 // Server is the SOAP container. Services deploy and undeploy at runtime —
 // the mechanism onServe uses to bring generated services online. It
-// serves under basePath (default "/services/"): POST invokes, GET with
-// ?wsdl returns the service description.
+// serves under basePath: POST invokes, GET with ?wsdl returns the service
+// description.
 type Server struct {
-	basePath string
-	probe    *metrics.Probe
-	cost     metrics.Cost
+	probe *metrics.Probe
+	cost  metrics.Cost
 
 	mu       sync.RWMutex
 	services map[string]*Service
@@ -114,7 +113,6 @@ type Server struct {
 // the request and loading the java-classes".
 func NewServer(probe *metrics.Probe, cost metrics.Cost) *Server {
 	return &Server{
-		basePath: "/services/",
 		probe:    probe,
 		cost:     cost,
 		services: make(map[string]*Service),
@@ -165,7 +163,24 @@ func (s *Server) Names() []string {
 }
 
 // BasePath reports the URL prefix services live under.
-func (s *Server) BasePath() string { return s.basePath }
+func (s *Server) BasePath() string { return basePath }
+
+const basePath = "/services/"
+
+// ServiceName reads which service a request path addresses: the segment
+// after "/services/". It is the one reading — the container's, the fleet
+// gateway's router's and the tenancy guard's — so a name a policy rule
+// denies cannot be reached under another spelling of it. rest is what
+// follows the name's slash; the container serves a service only where it
+// is empty ("/services/X" and "/services/X/"). ok is false off the prefix.
+func ServiceName(path string) (name, rest string, ok bool) {
+	after, ok := strings.CutPrefix(path, basePath)
+	if !ok {
+		return "", "", false
+	}
+	name, rest, _ = strings.Cut(after, "/")
+	return name, rest, true
+}
 
 // Stats snapshots every deployed service's counters, sorted by name.
 func (s *Server) Stats() []ServiceStats {
@@ -185,18 +200,20 @@ func (s *Server) Stats() []ServiceStats {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !strings.HasPrefix(r.URL.Path, s.basePath) {
+	name, rest, ok := ServiceName(r.URL.Path)
+	if !ok {
 		http.NotFound(w, r)
 		return
 	}
-	name := strings.TrimPrefix(r.URL.Path, s.basePath)
-	name = strings.TrimSuffix(name, "/")
-	if name == "" {
+	if name == "" && rest == "" {
 		s.serveIndex(w)
 		return
 	}
 	svc, ok := s.Lookup(name)
-	if !ok {
+	if !ok || rest != "" {
+		if rest != "" {
+			name = strings.TrimSuffix(name+"/"+rest, "/")
+		}
 		s.fault(w, http.StatusNotFound, &Fault{Code: FaultClient, String: "no such service: " + name})
 		return
 	}

@@ -227,6 +227,29 @@ func TestServerNoSuchService(t *testing.T) {
 	}
 }
 
+// TestServiceName pins the one reading of "/services/<name>…" that the
+// container, the gateway's router and the tenancy guard share.
+func TestServiceName(t *testing.T) {
+	for _, tc := range []struct {
+		path, name, rest string
+		ok               bool
+	}{
+		{"/services/Calc", "Calc", "", true},
+		{"/services/Calc/", "Calc", "", true},
+		{"/services/Calc//", "Calc", "/", true},
+		{"/services/Calc/extra", "Calc", "extra", true},
+		{"/services/", "", "", true},
+		{"/services//Calc", "", "Calc", true},
+		{"/services", "", "", false},
+		{"/api/services/Calc", "", "", false},
+	} {
+		name, rest, ok := ServiceName(tc.path)
+		if name != tc.name || rest != tc.rest || ok != tc.ok {
+			t.Errorf("ServiceName(%q) = %q, %q, %v; want %q, %q, %v", tc.path, name, rest, ok, tc.name, tc.rest, tc.ok)
+		}
+	}
+}
+
 func TestServerWSDLEndpoint(t *testing.T) {
 	srv, hs := newContainer(t)
 	srv.Deploy(calcService(t))
