@@ -674,7 +674,6 @@ var (
 	}}
 	gzipReaderPool sync.Pool
 	bufPool        = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	chunkPool      = sync.Pool{New: func() any { return new([32 << 10]byte) }} // ReadStored's
 )
 
 // compress gzips blob.

@@ -32,12 +32,10 @@ func ReadStored(r io.Reader, declared, limit int64) (*Stored, error) {
 	if declared > limit {
 		return nil, ErrTooLarge
 	}
-	chunk := chunkPool.Get().(*[32 << 10]byte)
-	defer chunkPool.Put(chunk)
 	sum := sha256.New()
 	var n int64
 	comp, err := deflate(int(min(max(declared, 0), sizedio.MaxPrealloc)), func(zw io.Writer) (err error) {
-		if n, err = io.CopyBuffer(io.MultiWriter(sum, zw), io.LimitReader(r, limit+1), chunk[:]); n > limit {
+		if n, err = sizedio.Copy(io.MultiWriter(sum, zw), io.LimitReader(r, limit+1)); n > limit {
 			err = ErrTooLarge
 		}
 		return err

@@ -78,7 +78,7 @@ type Config struct {
 	PullInterval time.Duration
 	// Clock paces probes and the view puller; nil means real time.
 	Clock vtime.Clock
-	// HTTP carries gateway→appliance traffic; nil uses a fresh client.
+	// HTTP carries gateway→appliance traffic; nil uses hop.Client().
 	HTTP *http.Client
 	// Trace, when non-nil, records one gateway span per proxied request
 	// and forwards its context in X-Grid-Trace, so appliance-side
@@ -165,7 +165,7 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	}
 	httpc := cfg.HTTP
 	if httpc == nil {
-		httpc = &http.Client{}
+		httpc = hop.Client()
 	}
 	g := &Gateway{
 		cfg:     cfg,

@@ -365,8 +365,8 @@ type Client struct {
 	BaseURL string
 	// Cred signs every request.
 	Cred *xsec.Credential
-	// HTTP defaults to http.DefaultClient; only its Transport is used,
-	// except by Events.
+	// HTTP defaults to hop.Client(); only its Transport is used, except by
+	// Events.
 	HTTP *http.Client
 	// Trace, when non-empty, rides every request as the X-Grid-Trace
 	// header so the gatekeeper parents its spans under the caller's.
@@ -377,7 +377,7 @@ type Client struct {
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP == nil {
-		return http.DefaultClient
+		return hop.Client()
 	}
 	return c.HTTP
 }

@@ -59,7 +59,7 @@ type Server struct {
 	trust *xsec.TrustStore
 	clock vtime.Clock
 	// http carries outbound third-party transfers (fetch); nil means
-	// http.DefaultClient.
+	// hop.Client().
 	http *http.Client
 	// chunks is the content-addressed store behind the chunked-transfer
 	// endpoints (see chunks.go).
@@ -81,7 +81,7 @@ func (s *Server) SetTracer(t *trace.Tracer, site string) {
 // NewServer builds a staging server for store. httpClient carries the
 // server's own outbound traffic — the source-side pulls of third-party
 // transfers — so rigs can route it through a shaped transport; nil means
-// http.DefaultClient.
+// hop.Client().
 func NewServer(store *gridsim.Store, trust *xsec.TrustStore, clock vtime.Clock, httpClient *http.Client) *Server {
 	if clock == nil {
 		clock = vtime.Real{}
@@ -97,7 +97,7 @@ func NewServer(store *gridsim.Store, trust *xsec.TrustStore, clock vtime.Clock, 
 
 func (s *Server) httpClient() *http.Client {
 	if s.http == nil {
-		return http.DefaultClient
+		return hop.Client()
 	}
 	return s.http
 }
@@ -409,7 +409,7 @@ type Client struct {
 	BaseURL string
 	// Cred signs every request; the authenticated identity owns the files.
 	Cred *xsec.Credential
-	// HTTP defaults to http.DefaultClient; only its Transport is used.
+	// HTTP defaults to hop.Client(); only its Transport is used.
 	HTTP *http.Client
 	// Trace, when non-empty, rides every request as the X-Grid-Trace
 	// header so the server parents its spans under the caller's.

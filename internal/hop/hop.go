@@ -3,12 +3,15 @@
 // reads the whole reply. It goes to the transport directly: none of these
 // servers redirects or sets cookies and no caller sets a client timeout,
 // so everything http.Client.Do wraps around RoundTrip for those is skipped,
-// and a 3xx comes back as the non-200 status it is.
+// and a 3xx comes back as the non-200 status it is. The package owns the
+// transport these hops take unless a caller supplies one (Client).
 package hop
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -16,6 +19,38 @@ import (
 
 	"repro/internal/sizedio"
 )
+
+// client's transport is http.DefaultTransport's settings over connections
+// that copy a streamed body through sizedio's pooled buffer.
+var client = &http.Client{Transport: pooledCopies(http.DefaultTransport.(*http.Transport).Clone())}
+
+// Client returns the client a nil client or a nil Transport means to Do,
+// shared by every internal hop that is not given one of its own.
+func Client() *http.Client { return client }
+
+// pooledCopies wraps every connection t dials in a copyConn and returns t.
+func pooledCopies(t *http.Transport) *http.Transport {
+	dial := t.DialContext
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return copyConn{c}, nil
+	}
+	return t
+}
+
+// copyConn is where net/http hands a request body past its first 4 KB: the
+// transport's buffered writer calls the connection's ReadFrom. A TCP
+// connection's own can splice from a socket or send a file, and copies
+// anything else through a fresh 32 KB buffer per request; this one copies
+// through the pooled buffer, with the connection's ReadFrom hidden.
+type copyConn struct{ net.Conn }
+
+func (c copyConn) ReadFrom(r io.Reader) (int64, error) {
+	return sizedio.Copy(struct{ io.Writer }{c.Conn}, r)
+}
 
 // Base parses a server root such as "http://host:2119" once and again
 // only when the text changes. The zero value is ready to use.
@@ -74,7 +109,7 @@ func newPayload(b []byte) *payload {
 
 // Do sends method to target — an escaped path with an optional "?query",
 // the form URL.RequestURI returns — under root, over c's transport (a nil
-// client or transport means http.DefaultTransport), and reads the reply at
+// client or transport means the one Client has), and reads the reply at
 // its declared length. header is sent as it is and must not be modified
 // until Do returns. body is replayable, so the transport retries a request
 // that met a dead keep-alive connection as it does for http.NewRequest. A
@@ -120,7 +155,7 @@ func DoStream(c *http.Client, method string, root *url.URL, target string, heade
 		}
 		req.Body, req.ContentLength, req.GetBody = body, size, open
 	}
-	var rt http.RoundTripper = http.DefaultTransport
+	rt := client.Transport
 	if c != nil && c.Transport != nil {
 		rt = c.Transport
 	}

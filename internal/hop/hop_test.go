@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sizedio"
@@ -153,7 +154,7 @@ type failing struct{ err error }
 func (f failing) Read([]byte) (int, error) { return 0, f.err }
 
 // TestDoOverTheWire runs Do against a real server with a nil client:
-// the default transport, a 3xx handed back as the status it is, and a
+// the package's own transport, a 3xx handed back as the status it is, and a
 // refused connection as a *url.Error.
 func TestDoOverTheWire(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -181,13 +182,14 @@ func TestDoOverTheWire(t *testing.T) {
 	}
 }
 
-// closeCounter is a body that counts its Close calls.
+// closeCounter is a body that counts its Close calls, which the transport
+// may make from a goroutine of its own.
 type closeCounter struct {
 	io.Reader
-	closed *int
+	closed *atomic.Int32
 }
 
-func (c closeCounter) Close() error { *c.closed++; return nil }
+func (c closeCounter) Close() error { c.closed.Add(1); return nil }
 
 // TestDoStream: the body is read as it is sent, at its declared length,
 // from a fresh open per attempt — over the wire, with the replay a dead
@@ -202,7 +204,8 @@ func TestDoStream(t *testing.T) {
 	}))
 	defer srv.Close()
 	root := mustParse(t, srv.URL)
-	opens, closes := 0, 0
+	opens := 0
+	var closes atomic.Int32
 	open := func() (io.ReadCloser, error) {
 		opens++
 		return closeCounter{strings.NewReader("streamed body"), &closes}, nil
@@ -224,8 +227,8 @@ func TestDoStream(t *testing.T) {
 	if err != nil || string(rep.Body) != "streamed body" || rep.Header.Get("X-Length") != "13" {
 		t.Fatalf("reply %+v, %v", rep, err)
 	}
-	if opens != 2 || closes != 2 {
-		t.Fatalf("%d opens, %d closes; want two of each", opens, closes)
+	if opens != 2 || closes.Load() != 2 {
+		t.Fatalf("%d opens, %d closes; want two of each", opens, closes.Load())
 	}
 
 	boom := errors.New("row is corrupt")

@@ -43,7 +43,8 @@ func (l *Link) Bps() float64 {
 }
 
 // take blocks until n bytes may enter the link, returning the virtual
-// instant the last byte clears it.
+// instant the last byte clears it. A nil link has no clock to read and
+// returns the zero time at once.
 //
 // Sleeps shorter than the clock's useful granularity are skipped: the
 // outstanding pacing debt stays in nextFree and is paid on a later call.
@@ -51,8 +52,11 @@ func (l *Link) Bps() float64 {
 // overhead per 4 KiB chunk and throughput would collapse far below the
 // modelled bandwidth.
 func (l *Link) take(n int) time.Time {
+	if l == nil {
+		return time.Time{}
+	}
 	now := l.clock.Now()
-	if l == nil || l.bps <= 0 || n <= 0 {
+	if l.bps <= 0 || n <= 0 {
 		return now
 	}
 	d := time.Duration(float64(n) / l.bps * float64(time.Second))
@@ -142,9 +146,12 @@ type Conn struct {
 	probe *metrics.Probe
 }
 
-// Wrap shapes c: writes are paced on tx, and both directions are
-// accounted to probe (which may be nil).
+// Wrap shapes c: writes are paced on tx (nil: unshaped), and both
+// directions are accounted to probe (which may be nil).
 func Wrap(c net.Conn, clock vtime.Clock, tx *Link, probe *metrics.Probe) *Conn {
+	if tx == nil {
+		tx = NewLink(clock, 0) // so a write is accounted at the clock's now
+	}
 	return &Conn{Conn: c, clock: clock, tx: tx, probe: probe}
 }
 

@@ -60,6 +60,34 @@ func TestNilLinkBps(t *testing.T) {
 	}
 }
 
+// TestNilLinkConn: a Conn wrapped with no link is unshaped, as Bps says a
+// nil link is — bytes go through both ways, and each direction is accounted
+// at the clock's now, not at some instant a missing link made up.
+func TestNilLinkConn(t *testing.T) {
+	clk := vtime.NewManual(time.Unix(0, 0))
+	rec := metrics.NewRecorder(clk, 3*time.Second)
+	probe := metrics.NewProbe(rec)
+	clk.Advance(10 * time.Second) // the fourth bucket
+	c, s := pipeEnds(t)
+	sc := Wrap(c, clk, nil, probe)
+	payload := bytes.Repeat([]byte("onserve"), 2000) // over three write chunks
+	go s.Write(payload)
+	got := make([]byte, len(payload))
+	if _, err := io.ReadFull(sc, got); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read %d bytes through a nil-link conn: %v", len(got), err)
+	}
+	if n, err := sc.Write(payload); err != nil || n != len(payload) {
+		t.Fatalf("write through a nil-link conn: %d, %v", n, err)
+	}
+	if _, err := io.ReadFull(s, got); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("the peer read %d bytes: %v", len(got), err)
+	}
+	series := rec.Series()
+	if len(series) != 4 || series[3].NetInBytes != float64(len(payload)) || series[3].NetOutBytes != float64(len(payload)) {
+		t.Fatalf("accounted %+v, want %d bytes each way in the fourth bucket", series, len(payload))
+	}
+}
+
 // pipeEnds returns a connected TCP pair on loopback so Conn semantics
 // (buffered writes) match production use.
 func pipeEnds(t *testing.T) (client, server net.Conn) {

@@ -2,13 +2,28 @@
 // an HTTP body with a Content-Length, a gzip row with a recorded raw
 // size — into one buffer allocated once at that size, instead of
 // growing one from 512 bytes as io.ReadAll does (which costs four to
-// five times the payload in garbage on a 256 KB upload).
+// five times the payload in garbage on a 256 KB upload) — and copies a
+// stream of unknown length through the process's one pool of 32 KB
+// buffers.
 package sizedio
 
 import (
 	"errors"
 	"io"
+	"sync"
 )
+
+var copyBuffers = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// Copy is io.CopyBuffer through a pooled 32 KB buffer, which goes back to
+// the pool when Copy returns, whatever it returns. As with io.CopyBuffer, a
+// src with WriteTo or a dst with ReadFrom is copied by that method instead:
+// a caller that wants the buffer used hides them.
+func Copy(dst io.Writer, src io.Reader) (int64, error) {
+	buf := copyBuffers.Get().(*[32 << 10]byte)
+	defer copyBuffers.Put(buf)
+	return io.CopyBuffer(dst, src, buf[:])
+}
 
 // MaxPrealloc caps what a declared length may reserve before a single
 // byte has arrived, so a lying header cannot pin memory for free. Past

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -110,6 +112,42 @@ func TestReadAllLyingDeclarationPinsLittle(t *testing.T) {
 	}
 	if cr.maxCap > limit {
 		t.Fatalf("buffer grew to %d, past the limit %d", cr.maxCap, limit)
+	}
+}
+
+// TestCopyLendsOnePooledBuffer: Copy moves the bytes through a 32 KB
+// buffer, and that buffer goes back to the pool whether the copy ends at
+// EOF or in an error — one P and no collection, and no copy allocates.
+func TestCopyLendsOnePooledBuffer(t *testing.T) {
+	src := payload(100 << 10)
+	var dst bytes.Buffer
+	cr := &capReader{r: bytes.NewReader(src)}
+	if n, err := Copy(struct{ io.Writer }{&dst}, cr); err != nil || n != int64(len(src)) || !bytes.Equal(dst.Bytes(), src) {
+		t.Fatalf("copied %d bytes, %v", n, err)
+	}
+	if cr.maxCap != 32<<10 {
+		t.Fatalf("copied through a %d-byte buffer", cr.maxCap)
+	}
+	boom := errors.New("boom")
+	if _, err := Copy(io.Discard, io.MultiReader(strings.NewReader("partial"), iotest.ErrReader(boom))); !errors.Is(err, boom) {
+		t.Fatalf("failed copy: %v", err)
+	}
+	if raceEnabled {
+		return // sync.Pool sheds Puts under the race detector
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	r := bytes.NewReader(src)
+	var plainR io.Reader = struct{ io.Reader }{r}
+	var plainW io.Writer = struct{ io.Writer }{io.Discard}
+	failing := iotest.ErrReader(boom)
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(src)
+		Copy(plainW, plainR)
+		Copy(plainW, failing)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per pair of copies: a buffer did not go back to the pool", allocs)
 	}
 }
 
