@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/gram"
+	"repro/internal/vtime"
 )
 
 // flakyGram fails the first few requests to each listed gatekeeper path
@@ -101,17 +102,16 @@ type closerFunc func() error
 func (f closerFunc) Close() error { return f() }
 
 // collectorGoroutines returns the stacks of goroutines the collect step
-// runs: watchdog timers, tentative pollers, hub shard workers, and the
-// push path's stream workers (with their heartbeat monitors) and
-// final-fetch retries.
+// runs: tentative pollers, hub shard workers, and the push path's stream
+// workers (with their heartbeat monitors) and final-fetch retries. A
+// watchdog is a timer on the clock, not a goroutine.
 func collectorGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	var owned []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		for _, frame := range []string{
-			"core.NewWatchdog", "core.(*OnServe).pollOutput",
-			"core.(*hubShard).", "core.(*eventWorker).",
+			"core.(*OnServe).pollOutput", "core.(*hubShard).", "core.(*eventWorker).",
 		} {
 			if strings.Contains(g, frame) {
 				owned = append(owned, g)
@@ -138,6 +138,46 @@ func waitCollectorsIdle(t *testing.T) {
 			t.Fatalf("%d collector goroutines still parked:\n%s", len(owned), strings.Join(owned, "\n\n"))
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWatchdogStartsNoGoroutine: arming a watchdog parks no goroutine of
+// its own; it is a timer on the clock until it fires or is stopped.
+func TestWatchdogStartsNoGoroutine(t *testing.T) {
+	wd := NewWatchdog(vtime.NewScaled(20000), time.Hour, func() {})
+	defer wd.Stop()
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by repro/internal/core.NewWatchdog") {
+			t.Fatalf("an armed watchdog parks a goroutine:\n%s", g)
+		}
+	}
+}
+
+// TestTerminalInvocationLeavesNoWatchdogPending: on a Manual clock, once
+// an invocation is terminal nothing of it is pending — the tentative
+// poller returned, and stopping its watchdog took the timer off the clock.
+func TestTerminalInvocationLeavesNoWatchdogPending(t *testing.T) {
+	clk := vtime.NewManual(time.Unix(0, 0))
+	f := newFixture(t, func(cfg *Config) { cfg.Clock = clk })
+	f.uploadDemo(t)
+	inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !inv.State().Terminal() || clk.Pending() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("invocation %s with %d waiters on the clock", inv.State(), clk.Pending())
+		}
+		if clk.Pending() == 2 { // the watchdog, and the poller asleep beside it
+			clk.Advance(f.cfg.PollInterval)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if inv.State() != InvDone {
+		t.Fatalf("invocation ended %s: %s", inv.State(), inv.Message())
 	}
 }
 

@@ -8,7 +8,7 @@ import "sync"
 // one of them takes over, so a stampede cannot come back through the
 // retry path. The map lives under the caller's lock, the one that guards
 // whatever cache sits in front of the flights.
-type flights[V any] map[string]*flight[V]
+type flights[K comparable, V any] map[K]*flight[V]
 
 // flight is one call in the air. v and err are written by the leader
 // before done closes and only read after; waiters (under the caller's
@@ -27,7 +27,7 @@ type flight[V any] struct {
 // cache stores its result before it returns, so no caller finds neither
 // the flight nor the fresh entry. joined reports a result taken from
 // another caller's successful flight.
-func (fl flights[V]) do(mu *sync.Mutex, key string, cached func() (V, bool), run func() (V, error)) (v V, joined bool, err error) {
+func (fl flights[K, V]) do(mu *sync.Mutex, key K, cached func() (V, bool), run func() (V, error)) (v V, joined bool, err error) {
 	for {
 		mu.Lock()
 		if cached != nil {

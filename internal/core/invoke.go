@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -422,11 +424,8 @@ func (o *OnServe) pickSites(sessionID string, exe *executable, tc trace.SpanCont
 	if o.cfg.DataAwarePlacement {
 		return o.placeDataAware(sessionID, exe, cands, tc), nil
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
-		}
-		return cands[i].name < cands[j].name
+	slices.SortFunc(cands, func(a, b siteLoad) int {
+		return cmp.Or(cmp.Compare(a.load, b.load), strings.Compare(a.name, b.name))
 	})
 	out := make([]string, len(cands))
 	for i, c := range cands {
@@ -464,7 +463,7 @@ func (o *OnServe) siteFilter(owner string, cands []siteLoad) []siteLoad {
 // stageableLoads maps a scheduler-statistics snapshot to the load terms
 // of the sites the agent can stage to (order as reported).
 func (o *OnServe) stageableLoads(stats []gridsim.SiteStats) []siteLoad {
-	var cands []siteLoad
+	cands := make([]siteLoad, 0, len(stats))
 	for _, st := range stats {
 		if _, ok := o.parts.Agent.SiteURL(st.Name); !ok {
 			continue // no staging endpoint for this site
@@ -492,7 +491,7 @@ func (o *OnServe) gridStats(sessionID string) ([]gridsim.SiteStats, error) {
 		o.submit.statsRPCs.Add(1)
 		return o.parts.Agent.GridStats(sessionID)
 	}
-	stats, joined, err := o.statsFlights.do(&o.mu, "", func() ([]gridsim.SiteStats, bool) {
+	stats, joined, err := o.statsFlights.do(&o.mu, struct{}{}, func() ([]gridsim.SiteStats, bool) {
 		return o.stats, o.stats != nil && o.clock.Now().Sub(o.statsAt) < ttl
 	}, func() ([]gridsim.SiteStats, error) {
 		o.submit.statsRPCs.Add(1)
@@ -526,9 +525,16 @@ func (o *OnServe) stageExecutable(sessionID string, exe *executable, site string
 	if !o.cfg.CoalesceStaging {
 		return o.stageExecutableOnce(sessionID, exe, site, sp)
 	}
-	_, joined, err := o.stagingFlights.do(&o.mu, exe.service+"|"+site, nil, func() (struct{}, error) {
+	hit := false // a staging-cache hit is answered before any flight
+	_, joined, err := o.stagingFlights.do(&o.mu, siteKey{exe.service, site}, func() (struct{}, bool) {
+		hit = o.staged[exe.service][site] != ""
+		return struct{}{}, hit
+	}, func() (struct{}, error) {
 		return struct{}{}, o.stageExecutableOnce(sessionID, exe, site, sp)
 	})
+	if hit {
+		sp.Set("cache", "hit")
+	}
 	if joined {
 		o.submit.uploadsCoalesced.Add(1)
 		sp.Set("coalesced", "true")

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -111,10 +112,10 @@ type OnServe struct {
 	// statsFlights is the in-flight refresh concurrent callers share.
 	stats        []gridsim.SiteStats
 	statsAt      time.Time
-	statsFlights flights[[]gridsim.SiteStats]
-	// stagingFlights holds in-flight staging transfers keyed
-	// service|site (Config.CoalesceStaging).
-	stagingFlights flights[struct{}]
+	statsFlights flights[struct{}, []gridsim.SiteStats]
+	// stagingFlights holds in-flight staging transfers by service and
+	// site (Config.CoalesceStaging).
+	stagingFlights flights[siteKey, struct{}]
 	// termOrder tracks terminal tickets oldest-first for pruning;
 	// termTallies retains per-state counts of pruned invocations so
 	// Monitoring stays correct.
@@ -159,11 +160,11 @@ func New(cfg Config, parts Parts) (*OnServe, error) {
 		staged:         make(map[string]map[string]string),
 		sessions:       make(map[string]*ownerSession),
 		termTallies:    make(map[InvState]int),
-		statsFlights:   make(flights[[]gridsim.SiteStats]),
-		stagingFlights: make(flights[struct{}]),
+		statsFlights:   make(flights[struct{}, []gridsim.SiteStats]),
+		stagingFlights: make(flights[siteKey, struct{}]),
 	}
-	o.poss.cache = make(map[string]possEntry)
-	o.poss.flights = make(flights[possEntry])
+	o.poss.cache = make(map[siteKey]possEntry)
+	o.poss.flights = make(flights[siteKey, possEntry])
 	if cfg.PushEvents {
 		// The hub is push's fallback rung for an absent or dead event channel.
 		o.collect = &eventCollector{o: o, hub: newPollHub(o, pollHubShards), workers: make(map[string]*eventWorker)}
@@ -530,10 +531,18 @@ func (o *OnServe) ServiceInfo(serviceName string) (*ExecutableInfo, error) {
 	}, nil
 }
 
+// newTicket writes fmt's "inv-%06d-" and twelve random hex digits into one buffer.
 func newTicket(seq int) string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
+	var rnd [6]byte
+	if _, err := rand.Read(rnd[:]); err != nil {
 		panic("onserve: entropy unavailable: " + err.Error())
 	}
-	return fmt.Sprintf("inv-%06d-%s", seq, hex.EncodeToString(b[:]))
+	var buf [40]byte
+	t := append(buf[:0], "inv-"...)
+	for width := 100000; width > 1 && seq < width; width /= 10 {
+		t = append(t, '0')
+	}
+	t = strconv.AppendInt(t, int64(seq), 10)
+	t = hex.AppendEncode(append(t, '-'), rnd[:])
+	return string(t)
 }

@@ -4,13 +4,15 @@
 // term plus the cold-transfer time of whatever wire chunks the site is
 // still missing. Possession is discovered through the chunk store's
 // dedup probe (POST /ftp/chunks/have), which PR 4 already exposes as a
-// free data-locality oracle; a per-service|site TTL cache with
+// free data-locality oracle; a TTL cache per service and site with
 // singleflight makes a 64-way burst cost one probe per site, not 64.
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,7 +79,11 @@ func (o *OnServe) PlacementStats() PlacementStats {
 	}
 }
 
-// possEntry is one cached possession answer for a service|site pair.
+// siteKey names one service at one site: the key of the possession cache
+// and of the staging flights.
+type siteKey struct{ service, site string }
+
+// possEntry is one cached possession answer for a service at a site.
 type possEntry struct {
 	// missing is the wire bytes the site lacked at probe time; total the
 	// service's full wire size then. ok is false when the probe failed
@@ -97,12 +103,19 @@ func (e *possEntry) possession() float64 {
 	return 1 - float64(e.missing)/float64(e.total)
 }
 
-// possState is the possession probe cache: answers keyed service|site
+// possState is the possession probe cache: answers by service and site
 // plus the in-flight probes concurrent bursts collapse onto.
 type possState struct {
 	mu      sync.Mutex
-	cache   map[string]possEntry
-	flights flights[possEntry]
+	cache   map[siteKey]possEntry
+	flights flights[siteKey, possEntry]
+}
+
+// cachedPossession is the cache's answer for key while it is fresh at
+// now. o.poss.mu is held.
+func (o *OnServe) cachedPossession(key siteKey, now time.Time) (possEntry, bool) {
+	e, ok := o.poss.cache[key]
+	return e, ok && now.Sub(e.at) < o.probeTTL
 }
 
 // wireChunks is how the executable would chunk on the wire, cut on first
@@ -140,50 +153,60 @@ type siteScore struct {
 	score      float64
 }
 
+func scoreSite(c siteLoad, e possEntry) siteScore {
+	return siteScore{name: c.name, load: c.load, possession: e.possession(), missing: e.missing,
+		probed: e.ok, score: placementScore(c.load, e.missing)}
+}
+
 // orderScores sorts scored candidates best-first with a deterministic
 // tie-break: equal scores order by site name, so identical inputs place
 // identically across runs.
 func orderScores(scores []siteScore) {
-	sort.Slice(scores, func(i, j int) bool {
-		if scores[i].score != scores[j].score {
-			return scores[i].score < scores[j].score
-		}
-		return scores[i].name < scores[j].name
+	slices.SortFunc(scores, func(a, b siteScore) int {
+		return cmp.Or(cmp.Compare(a.score, b.score), strings.Compare(a.name, b.name))
 	})
 }
 
-// placeDataAware is pickSites' scoring branch: probe every candidate's
-// chunk possession (cache and singleflight absorb bursts), fold it with
-// the load term into one comparable score, and order best-first. A
-// failed probe degrades that site to possession-unknown — scored on
-// load alone plus a full cold transfer, never an error. The decision is
-// recorded as a "place" span under the invocation.
+// placeDataAware is pickSites' scoring branch: score every site the
+// possession cache answers under one lock, probe the others in parallel
+// (singleflight absorbs bursts), fold possession with the load term into
+// one comparable score, and order best-first. A failed probe degrades that
+// site to possession-unknown — scored on load alone plus a full cold
+// transfer, never an error. The decision is recorded as a "place" span
+// under the invocation.
 func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []siteLoad, tc trace.SpanContext) []string {
 	sp := o.parts.Tracing.StartSpan("place", tc)
 	sp.Set("service", exe.service)
 
-	scores := make([]siteScore, len(cands))
-	var wg sync.WaitGroup
+	scores := make([]siteScore, len(cands)) // a site not yet scored has no name
+	now, hits := o.clock.Now(), 0
+	o.poss.mu.Lock()
 	for i, c := range cands {
-		i, c := i, c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			entry, hit := o.probePossession(sessionID, c.name, exe)
-			scores[i] = siteScore{
-				name:       c.name,
-				load:       c.load,
-				possession: entry.possession(),
-				missing:    entry.missing,
-				probed:     entry.ok,
-				score:      placementScore(c.load, entry.missing),
-			}
-			if hit {
-				o.placement.probeCacheHits.Add(1)
-			}
-		}()
+		if e, ok := o.cachedPossession(siteKey{exe.service, c.name}, now); ok {
+			scores[i] = scoreSite(c, e)
+			hits++
+		}
 	}
-	wg.Wait()
+	o.poss.mu.Unlock()
+	o.placement.probeCacheHits.Add(uint64(hits))
+	if hits < len(cands) {
+		var wg sync.WaitGroup
+		for i, c := range cands {
+			if scores[i].name != "" {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e, hit := o.probePossession(sessionID, c.name, exe)
+				scores[i] = scoreSite(c, e)
+				if hit {
+					o.placement.probeCacheHits.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 
 	// The pure load order's winner, for the redirect counter: did
 	// possession overrule it?
@@ -199,10 +222,12 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 		o.placement.redirected.Add(1)
 		sp.Set("redirected", "true")
 	}
-	sp.Set("site", scores[0].name)
-	sp.Set("possession", fmtPossession(scores[0].possession))
-	sp.Set("probe", probeLabel(scores[0].probed))
-	sp.SetInt("missing_bytes", scores[0].missing)
+	if sp != nil { // formatting the verdict costs an object a nil span would drop
+		sp.Set("site", scores[0].name)
+		sp.Set("possession", fmtPossession(scores[0].possession))
+		sp.Set("probe", probeLabel(scores[0].probed))
+		sp.SetInt("missing_bytes", scores[0].missing)
+	}
 	sp.End()
 
 	out := make([]string, len(scores))
@@ -217,11 +242,10 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 // HaveChunks probe concurrent callers share. hit reports whether the
 // answer came without issuing a new probe (cache or joined flight).
 func (o *OnServe) probePossession(sessionID, site string, exe *executable) (possEntry, bool) {
-	key := exe.service + "|" + site
+	key := siteKey{exe.service, site}
 	led := false
 	e, _, _ := o.poss.flights.do(&o.poss.mu, key, func() (possEntry, bool) {
-		e, ok := o.poss.cache[key]
-		return e, ok && o.clock.Now().Sub(e.at) < o.probeTTL
+		return o.cachedPossession(key, o.clock.Now())
 	}, func() (possEntry, error) {
 		led = true
 		e := o.probeOnce(sessionID, site, exe)
@@ -269,17 +293,16 @@ func (o *OnServe) notePossession(serviceName, site string, total int64) {
 		return
 	}
 	o.poss.mu.Lock()
-	o.poss.cache[serviceName+"|"+site] = possEntry{missing: 0, total: total, ok: true, at: o.clock.Now()}
+	o.poss.cache[siteKey{serviceName, site}] = possEntry{missing: 0, total: total, ok: true, at: o.clock.Now()}
 	o.poss.mu.Unlock()
 }
 
 // forgetPossession drops every cached possession answer for serviceName
 // (DeleteService).
 func (o *OnServe) forgetPossession(serviceName string) {
-	prefix := serviceName + "|"
 	o.poss.mu.Lock()
 	for k := range o.poss.cache {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
+		if k.service == serviceName {
 			delete(o.poss.cache, k)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
 // fillerProgram is a valid gsh program padded with comment lines to
@@ -340,8 +342,8 @@ func TestDeleteServiceForgetsPossession(t *testing.T) {
 	}
 	f.ons.poss.mu.Lock()
 	for k := range f.ons.poss.cache {
-		if strings.HasPrefix(k, "MontecarloService|") {
-			t.Errorf("stale possession entry %q survived delete", k)
+		if k.service == "MontecarloService" {
+			t.Errorf("stale possession entry %+v survived delete", k)
 		}
 	}
 	f.ons.poss.mu.Unlock()
@@ -402,5 +404,66 @@ func TestFmtHelpers(t *testing.T) {
 	bad := possEntry{missing: 100, total: 100}
 	if got := bad.possession(); got != 0 {
 		t.Fatalf("unknown possession %v, want 0", got)
+	}
+}
+
+// stackClock keeps the stack of every goroutine that reads it, so a test
+// can ask on which goroutines a step read the clock.
+type stackClock struct {
+	vtime.Clock
+	mu     sync.Mutex
+	stacks []string
+}
+
+func (c *stackClock) Now() time.Time {
+	buf := make([]byte, 8<<10)
+	buf = buf[:runtime.Stack(buf, false)]
+	c.mu.Lock()
+	c.stacks = append(c.stacks, string(buf))
+	c.mu.Unlock()
+	return c.Clock.Now()
+}
+
+// TestCachedPlacementAllocations: a placement the possession cache answers
+// for every site is scored under one lock, on the caller's goroutine — no
+// probe goroutine — in two objects: the scores and the order.
+func TestCachedPlacementAllocations(t *testing.T) {
+	f := newFixture(t, func(cfg *Config) {
+		cfg.ChunkedStaging = true
+		cfg.DataAwarePlacement = true
+	})
+	f.ons.probeTTL = 1000 * time.Hour
+	exe := heldExecutable(f.ons, "CachedService", []byte("echo hi\n"))
+	cands := []siteLoad{{name: "siteA", load: 0.5}, {name: "siteB", load: 0}}
+	now := f.clock.Now()
+	f.ons.poss.mu.Lock()
+	f.ons.poss.cache[siteKey{"CachedService", "siteA"}] = possEntry{total: 4 << 20, ok: true, at: now}
+	f.ons.poss.cache[siteKey{"CachedService", "siteB"}] = possEntry{missing: 4 << 20, total: 4 << 20, ok: true, at: now}
+	f.ons.poss.mu.Unlock()
+	place := func() {
+		if order := f.ons.placeDataAware("", exe, cands, trace.SpanContext{}); len(order) != 2 || order[0] != "siteA" {
+			t.Fatalf("placed %v, want the possessing siteA first", order)
+		}
+	}
+
+	clk := &stackClock{Clock: f.clock}
+	f.ons.clock = clk
+	place()
+	f.ons.clock = f.clock
+	if len(clk.stacks) == 0 {
+		t.Fatal("the placement never read the clock")
+	}
+	for _, s := range clk.stacks {
+		if strings.Contains(s, "created by repro/internal/core.(*OnServe).placeDataAware") {
+			t.Fatalf("a placement the cache answers read the clock on a goroutine of its own:\n%s", s)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, place)
+	t.Logf("cached placement: %.0f objects", allocs)
+	if allocs > 2 {
+		t.Fatalf("a placement the cache answers allocates %.0f objects, want <= 2", allocs)
+	}
+	if st := f.ons.PlacementStats(); st.ProbesSent != 0 || st.ProbeCacheHits != 2*(1+101) {
+		t.Fatalf("%+v, want no probe and two cache hits per placement", st)
 	}
 }

@@ -355,3 +355,26 @@ func TestGridStatsExpiryStampedeCollapsesToOneFetch(t *testing.T) {
 		t.Fatalf("stampede on the expired snapshot cost %d fetches, want 1", got)
 	}
 }
+
+// TestStagingCacheHitLeadsNoFlight: under CoalesceStaging a staging-cache
+// hit is answered before the flight table is consulted — no key, no
+// flight, no channel: nothing at all is allocated.
+func TestStagingCacheHitLeadsNoFlight(t *testing.T) {
+	f := newFixture(t, func(cfg *Config) {
+		cfg.StagingCache = true
+		cfg.CoalesceStaging = true
+	})
+	exe := heldExecutable(f.ons, "HitService", []byte("echo hi\n"))
+	f.ons.noteStaged("HitService", "siteA", "sum")
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := f.ons.stageExecutable("no-session", exe, "siteA", nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a staging-cache hit allocates %.0f objects, want 0", allocs)
+	}
+	if st := f.ons.SubmitStats(); st.Uploads != 0 || st.UploadsCoalesced != 0 || len(f.ons.stagingFlights) != 0 {
+		t.Fatalf("a staging-cache hit staged: %+v, %d flights", st, len(f.ons.stagingFlights))
+	}
+}

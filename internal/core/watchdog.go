@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/vtime"
@@ -11,35 +10,25 @@ import (
 // elapses on the given clock — the reproduction of the paper's "watchdog
 // class, that is used to react correctly in some situations where a
 // problem may occur (for example when a process takes too long to
-// complete)".
+// complete)". It is a timer on that clock, never a parked goroutine.
 type Watchdog struct {
-	stopCh chan struct{}
-	once   sync.Once
-	fired  chan struct{}
+	timer vtime.Timer
+	fired chan struct{}
 }
 
 // NewWatchdog arms a watchdog. onTimeout runs at most once, from the
-// watchdog's own goroutine.
+// clock's timer.
 func NewWatchdog(clock vtime.Clock, timeout time.Duration, onTimeout func()) *Watchdog {
-	w := &Watchdog{
-		stopCh: make(chan struct{}),
-		fired:  make(chan struct{}),
-	}
-	go func() {
-		select {
-		case <-clock.After(timeout):
-			onTimeout()
-			close(w.fired)
-		case <-w.stopCh:
-		}
-	}()
+	w := &Watchdog{fired: make(chan struct{})}
+	w.timer = clock.AfterFunc(timeout, func() {
+		onTimeout()
+		close(w.fired)
+	})
 	return w
 }
 
 // Stop disarms the watchdog; safe to call multiple times and after fire.
-func (w *Watchdog) Stop() {
-	w.once.Do(func() { close(w.stopCh) })
-}
+func (w *Watchdog) Stop() { w.timer.Stop() }
 
 // Fired returns a channel closed after the callback has run.
 func (w *Watchdog) Fired() <-chan struct{} { return w.fired }

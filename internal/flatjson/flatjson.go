@@ -1,12 +1,14 @@
 // Package flatjson reads the flat JSON objects this repository's own
 // encoders write on a hot path — an event frame's data, a submit reply, an
-// invoke reply: one object of string and integer members, at most eight,
-// each key once, no white space — without reflection. It decides nothing
-// about what is valid: a document outside that shape (and a string that
-// is not valid UTF-8, or holds a surrogate escape, which encoding/json
-// rewrites) makes Done report false, and the caller hands the same bytes
-// to encoding/json. What it does accept it decodes to what encoding/json
-// decodes, which FuzzEventData in internal/gram checks.
+// invoke reply, an invoke request: one object of string and integer
+// members, at most eight, each key once, where a member may also be one
+// nested object of string members (an invoke's args, read by Map), no
+// white space — without reflection. It decides nothing about what is
+// valid: a document outside that shape (and a string that is not valid
+// UTF-8, or holds a surrogate escape, which encoding/json rewrites) makes
+// Done report false, and the caller hands the same bytes to
+// encoding/json. What it does accept it decodes to what encoding/json
+// decodes, which FuzzEventData (gram) and FuzzInvokeBody (portal) check.
 package flatjson
 
 import (
@@ -151,6 +153,41 @@ func (o *Object) Skip() {
 	if s, escaped := o.raw(); !o.bad && escaped {
 		o.bad = !unescape(s, nil)
 	}
+}
+
+// Map reads the value at the cursor — an object of string members, no
+// white space, or null — as encoding/json reads it into a
+// map[string]string: null is a nil map, {} an empty one, keys are
+// unescaped like values, and a key given twice keeps its last value.
+// With keep false it reads the value alike, allocates nothing and returns
+// nil: a caller that only checks the members.
+func (o *Object) Map(keep bool) (m map[string]string) {
+	if rest := o.b[o.i:]; len(rest) >= 4 && string(rest[:4]) == "null" {
+		o.i += 4
+		return nil
+	}
+	o.expect('{')
+	if keep {
+		m = map[string]string{}
+	}
+	for n := 0; !o.bad && o.i < len(o.b) && o.b[o.i] != '}'; n++ {
+		if n > 0 {
+			o.expect(',')
+		}
+		if !keep {
+			o.Skip()
+			o.expect(':')
+			o.Skip()
+			continue
+		}
+		k := o.String()
+		o.expect(':')
+		m[k] = o.String()
+	}
+	if o.expect('}'); o.bad {
+		return nil
+	}
+	return m
 }
 
 // unescape writes s without its escapes to sb, when there is one, and

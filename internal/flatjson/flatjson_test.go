@@ -2,16 +2,18 @@ package flatjson
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
 // doc is a document of every kind of member the package reads. Name is
 // read with Token, the way a caller reads a value it only compares.
 type doc struct {
-	S    string `json:"s"`
-	Name string `json:"name"`
-	U    uint64 `json:"u"`
-	I    int64  `json:"i"`
+	S    string            `json:"s"`
+	Name string            `json:"name"`
+	U    uint64            `json:"u"`
+	I    int64             `json:"i"`
+	M    map[string]string `json:"m"`
 }
 
 // walk decodes data the way the package's callers do: known members by
@@ -28,8 +30,12 @@ func walk(data []byte) (d doc, ok bool) {
 			d.U = o.Uint()
 		case "i":
 			d.I = o.Int()
+		case "m":
+			d.M = o.Map(true)
 		case "skipped":
 			o.Skip()
+		case "skippedm":
+			o.Map(false)
 		default:
 			o.Fail()
 		}
@@ -55,13 +61,21 @@ func TestAcceptedShape(t *testing.T) {
 		{`{"u":9999999999999999999}`, doc{U: 9999999999999999999}},
 		{`{"i":9223372036854775807}`, doc{I: 1<<63 - 1}},
 		{`{"i":-9223372036854775807}`, doc{I: -(1<<63 - 1)}},
+		{`{"m":null}`, doc{}},
+		{`{"m":{}}`, doc{M: map[string]string{}}},
+		{`{"s":"a","m":{"n":"1","k\u00e9y":"v\n"},"u":2}`, doc{S: "a", U: 2, M: map[string]string{"n": "1", "k\u00e9y": "v\n"}}},
+		{`{"m":{"a":"1","a":"2"}}`, doc{M: map[string]string{"a": "2"}}},
+		{`{"m":{"a":"","b":"","c":"","d":"","e":"","f":"","g":"","h":"","i":""}}`,
+			doc{M: map[string]string{"a": "", "b": "", "c": "", "d": "", "e": "", "f": "", "g": "", "h": "", "i": ""}}},
+		{`{"skippedm":{"x":"\t","y":""},"s":"b"}`, doc{S: "b"}},
+		{`{"skippedm":null}`, doc{}},
 	} {
 		got, ok := walk([]byte(tc.in))
-		if !ok || got != tc.want {
+		if !ok || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: got %+v, done %v; want %+v", tc.in, got, ok, tc.want)
 		}
 		var ref doc
-		if err := json.Unmarshal([]byte(tc.in), &ref); err != nil || ref != got {
+		if err := json.Unmarshal([]byte(tc.in), &ref); err != nil || !reflect.DeepEqual(ref, got) {
 			t.Errorf("%s: encoding/json reads %+v (%v), walk %+v", tc.in, ref, err, got)
 		}
 	}
@@ -112,6 +126,21 @@ func TestDoneReportsFalse(t *testing.T) {
 		"past int64":                `{"i":9223372036854775808}`,
 		"int64's minimum":           `{"i":-9223372036854775808}`,
 		"nothing after the opening": `{`,
+		"string for a map":          `{"m":"a"}`,
+		"array for a map":           `{"m":[]}`,
+		"null cut short":            `{"m":nul}`,
+		"bytes after null":          `{"m":nullx}`,
+		"map never closed":          `{"m":{"a":"1"}`,
+		"comma before a map's end":  `{"m":{"a":"1",}}`,
+		"no colon in a map":         `{"m":{"a"}}`,
+		"white space in a map":      `{"m":{ "a":"1"}}`,
+		"number in a map":           `{"m":{"a":1}}`,
+		"null in a map":             `{"m":{"a":null}}`,
+		"map in a map":              `{"m":{"a":{}}}`,
+		"invalid UTF-8 map key":     "{\"m\":{\"\xff\":\"1\"}}",
+		"surrogate in a map key":    `{"m":{"\ud800":"1"}}`,
+		"number in a skipped map":   `{"skippedm":{"x":1}}`,
+		"bad escape in skipped map": `{"skippedm":{"x":"\x"}}`,
 	} {
 		if got, ok := walk([]byte(in)); ok {
 			t.Errorf("%s: %s accepted as %+v", why, in, got)
@@ -123,7 +152,7 @@ func TestDoneReportsFalse(t *testing.T) {
 // so a caller can walk to the end and look at Done once.
 func TestFailureLatches(t *testing.T) {
 	o := Open([]byte(`["s"]`))
-	if o.Next() || o.Key() != nil || o.String() != "" || o.Token() != nil || o.Uint() != 0 || o.Int() != 0 || o.Done() {
+	if o.Next() || o.Key() != nil || o.String() != "" || o.Token() != nil || o.Uint() != 0 || o.Int() != 0 || o.Map(true) != nil || o.Done() {
 		t.Fatal("a walk that failed at the first byte still returned something")
 	}
 }
@@ -147,28 +176,34 @@ func TestEightMembers(t *testing.T) {
 // what it accepts it decodes to what encoding/json decodes. What it
 // refuses is the caller's to hand on, so nothing is claimed there —
 // except for documents json.Marshal itself wrote from a struct of
-// strings and integers, which are the shape this package exists to read.
+// strings, integers and a map of strings, which are the shape this package
+// exists to read.
 func FuzzWalkMatchesEncodingJSON(f *testing.F) {
 	for _, in := range []string{
 		`{}`, `{"s":"a","name":"DONE","u":7,"i":-7}`, `{"s":"a"}` + "\n", `{"s":"\u00e9\/\n"}`,
 		`{"s":"\ud800"}`, "{\"s\":\"\xff\"}", `{"u":01}`, `{"i":-9223372036854775808}`, `{"s":"a","s":"b"}`,
 		`{"skipped":"\u0000","s":"日本語"}`, ` {"s":"a"}`, `{"S":"a"}`, `{"s":null}`, `{"u":18446744073709551615}`,
+		`{"m":{"a":"1","a":"2","\u00e9":""}}`, `{"m":null}`, `{"m":{}}`, `{"m":{"a":1}}`, `{"skippedm":{"x":"y"},"s":"a"}`,
 	} {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got, ok := walk(data); ok {
 			var want doc
-			if err := json.Unmarshal(data, &want); err != nil || got != want {
+			if err := json.Unmarshal(data, &want); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%q:\nwalk          %+v\nencoding/json %+v (%v)", data, got, want, err)
 			}
 		}
 		// The same bytes as a value: whatever they are, a document
 		// encoding/json writes around them reads back the same both ways.
 		// The integers stay inside what the walk reads: nineteen digits,
-		// and int64 short of its minimum.
+		// and int64 short of its minimum. The map is null for an even
+		// length, else holds the bytes as a key and as a value.
 		n := uint64(len(data)) * 0x9E3779B97F4A7C15 >> 1
 		in := doc{S: string(data), U: n, I: -int64(n)}
+		if len(data)%2 == 1 {
+			in.M = map[string]string{string(data): string(data), "k": ""}
+		}
 		written, err := json.Marshal(in)
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +212,7 @@ func FuzzWalkMatchesEncodingJSON(f *testing.F) {
 		if err := json.Unmarshal(written, &want); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := walk(written); !ok || got != want {
+		if got, ok := walk(written); !ok || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s:\nwalk          %+v (done %v)\nencoding/json %+v", written, got, ok, want)
 		}
 	})

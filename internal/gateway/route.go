@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -137,11 +135,13 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 		if method != http.MethodPost {
 			return Route{Kind: KindAny}, nil
 		}
-		var req portal.InvokeRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		// The portal's own reading of the body: the route cannot name
+		// another service than the appliance will invoke.
+		service, err := portal.InvokeService(body)
+		if err != nil {
 			return Route{}, fmt.Errorf("%w: invoke body: %v", errBadRequest, err)
 		}
-		return Route{Kind: KindInvoke, Service: req.Service}, nil
+		return Route{Kind: KindInvoke, Service: service}, nil
 	case "/api/service", "/api/client":
 		name, err := queryValue(rawQuery, "name")
 		if err != nil {

@@ -110,6 +110,22 @@ func TestDecodeRouteTable(t *testing.T) {
 	}
 }
 
+// TestDecodeRouteAllocations: an invoke body is routed by the portal's
+// walk, not through encoding/json's decoder (14 objects).
+func TestDecodeRouteAllocations(t *testing.T) {
+	body := []byte(`{"service":"S","args":{"n":"1"}}`)
+	allocs := testing.AllocsPerRun(200, func() {
+		rt, err := DecodeRoute(http.MethodPost, "/api/invoke", "", "application/json", body)
+		if err != nil || rt != (Route{Kind: KindInvoke, Service: "S"}) {
+			t.Fatalf("DecodeRoute = %+v, %v", rt, err)
+		}
+	})
+	t.Logf("DecodeRoute of an invoke: %.0f objects", allocs)
+	if allocs > 1 {
+		t.Fatalf("DecodeRoute of an invoke allocates %.0f objects, want <= 1", allocs)
+	}
+}
+
 func TestRouteKeyDeterministic(t *testing.T) {
 	rt := Route{Kind: KindInvoke, Service: "S"}
 	if rt.Key("alice") != "S|alice" {
@@ -132,7 +148,9 @@ func TestRouteKeyDeterministic(t *testing.T) {
 // POST /upload it is differential: whatever the bytes, the route names the
 // service and owner the portal's own reading of the form gives
 // (portal.UploadIdentity, which FuzzUploadIdentity in internal/portal holds
-// to readUploadForm), or both refuse.
+// to readUploadForm), or both refuse. So it is for POST /api/invoke: the
+// route names the service portal.ReadInvokeRequest reads, or both refuse
+// (FuzzInvokeBody in internal/portal holds that reader to encoding/json).
 func FuzzRoutePath(f *testing.F) {
 	uploadCT, uploadBody := multipartUpload(f, "demo.gsh", "alice")
 	f.Add("POST", "/upload", "", uploadCT, uploadBody)
@@ -147,6 +165,10 @@ func FuzzRoutePath(f *testing.F) {
 	twiceCT, twiceBody := multipartUpload(f, "demo.gsh", "bob", "alice")
 	f.Add("POST", "/upload", "a=%zz&user=", twiceCT, twiceBody)
 	f.Add("POST", "/upload", "", uploadCT, uploadBody[:len(uploadBody)-8])
+	f.Add("POST", "/api/invoke", "", "application/json", []byte(`{"service":"S","args":{"n":"1"}}`))
+	f.Add("POST", "/api/invoke", "", "application/json", []byte(`{"service":"S","args":{"n":1}}`))
+	f.Add("POST", "/api/invoke", "", "application/json", []byte(`{"SERVICE":"S","args":null} {`))
+	f.Add("POST", "/api/invoke", "", "application/json", []byte(`{"service":"S","args":{},"args":{"a":"1"}}`))
 	f.Fuzz(func(t *testing.T, method, path, rawQuery, contentType string, body []byte) {
 		rt1, err1 := DecodeRoute(method, path, rawQuery, contentType, body)
 		rt2, err2 := DecodeRoute(method, path, rawQuery, contentType, body)
@@ -161,6 +183,14 @@ func FuzzRoutePath(f *testing.F) {
 				t.Fatalf("the portal reads (%q, %q, %v, %v), the route is %+v, %v", fileName, user, err, nameErr, rt1, err1)
 			case !refused && (rt1.Service != service || rt1.Owner != user):
 				t.Fatalf("the portal publishes %s for %q, routed as %+v", service, user, rt1)
+			}
+		}
+		// The appliance reads the first MB of an invoke body, the gateway all
+		// of it: past that, a route may name what the appliance then refuses.
+		if method == http.MethodPost && path == "/api/invoke" && len(body) <= 1<<20 {
+			req, err := portal.ReadInvokeRequest(bytes.NewReader(body), int64(len(body)))
+			if (err != nil) != (err1 != nil) || err == nil && rt1.Service != req.Service {
+				t.Fatalf("the portal reads %+v, %v; the route is %+v, %v", req, err, rt1, err1)
 			}
 		}
 		if err1 != nil {

@@ -6,11 +6,17 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/vtime"
 )
 
 // instantClock makes sleep/emit statements free so fuzzed programs run
-// in microseconds instead of real time.
-type instantClock struct{ now time.Time }
+// in microseconds instead of real time. A program never calls AfterFunc:
+// the embedded nil Clock only makes the type one.
+type instantClock struct {
+	vtime.Clock
+	now time.Time
+}
 
 func (c *instantClock) Now() time.Time        { return c.now }
 func (c *instantClock) Sleep(d time.Duration) { c.now = c.now.Add(d) }

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/flatjson"
 	"repro/internal/metrics"
 	"repro/internal/sizedio"
 	"repro/internal/tenant"
@@ -606,8 +607,8 @@ func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.probe.Burn(p.cost.RequestHandling)
-	var req InvokeRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	req, err := ReadInvokeRequest(r.Body, r.ContentLength)
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -644,6 +645,51 @@ func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 type InvokeRequest struct {
 	Service string            `json:"service"`
 	Args    map[string]string `json:"args"`
+}
+
+const maxInvokeBody = 1 << 20 // what is read of an /api/invoke body
+
+// ReadInvokeRequest is the one reader of an /api/invoke body: its first
+// maxInvokeBody bytes, read into one buffer sized by declared (the
+// Content-Length, or -1), then decoded by decodeInvoke.
+func ReadInvokeRequest(body io.Reader, declared int64) (InvokeRequest, error) {
+	buf, err := sizedio.ReadAll(io.LimitReader(body, maxInvokeBody), min(declared, maxInvokeBody), maxInvokeBody)
+	if err != nil {
+		return InvokeRequest{}, err
+	}
+	return decodeInvoke(buf, true)
+}
+
+// InvokeService is the service decodeInvoke reads in an /api/invoke body,
+// args checked but not kept: what the fleet gateway routes by.
+func InvokeService(body []byte) (string, error) {
+	req, err := decodeInvoke(body, false)
+	return req.Service, err
+}
+
+// decodeInvoke reads body as json.NewDecoder(…).Decode reads it into an
+// InvokeRequest. The shape json.Marshal writes — Client's body — is read
+// by a flatjson walk; any other body goes to the decoder, so every body
+// gets the decoder's answer (FuzzInvokeBody).
+func decodeInvoke(body []byte, keepArgs bool) (InvokeRequest, error) {
+	var req InvokeRequest
+	o := flatjson.Open(body)
+	for o.Next() {
+		switch string(o.Key()) {
+		case "service":
+			req.Service = o.String()
+		case "args":
+			req.Args = o.Map(keepArgs)
+		default:
+			o.Fail()
+		}
+	}
+	if o.Done() {
+		return req, nil
+	}
+	var decoded InvokeRequest // a variable of its own: Decode's pointer moves it to the heap
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&decoded)
+	return decoded, err
 }
 
 // InvokeReply and WaitReply are the bodies of /api/invoke and /api/wait,

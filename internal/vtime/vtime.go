@@ -11,6 +11,7 @@
 package vtime
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -25,6 +26,15 @@ type Clock interface {
 	// After returns a channel that receives the clock's time after d has
 	// elapsed on this clock.
 	After(d time.Duration) <-chan time.Time
+	// AfterFunc calls f once d has elapsed on this clock unless the Timer
+	// is stopped first; no goroutine waits meanwhile.
+	AfterFunc(d time.Duration, f func()) Timer
+}
+
+// Timer is a pending AfterFunc call, as *time.Timer is: Stop reports
+// whether it prevented the call, false once the call was made or stopped.
+type Timer interface {
+	Stop() bool
 }
 
 // Real is a Clock backed directly by the time package.
@@ -41,6 +51,9 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// AfterFunc implements Clock.
+func (Real) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 // Scaled is a Clock that runs Scale times faster than wall-clock time.
 // A Scale of 100 means one real second covers 100 virtual seconds, so a
@@ -93,27 +106,35 @@ func (c *Scaled) Sleep(d time.Duration) {
 	time.Sleep(time.Duration(float64(d) / c.scale))
 }
 
-// After implements Clock.
-func (c *Scaled) After(d time.Duration) <-chan time.Time {
+// After implements Clock; a channel nobody reads costs a timer, no goroutine.
+func (c *Scaled) After(d time.Duration) <-chan time.Time { return after(c, d) }
+
+// after is After built on c's AfterFunc.
+func after(c Clock, d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	go func() {
-		c.Sleep(d)
-		ch <- c.Now()
-	}()
+	c.AfterFunc(d, func() { ch <- c.Now() })
 	return ch
 }
 
-// Manual is a Clock advanced explicitly by tests. Sleepers block until
-// Advance moves the clock past their deadline.
+// AfterFunc implements Clock: f runs after d/scale of real time.
+func (c *Scaled) AfterFunc(d time.Duration, f func()) Timer {
+	return time.AfterFunc(time.Duration(float64(d)/c.scale), f)
+}
+
+// Manual is a Clock advanced explicitly by tests. Sleepers block, and
+// AfterFunc calls wait, until Advance moves the clock past their deadline.
 type Manual struct {
 	mu      sync.Mutex
 	now     time.Time
-	waiters []waiter
+	waiters []*waiter
 }
 
+// waiter is one pending AfterFunc call (a sleeper's is its channel send),
+// made by Advance.
 type waiter struct {
+	c        *Manual
 	deadline time.Time
-	ch       chan time.Time
+	f        func()
 }
 
 // NewManual returns a Manual clock positioned at start.
@@ -138,26 +159,42 @@ func (c *Manual) Sleep(d time.Duration) {
 }
 
 // After implements Clock.
-func (c *Manual) After(d time.Duration) <-chan time.Time {
+func (c *Manual) After(d time.Duration) <-chan time.Time { return after(c, d) }
+
+// AfterFunc implements Clock: the Advance that reaches now+d calls f on
+// its caller's goroutine, and d <= 0 calls f before AfterFunc returns.
+func (c *Manual) AfterFunc(d time.Duration, f func()) Timer {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- c.now
-		return ch
+	w := &waiter{c: c, deadline: c.now.Add(d), f: f}
+	if d > 0 {
+		c.waiters = append(c.waiters, w)
 	}
-	c.waiters = append(c.waiters, waiter{deadline: c.now.Add(d), ch: ch})
-	return ch
+	c.mu.Unlock()
+	if d <= 0 {
+		f()
+	}
+	return w
 }
 
-// Advance moves the clock forward by d, releasing every sleeper whose
-// deadline has been reached.
+// Stop implements Timer: it takes the waiter off the clock.
+func (w *waiter) Stop() bool {
+	w.c.mu.Lock()
+	defer w.c.mu.Unlock()
+	i := slices.Index(w.c.waiters, w)
+	if i >= 0 {
+		w.c.waiters = slices.Delete(w.c.waiters, i, i+1)
+	}
+	return i >= 0
+}
+
+// Advance moves the clock forward by d, releasing every sleeper and
+// making every AfterFunc call whose deadline it reached.
 func (c *Manual) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
 	now := c.now
 	remaining := c.waiters[:0]
-	var fire []waiter
+	var fire []*waiter
 	for _, w := range c.waiters {
 		if !w.deadline.After(now) {
 			fire = append(fire, w)
@@ -165,15 +202,17 @@ func (c *Manual) Advance(d time.Duration) {
 			remaining = append(remaining, w)
 		}
 	}
+	clear(c.waiters[len(remaining):])
 	c.waiters = remaining
 	c.mu.Unlock()
 	for _, w := range fire {
-		w.ch <- now
+		w.f()
 	}
 }
 
-// Pending reports how many sleepers are currently blocked; useful for
-// deterministic tests that advance the clock only once all actors wait.
+// Pending reports how many sleepers are currently blocked and AfterFunc
+// calls not yet made; useful for deterministic tests that advance the
+// clock only once all actors wait.
 func (c *Manual) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -53,11 +53,13 @@ go test -race -short ./...
 # (concurrent admits racing quota
 # release, key rotation mid-burst, DRR wakeups racing timeouts), and the
 # appliance's own transport (streamed bodies copied through one pool of
-# buffers by concurrent requests) are the concurrency hot spots, and the appliance package boots the two
+# buffers by concurrent requests), and the clocks every component waits on
+# (AfterFunc timers made and stopped while Advance fires them) are the
+# concurrency hot spots, and the appliance package boots the two
 # supported profiles end to end: run their packages fresh
 # (-count=1 defeats the test cache) so cached "ok" lines can never
 # mask a newly introduced race.
-go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/appliance ./internal/xsec ./internal/hop
+go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/appliance ./internal/xsec ./internal/hop ./internal/vtime
 
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
@@ -73,6 +75,11 @@ go test -run='^$' -fuzz=FuzzPolicyMatch -fuzztime=5s ./internal/tenant
 go test -run='^$' -fuzz=FuzzUploadForm -fuzztime=5s ./internal/portal
 go test -run='^$' -fuzz=FuzzUploadIdentity -fuzztime=5s ./internal/portal
 go test -run='^$' -fuzz=FuzzRoutePath -fuzztime=5s ./internal/gateway
+# The JSON door reads an invoke body by a flatjson walk that hands any
+# other body to encoding/json: FuzzInvokeBody holds the two to one answer,
+# and the gateway's service-only reading to it (FuzzRoutePath above holds
+# DecodeRoute to the portal's reading).
+go test -run='^$' -fuzz=FuzzInvokeBody -fuzztime=5s ./internal/portal
 # The push collector stores output bytes taken from a gatekeeper's event
 # frame, and both SOAP doors decode whatever envelope arrives — with a
 # hand-written decoder that FuzzDecode holds, differentially, to the
@@ -111,9 +118,12 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # and under a quarter of it beside that, and the SOAP door decodes an invocation's
 # envelope in three objects and serves one in eleven, a signed submit
 # costs at most 24 objects, the three event frames of a hot invocation 10
-# and the gateway's proxy hop 16. All ran above; run them fresh and without the race detector's own
+# and the gateway's proxy hop 16; the JSON door reads an invoke body in 5
+# objects and routes it in 1, a placement the possession cache answers
+# costs 2 and no goroutine, a staging-cache hit leads no flight, and an
+# armed watchdog parks no goroutine. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise.
-go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestStreamedBodyAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop
+go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
