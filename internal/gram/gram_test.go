@@ -3,6 +3,7 @@ package gram
 import (
 	"errors"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ var t0 = time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
 
 type fixture struct {
 	grid   *gridsim.Grid
-	clock  *vtime.Scaled
+	clock  vtime.Clock
 	srv    *Server
 	client *Client
 	other  *Client
@@ -26,7 +27,12 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	clk := vtime.NewScaled(20000)
+	return newFixtureOn(t, vtime.NewScaled(20000))
+}
+
+// newFixtureOn is newFixture with the grid and the gatekeeper on clk.
+func newFixtureOn(t *testing.T, clk vtime.Clock) *fixture {
+	t.Helper()
 	ca, err := xsec.NewCA("GridCA", clk.Now(), 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -158,44 +164,54 @@ func TestJobRequestsEscapeQueryValues(t *testing.T) {
 	}
 }
 
+// TestTentativeOutputPollingSeesPartialOutput: a poll that lands while the
+// job runs sees RUNNING and the output so far — the paper's workaround
+// behaviour. The grid runs on a manual clock that moves only while the job
+// is parked on it, so the mid-run poll has one outcome.
 func TestTentativeOutputPollingSeesPartialOutput(t *testing.T) {
-	f := newFixture(t)
-	id, err := f.client.Submit(f.desc("slow.gsh"))
+	clk := vtime.NewManual(t0)
+	f := newFixtureOn(t, clk)
+	siteA, _ := f.grid.Site("siteA")
+	siteA.Store().Put(f.alice, "ticks.gsh", []byte("emit 500ms 3 tick\n"))
+	id, err := f.client.Submit(f.desc("ticks.gsh"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Poll until some output appears while the job is still running —
-	// the paper's workaround behaviour.
-	deadline := time.Now().Add(5 * time.Second)
-	var partial string
-	for {
-		st, err := f.client.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := f.client.Output(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == "RUNNING" && strings.Contains(out, "tick") {
-			partial = out
-			break
-		}
-		if st.State == "DONE" || time.Now().After(deadline) {
-			t.Skip("job finished before a mid-run poll landed; timing too coarse")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	full, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour)
+	job, err := f.grid.Job(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.State != "DONE" {
-		t.Fatalf("state %s", full.State)
+	// parked waits for the job's two waiters on the clock: its walltime and
+	// the interval before its next tick.
+	parked := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); clk.Pending() != 2; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d waiters on the clock, want the job's two", clk.Pending())
+			}
+		}
 	}
-	final, _ := f.client.Output(id)
-	if len(final) <= len(partial) {
-		t.Fatalf("final output (%d bytes) not longer than partial (%d)", len(final), len(partial))
+	parked()
+	clk.Advance(500 * time.Millisecond)
+	parked() // one tick written, the next interval begun
+	st, err := f.client.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := f.client.Output(id)
+	if err != nil || st.State != "RUNNING" || partial != "tick\n" {
+		t.Fatalf("mid-run poll: %s, %q, %v; want RUNNING with one tick", st.State, partial, err)
+	}
+	clk.Advance(500 * time.Millisecond)
+	parked()
+	clk.Advance(500 * time.Millisecond)
+	<-job.Done()
+	full, err := f.client.WaitTerminal(id, clk, time.Second, time.Hour)
+	if err != nil || full.State != "DONE" {
+		t.Fatalf("after the last tick: %+v, %v", full, err)
+	}
+	if final, _ := f.client.Output(id); final != strings.Repeat(partial, 3) {
+		t.Fatalf("final output %q, partial %q", final, partial)
 	}
 }
 

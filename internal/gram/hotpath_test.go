@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"repro/internal/gridsim"
+	"repro/internal/hop"
+	"repro/internal/hop/hoptest"
 	"repro/internal/jsdl"
 	"repro/internal/sizedio"
 	"repro/internal/trace"
@@ -261,33 +263,18 @@ func TestWireUnchanged(t *testing.T) {
 	}
 }
 
-// deadOnReuse is a connection whose peer went away while it sat in the
-// pool: once armed, the next write fails with nothing written.
-type deadOnReuse struct {
-	net.Conn
-	armed *atomic.Bool
-}
-
-func (c deadOnReuse) Write(p []byte) (int, error) {
-	if c.armed.CompareAndSwap(true, false) {
-		c.Conn.Close()
-		return 0, errors.New("connection reset by peer")
-	}
-	return c.Conn.Write(p)
-}
-
 // TestDroppedKeepAliveIsRetried: the transport retries a POST that met a
 // dead pooled connection only when it can replay the body (GetBody), and
 // the second submit below meets exactly that.
 func TestDroppedKeepAliveIsRetried(t *testing.T) {
 	f := newFixture(t)
 	var armed atomic.Bool
-	dials := 0
-	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials++
+	var dials atomic.Int32
+	tr := hop.NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
 		conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
-		return deadOnReuse{conn, &armed}, err
-	}}
+		return hoptest.DeadOnReuse{Conn: conn, Armed: &armed}, err
+	})
 	defer tr.CloseIdleConnections()
 	c := &Client{BaseURL: f.client.BaseURL, Cred: f.client.Cred, HTTP: &http.Client{Transport: tr}}
 	if _, err := c.Submit(f.desc("hello.gsh")); err != nil {
@@ -297,8 +284,8 @@ func TestDroppedKeepAliveIsRetried(t *testing.T) {
 	if _, err := c.Submit(f.desc("hello.gsh")); err != nil {
 		t.Fatalf("submit over a dead pooled connection: %v", err)
 	}
-	if armed.Load() || dials != 2 {
-		t.Fatalf("the pooled connection was not reused and redialled: armed=%v dials=%d", armed.Load(), dials)
+	if armed.Load() || dials.Load() != 2 {
+		t.Fatalf("the pooled connection was not reused and redialled: armed=%v dials=%d", armed.Load(), dials.Load())
 	}
 }
 

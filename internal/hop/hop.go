@@ -4,14 +4,12 @@
 // servers redirects or sets cookies and no caller sets a client timeout,
 // so everything http.Client.Do wraps around RoundTrip for those is skipped,
 // and a 3xx comes back as the non-200 status it is. The package owns the
-// transport these hops take unless a caller supplies one (Client).
+// transport these hops take unless a caller supplies one (Transport).
 package hop
 
 import (
 	"bytes"
-	"context"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -20,37 +18,11 @@ import (
 	"repro/internal/sizedio"
 )
 
-// client's transport is http.DefaultTransport's settings over connections
-// that copy a streamed body through sizedio's pooled buffer.
-var client = &http.Client{Transport: pooledCopies(http.DefaultTransport.(*http.Transport).Clone())}
+var client = &http.Client{Transport: NewTransport(nil)}
 
 // Client returns the client a nil client or a nil Transport means to Do,
 // shared by every internal hop that is not given one of its own.
 func Client() *http.Client { return client }
-
-// pooledCopies wraps every connection t dials in a copyConn and returns t.
-func pooledCopies(t *http.Transport) *http.Transport {
-	dial := t.DialContext
-	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		c, err := dial(ctx, network, addr)
-		if err != nil {
-			return nil, err
-		}
-		return copyConn{c}, nil
-	}
-	return t
-}
-
-// copyConn is where net/http hands a request body past its first 4 KB: the
-// transport's buffered writer calls the connection's ReadFrom. A TCP
-// connection's own can splice from a socket or send a file, and copies
-// anything else through a fresh 32 KB buffer per request; this one copies
-// through the pooled buffer, with the connection's ReadFrom hidden.
-type copyConn struct{ net.Conn }
-
-func (c copyConn) ReadFrom(r io.Reader) (int64, error) {
-	return sizedio.Copy(struct{ io.Writer }{c.Conn}, r)
-}
 
 // Base parses a server root such as "http://host:2119" once and again
 // only when the text changes. The zero value is ready to use.
@@ -127,8 +99,11 @@ func Do(c *http.Client, method string, root *url.URL, target string, header http
 // open, which is called once for the request and once more for each replay
 // the transport makes of it. The transport closes every body it was given,
 // possibly after DoStream has returned. A size of zero sends no body and
-// never calls open.
+// never calls open. An empty method is GET, as for net/http.
 func DoStream(c *http.Client, method string, root *url.URL, target string, header http.Header, size int64, open func() (io.ReadCloser, error), limit int64) (Reply, error) {
+	if method == "" {
+		method = http.MethodGet
+	}
 	path, query, hasQuery := strings.Cut(target, "?")
 	u := new(url.URL)
 	*u = *root

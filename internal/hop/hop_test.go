@@ -3,6 +3,7 @@ package hop
 import (
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -248,6 +249,21 @@ func TestDoStream(t *testing.T) {
 	}, 64)
 	if err != nil || len(rep.Body) != 0 {
 		t.Fatalf("empty body: %+v, %v", rep, err)
+	}
+}
+
+// TestDoEmptyMethodIsGet: net/http sends an empty method as GET, and so
+// does Do — a failure comes back as the *url.Error of a GET, not a panic
+// on the empty name.
+func TestDoEmptyMethodIsGet(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close() // the address now refuses the dial
+	var ue *url.Error
+	if _, err := Do(nil, "", mustParse(t, "http://"+ln.Addr().String()), "/x", nil, nil, 16); !errors.As(err, &ue) || ue.Op != "Get" {
+		t.Fatalf("empty method: %#v", err)
 	}
 }
 

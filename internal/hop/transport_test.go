@@ -1,11 +1,11 @@
 package hop
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,11 +13,14 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/hop/hoptest"
+	"repro/internal/netsim"
 	"repro/internal/sizedio"
 )
 
@@ -110,35 +113,30 @@ func TestConcurrentStreamsKeepTheirBytes(t *testing.T) {
 	wg.Wait()
 }
 
-// deadOnReuse is a connection whose peer went away while it sat in the
-// pool: once armed, the next write fails with nothing written.
-type deadOnReuse struct {
-	net.Conn
-	armed *atomic.Bool
-}
-
-func (c deadOnReuse) Write(p []byte) (int, error) {
-	if c.armed.CompareAndSwap(true, false) {
-		c.Conn.Close()
-		return 0, errors.New("connection reset by peer")
+// deadOnReuseDial dials TCP, counts its dials and wraps every connection in
+// a hoptest.DeadOnReuse that armed arms.
+func deadOnReuseDial(armed *atomic.Bool, dials *atomic.Int32) func(context.Context, string, string) (net.Conn, error) {
+	return func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		return hoptest.DeadOnReuse{Conn: conn, Armed: armed}, err
 	}
-	return c.Conn.Write(p)
 }
 
 // TestDeadKeepAliveReplaysThroughPooledCopy: a streamed PUT that meets a
 // dead pooled connection is sent again on a fresh one — GetBody reopens the
-// source, every body is closed, the server gets every byte — and the
-// buffer the replay copied through is back in the pool for the next
-// request.
+// source, every body is closed before the call returns, the server gets
+// every byte — and the buffer the replay copied through is back in the
+// pool for the next request.
 func TestDeadKeepAliveReplaysThroughPooledCopy(t *testing.T) {
+	// One P and no collection, so the buffer the replay gives back stays
+	// where the next request looks for it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	srv := digestServer(t)
 	var armed atomic.Bool
 	var dials atomic.Int32
-	tr := pooledCopies(&http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
-		return deadOnReuse{conn, &armed}, err
-	}})
+	tr := NewTransport(deadOnReuseDial(&armed, &dials))
 	defer tr.CloseIdleConnections()
 	c := &http.Client{Transport: tr}
 	b, header := body(7)
@@ -150,25 +148,187 @@ func TestDeadKeepAliveReplaysThroughPooledCopy(t *testing.T) {
 	putStream(t, c, srv, b, header, open)
 	armed.Store(true)
 	putStream(t, c, srv, b, header, open)
-	if armed.Load() || dials.Load() != 2 || opens.Load() != 3 {
-		t.Fatalf("armed=%v, %d dials, %d opens: want the dead connection met, redialled and the body reopened", armed.Load(), dials.Load(), opens.Load())
-	}
-	// The transport may close a body after the round trip has returned.
-	for deadline := time.Now().Add(5 * time.Second); closes.Load() != 3; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of 3 bodies closed", closes.Load())
-		}
+	if armed.Load() || dials.Load() != 2 || opens.Load() != 3 || closes.Load() != 3 {
+		t.Fatalf("armed=%v, %d dials, %d opens, %d closes: want the dead connection met, redialled and the body reopened, every body closed",
+			armed.Load(), dials.Load(), opens.Load(), closes.Load())
 	}
 	if raceEnabled {
 		return
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	putStream(t, c, srv, b, header, open)
 	runtime.ReadMemStats(&after)
 	if spent := after.TotalAlloc - before.TotalAlloc; spent > 16<<10 {
 		t.Fatalf("the request after the replay allocates %d B: the copy buffer did not go back", spent)
+	}
+}
+
+// TestRoundTripAllocations counts a warm GET and a warm 1 KB POST through
+// Do against an in-process server, client and server together (the count
+// is the process's). Over a clone of http.DefaultTransport the pair cost
+// 138 objects (61 + 77); this transport, 85.
+func TestRoundTripAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	defer srv.Close()
+	root := mustParse(t, srv.URL)
+	post := bytes.Repeat([]byte("x"), 1<<10)
+	pair := func() {
+		if rep, err := Do(nil, http.MethodGet, root, "/x", nil, nil, 1<<10); err != nil || rep.Status != http.StatusOK {
+			t.Fatalf("GET: %+v, %v", rep, err)
+		}
+		rep, err := Do(nil, http.MethodPost, root, "/x", Header("Content-Type", "application/octet-stream"), post, 1<<10)
+		if err != nil || rep.Status != http.StatusOK {
+			t.Fatalf("POST: %+v, %v", rep, err)
+		}
+	}
+	pair() // dials
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(200, pair)
+	t.Logf("a GET and a 1 KB POST: %.0f objects", allocs)
+	if allocs > 88 {
+		t.Fatalf("a GET and a 1 KB POST allocate %.0f objects, want <= 88", allocs)
+	}
+}
+
+// TestRequestHeadOnTheWire pins the bytes a GET and a POST put on the
+// socket: net/http's request writer, as http.Transport used it, without
+// the Accept-Encoding: gzip that transport added — no server here
+// compresses, and hop would have to inflate.
+func TestRequestHeadOnTheWire(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	heads := make(chan string, 2)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var raw bytes.Buffer
+		br := bufio.NewReader(io.TeeReader(conn, &raw))
+		for i := 0; i < 2; i++ {
+			req, err := http.ReadRequest(br)
+			if err != nil {
+				return
+			}
+			io.Copy(io.Discard, req.Body)
+			heads <- raw.String()
+			raw.Reset()
+			io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+		}
+	}()
+	root := mustParse(t, "http://"+ln.Addr().String())
+	if _, err := Do(nil, http.MethodGet, root, "/a%2Fb?c=d", nil, nil, 16); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Do(nil, http.MethodPost, root, "/p", Header("X-Grid-Token", "t", "Content-Type", "text/xml"), []byte("body"), 16); err != nil {
+		t.Fatal(err)
+	}
+	host := "Host: " + ln.Addr().String() + "\r\nUser-Agent: Go-http-client/1.1\r\n"
+	for _, want := range []string{
+		"GET /a%2Fb?c=d HTTP/1.1\r\n" + host + "\r\n",
+		"POST /p HTTP/1.1\r\n" + host + "Content-Length: 4\r\nContent-Type: text/xml\r\nX-Grid-Token: t\r\n\r\nbody",
+	} {
+		if got := <-heads; got != want {
+			t.Errorf("on the wire:\n%q\nwant\n%q", got, want)
+		}
+	}
+}
+
+// idleConns is how many connections tr's pool holds.
+func idleConns(tr *Transport) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.idle)
+}
+
+// TestTransportStartsNoGoroutine: 64 concurrent hops leave at most
+// http.DefaultMaxIdleConnsPerHost connections pooled and no goroutine the
+// transport made — http.Transport runs two per pooled connection — and
+// once the client's CloseIdleConnections (what Gateway.Shutdown calls) has
+// run, the pool is empty and the goroutine count is back where it was.
+func TestTransportStartsNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
+	}))
+	tr := NewTransport(nil)
+	c := &http.Client{Transport: tr}
+	root := mustParse(t, srv.URL)
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rep, err := Do(c, http.MethodGet, root, "/x", nil, nil, 16); err != nil || string(rep.Body) != "ok" {
+				t.Errorf("hop: %+v, %v", rep, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := idleConns(tr); n < 1 || n > http.DefaultMaxIdleConnsPerHost {
+		t.Errorf("%d idle connections, want 1..%d", n, http.DefaultMaxIdleConnsPerHost)
+	}
+	buf := make([]byte, 1<<20)
+	for _, line := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n") {
+		if strings.HasPrefix(line, "created by repro/internal/hop.(*") || strings.HasPrefix(line, "created by net/http.(*Transport)") {
+			t.Errorf("a goroutine of the transport: %s", line)
+		}
+	}
+	c.CloseIdleConnections()
+	if n := idleConns(tr); n != 0 {
+		t.Errorf("%d idle connections after CloseIdleConnections", n)
+	}
+	srv.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the hops", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// TestIdleConnectionsExpireBeforeTheServerDrops: a connection idle for
+// idleTimeout is closed, not reused, and idleTimeout is under the idle
+// timeout of every server in the tree, so the client always retires a
+// connection first.
+func TestIdleConnectionsExpireBeforeTheServerDrops(t *testing.T) {
+	if idleTimeout >= netsim.IdleTimeout {
+		t.Fatalf("idle connections live %v, servers close them at %v", idleTimeout, netsim.IdleTimeout)
+	}
+	var conns atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	tr := NewTransport(nil)
+	defer tr.CloseIdleConnections()
+	c := &http.Client{Transport: tr}
+	root := mustParse(t, srv.URL)
+	for i := 0; i < 3; i++ {
+		if i == 2 {
+			tr.mu.Lock()
+			tr.idle[0].idleSince = tr.idle[0].idleSince.Add(-idleTimeout)
+			tr.mu.Unlock()
+		}
+		if _, err := Do(c, http.MethodGet, root, "/", nil, nil, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if conns.Load() != 2 || idleConns(tr) != 1 {
+		t.Fatalf("%d connections, %d idle: want the second request on the first connection, the third on a new one", conns.Load(), idleConns(tr))
 	}
 }

@@ -53,13 +53,18 @@ go test -race -short ./...
 # (concurrent admits racing quota
 # release, key rotation mid-burst, DRR wakeups racing timeouts), and the
 # appliance's own transport (streamed bodies copied through one pool of
-# buffers by concurrent requests), and the clocks every component waits on
+# buffers by concurrent requests, keep-alive connections pooled and
+# released by concurrent hops), and the clocks every component waits on
 # (AfterFunc timers made and stopped while Advance fires them) are the
 # concurrency hot spots, and the appliance package boots the two
 # supported profiles end to end: run their packages fresh
 # (-count=1 defeats the test cache) so cached "ok" lines can never
 # mask a newly introduced race.
 go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/appliance ./internal/xsec ./internal/hop ./internal/vtime
+# The transport every internal hop takes has one fault table (dead pooled
+# connections, lost and cut replies, an early 403, a silent peer, a stream
+# closed from another goroutine): five fresh rounds under the detector.
+go test -race -count=5 -run '^TestTransportFaults$' ./internal/hop
 
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
@@ -120,10 +125,11 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # costs at most 24 objects, the three event frames of a hot invocation 10
 # and the gateway's proxy hop 16; the JSON door reads an invoke body in 5
 # objects and routes it in 1, a placement the possession cache answers
-# costs 2 and no goroutine, a staging-cache hit leads no flight, and an
-# armed watchdog parks no goroutine. All ran above; run them fresh and without the race detector's own
+# costs 2 and no goroutine, a staging-cache hit leads no flight, an
+# armed watchdog parks no goroutine, and a warm internal GET plus a 1 KB
+# POST cost at most 88 objects, client and server together. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise.
-go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal
+go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
