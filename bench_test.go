@@ -167,14 +167,14 @@ var ablationBenches = []struct {
 	// invocations) under the paper's one-poller-goroutine-per-invocation
 	// loop: one status round-trip and one full stdout re-fetch per
 	// invocation per tick.
-	{"PollHubStock", pollHub("stock"), []metric{
+	{"PollHubStock", pollHubStudy("stock"), []metric{
 		{"poll-hub", "stock", "status_rpcs", "status_rpcs"},
 		{"poll-hub", "stock", "output_bytes_kb", "output_kb"},
 	}},
 	// The push collector: state transitions and output bumps arrive over
 	// one gatekeeper event stream per session, so steady-state status
 	// RPCs collapse to (at most) the handful spent bootstrapping streams.
-	{"PushEvents", pollHub("push"), []metric{
+	{"PushEvents", pollHubStudy("push"), []metric{
 		{"poll-hub", "push", "status_rpcs", "status_rpcs"},
 		{"poll-hub", "push", "events_delivered", "events"},
 		{"poll-hub", "push", "detect_latency_s", "detect_s"},
@@ -228,7 +228,7 @@ func hotPath(variants ...string) func() (*experiments.AblationResult, error) {
 	}
 }
 
-func pollHub(variant string) func() (*experiments.AblationResult, error) {
+func pollHubStudy(variant string) func() (*experiments.AblationResult, error) {
 	return func() (*experiments.AblationResult, error) {
 		return experiments.AblationPollHub(benchOpts(), 16, variant)
 	}

@@ -4,24 +4,70 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/gram"
 	"repro/internal/trace"
 )
 
+// CollectorStats counts the work the output-collection path performs,
+// whichever collector is active (tentative poller or push, streaming or
+// polling). The poll-hub ablation reads it to compare gatekeeper
+// round-trips, bytes fetched and disk writes across variants.
+type CollectorStats struct {
+	// StatusRPCs is the number of gatekeeper status round-trips: one per
+	// Status call, one per status-batch chunk.
+	StatusRPCs uint64 `json:"status_rpcs"`
+	// OutputFetches counts output fetches that returned a body.
+	OutputFetches uint64 `json:"output_fetches"`
+	// OutputInlined counts snapshots stored straight from an event frame
+	// that carried them (Config.PushEvents), at no fetch.
+	OutputInlined uint64 `json:"output_inlined"`
+	// OutputNotModified counts polls that confirmed an unchanged
+	// snapshot without transferring it (version match or 304).
+	OutputNotModified uint64 `json:"output_not_modified"`
+	// OutputBytes is the total stdout bytes received from the gatekeeper,
+	// fetched or inline.
+	OutputBytes uint64 `json:"output_bytes"`
+	// PollDiskWrites counts local snapshot spills to the appliance disk.
+	PollDiskWrites uint64 `json:"poll_disk_writes"`
+}
+
+// collectorCounters is the mutable, atomically updated form.
+type collectorCounters struct {
+	statusRPCs        atomic.Uint64
+	outputFetches     atomic.Uint64
+	outputInlined     atomic.Uint64
+	outputNotModified atomic.Uint64
+	outputBytes       atomic.Uint64
+	pollDiskWrites    atomic.Uint64
+}
+
+// CollectorStats snapshots the collection-path counters.
+func (o *OnServe) CollectorStats() CollectorStats {
+	return CollectorStats{
+		StatusRPCs:        o.collector.statusRPCs.Load(),
+		OutputFetches:     o.collector.outputFetches.Load(),
+		OutputInlined:     o.collector.outputInlined.Load(),
+		OutputNotModified: o.collector.outputNotModified.Load(),
+		OutputBytes:       o.collector.outputBytes.Load(),
+		PollDiskWrites:    o.collector.pollDiskWrites.Load(),
+	}
+}
+
 // collector is the seam of the pipeline's fifth step. Invoke hands every
 // freshly submitted invocation to the one collector New chose — the
-// paper's tentative poller, or the push collector with the poll hub as
-// its fallback rung — and that collector owns the invocation until
-// it is terminal: it arms the watchdog, stores output as it appears and
-// records the final state.
+// paper's tentative poller, or the push collector, whose stream workers
+// poll their own jobs when the stream is absent or dead — and that
+// collector owns the invocation until it is terminal: it arms the
+// watchdog, stores output as it appears and records the final state.
 type collector interface {
 	register(inv *Invocation)
 }
 
-// collectJob is one in-flight invocation's collector-side record. The hub
-// and the push collector share it, so the push → hub fallback hands a job
-// over as it is: same armed watchdog, same output cursor.
+// collectJob is one in-flight invocation's record in the push collector.
+// A stream worker that falls back to polling keeps its jobs as they are:
+// same armed watchdog, same output cursor.
 type collectJob struct {
 	inv *Invocation
 	wd  *Watchdog
@@ -119,7 +165,7 @@ func (o *OnServe) storeOutput(inv *Invocation, out string, inline bool, ps *trac
 // It returns false for exactly one outcome: the job is terminal but its
 // final output could not be fetched. The invocation is left running —
 // it must never finish with a stale snapshot — and the caller retries by
-// its own policy (hub: the next tick; push: finishWhenFetchable).
+// its own policy (polling: the next tick; streaming: finishWhenFetchable).
 func (o *OnServe) observe(j *collectJob, ev gram.EventData, polled bool, ps *trace.Span) bool {
 	inv := j.inv
 	st, terminal := terminalState(ev.State)

@@ -102,8 +102,8 @@ type closerFunc func() error
 func (f closerFunc) Close() error { return f() }
 
 // collectorGoroutines returns the stacks of goroutines the collect step
-// runs: tentative pollers, hub shard workers, and the push path's stream
-// workers (with their heartbeat monitors) and final-fetch retries. A
+// runs: tentative pollers, and the push path's stream workers (streaming,
+// with their heartbeat monitors, or polling) and final-fetch retries. A
 // watchdog is a timer on the clock, not a goroutine.
 func collectorGoroutines() []string {
 	buf := make([]byte, 1<<20)
@@ -111,7 +111,7 @@ func collectorGoroutines() []string {
 	var owned []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		for _, frame := range []string{
-			"core.(*OnServe).pollOutput", "core.(*hubShard).", "core.(*eventWorker).",
+			"core.(*OnServe).pollOutput", "core.(*eventWorker).",
 		} {
 			if strings.Contains(g, frame) {
 				owned = append(owned, g)
@@ -124,8 +124,7 @@ func collectorGoroutines() []string {
 
 // waitCollectorsIdle asserts that, once every invocation is terminal and no
 // session is cached, the collect step parks nothing: watchdogs stopped,
-// pollers and retries returned, lazy hub shards and stream workers
-// retired.
+// pollers and retries returned, stream workers retired.
 func waitCollectorsIdle(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -182,23 +181,20 @@ func TestTerminalInvocationLeavesNoWatchdogPending(t *testing.T) {
 }
 
 // TestCollectorContract is what every collector promises, whichever one
-// New chose: rows are job behaviours, columns the three collectors — the
-// hub on its own too, which New only ever puts behind push — plus the
-// push → hub fallback rung (a stock gatekeeper without /gram/events).
+// New chose: rows are job behaviours, columns the two collectors plus the
+// push → poll fallback rung (a stock gatekeeper without /gram/events).
 func TestCollectorContract(t *testing.T) {
 	type column struct {
 		name    string
 		mutate  func(*Config)
-		hub     bool // the hub alone: what push falls back to, with no stream before it
 		noPush  bool // gatekeeper answers 404 on /gram/events
 		polls   bool // status RPCs are how this column learns of progress
 		streams bool // a healthy event stream carries this column
 	}
 	columns := []column{
 		{name: "tentative", polls: true},
-		{name: "hub", hub: true, polls: true},
 		{name: "push", mutate: func(c *Config) { c.PushEvents = true }, streams: true},
-		{name: "push-to-hub", mutate: func(c *Config) { c.PushEvents = true }, noPush: true, polls: true},
+		{name: "push-to-poll", mutate: func(c *Config) { c.PushEvents = true }, noPush: true, polls: true},
 	}
 	type outcome struct {
 		col    column
@@ -358,9 +354,6 @@ func TestCollectorContract(t *testing.T) {
 						col.mutate(cfg)
 					}
 				})
-				if col.hub {
-					f.hubAlone(pollHubShards)
-				}
 				if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte(row.program)); err != nil {
 					t.Fatal(err)
 				}

@@ -80,13 +80,13 @@ type Config struct {
 	// status RPCs drop to zero and completion is detected at push-delivery
 	// latency instead of the poll interval. A stdout snapshot of up to
 	// gram.InlineOutputMax rides in the frame itself; larger ones take a
-	// conditional /gram/output fetch. The fallback ladder degrades
-	// gracefully: a stock gatekeeper (404 on /gram/events) or a dead
-	// stream hands every in-flight invocation to the poll hub the
-	// collector owns (a few shard workers, one batched status RPC per
-	// session per tick, stdout fetched only when its version moved);
-	// reconnects resume from a Last-Event-ID cursor so no transition is
-	// lost. Watchdog and cancel semantics are the poller's.
+	// conditional /gram/output fetch. The fallback ladder degrades in
+	// place: against a stock gatekeeper (404 on /gram/events) or after its
+	// stream died, a session's worker polls its own in-flight invocations
+	// (one batched status RPC per session per tick, stdout fetched only
+	// when its version moved); reconnects resume from a Last-Event-ID
+	// cursor so no transition is lost. Watchdog and cancel semantics are
+	// the poller's.
 	PushEvents bool
 	// CoalesceStaging single-flights concurrent stagings of one
 	// executable to one site, so a cold burst of N invocations costs one

@@ -48,8 +48,6 @@ const (
 	// resolvable by ticket before the oldest are pruned (their state
 	// tallies are retained for Monitoring).
 	DefaultInvocationRetention = 4096
-	// pollHubShards is how many shard workers the poll hub runs.
-	pollHubShards = 4
 )
 
 // Errors.
@@ -80,8 +78,7 @@ type OnServe struct {
 	retention int
 	probeTTL  time.Duration
 	// collect is the pipeline's fifth step, chosen once in New: the push
-	// collector with the poll hub as its fallback rung
-	// (Config.PushEvents), or the paper's tentative poller.
+	// collector (Config.PushEvents), or the paper's tentative poller.
 	collect collector
 	// collector tallies the output-collection work every collector does.
 	collector collectorCounters
@@ -166,8 +163,7 @@ func New(cfg Config, parts Parts) (*OnServe, error) {
 	o.poss.cache = make(map[siteKey]possEntry)
 	o.poss.flights = make(flights[siteKey, possEntry])
 	if cfg.PushEvents {
-		// The hub is push's fallback rung for an absent or dead event channel.
-		o.collect = &eventCollector{o: o, hub: newPollHub(o, pollHubShards), workers: make(map[string]*eventWorker)}
+		o.collect = &eventCollector{o: o, workers: make(map[string]*eventWorker)}
 	} else {
 		o.collect = tentativePoller{o}
 	}

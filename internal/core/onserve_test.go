@@ -121,14 +121,6 @@ func newFixtureDB(t *testing.T, db *blobdb.DB, gridHTTP *http.Client, col *trace
 	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, parts: parts, probes: probes}
 }
 
-// hubAlone makes the poll hub f's collector with no event stream in
-// front of it: the rung push falls back to, which no configuration
-// selects. Call it before the first invocation.
-func (f *fixture) hubAlone(shards int) *fixture {
-	f.ons.collect = newPollHub(f.ons, shards)
-	return f
-}
-
 const demoProgram = "echo pi=${digits}\ncompute 1s\nwrite result.dat 256\n"
 
 func (f *fixture) uploadDemo(t *testing.T) *uddi.Record {

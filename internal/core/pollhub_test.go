@@ -8,12 +8,16 @@ import (
 
 	"repro/internal/gridsim"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
+
+// The tests named for the poll hub drive what replaced it: push against a
+// stock gatekeeper, whose session workers poll their own jobs.
 
 func TestPollHubSkipsUnchangedSnapshots(t *testing.T) {
 	// A job that is silent for three poll ticks and then emits once: the
-	// hub must confirm the unchanged snapshot without fetching any bytes.
-	f := newFixture(t, nil).hubAlone(pollHubShards)
+	// poller must confirm the unchanged snapshot without fetching any bytes.
+	f := newPushFixture(t, &eventsGate{mode: gateNotFound}, nil)
 	if _, err := f.ons.UploadAndGenerate("alice", "quiet.gsh", "", nil,
 		[]byte("compute 5m\necho fin\n")); err != nil {
 		t.Fatal(err)
@@ -76,38 +80,70 @@ func runBatchWorkload(t *testing.T, f *fixture, n int) {
 }
 
 func TestPollHubBatchesStatusRPCs(t *testing.T) {
-	// Same workload, stock poller vs single-shard hub: the hub needs one
-	// status round-trip per tick where the stock poller needs one per
-	// invocation per tick. The two workloads run concurrently so both
-	// see the same real-time machine load — run back to back, a stall
-	// (full-suite -race scheduling) landing on only one phase starves
-	// its pollers of ticks and can invert the count comparison.
-	const n = 6
-	stock := newFixture(t, func(cfg *Config) { cfg.SessionCache = true })
-	hub := newFixture(t, func(cfg *Config) { cfg.SessionCache = true }).hubAlone(1)
-	var wg sync.WaitGroup
-	for _, f := range []*fixture{stock, hub} {
-		wg.Add(1)
-		go func(f *fixture) {
-			defer wg.Done()
-			runBatchWorkload(t, f, n)
-		}(f)
+	// Eight jobs under one cached session: once the gatekeeper turns out
+	// to be stock, the session's worker reads all of them in one
+	// status-batch round-trip per tick. On a Manual clock that is an exact
+	// count: the clock moves only while the worker sleeps beside the eight
+	// watchdogs.
+	const n, ticks = 8, 3
+	clk := vtime.NewManual(time.Unix(0, 0))
+	f := newPushFixture(t, &eventsGate{mode: gateNotFound}, func(cfg *Config) {
+		cfg.Clock = clk
+		cfg.SessionCache = true
+		// The site's walltime limit derives from it: the jobs outlive the test.
+		cfg.InvocationTimeout = 100 * time.Hour
+	})
+	if _, err := f.ons.UploadAndGenerate("alice", "long.gsh", "", nil, []byte(strings.Repeat("compute 24h\n", 4))); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
+	invs := make([]*Invocation, n)
+	for i := range invs {
+		inv, err := f.ons.Invoke("LongService", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		invs[i] = inv
 	}
-	sRPC := stock.ons.CollectorStats().StatusRPCs
-	hRPC := hub.ons.CollectorStats().StatusRPCs
-	if hRPC == 0 || hRPC >= sRPC {
-		t.Fatalf("hub used %d status RPCs, stock %d", hRPC, sRPC)
+	tick := func() {
+		t.Helper()
+		waitFor(t, func() bool { return clk.Pending() == n+1 })
+		clk.Advance(f.cfg.PollInterval)
+	}
+	for k := 1; k <= ticks; k++ {
+		tick()
+		waitFor(t, func() bool { return clk.Pending() == n+1 })
+		if got := f.ons.CollectorStats().StatusRPCs; got != uint64(k) {
+			t.Fatalf("%d status RPCs after %d ticks of one session", got, k)
+		}
+	}
+	for _, inv := range invs {
+		if inv.State().Terminal() {
+			t.Fatalf("invocation ended %s before the last tick: %s", inv.State(), inv.Message())
+		}
+		if err := f.ons.CancelInvocation(inv.Ticket); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One more batch reads the cancellations; the tick after it reaps them
+	// and retires the worker.
+	tick()
+	tick()
+	for _, inv := range invs {
+		waitInv(t, inv, "cancelled")
+		if inv.State() != InvCancelled {
+			t.Fatalf("state %s: %s", inv.State(), inv.Message())
+		}
+	}
+	waitCollectorsIdle(t)
+	if got := f.ons.CollectorStats().StatusRPCs; got != ticks+1 {
+		t.Fatalf("%d status RPCs over %d ticks with jobs to read", got, ticks+1)
 	}
 }
 
 func TestPollHubIsolatesFailingJob(t *testing.T) {
-	// A failing job and a succeeding one share a session (and with one
-	// shard, a batch); each must reach its own terminal state.
-	f := newFixture(t, func(cfg *Config) { cfg.SessionCache = true }).hubAlone(1)
+	// A failing job and a succeeding one share a session, and so a batch;
+	// each must reach its own terminal state.
+	f := newPushFixture(t, &eventsGate{mode: gateNotFound}, func(cfg *Config) { cfg.SessionCache = true })
 	if _, err := f.ons.UploadAndGenerate("alice", "boom.gsh", "", nil,
 		[]byte("compute 4s\nfail kaboom\n")); err != nil {
 		t.Fatal(err)
@@ -177,7 +213,7 @@ func TestCancelOnCompletionTickStockPoller(t *testing.T) {
 }
 
 func TestCancelOnCompletionTickPollHub(t *testing.T) {
-	cancelOnCompletionTick(t, newFixture(t, nil).hubAlone(2))
+	cancelOnCompletionTick(t, newPushFixture(t, &eventsGate{mode: gateNotFound}, nil))
 }
 
 func TestPickSitesZeroSlotSiteSortsLast(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // EventStats counts the push-collection path's work (Config.PushEvents):
 // how many event streams were opened, what flowed over them, and how
-// often the collector had to fall back down the ladder (push → poll hub).
+// often the collector had to fall back down the ladder (push → poll).
 type EventStats struct {
 	// StreamsOpened counts successful /gram/events connections
 	// (including reconnects).
@@ -27,8 +27,8 @@ type EventStats struct {
 	// ResumedFromCursor counts reconnects that presented a Last-Event-ID
 	// cursor (so the server replayed the missed window).
 	ResumedFromCursor uint64 `json:"resumed_from_cursor"`
-	// FallbacksToPoll counts in-flight invocations re-registered with the
-	// poll hub after the push channel died or was absent.
+	// FallbacksToPoll counts in-flight invocations whose stream worker
+	// switched to polling them after its stream died or was absent.
 	FallbacksToPoll uint64 `json:"fallbacks_to_poll"`
 }
 
@@ -55,7 +55,7 @@ func (o *OnServe) EventStats() EventStats {
 }
 
 // maxConnectAttempts bounds consecutive failed stream connects before a
-// worker abandons push and hands its jobs to the poll hub.
+// worker abandons push and polls its jobs instead.
 const maxConnectAttempts = 3
 
 // maxServeStrikes bounds consecutive connections that died without
@@ -77,24 +77,21 @@ const maxPendingEvents = 4096
 // the memory is merely stashed until the stash's bound evicts it.
 const maxReapedJobs = 1024
 
-// eventCollector is the push-based replacement for the poll hub's
-// periodic batches (Config.PushEvents): one long-lived /gram/events
-// stream per session carries the transitions of every job submitted
-// under that session, and the stdout snapshot with them while it is
-// small, so steady-state status RPCs and output fetches drop to zero and
-// detection latency is bounded by delivery, not the poll interval. The
-// ladder degrades gracefully: a stock
-// gatekeeper (404 on /gram/events) or a dead stream re-registers every
-// in-flight invocation with the poll hub the collector owns as its
-// fallback rung.
+// eventCollector is the push-based replacement for periodic polling
+// (Config.PushEvents): one long-lived /gram/events stream per session
+// carries the transitions of every job submitted under that session, and
+// the stdout snapshot with them while it is small, so steady-state status
+// RPCs and output fetches drop to zero and detection latency is bounded by
+// delivery, not the poll interval. The ladder degrades in place: a worker
+// whose stream is dead, or whose gatekeeper is stock (404 on
+// /gram/events), polls its own jobs (see poll).
 type eventCollector struct {
-	o   *OnServe
-	hub *pollHub
+	o *OnServe
 
 	mu      sync.Mutex
 	workers map[string]*eventWorker // sessionID -> stream worker
 	// unsupported latches once the gatekeeper answers 404: every later
-	// registration goes straight to the poll hub.
+	// worker polls from the start.
 	unsupported bool
 }
 
@@ -108,7 +105,8 @@ type eventCollector struct {
 // no reconnect, replay or bootstrap status RPC — and a session nobody
 // will submit under again holds no stream and no goroutine. There is no
 // linger timer: the check runs after every frame, and an idle stream's
-// next frame is a heartbeat.
+// next frame is a heartbeat. A worker that polls retires once its last
+// job does.
 type eventWorker struct {
 	ec        *eventCollector
 	owner     string
@@ -125,8 +123,8 @@ type eventWorker struct {
 	// reaped remembers the jobs finished most recently, so that their late
 	// frames are not mistaken for a registration yet to come.
 	reaped reapedJobs
-	// stopped latches when the worker retired or fell back; a register
-	// that observes it retries against a fresh worker.
+	// stopped latches when the worker retired; a register that observes
+	// it retries against a fresh worker.
 	stopped bool
 
 	// cursor is the last state/output frame ID seen; reconnects resume
@@ -168,16 +166,11 @@ func (r *reapedJobs) has(jobID string) bool {
 }
 
 // register hands a freshly submitted invocation to its session's stream
-// worker (starting one if needed). Against a known-stock gatekeeper it
-// delegates to the poll hub directly.
+// worker (starting one if needed). Against a known-stock gatekeeper the
+// worker it starts polls from the start.
 func (ec *eventCollector) register(inv *Invocation) {
 	for {
 		ec.mu.Lock()
-		if ec.unsupported {
-			ec.mu.Unlock()
-			ec.hub.register(inv)
-			return
-		}
 		w := ec.workers[inv.sessionID]
 		if w == nil {
 			w = &eventWorker{
@@ -188,7 +181,11 @@ func (ec *eventCollector) register(inv *Invocation) {
 				pending:   make(map[string]pendingEvent),
 			}
 			ec.workers[inv.sessionID] = w
-			go w.run()
+			if ec.unsupported {
+				go w.poll()
+			} else {
+				go w.run()
+			}
 		}
 		w.mu.Lock()
 		if w.stopped {
@@ -219,7 +216,7 @@ func (ec *eventCollector) register(inv *Invocation) {
 // run is the worker's connect/serve/reconnect loop. Connection failures
 // and zero-frame connections strike toward fallback; a healthy stream
 // resets the strikes. The loop exits when the worker retires (see
-// eventWorker) or falls back.
+// eventWorker) or, fallen back, has polled its last job.
 func (w *eventWorker) run() {
 	o := w.ec.o
 	attempts := 0
@@ -230,17 +227,18 @@ func (w *eventWorker) run() {
 		es, err := o.parts.Agent.Events(w.sessionID, cursor)
 		if err != nil {
 			if errors.Is(err, gram.ErrNoEvents) {
-				// Stock gatekeeper: no event endpoint, ever. Latch and
-				// re-register everything with the poll hub.
+				// Stock gatekeeper: no event endpoint, ever. Latch, and
+				// stay the session's worker: its registrations join the
+				// polls.
 				w.ec.mu.Lock()
 				w.ec.unsupported = true
 				w.ec.mu.Unlock()
-				w.fallback()
+				w.fallback(false)
 				return
 			}
 			attempts++
 			if attempts >= maxConnectAttempts {
-				w.fallback()
+				w.fallback(true)
 				return
 			}
 			o.clock.Sleep(o.cfg.PollInterval)
@@ -267,7 +265,7 @@ func (w *eventWorker) run() {
 		if frames == 0 {
 			strikes++
 			if strikes >= maxServeStrikes {
-				w.fallback()
+				w.fallback(true)
 				return
 			}
 		} else {
@@ -349,10 +347,9 @@ func (w *eventWorker) retirable() bool {
 	return !cached || id != w.sessionID
 }
 
-// tryStop retires the worker (removing it from the collector) if it still
-// is retirable, so a session nobody submits under holds no stream and
-// leaks no goroutine — the same discipline as the poll hub's lazy shards.
-// Returns false if the session is current or jobs arrived concurrently.
+// tryStop retires the worker if it still is retirable, so a session nobody
+// submits under holds no stream and leaks no goroutine. Returns false if
+// the session is current or jobs arrived concurrently.
 func (w *eventWorker) tryStop() bool {
 	// Read before the locks below (core's lock is never taken under them):
 	// a session that left the cache does not return to it.
@@ -366,41 +363,85 @@ func (w *eventWorker) tryStop() bool {
 	if len(w.jobs) > 0 {
 		return false
 	}
-	w.stopped = true
-	if w.ec.workers[w.sessionID] == w {
-		delete(w.ec.workers, w.sessionID)
-	}
+	w.retireLocked()
 	return true
 }
 
-// fallback retires the worker and hands every in-flight job to the poll
-// hub as it is — armed watchdog and output cursor intact, so no terminal
-// state is lost and no kill timer doubled.
-func (w *eventWorker) fallback() {
-	w.ec.mu.Lock()
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		w.ec.mu.Unlock()
-		return
-	}
+// retireLocked removes the worker from the collector, so the session's
+// next registration starts a fresh one. The caller holds both locks.
+func (w *eventWorker) retireLocked() {
 	w.stopped = true
 	if w.ec.workers[w.sessionID] == w {
 		delete(w.ec.workers, w.sessionID)
 	}
-	jobs := w.jobs
-	w.jobs = make(map[string]*collectJob)
-	w.pending = nil
+}
+
+// fallback turns the worker into its session's poller. Every in-flight job
+// stays as it is — armed watchdog and output cursor intact — so no
+// terminal state is lost and no kill timer doubled. A worker whose stream
+// died leaves the collector first, so the next registration opens a fresh
+// stream; after a 404 it stays, and registrations join its polls.
+func (w *eventWorker) fallback(leave bool) {
+	w.ec.mu.Lock()
+	w.mu.Lock()
+	if leave {
+		w.retireLocked()
+	}
+	for _, j := range w.jobs {
+		if !j.inv.State().Terminal() {
+			w.ec.o.push.fallbacksToPoll.Add(1)
+		}
+	}
 	w.mu.Unlock()
 	w.ec.mu.Unlock()
-	for _, j := range jobs {
+	w.poll()
+}
+
+// poll is the worker without a stream: the paper's tentative polling,
+// batched. Every PollInterval it reaps its terminal jobs and reads the
+// rest in one status-batch round-trip per gram.MaxBatch, handing each
+// entry to observe; a terminal job whose final fetch failed is simply seen
+// again next tick. It returns once no job is left.
+func (w *eventWorker) poll() {
+	o := w.ec.o
+	for {
+		o.clock.Sleep(o.cfg.PollInterval)
+		jobs := w.survivors()
+		if len(jobs) == 0 {
+			return
+		}
+		o.statusBatch(w.sessionID, jobs, func(j *collectJob, ev gram.EventData) {
+			if j.inv.State().Terminal() {
+				return // cancel or watchdog got there between batching and now
+			}
+			ps := o.parts.Tracing.StartSpan("poll", j.inv.collectCtx())
+			ps.Set("batched", "true")
+			o.observe(j, ev, true, ps)
+		})
+	}
+}
+
+// survivors reaps the worker's terminal jobs and returns the others. With
+// none left the worker retires — under both locks, so a concurrent register
+// either added its job first or finds the worker stopped.
+func (w *eventWorker) survivors() []*collectJob {
+	w.ec.mu.Lock()
+	defer w.ec.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	jobs := make([]*collectJob, 0, len(w.jobs))
+	for id, j := range w.jobs {
 		if j.inv.State().Terminal() {
 			j.wd.Stop()
-			continue
+			delete(w.jobs, id)
+		} else {
+			jobs = append(jobs, j)
 		}
-		w.ec.o.push.fallbacksToPoll.Add(1)
-		w.ec.hub.adopt(j)
 	}
+	if len(jobs) == 0 {
+		w.retireLocked()
+	}
+	return jobs
 }
 
 // syncAll fetches authoritative state for every registered job in one

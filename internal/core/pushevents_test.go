@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -18,14 +19,15 @@ import (
 )
 
 // eventsGate wraps a transport to fault-inject only the /gram/events
-// path: pass frames through, refuse connections, or answer like a stock
-// gatekeeper (404). Live stream bodies are tracked so a test can sever
-// them mid-flight, simulating a gatekeeper restart.
+// path: pass frames through, refuse connections, answer like a stock
+// gatekeeper (404), or stall every stream after its hello frame. Live
+// stream bodies are tracked so a test can sever them mid-flight,
+// simulating a gatekeeper restart.
 type eventsGate struct {
 	base http.RoundTripper
 
 	mu     sync.Mutex
-	mode   int // gatePass | gateRefuse | gateNotFound
+	mode   int // gatePass | gateRefuse | gateNotFound | gateStall
 	bodies []io.Closer
 }
 
@@ -33,6 +35,7 @@ const (
 	gatePass = iota
 	gateRefuse
 	gateNotFound
+	gateStall
 )
 
 func (g *eventsGate) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -57,11 +60,35 @@ func (g *eventsGate) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	resp, err := g.base.RoundTrip(req)
 	if err == nil {
+		if mode == gateStall {
+			resp.Body = stallAfterHello(resp.Body)
+		}
 		g.mu.Lock()
 		g.bodies = append(g.bodies, resp.Body)
 		g.mu.Unlock()
 	}
 	return resp, err
+}
+
+// stallAfterHello passes a stream's hello frame through and then nothing:
+// reads block until the body is closed, as on a gatekeeper that stopped
+// writing to a connection it keeps open.
+func stallAfterHello(body io.ReadCloser) io.ReadCloser {
+	var hello []byte
+	br := bufio.NewReader(body)
+	for {
+		line, err := br.ReadBytes('\n')
+		hello = append(hello, line...)
+		if err != nil || len(line) <= 1 { // a blank line ends the frame
+			break
+		}
+	}
+	pr, pw := io.Pipe()
+	go pw.Write(hello)
+	return struct {
+		io.Reader
+		io.Closer
+	}{pr, closerFunc(func() error { body.Close(); return pr.Close() })}
 }
 
 func (g *eventsGate) setMode(mode int) {
@@ -110,7 +137,7 @@ func waitInv(t *testing.T, inv *Invocation, what string) {
 func TestPushEventsSteadyStateStatusRPCsNearZero(t *testing.T) {
 	// The acceptance bar: under a concurrent burst, the push collector's
 	// only status traffic is the one bootstrap resync per fresh stream —
-	// every poll tick that the stock/hub paths spend on /gram/status*
+	// every poll tick that the polling paths spend on /gram/status*
 	// costs the push path nothing.
 	const n = 8
 	f := newPushFixture(t, nil, func(cfg *Config) { cfg.SessionCache = true })
@@ -137,15 +164,15 @@ func TestPushEventsSteadyStateStatusRPCsNearZero(t *testing.T) {
 
 func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 	// Sever the stream mid-job and refuse reconnects: the worker must
-	// hand its in-flight invocation to the poll hub (watchdog intact)
-	// and the job must still finish. Once the server "heals", the next
+	// poll its in-flight invocation instead (watchdog intact) and the
+	// job must still finish. Once the server "heals", the next
 	// invocation rides a fresh stream again.
 	gate := &eventsGate{}
 	f := newPushFixture(t, gate, func(cfg *Config) {
 		cfg.InvocationTimeout = 3 * time.Hour
 	})
 	// Mostly silent and long: the stream is up (and killable) for the
-	// whole middle of the job, and the adopting hub's ticks stay cheap.
+	// whole middle of the job, and the fallback's ticks stay cheap.
 	if _, err := f.ons.UploadAndGenerate("alice", "longer.gsh", "", nil,
 		[]byte("echo head\ncompute 40m\necho tail\n")); err != nil {
 		t.Fatal(err)
@@ -195,6 +222,67 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 	if after.StreamsOpened <= mid.StreamsOpened {
 		t.Fatalf("no new stream after recovery: %+v -> %+v", mid, after)
 	}
+}
+
+// TestPushEventsStalledStreamFallsBack: a gatekeeper whose streams say
+// hello and then nothing. The heartbeat monitor severs each silent stream,
+// two frameless connections send the worker to polling its jobs, and the
+// registrations that race its leaving open fresh streams that stall the
+// same way. Every invocation still ends DONE once, with its whole output.
+func TestPushEventsStalledStreamFallsBack(t *testing.T) {
+	const n = 16
+	f := newPushFixture(t, &eventsGate{mode: gateStall}, func(cfg *Config) {
+		cfg.SessionCache = true
+		cfg.InvocationTimeout = 8 * time.Hour
+		cfg.PollInterval = time.Minute
+	})
+	if _, err := f.ons.UploadAndGenerate("alice", "stalled.gsh", "", nil,
+		[]byte("echo head\ncompute 2h\necho tail\n")); err != nil {
+		t.Fatal(err)
+	}
+	invs := make([]*Invocation, n)
+	var wg sync.WaitGroup
+	for i := range invs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Spread over the first worker's two stalls (each over three
+			// 10-minute heartbeats), so that registrations land while it
+			// leaves the collector.
+			f.clock.Sleep(time.Duration(i) * 8 * time.Minute)
+			inv, err := f.ons.Invoke("StalledService", nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			invs[i] = inv
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, inv := range invs {
+		waitInv(t, inv, "stalled stream")
+		if inv.State() != InvDone || inv.Output() != "head\ntail\n" {
+			t.Fatalf("state %s (%s), output %q", inv.State(), inv.Message(), inv.Output())
+		}
+	}
+	if done := f.ons.Monitoring().Invocations[string(InvDone)]; done != n {
+		t.Errorf("%d invocations recorded DONE, want %d", done, n)
+	}
+	completed := 0
+	for _, st := range f.env.Grid.Stats() {
+		completed += st.Completed
+	}
+	if completed != n {
+		t.Errorf("the grid completed %d jobs for %d invocations", completed, n)
+	}
+	if es := f.ons.EventStats(); es.FallbacksToPoll == 0 || es.EventsDelivered != 0 {
+		t.Errorf("stalled streams: %+v", es)
+	}
+	f.ons.invalidateSession("alice", invs[0].sessionID)
+	waitCollectorsIdle(t)
 }
 
 func TestCancelOnCompletionTickPushEvents(t *testing.T) {

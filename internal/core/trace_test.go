@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -121,13 +122,22 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// stockGatekeeper is a grid client whose gatekeeper has no event stream
+// (404 on /gram/events): under PushEvents, the collector polls.
+func stockGatekeeper() *http.Client {
+	return &http.Client{Transport: &eventsGate{base: http.DefaultTransport, mode: gateNotFound}}
+}
+
 // TestTraceHubPathsLinkParent is the satellite-2 regression: with
-// coalesced staging and the poll hub on, each submit and each batched
-// status entry still parents under its own invocation's span tree — no
-// orphan spans, and the batched work is attributable per invocation.
+// coalesced staging and push fallen back to polling, each submit and each
+// batched status entry still parents under its own invocation's span tree
+// — no orphan spans, and the batched work is attributable per invocation.
 func TestTraceHubPathsLinkParent(t *testing.T) {
 	col := trace.NewCollector(0, 0)
-	f := newFixtureTraced(t, nil, col, func(c *Config) { c.CoalesceStaging = true }).hubAlone(pollHubShards)
+	f := newFixtureTraced(t, stockGatekeeper(), col, func(c *Config) {
+		c.CoalesceStaging = true
+		c.PushEvents = true
+	})
 	f.uploadDemo(t)
 
 	const n = 3
@@ -173,15 +183,15 @@ func TestTraceHubPathsLinkParent(t *testing.T) {
 		polled := false
 		for _, sd := range byName["poll"] {
 			if sd.Attrs["batched"] != "true" {
-				t.Errorf("hub poll span not marked batched: %+v", sd.Attrs)
+				t.Errorf("fallback poll span not marked batched: %+v", sd.Attrs)
 			}
 			if p, ok := byID[sd.ParentID]; !ok || p.Name != "collect" {
-				t.Errorf("hub poll span detached from its invocation's collect span")
+				t.Errorf("fallback poll span detached from its invocation's collect span")
 			}
 			polled = true
 		}
 		if !polled {
-			t.Error("poll hub recorded no poll span")
+			t.Error("fallback polling recorded no poll span")
 		}
 	}
 }
@@ -213,19 +223,23 @@ func TestTraceCancelEndsSpanTree(t *testing.T) {
 }
 
 // TestTraceWatchdogEndsSpanTree is satellite 3 for the watchdog, under
-// both the stock poller and the poll hub: when the deadline kills the
-// invocation, the span tree still closes, with error status.
+// both the stock poller and push fallen back to polling: when the deadline
+// kills the invocation, the span tree still closes, with error status.
 func TestTraceWatchdogEndsSpanTree(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		hub  bool
+		name     string
+		fallback bool
 	}{{"stock", false}, {"pollhub", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			col := trace.NewCollector(0, 0)
-			f := newFixtureTraced(t, nil, col, func(c *Config) { c.InvocationTimeout = 20 * time.Second })
-			if tc.hub {
-				f.hubAlone(pollHubShards)
+			var gridHTTP *http.Client
+			if tc.fallback {
+				gridHTTP = stockGatekeeper()
 			}
+			f := newFixtureTraced(t, gridHTTP, col, func(c *Config) {
+				c.InvocationTimeout = 20 * time.Second
+				c.PushEvents = tc.fallback
+			})
 			if _, err := f.ons.UploadAndGenerate("alice", "slow.gsh", "sleeps", nil, []byte(slowProgram)); err != nil {
 				t.Fatal(err)
 			}

@@ -370,7 +370,7 @@ func (a *Agent) Status(sessionID, jobID string) (*gram.StatusReply, error) {
 
 // StatusBatch polls many jobs in one gatekeeper round-trip per
 // gram.MaxBatch chunk; per-job failures come back in each entry's Error
-// field (the poll hub's tick primitive).
+// field (the tick primitive of push's fallback polling).
 func (a *Agent) StatusBatch(sessionID string, jobIDs []string) ([]gram.BatchEntry, error) {
 	sess, err := a.Session(sessionID)
 	if err != nil {

@@ -18,8 +18,8 @@ var pollHubTable = variantTable{"poll-hub", []variant{
 // collector that retires polling altogether — job transitions arrive
 // over one long-lived gatekeeper event stream per session. (The sharded
 // poll hub the study is named after was a column here until push beat it
-// on every metric; it survives as push's fallback rung, and
-// EXPERIMENTS.md keeps its last measurement.)
+// on every metric; its code went too — a push worker whose stream is gone
+// polls its own jobs — and EXPERIMENTS.md keeps its last measurement.)
 var PollHubVariants = pollHubTable.names()
 
 // AblationPollHub measures the output-collection path under many

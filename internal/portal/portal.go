@@ -509,7 +509,7 @@ func (p *Portal) apiOutputFile(w http.ResponseWriter, r *http.Request) {
 
 // statsPayload is the /api/stats document: the monitoring tallies the
 // seed portal served (inlined, so existing consumers keep decoding it
-// into core.Monitoring), extended with the poll-hub, submission and
+// into core.Monitoring), extended with the collector, submission and
 // staging counters and — when tracing is on — the trace ring's
 // occupancy.
 type statsPayload struct {

@@ -573,7 +573,7 @@ func TestServiceDescribeAPI(t *testing.T) {
 
 // TestStatsSurfacesSubsystemCounters pins the /api/stats extension: the
 // monitoring tallies stay inline (TestMonitoringStats still decodes the
-// document into core.Monitoring), and the poll-hub, submission, staging
+// document into core.Monitoring), and the collector, submission, staging
 // and trace-ring counters ride alongside.
 func TestStatsSurfacesSubsystemCounters(t *testing.T) {
 	f := newTracedFixture(t, trace.NewCollector(0, 0))

@@ -15,11 +15,12 @@ fi
 # The submit hub and the pre-replicator were deleted end to end (PR 21,
 # EXPERIMENTS.md "submit" and "placement" hold the measurements): no
 # name of either comes back. cmd/bench is frozen and still names two of
-# them in a comment (ROADMAP 4b). Nor does the poll hub as a setting
-# (PR 24: it is push's fallback rung, chosen by core.New and by nothing
-# else — EXPERIMENTS.md "pollhub" holds its last column), or the SOAP
-# guard's private error writer (it answers through portal.WriteError).
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|writeGuardError' . ; then
+# them in a comment (ROADMAP 4b). Nor does the poll hub, as a setting
+# (PR 24) or as code (PR 28: a push worker whose stream is gone polls
+# its own jobs; EXPERIMENTS.md "pollhub" holds the hub's last column and
+# the study keeps its name), or the SOAP guard's private error writer (it
+# answers through portal.WriteError).
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError' . ; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
 fi
@@ -27,9 +28,9 @@ fi
 go vet ./...
 go build ./...
 go test -race -short ./...
-# The invocation collectors (per-invocation pollers, the sharded poll
-# hub, and the push collector — event streams racing cancels, watchdog
-# kills, and the hub-fallback handover; the gridsim event bus fanning
+# The invocation collectors (per-invocation pollers and the push
+# collector — event streams racing cancels, watchdog kills, and a worker
+# falling back to polling its own jobs; the gridsim event bus fanning
 # out under concurrent publishers), the submission front-end (coalesced
 # staging, the stats singleflight), the WAL (the blobdb crash-recovery
 # and stock-import suites, every-byte truncation sweeps, fault-injected
@@ -65,6 +66,10 @@ go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./
 # connections, lost and cut replies, an early 403, a silent peer, a stream
 # closed from another goroutine): five fresh rounds under the detector.
 go test -race -count=5 -run '^TestTransportFaults$' ./internal/hop
+# So has the event-stream edge's fallback: a stream that says hello and
+# then nothing, with registrations racing the worker's leaving, and every
+# collector promise kept by a worker polling behind a stock gatekeeper.
+go test -race -count=5 -run '^TestPushEventsStalledStreamFallsBack$|^TestCollectorContract$/.*/push-to-poll' ./internal/core
 
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
