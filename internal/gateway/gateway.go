@@ -28,6 +28,7 @@ import (
 	"maps"
 	"net"
 	"net/http"
+	"net/textproto"
 	"net/url"
 	"path/filepath"
 	"sort"
@@ -440,8 +441,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodHead {
 		var err error
-		// One buffer of the declared size, handed to every hop as it is.
+		// One buffer of the declared size, handed to every hop as it is;
+		// closed once read, so the server need not look for more of it.
 		body, err = sizedio.ReadAll(r.Body, r.ContentLength, maxBody)
+		r.Body.Close()
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, sizedio.ErrTooLarge) {
@@ -921,22 +924,54 @@ func (b *bufferedResponse) write(w http.ResponseWriter) {
 	w.Write(b.body)
 }
 
+// hopHeaders describe one connection, not the message (RFC 9110 §7.6.1):
+// a proxy drops them, and the fields Connection names, on both legs, as
+// httputil.ReverseProxy does. A caller's Connection: close forwarded would
+// cost the member's pooled connection.
+var hopHeaders = []string{"Connection", "Keep-Alive", "Proxy-Connection", "Proxy-Authenticate",
+	"Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade"}
+
+func hasHopHeader(h http.Header) bool {
+	for _, k := range hopHeaders {
+		if _, ok := h[k]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+func dropHopHeaders(h http.Header) {
+	for _, f := range h["Connection"] {
+		for _, k := range strings.Split(f, ",") {
+			if k = textproto.TrimString(k); k != "" {
+				h.Del(k)
+			}
+		}
+	}
+	for _, k := range hopHeaders {
+		delete(h, k)
+	}
+}
+
 // forward proxies one request to m, buffering the response. The caller's
-// header goes out as it is; sp, when non-nil, is the gateway span whose
-// context replaces X-Grid-Trace on the hop, in a copy, so appliance spans
-// hang under it.
+// header goes out as it is, less its hop-by-hop fields; sp, when non-nil,
+// is the gateway span whose context replaces X-Grid-Trace on the hop, so
+// appliance spans hang under it. Either change is made in a copy.
 func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Span) (*bufferedResponse, error) {
 	root, err := m.root()
 	if err != nil {
 		return nil, err
 	}
 	header := r.Header
-	if tc := sp.Context(); tc.Valid() {
+	if tc := sp.Context(); tc.Valid() || hasHopHeader(header) {
 		header = make(http.Header, len(r.Header)+1)
 		for k, vs := range r.Header {
 			header[k] = vs
 		}
-		header.Set(trace.Header, tc.String())
+		dropHopHeaders(header)
+		if tc.Valid() {
+			header.Set(trace.Header, tc.String())
+		}
 	}
 	m.proxied.Add(1)
 	reply, err := hop.Do(g.httpc, r.Method, root, r.URL.RequestURI(), header, body, maxBody)
@@ -951,8 +986,9 @@ func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Spa
 		return nil, err
 	}
 	// The reply's header is nobody else's: hand it on, less the length,
-	// which may change if callers re-frame.
+	// which may change if callers re-frame, and its hop-by-hop fields.
 	delete(reply.Header, "Content-Length")
+	dropHopHeaders(reply.Header)
 	return &bufferedResponse{status: reply.Status, header: reply.Header, body: reply.Body}, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -411,13 +412,15 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 	}
 	victim := w.gw.PrimaryFor(services[0], "alice")
 
-	const calls = 18
+	const calls, killAfter = 18, 6
 	var (
-		mu      sync.Mutex
-		tickets = make(map[string]string) // ticket -> caller id
-		wg      sync.WaitGroup
+		mu        sync.Mutex
+		tickets   = make(map[string]string) // ticket -> caller id
+		wg        sync.WaitGroup
+		completed atomic.Int32
 	)
 	errs := make(chan error, calls)
+	midBurst := make(chan struct{}) // closed when killAfter calls have completed
 	for i := 0; i < calls; i++ {
 		i := i
 		wg.Add(1)
@@ -441,6 +444,9 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 					}
 					tickets[ticket] = fmt.Sprintf("call %d", i)
 					mu.Unlock()
+					if completed.Add(1) == killAfter {
+						close(midBurst)
+					}
 					return
 				}
 				lastErr = err
@@ -450,17 +456,29 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 		}()
 	}
 
-	// Mid-burst: kill one shard, let the circuit open, then rejoin it.
-	time.Sleep(100 * time.Millisecond)
-	if err := w.gw.Kill(victim); err != nil {
-		t.Fatal(err)
+	// Mid-burst — a third of the calls done, the rest in flight — kill one
+	// shard, and rejoin it once the prober has ejected it.
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	select {
+	case <-midBurst:
+	case <-finished: // fewer than killAfter calls completed: errs says why
 	}
-	time.Sleep(300 * time.Millisecond)
-	if err := w.gw.Rejoin(victim); err != nil {
-		t.Fatal(err)
+	if completed.Load() >= killAfter {
+		if err := w.gw.Kill(victim); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 10*time.Second, func() bool {
+			return gatewayStats(t, w.gw).Ejections >= 1
+		}, "the killed shard was never ejected")
+		if err := w.gw.Rejoin(victim); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	wg.Wait()
+	<-finished
 	close(errs)
 	for err := range errs {
 		t.Error(err)

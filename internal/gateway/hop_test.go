@@ -1,16 +1,21 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/hop"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 )
@@ -18,9 +23,10 @@ import (
 // stubUpstream answers every hop with one fixed reply, no server
 // goroutine, and keeps the last request it saw.
 type stubUpstream struct {
-	body string
-	last *http.Request
-	sent []byte
+	body   string
+	header http.Header // more fields of the reply
+	last   *http.Request
+	sent   []byte
 }
 
 func (s *stubUpstream) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -29,9 +35,10 @@ func (s *stubUpstream) RoundTrip(req *http.Request) (*http.Response, error) {
 		s.sent, _ = io.ReadAll(req.Body)
 		req.Body.Close()
 	}
+	h := http.Header{"Content-Type": {"application/json"}, "Content-Length": {"2"}}
+	maps.Copy(h, s.header)
 	return &http.Response{StatusCode: http.StatusOK, ContentLength: int64(len(s.body)),
-		Header: http.Header{"Content-Type": {"application/json"}, "Content-Length": {"2"}},
-		Body:   io.NopCloser(strings.NewReader(s.body))}, nil
+		Header: h, Body: io.NopCloser(strings.NewReader(s.body))}, nil
 }
 
 func stubbedGateway(stub http.RoundTripper) (*Gateway, *member) {
@@ -121,6 +128,72 @@ func TestForwardedInvokeOnTheWire(t *testing.T) {
 		if got := invokeTicket([]byte(doc)); got != want {
 			t.Errorf("invokeTicket(%s) = %q, want %q", doc, got, want)
 		}
+	}
+}
+
+// TestForwardDropsHopByHopHeaders: the fields that describe one connection,
+// and those Connection names, stay on their own leg both ways; the caller's
+// header is not changed, and the rest of it goes on.
+func TestForwardDropsHopByHopHeaders(t *testing.T) {
+	stub := &stubUpstream{body: `{}`, header: http.Header{
+		"Connection": {"X-Member-Private"}, "X-Member-Private": {"1"}, "Keep-Alive": {"timeout=5"},
+		"Transfer-Encoding": {"chunked"}, "Upgrade": {"h2c"}, "X-Kept": {"yes"}}}
+	g, m := stubbedGateway(stub)
+	r := httptest.NewRequest(http.MethodGet, "/api/services", nil)
+	r.Header = http.Header{"Connection": {"close, X-Caller-Private"}, "X-Caller-Private": {"1"},
+		"Te": {"trailers"}, "Proxy-Authorization": {"Basic eA=="}, tenant.KeyHeader: {"acme-secret"}}
+	caller := r.Header.Clone()
+	resp, err := g.forward(m, r, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (http.Header{tenant.KeyHeader: {"acme-secret"}}); !reflect.DeepEqual(stub.last.Header, want) {
+		t.Errorf("sent %v, want %v", stub.last.Header, want)
+	}
+	if !reflect.DeepEqual(r.Header, caller) {
+		t.Errorf("the caller's header was changed: %v", r.Header)
+	}
+	if want := (http.Header{"Content-Type": {"application/json"}, "X-Kept": {"yes"}}); !reflect.DeepEqual(resp.header, want) {
+		t.Errorf("reply header %v, want %v", resp.header, want)
+	}
+}
+
+// TestCallerConnectionCloseKeepsTheMemberConnection: a caller that closes
+// its own connection after each request does not close the gateway's
+// pooled one to the member: five such GETs dial the member no more.
+func TestCallerConnectionCloseKeepsTheMemberConnection(t *testing.T) {
+	var dials atomic.Int32
+	tr := hop.NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return (&net.Dialer{}).DialContext(ctx, network, addr)
+	})
+	w := bootFleet(t, 1, func(cfg *Config) {
+		cfg.HTTP = &http.Client{Transport: tr}
+		cfg.ProbeInterval, cfg.PullInterval = 1000*time.Hour, 1000*time.Hour // no hop of the gateway's own
+	})
+	get := func(close bool) {
+		req, err := http.NewRequest(http.MethodGet, w.gw.BaseURL+"/api/services", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Close = close
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /api/services: %d", resp.StatusCode)
+		}
+	}
+	get(false) // the member's connection, dialled and pooled
+	before := dials.Load()
+	for i := 0; i < 5; i++ {
+		get(true)
+	}
+	if n := dials.Load() - before; n != 0 {
+		t.Fatalf("five GETs with Connection: close dialled the member %d times, want 0", n)
 	}
 }
 

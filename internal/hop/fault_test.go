@@ -97,6 +97,26 @@ func (r *faultRig) count(t *testing.T, dials, other, posts, idle int) {
 	}
 }
 
+// rawReply answers with reply as it is, one byte per write if byByte, and
+// closes the connection: framing a Go server does not write.
+func rawReply(reply string, byByte bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for n := len(reply); reply != ""; reply = reply[n:] {
+			if byByte {
+				n = 1
+			}
+			if _, err := io.WriteString(conn, reply[:n]); err != nil {
+				return
+			}
+		}
+	}
+}
+
 // TestTransportFaults is one table for the transport every internal hop
 // takes: each way a keep-alive connection or a reply can go wrong, and
 // what the caller and the server see of it. A request is retried only on a
@@ -271,6 +291,69 @@ func TestTransportFaults(t *testing.T) {
 				t.Fatal("Close did not unblock the read")
 			}
 			r.count(t, 1, 1, 0, 0)
+		}},
+		{"reply head past http.DefaultMaxHeaderBytes refused, connection closed", func(t *testing.T) {
+			r := (&faultRig{handler: func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("X-Big", strings.Repeat("x", 2<<20))
+				io.WriteString(w, "ok")
+			}}).start(t)
+			if rep, err := r.do(t, http.MethodGet, ""); err == nil {
+				t.Fatalf("a %d-byte X-Big read as a reply head", len(rep.Header.Get("X-Big")))
+			}
+			r.count(t, 1, 1, 0, 0)
+		}},
+		{"reply cut mid-chunk", func(t *testing.T) {
+			r := (&faultRig{handler: rawReply("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n10\r\n0123", false)}).start(t)
+			if _, err := r.do(t, http.MethodGet, ""); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("cut chunk: %v", err)
+			}
+			r.count(t, 1, 1, 0, 0)
+		}},
+		{"bad chunk-size line", func(t *testing.T) {
+			r := (&faultRig{handler: rawReply("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nok\r\n0\r\n\r\n", false)}).start(t)
+			if _, err := r.do(t, http.MethodGet, ""); err == nil {
+				t.Fatal("a chunk size of zz read")
+			}
+			r.count(t, 1, 1, 0, 0)
+		}},
+		{"two differing Content-Lengths refused", func(t *testing.T) {
+			r := (&faultRig{handler: rawReply("HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nok", false)}).start(t)
+			if _, err := r.do(t, http.MethodGet, ""); err == nil || !strings.Contains(err.Error(), "Content-Length") {
+				t.Fatalf("differing lengths: %v", err)
+			}
+			r.count(t, 1, 1, 0, 0)
+		}},
+		{"head written one byte per TCP write read whole, connection pooled", func(t *testing.T) {
+			r := (&faultRig{handler: rawReply("HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Grid-Job: siteA:job-1\r\n\r\nok", true)}).start(t)
+			rep, err := r.do(t, http.MethodGet, "")
+			if err != nil || string(rep.Body) != "ok" || rep.Header.Get("X-Grid-Job") != "siteA:job-1" {
+				t.Fatalf("byte-wise reply: %+v, %v", rep, err)
+			}
+			r.count(t, 1, 1, 0, 1)
+		}},
+		{"length-less reply read to close, not pooled", func(t *testing.T) {
+			r := (&faultRig{handler: rawReply("HTTP/1.1 200 OK\r\n\r\nread to close", false)}).start(t)
+			if rep, err := r.do(t, http.MethodGet, ""); err != nil || string(rep.Body) != "read to close" {
+				t.Fatalf("length-less reply: %+v, %v", rep, err)
+			}
+			r.count(t, 1, 1, 0, 0)
+		}},
+		{"request of unknown length or with a coding refused, body closed, nothing dialled", func(t *testing.T) {
+			r := (&faultRig{}).start(t)
+			for field, set := range map[string]func(*http.Request){
+				"ContentLength":    func(req *http.Request) { req.ContentLength = -1 },
+				"TransferEncoding": func(req *http.Request) { req.TransferEncoding = []string{"chunked"} },
+				"Trailer":          func(req *http.Request) { req.Trailer = http.Header{"X-Sum": nil} },
+			} {
+				var closes atomic.Int32
+				req, _ := http.NewRequest(http.MethodPut, r.srv.URL+"/x", nil)
+				req.Body, req.ContentLength = closeCounter{strings.NewReader("payload"), &closes}, 7
+				set(req)
+				if _, err := r.tr.RoundTrip(req); err == nil || !strings.Contains(err.Error(), field) || closes.Load() != 1 {
+					t.Errorf("%s: %v, body closed %d times", field, err, closes.Load())
+				}
+			}
+			r.count(t, 0, 0, 0, 0)
 		}},
 	} {
 		t.Run(tc.name, tc.run)

@@ -3,13 +3,13 @@ package hop
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sizedio"
@@ -21,8 +21,8 @@ const idleTimeout = 90 * time.Second
 
 // Transport is the RoundTripper behind Client: pooled keep-alive HTTP/1.1
 // connections, each with its own buffered reader and writer, framed by
-// (*http.Request).Write and http.ReadResponse — no connection manager, no
-// goroutine; other schemes and proxied requests go to a clone of
+// wire.go's writeHead and readReply — no connection manager, no goroutine;
+// other schemes and proxied requests go to a clone of
 // http.DefaultTransport. As there, a request that failed on a reused
 // connection is sent again when none of it was written (its body reopened
 // through GetBody), or when it is a GET or HEAD and no reply byte came.
@@ -54,15 +54,19 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	ctx, hasBody := req.Context(), req.Body != nil && req.Body != http.NoBody
 	idempotent := req.Method == "" || req.Method == http.MethodGet || req.Method == http.MethodHead
+	tg, err := newTarget(req)
 	for {
-		c, err := t.get(ctx, addr)
+		var c *conn
+		if err == nil {
+			c, err = t.get(ctx, addr)
+		}
 		if err != nil {
 			if hasBody {
 				req.Body.Close()
 			}
 			return nil, err
 		}
-		resp, err := t.exchange(ctx, c, req)
+		resp, err := t.exchange(ctx, c, req, &tg)
 		switch {
 		case err == nil:
 			return resp, nil
@@ -85,12 +89,19 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 // body was still going out is the answer, as with http.Transport's
 // concurrent read: once the socket refuses the rest (the server answered
 // and closed), what came first is read; the write's error, if nothing was.
-func (t *Transport) exchange(ctx context.Context, c *conn, req *http.Request) (*http.Response, error) {
+func (t *Transport) exchange(ctx context.Context, c *conn, req *http.Request, tg *target) (*http.Response, error) {
 	c.sent, c.broken, c.replied, c.stop = 0, false, false, nil
 	if ctx.Done() != nil {
 		c.stop = context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) })
 	}
-	werr := req.Write(c.bw)
+	writeHead(c.bw, req, tg)
+	var werr error
+	if tg.length > 0 {
+		if _, inMemory := req.Body.(*payload); !inMemory {
+			c.bw.Flush() // as net/http: a body read as it is sent goes after the head
+		}
+		werr = c.writeBody(req.Body, tg.length)
+	}
 	if werr == nil {
 		werr = c.bw.Flush()
 	}
@@ -99,9 +110,7 @@ func (t *Transport) exchange(ctx context.Context, c *conn, req *http.Request) (*
 	if werr == nil || c.sent > 0 && c.broken {
 		if _, err = c.br.Peek(1); err == nil {
 			c.replied = true
-			for resp, err = http.ReadResponse(c.br, req); err == nil && resp.StatusCode < 200; {
-				resp, err = http.ReadResponse(c.br, req)
-			}
+			resp, err = readReply(c.br, &c.head, req)
 		}
 		if err != nil && werr != nil {
 			err = werr
@@ -112,14 +121,42 @@ func (t *Transport) exchange(ctx context.Context, c *conn, req *http.Request) (*
 		return nil, err
 	}
 	keep := werr == nil && !resp.Close && !req.Close
-	if resp.Body == http.NoBody {
-		t.release(c, keep)
-	} else {
-		b := &replyBody{ReadCloser: resp.Body, t: t, keep: keep}
+	if b, ok := resp.Body.(*replyBody); ok {
+		b.t, b.keep = t, keep
 		b.c.Store(c)
-		resp.Body = b
+	} else {
+		t.release(c, keep)
 	}
 	return resp, nil
+}
+
+// writeBody sends n bytes of body, no more, through the buffered writer
+// (and so c's ReadFrom) and closes it; a body of another length is an
+// error, as with net/http.
+func (c *conn) writeBody(body io.ReadCloser, n int64) error {
+	defer body.Close()
+	c.body, c.unsent = body, n
+	sent, err := c.bw.ReadFrom(unsent{c})
+	if c.body = nil; err == nil {
+		extra, _ := io.Copy(io.Discard, body)
+		if sent += extra; sent != n {
+			err = fmt.Errorf("http: ContentLength=%d with Body length %d", n, sent)
+		}
+	}
+	return err
+}
+
+// unsent reads the rest of the conn's request body: io.LimitReader's
+// reader, but no allocation.
+type unsent struct{ c *conn }
+
+func (u unsent) Read(p []byte) (int, error) {
+	if u.c.unsent <= 0 {
+		return 0, io.EOF
+	}
+	n, err := u.c.body.Read(p[:min(int64(len(p)), u.c.unsent)])
+	u.c.unsent -= int64(n)
+	return n, err
 }
 
 // get takes an idle connection to addr, or dials one. Nothing watches an idle
@@ -138,7 +175,7 @@ func (t *Transport) get(ctx context.Context, addr string) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &conn{nc: nc, addr: addr, br: bufio.NewReader(nc)}
+	c := &conn{nc: nc, addr: addr, br: bufio.NewReader(nc), head: make([]byte, 0, 512)}
 	c.bw = bufio.NewWriter(c)
 	return c, nil
 }
@@ -188,6 +225,9 @@ type conn struct {
 	addr      string
 	br        *bufio.Reader
 	bw        *bufio.Writer
+	head      []byte // the last reply head, read line by line
+	body      io.Reader
+	unsent    int64 // bytes of body still to send
 	idleSince time.Time
 	stop      func() bool // stops the watch on the request's context
 	sent      int         // bytes of the current request on the socket
@@ -217,33 +257,4 @@ func (s sink) Write(p []byte) (int, error) {
 		runtime.Gosched()
 	}
 	return s.c.Write(p)
-}
-
-// replyBody returns its connection to the pool at EOF and closes it on an
-// error or an earlier Close, which may come from another goroutine while
-// Read blocks (an event stream torn down): the close unblocks the read.
-type replyBody struct {
-	io.ReadCloser // net/http's framing of the body, over c.br
-	t             *Transport
-	keep          bool                 // the reply leaves the connection reusable
-	c             atomic.Pointer[conn] // nil once the body is done with it
-}
-
-func (b *replyBody) Read(p []byte) (int, error) {
-	n, err := b.ReadCloser.Read(p) // past EOF, net/http's body reads nothing more
-	if err != nil {
-		b.done(err == io.EOF && b.keep)
-	}
-	return n, err
-}
-
-func (b *replyBody) Close() error {
-	b.done(false)
-	return nil
-}
-
-func (b *replyBody) done(keep bool) {
-	if c := b.c.Swap(nil); c != nil {
-		b.t.release(c, keep)
-	}
 }

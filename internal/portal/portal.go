@@ -608,6 +608,7 @@ func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	p.probe.Burn(p.cost.RequestHandling)
 	req, err := ReadInvokeRequest(r.Body, r.ContentLength)
+	r.Body.Close() // read whole: the server need not look for more of it
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return

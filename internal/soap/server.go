@@ -265,8 +265,10 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	s.probe.Burn(s.cost.RequestHandling)
 
 	// One buffer of the declared length; a request that declares more
-	// than the limit is refused before any of its body is read.
+	// than the limit is refused before any of its body is read. Closed
+	// once read, so the server need not look for more of it.
 	body, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxRequestBytes)
+	r.Body.Close()
 	if errors.Is(err, sizedio.ErrTooLarge) {
 		s.fault(w, http.StatusRequestEntityTooLarge, &Fault{Code: FaultClient, String: "request too large"})
 		return

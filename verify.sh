@@ -64,7 +64,8 @@ go test -race -short ./...
 go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/appliance ./internal/xsec ./internal/hop ./internal/vtime
 # The transport every internal hop takes has one fault table (dead pooled
 # connections, lost and cut replies, an early 403, a silent peer, a stream
-# closed from another goroutine): five fresh rounds under the detector.
+# closed from another goroutine, oversized heads, broken framing): five
+# fresh rounds under the detector.
 go test -race -count=5 -run '^TestTransportFaults$' ./internal/hop
 # So has the event-stream edge's fallback: a stream that says hello and
 # then nothing, with registrations racing the worker's leaving, and every
@@ -90,6 +91,12 @@ go test -run='^$' -fuzz=FuzzRoutePath -fuzztime=5s ./internal/gateway
 # and the gateway's service-only reading to it (FuzzRoutePath above holds
 # DecodeRoute to the portal's reading).
 go test -run='^$' -fuzz=FuzzInvokeBody -fuzztime=5s ./internal/portal
+# Every internal hop's request head is written, and its reply head read,
+# by hand: FuzzRequestHead holds the bytes to (*http.Request).Write's (equal,
+# or both refuse), FuzzReadReply holds a reply hop accepts to what
+# http.ReadResponse makes of it.
+go test -run='^$' -fuzz=FuzzRequestHead -fuzztime=5s ./internal/hop
+go test -run='^$' -fuzz=FuzzReadReply -fuzztime=5s ./internal/hop
 # The push collector stores output bytes taken from a gatekeeper's event
 # frame, and both SOAP doors decode whatever envelope arrives — with a
 # hand-written decoder that FuzzDecode holds, differentially, to the
@@ -132,7 +139,7 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # objects and routes it in 1, a placement the possession cache answers
 # costs 2 and no goroutine, a staging-cache hit leads no flight, an
 # armed watchdog parks no goroutine, and a warm internal GET plus a 1 KB
-# POST cost at most 88 objects, client and server together. All ran above; run them fresh and without the race detector's own
+# POST cost at most 65 objects, client and server together. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise.
 go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal
 
