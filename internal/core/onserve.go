@@ -476,9 +476,8 @@ func (o *OnServe) Tenancy() *tenant.Controller { return o.parts.Tenancy }
 func (o *OnServe) SetTenancy(ctl *tenant.Controller) { o.parts.Tenancy = ctl }
 
 // Services lists the generated services, sorted by service name. The
-// order is part of the API: fleet gateways merge listings from many
-// appliances and diff replicated registry views against authoritative
-// ones, which only works if every listing is deterministic.
+// order is part of the API: a fleet gateway merges listings from many
+// appliances, which only works if every listing is deterministic.
 func (o *OnServe) Services() ([]ExecutableInfo, error) {
 	tab := o.parts.DB.Table(ExecutablesTable)
 	var out []ExecutableInfo

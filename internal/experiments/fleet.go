@@ -46,7 +46,7 @@ func AblationFleet(opts Options, fleets []int, invocations int) (*AblationResult
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("%d simultaneous invocations, 4 per service over %d services, POSTed through the fleet gateway", invocations, invocations/4),
 		fmt.Sprintf("each service's executable is %d KB; the staging cache is off, so every invocation re-stages it across its appliance's ~85 KB/s WAN uplink — the paper's single-appliance bottleneck", fleetPayloadKB),
-		"requests shard by consistent hash on service|owner: stickiness_pct is the fraction of keyed dispatches that landed on the ring primary",
+		"requests shard by consistent hash on the service name: stickiness_pct is the fraction of keyed dispatches that landed on the ring primary",
 		"throughput_inv_per_min should scale with the fleet: more appliances = more WAN uplinks staging in parallel",
 		"submit_rpcs / status_rpcs / uploads are summed over the fleet; shards_used counts appliances that executed at least one invocation",
 		"the kill-1 run hard-kills one appliance mid-burst at fleet=4: ejection + ring failover + catalog replay let every invocation complete (completed == the burst size), clients re-issuing on the crash (reissues)",
@@ -102,7 +102,6 @@ func newFleetRig(o Options, fleetN int) (*fleetRig, error) {
 		ProbeInterval: 30 * time.Second,
 		ProbeTimeout:  2 * time.Second,
 		HalfOpenAfter: 2 * time.Minute,
-		PullInterval:  5 * time.Minute,
 	}, nil)
 	if err != nil {
 		env.Close()
@@ -151,7 +150,7 @@ func fleetBurst(o Options, study, variant string, fleetN, invocations int, kill 
 	if kill {
 		load := map[int]int{}
 		for _, svc := range services {
-			load[r.gw.PrimaryFor(svc, "alice")]++
+			load[r.gw.PrimaryFor(svc)]++
 		}
 		for shard, n := range load {
 			if victim < 0 || n > load[victim] {

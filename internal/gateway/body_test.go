@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/sizedio"
 )
@@ -29,9 +28,7 @@ func lowerMaxBody(t *testing.T, limit int64) {
 func TestOversizeRequestBodyRefused(t *testing.T) {
 	const limit = 8 << 10
 	lowerMaxBody(t, limit)
-	// The periodic registry pull goes through the same seam and counts as
-	// upstream requests: keep it out of the window the test counts in.
-	w := bootFleet(t, 2, func(cfg *Config) { cfg.PullInterval = 1000 * time.Hour })
+	w := bootFleet(t, 2, nil)
 	proxied := func() (n uint64) {
 		for _, m := range w.gw.members {
 			n += m.proxied.Load()

@@ -1,17 +1,16 @@
 // Package gateway is the fleet front door: a stdlib-only reverse proxy
 // that boots N onServe appliances (reusing appliance.BuildImage/Boot)
 // and shards every portal API call across them by consistent hashing on
-// "service|owner". One shard therefore owns everything downstream for
-// its keys — grid sessions, cached stats, staged chunks — while
-// read-style fan-out endpoints (/api/services, /api/stats,
+// the service name. Service names are unique fleet-wide, so the name
+// alone places a service: one shard owns everything downstream of it —
+// its staged executable, cached stats, the invocations it issued — while
+// read-style fan-out endpoints (/api/services, /api/stats, /registry,
 // unknown-ticket lookups) scatter-gather and merge.
 //
 // Each upstream is health-checked actively (a periodic /api/stats probe
 // with consecutive-failure ejection and half-open recovery) and
-// passively (proxy transport errors feed the same circuit), idempotent
-// reads retry once on the next healthy ring successor, and a replicated
-// UDDI view (periodic pull plus on-write push to peer gateways) lets
-// any gateway resolve any service without a cross-shard hop. The
+// passively (proxy transport errors feed the same circuit), and
+// idempotent reads retry once on the next healthy ring successor. The
 // gateway keeps a catalog of every upload it proxied, so when a shard
 // dies mid-burst its keys remap to the ring successor and the first 404
 // there triggers a transparent catalog replay — invocations complete
@@ -75,9 +74,7 @@ type Config struct {
 	// HalfOpenAfter is the ejection cooldown before a single half-open
 	// trial probe is admitted (default 10s on Clock).
 	HalfOpenAfter time.Duration
-	// PullInterval is the replicated-UDDI refresh cadence (default 15s).
-	PullInterval time.Duration
-	// Clock paces probes and the view puller; nil means real time.
+	// Clock paces the probes; nil means real time.
 	Clock vtime.Clock
 	// HTTP carries gateway→appliance traffic; nil uses hop.Client().
 	HTTP *http.Client
@@ -104,9 +101,6 @@ func (cfg *Config) fill() {
 	if cfg.HalfOpenAfter <= 0 {
 		cfg.HalfOpenAfter = 10 * time.Second
 	}
-	if cfg.PullInterval <= 0 {
-		cfg.PullInterval = 15 * time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real{}
 	}
@@ -124,7 +118,6 @@ var maxBody int64 = portal.MaxUploadBytes + (1 << 20)
 // same owner.
 type catalogEntry struct {
 	service     string
-	owner       string
 	contentType string
 	key         string // the uploader's X-Grid-Key value, "" when none
 	query       string
@@ -140,7 +133,6 @@ type Gateway struct {
 	ring    *ring
 	members []*member
 	byID    map[string]*member
-	view    *view
 	ctr     counters
 
 	mu      sync.Mutex
@@ -157,8 +149,8 @@ type Gateway struct {
 	bg      sync.WaitGroup
 }
 
-// Boot builds and boots the fleet, starts the health probers and the UDDI view puller, and serves the front
-// door on ln (nil: an ephemeral loopback port).
+// Boot builds and boots the fleet, starts the health probers, and serves
+// the front door on ln (nil: an ephemeral loopback port).
 func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	cfg.fill()
 	if cfg.Fleet <= 0 {
@@ -172,7 +164,6 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 		cfg:     cfg,
 		clock:   cfg.Clock,
 		httpc:   httpc,
-		view:    newView(),
 		catalog: make(map[string]*catalogEntry),
 		users:   make(map[string]core.UserAuth),
 		stop:    make(chan struct{}),
@@ -216,17 +207,14 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	g.srv = netsim.NewHTTPServer(g)
 	go g.srv.Serve(ln)
 
-	// Seed the view before traffic arrives, then keep it fresh.
-	g.refreshView()
 	for _, m := range g.members {
 		g.every(cfg.ProbeInterval, m.probe)
 	}
-	g.every(cfg.PullInterval, g.refreshView)
 	return g, nil
 }
 
 // every runs fn once per interval of the gateway's clock until shutdown:
-// the shard health checks and the replicated view's periodic pull.
+// the shard health checks.
 func (g *Gateway) every(interval time.Duration, fn func()) {
 	g.bg.Add(1)
 	go func() {
@@ -284,14 +272,11 @@ func (g *Gateway) RegisterUser(user string, auth core.UserAuth) {
 	}
 }
 
-// PrimaryFor reports which shard index the ring maps service|owner to —
-// the stickiness target, health aside. Experiments and tests use it to
-// pick a victim shard.
-func (g *Gateway) PrimaryFor(service, owner string) int {
-	if owner == "" {
-		owner, _ = g.view.owner(service)
-	}
-	succ := g.ring.successors(service + "|" + owner)
+// PrimaryFor reports which shard index the ring maps service to — the
+// stickiness target, health aside. Experiments and tests use it to pick a
+// victim shard.
+func (g *Gateway) PrimaryFor(service string) int {
+	succ := g.ring.successors(service)
 	if len(succ) == 0 {
 		return -1
 	}
@@ -390,24 +375,6 @@ func (g *Gateway) shutdownFleet() {
 	}
 }
 
-// registryPull is the request refreshView puts to every member.
-var registryPull = &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/api/registry"}}
-
-// refreshView pulls every healthy appliance's registry listing and
-// installs the union. Ejected members keep their last-known records so
-// a crashed shard's services remain resolvable for rerouting.
-func (g *Gateway) refreshView() {
-	union := g.view.list("")
-	for _, resp := range g.gather(registryPull, nil) {
-		var recs []uddi.Record
-		if resp != nil && resp.status == http.StatusOK && json.Unmarshal(resp.body, &recs) == nil {
-			union = append(union, recs...) // a later record of a name replaces an earlier one
-		}
-	}
-	g.view.replaceAll(union)
-	g.ctr.viewPulls.Add(1)
-}
-
 // replayUpload re-POSTs a catalogued upload to the appliance at base: a
 // request of the gateway's own, not a proxied one, so it bypasses ask.
 func (g *Gateway) replayUpload(base string, e *catalogEntry) error {
@@ -483,7 +450,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // feeds the member's passive health: a hop that fails counts against m
 // and marks sp, any reply — a 5xx too, the appliance is there — counts
 // for it. Every request the gateway sends a member goes through here,
-// its own registry pulls and delete sweeps included.
+// its own scatters and delete sweeps included.
 func (g *Gateway) ask(m *member, r *http.Request, body []byte, sp *trace.Span) (*bufferedResponse, error) {
 	resp, err := g.forward(m, r, body, sp)
 	if err != nil {
@@ -586,11 +553,7 @@ func pickHealthy(succ []*member) (*member, int) {
 // and a catalog replay when an upstream turns out not to hold a service
 // the fleet owns.
 func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
-	owner := rt.Owner
-	if owner == "" && rt.Service != "" {
-		owner, _ = g.view.owner(rt.Service)
-	}
-	succ := g.orderedMembers(rt.Key(owner))
+	succ := g.orderedMembers(rt.Service)
 	m, pos := pickHealthy(succ)
 	if m == nil {
 		portal.WriteError(w, http.StatusServiceUnavailable, errors.New("gateway: no upstreams"))
@@ -654,8 +617,8 @@ func (g *Gateway) nextHealthy(succ []*member, skip *member) *member {
 }
 
 // learn harvests placement facts from a successful response: tickets
-// map back to the shard that issued them, uploads enter the catalog and
-// the replicated view, deletes leave both. header is the caller's.
+// map back to the shard that issued them, uploads enter the catalog,
+// deletes leave it. header is the caller's.
 func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, resp *bufferedResponse) {
 	if resp.status != http.StatusOK {
 		return
@@ -668,7 +631,6 @@ func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, re
 	case KindUpload:
 		e := &catalogEntry{
 			service:     rt.Service,
-			owner:       rt.Owner,
 			contentType: header.Get("Content-Type"),
 			key:         header.Get(tenant.KeyHeader),
 			query:       rt.query,
@@ -677,15 +639,10 @@ func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, re
 		g.mu.Lock()
 		g.catalog[rt.Service] = e
 		g.mu.Unlock()
-		var rec uddi.Record
-		if json.Unmarshal(resp.body, &rec) == nil && rec.Name != "" {
-			g.view.upsert(rec)
-		}
 	case KindDelete:
 		g.mu.Lock()
 		delete(g.catalog, rt.Service)
 		g.mu.Unlock()
-		g.view.remove(rt.Service)
 		// Failover replays may have spread the service: sweep the rest of
 		// the fleet so a later scatter cannot resurrect it. The sweep acts
 		// for the caller, so it carries the caller's header — key and
@@ -859,49 +816,53 @@ func (g *Gateway) serveAudit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// serveServices gathers /api/services, deduplicates by service name
-// (failover replays can make a service live on two shards; the lowest
-// shard's copy is listed), and returns the merge sorted by name.
+// serveServices gathers /api/services and returns the union sorted by
+// service name.
 func (g *Gateway) serveServices(w http.ResponseWriter, r *http.Request) {
 	g.ctr.scatters.Add(1)
+	writeJSON(w, http.StatusOK, union(g.gather(r, nil), func(info core.ExecutableInfo) string { return info.ServiceName }))
+}
+
+// serveRegistry gathers every member's /api/registry listing (the
+// caller's ?pattern= included) and renders the union on the portal's own
+// registry page.
+func (g *Gateway) serveRegistry(w http.ResponseWriter, r *http.Request) {
+	g.ctr.scatters.Add(1)
+	listing := &http.Request{Method: http.MethodGet, Header: r.Header,
+		URL: &url.URL{Path: "/api/registry", RawQuery: r.URL.RawQuery}}
+	portal.WriteRegistryPage(w, union(g.gather(listing, nil), func(rec uddi.Record) string { return rec.Name }))
+}
+
+// union decodes each 200 reply as a JSON list and merges the lists,
+// deduplicated by name and sorted by it. A failover replay can leave a
+// service on two shards; the lowest shard's copy is listed.
+func union[T any](replies []*bufferedResponse, name func(T) string) []T {
 	seen := make(map[string]bool)
-	out := []core.ExecutableInfo{}
-	for _, resp := range g.gather(r, nil) {
-		var infos []core.ExecutableInfo
-		if resp == nil || resp.status != http.StatusOK || json.Unmarshal(resp.body, &infos) != nil {
+	out := []T{}
+	for _, resp := range replies {
+		var items []T
+		if resp == nil || resp.status != http.StatusOK || json.Unmarshal(resp.body, &items) != nil {
 			continue
 		}
-		for _, info := range infos {
-			if !seen[info.ServiceName] {
-				seen[info.ServiceName] = true
-				out = append(out, info)
+		for _, item := range items {
+			if n := name(item); !seen[n] {
+				seen[n] = true
+				out = append(out, item)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ServiceName < out[j].ServiceName })
-	writeJSON(w, http.StatusOK, out)
+	sort.Slice(out, func(i, j int) bool { return name(out[i]) < name(out[j]) })
+	return out
 }
 
-// serveRegistry renders the replicated view — the fleet-wide answer to
-// the portal's /registry browser, on the portal's page, no cross-shard
-// hop required.
-func (g *Gateway) serveRegistry(w http.ResponseWriter, r *http.Request) {
-	portal.WriteRegistryPage(w, g.view.list(r.URL.Query().Get("pattern")))
-}
-
-// serveInternal handles the gateway's own endpoints: the replicated
-// view as JSON (GET /gateway/uddi) and the stats block (GET
-// /gateway/stats). Both are read-only: the view changes only through
-// this gateway's own proxied uploads and deletes and its periodic pull.
+// serveInternal handles the gateway's own endpoint: its stats block
+// (GET /gateway/stats).
 func (g *Gateway) serveInternal(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.URL.Path == "/gateway/uddi" && r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, g.view.list(r.URL.Query().Get("pattern")))
-	case r.URL.Path == "/gateway/stats" && r.Method == http.MethodGet:
+	if r.URL.Path == "/gateway/stats" && r.Method == http.MethodGet {
 		writeJSON(w, http.StatusOK, g.GatewayStats())
-	default:
-		http.NotFound(w, r)
+		return
 	}
+	http.NotFound(w, r)
 }
 
 // ---- proxy plumbing ----

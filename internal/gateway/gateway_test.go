@@ -7,7 +7,6 @@ import (
 	"io"
 	"mime/multipart"
 	"net/http"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,8 +29,8 @@ type fleetWorld struct {
 }
 
 // bootFleet boots one simulated grid plus a gateway fronting n
-// appliances. The probe/pull cadences are on the scaled clock, chosen so
-// the prober stays active without busy-looping at 20000x.
+// appliances. The probe cadence is on the scaled clock, chosen so the
+// prober stays active without busy-looping at 20000x.
 func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 	t.Helper()
 	clk := vtime.NewScaled(20000)
@@ -61,7 +60,6 @@ func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 		Clock:         clk,
 		ProbeInterval: 10 * time.Minute, // ~30ms real at 20000x
 		HalfOpenAfter: 20 * time.Minute,
-		PullInterval:  time.Hour,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -177,7 +175,7 @@ func TestFleetRoutingSticksAndMerges(t *testing.T) {
 		if rec.Name != want {
 			t.Fatalf("published %q, want %q", rec.Name, want)
 		}
-		spread[w.gw.PrimaryFor(rec.Name, "alice")] = true
+		spread[w.gw.PrimaryFor(rec.Name)] = true
 		_, out, err := invokeWait(w.gw.BaseURL, rec.Name, map[string]string{"x": fmt.Sprint(i)})
 		if err != nil {
 			t.Fatal(err)
@@ -244,52 +242,39 @@ func TestFleetRoutingSticksAndMerges(t *testing.T) {
 	}
 }
 
-// TestUploadRoutesOnTheOwnerItIsPublishedAs: the portal takes an upload's
-// user from the query string before the form and from the first field of
-// several; a route decoder that read the form its own way sent such an
-// upload to the shard of another owner's key, where no later request for
-// the service goes, and only a catalog replay papered over it.
-func TestUploadRoutesOnTheOwnerItIsPublishedAs(t *testing.T) {
+// TestServiceRoutesByNameAlone: the ring key is the service name, so the
+// gateway needs no record of a service — not its upload, not its owner —
+// to find the shard that holds it. A service published on its shard's own
+// door, past the gateway, is invoked, described and served its WSDL
+// through the gateway on the first try: sticky, with no catalog replay.
+// A key that needs the owner sends it, before the gateway has learnt the
+// owner, to whichever shard an empty owner hashes to: for this name, not
+// the one that holds it.
+func TestServiceRoutesByNameAlone(t *testing.T) {
 	w := bootFleet(t, 4, nil)
-	// A file whose service the ring places differently for the two owners.
-	fileFor := func(tag string) (file, service string) {
-		for i := 0; ; i++ {
-			file = fmt.Sprintf("%s%d.gsh", tag, i)
-			service, _ = core.ServiceNameFor(file)
-			if w.gw.PrimaryFor(service, "alice") != w.gw.PrimaryFor(service, "mallory") {
-				return file, service
-			}
-		}
+	service, err := core.ServiceNameFor("outside.gsh")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, shape := range map[string]struct {
-		query string
-		users []string
-	}{
-		"query string before the form": {"?user=alice", []string{"mallory"}},
-		"first field of two":           {"", []string{"alice", "mallory"}},
-	} {
-		file, service := fileFor(strings.Fields(name)[0])
-		ct, body := multipartUpload(t, file, shape.users...)
-		resp, err := http.Post(w.gw.BaseURL+"/upload"+shape.query, ct, bytes.NewReader(body))
+	home := w.gw.Fleet()[w.gw.PrimaryFor(service)]
+	if rec := w.upload(t, home.BaseURL, "outside.gsh", "echo d=${x}\n"); rec.Name != service {
+		t.Fatalf("published %q, want %q", rec.Name, service)
+	}
+	if _, out, err := invokeWait(w.gw.BaseURL, service, map[string]string{"x": "4"}); err != nil || out != "d=4\n" {
+		t.Fatalf("invoke through the gateway: %q %v", out, err)
+	}
+	for _, path := range []string{"/api/service?name=" + service, "/services/" + service + "?wsdl"} {
+		resp, err := http.Get(w.gw.BaseURL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rec uddi.Record
-		err = json.NewDecoder(resp.Body).Decode(&rec)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || err != nil || rec.Name != service || rec.Owner != "alice" {
-			t.Fatalf("%s: upload status %d, record %+v (%v)", name, resp.StatusCode, rec, err)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
-		rt, err := DecodeRoute(http.MethodPost, "/upload", strings.TrimPrefix(shape.query, "?"), ct, body)
-		if err != nil || rt.Owner != rec.Owner || rt.Service != rec.Name {
-			t.Fatalf("%s: routed as %+v (%v), published as %s of %s", name, rt, err, rec.Name, rec.Owner)
-		}
-		if _, _, err := invokeWait(w.gw.BaseURL, service, nil); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if st := gatewayStats(t, w.gw); st.Redeploys != 0 || st.StickyHits != st.Routed {
-			t.Fatalf("%s: the invoke went where the upload had not: redeploys %d, sticky %d of %d", name, st.Redeploys, st.StickyHits, st.Routed)
-		}
+	}
+	if st := gatewayStats(t, w.gw); st.Redeploys != 0 || st.Routed != 3 || st.StickyHits != st.Routed {
+		t.Fatalf("routed %d, sticky %d, redeploys %d: want 3 sticky routes and no replay", st.Routed, st.StickyHits, st.Redeploys)
 	}
 }
 
@@ -301,7 +286,7 @@ func TestFleetOfOneMatchesSingleAppliance(t *testing.T) {
 	w.upload(t, w.gw.BaseURL, "solo.gsh", "echo s=${x}\n")
 
 	direct := w.gw.Fleet()[0].BaseURL
-	for _, path := range []string{"/api/services", "/api/service?name=SoloService", "/registry"} {
+	for _, path := range []string{"/api/services", "/api/service?name=SoloService", "/registry", "/registry?pattern=Solo%25"} {
 		viaGW, err := http.Get(w.gw.BaseURL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -314,14 +299,6 @@ func TestFleetOfOneMatchesSingleAppliance(t *testing.T) {
 		}
 		appBody, _ := io.ReadAll(viaApp.Body)
 		viaApp.Body.Close()
-		if path == "/registry" {
-			// The gateway renders the replicated view with its own template;
-			// require the same records, not the same HTML.
-			if !strings.Contains(string(gwBody), "SoloService") {
-				t.Fatalf("gateway registry page missing service:\n%s", gwBody)
-			}
-			continue
-		}
 		if !bytes.Equal(gwBody, appBody) {
 			t.Fatalf("%s differs through the gateway:\n gw: %s\napp: %s", path, gwBody, appBody)
 		}
@@ -333,7 +310,7 @@ func TestFleetKillFailoverAndRejoin(t *testing.T) {
 		cfg.FailThreshold = 2
 	})
 	rec := w.upload(t, w.gw.BaseURL, "resilient.gsh", "echo r=${x}\n")
-	victim := w.gw.PrimaryFor(rec.Name, "alice")
+	victim := w.gw.PrimaryFor(rec.Name)
 	if victim < 0 {
 		t.Fatal("no primary")
 	}
@@ -410,7 +387,7 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 		rec := w.upload(t, w.gw.BaseURL, fmt.Sprintf("burst%d.gsh", i), "echo b=${x}\n")
 		services[i] = rec.Name
 	}
-	victim := w.gw.PrimaryFor(services[0], "alice")
+	victim := w.gw.PrimaryFor(services[0])
 
 	const calls, killAfter = 18, 6
 	var (
@@ -500,102 +477,42 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 		st.Routed, st.StickyHits, st.Failovers, st.Retried, st.Redeploys, st.Ejections, st.Recoveries)
 }
 
-// TestReplicatedUDDIWriteVsResolve races an upload through the gateway
-// against reads of its replicated view: GET /gateway/uddi must never
-// serve a torn listing, must show the new record once the upload has
-// answered (the on-write upsert, not the hourly pull), and the service
-// must then route sticky.
-func TestReplicatedUDDIWriteVsResolve(t *testing.T) {
+// TestRegistryPageGathersTheFleet: the gateway's /registry is its
+// members' listings, gathered when asked — a service published past the
+// gateway is listed at once, the caller's pattern filters on every
+// member, and a service deleted through the gateway is gone from it.
+func TestRegistryPageGathersTheFleet(t *testing.T) {
 	w := bootFleet(t, 2, nil)
-
-	done := make(chan struct{})
-	var resolveErr error
-	go func() {
-		defer close(done)
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			// Hammer the view while the proxied upload is writing it.
-			recs, err := listView(w.gw.BaseURL)
-			if err != nil {
-				resolveErr = err
-				return
-			}
-			for _, rec := range recs {
-				if rec.Name == "RacedService" && rec.Owner == "alice" {
-					return // converged
-				}
-			}
-		}
-		resolveErr = fmt.Errorf("the view never showed the uploaded record")
-	}()
-
-	w.upload(t, w.gw.BaseURL, "raced.gsh", "echo raced=${x}\n")
-	<-done
-	if resolveErr != nil {
-		t.Fatal(resolveErr)
-	}
-	if w.gw.PrimaryFor("RacedService", "") != w.gw.PrimaryFor("RacedService", "alice") {
-		t.Fatal("the view does not resolve the service's owner")
-	}
-	if _, out, err := invokeWait(w.gw.BaseURL, "RacedService", map[string]string{"x": "7"}); err != nil || out != "raced=7\n" {
-		t.Fatalf("invoke: %q %v", out, err)
-	}
-	if st := gatewayStats(t, w.gw); st.StickyHits != st.Routed {
-		t.Fatalf("routing not sticky: %+v", st)
-	}
-}
-
-// listView reads GET /gateway/uddi; a body that does not decode is a
-// torn view.
-func listView(base string) ([]uddi.Record, error) {
-	resp, err := http.Get(base + "/gateway/uddi")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var recs []uddi.Record
-	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("torn view: %v", err)
-	}
-	return recs, nil
-}
-
-// TestViewIsReadOnlyFromOutside pins that the gateway's public listener
-// takes no view mutation: POST /gateway/uddi (once the peer-push door,
-// reachable before any key check) is refused and changes nothing, so the
-// owner half of the service|owner ring key cannot be rewritten by a
-// caller.
-func TestViewIsReadOnlyFromOutside(t *testing.T) {
-	w := bootFleet(t, 2, nil)
-	w.upload(t, w.gw.BaseURL, "pinned.gsh", "echo ok\n")
-	before, err := listView(w.gw.BaseURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary := w.gw.PrimaryFor("PinnedService", "")
-	for _, body := range []string{
-		`{"op":"upsert","record":{"name":"PinnedService","owner":"mallory"}}`,
-		`{"op":"upsert","record":{"name":"GhostService","owner":"mallory"}}`,
-		`{"op":"delete","record":{"name":"PinnedService"}}`,
-	} {
-		resp, err := http.Post(w.gw.BaseURL+"/gateway/uddi", "application/json", strings.NewReader(body))
+	w.upload(t, w.gw.BaseURL, "listed.gsh", "echo ok\n")
+	direct := w.gw.Fleet()[1-w.gw.PrimaryFor("ListedService")]
+	w.upload(t, direct.BaseURL, "direct.gsh", "echo ok\n")
+	page := func(query string) string {
+		t.Helper()
+		resp, err := http.Get(w.gw.BaseURL + "/registry" + query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("POST /gateway/uddi %s: status %d, want 404 or 405", body, resp.StatusCode)
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /registry%s: status %d: %s", query, resp.StatusCode, body)
 		}
+		return string(body)
 	}
-	after, err := listView(w.gw.BaseURL)
+	if got := page(""); !strings.Contains(got, "2 published service(s)") ||
+		!strings.Contains(got, "<td>ListedService</td>") || !strings.Contains(got, "<td>DirectService</td>") {
+		t.Fatalf("the page does not list both shards' services:\n%s", got)
+	}
+	if got := page("?pattern=Direct%25"); !strings.Contains(got, "1 published service(s)") || !strings.Contains(got, "<td>DirectService</td>") {
+		t.Fatalf("the pattern was not applied on the members:\n%s", got)
+	}
+	resp, err := http.Post(w.gw.BaseURL+"/api/delete?name=ListedService", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("view changed:\nbefore %+v\nafter  %+v", before, after)
-	}
-	if got := w.gw.PrimaryFor("PinnedService", ""); got != primary {
-		t.Fatalf("placement moved from shard %d to %d", primary, got)
+	resp.Body.Close()
+	if got := page(""); resp.StatusCode != http.StatusOK || strings.Contains(got, "ListedService") {
+		t.Fatalf("delete status %d; the page still lists the deleted service:\n%s", resp.StatusCode, got)
 	}
 }
 

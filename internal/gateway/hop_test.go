@@ -169,7 +169,7 @@ func TestCallerConnectionCloseKeepsTheMemberConnection(t *testing.T) {
 	})
 	w := bootFleet(t, 1, func(cfg *Config) {
 		cfg.HTTP = &http.Client{Transport: tr}
-		cfg.ProbeInterval, cfg.PullInterval = 1000*time.Hour, 1000*time.Hour // no hop of the gateway's own
+		cfg.ProbeInterval = 1000 * time.Hour // no hop of the gateway's own
 	})
 	get := func(close bool) {
 		req, err := http.NewRequest(http.MethodGet, w.gw.BaseURL+"/api/services", nil)
@@ -233,7 +233,7 @@ func TestDeleteSweepActsForTheCaller(t *testing.T) {
 	}
 	// What a failover replay does: the same upload onto the other shard.
 	fleet := w.gw.Fleet()
-	other := fleet[1-w.gw.PrimaryFor("SweptService", "alice")]
+	other := fleet[1-w.gw.PrimaryFor("SweptService")]
 	if resp, raw = keyedDo(t, http.MethodPost, other.BaseURL+"/upload", "acme-secret", ct, body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("replayed upload: %d %s", resp.StatusCode, raw)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/trace"
-	"repro/internal/uddi"
 )
 
 // fault is what one upstream does to every hop that reaches it.
@@ -104,10 +103,9 @@ func fakeGateway(n int, fleet *fakeFleet) (*Gateway, *trace.Collector) {
 	cfg := Config{Fleet: n, FailThreshold: 2}
 	cfg.fill()
 	col := trace.NewCollector(0, 0)
-	g := &Gateway{cfg: cfg, clock: cfg.Clock, httpc: &http.Client{Transport: fleet}, view: newView(),
+	g := &Gateway{cfg: cfg, clock: cfg.Clock, httpc: &http.Client{Transport: fleet},
 		tracer: trace.NewTracer("gateway", cfg.Clock, col), byID: map[string]*member{},
-		catalog: map[string]*catalogEntry{"SService": {service: "SService", owner: "alice", contentType: "multipart/form-data; boundary=x"}}}
-	g.view.upsert(uddi.Record{Name: "SService", Owner: "alice"})
+		catalog: map[string]*catalogEntry{"SService": {service: "SService", contentType: "multipart/form-data; boundary=x"}}}
 	var ids []string
 	for i := 0; i < n; i++ {
 		m := &member{id: fmt.Sprintf("shard-%d", i), idx: i, gw: g, base: fmt.Sprintf("http://%c.invalid", 'a'+i)}
@@ -160,7 +158,7 @@ func TestLoopFaults(t *testing.T) {
 				return httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`))
 			},
 			traced: true,
-			order:  func(g *Gateway) []*member { return g.orderedMembers("SService|alice") },
+			order:  func(g *Gateway) []*member { return g.orderedMembers("SService") },
 			want: map[fault]want{
 				dialRefused:  {http.StatusOK, []uint64{1, 1, 0}, 1}, // provably unsent: retried on the successor
 				resetOnReply: {http.StatusBadGateway, []uint64{1, 0, 0}, 1},

@@ -12,9 +12,8 @@ import (
 // from its hash, and the ordered walk from there yields the failover
 // successors. With vnodes high enough (the default 64) adding or
 // removing one member remaps roughly 1/N of the keyspace and leaves
-// every other key where it was — the property that keeps an owner's
-// sessions, cached stats and staged executables co-located on one shard
-// while the fleet grows.
+// every other key where it was — the property that keeps a service's
+// cached stats and staged executable on one shard while the fleet grows.
 type ring struct {
 	mu     sync.RWMutex
 	vnodes int

@@ -20,10 +20,10 @@ const (
 	// (the home page, the SOAP index, unrecognised paths).
 	KindAny Kind = iota
 	// KindUpload creates a service: POST /upload, keyed by the service
-	// name the portal will derive from the uploaded file plus the owner.
+	// name the portal will derive from the uploaded file.
 	KindUpload
 	// KindInvoke starts an invocation: POST /api/invoke, keyed by the
-	// target service (owner resolved from the replicated UDDI view).
+	// target service.
 	KindInvoke
 	// KindService reads one existing service: /api/service, /api/client.
 	KindService
@@ -43,7 +43,8 @@ const (
 	// KindAudit scatter-gathers /api/audit across the fleet and merges
 	// the per-shard tenancy audit records newest-first.
 	KindAudit
-	// KindRegistry serves the replicated UDDI view locally.
+	// KindRegistry scatter-gathers /api/registry and renders the portal's
+	// registry page over the union.
 	KindRegistry
 )
 
@@ -76,32 +77,23 @@ func (k Kind) String() string {
 
 // Route is one decoded dispatch decision.
 type Route struct {
-	Kind    Kind
-	Service string // keyed kinds: the service the request addresses
-	Owner   string // KindUpload only; other kinds resolve it via the view
+	Kind Kind
+	// Service is what a keyed kind addresses, and its consistent-hash
+	// key: names are unique fleet-wide, so the name alone places a
+	// service, and every request about it finds the shard its upload went
+	// to without asking who owns it.
+	Service string
 	Ticket  string // KindTicket: may be empty (the appliance will 404)
 	query   string // KindUpload: the raw query, part of the upload a failover replays
 }
 
-// Keyed reports whether the route shards by consistent hash.
+// Keyed reports whether the route shards by consistent hash on Service.
 func (rt Route) Keyed() bool {
 	switch rt.Kind {
 	case KindUpload, KindInvoke, KindService, KindSOAP, KindDelete:
 		return true
 	}
 	return false
-}
-
-// Key is the consistent-hash routing key: "service|owner". The owner
-// half co-locates all of one owner's services (grid sessions, cached
-// stats, submit batches, chunk possession) on one shard when the view
-// knows it; the composition is deterministic in the route fields, so
-// two gateways with converged views can never disagree on placement.
-func (rt Route) Key(owner string) string {
-	if owner == "" {
-		owner = rt.Owner
-	}
-	return rt.Service + "|" + owner
 }
 
 // errBadRequest wraps decode failures the gateway answers with 400
@@ -121,8 +113,8 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 			return Route{Kind: KindAny}, nil // the portal answers 405
 		}
 		// The portal's own walk of the form: the route cannot name another
-		// service or owner than the appliance will publish under.
-		fileName, owner, err := portal.UploadIdentity(contentType, rawQuery, body)
+		// service than the appliance will publish.
+		fileName, err := portal.UploadIdentity(contentType, body)
 		if err != nil {
 			return Route{}, fmt.Errorf("%w: %v", errBadRequest, err)
 		}
@@ -130,7 +122,7 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 		if err != nil {
 			return Route{}, fmt.Errorf("%w: %v", errBadRequest, err)
 		}
-		return Route{Kind: KindUpload, Service: service, Owner: owner, query: rawQuery}, nil
+		return Route{Kind: KindUpload, Service: service, query: rawQuery}, nil
 	case "/api/invoke":
 		if method != http.MethodPost {
 			return Route{Kind: KindAny}, nil

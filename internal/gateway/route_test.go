@@ -5,7 +5,6 @@ import (
 	"errors"
 	"mime/multipart"
 	"net/http"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -39,13 +38,14 @@ func TestDecodeRouteTable(t *testing.T) {
 		wantErr                    bool
 	}{
 		{"upload", "POST", "/upload", "", uploadCT, uploadBody,
-			Route{Kind: KindUpload, Service: "MonteService", Owner: "alice"}, false},
-		// The owner is the one the portal publishes under: the query string
-		// before the form, the first value of either.
+			Route{Kind: KindUpload, Service: "MonteService"}, false},
+		// Whoever the upload names as its owner, the route is the service's;
+		// the query string rides along for a replay, which publishes under
+		// the owner the portal reads first from it.
 		{"upload query user wins", "POST", "/upload", "user=bob", uploadCT, uploadBody,
-			Route{Kind: KindUpload, Service: "MonteService", Owner: "bob", query: "user=bob"}, false},
+			Route{Kind: KindUpload, Service: "MonteService", query: "user=bob"}, false},
 		{"upload first user field wins", "POST", "/upload", "", twiceCT, twiceBody,
-			Route{Kind: KindUpload, Service: "MonteService", Owner: "bob"}, false},
+			Route{Kind: KindUpload, Service: "MonteService"}, false},
 		{"upload GET passes through", "GET", "/upload", "", "", nil, Route{Kind: KindAny}, false},
 		{"upload bad content type", "POST", "/upload", "", "text/plain", nil, Route{}, true},
 		{"upload bad filename", "POST", "/upload", "", func() string {
@@ -126,27 +126,32 @@ func TestDecodeRouteAllocations(t *testing.T) {
 	}
 }
 
+// TestRouteKeyDeterministic: a service's ring key is its name and nothing
+// else — the uploads of two owners and the invoke name one key (the table
+// above holds the other keyed kinds to the same name).
 func TestRouteKeyDeterministic(t *testing.T) {
-	rt := Route{Kind: KindInvoke, Service: "S"}
-	if rt.Key("alice") != "S|alice" {
-		t.Fatalf("key %q", rt.Key("alice"))
-	}
-	up := Route{Kind: KindUpload, Service: "S", Owner: "bob"}
-	if up.Key("") != "S|bob" {
-		t.Fatalf("upload key %q", up.Key(""))
-	}
-	// An invoke whose owner resolves must land on the upload's shard.
-	if rt.Key("bob") != up.Key("") {
-		t.Fatal("upload and invoke disagree on the routing key")
+	aliceCT, aliceBody := multipartUpload(t, "monte.gsh", "alice")
+	bobCT, bobBody := multipartUpload(t, "monte.gsh", "bob")
+	for _, req := range []struct {
+		method, path, rawQuery, ct string
+		body                       []byte
+	}{
+		{"POST", "/upload", "", aliceCT, aliceBody},
+		{"POST", "/upload", "user=carol", bobCT, bobBody},
+		{"POST", "/api/invoke", "", "application/json", []byte(`{"service":"MonteService"}`)},
+	} {
+		rt, err := DecodeRoute(req.method, req.path, req.rawQuery, req.ct, req.body)
+		if err != nil || !rt.Keyed() || rt.Service != "MonteService" {
+			t.Fatalf("%s %s?%s routes as %+v (%v), want the key MonteService", req.method, req.path, req.rawQuery, rt, err)
+		}
 	}
 }
 
 // FuzzRoutePath pins the gateway's parse-before-proxy contract: DecodeRoute
 // never panics, is deterministic (same request bytes can never route to two
-// different shards), rejects garbage with errBadRequest (the gateway's 400),
-// and every keyed route has a stable non-empty key component layout. For
-// POST /upload it is differential: whatever the bytes, the route names the
-// service and owner the portal's own reading of the form gives
+// different shards), and rejects garbage with errBadRequest (the gateway's
+// 400). For POST /upload it is differential: whatever the bytes, the route
+// names the service the portal's own reading of the form gives
 // (portal.UploadIdentity, which FuzzUploadIdentity in internal/portal holds
 // to readUploadForm), or both refuse. So it is for POST /api/invoke: the
 // route names the service portal.ReadInvokeRequest reads, or both refuse
@@ -176,13 +181,13 @@ func FuzzRoutePath(f *testing.F) {
 			t.Fatalf("non-deterministic: %+v/%v vs %+v/%v", rt1, err1, rt2, err2)
 		}
 		if method == http.MethodPost && path == "/upload" {
-			fileName, user, err := portal.UploadIdentity(contentType, rawQuery, body)
+			fileName, err := portal.UploadIdentity(contentType, body)
 			service, nameErr := core.ServiceNameFor(fileName)
 			switch refused := err != nil || nameErr != nil; {
 			case refused != (err1 != nil):
-				t.Fatalf("the portal reads (%q, %q, %v, %v), the route is %+v, %v", fileName, user, err, nameErr, rt1, err1)
-			case !refused && (rt1.Service != service || rt1.Owner != user):
-				t.Fatalf("the portal publishes %s for %q, routed as %+v", service, user, rt1)
+				t.Fatalf("the portal reads (%q, %v, %v), the route is %+v, %v", fileName, err, nameErr, rt1, err1)
+			case !refused && rt1.Service != service:
+				t.Fatalf("the portal publishes %s, routed as %+v", service, rt1)
 			}
 		}
 		// The appliance reads the first MB of an invoke body, the gateway all
@@ -206,19 +211,10 @@ func FuzzRoutePath(f *testing.F) {
 		default:
 			t.Fatalf("invalid kind %d", rt1.Kind)
 		}
-		if rt1.Keyed() {
-			key := rt1.Key("ownerX")
-			if key != rt1.Key("ownerX") {
-				t.Fatal("unstable key")
-			}
-			if !strings.Contains(key, "|") {
-				t.Fatalf("key %q lacks separator", key)
-			}
-			// A successful upload decode always carries a portal-legal
-			// service name.
-			if rt1.Kind == KindUpload && rt1.Service == "" {
-				t.Fatal("upload route with empty service")
-			}
+		// A successful upload decode always carries a portal-legal service
+		// name.
+		if rt1.Kind == KindUpload && rt1.Service == "" {
+			t.Fatal("upload route with empty service")
 		}
 		if method == http.MethodPost && path == "/upload" && rt1.Kind != KindUpload && rt1.Kind != KindAny {
 			t.Fatalf("POST /upload decoded as %v", rt1.Kind)

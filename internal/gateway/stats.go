@@ -20,7 +20,8 @@ type Stats struct {
 	// a transport error.
 	Retried uint64 `json:"retried"`
 	// Scatters counts fan-out requests (/api/services, /api/stats,
-	// unknown-ticket searches); TicketRoutes direct ticket dispatches.
+	// /api/audit, /registry, unknown-ticket searches); TicketRoutes
+	// direct ticket dispatches.
 	Scatters     uint64 `json:"scatters"`
 	TicketRoutes uint64 `json:"ticket_routes"`
 	// Redeploys counts catalog replays onto an upstream that answered
@@ -29,10 +30,6 @@ type Stats struct {
 	// Ejections / Recoveries sum the upstream circuit transitions.
 	Ejections  uint64 `json:"ejections"`
 	Recoveries uint64 `json:"recoveries"`
-	// ViewServices / ViewPulls describe the replicated UDDI view: its
-	// size and periodic pull cycles.
-	ViewServices int    `json:"view_services"`
-	ViewPulls    uint64 `json:"view_pulls"`
 	// Upstreams is the per-appliance health and traffic breakdown.
 	Upstreams []UpstreamStats `json:"upstreams"`
 }
@@ -60,7 +57,6 @@ type counters struct {
 	retried                   atomic.Uint64
 	scatters, ticketRoutes    atomic.Uint64
 	redeploys                 atomic.Uint64
-	viewPulls                 atomic.Uint64
 }
 
 // GatewayStats snapshots the gateway block.
@@ -76,8 +72,6 @@ func (g *Gateway) GatewayStats() Stats {
 		Scatters:     g.ctr.scatters.Load(),
 		TicketRoutes: g.ctr.ticketRoutes.Load(),
 		Redeploys:    g.ctr.redeploys.Load(),
-		ViewServices: g.view.size(),
-		ViewPulls:    g.ctr.viewPulls.Load(),
 	}
 	for _, m := range g.members {
 		m.mu.Lock()

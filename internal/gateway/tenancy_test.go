@@ -141,7 +141,7 @@ func TestFleetTenancyFailoverReplaysAsTheUploader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := w.gw.PrimaryFor(rec.Name, "alice")
+	victim := w.gw.PrimaryFor(rec.Name)
 	if err := w.gw.Kill(victim); err != nil {
 		t.Fatal(err)
 	}

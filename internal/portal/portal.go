@@ -313,25 +313,20 @@ func readUploadForm(w http.ResponseWriter, r *http.Request) (*uploadForm, error)
 	return form, err
 }
 
-// UploadIdentity reads from an /upload request what names the service it
-// will publish: the uploaded file's name and the user, as readUploadForm
-// finds them (the same walk, so the two cannot disagree) but without
-// copying the file. The fleet gateway routes uploads by it.
-func UploadIdentity(contentType, rawQuery string, body []byte) (fileName, user string, err error) {
+// UploadIdentity reads from an /upload body the name of the file it
+// publishes, as readUploadForm finds it (the same walk, so the two cannot
+// disagree) but without copying the file. The fleet gateway routes
+// uploads by the service that name makes.
+func UploadIdentity(contentType string, body []byte) (fileName string, err error) {
 	mr, err := formParts(contentType, bytes.NewReader(body))
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	fields, _ := url.ParseQuery(rawQuery) // what parses, as URL.Query has it
-	err = walkUploadForm(mr, func(name, value string) {
-		if name == "user" {
-			fields.Add(name, value)
-		}
-	}, func(name string, _ io.Reader) error {
+	err = walkUploadForm(mr, func(string, string) {}, func(name string, _ io.Reader) error {
 		fileName = name
 		return nil
 	})
-	return fileName, fields.Get("user"), err
+	return fileName, err
 }
 
 var registryTmpl = template.Must(template.New("registry").Parse(`<!DOCTYPE html>
@@ -363,15 +358,15 @@ func (p *Portal) registryPage(w http.ResponseWriter, r *http.Request) {
 }
 
 // WriteRegistryPage renders the registry browser over recs; the fleet
-// gateway serves its replicated view through the same page.
+// gateway renders the union of its members' listings through it.
 func WriteRegistryPage(w http.ResponseWriter, recs []uddi.Record) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	registryTmpl.Execute(w, recs)
 }
 
 // apiRegistry is the machine-readable registry listing, sorted by
-// service name (uddi.Registry.Find sorts). Fleet gateways pull it to
-// maintain their replicated UDDI views; ?pattern= filters with the
+// service name (uddi.Registry.Find sorts). A fleet gateway gathers it
+// from every member for its /registry page; ?pattern= filters with the
 // UDDI '%' wildcard.
 func (p *Portal) apiRegistry(w http.ResponseWriter, r *http.Request) {
 	if p.registry == nil {

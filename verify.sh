@@ -19,8 +19,10 @@ fi
 # (PR 24) or as code (PR 28: a push worker whose stream is gone polls
 # its own jobs; EXPERIMENTS.md "pollhub" holds the hub's last column and
 # the study keeps its name), or the SOAP guard's private error writer (it
-# answers through portal.WriteError).
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError' . ; then
+# answers through portal.WriteError). Nor does the gateway's replicated
+# UDDI view, its pull loop or its endpoint: the ring keys on the service
+# name alone, so nothing needs a service's owner.
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls' . ; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
 fi
@@ -48,8 +50,7 @@ go test -race -short ./...
 # gather's goroutines writing index-aligned replies, the bounded ticket
 # table stored into by invokes while waits load from it, a tenancy-on
 # failover replaying the catalogued upload under the uploader's key,
-# the replicated UDDI view upserted by a proxied upload while reads of
-# GET /gateway/uddi list it), the trust store (gatekeeper and GridFTP handlers verifying chains
+# the fleet's /registry page gathered from every member), the trust store (gatekeeper and GridFTP handlers verifying chains
 # against one memo while a root is added), and the tenant control plane
 # (concurrent admits racing quota
 # release, key rotation mid-burst, DRR wakeups racing timeouts), and the
