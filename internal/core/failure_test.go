@@ -62,63 +62,52 @@ func TestInvokeWithGridDown(t *testing.T) {
 }
 
 func TestStagedFileVanishesBeforeRun(t *testing.T) {
-	// Occupy the only slot, submit a second job, then delete its staged
+	// Fill every slot of every site with effectively endless hogs, so the
+	// invocation queues wherever it lands; then delete its staged
 	// executable before it can start: the grid job must fail cleanly and
 	// the invocation must follow.
 	f := newFixture(t, nil)
 	f.uploadDemo(t)
-	inv1, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, _ := f.env.Grid.Site(inv1.Site)
-	job1, _ := f.env.Grid.Job(inv1.JobID)
-
-	// Saturate the site with effectively endless hogs so the next job
-	// queues behind them (cancelled at the end of the test).
-	hogSrc := "compute 23h\n"
-	site.Store().Put("/O=Repro/CN=alice", "hog.gsh", []byte(hogSrc))
 	var hogs []*gridsim.Job
-	for site.Stats().FreeSlots > 0 {
-		j, err := site.Submit(jsdlFor("hog.gsh"))
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range f.env.Grid.SiteNames() {
+		site, _ := f.env.Grid.Site(name)
+		site.Store().Put("/O=Repro/CN=alice", "hog.gsh", []byte("compute 23h\n"))
+		for site.Stats().FreeSlots > 0 {
+			j, err := site.Submit(jsdlFor("hog.gsh"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hogs = append(hogs, j)
 		}
-		hogs = append(hogs, j)
 	}
-	defer func() {
+	cancelHogs := func() {
 		for _, h := range hogs {
+			site, _ := f.env.Grid.Site(h.Site)
 			site.Cancel(h.ID)
 		}
-	}()
-	inv2, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "2"})
-	if err != nil {
-		// The broker may reject if every site saturated; nothing to test.
-		t.Skipf("invocation rejected: %v", err)
 	}
-	if inv2.Site != inv1.Site {
-		t.Skip("broker picked an unsaturated sibling; vanish path not exercised")
-	}
-	job2, err := f.env.Grid.Job(inv2.JobID)
+	defer cancelHogs()
+	inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job2.State() != gridsim.Queued {
-		t.Skip("job dispatched before the file could vanish")
+	job, err := f.env.Grid.Job(inv.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State() != gridsim.Queued {
+		t.Fatalf("job %s with every slot taken, want QUEUED", job.State())
 	}
 	// Queued behind the hogs: remove its staged file, then release slots.
+	site, _ := f.env.Grid.Site(inv.Site)
 	site.Store().Delete("/O=Repro/CN=alice", "MontecarloService.gsh")
-	for _, h := range hogs {
-		site.Cancel(h.ID)
-	}
-	<-inv1.DoneChan()
-	<-job1.Done()
-	<-inv2.DoneChan()
-	if inv2.State() == InvDone {
+	cancelHogs()
+	<-inv.DoneChan()
+	if inv.State() == InvDone {
 		t.Fatal("job ran without its staged executable")
 	}
-	if !strings.Contains(inv2.Message(), "stage-in vanished") {
-		t.Fatalf("message %q", inv2.Message())
+	if !strings.Contains(inv.Message(), "stage-in vanished") {
+		t.Fatalf("message %q", inv.Message())
 	}
 }
 

@@ -376,7 +376,7 @@ func TestStagingCacheReplicatesAcrossSites(t *testing.T) {
 	}
 	// Saturate inv1's site so the broker must pick the sibling.
 	site, _ := f.env.Grid.Site(inv1.Site)
-	site.Store().Put("/O=Repro/CN=alice", "hog.gsh", []byte("emit 1s 10000 t\n"))
+	site.Store().Put("/O=Repro/CN=alice", "hog.gsh", []byte("compute 23h\n"))
 	var hogs []string
 	for site.Stats().FreeSlots > 0 {
 		j, err := site.Submit(jsdlFor("hog.gsh"))
@@ -396,7 +396,7 @@ func TestStagingCacheReplicatesAcrossSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	if inv2.Site == inv1.Site {
-		t.Skipf("broker picked the same site; replication path not exercised")
+		t.Fatalf("placement picked the saturated site %s over its idle sibling", inv2.Site)
 	}
 	<-inv2.DoneChan()
 	if inv2.State() != InvDone {

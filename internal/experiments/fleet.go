@@ -99,8 +99,6 @@ func newFleetRig(o Options, fleetN int) (*fleetRig, error) {
 		},
 		Clock:         clk,
 		FailThreshold: 2,
-		ProbeInterval: 30 * time.Second,
-		ProbeTimeout:  2 * time.Second,
 		HalfOpenAfter: 2 * time.Minute,
 	}, nil)
 	if err != nil {

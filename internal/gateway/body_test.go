@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sizedio"
 )
@@ -103,5 +105,40 @@ func TestOversizeResponseBodyIsAProxyError(t *testing.T) {
 		if resp, err := get(limit); err != nil || len(resp.body) != limit {
 			t.Errorf("%s response of exactly maxBody: %v", path, err)
 		}
+	}
+}
+
+// TestCatalogKeepsTheUploadBuffer: an upload's body is the request's own
+// buffer, which nothing reuses once the request is served, so the catalog
+// keeps that buffer instead of a second copy: learning a 1 MB upload
+// allocates the entry and nothing of the body's size. A buffer that grew
+// past its body (an upload of unknown length) is copied to the body's
+// size, so the catalog keeps none of its slack.
+func TestCatalogKeepsTheUploadBuffer(t *testing.T) {
+	t.Run("unknown length", func(t *testing.T) {
+		g := &Gateway{catalog: map[string]*catalogEntry{}}
+		body := make([]byte, 1<<20+1, 2<<20)
+		g.learn(Route{Kind: KindUpload, Service: "Chunked"}, nil, nil, body, &bufferedResponse{status: http.StatusOK})
+		if e := g.catalog["Chunked"]; e == nil || len(e.body) != len(body) || cap(e.body) != len(body) {
+			t.Fatal("the catalog keeps the slack of a buffer that grew past its body")
+		}
+	})
+	g := &Gateway{catalog: map[string]*catalogEntry{}}
+	body := make([]byte, 1<<20)
+	rt := Route{Kind: KindUpload, Service: "BigService"}
+	ok := &bufferedResponse{status: http.StatusOK}
+	g.learn(rt, nil, nil, body, ok)
+	if e := g.catalog["BigService"]; e == nil || unsafe.SliceData(e.body) != unsafe.SliceData(body) || len(e.body) != len(body) {
+		t.Fatal("the catalog entry does not share the request's buffer")
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		g.learn(rt, nil, nil, body, ok)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+		t.Fatalf("learning a 1 MB upload allocates %d bytes, want < 4 KB", per)
 	}
 }

@@ -7,14 +7,15 @@
 // read-style fan-out endpoints (/api/services, /api/stats, /registry,
 // unknown-ticket lookups) scatter-gather and merge.
 //
-// Each upstream is health-checked actively (a periodic /api/stats probe
-// with consecutive-failure ejection and half-open recovery) and
-// passively (proxy transport errors feed the same circuit), and
-// idempotent reads retry once on the next healthy ring successor. The
-// gateway keeps a catalog of every upload it proxied, so when a shard
-// dies mid-burst its keys remap to the ring successor and the first 404
-// there triggers a transparent catalog replay — invocations complete
-// via failover instead of erroring until an operator re-publishes.
+// The traffic the gateway proxies is its health check: a failed hop
+// counts against the upstream, FailThreshold of them in a row eject it,
+// and once HalfOpenAfter has passed one request at a time goes there as
+// the half-open trial. Idempotent reads retry once on the next healthy ring
+// successor. The gateway keeps a catalog of every upload it proxied, so
+// when a shard dies its keys remap to the ring successor, and the first
+// 404 there (or on the shard once it rejoins) triggers a transparent
+// catalog replay — invocations complete via failover instead of erroring
+// until an operator re-publishes. It runs no background loop.
 //
 // Everything here is opt-in: with no gateway in front (the default), a
 // single appliance's wire behaviour is untouched.
@@ -62,19 +63,12 @@ type Config struct {
 	// PerShard, when non-nil, customises shard i's config (per-shard
 	// probes, shaped grid dialers, trace collectors).
 	PerShard func(i int, cfg appliance.Config) appliance.Config
-	// VirtualNodes per member on the hash ring (default 64).
-	VirtualNodes int
-	// FailThreshold consecutive failures eject an upstream (default 3).
+	// FailThreshold consecutive failed hops eject an upstream (default 3).
 	FailThreshold int
-	// ProbeInterval is the active health-check cadence on Clock
-	// (default 2s); ProbeTimeout is the probe's real-time deadline
-	// (default 2s).
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// HalfOpenAfter is the ejection cooldown before a single half-open
-	// trial probe is admitted (default 10s on Clock).
+	// HalfOpenAfter is the ejection cooldown after which the next request
+	// sent to the upstream is its half-open trial (default 10s on Clock).
 	HalfOpenAfter time.Duration
-	// Clock paces the probes; nil means real time.
+	// Clock times the cooldown; nil means real time.
 	Clock vtime.Clock
 	// HTTP carries gateway→appliance traffic; nil uses hop.Client().
 	HTTP *http.Client
@@ -86,17 +80,8 @@ type Config struct {
 }
 
 func (cfg *Config) fill() {
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = 64
-	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 2 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
 	}
 	if cfg.HalfOpenAfter <= 0 {
 		cfg.HalfOpenAfter = 10 * time.Second
@@ -145,12 +130,11 @@ type Gateway struct {
 	BaseURL string
 	srv     *http.Server
 	ln      net.Listener
-	stop    chan struct{}
-	bg      sync.WaitGroup
 }
 
-// Boot builds and boots the fleet, starts the health probers, and serves
-// the front door on ln (nil: an ephemeral loopback port).
+// Boot builds and boots the fleet and serves the front door on ln (nil:
+// an ephemeral loopback port). The listener's Serve is the one goroutine
+// it starts.
 func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	cfg.fill()
 	if cfg.Fleet <= 0 {
@@ -166,7 +150,6 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 		httpc:   httpc,
 		catalog: make(map[string]*catalogEntry),
 		users:   make(map[string]core.UserAuth),
-		stop:    make(chan struct{}),
 	}
 	if cfg.Trace != nil {
 		g.tracer = trace.NewTracer("gateway", cfg.Clock, cfg.Trace)
@@ -191,7 +174,7 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 		ids[i] = m.id
 		g.byID[m.id] = m
 	}
-	g.ring = newRing(cfg.VirtualNodes, ids)
+	g.ring = newRing(ids)
 	g.tickets.limit = len(g.members) * core.DefaultInvocationRetention
 
 	if ln == nil {
@@ -206,28 +189,7 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	g.BaseURL = "http://" + ln.Addr().String()
 	g.srv = netsim.NewHTTPServer(g)
 	go g.srv.Serve(ln)
-
-	for _, m := range g.members {
-		g.every(cfg.ProbeInterval, m.probe)
-	}
 	return g, nil
-}
-
-// every runs fn once per interval of the gateway's clock until shutdown:
-// the shard health checks.
-func (g *Gateway) every(interval time.Duration, fn func()) {
-	g.bg.Add(1)
-	go func() {
-		defer g.bg.Done()
-		for {
-			select {
-			case <-g.stop:
-				return
-			case <-g.clock.After(interval):
-			}
-			fn()
-		}
-	}()
 }
 
 // bootShard builds and boots shard i from the template.
@@ -284,9 +246,9 @@ func (g *Gateway) PrimaryFor(service string) int {
 }
 
 // Kill hard-stops shard i's appliance (listener and all), simulating a
-// crashed box. Detection is organic: in-flight proxies fail passively
-// and the prober ejects the upstream after FailThreshold consecutive
-// failures.
+// crashed box. Detection is organic: the requests that reach it fail,
+// and FailThreshold of them in a row eject it. Until one reaches it, it
+// still shows healthy.
 func (g *Gateway) Kill(i int) error {
 	if i < 0 || i >= len(g.members) {
 		return fmt.Errorf("gateway: no shard %d", i)
@@ -302,10 +264,9 @@ func (g *Gateway) Kill(i int) error {
 }
 
 // Rejoin boots a fresh appliance for a killed shard, re-registers every
-// known user, replays the upload catalog so the newcomer can serve any
-// service, and leaves the member ejected with an elapsed cooldown — the
-// next probe is the half-open trial that readmits it. The shard keeps
-// its ring position, so its old keys remap straight back.
+// known user and readmits the member. The shard keeps its ring position,
+// so its old keys remap straight back; it gets each service on the first
+// request that finds it missing, by the catalog replay failover uses.
 func (g *Gateway) Rejoin(i int) error {
 	if i < 0 || i >= len(g.members) {
 		return fmt.Errorf("gateway: no shard %d", i)
@@ -324,43 +285,26 @@ func (g *Gateway) Rejoin(i int) error {
 	}
 	g.mu.Lock()
 	users := maps.Clone(g.users)
-	entries := make([]*catalogEntry, 0, len(g.catalog))
-	for _, e := range g.catalog {
-		entries = append(entries, e)
-	}
 	g.mu.Unlock()
 	for u, a := range users {
 		app.OnServe.RegisterUser(u, a)
 	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].service < entries[b].service })
-	for _, e := range entries {
-		if err := g.replayUpload(app.BaseURL, e); err != nil {
-			app.Shutdown()
-			return fmt.Errorf("gateway: rejoin shard %d: replay %s: %w", i, e.service, err)
-		}
-	}
 
 	m.mu.Lock()
-	m.app = app
-	m.base = app.BaseURL
-	m.killed = false
-	m.fails = 0
-	m.state = stateEjected
-	// Cooldown already elapsed: the very next probe is the half-open
-	// trial.
-	m.ejectedAt = g.clock.Now().Add(-g.cfg.HalfOpenAfter)
+	m.app, m.base, m.killed, m.fails, m.trial = app, app.BaseURL, false, 0, false
+	if m.state != stateHealthy {
+		m.state = stateHealthy // a fresh box owes no trial
+		m.recoveries.Add(1)
+	}
 	m.mu.Unlock()
 	return nil
 }
 
-// Shutdown stops the background loops, the front listener, and every
-// owned appliance.
+// Shutdown stops the front listener and every owned appliance.
 func (g *Gateway) Shutdown() error {
-	close(g.stop)
 	g.srv.Close()
 	g.ln.Close()
 	g.shutdownFleet()
-	g.bg.Wait()
 	return nil
 }
 
@@ -446,11 +390,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // ---- the two loops ----
 
-// ask proxies one request to m and is the one place proxied traffic
-// feeds the member's passive health: a hop that fails counts against m
-// and marks sp, any reply — a 5xx too, the appliance is there — counts
-// for it. Every request the gateway sends a member goes through here,
-// its own scatters and delete sweeps included.
+// ask proxies one request to m and is the one place traffic feeds the
+// member's health: a hop that fails counts against m and marks sp, any
+// reply — a 5xx too, the appliance is there — counts for it. Every
+// request the gateway sends a member goes through here, its own scatters
+// and delete sweeps included; the one admit lets through to an ejected
+// member is its half-open trial.
 func (g *Gateway) ask(m *member, r *http.Request, body []byte, sp *trace.Span) (*bufferedResponse, error) {
 	resp, err := g.forward(m, r, body, sp)
 	if err != nil {
@@ -462,14 +407,14 @@ func (g *Gateway) ask(m *member, r *http.Request, body []byte, sp *trace.Span) (
 	return resp, nil
 }
 
-// gather asks every healthy member but skip concurrently and returns the
-// replies index-aligned with g.members: nil where a member was left out
-// or its hop failed. What the replies mean is the caller's merge.
+// gather asks every admitted member but skip concurrently and returns
+// the replies index-aligned with g.members: nil where a member was left
+// out or its hop failed. What the replies mean is the caller's merge.
 func (g *Gateway) gather(r *http.Request, skip *member) []*bufferedResponse {
 	replies := make([]*bufferedResponse, len(g.members))
 	var wg sync.WaitGroup
 	for i, m := range g.members {
-		if m == skip || !m.healthy() {
+		if m == skip || !m.admit() {
 			continue
 		}
 		wg.Add(1)
@@ -482,15 +427,19 @@ func (g *Gateway) gather(r *http.Request, skip *member) []*bufferedResponse {
 	return replies
 }
 
-// first asks order's members one at a time and returns the first reply
-// accept takes, with the member that gave it. When none is taken it
+// first asks order's admitted members one at a time and returns the first
+// reply accept takes, with the member that gave it. When none is taken it
 // returns the last reply accept refused (nil when nobody answered) and
-// the first hop error. It moves past a failed hop only where serveKeyed
-// would retry: never once a write may have reached an upstream.
+// the first hop error (nil when nobody was asked). It moves past a failed
+// hop only where serveKeyed would retry: never once a write may have
+// reached an upstream. A member is admitted only when its turn comes.
 func (g *Gateway) first(order []*member, r *http.Request, body []byte, accept func(*bufferedResponse) bool) (*member, *bufferedResponse, error) {
 	var refused *bufferedResponse
 	var firstErr error
 	for _, m := range order {
+		if !m.admit() {
+			continue
+		}
 		resp, err := g.ask(m, r, body, nil)
 		switch {
 		case err == nil && accept(resp):
@@ -509,17 +458,6 @@ func (g *Gateway) first(order []*member, r *http.Request, body []byte, accept fu
 	return nil, refused, firstErr
 }
 
-// healthyMembers is the fleet in index order, less the ejected.
-func (g *Gateway) healthyMembers() []*member {
-	out := make([]*member, 0, len(g.members))
-	for _, m := range g.members {
-		if m.healthy() {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // ---- keyed, ticket and affinity-free requests ----
 
 // orderedMembers resolves the successor list to members.
@@ -532,12 +470,12 @@ func (g *Gateway) orderedMembers(key string) []*member {
 	return out
 }
 
-// pickHealthy returns the first healthy member of succ, falling back to
-// the primary when the whole fleet looks down (the attempt itself is
-// the passive probe that will flip someone back).
+// pickHealthy returns the first member of succ that admits a request,
+// falling back to the primary when none does (the attempt itself may be
+// the reply that flips it back).
 func pickHealthy(succ []*member) (*member, int) {
 	for i, m := range succ {
-		if m.healthy() {
+		if m.admit() {
 			return m, i
 		}
 	}
@@ -587,8 +525,10 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 
 	// A 404 for a service the fleet owns means this upstream simply has
 	// not seen the upload (ring failover or a fresh rejoin): replay the
-	// catalog entry onto it and ask the original request once more.
-	if resp.status == http.StatusNotFound && rt.Service != "" && rt.Kind != KindUpload && rt.Kind != KindDelete {
+	// catalog entry onto it and ask the original request once more. A
+	// delete too: the upstream then judges it as the owner would, and
+	// its 200 sweeps the fleet.
+	if resp.status == http.StatusNotFound && rt.Service != "" && rt.Kind != KindUpload {
 		base, _ := m.snapshot()
 		if e := g.catalogGet(rt.Service); e != nil && g.replayUpload(base, e) == nil {
 			g.ctr.redeploys.Add(1)
@@ -606,10 +546,10 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 	resp.write(w)
 }
 
-// nextHealthy returns the first healthy member after skip.
+// nextHealthy returns the first member but skip that admits a request.
 func (g *Gateway) nextHealthy(succ []*member, skip *member) *member {
 	for _, m := range succ {
-		if m != skip && m.healthy() {
+		if m != skip && m.admit() {
 			return m
 		}
 	}
@@ -629,12 +569,19 @@ func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, re
 			g.tickets.Store(ticket, m)
 		}
 	case KindUpload:
+		// body is the request's own buffer, which nothing reuses: the
+		// catalog keeps it rather than a second copy, unless the buffer
+		// grew past the body (an upload of unknown length), whose slack
+		// it would keep too.
+		if cap(body) != len(body) {
+			body = append(make([]byte, 0, len(body)), body...)
+		}
 		e := &catalogEntry{
 			service:     rt.Service,
 			contentType: header.Get("Content-Type"),
 			key:         header.Get(tenant.KeyHeader),
 			query:       rt.query,
-			body:        append([]byte(nil), body...),
+			body:        body,
 		}
 		g.mu.Lock()
 		g.catalog[rt.Service] = e
@@ -703,7 +650,7 @@ func (g *Gateway) serveTicket(w http.ResponseWriter, r *http.Request, rt Route, 
 	}
 	g.ctr.scatters.Add(1)
 	known := func(resp *bufferedResponse) bool { return resp.status != http.StatusNotFound }
-	m, resp, _ := g.first(g.healthyMembers(), r, body, known)
+	m, resp, _ := g.first(g.members, r, body, known)
 	if m != nil && rt.Ticket != "" {
 		g.tickets.Store(rt.Ticket, m)
 	}
@@ -714,19 +661,20 @@ func (g *Gateway) serveTicket(w http.ResponseWriter, r *http.Request, rt Route, 
 	resp.write(w)
 }
 
-// serveAny proxies affinity-free requests round-robin over the healthy
+// serveAny proxies affinity-free requests round-robin over the admitted
 // fleet, moving on past a member whose hop fails.
 func (g *Gateway) serveAny(w http.ResponseWriter, r *http.Request, body []byte) {
 	start := int(g.rr.Add(1) - 1)
-	order := make([]*member, 0, len(g.members))
-	for i := range g.members {
-		// The last in the rotation is asked even when it looks down: the
-		// attempt is the passive probe of a fleet that is all ejected.
-		if m := g.members[(start+i)%len(g.members)]; m.healthy() || i == len(g.members)-1 {
-			order = append(order, m)
-		}
+	order := make([]*member, len(g.members))
+	for i := range order {
+		order[i] = g.members[(start+i)%len(g.members)]
 	}
 	_, resp, err := g.first(order, r, body, func(*bufferedResponse) bool { return true })
+	if resp == nil && err == nil {
+		// Nobody admitted it: the fleet is all ejected, and the last in
+		// the rotation is asked anyway, its reply the one that readmits.
+		resp, err = g.ask(order[len(order)-1], r, body, nil)
+	}
 	if resp == nil {
 		if err == nil {
 			err = errors.New("gateway: no upstreams")

@@ -7,6 +7,7 @@ import (
 	"io"
 	"mime/multipart"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,8 +30,8 @@ type fleetWorld struct {
 }
 
 // bootFleet boots one simulated grid plus a gateway fronting n
-// appliances. The probe cadence is on the scaled clock, chosen so the
-// prober stays active without busy-looping at 20000x.
+// appliances. The ejection cooldown is on the scaled clock: 20 minutes
+// are 60 ms of real time at 20000x.
 func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 	t.Helper()
 	clk := vtime.NewScaled(20000)
@@ -58,7 +59,6 @@ func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 			InvocationTimeout: time.Hour,
 		},
 		Clock:         clk,
-		ProbeInterval: 10 * time.Minute, // ~30ms real at 20000x
 		HalfOpenAfter: 20 * time.Minute,
 	}
 	if mutate != nil {
@@ -349,25 +349,22 @@ func TestFleetKillFailoverAndRejoin(t *testing.T) {
 		t.Fatalf("expected a catalog replay on the successor: %+v", st)
 	}
 
-	// The prober ejects the corpse; then the shard rejoins, the catalog is
-	// replayed onto the fresh appliance, the half-open trial readmits it,
-	// and its keys route home again.
-	waitFor(t, 10*time.Second, func() bool {
-		return gatewayStats(t, w.gw).Ejections > 0
-	}, "primary never ejected")
+	// Requests eject the corpse; then the shard rejoins, readmitted at
+	// once, its keys route home again, and the first of them there
+	// replays the catalogued upload.
+	ejectPrimary(t, w.gw, rec.Name)
 	if err := w.gw.Rejoin(victim); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, func() bool {
-		st := gatewayStats(t, w.gw)
-		return st.Recoveries > 0 && st.Upstreams[victim].State == "healthy"
-	}, "rejoined shard never recovered")
+	if st := w.gw.GatewayStats(); st.Recoveries == 0 || st.Upstreams[victim].State != "healthy" {
+		t.Fatalf("rejoined shard not readmitted: %+v", st)
+	}
 
-	before := gatewayStats(t, w.gw)
+	before := w.gw.GatewayStats()
 	if _, out, err := invokeWait(w.gw.BaseURL, rec.Name, map[string]string{"x": "3"}); err != nil || out != "r=3\n" {
 		t.Fatalf("post-rejoin invoke: %q %v", out, err)
 	}
-	after := gatewayStats(t, w.gw)
+	after := w.gw.GatewayStats()
 	if after.StickyHits <= before.StickyHits {
 		t.Fatalf("post-rejoin invoke was not sticky: %+v -> %+v", before, after)
 	}
@@ -434,7 +431,7 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 	}
 
 	// Mid-burst — a third of the calls done, the rest in flight — kill one
-	// shard, and rejoin it once the prober has ejected it.
+	// shard, and rejoin it once requests have ejected it.
 	finished := make(chan struct{})
 	go func() {
 		wg.Wait()
@@ -448,9 +445,7 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 		if err := w.gw.Kill(victim); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, 10*time.Second, func() bool {
-			return gatewayStats(t, w.gw).Ejections >= 1
-		}, "the killed shard was never ejected")
+		ejectPrimary(t, w.gw, services[0])
 		if err := w.gw.Rejoin(victim); err != nil {
 			t.Fatal(err)
 		}
@@ -469,7 +464,7 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 	if n != calls {
 		t.Fatalf("%d distinct tickets for %d completed calls", n, calls)
 	}
-	st := gatewayStats(t, w.gw)
+	st := w.gw.GatewayStats()
 	if st.Routed == 0 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -513,6 +508,157 @@ func TestRegistryPageGathersTheFleet(t *testing.T) {
 	resp.Body.Close()
 	if got := page(""); resp.StatusCode != http.StatusOK || strings.Contains(got, "ListedService") {
 		t.Fatalf("delete status %d; the page still lists the deleted service:\n%s", resp.StatusCode, got)
+	}
+}
+
+// TestRejoinUploadsNothingUntilAsked: a rejoined shard is filled on
+// demand. Rejoin replays none of the catalogued services onto the fresh
+// appliance; the first request for one the shard owns replays that one,
+// through the same 404 path failover takes.
+func TestRejoinUploadsNothingUntilAsked(t *testing.T) {
+	w := bootFleet(t, 3, nil)
+	services := make([]string, 6)
+	for i := range services {
+		services[i] = w.upload(t, w.gw.BaseURL, fmt.Sprintf("lazy%d.gsh", i), "echo l=${x}\n").Name
+	}
+	victim := w.gw.PrimaryFor(services[0])
+	if err := w.gw.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.gw.Rejoin(victim); err != nil {
+		t.Fatal(err)
+	}
+	fresh := w.gw.Fleet()[victim].OnServe
+	if infos, err := fresh.Services(); err != nil || len(infos) != 0 {
+		t.Fatalf("the rejoined shard holds %d services (%v), want 0", len(infos), err)
+	}
+	before := w.gw.GatewayStats().Redeploys
+	if _, out, err := invokeWait(w.gw.BaseURL, services[0], map[string]string{"x": "1"}); err != nil || out != "l=1\n" {
+		t.Fatalf("invoke on the rejoined shard: %q %v", out, err)
+	}
+	infos, err := fresh.Services()
+	if err != nil || len(infos) != 1 || infos[0].ServiceName != services[0] {
+		t.Fatalf("the rejoined shard holds %+v (%v), want %s alone", infos, err, services[0])
+	}
+	if got := w.gw.GatewayStats().Redeploys - before; got != 1 {
+		t.Fatalf("%d replays for one invocation, want 1", got)
+	}
+}
+
+// TestDeleteAfterRejoinSweepsTheFleet: a delete that reaches a rejoined
+// owner before any other request for the service does replays the
+// service there, is judged by the owner as it would have been, and
+// sweeps the copy failover left on the successor. The service is gone
+// from every member and from the listing, and nothing brings it back.
+func TestDeleteAfterRejoinSweepsTheFleet(t *testing.T) {
+	w := bootFleet(t, 3, nil)
+	name := w.upload(t, w.gw.BaseURL, "doomed.gsh", "echo d=${x}\n").Name
+	victim := w.gw.PrimaryFor(name)
+	holders := func() (n int) {
+		t.Helper()
+		for _, app := range w.gw.Fleet() {
+			infos, err := app.OnServe.Services()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, info := range infos {
+				if info.ServiceName == name {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if err := w.gw.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	ejectPrimary(t, w.gw, name) // its reads replay the service onto the successor
+	if err := w.gw.Rejoin(victim); err != nil {
+		t.Fatal(err)
+	}
+	if n := holders(); n != 1 {
+		t.Fatalf("%d members hold %s before the delete, want the successor alone", n, name)
+	}
+	resp, err := http.Post(w.gw.BaseURL+"/api/delete?name="+name, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete on the rejoined owner: status %d: %s", resp.StatusCode, raw)
+	}
+	if n := holders(); n != 0 {
+		t.Fatalf("%d members still hold %s after the delete", n, name)
+	}
+	resp, err = http.Get(w.gw.BaseURL + "/api/services")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []core.ExecutableInfo
+	json.NewDecoder(resp.Body).Decode(&listed)
+	resp.Body.Close()
+	for _, info := range listed {
+		if info.ServiceName == name {
+			t.Fatalf("the listing still has %s", name)
+		}
+	}
+	before := w.gw.GatewayStats().Redeploys
+	if _, _, err := invokeWait(w.gw.BaseURL, name, nil); err == nil || !strings.Contains(err.Error(), "status 404") {
+		t.Fatalf("invoke of the deleted service: %v, want a 404", err)
+	}
+	if got := w.gw.GatewayStats().Redeploys - before; got != 0 || holders() != 0 {
+		t.Fatalf("an invoke of the deleted service replayed it %d times", got)
+	}
+}
+
+// TestGatewayRunsNoBackgroundGoroutine: the gateway's one goroutine is its
+// listener's Serve — health comes from the requests it proxies, not from
+// a loop of its own — and Shutdown leaves none.
+func TestGatewayRunsNoBackgroundGoroutine(t *testing.T) {
+	w := bootFleet(t, 4, nil)
+	own := func() (serve, other int) {
+		buf := make([]byte, 1<<20)
+		for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+			buf = make([]byte, 2*len(buf))
+		}
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			switch {
+			case !strings.Contains(g, "created by repro/internal/gateway."):
+			case strings.Contains(g, "net/http.(*Server).Serve("):
+				serve++
+			default:
+				other++
+				t.Logf("gateway goroutine:\n%s", g)
+			}
+		}
+		return serve, other
+	}
+	gatewayStats(t, w.gw) // a request served: Serve is running
+	if serve, other := own(); serve == 0 || other != 0 {
+		t.Fatalf("the gateway runs %d Serve and %d other goroutines, want 1 and 0", serve, other)
+	}
+	w.gw.Shutdown()
+	waitFor(t, 10*time.Second, func() bool {
+		serve, other := own()
+		return serve+other == 0
+	}, "a goroutine the gateway started outlives Shutdown")
+}
+
+// ejectPrimary sends reads of service through the gateway until its
+// primary, killed, is ejected: nothing but requests finds a dead member.
+// A successor serves each read.
+func ejectPrimary(t *testing.T, gw *Gateway, service string) {
+	t.Helper()
+	for i := 0; gw.GatewayStats().Ejections == 0; i++ {
+		if i == 20 {
+			t.Fatal("the killed shard was never ejected")
+		}
+		resp, err := http.Get(gw.BaseURL + "/api/service?name=" + service)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 	}
 }
 

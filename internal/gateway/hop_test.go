@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hop"
@@ -169,7 +168,6 @@ func TestCallerConnectionCloseKeepsTheMemberConnection(t *testing.T) {
 	})
 	w := bootFleet(t, 1, func(cfg *Config) {
 		cfg.HTTP = &http.Client{Transport: tr}
-		cfg.ProbeInterval = 1000 * time.Hour // no hop of the gateway's own
 	})
 	get := func(close bool) {
 		req, err := http.NewRequest(http.MethodGet, w.gw.BaseURL+"/api/services", nil)

@@ -10,9 +10,11 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
 // fault is what one upstream does to every hop that reaches it.
@@ -98,7 +100,7 @@ func (f *fakeFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // fakeGateway is a gateway of n members over fleet: everything Boot
-// builds but the appliances, the listener and the background loops.
+// builds but the appliances and the listener.
 func fakeGateway(n int, fleet *fakeFleet) (*Gateway, *trace.Collector) {
 	cfg := Config{Fleet: n, FailThreshold: 2}
 	cfg.fill()
@@ -112,7 +114,7 @@ func fakeGateway(n int, fleet *fakeFleet) (*Gateway, *trace.Collector) {
 		g.members, g.byID[m.id] = append(g.members, m), m
 		ids = append(ids, m.id)
 	}
-	g.ring = newRing(cfg.VirtualNodes, ids)
+	g.ring = newRing(ids)
 	return g, col
 }
 
@@ -269,6 +271,152 @@ func TestLoopFaults(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHalfOpenTrialIsARequest: the trial that readmits an ejected member
+// is a request, not a probe. During the cooldown the member is never
+// asked; once the cooldown has passed, the next keyed request asks it. A
+// reply readmits it; a refused dial restarts the cooldown, and the
+// request itself is served by the successor.
+func TestHalfOpenTrialIsARequest(t *testing.T) {
+	for name, trial := range map[string]fault{"reply": healthy, "refused": dialRefused} {
+		t.Run(name, func(t *testing.T) {
+			fleet := &fakeFleet{what: dialRefused, deployed: map[string]bool{}}
+			g, _ := fakeGateway(3, fleet)
+			clk := vtime.NewManual(time.Unix(0, 0))
+			g.clock = clk
+			victim := g.orderedMembers("SService")[0]
+			fleet.bad = strings.TrimPrefix(victim.base, "http://")
+			invoke := func() {
+				t.Helper()
+				w := httptest.NewRecorder()
+				g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`)))
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", w.Code, w.Body)
+				}
+			}
+			upstream := func() UpstreamStats { return g.GatewayStats().Upstreams[victim.idx] }
+			for range g.cfg.FailThreshold {
+				invoke()
+			}
+			if up := upstream(); up.State != "ejected" || up.Ejections != 1 {
+				t.Fatalf("after %d refused dials: %+v", g.cfg.FailThreshold, up)
+			}
+			asked := victim.proxied.Load()
+			invoke()
+			clk.Advance(g.cfg.HalfOpenAfter - time.Nanosecond)
+			invoke()
+			if got := victim.proxied.Load(); got != asked {
+				t.Fatalf("asked %d times during the cooldown", got-asked)
+			}
+			clk.Advance(time.Nanosecond)
+			if up := upstream(); up.State != "half-open" || up.HalfOpenTrials != 0 {
+				t.Fatalf("cooldown over, nothing sent: %+v", up)
+			}
+			fleet.mu.Lock()
+			fleet.what = trial
+			fleet.mu.Unlock()
+			invoke()
+			if got := victim.proxied.Load(); got != asked+1 {
+				t.Fatalf("the first request after the cooldown asked the member %d times, want 1", got-asked)
+			}
+			up := upstream()
+			switch trial {
+			case healthy:
+				if up.State != "healthy" || up.Recoveries != 1 || up.HalfOpenTrials != 1 || up.ConsecutiveFails != 0 {
+					t.Fatalf("a reply to the trial did not readmit: %+v", up)
+				}
+			case dialRefused:
+				if up.State != "ejected" || up.Recoveries != 0 || up.HalfOpenTrials != 1 || up.Ejections != 1 {
+					t.Fatalf("a refused trial: %+v", up)
+				}
+				invoke()
+				if got := victim.proxied.Load(); got != asked+1 {
+					t.Fatal("a refused trial did not restart the cooldown")
+				}
+			}
+		})
+	}
+}
+
+// gatedFleet holds every hop to host until open is closed, saying
+// "parked" on events first.
+type gatedFleet struct {
+	*fakeFleet
+	host   string
+	events chan<- string
+	open   <-chan struct{}
+}
+
+func (f gatedFleet) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host == f.host {
+		f.events <- "parked"
+		<-f.open
+	}
+	return f.fakeFleet.RoundTrip(req)
+}
+
+// TestHalfOpenAdmitsOneTrialAtATime: a burst of keyed requests and
+// scatters that arrives once the cooldown has passed sends the ejected
+// member one request, its trial, and nothing more while that trial is
+// out; the rest of the burst is served without it.
+func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
+	const burst = 8
+	fleet := &fakeFleet{what: dialRefused, deployed: map[string]bool{}}
+	g, _ := fakeGateway(3, fleet)
+	clk := vtime.NewManual(time.Unix(0, 0))
+	g.clock = clk
+	victim := g.orderedMembers("SService")[0]
+	fleet.bad = strings.TrimPrefix(victim.base, "http://")
+	serve := func(i int) int {
+		r := httptest.NewRequest(http.MethodGet, "/api/services", nil)
+		if i%2 == 0 {
+			r = httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`))
+		}
+		w := httptest.NewRecorder()
+		g.ServeHTTP(w, r)
+		return w.Code
+	}
+	for i := range g.cfg.FailThreshold {
+		serve(2 * i)
+	}
+	if up := g.GatewayStats().Upstreams[victim.idx]; up.State != "ejected" {
+		t.Fatalf("after %d refused dials: %+v", g.cfg.FailThreshold, up)
+	}
+	clk.Advance(g.cfg.HalfOpenAfter)
+	fleet.what = healthy
+	events, open := make(chan string, 2*burst), make(chan struct{})
+	g.httpc = &http.Client{Transport: gatedFleet{fleet, fleet.bad, events, open}}
+	asked := victim.proxied.Load()
+
+	codes := make(chan int, burst)
+	for i := range burst {
+		go func() {
+			code := serve(i)
+			events <- "done"
+			codes <- code
+		}()
+	}
+	// Until the gate opens, each request of the burst either parks at the
+	// ejected member or is served elsewhere: one event each.
+	parked := 0
+	for range burst {
+		if <-events == "parked" {
+			parked++
+		}
+	}
+	close(open)
+	for range burst {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("status %d", code)
+		}
+	}
+	if got := victim.proxied.Load() - asked; parked != 1 || got != 1 {
+		t.Fatalf("the ejected member was sent %d requests of the burst (%d at once), want 1", got, parked)
+	}
+	if up := g.GatewayStats().Upstreams[victim.idx]; up.State != "healthy" || up.HalfOpenTrials != 1 || up.Recoveries != 1 {
+		t.Fatalf("after the trial's reply: %+v", up)
 	}
 }
 

@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"context"
-	"net/http"
 	"net/url"
 	"sync"
 	"sync/atomic"
@@ -13,11 +11,11 @@ import (
 )
 
 // memberState is the health FSM: healthy → (FailThreshold consecutive
-// failures) ejected → (HalfOpenAfter cooldown) half-open trial → healthy
-// on success, back to ejected (cooldown restarted) on failure. Both
-// active probes and passive proxy errors feed the same counters, so a
-// mid-burst crash ejects on the burst's own failures without waiting for
-// the prober.
+// failed hops) ejected → (HalfOpenAfter cooldown) half-open → healthy on
+// the next reply, back to ejected (cooldown restarted) on the next failed
+// hop. Only requests move it: the proxied traffic is the probe, and the
+// half-open trial is the one request admit lets through once the
+// cooldown has passed.
 type memberState int32
 
 const (
@@ -37,11 +35,11 @@ type member struct {
 	parsed    hop.Base // base as a URL, parsed again only when base changes
 	killed    bool
 	state     memberState
+	trial     bool      // the half-open trial is out
 	fails     int       // consecutive failures
 	ejectedAt time.Time // gateway clock; start of the half-open cooldown
 
 	// Counters (atomic; read by GatewayStats).
-	probes, probeFails    atomic.Uint64
 	proxied, proxyErrs    atomic.Uint64
 	ejections, recoveries atomic.Uint64
 	halfOpenTrials        atomic.Uint64
@@ -62,10 +60,22 @@ func (m *member) root() (*url.URL, error) {
 	return m.parsed.Parse(m.base)
 }
 
-func (m *member) healthy() bool {
+// admit reports whether a request may be sent to m now, and the caller
+// sends one when it says yes. An ejected member whose cooldown has passed
+// admits one request, its half-open trial; until that trial's reply or
+// failure lands, m admits nothing more.
+func (m *member) admit() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.state == stateHealthy
+	switch {
+	case m.state == stateHealthy:
+		return true
+	case m.trial || m.gw.clock.Now().Sub(m.ejectedAt) < m.gw.cfg.HalfOpenAfter:
+		return false
+	}
+	m.trial = true
+	m.halfOpenTrials.Add(1)
+	return true
 }
 
 // stateName renders the FSM state for stats, deriving "half-open" from
@@ -82,7 +92,7 @@ func (m *member) stateName(now time.Time) string {
 	return "ejected"
 }
 
-// fail records one failed probe or proxy attempt.
+// fail records one failed hop.
 func (m *member) fail() {
 	now := m.gw.clock.Now()
 	m.mu.Lock()
@@ -95,55 +105,21 @@ func (m *member) fail() {
 			m.ejections.Add(1)
 		}
 	case stateEjected:
-		m.ejectedAt = now // failed trial restarts the cooldown
+		// The trial failed, or a hop sent before the ejection did: either
+		// restarts the cooldown, after which another trial is admitted.
+		m.trial = false
+		m.ejectedAt = now
 	}
 	m.mu.Unlock()
 }
 
-// ok records one successful probe or proxy response.
+// ok records one reply; on an ejected member it readmits it.
 func (m *member) ok() {
 	m.mu.Lock()
-	m.fails = 0
+	m.fails, m.trial = 0, false
 	if m.state != stateHealthy {
 		m.state = stateHealthy
 		m.recoveries.Add(1)
 	}
 	m.mu.Unlock()
-}
-
-// probe runs one active health check: GET /api/stats with a short real
-// deadline. Ejected members probe only once their half-open cooldown has
-// elapsed, and that trial is the single request the circuit admits.
-func (m *member) probe() {
-	m.mu.Lock()
-	if m.state == stateEjected {
-		if m.gw.clock.Now().Sub(m.ejectedAt) < m.gw.cfg.HalfOpenAfter {
-			m.mu.Unlock()
-			return
-		}
-		m.halfOpenTrials.Add(1)
-	}
-	base := m.base
-	m.mu.Unlock()
-
-	m.probes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), m.gw.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/stats", nil)
-	if err != nil {
-		m.probeFails.Add(1)
-		m.fail()
-		return
-	}
-	resp, err := m.gw.httpc.Do(req)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		if resp != nil {
-			resp.Body.Close()
-		}
-		m.probeFails.Add(1)
-		m.fail()
-		return
-	}
-	resp.Body.Close()
-	m.ok()
 }

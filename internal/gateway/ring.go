@@ -7,16 +7,18 @@ import (
 	"sync"
 )
 
+// virtualNodes is how many points each member puts on the ring.
+const virtualNodes = 64
+
 // ring is a consistent-hash ring with virtual nodes. Each member
-// contributes vnodes points; a key routes to the first point clockwise
-// from its hash, and the ordered walk from there yields the failover
-// successors. With vnodes high enough (the default 64) adding or
-// removing one member remaps roughly 1/N of the keyspace and leaves
-// every other key where it was — the property that keeps a service's
-// cached stats and staged executable on one shard while the fleet grows.
+// contributes virtualNodes points; a key routes to the first point
+// clockwise from its hash, and the ordered walk from there yields the
+// failover successors. With that many points adding or removing one
+// member remaps roughly 1/N of the keyspace and leaves every other key
+// where it was — the property that keeps a service's cached stats and
+// staged executable on one shard while the fleet grows.
 type ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	points []ringPoint // sorted by hash
 	ids    []string
 }
@@ -26,8 +28,8 @@ type ringPoint struct {
 	id   string
 }
 
-func newRing(vnodes int, ids []string) *ring {
-	r := &ring{vnodes: vnodes}
+func newRing(ids []string) *ring {
+	r := &ring{}
 	r.rebuild(ids)
 	return r
 }
@@ -36,9 +38,9 @@ func newRing(vnodes int, ids []string) *ring {
 // health is a dispatch-time concern, so a recovered member gets its old
 // keys back — only genuine fleet-size changes do.
 func (r *ring) rebuild(ids []string) {
-	pts := make([]ringPoint, 0, len(ids)*r.vnodes)
+	pts := make([]ringPoint, 0, len(ids)*virtualNodes)
 	for _, id := range ids {
-		for v := 0; v < r.vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			pts = append(pts, ringPoint{hash: hash64(id + "#" + strconv.Itoa(v)), id: id})
 		}
 	}

@@ -15,8 +15,8 @@ func ringIDs(n int) []string {
 }
 
 func TestRingDeterministicAndComplete(t *testing.T) {
-	a := newRing(64, ringIDs(5))
-	b := newRing(64, ringIDs(5))
+	a := newRing(ringIDs(5))
+	b := newRing(ringIDs(5))
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("Service%d", i)
 		sa, sb := a.successors(key), b.successors(key)
@@ -42,8 +42,8 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 // so a crash reshuffles one shard's traffic, not the fleet's.
 func TestRingRemapFraction(t *testing.T) {
 	const members, keys = 16, 8192
-	full := newRing(64, ringIDs(members))
-	smaller := newRing(64, ringIDs(members)[:members-1]) // drop shard-15
+	full := newRing(ringIDs(members))
+	smaller := newRing(ringIDs(members)[:members-1]) // drop shard-15
 
 	moved := 0
 	for i := 0; i < keys; i++ {
@@ -66,7 +66,7 @@ func TestRingRemapFraction(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := newRing(64, ringIDs(8))
+	r := newRing(ringIDs(8))
 	counts := make(map[string]int)
 	for i := 0; i < 8192; i++ {
 		counts[r.successors(fmt.Sprintf("S%d|u%d", i, i))[0]]++
@@ -88,7 +88,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingRebuildRestoresMapping(t *testing.T) {
-	r := newRing(64, ringIDs(4))
+	r := newRing(ringIDs(4))
 	key := "MonteCarloService|alice"
 	orig := r.successors(key)[0]
 	r.rebuild(ringIDs(3))

@@ -41,8 +41,6 @@ type UpstreamStats struct {
 	Base             string `json:"base"`
 	State            string `json:"state"` // healthy | ejected | half-open
 	ConsecutiveFails int    `json:"consecutive_fails"`
-	Probes           uint64 `json:"probes"`
-	ProbeFails       uint64 `json:"probe_fails"`
 	HalfOpenTrials   uint64 `json:"half_open_trials"`
 	Proxied          uint64 `json:"proxied"`
 	ProxyErrors      uint64 `json:"proxy_errors"`
@@ -64,7 +62,7 @@ func (g *Gateway) GatewayStats() Stats {
 	now := g.clock.Now()
 	st := Stats{
 		RingMembers:  g.ring.size(),
-		VirtualNodes: g.cfg.VirtualNodes,
+		VirtualNodes: virtualNodes,
 		Routed:       g.ctr.routed.Load(),
 		StickyHits:   g.ctr.sticky.Load(),
 		Failovers:    g.ctr.failovers.Load(),
@@ -85,8 +83,6 @@ func (g *Gateway) GatewayStats() Stats {
 			Base:             base,
 			State:            m.stateName(now),
 			ConsecutiveFails: fails,
-			Probes:           m.probes.Load(),
-			ProbeFails:       m.probeFails.Load(),
 			HalfOpenTrials:   m.halfOpenTrials.Load(),
 			Proxied:          m.proxied.Load(),
 			ProxyErrors:      m.proxyErrs.Load(),

@@ -250,10 +250,10 @@ func TestTransportFaults(t *testing.T) {
 			}()
 			tr := NewTransport(nil)
 			const timeout = 100 * time.Millisecond
+			start := time.Now() // before the deadline is set, so elapsed cannot read short of it
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
 			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+ln.Addr().String()+"/api/stats", nil)
-			start := time.Now()
 			_, err = (&http.Client{Transport: tr}).Do(req)
 			if elapsed := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || elapsed < timeout || elapsed > timeout+5*time.Second {
 				t.Fatalf("after %v: %v", elapsed, err)

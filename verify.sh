@@ -21,8 +21,9 @@ fi
 # the study keeps its name), or the SOAP guard's private error writer (it
 # answers through portal.WriteError). Nor does the gateway's replicated
 # UDDI view, its pull loop or its endpoint: the ring keys on the service
-# name alone, so nothing needs a service's owner.
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls' . ; then
+# name alone, so nothing needs a service's owner. Nor does the gateway's
+# active prober or its knobs: the requests it proxies are its health check.
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails' . ; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
 fi
@@ -45,8 +46,8 @@ go test -race -short ./...
 # possession probes, TTL cache + singleflight — the agent carries the
 # batched probe client), and the fleet
 # gateway (concurrent bursts racing a mid-burst appliance kill and
-# rejoin: health FSM transitions fed by the prober and by ask — the one
-# place proxied traffic counts for or against a member — at once,
+# rejoin: health FSM transitions fed by ask — the one place proxied
+# traffic counts for or against a member — from concurrent requests,
 # gather's goroutines writing index-aligned replies, the bounded ticket
 # table stored into by invokes while waits load from it, a tenancy-on
 # failover replaying the catalogued upload under the uploader's key,
@@ -72,6 +73,10 @@ go test -race -count=5 -run '^TestTransportFaults$' ./internal/hop
 # then nothing, with registrations racing the worker's leaving, and every
 # collector promise kept by a worker polling behind a stock gatekeeper.
 go test -race -count=5 -run '^TestPushEventsStalledStreamFallsBack$|^TestCollectorContract$/.*/push-to-poll' ./internal/core
+# So has the gateway's health circuit, which only requests move: the
+# half-open trial by request, a rejoin filled on demand, the loop fault
+# table, and no goroutine of its own beside the listener's.
+go test -race -count=5 -run 'HalfOpen|Rejoin|^TestLoopFaults$|NoBackground' ./internal/gateway
 
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
