@@ -6,8 +6,8 @@
 //	onserve-cli -portal ... list
 //	onserve-cli -portal ... discover -pattern 'Pi%'
 //	onserve-cli -portal ... invoke -service PiService -arg digits=100 -wait
-//	onserve-cli -portal ... output -ticket inv-000001-abcdef
-//	onserve-cli -portal ... trace -ticket inv-000001-abcdef
+//	onserve-cli -portal ... output -ticket inv-000001-PiService-5f3a9c0d1e2b
+//	onserve-cli -portal ... trace -ticket inv-000001-PiService-5f3a9c0d1e2b
 //	onserve-cli -portal ... -key tenant-secret audit -n 20
 //
 // When the appliance enforces tenancy, pass the API key with -key (or

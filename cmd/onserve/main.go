@@ -215,7 +215,7 @@ func runFleet(cfg appliance.Config, opts bootOptions) error {
 
 	fmt.Printf("Cyberaide onServe fleet gateway up (%d appliances)\n", opts.fleet)
 	fmt.Printf("  portal       %s/\n", gw.BaseURL)
-	fmt.Printf("  gateway      %s/gateway/stats\n", gw.BaseURL)
+	fmt.Printf("  stats        %s/api/stats\n", gw.BaseURL)
 	for i, app := range gw.Fleet() {
 		fmt.Printf("  shard-%d      %s/\n", i, app.BaseURL)
 	}

@@ -274,7 +274,7 @@ func (o *OnServe) newInvocation(serviceName, owner, sessID, site, jobID string, 
 	o.mu.Lock()
 	o.seq++
 	inv := &Invocation{
-		Ticket:      newTicket(o.seq),
+		Ticket:      newTicket(o.seq, serviceName),
 		Service:     serviceName,
 		JobID:       jobID,
 		Site:        site,

@@ -526,18 +526,34 @@ func (o *OnServe) ServiceInfo(serviceName string) (*ExecutableInfo, error) {
 	}, nil
 }
 
-// newTicket writes fmt's "inv-%06d-" and twelve random hex digits into one buffer.
-func newTicket(seq int) string {
+// newTicket writes fmt's "inv-%06d-<service>-" and twelve random hex
+// digits in one allocation. The sequence leads, so tickets sort in issue
+// order; the name lets a fleet route a ticket by it (TicketService).
+func newTicket(seq int, service string) string {
 	var rnd [6]byte
 	if _, err := rand.Read(rnd[:]); err != nil {
 		panic("onserve: entropy unavailable: " + err.Error())
 	}
-	var buf [40]byte
+	var buf [32]byte
 	t := append(buf[:0], "inv-"...)
 	for width := 100000; width > 1 && seq < width; width /= 10 {
 		t = append(t, '0')
 	}
-	t = strconv.AppendInt(t, int64(seq), 10)
-	t = hex.AppendEncode(append(t, '-'), rnd[:])
-	return string(t)
+	t = append(strconv.AppendInt(t, int64(seq), 10), '-')
+	var hx [12]byte
+	hex.Encode(hx[:], rnd[:])
+	return string(t) + service + "-" + string(hx[:])
+}
+
+// TicketService reads the service name out of a ticket newTicket wrote,
+// inv-<seq>-<Service>-<12 hex>; it refuses any other string.
+func TicketService(ticket string) (string, bool) {
+	rest, ok := strings.CutPrefix(ticket, "inv-")
+	seq, rest, _ := strings.Cut(rest, "-")
+	service, rnd, _ := strings.Cut(rest, "-")
+	if !ok || seq == "" || strings.Trim(seq, "0123456789") != "" || service == "" ||
+		len(rnd) != 12 || strings.Trim(rnd, "0123456789abcdef") != "" {
+		return "", false
+	}
+	return service, true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,42 @@ func TestServiceNameFor(t *testing.T) {
 		if _, err := ServiceNameFor(bad); !errors.Is(err, ErrBadName) {
 			t.Errorf("ServiceNameFor(%q) err = %v", bad, err)
 		}
+	}
+}
+
+// TestTicketNamesItsService: a ticket carries its service's name, which
+// TicketService alone reads back; every other string is refused. A ticket
+// costs one allocation, and tickets sort in issue order whatever their
+// services are called.
+func TestTicketNamesItsService(t *testing.T) {
+	for _, file := range []string{"monte.gsh", "Äpfel.gsh", "数据 v2.gsh"} {
+		svc, err := ServiceNameFor(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ticket := newTicket(7, svc)
+		if got, ok := TicketService(ticket); !ok || got != svc {
+			t.Errorf("TicketService(%q) = %q, %v; want %q", ticket, got, ok, svc)
+		}
+	}
+	for _, bad := range []string{"", "inv-", "inv-000001-abcdef012345", "t-1", "inv-000001-S-abcdef01234",
+		"inv-000001-S-abcdef0123456", "inv-000001-S-ABCDEF012345", "inv-00x001-S-abcdef012345",
+		"inv--S-abcdef012345", "inv-000001--abcdef012345", "inv-000001-A-B-abcdef012345", "xinv-000001-S-abcdef012345"} {
+		if got, ok := TicketService(bad); ok {
+			t.Errorf("TicketService(%q) = %q, want refused", bad, got)
+		}
+	}
+	// Under the race detector crypto/rand's buffer escapes, one more.
+	if allocs := testing.AllocsPerRun(100, func() { newTicket(42, "MonteService") }); allocs != 1 && !raceEnabled {
+		t.Errorf("newTicket allocates %.0f objects, want 1", allocs)
+	}
+	names := []string{"ZService", "AService", "MService", "数据V2Service"}
+	var tickets []string
+	for seq := 1; seq <= 1200; seq++ {
+		tickets = append(tickets, newTicket(seq, names[seq%len(names)]))
+	}
+	if !sort.StringsAreSorted(tickets) {
+		t.Error("tickets do not sort in issue order")
 	}
 }
 

@@ -118,7 +118,7 @@ func TestCatalogKeepsTheUploadBuffer(t *testing.T) {
 	t.Run("unknown length", func(t *testing.T) {
 		g := &Gateway{catalog: map[string]*catalogEntry{}}
 		body := make([]byte, 1<<20+1, 2<<20)
-		g.learn(Route{Kind: KindUpload, Service: "Chunked"}, nil, nil, body, &bufferedResponse{status: http.StatusOK})
+		g.learn(Route{Kind: KindUpload, Service: "Chunked"}, nil, nil, body, http.StatusOK)
 		if e := g.catalog["Chunked"]; e == nil || len(e.body) != len(body) || cap(e.body) != len(body) {
 			t.Fatal("the catalog keeps the slack of a buffer that grew past its body")
 		}
@@ -126,8 +126,7 @@ func TestCatalogKeepsTheUploadBuffer(t *testing.T) {
 	g := &Gateway{catalog: map[string]*catalogEntry{}}
 	body := make([]byte, 1<<20)
 	rt := Route{Kind: KindUpload, Service: "BigService"}
-	ok := &bufferedResponse{status: http.StatusOK}
-	g.learn(rt, nil, nil, body, ok)
+	g.learn(rt, nil, nil, body, http.StatusOK)
 	if e := g.catalog["BigService"]; e == nil || unsafe.SliceData(e.body) != unsafe.SliceData(body) || len(e.body) != len(body) {
 		t.Fatal("the catalog entry does not share the request's buffer")
 	}
@@ -135,7 +134,7 @@ func TestCatalogKeepsTheUploadBuffer(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		g.learn(rt, nil, nil, body, ok)
+		g.learn(rt, nil, nil, body, http.StatusOK)
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {

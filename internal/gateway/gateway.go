@@ -3,9 +3,9 @@
 // and shards every portal API call across them by consistent hashing on
 // the service name. Service names are unique fleet-wide, so the name
 // alone places a service: one shard owns everything downstream of it —
-// its staged executable, cached stats, the invocations it issued — while
-// read-style fan-out endpoints (/api/services, /api/stats, /registry,
-// unknown-ticket lookups) scatter-gather and merge.
+// its staged executable, cached stats, the invocations it issued, whose
+// tickets name it — while read-style fan-out endpoints (/api/services,
+// /api/stats, /api/audit, /registry) scatter-gather and merge.
 //
 // The traffic the gateway proxies is its health check: a failed hop
 // counts against the upstream, FailThreshold of them in a row eject it,
@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/appliance"
 	"repro/internal/core"
-	"repro/internal/flatjson"
 	"repro/internal/hop"
 	"repro/internal/netsim"
 	"repro/internal/portal"
@@ -117,19 +116,17 @@ type Gateway struct {
 	tracer  *trace.Tracer
 	ring    *ring
 	members []*member
-	byID    map[string]*member
 	ctr     counters
 
 	mu      sync.Mutex
 	catalog map[string]*catalogEntry
 	users   map[string]core.UserAuth
 
-	tickets ticketTable
-
 	rr      atomic.Uint64 // round-robin cursor for KindAny
 	BaseURL string
 	srv     *http.Server
 	ln      net.Listener
+	served  chan struct{} // closed when the listener's Serve has returned
 }
 
 // Boot builds and boots the fleet and serves the front door on ln (nil:
@@ -168,14 +165,7 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 			app: app, base: app.BaseURL,
 		})
 	}
-	ids := make([]string, len(g.members))
-	g.byID = make(map[string]*member, len(g.members))
-	for i, m := range g.members {
-		ids[i] = m.id
-		g.byID[m.id] = m
-	}
-	g.ring = newRing(ids)
-	g.tickets.limit = len(g.members) * core.DefaultInvocationRetention
+	g.ring = newRing(g.members)
 
 	if ln == nil {
 		var err error
@@ -188,7 +178,11 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	g.ln = ln
 	g.BaseURL = "http://" + ln.Addr().String()
 	g.srv = netsim.NewHTTPServer(g)
-	go g.srv.Serve(ln)
+	g.served = make(chan struct{})
+	go func() {
+		defer close(g.served)
+		g.srv.Serve(ln)
+	}()
 	return g, nil
 }
 
@@ -242,7 +236,7 @@ func (g *Gateway) PrimaryFor(service string) int {
 	if len(succ) == 0 {
 		return -1
 	}
-	return g.byID[succ[0]].idx
+	return succ[0].idx
 }
 
 // Kill hard-stops shard i's appliance (listener and all), simulating a
@@ -300,10 +294,12 @@ func (g *Gateway) Rejoin(i int) error {
 	return nil
 }
 
-// Shutdown stops the front listener and every owned appliance.
+// Shutdown stops the front listener, waits for its Serve to return, and
+// stops every owned appliance.
 func (g *Gateway) Shutdown() error {
 	g.srv.Close()
 	g.ln.Close()
+	<-g.served
 	g.shutdownFleet()
 	return nil
 }
@@ -345,10 +341,6 @@ func (g *Gateway) replayUpload(base string, e *catalogEntry) error {
 
 // ServeHTTP is the front door.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/gateway/") {
-		g.serveInternal(w, r)
-		return
-	}
 	var body []byte
 	if r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodHead {
 		var err error
@@ -427,31 +419,38 @@ func (g *Gateway) gather(r *http.Request, skip *member) []*bufferedResponse {
 	return replies
 }
 
-// first asks order's admitted members one at a time and returns the first
-// reply accept takes, with the member that gave it. When none is taken it
-// returns the last reply accept refused (nil when nobody answered) and
-// the first hop error (nil when nobody was asked). It moves past a failed
-// hop only where serveKeyed would retry: never once a write may have
-// reached an upstream. A member is admitted only when its turn comes.
-func (g *Gateway) first(order []*member, r *http.Request, body []byte, accept func(*bufferedResponse) bool) (*member, *bufferedResponse, error) {
+// first asks order's members one at a time and returns the first reply
+// accept takes, with the member that gave it: in order those admit lets
+// through, then, last, those it turned away — a member whose circuit is
+// open may still be the only one that holds what was asked for. When
+// none is taken it returns the last reply accept refused (nil when nobody
+// answered) and the first hop error (nil when nobody failed). It moves
+// past a failed hop only where serveKeyed would retry: never once a write
+// may have reached an upstream. A member is admitted only when its turn
+// comes.
+func (g *Gateway) first(order []*member, r *http.Request, body []byte, sp *trace.Span, accept func(*bufferedResponse) bool) (*member, *bufferedResponse, error) {
 	var refused *bufferedResponse
 	var firstErr error
-	for _, m := range order {
-		if !m.admit() {
-			continue
-		}
-		resp, err := g.ask(m, r, body, nil)
-		switch {
-		case err == nil && accept(resp):
-			return m, resp, nil
-		case err == nil:
-			refused = resp
-		default:
-			if firstErr == nil {
-				firstErr = err
+	var shut []*member // turned away by admit: the second pass
+	for pass, members := 0, order; pass < 2; pass, members = pass+1, shut {
+		for _, m := range members {
+			if pass == 0 && !m.admit() {
+				shut = append(shut, m)
+				continue
 			}
-			if !safeToRetry(r.Method, err) {
-				return nil, refused, firstErr
+			resp, err := g.ask(m, r, body, sp)
+			switch {
+			case err == nil && accept(resp):
+				return m, resp, nil
+			case err == nil:
+				refused = resp
+			default:
+				if firstErr == nil {
+					firstErr = err
+				}
+				if !safeToRetry(r.Method, err) {
+					return nil, refused, firstErr
+				}
 			}
 		}
 	}
@@ -459,16 +458,6 @@ func (g *Gateway) first(order []*member, r *http.Request, body []byte, accept fu
 }
 
 // ---- keyed, ticket and affinity-free requests ----
-
-// orderedMembers resolves the successor list to members.
-func (g *Gateway) orderedMembers(key string) []*member {
-	ids := g.ring.successors(key)
-	out := make([]*member, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, g.byID[id])
-	}
-	return out
-}
 
 // pickHealthy returns the first member of succ that admits a request,
 // falling back to the primary when none does (the attempt itself may be
@@ -491,7 +480,7 @@ func pickHealthy(succ []*member) (*member, int) {
 // and a catalog replay when an upstream turns out not to hold a service
 // the fleet owns.
 func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
-	succ := g.orderedMembers(rt.Service)
+	succ := g.ring.successors(rt.Service)
 	m, pos := pickHealthy(succ)
 	if m == nil {
 		portal.WriteError(w, http.StatusServiceUnavailable, errors.New("gateway: no upstreams"))
@@ -540,7 +529,7 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 		}
 	}
 
-	g.learn(rt, m, r.Header, body, resp)
+	g.learn(rt, m, r.Header, body, resp.status)
 	sp.SetInt("status", int64(resp.status))
 	sp.End()
 	resp.write(w)
@@ -556,18 +545,14 @@ func (g *Gateway) nextHealthy(succ []*member, skip *member) *member {
 	return nil
 }
 
-// learn harvests placement facts from a successful response: tickets
-// map back to the shard that issued them, uploads enter the catalog,
-// deletes leave it. header is the caller's.
-func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, resp *bufferedResponse) {
-	if resp.status != http.StatusOK {
+// learn keeps the catalog from a keyed request m answered with status:
+// an upload that succeeded enters it, a delete that did leaves it. Of the
+// reply it reads the status alone. header is the caller's.
+func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, status int) {
+	if status != http.StatusOK {
 		return
 	}
 	switch rt.Kind {
-	case KindInvoke:
-		if ticket := invokeTicket(resp.body); ticket != "" {
-			g.tickets.Store(ticket, m)
-		}
 	case KindUpload:
 		// body is the request's own buffer, which nothing reuses: the
 		// catalog keeps it rather than a second copy, unless the buffer
@@ -600,62 +585,27 @@ func (g *Gateway) learn(rt Route, m *member, header http.Header, body []byte, re
 	}
 }
 
-// invokeTicket reads the ticket out of an appliance's /api/invoke reply,
-// {"job_id":…,"site":…,"ticket":…}; any other document is
-// encoding/json's to read.
-func invokeTicket(doc []byte) string {
-	var ticket string
-	o := flatjson.Open(doc)
-	for o.Next() {
-		switch string(o.Key()) {
-		case "ticket":
-			ticket = o.String()
-		case "job_id", "site":
-			o.Skip()
-		default:
-			o.Fail()
-		}
-	}
-	if o.Done() {
-		return ticket
-	}
-	var out portal.InvokeReply
-	if json.Unmarshal(doc, &out) != nil {
-		return ""
-	}
-	return out.Ticket
-}
-
 func (g *Gateway) catalogGet(service string) *catalogEntry {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.catalog[service]
 }
 
-// serveTicket routes ticket-addressed requests to the shard that issued
-// the ticket, searching the fleet only for tickets the table does not
-// hold: one a sibling gateway issued, or one it has since evicted.
+// serveTicket routes a ticket-addressed request by the service its
+// ticket names, along that service's ring walk: the primary issued the
+// ticket, or a successor did while the primary was ejected. The first
+// member that answers other than 404 holds the invocation.
 func (g *Gateway) serveTicket(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
-	if m, ok := g.tickets.Load(rt.Ticket); ok {
-		g.ctr.ticketRoutes.Add(1)
-		sp := g.startSpan(r, rt, m)
-		resp, err := g.ask(m, r, body, sp)
-		sp.End()
-		if err != nil {
-			portal.WriteError(w, http.StatusBadGateway, fmt.Errorf("gateway: upstream %s: %w", m.id, err))
-			return
-		}
-		resp.write(w)
-		return
+	g.ctr.ticketRoutes.Add(1)
+	succ := g.ring.successors(rt.Service)
+	sp := g.startSpan(r, rt, succ[0])
+	m, resp, err := g.first(succ, r, body, sp, func(resp *bufferedResponse) bool { return resp.status != http.StatusNotFound })
+	if m != nil {
+		sp.Set("upstream", m.id)
 	}
-	g.ctr.scatters.Add(1)
-	known := func(resp *bufferedResponse) bool { return resp.status != http.StatusNotFound }
-	m, resp, _ := g.first(g.members, r, body, known)
-	if m != nil && rt.Ticket != "" {
-		g.tickets.Store(rt.Ticket, m)
-	}
+	sp.End()
 	if resp == nil {
-		portal.WriteError(w, http.StatusBadGateway, errors.New("gateway: no upstream answered"))
+		portal.WriteError(w, http.StatusBadGateway, fmt.Errorf("gateway: no upstream answered: %w", err))
 		return
 	}
 	resp.write(w)
@@ -669,16 +619,8 @@ func (g *Gateway) serveAny(w http.ResponseWriter, r *http.Request, body []byte) 
 	for i := range order {
 		order[i] = g.members[(start+i)%len(g.members)]
 	}
-	_, resp, err := g.first(order, r, body, func(*bufferedResponse) bool { return true })
-	if resp == nil && err == nil {
-		// Nobody admitted it: the fleet is all ejected, and the last in
-		// the rotation is asked anyway, its reply the one that readmits.
-		resp, err = g.ask(order[len(order)-1], r, body, nil)
-	}
+	_, resp, err := g.first(order, r, body, nil, func(*bufferedResponse) bool { return true })
 	if resp == nil {
-		if err == nil {
-			err = errors.New("gateway: no upstreams")
-		}
 		portal.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
@@ -801,16 +743,6 @@ func union[T any](replies []*bufferedResponse, name func(T) string) []T {
 	}
 	sort.Slice(out, func(i, j int) bool { return name(out[i]) < name(out[j]) })
 	return out
-}
-
-// serveInternal handles the gateway's own endpoint: its stats block
-// (GET /gateway/stats).
-func (g *Gateway) serveInternal(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/gateway/stats" && r.Method == http.MethodGet {
-		writeJSON(w, http.StatusOK, g.GatewayStats())
-		return
-	}
-	http.NotFound(w, r)
 }
 
 // ---- proxy plumbing ----

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -12,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -41,7 +41,7 @@ type fakeFleet struct {
 	mu        sync.Mutex
 	bad       string
 	what      fault
-	knows     string          // the host that issued ticket "t-known"
+	knows     string          // the host that issued fakeTicket: its last invoke's
 	deployed  map[string]bool // hosts that have seen POST /upload
 	ambiguous bool
 	resent    bool
@@ -87,8 +87,9 @@ func (f *fakeFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	switch req.URL.Path {
 	case "/api/invoke":
-		return reply(http.StatusOK, `{"job_id":"siteA:job-1","site":"siteA","ticket":"t-new"}`)
-	case "/api/cancel":
+		f.knows = req.URL.Host
+		return reply(http.StatusOK, `{"job_id":"siteA:job-1","site":"siteA","ticket":"`+fakeTicket+`"}`)
+	case "/api/cancel", "/api/wait":
 		if req.URL.Host != f.knows {
 			return reply(http.StatusNotFound, `{"code":"not_found","error":"no such ticket"}`)
 		}
@@ -99,6 +100,10 @@ func (f *fakeFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 	return reply(http.StatusOK, `{}`)
 }
 
+// fakeTicket is the ticket every fakeFleet member issues: one of
+// SService's.
+const fakeTicket = "inv-000001-SService-0123456789ab"
+
 // fakeGateway is a gateway of n members over fleet: everything Boot
 // builds but the appliances and the listener.
 func fakeGateway(n int, fleet *fakeFleet) (*Gateway, *trace.Collector) {
@@ -106,15 +111,12 @@ func fakeGateway(n int, fleet *fakeFleet) (*Gateway, *trace.Collector) {
 	cfg.fill()
 	col := trace.NewCollector(0, 0)
 	g := &Gateway{cfg: cfg, clock: cfg.Clock, httpc: &http.Client{Transport: fleet},
-		tracer: trace.NewTracer("gateway", cfg.Clock, col), byID: map[string]*member{},
+		tracer:  trace.NewTracer("gateway", cfg.Clock, col),
 		catalog: map[string]*catalogEntry{"SService": {service: "SService", contentType: "multipart/form-data; boundary=x"}}}
-	var ids []string
 	for i := 0; i < n; i++ {
-		m := &member{id: fmt.Sprintf("shard-%d", i), idx: i, gw: g, base: fmt.Sprintf("http://%c.invalid", 'a'+i)}
-		g.members, g.byID[m.id] = append(g.members, m), m
-		ids = append(ids, m.id)
+		g.members = append(g.members, &member{id: fmt.Sprintf("shard-%d", i), idx: i, gw: g, base: fmt.Sprintf("http://%c.invalid", 'a'+i)})
 	}
-	g.ring = newRing(ids)
+	g.ring = newRing(g.members)
 	return g, col
 }
 
@@ -134,7 +136,8 @@ func (w *onceWriter) WriteHeader(status int) {
 
 // TestLoopFaults is one table for the gateway→appliance edge: each way a
 // hop can go wrong, met through each of the loops every proxied request
-// takes — ask under serveKeyed's retry rule, first, gather. Per cell:
+// takes — ask under serveKeyed's retry rule, first (along a ticket's
+// service walk), gather. Per cell:
 // exactly one response, of the expected status; every attempt counted
 // once, as a failure or as a success, on the member it went to; a write
 // never sent again once its bytes reached an upstream; the member ejected
@@ -151,6 +154,7 @@ func TestLoopFaults(t *testing.T) {
 		name    string
 		request func() *http.Request
 		traced  bool
+		replays bool                       // a 404 replays the catalogued upload
 		order   func(g *Gateway) []*member // the first of it suffers the fault
 		want    map[fault]want
 	}{
@@ -159,8 +163,9 @@ func TestLoopFaults(t *testing.T) {
 			request: func() *http.Request {
 				return httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`))
 			},
-			traced: true,
-			order:  func(g *Gateway) []*member { return g.orderedMembers("SService") },
+			traced:  true,
+			replays: true,
+			order:   func(g *Gateway) []*member { return g.ring.successors("SService") },
 			want: map[fault]want{
 				dialRefused:  {http.StatusOK, []uint64{1, 1, 0}, 1}, // provably unsent: retried on the successor
 				resetOnReply: {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
@@ -172,9 +177,10 @@ func TestLoopFaults(t *testing.T) {
 		{
 			name: "first",
 			request: func() *http.Request {
-				return httptest.NewRequest(http.MethodPost, "/api/cancel?ticket=t-known", nil)
+				return httptest.NewRequest(http.MethodPost, "/api/cancel?ticket="+fakeTicket, nil)
 			},
-			order: func(g *Gateway) []*member { return g.members },
+			traced: true,
+			order:  func(g *Gateway) []*member { return g.ring.successors("SService") },
 			want: map[fault]want{
 				dialRefused:  {http.StatusOK, []uint64{1, 1, 1}, 1},
 				resetOnReply: {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
@@ -208,8 +214,7 @@ func TestLoopFaults(t *testing.T) {
 
 				serve := func(traceID string) int {
 					t.Helper()
-					fleet.ambiguous = false     // one request's history, not the last one's
-					g.tickets.Delete("t-known") // every request searches anew
+					fleet.ambiguous = false // one request's history, not the last one's
 					r := loop.request()
 					r.Header.Set(trace.Header, traceID+"-0123456789abcdef")
 					w := &onceWriter{ResponseRecorder: httptest.NewRecorder(), t: t}
@@ -235,7 +240,7 @@ func TestLoopFaults(t *testing.T) {
 						t.Errorf("member %d: %d proxy errors, %d consecutive fails; want %d of each", i, m.proxyErrs.Load(), m.fails, fails)
 					}
 				}
-				if what == status404 && loop.traced && victim.redeploys.Load() != 1 {
+				if what == status404 && loop.replays && victim.redeploys.Load() != 1 {
 					t.Errorf("%d redeploys onto the member that answered 404, want 1", victim.redeploys.Load())
 				}
 				spans := col.Trace(firstTrace)
@@ -286,7 +291,7 @@ func TestHalfOpenTrialIsARequest(t *testing.T) {
 			g, _ := fakeGateway(3, fleet)
 			clk := vtime.NewManual(time.Unix(0, 0))
 			g.clock = clk
-			victim := g.orderedMembers("SService")[0]
+			victim := g.ring.successors("SService")[0]
 			fleet.bad = strings.TrimPrefix(victim.base, "http://")
 			invoke := func() {
 				t.Helper()
@@ -367,7 +372,7 @@ func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 	g, _ := fakeGateway(3, fleet)
 	clk := vtime.NewManual(time.Unix(0, 0))
 	g.clock = clk
-	victim := g.orderedMembers("SService")[0]
+	victim := g.ring.successors("SService")[0]
 	fleet.bad = strings.TrimPrefix(victim.base, "http://")
 	serve := func(i int) int {
 		r := httptest.NewRequest(http.MethodGet, "/api/services", nil)
@@ -420,43 +425,172 @@ func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 	}
 }
 
-// TestTicketTableIsBounded: the table holds the newest limit tickets and
-// no more, and an evicted ticket that is still alive is found again by
-// the search of the fleet, which puts it back.
-func TestTicketTableIsBounded(t *testing.T) {
+// TestTicketWalksItsServiceRing: a ticket is routed by the service it
+// names, along that service's successor walk, and nothing is scattered.
+// The primary's ticket costs one hop. A ticket a successor issued while
+// the primary was ejected costs two once the primary is back: its 404,
+// then the issuer. An issuer that is alive but ejected is asked last, and
+// still answers for its ticket.
+func TestTicketWalksItsServiceRing(t *testing.T) {
 	fleet := &fakeFleet{deployed: map[string]bool{}}
-	g, _ := fakeGateway(3, fleet)
-	fleet.knows = "c.invalid"
-	g.tickets.limit = len(g.members) * core.DefaultInvocationRetention
-	bound := g.tickets.limit
-	g.tickets.Store("t-known", g.members[2])
-	for i := 0; i < bound+100; i++ {
-		resp := &bufferedResponse{status: http.StatusOK, body: []byte(fmt.Sprintf(`{"job_id":"j","site":"s","ticket":"t-%d"}`, i))}
-		g.learn(Route{Kind: KindInvoke}, g.members[i%3], nil, nil, resp)
+	g, col := fakeGateway(3, fleet)
+	clk := vtime.NewManual(time.Unix(0, 0))
+	g.clock = clk
+	succ := g.ring.successors("SService")
+	primary := succ[0]
+	const waitTrace = "000000000000000000000000000000b1"
+	serve := func(method, target string) int {
+		t.Helper()
+		w := httptest.NewRecorder()
+		var body io.Reader
+		if method == http.MethodPost {
+			body = strings.NewReader(`{"service":"SService"}`)
+		}
+		r := httptest.NewRequest(method, target, body)
+		if strings.HasPrefix(target, "/api/wait") {
+			r.Header.Set(trace.Header, waitTrace+"-0123456789abcdef")
+		}
+		g.ServeHTTP(w, r)
+		return w.Code
 	}
-	if n := len(g.tickets.issuer); n != bound || len(g.tickets.fifo) != bound {
-		t.Fatalf("table holds %d tickets (queue %d), want the bound %d", n, len(g.tickets.fifo), bound)
+	hops := func() (n [3]uint64) {
+		for i, m := range succ {
+			n[i] = m.proxied.Load()
+		}
+		return n
 	}
-	if _, ok := g.tickets.Load("t-known"); ok {
-		t.Fatal("the oldest ticket was not evicted")
+	wait := func(want [3]uint64) {
+		t.Helper()
+		before, routes := hops(), g.ctr.ticketRoutes.Load()
+		if code := serve(http.MethodGet, "/api/wait?ticket="+fakeTicket); code != http.StatusOK {
+			t.Fatalf("wait: status %d", code)
+		}
+		after := hops()
+		for i := range after {
+			after[i] -= before[i]
+		}
+		if after != want || g.ctr.ticketRoutes.Load() != routes+1 || g.ctr.scatters.Load() != 0 {
+			t.Fatalf("wait asked the walk %v, want %v; %d ticket routes (+1 wanted), %d scatters",
+				after, want, g.ctr.ticketRoutes.Load()-routes, g.ctr.scatters.Load())
+		}
 	}
-	if m, ok := g.tickets.Load(fmt.Sprintf("t-%d", bound+99)); !ok || m != g.members[(bound+99)%3] {
-		t.Fatal("the newest ticket does not resolve")
+
+	if code := serve(http.MethodPost, "/api/invoke"); code != http.StatusOK || fleet.knows != strings.TrimPrefix(primary.base, "http://") {
+		t.Fatalf("invoke: status %d, issued by %s", code, fleet.knows)
 	}
-	w := httptest.NewRecorder()
-	g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/cancel?ticket=t-known", nil))
-	if w.Code != http.StatusOK || g.ctr.scatters.Load() != 1 {
-		t.Fatalf("evicted ticket: status %d after %d searches, want 200 after 1", w.Code, g.ctr.scatters.Load())
+	wait([3]uint64{1, 0, 0})
+	if spans := col.Trace(waitTrace); len(spans) != 1 || spans[0].Attrs["upstream"] != primary.id {
+		t.Fatalf("the wait's span does not name the issuer: %+v", spans)
 	}
-	if m, ok := g.tickets.Load("t-known"); !ok || m != g.members[2] {
-		t.Fatal("the search did not put the ticket back")
+
+	// The primary refuses dials until it is ejected; the invoke that
+	// ejects it is issued by the successor.
+	fleet.mu.Lock()
+	fleet.bad, fleet.what = strings.TrimPrefix(primary.base, "http://"), dialRefused
+	fleet.mu.Unlock()
+	for range g.cfg.FailThreshold {
+		if code := serve(http.MethodPost, "/api/invoke"); code != http.StatusOK {
+			t.Fatalf("invoke during the outage: status %d", code)
+		}
 	}
-	if n := len(g.tickets.issuer); n != bound {
-		t.Fatalf("table holds %d tickets after the search, want %d", n, bound)
+	if fleet.knows != strings.TrimPrefix(succ[1].base, "http://") || g.GatewayStats().Upstreams[primary.idx].State != "ejected" {
+		t.Fatalf("issued by %s, primary %+v", fleet.knows, g.GatewayStats().Upstreams[primary.idx])
 	}
-	w = httptest.NewRecorder()
-	g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/cancel?ticket=t-known", nil))
-	if w.Code != http.StatusOK || g.ctr.scatters.Load() != 1 || g.ctr.ticketRoutes.Load() != 1 {
-		t.Fatalf("relearned ticket: status %d, %d searches, %d direct routes", w.Code, g.ctr.scatters.Load(), g.ctr.ticketRoutes.Load())
+	wait([3]uint64{0, 1, 0})
+
+	// The primary is back: a read readmits it, and the ticket takes two hops.
+	fleet.mu.Lock()
+	fleet.what = healthy
+	fleet.mu.Unlock()
+	clk.Advance(g.cfg.HalfOpenAfter)
+	if code := serve(http.MethodGet, "/api/service?name=SService"); code != http.StatusOK || g.GatewayStats().Upstreams[primary.idx].State != "healthy" {
+		t.Fatalf("trial read: status %d, primary %+v", code, g.GatewayStats().Upstreams[primary.idx])
+	}
+	wait([3]uint64{1, 1, 0})
+
+	// The primary issues a ticket, then is ejected although alive: its
+	// ticket still reaches it, after the successors' 404s, and its reply
+	// readmits it.
+	serve(http.MethodPost, "/api/invoke")
+	fleet.mu.Lock()
+	fleet.what = dialRefused
+	fleet.mu.Unlock()
+	for range g.cfg.FailThreshold {
+		serve(http.MethodGet, "/api/service?name=SService")
+	}
+	fleet.mu.Lock()
+	fleet.what = healthy
+	fleet.mu.Unlock()
+	if up := g.GatewayStats().Upstreams[primary.idx]; up.State != "ejected" {
+		t.Fatalf("primary %+v, want ejected", up)
+	}
+	wait([3]uint64{1, 1, 1})
+	if up := g.GatewayStats().Upstreams[primary.idx]; up.State != "healthy" || up.HalfOpenTrials != 1 {
+		t.Fatalf("after answering for its ticket: %+v", up)
+	}
+}
+
+// TestOrderedMembersAllocations: a key's ordered members — the walk every
+// keyed and ticket request takes — cost one object, the slice itself.
+func TestOrderedMembersAllocations(t *testing.T) {
+	g, _ := fakeGateway(4, &fakeFleet{})
+	allocs := testing.AllocsPerRun(200, func() {
+		if succ := g.ring.successors("SService"); len(succ) != 4 {
+			t.Fatalf("%d successors", len(succ))
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("the ordered members of a key cost %.0f objects, want <= 1", allocs)
+	}
+}
+
+// TestPrimaryForIsStable: the ring places 1 000 service names where it
+// always has, primaries and whole successor walks, on fleets of four and
+// five. results/fleet.json and every fleet study assume this placement.
+func TestPrimaryForIsStable(t *testing.T) {
+	golden := map[int]struct {
+		primaries string // PrimaryFor of Svc<i>Service, i = 0..999
+		walks     uint64 // FNV-64a of every walk's member indices
+	}{
+		4: {"1220232303132323203323122020033133022302200003301211310222231120133301212232321200230213031000021111" +
+			"0110130321003103002003332213320031032330021230231022122201231033233313200031122130332002133212221312" +
+			"1332203313100030333323202301001221022211333101023012113313222201333113020111321332030303322102113102" +
+			"1103011323321223222300023000213300102301101112013323101213331200321111332030332121103033130331101210" +
+			"0331100232232012202220232030020113330202233120212000011331121003213102202330030101000133320131321010" +
+			"2120031011121131312311030231123103033000030002323302010121013231323103332010113321313220013313230321" +
+			"2230213113213000211200113302300230122010211232232331012301322023112322013031212321002312230301313312" +
+			"1331300223111331300130302003123123121212333331331110313213330022311122300131201233110333002301212200" +
+			"2230313013333013212023131332331003331300213130310020103201213300321323003201333220310003033331021031" +
+			"1010303002223233112213213333300230323101312113200330310230001022313323210323332333020003003303300232",
+			0xd82bc5f364d6ee5},
+		5: {"4220232343132343203324442020033133042302200043301241340222431144133301412232424200230244031400024111" +
+			"4110430321003403002003334213324041032330441234241044124404231433233313400031122130334002133244241312" +
+			"1342443313100440333344242301001221022211333104023014113313222241334114020141421432040304324102113142" +
+			"1104041343441423242300443000214404404441101412013323101213434200341141332430334141103044140344101210" +
+			"4331104432232044202220432030420113340202233120242400014434144403213404204434034101000144420131321010" +
+			"2120031011124131412311030231123143034000030042323302010121043231324143332414113341313440013343230421" +
+			"2430243113414040241200413302300434122010241232442331442301324023112324014434414321002442240341313312" +
+			"1331404423411431300130304404123443121212333344331110313213330422311142400434201243110333042301214204" +
+			"2240313043333043212023431332334003331304413134310020104201413300321343003241334220310003033331421031" +
+			"1010303002243433112413243333300430324101312113200334310430001024313324244344332333024043044303300232",
+			0xe72a2d94f23516b5},
+	}
+	for n, want := range golden {
+		g, _ := fakeGateway(n, &fakeFleet{})
+		var primaries strings.Builder
+		walks := fnv.New64a()
+		for i := range 1000 {
+			key := fmt.Sprintf("Svc%dService", i)
+			fmt.Fprint(&primaries, g.PrimaryFor(key))
+			for _, m := range g.ring.successors(key) {
+				fmt.Fprintf(walks, "%d,", m.idx)
+			}
+		}
+		if primaries.String() != want.primaries {
+			t.Errorf("fleet of %d: primaries moved:\n got %s\nwant %s", n, primaries.String(), want.primaries)
+		}
+		if walks.Sum64() != want.walks {
+			t.Errorf("fleet of %d: successor walks moved", n)
+		}
 	}
 }

@@ -18,48 +18,48 @@ const virtualNodes = 64
 // where it was — the property that keeps a service's cached stats and
 // staged executable on one shard while the fleet grows.
 type ring struct {
-	mu     sync.RWMutex
-	points []ringPoint // sorted by hash
-	ids    []string
+	mu      sync.RWMutex
+	points  []ringPoint // sorted by hash, ties by member id
+	members []*member
 }
 
 type ringPoint struct {
 	hash uint64
-	id   string
+	idx  int // into members
 }
 
-func newRing(ids []string) *ring {
+func newRing(members []*member) *ring {
 	r := &ring{}
-	r.rebuild(ids)
+	r.rebuild(members)
 	return r
 }
 
 // rebuild replaces the membership. Ejection does not rebuild the ring —
 // health is a dispatch-time concern, so a recovered member gets its old
 // keys back — only genuine fleet-size changes do.
-func (r *ring) rebuild(ids []string) {
-	pts := make([]ringPoint, 0, len(ids)*virtualNodes)
-	for _, id := range ids {
+func (r *ring) rebuild(members []*member) {
+	pts := make([]ringPoint, 0, len(members)*virtualNodes)
+	for i, m := range members {
 		for v := 0; v < virtualNodes; v++ {
-			pts = append(pts, ringPoint{hash: hash64(id + "#" + strconv.Itoa(v)), id: id})
+			pts = append(pts, ringPoint{hash: hash64(m.id + "#" + strconv.Itoa(v)), idx: i})
 		}
 	}
 	sort.Slice(pts, func(i, j int) bool {
 		if pts[i].hash != pts[j].hash {
 			return pts[i].hash < pts[j].hash
 		}
-		return pts[i].id < pts[j].id
+		return members[pts[i].idx].id < members[pts[j].idx].id
 	})
 	r.mu.Lock()
 	r.points = pts
-	r.ids = append([]string(nil), ids...)
+	r.members = append([]*member(nil), members...)
 	r.mu.Unlock()
 }
 
-// successors returns every member id in ring order starting at key's
-// hash: the primary first, then the failover order. The slice is freshly
-// allocated and safe to retain.
-func (r *ring) successors(key string) []string {
+// successors returns every member in ring order starting at key's hash:
+// the primary first, then the failover order. The slice, its one
+// allocation up to 64 members, is freshly made and safe to retain.
+func (r *ring) successors(key string) []*member {
 	h := hash64(key)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -67,13 +67,17 @@ func (r *ring) successors(key string) []string {
 		return nil
 	}
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, len(r.ids))
-	seen := make(map[string]bool, len(r.ids))
-	for i := 0; i < len(r.points) && len(out) < len(r.ids); i++ {
+	out := make([]*member, 0, len(r.members))
+	var small [64]bool
+	seen := small[:]
+	if len(r.members) > len(small) {
+		seen = make([]bool, len(r.members))
+	}
+	for i := 0; i < len(r.points) && len(out) < len(r.members); i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.id] {
-			seen[p.id] = true
-			out = append(out, p.id)
+		if !seen[p.idx] {
+			seen[p.idx] = true
+			out = append(out, r.members[p.idx])
 		}
 	}
 	return out
@@ -83,7 +87,7 @@ func (r *ring) successors(key string) []string {
 func (r *ring) size() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.ids)
+	return len(r.members)
 }
 
 // hash64 is FNV-64a with a splitmix64 finalizer. Raw FNV of the nearly

@@ -6,20 +6,29 @@ import (
 	"testing"
 )
 
-func ringIDs(n int) []string {
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("shard-%d", i)
+func ringMembers(n int) []*member {
+	members := make([]*member, n)
+	for i := range members {
+		members[i] = &member{id: fmt.Sprintf("shard-%d", i), idx: i}
 	}
-	return ids
+	return members
+}
+
+// ids names a successor walk.
+func ids(succ []*member) []string {
+	out := make([]string, len(succ))
+	for i, m := range succ {
+		out[i] = m.id
+	}
+	return out
 }
 
 func TestRingDeterministicAndComplete(t *testing.T) {
-	a := newRing(ringIDs(5))
-	b := newRing(ringIDs(5))
+	a := newRing(ringMembers(5))
+	b := newRing(ringMembers(5))
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("Service%d", i)
-		sa, sb := a.successors(key), b.successors(key)
+		sa, sb := ids(a.successors(key)), ids(b.successors(key))
 		if !reflect.DeepEqual(sa, sb) {
 			t.Fatalf("two identical rings disagree for %q: %v vs %v", key, sa, sb)
 		}
@@ -42,14 +51,14 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 // so a crash reshuffles one shard's traffic, not the fleet's.
 func TestRingRemapFraction(t *testing.T) {
 	const members, keys = 16, 8192
-	full := newRing(ringIDs(members))
-	smaller := newRing(ringIDs(members)[:members-1]) // drop shard-15
+	full := newRing(ringMembers(members))
+	smaller := newRing(ringMembers(members)[:members-1]) // drop shard-15
 
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("Svc%d|owner%d", i, i%97)
-		before := full.successors(key)[0]
-		after := smaller.successors(key)[0]
+		before := full.successors(key)[0].id
+		after := smaller.successors(key)[0].id
 		if before != after {
 			if before != "shard-15" {
 				t.Fatalf("key %q moved %s -> %s although its owner survived", key, before, after)
@@ -66,14 +75,14 @@ func TestRingRemapFraction(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := newRing(ringIDs(8))
+	r := newRing(ringMembers(8))
 	counts := make(map[string]int)
 	for i := 0; i < 8192; i++ {
-		counts[r.successors(fmt.Sprintf("S%d|u%d", i, i))[0]]++
+		counts[r.successors(fmt.Sprintf("S%d|u%d", i, i))[0].id]++
 	}
 	min, max := 1<<30, 0
-	for _, id := range ringIDs(8) {
-		c := counts[id]
+	for _, m := range ringMembers(8) {
+		c := counts[m.id]
 		if c < min {
 			min = c
 		}
@@ -88,12 +97,13 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingRebuildRestoresMapping(t *testing.T) {
-	r := newRing(ringIDs(4))
+	members := ringMembers(4)
+	r := newRing(members)
 	key := "MonteCarloService|alice"
-	orig := r.successors(key)[0]
-	r.rebuild(ringIDs(3))
-	r.rebuild(ringIDs(4))
-	if got := r.successors(key)[0]; got != orig {
+	orig := r.successors(key)[0].id
+	r.rebuild(members[:3])
+	r.rebuild(members)
+	if got := r.successors(key)[0].id; got != orig {
 		t.Fatalf("rebuild with original members moved %q: %s -> %s", key, orig, got)
 	}
 }

@@ -32,9 +32,10 @@ const (
 	KindSOAP
 	// KindDelete removes a service: POST /api/delete.
 	KindDelete
-	// KindTicket follows an invocation ticket back to the appliance that
-	// issued it: /api/status, /api/output, /api/outfile, /api/wait,
-	// /api/cancel, /api/trace[/<ticket>], /trace.
+	// KindTicket follows an invocation ticket to the appliance that issued
+	// it, keyed by the service the ticket names (core.TicketService):
+	// /api/status, /api/output, /api/outfile, /api/wait, /api/cancel,
+	// /api/trace[/<ticket>], /trace.
 	KindTicket
 	// KindServices scatter-gathers /api/services across the fleet.
 	KindServices
@@ -78,12 +79,11 @@ func (k Kind) String() string {
 // Route is one decoded dispatch decision.
 type Route struct {
 	Kind Kind
-	// Service is what a keyed kind addresses, and its consistent-hash
-	// key: names are unique fleet-wide, so the name alone places a
-	// service, and every request about it finds the shard its upload went
-	// to without asking who owns it.
+	// Service is what a keyed kind addresses, or the service a ticket
+	// names, and its consistent-hash key: names are unique fleet-wide, so
+	// the name alone places a service, and every request about it finds
+	// the shard its upload went to without asking who owns it.
 	Service string
-	Ticket  string // KindTicket: may be empty (the appliance will 404)
 	query   string // KindUpload: the raw query, part of the upload a failover replays
 }
 
@@ -151,7 +151,7 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 		if err != nil {
 			return Route{}, err
 		}
-		return Route{Kind: KindTicket, Ticket: ticket}, nil
+		return ticketRoute(ticket), nil
 	case "/api/services":
 		return Route{Kind: KindServices}, nil
 	case "/api/stats":
@@ -162,12 +162,21 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 		return Route{Kind: KindRegistry}, nil
 	}
 	if t, ok := strings.CutPrefix(path, "/api/trace/"); ok {
-		return Route{Kind: KindTicket, Ticket: t}, nil
+		return ticketRoute(t), nil
 	}
 	if name, _, _ := soap.ServiceName(path); name != "" {
 		return Route{Kind: KindSOAP, Service: name}, nil
 	}
 	return Route{Kind: KindAny}, nil
+}
+
+// ticketRoute keys a ticket by the service it names. A ticket that names
+// none is any appliance's to answer, as a lone appliance would.
+func ticketRoute(ticket string) Route {
+	if service, ok := core.TicketService(ticket); ok {
+		return Route{Kind: KindTicket, Service: service}
+	}
+	return Route{Kind: KindAny}
 }
 
 // queryValue parses rawQuery and returns key's value; a query string

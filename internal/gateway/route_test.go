@@ -5,6 +5,8 @@ import (
 	"errors"
 	"mime/multipart"
 	"net/http"
+	"net/url"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -66,14 +68,27 @@ func TestDecodeRouteTable(t *testing.T) {
 			Route{Kind: KindService, Service: "X"}, false},
 		{"delete", "POST", "/api/delete", "name=X", "", nil,
 			Route{Kind: KindDelete, Service: "X"}, false},
-		{"status", "GET", "/api/status", "ticket=t-1", "", nil,
-			Route{Kind: KindTicket, Ticket: "t-1"}, false},
-		{"wait", "GET", "/api/wait", "ticket=t-2", "", nil,
-			Route{Kind: KindTicket, Ticket: "t-2"}, false},
-		{"trace page", "GET", "/trace", "ticket=t-3", "", nil,
-			Route{Kind: KindTicket, Ticket: "t-3"}, false},
-		{"trace path", "GET", "/api/trace/t-4", "", "", nil,
-			Route{Kind: KindTicket, Ticket: "t-4"}, false},
+		// A ticket routes by the service it names; one that names none is
+		// any appliance's to refuse.
+		{"status", "GET", "/api/status", "ticket=inv-000001-MonteService-0123456789ab", "", nil,
+			Route{Kind: KindTicket, Service: "MonteService"}, false},
+		{"output", "GET", "/api/output", "ticket=inv-000002-MonteService-0123456789ab", "", nil,
+			Route{Kind: KindTicket, Service: "MonteService"}, false},
+		{"outfile", "GET", "/api/outfile", "ticket=inv-000003-XService-0123456789ab&name=out.txt", "", nil,
+			Route{Kind: KindTicket, Service: "XService"}, false},
+		{"wait", "GET", "/api/wait", "ticket=inv-000004-%E6%95%B0%E6%8D%AEService-0123456789ab", "", nil,
+			Route{Kind: KindTicket, Service: "数据Service"}, false},
+		{"cancel", "POST", "/api/cancel", "ticket=inv-1000000-XService-0123456789ab", "", nil,
+			Route{Kind: KindTicket, Service: "XService"}, false},
+		{"trace query", "GET", "/api/trace", "ticket=inv-000005-XService-0123456789ab", "", nil,
+			Route{Kind: KindTicket, Service: "XService"}, false},
+		{"trace page", "GET", "/trace", "ticket=inv-000006-XService-0123456789ab", "", nil,
+			Route{Kind: KindTicket, Service: "XService"}, false},
+		{"trace path", "GET", "/api/trace/inv-000007-XService-0123456789ab", "", "", nil,
+			Route{Kind: KindTicket, Service: "XService"}, false},
+		{"old ticket", "GET", "/api/wait", "ticket=inv-000001-0123456789ab", "", nil, Route{Kind: KindAny}, false},
+		{"no ticket", "GET", "/api/status", "", "", nil, Route{Kind: KindAny}, false},
+		{"garbage ticket path", "GET", "/api/trace/t-4", "", "", nil, Route{Kind: KindAny}, false},
 		{"bad query", "GET", "/api/status", "a=%zz", "", nil, Route{}, true},
 		{"soap", "POST", "/services/MonteService", "", "text/xml", []byte("<x/>"),
 			Route{Kind: KindSOAP, Service: "MonteService"}, false},
@@ -161,7 +176,9 @@ func FuzzRoutePath(f *testing.F) {
 	f.Add("POST", "/upload", "", uploadCT, uploadBody)
 	f.Add("POST", "/api/invoke", "", "application/json", []byte(`{"service":"S"}`))
 	f.Add("GET", "/api/status", "ticket=t-9", "", []byte(nil))
+	f.Add("GET", "/api/wait", "ticket=inv-000009-DemoService-0123456789ab", "", []byte(nil))
 	f.Add("GET", "/api/trace/abc", "", "", []byte(nil))
+	f.Add("GET", "/api/trace/inv-000009-DemoService-0123456789ab", "", "", []byte(nil))
 	f.Add("POST", "/services/DemoService", "", "text/xml", []byte("<e/>"))
 	f.Add("GET", "/api/status", "a=%zz", "", []byte(nil))
 	f.Add("POST", "/upload", "", "multipart/form-data; boundary=x", []byte("--x--"))
@@ -219,5 +236,26 @@ func FuzzRoutePath(f *testing.F) {
 		if method == http.MethodPost && path == "/upload" && rt1.Kind != KindUpload && rt1.Kind != KindAny {
 			t.Fatalf("POST /upload decoded as %v", rt1.Kind)
 		}
+		// A ticket route names the service its ticket does; a ticket that
+		// names none routes as KindAny.
+		if ticket, ok := ticketOf(path, rawQuery); ok {
+			service, named := core.TicketService(ticket)
+			if want := (Route{Kind: KindTicket, Service: service}); named && rt1 != want || !named && rt1.Kind != KindAny {
+				t.Fatalf("ticket %q (service %q, %v) routes as %+v", ticket, service, named, rt1)
+			}
+		} else if rt1.Kind == KindTicket {
+			t.Fatalf("%s?%s is no ticket path, routed as %+v", path, rawQuery, rt1)
+		}
 	})
+}
+
+// ticketOf is the ticket a ticket path carries, read independently of
+// DecodeRoute: the query's ticket, or /api/trace/'s path suffix.
+func ticketOf(path, rawQuery string) (string, bool) {
+	switch path {
+	case "/api/status", "/api/output", "/api/outfile", "/api/wait", "/api/cancel", "/api/trace", "/trace":
+		q, _ := url.ParseQuery(rawQuery)
+		return q.Get("ticket"), true
+	}
+	return strings.CutPrefix(path, "/api/trace/")
 }

@@ -20,8 +20,8 @@ type Stats struct {
 	// a transport error.
 	Retried uint64 `json:"retried"`
 	// Scatters counts fan-out requests (/api/services, /api/stats,
-	// /api/audit, /registry, unknown-ticket searches); TicketRoutes
-	// direct ticket dispatches.
+	// /api/audit, /registry); TicketRoutes ticket-addressed requests,
+	// each walked along its ticket's service ring.
 	Scatters     uint64 `json:"scatters"`
 	TicketRoutes uint64 `json:"ticket_routes"`
 	// Redeploys counts catalog replays onto an upstream that answered

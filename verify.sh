@@ -23,7 +23,10 @@ fi
 # UDDI view, its pull loop or its endpoint: the ring keys on the service
 # name alone, so nothing needs a service's owner. Nor does the gateway's
 # active prober or its knobs: the requests it proxies are its health check.
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails' . ; then
+# Nor does its ticket table, the invoke-reply parse that filled it, or its
+# own stats endpoint: a ticket names its service, and /api/stats carries
+# the gateway block.
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats' . ; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
 fi
@@ -48,8 +51,8 @@ go test -race -short ./...
 # gateway (concurrent bursts racing a mid-burst appliance kill and
 # rejoin: health FSM transitions fed by ask — the one place proxied
 # traffic counts for or against a member — from concurrent requests,
-# gather's goroutines writing index-aligned replies, the bounded ticket
-# table stored into by invokes while waits load from it, a tenancy-on
+# gather's goroutines writing index-aligned replies, waits walking their
+# ticket's service ring while invokes eject and readmit its members, a tenancy-on
 # failover replaying the catalogued upload under the uploader's key,
 # the fleet's /registry page gathered from every member), the trust store (gatekeeper and GridFTP handlers verifying chains
 # against one memo while a root is added), and the tenant control plane
@@ -75,8 +78,9 @@ go test -race -count=5 -run '^TestTransportFaults$' ./internal/hop
 go test -race -count=5 -run '^TestPushEventsStalledStreamFallsBack$|^TestCollectorContract$/.*/push-to-poll' ./internal/core
 # So has the gateway's health circuit, which only requests move: the
 # half-open trial by request, a rejoin filled on demand, the loop fault
-# table, and no goroutine of its own beside the listener's.
-go test -race -count=5 -run 'HalfOpen|Rejoin|^TestLoopFaults$|NoBackground' ./internal/gateway
+# table, a ticket's walk along its service ring, and no goroutine of its
+# own beside the listener's.
+go test -race -count=5 -run 'HalfOpen|Rejoin|^TestLoopFaults$|^TestTicketWalksItsServiceRing$|NoBackground' ./internal/gateway
 
 # Fuzzers run their seed corpora as regular tests, but exercise the
 # mutation engine briefly too: the admission edge parses attacker
@@ -141,13 +145,13 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # and under a quarter of it beside that, and the SOAP door decodes an invocation's
 # envelope in three objects and serves one in eleven, a signed submit
 # costs at most 24 objects, the three event frames of a hot invocation 10
-# and the gateway's proxy hop 16; the JSON door reads an invoke body in 5
+# and the gateway's proxy hop 16 (a key's ring walk 1); the JSON door reads an invoke body in 5
 # objects and routes it in 1, a placement the possession cache answers
 # costs 2 and no goroutine, a staging-cache hit leads no flight, an
 # armed watchdog parks no goroutine, and a warm internal GET plus a 1 KB
 # POST cost at most 65 objects, client and server together. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise.
-go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal
+go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
