@@ -9,11 +9,8 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"time"
 
 	"repro/internal/appliance"
@@ -41,16 +38,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dialer := &netsim.Dialer{Profile: wan, Probe: probe}
 	img, err := appliance.BuildImage(appliance.Config{
-		Endpoints: env.Endpoints(),
-		Clock:     clk,
-		Probe:     probe,
-		Cost:      metrics.DefaultCost(),
-		GridHTTP:  &http.Client{Transport: &http.Transport{DialContext: dialer.DialContext}},
-		MyProxyDial: func(network, addr string) (net.Conn, error) {
-			return dialer.DialContext(context.Background(), network, addr)
-		},
+		Endpoints:    env.Endpoints(),
+		Clock:        clk,
+		Probe:        probe,
+		Cost:         metrics.DefaultCost(),
+		GridDial:     (&netsim.Dialer{Profile: wan, Probe: probe}).DialContext,
 		PollInterval: 9 * time.Second,
 		StagingCache: true, // demonstrate the paper's suggested improvement
 	})

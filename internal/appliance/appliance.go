@@ -116,7 +116,8 @@ type Appliance struct {
 }
 
 // Boot starts the appliance on ln; a nil ln listens on an ephemeral
-// loopback port. The returned appliance is serving when Boot returns.
+// loopback port. A netsim.Listener shapes the user-facing link (the LAN
+// of Fig. 8). The returned appliance is serving when Boot returns.
 func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 	cfg := img.cfg
 	if ln == nil {
@@ -127,9 +128,6 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		}
 	}
 	baseURL := "http://" + ln.Addr().String()
-	if cfg.UserProfile != nil {
-		ln = netsim.NewListener(ln, cfg.UserProfile, cfg.Probe)
-	}
 
 	dbOpts := blobdb.Options{
 		Dir: cfg.DBDir, Clock: cfg.Clock, Probe: cfg.Probe, Cost: cfg.Cost,
@@ -147,12 +145,11 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 	container := soap.NewServer(cfg.Probe, cfg.Cost)
 	registry := uddi.NewRegistry(cfg.Clock)
 	agent := cyberaide.New(cyberaide.Options{
-		Endpoints:   cfg.Endpoints,
-		Clock:       cfg.Clock,
-		Probe:       cfg.Probe,
-		Cost:        cfg.Cost,
-		HTTP:        cfg.GridHTTP,
-		MyProxyDial: cfg.MyProxyDial,
+		Endpoints: cfg.Endpoints,
+		Clock:     cfg.Clock,
+		Probe:     cfg.Probe,
+		Cost:      cfg.Cost,
+		Dial:      cfg.GridDial,
 	})
 	parts := core.Parts{DB: db, Container: container, Registry: registry, Agent: agent, BaseURL: baseURL}
 	if cfg.Trace != nil {

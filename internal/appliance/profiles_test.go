@@ -73,7 +73,7 @@ func TestProfilesEndToEnd(t *testing.T) {
 // could hide in.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"Endpoints", "Clock", "Probe", "Cost", "DBDir", "GridHTTP", "MyProxyDial", "UserProfile",
+		"Endpoints", "Clock", "Probe", "Cost", "DBDir", "GridDial",
 		"PollInterval", "InvocationTimeout", "ProxyLifetime", "StagingCache", "DirectDBWrite",
 		"SessionCache", "StatsTTL", "PushEvents", "CoalesceStaging", "ChunkedStaging",
 		"ChunkBytes", "WireCompression", "DataAwarePlacement", "BlobCacheBytes", "GroupCommit",

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/gram"
+	"repro/internal/hop"
 	"repro/internal/vtime"
 )
 
@@ -330,7 +331,7 @@ func TestCollectorContract(t *testing.T) {
 	for _, row := range rows {
 		for _, col := range columns {
 			t.Run(row.name+"/"+col.name, func(t *testing.T) {
-				var rt http.RoundTripper = http.DefaultTransport
+				var rt http.RoundTripper = hop.Shared()
 				flaky := &flakyGram{base: rt, left: map[string]int{}}
 				for path, n := range row.faults {
 					flaky.left[path] = n
@@ -346,7 +347,7 @@ func TestCollectorContract(t *testing.T) {
 				if col.noPush {
 					rt = &eventsGate{base: rt, mode: gateNotFound}
 				}
-				f := newFixtureHTTP(t, &http.Client{Transport: rt}, func(cfg *Config) {
+				f := newFixtureHTTP(t, rt, func(cfg *Config) {
 					if row.timeout > 0 {
 						cfg.InvocationTimeout = row.timeout
 					}
@@ -454,8 +455,8 @@ func (h *heldCancel) RoundTrip(req *http.Request) (*http.Response, error) {
 // processed before Cancel returns. The reply is held here until it has
 // been; the verdict must still be the watchdog's.
 func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
-	held := &heldCancel{base: http.DefaultTransport, sent: make(chan struct{}), release: make(chan struct{})}
-	f := newFixtureHTTP(t, &http.Client{Transport: held}, func(cfg *Config) {
+	held := &heldCancel{base: hop.Shared(), sent: make(chan struct{}), release: make(chan struct{})}
+	f := newFixtureHTTP(t, held, func(cfg *Config) {
 		cfg.PushEvents = true
 		cfg.InvocationTimeout = 20 * time.Second
 	})

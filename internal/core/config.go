@@ -1,15 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"net"
-	"net/http"
 	"time"
 
 	"repro/internal/blobdb"
 	"repro/internal/cyberaide"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -34,14 +33,11 @@ type Config struct {
 	Cost metrics.Cost
 	// DBDir persists the database; empty keeps it in memory.
 	DBDir string
-	// GridHTTP carries grid-bound traffic (agent); nil uses the default
-	// client. Experiments install a shaped transport here.
-	GridHTTP *http.Client
-	// MyProxyDial overrides the MyProxy TCP dialer (for shaping).
-	MyProxyDial func(network, addr string) (net.Conn, error)
-	// UserProfile shapes the appliance's user-facing listener (the LAN of
-	// Fig. 8); nil leaves it unshaped.
-	UserProfile *netsim.Profile
+	// GridDial is how the appliance reaches the grid: MyProxy's connection,
+	// and GRAM's and GridFTP's through hop.NewTransport(GridDial). Nil dials
+	// TCP, with GRAM and GridFTP on hop.Shared(). Experiments shape the WAN
+	// here; the user-facing link is shaped by the listener Boot is given.
+	GridDial func(ctx context.Context, network, addr string) (net.Conn, error)
 
 	// PollInterval overrides DefaultPollInterval.
 	PollInterval time.Duration

@@ -26,12 +26,11 @@ type InvState string
 
 // Invocation states.
 const (
-	InvSubmitting InvState = "SUBMITTING"
-	InvRunning    InvState = "RUNNING"
-	InvDone       InvState = "DONE"
-	InvFailed     InvState = "FAILED"
-	InvCancelled  InvState = "CANCELLED"
-	InvKilled     InvState = "KILLED" // watchdog
+	InvRunning   InvState = "RUNNING"
+	InvDone      InvState = "DONE"
+	InvFailed    InvState = "FAILED"
+	InvCancelled InvState = "CANCELLED"
+	InvKilled    InvState = "KILLED" // watchdog
 )
 
 // Terminal reports whether the state is final.

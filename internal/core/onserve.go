@@ -526,6 +526,16 @@ func (o *OnServe) ServiceInfo(serviceName string) (*ExecutableInfo, error) {
 	}, nil
 }
 
+// ServiceDef returns the definition the container serves a generated
+// service's WSDL from. It is shared: do not modify it.
+func (o *OnServe) ServiceDef(serviceName string) (*wsdl.ServiceDef, error) {
+	svc, deployed := o.parts.Container.Lookup(serviceName)
+	if _, err := o.parts.DB.Table(ExecutablesTable).Stat(serviceName); err != nil || !deployed {
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchService, serviceName)
+	}
+	return &svc.Def, nil
+}
+
 // newTicket writes fmt's "inv-%06d-<service>-" and twelve random hex
 // digits in one allocation. The sequence leads, so tickets sort in issue
 // order; the name lets a fleet route a ticket by it (TicketService).

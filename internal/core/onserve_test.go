@@ -39,21 +39,22 @@ func newFixture(t *testing.T, mutate func(*Config)) *fixture {
 	return newFixtureHTTP(t, nil, mutate)
 }
 
-// newFixtureHTTP is newFixture with a caller-supplied grid-bound HTTP
-// client (the staging tests inject transport faults there).
-func newFixtureHTTP(t *testing.T, gridHTTP *http.Client, mutate func(*Config)) *fixture {
-	return newFixtureTraced(t, gridHTTP, nil, mutate)
+// newFixtureHTTP is newFixture with a caller-supplied grid-bound
+// transport (the staging tests inject transport faults there); nil is
+// hop's shared one, as in production.
+func newFixtureHTTP(t *testing.T, grid http.RoundTripper, mutate func(*Config)) *fixture {
+	return newFixtureTraced(t, grid, nil, mutate)
 }
 
 // newFixtureTraced is newFixtureHTTP with a shared span collector wired
 // into every grid service and the onServe core.
-func newFixtureTraced(t *testing.T, gridHTTP *http.Client, col *trace.Collector, mutate func(*Config)) *fixture {
-	return newFixtureDB(t, nil, gridHTTP, col, mutate)
+func newFixtureTraced(t *testing.T, grid http.RoundTripper, col *trace.Collector, mutate func(*Config)) *fixture {
+	return newFixtureDB(t, nil, grid, col, mutate)
 }
 
 // newFixtureDB is newFixtureTraced over a database the caller opened (and
 // closes); nil opens a fresh in-memory one.
-func newFixtureDB(t *testing.T, db *blobdb.DB, gridHTTP *http.Client, col *trace.Collector, mutate func(*Config)) *fixture {
+func newFixtureDB(t *testing.T, db *blobdb.DB, grid http.RoundTripper, col *trace.Collector, mutate func(*Config)) *fixture {
 	t.Helper()
 	clk := vtime.NewScaled(20000)
 	env, err := gridenv.Start(gridenv.Options{
@@ -101,7 +102,7 @@ func newFixtureDB(t *testing.T, db *blobdb.DB, gridHTTP *http.Client, col *trace
 		Registry:  uddi.NewRegistry(clk),
 		Agent: cyberaide.New(cyberaide.Options{
 			Endpoints: env.Endpoints(), Clock: clk, Probe: probe, Cost: metrics.DefaultCost(),
-			HTTP: gridHTTP,
+			Transport: grid,
 		}),
 		BaseURL: "http://appliance.test",
 	}
@@ -588,24 +589,31 @@ func TestNewRejectsKnobsWithoutChunkedStaging(t *testing.T) {
 }
 
 func TestWatchdogStop(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := vtime.NewManual(time.Unix(0, 0))
 	fired := false
 	wd := NewWatchdog(clk, time.Hour, func() { fired = true })
 	wd.Stop()
 	wd.Stop() // idempotent
-	time.Sleep(5 * time.Millisecond)
-	if fired {
-		t.Fatal("stopped watchdog fired")
+	clk.Advance(2 * time.Hour)
+	if fired || clk.Pending() != 0 {
+		t.Fatalf("stopped watchdog: fired %v, %d timers left on the clock", fired, clk.Pending())
 	}
 }
 
 func TestWatchdogFires(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := vtime.NewManual(time.Unix(0, 0))
 	wd := NewWatchdog(clk, 10*time.Second, func() {})
+	clk.Advance(10*time.Second - 1)
 	select {
 	case <-wd.Fired():
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never fired")
+		t.Fatal("watchdog fired before its deadline")
+	default:
+	}
+	clk.Advance(1) // runs the kill before it returns
+	select {
+	case <-wd.Fired():
+	default:
+		t.Fatal("watchdog did not fire at its deadline")
 	}
 	wd.Stop()
 }

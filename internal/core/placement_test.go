@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hop"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -170,7 +171,7 @@ func (k *killSwitch) RoundTrip(req *http.Request) (*http.Response, error) {
 	if k.dead.Load() && req.URL.Host == k.host.Load().(string) {
 		return nil, errors.New("injected: site unreachable")
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	return hop.Shared().RoundTrip(req)
 }
 
 // TestPlacementProbeFailureDegradesToLoad kills one site's GridFTP
@@ -182,7 +183,7 @@ func TestPlacementProbeFailureDegradesToLoad(t *testing.T) {
 	ks.host.Store("")
 	// No session cache: every invocation logs on with a fresh proxy, so a
 	// slow -race run's virtual hours cannot expire a shared session.
-	f := newFixtureHTTP(t, &http.Client{Transport: ks}, func(cfg *Config) {
+	f := newFixtureHTTP(t, ks, func(cfg *Config) {
 		// A -race run burns virtual hours of scaled clock on real work
 		// (six concurrent 3 MB stagings probing a dead site): keep the
 		// watchdog, walltime and per-invocation proxy expiry out of the

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/gram"
+	"repro/internal/hop"
 	"repro/internal/trace"
 )
 
@@ -110,14 +111,14 @@ func (g *eventsGate) killStreams() {
 
 func newPushFixture(t *testing.T, gate *eventsGate, mutate func(*Config)) *fixture {
 	t.Helper()
-	var client *http.Client
+	var grid http.RoundTripper
 	if gate != nil {
 		if gate.base == nil {
-			gate.base = http.DefaultTransport
+			gate.base = hop.Shared()
 		}
-		client = &http.Client{Transport: gate}
+		grid = gate
 	}
-	return newFixtureHTTP(t, client, func(cfg *Config) {
+	return newFixtureHTTP(t, grid, func(cfg *Config) {
 		cfg.PushEvents = true
 		if mutate != nil {
 			mutate(cfg)
@@ -451,8 +452,8 @@ func pushWorker(f *fixture, sessionID string) *eventWorker {
 // stash is filled by hand (no real route parks that many any more); then a
 // real job runs to completion while its submit reply is held.
 func TestFullStashEvictsOldestNotNewest(t *testing.T) {
-	held := &heldSubmit{base: http.DefaultTransport, sent: make(chan string, 1), release: make(chan struct{})}
-	f := newFixtureHTTP(t, &http.Client{Transport: held}, func(cfg *Config) {
+	held := &heldSubmit{base: hop.Shared(), sent: make(chan string, 1), release: make(chan struct{})}
+	f := newFixtureHTTP(t, held, func(cfg *Config) {
 		cfg.PushEvents = true
 		cfg.SessionCache = true
 	})

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cyberaide"
 	"repro/internal/gridftp"
+	"repro/internal/hop"
 	"repro/internal/wsdl"
 )
 
@@ -28,13 +29,13 @@ func (ft *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, errors.New("injected transport blip")
 		}
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	return hop.Shared().RoundTrip(req)
 }
 
 func TestUploadRetriesTransientFault(t *testing.T) {
 	ft := &flakyTransport{}
 	ft.failures.Store(1)
-	f := newFixtureHTTP(t, &http.Client{Transport: ft}, nil)
+	f := newFixtureHTTP(t, ft, nil)
 	f.uploadDemo(t)
 	if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
 		t.Fatalf("invocation did not survive the blip: %v", err)
@@ -51,7 +52,7 @@ func TestUploadRetriesTransientFault(t *testing.T) {
 func TestUploadGivesUpAfterSecondFault(t *testing.T) {
 	ft := &flakyTransport{}
 	ft.failures.Store(2)
-	f := newFixtureHTTP(t, &http.Client{Transport: ft}, func(cfg *Config) {
+	f := newFixtureHTTP(t, ft, func(cfg *Config) {
 		// One candidate site: no failover to mask the exhausted retry.
 		cfg.StatsTTL = 0
 	})

@@ -25,6 +25,7 @@ import (
 	"repro/internal/blobdb"
 	"repro/internal/gridftp"
 	"repro/internal/gsh"
+	"repro/internal/hop"
 	"repro/internal/trace"
 )
 
@@ -106,7 +107,7 @@ func (e *faultyEdge) forward(req *http.Request) (*http.Response, error) {
 	if isFilePut(req) {
 		req.Body = countedBody{req.Body, &e.sent}
 	}
-	resp, err := http.DefaultTransport.RoundTrip(req)
+	resp, err := hop.Shared().RoundTrip(req)
 	if err == nil && resp.StatusCode == http.StatusCreated && (isFilePut(req) || isCommit(req)) {
 		e.mu.Lock()
 		e.registered++
@@ -161,22 +162,16 @@ func siteAnswers(status int, msg string) func(*faultyEdge, *http.Request) (*http
 }
 
 // checkClosed fails unless every stored stream a request carried has been
-// closed — which is what hands its gzip.Reader back to the pool.
+// closed — which is what hands its gzip.Reader back to the pool. hop's
+// transport closes a body before its RoundTrip returns, so there is
+// nothing to wait for.
 func (e *faultyEdge) checkClosed(t *testing.T) {
 	t.Helper()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i, body := range e.bodies {
-		deadline := time.Now().Add(5 * time.Second) // the transport may close after RoundTrip returns
-		for {
-			_, err := body.Read(make([]byte, 1))
-			if errors.Is(err, fs.ErrClosed) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("request body %d of %d was never closed: Read says %v", i+1, len(e.bodies), err)
-			}
-			time.Sleep(time.Millisecond)
+		if _, err := body.Read(make([]byte, 1)); !errors.Is(err, fs.ErrClosed) {
+			t.Fatalf("request body %d of %d is not closed: Read says %v", i+1, len(e.bodies), err)
 		}
 	}
 }
@@ -236,7 +231,7 @@ func TestStreamedEdgeFaults(t *testing.T) {
 					}
 				}
 				col := trace.NewCollector(0, 0)
-				f := newFixtureTraced(t, &http.Client{Transport: edge}, col, w.knobs)
+				f := newFixtureTraced(t, edge, col, w.knobs)
 				content := f.uploadPadded(t, "edge", "echo edge\n", 64<<10)
 				inv, spans, err := invokeTraced(t, f, col, "EdgeService")
 				if !edge.fired.Load() {
@@ -363,7 +358,7 @@ func TestStreamedEdgeRefusesCorruptRow(t *testing.T) {
 				defer db.Close()
 				edge := &faultyEdge{stock: w.stock}
 				col := trace.NewCollector(0, 0)
-				f := newFixtureDB(t, db, &http.Client{Transport: edge}, col, w.knobs)
+				f := newFixtureDB(t, db, edge, col, w.knobs)
 				_, spans, err := invokeTraced(t, f, col, "BadService")
 				if !errors.Is(err, blobdb.ErrCorrupt) || !strings.Contains(err.Error(), "stage executable") {
 					t.Fatalf("invocation error %v, want ErrCorrupt from the stage step", err)
@@ -401,7 +396,7 @@ type discardSite struct {
 
 func (d *discardSite) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !strings.HasPrefix(req.URL.Path, "/ftp") {
-		return http.DefaultTransport.RoundTrip(req)
+		return hop.Shared().RoundTrip(req)
 	}
 	reply := func(status int, checksum string, body []byte) (*http.Response, error) {
 		return &http.Response{StatusCode: status, Header: http.Header{gridftp.ChecksumHeader: {checksum}},
@@ -491,15 +486,15 @@ func TestColdStageAllocatesNoExecutableSizedObject(t *testing.T) {
 	for _, tc := range []struct {
 		profile string
 		knobs   func(*Config)
-		sites   *http.Client // nil: the real sites, over hop's own transport
+		sites   http.RoundTripper // nil: the real sites, over hop's own transport
 		bar     int64
 	}{
-		{"paper", nil, &http.Client{Transport: &discardSite{}}, size / 4},
+		{"paper", nil, &discardSite{}, size / 4},
 		{"production", func(cfg *Config) {
 			cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
 			cfg.PushEvents, cfg.CoalesceStaging = true, true
 			cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
-		}, &http.Client{Transport: &discardSite{}}, size / 4},
+		}, &discardSite{}, size / 4},
 		{"paper-loopback", nil, nil, 56 << 10},
 	} {
 		t.Run(tc.profile, func(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
+	"repro/internal/hop"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/soap"
@@ -95,7 +96,7 @@ func (g *uploadGate) RoundTrip(req *http.Request) (*http.Response, error) {
 		g.parked <- struct{}{}
 		<-g.release
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	return hop.Shared().RoundTrip(req)
 }
 
 // awaitStagingWaiters returns once n arrivals are parked on the one
@@ -195,7 +196,7 @@ func TestColdBurstStagingCoalescedSingleUpload(t *testing.T) {
 	// leader's PUT is held at the transport until the other n-1
 	// invocations are parked on its flight. No dilation factor to tune.
 	gate := newUploadGate()
-	f := newFixtureHTTP(t, &http.Client{Transport: gate}, func(cfg *Config) {
+	f := newFixtureHTTP(t, gate, func(cfg *Config) {
 		cfg.CoalesceStaging = true
 		cfg.SessionCache = true
 		cfg.StatsTTL = time.Hour

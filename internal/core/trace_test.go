@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hop"
 	"repro/internal/trace"
 )
 
@@ -122,10 +123,10 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// stockGatekeeper is a grid client whose gatekeeper has no event stream
-// (404 on /gram/events): under PushEvents, the collector polls.
-func stockGatekeeper() *http.Client {
-	return &http.Client{Transport: &eventsGate{base: http.DefaultTransport, mode: gateNotFound}}
+// stockGatekeeper is a grid transport whose gatekeeper has no event
+// stream (404 on /gram/events): under PushEvents, the collector polls.
+func stockGatekeeper() http.RoundTripper {
+	return &eventsGate{base: hop.Shared(), mode: gateNotFound}
 }
 
 // TestTraceHubPathsLinkParent is the satellite-2 regression: with
@@ -232,11 +233,11 @@ func TestTraceWatchdogEndsSpanTree(t *testing.T) {
 	}{{"stock", false}, {"pollhub", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			col := trace.NewCollector(0, 0)
-			var gridHTTP *http.Client
+			var grid http.RoundTripper
 			if tc.fallback {
-				gridHTTP = stockGatekeeper()
+				grid = stockGatekeeper()
 			}
-			f := newFixtureTraced(t, gridHTTP, col, func(c *Config) {
+			f := newFixtureTraced(t, grid, col, func(c *Config) {
 				c.InvocationTimeout = 20 * time.Second
 				c.PushEvents = tc.fallback
 			})

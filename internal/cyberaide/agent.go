@@ -11,6 +11,7 @@
 package cyberaide
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/gram"
 	"repro/internal/gridftp"
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/jsdl"
 	"repro/internal/metrics"
 	"repro/internal/myproxy"
@@ -71,11 +73,10 @@ type Agent struct {
 	clock     vtime.Clock
 	probe     *metrics.Probe
 	cost      metrics.Cost
-	// HTTP carries all Grid-bound traffic; experiments install a client
-	// whose transport dials through the shaped WAN profile.
-	http *http.Client
-	// myproxyDial lets experiments shape the MyProxy TCP connection.
-	myproxyDial func(network, addr string) (net.Conn, error)
+	// rt carries GRAM and GridFTP traffic; dial makes MyProxy's
+	// connection (see Options).
+	rt   http.RoundTripper
+	dial func(ctx context.Context, network, addr string) (net.Conn, error)
 
 	state *sessionTable
 	trace trace.SpanContext
@@ -94,10 +95,13 @@ type Options struct {
 	Clock     vtime.Clock
 	Probe     *metrics.Probe
 	Cost      metrics.Cost
-	// HTTP is the client for GRAM/GridFTP traffic; nil uses the default.
-	HTTP *http.Client
-	// MyProxyDial overrides the MyProxy TCP dialer (for shaping).
-	MyProxyDial func(network, addr string) (net.Conn, error)
+	// Dial reaches the grid: MyProxy's TCP connection, and GRAM's and
+	// GridFTP's through hop.NewTransport(Dial) unless Transport is set. Nil
+	// dials TCP.
+	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
+	// Transport carries GRAM and GridFTP traffic in Dial's place; nil
+	// means hop.Shared() when Dial is nil too.
+	Transport http.RoundTripper
 }
 
 // New builds an agent.
@@ -106,14 +110,18 @@ func New(opts Options) *Agent {
 	if clock == nil {
 		clock = vtime.Real{}
 	}
+	rt := opts.Transport
+	if rt == nil && opts.Dial != nil {
+		rt = hop.NewTransport(opts.Dial)
+	}
 	return &Agent{
-		endpoints:   opts.Endpoints,
-		clock:       clock,
-		probe:       opts.Probe,
-		cost:        opts.Cost,
-		http:        opts.HTTP,
-		myproxyDial: opts.MyProxyDial,
-		state:       &sessionTable{sessions: make(map[string]*Session)},
+		endpoints: opts.Endpoints,
+		clock:     clock,
+		probe:     opts.Probe,
+		cost:      opts.Cost,
+		rt:        rt,
+		dial:      opts.Dial,
+		state:     &sessionTable{sessions: make(map[string]*Session)},
 	}
 }
 
@@ -139,7 +147,7 @@ func (a *Agent) gramFor(sess *Session) *gram.Client {
 		return sess.gram
 	}
 	c := sess.gram
-	return &gram.Client{BaseURL: c.BaseURL, Cred: c.Cred, HTTP: c.HTTP, Trace: a.trace.String()}
+	return &gram.Client{BaseURL: c.BaseURL, Cred: c.Cred, Transport: c.Transport, Trace: a.trace.String()}
 }
 
 // ftpFor is gramFor for a site's GridFTP client.
@@ -148,7 +156,7 @@ func (a *Agent) ftpFor(sess *Session, site string) (*gridftp.Client, bool) {
 	if !ok || !a.trace.Valid() {
 		return ftp, ok
 	}
-	return &gridftp.Client{BaseURL: ftp.BaseURL, Cred: ftp.Cred, HTTP: ftp.HTTP, Trace: a.trace.String()}, true
+	return &gridftp.Client{BaseURL: ftp.BaseURL, Cred: ftp.Cred, Transport: ftp.Transport, Trace: a.trace.String()}, true
 }
 
 // Authenticate performs a MyProxy logon, obtaining a freshly delegated
@@ -164,7 +172,7 @@ func (a *Agent) Authenticate(user, passphrase string, lifetime time.Duration) (*
 		lifetime = DefaultProxyLifetime
 	}
 	a.probe.Burn(a.cost.Auth)
-	mp := &myproxy.Client{Addr: a.endpoints.MyProxyAddr, Dial: a.myproxyDial, Trace: a.trace.String()}
+	mp := &myproxy.Client{Addr: a.endpoints.MyProxyAddr, Dial: a.dial, Trace: a.trace.String()}
 	proxy, err := mp.Get(user, passphrase, lifetime)
 	if err != nil {
 		return nil, fmt.Errorf("cyberaide: myproxy logon for %q: %w", user, err)
@@ -173,11 +181,11 @@ func (a *Agent) Authenticate(user, passphrase string, lifetime time.Duration) (*
 		ID:       newSessionID(),
 		Identity: xsec.Identity(proxy.Chain),
 		proxy:    proxy,
-		gram:     &gram.Client{BaseURL: a.endpoints.GramURL, Cred: proxy, HTTP: a.http},
+		gram:     &gram.Client{BaseURL: a.endpoints.GramURL, Cred: proxy, Transport: a.rt},
 		ftps:     make(map[string]*gridftp.Client, len(a.endpoints.FTPURLs)),
 	}
 	for site, url := range a.endpoints.FTPURLs {
-		sess.ftps[site] = &gridftp.Client{BaseURL: url, Cred: proxy, HTTP: a.http}
+		sess.ftps[site] = &gridftp.Client{BaseURL: url, Cred: proxy, Transport: a.rt}
 	}
 	now := a.clock.Now()
 	a.state.mu.Lock()

@@ -21,7 +21,6 @@ import (
 // is assembled through the lower-level packages here.
 import (
 	"net"
-	"net/http"
 
 	"repro/internal/gram"
 	"repro/internal/gridftp"
@@ -87,7 +86,6 @@ func newWorld(t *testing.T) *world {
 		Clock: clk,
 		Probe: metrics.NewProbe(rec),
 		Cost:  metrics.Cost{Auth: 100 * time.Millisecond},
-		HTTP:  http.DefaultClient,
 	})
 	return &world{agent: agent, grid: grid, clock: clk, rec: rec}
 }

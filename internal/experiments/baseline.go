@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gram"
 	"repro/internal/gridftp"
+	"repro/internal/hop"
 	"repro/internal/jsdl"
 	"repro/internal/myproxy"
 	"repro/internal/xsec"
@@ -79,7 +80,8 @@ func baselineDirect(opts Options, program string) (measurement, error) {
 		return measurement{}, err
 	}
 	defer r.close()
-	userGridHTTP, dial := wanUplink(r.wan, r.probe)
+	dial := wanDial(r.wan, r.probe)
+	uplink := hop.NewTransport(dial)
 	return r.measure(func() error {
 		// Step 1: MyProxy logon.
 		mp := &myproxy.Client{Addr: r.env.MyProxyAddr, Dial: dial}
@@ -89,13 +91,13 @@ func baselineDirect(opts Options, program string) (measurement, error) {
 		}
 		// Step 2: choose a site and stage the executable via GridFTP.
 		siteName := r.env.Grid.SiteNames()[0]
-		ftp := &gridftp.Client{BaseURL: r.env.FTPURLs[siteName], Cred: proxy, HTTP: userGridHTTP}
+		ftp := &gridftp.Client{BaseURL: r.env.FTPURLs[siteName], Cred: proxy, Transport: uplink}
 		if _, err := ftp.Put("baseline.gsh", []byte(program)); err != nil {
 			return fmt.Errorf("baseline: stage: %w", err)
 		}
 		// Step 3: write the job description; Step 4: submit via GRAM. The
 		// proxy speaks for alice, so the owner is the end-entity identity.
-		gc := &gram.Client{BaseURL: r.env.GramURL, Cred: proxy, HTTP: userGridHTTP}
+		gc := &gram.Client{BaseURL: r.env.GramURL, Cred: proxy, Transport: uplink}
 		jobID, err := gc.Submit(&jsdl.Description{
 			Owner: xsec.Identity(proxy.Chain), Executable: "baseline.gsh", Site: siteName,
 		})

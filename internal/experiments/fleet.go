@@ -94,7 +94,7 @@ func newFleetRig(o Options, fleetN int) (*fleetRig, error) {
 		// Each shard gets its own shaped WAN uplink toward the grid — the
 		// fleet's whole point is multiplying this link.
 		PerShard: func(i int, cfg appliance.Config) appliance.Config {
-			cfg.GridHTTP, cfg.MyProxyDial = wanUplink(netsim.WAN(clk), nil)
+			cfg.GridDial = wanDial(netsim.WAN(clk), nil)
 			return cfg
 		},
 		Clock:         clk,

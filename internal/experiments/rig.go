@@ -30,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/trace"
@@ -162,14 +163,10 @@ func bootGrid(clk vtime.Clock, profile *netsim.Profile, col *trace.Collector) (*
 // aliceAuth is how an appliance reaches the grid on alice's behalf.
 var aliceAuth = core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"}
 
-// wanUplink returns an HTTP client and a MyProxy dial function that
-// cross the shaped WAN, accounting bytes to probe when it is non-nil.
-func wanUplink(wan *netsim.Profile, probe *metrics.Probe) (*http.Client, func(network, addr string) (net.Conn, error)) {
-	dialer := &netsim.Dialer{Profile: wan, Probe: probe}
-	return &http.Client{Transport: &http.Transport{DialContext: dialer.DialContext}},
-		func(network, addr string) (net.Conn, error) {
-			return dialer.DialContext(context.Background(), network, addr)
-		}
+// wanDial dials across the shaped WAN, accounting bytes to probe when it
+// is non-nil.
+func wanDial(wan *netsim.Profile, probe *metrics.Probe) func(ctx context.Context, network, addr string) (net.Conn, error) {
+	return (&netsim.Dialer{Profile: wan, Probe: probe}).DialContext
 }
 
 // rig is the booted single-appliance measurement stack.
@@ -208,8 +205,7 @@ func newRig(opts Options) (*rig, error) {
 	if cfg.Cost == (metrics.Cost{}) {
 		cfg.Cost = metrics.DefaultCost()
 	}
-	cfg.GridHTTP, cfg.MyProxyDial = wanUplink(wan, probe)
-	cfg.UserProfile = lan
+	cfg.GridDial = wanDial(wan, probe)
 	cfg.InvocationTimeout = time.Hour
 	cfg.Trace = col
 	img, err := appliance.BuildImage(cfg)
@@ -217,15 +213,19 @@ func newRig(opts Options) (*rig, error) {
 		env.Close()
 		return nil, err
 	}
-	app, err := img.Boot(nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		env.Close()
+		return nil, err
+	}
+	app, err := img.Boot(netsim.NewListener(ln, lan, probe))
 	if err != nil {
 		env.Close()
 		return nil, err
 	}
 	app.OnServe.RegisterUser("alice", aliceAuth)
 
-	userDialer := &netsim.Dialer{Profile: lan}
-	userHTTP := &http.Client{Transport: &http.Transport{DialContext: userDialer.DialContext}}
+	userHTTP := &http.Client{Transport: hop.NewTransport((&netsim.Dialer{Profile: lan}).DialContext)}
 	return &rig{clock: clk, rec: rec, probe: probe, env: env, app: app, wan: wan, userHTTP: userHTTP}, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/appliance"
 	"repro/internal/core"
 	"repro/internal/gridftp"
+	"repro/internal/hop"
 	"repro/internal/myproxy"
 )
 
@@ -277,16 +278,15 @@ func stageResume(opts Options, res *AblationResult, size int) error {
 	}
 	defer r.close()
 	ftpURL := r.env.FTPURLs[r.env.Grid.SiteNames()[0]]
-	_, dial := wanUplink(r.wan, r.probe)
+	dial := wanDial(r.wan, r.probe)
 	cred, err := (&myproxy.Client{Addr: r.env.MyProxyAddr, Dial: dial}).Get("alice", "pw", time.Hour)
 	if err != nil {
 		return err
 	}
 	newClient := func(budget int64) (*gridftp.Client, *faultTransport) {
-		uplink, _ := wanUplink(r.wan, r.probe)
-		ft := &faultTransport{rt: uplink.Transport}
+		ft := &faultTransport{rt: hop.NewTransport(dial)}
 		ft.budget.Store(budget)
-		return &gridftp.Client{BaseURL: ftpURL, Cred: cred, HTTP: &http.Client{Transport: ft}}, ft
+		return &gridftp.Client{BaseURL: ftpURL, Cred: cred, Transport: ft}, ft
 	}
 
 	// Enough chunks that some are fully committed before the fault even

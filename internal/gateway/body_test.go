@@ -92,7 +92,7 @@ func TestOversizeResponseBodyIsAProxyError(t *testing.T) {
 		}
 	}))
 	defer upstream.Close()
-	g := &Gateway{httpc: upstream.Client()}
+	g := &Gateway{rt: upstream.Client().Transport}
 	for _, path := range []string{"/declared", "/undeclared"} {
 		m := &member{id: "big", base: upstream.URL, gw: g}
 		get := func(n int) (*bufferedResponse, error) {

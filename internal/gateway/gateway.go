@@ -69,8 +69,8 @@ type Config struct {
 	HalfOpenAfter time.Duration
 	// Clock times the cooldown; nil means real time.
 	Clock vtime.Clock
-	// HTTP carries gateway→appliance traffic; nil uses hop.Client().
-	HTTP *http.Client
+	// Transport carries gateway→appliance traffic; nil means hop.Shared().
+	Transport http.RoundTripper
 	// Trace, when non-nil, records one gateway span per proxied request
 	// and forwards its context in X-Grid-Trace, so appliance-side
 	// waterfalls hang under the gateway hop. Share the collector with the
@@ -112,7 +112,7 @@ type catalogEntry struct {
 type Gateway struct {
 	cfg     Config
 	clock   vtime.Clock
-	httpc   *http.Client
+	rt      http.RoundTripper
 	tracer  *trace.Tracer
 	ring    *ring
 	members []*member
@@ -137,14 +137,14 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	if cfg.Fleet <= 0 {
 		return nil, errors.New("gateway: Fleet must be >= 1")
 	}
-	httpc := cfg.HTTP
-	if httpc == nil {
-		httpc = hop.Client()
+	rt := cfg.Transport
+	if rt == nil {
+		rt = hop.Shared()
 	}
 	g := &Gateway{
 		cfg:     cfg,
 		clock:   cfg.Clock,
-		httpc:   httpc,
+		rt:      rt,
 		catalog: make(map[string]*catalogEntry),
 		users:   make(map[string]core.UserAuth),
 	}
@@ -326,7 +326,7 @@ func (g *Gateway) replayUpload(base string, e *catalogEntry) error {
 	if e.query != "" {
 		target += "?" + e.query
 	}
-	reply, err := hop.Do(g.httpc, http.MethodPost, root, target,
+	reply, err := hop.Do(g.rt, http.MethodPost, root, target,
 		hop.Header("Content-Type", e.contentType, tenant.KeyHeader, e.key), e.body, maxBody)
 	if err != nil {
 		return err
@@ -815,7 +815,7 @@ func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Spa
 		}
 	}
 	m.proxied.Add(1)
-	reply, err := hop.Do(g.httpc, r.Method, root, r.URL.RequestURI(), header, body, maxBody)
+	reply, err := hop.Do(g.rt, r.Method, root, r.URL.RequestURI(), header, body, maxBody)
 	if err != nil {
 		m.proxyErrs.Add(1)
 		// Flush pooled keep-alive connections: a crashed upstream surfaces
@@ -823,7 +823,9 @@ func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Spa
 		// request may have executed), but once the pool is clean the next
 		// attempt fails at dial, which is provably safe to retry on a
 		// ring successor.
-		g.httpc.CloseIdleConnections()
+		if c, ok := g.rt.(interface{ CloseIdleConnections() }); ok {
+			c.CloseIdleConnections()
+		}
 		return nil, err
 	}
 	// The reply's header is nobody else's: hand it on, less the length,

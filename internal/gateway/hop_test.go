@@ -41,7 +41,7 @@ func (s *stubUpstream) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 func stubbedGateway(stub http.RoundTripper) (*Gateway, *member) {
-	g := &Gateway{httpc: &http.Client{Transport: stub}}
+	g := &Gateway{rt: stub}
 	return g, &member{id: "shard-0", gw: g, base: "http://shard.invalid:8080"}
 }
 
@@ -150,7 +150,7 @@ func TestCallerConnectionCloseKeepsTheMemberConnection(t *testing.T) {
 		return (&net.Dialer{}).DialContext(ctx, network, addr)
 	})
 	w := bootFleet(t, 1, func(cfg *Config) {
-		cfg.HTTP = &http.Client{Transport: tr}
+		cfg.Transport = tr
 	})
 	get := func(close bool) {
 		req, err := http.NewRequest(http.MethodGet, w.gw.BaseURL+"/api/services", nil)
@@ -188,7 +188,7 @@ func TestForwardDialErrorIsRetryable(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	g := &Gateway{httpc: &http.Client{}}
+	g := &Gateway{rt: hop.Shared()}
 	m := &member{id: "shard-0", gw: g, base: "http://" + addr}
 	r := httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{}`))
 	_, err = g.forward(m, r, []byte(`{}`), nil)

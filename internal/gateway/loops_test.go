@@ -110,7 +110,7 @@ func fakeGateway(n int, fleet *fakeFleet) (*Gateway, *trace.Collector) {
 	cfg := Config{Fleet: n, FailThreshold: 2}
 	cfg.fill()
 	col := trace.NewCollector(0, 0)
-	g := &Gateway{cfg: cfg, clock: cfg.Clock, httpc: &http.Client{Transport: fleet},
+	g := &Gateway{cfg: cfg, clock: cfg.Clock, rt: fleet,
 		tracer:  trace.NewTracer("gateway", cfg.Clock, col),
 		catalog: map[string]*catalogEntry{"SService": {service: "SService", contentType: "multipart/form-data; boundary=x"}}}
 	for i := 0; i < n; i++ {
@@ -392,7 +392,7 @@ func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 	clk.Advance(g.cfg.HalfOpenAfter)
 	fleet.what = healthy
 	events, open := make(chan string, 2*burst), make(chan struct{})
-	g.httpc = &http.Client{Transport: gatedFleet{fleet, fleet.bad, events, open}}
+	g.rt = gatedFleet{fleet, fleet.bad, events, open}
 	asked := victim.proxied.Load()
 
 	codes := make(chan int, burst)

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/flatjson"
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/trace"
 )
 
@@ -415,7 +416,7 @@ func (c *Client) Events(session string, since uint64) (*EventStream, error) {
 	if c.Trace != "" {
 		req.Header.Set(trace.Header, c.Trace)
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := hop.RoundTrip(c.Transport, req)
 	if err != nil {
 		return nil, fmt.Errorf("gram: /gram/events: %w", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/xsec"
 )
 
@@ -413,7 +414,7 @@ func TestEventStreamRequiresAuthentication(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set(TokenHeader, tok)
-	resp, err := f.client.httpClient().Do(req)
+	resp, err := hop.RoundTrip(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,30 +356,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// Client is the hand-rolled gatekeeper client. Every call but Events goes
-// through internal/hop: the transport of HTTP directly (no redirects, no
-// cookies, no client timeout), BaseURL parsed once, the reply read whole at
-// its declared length. A Client holds a lock: share it by pointer.
+// Client is the hand-rolled gatekeeper client. Every call goes through
+// internal/hop: Transport's RoundTrip directly (no redirects, no cookies,
+// no client timeout), BaseURL parsed once, and every reply but the event
+// stream read whole at its declared length. A Client holds a lock: share
+// it by pointer.
 type Client struct {
 	// BaseURL is the gatekeeper root, e.g. "http://grid-host:2119".
 	BaseURL string
 	// Cred signs every request.
 	Cred *xsec.Credential
-	// HTTP defaults to hop.Client(); only its Transport is used, except by
-	// Events.
-	HTTP *http.Client
+	// Transport carries every request; nil means hop.Shared().
+	Transport http.RoundTripper
 	// Trace, when non-empty, rides every request as the X-Grid-Trace
 	// header so the gatekeeper parents its spans under the caller's.
 	Trace string
 
 	base hop.Base
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP == nil {
-		return hop.Client()
-	}
-	return c.HTTP
 }
 
 func (c *Client) sign(msg []byte) (string, error) {
@@ -397,7 +390,7 @@ func (c *Client) send(method, target string, signed []byte, contentType, etag st
 	if err != nil {
 		return hop.Reply{}, err
 	}
-	reply, err := hop.Do(c.HTTP, method, root, target,
+	reply, err := hop.Do(c.Transport, method, root, target,
 		hop.Header(TokenHeader, tok, "Content-Type", contentType, trace.Header, c.Trace, "If-None-Match", etag),
 		body, limit)
 	if err != nil {

@@ -2,6 +2,7 @@ package gram
 
 import (
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -505,7 +506,7 @@ func TestProxySubmission(t *testing.T) {
 
 func TestUnknownEndpoint(t *testing.T) {
 	f := newFixture(t)
-	resp, err := f.client.httpClient().Get(f.client.BaseURL + "/gram/bogus")
+	resp, err := http.Get(f.client.BaseURL + "/gram/bogus")
 	if err != nil {
 		t.Fatal(err)
 	}

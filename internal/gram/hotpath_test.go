@@ -138,12 +138,12 @@ func (c *canned) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestSubmitAllocations(t *testing.T) {
 	f := newFixture(t)
 	c := &Client{BaseURL: "http://gatekeeper.invalid:2119", Cred: f.client.Cred,
-		HTTP: &http.Client{Transport: &canned{status: http.StatusOK, body: `{"job_id":"siteA:job-17"}` + "\n"}}}
+		Transport: &canned{status: http.StatusOK, body: `{"job_id":"siteA:job-17"}` + "\n"}}
 	desc := f.desc("hello.gsh")
 	if id, err := c.Submit(desc); err != nil || id != "siteA:job-17" {
 		t.Fatalf("submit: %q, %v", id, err)
 	}
-	rt := c.HTTP.Transport.(*canned)
+	rt := c.Transport.(*canned)
 	allocs := testing.AllocsPerRun(200, func() {
 		rt.reqs, rt.bodies = rt.reqs[:0], rt.bodies[:0]
 		if _, err := c.Submit(desc); err != nil {
@@ -194,7 +194,7 @@ func TestHotOpFrameDecodeAllocations(t *testing.T) {
 func TestWireUnchanged(t *testing.T) {
 	f := newFixture(t)
 	rt := &canned{status: http.StatusOK, body: `{"job_id":"siteA:job-1"}`}
-	c := &Client{BaseURL: "http://gk.invalid:2119/root", Cred: f.client.Cred, HTTP: &http.Client{Transport: rt}}
+	c := &Client{BaseURL: "http://gk.invalid:2119/root", Cred: f.client.Cred, Transport: rt}
 	desc := f.desc("hello.gsh")
 	doc, _ := jsdl.Marshal(desc)
 
@@ -276,7 +276,7 @@ func TestDroppedKeepAliveIsRetried(t *testing.T) {
 		return hoptest.DeadOnReuse{Conn: conn, Armed: &armed}, err
 	})
 	defer tr.CloseIdleConnections()
-	c := &Client{BaseURL: f.client.BaseURL, Cred: f.client.Cred, HTTP: &http.Client{Transport: tr}}
+	c := &Client{BaseURL: f.client.BaseURL, Cred: f.client.Cred, Transport: tr}
 	if _, err := c.Submit(f.desc("hello.gsh")); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestDroppedKeepAliveIsRetried(t *testing.T) {
 func TestOversizedReplyIsAnError(t *testing.T) {
 	f := newFixture(t)
 	rt := &canned{status: http.StatusOK, body: `{"job_id":"` + strings.Repeat("x", MaxBody) + `"}`}
-	c := &Client{BaseURL: "http://gk.invalid", Cred: f.client.Cred, HTTP: &http.Client{Transport: rt}}
+	c := &Client{BaseURL: "http://gk.invalid", Cred: f.client.Cred, Transport: rt}
 	if _, err := c.Submit(f.desc("hello.gsh")); !errors.Is(err, sizedio.ErrTooLarge) {
 		t.Fatalf("oversized reply: %v", err)
 	}

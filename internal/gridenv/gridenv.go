@@ -15,6 +15,7 @@ import (
 	"repro/internal/gram"
 	"repro/internal/gridftp"
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/myproxy"
 	"repro/internal/netsim"
 	"repro/internal/trace"
@@ -133,12 +134,11 @@ func Start(opts Options) (*Env, error) {
 	}
 	// One GridFTP server per site. Third-party transfers (one server
 	// pulling from another) must cross the same shaped links as any other
-	// grid traffic, so the servers' outbound fetch client dials through
-	// the profile too.
-	var fetchClient *http.Client
+	// grid traffic, so the servers' outbound fetches dial through the
+	// profile too.
+	var fetch http.RoundTripper
 	if opts.Profile != nil {
-		dialer := &netsim.Dialer{Profile: opts.Profile}
-		fetchClient = &http.Client{Transport: &http.Transport{DialContext: dialer.DialContext}}
+		fetch = hop.NewTransport((&netsim.Dialer{Profile: opts.Profile}).DialContext)
 	}
 	for _, name := range grid.SiteNames() {
 		site, err := grid.Site(name)
@@ -146,7 +146,7 @@ func Start(opts Options) (*Env, error) {
 			env.Close()
 			return nil, err
 		}
-		ftp := gridftp.NewServer(site.Store(), trust, clock, fetchClient)
+		ftp := gridftp.NewServer(site.Store(), trust, clock, fetch)
 		if opts.Trace != nil {
 			ftp.SetTracer(trace.NewTracer("gridftp", clock, opts.Trace), name)
 		}
@@ -211,7 +211,10 @@ func (e *Env) StageEverywhere(owner, name string, data []byte) error {
 	return nil
 }
 
-// Close stops every server.
+// Close stops every server, and drops the connections hop's shared
+// transport holds idle: nothing watches a pooled connection, so a later
+// server on a reused port would be sent a request over one whose peer is
+// gone, and a PUT or POST that meets it fails.
 func (e *Env) Close() {
 	for _, srv := range e.httpSrvs {
 		srv.Close()
@@ -222,4 +225,5 @@ func (e *Env) Close() {
 	for _, ln := range e.listeners {
 		ln.Close()
 	}
+	hop.Shared().CloseIdleConnections()
 }

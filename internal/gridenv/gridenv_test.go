@@ -1,11 +1,17 @@
 package gridenv
 
 import (
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
 	"repro/internal/gram"
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/jsdl"
 	"repro/internal/myproxy"
 	"repro/internal/netsim"
@@ -120,4 +126,41 @@ func TestCloseIdempotentEnough(t *testing.T) {
 	}
 	env.Close()
 	env.Close() // second close must not panic
+}
+
+// TestCloseDropsPooledConnections: a server that takes a closed
+// environment's port is reached over a fresh connection, not over the one
+// hop's shared transport pooled to the old server, whose peer is gone (a
+// POST on it would fail).
+func TestCloseDropsPooledConnections(t *testing.T) {
+	env, err := Start(Options{Clock: vtime.NewScaled(20000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := url.Parse(env.GramURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() (hop.Reply, error) {
+		return hop.Do(nil, http.MethodPost, root, "/gram/none", nil, []byte("ping"), 1<<10)
+	}
+	if _, err := post(); err != nil { // any reply pools the connection
+		t.Fatal(err)
+	}
+	env.Close()
+	ln, err := net.Listen("tcp", root.Host)
+	if err != nil {
+		t.Skipf("the closed environment's port was taken: %v", err)
+	}
+	next := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, "new")
+	}))
+	next.Listener.Close()
+	next.Listener = ln
+	next.Start()
+	defer next.Close()
+	if rep, err := post(); err != nil || string(rep.Body) != "new" {
+		t.Fatalf("POST to the port's new server: %q, %v", rep.Body, err)
+	}
 }

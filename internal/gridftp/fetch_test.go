@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
@@ -115,19 +116,19 @@ func TestThirdPartyTransferCapabilityIsScoped(t *testing.T) {
 	}
 }
 
-// countingTransport counts round-trips before delegating to the default
+// countingTransport counts round-trips before delegating to hop's shared
 // transport.
 type countingTransport struct{ calls int }
 
 func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	ct.calls++
-	return http.DefaultTransport.RoundTrip(r)
+	return hop.Shared().RoundTrip(r)
 }
 
 func TestFetchUsesInjectedHTTPClient(t *testing.T) {
 	// The destination server's source-side pull must go through the
-	// injected client (the rig routes it through the shaped WAN), not
-	// http.DefaultClient.
+	// injected transport (the rig routes it through the shaped WAN), not
+	// hop's shared one.
 	now := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
 	ca, err := xsec.NewCA("FTPCA", now, 10*365*24*time.Hour)
 	if err != nil {
@@ -139,7 +140,7 @@ func TestFetchUsesInjectedHTTPClient(t *testing.T) {
 	ct := &countingTransport{}
 	srcStore, dstStore := gridsim.NewStore(), gridsim.NewStore()
 	srcSrv := httptest.NewServer(NewServer(srcStore, trust, clk, nil))
-	dstSrv := httptest.NewServer(NewServer(dstStore, trust, clk, &http.Client{Transport: ct}))
+	dstSrv := httptest.NewServer(NewServer(dstStore, trust, clk, ct))
 	t.Cleanup(srcSrv.Close)
 	t.Cleanup(dstSrv.Close)
 	src := &Client{BaseURL: srcSrv.URL, Cred: alice}
@@ -151,7 +152,7 @@ func TestFetchUsesInjectedHTTPClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ct.calls != 1 {
-		t.Fatalf("injected client saw %d calls, want 1", ct.calls)
+		t.Fatalf("injected transport saw %d calls, want 1", ct.calls)
 	}
 }
 

@@ -58,9 +58,9 @@ type Server struct {
 	store *gridsim.Store
 	trust *xsec.TrustStore
 	clock vtime.Clock
-	// http carries outbound third-party transfers (fetch); nil means
-	// hop.Client().
-	http *http.Client
+	// pull carries outbound third-party transfers; nil means
+	// hop.Shared().
+	pull http.RoundTripper
 	// chunks is the content-addressed store behind the chunked-transfer
 	// endpoints (see chunks.go).
 	chunks *chunkStore
@@ -78,11 +78,10 @@ func (s *Server) SetTracer(t *trace.Tracer, site string) {
 	s.site = site
 }
 
-// NewServer builds a staging server for store. httpClient carries the
-// server's own outbound traffic — the source-side pulls of third-party
-// transfers — so rigs can route it through a shaped transport; nil means
-// hop.Client().
-func NewServer(store *gridsim.Store, trust *xsec.TrustStore, clock vtime.Clock, httpClient *http.Client) *Server {
+// NewServer builds a staging server for store. pull carries the server's
+// own outbound traffic — the source-side pulls of third-party transfers —
+// so rigs can route it through a shaped dial; nil means hop.Shared().
+func NewServer(store *gridsim.Store, trust *xsec.TrustStore, clock vtime.Clock, pull http.RoundTripper) *Server {
 	if clock == nil {
 		clock = vtime.Real{}
 	}
@@ -90,16 +89,9 @@ func NewServer(store *gridsim.Store, trust *xsec.TrustStore, clock vtime.Clock, 
 		store:  store,
 		trust:  trust,
 		clock:  clock,
-		http:   httpClient,
+		pull:   pull,
 		chunks: newChunkStore(defaultChunkStoreBytes),
 	}
-}
-
-func (s *Server) httpClient() *http.Client {
-	if s.http == nil {
-		return hop.Client()
-	}
-	return s.http
 }
 
 // signPayload is the byte string both sides sign for a request: it binds
@@ -349,7 +341,7 @@ func (s *Server) fetch(w http.ResponseWriter, r *http.Request) {
 	if tc := r.Header.Get(trace.Header); tc != "" {
 		getReq.Header.Set(trace.Header, tc)
 	}
-	resp, err := s.httpClient().Do(getReq)
+	resp, err := hop.RoundTrip(s.pull, getReq)
 	if err != nil {
 		httpError(w, http.StatusBadGateway, "gridftp: fetch from source: "+err.Error())
 		return
@@ -401,7 +393,7 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 }
 
 // Client stages files to and from one site's GridFTP server. Every call
-// goes through internal/hop: the transport of HTTP directly, BaseURL
+// goes through internal/hop: Transport's RoundTrip directly, BaseURL
 // parsed once, the reply read whole at its declared length. A Client
 // holds a lock: share it by pointer.
 type Client struct {
@@ -409,8 +401,8 @@ type Client struct {
 	BaseURL string
 	// Cred signs every request; the authenticated identity owns the files.
 	Cred *xsec.Credential
-	// HTTP defaults to hop.Client(); only its Transport is used.
-	HTTP *http.Client
+	// Transport carries every request; nil means hop.Shared().
+	Transport http.RoundTripper
 	// Trace, when non-empty, rides every request as the X-Grid-Trace
 	// header so the server parents its spans under the caller's.
 	Trace string
@@ -451,9 +443,9 @@ func (c *Client) do(rq call) (hop.Reply, error) {
 	}
 	header := hop.Header(TokenHeader, tok, trace.Header, c.Trace, "Content-Type", rq.contentType, rq.header, rq.value)
 	if rq.file != nil {
-		return hop.DoStream(c.HTTP, rq.method, root, rq.target, header, rq.file.Size, rq.file.Open, rq.limit)
+		return hop.DoStream(c.Transport, rq.method, root, rq.target, header, rq.file.Size, rq.file.Open, rq.limit)
 	}
-	return hop.Do(c.HTTP, rq.method, root, rq.target, header, rq.body, rq.limit)
+	return hop.Do(c.Transport, rq.method, root, rq.target, header, rq.body, rq.limit)
 }
 
 // File is what one transfer sends: Size bytes that hash to SHA256, read

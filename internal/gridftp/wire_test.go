@@ -38,7 +38,7 @@ func TestWireUnchanged(t *testing.T) {
 	f := newFixture(t)
 	rec := &recorder{}
 	tc := "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
-	c := &Client{BaseURL: "http://ftp.invalid:2811", Cred: f.alice.Cred, HTTP: &http.Client{Transport: rec}, Trace: tc}
+	c := &Client{BaseURL: "http://ftp.invalid:2811", Cred: f.alice.Cred, Transport: rec, Trace: tc}
 	chunk := "chunk bytes"
 	sum := sha256.Sum256([]byte(chunk))
 	digest := hex.EncodeToString(sum[:])

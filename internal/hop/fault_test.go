@@ -73,7 +73,7 @@ func (r *faultRig) start(t *testing.T) *faultRig {
 // do sends method with body ("" for none) and returns the reply.
 func (r *faultRig) do(t *testing.T, method, body string) (Reply, error) {
 	t.Helper()
-	return Do(&http.Client{Transport: r.tr}, method, mustParse(t, r.srv.URL), "/x", nil, []byte(body), 64<<10)
+	return Do(r.tr, method, mustParse(t, r.srv.URL), "/x", nil, []byte(body), 64<<10)
 }
 
 // ok fails the test unless method gets the handler's "ok".
@@ -227,7 +227,7 @@ func TestTransportFaults(t *testing.T) {
 			}}).start(t)
 			big := make([]byte, 4<<20)
 			open := func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(big)), nil }
-			rep, err := DoStream(&http.Client{Transport: r.tr}, http.MethodPut, mustParse(t, r.srv.URL), "/x", nil, int64(len(big)), open, 1<<10)
+			rep, err := DoStream(r.tr, http.MethodPut, mustParse(t, r.srv.URL), "/x", nil, int64(len(big)), open, 1<<10)
 			if err != nil || rep.Status != http.StatusForbidden {
 				t.Fatalf("reply %d, %v; want the 403", rep.Status, err)
 			}
@@ -254,7 +254,7 @@ func TestTransportFaults(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
 			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+ln.Addr().String()+"/api/stats", nil)
-			_, err = (&http.Client{Transport: tr}).Do(req)
+			_, err = tr.RoundTrip(req)
 			if elapsed := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || elapsed < timeout || elapsed > timeout+5*time.Second {
 				t.Fatalf("after %v: %v", elapsed, err)
 			}
@@ -268,7 +268,8 @@ func TestTransportFaults(t *testing.T) {
 				w.(http.Flusher).Flush()
 				<-req.Context().Done()
 			}}).start(t)
-			resp, err := (&http.Client{Transport: r.tr}).Get(r.srv.URL + "/gram/events")
+			req, _ := http.NewRequest(http.MethodGet, r.srv.URL+"/gram/events", nil)
+			resp, err := r.tr.RoundTrip(req)
 			if err != nil {
 				t.Fatal(err)
 			}

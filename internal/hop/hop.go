@@ -4,7 +4,7 @@
 // servers redirects or sets cookies and no caller sets a client timeout,
 // so everything http.Client.Do wraps around RoundTrip for those is skipped,
 // and a 3xx comes back as the non-200 status it is. The package owns the
-// transport these hops take unless a caller supplies one (Transport).
+// transport these hops take unless a caller supplies one (Shared).
 package hop
 
 import (
@@ -18,11 +18,19 @@ import (
 	"repro/internal/sizedio"
 )
 
-var client = &http.Client{Transport: NewTransport(nil)}
+var shared = NewTransport(nil)
 
-// Client returns the client a nil client or a nil Transport means to Do,
-// shared by every internal hop that is not given one of its own.
-func Client() *http.Client { return client }
+// Shared returns the transport a nil RoundTripper means to Do and
+// RoundTrip, shared by every internal hop that is not given one of its own.
+func Shared() *Transport { return shared }
+
+// RoundTrip sends req over rt, or over Shared when rt is nil.
+func RoundTrip(rt http.RoundTripper, req *http.Request) (*http.Response, error) {
+	if rt == nil {
+		return shared.RoundTrip(req)
+	}
+	return rt.RoundTrip(req)
+}
 
 // Base parses a server root such as "http://host:2119" once and again
 // only when the text changes. The zero value is ready to use.
@@ -80,19 +88,19 @@ func newPayload(b []byte) *payload {
 }
 
 // Do sends method to target — an escaped path with an optional "?query",
-// the form URL.RequestURI returns — under root, over c's transport (a nil
-// client or transport means the one Client has), and reads the reply at
-// its declared length. header is sent as it is and must not be modified
-// until Do returns. body is replayable, so the transport retries a request
-// that met a dead keep-alive connection as it does for http.NewRequest. A
-// reply of more than limit bytes is sizedio.ErrTooLarge; any other failure
-// to send or read is a *url.Error, as from http.Client.Do.
-func Do(c *http.Client, method string, root *url.URL, target string, header http.Header, body []byte, limit int64) (Reply, error) {
+// the form URL.RequestURI returns — under root, over rt (nil means Shared),
+// and reads the reply at its declared length. header is sent as it is and
+// must not be modified until Do returns. body is replayable, so the
+// transport retries a request that met a dead keep-alive connection as it
+// does for http.NewRequest. A reply of more than limit bytes is
+// sizedio.ErrTooLarge; any other failure to send or read is a *url.Error,
+// as from http.Client.Do.
+func Do(rt http.RoundTripper, method string, root *url.URL, target string, header http.Header, body []byte, limit int64) (Reply, error) {
 	if len(body) == 0 {
-		return DoStream(c, method, root, target, header, 0, nil, limit)
+		return DoStream(rt, method, root, target, header, 0, nil, limit)
 	}
 	open := func() (io.ReadCloser, error) { return newPayload(body), nil }
-	return DoStream(c, method, root, target, header, int64(len(body)), open, limit)
+	return DoStream(rt, method, root, target, header, int64(len(body)), open, limit)
 }
 
 // DoStream is Do with a body that is read as it is sent: size bytes from
@@ -100,7 +108,7 @@ func Do(c *http.Client, method string, root *url.URL, target string, header http
 // the transport makes of it. The transport closes every body it was given,
 // possibly after DoStream has returned. A size of zero sends no body and
 // never calls open. An empty method is GET, as for net/http.
-func DoStream(c *http.Client, method string, root *url.URL, target string, header http.Header, size int64, open func() (io.ReadCloser, error), limit int64) (Reply, error) {
+func DoStream(rt http.RoundTripper, method string, root *url.URL, target string, header http.Header, size int64, open func() (io.ReadCloser, error), limit int64) (Reply, error) {
 	if method == "" {
 		method = http.MethodGet
 	}
@@ -130,11 +138,7 @@ func DoStream(c *http.Client, method string, root *url.URL, target string, heade
 		}
 		req.Body, req.ContentLength, req.GetBody = body, size, open
 	}
-	rt := client.Transport
-	if c != nil && c.Transport != nil {
-		rt = c.Transport
-	}
-	resp, err := rt.RoundTrip(req)
+	resp, err := RoundTrip(rt, req)
 	if err != nil {
 		return fail(err)
 	}

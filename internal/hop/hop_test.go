@@ -52,7 +52,7 @@ func TestDoRequest(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var seen *http.Request
 			var first, replay string
-			c := &http.Client{Transport: roundTripper(func(r *http.Request) (*http.Response, error) {
+			c := roundTripper(func(r *http.Request) (*http.Response, error) {
 				seen = r
 				if r.Body != nil {
 					b, _ := io.ReadAll(r.Body)
@@ -67,7 +67,7 @@ func TestDoRequest(t *testing.T) {
 					replay = string(b)
 				}
 				return reply("ok", 2), nil
-			})}
+			})
 			rep, err := Do(c, http.MethodPost, mustParse(t, tc.root), tc.target, tc.header, []byte(tc.body), 16)
 			if err != nil {
 				t.Fatal(err)
@@ -127,7 +127,7 @@ func TestDoReply(t *testing.T) {
 			limit: 16, wantErr: boom},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &http.Client{Transport: roundTripper(func(*http.Request) (*http.Response, error) { return tc.resp, tc.err })}
+			c := roundTripper(func(*http.Request) (*http.Response, error) { return tc.resp, tc.err })
 			rep, err := Do(c, http.MethodGet, mustParse(t, "http://h:1"), "/x?y=1", nil, nil, tc.limit)
 			if tc.wantErr == nil {
 				if err != nil || string(rep.Body) != tc.wantBody {
@@ -224,7 +224,7 @@ func TestDoStream(t *testing.T) {
 		r.Body = again
 		return http.DefaultTransport.RoundTrip(r)
 	})
-	rep, err := DoStream(&http.Client{Transport: replaying}, http.MethodPut, root, "/f", nil, 13, open, 64)
+	rep, err := DoStream(replaying, http.MethodPut, root, "/f", nil, 13, open, 64)
 	if err != nil || string(rep.Body) != "streamed body" || rep.Header.Get("X-Length") != "13" {
 		t.Fatalf("reply %+v, %v", rep, err)
 	}
@@ -233,10 +233,10 @@ func TestDoStream(t *testing.T) {
 	}
 
 	boom := errors.New("row is corrupt")
-	unreachable := &http.Client{Transport: roundTripper(func(*http.Request) (*http.Response, error) {
+	unreachable := roundTripper(func(*http.Request) (*http.Response, error) {
 		t.Error("a request whose body could not be opened was sent")
 		return nil, boom
-	})}
+	})
 	var ue *url.Error
 	_, err = DoStream(unreachable, http.MethodPut, root, "/f", nil, 13, func() (io.ReadCloser, error) { return nil, boom }, 64)
 	if !errors.Is(err, boom) || !errors.As(err, &ue) || ue.Op != "Put" {
@@ -268,10 +268,10 @@ func TestDoEmptyMethodIsGet(t *testing.T) {
 }
 
 func TestDoRefusesBadEscape(t *testing.T) {
-	c := &http.Client{Transport: roundTripper(func(*http.Request) (*http.Response, error) {
+	c := roundTripper(func(*http.Request) (*http.Response, error) {
 		t.Fatal("a path that does not unescape reached the transport")
 		return nil, nil
-	})}
+	})
 	if _, err := Do(c, http.MethodGet, mustParse(t, "http://h:1"), "/a%zz", nil, nil, 16); err == nil {
 		t.Fatal("no error")
 	}

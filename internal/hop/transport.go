@@ -19,7 +19,7 @@ import (
 // per host:port, and idleTimeout, under the servers' netsim.IdleTimeout.
 const idleTimeout = 90 * time.Second
 
-// Transport is the RoundTripper behind Client: pooled keep-alive HTTP/1.1
+// Transport is the RoundTripper behind Shared: pooled keep-alive HTTP/1.1
 // connections, each with its own buffered reader and writer, framed by
 // wire.go's writeHead and readReply — no connection manager, no goroutine;
 // other schemes and proxied requests go to a clone of

@@ -53,14 +53,14 @@ func body(seed byte) ([]byte, http.Header) {
 	return b, Header("X-Sum", hex.EncodeToString(sum[:]))
 }
 
-// putStream streams b to srv as one PUT over c and fails unless the
+// putStream streams b to srv as one PUT over rt and fails unless the
 // server confirmed every byte.
-func putStream(t *testing.T, c *http.Client, srv *httptest.Server, b []byte, header http.Header, open func() (io.ReadCloser, error)) {
+func putStream(t *testing.T, rt http.RoundTripper, srv *httptest.Server, b []byte, header http.Header, open func() (io.ReadCloser, error)) {
 	t.Helper()
 	if open == nil {
 		open = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(b)), nil }
 	}
-	rep, err := DoStream(c, http.MethodPut, mustParse(t, srv.URL), "/f", header, int64(len(b)), open, 1<<10)
+	rep, err := DoStream(rt, http.MethodPut, mustParse(t, srv.URL), "/f", header, int64(len(b)), open, 1<<10)
 	if err != nil || rep.Status != http.StatusOK {
 		t.Errorf("stream: %d %s, %v", rep.Status, rep.Body, err)
 	}
@@ -138,16 +138,15 @@ func TestDeadKeepAliveReplaysThroughPooledCopy(t *testing.T) {
 	var dials atomic.Int32
 	tr := NewTransport(deadOnReuseDial(&armed, &dials))
 	defer tr.CloseIdleConnections()
-	c := &http.Client{Transport: tr}
 	b, header := body(7)
 	var opens, closes atomic.Int32
 	open := func() (io.ReadCloser, error) {
 		opens.Add(1)
 		return closeCounter{bytes.NewReader(b), &closes}, nil
 	}
-	putStream(t, c, srv, b, header, open)
+	putStream(t, tr, srv, b, header, open)
 	armed.Store(true)
-	putStream(t, c, srv, b, header, open)
+	putStream(t, tr, srv, b, header, open)
 	if armed.Load() || dials.Load() != 2 || opens.Load() != 3 || closes.Load() != 3 {
 		t.Fatalf("armed=%v, %d dials, %d opens, %d closes: want the dead connection met, redialled and the body reopened, every body closed",
 			armed.Load(), dials.Load(), opens.Load(), closes.Load())
@@ -157,7 +156,7 @@ func TestDeadKeepAliveReplaysThroughPooledCopy(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	putStream(t, c, srv, b, header, open)
+	putStream(t, tr, srv, b, header, open)
 	runtime.ReadMemStats(&after)
 	if spent := after.TotalAlloc - before.TotalAlloc; spent > 16<<10 {
 		t.Fatalf("the request after the replay allocates %d B: the copy buffer did not go back", spent)
@@ -256,22 +255,22 @@ func idleConns(tr *Transport) int {
 // TestTransportStartsNoGoroutine: 64 concurrent hops leave at most
 // http.DefaultMaxIdleConnsPerHost connections pooled and no goroutine the
 // transport made — http.Transport runs two per pooled connection — and
-// once the client's CloseIdleConnections (what Gateway.Shutdown calls) has
-// run, the pool is empty and the goroutine count is back where it was.
+// once the transport's CloseIdleConnections (what the gateway calls after a
+// failed hop) has run, the pool is empty and the goroutine count is back
+// where it was.
 func TestTransportStartsNoGoroutine(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))
 	}))
 	tr := NewTransport(nil)
-	c := &http.Client{Transport: tr}
 	root := mustParse(t, srv.URL)
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if rep, err := Do(c, http.MethodGet, root, "/x", nil, nil, 16); err != nil || string(rep.Body) != "ok" {
+			if rep, err := Do(tr, http.MethodGet, root, "/x", nil, nil, 16); err != nil || string(rep.Body) != "ok" {
 				t.Errorf("hop: %+v, %v", rep, err)
 			}
 		}()
@@ -286,7 +285,7 @@ func TestTransportStartsNoGoroutine(t *testing.T) {
 			t.Errorf("a goroutine of the transport: %s", line)
 		}
 	}
-	c.CloseIdleConnections()
+	tr.CloseIdleConnections()
 	if n := idleConns(tr); n != 0 {
 		t.Errorf("%d idle connections after CloseIdleConnections", n)
 	}
@@ -317,7 +316,6 @@ func TestIdleConnectionsExpireBeforeTheServerDrops(t *testing.T) {
 	defer srv.Close()
 	tr := NewTransport(nil)
 	defer tr.CloseIdleConnections()
-	c := &http.Client{Transport: tr}
 	root := mustParse(t, srv.URL)
 	for i := 0; i < 3; i++ {
 		if i == 2 {
@@ -325,7 +323,7 @@ func TestIdleConnectionsExpireBeforeTheServerDrops(t *testing.T) {
 			tr.idle[0].idleSince = tr.idle[0].idleSince.Add(-idleTimeout)
 			tr.mu.Unlock()
 		}
-		if _, err := Do(c, http.MethodGet, root, "/", nil, nil, 16); err != nil {
+		if _, err := Do(tr, http.MethodGet, root, "/", nil, nil, 16); err != nil {
 			t.Fatal(err)
 		}
 	}

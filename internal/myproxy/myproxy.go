@@ -11,6 +11,7 @@
 package myproxy
 
 import (
+	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -292,11 +293,11 @@ func hashPass(salt [16]byte, pass string) [32]byte {
 	return out
 }
 
-// Client talks to a Server. Dial defaults to net.Dial; override it to
-// route through a shaped netsim.Dialer.
+// Client talks to a Server. Dial defaults to a net.Dialer's; override it
+// to route through a shaped netsim.Dialer.
 type Client struct {
 	Addr string
-	Dial func(network, addr string) (net.Conn, error)
+	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 	// Trace, when non-empty, rides every request so the server parents
 	// its spans under the caller's.
 	Trace string
@@ -305,9 +306,9 @@ type Client struct {
 func (c *Client) dial() (net.Conn, error) {
 	d := c.Dial
 	if d == nil {
-		d = net.Dial
+		d = (&net.Dialer{}).DialContext
 	}
-	return d("tcp", c.Addr)
+	return d(context.TODO(), "tcp", c.Addr) // Get and Put take no context
 }
 
 func (c *Client) roundTrip(req request) (*response, error) {

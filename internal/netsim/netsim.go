@@ -214,19 +214,13 @@ func (l *Listener) Accept() (net.Conn, error) {
 type Dialer struct {
 	Profile *Profile
 	Probe   *metrics.Probe
-	// Base performs the underlying dial; defaults to net.Dialer.
-	Base func(ctx context.Context, network, addr string) (net.Conn, error)
 }
 
-// DialContext dials and wraps. It satisfies the signature of
-// http.Transport.DialContext.
+// DialContext dials TCP and wraps the connection. It is the dial
+// hop.NewTransport, myproxy.Client and appliance.Config.GridDial take.
 func (d *Dialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
-	base := d.Base
-	if base == nil {
-		var nd net.Dialer
-		base = nd.DialContext
-	}
-	c, err := base(ctx, network, addr)
+	var nd net.Dialer
+	c, err := nd.DialContext(ctx, network, addr)
 	if err != nil {
 		return nil, err
 	}

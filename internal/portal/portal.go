@@ -468,20 +468,16 @@ func (p *Portal) tracePage(w http.ResponseWriter, r *http.Request) {
 
 // apiClient serves a ready-to-edit Go client stub for a generated
 // service — the paper's suggested improvement over making every consumer
-// run wsimport themselves.
+// run wsimport themselves. The stub is written from the definition the
+// container serves the service's WSDL from.
 func (p *Portal) apiClient(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
-	info, err := p.onserve.ServiceInfo(name)
+	def, err := p.onserve.ServiceDef(name)
 	if err != nil {
 		WriteError(w, statusFor(err), err)
 		return
 	}
-	proxy, err := wsclient.ImportURL(info.Endpoint, nil)
-	if err != nil {
-		WriteError(w, http.StatusBadGateway, err)
-		return
-	}
-	stub, err := wsclient.GenerateStub(proxy.Def)
+	stub, err := wsclient.GenerateStub(def)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, err)
 		return

@@ -23,6 +23,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/uddi"
 	"repro/internal/vtime"
+	"repro/internal/wsclient"
 	"repro/internal/wsdl"
 )
 
@@ -228,6 +229,20 @@ func TestClientStubDownload(t *testing.T) {
 	}
 	if cd := resp.Header.Get("Content-Disposition"); !strings.Contains(cd, "StubbedService_client.go") {
 		t.Fatalf("disposition %q", cd)
+	}
+	// The stub is written from the deployed definition, with no round trip
+	// to the appliance's own WSDL: it is what a consumer importing that
+	// WSDL would generate, byte for byte.
+	proxy, err := wsclient.ImportURL(f.url+"/services/StubbedService", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imported, err := wsclient.GenerateStub(proxy.Def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, imported) {
+		t.Fatalf("served stub differs from the one the WSDL imports to:\n%s\n---\n%s", body, imported)
 	}
 }
 

@@ -331,8 +331,9 @@ func (c *Controller) SiteAllowed(owner, site string) bool {
 	return st.cfg.Policy.SiteAllowed(site)
 }
 
-// Allows answers the pure policy question without admitting anything
-// (used by the SOAP container guard, which has its own accounting).
+// Allows answers the pure policy question without admitting anything.
+// The SOAP container guard calls it and nothing else: a SOAP execute is
+// not rate-limited, holds no quota slot and writes no audit record.
 func (c *Controller) Allows(owner string, verb Verb, service string) bool {
 	c.mu.RLock()
 	st := c.owners[owner]

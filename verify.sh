@@ -25,9 +25,24 @@ fi
 # active prober or its knobs: the requests it proxies are its health check.
 # Nor does its ticket table, the invoke-reply parse that filled it, or its
 # own stats endpoint: a ticket names its service, and /api/stats carries
-# the gateway block.
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats' . ; then
+# the gateway block. Nor do the three network knobs GridDial replaced, or
+# an invocation state nothing ever entered.
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting' . ; then
 	echo "a deleted name is back (see above)" >&2
+	exit 1
+fi
+
+# One way out to the grid: every hop between this repository's processes
+# rides hop's transport, so the figures and the fault tables measure the
+# client stack production ships. No program file under internal/ or
+# examples/ builds a net/http Transport or reaches net/http's defaults,
+# except hop's own fallback and the two user-side clients, which stand
+# for external callers; and core's fault fakes forward to hop, not to
+# http.DefaultTransport.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'http\.Transport\{|http\.DefaultTransport|http\.DefaultClient' internal examples |
+	grep -vE '^internal/(hop/transport|soap/client|portal/client)\.go:' ||
+	grep -n 'http\.DefaultTransport' internal/core/*_test.go; then
+	echo "a hop bypasses hop's transport (see above)" >&2
 	exit 1
 fi
 
