@@ -59,7 +59,7 @@ commands:
   cancel   -ticket T
   trace    -ticket T
   delete   -service S
-  audit    [-owner O] [-n N]  (tenancy audit log, needs -tenancy on the appliance)`
+  audit    [-owner O] [-n N]  (tenancy audit log, needs -keys-file on the appliance)`
 
 // cli is one command's context: where the appliance is, the client that
 // stamps the key, and where output goes.
@@ -311,7 +311,7 @@ func (c cli) audit(fs *flag.FlagSet, args []string) error {
 	doc, err := c.Audit(*owner, *n)
 	var refused *portal.StatusError
 	if errors.As(err, &refused) && refused.Status == http.StatusNotFound {
-		return fmt.Errorf("audit log unavailable (appliance running without -tenancy?)")
+		return fmt.Errorf("audit log unavailable (appliance running without -keys-file?)")
 	}
 	if err != nil {
 		return err

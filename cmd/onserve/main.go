@@ -54,22 +54,20 @@ type bootOptions struct {
 	endpointsPath string
 	listen        string
 	dbDir         string
-	// appliance is what -profile (and -db) resolved to; run completes it
-	// with the endpoints, tracing and tenancy.
+	// appliance is what -profile, -db and -keys-file resolved to; run
+	// completes it with the endpoints and tracing.
 	appliance appliance.Config
 	tracing   bool
 	fleet     int
-	tenancy   bool
-	keysFile  string
 	users     userList
 }
 
 // parseFlags reads the command line. The appliance's behaviour is chosen
 // by -profile alone: the two supported configurations are the only ones
-// the command can boot.
+// the command can boot. A keys file turns the tenant control plane on.
 func parseFlags(args []string) (bootOptions, error) {
 	var opts bootOptions
-	var profile string
+	var profile, keysFile string
 	fs := flag.NewFlagSet("onserve", flag.ContinueOnError)
 	fs.StringVar(&opts.endpointsPath, "endpoints", "grid-endpoints.json", "grid endpoints file written by gridd")
 	fs.StringVar(&opts.listen, "listen", "127.0.0.1:0", "address for the appliance HTTP endpoint")
@@ -77,8 +75,7 @@ func parseFlags(args []string) (bootOptions, error) {
 	fs.StringVar(&profile, "profile", "paper", "appliance configuration: paper (every extension off, what the paper's figures measure) or production (every cache and batched path on; with -db, the sharded storage engine)")
 	fs.BoolVar(&opts.tracing, "trace", false, "record appliance-side invocation spans (read back via /api/trace, /trace, onserve-cli trace)")
 	fs.IntVar(&opts.fleet, "fleet", 0, "boot N appliances behind a consistent-hash gateway on -listen instead of one appliance (0: single appliance, stock wire behaviour)")
-	fs.BoolVar(&opts.tenancy, "tenancy", false, "enforce the multi-tenant control plane: API keys, policy, rate limits, fair-share quotas and the audit log (needs -keys-file)")
-	fs.StringVar(&opts.keysFile, "keys-file", "", "tenancy config JSON (owners, keys, limits, audit); see README for the schema")
+	fs.StringVar(&keysFile, "keys-file", "", "tenancy config JSON (owners, keys, limits, audit; see README for the schema): enforces the multi-tenant control plane, for one appliance or a -fleet (empty: every caller is trusted)")
 	fs.Var(&opts.users, "user", "portal-user:myproxy-passphrase to register (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return opts, err
@@ -88,6 +85,14 @@ func parseFlags(args []string) (bootOptions, error) {
 		fmt.Fprintln(fs.Output(), err)
 		fs.Usage()
 		return opts, err
+	}
+	if keysFile != "" {
+		tc, err := tenant.LoadConfig(keysFile)
+		if err != nil {
+			fmt.Fprintln(fs.Output(), err)
+			return opts, err
+		}
+		cfg.Tenancy = &tc
 	}
 	opts.appliance = cfg
 	return opts, nil
@@ -126,16 +131,6 @@ func run(opts bootOptions) error {
 		// The grid services live in another process (gridd), so the
 		// trace tree covers the appliance's side of the pipeline.
 		cfg.Trace = trace.NewCollector(0, 0)
-	}
-	if opts.tenancy {
-		if opts.keysFile == "" {
-			return fmt.Errorf("-tenancy needs -keys-file")
-		}
-		tc, err := tenant.LoadConfig(opts.keysFile)
-		if err != nil {
-			return err
-		}
-		cfg.Tenancy = &tc
 	}
 	if opts.fleet > 0 {
 		return runFleet(cfg, opts)

@@ -197,9 +197,7 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		// guard a keyless caller could drive generated services (and
 		// their execute operations) directly. SOAP calls authenticate
 		// with the same X-Grid-Key header and pass the invoke policy;
-		// the full rate/quota pipeline stays at the portal edge, which
-		// is the only surface that creates invocations on behalf of
-		// anonymous SOAP-era clients when tenancy is off.
+		// an execute is then admitted like /api/invoke (core.InvokeAs).
 		services = guardServices(parts.Tenancy, container)
 	}
 	mux.Handle("/services/", services)
@@ -235,9 +233,10 @@ func (a *Appliance) Shutdown() error {
 
 // guardServices authenticates SOAP traffic against the tenant control
 // plane. Reads (WSDL fetches) stay open; POSTs — SOAP calls — need a
-// valid key whose policy permits invoking the addressed service.
-// Errors use the portal's JSON envelope so one client error path
-// covers both doors.
+// valid key whose policy permits invoking the addressed service, and
+// carry the caller on in the request's context, where an execute finds
+// the principal it is admitted as. Errors use the portal's JSON envelope
+// so one client error path covers both doors.
 func guardServices(ctl *tenant.Controller, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet || r.Method == http.MethodHead {
@@ -254,7 +253,7 @@ func guardServices(ctl *tenant.Controller, next http.Handler) http.Handler {
 			portal.WriteError(w, http.StatusForbidden, tenant.ErrForbidden)
 			return
 		}
-		next.ServeHTTP(w, r)
+		next.ServeHTTP(w, r.WithContext(core.WithPrincipal(r.Context(), pr)))
 	})
 }
 

@@ -203,3 +203,78 @@ func TestBuildImageRejectsKnobsWithoutChunkedStaging(t *testing.T) {
 		}
 	}
 }
+
+// TestSOAPExecuteIsAdmitted: a generated service's execute is admitted
+// as /api/invoke is. It takes the owner's quota slot, is refused for the
+// same reason when the slot is taken, and is audited either way.
+func TestSOAPExecuteIsAdmitted(t *testing.T) {
+	w := boot(t, func(cfg *Config) {
+		cfg.Tenancy = &tenant.Config{
+			Owners: []tenant.OwnerConfig{{Name: "acme", MaxInFlight: 1}},
+			Keys:   []tenant.KeyConfig{{Key: "acme-secret", Owner: "acme"}},
+		}
+	})
+	if _, err := w.app.OnServe.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("emit 2s 10000 t\n")); err != nil {
+		t.Fatal(err)
+	}
+	execute := func() (int, string) {
+		t.Helper()
+		env, err := soap.Encode(&soap.Message{Namespace: "urn:onserve:LongService", Operation: "execute"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, w.app.ServicesURL()+"LongService", bytes.NewReader(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "text/xml; charset=utf-8")
+		req.Header.Set(tenant.KeyHeader, "acme-secret")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	// The slot is free: the SOAP door takes it.
+	if status, body := execute(); status != http.StatusOK || !strings.Contains(body, "inv-") {
+		t.Fatalf("first execute: %d %s", status, body)
+	}
+	// The slot is held: both doors refuse as the quota does.
+	req, err := http.NewRequest(http.MethodPost, w.app.BaseURL+"/api/invoke", strings.NewReader(`{"service":"LongService"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(tenant.KeyHeader, "acme-secret")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), "quota_exceeded") {
+		t.Fatalf("/api/invoke with the slot held: %d %s", resp.StatusCode, body)
+	}
+	if status, body := execute(); status != http.StatusInternalServerError || !strings.Contains(body, tenant.ErrSaturated.Error()) {
+		t.Fatalf("execute with the slot held: %d %s", status, body)
+	}
+
+	recs := w.app.OnServe.Tenancy().Audit("acme", 10)
+	var got []string
+	for _, r := range recs {
+		got = append(got, r.Verb+" "+r.Outcome+" "+r.Code+" "+r.Service)
+		if r.Outcome == "ok" && !strings.HasPrefix(r.Ticket, "inv-") {
+			t.Errorf("admitted execute audited without its ticket: %+v", r)
+		}
+	}
+	want := []string{
+		"invoke denied quota_exceeded LongService",
+		"invoke denied quota_exceeded LongService",
+		"invoke ok  LongService",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("audit, newest first:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

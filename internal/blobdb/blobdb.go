@@ -531,7 +531,7 @@ func (db *DB) Stats() Stats {
 		}
 	}
 	if db.comp != nil {
-		st.Compactor = db.comp.snapshot()
+		st.Compactor = db.comp.stats.Snapshot()
 	}
 	return st
 }

@@ -3,6 +3,8 @@ package blobdb
 import (
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // CompactorStats are the background compactor's lifetime totals.
@@ -37,9 +39,7 @@ type compactor struct {
 	stop  chan struct{}
 	done  chan struct{}
 	once  sync.Once
-
-	mu    sync.Mutex
-	stats CompactorStats
+	stats metrics.Block[CompactorStats]
 }
 
 // compactDeadRatio is the sealed dead-entry fraction above which a shard
@@ -100,22 +100,16 @@ func (c *compactor) sweep() {
 	if worst >= 0 {
 		out, err = c.db.shards[worst].compactSnapshot()
 	}
-	c.mu.Lock()
-	c.stats.Runs++
-	if err != nil {
-		c.stats.Failures++
-	}
-	c.stats.SegmentsRetired += retired + int64(out.retiredSegs)
-	c.stats.RetiredBytes += retiredBytes + out.retiredBytes
-	if out.snapBytes > 0 {
-		c.stats.Snapshots++
-		c.stats.SnapshotBytes += out.snapBytes
-	}
-	c.mu.Unlock()
-}
-
-func (c *compactor) snapshot() CompactorStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	c.stats.Update(func(st *CompactorStats) {
+		st.Runs++
+		if err != nil {
+			st.Failures++
+		}
+		st.SegmentsRetired += retired + int64(out.retiredSegs)
+		st.RetiredBytes += retiredBytes + out.retiredBytes
+		if out.snapBytes > 0 {
+			st.Snapshots++
+			st.SnapshotBytes += out.snapBytes
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/gram"
 	"repro/internal/trace"
@@ -33,27 +32,8 @@ type CollectorStats struct {
 	PollDiskWrites uint64 `json:"poll_disk_writes"`
 }
 
-// collectorCounters is the mutable, atomically updated form.
-type collectorCounters struct {
-	statusRPCs        atomic.Uint64
-	outputFetches     atomic.Uint64
-	outputInlined     atomic.Uint64
-	outputNotModified atomic.Uint64
-	outputBytes       atomic.Uint64
-	pollDiskWrites    atomic.Uint64
-}
-
 // CollectorStats snapshots the collection-path counters.
-func (o *OnServe) CollectorStats() CollectorStats {
-	return CollectorStats{
-		StatusRPCs:        o.collector.statusRPCs.Load(),
-		OutputFetches:     o.collector.outputFetches.Load(),
-		OutputInlined:     o.collector.outputInlined.Load(),
-		OutputNotModified: o.collector.outputNotModified.Load(),
-		OutputBytes:       o.collector.outputBytes.Load(),
-		PollDiskWrites:    o.collector.pollDiskWrites.Load(),
-	}
-}
+func (o *OnServe) CollectorStats() CollectorStats { return o.collector.Snapshot() }
 
 // collector is the seam of the pipeline's fifth step. Invoke hands every
 // freshly submitted invocation to the one collector New chose — the
@@ -137,13 +117,15 @@ func (o *OnServe) armWatchdog(inv *Invocation) *Watchdog {
 // from /gram/output or inline in an event frame: the local spill is a disk
 // write on the appliance (the periodic peaks of Figs. 6 and 7).
 func (o *OnServe) storeOutput(inv *Invocation, out string, inline bool, ps *trace.Span) {
-	if inline {
-		o.collector.outputInlined.Add(1)
-	} else {
-		o.collector.outputFetches.Add(1)
-	}
-	o.collector.outputBytes.Add(uint64(len(out)))
-	o.collector.pollDiskWrites.Add(1)
+	o.collector.Update(func(c *CollectorStats) {
+		if inline {
+			c.OutputInlined++
+		} else {
+			c.OutputFetches++
+		}
+		c.OutputBytes += uint64(len(out))
+		c.PollDiskWrites++
+	})
 	o.cfg.Probe.DiskWrite(len(out))
 	inv.setOutput(out)
 	ps.SetInt("bytes", int64(len(out)))
@@ -188,13 +170,13 @@ func (o *OnServe) observe(j *collectJob, ev gram.EventData, polled bool, ps *tra
 			o.storeOutput(inv, out, inline, ps)
 			stored = true
 		default:
-			o.collector.outputNotModified.Add(1)
+			o.collector.Update(func(c *CollectorStats) { c.OutputNotModified++ })
 		}
 	} else if terminal || polled {
 		// The gatekeeper reads (and publishes) job state before the output
 		// version, so a terminal state with an unmoved version means the
 		// snapshot already held is the final output — no fetch at all.
-		o.collector.outputNotModified.Add(1)
+		o.collector.Update(func(c *CollectorStats) { c.OutputNotModified++ })
 	}
 	if stored || terminal {
 		if ev.State != "" {
@@ -219,7 +201,8 @@ func (o *OnServe) statusBatch(sessionID string, batch []*collectJob, apply func(
 	for i, j := range batch {
 		ids[i] = j.inv.JobID
 	}
-	o.collector.statusRPCs.Add(uint64((len(ids) + gram.MaxBatch - 1) / gram.MaxBatch))
+	rpcs := uint64((len(ids) + gram.MaxBatch - 1) / gram.MaxBatch)
+	o.collector.Update(func(c *CollectorStats) { c.StatusRPCs += rpcs })
 	entries, err := o.parts.Agent.StatusBatch(sessionID, ids)
 	if err != nil || len(entries) != len(batch) {
 		return
@@ -255,7 +238,7 @@ func (o *OnServe) pollOutput(inv *Invocation) {
 		// be terminal, the snapshot taken after observing the terminal
 		// state is current by construction, so no second fetch is needed.
 		ps := o.parts.Tracing.StartSpan("poll", inv.collectCtx())
-		o.collector.statusRPCs.Add(1)
+		o.collector.Update(func(c *CollectorStats) { c.StatusRPCs++ })
 		status, err := o.parts.Agent.Status(inv.sessionID, inv.JobID)
 		if err != nil {
 			continue // transient; keep polling until the watchdog decides

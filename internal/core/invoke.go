@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/gridsim"
 	"repro/internal/jsdl"
 	"repro/internal/soap"
+	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
@@ -194,6 +196,46 @@ func (o *OnServe) InvokeCtx(serviceName string, args map[string]string, parent t
 	return inv, err
 }
 
+type principalKey struct{}
+
+// WithPrincipal returns ctx carrying pr, the caller a guard in front of
+// the SOAP container authenticated: a generated service's execute
+// invokes as pr.
+func WithPrincipal(ctx context.Context, pr tenant.Principal) context.Context {
+	return context.WithValue(ctx, principalKey{}, pr)
+}
+
+// InvokeAs is the one admitted way in, taken by both doors (the portal's
+// /api/invoke and a generated service's SOAP execute). With tenancy on,
+// pr's invocation passes policy, rate limit and quota first, is audited
+// exactly once, and holds its quota slot until it is terminal. With
+// tenancy off it is InvokeCtx.
+func (o *OnServe) InvokeAs(pr tenant.Principal, serviceName string, args map[string]string, parent trace.SpanContext) (*Invocation, error) {
+	ctl := o.parts.Tenancy
+	if ctl == nil {
+		return o.InvokeCtx(serviceName, args, parent)
+	}
+	adm, err := ctl.Admit(pr, tenant.VerbInvoke, serviceName, parent)
+	if err != nil {
+		return nil, err
+	}
+	inv, err := o.InvokeCtx(serviceName, args, adm.ParentFor(parent))
+	if err != nil {
+		adm.Release()
+		adm.Finish("", err)
+		return nil, err
+	}
+	// The fair-share slot covers the invocation's whole grid lifetime,
+	// not just the submit. One goroutine per admitted invocation mirrors
+	// the stock poller's cost model.
+	go func() {
+		<-inv.DoneChan()
+		adm.Release()
+	}()
+	adm.Finish(inv.Ticket, nil)
+	return inv, nil
+}
+
 // endSpan closes one pipeline step's span, marking it failed when the
 // step returned an error.
 func endSpan(sp *trace.Span, err error) {
@@ -327,7 +369,7 @@ func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[str
 		}
 		sb := o.parts.Tracing.StartSpan("submit", tc)
 		sb.Set("site", candidate)
-		o.submit.submitRPCs.Add(1)
+		o.submit.Update(func(st *SubmitStats) { st.SubmitRPCs++ })
 		if jobID, err = o.parts.Agent.WithTrace(sb.Context()).Submit(sessionID, &desc); err == nil {
 			sb.Set("job_id", jobID)
 			sb.End()
@@ -487,13 +529,13 @@ func (o *OnServe) gridStats(sessionID string) ([]gridsim.SiteStats, error) {
 	ttl := o.cfg.StatsTTL
 	if ttl <= 0 {
 		// Paper-faithful: one scheduler round-trip per invocation.
-		o.submit.statsRPCs.Add(1)
+		o.submit.Update(func(st *SubmitStats) { st.StatsRPCs++ })
 		return o.parts.Agent.GridStats(sessionID)
 	}
 	stats, joined, err := o.statsFlights.do(&o.mu, struct{}{}, func() ([]gridsim.SiteStats, bool) {
 		return o.stats, o.stats != nil && o.clock.Now().Sub(o.statsAt) < ttl
 	}, func() ([]gridsim.SiteStats, error) {
-		o.submit.statsRPCs.Add(1)
+		o.submit.Update(func(st *SubmitStats) { st.StatsRPCs++ })
 		stats, err := o.parts.Agent.GridStats(sessionID)
 		if err == nil {
 			o.mu.Lock()
@@ -503,7 +545,7 @@ func (o *OnServe) gridStats(sessionID string) ([]gridsim.SiteStats, error) {
 		return stats, err
 	})
 	if joined {
-		o.submit.statsCollapsed.Add(1)
+		o.submit.Update(func(st *SubmitStats) { st.StatsCollapsed++ })
 	}
 	return stats, err
 }
@@ -535,7 +577,7 @@ func (o *OnServe) stageExecutable(sessionID string, exe *executable, site string
 		sp.Set("cache", "hit")
 	}
 	if joined {
-		o.submit.uploadsCoalesced.Add(1)
+		o.submit.Update(func(st *SubmitStats) { st.UploadsCoalesced++ })
 		sp.Set("coalesced", "true")
 	}
 	return err

@@ -27,6 +27,7 @@ import (
 	"repro/internal/blobdb"
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
+	"repro/internal/metrics"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/uddi"
@@ -81,17 +82,17 @@ type OnServe struct {
 	// collector (Config.PushEvents), or the paper's tentative poller.
 	collect collector
 	// collector tallies the output-collection work every collector does.
-	collector collectorCounters
+	collector metrics.Block[CollectorStats]
 	// push tallies the event-stream work (Config.PushEvents).
-	push eventCounters
+	push metrics.Block[EventStats]
 	// submit tallies the submission-path work (uploads, submit RPCs,
 	// stats fetches).
-	submit submitCounters
+	submit metrics.Block[SubmitStats]
 	// stage tallies the chunked staging data plane (Config.ChunkedStaging).
-	stage stageCounters
+	stage metrics.Block[StageStats]
 	// placement tallies the data-aware placement control plane
 	// (Config.DataAwarePlacement).
-	placement placementCounters
+	placement metrics.Block[PlacementStats]
 	// poss is the possession probe cache data-aware placement reads.
 	poss possState
 

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/gridftp"
@@ -59,25 +58,8 @@ type PlacementStats struct {
 	PlacementsRedirected uint64 `json:"placements_redirected"`
 }
 
-// placementCounters is the mutable, atomically updated form.
-type placementCounters struct {
-	probesSent     atomic.Uint64
-	probeCacheHits atomic.Uint64
-	probeFailures  atomic.Uint64
-	scored         atomic.Uint64
-	redirected     atomic.Uint64
-}
-
 // PlacementStats snapshots the placement control-plane counters.
-func (o *OnServe) PlacementStats() PlacementStats {
-	return PlacementStats{
-		ProbesSent:           o.placement.probesSent.Load(),
-		ProbeCacheHits:       o.placement.probeCacheHits.Load(),
-		ProbeFailures:        o.placement.probeFailures.Load(),
-		PlacementsScored:     o.placement.scored.Load(),
-		PlacementsRedirected: o.placement.redirected.Load(),
-	}
-}
+func (o *OnServe) PlacementStats() PlacementStats { return o.placement.Snapshot() }
 
 // siteKey names one service at one site: the key of the possession cache
 // and of the staging flights.
@@ -188,7 +170,7 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 		}
 	}
 	o.poss.mu.Unlock()
-	o.placement.probeCacheHits.Add(uint64(hits))
+	o.placement.Update(func(p *PlacementStats) { p.ProbeCacheHits += uint64(hits) })
 	if hits < len(cands) {
 		var wg sync.WaitGroup
 		for i, c := range cands {
@@ -201,7 +183,7 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 				e, hit := o.probePossession(sessionID, c.name, exe)
 				scores[i] = scoreSite(c, e)
 				if hit {
-					o.placement.probeCacheHits.Add(1)
+					o.placement.Update(func(p *PlacementStats) { p.ProbeCacheHits++ })
 				}
 			}()
 		}
@@ -217,9 +199,14 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 		}
 	}
 	orderScores(scores)
-	o.placement.scored.Add(1)
-	if scores[0].name != loadWinner.name {
-		o.placement.redirected.Add(1)
+	redirected := scores[0].name != loadWinner.name
+	o.placement.Update(func(p *PlacementStats) {
+		p.PlacementsScored++
+		if redirected {
+			p.PlacementsRedirected++
+		}
+	})
+	if redirected {
 		sp.Set("redirected", "true")
 	}
 	if sp != nil { // formatting the verdict costs an object a nil span would drop
@@ -268,14 +255,14 @@ func (o *OnServe) probeOnce(sessionID, site string, exe *executable) possEntry {
 		return possEntry{missing: size, total: size, at: now}
 	}
 	total := cut.WireBytes
-	o.placement.probesSent.Add(1)
+	o.placement.Update(func(p *PlacementStats) { p.ProbesSent++ })
 	missing, err := o.parts.Agent.HaveChunks(sessionID, site, cut.Digests())
 	if err != nil {
 		// Degradation, not failure: the site is scored possession-unknown
 		// — the load term plus a full cold transfer — so a dead or
 		// stock-protocol server costs it the possession credit but never
 		// fails pickSites.
-		o.placement.probeFailures.Add(1)
+		o.placement.Update(func(p *PlacementStats) { p.ProbeFailures++ })
 		return possEntry{missing: total, total: total, at: now}
 	}
 	var missingBytes int64

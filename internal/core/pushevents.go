@@ -32,27 +32,8 @@ type EventStats struct {
 	FallbacksToPoll uint64 `json:"fallbacks_to_poll"`
 }
 
-// eventCounters is the mutable, atomically updated form.
-type eventCounters struct {
-	streamsOpened     atomic.Uint64
-	eventsDelivered   atomic.Uint64
-	heartbeats        atomic.Uint64
-	reconnects        atomic.Uint64
-	resumedFromCursor atomic.Uint64
-	fallbacksToPoll   atomic.Uint64
-}
-
 // EventStats snapshots the push-path counters.
-func (o *OnServe) EventStats() EventStats {
-	return EventStats{
-		StreamsOpened:     o.push.streamsOpened.Load(),
-		EventsDelivered:   o.push.eventsDelivered.Load(),
-		Heartbeats:        o.push.heartbeats.Load(),
-		Reconnects:        o.push.reconnects.Load(),
-		ResumedFromCursor: o.push.resumedFromCursor.Load(),
-		FallbacksToPoll:   o.push.fallbacksToPoll.Load(),
-	}
-}
+func (o *OnServe) EventStats() EventStats { return o.push.Snapshot() }
 
 // maxConnectAttempts bounds consecutive failed stream connects before a
 // worker abandons push and polls its jobs instead.
@@ -245,13 +226,15 @@ func (w *eventWorker) run() {
 			continue
 		}
 		attempts = 0
-		o.push.streamsOpened.Add(1)
-		if !first {
-			o.push.reconnects.Add(1)
-			if cursor > 0 {
-				o.push.resumedFromCursor.Add(1)
+		o.push.Update(func(e *EventStats) {
+			e.StreamsOpened++
+			if !first {
+				e.Reconnects++
+				if cursor > 0 {
+					e.ResumedFromCursor++
+				}
 			}
-		}
+		})
 		first = false
 		if cursor == 0 {
 			// No cursor means no replay guarantee beyond the server's
@@ -307,7 +290,7 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 		lastFrame.Store(o.clock.Now().UnixNano())
 		switch f.Event {
 		case gram.EventHeartbeat:
-			o.push.heartbeats.Add(1)
+			o.push.Update(func(e *EventStats) { e.Heartbeats++ })
 		case gram.EventResync:
 			// The server's replay window (or our subscriber buffer) lost
 			// events: re-fetch authoritative state, then keep streaming.
@@ -323,7 +306,7 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 				w.syncAll()
 				continue
 			}
-			o.push.eventsDelivered.Add(1)
+			o.push.Update(func(e *EventStats) { e.EventsDelivered++ })
 			w.processEvent(ev)
 		}
 		if w.retirable() {
@@ -387,11 +370,13 @@ func (w *eventWorker) fallback(leave bool) {
 	if leave {
 		w.retireLocked()
 	}
+	var live uint64
 	for _, j := range w.jobs {
 		if !j.inv.State().Terminal() {
-			w.ec.o.push.fallbacksToPoll.Add(1)
+			live++
 		}
 	}
+	w.ec.o.push.Update(func(e *EventStats) { e.FallbacksToPoll += live })
 	w.mu.Unlock()
 	w.ec.mu.Unlock()
 	w.poll()

@@ -30,6 +30,11 @@ type eventsGate struct {
 	mu     sync.Mutex
 	mode   int // gatePass | gateRefuse | gateNotFound | gateStall
 	bodies []io.Closer
+
+	// seen, when set, is closed once a stream has carried its first
+	// state or output event to the client.
+	seen     chan struct{}
+	seenOnce sync.Once
 }
 
 const (
@@ -64,6 +69,9 @@ func (g *eventsGate) RoundTrip(req *http.Request) (*http.Response, error) {
 		if mode == gateStall {
 			resp.Body = stallAfterHello(resp.Body)
 		}
+		if g.seen != nil {
+			resp.Body = &eventSpotter{ReadCloser: resp.Body, seen: func() { g.seenOnce.Do(func() { close(g.seen) }) }}
+		}
 		g.mu.Lock()
 		g.bodies = append(g.bodies, resp.Body)
 		g.mu.Unlock()
@@ -90,6 +98,26 @@ func stallAfterHello(body io.ReadCloser) io.ReadCloser {
 		io.Reader
 		io.Closer
 	}{pr, closerFunc(func() error { body.Close(); return pr.Close() })}
+}
+
+// eventSpotter calls seen once the client has read a state or output
+// event off the stream it wraps.
+type eventSpotter struct {
+	io.ReadCloser
+	tail []byte // the last bytes read: an event line may span two reads
+	seen func()
+}
+
+func (s *eventSpotter) Read(p []byte) (int, error) {
+	n, err := s.ReadCloser.Read(p)
+	s.tail = append(s.tail, p[:n]...)
+	if bytes.Contains(s.tail, []byte("event: "+gram.EventState)) || bytes.Contains(s.tail, []byte("event: "+gram.EventOutput)) {
+		s.seen()
+	}
+	if keep := 32; len(s.tail) > keep {
+		s.tail = append(s.tail[:0], s.tail[len(s.tail)-keep:]...)
+	}
+	return n, err
 }
 
 func (g *eventsGate) setMode(mode int) {
@@ -168,7 +196,7 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 	// poll its in-flight invocation instead (watchdog intact) and the
 	// job must still finish. Once the server "heals", the next
 	// invocation rides a fresh stream again.
-	gate := &eventsGate{}
+	gate := &eventsGate{seen: make(chan struct{})}
 	f := newPushFixture(t, gate, func(cfg *Config) {
 		cfg.InvocationTimeout = 3 * time.Hour
 	})
@@ -182,13 +210,7 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for f.ons.EventStats().EventsDelivered == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stream never delivered a frame")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-gate.seen // the stream is up and has carried an event
 	gate.setMode(gateRefuse)
 	gate.killStreams()
 	waitInv(t, inv, "mid-stream kill")

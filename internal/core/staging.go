@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blobdb"
@@ -41,29 +40,8 @@ type StageStats struct {
 	Fallbacks uint64 `json:"fallbacks"`
 }
 
-// stageCounters is the mutable, atomically updated form.
-type stageCounters struct {
-	chunkedUploads atomic.Uint64
-	chunksShipped  atomic.Uint64
-	chunksDeduped  atomic.Uint64
-	wireBytes      atomic.Uint64
-	logicalBytes   atomic.Uint64
-	resumes        atomic.Uint64
-	fallbacks      atomic.Uint64
-}
-
 // StageStats snapshots the staging data-plane counters.
-func (o *OnServe) StageStats() StageStats {
-	return StageStats{
-		ChunkedUploads: o.stage.chunkedUploads.Load(),
-		ChunksShipped:  o.stage.chunksShipped.Load(),
-		ChunksDeduped:  o.stage.chunksDeduped.Load(),
-		WireBytes:      o.stage.wireBytes.Load(),
-		LogicalBytes:   o.stage.logicalBytes.Load(),
-		Resumes:        o.stage.resumes.Load(),
-		Fallbacks:      o.stage.fallbacks.Load(),
-	}
-}
+func (o *OnServe) StageStats() StageStats { return o.stage.Snapshot() }
 
 // uploadExecutable performs stageExecutableOnce's WAN transfer: through
 // the chunk protocol when Config.ChunkedStaging is on, as the paper's
@@ -83,7 +61,7 @@ func (o *OnServe) uploadExecutable(sessionID string, exe *executable, site strin
 	if err == nil || !retryableStageErr(err) {
 		return checksum, err
 	}
-	o.submit.uploadRetries.Add(1)
+	o.submit.Update(func(st *SubmitStats) { st.UploadRetries++ })
 	sp.Set("retried", "true")
 	o.clock.Sleep(stageRetryBackoff)
 	return o.uploadOnce(sessionID, exe, file, site, sp)
@@ -92,7 +70,7 @@ func (o *OnServe) uploadExecutable(sessionID string, exe *executable, site strin
 // uploadOnce is one transfer attempt of file, exe's content. The stage
 // span's wire attribute says which way the bytes went.
 func (o *OnServe) uploadOnce(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (string, error) {
-	o.submit.uploads.Add(1)
+	o.submit.Update(func(st *SubmitStats) { st.Uploads++ })
 	ag := o.parts.Agent.WithTrace(sp.Context())
 	if !o.cfg.ChunkedStaging {
 		sp.Set("wire", "stream")
@@ -102,17 +80,19 @@ func (o *OnServe) uploadOnce(sessionID string, exe *executable, file gridftp.Fil
 	if err != nil {
 		return "", err
 	}
-	o.stage.chunkedUploads.Add(1)
-	o.stage.chunksShipped.Add(uint64(stats.ChunksShipped))
-	o.stage.chunksDeduped.Add(uint64(stats.ChunksDeduped))
-	o.stage.wireBytes.Add(uint64(stats.WireBytes))
-	o.stage.logicalBytes.Add(uint64(stats.LogicalBytes))
-	if stats.Resumed {
-		o.stage.resumes.Add(1)
-	}
-	if stats.Fallback {
-		o.stage.fallbacks.Add(1)
-	}
+	o.stage.Update(func(st *StageStats) {
+		st.ChunkedUploads++
+		st.ChunksShipped += uint64(stats.ChunksShipped)
+		st.ChunksDeduped += uint64(stats.ChunksDeduped)
+		st.WireBytes += uint64(stats.WireBytes)
+		st.LogicalBytes += uint64(stats.LogicalBytes)
+		if stats.Resumed {
+			st.Resumes++
+		}
+		if stats.Fallback {
+			st.Fallbacks++
+		}
+	})
 	sp.Set("wire", stats.Wire())
 	sp.SetInt("wire_bytes", stats.WireBytes)
 	sp.SetInt("chunks_shipped", int64(stats.ChunksShipped))

@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // SubmitStats counts the work the submission front-end performs on the
 // way *into* the grid — the twin of CollectorStats for the output side.
 // The submit ablation reads it to compare WAN uploads, gatekeeper
@@ -27,24 +25,5 @@ type SubmitStats struct {
 	StatsCollapsed uint64 `json:"stats_collapsed"`
 }
 
-// submitCounters is the mutable, atomically updated form.
-type submitCounters struct {
-	uploads          atomic.Uint64
-	uploadsCoalesced atomic.Uint64
-	uploadRetries    atomic.Uint64
-	submitRPCs       atomic.Uint64
-	statsRPCs        atomic.Uint64
-	statsCollapsed   atomic.Uint64
-}
-
 // SubmitStats snapshots the submission-path counters.
-func (o *OnServe) SubmitStats() SubmitStats {
-	return SubmitStats{
-		Uploads:          o.submit.uploads.Load(),
-		UploadsCoalesced: o.submit.uploadsCoalesced.Load(),
-		UploadRetries:    o.submit.uploadRetries.Load(),
-		SubmitRPCs:       o.submit.submitRPCs.Load(),
-		StatsRPCs:        o.submit.statsRPCs.Load(),
-		StatsCollapsed:   o.submit.statsCollapsed.Load(),
-	}
-}
+func (o *OnServe) SubmitStats() SubmitStats { return o.submit.Snapshot() }

@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 
 	"repro/internal/soap"
+	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/wsdl"
 )
@@ -56,7 +57,8 @@ func (o *OnServe) buildService(serviceName, description string, params []wsdl.Pa
 	svc.MustBind("execute", func(req *soap.Request) (string, error) {
 		// Malformed headers degrade to a new root trace, never a fault.
 		tc, _ := trace.Parse(req.Trace)
-		inv, err := o.InvokeCtx(serviceName, req.Args, tc)
+		pr, _ := req.Context.Value(principalKey{}).(tenant.Principal)
+		inv, err := o.InvokeAs(pr, serviceName, req.Args, tc)
 		if err != nil {
 			return fault(err)
 		}

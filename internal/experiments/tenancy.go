@@ -53,7 +53,7 @@ func tenancyConfig() *tenant.Config {
 // large invocation burst at the appliance while a victim tenant keeps
 // issuing paced probe invocations of its own service. Without the
 // control plane the burst monopolises the grid and the victim's p99
-// invoke latency blows past any bound; with -tenancy on, the hog's
+// invoke latency blows past any bound; with tenancy on, the hog's
 // in-flight quota caps how much grid the burst can hold, queued
 // admissions beyond the bound are shed with 429s, and the victim's p99
 // stays within tenancySlack x its solo p50. The tenancy-on run also

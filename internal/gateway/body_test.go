@@ -33,7 +33,7 @@ func TestOversizeRequestBodyRefused(t *testing.T) {
 	w := bootFleet(t, 2, nil)
 	proxied := func() (n uint64) {
 		for _, m := range w.gw.members {
-			n += m.proxied.Load()
+			n += countsOf(m).Proxied
 		}
 		return n
 	}
@@ -99,8 +99,8 @@ func TestOversizeResponseBodyIsAProxyError(t *testing.T) {
 			r := httptest.NewRequest(http.MethodGet, path+"?n="+strconv.Itoa(n), nil)
 			return g.forward(m, r, nil, nil)
 		}
-		if _, err := get(limit + 1); !errors.Is(err, sizedio.ErrTooLarge) || m.proxyErrs.Load() != 1 {
-			t.Errorf("%s response of maxBody+1: err %v, %d proxy errors; want ErrTooLarge counted once", path, err, m.proxyErrs.Load())
+		if _, err := get(limit + 1); !errors.Is(err, sizedio.ErrTooLarge) || countsOf(m).ProxyErrors != 1 {
+			t.Errorf("%s response of maxBody+1: err %v, %d proxy errors; want ErrTooLarge counted once", path, err, countsOf(m).ProxyErrors)
 		}
 		if resp, err := get(limit); err != nil || len(resp.body) != limit {
 			t.Errorf("%s response of exactly maxBody: %v", path, err)

@@ -41,6 +41,7 @@ import (
 	"repro/internal/appliance"
 	"repro/internal/core"
 	"repro/internal/hop"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/sizedio"
@@ -116,7 +117,7 @@ type Gateway struct {
 	tracer  *trace.Tracer
 	ring    *ring
 	members []*member
-	ctr     counters
+	stats   metrics.Block[Stats] // the gateway-wide counters
 
 	mu      sync.Mutex
 	catalog map[string]*catalogEntry
@@ -285,10 +286,10 @@ func (g *Gateway) Rejoin(i int) error {
 	}
 
 	m.mu.Lock()
-	m.app, m.base, m.killed, m.fails, m.trial = app, app.BaseURL, false, 0, false
+	m.app, m.base, m.killed, m.st.ConsecutiveFails, m.trial = app, app.BaseURL, false, 0, false
 	if m.state != stateHealthy {
 		m.state = stateHealthy // a fresh box owes no trial
-		m.recoveries.Add(1)
+		m.st.Recoveries++
 	}
 	m.mu.Unlock()
 	return nil
@@ -486,12 +487,14 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 		portal.WriteError(w, http.StatusServiceUnavailable, errors.New("gateway: no upstreams"))
 		return
 	}
-	g.ctr.routed.Add(1)
-	if pos == 0 {
-		g.ctr.sticky.Add(1)
-	} else {
-		g.ctr.failovers.Add(1)
-	}
+	g.stats.Update(func(st *Stats) {
+		st.Routed++
+		if pos == 0 {
+			st.StickyHits++
+		} else {
+			st.Failovers++
+		}
+	})
 
 	sp := g.startSpan(r, rt, m)
 	resp, err := g.ask(m, r, body, sp)
@@ -500,7 +503,7 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 		// POSTs retry only when the dial itself failed, so the request can
 		// never have reached (or executed on) the first upstream.
 		if retry := g.nextHealthy(succ, m); retry != nil {
-			g.ctr.retried.Add(1)
+			g.stats.Update(func(st *Stats) { st.Retried++ })
 			sp.Set("retry", retry.id)
 			m = retry
 			resp, err = g.ask(m, r, body, sp)
@@ -520,8 +523,10 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 	if resp.status == http.StatusNotFound && rt.Service != "" && rt.Kind != KindUpload {
 		base, _ := m.snapshot()
 		if e := g.catalogGet(rt.Service); e != nil && g.replayUpload(base, e) == nil {
-			g.ctr.redeploys.Add(1)
-			m.redeploys.Add(1)
+			g.stats.Update(func(st *Stats) { st.Redeploys++ })
+			m.mu.Lock()
+			m.st.Redeploys++
+			m.mu.Unlock()
 			sp.Set("redeploy", rt.Service)
 			if again, err := g.ask(m, r, body, sp); err == nil {
 				resp = again
@@ -596,7 +601,7 @@ func (g *Gateway) catalogGet(service string) *catalogEntry {
 // ticket, or a successor did while the primary was ejected. The first
 // member that answers other than 404 holds the invocation.
 func (g *Gateway) serveTicket(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
-	g.ctr.ticketRoutes.Add(1)
+	g.stats.Update(func(st *Stats) { st.TicketRoutes++ })
 	succ := g.ring.successors(rt.Service)
 	sp := g.startSpan(r, rt, succ[0])
 	m, resp, err := g.first(succ, r, body, sp, func(resp *bufferedResponse) bool { return resp.status != http.StatusNotFound })
@@ -635,7 +640,7 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 		State string          `json:"state"`
 		Stats json.RawMessage `json:"stats,omitempty"`
 	}
-	g.ctr.scatters.Add(1)
+	g.stats.Update(func(st *Stats) { st.Scatters++ })
 	replies := g.gather(r, nil)
 	now := g.clock.Now()
 	docs := make([]shardDoc, len(g.members))
@@ -644,8 +649,8 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 	var merged tenant.Stats
 	found := false
 	for i, m := range g.members {
-		base, _ := m.snapshot()
-		docs[i] = shardDoc{ID: m.id, Base: base, State: m.stateName(now)}
+		st := m.stats(now)
+		docs[i] = shardDoc{ID: m.id, Base: st.Base, State: st.State}
 		if replies[i] == nil || replies[i].status != http.StatusOK {
 			continue
 		}
@@ -680,7 +685,7 @@ func (g *Gateway) serveAudit(w http.ResponseWriter, r *http.Request) {
 			n = v
 		}
 	}
-	g.ctr.scatters.Add(1)
+	g.stats.Update(func(st *Stats) { st.Scatters++ })
 	merged := portal.AuditReply{Records: []tenant.Record{}}
 	found := false
 	for _, resp := range g.gather(r, nil) {
@@ -709,7 +714,7 @@ func (g *Gateway) serveAudit(w http.ResponseWriter, r *http.Request) {
 // serveServices gathers /api/services and returns the union sorted by
 // service name.
 func (g *Gateway) serveServices(w http.ResponseWriter, r *http.Request) {
-	g.ctr.scatters.Add(1)
+	g.stats.Update(func(st *Stats) { st.Scatters++ })
 	writeJSON(w, http.StatusOK, union(g.gather(r, nil), func(info core.ExecutableInfo) string { return info.ServiceName }))
 }
 
@@ -717,7 +722,7 @@ func (g *Gateway) serveServices(w http.ResponseWriter, r *http.Request) {
 // caller's ?pattern= included) and renders the union on the portal's own
 // registry page.
 func (g *Gateway) serveRegistry(w http.ResponseWriter, r *http.Request) {
-	g.ctr.scatters.Add(1)
+	g.stats.Update(func(st *Stats) { st.Scatters++ })
 	listing := &http.Request{Method: http.MethodGet, Header: r.Header,
 		URL: &url.URL{Path: "/api/registry", RawQuery: r.URL.RawQuery}}
 	portal.WriteRegistryPage(w, union(g.gather(listing, nil), func(rec uddi.Record) string { return rec.Name }))
@@ -799,7 +804,7 @@ func dropHopHeaders(h http.Header) {
 // is the gateway span whose context replaces X-Grid-Trace on the hop, so
 // appliance spans hang under it. Either change is made in a copy.
 func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Span) (*bufferedResponse, error) {
-	root, err := m.root()
+	root, err := m.send()
 	if err != nil {
 		return nil, err
 	}
@@ -814,10 +819,11 @@ func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Spa
 			header.Set(trace.Header, tc.String())
 		}
 	}
-	m.proxied.Add(1)
 	reply, err := hop.Do(g.rt, r.Method, root, r.URL.RequestURI(), header, body, maxBody)
 	if err != nil {
-		m.proxyErrs.Add(1)
+		m.mu.Lock()
+		m.st.ProxyErrors++
+		m.mu.Unlock()
 		// Flush pooled keep-alive connections: a crashed upstream surfaces
 		// as an ambiguous EOF on a reused conn (never retried — the
 		// request may have executed), but once the pool is clean the next

@@ -195,8 +195,8 @@ func TestForwardDialErrorIsRetryable(t *testing.T) {
 	if err == nil || !safeToRetry(http.MethodPost, err) {
 		t.Fatalf("dial failure %v is not seen as safe to retry", err)
 	}
-	if m.proxyErrs.Load() != 1 {
-		t.Fatalf("proxy errors %d, want 1", m.proxyErrs.Load())
+	if countsOf(m).ProxyErrors != 1 {
+		t.Fatalf("proxy errors %d, want 1", countsOf(m).ProxyErrors)
 	}
 }
 

@@ -134,6 +134,9 @@ func (w *onceWriter) WriteHeader(status int) {
 	w.ResponseRecorder.WriteHeader(status)
 }
 
+// countsOf reads m's counters.
+func countsOf(m *member) UpstreamStats { return m.stats(time.Time{}) }
+
 // TestLoopFaults is one table for the gateway→appliance edge: each way a
 // hop can go wrong, met through each of the loops every proxied request
 // takes — ask under serveKeyed's retry rule, first (along a ticket's
@@ -229,19 +232,19 @@ func TestLoopFaults(t *testing.T) {
 					t.Fatalf("status %d, want %d", status, want.status)
 				}
 				for i, m := range order {
-					if got := m.proxied.Load(); got != want.attempts[i] {
+					if got := countsOf(m).Proxied; got != want.attempts[i] {
 						t.Errorf("member %d of the order was asked %d times, want %d", i, got, want.attempts[i])
 					}
 					fails := 0
 					if m == victim {
 						fails = want.fails
 					}
-					if m.proxyErrs.Load() != uint64(fails) || m.fails != fails {
-						t.Errorf("member %d: %d proxy errors, %d consecutive fails; want %d of each", i, m.proxyErrs.Load(), m.fails, fails)
+					if countsOf(m).ProxyErrors != uint64(fails) || countsOf(m).ConsecutiveFails != fails {
+						t.Errorf("member %d: %d proxy errors, %d consecutive fails; want %d of each", i, countsOf(m).ProxyErrors, countsOf(m).ConsecutiveFails, fails)
 					}
 				}
-				if what == status404 && loop.replays && victim.redeploys.Load() != 1 {
-					t.Errorf("%d redeploys onto the member that answered 404, want 1", victim.redeploys.Load())
+				if what == status404 && loop.replays && countsOf(victim).Redeploys != 1 {
+					t.Errorf("%d redeploys onto the member that answered 404, want 1", countsOf(victim).Redeploys)
 				}
 				spans := col.Trace(firstTrace)
 				switch {
@@ -263,9 +266,9 @@ func TestLoopFaults(t *testing.T) {
 					if up.State != "ejected" || up.Ejections != 1 || up.ProxyErrors != 2 {
 						t.Errorf("after %d failed attempts: %+v", g.cfg.FailThreshold, up)
 					}
-					before := victim.proxied.Load()
+					before := countsOf(victim).Proxied
 					serve("000000000000000000000000000000a3")
-					if got := victim.proxied.Load(); got != before {
+					if got := countsOf(victim).Proxied; got != before {
 						t.Errorf("the ejected member was asked again (%d -> %d)", before, got)
 					}
 				} else if up.State != "healthy" || up.ConsecutiveFails != 0 || up.ProxyErrors != 0 {
@@ -308,11 +311,11 @@ func TestHalfOpenTrialIsARequest(t *testing.T) {
 			if up := upstream(); up.State != "ejected" || up.Ejections != 1 {
 				t.Fatalf("after %d refused dials: %+v", g.cfg.FailThreshold, up)
 			}
-			asked := victim.proxied.Load()
+			asked := countsOf(victim).Proxied
 			invoke()
 			clk.Advance(g.cfg.HalfOpenAfter - time.Nanosecond)
 			invoke()
-			if got := victim.proxied.Load(); got != asked {
+			if got := countsOf(victim).Proxied; got != asked {
 				t.Fatalf("asked %d times during the cooldown", got-asked)
 			}
 			clk.Advance(time.Nanosecond)
@@ -323,7 +326,7 @@ func TestHalfOpenTrialIsARequest(t *testing.T) {
 			fleet.what = trial
 			fleet.mu.Unlock()
 			invoke()
-			if got := victim.proxied.Load(); got != asked+1 {
+			if got := countsOf(victim).Proxied; got != asked+1 {
 				t.Fatalf("the first request after the cooldown asked the member %d times, want 1", got-asked)
 			}
 			up := upstream()
@@ -337,7 +340,7 @@ func TestHalfOpenTrialIsARequest(t *testing.T) {
 					t.Fatalf("a refused trial: %+v", up)
 				}
 				invoke()
-				if got := victim.proxied.Load(); got != asked+1 {
+				if got := countsOf(victim).Proxied; got != asked+1 {
 					t.Fatal("a refused trial did not restart the cooldown")
 				}
 			}
@@ -393,7 +396,7 @@ func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 	fleet.what = healthy
 	events, open := make(chan string, 2*burst), make(chan struct{})
 	g.rt = gatedFleet{fleet, fleet.bad, events, open}
-	asked := victim.proxied.Load()
+	asked := countsOf(victim).Proxied
 
 	codes := make(chan int, burst)
 	for i := range burst {
@@ -417,7 +420,7 @@ func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 			t.Errorf("status %d", code)
 		}
 	}
-	if got := victim.proxied.Load() - asked; parked != 1 || got != 1 {
+	if got := countsOf(victim).Proxied - asked; parked != 1 || got != 1 {
 		t.Fatalf("the ejected member was sent %d requests of the burst (%d at once), want 1", got, parked)
 	}
 	if up := g.GatewayStats().Upstreams[victim.idx]; up.State != "healthy" || up.HalfOpenTrials != 1 || up.Recoveries != 1 {
@@ -455,13 +458,13 @@ func TestTicketWalksItsServiceRing(t *testing.T) {
 	}
 	hops := func() (n [3]uint64) {
 		for i, m := range succ {
-			n[i] = m.proxied.Load()
+			n[i] = countsOf(m).Proxied
 		}
 		return n
 	}
 	wait := func(want [3]uint64) {
 		t.Helper()
-		before, routes := hops(), g.ctr.ticketRoutes.Load()
+		before, routes := hops(), g.stats.Snapshot().TicketRoutes
 		if code := serve(http.MethodGet, "/api/wait?ticket="+fakeTicket); code != http.StatusOK {
 			t.Fatalf("wait: status %d", code)
 		}
@@ -469,9 +472,9 @@ func TestTicketWalksItsServiceRing(t *testing.T) {
 		for i := range after {
 			after[i] -= before[i]
 		}
-		if after != want || g.ctr.ticketRoutes.Load() != routes+1 || g.ctr.scatters.Load() != 0 {
+		if after != want || g.stats.Snapshot().TicketRoutes != routes+1 || g.stats.Snapshot().Scatters != 0 {
 			t.Fatalf("wait asked the walk %v, want %v; %d ticket routes (+1 wanted), %d scatters",
-				after, want, g.ctr.ticketRoutes.Load()-routes, g.ctr.scatters.Load())
+				after, want, g.stats.Snapshot().TicketRoutes-routes, g.stats.Snapshot().Scatters)
 		}
 	}
 

@@ -3,7 +3,6 @@ package gateway
 import (
 	"net/url"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/appliance"
@@ -36,14 +35,10 @@ type member struct {
 	killed    bool
 	state     memberState
 	trial     bool      // the half-open trial is out
-	fails     int       // consecutive failures
 	ejectedAt time.Time // gateway clock; start of the half-open cooldown
-
-	// Counters (atomic; read by GatewayStats).
-	proxied, proxyErrs    atomic.Uint64
-	ejections, recoveries atomic.Uint64
-	halfOpenTrials        atomic.Uint64
-	redeploys             atomic.Uint64
+	// st holds m's counters and its consecutive failures; ID, Base and
+	// State are filled in by stats.
+	st UpstreamStats
 }
 
 // snapshot returns the base URL and appliance under the lock.
@@ -53,11 +48,28 @@ func (m *member) snapshot() (string, *appliance.Appliance) {
 	return m.base, m.app
 }
 
-// root returns the base URL parsed.
-func (m *member) root() (*url.URL, error) {
+// send counts one request to m and returns its base URL parsed.
+func (m *member) send() (*url.URL, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.st.Proxied++
 	return m.parsed.Parse(m.base)
+}
+
+// stats snapshots m's health and counters in one critical section, so
+// its state always agrees with its ejections.
+func (m *member) stats(now time.Time) UpstreamStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.st
+	st.ID, st.Base, st.State = m.id, m.base, "healthy"
+	if m.state != stateHealthy {
+		st.State = "ejected"
+		if now.Sub(m.ejectedAt) >= m.gw.cfg.HalfOpenAfter {
+			st.State = "half-open"
+		}
+	}
+	return st
 }
 
 // admit reports whether a request may be sent to m now, and the caller
@@ -74,35 +86,21 @@ func (m *member) admit() bool {
 		return false
 	}
 	m.trial = true
-	m.halfOpenTrials.Add(1)
+	m.st.HalfOpenTrials++
 	return true
-}
-
-// stateName renders the FSM state for stats, deriving "half-open" from
-// an elapsed cooldown.
-func (m *member) stateName(now time.Time) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.state == stateHealthy {
-		return "healthy"
-	}
-	if now.Sub(m.ejectedAt) >= m.gw.cfg.HalfOpenAfter {
-		return "half-open"
-	}
-	return "ejected"
 }
 
 // fail records one failed hop.
 func (m *member) fail() {
 	now := m.gw.clock.Now()
 	m.mu.Lock()
-	m.fails++
+	m.st.ConsecutiveFails++
 	switch m.state {
 	case stateHealthy:
-		if m.fails >= m.gw.cfg.FailThreshold {
+		if m.st.ConsecutiveFails >= m.gw.cfg.FailThreshold {
 			m.state = stateEjected
 			m.ejectedAt = now
-			m.ejections.Add(1)
+			m.st.Ejections++
 		}
 	case stateEjected:
 		// The trial failed, or a hop sent before the ejection did: either
@@ -116,10 +114,10 @@ func (m *member) fail() {
 // ok records one reply; on an ejected member it readmits it.
 func (m *member) ok() {
 	m.mu.Lock()
-	m.fails, m.trial = 0, false
+	m.st.ConsecutiveFails, m.trial = 0, false
 	if m.state != stateHealthy {
 		m.state = stateHealthy
-		m.recoveries.Add(1)
+		m.st.Recoveries++
 	}
 	m.mu.Unlock()
 }

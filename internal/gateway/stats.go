@@ -1,7 +1,5 @@
 package gateway
 
-import "sync/atomic"
-
 // Stats is the gateway's observability block, surfaced under "gateway"
 // in the front door's /api/stats document and via GatewayStats() —
 // consistent with the appliance's CollectorStats/SubmitStats/
@@ -49,47 +47,16 @@ type UpstreamStats struct {
 	Redeploys        uint64 `json:"redeploys"`
 }
 
-// counters groups the gateway-wide atomics.
-type counters struct {
-	routed, sticky, failovers atomic.Uint64
-	retried                   atomic.Uint64
-	scatters, ticketRoutes    atomic.Uint64
-	redeploys                 atomic.Uint64
-}
-
 // GatewayStats snapshots the gateway block.
 func (g *Gateway) GatewayStats() Stats {
 	now := g.clock.Now()
-	st := Stats{
-		RingMembers:  g.ring.size(),
-		VirtualNodes: virtualNodes,
-		Routed:       g.ctr.routed.Load(),
-		StickyHits:   g.ctr.sticky.Load(),
-		Failovers:    g.ctr.failovers.Load(),
-		Retried:      g.ctr.retried.Load(),
-		Scatters:     g.ctr.scatters.Load(),
-		TicketRoutes: g.ctr.ticketRoutes.Load(),
-		Redeploys:    g.ctr.redeploys.Load(),
-	}
+	st := g.stats.Snapshot()
+	st.RingMembers, st.VirtualNodes = g.ring.size(), virtualNodes
 	for _, m := range g.members {
-		m.mu.Lock()
-		fails := m.fails
-		base := m.base
-		m.mu.Unlock()
-		st.Ejections += m.ejections.Load()
-		st.Recoveries += m.recoveries.Load()
-		st.Upstreams = append(st.Upstreams, UpstreamStats{
-			ID:               m.id,
-			Base:             base,
-			State:            m.stateName(now),
-			ConsecutiveFails: fails,
-			HalfOpenTrials:   m.halfOpenTrials.Load(),
-			Proxied:          m.proxied.Load(),
-			ProxyErrors:      m.proxyErrs.Load(),
-			Ejections:        m.ejections.Load(),
-			Recoveries:       m.recoveries.Load(),
-			Redeploys:        m.redeploys.Load(),
-		})
+		up := m.stats(now)
+		st.Ejections += up.Ejections
+		st.Recoveries += up.Recoveries
+		st.Upstreams = append(st.Upstreams, up)
 	}
 	return st
 }

@@ -605,28 +605,11 @@ func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tc, _ := trace.Parse(r.Header.Get(trace.Header))
-	adm, ok := p.admit(w, pr, tenant.VerbInvoke, req.Service, tc)
-	if !ok {
-		return
-	}
-	inv, err := p.onserve.InvokeCtx(req.Service, req.Args, adm.ParentFor(tc))
+	inv, err := p.onserve.InvokeAs(pr, req.Service, req.Args, tc)
 	if err != nil {
-		adm.Release()
-		adm.Finish("", err)
 		WriteError(w, statusFor(err), err)
 		return
 	}
-	if adm != nil {
-		// The fair-share slot covers the invocation's whole grid
-		// lifetime, not just the submit: release it when the invocation
-		// reaches a terminal state. One goroutine per admitted
-		// invocation mirrors the stock poller's cost model.
-		go func() {
-			<-inv.DoneChan()
-			adm.Release()
-		}()
-	}
-	adm.Finish(inv.Ticket, nil)
 	writeJSON(w, http.StatusOK, InvokeReply{JobID: inv.JobID, Site: inv.Site, Ticket: inv.Ticket})
 }
 

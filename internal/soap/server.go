@@ -2,6 +2,7 @@ package soap
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -35,6 +36,9 @@ type Request struct {
 	// malformed — handlers parse it with trace.Parse, which degrades
 	// malformed contexts to "untraced").
 	Trace string
+	// Context is the HTTP request's: a guard in front of the container
+	// leaves the caller it authenticated in it.
+	Context context.Context
 }
 
 // Service is a deployed SOAP service: its WSDL-facing definition plus the
@@ -42,10 +46,7 @@ type Request struct {
 type Service struct {
 	Def      wsdl.ServiceDef
 	handlers map[string]Handler
-
-	statsMu  sync.Mutex
-	requests int64
-	faults   int64
+	stats    metrics.Block[ServiceStats] // Name is filled in by Stats
 }
 
 // ServiceStats is a monitoring snapshot for one deployed service —
@@ -57,20 +58,11 @@ type ServiceStats struct {
 	Faults   int64  `json:"faults"`
 }
 
-func (s *Service) count(fault bool) {
-	s.statsMu.Lock()
-	s.requests++
-	if fault {
-		s.faults++
-	}
-	s.statsMu.Unlock()
-}
-
 // Stats snapshots the service's counters.
 func (s *Service) Stats() ServiceStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return ServiceStats{Name: s.Def.Name, Requests: s.requests, Faults: s.faults}
+	st := s.stats.Snapshot()
+	st.Name = s.Def.Name
+	return st
 }
 
 // NewService builds a service from a definition. Handlers are attached
@@ -259,7 +251,12 @@ func (w *statusWriter) WriteHeader(code int) {
 func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	w = sw
-	defer func() { svc.count(sw.status >= 400) }()
+	defer svc.stats.Update(func(st *ServiceStats) {
+		st.Requests++
+		if sw.status >= 400 {
+			st.Faults++
+		}
+	})
 
 	// Container overhead per request (Fig. 8's CPU commentary).
 	s.probe.Burn(s.cost.RequestHandling)
@@ -318,7 +315,7 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	}
 	result, err := h(&Request{
 		Msg: msg, Args: args, RemoteAddr: r.RemoteAddr, Service: svc, Op: op,
-		Trace: r.Header.Get(trace.Header),
+		Trace: r.Header.Get(trace.Header), Context: r.Context(),
 	})
 	if err != nil {
 		var f *Fault

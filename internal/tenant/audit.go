@@ -112,9 +112,10 @@ func (l *auditLog) query(owner string, n int) []Record {
 	return out
 }
 
-// drops reports how many records overflow has evicted.
-func (l *auditLog) drops() uint64 {
+// counts reports how many records were appended (each took a sequence
+// number) and how many overflow has evicted.
+func (l *auditLog) counts() (appended, dropped uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped
+	return l.seq, l.dropped
 }

@@ -14,7 +14,7 @@
 // outcome exactly once, whichever stage decided it.
 //
 // The whole subsystem is an opt-in knob (core.Config.Tenancy,
-// cmd/onserve -tenancy -keys-file). With it off the portal's wire
+// cmd/onserve -keys-file). With it off the portal's wire
 // behaviour is byte-identical to an appliance built without it.
 package tenant
 
@@ -25,10 +25,10 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -157,14 +157,11 @@ type Options struct {
 	DB *blobdb.DB
 }
 
-// ownerState is an owner's live record: config plus counters.
+// ownerState is an owner's live record: config plus counters (the quota
+// holds its gauges, InFlight and QueueDepth).
 type ownerState struct {
-	cfg          OwnerConfig
-	admitted     atomic.Uint64
-	denied       atomic.Uint64
-	rateLimited  atomic.Uint64
-	queued       atomic.Uint64
-	auditDropped atomic.Uint64
+	cfg    OwnerConfig
+	counts metrics.Block[OwnerStats]
 }
 
 // Controller is the live control plane. One instance guards one
@@ -179,9 +176,8 @@ type Controller struct {
 	audit  *auditLog
 	limits LimitsConfig
 
-	mu      sync.RWMutex
-	owners  map[string]*ownerState
-	records atomic.Uint64 // audit records appended
+	mu     sync.RWMutex
+	owners map[string]*ownerState
 }
 
 // NewController builds a controller from a validated Config.
@@ -331,9 +327,9 @@ func (c *Controller) SiteAllowed(owner, site string) bool {
 	return st.cfg.Policy.SiteAllowed(site)
 }
 
-// Allows answers the pure policy question without admitting anything.
-// The SOAP container guard calls it and nothing else: a SOAP execute is
-// not rate-limited, holds no quota slot and writes no audit record.
+// Allows answers the pure policy question without admitting anything:
+// the SOAP container guard asks it of every call, whatever its
+// operation, before an execute is admitted.
 func (c *Controller) Allows(owner string, verb Verb, service string) bool {
 	c.mu.RLock()
 	st := c.owners[owner]
@@ -389,11 +385,11 @@ func (c *Controller) Admit(pr Principal, verb Verb, service string, parent trace
 	}
 
 	if !st.cfg.Policy.Allows(verb, service) {
-		st.denied.Add(1)
+		st.counts.Update(func(o *OwnerStats) { o.Denied++ })
 		return deny("forbidden", ErrForbidden, 0)
 	}
 	if !c.rate.allow(pr.Owner, verb, st.cfg.Rates[string(verb)], st.cfg.Bursts[string(verb)]) {
-		st.rateLimited.Add(1)
+		st.counts.Update(func(o *OwnerStats) { o.RateLimited++ })
 		return deny("rate_limited", ErrRateLimited, 0)
 	}
 	var (
@@ -405,18 +401,22 @@ func (c *Controller) Admit(pr Principal, verb Verb, service string, parent trace
 		var err error
 		queued, waited, err = c.quota.acquire(pr.Owner)
 		if err != nil {
-			st.denied.Add(1)
-			if queued {
-				st.queued.Add(1)
-			}
+			st.counts.Update(func(o *OwnerStats) {
+				o.Denied++
+				if queued {
+					o.Queued++
+				}
+			})
 			return deny("quota_exceeded", ErrSaturated, waited)
 		}
 		slot = true
 	}
-	st.admitted.Add(1)
-	if queued {
-		st.queued.Add(1)
-	}
+	st.counts.Update(func(o *OwnerStats) {
+		o.Admitted++
+		if queued {
+			o.Queued++
+		}
+	})
 	sp.SetInt("tenant.wait_us", waited.Microseconds())
 	if queued {
 		sp.Set("tenant.queued", "true")
@@ -439,7 +439,7 @@ func (c *Controller) Admit(pr Principal, verb Verb, service string, parent trace
 // per-owner drop counter when the ring overflowed.
 func (c *Controller) deny(owner string, verb Verb, service, code, traceID string, wait, latency time.Duration) {
 	if owner == UnknownOwner {
-		c.state(owner).denied.Add(1)
+		c.state(owner).counts.Update(func(o *OwnerStats) { o.Denied++ })
 	}
 	c.record(Record{
 		Owner:     owner,
@@ -455,9 +455,8 @@ func (c *Controller) deny(owner string, verb Verb, service, code, traceID string
 
 // record appends to the audit log, charging overflow drops.
 func (c *Controller) record(r Record) {
-	c.records.Add(1)
 	if droppedOwner, dropped := c.audit.append(r); dropped {
-		c.state(droppedOwner).auditDropped.Add(1)
+		c.state(droppedOwner).counts.Update(func(o *OwnerStats) { o.AuditDropped++ })
 	}
 }
 
@@ -532,28 +531,26 @@ func (c *Controller) Audit(owner string, n int) []Record {
 }
 
 // AuditDropped reports how many records the ring has evicted.
-func (c *Controller) AuditDropped() uint64 { return c.audit.drops() }
+func (c *Controller) AuditDropped() uint64 {
+	_, dropped := c.audit.counts()
+	return dropped
+}
 
 // Stats snapshots the control plane's counters and gauges.
 func (c *Controller) Stats() Stats {
 	total, waiting, perOwner := c.quota.gauges()
+	records, dropped := c.audit.counts()
 	s := Stats{
 		Keys:         c.keys.size(),
-		AuditDropped: c.audit.drops(),
-		AuditRecords: c.records.Load(),
+		AuditDropped: dropped,
+		AuditRecords: records,
 		InFlight:     total,
 		QueueDepth:   waiting,
 		Owners:       make(map[string]OwnerStats),
 	}
 	c.mu.RLock()
 	for name, st := range c.owners {
-		o := OwnerStats{
-			Admitted:     st.admitted.Load(),
-			Denied:       st.denied.Load(),
-			RateLimited:  st.rateLimited.Load(),
-			Queued:       st.queued.Load(),
-			AuditDropped: st.auditDropped.Load(),
-		}
+		o := st.counts.Snapshot()
 		if g, ok := perOwner[name]; ok {
 			o.InFlight, o.QueueDepth = g[0], g[1]
 		}

@@ -286,8 +286,8 @@ func TestAuditRingOverflowNewestFirst(t *testing.T) {
 	if got[0].Seq != 10 || got[3].Seq != 7 {
 		t.Fatalf("seqs %d..%d, want 10..7", got[0].Seq, got[3].Seq)
 	}
-	if l.drops() != 6 {
-		t.Fatalf("drops = %d, want 6", l.drops())
+	if appended, dropped := l.counts(); appended != 10 || dropped != 6 {
+		t.Fatalf("appended %d, dropped %d; want 10 and 6", appended, dropped)
 	}
 	if bob := l.query("bob", 1); len(bob) != 1 || bob[0].Service != "svc9" {
 		t.Fatalf("owner filter broken: %+v", bob)
