@@ -278,3 +278,88 @@ func TestSOAPExecuteIsAdmitted(t *testing.T) {
 		t.Fatalf("audit, newest first:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestSOAPCancelIsAdmitted: a generated service's cancel is admitted as
+// /api/cancel is. An owner allowed to invoke a service but not to cancel
+// it is refused at both doors, and a cancel that is allowed is audited
+// once.
+func TestSOAPCancelIsAdmitted(t *testing.T) {
+	w := boot(t, func(cfg *Config) {
+		cfg.Tenancy = &tenant.Config{
+			Owners: []tenant.OwnerConfig{{Name: "acme", Policy: tenant.Policy{
+				Deny: []tenant.Rule{{Verbs: []string{"cancel"}, Services: []string{"LongService"}}},
+			}}},
+			Keys: []tenant.KeyConfig{{Key: "acme-secret", Owner: "acme"}, {Key: "ops-secret", Owner: "ops"}},
+		}
+	})
+	if _, err := w.app.OnServe.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("emit 2s 10000 t\n")); err != nil {
+		t.Fatal(err)
+	}
+	call := func(key, op string, params ...soap.Param) (int, string) {
+		t.Helper()
+		env, err := soap.Encode(&soap.Message{Namespace: "urn:onserve:LongService", Operation: op, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, w.app.ServicesURL()+"LongService", bytes.NewReader(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "text/xml; charset=utf-8")
+		req.Header.Set(tenant.KeyHeader, key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	status, body := call("acme-secret", "execute")
+	_, rest, _ := strings.Cut(body, "<return>")
+	ticket, _, _ := strings.Cut(rest, "</return>")
+	if status != http.StatusOK || !strings.HasPrefix(ticket, "inv-") {
+		t.Fatalf("execute: %d %s", status, body)
+	}
+	ticketParam := soap.Param{Name: "ticket", Value: ticket}
+
+	req, err := http.NewRequest(http.MethodPost, w.app.BaseURL+"/api/cancel?ticket="+ticket, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(tenant.KeyHeader, "acme-secret")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("/api/cancel denied by policy: %d", resp.StatusCode)
+	}
+	if status, body := call("acme-secret", "cancel", ticketParam); status != http.StatusInternalServerError || !strings.Contains(body, tenant.ErrForbidden.Error()) {
+		t.Fatalf("SOAP cancel denied by policy: %d %s", status, body)
+	}
+	if status, body := call("ops-secret", "cancel", ticketParam); status != http.StatusOK || !strings.Contains(body, "<return>cancelling</return>") {
+		t.Fatalf("SOAP cancel allowed: %d %s", status, body)
+	}
+
+	audit := func(owner string) []string {
+		var got []string
+		for _, r := range w.app.OnServe.Tenancy().Audit(owner, 10) {
+			got = append(got, r.Verb+" "+r.Outcome+" "+r.Code+" "+r.Service+" "+r.Ticket)
+		}
+		return got
+	}
+	for owner, want := range map[string][]string{
+		"acme": {
+			"cancel denied forbidden LongService ",
+			"cancel denied forbidden LongService ",
+			"invoke ok  LongService " + ticket,
+		},
+		"ops": {"cancel ok  LongService " + ticket},
+	} {
+		if got := audit(owner); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s's audit, newest first:\n%s\nwant:\n%s", owner, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -439,15 +440,15 @@ func (t *Table) Get(key string) (*Record, error) {
 	}
 	db.probe.DiskRead(len(r.comp))
 	db.probe.BurnFor(r.rawSize, db.cost.DecompressBps)
-	zr, err := pooledGzipReader(bytes.NewReader(r.comp))
+	in, err := openInflater(r.comp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	// One buffer of the recorded size, filled in place (the caller's view
 	// and the cache's entry); reading on to EOF checks the gzip trailer.
 	limit := int64(min(r.rawSize, MaxBlobBytes))
-	blob, err := sizedio.ReadAll(zr, int64(r.rawSize), limit)
-	gzipReaderPool.Put(zr)
+	blob, err := sizedio.ReadAll(&in.zr, int64(r.rawSize), limit)
+	in.release()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -661,19 +662,22 @@ var fsyncDir = func(dir string) error {
 	return err
 }
 
-// --- codec pools ---
+// --- codec free lists ---
 
-// The gzip codecs and encode buffers are pooled: Put/Get/log run on the
-// invocation hot path, and per-call allocation of a gzip state machine
-// (~1.4 MB for writers) dominated their profiles. bufPool serves both
-// the compressor's scratch stream and the WAL encoder's frames.
+// The gzip codecs and encode buffers live on free lists a collection does
+// not empty: a BestSpeed gzip writer is ~1.2 MB of state, and a 256 KB
+// publish allocates enough that a GC every few dozen of them took the
+// writer away. The compressor's scratch streams and the WAL frames keep
+// a list each, so neither regrows a buffer sized for the other. A codec
+// goes back detached from the stream it last touched.
 var (
-	gzipWriterPool = sync.Pool{New: func() any {
+	gzipWriters = sizedio.NewFreeList(func() *gzip.Writer {
 		w, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
 		return w
-	}}
-	gzipReaderPool sync.Pool
-	bufPool        = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	})
+	inflaters = sizedio.NewFreeList(func() *inflater { return new(inflater) })
+	scratches = sizedio.NewFreeList(func() *bytes.Buffer { return new(bytes.Buffer) })
+	frames    = sizedio.NewFreeList(func() *bytes.Buffer { return new(bytes.Buffer) })
 )
 
 // compress gzips blob.
@@ -684,23 +688,26 @@ func compress(blob []byte) ([]byte, error) {
 	})
 }
 
-// deflate has fill write rawHint bytes, or so, to a pooled gzip writer over
-// a pooled scratch buffer and returns one exact-size copy of the stream:
+// deflate has fill write rawHint bytes, or so, to a kept gzip writer over
+// a kept scratch buffer and returns one exact-size copy of the stream:
 // the only allocation a row's stored stream costs.
 func deflate(rawHint int, fill func(zw io.Writer) error) ([]byte, error) {
-	scratch := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(scratch)
+	scratch := scratches.Get()
+	defer scratches.Put(scratch)
 	scratch.Reset()
 	// Room for the worst case (stored blocks: five bytes per 64 KB, plus
-	// header and trailer), so a scratch buffer the pool lost comes back in
-	// one allocation instead of doubling its way up from 64 bytes.
+	// header and trailer), so a fresh scratch buffer comes in one
+	// allocation instead of doubling its way up from 64 bytes.
 	scratch.Grow(rawHint + rawHint>>10 + 64)
 	// BestSpeed: the compression *cost model* lives in Put's probe burn;
 	// the real gzip pass only needs to shrink the stored bytes, and
 	// keeping it cheap avoids polluting time-dilated experiment runs
 	// with real CPU time.
-	zw := gzipWriterPool.Get().(*gzip.Writer)
-	defer gzipWriterPool.Put(zw)
+	zw := gzipWriters.Get()
+	defer func() {
+		zw.Reset(io.Discard)
+		gzipWriters.Put(zw)
+	}()
 	zw.Reset(scratch)
 	if err := fill(zw); err != nil {
 		return nil, err
@@ -711,45 +718,77 @@ func deflate(rawHint int, fill func(zw io.Writer) error) ([]byte, error) {
 	return bytes.Clone(scratch.Bytes()), nil
 }
 
-// pooledGzipReader returns a reset pooled reader (or a fresh one) over r.
-// Return it with gzipReaderPool.Put when done.
-func pooledGzipReader(r io.Reader) (*gzip.Reader, error) {
-	if zr, _ := gzipReaderPool.Get().(*gzip.Reader); zr != nil {
-		if err := zr.Reset(r); err != nil {
-			gzipReaderPool.Put(zr)
-			return nil, err
-		}
-		return zr, nil
+// inflater is a gzip reader over a source it owns, so a kept one holds no
+// row's stream. openInflater's caller gives it back with release.
+type inflater struct {
+	src bytes.Reader
+	zr  gzip.Reader
+}
+
+func openInflater(comp []byte) (*inflater, error) {
+	in := inflaters.Get()
+	in.src.Reset(comp)
+	if err := in.zr.Reset(&in.src); err != nil {
+		in.release()
+		return nil, err
 	}
-	return gzip.NewReader(r)
+	return in, nil
+}
+
+func (in *inflater) release() {
+	in.src.Reset(nil)
+	inflaters.Put(in)
 }
 
 // --- wire format: 4-byte big-endian length + JSON ---
 
 // appendEntry encodes one frame onto buf in place: the JSON goes
 // straight behind a four-byte gap that is back-patched with its length,
-// so the entry (base64 of the whole gzip stream) is never marshalled
-// into a buffer of its own and copied over. The bytes are exactly
-// json.Marshal's; Encode's trailing newline is cut. On error buf is
-// left as it was.
+// and the gzip stream's base64 straight into its place in that JSON, not
+// through encoding/json's own pooled buffer, which a GC drops and the
+// next entry regrows. The bytes are exactly json.Marshal's; Encode's
+// trailing newline is cut. On error buf is left as it was.
 func appendEntry(buf *bytes.Buffer, e *walEntry) error {
 	start := buf.Len()
 	var gap [4]byte
 	buf.Write(gap[:])
-	if err := json.NewEncoder(buf).Encode(e); err != nil {
+	// e is its caller's alone while it is encoded, so the stand-in goes in
+	// its Comp and back out: a copy of e would escape to the heap.
+	comp := e.Comp
+	if len(comp) > 0 {
+		e.Comp = compStandIn
+	}
+	err := json.NewEncoder(buf).Encode(e)
+	e.Comp = comp
+	if err != nil {
 		buf.Truncate(start)
 		return err
 	}
 	buf.Truncate(buf.Len() - 1)
+	if len(comp) > 0 {
+		// The last match is comp's own: every later field is a number or
+		// a string with no quote in it.
+		at := bytes.LastIndex(buf.Bytes(), []byte(`"comp":"AA=="`)) + len(`"comp":"`)
+		n := base64.StdEncoding.EncodedLen(len(comp)) - len("AA==")
+		buf.Grow(n)
+		buf.Write(buf.AvailableBuffer()[:n])
+		b := buf.Bytes()
+		copy(b[at+4+n:], b[at+4:len(b)-n])
+		base64.StdEncoding.Encode(b[at:], comp)
+	}
 	binary.BigEndian.PutUint32(buf.Bytes()[start:], uint32(buf.Len()-start-4))
 	return nil
 }
 
+// compStandIn is what appendEntry has encoding/json write for a stream
+// ("AA=="), to be replaced by the stream itself.
+var compStandIn = []byte{0}
+
 // writeEntry frames one entry onto w (the snapshot writers' path)
-// through a pooled buffer.
+// through a kept buffer.
 func writeEntry(w io.Writer, e *walEntry) error {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
+	buf := frames.Get()
+	defer frames.Put(buf)
 	buf.Reset()
 	if err := appendEntry(buf, e); err != nil {
 		return err

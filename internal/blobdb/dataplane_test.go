@@ -9,9 +9,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/sizedio"
 	"repro/internal/vtime"
 )
 
@@ -71,9 +73,6 @@ func TestGetCompressedAllocatesNothing(t *testing.T) {
 }
 
 func TestPutMemoryByteBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds the gzip writer under -race")
-	}
 	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +94,126 @@ func TestPutMemoryByteBudget(t *testing.T) {
 	})
 	if limit := int64(st.CompressedSize) + 64<<10; got > limit {
 		t.Fatalf("Put allocates %d B for a %d B gzip stream, budget %d (one clone)", got, st.CompressedSize, limit)
+	}
+}
+
+// allocatedAcrossGC is what f allocates when it runs right after two
+// collections, which is when a sync.Pool has dropped what it held.
+func allocatedAcrossGC(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestReadStoredByteBudgetAcrossGC: the gzip writer, deflate scratch and
+// copy buffer a stored read borrows outlive a collection, so a read right
+// after two of them still allocates its stored stream and small change.
+func TestReadStoredByteBudgetAcrossGC(t *testing.T) {
+	blob := benchBlob(256 << 10)
+	src := bytes.NewReader(blob)
+	var s *Stored
+	read := func() {
+		src.Reset(blob)
+		var err error
+		if s, err = ReadStored(src, int64(len(blob)), MaxBlobBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	for range 3 {
+		if got, limit := allocatedAcrossGC(read), int64(len(s.Gzip))+16<<10; got > limit {
+			t.Fatalf("ReadStored after two GCs allocates %d B for a %d B gzip stream, budget %d", got, len(s.Gzip), limit)
+		}
+	}
+}
+
+// TestPutWALByteBudgetAcrossGC: the same across-GC budget for a put logged
+// through the group committer, whose WAL frame buffer is kept too.
+func TestPutWALByteBudgetAcrossGC(t *testing.T) {
+	db, err := Open(Options{Dir: t.TempDir(), GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tab := db.Table("t")
+	blob := benchBlob(256 << 10)
+	put := func() {
+		if err := tab.Put("k", nil, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put()
+	st, err := tab.Stat("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if got, limit := allocatedAcrossGC(put), int64(st.CompressedSize)+16<<10; got > limit {
+			t.Fatalf("WAL Put after two GCs allocates %d B for a %d B gzip stream, budget %d", got, st.CompressedSize, limit)
+		}
+	}
+}
+
+// TestFreeListsKeepNothingLarge: after a 16 MB stored read, its put
+// through the WAL and a streamed read of it, no list holds more than
+// GOMAXPROCS items, no kept buffer is past sizedio.MaxKept, and no kept
+// inflater holds a row's stream.
+func TestFreeListsKeepNothingLarge(t *testing.T) {
+	db, err := Open(Options{Dir: t.TempDir(), GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tab := db.Table("t")
+	blob := benchBlob(16 << 20)
+	s, err := ReadStored(bytes.NewReader(blob), int64(len(blob)), MaxBlobBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.PutStored("a", nil, s); err != nil {
+		t.Fatal(err)
+	}
+	v, err := tab.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := v.Reader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	bound := runtime.GOMAXPROCS(0)
+	if n := gzipWriters.Len(); n > bound {
+		t.Errorf("%d gzip writers kept, bound %d", n, bound)
+	}
+	if n := inflaters.Len(); n > bound {
+		t.Errorf("%d inflaters kept, bound %d", n, bound)
+	}
+	for range inflaters.Len() {
+		in := inflaters.Get()
+		defer inflaters.Put(in)
+		if in.src.Size() != 0 {
+			t.Errorf("a kept inflater holds a %d B stream", in.src.Size())
+		}
+	}
+	for _, list := range []*sizedio.FreeList[*bytes.Buffer]{scratches, frames} {
+		if n := list.Len(); n > bound {
+			t.Errorf("%d buffers kept, bound %d", n, bound)
+		}
+		for range list.Len() {
+			buf := list.Get()
+			defer list.Put(buf)
+			if buf.Cap() > sizedio.MaxKept {
+				t.Errorf("a kept buffer holds %d B, cap %d", buf.Cap(), sizedio.MaxKept)
+			}
+		}
 	}
 }
 
@@ -313,6 +432,12 @@ func TestAppendEntryMatchesLegacyFraming(t *testing.T) {
 		{Op: "put", Table: "t", Key: "escapes",
 			Meta: map[string]string{"<html>": "a&b", "quote\"": "back\\slash", "ctl": "\x00\x1f\t\n", "uni": "  é\xff"},
 			Comp: []byte{}, StoredAt: when.In(time.FixedZone("x", 3600))},
+		// The stream goes where json puts it, whatever the key and the
+		// meta spell.
+		{Op: "put", Table: "t", Key: `"comp":"AA=="`, Meta: map[string]string{"comp": "AA==", "raw_size": "1"},
+			Comp: []byte{1, 2, 3}, Sum: []byte{9}, StoredAt: when},
+		{Op: "put", Table: "t", Key: "one-byte", Meta: map[string]string{"x": `"comp":"AA=="`}, Comp: []byte{0}},
+		{Op: "put", Table: "t", Key: "two-bytes", Comp: []byte{0, 0}, RawSize: 10, Sum: make([]byte, 32)},
 		{Op: "delete", Table: "executables", Key: "MontecarloService"},
 		{Op: "delete", Table: "", Key: ""},
 		{Op: opFloor, RawSize: 7},

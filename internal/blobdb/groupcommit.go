@@ -1,7 +1,6 @@
 package blobdb
 
 import (
-	"bytes"
 	"sync"
 )
 
@@ -108,7 +107,7 @@ func (g *groupCommitter) run() {
 // the entries in batch order and releases the waiters.
 func (g *groupCommitter) flush(batch []*commitReq) {
 	s := g.s
-	buf := bufPool.Get().(*bytes.Buffer)
+	buf := frames.Get()
 	buf.Reset()
 	sizes := make([]int, len(batch))
 	errs := make([]error, len(batch))
@@ -148,7 +147,7 @@ func (g *groupCommitter) flush(batch []*commitReq) {
 		}
 	}
 	s.mu.Unlock()
-	bufPool.Put(buf)
+	frames.Put(buf)
 	for i, r := range batch {
 		r.errc <- errs[i]
 	}

@@ -1,7 +1,6 @@
 package blobdb
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -169,8 +168,8 @@ func (s *shard) log(e *walEntry) error {
 		if err := s.maybeRoll(); err != nil {
 			return err
 		}
-		buf := bufPool.Get().(*bytes.Buffer)
-		defer bufPool.Put(buf)
+		buf := frames.Get()
+		defer frames.Put(buf)
 		buf.Reset()
 		if err := appendEntry(buf, e); err != nil {
 			return err

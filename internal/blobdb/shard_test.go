@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -415,18 +416,23 @@ func TestConcurrentShardedOpsWithCompactor(t *testing.T) {
 func TestCloseRacesCompaction(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		dir := t.TempDir()
-		opts := Options{Dir: dir, WALShards: 2, SegmentBytes: 256,
+		// A segment holds a few ~490-byte entries, so a sealed one can be
+		// partly dead and earn a snapshot, not only be retired whole.
+		opts := Options{Dir: dir, WALShards: 2, SegmentBytes: 2048,
 			AutoCompact: true, CompactEvery: time.Millisecond}
 		db, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var acked sync.Map
-		var wg sync.WaitGroup
+		var wg, started sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
+			started.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				var first sync.Once
+				defer first.Do(started.Done)
 				tab := db.Table("t")
 				for i := 0; ; i++ {
 					k := fmt.Sprintf("w%d-k%d", w, i%10)
@@ -439,10 +445,16 @@ func TestCloseRacesCompaction(t *testing.T) {
 						return
 					}
 					acked.Store(k, true)
+					first.Do(started.Done)
 				}
 			}(w)
 		}
-		time.Sleep(10 * time.Millisecond) // let compactions overlap the close
+		// Close once every writer has acked a put and the compactor has
+		// snapshotted a shard, so the close overlaps both.
+		started.Wait()
+		for db.Stats().Compactor.Snapshots == 0 {
+			runtime.Gosched()
+		}
 		if err := db.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}

@@ -1,8 +1,6 @@
 package blobdb
 
 import (
-	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -94,15 +92,14 @@ func (v *Version) Reader() (io.ReadCloser, error) {
 	return sr, nil
 }
 
-// storedReader inflates one row's stored stream through a pooled
-// gzip.Reader. It is not pooled itself: an HTTP transport may still Read a
+// storedReader inflates one row's stored stream through a kept
+// inflater. It is not pooled itself: an HTTP transport may still Read a
 // request body it has already closed, and that late call must find a
 // closed reader, not somebody else's stream.
 type storedReader struct {
 	mu     sync.Mutex
 	closed bool
-	src    bytes.Reader
-	zr     *gzip.Reader // nil if the stream has no gzip header
+	in     *inflater // nil if the stream has no gzip header
 	sum    hash.Hash
 	want   [sha256.Size]byte // what the bytes must hash to ...
 	verify bool              // ... unless row.digest is reading to learn it
@@ -112,8 +109,7 @@ type storedReader struct {
 
 func newStoredReader(r *row) *storedReader {
 	s := &storedReader{sum: sha256.New(), left: int64(r.rawSize)}
-	s.src.Reset(r.comp)
-	if s.zr, s.err = pooledGzipReader(&s.src); s.err != nil {
+	if s.in, s.err = openInflater(r.comp); s.err != nil {
 		s.err = fmt.Errorf("%w: %v", ErrCorrupt, s.err)
 	}
 	return s
@@ -128,7 +124,7 @@ func (s *storedReader) Read(p []byte) (int, error) {
 	if s.err != nil || len(p) == 0 {
 		return 0, s.err
 	}
-	n, err := s.zr.Read(p)
+	n, err := s.in.zr.Read(p)
 	s.sum.Write(p[:n])
 	s.left -= int64(n)
 	if err == nil && s.left > 0 {
@@ -140,7 +136,7 @@ func (s *storedReader) Read(p []byte) (int, error) {
 	for err == nil && s.left == 0 {
 		var one [1]byte
 		var extra int
-		extra, err = s.zr.Read(one[:])
+		extra, err = s.in.zr.Read(one[:])
 		s.left -= int64(extra)
 	}
 	var got [sha256.Size]byte
@@ -158,12 +154,12 @@ func (s *storedReader) Read(p []byte) (int, error) {
 	return 0, s.err
 }
 
-// Close returns the gzip.Reader to the pool. It is idempotent.
+// Close gives the inflater back. It is idempotent.
 func (s *storedReader) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.closed && s.zr != nil {
-		gzipReaderPool.Put(s.zr)
+	if !s.closed && s.in != nil {
+		s.in.release()
 	}
 	s.closed = true
 	return nil

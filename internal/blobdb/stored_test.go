@@ -479,9 +479,6 @@ func TestReadStoredRefusals(t *testing.T) {
 // TestReadStoredByteBudget: reading a 256 KB blob into its stored form
 // allocates that form and small change — no buffer of the blob's size.
 func TestReadStoredByteBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds the gzip writer under -race")
-	}
 	blob := benchBlob(256 << 10)
 	s, err := ReadStored(bytes.NewReader(blob), int64(len(blob)), MaxBlobBytes)
 	if err != nil {

@@ -689,6 +689,26 @@ func (o *OnServe) Invocation(ticket string) (*Invocation, error) {
 	return inv, nil
 }
 
+// CancelAs is the one admitted way to cancel, taken by both doors (the
+// portal's /api/cancel and a generated service's SOAP cancel). With
+// tenancy on, pr must be admitted to cancel the ticket's service, and the
+// cancel is audited exactly once. With tenancy off it is CancelInvocation.
+func (o *OnServe) CancelAs(pr tenant.Principal, ticket string, parent trace.SpanContext) error {
+	inv, err := o.Invocation(ticket)
+	if err != nil {
+		return err
+	}
+	var adm *tenant.Admission // nil-safe: tenancy off
+	if ctl := o.parts.Tenancy; ctl != nil {
+		if adm, err = ctl.Admit(pr, tenant.VerbCancel, inv.Service, parent); err != nil {
+			return err
+		}
+	}
+	err = o.CancelInvocation(ticket)
+	adm.Finish(ticket, err)
+	return err
+}
+
 // CancelInvocation cancels the underlying Grid job; the poller records
 // the terminal state.
 func (o *OnServe) CancelInvocation(ticket string) error {

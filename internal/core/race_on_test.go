@@ -2,7 +2,7 @@
 
 package core
 
-// raceEnabled is true when the race detector is active: sync.Pool then
-// drops a quarter of its Puts at random, so byte budgets that count on
-// blobdb's pooled gzip writer do not hold.
+// raceEnabled is true when the race detector is active: allocation counts
+// then include the detector's own, so a guard that counts objects, or
+// bytes to within a few KB, does not hold.
 const raceEnabled = true

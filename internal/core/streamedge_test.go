@@ -498,9 +498,6 @@ func TestColdStageAllocatesNoExecutableSizedObject(t *testing.T) {
 		{"paper-loopback", nil, nil, 56 << 10},
 	} {
 		t.Run(tc.profile, func(t *testing.T) {
-			if tc.sites == nil && raceEnabled {
-				t.Skip("sync.Pool sheds Puts under the race detector")
-			}
 			defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 			runtime.MemProfileRate = 1
 			f := newFixtureHTTP(t, tc.sites, func(cfg *Config) {

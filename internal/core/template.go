@@ -97,11 +97,9 @@ func (o *OnServe) buildService(serviceName, description string, params []wsdl.Pa
 		return inv.Output(), nil
 	})
 	svc.MustBind("cancel", func(req *soap.Request) (string, error) {
-		inv, err := o.Invocation(req.Args["ticket"])
-		if err != nil {
-			return fault(err)
-		}
-		if err := o.CancelInvocation(inv.Ticket); err != nil {
+		tc, _ := trace.Parse(req.Trace)
+		pr, _ := req.Context.Value(principalKey{}).(tenant.Principal)
+		if err := o.CancelAs(pr, req.Args["ticket"], tc); err != nil {
 			return fault(err)
 		}
 		return "cancelling", nil

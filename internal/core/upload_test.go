@@ -9,7 +9,6 @@ import (
 	"io"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"testing"
 	"time"
@@ -151,9 +150,6 @@ func TestUploadSpanCarriesStoredBytes(t *testing.T) {
 // and a fraction of the file's size beside it. A raw copy would be the
 // whole of it again.
 func TestUploadAllocatesNoRawSizedObject(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds the gzip writer under -race")
-	}
 	const size = 1 << 20
 	db, err := blobdb.Open(blobdb.Options{Dir: t.TempDir(), WALShards: 4, GroupCommit: true, AutoCompact: true})
 	if err != nil {
@@ -166,14 +162,11 @@ func TestUploadAllocatesNoRawSizedObject(t *testing.T) {
 		cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
 	})
 	content := gsh.Pad([]byte("echo big\n"), size)
-	// The codecs and the log's encode buffers live in sync.Pools: a
-	// collection mid-run empties them and a second P keeps a set of its
-	// own, and refilling either would be what is counted.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The codecs and the log's encode buffers live on free lists, which
+	// neither a collection mid-run nor a second P empties.
 	var spent, stored uint64
 	const runs = 6
-	for i := -1; i < runs; i++ { // the first run fills the pools
+	for i := -1; i < runs; i++ { // the first run fills the lists
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		// One reader over the caller's bytes stands in for the request body.

@@ -87,15 +87,6 @@ type Route struct {
 	query   string // KindUpload: the raw query, part of the upload a failover replays
 }
 
-// Keyed reports whether the route shards by consistent hash on Service.
-func (rt Route) Keyed() bool {
-	switch rt.Kind {
-	case KindUpload, KindInvoke, KindService, KindSOAP, KindDelete:
-		return true
-	}
-	return false
-}
-
 // errBadRequest wraps decode failures the gateway answers with 400
 // without consulting any upstream (parse-before-proxy).
 var errBadRequest = errors.New("gateway: bad request")

@@ -150,13 +150,14 @@ func TestRouteKeyDeterministic(t *testing.T) {
 	for _, req := range []struct {
 		method, path, rawQuery, ct string
 		body                       []byte
+		kind                       Kind
 	}{
-		{"POST", "/upload", "", aliceCT, aliceBody},
-		{"POST", "/upload", "user=carol", bobCT, bobBody},
-		{"POST", "/api/invoke", "", "application/json", []byte(`{"service":"MonteService"}`)},
+		{"POST", "/upload", "", aliceCT, aliceBody, KindUpload},
+		{"POST", "/upload", "user=carol", bobCT, bobBody, KindUpload},
+		{"POST", "/api/invoke", "", "application/json", []byte(`{"service":"MonteService"}`), KindInvoke},
 	} {
 		rt, err := DecodeRoute(req.method, req.path, req.rawQuery, req.ct, req.body)
-		if err != nil || !rt.Keyed() || rt.Service != "MonteService" {
+		if err != nil || rt.Kind != req.kind || rt.Service != "MonteService" {
 			t.Fatalf("%s %s?%s routes as %+v (%v), want the key MonteService", req.method, req.path, req.rawQuery, rt, err)
 		}
 	}

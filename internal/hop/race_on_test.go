@@ -2,7 +2,7 @@
 
 package hop
 
-// raceEnabled is true when the race detector is active: sync.Pool then
-// drops a quarter of its Puts at random, so a byte budget that counts on
-// the pooled copy buffer does not hold.
+// raceEnabled is true when the race detector is active: allocation counts
+// then include the detector's own, so a guard that counts objects, or
+// bytes to within a few KB, does not hold.
 const raceEnabled = true

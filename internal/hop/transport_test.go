@@ -71,9 +71,6 @@ func putStream(t *testing.T, rt http.RoundTripper, srv *httptest.Server, b []byt
 // 32 KB copy buffer a TCP connection's own ReadFrom makes for every body
 // that is neither a file nor a socket.
 func TestStreamedBodyAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds Puts under the race detector")
-	}
 	srv := digestServer(t)
 	b, header := body(1)
 	// One P and no collection, so the pool keeps what it was given.
@@ -152,7 +149,7 @@ func TestDeadKeepAliveReplaysThroughPooledCopy(t *testing.T) {
 			armed.Load(), dials.Load(), opens.Load(), closes.Load())
 	}
 	if raceEnabled {
-		return
+		return // the detector's own allocations put this request at ~20 KB
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -751,20 +751,12 @@ func (p *Portal) apiCancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	p.withInvocation(w, r, func(inv *core.Invocation) {
-		tc, _ := trace.Parse(r.Header.Get(trace.Header))
-		adm, ok := p.admit(w, pr, tenant.VerbCancel, inv.Service, tc)
-		if !ok {
-			return
-		}
-		err := p.onserve.CancelInvocation(inv.Ticket)
-		adm.Finish(inv.Ticket, err)
-		if err != nil {
-			WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, cancelReply{State: "cancelling"})
-	})
+	tc, _ := trace.Parse(r.Header.Get(trace.Header))
+	if err := p.onserve.CancelAs(pr, r.URL.Query().Get("ticket"), tc); err != nil {
+		WriteError(w, statusFor(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, cancelReply{State: "cancelling"})
 }
 
 func (p *Portal) apiDelete(w http.ResponseWriter, r *http.Request) {

@@ -209,9 +209,6 @@ func TestUploadFieldBudget(t *testing.T) {
 // TestUploadDecodeByteBudget: decoding an upload allocates the stream a
 // row will keep of the file, and nothing else of the file's size.
 func TestUploadDecodeByteBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds the gzip writer under -race")
-	}
 	program := gsh.Pad([]byte("echo ${n}\n"), 256<<10)
 	stored, err := blobdb.ReadStored(bytes.NewReader(program), -1, blobdb.MaxBlobBytes)
 	if err != nil {

@@ -3,24 +3,67 @@
 // size — into one buffer allocated once at that size, instead of
 // growing one from 512 bytes as io.ReadAll does (which costs four to
 // five times the payload in garbage on a 256 KB upload) — and copies a
-// stream of unknown length through the process's one pool of 32 KB
+// stream of unknown length through the process's one free list of 32 KB
 // buffers.
 package sizedio
 
 import (
 	"errors"
 	"io"
-	"sync"
+	"runtime"
 )
 
-var copyBuffers = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+// MaxKept is the most a FreeList item with a Cap may hold and be kept:
+// the deflate scratch and WAL frame of a 1 MB executable fit, a 256 MB
+// upload's are dropped, not pinned.
+const MaxKept = 2 << 20
 
-// Copy is io.CopyBuffer through a pooled 32 KB buffer, which goes back to
-// the pool when Copy returns, whatever it returns. As with io.CopyBuffer, a
-// src with WriteTo or a dst with ReadFrom is copied by that method instead:
-// a caller that wants the buffer used hides them.
+// FreeList keeps spare items for any goroutine to take, up to one for
+// each P that can be using one at once. Unlike the sync package's Pool, a
+// collection does not empty it, so codec state is not bought again every
+// few dozen calls. Get and Put never block.
+type FreeList[T any] struct {
+	items chan T
+	fresh func() T
+}
+
+// NewFreeList returns an empty list whose Get makes items with fresh.
+func NewFreeList[T any](fresh func() T) *FreeList[T] {
+	return &FreeList[T]{make(chan T, runtime.GOMAXPROCS(0)), fresh}
+}
+
+// Get takes a spare item, or makes one.
+func (l *FreeList[T]) Get() T {
+	select {
+	case x := <-l.items:
+		return x
+	default:
+		return l.fresh()
+	}
+}
+
+// Put keeps x unless the list is full or x's Cap is past MaxKept.
+func (l *FreeList[T]) Put(x T) {
+	if c, ok := any(x).(interface{ Cap() int }); ok && c.Cap() > MaxKept {
+		return
+	}
+	select {
+	case l.items <- x:
+	default:
+	}
+}
+
+// Len is how many spare items the list holds.
+func (l *FreeList[T]) Len() int { return len(l.items) }
+
+var copyBuffers = NewFreeList(func() *[32 << 10]byte { return new([32 << 10]byte) })
+
+// Copy is io.CopyBuffer through a 32 KB buffer from the free list, which
+// goes back to it when Copy returns, whatever it returns. As with
+// io.CopyBuffer, a src with WriteTo or a dst with ReadFrom is copied by
+// that method instead: a caller that wants the buffer used hides them.
 func Copy(dst io.Writer, src io.Reader) (int64, error) {
-	buf := copyBuffers.Get().(*[32 << 10]byte)
+	buf := copyBuffers.Get()
 	defer copyBuffers.Put(buf)
 	return io.CopyBuffer(dst, src, buf[:])
 }

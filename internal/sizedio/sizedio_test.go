@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -116,8 +115,8 @@ func TestReadAllLyingDeclarationPinsLittle(t *testing.T) {
 }
 
 // TestCopyLendsOnePooledBuffer: Copy moves the bytes through a 32 KB
-// buffer, and that buffer goes back to the pool whether the copy ends at
-// EOF or in an error — one P and no collection, and no copy allocates.
+// buffer, and that buffer goes back to the free list whether the copy
+// ends at EOF or in an error, so no copy allocates, across a collection.
 func TestCopyLendsOnePooledBuffer(t *testing.T) {
 	src := payload(100 << 10)
 	var dst bytes.Buffer
@@ -132,11 +131,7 @@ func TestCopyLendsOnePooledBuffer(t *testing.T) {
 	if _, err := Copy(io.Discard, io.MultiReader(strings.NewReader("partial"), iotest.ErrReader(boom))); !errors.Is(err, boom) {
 		t.Fatalf("failed copy: %v", err)
 	}
-	if raceEnabled {
-		return // sync.Pool sheds Puts under the race detector
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC() // a collection takes nothing off the list
 	r := bytes.NewReader(src)
 	var plainR io.Reader = struct{ io.Reader }{r}
 	var plainW io.Writer = struct{ io.Writer }{io.Discard}
@@ -147,7 +142,7 @@ func TestCopyLendsOnePooledBuffer(t *testing.T) {
 		Copy(plainW, failing)
 	})
 	if allocs != 0 {
-		t.Fatalf("%v allocations per pair of copies: a buffer did not go back to the pool", allocs)
+		t.Fatalf("%v allocations per pair of copies: a buffer did not go back to the list", allocs)
 	}
 }
 
@@ -158,5 +153,35 @@ func TestReadAllPassesReadErrorsThrough(t *testing.T) {
 		if _, err := ReadAll(r, declared, 1000); !errors.Is(err, boom) {
 			t.Fatalf("declared %d: %v", declared, err)
 		}
+	}
+}
+
+// TestFreeListBoundsWhatItKeeps: a list keeps at most GOMAXPROCS items and
+// none whose Cap is past MaxKept, and a collection takes none of them.
+func TestFreeListBoundsWhatItKeeps(t *testing.T) {
+	made := 0
+	l := NewFreeList(func() *bytes.Buffer { made++; return new(bytes.Buffer) })
+	bound := runtime.GOMAXPROCS(0)
+	var out []*bytes.Buffer
+	for range bound + 2 {
+		out = append(out, l.Get())
+	}
+	for _, b := range out {
+		l.Put(b)
+	}
+	if l.Len() != bound {
+		t.Fatalf("%d items kept, bound %d", l.Len(), bound)
+	}
+	runtime.GC()
+	runtime.GC()
+	for range bound {
+		l.Get()
+	}
+	if made != bound+2 {
+		t.Fatalf("%d items made for %d gets: a collection emptied the list", made, 2*bound+2)
+	}
+	l.Put(bytes.NewBuffer(make([]byte, 0, MaxKept+1)))
+	if l.Len() != 0 {
+		t.Fatalf("a %d B buffer was kept, cap %d", MaxKept+1, MaxKept)
 	}
 }

@@ -18,16 +18,17 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"unicode/utf8"
+
+	"repro/internal/sizedio"
 )
 
-// encBufPool recycles envelope build buffers: every SOAP request and
-// response on the container hot path encodes through here, and the
-// envelopes are small enough that the buffers stay warm. Encode and
-// EncodeFault copy the bytes out before the buffer returns to the pool;
-// the server writes them to the connection instead.
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// encBufs keeps envelope build buffers: every SOAP request and response
+// on the container hot path encodes through here, and the envelopes are
+// small enough that the buffers stay warm. Encode and EncodeFault copy
+// the bytes out before the buffer goes back on the list; the server
+// writes them to the connection instead.
+var encBufs = sizedio.NewFreeList(func() *bytes.Buffer { return new(bytes.Buffer) })
 
 // EnvelopeNS is the SOAP 1.1 envelope namespace.
 const EnvelopeNS = "http://schemas.xmlsoap.org/soap/envelope/"
@@ -103,8 +104,8 @@ const (
 
 // Encode renders the message as a SOAP envelope.
 func Encode(m *Message) ([]byte, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
+	buf := encBufs.Get()
+	defer encBufs.Put(buf)
 	writeEnvelope(buf, m.Headers, m.Namespace, m.Operation, "", m.Params)
 	return bytes.Clone(buf.Bytes()), nil
 }
@@ -146,8 +147,8 @@ func writeEnvelope(buf *bytes.Buffer, headers map[string]string, namespace, op, 
 
 // EncodeFault renders a fault envelope.
 func EncodeFault(f *Fault) []byte {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
+	buf := encBufs.Get()
+	defer encBufs.Put(buf)
 	writeFault(buf, f)
 	return bytes.Clone(buf.Bytes())
 }

@@ -1,7 +1,6 @@
 package soap
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -327,8 +326,8 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	}
 	// The reply goes from the build buffer to the connection: Write
 	// copies what it is given, so the buffer is free once it returns.
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
+	buf := encBufs.Get()
+	defer encBufs.Put(buf)
 	ret := [1]Param{{Name: "return", Value: result}}
 	writeEnvelope(buf, nil, svc.Def.Namespace, msg.Operation, "Response", ret[:])
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
@@ -336,8 +335,8 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 }
 
 func (s *Server) fault(w http.ResponseWriter, status int, f *Fault) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
+	buf := encBufs.Get()
+	defer encBufs.Put(buf)
 	writeFault(buf, f)
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	w.WriteHeader(status)

@@ -48,6 +48,14 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'http\.Transport\{|http\.Def
 	exit 1
 fi
 
+# Codec state and encode buffers live on sizedio free lists, which a
+# collection does not empty: no program file under internal/ keeps a
+# sync.Pool, whose contents every other GC drops.
+if grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Pool' internal; then
+	echo "a sync.Pool is back under internal/ (see above): use sizedio.FreeList" >&2
+	exit 1
+fi
+
 go vet ./...
 go build ./...
 go test -race -short ./...
@@ -75,7 +83,7 @@ go test -race -short ./...
 # against one memo while a root is added), and the tenant control plane
 # (concurrent admits racing quota
 # release, key rotation mid-burst, DRR wakeups racing timeouts), and the
-# appliance's own transport (streamed bodies copied through one pool of
+# appliance's own transport (streamed bodies copied through one free list of
 # buffers by concurrent requests, keep-alive connections pooled and
 # released by concurrent hops), and the clocks every component waits on
 # (AfterFunc timers made and stopped while Advance fires them), and the
@@ -160,7 +168,10 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # under a quarter of it (and, streamed to the real sites over loopback,
 # under 56 KB on the appliance's side), a 1 MB body streamed on a warm
 # connection costs under 16 KB, no fresh copy buffer, publishing one allocates the stream its row keeps
-# and under a quarter of it beside that, and the SOAP door decodes an invocation's
+# and under a quarter of it beside that, a 256 KB stored read or logged put
+# right after two collections allocates its stream and 16 KB beside it
+# (the free lists keep their codecs across a GC; they keep at most
+# GOMAXPROCS items each, none past sizedio.MaxKept), and the SOAP door decodes an invocation's
 # envelope in three objects and serves one in eleven, a signed submit
 # costs at most 24 objects, the three event frames of a hot invocation 10
 # and the gateway's proxy hop 16 (a key's ring walk 1); the JSON door reads an invoke body in 5
@@ -170,7 +181,7 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # POST cost at most 65 objects, client and server together, and a
 # metrics.Block update through a capturing closure none. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise.
-go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics
+go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics ./internal/sizedio
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
