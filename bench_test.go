@@ -3,7 +3,7 @@ package repro
 // One benchmark per table/figure of the paper's evaluation (Section
 // VIII), plus the design-choice ablations DESIGN.md calls out. Every
 // iteration runs the corresponding experiment end-to-end — simulated
-// TeraGrid, appliance, portal, SOAP services — on a time-dilated clock,
+// TeraGrid, appliance, portal, SOAP services — on a discrete-event clock,
 // and reports the headline virtual-time quantity next to the wall-clock
 // cost of regenerating it.
 //
@@ -16,19 +16,12 @@ import (
 	"repro/internal/experiments"
 )
 
-// benchScale trades figure smoothness for benchmark wall time.
-const benchScale = 500
-
-func benchOpts() experiments.Options {
-	return experiments.Options{Scale: benchScale}
-}
-
 // BenchmarkFig6SmallFileInvocation regenerates Figure 6: Web-service
 // execution of a small file; traffic dominated by the credential
 // exchange, periodic poll-induced disk writes.
 func BenchmarkFig6SmallFileInvocation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchOpts())
+		res, err := experiments.Fig6(experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,7 +34,7 @@ func BenchmarkFig6SmallFileInvocation(b *testing.B) {
 // executable whose staging saturates the ~85 KB/s WAN for about a minute.
 func BenchmarkFig7LargeFileInvocation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchOpts())
+		res, err := experiments.Fig7(experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +47,7 @@ func BenchmarkFig7LargeFileInvocation(b *testing.B) {
 // the 1000 Mbit LAN, service generation, and the double disk write.
 func BenchmarkFig8UploadAndGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(benchOpts())
+		res, err := experiments.Fig8(experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +60,7 @@ func BenchmarkFig8UploadAndGenerate(b *testing.B) {
 // concurrency 4: simultaneous stagings contending on the WAN.
 func BenchmarkScalabilityInvokeWAN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Scalability(benchOpts(), []int{4}, 512)
+		res, err := experiments.Scalability(experiments.Options{}, []int{4}, 512)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +72,7 @@ func BenchmarkScalabilityInvokeWAN(b *testing.B) {
 // concurrency 4: simultaneous portal uploads on the LAN.
 func BenchmarkScalabilityUploadLAN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Scalability(benchOpts(), []int{4}, 512)
+		res, err := experiments.Scalability(experiments.Options{}, []int{4}, 512)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +84,7 @@ func BenchmarkScalabilityUploadLAN(b *testing.B) {
 // jobs flow through the middleware efficiently.
 func BenchmarkManySmallJobs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.SmallJobs(benchOpts(), 20, 8)
+		res, err := experiments.SmallJobs(experiments.Options{}, 20, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +106,7 @@ var ablationBenches = []struct {
 	// The paper's temp-file+DB store path against direct streaming
 	// (§VIII-D3).
 	{"DoubleWrite", func() (*experiments.AblationResult, error) {
-		return experiments.AblationDoubleWrite(benchOpts(), 1024)
+		return experiments.AblationDoubleWrite(experiments.Options{}, 1024)
 	}, []metric{
 		{"double-write", "stock", "disk_write_total_kb", "stock_disk_kb"},
 		{"double-write", "direct", "disk_write_total_kb", "direct_disk_kb"},
@@ -121,14 +114,14 @@ var ablationBenches = []struct {
 	// Per-invocation re-upload against the content-hash staging cache
 	// (§VIII-B's suggested improvement).
 	{"StagingCache", func() (*experiments.AblationResult, error) {
-		return experiments.AblationStagingCache(benchOpts(), 512, 3)
+		return experiments.AblationStagingCache(experiments.Options{}, 512, 3)
 	}, []metric{
 		{"staging-cache", "stock", "net_out_total_kb", "stock_wan_kb"},
 		{"staging-cache", "cache", "net_out_total_kb", "cache_wan_kb"},
 	}},
 	// The tentative-poll interval sweep.
 	{"Polling", func() (*experiments.AblationResult, error) {
-		return experiments.AblationPolling(benchOpts(), []time.Duration{3 * time.Second, 30 * time.Second})
+		return experiments.AblationPolling(experiments.Options{}, []time.Duration{3 * time.Second, 30 * time.Second})
 	}, []metric{
 		{"poll-interval", "3s", "poll_disk_write_kb", "poll3s_disk_kb"},
 		{"poll-interval", "30s", "poll_disk_write_kb", "poll30s_disk_kb"},
@@ -136,7 +129,7 @@ var ablationBenches = []struct {
 	// The database compression cost model (the Fig. 6 decompress CPU
 	// peak's knob).
 	{"Compression", func() (*experiments.AblationResult, error) {
-		return experiments.AblationCompression(benchOpts(), 2048)
+		return experiments.AblationCompression(experiments.Options{}, 2048)
 	}, []metric{
 		{"compression", "fast-8MBps", "upload_cpu_total_s", "fast_cpu_s"},
 		{"compression", "slow-512KBps", "upload_cpu_total_s", "slow_cpu_s"},
@@ -224,25 +217,25 @@ var ablationBenches = []struct {
 
 func hotPath(variants ...string) func() (*experiments.AblationResult, error) {
 	return func() (*experiments.AblationResult, error) {
-		return experiments.AblationHotPath(benchOpts(), 256, 3, variants...)
+		return experiments.AblationHotPath(experiments.Options{}, 256, 3, variants...)
 	}
 }
 
 func pollHubStudy(variant string) func() (*experiments.AblationResult, error) {
 	return func() (*experiments.AblationResult, error) {
-		return experiments.AblationPollHub(benchOpts(), 16, variant)
+		return experiments.AblationPollHub(experiments.Options{}, 16, variant)
 	}
 }
 
 func submit(variant string) func() (*experiments.AblationResult, error) {
 	return func() (*experiments.AblationResult, error) {
-		return experiments.AblationSubmit(benchOpts(), 16, variant)
+		return experiments.AblationSubmit(experiments.Options{}, 16, variant)
 	}
 }
 
 func stage(variant string) func() (*experiments.AblationResult, error) {
 	return func() (*experiments.AblationResult, error) {
-		return experiments.AblationStage(benchOpts(), 256, variant)
+		return experiments.AblationStage(experiments.Options{}, 256, variant)
 	}
 }
 
@@ -269,9 +262,7 @@ func BenchmarkAblation(b *testing.B) {
 // conservative backfill with reservations.
 func BenchmarkSchedulerPolicies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		// Moderate dilation: the workload's walltime slack (5 virtual
-		// seconds) must stay above host scheduling jitter.
-		res, err := experiments.SchedulerPolicies(300)
+		res, err := experiments.SchedulerPolicies()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,7 +276,7 @@ func BenchmarkSchedulerPolicies(b *testing.B) {
 // access versus the SaaS path for the same job over the same WAN.
 func BenchmarkBaselineJSE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.BaselineJSE(benchOpts(), 256)
+		res, err := experiments.BaselineJSE(experiments.Options{}, 256)
 		if err != nil {
 			b.Fatal(err)
 		}

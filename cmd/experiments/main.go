@@ -7,7 +7,7 @@
 //
 //	experiments -fig 7            # one figure -> results/fig7.csv
 //	experiments -all              # everything
-//	experiments -scalability -scale 500
+//	experiments -scalability
 //	experiments -hotpath          # one ablation -> results/hotpath.json
 package main
 
@@ -44,7 +44,6 @@ func run(args []string, stdout io.Writer) error {
 	var p experiments.Params
 	fig := fs.Int("fig", 0, "regenerate one figure (6, 7 or 8)")
 	all := fs.Bool("all", false, "run every experiment")
-	fs.Float64Var(&p.Options.Scale, "scale", 200, "virtual-time dilation factor")
 	outDir := fs.String("out", "results", "directory for CSV output")
 	fs.IntVar(&p.Jobs, "jobs", 50, "job count for -smalljobs")
 	fs.IntVar(&p.ReplayRecords, "replay-records", 1_000_000, "record count for the -blobdb cold-boot replay study")

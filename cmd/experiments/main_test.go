@@ -24,7 +24,7 @@ func firstLine(t *testing.T, path string) string {
 func TestRunFigureWritesItsCSV(t *testing.T) {
 	out := t.TempDir()
 	var stdout bytes.Buffer
-	if err := run([]string{"-fig", "6", "-scale", "300", "-out", out}, &stdout); err != nil {
+	if err := run([]string{"-fig", "6", "-out", out}, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(out, "fig6.csv")

@@ -80,7 +80,7 @@ func baselineDirect(opts Options, program string) (measurement, error) {
 		return measurement{}, err
 	}
 	defer r.close()
-	dial := wanDial(r.wan, r.probe)
+	dial := r.uplink.DialContext
 	uplink := hop.NewTransport(dial)
 	return r.measure(func() error {
 		// Step 1: MyProxy logon.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBaselineJSE(t *testing.T) {
-	res, err := BaselineJSE(fastOpts(), 256)
+	res, err := BaselineJSE(Options{}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

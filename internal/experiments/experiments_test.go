@@ -8,31 +8,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// fastOpts dilates time aggressively so each experiment finishes in well
-// under a second of wall time.
-func fastOpts() Options {
-	// 300x keeps each run around a second of wall time while leaving real
-	// CPU work (gzip, hashing, syscalls) small relative to virtual time.
-	// The race detector inflates real CPU ~10x, so dilate less there.
-	if raceEnabled {
-		return Options{Scale: 100}
-	}
-	return Options{Scale: 300}
-}
-
-// wanOpts is fastOpts for tests whose verdict is the pace of a WAN
-// transfer. The executable is inflated into the PUT as it is sent, and
-// race-instrumented flate manages a few MB/s of host time: under -race,
-// dilate little enough for it to stay ahead of the 85 KB/s link.
-func wanOpts() Options {
-	if raceEnabled {
-		return Options{Scale: 20}
-	}
-	return fastOpts()
-}
-
 func TestFig6Shape(t *testing.T) {
-	res, err := Fig6(fastOpts())
+	res, err := Fig6(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +42,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res, err := Fig7(wanOpts())
+	res, err := Fig7(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +67,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	res, err := Fig8(fastOpts())
+	res, err := Fig8(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +77,8 @@ func TestFig8Shape(t *testing.T) {
 		t.Fatalf("portal received %v bytes", sum["net_in_total_b"])
 	}
 	// Fast network: the whole generation finishes in tens of seconds, not
-	// the ~2 minutes the WAN staging of Fig. 7 takes. The bound carries
-	// slack for host scheduling stalls, which dilate into virtual time;
-	// under -race the real gzip/hash work of the 5MB payload inflates it
-	// too much for any bound to be meaningful.
-	if !raceEnabled && sum["duration_s"] > 90 {
+	// the ~2 minutes the WAN staging of Fig. 7 takes.
+	if sum["duration_s"] > 90 {
 		t.Fatalf("upload+generate took %v s over the LAN", sum["duration_s"])
 	}
 	// The double-write flaw: the file hits the disk twice — the 5MB temp
@@ -120,7 +94,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestScalabilitySweep(t *testing.T) {
-	res, err := Scalability(wanOpts(), []int{1, 4}, 1024)
+	res, err := Scalability(Options{}, []int{1, 4}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +122,7 @@ func TestScalabilitySweep(t *testing.T) {
 }
 
 func TestSmallJobs(t *testing.T) {
-	res, err := SmallJobs(fastOpts(), 12, 4)
+	res, err := SmallJobs(Options{}, 12, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +141,7 @@ func TestSmallJobs(t *testing.T) {
 }
 
 func TestAblationDoubleWrite(t *testing.T) {
-	res, err := AblationDoubleWrite(fastOpts(), 512)
+	res, err := AblationDoubleWrite(Options{}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +152,7 @@ func TestAblationDoubleWrite(t *testing.T) {
 }
 
 func TestAblationStagingCache(t *testing.T) {
-	res, err := AblationStagingCache(fastOpts(), 768, 3)
+	res, err := AblationStagingCache(Options{}, 768, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +161,13 @@ func TestAblationStagingCache(t *testing.T) {
 	if cache >= stock/2 {
 		t.Fatalf("cache should cut WAN traffic ~3x: stock %v KB vs cache %v KB", stock, cache)
 	}
-	// Byte counts are deterministic; makespans inherit host-jitter through
-	// time dilation, so the latency claim only gets a sanity margin.
-	if vals["staging-cache/cache/makespan_s"] >= vals["staging-cache/stock/makespan_s"]*1.5 {
-		t.Fatalf("cache grossly slower: %v", vals)
+	if vals["staging-cache/cache/makespan_s"] >= vals["staging-cache/stock/makespan_s"] {
+		t.Fatalf("cache no faster than stock: %v", vals)
 	}
 }
 
 func TestAblationPolling(t *testing.T) {
-	res, err := AblationPolling(fastOpts(), []time.Duration{3 * time.Second, 30 * time.Second})
+	res, err := AblationPolling(Options{}, []time.Duration{3 * time.Second, 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +178,7 @@ func TestAblationPolling(t *testing.T) {
 }
 
 func TestAblationCompression(t *testing.T) {
-	res, err := AblationCompression(fastOpts(), 8192)
+	res, err := AblationCompression(Options{}, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +198,7 @@ func ablationMap(res *AblationResult) map[string]float64 {
 
 func TestRecorderResetIsolation(t *testing.T) {
 	// Sanity: Reset really drops setup-phase traffic from the series.
-	r, err := newRig(fastOpts())
+	r, err := newRig(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,19 +82,26 @@ func Fig7(opts Options) (*Result, error) {
 	series, sum := m.series, m.sum
 
 	// Estimate the upload plateau: buckets where outbound traffic is
-	// within half of the per-bucket WAN capacity.
+	// within half of the per-bucket WAN capacity. Its first and last
+	// buckets hold the transfer's start and end too, so the rate is read
+	// from the buckets between them when there are any.
 	capacity := 85.0 * 1024 * bucketS // bytes per bucket at 85 KB/s
-	plateau := 0
-	var plateauBytes float64
+	var plateau []float64
 	for _, s := range series {
 		if s.NetOutBytes > capacity/2 {
-			plateau++
-			plateauBytes += s.NetOutBytes
+			plateau = append(plateau, s.NetOutBytes)
 		}
 	}
-	sum["upload_plateau_s"] = float64(plateau) * bucketS
-	if plateau > 0 {
-		sum["upload_rate_kbps"] = plateauBytes / float64(plateau) / bucketS / 1024
+	sum["upload_plateau_s"] = float64(len(plateau)) * bucketS
+	if len(plateau) > 2 {
+		plateau = plateau[1 : len(plateau)-1]
+	}
+	if len(plateau) > 0 {
+		var bytes float64
+		for _, b := range plateau {
+			bytes += b
+		}
+		sum["upload_rate_kbps"] = bytes / float64(len(plateau)) / bucketS / 1024
 	}
 	return &Result{
 		Name:    "fig7",

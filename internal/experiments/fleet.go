@@ -35,14 +35,11 @@ const fleetPayloadKB = 64
 // ring successors, the gateway replays the catalogued uploads there,
 // and clients that caught the crash re-issue — every invocation must
 // still complete.
-func AblationFleet(opts Options, fleets []int, invocations int) (*AblationResult, error) {
+func AblationFleet(fleets []int, invocations int) (*AblationResult, error) {
 	if len(fleets) == 0 {
 		fleets = FleetSizes
 	}
 	invocations = orDefault(invocations, 64)
-	// The burst multiplies every real-scheduling cost by the fleet width;
-	// cap the dilation like the other burst ablations do.
-	opts.capScale()
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("%d simultaneous invocations, 4 per service over %d services, POSTed through the fleet gateway", invocations, invocations/4),
 		fmt.Sprintf("each service's executable is %d KB; the staging cache is off, so every invocation re-stages it across its appliance's ~85 KB/s WAN uplink — the paper's single-appliance bottleneck", fleetPayloadKB),
@@ -53,13 +50,13 @@ func AblationFleet(opts Options, fleets []int, invocations int) (*AblationResult
 	}}
 
 	for _, n := range fleets {
-		rows, err := fleetBurst(opts, fmt.Sprintf("fleet-%d", n), "scale-out", n, invocations, false)
+		rows, err := fleetBurst(fmt.Sprintf("fleet-%d", n), "scale-out", n, invocations, false)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fleet %d: %w", n, err)
 		}
 		res.Rows = append(res.Rows, rows...)
 	}
-	rows, err := fleetBurst(opts, "fleet-4", "kill-1", 4, invocations, true)
+	rows, err := fleetBurst("fleet-4", "kill-1", 4, invocations, true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fleet failover: %w", err)
 	}
@@ -74,14 +71,18 @@ type fleetRig struct {
 	gw    *gateway.Gateway
 }
 
-func newFleetRig(o Options, fleetN int) (*fleetRig, error) {
-	clk := o.clock()
+func newFleetRig(fleetN int) (*fleetRig, error) {
+	clk := vtime.NewScaled(40)
 	// The grid's server side stays unshaped; each appliance's own
 	// client-side WAN uplink is the measured link.
-	env, err := bootGrid(clk, nil, nil)
+	env, err := bootGrid(clk, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	// Time dilation shrinks the default event-stream heartbeat to a few
+	// real milliseconds; one virtual minute keeps the client's liveness
+	// budget well clear of real scheduler jitter.
+	env.Gatekeeper.SetHeartbeatInterval(time.Minute)
 	gw, err := gateway.Boot(gateway.Config{
 		Fleet: fleetN,
 		Appliance: appliance.Config{
@@ -94,7 +95,7 @@ func newFleetRig(o Options, fleetN int) (*fleetRig, error) {
 		// Each shard gets its own shaped WAN uplink toward the grid — the
 		// fleet's whole point is multiplying this link.
 		PerShard: func(i int, cfg appliance.Config) appliance.Config {
-			cfg.GridDial = wanDial(netsim.WAN(clk), nil)
+			cfg.GridDial = (&netsim.Dialer{Profile: netsim.WAN(clk)}).DialContext
 			return cfg
 		},
 		Clock:         clk,
@@ -120,8 +121,8 @@ func (r *fleetRig) door() door { return door{portal.Client{Base: r.gw.BaseURL}} 
 // fleetBurst boots one fleet, publishes the service set, fires the
 // burst, and accounts gateway + fleet-wide counters. With kill set, one
 // appliance is hard-killed once an eighth of the burst has completed.
-func fleetBurst(o Options, study, variant string, fleetN, invocations int, kill bool) ([]AblationRow, error) {
-	r, err := newFleetRig(o, fleetN)
+func fleetBurst(study, variant string, fleetN, invocations int, kill bool) ([]AblationRow, error) {
+	r, err := newFleetRig(fleetN)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@ import "testing"
 
 func TestAblationHotPath(t *testing.T) {
 	const invocations = 3
-	res, err := AblationHotPath(fastOpts(), 256, invocations)
+	res, err := AblationHotPath(Options{}, 256, invocations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestAblationHotPath(t *testing.T) {
 }
 
 func TestAblationHotPathUnknownVariant(t *testing.T) {
-	if _, err := AblationHotPath(fastOpts(), 64, 1, "nope"); err == nil {
+	if _, err := AblationHotPath(Options{}, 64, 1, "nope"); err == nil {
 		t.Fatal("unknown variant accepted")
 	}
 }

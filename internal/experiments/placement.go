@@ -47,10 +47,6 @@ func AblationPlacement(opts Options, invocations int, sizesKB []int, variants ..
 	if err != nil {
 		return nil, err
 	}
-	// Like the stage ablation: the chunked data plane plus per-site
-	// probes make many more round-trips than a stock PUT, so cap the
-	// dilation or their real scheduling cost would bias the makespan.
-	opts.capScale()
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("%d simultaneous invocations of one executable; chunked staging + coalescing on, staging cache off for every variant", invocations),
 		"one priming invocation stages the payload at a single site — steered away from the load broker's idle-grid favourite, so possession and load order disagree when the burst arrives",

@@ -4,7 +4,7 @@ import "testing"
 
 func TestAblationPlacementShape(t *testing.T) {
 	const n = 8
-	res, err := AblationPlacement(fastOpts(), n, []int{768})
+	res, err := AblationPlacement(Options{}, n, []int{768})
 	if err != nil {
 		t.Fatal(err)
 	}

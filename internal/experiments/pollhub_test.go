@@ -4,7 +4,7 @@ import "testing"
 
 func TestAblationPollHub(t *testing.T) {
 	const n = 12
-	res, err := AblationPollHub(fastOpts(), n)
+	res, err := AblationPollHub(Options{}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestAblationPollHub(t *testing.T) {
 }
 
 func TestAblationPollHubUnknownVariant(t *testing.T) {
-	if _, err := AblationPollHub(fastOpts(), 1, "nope"); err == nil {
+	if _, err := AblationPollHub(Options{}, 1, "nope"); err == nil {
 		t.Fatal("unknown variant accepted")
 	}
 }

@@ -3,11 +3,15 @@
 // with a ~5 MB file), Figure 8 (upload and Web-service generation), the
 // scalability discussion of §VIII-D, and the many-small-jobs observation
 // of §VIII-B. Each experiment boots the full stack — simulated TeraGrid,
-// appliance, portal, SOAP container — over loopback TCP with a
-// time-dilated clock, shapes the appliance's grid path to the paper's
-// WAN (~85 KB/s) and its user path to the paper's LAN (1000 Mbit/s), and
-// samples the appliance host's CPU, disk, and network at 3-second
-// virtual intervals exactly as the paper did.
+// appliance, portal, SOAP container — over in-process pipes (a
+// netsim.Net) on a discrete-event clock (vtime.Auto), shapes the
+// appliance's grid path to the paper's WAN (~85 KB/s) and its user path
+// to the paper's LAN (1000 Mbit/s), and samples the appliance host's
+// CPU, disk, and network at 3-second virtual intervals exactly as the
+// paper did. Virtual time moves only by modelled cost — link pacing, the
+// metrics cost model, job runtimes, poll intervals — so a figure reads
+// the same on any host, with or without the race detector. The fleet
+// rig alone still runs over loopback TCP on a 40x dilated clock.
 //
 // Every study is written in one vocabulary: a rig (newRig, newFleetRig),
 // the two doors into it (service: the generated SOAP service the figures
@@ -17,9 +21,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"reflect"
 	"sort"
@@ -46,9 +48,6 @@ const (
 
 // Options tunes an experiment run.
 type Options struct {
-	// Scale is the time dilation factor; default 200 (one real second
-	// covers 200 virtual seconds).
-	Scale float64
 	// Appliance is the configuration under test: the paper profile (the
 	// zero value) plus whatever knobs the experiment flips. newRig
 	// completes it with the rig's own wiring — Endpoints, Clock, Probe,
@@ -61,26 +60,13 @@ type Options struct {
 	Tracing bool
 }
 
-// clock is the dilated clock a rig runs on.
-func (o Options) clock() *vtime.Scaled { return vtime.NewScaled(orDefault(o.Scale, 200)) }
-
 // orDefault is v, or def when v is not positive: how every study reads
 // a size its caller left at zero.
-func orDefault[T int | float64](v, def T) T {
+func orDefault(v, def int) int {
 	if v <= 0 {
 		return def
 	}
 	return v
-}
-
-// capScale holds the dilation at 40x for the studies that make many
-// round-trips or fire wide bursts: at the default 200x their real
-// scheduling cost inflates into whole virtual seconds and biases the
-// comparison.
-func (o *Options) capScale() {
-	if o.Scale <= 0 || o.Scale > 40 {
-		o.Scale = 40
-	}
 }
 
 // Result is one experiment's outcome.
@@ -132,9 +118,9 @@ func renderNotes(notes []string) string {
 
 // bootGrid starts the simulated grid every rig runs against: a compact
 // two-site grid (the studies measure the appliance tier, not grid
-// queueing) with the user alice. profile shapes what the grid servers
-// send back; nil leaves it unshaped.
-func bootGrid(clk vtime.Clock, profile *netsim.Profile, col *trace.Collector) (*gridenv.Env, error) {
+// queueing) with the user alice, on pipes (nil: loopback TCP). profile
+// shapes what the grid servers send back; nil leaves it unshaped.
+func bootGrid(clk vtime.Clock, pipes *netsim.Net, profile *netsim.Profile, col *trace.Collector) (*gridenv.Env, error) {
 	env, err := gridenv.Start(gridenv.Options{
 		Clock: clk,
 		// In name order: the load broker's idle-grid tie-break favours the
@@ -145,14 +131,11 @@ func bootGrid(clk vtime.Clock, profile *netsim.Profile, col *trace.Collector) (*
 		},
 		Profile: profile,
 		Trace:   col,
+		Net:     pipes,
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Time dilation shrinks the default event-stream heartbeat to a few
-	// real milliseconds; one virtual minute keeps the client's liveness
-	// budget well clear of real scheduler jitter.
-	env.Gatekeeper.SetHeartbeatInterval(time.Minute)
 	if _, err := env.AddUser("alice", "pw", 0); err != nil {
 		env.Close()
 		return nil, err
@@ -163,27 +146,24 @@ func bootGrid(clk vtime.Clock, profile *netsim.Profile, col *trace.Collector) (*
 // aliceAuth is how an appliance reaches the grid on alice's behalf.
 var aliceAuth = core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"}
 
-// wanDial dials across the shaped WAN, accounting bytes to probe when it
-// is non-nil.
-func wanDial(wan *netsim.Profile, probe *metrics.Probe) func(ctx context.Context, network, addr string) (net.Conn, error) {
-	return (&netsim.Dialer{Profile: wan, Probe: probe}).DialContext
-}
-
 // rig is the booted single-appliance measurement stack.
 type rig struct {
-	clock *vtime.Scaled
+	clock *vtime.Auto
 	rec   *metrics.Recorder
 	probe *metrics.Probe
 	env   *gridenv.Env
 	app   *appliance.Appliance
-	wan   *netsim.Profile
+	// uplink dials across the shaped WAN, as the appliance does.
+	uplink *netsim.Dialer
 	// userHTTP reaches the appliance over the shaped LAN.
 	userHTTP *http.Client
 }
 
-// newRig boots the grid and appliance with the paper's link profiles.
+// newRig boots the grid and appliance with the paper's link profiles, on
+// one event clock and one in-process network.
 func newRig(opts Options) (*rig, error) {
-	clk := opts.clock()
+	clk := vtime.NewAuto()
+	pipes := netsim.NewNet()
 	rec := metrics.NewRecorder(clk, sampleInterval)
 	probe := metrics.NewProbe(rec)
 	wan := netsim.WAN(clk)
@@ -193,8 +173,14 @@ func newRig(opts Options) (*rig, error) {
 		col = trace.NewCollector(0, 0)
 	}
 	// Grid servers answer the appliance across the WAN.
-	env, err := bootGrid(clk, wan, col)
+	env, err := bootGrid(clk, pipes, wan, col)
 	if err != nil {
+		clk.Stop()
+		return nil, err
+	}
+	fail := func(err error) (*rig, error) {
+		env.Close()
+		clk.Stop()
 		return nil, err
 	}
 
@@ -205,33 +191,28 @@ func newRig(opts Options) (*rig, error) {
 	if cfg.Cost == (metrics.Cost{}) {
 		cfg.Cost = metrics.DefaultCost()
 	}
-	cfg.GridDial = wanDial(wan, probe)
+	uplink := &netsim.Dialer{Profile: wan, Probe: probe, Net: pipes}
+	cfg.GridDial = uplink.DialContext
 	cfg.InvocationTimeout = time.Hour
 	cfg.Trace = col
 	img, err := appliance.BuildImage(cfg)
 	if err != nil {
-		env.Close()
-		return nil, err
+		return fail(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	app, err := img.Boot(netsim.NewListener(pipes.Listen(), lan, probe))
 	if err != nil {
-		env.Close()
-		return nil, err
-	}
-	app, err := img.Boot(netsim.NewListener(ln, lan, probe))
-	if err != nil {
-		env.Close()
-		return nil, err
+		return fail(err)
 	}
 	app.OnServe.RegisterUser("alice", aliceAuth)
 
-	userHTTP := &http.Client{Transport: hop.NewTransport((&netsim.Dialer{Profile: lan}).DialContext)}
-	return &rig{clock: clk, rec: rec, probe: probe, env: env, app: app, wan: wan, userHTTP: userHTTP}, nil
+	userHTTP := &http.Client{Transport: hop.NewTransport((&netsim.Dialer{Profile: lan, Net: pipes}).DialContext)}
+	return &rig{clock: clk, rec: rec, probe: probe, env: env, app: app, uplink: uplink, userHTTP: userHTTP}, nil
 }
 
 func (r *rig) close() {
 	r.app.Shutdown()
 	r.env.Close()
+	r.clock.Stop()
 }
 
 // measurement is what rig.measure observed while its function ran.

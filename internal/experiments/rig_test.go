@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -98,5 +100,39 @@ func TestVariantTablePick(t *testing.T) {
 		if len(pair[0]) == 0 || fmt.Sprint(pair[0]) != fmt.Sprint(pair[1]) {
 			t.Errorf("%s: exported %v, table %v", name, pair[0], pair[1])
 		}
+	}
+}
+
+// TestRigRunsOnPipes: every endpoint the rig hands out — grid, MyProxy,
+// appliance — is a listener on its in-process network, so the rig opens
+// no socket.
+func TestRigRunsOnPipes(t *testing.T) {
+	r, err := newRig(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	eps := r.env.Endpoints()
+	urls := []string{eps.GramURL, r.app.BaseURL}
+	for _, u := range eps.FTPURLs {
+		urls = append(urls, u)
+	}
+	addrs := []string{eps.MyProxyAddr}
+	for _, u := range urls {
+		parsed, err := url.Parse(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, parsed.Host)
+	}
+	for _, addr := range addrs {
+		c, err := r.uplink.Net.DialContext(context.Background(), "tcp", addr)
+		if err != nil {
+			t.Fatalf("endpoint %s is not on the rig's pipes: %v", addr, err)
+		}
+		if c.RemoteAddr().Network() != "pipe" {
+			t.Fatalf("endpoint %s answers on %s", addr, c.RemoteAddr().Network())
+		}
+		c.Close()
 	}
 }

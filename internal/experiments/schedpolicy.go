@@ -41,8 +41,7 @@ func (r *SchedulerResult) Render() string {
 // disciplines. The production-grid substrate is a real system in its own
 // right; this ablation documents the fairness/throughput trade of the
 // backfill choice DESIGN.md calls out.
-func SchedulerPolicies(scale float64) (*SchedulerResult, error) {
-	scale = orDefault(scale, 2000)
+func SchedulerPolicies() (*SchedulerResult, error) {
 	res := &SchedulerResult{Notes: []string{
 		"workload: 6 wide jobs (8 cpus, 20s) interleaved with 24 narrow jobs (1 cpu, 5s) on 16 slots",
 		"aggressive: narrow jobs overtake freely; wide jobs wait longest",
@@ -52,7 +51,7 @@ func SchedulerPolicies(scale float64) (*SchedulerResult, error) {
 	for _, policy := range []gridsim.Policy{
 		gridsim.PolicyAggressive, gridsim.PolicyFCFS, gridsim.PolicyConservative,
 	} {
-		row, err := runPolicyWorkload(policy, scale)
+		row, err := runPolicyWorkload(policy)
 		if err != nil {
 			return nil, err
 		}
@@ -61,14 +60,9 @@ func SchedulerPolicies(scale float64) (*SchedulerResult, error) {
 	return res, nil
 }
 
-// policySlack is the least walltime headroom a healthy job of the
-// workload has: a narrow job computes 5 s under an 8 s limit. At dilation
-// d that is policySlack/d of host time in which the site must see the job
-// finish, so it bounds the dilation a caller can ask for on a loaded host.
-const policySlack = 3 * time.Second
-
-func runPolicyWorkload(policy gridsim.Policy, scale float64) (*SchedulerRow, error) {
-	clk := vtime.NewScaled(scale)
+func runPolicyWorkload(policy gridsim.Policy) (*SchedulerRow, error) {
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	site := gridsim.NewSite(gridsim.SiteConfig{
 		Name: "abl", Nodes: 2, CoresPerNode: 8, Policy: policy,
 	}, clk)
@@ -93,7 +87,7 @@ func runPolicyWorkload(policy gridsim.Policy, scale float64) (*SchedulerRow, err
 		wide = append(wide, j)
 		for n := 0; n < 4; n++ {
 			j, err := site.Submit(jsdl.Description{
-				Owner: owner, Executable: "narrow.gsh", CPUs: 1, WallTime: 5*time.Second + policySlack,
+				Owner: owner, Executable: "narrow.gsh", CPUs: 1, WallTime: 8 * time.Second,
 			})
 			if err != nil {
 				return nil, err

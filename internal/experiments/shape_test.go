@@ -6,14 +6,11 @@ import (
 )
 
 // Reduced shape tests for the studies that had none. Each judges counts
-// and byte totals (deterministic), never makespans, runs in a few real
-// seconds and is skipped under -short.
+// and byte totals, never makespans, and runs in a few real seconds; the
+// fleet and blobdb ones are skipped under -short.
 
 func TestAblationStageShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots four rigs")
-	}
-	res, err := AblationStage(fastOpts(), 256)
+	res, err := AblationStage(Options{}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +56,7 @@ func TestAblationStageShape(t *testing.T) {
 }
 
 func TestAblationStageUnknownVariant(t *testing.T) {
-	if _, err := AblationStage(fastOpts(), 64, "nope"); err == nil {
+	if _, err := AblationStage(Options{}, 64, "nope"); err == nil {
 		t.Fatal("unknown variant accepted")
 	}
 }
@@ -69,7 +66,7 @@ func TestAblationFleetShape(t *testing.T) {
 		t.Skip("boots seven appliances")
 	}
 	const burst = 8
-	res, err := AblationFleet(fastOpts(), []int{1, 2}, burst)
+	res, err := AblationFleet([]int{1, 2}, burst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +93,7 @@ func TestAblationFleetShape(t *testing.T) {
 		t.Fatalf("fleet-4 kill-1 completed %v of %d", got, burst)
 	}
 	// ... and the same at fleet 2, where the survivor inherits everything.
-	rows, err := fleetBurst(fastOpts(), "fleet-2", "kill-1", 2, burst, true)
+	rows, err := fleetBurst("fleet-2", "kill-1", 2, burst, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +107,7 @@ func TestAblationFleetShape(t *testing.T) {
 }
 
 func TestTraceBreakdownShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots four rigs")
-	}
-	res, err := TraceBreakdown(fastOpts(), 256<<10)
+	res, err := TraceBreakdown(Options{}, 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

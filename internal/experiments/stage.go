@@ -85,9 +85,6 @@ func AblationStage(opts Options, fileKB int, variants ...string) (*AblationResul
 	if err != nil {
 		return nil, err
 	}
-	// Wall-clock here is the measurement, and the chunked variants make
-	// an order of magnitude more round-trips than the stock PUT.
-	opts.capScale()
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("one %d KB executable staged across the ~85 KB/s WAN; chunk size %d KB", fileKB, stageChunkBytes>>10),
 		"stage_s = cold invocation minus warm invocation (staging cache serves the warm one), so auth/submit/poll overhead subtracts out",
@@ -278,7 +275,7 @@ func stageResume(opts Options, res *AblationResult, size int) error {
 	}
 	defer r.close()
 	ftpURL := r.env.FTPURLs[r.env.Grid.SiteNames()[0]]
-	dial := wanDial(r.wan, r.probe)
+	dial := r.uplink.DialContext
 	cred, err := (&myproxy.Client{Addr: r.env.MyProxyAddr, Dial: dial}).Get("alice", "pw", time.Hour)
 	if err != nil {
 		return err

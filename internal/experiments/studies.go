@@ -68,7 +68,7 @@ var Studies = []Study{
 			func() (rendered, error) { return AblationStagingCache(p.Options, 768, 3) },
 			func() (rendered, error) { return AblationPolling(p.Options, nil) },
 			func() (rendered, error) { return AblationCompression(p.Options, 4096) },
-			func() (rendered, error) { return SchedulerPolicies(p.Options.Scale) },
+			func() (rendered, error) { return SchedulerPolicies() },
 		} {
 			res, err := run()
 			if err != nil {
@@ -110,7 +110,7 @@ var Studies = []Study{
 		return TraceBreakdown(p.Options, 0)
 	}},
 	{"fleet", "run the consistent-hash fleet scale-out ablation (1/4/16 appliances + kill-one failover)", "fleet.json", func(p Params) (rendered, error) {
-		return AblationFleet(p.Options, nil, 64)
+		return AblationFleet(nil, 64)
 	}},
 	{"tenancy", "run the multi-tenant noisy-neighbor ablation (hog burst vs victim p99, off/on)", "tenancy.json", func(p Params) (rendered, error) {
 		return AblationTenancy(p.Options, p.TenancyBurst)

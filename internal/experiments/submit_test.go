@@ -4,7 +4,7 @@ import "testing"
 
 func TestAblationSubmitShape(t *testing.T) {
 	const n = 12
-	res, err := AblationSubmit(fastOpts(), n)
+	res, err := AblationSubmit(Options{}, n)
 	if err != nil {
 		t.Fatal(err)
 	}

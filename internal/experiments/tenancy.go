@@ -61,9 +61,6 @@ func tenancyConfig() *tenant.Config {
 // once, and each record's trace ID resolves to its tenant.admit span.
 func AblationTenancy(opts Options, burst int) (*AblationResult, error) {
 	burst = orDefault(burst, tenancyBurst)
-	// The burst multiplies every real-scheduling cost; cap the dilation
-	// like the other burst ablations do.
-	opts.capScale()
 	res := &AblationResult{Notes: []string{
 		fmt.Sprintf("hog fires %d concurrent invocations while the victim issues %d paced probes of its own service", burst, tenancyProbes),
 		fmt.Sprintf("fair-share bound = %.0fx the victim's solo p50, measured per variant before the burst", tenancySlack),

@@ -7,7 +7,7 @@ func TestAblationTenancyShape(t *testing.T) {
 	// (8 in-flight + 64 queued for the hog) still saturates, so both the
 	// shed path and the fair-share bound are exercised.
 	const burst = 96
-	res, err := AblationTenancy(fastOpts(), burst)
+	res, err := AblationTenancy(Options{}, burst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package gridenv assembles a complete simulated production Grid on
-// loopback TCP: certificate authority, MyProxy credential repository,
-// GRAM gatekeeper, and one GridFTP server per site. Tests, examples and
-// the figure experiments all build their TeraGrid stand-in through this
-// package instead of wiring a dozen servers by hand.
+// loopback TCP or an in-process netsim.Net: certificate authority,
+// MyProxy credential repository, GRAM gatekeeper, and one GridFTP server
+// per site. Tests, examples and the figure experiments all build their
+// TeraGrid stand-in through this package instead of wiring a dozen
+// servers by hand.
 package gridenv
 
 import (
@@ -41,6 +42,9 @@ type Options struct {
 	// collector to the appliance so one invocation assembles into a
 	// single cross-service tree.
 	Trace *trace.Collector
+	// Net, when non-nil, is the in-process network every server listens
+	// on and every grid-side client dials; nil means loopback TCP.
+	Net *netsim.Net
 }
 
 // Env is a running grid environment. Close shuts every listener down.
@@ -58,6 +62,7 @@ type Env struct {
 	MyProxyAddr string
 	FTPURLs     map[string]string
 
+	net        *netsim.Net
 	myproxySrv *myproxy.Server
 	httpSrvs   []*http.Server
 	listeners  []net.Listener
@@ -95,11 +100,14 @@ func Start(opts Options) (*Env, error) {
 		Trust:   trust,
 		Grid:    grid,
 		FTPURLs: make(map[string]string),
+		net:     opts.Net,
 	}
 
 	listen := func() (net.Listener, error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+		var ln net.Listener
+		if opts.Net != nil {
+			ln = opts.Net.Listen()
+		} else if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
 			env.Close()
 			return nil, err
 		}
@@ -137,8 +145,11 @@ func Start(opts Options) (*Env, error) {
 	// grid traffic, so the servers' outbound fetches dial through the
 	// profile too.
 	var fetch http.RoundTripper
-	if opts.Profile != nil {
-		fetch = hop.NewTransport((&netsim.Dialer{Profile: opts.Profile}).DialContext)
+	switch {
+	case opts.Profile != nil:
+		fetch = hop.NewTransport((&netsim.Dialer{Profile: opts.Profile, Net: opts.Net}).DialContext)
+	case opts.Net != nil:
+		fetch = hop.NewTransport(opts.Net.DialContext)
 	}
 	for _, name := range grid.SiteNames() {
 		site, err := grid.Site(name)
@@ -190,6 +201,9 @@ func (e *Env) AddUser(cn, passphrase string, validity time.Duration) (*xsec.Cred
 		return nil, err
 	}
 	mp := &myproxy.Client{Addr: e.MyProxyAddr}
+	if e.net != nil {
+		mp.Dial = e.net.DialContext
+	}
 	if err := mp.Put(cn, passphrase, cred); err != nil {
 		return nil, fmt.Errorf("gridenv: store credential: %w", err)
 	}

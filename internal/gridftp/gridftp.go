@@ -117,7 +117,7 @@ func (s *Server) authenticate(r *http.Request, msg []byte) (string, error) {
 	return id, nil
 }
 
-// ServeHTTP handles /ftp/<name> plus /ftp-list and /ftp-fetch.
+// ServeHTTP handles /ftp/<name> plus /ftp-fetch and the chunk routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
 		s.serve(w, r)
@@ -152,8 +152,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // opName maps a request to its span name.
 func opName(r *http.Request) string {
 	switch {
-	case r.URL.Path == "/ftp-list":
-		return "ftp.list"
 	case r.URL.Path == "/ftp-fetch":
 		return "ftp.fetch"
 	case r.URL.Path == "/ftp/chunks/have":
@@ -195,10 +193,6 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/ftp-list" && r.Method == http.MethodGet {
-		s.list(w, r)
-		return
-	}
 	if r.URL.Path == "/ftp-fetch" && r.Method == http.MethodPost {
 		s.fetch(w, r)
 		return
@@ -376,16 +370,6 @@ func (s *Server) fetch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusCreated)
 }
 
-func (s *Server) list(w http.ResponseWriter, r *http.Request) {
-	id, err := s.authenticate(r, signPayload(http.MethodGet, "/ftp-list", ""))
-	if err != nil {
-		httpError(w, http.StatusForbidden, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.store.List(id))
-}
-
 func httpError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -417,7 +401,7 @@ func (c *Client) sign(method, name, checksum string) (string, error) {
 // call is one signed request. The token is signed over the payload of
 // (op, name, checksum); header, when set, is one more header and its
 // value; a zero limit means a reply that carries no file: a status, a
-// checksum header, a list of names or of missing digests.
+// checksum header, a list of missing digests.
 type call struct {
 	method, target     string
 	op, name, checksum string
@@ -552,22 +536,6 @@ func (c *Client) FetchFrom(sourceURL, name string) (string, error) {
 		return "", replyError(reply)
 	}
 	return reply.Header.Get(ChecksumHeader), nil
-}
-
-// List returns the caller's staged file names.
-func (c *Client) List() ([]string, error) {
-	reply, err := c.do(call{method: http.MethodGet, target: "/ftp-list", op: http.MethodGet, name: "/ftp-list"})
-	if err != nil {
-		return nil, fmt.Errorf("gridftp: list: %w", err)
-	}
-	if reply.Status != http.StatusOK {
-		return nil, replyError(reply)
-	}
-	var names []string
-	if err := json.Unmarshal(reply.Body, &names); err != nil {
-		return nil, err
-	}
-	return names, nil
 }
 
 func filePath(name string) string { return "/ftp/" + url.PathEscape(name) }

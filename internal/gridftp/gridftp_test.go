@@ -75,16 +75,11 @@ func TestFilesAreOwnerScoped(t *testing.T) {
 	if _, err := f.bob.Get("secret.gsh"); !errors.Is(err, ErrNoFile) {
 		t.Fatalf("got %v", err)
 	}
-	names, err := f.bob.List()
-	if err != nil {
-		t.Fatal(err)
+	if names := f.store.List(xsec.Identity(f.bob.Cred.Chain)); len(names) != 0 {
+		t.Fatalf("bob owns %v", names)
 	}
-	if len(names) != 0 {
-		t.Fatalf("bob sees %v", names)
-	}
-	names, _ = f.alice.List()
-	if len(names) != 1 || names[0] != "secret.gsh" {
-		t.Fatalf("alice sees %v", names)
+	if names := f.store.List(xsec.Identity(f.alice.Cred.Chain)); len(names) != 1 || names[0] != "secret.gsh" {
+		t.Fatalf("alice owns %v", names)
 	}
 }
 

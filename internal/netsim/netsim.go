@@ -1,9 +1,10 @@
-// Package netsim shapes real network connections to a modelled bandwidth
-// and latency on a virtual clock. The full protocol stack (SOAP, GRAM,
-// GridFTP, MyProxy) runs over genuine loopback TCP sockets; this package
-// only paces writes and accounts bytes, so transfer durations match the
-// modelled link (e.g. the paper's ~85 KB/s WAN path to the TeraGrid node)
-// while payloads stay byte-for-byte real.
+// Package netsim shapes network connections to a modelled bandwidth and
+// latency on a virtual clock. The full protocol stack (SOAP, GRAM,
+// GridFTP, MyProxy) runs over genuine connections — loopback TCP, or the
+// in-process pipes of a Net, which the experiments use — and this
+// package only paces writes and accounts bytes, so transfer durations
+// match the modelled link (e.g. the paper's ~85 KB/s WAN path to the
+// TeraGrid node) while payloads stay byte-for-byte real.
 package netsim
 
 import (
@@ -25,6 +26,8 @@ type Link struct {
 	bps   float64
 
 	mu       sync.Mutex
+	anchor   time.Time // where the current busy period began
+	sent     float64   // bytes taken since anchor
 	nextFree time.Time
 }
 
@@ -32,14 +35,6 @@ type Link struct {
 // A non-positive bps means unshaped (infinite bandwidth).
 func NewLink(clock vtime.Clock, bps float64) *Link {
 	return &Link{clock: clock, bps: bps}
-}
-
-// Bps reports the configured bandwidth (0 = unshaped).
-func (l *Link) Bps() float64 {
-	if l == nil {
-		return 0
-	}
-	return l.bps
 }
 
 // take blocks until n bytes may enter the link, returning the virtual
@@ -59,7 +54,6 @@ func (l *Link) take(n int) time.Time {
 	if l.bps <= 0 || n <= 0 {
 		return now
 	}
-	d := time.Duration(float64(n) / l.bps * float64(time.Second))
 	ms := minSleep(l.clock)
 	window := 4 * ms
 	if window < 50*time.Millisecond {
@@ -71,9 +65,12 @@ func (l *Link) take(n int) time.Time {
 	// the schedule anchored to nextFree lets the next chunk claim the
 	// missed model time, so the long-run rate is exactly bps.
 	if now.Sub(l.nextFree) > window {
-		l.nextFree = now
+		l.anchor, l.sent = now, 0
 	}
-	l.nextFree = l.nextFree.Add(d)
+	// Timed from the anchor rather than chunk by chunk, so no rounding
+	// accumulates over a long transfer.
+	l.sent += float64(n)
+	l.nextFree = l.anchor.Add(time.Duration(l.sent / l.bps * float64(time.Second)))
 	clear := l.nextFree
 	l.mu.Unlock()
 	if wait := clear.Sub(now); wait >= ms {
@@ -214,13 +211,18 @@ func (l *Listener) Accept() (net.Conn, error) {
 type Dialer struct {
 	Profile *Profile
 	Probe   *metrics.Probe
+	// Net, when non-nil, is the in-process network dialed; nil dials TCP.
+	Net *Net
 }
 
-// DialContext dials TCP and wraps the connection. It is the dial
+// DialContext dials and wraps the connection. It is the dial
 // hop.NewTransport, myproxy.Client and appliance.Config.GridDial take.
 func (d *Dialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
-	var nd net.Dialer
-	c, err := nd.DialContext(ctx, network, addr)
+	dial := (&net.Dialer{}).DialContext
+	if d.Net != nil {
+		dial = d.Net.DialContext
+	}
+	c, err := dial(ctx, network, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -53,16 +53,9 @@ func TestLinkSerialisesConcurrentSenders(t *testing.T) {
 	}
 }
 
-func TestNilLinkBps(t *testing.T) {
-	var l *Link
-	if l.Bps() != 0 {
-		t.Fatal("nil link should report 0 bps")
-	}
-}
-
-// TestNilLinkConn: a Conn wrapped with no link is unshaped, as Bps says a
-// nil link is — bytes go through both ways, and each direction is accounted
-// at the clock's now, not at some instant a missing link made up.
+// TestNilLinkConn: a Conn wrapped with no link is unshaped — bytes go
+// through both ways, and each direction is accounted at the clock's now,
+// not at some instant a missing link made up.
 func TestNilLinkConn(t *testing.T) {
 	clk := vtime.NewManual(time.Unix(0, 0))
 	rec := metrics.NewRecorder(clk, 3*time.Second)
@@ -152,36 +145,53 @@ func TestConnAccountsTraffic(t *testing.T) {
 	}
 }
 
+// TestTransferDurationMatchesModel: on the event clock a transfer takes
+// exactly its bytes over the link's rate, whatever the host did meanwhile.
 func TestTransferDurationMatchesModel(t *testing.T) {
-	clk := vtime.NewScaled(100)
-	c, s := pipeEnds(t)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	pipes := NewNet()
+	ln := pipes.Listen()
+	defer ln.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		if s, err := ln.Accept(); err == nil {
+			io.Copy(io.Discard, s)
+		}
+	}()
+	c, err := pipes.DialContext(context.Background(), "tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
 	link := NewLink(clk, 85<<10) // the paper's WAN rate
 	sc := Wrap(c, clk, link, nil)
-	size := 256 << 10 // 256 KB should take ~3 virtual seconds
+	size := 256 << 10 // 256 KB takes ~3 virtual seconds
 	start := clk.Now()
-	go func() { io.Copy(io.Discard, s) }()
 	if _, err := sc.Write(make([]byte, size)); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := clk.Now().Sub(start)
+	c.Close()
+	<-drained
 	want := time.Duration(float64(size) / float64(85<<10) * float64(time.Second))
-	if elapsed < want*8/10 || elapsed > want*15/10 {
-		t.Fatalf("transfer took %v virtual, want ~%v", elapsed, want)
+	if elapsed != want {
+		t.Fatalf("transfer took %v virtual, want exactly %v", elapsed, want)
 	}
 }
 
 func TestProfilesHaveExpectedRates(t *testing.T) {
 	clk := vtime.Real{}
 	wan := WAN(clk)
-	if wan.Up.Bps() != 85<<10 || wan.Down.Bps() != 85<<10 {
-		t.Fatalf("wan rates: up %v down %v", wan.Up.Bps(), wan.Down.Bps())
+	if wan.Up.bps != 85<<10 || wan.Down.bps != 85<<10 {
+		t.Fatalf("wan rates: up %v down %v", wan.Up.bps, wan.Down.bps)
 	}
 	lan := LAN(clk)
-	if lan.Up.Bps() != 125<<20 {
-		t.Fatalf("lan up rate %v", lan.Up.Bps())
+	if lan.Up.bps != 125<<20 {
+		t.Fatalf("lan up rate %v", lan.Up.bps)
 	}
 	un := Unshaped(clk)
-	if un.Up.Bps() != 0 || un.Latency != 0 {
+	if un.Up.bps != 0 || un.Latency != 0 {
 		t.Fatal("unshaped profile should carry no shaping")
 	}
 }
@@ -196,7 +206,9 @@ func TestListenerWrapsAccepted(t *testing.T) {
 	}
 	ln := NewListener(base, Unshaped(clk), probe)
 	defer ln.Close()
+	copied := make(chan struct{})
 	go func() {
+		defer close(copied)
 		c, err := ln.Accept()
 		if err != nil {
 			return
@@ -210,12 +222,9 @@ func TestListenerWrapsAccepted(t *testing.T) {
 	}
 	c.Write(make([]byte, 5000))
 	c.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for rec.Total(metrics.NetIn) < 5000 {
-		if time.Now().After(deadline) {
-			t.Fatalf("listener-side accounting saw %v bytes", rec.Total(metrics.NetIn))
-		}
-		time.Sleep(5 * time.Millisecond)
+	<-copied
+	if got := rec.Total(metrics.NetIn); got != 5000 {
+		t.Fatalf("listener-side accounting saw %v bytes", got)
 	}
 }
 

@@ -1,16 +1,21 @@
 // Package vtime provides clock abstractions used throughout the
-// reproduction: a real clock, a scaled clock that dilates time so that
-// experiments which took minutes on the paper's testbed finish in well
-// under a second, and a manually stepped clock for deterministic tests.
+// reproduction: a real clock, a scaled clock that dilates time, a
+// manually stepped clock for deterministic tests, and an event clock
+// that steps itself.
 //
 // All components that wait, time out, or timestamp events take a Clock
-// instead of calling the time package directly. Running the full protocol
-// stack under a ScaledClock keeps every byte count and event ordering real
-// while compressing wall-clock duration; this is how the figure
-// experiments reproduce 60-second transfers in milliseconds.
+// instead of calling the time package directly. The experiments run the
+// full protocol stack on an Auto clock: virtual time stands still while
+// any goroutine can run and jumps to the next deadline once none can, as
+// in a discrete-event simulator. A 60-second transfer then takes as much
+// host time as its bytes cost to move, and no host — however slow, with
+// or without the race detector — can stretch or shrink a modelled
+// duration.
 package vtime
 
 import (
+	"bytes"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -80,9 +85,6 @@ func NewScaled(scale float64) *Scaled {
 		start: time.Now(),
 	}
 }
-
-// Scale reports the dilation factor.
-func (c *Scaled) Scale() float64 { return c.scale }
 
 // MinSleep reports the shortest virtual sleep this clock honours with
 // reasonable accuracy. The OS sleeps reliably down to about a
@@ -217,4 +219,142 @@ func (c *Manual) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.waiters)
+}
+
+// Auto is a Manual clock that advances itself. Whenever no goroutine in
+// the process can run, it jumps to the earliest pending deadline and
+// releases everything due there at once; while any goroutine runs,
+// virtual time stands still. So virtual time moves only by the durations
+// the program sleeps, and host CPU spent between sleeps costs none of it.
+//
+// A goroutine blocked on a channel, a select, a lock, a condition, a
+// WaitGroup or an in-process pipe (netsim.Net) is parked; one running,
+// runnable, in a system call or waiting on the garbage collector holds
+// the clock. Real-time waits — a time.Sleep, a socket — count as parked,
+// so virtual time may pass while one is outstanding. AfterFunc calls f on
+// a goroutine of its own, as time.AfterFunc does.
+type Auto struct {
+	Manual
+	stop, done chan struct{}
+}
+
+// NewAuto returns a running Auto clock at the Unix epoch, where Scaled's
+// timelines start too. Stop it when done with it.
+func NewAuto() *Auto {
+	c := &Auto{
+		Manual: Manual{now: time.Unix(0, 0).UTC()},
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	go c.run()
+	return c
+}
+
+// AfterFunc implements Clock: f runs on its own goroutine once the clock
+// reaches now+d.
+func (c *Auto) AfterFunc(d time.Duration, f func()) Timer {
+	return c.Manual.AfterFunc(d, func() { go f() })
+}
+
+// MinSleep reports the shortest sleep pacing code should take on this
+// clock: every sleep costs the clock a look at each goroutine, so a link
+// carries a shorter wait as debt into its next one.
+func (c *Auto) MinSleep() time.Duration { return time.Millisecond }
+
+// Stop ends the clock's stepping and returns once its goroutine has
+// exited. While the process stays parked the clock may first release
+// waiters already due; a sleeper left after that waits for ever.
+func (c *Auto) Stop() {
+	close(c.stop)
+	<-c.done
+}
+
+// run steps the clock to its earliest deadline whenever something waits
+// on it and the process is parked. Between looks that find nothing to do
+// it backs off, from 10 µs to 1 ms of real time.
+func (c *Auto) run() {
+	defer close(c.done)
+	var look parkedLook
+	backoff := time.Duration(0)
+	for {
+		runtime.Gosched()
+		if c.Pending() > 0 && look.parked() {
+			c.step()
+			backoff = 0
+			continue
+		}
+		backoff = min(max(2*backoff, 10*time.Microsecond), time.Millisecond)
+		select {
+		case <-time.After(backoff):
+		case <-c.stop:
+			return
+		}
+	}
+}
+
+// step advances the clock to its earliest deadline, if it still has one.
+func (c *Auto) step() {
+	c.mu.Lock()
+	if len(c.waiters) == 0 {
+		c.mu.Unlock()
+		return
+	}
+	next := slices.MinFunc(c.waiters, func(a, b *waiter) int { return a.deadline.Compare(b.deadline) })
+	d := next.deadline.Sub(c.now)
+	c.mu.Unlock()
+	c.Advance(d)
+}
+
+// parkedLook reads the goroutines, keeping its buffers between looks.
+type parkedLook struct {
+	recs []runtime.StackRecord
+	dump []byte
+}
+
+// parked reports whether every goroutine but the caller is parked. The
+// goroutine profile is the cheap first look: a goroutine whose stack does
+// not start in runtime.gopark holds the clock. One readied but not yet
+// run still starts there, so the runtime's stack dump, which prints each
+// goroutine's state, has the last word.
+func (l *parkedLook) parked() bool {
+	n, ok := runtime.GoroutineProfile(l.recs)
+	for !ok {
+		l.recs = make([]runtime.StackRecord, n+n/4+16)
+		n, ok = runtime.GoroutineProfile(l.recs)
+	}
+	running := 0
+	for _, r := range l.recs[:n] {
+		if st := r.Stack(); len(st) == 0 || runtime.FuncForPC(st[0]-1).Name() != "runtime.gopark" {
+			if running++; running > 1 { // the caller is one
+				return false
+			}
+		}
+	}
+	if len(l.dump) == 0 {
+		l.dump = make([]byte, 64<<10)
+	}
+	for n = runtime.Stack(l.dump, true); n == len(l.dump); n = runtime.Stack(l.dump, true) {
+		l.dump = make([]byte, 2*len(l.dump))
+	}
+	// Each goroutine's header reads "goroutine 7 [chan receive, 2 minutes]:",
+	// the caller's first.
+	for i, header := range bytes.Split(l.dump[:n], []byte("\n\ngoroutine ")) {
+		_, state, _ := bytes.Cut(header, []byte(" ["))
+		state, _, _ = bytes.Cut(state, []byte("]"))
+		state, _, _ = bytes.Cut(state, []byte(","))
+		if i > 0 && !waitStates[string(state)] {
+			return false
+		}
+	}
+	return true
+}
+
+// waitStates are the states the stack dump prints for a goroutine only
+// another goroutine, a timer or the network can wake.
+var waitStates = map[string]bool{
+	"chan receive": true, "chan send": true, "select": true,
+	"chan receive (nil chan)": true, "chan send (nil chan)": true, "select (no cases)": true,
+	"sync.Mutex.Lock": true, "sync.RWMutex.Lock": true, "sync.RWMutex.RLock": true,
+	"sync.Cond.Wait": true, "sync.WaitGroup.Wait": true, "semacquire": true,
+	"sleep": true, "IO wait": true,
 }

@@ -1,7 +1,9 @@
 package vtime
 
 import (
+	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,6 +165,8 @@ func TestManualManySleepersReleasedTogether(t *testing.T) {
 // was made reports false.
 func TestAfterFuncContract(t *testing.T) {
 	manual := NewManual(time.Unix(0, 0))
+	auto := NewAuto()
+	defer auto.Stop()
 	for _, tc := range []struct {
 		name  string
 		clock Clock
@@ -172,6 +176,7 @@ func TestAfterFuncContract(t *testing.T) {
 		{"real", Real{}, time.Millisecond, func(time.Duration) {}},
 		{"scaled", NewScaled(1000), time.Second, func(time.Duration) {}},
 		{"manual", manual, time.Second, manual.Advance},
+		{"auto", auto, time.Second, func(time.Duration) {}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var calls, stoppedCalls atomic.Int32
@@ -248,5 +253,104 @@ func TestScaledAfterLeavesNoGoroutine(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("1000 pending After calls: %d goroutines, %d before", after, before)
+	}
+}
+
+// TestAutoBusyGoroutineHoldsTheClock: while a goroutine burns real CPU the
+// clock stands still, and a sleeper beside it wakes after the burn at
+// exactly its deadline.
+func TestAutoBusyGoroutineHoldsTheClock(t *testing.T) {
+	c := NewAuto()
+	defer c.Stop()
+	start := c.Now()
+	var burned atomic.Bool
+	var burnEnd, woke time.Time
+	var wokeAfterBurn bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for t0 := time.Now(); time.Since(t0) < 100*time.Millisecond; {
+		}
+		burnEnd = c.Now()
+		burned.Store(true)
+	}()
+	go func() {
+		defer wg.Done()
+		c.Sleep(time.Second)
+		woke, wokeAfterBurn = c.Now(), burned.Load()
+	}()
+	wg.Wait()
+	if burnEnd != start {
+		t.Fatalf("100 ms of CPU moved the clock by %v", burnEnd.Sub(start))
+	}
+	if !wokeAfterBurn || woke != start.Add(time.Second) {
+		t.Fatalf("sleeper woke at +%v (after the burn: %v), want +1s after it", woke.Sub(start), wokeAfterBurn)
+	}
+}
+
+// TestAutoParkedGoroutinesDoNotHoldTheClock: goroutines blocked for good on
+// a channel, a lock and a pipe read leave the clock free to advance.
+func TestAutoParkedGoroutinesDoNotHoldTheClock(t *testing.T) {
+	c := NewAuto()
+	defer c.Stop()
+	never := make(chan struct{})
+	var mu sync.Mutex
+	mu.Lock()
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	var blocked sync.WaitGroup
+	blocked.Add(3)
+	go func() { blocked.Done(); <-never }()
+	go func() { blocked.Done(); mu.Lock(); mu.Unlock() }()
+	go func() { blocked.Done(); a.Read(make([]byte, 1)) }()
+	blocked.Wait()
+	start := c.Now()
+	c.Sleep(time.Minute)
+	if got := c.Now().Sub(start); got != time.Minute {
+		t.Fatalf("slept %v, want 1m", got)
+	}
+	close(never)
+	mu.Unlock()
+}
+
+// TestAutoEqualDeadlinesFireTogether: sleepers due at one instant are
+// released by one step, at that instant; a later one waits its turn.
+func TestAutoEqualDeadlinesFireTogether(t *testing.T) {
+	c := NewAuto()
+	defer c.Stop()
+	start := c.Now()
+	woke := make([]time.Duration, 3)
+	var wg sync.WaitGroup
+	for i, d := range []time.Duration{time.Second, time.Second, 2 * time.Second} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Sleep(d)
+			woke[i] = c.Now().Sub(start)
+		}()
+	}
+	wg.Wait()
+	if woke[0] != time.Second || woke[1] != time.Second || woke[2] != 2*time.Second {
+		t.Fatalf("woke at %v, want [1s 1s 2s]", woke)
+	}
+}
+
+// TestAutoStopLeavesNoGoroutine: once Stop returns the clock's stepping
+// goroutine is gone.
+func TestAutoStopLeavesNoGoroutine(t *testing.T) {
+	c := NewAuto()
+	c.Sleep(time.Second)
+	c.Stop()
+	buf := make([]byte, 1<<20)
+	for i := 0; ; i++ {
+		if !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "vtime.(*Auto).run") {
+			return
+		}
+		if i == 1000 {
+			t.Fatal("the clock's goroutine outlived Stop")
+		}
+		runtime.Gosched()
 	}
 }
