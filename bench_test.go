@@ -32,6 +32,11 @@ func BenchmarkFig6SmallFileInvocation(b *testing.B) {
 
 // BenchmarkFig7LargeFileInvocation regenerates Figure 7: the ~5MB
 // executable whose staging saturates the ~85 KB/s WAN for about a minute.
+// upload_KBps is the mean of the plateau's inner buckets (its first and
+// last also hold the transfer's start and end). It used to be the mean of
+// every plateau bucket, so a figure from before reads lower: 84.36 for
+// the last dilated-clock fig7.csv, whose inner buckets read 85.04 (see
+// EXPERIMENTS.md, Figure 7).
 func BenchmarkFig7LargeFileInvocation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig7(experiments.Options{})

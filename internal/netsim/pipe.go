@@ -111,17 +111,18 @@ func notify(ch chan struct{}) {
 }
 
 // pipeConn is one end of a pipe: it reads in and writes out. Both ends
-// report the listener's address as local and remote. Deadlines are in
-// real time, as net.Conn's are.
+// report the listener's address as local and remote. A read deadline is
+// in real time, as net.Conn's is; a Write never waits, so it has none.
 type pipeConn struct {
 	in, out *half
 	addr    net.Addr
 	closed  chan struct{}
 	once    sync.Once
 
-	mu       sync.Mutex
-	rdl, wdl time.Time
-	moved    chan struct{} // capacity one: the read deadline moved
+	mu    sync.Mutex
+	rdl   time.Time
+	timer *time.Timer   // fires moved when rdl passes
+	moved chan struct{} // capacity one: the read deadline moved or passed
 }
 
 func newPipeConn(in, out *half, addr net.Addr) *pipeConn {
@@ -133,8 +134,13 @@ func (c *pipeConn) Read(p []byte) (int, error) {
 		c.mu.Lock()
 		rdl := c.rdl
 		c.mu.Unlock()
-		if err := c.usable(rdl); err != nil {
-			return 0, err
+		select {
+		case <-c.closed:
+			return 0, net.ErrClosed
+		default:
+		}
+		if !rdl.IsZero() && !time.Now().Before(rdl) {
+			return 0, os.ErrDeadlineExceeded
 		}
 		c.in.mu.Lock()
 		n := copy(p, c.in.buf)
@@ -149,30 +155,19 @@ func (c *pipeConn) Read(p []byte) (int, error) {
 		case eof:
 			return 0, io.EOF
 		}
-		var expire <-chan time.Time
-		var timer *time.Timer
-		if !rdl.IsZero() {
-			timer = time.NewTimer(time.Until(rdl))
-			expire = timer.C
-		}
 		select {
 		case <-c.in.ready:
 		case <-c.closed:
 		case <-c.moved:
-		case <-expire:
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 	}
 }
 
 func (c *pipeConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	wdl := c.wdl
-	c.mu.Unlock()
-	if err := c.usable(wdl); err != nil {
-		return 0, err
+	select {
+	case <-c.closed:
+		return 0, net.ErrClosed
+	default:
 	}
 	c.out.mu.Lock()
 	gone := c.out.gone
@@ -185,20 +180,6 @@ func (c *pipeConn) Write(p []byte) (int, error) {
 	}
 	notify(c.out.ready)
 	return len(p), nil
-}
-
-// usable is the error an operation under deadline dl meets before it
-// starts: the conn closed, or dl passed.
-func (c *pipeConn) usable(dl time.Time) error {
-	select {
-	case <-c.closed:
-		return net.ErrClosed
-	default:
-	}
-	if !dl.IsZero() && !time.Now().Before(dl) {
-		return os.ErrDeadlineExceeded
-	}
-	return nil
 }
 
 // Close ends both directions: the peer reads what was written, then EOF,
@@ -220,25 +201,22 @@ func (c *pipeConn) Close() error {
 func (c *pipeConn) LocalAddr() net.Addr  { return c.addr }
 func (c *pipeConn) RemoteAddr() net.Addr { return c.addr }
 
-func (c *pipeConn) SetDeadline(t time.Time) error {
-	c.SetWriteDeadline(t)
-	return c.SetReadDeadline(t)
-}
+func (c *pipeConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
 
-// SetReadDeadline moves the deadline and wakes a blocked Read to heed it.
+// SetReadDeadline moves the deadline and wakes a blocked Read to heed it,
+// now and when it passes.
 func (c *pipeConn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
-	c.rdl = t
+	if c.rdl = t; c.timer != nil {
+		c.timer.Stop()
+	}
+	if !t.IsZero() {
+		c.timer = time.AfterFunc(time.Until(t), func() { notify(c.moved) })
+	}
 	c.mu.Unlock()
 	notify(c.moved)
 	return nil
 }
 
-// SetWriteDeadline implements net.Conn. A Write never waits, so the
-// deadline is only checked as one starts.
-func (c *pipeConn) SetWriteDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.wdl = t
-	c.mu.Unlock()
-	return nil
-}
+// SetWriteDeadline implements net.Conn; a Write never waits.
+func (c *pipeConn) SetWriteDeadline(time.Time) error { return nil }

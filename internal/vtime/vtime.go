@@ -15,9 +15,13 @@ package vtime
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -129,6 +133,7 @@ type Manual struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters []*waiter
+	changes int // AfterFunc and Stop calls so far
 }
 
 // waiter is one pending AfterFunc call (a sleeper's is its channel send),
@@ -167,6 +172,7 @@ func (c *Manual) After(d time.Duration) <-chan time.Time { return after(c, d) }
 // its caller's goroutine, and d <= 0 calls f before AfterFunc returns.
 func (c *Manual) AfterFunc(d time.Duration, f func()) Timer {
 	c.mu.Lock()
+	c.changes++
 	w := &waiter{c: c, deadline: c.now.Add(d), f: f}
 	if d > 0 {
 		c.waiters = append(c.waiters, w)
@@ -182,6 +188,7 @@ func (c *Manual) AfterFunc(d time.Duration, f func()) Timer {
 func (w *waiter) Stop() bool {
 	w.c.mu.Lock()
 	defer w.c.mu.Unlock()
+	w.c.changes++
 	i := slices.Index(w.c.waiters, w)
 	if i >= 0 {
 		w.c.waiters = slices.Delete(w.c.waiters, i, i+1)
@@ -227,20 +234,27 @@ func (c *Manual) Pending() int {
 // virtual time stands still. So virtual time moves only by the durations
 // the program sleeps, and host CPU spent between sleeps costs none of it.
 //
-// A goroutine blocked on a channel, a select, a lock, a condition, a
-// WaitGroup or an in-process pipe (netsim.Net) is parked; one running,
-// runnable, in a system call or waiting on the garbage collector holds
-// the clock. Real-time waits — a time.Sleep, a socket — count as parked,
-// so virtual time may pass while one is outstanding. AfterFunc calls f on
-// a goroutine of its own, as time.AfterFunc does.
+// Auto asks the kernel, not the Go runtime: the process is parked when
+// every thread but the clock's sleeps, in two looks with a real-time pause
+// between them and no timer set meanwhile. So a goroutine blocked on a
+// channel, a lock, a condition or an in-process pipe (netsim.Net) is
+// parked, and one running, runnable, or in a system call that keeps its
+// thread busy holds the clock. Real-time waits — a time.Sleep, a socket —
+// count as parked, so virtual time may pass while one is outstanding.
+// AfterFunc calls f on a goroutine of its own, as time.AfterFunc does.
+// Auto reads /proc (Linux) and panics when it cannot.
 type Auto struct {
 	Manual
 	stop, done chan struct{}
 }
 
 // NewAuto returns a running Auto clock at the Unix epoch, where Scaled's
-// timelines start too. Stop it when done with it.
+// timelines start too. Stop it when done with it. The clock's look needs
+// a second P beside its own, so NewAuto raises GOMAXPROCS to 2 if it is 1.
 func NewAuto() *Auto {
+	if runtime.GOMAXPROCS(0) < 2 {
+		runtime.GOMAXPROCS(2)
+	}
 	c := &Auto{
 		Manual: Manual{now: time.Unix(0, 0).UTC()},
 		stop:   make(chan struct{}),
@@ -257,8 +271,8 @@ func (c *Auto) AfterFunc(d time.Duration, f func()) Timer {
 }
 
 // MinSleep reports the shortest sleep pacing code should take on this
-// clock: every sleep costs the clock a look at each goroutine, so a link
-// carries a shorter wait as debt into its next one.
+// clock: every sleep costs the clock a step, so a link carries a shorter
+// wait as debt into its next one.
 func (c *Auto) MinSleep() time.Duration { return time.Millisecond }
 
 // Stop ends the clock's stepping and returns once its goroutine has
@@ -270,24 +284,32 @@ func (c *Auto) Stop() {
 }
 
 // run steps the clock to its earliest deadline whenever something waits
-// on it and the process is parked. Between looks that find nothing to do
-// it backs off, from 10 µs to 1 ms of real time.
+// on it and the process is parked in two looks in a row, with no timer
+// set or stopped since the first began. Before each look it sleeps in
+// real time: 10 µs after a step or a first parked look, up to 1 ms while
+// looks find work going on. A sleep, unlike runtime.Gosched, frees the
+// clock's thread to run what waits in its queues, and the timer that
+// ends it wakes a thread for what waits in the runtime's global queue.
 func (c *Auto) run() {
 	defer close(c.done)
-	var look parkedLook
-	backoff := time.Duration(0)
+	backoff, seen := time.Duration(0), -1
 	for {
-		runtime.Gosched()
-		if c.Pending() > 0 && look.parked() {
-			c.step()
-			backoff = 0
-			continue
-		}
-		backoff = min(max(2*backoff, 10*time.Microsecond), time.Millisecond)
 		select {
 		case <-time.After(backoff):
 		case <-c.stop:
 			return
+		}
+		c.mu.Lock()
+		changes, pending := c.changes, len(c.waiters)
+		c.mu.Unlock()
+		switch {
+		case pending == 0 || !parked():
+			seen, backoff = -1, min(max(2*backoff, 10*time.Microsecond), time.Millisecond)
+		case changes != seen:
+			seen, backoff = changes, 10*time.Microsecond
+		default:
+			c.step()
+			seen, backoff = -1, 10*time.Microsecond
 		}
 	}
 }
@@ -305,56 +327,67 @@ func (c *Auto) step() {
 	c.Advance(d)
 }
 
-// parkedLook reads the goroutines, keeping its buffers between looks.
-type parkedLook struct {
-	recs []runtime.StackRecord
-	dump []byte
+// parkGap is longer than a thread the clock's own wakeup roused takes to
+// sleep again, and than the runtime's shortest nap (a 3 µs usleep while
+// it steals work) plus the kernel's default 50 µs timer slack.
+const parkGap = 100 * time.Microsecond
+
+// parked reports whether every goroutine but the caller is parked, at a
+// cost that does not grow with their number. A parked goroutine holds no
+// thread, and while a goroutine is runnable and a P idle the runtime
+// keeps a thread awake to run it; so the process is parked when every
+// other thread sleeps (state S) and the process made no voluntary context
+// switch in the parkGap before that read: a thread that woke meanwhile
+// and slept again made one.
+func parked() bool {
+	// Locked, the caller's thread runs no other goroutine while the caller
+	// is descheduled (a garbage collector's stack scan): its P goes to a
+	// thread the look can see.
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	self := othersAsleep("")
+	if self == "" {
+		return false
+	}
+	spin(parkGap)
+	var before, after syscall.Rusage
+	syscall.Getrusage(syscall.RUSAGE_SELF, &before)
+	spin(parkGap)
+	if othersAsleep(self) != self {
+		return false
+	}
+	syscall.Getrusage(syscall.RUSAGE_SELF, &after)
+	return after.Nvcsw == before.Nvcsw
 }
 
-// parked reports whether every goroutine but the caller is parked. The
-// goroutine profile is the cheap first look: a goroutine whose stack does
-// not start in runtime.gopark holds the clock. One readied but not yet
-// run still starts there, so the runtime's stack dump, which prints each
-// goroutine's state, has the last word.
-func (l *parkedLook) parked() bool {
-	n, ok := runtime.GoroutineProfile(l.recs)
-	for !ok {
-		l.recs = make([]runtime.StackRecord, n+n/4+16)
-		n, ok = runtime.GoroutineProfile(l.recs)
+// spin busies the caller for d without giving up its thread.
+func spin(d time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < d; {
 	}
-	running := 0
-	for _, r := range l.recs[:n] {
-		if st := r.Stack(); len(st) == 0 || runtime.FuncForPC(st[0]-1).Name() != "runtime.gopark" {
-			if running++; running > 1 { // the caller is one
-				return false
-			}
-		}
-	}
-	if len(l.dump) == 0 {
-		l.dump = make([]byte, 64<<10)
-	}
-	for n = runtime.Stack(l.dump, true); n == len(l.dump); n = runtime.Stack(l.dump, true) {
-		l.dump = make([]byte, 2*len(l.dump))
-	}
-	// Each goroutine's header reads "goroutine 7 [chan receive, 2 minutes]:",
-	// the caller's first.
-	for i, header := range bytes.Split(l.dump[:n], []byte("\n\ngoroutine ")) {
-		_, state, _ := bytes.Cut(header, []byte(" ["))
-		state, _, _ = bytes.Cut(state, []byte("]"))
-		state, _, _ = bytes.Cut(state, []byte(","))
-		if i > 0 && !waitStates[string(state)] {
-			return false
-		}
-	}
-	return true
 }
 
-// waitStates are the states the stack dump prints for a goroutine only
-// another goroutine, a timer or the network can wake.
-var waitStates = map[string]bool{
-	"chan receive": true, "chan send": true, "select": true,
-	"chan receive (nil chan)": true, "chan send (nil chan)": true, "select (no cases)": true,
-	"sync.Mutex.Lock": true, "sync.RWMutex.Lock": true, "sync.RWMutex.RLock": true,
-	"sync.Cond.Wait": true, "sync.WaitGroup.Wait": true, "semacquire": true,
-	"sleep": true, "IO wait": true,
+// othersAsleep returns the caller's thread ID if every other thread of the
+// process sleeps, and "" if one does not or the caller is not on thread
+// want (unless want is "").
+func othersAsleep(want string) string {
+	self, err := os.Readlink("/proc/thread-self") // "<pid>/task/<tid>"
+	_, self, _ = strings.Cut(self, "/task/")
+	tasks, err2 := os.ReadDir("/proc/self/task")
+	if err = errors.Join(err, err2); err != nil {
+		panic("vtime: Auto reads thread states from /proc: " + err.Error())
+	}
+	if want != "" && self != want {
+		return ""
+	}
+	for _, t := range tasks {
+		if t.Name() == self {
+			continue
+		}
+		// "<tid> (<comm>) <state> ...": the state follows the last ')'.
+		stat, _ := os.ReadFile("/proc/self/task/" + t.Name() + "/stat")
+		if i := bytes.LastIndexByte(stat, ')'); i < 0 || i+2 >= len(stat) || stat[i+2] != 'S' {
+			return ""
+		}
+	}
+	return self
 }

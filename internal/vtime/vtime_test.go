@@ -256,37 +256,71 @@ func TestScaledAfterLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestAutoBusyGoroutineHoldsTheClock: while a goroutine burns real CPU the
-// clock stands still, and a sleeper beside it wakes after the burn at
+// TestAutoBusyGoroutineHoldsTheClock: while goroutines burn 100 ms of
+// real CPU — one spinning, or two handing a token back and forth, so
+// that one of them is always runnable though each parks in turn — the
+// clock stands still, and a sleeper beside them wakes after the burn at
 // exactly its deadline.
 func TestAutoBusyGoroutineHoldsTheClock(t *testing.T) {
-	c := NewAuto()
-	defer c.Stop()
-	start := c.Now()
-	var burned atomic.Bool
-	var burnEnd, woke time.Time
-	var wokeAfterBurn bool
-	var wg sync.WaitGroup
-	wg.Add(2)
+	burns := map[string]func(){
+		"spin": func() {
+			for t0 := time.Now(); time.Since(t0) < 100*time.Millisecond; {
+			}
+		},
+		"ping-pong": func() { pingPong(false) },
+		// The collector's stack scans deschedule the clock's goroutine
+		// mid-look; its thread must not run the pair meanwhile unseen.
+		"ping-pong-gc": func() { pingPong(true) },
+	}
+	for name, burn := range burns {
+		t.Run(name, func(t *testing.T) {
+			c := NewAuto()
+			defer c.Stop()
+			start := c.Now()
+			var burned atomic.Bool
+			var burnEnd, woke time.Time
+			var wokeAfterBurn bool
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				burn()
+				burnEnd = c.Now()
+				burned.Store(true)
+			}()
+			go func() {
+				defer wg.Done()
+				c.Sleep(time.Second)
+				woke, wokeAfterBurn = c.Now(), burned.Load()
+			}()
+			wg.Wait()
+			if burnEnd != start {
+				t.Fatalf("100 ms of CPU moved the clock by %v", burnEnd.Sub(start))
+			}
+			if !wokeAfterBurn || woke != start.Add(time.Second) {
+				t.Fatalf("sleeper woke at +%v (after the burn: %v), want +1s after it", woke.Sub(start), wokeAfterBurn)
+			}
+		})
+	}
+}
+
+// pingPong hands a token between two goroutines for 100 ms of real time,
+// collecting garbage on every round if gc is set.
+func pingPong(gc bool) {
+	ping, pong := make(chan []byte), make(chan []byte)
 	go func() {
-		defer wg.Done()
-		for t0 := time.Now(); time.Since(t0) < 100*time.Millisecond; {
+		for b := range ping {
+			pong <- append(b, 0)
 		}
-		burnEnd = c.Now()
-		burned.Store(true)
 	}()
-	go func() {
-		defer wg.Done()
-		c.Sleep(time.Second)
-		woke, wokeAfterBurn = c.Now(), burned.Load()
-	}()
-	wg.Wait()
-	if burnEnd != start {
-		t.Fatalf("100 ms of CPU moved the clock by %v", burnEnd.Sub(start))
+	for t0 := time.Now(); time.Since(t0) < 100*time.Millisecond; {
+		ping <- make([]byte, 64<<10)
+		<-pong
+		if gc {
+			runtime.GC()
+		}
 	}
-	if !wokeAfterBurn || woke != start.Add(time.Second) {
-		t.Fatalf("sleeper woke at +%v (after the burn: %v), want +1s after it", woke.Sub(start), wokeAfterBurn)
-	}
+	close(ping)
 }
 
 // TestAutoParkedGoroutinesDoNotHoldTheClock: goroutines blocked for good on
