@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,15 +13,23 @@ import (
 	"repro/internal/cyberaide"
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
+	"repro/internal/hop"
+	"repro/internal/netsim"
+	"repro/internal/soap"
 	"repro/internal/vtime"
 )
 
-func newShell(t *testing.T) (*shell, *bytes.Buffer) {
+// newShell boots a grid and an appliance on an event clock, which it
+// returns, and one in-process network, and a shell on them.
+func newShell(t *testing.T) (*shell, *bytes.Buffer, *vtime.Auto) {
 	t.Helper()
-	clk := vtime.NewScaled(20000)
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
+	pipes := netsim.NewNet()
 	env, err := gridenv.Start(gridenv.Options{
 		Clock: clk,
 		Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 1, CoresPerNode: 4}},
+		Net:   pipes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,11 +38,11 @@ func newShell(t *testing.T) (*shell, *bytes.Buffer) {
 	if _, err := env.AddUser("alice", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
-	img, err := appliance.BuildImage(appliance.Config{Endpoints: env.Endpoints(), Clock: clk})
+	img, err := appliance.BuildImage(appliance.Config{Endpoints: env.Endpoints(), Clock: clk, GridDial: pipes.DialContext})
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +50,13 @@ func newShell(t *testing.T) (*shell, *bytes.Buffer) {
 	var out bytes.Buffer
 	return &shell{
 		agentURL: app.BaseURL + "/services/" + cyberaide.ServiceName,
+		client:   soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(pipes.DialContext)}},
 		out:      &out,
-	}, &out
+	}, &out, clk
 }
 
 func TestShellFullWorkflow(t *testing.T) {
-	sh, out := newShell(t)
+	sh, out, clk := newShell(t)
 
 	// Session required before grid commands.
 	if err := sh.dispatch("status x"); err == nil {
@@ -94,7 +104,7 @@ func TestShellFullWorkflow(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("job never finished: %q", out.String())
 		}
-		time.Sleep(2 * time.Millisecond)
+		clk.Sleep(100 * time.Millisecond)
 	}
 
 	out.Reset()
@@ -107,7 +117,7 @@ func TestShellFullWorkflow(t *testing.T) {
 }
 
 func TestShellUsageAndReplicate(t *testing.T) {
-	sh, out := newShell(t)
+	sh, out, clk := newShell(t)
 	sh.dispatch("auth alice pw")
 	// Usage is empty before any job runs.
 	out.Reset()
@@ -135,7 +145,7 @@ func TestShellUsageAndReplicate(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("job stuck: %q", out.String())
 		}
-		time.Sleep(2 * time.Millisecond)
+		clk.Sleep(100 * time.Millisecond)
 	}
 	out.Reset()
 	if err := sh.dispatch("usage"); err != nil {
@@ -152,7 +162,7 @@ func TestShellUsageAndReplicate(t *testing.T) {
 }
 
 func TestShellCancel(t *testing.T) {
-	sh, out := newShell(t)
+	sh, out, _ := newShell(t)
 	sh.dispatch("auth alice pw")
 	dir := t.TempDir()
 	path := filepath.Join(dir, "long.gsh")
@@ -172,7 +182,7 @@ func TestShellCancel(t *testing.T) {
 }
 
 func TestShellErrors(t *testing.T) {
-	sh, _ := newShell(t)
+	sh, _, _ := newShell(t)
 	if err := sh.dispatch("frobnicate"); err == nil {
 		t.Fatal("unknown command accepted")
 	}
@@ -195,7 +205,7 @@ func TestShellErrors(t *testing.T) {
 }
 
 func TestShellREPLQuit(t *testing.T) {
-	sh, out := newShell(t)
+	sh, out, _ := newShell(t)
 	sh.repl(strings.NewReader("help\nquit\n"))
 	if !strings.Contains(out.String(), "commands:") {
 		t.Fatalf("repl output %q", out.String())

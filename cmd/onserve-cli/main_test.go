@@ -12,16 +12,21 @@ import (
 	"repro/internal/appliance"
 	"repro/internal/core"
 	"repro/internal/gridenv"
+	"repro/internal/netsim"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
 // bootAppliance starts a simulated grid and one traced appliance with
-// user alice registered, and returns the appliance's base URL.
+// user alice registered, on an event clock, and returns the appliance's
+// base URL. The grid is on an in-process network; the appliance listens
+// on loopback, where the CLI's own HTTP client reaches it.
 func bootAppliance(t *testing.T) string {
 	t.Helper()
-	clk := vtime.NewScaled(1000)
-	env, err := gridenv.Start(gridenv.Options{Clock: clk})
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
+	pipes := netsim.NewNet()
+	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +39,7 @@ func bootAppliance(t *testing.T) string {
 		Clock:        clk,
 		PollInterval: 3 * time.Second,
 		Trace:        trace.NewCollector(0, 0),
+		GridDial:     pipes.DialContext,
 	})
 	if err != nil {
 		t.Fatal(err)

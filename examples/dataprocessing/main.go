@@ -12,12 +12,15 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/http"
 	"strings"
 	"time"
 
 	"repro/internal/appliance"
 	"repro/internal/core"
 	"repro/internal/gridenv"
+	"repro/internal/hop"
+	"repro/internal/netsim"
 	"repro/internal/vtime"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
@@ -31,8 +34,11 @@ write report-${pass}.txt 2048
 `
 
 func main() {
-	clk := vtime.NewScaled(2000)
-	env, err := gridenv.Start(gridenv.Options{Clock: clk})
+	// One process on an event clock: grid jobs take no host time.
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	pipes := netsim.NewNet()
+	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,11 +51,12 @@ func main() {
 		Endpoints:    env.Endpoints(),
 		Clock:        clk,
 		PollInterval: 3 * time.Second,
+		GridDial:     pipes.DialContext,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func main() {
 	fmt.Println("published AnalyzerService (stage-in: corpus.txt)")
 
 	// 3. Invoke it like any Web service; only SOAP calls cross our link.
-	proxy, err := wsclient.ImportURL(app.BaseURL+"/services/AnalyzerService", nil)
+	proxy, err := wsclient.ImportURL(app.BaseURL+"/services/AnalyzerService", &http.Client{Transport: hop.NewTransport(pipes.DialContext)})
 	if err != nil {
 		log.Fatal(err)
 	}

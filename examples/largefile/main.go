@@ -24,12 +24,15 @@ import (
 )
 
 func main() {
-	clk := vtime.NewScaled(200)
+	// One process on an event clock: a minute of staging takes no host time.
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	pipes := netsim.NewNet()
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	probe := metrics.NewProbe(rec)
 	wan := netsim.WAN(clk) // ~85 KB/s, the paper's measured path
 
-	env, err := gridenv.Start(gridenv.Options{Clock: clk, Profile: wan})
+	env, err := gridenv.Start(gridenv.Options{Clock: clk, Profile: wan, Net: pipes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,14 +46,14 @@ func main() {
 		Clock:        clk,
 		Probe:        probe,
 		Cost:         metrics.DefaultCost(),
-		GridDial:     (&netsim.Dialer{Profile: wan, Probe: probe}).DialContext,
+		GridDial:     (&netsim.Dialer{Profile: wan, Probe: probe, Net: pipes}).DialContext,
 		PollInterval: 9 * time.Second,
 		StagingCache: true, // demonstrate the paper's suggested improvement
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		log.Fatal(err)
 	}

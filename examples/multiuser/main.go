@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -18,14 +19,20 @@ import (
 	"repro/internal/appliance"
 	"repro/internal/core"
 	"repro/internal/gridenv"
+	"repro/internal/hop"
+	"repro/internal/netsim"
 	"repro/internal/vtime"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
 )
 
 func main() {
-	clk := vtime.NewScaled(2000)
-	env, err := gridenv.Start(gridenv.Options{Clock: clk})
+	// One process on an event clock: grid jobs take no host time.
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	pipes := netsim.NewNet()
+	user := &http.Client{Transport: hop.NewTransport(pipes.DialContext)}
+	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,11 +49,12 @@ func main() {
 		Endpoints:    env.Endpoints(),
 		Clock:        clk,
 		PollInterval: 3 * time.Second,
+		GridDial:     pipes.DialContext,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +99,7 @@ func main() {
 		wg.Add(1)
 		go func(i int, c call) {
 			defer wg.Done()
-			proxy, err := wsclient.ImportURL(app.BaseURL+"/services/"+c.service, nil)
+			proxy, err := wsclient.ImportURL(app.BaseURL+"/services/"+c.service, user)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +19,8 @@ import (
 	"repro/internal/appliance"
 	"repro/internal/core"
 	"repro/internal/gridenv"
+	"repro/internal/hop"
+	"repro/internal/netsim"
 	"repro/internal/vtime"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
@@ -30,8 +33,11 @@ write cell-${alpha}-${beta}.dat 512
 `
 
 func main() {
-	clk := vtime.NewScaled(2000)
-	env, err := gridenv.Start(gridenv.Options{Clock: clk}) // full 11-site TeraGrid
+	// One process on an event clock: grid jobs take no host time.
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	pipes := netsim.NewNet()
+	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes}) // full 11-site TeraGrid
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,11 +49,12 @@ func main() {
 		Endpoints:    env.Endpoints(),
 		Clock:        clk,
 		PollInterval: 3 * time.Second,
+		GridDial:     pipes.DialContext,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func main() {
 	}
 	fmt.Println("uploaded sweepcell.gsh -> SweepcellService")
 
-	proxy, err := wsclient.ImportURL(app.BaseURL+"/services/SweepcellService", nil)
+	proxy, err := wsclient.ImportURL(app.BaseURL+"/services/SweepcellService", &http.Client{Transport: hop.NewTransport(pipes.DialContext)})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,11 +12,14 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/http"
 	"time"
 
 	"repro/internal/appliance"
 	"repro/internal/core"
 	"repro/internal/gridenv"
+	"repro/internal/hop"
+	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/soap"
 	"repro/internal/uddi"
@@ -32,11 +35,14 @@ write estimate.dat 128
 `
 
 func main() {
-	// A scaled clock makes the grid job's 2s compute finish instantly.
-	clk := vtime.NewScaled(1000)
+	// One process on an event clock: the job's 2s compute takes no host time.
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	pipes := netsim.NewNet()
+	user := &http.Client{Transport: hop.NewTransport(pipes.DialContext)}
 
 	// 1. The production grid: sites, GRAM, GridFTP, MyProxy, CA.
-	env, err := gridenv.Start(gridenv.Options{Clock: clk})
+	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,11 +57,12 @@ func main() {
 		Endpoints:    env.Endpoints(),
 		Clock:        clk,
 		PollInterval: 3 * time.Second,
+		GridDial:     pipes.DialContext,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +71,7 @@ func main() {
 	fmt.Printf("appliance up: portal at %s\n", app.BaseURL)
 
 	// 3. Use Scenario A: upload the executable through the portal form.
-	if _, err := (portal.Client{Base: app.BaseURL}).Upload(portal.UploadRequest{
+	if _, err := (portal.Client{Base: app.BaseURL, HTTP: user}).Upload(portal.UploadRequest{
 		FileName: "pi.gsh", Content: []byte(program),
 		User: "alice", Description: "enthusiastic pi estimator",
 		Params: []wsdl.ParamDef{{Name: "digits", Type: "int"}},
@@ -74,7 +81,7 @@ func main() {
 	fmt.Println("uploaded pi.gsh -> PiService generated and published")
 
 	// 4. Use Scenario B: discover via UDDI, wsimport the WSDL, invoke.
-	var sc soap.Client
+	sc := soap.Client{HTTP: user}
 	found, err := sc.Call(app.RegistryURL(), uddi.Namespace, "find",
 		[]soap.Param{{Name: "pattern", Value: "Pi%"}}, nil)
 	if err != nil {
@@ -86,7 +93,7 @@ func main() {
 	}
 	fmt.Printf("discovered %s at %s\n", recs[0].Name, recs[0].Endpoint)
 
-	proxy, err := wsclient.ImportURL(recs[0].Endpoint, nil)
+	proxy, err := wsclient.ImportURL(recs[0].Endpoint, user)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package repro
 // redeployment boundaries.
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
+	"repro/internal/hop"
+	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/uddi"
 	"repro/internal/vtime"
@@ -21,10 +24,12 @@ import (
 )
 
 func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk, pipes := vtime.NewAuto(), netsim.NewNet()
+	defer clk.Stop()
 	env, err := gridenv.Start(gridenv.Options{
 		Clock: clk,
 		Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
+		Net:   pipes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,13 +45,14 @@ func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 		Clock:        clk,
 		DBDir:        dbDir,
 		PollInterval: 2 * time.Second,
+		GridDial:     pipes.DialContext,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// First boot: upload and run once.
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +72,7 @@ func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 
 	// Second boot from the same image + database: the stored executable
 	// must be redeployable without re-upload.
-	app2, err := img.Boot(nil)
+	app2, err := img.Boot(pipes.Listen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +109,12 @@ func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 }
 
 func TestIntegrationDiscoveryPipeline(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk, pipes := vtime.NewAuto(), netsim.NewNet()
+	defer clk.Stop()
 	env, err := gridenv.Start(gridenv.Options{
 		Clock: clk,
 		Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
+		Net:   pipes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +123,9 @@ func TestIntegrationDiscoveryPipeline(t *testing.T) {
 	env.AddUser("alice", "pw", 0)
 	img, _ := appliance.BuildImage(appliance.Config{
 		Endpoints: env.Endpoints(), Clock: clk, PollInterval: 2 * time.Second,
+		GridDial: pipes.DialContext,
 	})
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +138,8 @@ func TestIntegrationDiscoveryPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var c soap.Client
+	user := &http.Client{Transport: hop.NewTransport(pipes.DialContext)}
+	c := soap.Client{HTTP: user}
 	found, err := c.Call(app.RegistryURL(), uddi.Namespace, "find",
 		[]soap.Param{{Name: "pattern", Value: "Alpha%"}}, nil)
 	if err != nil {
@@ -139,7 +149,7 @@ func TestIntegrationDiscoveryPipeline(t *testing.T) {
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("discovered %d services: %v", len(recs), err)
 	}
-	proxy, err := wsclient.ImportURL(recs[0].Endpoint, nil)
+	proxy, err := wsclient.ImportURL(recs[0].Endpoint, user)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/uddi"
 	"repro/internal/vtime"
@@ -26,18 +27,27 @@ import (
 type world struct {
 	app   *Appliance
 	env   *gridenv.Env
-	clock *vtime.Scaled
+	clock *vtime.Auto
+	// web is a browser on the world's in-process network. It shows a
+	// redirect instead of following it: the mux answers a path with an
+	// empty segment that way, before any handler sees it.
+	web *http.Client
 }
 
+// boot starts a grid and an appliance on one event clock and one
+// in-process network.
 func boot(t *testing.T, mutate func(*Config)) *world {
 	t.Helper()
-	clk := vtime.NewScaled(20000)
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
+	pipes := netsim.NewNet()
 	env, err := gridenv.Start(gridenv.Options{
 		Clock: clk,
 		Sites: []gridsim.SiteConfig{
 			{Name: "siteA", Nodes: 2, CoresPerNode: 4},
 			{Name: "siteB", Nodes: 1, CoresPerNode: 4},
 		},
+		Net: pipes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +62,7 @@ func boot(t *testing.T, mutate func(*Config)) *world {
 		Cost:              metrics.DefaultCost(),
 		PollInterval:      2 * time.Second,
 		InvocationTimeout: time.Hour,
+		GridDial:          pipes.DialContext,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -60,7 +71,7 @@ func boot(t *testing.T, mutate func(*Config)) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +80,9 @@ func boot(t *testing.T, mutate func(*Config)) *world {
 		app.Shutdown()
 	})
 	app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-	return &world{app: app, env: env, clock: clk}
+	web := &http.Client{Transport: &http.Transport{DialContext: pipes.DialContext},
+		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	return &world{app: app, env: env, clock: clk, web: web}
 }
 
 func (w *world) uploadViaPortal(t *testing.T, filename, program string, params [][2]string) map[string]any {
@@ -88,7 +101,7 @@ func (w *world) uploadViaPortal(t *testing.T, filename, program string, params [
 		mw.WriteField("paramType"+string(rune('1'+i)), p[1])
 	}
 	mw.Close()
-	resp, err := http.Post(w.app.BaseURL+"/upload", mw.FormDataContentType(), &buf)
+	resp, err := w.web.Post(w.app.BaseURL+"/upload", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +144,7 @@ func TestFullSaaSLoopThroughApplianceHTTP(t *testing.T) {
 	}
 
 	// Scenario B step 1: discover through the UDDI SOAP service.
-	var sc soap.Client
+	sc := soap.Client{HTTP: w.web}
 	found, err := sc.Call(w.app.RegistryURL(), uddi.Namespace, "find",
 		[]soap.Param{{Name: "pattern", Value: "Demo%"}}, nil)
 	if err != nil {
@@ -143,7 +156,7 @@ func TestFullSaaSLoopThroughApplianceHTTP(t *testing.T) {
 	}
 
 	// Scenario B step 2: wsimport the WSDL and build a client proxy.
-	proxy, err := wsclient.ImportURL(recs[0].Endpoint, nil)
+	proxy, err := wsclient.ImportURL(recs[0].Endpoint, w.web)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +178,7 @@ func TestFullSaaSLoopThroughApplianceHTTP(t *testing.T) {
 func TestPortalHomeListsServices(t *testing.T) {
 	w := boot(t, nil)
 	w.uploadViaPortal(t, "alpha.gsh", "echo a\n", nil)
-	resp, err := http.Get(w.app.BaseURL + "/")
+	resp, err := w.web.Get(w.app.BaseURL + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +197,7 @@ func TestPortalJSONAPI(t *testing.T) {
 	w.uploadViaPortal(t, "api.gsh", "echo out=${n}\n", [][2]string{{"n", "int"}})
 
 	// List services.
-	resp, err := http.Get(w.app.BaseURL + "/api/services")
+	resp, err := w.web.Get(w.app.BaseURL + "/api/services")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +212,7 @@ func TestPortalJSONAPI(t *testing.T) {
 	payload, _ := json.Marshal(map[string]any{
 		"service": "ApiService", "args": map[string]string{"n": "9"},
 	})
-	resp, err = http.Post(w.app.BaseURL+"/api/invoke", "application/json", bytes.NewReader(payload))
+	resp, err = w.web.Post(w.app.BaseURL+"/api/invoke", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +225,7 @@ func TestPortalJSONAPI(t *testing.T) {
 	}
 
 	// Wait for the result.
-	resp, err = http.Get(w.app.BaseURL + "/api/wait?ticket=" + ticket)
+	resp, err = w.web.Get(w.app.BaseURL + "/api/wait?ticket=" + ticket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +237,14 @@ func TestPortalJSONAPI(t *testing.T) {
 	}
 
 	// Status and output endpoints agree.
-	resp, _ = http.Get(w.app.BaseURL + "/api/status?ticket=" + ticket)
+	resp, _ = w.web.Get(w.app.BaseURL + "/api/status?ticket=" + ticket)
 	var st map[string]string
 	json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
 	if st["state"] != "DONE" {
 		t.Fatalf("status %v", st)
 	}
-	resp, _ = http.Get(w.app.BaseURL + "/api/output?ticket=" + ticket)
+	resp, _ = w.web.Get(w.app.BaseURL + "/api/output?ticket=" + ticket)
 	outBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if string(outBody) != "out=9\n" {
@@ -242,7 +255,7 @@ func TestPortalJSONAPI(t *testing.T) {
 func TestPortalErrors(t *testing.T) {
 	w := boot(t, nil)
 	// Unknown service info.
-	resp, err := http.Get(w.app.BaseURL + "/api/service?name=Nope")
+	resp, err := w.web.Get(w.app.BaseURL + "/api/service?name=Nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +264,7 @@ func TestPortalErrors(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	// Unknown ticket.
-	resp, _ = http.Get(w.app.BaseURL + "/api/status?ticket=inv-000000-ffffffffffff")
+	resp, _ = w.web.Get(w.app.BaseURL + "/api/status?ticket=inv-000000-ffffffffffff")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -263,7 +276,7 @@ func TestPortalErrors(t *testing.T) {
 	io.WriteString(fw, "echo x\n")
 	mw.WriteField("user", "mallory")
 	mw.Close()
-	resp, err = http.Post(w.app.BaseURL+"/upload", mw.FormDataContentType(), &buf)
+	resp, err = w.web.Post(w.app.BaseURL+"/upload", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +285,7 @@ func TestPortalErrors(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	// Upload GET not allowed.
-	resp, _ = http.Get(w.app.BaseURL + "/upload")
+	resp, _ = w.web.Get(w.app.BaseURL + "/upload")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -282,7 +295,7 @@ func TestPortalErrors(t *testing.T) {
 func TestPortalDeleteService(t *testing.T) {
 	w := boot(t, nil)
 	w.uploadViaPortal(t, "gone.gsh", "echo x\n", nil)
-	resp, err := http.Post(w.app.BaseURL+"/api/delete?name=GoneService", "", nil)
+	resp, err := w.web.Post(w.app.BaseURL+"/api/delete?name=GoneService", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,14 +312,14 @@ func TestPortalCancel(t *testing.T) {
 	w := boot(t, nil)
 	w.uploadViaPortal(t, "long.gsh", "emit 2s 10000 t\n", nil)
 	payload, _ := json.Marshal(map[string]any{"service": "LongService"})
-	resp, err := http.Post(w.app.BaseURL+"/api/invoke", "application/json", bytes.NewReader(payload))
+	resp, err := w.web.Post(w.app.BaseURL+"/api/invoke", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var invReply map[string]string
 	json.NewDecoder(resp.Body).Decode(&invReply)
 	resp.Body.Close()
-	resp, err = http.Post(w.app.BaseURL+"/api/cancel?ticket="+invReply["ticket"], "", nil)
+	resp, err = w.web.Post(w.app.BaseURL+"/api/cancel?ticket="+invReply["ticket"], "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +349,10 @@ func TestApplianceHostsToolkitServices(t *testing.T) {
 
 func TestAppliancePersistentDBSurvivesReboot(t *testing.T) {
 	dir := t.TempDir()
-	clk := vtime.NewScaled(20000)
-	env, err := gridenv.Start(gridenv.Options{Clock: clk, Sites: []gridsim.SiteConfig{
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	pipes := netsim.NewNet()
+	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes, Sites: []gridsim.SiteConfig{
 		{Name: "siteA", Nodes: 1, CoresPerNode: 2},
 	}})
 	if err != nil {
@@ -345,12 +360,12 @@ func TestAppliancePersistentDBSurvivesReboot(t *testing.T) {
 	}
 	defer env.Close()
 	env.AddUser("alice", "pw", 0)
-	cfg := Config{Endpoints: env.Endpoints(), Clock: clk, DBDir: dir}
+	cfg := Config{Endpoints: env.Endpoints(), Clock: clk, DBDir: dir, GridDial: pipes.DialContext}
 	img, err := BuildImage(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := img.Boot(nil)
+	app, err := img.Boot(pipes.Listen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +375,7 @@ func TestAppliancePersistentDBSurvivesReboot(t *testing.T) {
 	}
 	app.Shutdown()
 
-	app2, err := img.Boot(nil)
+	app2, err := img.Boot(pipes.Listen())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func soapDoor(t *testing.T, w *world, method, path, key string) (int, string) {
 	if key != "" {
 		req.Header.Set(tenant.KeyHeader, key)
 	}
-	resp, err := noFollow.Do(req)
+	resp, err := w.web.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,6 @@ func soapDoor(t *testing.T, w *world, method, path, key string) (int, string) {
 	}
 	return resp.StatusCode, string(got)
 }
-
-// noFollow shows a redirect instead of following it: the mux answers a
-// path with an empty segment that way, before any handler sees it.
-var noFollow = &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
 
 const pong = `<?xml version="1.0" encoding="UTF-8"?>` + "\n" +
 	`<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/"><soapenv:Body>` +
@@ -229,7 +225,7 @@ func TestSOAPExecuteIsAdmitted(t *testing.T) {
 		}
 		req.Header.Set("Content-Type", "text/xml; charset=utf-8")
 		req.Header.Set(tenant.KeyHeader, "acme-secret")
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := w.web.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +244,7 @@ func TestSOAPExecuteIsAdmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set(tenant.KeyHeader, "acme-secret")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := w.web.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +303,7 @@ func TestSOAPCancelIsAdmitted(t *testing.T) {
 		}
 		req.Header.Set("Content-Type", "text/xml; charset=utf-8")
 		req.Header.Set(tenant.KeyHeader, key)
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := w.web.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +324,7 @@ func TestSOAPCancelIsAdmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set(tenant.KeyHeader, "acme-secret")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := w.web.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,14 +26,11 @@ func TestProfilesEndToEnd(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := boot(t, func(cfg *Config) {
-				wiring := *cfg // the fixture's grid, clock and dilation-friendly cadence
+				wiring := *cfg // the fixture's grid, network, clock and cadence
 				*cfg = tc.profile()
-				cfg.Endpoints, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.Clock, wiring.Cost
+				cfg.Endpoints, cfg.GridDial, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Clock, wiring.Cost
 				cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
 			})
-			// Virtual heartbeats every 5 s would be 0.25 ms apart at this
-			// dilation; a stream would false-trip its liveness budget.
-			w.env.Gatekeeper.SetHeartbeatInterval(10 * time.Minute)
 			ons := w.app.OnServe
 			rec, err := ons.UploadAndGenerate("alice", "hello.gsh", "", nil, []byte("compute 1m\necho hello\n"))
 			if err != nil {
@@ -132,21 +129,14 @@ func TestPublishCycleLeavesNoApplianceState(t *testing.T) {
 }
 
 func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
-	// The owner's proxy outlives the soak at any host speed: at this
-	// dilation the default 12 h is two seconds of host time, and a cached
-	// session that ages out stays in the agent's table — ROADMAP item
-	// 3c's open lead, which would make this verdict the host's.
-	const soakProxy = 2 * 365 * 24 * time.Hour
 	w := boot(t, func(cfg *Config) {
-		wiring := *cfg // as TestProfilesEndToEnd: the fixture's grid, clock and cadence
+		wiring := *cfg // as TestProfilesEndToEnd: the fixture's grid, network, clock and cadence
 		*cfg = profile(t.TempDir())
-		cfg.Endpoints, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.Clock, wiring.Cost
+		cfg.Endpoints, cfg.GridDial, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Clock, wiring.Cost
 		cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
-		cfg.ProxyLifetime = soakProxy
 	})
-	w.env.Gatekeeper.SetHeartbeatInterval(10 * time.Minute)
 	ons := w.app.OnServe
-	if _, err := w.env.AddUser("soak", "pw", 2*soakProxy); err != nil {
+	if _, err := w.env.AddUser("soak", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
 	ons.RegisterUser("soak", core.UserAuth{MyProxyUser: "soak", Passphrase: "pw"})
@@ -193,7 +183,7 @@ func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
 	settled := func(ok func(map[string]int) bool) map[string]int {
 		got := idle()
 		for deadline := time.Now().Add(5 * time.Second); !ok(got) && time.Now().Before(deadline); got = idle() {
-			time.Sleep(2 * time.Millisecond)
+			w.clock.Sleep(time.Millisecond) // returns once all else is parked
 		}
 		return got
 	}

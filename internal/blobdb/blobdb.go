@@ -701,8 +701,7 @@ func deflate(rawHint int, fill func(zw io.Writer) error) ([]byte, error) {
 	scratch.Grow(rawHint + rawHint>>10 + 64)
 	// BestSpeed: the compression *cost model* lives in Put's probe burn;
 	// the real gzip pass only needs to shrink the stored bytes, and
-	// keeping it cheap avoids polluting time-dilated experiment runs
-	// with real CPU time.
+	// keeping it cheap keeps the host time of experiment runs down.
 	zw := gzipWriters.Get()
 	defer func() {
 		zw.Reset(io.Discard)

@@ -254,7 +254,8 @@ func TestClosedDB(t *testing.T) {
 }
 
 func TestAccounting(t *testing.T) {
-	clk := vtime.NewScaled(10000)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	probe := metrics.NewProbe(rec)
 	db, err := Open(Options{Probe: probe, Cost: metrics.Cost{CompressBps: 1 << 20, DecompressBps: 4 << 20}})

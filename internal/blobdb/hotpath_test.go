@@ -18,7 +18,8 @@ import (
 // modelled disk/CPU accounting a hit is supposed to skip.
 func cachedDB(t *testing.T, cacheBytes int64) (*DB, *metrics.Recorder) {
 	t.Helper()
-	clk := vtime.NewScaled(100000)
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	db, err := Open(Options{
 		Clock: clk, Probe: metrics.NewProbe(rec), Cost: metrics.DefaultCost(),
@@ -80,7 +81,8 @@ func TestRecordBlobIsSharedAndStable(t *testing.T) {
 		bytes.Repeat([]byte("v1 payload "), blobBytes/11),
 	}
 	// Room for two blobs: the filler keys below push "k" out of the LRU.
-	db, _ := cachedDB(t, 2*blobBytes)
+	db, metered := cachedDB(t, 2*blobBytes)
+	clk := metered.Clock()
 	tab := db.Table("t")
 	if err := tab.Put("k", nil, versions[0]); err != nil {
 		t.Fatal(err)
@@ -114,13 +116,15 @@ func TestRecordBlobIsSharedAndStable(t *testing.T) {
 			defer wg.Done()
 			var mine []held
 			for {
+				// A reader parks between reads, or the event clock could
+				// never step the re-publisher's modelled costs along.
 				select {
 				case <-stop:
 					mu.Lock()
 					kept = append(kept, mine...)
 					mu.Unlock()
 					return
-				default:
+				case <-clk.After(time.Millisecond):
 				}
 				rec, err := tab.Get("k")
 				if errors.Is(err, ErrNotFound) {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/gram"
-	"repro/internal/hop"
 	"repro/internal/vtime"
 )
 
@@ -103,19 +102,20 @@ type closerFunc func() error
 func (f closerFunc) Close() error { return f() }
 
 // collectorGoroutines returns the stacks of goroutines the collect step
-// runs: tentative pollers, and the push path's stream workers (streaming,
-// with their heartbeat monitors, or polling) and final-fetch retries. A
-// watchdog is a timer on the clock, not a goroutine.
-func collectorGoroutines() []string {
+// runs, by goroutine ID: tentative pollers, and the push path's stream
+// workers (streaming, with their heartbeat monitors, or polling) and
+// final-fetch retries. A watchdog is a timer on the clock, not a goroutine.
+func collectorGoroutines() map[string]string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	var owned []string
+	owned := map[string]string{}
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		for _, frame := range []string{
 			"core.(*OnServe).pollOutput", "core.(*eventWorker).",
 		} {
 			if strings.Contains(g, frame) {
-				owned = append(owned, g)
+				id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+				owned[id] = g
 				break
 			}
 		}
@@ -124,13 +124,20 @@ func collectorGoroutines() []string {
 }
 
 // waitCollectorsIdle asserts that, once every invocation is terminal and no
-// session is cached, the collect step parks nothing: watchdogs stopped,
-// pollers and retries returned, stream workers retired.
-func waitCollectorsIdle(t *testing.T) {
+// session is cached, the fixture's collect step parks nothing: watchdogs
+// stopped, pollers and retries returned, stream workers retired. An
+// earlier test's collectors, asleep for good on the clock its cleanup
+// stopped, are not f's (f.stale).
+func (f *fixture) waitCollectorsIdle(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		owned := collectorGoroutines()
+		var owned []string
+		for id, g := range collectorGoroutines() {
+			if _, old := f.stale[id]; !old {
+				owned = append(owned, g)
+			}
+		}
 		if len(owned) == 0 {
 			return
 		}
@@ -144,7 +151,7 @@ func waitCollectorsIdle(t *testing.T) {
 // TestWatchdogStartsNoGoroutine: arming a watchdog parks no goroutine of
 // its own; it is a timer on the clock until it fires or is stopped.
 func TestWatchdogStartsNoGoroutine(t *testing.T) {
-	wd := NewWatchdog(vtime.NewScaled(20000), time.Hour, func() {})
+	wd := NewWatchdog(vtime.NewManual(time.Unix(0, 0)), time.Hour, func() {})
 	defer wd.Stop()
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -236,7 +243,7 @@ func TestCollectorContract(t *testing.T) {
 		{
 			// Three bumps of 4 KB: the last two snapshots are over
 			// gram.InlineOutputMax and only announced.
-			name: "output-over-inline-limit", program: "emit 10m 3 " + strings.Repeat("x", gram.InlineOutputMax/2) + "\n", state: InvDone,
+			name: "output-over-inline-limit", program: "emit 1m 3 " + strings.Repeat("x", gram.InlineOutputMax/2) + "\n", state: InvDone,
 			check: func(t *testing.T, oc outcome) {
 				if got, want := len(oc.invs[0].Output()), 3*(gram.InlineOutputMax/2+1); got != want {
 					t.Errorf("final output %d bytes, want %d", got, want)
@@ -258,7 +265,7 @@ func TestCollectorContract(t *testing.T) {
 			},
 		},
 		{
-			name: "gatekeeper-never-inlines", program: "echo head\ncompute 10m\necho tail\n", noInline: true, state: InvDone,
+			name: "gatekeeper-never-inlines", program: "echo head\ncompute 1m\necho tail\n", noInline: true, state: InvDone,
 			check: func(t *testing.T, oc outcome) {
 				if out := oc.invs[0].Output(); out != "head\ntail\n" {
 					t.Errorf("output %q", out)
@@ -291,7 +298,7 @@ func TestCollectorContract(t *testing.T) {
 			},
 		},
 		{
-			name: "transient-errors-then-recovery", program: "echo head\ncompute 10m\necho tail\n", state: InvDone,
+			name: "transient-errors-then-recovery", program: "echo head\ncompute 1m\necho tail\n", state: InvDone,
 			faults: map[string]int{"/gram/status": 3, "/gram/status-batch": 3, "/gram/output": 3},
 			check: func(t *testing.T, oc outcome) {
 				if out := oc.invs[0].Output(); out != "head\ntail\n" {
@@ -303,7 +310,7 @@ func TestCollectorContract(t *testing.T) {
 			},
 		},
 		{
-			name: "output-never-changes", program: "compute 5m\n", state: InvDone,
+			name: "output-never-changes", program: "compute 30s\n", state: InvDone,
 			check: func(t *testing.T, oc outcome) {
 				if out := oc.invs[0].Output(); out != "" {
 					t.Errorf("output %q", out)
@@ -331,7 +338,7 @@ func TestCollectorContract(t *testing.T) {
 	for _, row := range rows {
 		for _, col := range columns {
 			t.Run(row.name+"/"+col.name, func(t *testing.T) {
-				var rt http.RoundTripper = hop.Shared()
+				var rt http.RoundTripper = overGrid
 				flaky := &flakyGram{base: rt, left: map[string]int{}}
 				for path, n := range row.faults {
 					flaky.left[path] = n
@@ -424,7 +431,7 @@ func TestCollectorContract(t *testing.T) {
 				if row.check != nil {
 					row.check(t, oc)
 				}
-				waitCollectorsIdle(t)
+				f.waitCollectorsIdle(t)
 			})
 		}
 	}
@@ -455,7 +462,7 @@ func (h *heldCancel) RoundTrip(req *http.Request) (*http.Response, error) {
 // processed before Cancel returns. The reply is held here until it has
 // been; the verdict must still be the watchdog's.
 func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
-	held := &heldCancel{base: hop.Shared(), sent: make(chan struct{}), release: make(chan struct{})}
+	held := &heldCancel{base: overGrid, sent: make(chan struct{}), release: make(chan struct{})}
 	f := newFixtureHTTP(t, held, func(cfg *Config) {
 		cfg.PushEvents = true
 		cfg.InvocationTimeout = 20 * time.Second
@@ -511,5 +518,5 @@ func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
 	if inv.State() != InvKilled || !strings.Contains(inv.Message(), "watchdog") {
 		t.Fatalf("state %s: %s", inv.State(), inv.Message())
 	}
-	waitCollectorsIdle(t)
+	f.waitCollectorsIdle(t)
 }

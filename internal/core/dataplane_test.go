@@ -87,10 +87,6 @@ func TestStagingSharesStoredStreamWhileRepublished(t *testing.T) {
 	}
 	t.Cleanup(func() { db.Close() })
 	f := newFixtureDB(t, db, nil, nil, func(cfg *Config) {
-		// At the fixture's 20000x dilation the default hour is 180 real
-		// milliseconds, which a loaded -race run can exceed.
-		cfg.InvocationTimeout = 160 * time.Hour
-		cfg.ProxyLifetime = 160 * time.Hour
 		cfg.SessionCache = true
 		cfg.StatsTTL = time.Hour
 		cfg.ChunkedStaging = true

@@ -131,11 +131,7 @@ func TestWatchdogCancelRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		go f.ons.CancelInvocation(inv.Ticket)
-		select {
-		case <-inv.DoneChan():
-		case <-time.After(10 * time.Second):
-			t.Fatal("invocation hung under cancel/watchdog race")
-		}
+		waitInv(t, inv, "cancel/watchdog race")
 		st := inv.State()
 		if st != InvCancelled && st != InvKilled {
 			t.Fatalf("state %s", st)

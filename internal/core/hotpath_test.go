@@ -112,10 +112,9 @@ func TestSessionCacheInvalidatedOnAuthFault(t *testing.T) {
 func TestDeadSessionIsLoggedOutOfTheAgent(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) {
 		cfg.SessionCache = true
-		// 180 ms and 360 ms of real time: room for the first invocation
-		// to be submitted on a loaded machine before its proxy runs out.
 		cfg.ProxyLifetime = time.Hour
 		cfg.InvocationTimeout = 2 * time.Hour
+		cfg.PollInterval = time.Minute // sixty polls, not 1800, until the proxy ends
 	})
 	f.uploadDemo(t)
 	if _, err := f.ons.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("compute 90m\necho late\n")); err != nil {
@@ -133,10 +132,10 @@ func TestDeadSessionIsLoggedOutOfTheAgent(t *testing.T) {
 	if dead != inFlight.sessionID || f.parts.Agent.SessionCount() != 1 {
 		t.Fatalf("cached session %q, invocation's %q, %d agent sessions", dead, inFlight.sessionID, f.parts.Agent.SessionCount())
 	}
-	waitFor(t, func() bool {
-		_, err := f.parts.Agent.Session(dead)
-		return errors.Is(err, cyberaide.ErrExpired)
-	})
+	f.clock.Sleep(time.Hour + time.Minute) // the proxy runs out under the job
+	if _, err := f.parts.Agent.Session(dead); !errors.Is(err, cyberaide.ErrExpired) {
+		t.Fatalf("the cached session an hour on: %v, want it expired", err)
+	}
 	if out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "2"}); err != nil {
 		t.Fatalf("invocation on an expired cached session failed (%q): %v", out, err)
 	}

@@ -13,7 +13,9 @@ import (
 	"repro/internal/cyberaide"
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/trace"
 	"repro/internal/uddi"
@@ -25,23 +27,32 @@ type fixture struct {
 	ons   *OnServe
 	env   *gridenv.Env
 	rec   *metrics.Recorder
-	clock *vtime.Scaled
+	clock *vtime.Auto
 	cfg   Config
 	parts Parts
 	// probes logs the cost-model calls made through the fixture's Probe
 	// (by the core, the database and the agent) while switched on.
 	probes *probeLog
+	stale  map[string]string // the collectors parked before it was built
 }
 
-// newFixture wires a full onServe over a two-site grid with fast polling
-// so invocations finish quickly under the scaled clock.
+// gridNet is the in-process network every fixture's grid listens on, and
+// overGrid hop's transport across it: a fault fake in these tests hands
+// what it lets through to overGrid, as production's to hop.Shared().
+var (
+	gridNet  = netsim.NewNet()
+	overGrid = hop.NewTransport(gridNet.DialContext)
+)
+
+// newFixture wires a full onServe over a two-site grid on an event clock
+// and gridNet.
 func newFixture(t *testing.T, mutate func(*Config)) *fixture {
 	return newFixtureHTTP(t, nil, mutate)
 }
 
 // newFixtureHTTP is newFixture with a caller-supplied grid-bound
 // transport (the staging tests inject transport faults there); nil is
-// hop's shared one, as in production.
+// hop's over gridNet.
 func newFixtureHTTP(t *testing.T, grid http.RoundTripper, mutate func(*Config)) *fixture {
 	return newFixtureTraced(t, grid, nil, mutate)
 }
@@ -56,24 +67,32 @@ func newFixtureTraced(t *testing.T, grid http.RoundTripper, col *trace.Collector
 // closes); nil opens a fresh in-memory one.
 func newFixtureDB(t *testing.T, db *blobdb.DB, grid http.RoundTripper, col *trace.Collector, mutate func(*Config)) *fixture {
 	t.Helper()
-	clk := vtime.NewScaled(20000)
+	return newFixtureOn(t, nil, db, grid, col, mutate)
+}
+
+// newFixtureOn is newFixtureDB with the grid and the agent on gridClock
+// (nil: the fixture's event clock, which every other part runs on).
+func newFixtureOn(t *testing.T, gridClock vtime.Clock, db *blobdb.DB, grid http.RoundTripper, col *trace.Collector, mutate func(*Config)) *fixture {
+	t.Helper()
+	stale := collectorGoroutines()
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
+	if gridClock == nil {
+		gridClock = clk
+	}
 	env, err := gridenv.Start(gridenv.Options{
-		Clock: clk,
+		Clock: gridClock,
 		Sites: []gridsim.SiteConfig{
 			{Name: "siteA", Nodes: 2, CoresPerNode: 4},
 			{Name: "siteB", Nodes: 2, CoresPerNode: 4},
 		},
 		Trace: col,
+		Net:   gridNet,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(env.Close)
-	// At scale 20000 the default 5s event-stream heartbeat is 0.25ms of
-	// real time, so the client's 3-heartbeat liveness budget (0.75ms)
-	// false-trips on scheduler jitter; a 10-minute virtual heartbeat
-	// keeps the liveness check meaningful under dilation.
-	env.Gatekeeper.SetHeartbeatInterval(10 * time.Minute)
 	if _, err := env.AddUser("alice", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +120,8 @@ func newFixtureDB(t *testing.T, db *blobdb.DB, grid http.RoundTripper, col *trac
 		Container: soap.NewServer(probe, metrics.DefaultCost()),
 		Registry:  uddi.NewRegistry(clk),
 		Agent: cyberaide.New(cyberaide.Options{
-			Endpoints: env.Endpoints(), Clock: clk, Probe: probe, Cost: metrics.DefaultCost(),
-			Transport: grid,
+			Endpoints: env.Endpoints(), Clock: gridClock, Probe: probe, Cost: metrics.DefaultCost(),
+			Dial: gridNet.DialContext, Transport: grid,
 		}),
 		BaseURL: "http://appliance.test",
 	}
@@ -120,7 +139,7 @@ func newFixtureDB(t *testing.T, db *blobdb.DB, grid http.RoundTripper, col *trac
 	// Runs before any database is closed: whatever the test did, nothing
 	// may have written into an executable's shared bytes.
 	t.Cleanup(func() { blobtest.VerifyStored(t, db) })
-	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, parts: parts, probes: probes}
+	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, parts: parts, probes: probes, stale: stale}
 }
 
 const demoProgram = "echo pi=${digits}\ncompute 1s\nwrite result.dat 256\n"
@@ -347,11 +366,7 @@ func TestCancelInvocation(t *testing.T) {
 	if err := f.ons.CancelInvocation(inv.Ticket); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancel never completed")
-	}
+	waitInv(t, inv, "cancel")
 	if inv.State() != InvCancelled {
 		t.Fatalf("state %s", inv.State())
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/hop"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -115,8 +114,7 @@ func TestDataAwarePlacementPrefersPossessingSite(t *testing.T) {
 		cfg.ChunkBytes = 4 << 10
 		cfg.DataAwarePlacement = true
 	})
-	// Far beyond the test's virtual runtime (the scaled clock turns
-	// milliseconds of wall time into virtual hours).
+	// Far beyond the test's virtual runtime.
 	f.ons.probeTTL = 1000 * time.Hour
 	if _, err := f.ons.UploadAndGenerate("alice", "warm.gsh", "", nil,
 		[]byte(fillerProgram(64<<10))); err != nil {
@@ -171,7 +169,7 @@ func (k *killSwitch) RoundTrip(req *http.Request) (*http.Response, error) {
 	if k.dead.Load() && req.URL.Host == k.host.Load().(string) {
 		return nil, errors.New("injected: site unreachable")
 	}
-	return hop.Shared().RoundTrip(req)
+	return overGrid.RoundTrip(req)
 }
 
 // TestPlacementProbeFailureDegradesToLoad kills one site's GridFTP
@@ -181,16 +179,7 @@ func (k *killSwitch) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestPlacementProbeFailureDegradesToLoad(t *testing.T) {
 	ks := &killSwitch{}
 	ks.host.Store("")
-	// No session cache: every invocation logs on with a fresh proxy, so a
-	// slow -race run's virtual hours cannot expire a shared session.
 	f := newFixtureHTTP(t, ks, func(cfg *Config) {
-		// A -race run burns virtual hours of scaled clock on real work
-		// (six concurrent 3 MB stagings probing a dead site): keep the
-		// watchdog, walltime and per-invocation proxy expiry out of the
-		// way — this test is about placement, not deadlines. The timeout
-		// stays under jsdl.MaxWallTime since it doubles as the walltime.
-		cfg.InvocationTimeout = 160 * time.Hour
-		cfg.ProxyLifetime = 1000 * time.Hour
 		cfg.ChunkedStaging = true
 		cfg.DataAwarePlacement = true
 	})

@@ -19,18 +19,14 @@ func TestPollHubSkipsUnchangedSnapshots(t *testing.T) {
 	// poller must confirm the unchanged snapshot without fetching any bytes.
 	f := newPushFixture(t, &eventsGate{mode: gateNotFound}, nil)
 	if _, err := f.ons.UploadAndGenerate("alice", "quiet.gsh", "", nil,
-		[]byte("compute 5m\necho fin\n")); err != nil {
+		[]byte("compute 10s\necho fin\n")); err != nil {
 		t.Fatal(err)
 	}
 	inv, err := f.ons.Invoke("QuietService", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-inv.DoneChan():
-	case <-time.After(10 * time.Second):
-		t.Fatal("invocation stuck")
-	}
+	waitInv(t, inv, "quiet job")
 	if inv.State() != InvDone || inv.Output() != "fin\n" {
 		t.Fatalf("state %s output %q", inv.State(), inv.Output())
 	}
@@ -52,7 +48,7 @@ func TestPollHubSkipsUnchangedSnapshots(t *testing.T) {
 func runBatchWorkload(t *testing.T, f *fixture, n int) {
 	t.Helper()
 	if _, err := f.ons.UploadAndGenerate("alice", "batchy.gsh", "", nil,
-		[]byte("compute 30m\necho ok\n")); err != nil {
+		[]byte("compute 1m\necho ok\n")); err != nil {
 		t.Error(err)
 		return
 	}
@@ -82,17 +78,18 @@ func runBatchWorkload(t *testing.T, f *fixture, n int) {
 func TestPollHubBatchesStatusRPCs(t *testing.T) {
 	// Eight jobs under one cached session: once the gatekeeper turns out
 	// to be stock, the session's worker reads all of them in one
-	// status-batch round-trip per tick. On a Manual clock that is an exact
-	// count: the clock moves only while the worker sleeps beside the eight
-	// watchdogs.
+	// status-batch round-trip per tick. On a Manual clock, the grid's too,
+	// that is an exact count: the clock moves only while the worker sleeps
+	// beside the eight watchdogs, and each job's compute step and walltime.
 	const n, ticks = 8, 3
 	clk := vtime.NewManual(time.Unix(0, 0))
-	f := newPushFixture(t, &eventsGate{mode: gateNotFound}, func(cfg *Config) {
+	f := newFixtureOn(t, clk, nil, &eventsGate{base: overGrid, mode: gateNotFound}, nil, func(cfg *Config) {
 		cfg.Clock = clk
-		cfg.SessionCache = true
+		cfg.PushEvents, cfg.SessionCache = true, true
 		// The site's walltime limit derives from it: the jobs outlive the test.
 		cfg.InvocationTimeout = 100 * time.Hour
 	})
+	const waiters = n + 1 + 2*n
 	if _, err := f.ons.UploadAndGenerate("alice", "long.gsh", "", nil, []byte(strings.Repeat("compute 24h\n", 4))); err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +103,12 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 	}
 	tick := func() {
 		t.Helper()
-		waitFor(t, func() bool { return clk.Pending() == n+1 })
+		waitFor(t, func() bool { return clk.Pending() == waiters })
 		clk.Advance(f.cfg.PollInterval)
 	}
 	for k := 1; k <= ticks; k++ {
 		tick()
-		waitFor(t, func() bool { return clk.Pending() == n+1 })
+		waitFor(t, func() bool { return clk.Pending() == waiters })
 		if got := f.ons.CollectorStats().StatusRPCs; got != uint64(k) {
 			t.Fatalf("%d status RPCs after %d ticks of one session", got, k)
 		}
@@ -134,7 +131,7 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 			t.Fatalf("state %s: %s", inv.State(), inv.Message())
 		}
 	}
-	waitCollectorsIdle(t)
+	f.waitCollectorsIdle(t)
 	if got := f.ons.CollectorStats().StatusRPCs; got != ticks+1 {
 		t.Fatalf("%d status RPCs over %d ticks with jobs to read", got, ticks+1)
 	}
@@ -161,11 +158,7 @@ func TestPollHubIsolatesFailingJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, inv := range []*Invocation{bad, good} {
-		select {
-		case <-inv.DoneChan():
-		case <-time.After(10 * time.Second):
-			t.Fatal("invocation stuck")
-		}
+		waitInv(t, inv, "bad and good")
 	}
 	if bad.State() != InvFailed || !strings.Contains(bad.Message(), "kaboom") {
 		t.Fatalf("bad: %s %q", bad.State(), bad.Message())
@@ -196,11 +189,7 @@ func cancelOnCompletionTick(t *testing.T, f *fixture) {
 			defer wg.Done()
 			f.ons.CancelInvocation(inv.Ticket)
 		}()
-		select {
-		case <-inv.DoneChan():
-		case <-time.After(10 * time.Second):
-			t.Fatal("invocation hung under the cancel/complete race")
-		}
+		waitInv(t, inv, "cancel/complete race")
 		if st := inv.State(); !st.Terminal() {
 			t.Fatalf("non-terminal state %s after DoneChan", st)
 		}

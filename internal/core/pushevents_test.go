@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/gram"
-	"repro/internal/hop"
 	"repro/internal/trace"
 )
 
@@ -142,7 +141,7 @@ func newPushFixture(t *testing.T, gate *eventsGate, mutate func(*Config)) *fixtu
 	var grid http.RoundTripper
 	if gate != nil {
 		if gate.base == nil {
-			gate.base = hop.Shared()
+			gate.base = overGrid
 		}
 		grid = gate
 	}
@@ -203,7 +202,7 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 	// Mostly silent and long: the stream is up (and killable) for the
 	// whole middle of the job, and the fallback's ticks stay cheap.
 	if _, err := f.ons.UploadAndGenerate("alice", "longer.gsh", "", nil,
-		[]byte("echo head\ncompute 40m\necho tail\n")); err != nil {
+		[]byte("echo head\ncompute 2m\necho tail\n")); err != nil {
 		t.Fatal(err)
 	}
 	inv, err := f.ons.Invoke("LongerService", nil)
@@ -257,10 +256,10 @@ func TestPushEventsStalledStreamFallsBack(t *testing.T) {
 	f := newPushFixture(t, &eventsGate{mode: gateStall}, func(cfg *Config) {
 		cfg.SessionCache = true
 		cfg.InvocationTimeout = 8 * time.Hour
-		cfg.PollInterval = time.Minute
+		cfg.PollInterval = 10 * time.Second
 	})
 	if _, err := f.ons.UploadAndGenerate("alice", "stalled.gsh", "", nil,
-		[]byte("echo head\ncompute 2h\necho tail\n")); err != nil {
+		[]byte("echo head\ncompute 2m\necho tail\n")); err != nil {
 		t.Fatal(err)
 	}
 	invs := make([]*Invocation, n)
@@ -270,9 +269,9 @@ func TestPushEventsStalledStreamFallsBack(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Spread over the first worker's two stalls (each over three
-			// 10-minute heartbeats), so that registrations land while it
+			// 5-second heartbeats), so that registrations land while it
 			// leaves the collector.
-			f.clock.Sleep(time.Duration(i) * 8 * time.Minute)
+			f.clock.Sleep(time.Duration(i) * 4 * time.Second)
 			inv, err := f.ons.Invoke("StalledService", nil)
 			if err != nil {
 				t.Error(err)
@@ -305,7 +304,7 @@ func TestPushEventsStalledStreamFallsBack(t *testing.T) {
 		t.Errorf("stalled streams: %+v", es)
 	}
 	f.ons.invalidateSession("alice", invs[0].sessionID)
-	waitCollectorsIdle(t)
+	f.waitCollectorsIdle(t)
 }
 
 func TestCancelOnCompletionTickPushEvents(t *testing.T) {
@@ -369,7 +368,7 @@ func TestTracePushPathLinksParent(t *testing.T) {
 	// the terminal state then arrives as a pushed frame (carrying its
 	// publication timestamp) rather than through the bootstrap resync.
 	if _, err := f.ons.UploadAndGenerate("alice", "traced.gsh", "", nil,
-		[]byte("echo begin\ncompute 10m\necho fin\n")); err != nil {
+		[]byte("echo begin\ncompute 1m\necho fin\n")); err != nil {
 		t.Fatal(err)
 	}
 	const n = 3
@@ -474,7 +473,7 @@ func pushWorker(f *fixture, sessionID string) *eventWorker {
 // stash is filled by hand (no real route parks that many any more); then a
 // real job runs to completion while its submit reply is held.
 func TestFullStashEvictsOldestNotNewest(t *testing.T) {
-	held := &heldSubmit{base: hop.Shared(), sent: make(chan string, 1), release: make(chan struct{})}
+	held := &heldSubmit{base: overGrid, sent: make(chan string, 1), release: make(chan struct{})}
 	f := newFixtureHTTP(t, held, func(cfg *Config) {
 		cfg.PushEvents = true
 		cfg.SessionCache = true
@@ -551,7 +550,7 @@ func TestFullStashEvictsOldestNotNewest(t *testing.T) {
 func TestPushStreamScopedToItsSession(t *testing.T) {
 	f := newPushFixture(t, nil, func(cfg *Config) { cfg.SessionCache = true })
 	if _, err := f.ons.UploadAndGenerate("alice", "along.gsh", "", nil,
-		[]byte("echo a1\ncompute 30m\necho a2\n")); err != nil {
+		[]byte("echo a1\ncompute 1m\necho a2\n")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.ons.UploadAndGenerate("alice", "bshort.gsh", "", nil,
@@ -619,7 +618,7 @@ func TestPushStreamScopedToItsSession(t *testing.T) {
 	}
 	// ... and lets go of it within a heartbeat of losing the session.
 	f.ons.invalidateSession("alice", b.sessionID)
-	waitCollectorsIdle(t)
+	f.waitCollectorsIdle(t)
 	if pushWorker(f, b.sessionID) != nil {
 		t.Fatal("worker still registered after its goroutine ended")
 	}

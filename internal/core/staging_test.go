@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cyberaide"
 	"repro/internal/gridftp"
-	"repro/internal/hop"
 	"repro/internal/wsdl"
 )
 
@@ -29,7 +28,7 @@ func (ft *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, errors.New("injected transport blip")
 		}
 	}
-	return hop.Shared().RoundTrip(req)
+	return overGrid.RoundTrip(req)
 }
 
 func TestUploadRetriesTransientFault(t *testing.T) {

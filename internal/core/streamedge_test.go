@@ -25,7 +25,6 @@ import (
 	"repro/internal/blobdb"
 	"repro/internal/gridftp"
 	"repro/internal/gsh"
-	"repro/internal/hop"
 	"repro/internal/trace"
 )
 
@@ -107,7 +106,7 @@ func (e *faultyEdge) forward(req *http.Request) (*http.Response, error) {
 	if isFilePut(req) {
 		req.Body = countedBody{req.Body, &e.sent}
 	}
-	resp, err := hop.Shared().RoundTrip(req)
+	resp, err := overGrid.RoundTrip(req)
 	if err == nil && resp.StatusCode == http.StatusCreated && (isFilePut(req) || isCommit(req)) {
 		e.mu.Lock()
 		e.registered++
@@ -396,7 +395,7 @@ type discardSite struct {
 
 func (d *discardSite) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !strings.HasPrefix(req.URL.Path, "/ftp") {
-		return hop.Shared().RoundTrip(req)
+		return overGrid.RoundTrip(req)
 	}
 	reply := func(status int, checksum string, body []byte) (*http.Response, error) {
 		return &http.Response{StatusCode: status, Header: http.Header{gridftp.ChecksumHeader: {checksum}},
@@ -434,8 +433,9 @@ func (d *discardSite) RoundTrip(req *http.Request) (*http.Response, error) {
 // notAppliance names the functions under which what the process allocates
 // is not the appliance's: the grid's own goroutines, which share the test's
 // process — an HTTP server's connection (gatekeeper, GridFTP), the MyProxy
-// server, the scheduler — and the count itself.
-var notAppliance = []string{"net/http.(*conn).serve", "repro/internal/myproxy.(*Server).", "repro/internal/gridsim.", "repro/internal/core.applianceAlloc"}
+// server, the scheduler — the in-process pipe's buffer, which stands in for
+// the kernel's socket buffer, and the count itself.
+var notAppliance = []string{"net/http.(*conn).serve", "repro/internal/myproxy.(*Server).", "repro/internal/gridsim.", "repro/internal/netsim.(*pipeConn).Write", "repro/internal/core.applianceAlloc"}
 
 // applianceAlloc returns the bytes the process has allocated outside
 // notAppliance, as the memory profile has them — every allocation, while
@@ -476,11 +476,10 @@ func applianceAlloc() int64 {
 // profile) or the stored gzip goes out in chunks (production). In the
 // first two rows the sites' servers are replaced by one that keeps nothing,
 // and the copy the job runs is a small one placed beforehand; the last runs
-// the paper profile against the real sites over loopback, so the transport
-// is on the appliance's side of the count too. Its bar (~42 KB measured)
-// is passed by the 32 KB copy buffer a TCP connection's own ReadFrom makes
-// for each streamed PUT. The grid's goroutines are left out of every count
-// (notAppliance).
+// the paper profile against the real sites over the fixture's in-process
+// network, so the transport is on the appliance's side of the count too
+// (~30 KB measured). The grid's goroutines and the pipe's buffer are left
+// out of every count (notAppliance).
 func TestColdStageAllocatesNoExecutableSizedObject(t *testing.T) {
 	const size = 1 << 20
 	for _, tc := range []struct {
@@ -495,7 +494,7 @@ func TestColdStageAllocatesNoExecutableSizedObject(t *testing.T) {
 			cfg.PushEvents, cfg.CoalesceStaging = true, true
 			cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
 		}, &discardSite{}, size / 4},
-		{"paper-loopback", nil, nil, 56 << 10},
+		{"paper-real-sites", nil, nil, 56 << 10},
 	} {
 		t.Run(tc.profile, func(t *testing.T) {
 			defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
@@ -524,9 +523,9 @@ func TestColdStageAllocatesNoExecutableSizedObject(t *testing.T) {
 					t.Fatalf("run %d: %q, %v", i, out, err)
 				}
 			}
-			// One P and no collection inside the window, so that every pool
-			// keeps what it was given.
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			// No collection inside the window, so that every pool keeps
+			// what it was given. (GOMAXPROCS stays: the event clock looks
+			// with a P of its own.)
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			run(-1) // warms pools and connections
 			const runs = 6

@@ -15,7 +15,6 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
-	"repro/internal/hop"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/soap"
@@ -24,16 +23,17 @@ import (
 )
 
 // newWANFixture wires an onServe over a single-site grid whose servers
-// answer across the paper's shaped WAN (~85 KB/s), at a caller-chosen
-// time dilation so one staging transfer occupies tens of real
-// milliseconds.
-func newWANFixture(t *testing.T, scale float64, mutate func(*Config)) *fixture {
+// answer across the paper's shaped WAN (~85 KB/s), on an event clock and
+// gridNet.
+func newWANFixture(t *testing.T, mutate func(*Config)) *fixture {
 	t.Helper()
-	clk := vtime.NewScaled(scale)
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
 	env, err := gridenv.Start(gridenv.Options{
 		Clock:   clk,
 		Sites:   []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
 		Profile: netsim.WAN(clk),
+		Net:     gridNet,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +55,7 @@ func newWANFixture(t *testing.T, scale float64, mutate func(*Config)) *fixture {
 		Registry:  uddi.NewRegistry(clk),
 		Agent: cyberaide.New(cyberaide.Options{
 			Endpoints: env.Endpoints(), Clock: clk, Probe: probe, Cost: metrics.DefaultCost(),
+			Dial: gridNet.DialContext,
 		}),
 		BaseURL: "http://appliance.test",
 	}
@@ -96,7 +97,7 @@ func (g *uploadGate) RoundTrip(req *http.Request) (*http.Response, error) {
 		g.parked <- struct{}{}
 		<-g.release
 	}
-	return hop.Shared().RoundTrip(req)
+	return overGrid.RoundTrip(req)
 }
 
 // awaitStagingWaiters returns once n arrivals are parked on the one
@@ -177,7 +178,7 @@ func stagingBurst(t *testing.T, f *fixture, n int, gate *uploadGate) SubmitStats
 }
 
 func TestColdBurstStagingStockUploadsPerInvocation(t *testing.T) {
-	f := newWANFixture(t, 300, nil)
+	f := newWANFixture(t, nil)
 	const n = 8
 	d := stagingBurst(t, f, n, nil)
 	// Paper-faithful: every invocation pushes the full blob across the
@@ -194,7 +195,7 @@ func TestColdBurstStagingCoalescedSingleUpload(t *testing.T) {
 	// The contract is "arrivals while a transfer is in flight share it",
 	// so the test makes the overlap a fact instead of a likelihood: the
 	// leader's PUT is held at the transport until the other n-1
-	// invocations are parked on its flight. No dilation factor to tune.
+	// invocations are parked on its flight.
 	gate := newUploadGate()
 	f := newFixtureHTTP(t, gate, func(cfg *Config) {
 		cfg.CoalesceStaging = true

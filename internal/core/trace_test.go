@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/hop"
 	"repro/internal/trace"
 )
 
@@ -126,7 +125,7 @@ func TestTraceEndToEnd(t *testing.T) {
 // stockGatekeeper is a grid transport whose gatekeeper has no event
 // stream (404 on /gram/events): under PushEvents, the collector polls.
 func stockGatekeeper() http.RoundTripper {
-	return &eventsGate{base: hop.Shared(), mode: gateNotFound}
+	return &eventsGate{base: overGrid, mode: gateNotFound}
 }
 
 // TestTraceHubPathsLinkParent is the satellite-2 regression: with

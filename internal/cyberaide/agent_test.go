@@ -4,7 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
-	"net/http/httptest"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -20,24 +20,39 @@ import (
 // with gridenv (which imports cyberaide for Endpoints), the environment
 // is assembled through the lower-level packages here.
 import (
-	"net"
-
 	"repro/internal/gram"
 	"repro/internal/gridftp"
+	"repro/internal/hop"
 	"repro/internal/myproxy"
+	"repro/internal/netsim"
 	"repro/internal/xsec"
 )
 
 type world struct {
 	agent *Agent
 	grid  *gridsim.Grid
-	clock *vtime.Scaled
+	clock *vtime.Auto
 	rec   *metrics.Recorder
+	net   *netsim.Net // every server listens on it
 }
 
+// serve runs h on a fresh listener of w's network until the test ends,
+// returning its root URL.
+func (w *world) serve(t *testing.T, h http.Handler) string {
+	ln := w.net.Listen()
+	srv := netsim.NewHTTPServer(h)
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return "http://" + ln.Addr().String()
+}
+
+// newWorld boots the grid's servers on one in-process network and an
+// event clock.
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	clk := vtime.NewScaled(20000)
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
+	w := &world{clock: clk, net: netsim.NewNet()}
 	ca, err := xsec.NewCA("CA", clk.Now(), 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -50,20 +65,14 @@ func newWorld(t *testing.T) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gramSrv := httptest.NewServer(gram.NewServer(grid, trust, clk))
-	t.Cleanup(gramSrv.Close)
+	gramURL := w.serve(t, gram.NewServer(grid, trust, clk))
 	ftpURLs := map[string]string{}
 	for _, name := range grid.SiteNames() {
 		site, _ := grid.Site(name)
-		s := httptest.NewServer(gridftp.NewServer(site.Store(), trust, clk, nil))
-		t.Cleanup(s.Close)
-		ftpURLs[name] = s.URL
+		ftpURLs[name] = w.serve(t, gridftp.NewServer(site.Store(), trust, clk, hop.NewTransport(w.net.DialContext)))
 	}
 	mpSrv := myproxy.NewServer(clk)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := w.net.Listen()
 	go mpSrv.Serve(ln)
 	t.Cleanup(func() { mpSrv.Close() })
 
@@ -71,23 +80,25 @@ func newWorld(t *testing.T) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpc := &myproxy.Client{Addr: ln.Addr().String()}
+	mpc := &myproxy.Client{Addr: ln.Addr().String(), Dial: w.net.DialContext}
 	if err := mpc.Put("alice", "pw", alice); err != nil {
 		t.Fatal(err)
 	}
 
-	rec := metrics.NewRecorder(clk, 3*time.Second)
-	agent := New(Options{
+	w.rec = metrics.NewRecorder(clk, 3*time.Second)
+	w.agent = New(Options{
 		Endpoints: Endpoints{
-			GramURL:     gramSrv.URL,
+			GramURL:     gramURL,
 			MyProxyAddr: ln.Addr().String(),
 			FTPURLs:     ftpURLs,
 		},
 		Clock: clk,
-		Probe: metrics.NewProbe(rec),
+		Probe: metrics.NewProbe(w.rec),
 		Cost:  metrics.Cost{Auth: 100 * time.Millisecond},
+		Dial:  w.net.DialContext,
 	})
-	return &world{agent: agent, grid: grid, clock: clk, rec: rec}
+	w.grid = grid
+	return w
 }
 
 func TestAuthenticateUploadSubmitCollect(t *testing.T) {
@@ -124,7 +135,7 @@ func TestAuthenticateUploadSubmitCollect(t *testing.T) {
 		if st.State == "FAILED" || time.Now().After(deadline) {
 			t.Fatalf("job state %s: %s", st.State, st.Message)
 		}
-		time.Sleep(time.Millisecond)
+		w.clock.Sleep(time.Millisecond)
 	}
 	out, err := w.agent.Output(sess.ID, jobID)
 	if err != nil {
@@ -179,12 +190,11 @@ func TestSessionLifecycle(t *testing.T) {
 
 func TestSessionExpires(t *testing.T) {
 	w := newWorld(t)
-	// 1 virtual second at scale 20000 expires almost immediately.
 	sess, err := w.agent.Authenticate("alice", "pw", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
+	w.clock.Sleep(2 * time.Second)
 	if _, err := w.agent.Session(sess.ID); !errors.Is(err, ErrExpired) {
 		t.Fatalf("got %v", err)
 	}
@@ -293,10 +303,8 @@ func TestSOAPFacade(t *testing.T) {
 	if err := container.Deploy(w.agent.SOAPService()); err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(container)
-	defer hs.Close()
-	var c soap.Client
-	url := hs.URL + "/services/" + ServiceName
+	c := soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(w.net.DialContext)}}
+	url := w.serve(t, container) + "/services/" + ServiceName
 
 	sessID, err := c.Call(url, Namespace, "authenticate", []soap.Param{
 		{Name: "user", Value: "alice"},
@@ -349,7 +357,7 @@ func TestSOAPFacade(t *testing.T) {
 		if st.State == "FAILED" || time.Now().After(deadline) {
 			t.Fatalf("state %+v", st)
 		}
-		time.Sleep(time.Millisecond)
+		w.clock.Sleep(time.Millisecond)
 	}
 	out, err := c.Call(url, Namespace, "output", []soap.Param{
 		{Name: "session", Value: sessID}, {Name: "job", Value: jobID},
@@ -363,10 +371,8 @@ func TestSOAPFacadeFaults(t *testing.T) {
 	w := newWorld(t)
 	container := soap.NewServer(nil, metrics.Cost{})
 	container.Deploy(w.agent.SOAPService())
-	hs := httptest.NewServer(container)
-	defer hs.Close()
-	var c soap.Client
-	url := hs.URL + "/services/" + ServiceName
+	c := soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(w.net.DialContext)}}
+	url := w.serve(t, container) + "/services/" + ServiceName
 	_, err := c.Call(url, Namespace, "authenticate", []soap.Param{
 		{Name: "user", Value: "alice"},
 		{Name: "passphrase", Value: "bad"},
@@ -400,20 +406,18 @@ func TestExpiredSessionsAreReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 	mpSrv := myproxy.NewServer(clk)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipes := netsim.NewNet()
+	ln := pipes.Listen()
 	go mpSrv.Serve(ln)
 	t.Cleanup(func() { mpSrv.Close() })
 	alice, err := ca.IssueUser("alice", clk.Now(), 30*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&myproxy.Client{Addr: ln.Addr().String()}).Put("alice", "pw", alice); err != nil {
+	if err := (&myproxy.Client{Addr: ln.Addr().String(), Dial: pipes.DialContext}).Put("alice", "pw", alice); err != nil {
 		t.Fatal(err)
 	}
-	agent := New(Options{Endpoints: Endpoints{MyProxyAddr: ln.Addr().String()}, Clock: clk})
+	agent := New(Options{Endpoints: Endpoints{MyProxyAddr: ln.Addr().String()}, Clock: clk, Dial: pipes.DialContext})
 
 	const lifetime = time.Hour
 	var last *Session

@@ -38,7 +38,7 @@ func TestReplicateBetweenSites(t *testing.T) {
 		if st.State == "FAILED" || time.Now().After(deadline) {
 			t.Fatalf("replicated job %v", st)
 		}
-		time.Sleep(time.Millisecond)
+		w.clock.Sleep(time.Millisecond)
 	}
 	out, _ := w.agent.Output(sess.ID, jobID)
 	if out != "replicated\n" {

@@ -26,9 +26,9 @@ func incompressible(n int, seed uint64) []byte {
 
 // AblationBlobDB sweeps the storage engine's one structural knob, the
 // shard count, over {1, 4, 16} with everything else held equal. Like
-// AblationGroupCommit it runs in real time against real files — time
-// dilation would hide exactly the fsync and lock-hold costs sharding
-// exists to remove. Each count gets two runs:
+// AblationGroupCommit it runs in real time against real files — virtual
+// time would hide exactly the fsync and lock-hold costs sharding exists
+// to remove. Each count gets two runs:
 //
 //   - load: sustained overwrites on a preloaded store that must reclaim
 //     space while serving (a WAL-structured store cannot take overwrites

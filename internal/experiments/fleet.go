@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"net/http"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/appliance"
 	"repro/internal/gateway"
 	"repro/internal/gridenv"
+	"repro/internal/hop"
 	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/vtime"
@@ -64,25 +66,25 @@ func AblationFleet(fleets []int, invocations int) (*AblationResult, error) {
 	return res, nil
 }
 
-// fleetRig is the booted fleet measurement stack.
+// fleetRig is the booted fleet measurement stack: grid, gateway front
+// door and every shard on one event clock and one in-process network.
 type fleetRig struct {
-	clock *vtime.Scaled
+	clock *vtime.Auto
+	pipes *netsim.Net
 	env   *gridenv.Env
 	gw    *gateway.Gateway
 }
 
 func newFleetRig(fleetN int) (*fleetRig, error) {
-	clk := vtime.NewScaled(40)
+	clk := vtime.NewAuto()
+	pipes := netsim.NewNet()
 	// The grid's server side stays unshaped; each appliance's own
 	// client-side WAN uplink is the measured link.
-	env, err := bootGrid(clk, nil, nil, nil)
+	env, err := bootGrid(clk, pipes, nil, nil)
 	if err != nil {
+		clk.Stop()
 		return nil, err
 	}
-	// Time dilation shrinks the default event-stream heartbeat to a few
-	// real milliseconds; one virtual minute keeps the client's liveness
-	// budget well clear of real scheduler jitter.
-	env.Gatekeeper.SetHeartbeatInterval(time.Minute)
 	gw, err := gateway.Boot(gateway.Config{
 		Fleet: fleetN,
 		Appliance: appliance.Config{
@@ -95,28 +97,33 @@ func newFleetRig(fleetN int) (*fleetRig, error) {
 		// Each shard gets its own shaped WAN uplink toward the grid — the
 		// fleet's whole point is multiplying this link.
 		PerShard: func(i int, cfg appliance.Config) appliance.Config {
-			cfg.GridDial = (&netsim.Dialer{Profile: netsim.WAN(clk)}).DialContext
+			cfg.GridDial = (&netsim.Dialer{Profile: netsim.WAN(clk), Net: pipes}).DialContext
 			return cfg
 		},
 		Clock:         clk,
 		FailThreshold: 2,
 		HalfOpenAfter: 2 * time.Minute,
-	}, nil)
+		Net:           pipes,
+	}, pipes.Listen())
 	if err != nil {
 		env.Close()
+		clk.Stop()
 		return nil, err
 	}
 	gw.RegisterUser("alice", aliceAuth)
-	return &fleetRig{clock: clk, env: env, gw: gw}, nil
+	return &fleetRig{clock: clk, pipes: pipes, env: env, gw: gw}, nil
 }
 
 func (r *fleetRig) close() {
 	r.gw.Shutdown()
 	r.env.Close()
+	r.clock.Stop()
 }
 
 // door reaches the fleet through its gateway.
-func (r *fleetRig) door() door { return door{portal.Client{Base: r.gw.BaseURL}} }
+func (r *fleetRig) door() door {
+	return door{portal.Client{Base: r.gw.BaseURL, HTTP: &http.Client{Transport: hop.NewTransport(r.pipes.DialContext)}}}
+}
 
 // fleetBurst boots one fleet, publishes the service set, fires the
 // burst, and accounts gateway + fleet-wide counters. With kill set, one
@@ -144,10 +151,11 @@ func fleetBurst(study, variant string, fleetN, invocations int, kill bool) ([]Ab
 
 	// The failover victim is the shard owning the most services — killing
 	// it mid-burst forces the largest share of the keyspace through
-	// ejection, ring failover, and catalog replay.
+	// ejection, ring failover, and catalog replay. A tie goes to the
+	// lowest index.
 	victim := -1
 	if kill {
-		load := map[int]int{}
+		load := make([]int, fleetN)
 		for _, svc := range services {
 			load[r.gw.PrimaryFor(svc)]++
 		}
@@ -160,39 +168,28 @@ func fleetBurst(study, variant string, fleetN, invocations int, kill bool) ([]Ab
 
 	start := r.clock.Now()
 	var completed, reissues atomic.Uint64
-	burstDone := make(chan error, 1)
-	go func() {
-		burstDone <- fanOut(invocations, 0, func(i int) error {
-			var err error
-			for attempt := 0; attempt < 10; attempt++ {
-				if attempt > 0 {
-					reissues.Add(1)
-					time.Sleep(100 * time.Millisecond)
-				}
-				if _, err = front.call(services[i%len(services)], fmt.Sprint(i)); err == nil {
-					completed.Add(1)
-					return nil
-				}
-				if !kill {
-					break // healthy runs must succeed first try
-				}
+	err = fanOut(invocations, 0, func(i int) error {
+		var err error
+		for attempt := 0; attempt < 10; attempt++ {
+			if attempt > 0 {
+				reissues.Add(1)
+				r.clock.Sleep(time.Second) // a virtual second's backoff
 			}
-			return fmt.Errorf("invocation %d: %w", i, err)
-		})
-	}()
-	if kill {
-		// Hard-kill the victim once the burst is demonstrably in flight —
-		// after the first completion, while the victim still holds most of
-		// its share of the burst.
-		for completed.Load() == 0 && len(burstDone) == 0 {
-			time.Sleep(5 * time.Millisecond)
+			if _, err = front.call(services[i%len(services)], fmt.Sprint(i)); err == nil {
+				if completed.Add(1) == 1 && kill {
+					// Hard-kill the victim at the first completion, while
+					// it still holds most of its share of the burst.
+					return r.gw.Kill(victim)
+				}
+				return nil
+			}
+			if !kill {
+				break // healthy runs must succeed first try
+			}
 		}
-		if err := r.gw.Kill(victim); err != nil {
-			<-burstDone
-			return nil, err
-		}
-	}
-	if err := <-burstDone; err != nil {
+		return fmt.Errorf("invocation %d: %w", i, err)
+	})
+	if err != nil {
 		return nil, err
 	}
 	elapsed := r.clock.Now().Sub(start).Seconds()

@@ -78,8 +78,7 @@ var groupCommitTable = variantTable{"group-commit", []variant{
 // writers: the stock one-unsynced-write-per-mutation behaviour against
 // group commit (batched appends, one fsync per batch). Unlike the
 // figure ablations this one runs in real time against a real on-disk
-// WAL — virtual-time dilation would hide the syscall costs it exists to
-// show.
+// WAL — virtual time would hide the syscall costs it exists to show.
 func AblationGroupCommit(payloadKB, writers, putsPerWriter int) (*AblationResult, error) {
 	payloadKB = orDefault(payloadKB, 64)
 	writers = orDefault(writers, 8)

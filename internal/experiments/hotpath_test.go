@@ -12,8 +12,7 @@ func TestAblationHotPath(t *testing.T) {
 	vals := ablationMap(res)
 	// The verdict is what each lever removes, counted where it happens:
 	// MyProxy logons and scheduler-statistics fetches. Bytes and makespans
-	// are reported but not judged — the number of polls in a run, and so
-	// its traffic, follows the host's speed through the dilated clock.
+	// are reported but not judged here.
 	for _, variant := range HotPathVariants {
 		sessionCache := variant == "session-cache" || variant == "warm"
 		statsTTL := variant == "stats-ttl" || variant == "warm"

@@ -10,8 +10,8 @@
 // CPU, disk, and network at 3-second virtual intervals exactly as the
 // paper did. Virtual time moves only by modelled cost — link pacing, the
 // metrics cost model, job runtimes, poll intervals — so a figure reads
-// the same on any host, with or without the race detector. The fleet
-// rig alone still runs over loopback TCP on a 40x dilated clock.
+// the same on any host, with or without the race detector. The fleet rig
+// runs on the same clock and pipes.
 //
 // Every study is written in one vocabulary: a rig (newRig, newFleetRig),
 // the two doors into it (service: the generated SOAP service the figures

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"regexp"
 	"testing"
 )
 
 // Reduced shape tests for the studies that had none. Each judges counts
 // and byte totals, never makespans, and runs in a few real seconds; the
-// fleet and blobdb ones are skipped under -short.
+// blobdb one is skipped under -short.
 
 func TestAblationStageShape(t *testing.T) {
 	res, err := AblationStage(Options{}, 256)
@@ -62,9 +63,6 @@ func TestAblationStageUnknownVariant(t *testing.T) {
 }
 
 func TestAblationFleetShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots seven appliances")
-	}
 	const burst = 8
 	res, err := AblationFleet([]int{1, 2}, burst)
 	if err != nil {
@@ -103,6 +101,22 @@ func TestAblationFleetShape(t *testing.T) {
 	}
 	if got := vals["fleet-2/kill-1/shards_used"]; got != 1 {
 		t.Fatalf("fleet-2 kill-1 left %v live shards with work, want 1", got)
+	}
+}
+
+// TestFleetRigIsInProcess: every endpoint of the fleet rig — gatekeeper,
+// MyProxy, front door, both GridFTP sites and both shards — is on the
+// rig's pipes, so no byte waits in a socket the event clock cannot see.
+func TestFleetRigIsInProcess(t *testing.T) {
+	r, err := newFleetRig(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	all := fmt.Sprint(r.env.GramURL, " http://", r.env.MyProxyAddr, " ", r.gw.BaseURL, " ", r.env.FTPURLs["ncsa-abe"],
+		" ", r.env.FTPURLs["sdsc-ds"], " ", r.gw.Fleet()[0].BaseURL, " ", r.gw.Fleet()[1].BaseURL)
+	if !regexp.MustCompile(`^http://pipe[0-9]+:80( http://pipe[0-9]+:80){6}$`).MatchString(all) {
+		t.Fatalf("endpoints %s, want seven on the rig's pipes", all)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestOversizeRequestBodyRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := web.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}

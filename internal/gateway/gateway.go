@@ -70,8 +70,9 @@ type Config struct {
 	HalfOpenAfter time.Duration
 	// Clock times the cooldown; nil means real time.
 	Clock vtime.Clock
-	// Transport carries gateway→appliance traffic; nil means hop.Shared().
-	Transport http.RoundTripper
+	// Net, when non-nil, is the in-process network the shards listen on
+	// and are dialled through; nil means loopback TCP and hop.Shared().
+	Net *netsim.Net
 	// Trace, when non-nil, records one gateway span per proxied request
 	// and forwards its context in X-Grid-Trace, so appliance-side
 	// waterfalls hang under the gateway hop. Share the collector with the
@@ -138,9 +139,9 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	if cfg.Fleet <= 0 {
 		return nil, errors.New("gateway: Fleet must be >= 1")
 	}
-	rt := cfg.Transport
-	if rt == nil {
-		rt = hop.Shared()
+	rt := http.RoundTripper(hop.Shared())
+	if cfg.Net != nil {
+		rt = hop.NewTransport(cfg.Net.DialContext)
 	}
 	g := &Gateway{
 		cfg:     cfg,
@@ -200,7 +201,11 @@ func (g *Gateway) bootShard(i int) (*appliance.Appliance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: shard %d: %w", i, err)
 	}
-	app, err := img.Boot(nil)
+	var ln net.Listener
+	if g.cfg.Net != nil {
+		ln = g.cfg.Net.Listen()
+	}
+	app, err := img.Boot(ln)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: boot shard %d: %w", i, err)
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/uddi"
 	"repro/internal/vtime"
 )
@@ -26,21 +27,29 @@ import (
 type fleetWorld struct {
 	gw    *Gateway
 	env   *gridenv.Env
-	clock *vtime.Scaled
+	clock *vtime.Auto
 }
 
+// pipes is the in-process network every fleet in these tests runs on —
+// grid, shards and front door — and web a caller's client on it.
+var (
+	pipes = netsim.NewNet()
+	web   = &http.Client{Transport: &http.Transport{DialContext: pipes.DialContext}}
+)
+
 // bootFleet boots one simulated grid plus a gateway fronting n
-// appliances. The ejection cooldown is on the scaled clock: 20 minutes
-// are 60 ms of real time at 20000x.
+// appliances, on an event clock and pipes.
 func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 	t.Helper()
-	clk := vtime.NewScaled(20000)
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
 	env, err := gridenv.Start(gridenv.Options{
 		Clock: clk,
 		Sites: []gridsim.SiteConfig{
 			{Name: "siteA", Nodes: 2, CoresPerNode: 8},
 			{Name: "siteB", Nodes: 2, CoresPerNode: 8},
 		},
+		Net: pipes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,14 +66,16 @@ func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 			Cost:              metrics.DefaultCost(),
 			PollInterval:      2 * time.Second,
 			InvocationTimeout: time.Hour,
+			GridDial:          pipes.DialContext,
 		},
 		Clock:         clk,
 		HalfOpenAfter: 20 * time.Minute,
+		Net:           pipes,
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	gw, err := Boot(cfg, nil)
+	gw, err := Boot(cfg, pipes.Listen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +87,7 @@ func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 func (w *fleetWorld) upload(t *testing.T, base, filename, program string) uddi.Record {
 	t.Helper()
 	ct, body := multipartUploadProgram(t, filename, "alice", program)
-	resp, err := http.Post(base+"/upload", ct, bytes.NewReader(body))
+	resp, err := web.Post(base+"/upload", ct, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +123,7 @@ func multipartUploadProgram(t testing.TB, filename, user, program string) (strin
 // body, so callers can re-issue.
 func invokeWait(base, service string, args map[string]string) (ticket, output string, err error) {
 	payload, _ := json.Marshal(map[string]any{"service": service, "args": args})
-	resp, err := http.Post(base+"/api/invoke", "application/json", bytes.NewReader(payload))
+	resp, err := web.Post(base+"/api/invoke", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		return "", "", err
 	}
@@ -127,7 +138,7 @@ func invokeWait(base, service string, args map[string]string) (ticket, output st
 	if err := json.Unmarshal(raw, &inv); err != nil || inv.Ticket == "" {
 		return "", "", fmt.Errorf("invoke reply %q: %v", raw, err)
 	}
-	resp, err = http.Get(base + "/api/wait?ticket=" + inv.Ticket)
+	resp, err = web.Get(base + "/api/wait?ticket=" + inv.Ticket)
 	if err != nil {
 		return inv.Ticket, "", err
 	}
@@ -152,7 +163,7 @@ func invokeWait(base, service string, args map[string]string) (ticket, output st
 // gatewayStats reads the gateway block of the front door's /api/stats.
 func gatewayStats(t *testing.T, gw *Gateway) Stats {
 	t.Helper()
-	resp, err := http.Get(gw.BaseURL + "/api/stats")
+	resp, err := web.Get(gw.BaseURL + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +215,7 @@ func TestFleetRoutingSticksAndMerges(t *testing.T) {
 	}
 
 	// The merged /api/services listing covers the whole fleet, sorted.
-	resp, err := http.Get(w.gw.BaseURL + "/api/services")
+	resp, err := web.Get(w.gw.BaseURL + "/api/services")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +232,7 @@ func TestFleetRoutingSticksAndMerges(t *testing.T) {
 	}
 
 	// /api/stats carries the gateway block plus one doc per shard.
-	resp, err = http.Get(w.gw.BaseURL + "/api/stats")
+	resp, err = web.Get(w.gw.BaseURL + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +278,7 @@ func TestServiceRoutesByNameAlone(t *testing.T) {
 		t.Fatalf("invoke through the gateway: %q %v", out, err)
 	}
 	for _, path := range []string{"/api/service?name=" + service, "/services/" + service + "?wsdl"} {
-		resp, err := http.Get(w.gw.BaseURL + path)
+		resp, err := web.Get(w.gw.BaseURL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,13 +301,13 @@ func TestFleetOfOneMatchesSingleAppliance(t *testing.T) {
 
 	direct := w.gw.Fleet()[0].BaseURL
 	for _, path := range []string{"/api/services", "/api/service?name=SoloService", "/registry", "/registry?pattern=Solo%25"} {
-		viaGW, err := http.Get(w.gw.BaseURL + path)
+		viaGW, err := web.Get(w.gw.BaseURL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gwBody, _ := io.ReadAll(viaGW.Body)
 		viaGW.Body.Close()
-		viaApp, err := http.Get(direct + path)
+		viaApp, err := web.Get(direct + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +438,7 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 					return
 				}
 				lastErr = err
-				time.Sleep(50 * time.Millisecond)
+				w.clock.Sleep(time.Second) // re-issue after a backoff
 			}
 			errs <- fmt.Errorf("call %d never completed: %v", i, lastErr)
 		}()
@@ -486,7 +497,7 @@ func TestRegistryPageGathersTheFleet(t *testing.T) {
 	w.upload(t, direct.BaseURL, "direct.gsh", "echo ok\n")
 	page := func(query string) string {
 		t.Helper()
-		resp, err := http.Get(w.gw.BaseURL + "/registry" + query)
+		resp, err := web.Get(w.gw.BaseURL + "/registry" + query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,7 +515,7 @@ func TestRegistryPageGathersTheFleet(t *testing.T) {
 	if got := page("?pattern=Direct%25"); !strings.Contains(got, "1 published service(s)") || !strings.Contains(got, "<td>DirectService</td>") {
 		t.Fatalf("the pattern was not applied on the members:\n%s", got)
 	}
-	resp, err := http.Post(w.gw.BaseURL+"/api/delete?name=ListedService", "", nil)
+	resp, err := web.Post(w.gw.BaseURL+"/api/delete?name=ListedService", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +593,7 @@ func TestDeleteAfterRejoinSweepsTheFleet(t *testing.T) {
 	if n := holders(); n != 1 {
 		t.Fatalf("%d members hold %s before the delete, want the successor alone", n, name)
 	}
-	resp, err := http.Post(w.gw.BaseURL+"/api/delete?name="+name, "", nil)
+	resp, err := web.Post(w.gw.BaseURL+"/api/delete?name="+name, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +605,7 @@ func TestDeleteAfterRejoinSweepsTheFleet(t *testing.T) {
 	if n := holders(); n != 0 {
 		t.Fatalf("%d members still hold %s after the delete", n, name)
 	}
-	resp, err = http.Get(w.gw.BaseURL + "/api/services")
+	resp, err = web.Get(w.gw.BaseURL + "/api/services")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +667,7 @@ func ejectPrimary(t *testing.T, gw *Gateway, service string) {
 		if i == 20 {
 			t.Fatal("the killed shard was never ejected")
 		}
-		resp, err := http.Get(gw.BaseURL + "/api/service?name=" + service)
+		resp, err := web.Get(gw.BaseURL + "/api/service?name=" + service)
 		if err != nil {
 			t.Fatal(err)
 		}

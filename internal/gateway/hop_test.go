@@ -145,12 +145,10 @@ func TestForwardDropsHopByHopHeaders(t *testing.T) {
 // pooled one to the member: five such GETs dial the member no more.
 func TestCallerConnectionCloseKeepsTheMemberConnection(t *testing.T) {
 	var dials atomic.Int32
-	tr := hop.NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
+	w := bootFleet(t, 1, nil)
+	w.gw.rt = hop.NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
 		dials.Add(1)
-		return (&net.Dialer{}).DialContext(ctx, network, addr)
-	})
-	w := bootFleet(t, 1, func(cfg *Config) {
-		cfg.Transport = tr
+		return pipes.DialContext(ctx, network, addr)
 	})
 	get := func(close bool) {
 		req, err := http.NewRequest(http.MethodGet, w.gw.BaseURL+"/api/services", nil)
@@ -158,7 +156,7 @@ func TestCallerConnectionCloseKeepsTheMemberConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Close = close
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := web.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}

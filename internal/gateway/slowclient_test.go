@@ -1,8 +1,8 @@
 package gateway
 
 import (
+	"context"
 	"io"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +24,7 @@ func TestListenersDropSlowClients(t *testing.T) {
 		{"gateway", w.gw.BaseURL},
 	} {
 		t.Run(l.name, func(t *testing.T) {
-			conn, err := net.Dial("tcp", strings.TrimPrefix(l.url, "http://"))
+			conn, err := pipes.DialContext(context.Background(), "tcp", strings.TrimPrefix(l.url, "http://"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"encoding/json"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -47,7 +46,7 @@ func keyPaths(doc any) []string {
 
 func statsPaths(t *testing.T, base, doc string) []string {
 	t.Helper()
-	resp, err := http.Get(base + "/api/stats")
+	resp, err := web.Get(base + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

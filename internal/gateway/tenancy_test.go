@@ -33,7 +33,7 @@ func keyedDo(t *testing.T, method, url, key, contentType string, body []byte) (*
 	if key != "" {
 		req.Header.Set(tenant.KeyHeader, key)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := web.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFleetTenancyFailoverReplaysAsTheUploader(t *testing.T) {
 		cfg.Appliance.Tenancy = fleetTenancyConfig()
 		cfg.FailThreshold = 2
 	})
-	front := portal.Client{Base: w.gw.BaseURL, Key: "acme-secret"}
+	front := portal.Client{Base: w.gw.BaseURL, HTTP: web, Key: "acme-secret"}
 	rec, err := front.Upload(portal.UploadRequest{FileName: "failover.gsh", Content: []byte("echo f=${x}\n"), User: "alice"})
 	if err != nil {
 		t.Fatal(err)

@@ -141,17 +141,6 @@ type helloData struct {
 	Session    string `json:"session,omitempty"`
 }
 
-// SetHeartbeatInterval overrides the stream keepalive cadence (tests
-// and time-dilated rigs); zero or negative restores the default.
-func (s *Server) SetHeartbeatInterval(d time.Duration) { s.heartbeat = d }
-
-func (s *Server) heartbeatInterval() time.Duration {
-	if s.heartbeat > 0 {
-		return s.heartbeat
-	}
-	return DefaultHeartbeatInterval
-}
-
 // events serves GET /gram/events: one long-lived stream carrying every
 // transition of the jobs submitted under the proxy that signed this
 // request — the feed key is the verified token's leaf fingerprint, the
@@ -182,7 +171,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	sub, replay, resync := s.grid.Events().Subscribe(id, proxy.Fingerprint(), cursor)
 	defer s.grid.Events().Unsubscribe(sub)
 
-	hb := s.heartbeatInterval()
+	hb := s.heartbeat
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -361,10 +350,10 @@ func eventName(b []byte) string {
 	return string(b)
 }
 
-// readLine returns the next line without its "\n" or "\r\n", valid until
-// the next read, and rejects one longer than maxFrameLine. A line that
-// fits the reader's buffer is a slice of it; a longer one is put together
-// in the stream's own buffer.
+// readLine returns the next line without its "\n" and the CRs before it,
+// valid until the next read, and rejects one longer than maxFrameLine. A
+// line that fits the reader's buffer is a slice of it; a longer one is put
+// together in the stream's own buffer.
 func (es *EventStream) readLine() ([]byte, error) {
 	line, err := es.br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
@@ -380,7 +369,11 @@ func (es *EventStream) readLine() ([]byte, error) {
 	if err != nil && err != bufio.ErrBufferFull {
 		return nil, err // a line the stream ends in the middle of is no line
 	}
-	line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
+	if err == nil {
+		// A value ending in a CR could not be written back: the CR would
+		// be read as part of the line's end.
+		line = bytes.TrimRight(line[:len(line)-1], "\r")
+	}
 	if len(line) > maxFrameLine {
 		return nil, fmt.Errorf("%w: frame line over %d bytes", ErrBadInput, maxFrameLine)
 	}

@@ -53,8 +53,8 @@ func decodeEventData(t *testing.T, f EventFrame) EventData {
 func TestEventStreamCarriesJobLifecycle(t *testing.T) {
 	f := newFixture(t)
 	// One virtual hour between keepalives: the lifecycle frames arrive
-	// long before the first heartbeat at scale 20000.
-	f.srv.SetHeartbeatInterval(time.Hour)
+	// long before the first heartbeat.
+	f.srv.heartbeat = time.Hour
 	es, err := f.client.Events("sess-1", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +68,9 @@ func TestEventStreamCarriesJobLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := readUntilState(t, es, id, "DONE")
+	job, _ := f.grid.Job(id)
+	_, started, ended := job.Times()
+	stamps := map[string]time.Time{"RUNNING": started, "DONE": ended}
 	var sawRunning, sawOutput bool
 	var lastID uint64
 	for _, fr := range frames {
@@ -83,8 +86,9 @@ func TestEventStreamCarriesJobLifecycle(t *testing.T) {
 			if d.JobID == id && d.State == "RUNNING" {
 				sawRunning = true
 			}
-			if d.Site != "siteA" || d.AtUnixNano == 0 {
-				t.Fatalf("state frame missing site/timestamp: %+v", d)
+			// The stamp is the transition's instant, the Unix epoch included.
+			if at, ok := stamps[d.State]; d.Site != "siteA" || ok && d.AtUnixNano != at.UnixNano() {
+				t.Fatalf("state frame %+v, want site siteA stamped %d", d, at.UnixNano())
 			}
 		case EventOutput:
 			d := decodeEventData(t, fr)
@@ -109,7 +113,7 @@ func TestEventStreamCarriesJobLifecycle(t *testing.T) {
 
 func TestEventStreamCursorResume(t *testing.T) {
 	f := newFixture(t)
-	f.srv.SetHeartbeatInterval(time.Hour)
+	f.srv.heartbeat = time.Hour
 	es, err := f.client.Events("sess-1", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +156,7 @@ func TestEventStreamCursorResume(t *testing.T) {
 
 func TestEventStreamBogusCursorTriggersResync(t *testing.T) {
 	f := newFixture(t)
-	f.srv.SetHeartbeatInterval(time.Hour)
+	f.srv.heartbeat = time.Hour
 	// A cursor beyond anything the bus ever issued (e.g. from a previous
 	// grid incarnation) cannot be resumed: the first frame after hello
 	// must order a resync.
@@ -174,7 +178,7 @@ func TestEventStreamCrossOwnerIsolation(t *testing.T) {
 	f := newFixture(t)
 	// Short heartbeat: bob's otherwise-idle stream yields keepalives that
 	// bound the test, and any misrouted alice frame would arrive first.
-	f.srv.SetHeartbeatInterval(2 * time.Second)
+	f.srv.heartbeat = 2 * time.Second
 	es, err := f.other.Events("bob-sess", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +215,7 @@ func proxyClients(t *testing.T, f *fixture) (a, b *Client) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &Client{BaseURL: f.client.BaseURL, Cred: proxy}
+		return &Client{BaseURL: f.client.BaseURL, Cred: proxy, Transport: f.client.Transport}
 	}
 	return mk(), mk()
 }
@@ -222,7 +226,7 @@ func proxyClients(t *testing.T, f *fixture) (a, b *Client) {
 // of it reach B's stream.
 func TestEventStreamProxyIsolation(t *testing.T) {
 	f := newFixture(t)
-	f.srv.SetHeartbeatInterval(2 * time.Second)
+	f.srv.heartbeat = 2 * time.Second
 	a, b := proxyClients(t, f)
 	early, err := a.Submit(f.desc("hello.gsh")) // replay material
 	if err != nil {
@@ -270,7 +274,7 @@ func TestEventStreamProxyIsolation(t *testing.T) {
 // announce the version only.
 func TestEventFramesCarryOutputInline(t *testing.T) {
 	f := newFixture(t)
-	f.srv.SetHeartbeatInterval(time.Hour)
+	f.srv.heartbeat = time.Hour
 	siteA, _ := f.grid.Site("siteA")
 	big := strings.Repeat("x", InlineOutputMax/2)
 	siteA.Store().Put(f.alice, "grow.gsh", []byte("emit 10m 3 "+big+"\n"))
@@ -399,7 +403,7 @@ func TestInlineOutputFitsAFrame(t *testing.T) {
 
 func TestEventStreamRequiresAuthentication(t *testing.T) {
 	f := newFixture(t)
-	bare := &Client{BaseURL: f.client.BaseURL, Cred: &xsec.Credential{}}
+	bare := &Client{BaseURL: f.client.BaseURL, Cred: &xsec.Credential{}, Transport: f.client.Transport}
 	if _, err := bare.Events("s", 0); err == nil {
 		t.Fatal("credential-less stream accepted")
 	}
@@ -414,7 +418,7 @@ func TestEventStreamRequiresAuthentication(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set(TokenHeader, tok)
-	resp, err := hop.RoundTrip(nil, req)
+	resp, err := hop.RoundTrip(f.client.Transport, req)
 	if err != nil {
 		t.Fatal(err)
 	}

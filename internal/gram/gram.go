@@ -98,8 +98,8 @@ type Server struct {
 	trust  *xsec.TrustStore
 	clock  vtime.Clock
 	tracer *trace.Tracer
-	// heartbeat is the event-stream keepalive cadence; zero means
-	// DefaultHeartbeatInterval (see SetHeartbeatInterval).
+	// heartbeat is the event-stream keepalive cadence; only tests change
+	// it from DefaultHeartbeatInterval.
 	heartbeat time.Duration
 }
 
@@ -114,7 +114,7 @@ func NewServer(grid *gridsim.Grid, trust *xsec.TrustStore, clock vtime.Clock) *S
 	if clock == nil {
 		clock = vtime.Real{}
 	}
-	return &Server{grid: grid, trust: trust, clock: clock}
+	return &Server{grid: grid, trust: trust, clock: clock, heartbeat: DefaultHeartbeatInterval}
 }
 
 // authenticate verifies the signed token over msg and returns the caller

@@ -3,14 +3,15 @@ package gram
 import (
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/gridsim"
+	"repro/internal/hop"
 	"repro/internal/jsdl"
+	"repro/internal/netsim"
 	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
@@ -24,11 +25,14 @@ type fixture struct {
 	client *Client
 	other  *Client
 	alice  string
+	net    *netsim.Net // the gatekeeper listens on it
 }
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	return newFixtureOn(t, vtime.NewScaled(20000))
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
+	return newFixtureOn(t, clk)
 }
 
 // newFixtureOn is newFixture with the grid and the gatekeeper on clk.
@@ -54,8 +58,12 @@ func newFixtureOn(t *testing.T, clk vtime.Clock) *fixture {
 		t.Fatal(err)
 	}
 	srv := NewServer(grid, xsec.NewTrustStore(ca.Cert), clk)
-	hs := httptest.NewServer(srv)
-	t.Cleanup(hs.Close)
+	pipes := netsim.NewNet()
+	ln := pipes.Listen()
+	hs := netsim.NewHTTPServer(srv)
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+	base, rt := "http://"+ln.Addr().String(), hop.NewTransport(pipes.DialContext)
 	// Stage a few programs for alice on siteA.
 	siteA, _ := grid.Site("siteA")
 	siteA.Store().Put(alice.Subject(), "hello.gsh", []byte("echo hello\ncompute 500ms\n"))
@@ -65,9 +73,10 @@ func newFixtureOn(t *testing.T, clk vtime.Clock) *fixture {
 		grid:   grid,
 		clock:  clk,
 		srv:    srv,
-		client: &Client{BaseURL: hs.URL, Cred: alice},
-		other:  &Client{BaseURL: hs.URL, Cred: bob},
+		client: &Client{BaseURL: base, Cred: alice, Transport: rt},
+		other:  &Client{BaseURL: base, Cred: bob, Transport: rt},
 		alice:  alice.Subject(),
+		net:    pipes,
 	}
 }
 
@@ -148,7 +157,7 @@ func TestJobRequestsEscapeQueryValues(t *testing.T) {
 			if !errors.Is(err, ErrNoSuchJob) || time.Now().After(deadline) {
 				t.Fatalf("%q: %v", name, err)
 			}
-			time.Sleep(time.Millisecond) // not written yet
+			f.clock.Sleep(time.Millisecond) // not written yet
 		}
 		// The job ID is data too: the gatekeeper is asked about exactly the
 		// (non-existent) job named, not about a prefix of it.
@@ -375,7 +384,7 @@ func TestConditionalOutputSeesNewOutput(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no output change observed")
 		}
-		time.Sleep(time.Millisecond)
+		f.clock.Sleep(time.Millisecond)
 	}
 	f.client.Cancel(id)
 }
@@ -397,7 +406,7 @@ func TestSubmitUnstagedExecutable(t *testing.T) {
 
 func TestUnauthenticatedRejected(t *testing.T) {
 	f := newFixture(t)
-	bare := &Client{BaseURL: f.client.BaseURL, Cred: &xsec.Credential{}}
+	bare := &Client{BaseURL: f.client.BaseURL, Cred: &xsec.Credential{}, Transport: f.client.Transport}
 	if _, err := bare.Submit(f.desc("hello.gsh")); err == nil {
 		t.Fatal("credential-less submit accepted")
 	}
@@ -405,14 +414,13 @@ func TestUnauthenticatedRejected(t *testing.T) {
 
 func TestExpiredProxyRejected(t *testing.T) {
 	f := newFixture(t)
-	// A proxy that expires in 1 virtual second at scale 20000 is long
-	// gone by the time the request lands.
+	// A proxy that expired a virtual second before the request lands.
 	shortProxy, err := f.client.Cred.Delegate(f.clock.Now(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // > 1s virtual
-	expired := &Client{BaseURL: f.client.BaseURL, Cred: shortProxy}
+	f.clock.Sleep(2 * time.Second)
+	expired := &Client{BaseURL: f.client.BaseURL, Cred: shortProxy, Transport: f.client.Transport}
 	if _, err := expired.Submit(f.desc("hello.gsh")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("got %v", err)
 	}
@@ -493,7 +501,7 @@ func TestProxySubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxied := &Client{BaseURL: f.client.BaseURL, Cred: proxy}
+	proxied := &Client{BaseURL: f.client.BaseURL, Cred: proxy, Transport: f.client.Transport}
 	id, err := proxied.Submit(f.desc("hello.gsh"))
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +514,7 @@ func TestProxySubmission(t *testing.T) {
 
 func TestUnknownEndpoint(t *testing.T) {
 	f := newFixture(t)
-	resp, err := http.Get(f.client.BaseURL + "/gram/bogus")
+	resp, err := (&http.Client{Transport: f.client.Transport}).Get(f.client.BaseURL + "/gram/bogus")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func TestDroppedKeepAliveIsRetried(t *testing.T) {
 	var dials atomic.Int32
 	tr := hop.NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
 		dials.Add(1)
-		conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		conn, err := f.net.DialContext(ctx, network, addr)
 		return hoptest.DeadOnReuse{Conn: conn, Armed: &armed}, err
 	})
 	defer tr.CloseIdleConnections()

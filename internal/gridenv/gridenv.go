@@ -30,9 +30,9 @@ type Options struct {
 	Clock vtime.Clock
 	// Sites defaults to gridsim.TeraGrid's machine file.
 	Sites []gridsim.SiteConfig
-	// Profile shapes the grid servers' outbound (server→client) traffic;
-	// nil leaves it unshaped. Client→server shaping belongs to the
-	// caller's dialer.
+	// Profile shapes the grid servers' outbound (server→client) traffic,
+	// over Net; nil leaves it unshaped. Client→server shaping belongs to
+	// the caller's dialer.
 	Profile *netsim.Profile
 	// CAValidity defaults to ten years.
 	CAValidity time.Duration
@@ -53,9 +53,6 @@ type Env struct {
 	CA    *xsec.CA
 	Trust *xsec.TrustStore
 	Grid  *gridsim.Grid
-	// Gatekeeper is the GRAM server behind GramURL; time-dilated rigs
-	// tune its event-stream heartbeat through it.
-	Gatekeeper *gram.Server
 
 	// Endpoints for the Cyberaide agent.
 	GramURL     string
@@ -133,7 +130,6 @@ func Start(opts Options) (*Env, error) {
 		grid.SetTracer(trace.NewTracer("gridsim", clock, opts.Trace))
 	}
 	gk := gram.NewServer(grid, trust, clock)
-	env.Gatekeeper = gk
 	if opts.Trace != nil {
 		gk.SetTracer(trace.NewTracer("gram", clock, opts.Trace))
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 func TestStartDefaultTeraGrid(t *testing.T) {
-	env, err := Start(Options{Clock: vtime.NewScaled(20000)})
+	env, err := Start(Options{Clock: vtime.NewManual(time.Unix(0, 0)), Net: netsim.NewNet()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,13 @@ func TestStartDefaultTeraGrid(t *testing.T) {
 }
 
 func TestAddUserAndAuthenticateThroughStack(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	pipes := netsim.NewNet()
 	env, err := Start(Options{
 		Clock: clk,
 		Sites: []gridsim.SiteConfig{{Name: "s", Nodes: 1, CoresPerNode: 2}},
+		Net:   pipes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +57,7 @@ func TestAddUserAndAuthenticateThroughStack(t *testing.T) {
 		t.Fatalf("subject %q", cred.Subject())
 	}
 	// The MyProxy server really holds the credential.
-	mp := &myproxy.Client{Addr: env.MyProxyAddr}
+	mp := &myproxy.Client{Addr: env.MyProxyAddr, Dial: pipes.DialContext}
 	proxy, err := mp.Get("dana", "pw", time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +66,7 @@ func TestAddUserAndAuthenticateThroughStack(t *testing.T) {
 	if err := env.StageEverywhere(cred.Subject(), "e.gsh", []byte("echo hi\n")); err != nil {
 		t.Fatal(err)
 	}
-	gc := &gram.Client{BaseURL: env.GramURL, Cred: proxy}
+	gc := &gram.Client{BaseURL: env.GramURL, Cred: proxy, Transport: hop.NewTransport(pipes.DialContext)}
 	id, err := gc.Submit(&jsdl.Description{Owner: cred.Subject(), Executable: "e.gsh", Site: "s"})
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +106,13 @@ func TestStageEverywhere(t *testing.T) {
 }
 
 func TestShapedListeners(t *testing.T) {
-	clk := vtime.NewScaled(100)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	env, err := Start(Options{
 		Clock:   clk,
 		Sites:   []gridsim.SiteConfig{{Name: "s", Nodes: 1, CoresPerNode: 1}},
 		Profile: netsim.WAN(clk),
+		Net:     netsim.NewNet(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +136,9 @@ func TestCloseIdempotentEnough(t *testing.T) {
 // TestCloseDropsPooledConnections: a server that takes a closed
 // environment's port is reached over a fresh connection, not over the one
 // hop's shared transport pooled to the old server, whose peer is gone (a
-// POST on it would fail).
+// POST on it would fail). It is about TCP ports, so it boots on loopback.
 func TestCloseDropsPooledConnections(t *testing.T) {
-	env, err := Start(Options{Clock: vtime.NewScaled(20000)})
+	env, err := Start(Options{Sites: []gridsim.SiteConfig{{Name: "s", Nodes: 1, CoresPerNode: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func BenchmarkSubmitToCompletion(b *testing.B) {
-	clk := vtime.NewScaled(100000)
+	clk := autoClock(b)
 	s := NewSite(SiteConfig{Name: "bench", Nodes: 8, CoresPerNode: 8}, clk)
 	if err := s.Store().Put(owner, "e.gsh", []byte("echo done\n")); err != nil {
 		b.Fatal(err)
@@ -29,7 +29,7 @@ func BenchmarkSubmitToCompletion(b *testing.B) {
 }
 
 func BenchmarkSubmitThroughputParallel(b *testing.B) {
-	clk := vtime.NewScaled(100000)
+	clk := autoClock(b)
 	g, err := TeraGrid(clk)
 	if err != nil {
 		b.Fatal(err)

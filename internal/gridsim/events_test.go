@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/jsdl"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 func busEvent(owner, job string) JobEvent {
@@ -161,7 +160,7 @@ func TestEventBusSubmitterIsolation(t *testing.T) {
 // itself dispatches the job, so its RUNNING event is published before
 // SubmitTraced returns — and must already carry the submitter key.
 func TestSubmitterRecordedBeforeDispatch(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +250,7 @@ func TestEventBusNilSafe(t *testing.T) {
 // output bumps with advancing versions, and exactly one terminal state
 // whose output version matches the job's final stdout version.
 func TestGridPublishesJobLifecycle(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +312,7 @@ func TestGridPublishesJobLifecycle(t *testing.T) {
 // (cancelled by interrupting execution) each publish exactly one
 // terminal state event.
 func TestCancelPublishesTerminalEvent(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 1})
 	if err != nil {
 		t.Fatal(err)

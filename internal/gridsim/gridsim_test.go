@@ -14,9 +14,16 @@ import (
 
 const owner = "/O=Repro/CN=alice"
 
+// autoClock is an event clock that the test's cleanup stops.
+func autoClock(t testing.TB) *vtime.Auto {
+	c := vtime.NewAuto()
+	t.Cleanup(c.Stop)
+	return c
+}
+
 func testSite(t *testing.T, slots int) *Site {
 	t.Helper()
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	return NewSite(SiteConfig{Name: "test", Nodes: 1, CoresPerNode: slots}, clk)
 }
 
@@ -167,9 +174,9 @@ func TestNoOversubscription(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		jobs = append(jobs, submit(t, s, "c.gsh", nil))
 	}
-	// Sample running counts while draining the queue.
-	deadline := time.After(10 * time.Second)
-	for {
+	// Sample running counts every virtual 100 ms while draining the queue:
+	// four waves of 500 ms.
+	for start := s.clock.Now(); ; s.clock.Sleep(100 * time.Millisecond) {
 		stats := s.Stats()
 		if stats.FreeSlots < 0 || stats.Running > slots {
 			t.Fatalf("oversubscribed: %+v", stats)
@@ -183,11 +190,8 @@ func TestNoOversubscription(t *testing.T) {
 		if done == len(jobs) {
 			break
 		}
-		select {
-		case <-deadline:
+		if s.clock.Now().Sub(start) > time.Minute {
 			t.Fatalf("jobs stuck: %d/%d done", done, len(jobs))
-		default:
-			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	stats := s.Stats()
@@ -200,7 +204,7 @@ func TestNoOversubscription(t *testing.T) {
 }
 
 func TestWalltimeEnforced(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	s := NewSite(SiteConfig{Name: "t", Nodes: 1, CoresPerNode: 1}, clk)
 	stage(t, s, "endless.gsh", "compute 1h\n")
 	j, err := s.Submit(jsdl.Description{
@@ -262,7 +266,7 @@ func TestCancelRunningJob(t *testing.T) {
 	j := submit(t, s, "ticker.gsh", nil)
 	// Let it start.
 	for j.State() == Queued {
-		time.Sleep(time.Millisecond)
+		s.clock.Sleep(time.Millisecond)
 	}
 	if err := s.Cancel(j.ID); err != nil {
 		t.Fatal(err)
@@ -309,7 +313,7 @@ func TestStateStrings(t *testing.T) {
 }
 
 func TestGridBrokerPicksLeastLoaded(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	g, err := New(clk,
 		SiteConfig{Name: "small", Nodes: 1, CoresPerNode: 1},
 		SiteConfig{Name: "big", Nodes: 4, CoresPerNode: 4},
@@ -344,7 +348,7 @@ func TestGridSubmitRequiresStagingSomewhere(t *testing.T) {
 }
 
 func TestGridJobLookup(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	g, _ := New(clk, SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 2})
 	s, _ := g.Site("a")
 	s.Store().Put(owner, "e.gsh", []byte("echo hi\n"))
@@ -365,7 +369,7 @@ func TestGridJobLookup(t *testing.T) {
 }
 
 func TestGridBatchJobLookup(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	g, _ := New(clk, SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 4})
 	s, _ := g.Site("a")
 	s.Store().Put(owner, "e.gsh", []byte("echo hi\n"))
@@ -462,7 +466,7 @@ func TestPickSiteRespectsWidth(t *testing.T) {
 }
 
 func TestManySmallJobsAcrossGrid(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	g, err := TeraGrid(clk)
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +557,7 @@ func TestStoreList(t *testing.T) {
 }
 
 func TestJobOutputQuota(t *testing.T) {
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	s := NewSite(SiteConfig{Name: "test", Nodes: 1, CoresPerNode: 1, MaxJobOutput: 1000}, clk)
 	// Write more than the per-job quota in two files.
 	stage(t, s, "big.gsh", "write a.dat 600\nwrite b.dat 600\n")
@@ -598,8 +602,7 @@ func TestJobReadingUnstagedInputFails(t *testing.T) {
 }
 
 func TestCPUFactorSpeedsJobs(t *testing.T) {
-	// A long compute keeps the 4x speed difference far above host jitter.
-	clk := vtime.NewScaled(500)
+	clk := autoClock(t)
 	fast := NewSite(SiteConfig{Name: "fast", Nodes: 1, CoresPerNode: 1, CPUFactor: 4}, clk)
 	slow := NewSite(SiteConfig{Name: "slow", Nodes: 1, CoresPerNode: 1, CPUFactor: 1}, clk)
 	src := "compute 60s\n"
@@ -611,8 +614,7 @@ func TestCPUFactorSpeedsJobs(t *testing.T) {
 	waitJob(t, js)
 	_, fs, fe := jf.Times()
 	_, ss, se := js.Times()
-	fdur, sdur := fe.Sub(fs), se.Sub(ss)
-	if fdur >= sdur {
-		t.Fatalf("fast site (%v) not faster than slow site (%v)", fdur, sdur)
+	if fdur, sdur := fe.Sub(fs), se.Sub(ss); fdur != 15*time.Second || sdur != time.Minute {
+		t.Fatalf("a 60 s compute took %v at CPUFactor 4 and %v at 1, want 15s and 1m", fdur, sdur)
 	}
 }

@@ -1,6 +1,7 @@
 package gridsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 // pair of executables: quick (100ms) and slow (5s).
 func policySite(t *testing.T, p Policy) *Site {
 	t.Helper()
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	s := NewSite(SiteConfig{Name: "pol", Nodes: 1, CoresPerNode: 4, Policy: p}, clk)
 	stage(t, s, "quick.gsh", "compute 100ms\n")
 	stage(t, s, "slow.gsh", "compute 5s\n")
@@ -88,15 +89,25 @@ func TestConservativeBackfillAllowsHarmlessJobs(t *testing.T) {
 	// Narrow long job (walltime 1h > reservation): must NOT backfill.
 	harmful := submitWide(t, s, "quick.gsh", 1, time.Hour)
 
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("stuck waiting for %s", what)
+			}
+		}
+	}
 	waitState := func(j *Job, want State) {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for j.State() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s stuck in %s, want %s", j.ID, j.State(), want)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitFor(j.ID+" "+want.String(), func() bool { return j.State() == want })
+	}
+	// advance moves the clock once n waiters are on it — each running
+	// job's compute step and walltime, and the walltimes of jobs already
+	// over — so no job is yet to sleep on what the step should wake.
+	advance := func(n int, d time.Duration) {
+		t.Helper()
+		waitFor(fmt.Sprint(n, " waiters"), func() bool { return clk.Pending() == n })
+		clk.Advance(d)
 	}
 	// Before any time passes: hog and harmless run, head and harmful wait.
 	waitState(hog, Running)
@@ -105,7 +116,7 @@ func TestConservativeBackfillAllowsHarmlessJobs(t *testing.T) {
 		t.Fatalf("states: head %s, harmful %s", head.State(), harmful.State())
 	}
 
-	clk.Advance(100 * time.Millisecond) // harmless completes
+	advance(4, 100*time.Millisecond) // harmless completes
 	waitState(harmless, Succeeded)
 	// Dispatch ran on completion; the harmful candidate must still be
 	// held behind the head's reservation despite free slots.
@@ -113,13 +124,13 @@ func TestConservativeBackfillAllowsHarmlessJobs(t *testing.T) {
 		t.Fatalf("harmful candidate state %s, want QUEUED", st)
 	}
 
-	clk.Advance(5 * time.Second) // hog completes; head (4 slots) starts
+	advance(3, 5*time.Second) // hog completes; head (4 slots) starts
 	waitState(hog, Succeeded)
 	waitState(head, Running)
-	clk.Advance(5 * time.Second) // head completes; harmful finally runs
+	advance(3, 5*time.Second) // head completes; harmful finally runs
 	waitState(head, Succeeded)
 	waitState(harmful, Running)
-	clk.Advance(time.Second)
+	advance(3, time.Second)
 	waitState(harmful, Succeeded)
 
 	_, harmfulStart, _ := harmful.Times()
@@ -133,7 +144,7 @@ func TestConservativeHeadNotStarved(t *testing.T) {
 	// Under aggressive backfill a stream of narrow jobs can starve a
 	// wide head; conservative must start the head promptly once the
 	// first hog finishes.
-	clk := vtime.NewScaled(20000)
+	clk := autoClock(t)
 	s := NewSite(SiteConfig{Name: "st", Nodes: 1, CoresPerNode: 4, Policy: PolicyConservative}, clk)
 	stage(t, s, "medium.gsh", "compute 2s\n")
 	hog := submitWide(t, s, "medium.gsh", 4, 3*time.Second)
@@ -186,8 +197,6 @@ func TestAllPoliciesConserveJobs(t *testing.T) {
 			var jobs []*Job
 			for i := 0; i < 16; i++ {
 				cpus := 1 + i%3
-				// Generous walltime: at 20000x dilation a minute of
-				// virtual time is 3ms real, within scheduler jitter.
 				jobs = append(jobs, submitWide(t, s, "quick.gsh", cpus, time.Hour))
 			}
 			for _, j := range jobs {

@@ -23,7 +23,8 @@ func TestPropertySchedulerConservation(t *testing.T) {
 		if len(widths) > 24 {
 			widths = widths[:24]
 		}
-		clk := vtime.NewScaled(50000)
+		clk := vtime.NewAuto()
+		defer clk.Stop()
 		s := NewSite(SiteConfig{Name: "prop", Nodes: 2, CoresPerNode: 4}, clk)
 		s.Store().Put(owner, "ok.gsh", []byte("compute 100ms\n"))
 		s.Store().Put(owner, "bad.gsh", []byte("fail nope\n"))
@@ -80,7 +81,7 @@ func TestPropertySchedulerConservation(t *testing.T) {
 // across many sites all terminate and per-site accounting sums to the
 // total.
 func TestPropertyGridConservation(t *testing.T) {
-	clk := vtime.NewScaled(50000)
+	clk := autoClock(t)
 	g, err := New(clk,
 		SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 2},
 		SiteConfig{Name: "b", Nodes: 2, CoresPerNode: 2},

@@ -4,10 +4,10 @@
 // (Figures 6-8); this package provides the equivalent sampler.
 //
 // Network byte counts are real: they are reported by the shaped
-// connections in internal/netsim as traffic actually crosses the loopback
-// sockets. CPU and disk are accounted through an explicit cost model
-// (package-level operations call Probe methods), because measuring host
-// CPU of a time-dilated run would be meaningless.
+// connections in internal/netsim as traffic actually crosses them. CPU
+// and disk are accounted through an explicit cost model (package-level
+// operations call Probe methods), because the host CPU a simulated run
+// spends has nothing to do with the virtual time it models.
 package metrics
 
 import (

@@ -192,7 +192,8 @@ func TestNilProbeSafe(t *testing.T) {
 }
 
 func TestProbeBurnAdvancesClockAndAccounts(t *testing.T) {
-	clk := vtime.NewScaled(10000)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	rec := NewRecorder(clk, 3*time.Second)
 	p := NewProbe(rec)
 	p.Burn(2 * time.Second)
@@ -202,26 +203,26 @@ func TestProbeBurnAdvancesClockAndAccounts(t *testing.T) {
 }
 
 func TestProbeBurnForUsesRate(t *testing.T) {
-	clk := vtime.NewScaled(10000)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	rec := NewRecorder(clk, 3*time.Second)
 	p := NewProbe(rec)
 	p.BurnFor(1<<20, 1<<20) // 1 MiB at 1 MiB/s = 1s of CPU
-	got := time.Duration(rec.Total(CPU))
-	if got < 900*time.Millisecond || got > 1100*time.Millisecond {
-		t.Fatalf("cpu total %v, want ~1s", got)
+	if got := time.Duration(rec.Total(CPU)); got != time.Second {
+		t.Fatalf("cpu total %v, want 1s", got)
 	}
 }
 
 func TestProbeDiskPacing(t *testing.T) {
-	clk := vtime.NewScaled(10000)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	rec := NewRecorder(clk, 3*time.Second)
 	p := NewProbe(rec)
 	p.DiskWriteBps = 1 << 20
 	start := clk.Now()
-	p.DiskWrite(1 << 20) // should take ~1 virtual second
-	elapsed := clk.Now().Sub(start)
-	if elapsed < 900*time.Millisecond {
-		t.Fatalf("paced disk write took only %v virtual", elapsed)
+	p.DiskWrite(1 << 20) // takes 1 virtual second
+	if elapsed := clk.Now().Sub(start); elapsed != time.Second {
+		t.Fatalf("paced disk write took %v virtual, want 1s", elapsed)
 	}
 	if rec.Total(DiskWrite) != float64(1<<20) {
 		t.Fatalf("disk bytes = %v", rec.Total(DiskWrite))

@@ -27,16 +27,6 @@ func TestRecorderReset(t *testing.T) {
 	}
 }
 
-func TestScaledMinSleep(t *testing.T) {
-	c := vtime.NewScaled(100)
-	if got := c.MinSleep(); got != 100*time.Millisecond {
-		t.Fatalf("MinSleep %v, want 100ms (1ms real x100)", got)
-	}
-	if got := (vtime.Real{}).MinSleep(); got != time.Millisecond {
-		t.Fatalf("real MinSleep %v", got)
-	}
-}
-
 func TestProbeClockPassthrough(t *testing.T) {
 	clk := vtime.NewManual(time.Unix(42, 0))
 	rec := NewRecorder(clk, time.Second)

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"io"
-	"net"
 	"testing"
 
 	"repro/internal/vtime"
@@ -10,7 +9,7 @@ import (
 
 func BenchmarkUnshapedConnWrite(b *testing.B) {
 	clk := vtime.Real{}
-	c, s := benchPipe(b)
+	c, s := pipePair(b)
 	sc := Wrap(c, clk, NewLink(clk, 0), nil)
 	go io.Copy(io.Discard, s)
 	buf := make([]byte, 64<<10)
@@ -23,11 +22,12 @@ func BenchmarkUnshapedConnWrite(b *testing.B) {
 	}
 }
 
-func BenchmarkShapedConnWriteDilated(b *testing.B) {
-	// 1 MB/s virtual at 10000x dilation: pacing bookkeeping without real
-	// sleeps dominating.
-	clk := vtime.NewScaled(10000)
-	c, s := benchPipe(b)
+func BenchmarkShapedConnWrite(b *testing.B) {
+	// 1 MB/s virtual on the event clock: pacing bookkeeping plus one clock
+	// step per paced wait, no real sleep.
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	c, s := pipePair(b)
 	sc := Wrap(c, clk, NewLink(clk, 1<<20), nil)
 	go io.Copy(io.Discard, s)
 	buf := make([]byte, 64<<10)
@@ -41,33 +41,11 @@ func BenchmarkShapedConnWriteDilated(b *testing.B) {
 }
 
 func BenchmarkLinkTake(b *testing.B) {
-	clk := vtime.NewScaled(100000)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	l := NewLink(clk, 1<<30)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.take(4 << 10)
 	}
-}
-
-func benchPipe(b *testing.B) (client, server net.Conn) {
-	b.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			done <- c
-		}
-	}()
-	client, err = net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	server = <-done
-	b.Cleanup(func() { client.Close(); server.Close() })
-	return client, server
 }

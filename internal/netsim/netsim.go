@@ -37,15 +37,14 @@ func NewLink(clock vtime.Clock, bps float64) *Link {
 	return &Link{clock: clock, bps: bps}
 }
 
+// minSleep is the shortest wait take sleeps: every sleep costs the clock
+// a step, so a shorter one stays in nextFree as pacing debt, paid on a
+// later call. Without it a transfer would take one step per 4 KiB chunk.
+const minSleep = time.Millisecond
+
 // take blocks until n bytes may enter the link, returning the virtual
 // instant the last byte clears it. A nil link has no clock to read and
 // returns the zero time at once.
-//
-// Sleeps shorter than the clock's useful granularity are skipped: the
-// outstanding pacing debt stays in nextFree and is paid on a later call.
-// Without this, time-dilated runs would pay ~1ms of real scheduler
-// overhead per 4 KiB chunk and throughput would collapse far below the
-// modelled bandwidth.
 func (l *Link) take(n int) time.Time {
 	if l == nil {
 		return time.Time{}
@@ -54,17 +53,11 @@ func (l *Link) take(n int) time.Time {
 	if l.bps <= 0 || n <= 0 {
 		return now
 	}
-	ms := minSleep(l.clock)
-	window := 4 * ms
-	if window < 50*time.Millisecond {
-		window = 50 * time.Millisecond
-	}
 	l.mu.Lock()
-	// Re-anchor only after genuine idleness. While a transfer is in
-	// flight, sleep overshoot leaves now slightly past nextFree; keeping
-	// the schedule anchored to nextFree lets the next chunk claim the
-	// missed model time, so the long-run rate is exactly bps.
-	if now.Sub(l.nextFree) > window {
+	// A link that went idle starts a new busy period; while a transfer
+	// is in flight (or its debt unpaid) the schedule stays anchored, so
+	// the long-run rate is exactly bps.
+	if now.After(l.nextFree) {
 		l.anchor, l.sent = now, 0
 	}
 	// Timed from the anchor rather than chunk by chunk, so no rounding
@@ -73,23 +66,10 @@ func (l *Link) take(n int) time.Time {
 	l.nextFree = l.anchor.Add(time.Duration(l.sent / l.bps * float64(time.Second)))
 	clear := l.nextFree
 	l.mu.Unlock()
-	if wait := clear.Sub(now); wait >= ms {
+	if wait := clear.Sub(now); wait >= minSleep {
 		l.clock.Sleep(wait)
 	}
 	return clear
-}
-
-// minSleeper is implemented by clocks that know the shortest Sleep they
-// can honour with acceptable accuracy (expressed in the clock's own time).
-type minSleeper interface {
-	MinSleep() time.Duration
-}
-
-func minSleep(c vtime.Clock) time.Duration {
-	if ms, ok := c.(minSleeper); ok {
-		return ms.MinSleep()
-	}
-	return 0
 }
 
 // Profile bundles the two directions of a path plus a one-way latency
@@ -211,18 +191,13 @@ func (l *Listener) Accept() (net.Conn, error) {
 type Dialer struct {
 	Profile *Profile
 	Probe   *metrics.Probe
-	// Net, when non-nil, is the in-process network dialed; nil dials TCP.
-	Net *Net
+	Net     *Net // the in-process network dialled
 }
 
 // DialContext dials and wraps the connection. It is the dial
 // hop.NewTransport, myproxy.Client and appliance.Config.GridDial take.
 func (d *Dialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
-	dial := (&net.Dialer{}).DialContext
-	if d.Net != nil {
-		dial = d.Net.DialContext
-	}
-	c, err := dial(ctx, network, addr)
+	c, err := d.Net.DialContext(ctx, network, addr)
 	if err != nil {
 		return nil, err
 	}

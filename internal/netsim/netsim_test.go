@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -14,13 +13,13 @@ import (
 )
 
 func TestLinkPacesToBandwidth(t *testing.T) {
-	clk := vtime.NewScaled(100)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	l := NewLink(clk, 1<<20) // 1 MiB/s virtual
 	start := clk.Now()
 	l.take(1 << 20)
-	elapsed := clk.Now().Sub(start)
-	if elapsed < 900*time.Millisecond || elapsed > 1500*time.Millisecond {
-		t.Fatalf("1 MiB at 1 MiB/s took %v virtual, want ~1s", elapsed)
+	if elapsed := clk.Now().Sub(start); elapsed != time.Second {
+		t.Fatalf("1 MiB at 1 MiB/s took %v virtual, want 1s", elapsed)
 	}
 }
 
@@ -37,7 +36,8 @@ func TestUnshapedLinkInstant(t *testing.T) {
 }
 
 func TestLinkSerialisesConcurrentSenders(t *testing.T) {
-	clk := vtime.NewScaled(100)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	l := NewLink(clk, 1<<20)
 	start := clk.Now()
 	var wg sync.WaitGroup
@@ -46,10 +46,9 @@ func TestLinkSerialisesConcurrentSenders(t *testing.T) {
 		go func() { defer wg.Done(); l.take(512 << 10) }()
 	}
 	wg.Wait()
-	// 4 x 0.5 MiB at 1 MiB/s must take ~2 virtual seconds in aggregate.
-	elapsed := clk.Now().Sub(start)
-	if elapsed < 1800*time.Millisecond {
-		t.Fatalf("shared link finished in %v, want >= ~2s", elapsed)
+	// 4 x 0.5 MiB at 1 MiB/s take 2 virtual seconds in aggregate.
+	if elapsed := clk.Now().Sub(start); elapsed != 2*time.Second {
+		t.Fatalf("shared link finished in %v, want 2s", elapsed)
 	}
 }
 
@@ -61,7 +60,7 @@ func TestNilLinkConn(t *testing.T) {
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	probe := metrics.NewProbe(rec)
 	clk.Advance(10 * time.Second) // the fourth bucket
-	c, s := pipeEnds(t)
+	c, s := pipePair(t)
 	sc := Wrap(c, clk, nil, probe)
 	payload := bytes.Repeat([]byte("onserve"), 2000) // over three write chunks
 	go s.Write(payload)
@@ -81,40 +80,16 @@ func TestNilLinkConn(t *testing.T) {
 	}
 }
 
-// pipeEnds returns a connected TCP pair on loopback so Conn semantics
-// (buffered writes) match production use.
-func pipeEnds(t *testing.T) (client, server net.Conn) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			done <- c
-		}
-	}()
-	client, err = net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	server = <-done
-	t.Cleanup(func() { client.Close(); server.Close() })
-	return client, server
-}
-
 func TestConnRoundTripPreservesBytes(t *testing.T) {
-	clk := vtime.NewScaled(5000)
-	c, s := pipeEnds(t)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	c, s := pipePair(t)
 	link := NewLink(clk, 256<<10)
 	sc := Wrap(c, clk, link, nil)
 	payload := bytes.Repeat([]byte("cyberaide"), 4000) // 36 KB
 	go func() {
 		sc.Write(payload)
-		c.(*net.TCPConn).CloseWrite()
+		c.Close()
 	}()
 	got, err := io.ReadAll(s)
 	if err != nil {
@@ -126,14 +101,14 @@ func TestConnRoundTripPreservesBytes(t *testing.T) {
 }
 
 func TestConnAccountsTraffic(t *testing.T) {
-	clk := vtime.NewScaled(5000)
+	clk := vtime.NewManual(time.Unix(0, 0))
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	probe := metrics.NewProbe(rec)
-	c, s := pipeEnds(t)
+	c, s := pipePair(t)
 	sc := Wrap(c, clk, NewLink(clk, 0), probe)
 	rs := Wrap(s, clk, NewLink(clk, 0), probe)
 	msg := make([]byte, 10_000)
-	go func() { sc.Write(msg); c.(*net.TCPConn).CloseWrite() }()
+	go func() { sc.Write(msg); c.Close() }()
 	if _, err := io.ReadAll(rs); err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +172,11 @@ func TestProfilesHaveExpectedRates(t *testing.T) {
 }
 
 func TestListenerWrapsAccepted(t *testing.T) {
-	clk := vtime.NewScaled(5000)
+	clk := vtime.NewManual(time.Unix(0, 0))
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	probe := metrics.NewProbe(rec)
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := NewListener(base, Unshaped(clk), probe)
+	pipes := NewNet()
+	ln := NewListener(pipes.Listen(), Unshaped(clk), probe)
 	defer ln.Close()
 	copied := make(chan struct{})
 	go func() {
@@ -216,7 +188,7 @@ func TestListenerWrapsAccepted(t *testing.T) {
 		defer c.Close()
 		io.Copy(io.Discard, c)
 	}()
-	c, err := net.Dial("tcp", ln.Addr().String())
+	c, err := pipes.DialContext(context.Background(), "tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +201,10 @@ func TestListenerWrapsAccepted(t *testing.T) {
 }
 
 func TestDialerAppliesLatencyAndShaping(t *testing.T) {
-	clk := vtime.NewScaled(5000)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	clk := vtime.NewAuto()
+	defer clk.Stop()
+	pipes := NewNet()
+	ln := pipes.Listen()
 	defer ln.Close()
 	go func() {
 		for {
@@ -245,22 +216,29 @@ func TestDialerAppliesLatencyAndShaping(t *testing.T) {
 		}
 	}()
 	profile := NewProfile(clk, "test", 1<<20, 1<<20, 2*time.Second)
-	d := &Dialer{Profile: profile}
+	d := &Dialer{Profile: profile, Net: pipes}
 	start := clk.Now()
 	c, err := d.DialContext(context.Background(), "tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if lat := clk.Now().Sub(start); lat < 1800*time.Millisecond {
-		t.Fatalf("dial latency %v virtual, want ~2s", lat)
+	if lat := clk.Now().Sub(start); lat != 2*time.Second {
+		t.Fatalf("dial latency %v virtual, want 2s", lat)
+	}
+	// 64 KiB across the 1 MiB/s up link: 1/16 s more.
+	start = clk.Now()
+	if _, err := c.Write(make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if took := clk.Now().Sub(start); took != time.Second/16 {
+		t.Fatalf("64 KiB write took %v virtual, want 62.5ms", took)
 	}
 }
 
 func TestDialerError(t *testing.T) {
-	clk := vtime.Real{}
-	d := &Dialer{Profile: Unshaped(clk)}
-	if _, err := d.DialContext(context.Background(), "tcp", "127.0.0.1:1"); err == nil {
-		t.Fatal("expected dial error to closed port")
+	d := &Dialer{Profile: Unshaped(vtime.Real{}), Net: NewNet()}
+	if _, err := d.DialContext(context.Background(), "tcp", "pipe1:80"); err == nil {
+		t.Fatal("expected dial error to an address nobody listens on")
 	}
 }

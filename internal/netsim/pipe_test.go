@@ -13,7 +13,7 @@ import (
 )
 
 // pipePair returns both ends of one connection on a fresh Net.
-func pipePair(t *testing.T) (client, server net.Conn) {
+func pipePair(t testing.TB) (client, server net.Conn) {
 	t.Helper()
 	pipes := NewNet()
 	ln := pipes.Listen()

@@ -19,6 +19,7 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/trace"
 	"repro/internal/uddi"
@@ -34,7 +35,9 @@ type fixture struct {
 	container *soap.Server
 	registry  *uddi.Registry
 	url       string
-	clock     *vtime.Scaled
+	clock     *vtime.Auto
+	net       *netsim.Net  // the portal and the grid listen on it
+	web       *http.Client // a browser on net
 }
 
 // newFixture wires a portal over a real onServe + grid; unlike the
@@ -45,14 +48,19 @@ func newFixture(t *testing.T) *fixture {
 }
 
 // newTracedFixture is newFixture with an optional shared span collector
-// wired through the grid environment and the core.
+// wired through the grid environment and the core. Everything runs on an
+// event clock over one in-process network.
 func newTracedFixture(t *testing.T, col *trace.Collector) *fixture {
 	t.Helper()
-	clk := vtime.NewScaled(20000)
+	clk := vtime.NewAuto()
+	t.Cleanup(clk.Stop)
+	pipes := netsim.NewNet()
+	f := &fixture{clock: clk, net: pipes, web: &http.Client{Transport: &http.Transport{DialContext: pipes.DialContext}}}
 	env, err := gridenv.Start(gridenv.Options{
 		Clock: clk,
 		Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
 		Trace: col,
+		Net:   pipes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,13 +79,15 @@ func newTracedFixture(t *testing.T, col *trace.Collector) *fixture {
 	})
 	container := soap.NewServer(nil, metrics.Cost{})
 	registry := uddi.NewRegistry(clk)
-	agent := cyberaide.New(cyberaide.Options{Endpoints: env.Endpoints(), Clock: clk})
+	agent := cyberaide.New(cyberaide.Options{Endpoints: env.Endpoints(), Clock: clk, Dial: pipes.DialContext})
 
 	mux := http.NewServeMux()
-	hs := httptest.NewServer(mux)
-	t.Cleanup(hs.Close)
+	ln, srv := pipes.Listen(), netsim.NewHTTPServer(mux)
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	f.url = "http://" + ln.Addr().String()
 
-	parts := core.Parts{DB: db, Container: container, Registry: registry, Agent: agent, BaseURL: hs.URL}
+	parts := core.Parts{DB: db, Container: container, Registry: registry, Agent: agent, BaseURL: f.url}
 	if col != nil {
 		parts.Tracing = trace.NewTracer("onserve", clk, col)
 	}
@@ -89,7 +99,8 @@ func newTracedFixture(t *testing.T, col *trace.Collector) *fixture {
 	p := New(ons, registry, nil, metrics.Cost{})
 	mux.Handle("/services/", container)
 	mux.Handle("/", p)
-	return &fixture{portal: p, onserve: ons, db: db, container: container, registry: registry, url: hs.URL, clock: clk}
+	f.portal, f.onserve, f.db, f.container, f.registry = p, ons, db, container, registry
+	return f
 }
 
 func (f *fixture) upload(t *testing.T, filename, program string) {
@@ -103,7 +114,7 @@ func (f *fixture) upload(t *testing.T, filename, program string) {
 	mw.WriteField("paramName1", "x")
 	mw.WriteField("paramType1", "int")
 	mw.Close()
-	resp, err := http.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
+	resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +128,7 @@ func (f *fixture) upload(t *testing.T, filename, program string) {
 func TestRegistryBrowserPage(t *testing.T) {
 	f := newFixture(t)
 	f.upload(t, "browse.gsh", "echo ${x}\n")
-	resp, err := http.Get(f.url + "/registry")
+	resp, err := f.web.Get(f.url + "/registry")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +142,7 @@ func TestRegistryBrowserPage(t *testing.T) {
 		t.Fatalf("registry page missing record:\n%s", page)
 	}
 	// Pattern filtering.
-	resp, _ = http.Get(f.url + "/registry?pattern=Nope%25")
+	resp, _ = f.web.Get(f.url + "/registry?pattern=Nope%25")
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), "0 published") {
@@ -149,7 +160,7 @@ func TestAPIRegistrySortedJSON(t *testing.T) {
 	f.upload(t, "alpha.gsh", "echo ${x}\n")
 	f.upload(t, "mid.gsh", "echo ${x}\n")
 
-	resp, err := http.Get(f.url + "/api/registry")
+	resp, err := f.web.Get(f.url + "/api/registry")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +185,7 @@ func TestAPIRegistrySortedJSON(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(f.url + "/api/registry?pattern=Alpha%25")
+	resp, err = f.web.Get(f.url + "/api/registry?pattern=Alpha%25")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,23 +201,17 @@ func TestAPIRegistrySortedJSON(t *testing.T) {
 
 func TestRegistryPageWithoutRegistry(t *testing.T) {
 	f := newFixture(t)
-	p := New(f.onserve, nil, nil, metrics.Cost{})
-	srv := httptest.NewServer(p)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/registry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d", resp.StatusCode)
+	rec := httptest.NewRecorder()
+	New(f.onserve, nil, nil, metrics.Cost{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/registry", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("status %d", rec.Code)
 	}
 }
 
 func TestClientStubDownload(t *testing.T) {
 	f := newFixture(t)
 	f.upload(t, "stubbed.gsh", "echo ${x}\n")
-	resp, err := http.Get(f.url + "/api/client?name=StubbedService")
+	resp, err := f.web.Get(f.url + "/api/client?name=StubbedService")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestClientStubDownload(t *testing.T) {
 	// The stub is written from the deployed definition, with no round trip
 	// to the appliance's own WSDL: it is what a consumer importing that
 	// WSDL would generate, byte for byte.
-	proxy, err := wsclient.ImportURL(f.url+"/services/StubbedService", nil)
+	proxy, err := wsclient.ImportURL(f.url+"/services/StubbedService", f.web)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +253,7 @@ func TestClientStubDownload(t *testing.T) {
 
 func TestClientStubUnknownService(t *testing.T) {
 	f := newFixture(t)
-	resp, err := http.Get(f.url + "/api/client?name=Ghost")
+	resp, err := f.web.Get(f.url + "/api/client?name=Ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +271,7 @@ func TestOutputFileDownload(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-inv.DoneChan()
-	resp, err := http.Get(f.url + "/api/outfile?ticket=" + inv.Ticket + "&name=artifact-7.bin")
+	resp, err := f.web.Get(f.url + "/api/outfile?ticket=" + inv.Ticket + "&name=artifact-7.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +281,12 @@ func TestOutputFileDownload(t *testing.T) {
 		t.Fatalf("status %d, %d bytes", resp.StatusCode, len(body))
 	}
 	// Missing artifact and missing ticket.
-	resp, _ = http.Get(f.url + "/api/outfile?ticket=" + inv.Ticket + "&name=ghost.bin")
+	resp, _ = f.web.Get(f.url + "/api/outfile?ticket=" + inv.Ticket + "&name=ghost.bin")
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("phantom artifact served")
 	}
-	resp, _ = http.Get(f.url + "/api/outfile?ticket=inv-000000-ffffffffffff&name=x")
+	resp, _ = f.web.Get(f.url + "/api/outfile?ticket=inv-000000-ffffffffffff&name=x")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -300,7 +305,7 @@ func TestUploadParamRowsBeyondThree(t *testing.T) {
 		mw.WriteField("paramType"+string(rune('1'+i)), "string")
 	}
 	mw.Close()
-	resp, err := http.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
+	resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +335,7 @@ func TestUploadSkipsBlankParamRows(t *testing.T) {
 	mw.WriteField("paramName3", "later")
 	mw.WriteField("paramType3", "")
 	mw.Close()
-	resp, err := http.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
+	resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +359,7 @@ func TestUploadRejectsBadParamType(t *testing.T) {
 	mw.WriteField("paramName1", "p")
 	mw.WriteField("paramType1", "blob")
 	mw.Close()
-	resp, err := http.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
+	resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +375,7 @@ func TestUploadMissingFile(t *testing.T) {
 	mw := multipart.NewWriter(&buf)
 	mw.WriteField("user", "alice")
 	mw.Close()
-	resp, err := http.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
+	resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +387,7 @@ func TestUploadMissingFile(t *testing.T) {
 
 func TestUploadNonMultipart(t *testing.T) {
 	f := newFixture(t)
-	resp, err := http.Post(f.url+"/upload", "text/plain", strings.NewReader("junk"))
+	resp, err := f.web.Post(f.url+"/upload", "text/plain", strings.NewReader("junk"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +399,7 @@ func TestUploadNonMultipart(t *testing.T) {
 
 func TestInvokeBadJSON(t *testing.T) {
 	f := newFixture(t)
-	resp, err := http.Post(f.url+"/api/invoke", "application/json", strings.NewReader("{"))
+	resp, err := f.web.Post(f.url+"/api/invoke", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +411,7 @@ func TestInvokeBadJSON(t *testing.T) {
 
 func TestHomePage404ForUnknownPaths(t *testing.T) {
 	f := newFixture(t)
-	resp, err := http.Get(f.url + "/definitely/not/here")
+	resp, err := f.web.Get(f.url + "/definitely/not/here")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +429,7 @@ func TestMonitoringStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-inv.DoneChan()
-	resp, err := http.Get(f.url + "/api/stats")
+	resp, err := f.web.Get(f.url + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +457,7 @@ func TestInvokeWaitOutputCancelViaAPI(t *testing.T) {
 	payload, _ := json.Marshal(map[string]any{
 		"service": "FlowService", "args": map[string]string{"x": "5"},
 	})
-	resp, err := http.Post(f.url+"/api/invoke", "application/json", bytes.NewReader(payload))
+	resp, err := f.web.Post(f.url+"/api/invoke", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +469,7 @@ func TestInvokeWaitOutputCancelViaAPI(t *testing.T) {
 		t.Fatalf("invoke reply %v", inv)
 	}
 
-	resp, err = http.Get(f.url + "/api/wait?ticket=" + ticket)
+	resp, err = f.web.Get(f.url + "/api/wait?ticket=" + ticket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,14 +480,14 @@ func TestInvokeWaitOutputCancelViaAPI(t *testing.T) {
 		t.Fatalf("wait reply %v", wait)
 	}
 
-	resp, _ = http.Get(f.url + "/api/output?ticket=" + ticket)
+	resp, _ = f.web.Get(f.url + "/api/output?ticket=" + ticket)
 	out, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if string(out) != "flow=5\n" {
 		t.Fatalf("output %q", out)
 	}
 
-	resp, _ = http.Get(f.url + "/api/status?ticket=" + ticket)
+	resp, _ = f.web.Get(f.url + "/api/status?ticket=" + ticket)
 	var st map[string]string
 	json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
@@ -491,7 +496,7 @@ func TestInvokeWaitOutputCancelViaAPI(t *testing.T) {
 	}
 
 	// Cancel of a finished invocation is a clean no-op.
-	resp, err = http.Post(f.url+"/api/cancel?ticket="+ticket, "", nil)
+	resp, err = f.web.Post(f.url+"/api/cancel?ticket="+ticket, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +509,7 @@ func TestInvokeWaitOutputCancelViaAPI(t *testing.T) {
 func TestDeleteViaAPI(t *testing.T) {
 	f := newFixture(t)
 	f.upload(t, "gone.gsh", "echo x\n")
-	resp, err := http.Post(f.url+"/api/delete?name=GoneService", "", nil)
+	resp, err := f.web.Post(f.url+"/api/delete?name=GoneService", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,14 +517,14 @@ func TestDeleteViaAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	resp, _ = http.Get(f.url + "/api/service?name=GoneService")
+	resp, _ = f.web.Get(f.url + "/api/service?name=GoneService")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d after delete", resp.StatusCode)
 	}
 	// Method checks on the POST-only endpoints.
 	for _, path := range []string{"/api/delete?name=x", "/api/cancel?ticket=x", "/api/invoke"} {
-		resp, err := http.Get(f.url + path)
+		resp, err := f.web.Get(f.url + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -533,7 +538,7 @@ func TestDeleteViaAPI(t *testing.T) {
 func TestHomePageRendersUploadedService(t *testing.T) {
 	f := newFixture(t)
 	f.upload(t, "shown.gsh", "echo x\n")
-	resp, err := http.Get(f.url + "/")
+	resp, err := f.web.Get(f.url + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +559,7 @@ func TestUploadWithStageInField(t *testing.T) {
 	mw.WriteField("user", "alice")
 	mw.WriteField("stageIn", " a.dat , b.dat ")
 	mw.Close()
-	resp, err := http.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
+	resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +579,7 @@ func TestUploadWithStageInField(t *testing.T) {
 func TestServiceDescribeAPI(t *testing.T) {
 	f := newFixture(t)
 	f.upload(t, "desc.gsh", "echo ${x}\n")
-	resp, err := http.Get(f.url + "/api/service?name=DescService")
+	resp, err := f.web.Get(f.url + "/api/service?name=DescService")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +603,7 @@ func TestStatsSurfacesSubsystemCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-inv.DoneChan()
-	resp, err := http.Get(f.url + "/api/stats")
+	resp, err := f.web.Get(f.url + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +648,7 @@ func TestTraceExportAndWaterfall(t *testing.T) {
 		f.url + "/api/trace/" + inv.Ticket,
 		f.url + "/api/trace?ticket=" + inv.Ticket,
 	} {
-		resp, err := http.Get(url)
+		resp, err := f.web.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -664,7 +669,7 @@ func TestTraceExportAndWaterfall(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(f.url + "/trace?ticket=" + inv.Ticket)
+	resp, err := f.web.Get(f.url + "/trace?ticket=" + inv.Ticket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +686,7 @@ func TestTraceExportAndWaterfall(t *testing.T) {
 	}
 
 	// Unknown tickets 404; unknown tickets on the page too.
-	resp, err = http.Get(f.url + "/api/trace/no-such-ticket")
+	resp, err = f.web.Get(f.url + "/api/trace/no-such-ticket")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +713,7 @@ func TestUploadAndInvokeJoinCallerTrace(t *testing.T) {
 	req, _ := http.NewRequest("POST", f.url+"/api/invoke", bytes.NewReader(payload))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(trace.Header, root.Context().String())
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := f.web.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +748,7 @@ func TestUploadAndInvokeJoinCallerTrace(t *testing.T) {
 	req, _ = http.NewRequest("POST", f.url+"/api/invoke", bytes.NewReader(payload))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(trace.Header, "zz-not-a-trace")
-	resp, err = http.DefaultClient.Do(req)
+	resp, err = f.web.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

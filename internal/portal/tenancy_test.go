@@ -56,7 +56,7 @@ func (f *fixture) do(t *testing.T, method, path, key, contentType string, body [
 	if key != "" {
 		req.Header.Set(tenant.KeyHeader, key)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := f.web.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

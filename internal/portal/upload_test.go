@@ -3,13 +3,13 @@ package portal
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -112,7 +112,7 @@ func TestUploadFormShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			req.Header.Set("Content-Type", ctype)
-			resp, err := http.DefaultClient.Do(req)
+			resp, err := f.web.Do(req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestUploadFormShapes(t *testing.T) {
 func TestUploadOversizeRefusedBeforeBuffering(t *testing.T) {
 	f := newFixture(t)
 	u, _ := url.Parse(f.url)
-	conn, err := net.Dial("tcp", u.Host)
+	conn, err := f.net.DialContext(context.Background(), "tcp", u.Host)
 	if err != nil {
 		t.Fatal(err)
 	}

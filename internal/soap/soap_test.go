@@ -347,7 +347,8 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestServerAccountsRequestHandlingCost(t *testing.T) {
-	clk := vtime.NewScaled(10000)
+	clk := vtime.NewAuto()
+	defer clk.Stop()
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	srv := NewServer(metrics.NewProbe(rec), metrics.Cost{RequestHandling: 500 * time.Millisecond})
 	hs := httptest.NewServer(srv)
@@ -358,8 +359,8 @@ func TestServerAccountsRequestHandlingCost(t *testing.T) {
 		[]Param{{Name: "x", Value: "1"}, {Name: "y", Value: "2"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := time.Duration(rec.Total(metrics.CPU)); got < 400*time.Millisecond {
-		t.Fatalf("request handling cost not accounted: %v", got)
+	if got := time.Duration(rec.Total(metrics.CPU)); got != 500*time.Millisecond {
+		t.Fatalf("request handling cost accounted as %v, want 500ms", got)
 	}
 }
 

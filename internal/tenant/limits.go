@@ -8,8 +8,8 @@ import (
 )
 
 // rateLimiter holds one token bucket per owner+verb. Buckets are
-// created lazily and refilled from the controller's clock, so dilated
-// experiments refill at virtual speed.
+// created lazily and refilled from the controller's clock, so simulated
+// runs refill at virtual speed.
 type rateLimiter struct {
 	mu      sync.Mutex
 	clock   vtime.Clock

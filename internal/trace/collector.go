@@ -97,8 +97,9 @@ func (c *Collector) add(sd SpanData) {
 	c.bytes += sz
 }
 
-// Trace returns every retained span of one trace, sorted by start time
-// (ties broken by span id for determinism). Depth/parent assembly is the
+// Trace returns every retained span of one trace, sorted by start time,
+// then ancestors first (on an exact clock a child may start at its
+// parent's instant), then span id. Depth/parent assembly is the
 // consumer's job — the waterfall renderers build it from ParentID.
 func (c *Collector) Trace(traceID string) []SpanData {
 	c.mu.Lock()
@@ -110,11 +111,26 @@ func (c *Collector) Trace(traceID string) []SpanData {
 		}
 	}
 	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
+	parent := make(map[string]string, len(out))
+	for _, sd := range out {
+		parent[sd.SpanID] = sd.ParentID
+	}
+	// depth counts a span's ancestors in out: an ancestor's is lower.
+	depth := func(sd *SpanData) (d int) {
+		for p, ok := parent[sd.ParentID]; ok && d < len(out); p, ok = parent[p] {
+			d++
 		}
-		return out[i].SpanID < out[j].SpanID
+		return d
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if !a.Start.Equal(b.Start) {
+			return a.Start.Before(b.Start)
+		}
+		if da, db := depth(a), depth(b); da != db {
+			return da < db
+		}
+		return a.SpanID < b.SpanID
 	})
 	return out
 }

@@ -109,6 +109,25 @@ func TestSpanTreeAssembly(t *testing.T) {
 	}
 }
 
+// TestTraceOrdersAncestorsFirstAtOneInstant: a span, its child and its
+// grandchild start at one instant, and Trace lists each before its
+// descendants whatever their random span ids (32 traces).
+func TestTraceOrdersAncestorsFirstAtOneInstant(t *testing.T) {
+	col := NewCollector(0, 0)
+	tr := NewTracer("svc", vtime.NewManual(time.Unix(100, 0)), col)
+	for i := 0; i < 32; i++ {
+		root := tr.StartRoot("invoke")
+		child := tr.StartSpan("stage", root.Context())
+		tr.StartSpan("ftp.put", child.Context()).End()
+		child.End()
+		root.End()
+		spans := col.Trace(root.Context().String()[:32])
+		if got := spans[0].Name + " " + spans[1].Name + " " + spans[2].Name; got != "invoke stage ftp.put" {
+			t.Fatalf("trace %d lists %q, want ancestors first", i, got)
+		}
+	}
+}
+
 func TestErrorStatusAndDoubleEnd(t *testing.T) {
 	col := NewCollector(0, 0)
 	tr := NewTracer("svc", vtime.Real{}, col)

@@ -1,28 +1,28 @@
-// Package vtime provides clock abstractions used throughout the
-// reproduction: a real clock, a scaled clock that dilates time, a
-// manually stepped clock for deterministic tests, and an event clock
-// that steps itself.
+// Package vtime provides the three clocks used throughout the
+// reproduction: Real, the time package's, which production runs on;
+// Manual, which a test steps itself; and Auto, an event clock that steps
+// itself, which everything simulated runs on.
 //
 // All components that wait, time out, or timestamp events take a Clock
-// instead of calling the time package directly. The experiments run the
-// full protocol stack on an Auto clock: virtual time stands still while
-// any goroutine can run and jumps to the next deadline once none can, as
-// in a discrete-event simulator. A 60-second transfer then takes as much
-// host time as its bytes cost to move, and no host — however slow, with
-// or without the race detector — can stretch or shrink a modelled
-// duration.
+// instead of calling the time package directly. The experiments, the
+// test fixtures and the examples run the full protocol stack on an Auto
+// clock: virtual time stands still while any goroutine can run and jumps
+// to the next deadline once none can, as in a discrete-event simulator.
+// A 60-second transfer then takes as much host time as its bytes cost to
+// move, and no host — however slow, with or without the race detector —
+// can stretch or shrink a modelled duration.
 package vtime
 
 import (
 	"bytes"
-	"errors"
-	"os"
+	"encoding/binary"
 	"runtime"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
 // Clock is the minimal time source used by every simulated and real
@@ -52,9 +52,6 @@ type Real struct{}
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 
-// MinSleep reports the shortest sleep the OS honours accurately.
-func (Real) MinSleep() time.Duration { return time.Millisecond }
-
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
@@ -63,69 +60,6 @@ func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // AfterFunc implements Clock.
 func (Real) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
-
-// Scaled is a Clock that runs Scale times faster than wall-clock time.
-// A Scale of 100 means one real second covers 100 virtual seconds, so a
-// component sleeping for a virtual minute blocks for 600ms of real time.
-//
-// The virtual epoch is fixed at construction, which makes experiment
-// timelines start at t=0 regardless of wall-clock start time.
-type Scaled struct {
-	scale float64
-	epoch time.Time // virtual time at start
-	start time.Time // real time at start
-}
-
-// NewScaled returns a clock running scale× real time. scale must be
-// positive; NewScaled panics otherwise because a zero or negative scale is
-// always a programming error, never a runtime condition.
-func NewScaled(scale float64) *Scaled {
-	if scale <= 0 {
-		panic("vtime: non-positive scale")
-	}
-	return &Scaled{
-		scale: scale,
-		epoch: time.Unix(0, 0).UTC(),
-		start: time.Now(),
-	}
-}
-
-// MinSleep reports the shortest virtual sleep this clock honours with
-// reasonable accuracy. The OS sleeps reliably down to about a
-// millisecond of real time; anything shorter is better skipped by pacing
-// code and carried as debt.
-func (c *Scaled) MinSleep() time.Duration {
-	return time.Duration(float64(time.Millisecond) * c.scale)
-}
-
-// Now implements Clock.
-func (c *Scaled) Now() time.Time {
-	real := time.Since(c.start)
-	return c.epoch.Add(time.Duration(float64(real) * c.scale))
-}
-
-// Sleep implements Clock. It blocks for d/scale of real time.
-func (c *Scaled) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(float64(d) / c.scale))
-}
-
-// After implements Clock; a channel nobody reads costs a timer, no goroutine.
-func (c *Scaled) After(d time.Duration) <-chan time.Time { return after(c, d) }
-
-// after is After built on c's AfterFunc.
-func after(c Clock, d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.AfterFunc(d, func() { ch <- c.Now() })
-	return ch
-}
-
-// AfterFunc implements Clock: f runs after d/scale of real time.
-func (c *Scaled) AfterFunc(d time.Duration, f func()) Timer {
-	return time.AfterFunc(time.Duration(float64(d)/c.scale), f)
-}
 
 // Manual is a Clock advanced explicitly by tests. Sleepers block, and
 // AfterFunc calls wait, until Advance moves the clock past their deadline.
@@ -165,8 +99,13 @@ func (c *Manual) Sleep(d time.Duration) {
 	<-c.After(d)
 }
 
-// After implements Clock.
-func (c *Manual) After(d time.Duration) <-chan time.Time { return after(c, d) }
+// After implements Clock: a channel nobody reads costs a waiter, no
+// goroutine.
+func (c *Manual) After(d time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	c.AfterFunc(d, func() { ch <- c.Now() })
+	return ch
+}
 
 // AfterFunc implements Clock: the Advance that reaches now+d calls f on
 // its caller's goroutine, and d <= 0 calls f before AfterFunc returns.
@@ -246,11 +185,14 @@ func (c *Manual) Pending() int {
 type Auto struct {
 	Manual
 	stop, done chan struct{}
+	look       look // the run goroutine's alone
 }
 
-// NewAuto returns a running Auto clock at the Unix epoch, where Scaled's
-// timelines start too. Stop it when done with it. The clock's look needs
-// a second P beside its own, so NewAuto raises GOMAXPROCS to 2 if it is 1.
+// NewAuto returns a running Auto clock at the Unix epoch, so a timeline
+// starts at t=0. Stop it when done with it. The clock's look needs a
+// second P beside its own, so NewAuto raises GOMAXPROCS to 2 if it is 1,
+// and the clock does not step while something lowers it again (as
+// testing.AllocsPerRun does while it counts).
 func NewAuto() *Auto {
 	if runtime.GOMAXPROCS(0) < 2 {
 		runtime.GOMAXPROCS(2)
@@ -270,11 +212,6 @@ func (c *Auto) AfterFunc(d time.Duration, f func()) Timer {
 	return c.Manual.AfterFunc(d, func() { go f() })
 }
 
-// MinSleep reports the shortest sleep pacing code should take on this
-// clock: every sleep costs the clock a step, so a link carries a shorter
-// wait as debt into its next one.
-func (c *Auto) MinSleep() time.Duration { return time.Millisecond }
-
 // Stop ends the clock's stepping and returns once its goroutine has
 // exited. While the process stays parked the clock may first release
 // waiters already due; a sleeper left after that waits for ever.
@@ -286,16 +223,20 @@ func (c *Auto) Stop() {
 // run steps the clock to its earliest deadline whenever something waits
 // on it and the process is parked in two looks in a row, with no timer
 // set or stopped since the first began. Before each look it sleeps in
-// real time: 10 µs after a step or a first parked look, up to 1 ms while
-// looks find work going on. A sleep, unlike runtime.Gosched, frees the
-// clock's thread to run what waits in its queues, and the timer that
-// ends it wakes a thread for what waits in the runtime's global queue.
+// real time: 1 µs after a step or a first parked look, doubling up to
+// 1 ms while looks find work going on. A sleep, unlike runtime.Gosched,
+// frees the clock's thread to run what waits in its queues, and the timer
+// that ends it wakes a thread for what waits in the runtime's global
+// queue. The pause is short because a host may round a sleep up a long
+// way: on some, 10 µs sleeps take ~300 µs and 1 µs ones ~30 µs.
 func (c *Auto) run() {
 	defer close(c.done)
 	backoff, seen := time.Duration(0), -1
+	pause := time.NewTimer(0)
+	defer pause.Stop()
 	for {
 		select {
-		case <-time.After(backoff):
+		case <-pause.C:
 		case <-c.stop:
 			return
 		}
@@ -303,14 +244,15 @@ func (c *Auto) run() {
 		changes, pending := c.changes, len(c.waiters)
 		c.mu.Unlock()
 		switch {
-		case pending == 0 || !parked():
-			seen, backoff = -1, min(max(2*backoff, 10*time.Microsecond), time.Millisecond)
+		case pending == 0 || runtime.GOMAXPROCS(0) < 2 || !c.look.parked():
+			seen, backoff = -1, min(max(2*backoff, time.Microsecond), time.Millisecond)
 		case changes != seen:
-			seen, backoff = changes, 10*time.Microsecond
+			seen, backoff = changes, time.Microsecond
 		default:
 			c.step()
-			seen, backoff = -1, 10*time.Microsecond
+			seen, backoff = -1, time.Microsecond
 		}
+		pause.Reset(backoff)
 	}
 }
 
@@ -332,6 +274,18 @@ func (c *Auto) step() {
 // it steals work) plus the kernel's default 50 µs timer slack.
 const parkGap = 100 * time.Microsecond
 
+// look is what a look at the process's threads reads /proc into: buffers
+// the clock reuses, so that a look allocates nothing.
+type look struct {
+	dir  [8 << 10]byte // entries of /proc/self/task
+	self [20]byte      // the caller's thread ID, in decimal
+	path [32]byte      // "<tid>/stat\x00"
+	stat [128]byte     // the head of one thread's stat line
+}
+
+// taskDir is /proc/self/task as openat takes it.
+var taskDir = []byte("/proc/self/task\x00")
+
 // parked reports whether every goroutine but the caller is parked, at a
 // cost that does not grow with their number. A parked goroutine holds no
 // thread, and while a goroutine is runnable and a P idle the runtime
@@ -339,21 +293,26 @@ const parkGap = 100 * time.Microsecond
 // other thread sleeps (state S) and the process made no voluntary context
 // switch in the parkGap before that read: a thread that woke meanwhile
 // and slept again made one.
-func parked() bool {
+func (l *look) parked() bool {
 	// Locked, the caller's thread runs no other goroutine while the caller
 	// is descheduled (a garbage collector's stack scan): its P goes to a
 	// thread the look can see.
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
-	self := othersAsleep("")
-	if self == "" {
+	// A thread that just handed work on may take a moment to sleep: look
+	// again for up to a parkGap before giving up.
+	asleep := l.othersAsleep()
+	for t0 := time.Now(); !asleep && time.Since(t0) < parkGap; {
+		asleep = l.othersAsleep()
+	}
+	if !asleep {
 		return false
 	}
 	spin(parkGap)
 	var before, after syscall.Rusage
 	syscall.Getrusage(syscall.RUSAGE_SELF, &before)
 	spin(parkGap)
-	if othersAsleep(self) != self {
+	if !l.othersAsleep() {
 		return false
 	}
 	syscall.Getrusage(syscall.RUSAGE_SELF, &after)
@@ -366,28 +325,60 @@ func spin(d time.Duration) {
 	}
 }
 
-// othersAsleep returns the caller's thread ID if every other thread of the
-// process sleeps, and "" if one does not or the caller is not on thread
-// want (unless want is "").
-func othersAsleep(want string) string {
-	self, err := os.Readlink("/proc/thread-self") // "<pid>/task/<tid>"
-	_, self, _ = strings.Cut(self, "/task/")
-	tasks, err2 := os.ReadDir("/proc/self/task")
-	if err = errors.Join(err, err2); err != nil {
-		panic("vtime: Auto reads thread states from /proc: " + err.Error())
+// othersAsleep reports whether every thread of the process but the
+// caller's sleeps.
+func (l *look) othersAsleep() bool {
+	self := strconv.AppendInt(l.self[:0], int64(syscall.Gettid()), 10)
+	dir, errno := openat(_AT_FDCWD, taskDir, syscall.O_DIRECTORY)
+	if errno != 0 {
+		panic("vtime: Auto reads thread states from /proc: " + errno.Error())
 	}
-	if want != "" && self != want {
-		return ""
-	}
-	for _, t := range tasks {
-		if t.Name() == self {
-			continue
+	defer syscall.Close(dir)
+	for {
+		n, err := syscall.ReadDirent(dir, l.dir[:])
+		if err != nil {
+			panic("vtime: Auto reads thread states from /proc: " + err.Error())
 		}
-		// "<tid> (<comm>) <state> ...": the state follows the last ')'.
-		stat, _ := os.ReadFile("/proc/self/task/" + t.Name() + "/stat")
-		if i := bytes.LastIndexByte(stat, ')'); i < 0 || i+2 >= len(stat) || stat[i+2] != 'S' {
-			return ""
+		if n <= 0 {
+			return true
+		}
+		// linux_dirent64: inode (8 bytes), offset (8), record length (2),
+		// type (1), then the NUL-terminated name: ".", "..", or a thread ID.
+		for rec := l.dir[:n]; len(rec) > 0; {
+			size := binary.NativeEndian.Uint16(rec[16:])
+			name := rec[19:size]
+			name, rec = name[:bytes.IndexByte(name, 0)], rec[size:]
+			if name[0] != '.' && !bytes.Equal(name, self) && !l.asleep(dir, name) {
+				return false
+			}
 		}
 	}
-	return self
+}
+
+// asleep reports whether the thread whose /proc/self/task entry is name
+// sleeps (state S). One that has exited since the listing does not.
+func (l *look) asleep(dir int, name []byte) bool {
+	path := append(append(append(l.path[:0], name...), "/stat"...), 0)
+	fd, errno := openat(dir, path, 0)
+	if errno != 0 {
+		return false
+	}
+	n, _ := syscall.Read(fd, l.stat[:])
+	syscall.Close(fd)
+	// "<tid> (<comm>) <state> ...": the state follows the last ')', and a
+	// comm is at most 15 bytes, so the head holds it.
+	stat := l.stat[:max(n, 0)]
+	i := bytes.LastIndexByte(stat, ')')
+	return i >= 0 && i+2 < len(stat) && stat[i+2] == 'S'
+}
+
+// _AT_FDCWD makes openat resolve a path as open does.
+const _AT_FDCWD = -0x64
+
+// openat opens the NUL-terminated path, read-only, relative to dirfd. It
+// is syscall.Openat without the copy of path that a Go string costs.
+func openat(dirfd int, path []byte, flags int) (int, syscall.Errno) {
+	fd, _, errno := syscall.Syscall6(syscall.SYS_OPENAT, uintptr(dirfd), uintptr(unsafe.Pointer(&path[0])),
+		uintptr(flags|syscall.O_RDONLY|syscall.O_CLOEXEC), 0, 0, 0)
+	return int(fd), errno
 }

@@ -19,66 +19,11 @@ func TestRealNowAdvances(t *testing.T) {
 	}
 }
 
-func TestScaledRunsFaster(t *testing.T) {
-	c := NewScaled(1000)
-	start := c.Now()
-	time.Sleep(5 * time.Millisecond)
-	elapsed := c.Now().Sub(start)
-	if elapsed < 2*time.Second {
-		t.Fatalf("scaled clock advanced only %v for 5ms real at 1000x", elapsed)
-	}
-}
-
-func TestScaledSleepIsCompressed(t *testing.T) {
-	c := NewScaled(1000)
-	real0 := time.Now()
-	c.Sleep(2 * time.Second) // should take ~2ms real
-	real := time.Since(real0)
-	if real > 500*time.Millisecond {
-		t.Fatalf("scaled sleep of 2s virtual took %v real", real)
-	}
-}
-
-func TestScaledSleepNonPositive(t *testing.T) {
-	c := NewScaled(10)
-	done := make(chan struct{})
-	go func() {
-		c.Sleep(0)
-		c.Sleep(-time.Second)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("non-positive sleeps blocked")
-	}
-}
-
-func TestScaledAfter(t *testing.T) {
-	c := NewScaled(1000)
-	select {
-	case <-c.After(time.Second):
-	case <-time.After(2 * time.Second):
-		t.Fatal("After(1s virtual) did not fire within 2s real at 1000x")
-	}
-}
-
-func TestScaledPanicsOnBadScale(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for scale 0")
-		}
-	}()
-	NewScaled(0)
-}
-
-func TestScaledEpochIsUnixZero(t *testing.T) {
-	c := NewScaled(100)
-	if c.Now().Before(time.Unix(0, 0)) {
-		t.Fatal("scaled now precedes epoch")
-	}
-	if c.Now().Sub(time.Unix(0, 0).UTC()) > time.Hour {
-		t.Fatal("scaled now drifted implausibly far from epoch at start")
+func TestAutoEpochIsUnixZero(t *testing.T) {
+	c := NewAuto()
+	defer c.Stop()
+	if got := c.Now(); got != time.Unix(0, 0).UTC() {
+		t.Fatalf("a fresh Auto clock reads %v, want the Unix epoch", got)
 	}
 }
 
@@ -174,7 +119,6 @@ func TestAfterFuncContract(t *testing.T) {
 		pass  func(time.Duration) // lets that much of the clock's time go by
 	}{
 		{"real", Real{}, time.Millisecond, func(time.Duration) {}},
-		{"scaled", NewScaled(1000), time.Second, func(time.Duration) {}},
 		{"manual", manual, time.Second, manual.Advance},
 		{"auto", auto, time.Second, func(time.Duration) {}},
 	} {
@@ -241,12 +185,13 @@ func TestManualAfterFunc(t *testing.T) {
 	}
 }
 
-// TestScaledAfterLeavesNoGoroutine: a receiver that stops listening — a
+// TestAutoAfterLeavesNoGoroutine: a receiver that stops listening — a
 // tenant queue timeout for an admission already granted, a job's walltime
-// after the job ended — costs a timer, not a goroutine that sleeps out the
-// deadline (at 300x, twelve seconds for a virtual hour).
-func TestScaledAfterLeavesNoGoroutine(t *testing.T) {
-	c := NewScaled(300)
+// after the job ended — costs a waiter on the clock, not a goroutine that
+// sleeps out the deadline.
+func TestAutoAfterLeavesNoGoroutine(t *testing.T) {
+	c := NewAuto()
+	defer c.Stop()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 1000; i++ {
 		c.After(time.Hour)
@@ -387,4 +332,32 @@ func TestAutoStopLeavesNoGoroutine(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
+}
+
+// TestLookAllocatesNothing: the clock looks at the process's threads
+// hundreds of times a millisecond of virtual work, and allocation guards
+// elsewhere read process-wide MemStats while it does: a look allocates
+// no object.
+func TestLookAllocatesNothing(t *testing.T) {
+	var l look
+	l.parked() // any first-use cost of the runtime's own
+	if allocs := testing.AllocsPerRun(20, func() { l.parked() }); allocs != 0 {
+		t.Fatalf("a look allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestAutoStandsStillOnOneP: with one P the look cannot see runnable work
+// (testing.AllocsPerRun counts at GOMAXPROCS 1 beside a fixture's clock),
+// so the clock waits for a second P before it steps.
+func TestAutoStandsStillOnOneP(t *testing.T) {
+	c := NewAuto()
+	defer c.Stop()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	woke := c.After(time.Second)
+	time.Sleep(50 * time.Millisecond)
+	if c.Now() != time.Unix(0, 0).UTC() {
+		t.Fatalf("the clock stepped to %v on one P", c.Now())
+	}
+	runtime.GOMAXPROCS(2)
+	<-woke
 }
