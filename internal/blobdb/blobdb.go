@@ -6,8 +6,8 @@
 // decompressing the file from the database".
 //
 // Durability follows the classic WAL + snapshot recipe: every mutation is
-// appended to a write-ahead log before it is applied, Compact folds the
-// state into a snapshot and drops the log it covers, and Open replays
+// appended to a write-ahead log before it is applied, compaction folds
+// the state into a snapshot and drops the log it covers, and Open replays
 // snapshot then log. Opening with an empty directory yields a purely
 // in-memory store.
 //
@@ -228,8 +228,8 @@ type Options struct {
 	SegmentBytes int64
 	// AutoCompact runs a background compactor that incrementally retires
 	// sealed segments whose entries are all superseded and snapshots one
-	// shard per scan when its sealed garbage passes 50%, so nobody has to
-	// call Compact. Persistent databases only, at any shard count.
+	// shard per scan when its sealed garbage passes 50%. Persistent
+	// databases only, at any shard count.
 	AutoCompact bool
 	// CompactEvery is the background compactor's scan cadence (real
 	// time, not the virtual clock); zero means DefaultCompactEvery.
@@ -344,19 +344,6 @@ func (db *DB) Close() error {
 		s.mu.Unlock()
 	}
 	return first
-}
-
-// Compact folds current state into snapshots and retires the segments
-// they cover, one shard at a time: only the seal and the state copy run
-// under that shard's lock, so the other shards — and, for most of it,
-// that one — keep serving. A no-op on an in-memory database.
-func (db *DB) Compact() error {
-	for _, s := range db.shards {
-		if _, err := s.compactSnapshot(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Table is a handle on one table.

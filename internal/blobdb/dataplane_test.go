@@ -502,7 +502,7 @@ func fixtureBlob(seed, n int) []byte {
 
 // TestParentWrittenDirectoryReplays opens database directories written
 // by the commit before the encoder changed (json.Marshal framing; puts,
-// overwrites, deletes, a Compact in the middle, two tables; the sharded
+// overwrites, deletes, a compaction in the middle, two tables; the sharded
 // one with 1 KB segments so it holds snapshots with floors and several
 // segments) — the sharded one as it is (its manifest says 4 shards,
 // whatever Open asks for), the stock one imported into 1 and 4 shards.

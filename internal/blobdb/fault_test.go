@@ -120,7 +120,7 @@ func (p *dirFsyncPlan) setErr(err error) {
 	p.err = err
 }
 
-// TestCompactFsyncsDirectory: Compact must fsync the directory after the
+// TestCompactFsyncsDirectory: compaction must fsync the directory after the
 // snapshot rename, and must surface an injected directory-fsync failure
 // instead of retiring segments on top of a rename that may not be
 // durable.
@@ -135,19 +135,19 @@ func TestCompactFsyncsDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := plan.count()
-	if err := db.Compact(); err != nil {
+	if err := compact(db); err != nil {
 		t.Fatal(err)
 	}
 	if plan.count() <= before {
-		t.Fatal("Compact did not fsync the directory after its rename")
+		t.Fatal("compaction did not fsync the directory after its rename")
 	}
-	// Something to fold: a Compact with nothing sealed touches no file.
+	// Something to fold: a compaction with nothing sealed touches no file.
 	if err := db.Table("t").Put("k1", nil, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	plan.setErr(errDirFsync)
-	if err := db.Compact(); !errors.Is(err, errDirFsync) {
-		t.Fatalf("Compact error = %v, want injected %v", err, errDirFsync)
+	if err := compact(db); !errors.Is(err, errDirFsync) {
+		t.Fatalf("compact error = %v, want injected %v", err, errDirFsync)
 	}
 	plan.setErr(nil)
 	// The failed compact must leave the store serving and durable.
@@ -205,8 +205,8 @@ func TestCloseSyncErrorPoisons(t *testing.T) {
 	if _, err := tab.Get("k"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after failed Close = %v, want ErrClosed", err)
 	}
-	if err := db.Compact(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Compact after failed Close = %v, want ErrClosed", err)
+	if err := compact(db); !errors.Is(err, ErrClosed) {
+		t.Fatalf("compact after failed Close = %v, want ErrClosed", err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil", err)

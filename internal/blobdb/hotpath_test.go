@@ -384,7 +384,7 @@ func TestGroupCommitSurvivesCompact(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				db.Compact()
+				compact(db)
 			}
 		}
 	}()
@@ -395,7 +395,7 @@ func TestGroupCommitSurvivesCompact(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if err := db.Compact(); err != nil {
+	if err := compact(db); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

@@ -37,8 +37,8 @@ type shard struct {
 
 	gc *groupCommitter // per-shard WAL group commit; nil when disabled
 
-	// compactMu serialises whole compaction cycles (manual Compact vs the
-	// background compactor): interleaved snapshot renames could otherwise
+	// compactMu serialises whole compaction cycles on the shard:
+	// interleaved snapshot renames could otherwise
 	// let an older snapshot land after a newer one retired its segments.
 	compactMu sync.Mutex
 }
@@ -264,7 +264,7 @@ func (s *shard) compactSnapshot() (compactOutcome, error) {
 	}
 	// Seal the live segment iff it holds anything, so the snapshot's
 	// coverage cuts at a segment boundary; an empty live segment means
-	// repeated Compact calls don't churn out new files.
+	// repeated compactions don't churn out new files.
 	if s.segBytes > 0 || s.segMeta(s.seg).entries > 0 {
 		if err := s.roll(); err != nil {
 			s.mu.Unlock()

@@ -125,7 +125,7 @@ func TestShardedSegmentsRollAndRecover(t *testing.T) {
 	}
 }
 
-// TestManualCompactShardedRetiresSegments: Compact on a sharded store
+// TestManualCompactShardedRetiresSegments: compact on a sharded store
 // folds each shard to a snapshot and unlinks the covered segments.
 func TestManualCompactShardedRetiresSegments(t *testing.T) {
 	dir := t.TempDir()
@@ -145,7 +145,7 @@ func TestManualCompactShardedRetiresSegments(t *testing.T) {
 	if before < 3 {
 		t.Fatalf("expected several segments before compact, got %d", before)
 	}
-	if err := db.Compact(); err != nil {
+	if err := compact(db); err != nil {
 		t.Fatal(err)
 	}
 	// Each shard keeps exactly its fresh live segment.
@@ -394,7 +394,7 @@ func TestConcurrentShardedOpsWithCompactor(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := db.Compact(); err != nil { // manual compact racing the background one
+	if err := compact(db); err != nil { // manual compact racing the background one
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

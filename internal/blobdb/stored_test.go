@@ -332,7 +332,7 @@ func TestOldDirectoriesKeepOpening(t *testing.T) {
 		}
 	}
 	reopen() // from the log
-	if err := db.Compact(); err != nil {
+	if err := compact(db); err != nil {
 		t.Fatal(err)
 	}
 	reopen() // from the snapshots

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestConcurrentCompactAndWrites hammers Put/Get/Delete while Compact
+// TestConcurrentCompactAndWrites hammers Put/Get/Delete while compact
 // runs repeatedly: no writes may be lost and recovery must see the final
 // state.
 func TestConcurrentCompactAndWrites(t *testing.T) {
@@ -42,7 +42,7 @@ func TestConcurrentCompactAndWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := db.Compact(); err != nil {
+			if err := compact(db); err != nil {
 				errs <- err
 				return
 			}
@@ -89,7 +89,7 @@ func TestCompactShrinksWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Compact(); err != nil {
+	if err := compact(db); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -106,7 +106,7 @@ func TestDeleteSurvivesCompactAndRecovery(t *testing.T) {
 	db := diskDB(t, dir)
 	db.Table("t").Put("keep", nil, []byte("a"))
 	db.Table("t").Put("drop", nil, []byte("b"))
-	db.Compact()
+	compact(db)
 	db.Table("t").Delete("drop") // delete lands in the post-compact WAL
 	db.Close()
 	db2 := diskDB(t, dir)

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,26 +163,83 @@ func TestWatchdogStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// signalledClock is a Manual clock that says so on changed whenever a
+// waiter is put on it or taken off.
+type signalledClock struct {
+	*vtime.Manual
+	changed chan struct{}
+}
+
+func newSignalledClock() *signalledClock {
+	return &signalledClock{Manual: vtime.NewManual(time.Unix(0, 0)), changed: make(chan struct{}, 1)}
+}
+
+func (c *signalledClock) signal() {
+	select {
+	case c.changed <- struct{}{}:
+	default:
+	}
+}
+
+func (c *signalledClock) AfterFunc(d time.Duration, f func()) vtime.Timer {
+	tm := signalledTimer{c.Manual.AfterFunc(d, f), c}
+	c.signal()
+	return tm
+}
+
+func (c *signalledClock) After(d time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	c.AfterFunc(d, func() { ch <- c.Now() })
+	return ch
+}
+
+func (c *signalledClock) Sleep(d time.Duration) {
+	if d > 0 {
+		<-c.After(d)
+	}
+}
+
+type signalledTimer struct {
+	vtime.Timer
+	c *signalledClock
+}
+
+func (t signalledTimer) Stop() bool {
+	ok := t.Timer.Stop()
+	t.c.signal()
+	return ok
+}
+
 // TestTerminalInvocationLeavesNoWatchdogPending: on a Manual clock, once
 // an invocation is terminal nothing of it is pending — the tentative
 // poller returned, and stopping its watchdog took the timer off the clock.
 func TestTerminalInvocationLeavesNoWatchdogPending(t *testing.T) {
-	clk := vtime.NewManual(time.Unix(0, 0))
+	clk := newSignalledClock()
 	f := newFixture(t, func(cfg *Config) { cfg.Clock = clk })
 	f.uploadDemo(t)
 	inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	// The grid runs on the fixture's event clock, on its own: the poller's
+	// next tick finds the job over.
+	job, err := f.env.Grid.Job(inv.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	deadline := time.NewTimer(10 * time.Second)
+	defer deadline.Stop()
 	for !inv.State().Terminal() || clk.Pending() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("invocation %s with %d waiters on the clock", inv.State(), clk.Pending())
-		}
 		if clk.Pending() == 2 { // the watchdog, and the poller asleep beside it
 			clk.Advance(f.cfg.PollInterval)
+			continue
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case <-clk.changed:
+		case <-deadline.C:
+			t.Fatalf("invocation %s with %d waiters on the clock", inv.State(), clk.Pending())
+		}
 	}
 	if inv.State() != InvDone {
 		t.Fatalf("invocation ended %s: %s", inv.State(), inv.Message())
@@ -435,6 +493,105 @@ func TestCollectorContract(t *testing.T) {
 			})
 		}
 	}
+}
+
+// cancelCount counts the /gram/cancel requests that pass through it.
+type cancelCount struct {
+	base http.RoundTripper
+	n    atomic.Int32
+}
+
+func (c *cancelCount) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/gram/cancel" {
+		c.n.Add(1)
+	}
+	return c.base.RoundTrip(req)
+}
+
+// fetchFaultAt fails every /gram/output fetch made while clk reads at.
+type fetchFaultAt struct {
+	base http.RoundTripper
+
+	mu  sync.Mutex
+	clk vtime.Clock
+	at  time.Time
+}
+
+func (f *fetchFaultAt) arm(clk vtime.Clock) {
+	f.mu.Lock()
+	f.clk, f.at = clk, clk.Now()
+	f.mu.Unlock()
+}
+
+func (f *fetchFaultAt) RoundTrip(req *http.Request) (*http.Response, error) {
+	f.mu.Lock()
+	fail := req.URL.Path == "/gram/output" && f.clk != nil && f.clk.Now().Equal(f.at)
+	f.mu.Unlock()
+	if fail {
+		return nil, errors.New("fetchFaultAt: injected fault")
+	}
+	return f.base.RoundTrip(req)
+}
+
+// TestPushRetriesFailedFinalFetch: the /gram/output fetch behind a
+// terminal event fails. The stream opens only once the job is over, and
+// every fetch made before the appliance's Manual clock moves fails — the
+// bootstrap resync's and the replayed frames' — so the push collector's
+// retries off the stream loop are what end the invocation, one
+// PollInterval later: DONE with its whole stdout, its watchdog stopped and
+// no collector goroutine left.
+func TestPushRetriesFailedFinalFetch(t *testing.T) {
+	clk := newSignalledClock()
+	cancels := &cancelCount{base: overGrid}
+	fault := &fetchFaultAt{base: cancels}
+	late := &heldEvents{base: fault, release: make(chan struct{})}
+	f := newFixtureHTTP(t, late, func(cfg *Config) {
+		cfg.Clock = clk
+		cfg.PushEvents = true
+	})
+	if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte("echo head\ncompute 1m\necho tail\n")); err != nil {
+		t.Fatal(err)
+	}
+	inv, err := f.ons.Invoke("JobService", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := f.env.Grid.Job(inv.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done() // the grid runs on the fixture's event clock
+	fault.arm(clk)
+	failedAt := clk.Now()
+	close(late.release)
+	// Wait for the watchdog, the stream's heartbeat monitor and the two
+	// retries (the resync's terminal state, the replayed DONE frame).
+	deadline := time.NewTimer(10 * time.Second)
+	defer deadline.Stop()
+	for clk.Pending() != 4 {
+		select {
+		case <-clk.changed:
+		case <-deadline.C:
+			t.Fatalf("%d waiters on the clock, %s", clk.Pending(), inv.State())
+		}
+	}
+	if inv.State().Terminal() {
+		t.Fatalf("%s before any fetch succeeded", inv.State())
+	}
+	clk.Advance(f.cfg.PollInterval)
+	waitInv(t, inv, "final fetch failed")
+	if inv.State() != InvDone || inv.Output() != "head\ntail\n" {
+		t.Fatalf("%s with output %q (%s), want DONE with the whole stdout", inv.State(), inv.Output(), inv.Message())
+	}
+	if took := inv.EndedAt().Sub(failedAt); took != f.cfg.PollInterval {
+		t.Errorf("ended %v after the failed fetches, want one PollInterval (%v)", took, f.cfg.PollInterval)
+	}
+	// A watchdog left armed would cancel the finished job at its deadline.
+	clk.Advance(f.cfg.InvocationTimeout)
+	if n := cancels.n.Load(); n != 0 {
+		t.Errorf("%d cancels after DONE: the watchdog was not stopped", n)
+	}
+	f.waitCollectorsIdle(t)
 }
 
 // heldCancel performs /gram/cancel at the gatekeeper but holds the reply

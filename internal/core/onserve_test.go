@@ -617,20 +617,21 @@ func TestWatchdogStop(t *testing.T) {
 
 func TestWatchdogFires(t *testing.T) {
 	clk := vtime.NewManual(time.Unix(0, 0))
-	wd := NewWatchdog(clk, 10*time.Second, func() {})
+	fired := 0
+	wd := NewWatchdog(clk, 10*time.Second, func() { fired++ })
 	clk.Advance(10*time.Second - 1)
-	select {
-	case <-wd.Fired():
+	if fired != 0 {
 		t.Fatal("watchdog fired before its deadline")
-	default:
 	}
 	clk.Advance(1) // runs the kill before it returns
-	select {
-	case <-wd.Fired():
-	default:
+	if fired != 1 {
 		t.Fatal("watchdog did not fire at its deadline")
 	}
 	wd.Stop()
+	clk.Advance(time.Hour)
+	if fired != 1 {
+		t.Fatalf("watchdog fired %d times, want once", fired)
+	}
 }
 
 func TestGeneratedServiceOverSOAP(t *testing.T) {

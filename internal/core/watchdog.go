@@ -13,22 +13,13 @@ import (
 // complete)". It is a timer on that clock, never a parked goroutine.
 type Watchdog struct {
 	timer vtime.Timer
-	fired chan struct{}
 }
 
 // NewWatchdog arms a watchdog. onTimeout runs at most once, from the
 // clock's timer.
 func NewWatchdog(clock vtime.Clock, timeout time.Duration, onTimeout func()) *Watchdog {
-	w := &Watchdog{fired: make(chan struct{})}
-	w.timer = clock.AfterFunc(timeout, func() {
-		onTimeout()
-		close(w.fired)
-	})
-	return w
+	return &Watchdog{timer: clock.AfterFunc(timeout, onTimeout)}
 }
 
 // Stop disarms the watchdog; safe to call multiple times and after fire.
 func (w *Watchdog) Stop() { w.timer.Stop() }
-
-// Fired returns a channel closed after the callback has run.
-func (w *Watchdog) Fired() <-chan struct{} { return w.fired }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/jsdl"
-	"repro/internal/vtime"
 )
 
 func BenchmarkSubmitToCompletion(b *testing.B) {
@@ -50,19 +49,6 @@ func BenchmarkSubmitThroughputParallel(b *testing.B) {
 			<-j.Done()
 		}
 	})
-}
-
-func BenchmarkBrokerPickSite(b *testing.B) {
-	g, err := TeraGrid(vtime.Real{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.PickSite(4); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkStorePutGet(b *testing.B) {

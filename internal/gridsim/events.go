@@ -175,11 +175,3 @@ func (b *EventBus) Unsubscribe(sub *EventSub) {
 	delete(b.subs, sub.id)
 	b.mu.Unlock()
 }
-
-// Seq returns the bus's current sequence number (the newest published
-// event's Seq).
-func (b *EventBus) Seq() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
-}

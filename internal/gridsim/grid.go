@@ -63,9 +63,6 @@ func New(clock vtime.Clock, configs ...SiteConfig) (*Grid, error) {
 	return g, nil
 }
 
-// Clock returns the grid's clock.
-func (g *Grid) Clock() vtime.Clock { return g.clock }
-
 // Events returns the grid-wide transition bus: every site's job
 // lifecycle transitions and stdout bumps publish here, keyed by owner and
 // submitter.
@@ -95,28 +92,6 @@ func (g *Grid) Site(name string) (*Site, error) {
 // SiteNames lists sites, sorted.
 func (g *Grid) SiteNames() []string {
 	return append([]string(nil), g.order...)
-}
-
-// PickSite chooses the least-loaded site able to run a job of the given
-// width — the broker the Cyberaide agent consults when the description
-// does not pin a site.
-func (g *Grid) PickSite(cpus int) (*Site, error) {
-	var best *Site
-	bestLoad := 0.0
-	for _, name := range g.order {
-		s := g.sites[name]
-		if cpus > s.Slots() {
-			continue
-		}
-		load := s.loadFactor()
-		if best == nil || load < bestLoad {
-			best, bestLoad = s, load
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("%w: no site fits %d cpus", ErrNoSuchSite, cpus)
-	}
-	return best, nil
 }
 
 // Submit brokers and submits: the description's Site is honoured when

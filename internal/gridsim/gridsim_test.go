@@ -60,14 +60,11 @@ func TestJobRunsToCompletion(t *testing.T) {
 	if j.State() != Succeeded {
 		t.Fatalf("state %s: %s", j.State(), j.ExitMessage())
 	}
-	if got := j.Stdout(); got != "hello grid\n" {
+	if got, _ := j.StdoutVersioned(); got != "hello grid\n" {
 		t.Fatalf("stdout %q", got)
 	}
 	if len(j.OutputFile("out.dat")) != 128 {
 		t.Fatal("output artifact missing")
-	}
-	if names := j.OutputNames(); len(names) != 1 || names[0] != "out.dat" {
-		t.Fatalf("outputs %v", names)
 	}
 	sub, start, end := j.Times()
 	if sub.IsZero() || start.Before(sub) || end.Before(start) {
@@ -451,20 +448,6 @@ func TestTeraGridHasElevenSites(t *testing.T) {
 	}
 }
 
-func TestPickSiteRespectsWidth(t *testing.T) {
-	g, _ := New(vtime.Real{},
-		SiteConfig{Name: "tiny", Nodes: 1, CoresPerNode: 2},
-		SiteConfig{Name: "large", Nodes: 8, CoresPerNode: 8},
-	)
-	s, err := g.PickSite(16)
-	if err != nil || s.Name() != "large" {
-		t.Fatalf("picked %v err %v", s, err)
-	}
-	if _, err := g.PickSite(1000); err == nil {
-		t.Fatal("impossible width placed")
-	}
-}
-
 func TestManySmallJobsAcrossGrid(t *testing.T) {
 	clk := autoClock(t)
 	g, err := TeraGrid(clk)
@@ -522,19 +505,19 @@ func TestStoreQuota(t *testing.T) {
 	if got, _ := st.Get("o", "f"); string(got) != "data" {
 		t.Fatalf("got %q", got)
 	}
-	if st.Used("o") != 4 {
-		t.Fatalf("used %d", st.Used("o"))
+	if st.used["o"] != 4 {
+		t.Fatalf("used %d", st.used["o"])
 	}
 	// Replacement adjusts accounting.
 	st.Put("o", "f", []byte("xy"))
-	if st.Used("o") != 2 {
-		t.Fatalf("used after replace %d", st.Used("o"))
+	if st.used["o"] != 2 {
+		t.Fatalf("used after replace %d", st.used["o"])
 	}
 	if err := st.Delete("o", "f"); err != nil {
 		t.Fatal(err)
 	}
-	if st.Used("o") != 0 {
-		t.Fatalf("used after delete %d", st.Used("o"))
+	if st.used["o"] != 0 {
+		t.Fatalf("used after delete %d", st.used["o"])
 	}
 	if err := st.Delete("o", "f"); !errors.Is(err, ErrNoFile) {
 		t.Fatalf("got %v", err)
@@ -584,8 +567,8 @@ func TestJobConsumesStagedInput(t *testing.T) {
 	if j.State() != Succeeded {
 		t.Fatalf("state %s: %s", j.State(), j.ExitMessage())
 	}
-	if !strings.Contains(j.Stdout(), "read corpus.txt: 100000 bytes") {
-		t.Fatalf("stdout %q", j.Stdout())
+	if out, _ := j.StdoutVersioned(); !strings.Contains(out, "read corpus.txt: 100000 bytes") {
+		t.Fatalf("stdout %q", out)
 	}
 }
 

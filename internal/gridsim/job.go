@@ -131,14 +131,6 @@ func (j *Job) ExitMessage() string {
 	return j.exitMsg
 }
 
-// Stdout returns a snapshot of output produced so far — this is what the
-// paper's workaround polls "tentatively" while the job runs.
-func (j *Job) Stdout() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.stdout.String()
-}
-
 // StdoutVersion reports the job's output version: a counter bumped on
 // every stdout append. Pollers remember the version they last fetched
 // and skip re-fetching an unchanged snapshot (the conditional-output
@@ -178,17 +170,6 @@ func (j *Job) OutputFile(name string) []byte {
 	}
 	out := make([]byte, len(b))
 	copy(out, b)
-	return out
-}
-
-// OutputNames lists produced artifacts.
-func (j *Job) OutputNames() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]string, 0, len(j.outputs))
-	for n := range j.outputs {
-		out = append(out, n)
-	}
 	return out
 }
 

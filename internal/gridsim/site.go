@@ -147,12 +147,6 @@ func NewSite(cfg SiteConfig, clock vtime.Clock) *Site {
 	}
 }
 
-// Policy reports the scheduling discipline.
-func (s *Site) Policy() Policy { return s.cfg.Policy }
-
-// Name returns the site name.
-func (s *Site) Name() string { return s.cfg.Name }
-
 // Store returns the site's staging area.
 func (s *Site) Store() *Store { return s.store }
 

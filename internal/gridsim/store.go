@@ -135,10 +135,3 @@ func (s *Store) List(owner string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Used reports the owner's consumed bytes.
-func (s *Store) Used(owner string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.used[owner]
-}

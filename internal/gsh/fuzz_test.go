@@ -54,11 +54,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything that parses must also report a non-negative duration
-		// and survive a dry run under a no-op environment.
-		if prog.TotalDuration() < 0 {
-			t.Fatalf("negative duration for %q", src)
-		}
+		// Anything that parses must survive a dry run under a no-op
+		// environment.
 		env := &Env{
 			Clock:     &instantClock{},
 			CPU:       func(time.Duration) {},

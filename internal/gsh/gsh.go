@@ -445,28 +445,6 @@ func Expand(s string, args map[string]string) string {
 	}
 }
 
-// TotalDuration estimates the program's virtual runtime (compute + sleep +
-// emit waits), used by schedulers for walltime hints. Loops multiply.
-func (p *Program) TotalDuration() time.Duration {
-	return blockDuration(p.Stmts)
-}
-
-func blockDuration(stmts []Stmt) time.Duration {
-	var d time.Duration
-	for i := range stmts {
-		s := &stmts[i]
-		switch s.Op {
-		case "compute", "sleep":
-			d += s.Dur
-		case "emit":
-			d += time.Duration(s.Count) * s.Interval
-		case "loop":
-			d += time.Duration(s.Count) * blockDuration(s.Body)
-		}
-	}
-	return d
-}
-
 // Pad returns src extended with comment lines until it is at least size
 // bytes, while remaining a valid program. The figure experiments use this
 // to build the paper's "~5MB" executable whose content is irrelevant but

@@ -3,6 +3,7 @@ package gsh
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -283,14 +284,6 @@ func TestRunStepLimit(t *testing.T) {
 	}
 }
 
-func TestTotalDuration(t *testing.T) {
-	p := mustParse(t, "compute 2s\nsleep 1s\nemit 1s 3 x\nloop 2\ncompute 500ms\nend\n")
-	want := 2*time.Second + time.Second + 3*time.Second + time.Second
-	if got := p.TotalDuration(); got != want {
-		t.Fatalf("duration %v, want %v", got, want)
-	}
-}
-
 func TestExpand(t *testing.T) {
 	args := map[string]string{"a": "1", "b": "2"}
 	cases := map[string]string{
@@ -346,7 +339,7 @@ func TestPropertyPadPreservesSemantics(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return len(p1.Stmts) == len(p2.Stmts) && p1.TotalDuration() == p2.TotalDuration()
+		return reflect.DeepEqual(p1.Stmts, p2.Stmts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -27,11 +27,3 @@ func BenchmarkUnmarshal(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkRSL(b *testing.B) {
-	d := validDesc()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		RSL(&d)
-	}
-}

@@ -5,8 +5,7 @@
 // service invocations ("a job description is generated by using the
 // specified parameters and the name of the executable", §VII-B).
 //
-// Descriptions serialise to a JSDL-flavoured XML document for the wire
-// and to a Globus-RSL-flavoured text form for human eyes and logs.
+// Descriptions serialise to a JSDL-flavoured XML document for the wire.
 package jsdl
 
 import (
@@ -16,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -198,45 +196,6 @@ func Unmarshal(data []byte) (*Description, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNotJSDL, err)
 	}
 	return d, nil
-}
-
-// RSL renders the description in Globus-RSL-flavoured text, the form
-// operators of 2010-era grids would recognise in logs.
-func RSL(d *Description) string {
-	var sb strings.Builder
-	sb.WriteString("&(executable=" + quote(d.Executable) + ")")
-	if d.Name != "" {
-		sb.WriteString("(jobName=" + quote(d.Name) + ")")
-	}
-	cpus := d.CPUs
-	if cpus == 0 {
-		cpus = 1
-	}
-	fmt.Fprintf(&sb, "(count=%d)", cpus)
-	if d.WallTime > 0 {
-		fmt.Fprintf(&sb, "(maxWallTime=%d)", int64(d.WallTime/time.Minute))
-	}
-	if d.Site != "" {
-		sb.WriteString("(resourceManagerContact=" + quote(d.Site) + ")")
-	}
-	if len(d.Arguments) > 0 {
-		sb.WriteString("(arguments=")
-		for i, name := range sortedKeys(d.Arguments) {
-			if i > 0 {
-				sb.WriteString(" ")
-			}
-			sb.WriteString(quote(name + "=" + d.Arguments[name]))
-		}
-		sb.WriteString(")")
-	}
-	return sb.String()
-}
-
-func quote(s string) string {
-	if strings.ContainsAny(s, " ()\"") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
 }
 
 func sortedKeys(m map[string]string) []string {

@@ -108,34 +108,6 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 }
 
-func TestRSLForm(t *testing.T) {
-	d := validDesc()
-	rsl := RSL(&d)
-	for _, want := range []string{
-		"&(executable=montecarlo.gsh)", "(count=4)", "(maxWallTime=30)",
-		"(resourceManagerContact=ncsa-abe)", "samples=10000",
-	} {
-		if !strings.Contains(rsl, want) {
-			t.Errorf("RSL %q missing %q", rsl, want)
-		}
-	}
-}
-
-func TestRSLQuoting(t *testing.T) {
-	d := Description{Owner: "o", Executable: `weird "name".gsh`, CPUs: 1}
-	rsl := RSL(&d)
-	if !strings.Contains(rsl, `"weird ""name"".gsh"`) {
-		t.Fatalf("RSL %q", rsl)
-	}
-}
-
-func TestRSLDefaultsCount(t *testing.T) {
-	d := Description{Owner: "o", Executable: "e"}
-	if !strings.Contains(RSL(&d), "(count=1)") {
-		t.Fatal("count default missing")
-	}
-}
-
 // Property: marshal/unmarshal preserves arbitrary argument maps (with
 // XML-safe keys, and values of XML characters: a document cannot hold a
 // control character, U+FFFE or U+FFFF, and the encoder writes U+FFFD).

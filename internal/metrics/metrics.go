@@ -81,9 +81,6 @@ func NewRecorder(clock vtime.Clock, interval time.Duration) *Recorder {
 	}
 }
 
-// Interval reports the bucket width.
-func (r *Recorder) Interval() time.Duration { return r.interval }
-
 // Reset clears all buckets and moves the epoch to the clock's current
 // time. Experiments call it after setup so the exported series starts at
 // the moment the measured phase begins.

@@ -186,9 +186,6 @@ func TestNilProbeSafe(t *testing.T) {
 	if p.Recorder() != nil {
 		t.Fatal("nil probe recorder should be nil")
 	}
-	if _, ok := p.Clock().(vtime.Real); !ok {
-		t.Fatal("nil probe clock should be real")
-	}
 }
 
 func TestProbeBurnAdvancesClockAndAccounts(t *testing.T) {

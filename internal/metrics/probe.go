@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"time"
-
-	"repro/internal/vtime"
-)
+import "time"
 
 // Probe is the hook components use to report resource consumption. A nil
 // *Probe is valid and discards everything, so production code paths can be
@@ -34,15 +30,6 @@ func (p *Probe) Recorder() *Recorder {
 		return nil
 	}
 	return p.rec
-}
-
-// Clock returns the probe's clock; a nil probe returns the real clock so
-// uninstrumented paths still have a valid time source.
-func (p *Probe) Clock() vtime.Clock {
-	if p == nil || p.rec == nil {
-		return vtime.Real{}
-	}
-	return p.rec.clock
 }
 
 // Burn models a CPU burst: it blocks for d of virtual time and accounts d

@@ -18,16 +18,3 @@ func BenchmarkLogon(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkInfo(b *testing.B) {
-	f := newFixture(b)
-	if err := f.client.Put("alice", "pw", f.user); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.client.Info("alice", "pw"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

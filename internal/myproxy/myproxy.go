@@ -16,7 +16,6 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,10 +52,8 @@ type Op string
 
 // Protocol operations.
 const (
-	OpPut     Op = "put"     // store a credential
-	OpGet     Op = "get"     // retrieve a freshly delegated proxy
-	OpInfo    Op = "info"    // describe the stored credential
-	OpDestroy Op = "destroy" // remove the stored credential
+	OpPut Op = "put" // store a credential
+	OpGet Op = "get" // retrieve a freshly delegated proxy
 )
 
 // request is the single wire message a client sends. Trace carries the
@@ -76,22 +73,12 @@ type response struct {
 	OK         bool            `json:"ok"`
 	Error      string          `json:"error,omitempty"`
 	Credential json.RawMessage `json:"credential,omitempty"`
-	Info       *Info           `json:"info,omitempty"`
-}
-
-// Info describes a stored credential without revealing secrets.
-type Info struct {
-	User     string    `json:"user"`
-	Subject  string    `json:"subject"`
-	NotAfter time.Time `json:"not_after"`
-	StoredAt time.Time `json:"stored_at"`
 }
 
 type stored struct {
 	cred     *xsec.Credential
 	passHash [32]byte
 	salt     [16]byte
-	storedAt time.Time
 }
 
 // Server is the repository. Serve accepts connections from any
@@ -150,13 +137,6 @@ func (s *Server) Close() error {
 // off.
 func (s *Server) SetTracer(t *trace.Tracer) { s.tracer = t }
 
-// Count reports how many credentials are stored (monitoring/tests).
-func (s *Server) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.creds)
-}
-
 func (s *Server) handle(c net.Conn) {
 	defer c.Close()
 	var req request
@@ -192,10 +172,6 @@ func (s *Server) dispatchOp(req *request) response {
 		return s.put(req)
 	case OpGet:
 		return s.get(req)
-	case OpInfo:
-		return s.info(req)
-	case OpDestroy:
-		return s.destroy(req)
 	default:
 		return response{Error: fmt.Sprintf("myproxy: unknown op %q", req.Op)}
 	}
@@ -214,7 +190,6 @@ func (s *Server) put(req *request) response {
 		cred:     cred,
 		salt:     salt,
 		passHash: hashPass(salt, req.Passphrase),
-		storedAt: s.clock.Now(),
 	}
 	s.mu.Lock()
 	s.creds[req.User] = st
@@ -258,30 +233,6 @@ func (s *Server) get(req *request) response {
 		return response{Error: err.Error()}
 	}
 	return response{OK: true, Credential: b}
-}
-
-func (s *Server) info(req *request) response {
-	st, err := s.lookup(req)
-	if err != nil {
-		return response{Error: err.Error()}
-	}
-	leaf := st.cred.Leaf()
-	return response{OK: true, Info: &Info{
-		User:     req.User,
-		Subject:  leaf.Subject,
-		NotAfter: leaf.NotAfter,
-		StoredAt: st.storedAt,
-	}}
-}
-
-func (s *Server) destroy(req *request) response {
-	if _, err := s.lookup(req); err != nil {
-		return response{Error: err.Error()}
-	}
-	s.mu.Lock()
-	delete(s.creds, req.User)
-	s.mu.Unlock()
-	return response{OK: true}
 }
 
 func hashPass(salt [16]byte, pass string) [32]byte {
@@ -364,21 +315,6 @@ func (c *Client) Get(user, passphrase string, lifetime time.Duration) (*xsec.Cre
 	return xsec.UnmarshalCredential(resp.Credential)
 }
 
-// Info describes the stored credential.
-func (c *Client) Info(user, passphrase string) (*Info, error) {
-	resp, err := c.roundTrip(request{Op: OpInfo, User: user, Passphrase: passphrase})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Info, nil
-}
-
-// Destroy removes the stored credential.
-func (c *Client) Destroy(user, passphrase string) error {
-	_, err := c.roundTrip(request{Op: OpDestroy, User: user, Passphrase: passphrase})
-	return err
-}
-
 // readMsg reads one length-prefixed JSON message.
 func readMsg(r io.Reader, v any) error {
 	var lenBuf [4]byte
@@ -412,11 +348,4 @@ func writeMsg(w io.Writer, v any) error {
 	}
 	_, err = w.Write(b)
 	return err
-}
-
-// randomToken is exported for tests needing unique users.
-func randomToken() string {
-	var b [8]byte
-	rand.Read(b[:])
-	return hex.EncodeToString(b[:])
 }

@@ -124,46 +124,6 @@ func TestExpiredStoredCredential(t *testing.T) {
 	}
 }
 
-func TestInfo(t *testing.T) {
-	f := newFixture(t)
-	f.client.Put("alice", "pw", f.user)
-	info, err := f.client.Info("alice", "pw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Subject != "/O=Repro/CN=alice" || !info.StoredAt.Equal(t0) {
-		t.Fatalf("info %+v", info)
-	}
-}
-
-func TestDestroy(t *testing.T) {
-	f := newFixture(t)
-	f.client.Put("alice", "pw", f.user)
-	if f.server.Count() != 1 {
-		t.Fatal("credential not stored")
-	}
-	if err := f.client.Destroy("alice", "pw"); err != nil {
-		t.Fatal(err)
-	}
-	if f.server.Count() != 0 {
-		t.Fatal("credential not removed")
-	}
-	if _, err := f.client.Get("alice", "pw", time.Hour); !errors.Is(err, ErrNoSuchUser) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestDestroyRequiresPassphrase(t *testing.T) {
-	f := newFixture(t)
-	f.client.Put("alice", "pw", f.user)
-	if err := f.client.Destroy("alice", "nope"); !errors.Is(err, ErrBadPassphrase) {
-		t.Fatalf("got %v", err)
-	}
-	if f.server.Count() != 1 {
-		t.Fatal("credential removed despite bad passphrase")
-	}
-}
-
 func TestPutOverwrites(t *testing.T) {
 	f := newFixture(t)
 	f.client.Put("alice", "pw1", f.user)
@@ -258,11 +218,5 @@ func TestConcurrentClients(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestRandomTokenUnique(t *testing.T) {
-	if randomToken() == randomToken() {
-		t.Fatal("tokens collide")
 	}
 }

@@ -105,11 +105,6 @@ func LAN(clock vtime.Clock) *Profile {
 	return NewProfile(clock, "lan", 125<<20, 125<<20, 200*time.Microsecond)
 }
 
-// Unshaped returns a pass-through profile (tests, in-process wiring).
-func Unshaped(clock vtime.Clock) *Profile {
-	return NewProfile(clock, "unshaped", 0, 0, 0)
-}
-
 // writeChunk is the pacing granularity. Small enough that multi-second
 // transfers spread smoothly across 3-second sample buckets.
 const writeChunk = 4 << 10

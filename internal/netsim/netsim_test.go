@@ -165,10 +165,6 @@ func TestProfilesHaveExpectedRates(t *testing.T) {
 	if lan.Up.bps != 125<<20 {
 		t.Fatalf("lan up rate %v", lan.Up.bps)
 	}
-	un := Unshaped(clk)
-	if un.Up.bps != 0 || un.Latency != 0 {
-		t.Fatal("unshaped profile should carry no shaping")
-	}
 }
 
 func TestListenerWrapsAccepted(t *testing.T) {
@@ -176,7 +172,7 @@ func TestListenerWrapsAccepted(t *testing.T) {
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	probe := metrics.NewProbe(rec)
 	pipes := NewNet()
-	ln := NewListener(pipes.Listen(), Unshaped(clk), probe)
+	ln := NewListener(pipes.Listen(), NewProfile(clk, "unshaped", 0, 0, 0), probe)
 	defer ln.Close()
 	copied := make(chan struct{})
 	go func() {
@@ -237,7 +233,7 @@ func TestDialerAppliesLatencyAndShaping(t *testing.T) {
 }
 
 func TestDialerError(t *testing.T) {
-	d := &Dialer{Profile: Unshaped(vtime.Real{}), Net: NewNet()}
+	d := &Dialer{Profile: NewProfile(vtime.Real{}, "unshaped", 0, 0, 0), Net: NewNet()}
 	if _, err := d.DialContext(context.Background(), "tcp", "pipe1:80"); err == nil {
 		t.Fatal("expected dial error to an address nobody listens on")
 	}

@@ -98,7 +98,7 @@ func TestPipeReadDeadline(t *testing.T) {
 		_, err := c.Read(make([]byte, 1))
 		read <- err
 	}()
-	c.SetReadDeadline(time.Unix(1, 0))
+	c.SetDeadline(time.Unix(1, 0)) // how hop cancels a request in flight
 	if err := <-read; !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("a past deadline left the blocked read with %v", err)
 	}

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -70,8 +71,9 @@ func BenchmarkServerRoundTrip(b *testing.B) {
 
 func BenchmarkFaultEncode(b *testing.B) {
 	f := &Fault{Code: FaultServer, String: "boom", Detail: "details"}
+	var buf bytes.Buffer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EncodeFault(f)
+		writeFault(&buf, f)
 	}
 }

@@ -516,7 +516,7 @@ func awkwardMessage(rng *rand.Rand) *Message {
 	return m
 }
 
-// TestEncodeBytesUnchanged: the envelopes Encode and EncodeFault write
+// TestEncodeBytesUnchanged: the envelopes Encode and writeFault write
 // are the ones they wrote before the encoder was rewritten, they decode
 // identically under both decoders, and the values survive the trip.
 func TestEncodeBytesUnchanged(t *testing.T) {
@@ -544,9 +544,9 @@ func TestEncodeBytesUnchanged(t *testing.T) {
 		}
 
 		f := &Fault{Code: awkwardString(rng), String: awkwardString(rng), Actor: awkwardString(rng), Detail: awkwardString(rng)}
-		env = EncodeFault(f)
+		env = encodeFault(f)
 		if want := encodeFaultReference(f); !bytes.Equal(env, want) {
-			t.Fatalf("EncodeFault(%+v):\n%s\nbefore:\n%s", f, env, want)
+			t.Fatalf("encodeFault(%+v):\n%s\nbefore:\n%s", f, env, want)
 		}
 		got, err = Decode(env)
 		ref, refErr = decodeReference(env)
@@ -674,7 +674,7 @@ func (r *countingReader) Read(p []byte) (int, error) {
 }
 
 // TestServerReplyBytes: what the server writes for a result and for a
-// fault is what Encode and EncodeFault render.
+// fault is what Encode and writeFault render.
 func TestServerReplyBytes(t *testing.T) {
 	srv := NewServer(nil, metrics.Cost{})
 	svc := hotService()

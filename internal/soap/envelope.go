@@ -25,9 +25,9 @@ import (
 
 // encBufs keeps envelope build buffers: every SOAP request and response
 // on the container hot path encodes through here, and the envelopes are
-// small enough that the buffers stay warm. Encode and EncodeFault copy
-// the bytes out before the buffer goes back on the list; the server
-// writes them to the connection instead.
+// small enough that the buffers stay warm. Encode copies the bytes out
+// before the buffer goes back on the list; the server writes them to the
+// connection instead.
 var encBufs = sizedio.NewFreeList(func() *bytes.Buffer { return new(bytes.Buffer) })
 
 // EnvelopeNS is the SOAP 1.1 envelope namespace.
@@ -143,14 +143,6 @@ func writeEnvelope(buf *bytes.Buffer, headers map[string]string, namespace, op, 
 	buf.WriteString(suffix)
 	buf.WriteString(`>`)
 	buf.WriteString(bodyClose)
-}
-
-// EncodeFault renders a fault envelope.
-func EncodeFault(f *Fault) []byte {
-	buf := encBufs.Get()
-	defer encBufs.Put(buf)
-	writeFault(buf, f)
-	return bytes.Clone(buf.Bytes())
 }
 
 // writeFault resets buf and builds the fault's envelope in it.

@@ -18,7 +18,7 @@ func FuzzDecode(f *testing.F) {
 		Headers: map[string]string{"T": "v"},
 	})
 	f.Add(good)
-	f.Add(EncodeFault(&Fault{Code: FaultServer, String: "boom"}))
+	f.Add(encodeFault(&Fault{Code: FaultServer, String: "boom"}))
 	f.Add([]byte("<html/>"))
 	f.Add([]byte(""))
 	f.Add([]byte(`<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/"><soapenv:Body></soapenv:Body></soapenv:Envelope>`))

@@ -8,9 +8,9 @@ import (
 	"sort"
 )
 
-// encodeReference, encodeFaultReference and writeElemReference are Encode,
-// EncodeFault and writeElem as they stood through PR 15: the bytes on the
-// wire the rewritten encoder must reproduce.
+// encodeReference, encodeFaultReference and writeElemReference are the
+// envelope, fault and element writers as they stood before the encoder
+// was rewritten: the bytes on the wire the rewritten one must reproduce.
 func encodeReference(m *Message) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(xml.Header)

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -53,9 +54,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeFault is the fault envelope the server writes.
+func encodeFault(f *Fault) []byte {
+	var buf bytes.Buffer
+	writeFault(&buf, f)
+	return buf.Bytes()
+}
+
 func TestDecodeFault(t *testing.T) {
 	f := &Fault{Code: FaultServer, String: "boom", Detail: "stack"}
-	env := EncodeFault(f)
+	env := encodeFault(f)
 	_, err := Decode(env)
 	var got *Fault
 	if !errors.As(err, &got) {
@@ -99,7 +107,7 @@ func TestDecodeRejectsBrokenEnvelopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, whole := range [][]byte{request, response, EncodeFault(&Fault{Code: FaultServer, String: "boom"})} {
+	for _, whole := range [][]byte{request, response, encodeFault(&Fault{Code: FaultServer, String: "boom"})} {
 		for cut := 0; cut < len(whole); cut++ {
 			msg, err := Decode(whole[:cut])
 			var fault *Fault

@@ -102,9 +102,8 @@ func (k *keyset) lookup(token string) (string, bool) {
 	return owner, found
 }
 
-// set registers (or re-points) a key. Rotation is set(new)+revoke(old);
-// both orders are safe mid-burst because lookup holds only a read lock
-// per request.
+// set registers (or re-points) a key; it is safe mid-burst because
+// lookup holds only a read lock per request.
 func (k *keyset) set(token, owner string) {
 	d := sha256.Sum256([]byte(token))
 	k.mu.Lock()
@@ -116,20 +115,6 @@ func (k *keyset) set(token, owner string) {
 		}
 	}
 	k.entries = append(k.entries, keyEntry{digest: d, owner: owner})
-}
-
-// revoke removes a key; it reports whether the key existed.
-func (k *keyset) revoke(token string) bool {
-	d := sha256.Sum256([]byte(token))
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	for i := range k.entries {
-		if k.entries[i].digest == d {
-			k.entries = append(k.entries[:i], k.entries[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // size reports how many keys are registered.

@@ -261,15 +261,6 @@ func (c *Controller) SetKey(key, owner string) error {
 	return nil
 }
 
-// RevokeKey removes a key; it reports whether the key existed.
-func (c *Controller) RevokeKey(key string) bool {
-	tok, ok := ParseKeyHeader(key)
-	if !ok {
-		return false
-	}
-	return c.keys.revoke(tok)
-}
-
 // Principal is an authenticated caller.
 type Principal struct {
 	Owner string
@@ -458,14 +449,6 @@ func (c *Controller) record(r Record) {
 	if droppedOwner, dropped := c.audit.append(r); dropped {
 		c.state(droppedOwner).counts.Update(func(o *OwnerStats) { o.AuditDropped++ })
 	}
-}
-
-// Owner reports who was admitted ("" on a nil admission).
-func (a *Admission) Owner() string {
-	if a == nil {
-		return ""
-	}
-	return a.owner
 }
 
 // ParentFor picks the trace parent for the admitted work: the

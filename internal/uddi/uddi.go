@@ -273,12 +273,3 @@ func DecodeRecords(s string) ([]Record, error) {
 	}
 	return out, nil
 }
-
-// DecodeRecord parses the JSON object returned by the get operation.
-func DecodeRecord(s string) (Record, error) {
-	var out Record
-	if err := json.Unmarshal([]byte(s), &out); err != nil {
-		return Record{}, fmt.Errorf("uddi: decode record: %w", err)
-	}
-	return out, nil
-}

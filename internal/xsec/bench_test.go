@@ -33,13 +33,13 @@ func BenchmarkDelegate(b *testing.B) {
 	}
 }
 
-func BenchmarkSign(b *testing.B) {
+func BenchmarkSignToken(b *testing.B) {
 	_, _, proxy, _ := benchSetup(b)
 	msg := []byte("submit job with some payload attached to it")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := proxy.Sign(msg); err != nil {
+		if _, err := proxy.SignToken(msg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,10 +48,7 @@ func BenchmarkSign(b *testing.B) {
 func BenchmarkVerifySignedProxyChain(b *testing.B) {
 	_, _, proxy, ts := benchSetup(b)
 	msg := []byte("submit job with some payload attached to it")
-	tok, err := proxy.Sign(msg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tok := sign(b, proxy, msg)
 	at := t0.Add(time.Minute)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -244,15 +244,15 @@ func proxyDepth(chain []Certificate) int {
 // and the span of time in which every certificate checked, the trusted
 // root included, is valid. A remembered chain presented inside that span
 // is accepted on those two facts alone; outside it, it is verified in full
-// and fails as it always did. Add forgets every chain, since what a chain
-// proves depends on the roots. The memo holds at most maxVerified chains
-// and is emptied when full. A TrustStore is safe for concurrent use.
+// and fails as it always did. The roots are fixed when the store is
+// built, so what a remembered chain proved stays proved. The memo holds at
+// most maxVerified chains and is emptied when full. A TrustStore is safe
+// for concurrent use.
 type TrustStore struct {
-	mu sync.Mutex
-	// roots is by subject. It is replaced, never written to, once built:
-	// a verification reads the map it found without the lock.
+	// roots is by subject, and only read once built.
 	roots map[string]Certificate
-	// memo belongs to roots: Add starts a new one along with the new map.
+
+	mu   sync.Mutex
 	memo map[[sha256.Size]byte]verifiedChain
 	// fullVerifies counts the verifications that checked signatures.
 	fullVerifies int
@@ -272,18 +272,6 @@ func NewTrustStore(roots ...Certificate) *TrustStore {
 		ts.roots[r.Subject] = r
 	}
 	return ts
-}
-
-// Add registers another trusted root.
-func (ts *TrustStore) Add(root Certificate) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	roots := make(map[string]Certificate, len(ts.roots)+1)
-	for subject, r := range ts.roots {
-		roots[subject] = r
-	}
-	roots[root.Subject] = root
-	ts.roots, ts.memo = roots, make(map[[sha256.Size]byte]verifiedChain)
 }
 
 // chainKey is what a verified chain is remembered under.
@@ -312,8 +300,7 @@ func (ts *TrustStore) VerifyChain(chain []Certificate, at time.Time) (string, er
 	}
 	key := chainKey(chain)
 	ts.mu.Lock()
-	roots, memo := ts.roots, ts.memo
-	v, known := memo[key]
+	v, known := ts.memo[key]
 	if known = known && !at.Before(v.notBefore) && !at.After(v.notAfter); !known {
 		ts.fullVerifies++
 	}
@@ -321,7 +308,7 @@ func (ts *TrustStore) VerifyChain(chain []Certificate, at time.Time) (string, er
 	if known {
 		return v.identity, nil
 	}
-	id, err := verifyChain(roots, chain, at)
+	id, err := verifyChain(ts.roots, chain, at)
 	if err != nil {
 		return "", err
 	}
@@ -340,14 +327,14 @@ func (ts *TrustStore) VerifyChain(chain []Certificate, at time.Time) (string, er
 		narrow(&chain[i])
 	}
 	if last := &chain[len(chain)-1]; last.Kind != KindCA {
-		root := roots[last.Issuer]
+		root := ts.roots[last.Issuer]
 		narrow(&root)
 	}
 	ts.mu.Lock()
-	if len(memo) >= maxVerified {
-		clear(memo)
+	if len(ts.memo) >= maxVerified {
+		clear(ts.memo)
 	}
-	memo[key] = v // a memo Add has since replaced is written in vain, never read
+	ts.memo[key] = v
 	ts.mu.Unlock()
 	return id, nil
 }
@@ -430,18 +417,6 @@ type Signed struct {
 	Signature []byte        `json:"signature"`
 }
 
-// Sign produces a Signed token over msg with c's key.
-func (c *Credential) Sign(msg []byte) (*Signed, error) {
-	if c.Leaf() == nil {
-		return nil, ErrEmptyChain
-	}
-	h := sha256.Sum256(msg)
-	return &Signed{
-		Chain:     c.Chain,
-		Signature: ed25519.Sign(c.Key, h[:]),
-	}, nil
-}
-
 // Verify checks the token authenticates msg under ts at instant at and
 // returns the end-entity identity.
 func (ts *TrustStore) Verify(msg []byte, s *Signed, at time.Time) (string, error) {
@@ -471,31 +446,9 @@ func UnmarshalCredential(b []byte) (*Credential, error) {
 	return &c, nil
 }
 
-// MarshalChain encodes a bare chain (public half) as base64 JSON, the form
-// embedded in protocol headers.
-func MarshalChain(chain []Certificate) (string, error) {
-	b, err := json.Marshal(chain)
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(b), nil
-}
-
-// UnmarshalChain reverses MarshalChain.
-func UnmarshalChain(s string) ([]Certificate, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("xsec: decode chain: %w", err)
-	}
-	var chain []Certificate
-	if err := json.Unmarshal(b, &chain); err != nil {
-		return nil, fmt.Errorf("xsec: decode chain: %w", err)
-	}
-	return chain, nil
-}
-
-// SignToken signs msg and returns the token in its protocol-header form,
-// the string EncodeSigned gives for Sign's result. A session signs every
+// SignToken signs msg and returns the token in its protocol-header form:
+// the base64 of a Signed's JSON, whose Signature is msg's SHA-256 signed
+// with c's key. A session signs every
 // request with one credential, so everything before the signature —
 // the JSON of the chain, in base64 — is encoded once per credential and
 // each token costs the signature and the one string it is returned in.
@@ -533,16 +486,7 @@ func (c *Credential) SignToken(msg []byte) (string, error) {
 	return c.headB64 + string(enc[:base64.StdEncoding.EncodedLen(n)]), nil
 }
 
-// EncodeSigned encodes a Signed token for a protocol header.
-func EncodeSigned(s *Signed) (string, error) {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(b), nil
-}
-
-// DecodeSigned reverses EncodeSigned.
+// DecodeSigned reverses SignToken.
 func DecodeSigned(s string) (*Signed, error) {
 	b, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {

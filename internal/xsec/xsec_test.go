@@ -1,6 +1,10 @@
 package xsec
 
 import (
+	"crypto/ed25519"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync"
@@ -27,6 +31,20 @@ func newUser(t *testing.T, ca *CA, cn string) *Credential {
 		t.Fatal(err)
 	}
 	return cred
+}
+
+// sign is SignToken as a verifier reads it off the wire.
+func sign(t testing.TB, c *Credential, msg []byte) *Signed {
+	t.Helper()
+	tok, err := c.SignToken(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := DecodeSigned(tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestUserChainVerifies(t *testing.T) {
@@ -134,13 +152,36 @@ func TestTamperedProxyLifetimeRejected(t *testing.T) {
 	}
 }
 
+// TestUntrustedCARejected: a chain is anchored at a trusted root only
+// when it ends in a certificate that root issued, or in the root itself.
 func TestUntrustedCARejected(t *testing.T) {
 	ca := newCA(t)
-	other, _ := NewCA("Rogue", t0, 24*time.Hour)
-	mallory := newUser(t, other, "mallory")
+	alice := newUser(t, ca, "alice")
+	rogue, _ := NewCA("Rogue", t0, 24*time.Hour)
+	impostor, _ := NewCA("TestCA", t0, 10*365*24*time.Hour) // the trusted root's subject, another key
+	reserialed, resigned := ca.Cert, ca.Cert
+	reserialed.Serial = impostor.Cert.Serial
+	resigned.Signature = impostor.Cert.Signature
 	ts := NewTrustStore(ca.Cert)
-	if _, err := ts.VerifyChain(mallory.Chain, t0.Add(time.Minute)); !errors.Is(err, ErrUntrusted) {
-		t.Fatalf("expected untrusted error, got %v", err)
+	for _, tc := range []struct {
+		name  string
+		chain []Certificate
+		want  error
+	}{
+		{"issued by an untrusted CA", newUser(t, rogue, "mallory").Chain, ErrUntrusted},
+		{"ends in a CA with the root's subject and another key",
+			append(newUser(t, impostor, "mallory").Chain, impostor.Cert), ErrUntrusted},
+		{"ends in the root with another serial", []Certificate{alice.Chain[0], reserialed}, ErrUntrusted},
+		{"ends in the root with another signature", []Certificate{alice.Chain[0], resigned}, ErrUntrusted},
+		{"ends in the trusted root itself", []Certificate{alice.Chain[0], ca.Cert}, nil},
+	} {
+		id, err := ts.VerifyChain(tc.chain, t0.Add(time.Minute))
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want == nil && id != "/O=Repro/CN=alice" {
+			t.Errorf("%s: identity %q", tc.name, id)
+		}
 	}
 }
 
@@ -160,7 +201,7 @@ func TestEmptyChain(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 	var c Credential
-	if _, err := c.Sign([]byte("x")); !errors.Is(err, ErrEmptyChain) {
+	if _, err := c.SignToken([]byte("x")); !errors.Is(err, ErrEmptyChain) {
 		t.Fatalf("got %v", err)
 	}
 	if _, err := c.Delegate(t0, time.Hour); !errors.Is(err, ErrEmptyChain) {
@@ -174,10 +215,7 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	proxy, _ := alice.Delegate(t0, time.Hour)
 	ts := NewTrustStore(ca.Cert)
 	msg := []byte("submit job 42")
-	tok, err := proxy.Sign(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tok := sign(t, proxy, msg)
 	id, err := ts.Verify(msg, tok, t0.Add(time.Minute))
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +234,7 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 func TestSignedTokenWireRoundTrip(t *testing.T) {
 	ca := newCA(t)
 	alice := newUser(t, ca, "alice")
-	tok, _ := alice.Sign([]byte("payload"))
-	enc, err := EncodeSigned(tok)
+	enc, err := alice.SignToken([]byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +248,22 @@ func TestSignedTokenWireRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeSigned is the token SignToken stands for, built the plain way:
+// msg's SHA-256 signed with c's key, the Signed marshalled whole and
+// base64-encoded.
+func encodeSigned(t *testing.T, c *Credential, msg []byte) (string, *Signed) {
+	t.Helper()
+	h := sha256.Sum256(msg)
+	s := &Signed{Chain: c.Chain, Signature: ed25519.Sign(c.Key, h[:])}
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base64.StdEncoding.EncodeToString(b), s
+}
+
 // TestSignTokenIsTheEncodedSignature: the token built from the cached
-// chain prefix is, byte for byte, EncodeSigned of Sign — for every
+// chain prefix is, byte for byte, the plain encoding of the signature — for every
 // alignment of the prefix against base64's three-byte groups — so it
 // decodes to the same Signed and verifies under the same trust store,
 // and making one costs the signature and the token.
@@ -228,17 +279,10 @@ func TestSignTokenIsTheEncodedSignature(t *testing.T) {
 		}
 		for _, cred := range []*Credential{user, proxy} {
 			for _, msg := range []string{"", "payload", "POST\n/jobs\nbody"} {
-				signed, err := cred.Sign([]byte(msg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := EncodeSigned(signed)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want, signed := encodeSigned(t, cred, []byte(msg))
 				got, err := cred.SignToken([]byte(msg))
 				if err != nil || got != want {
-					t.Fatalf("%s %q: SignToken gave\n%s (%v)\nEncodeSigned\n%s", cn, msg, got, err, want)
+					t.Fatalf("%s %q: SignToken gave\n%s (%v)\nplainly encoded\n%s", cn, msg, got, err, want)
 				}
 				dec, err := DecodeSigned(got)
 				if err != nil || !reflect.DeepEqual(dec, signed) {
@@ -265,8 +309,7 @@ func TestSignTokenIsTheEncodedSignature(t *testing.T) {
 	// first tokens may be asked for at once.
 	cred := newUser(t, ca, "alice")
 	msg := []byte("payload")
-	signed, _ := cred.Sign(msg)
-	want, _ := EncodeSigned(signed)
+	want, _ := encodeSigned(t, cred, msg)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -309,32 +352,8 @@ func TestCredentialMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The decoded key must still sign verifiably.
-	tok, err := got.Sign([]byte("m"))
-	if err != nil {
+	if _, err := ts.Verify([]byte("m"), sign(t, got, []byte("m")), t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ts.Verify([]byte("m"), tok, t0.Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChainWireRoundTrip(t *testing.T) {
-	ca := newCA(t)
-	alice := newUser(t, ca, "alice")
-	enc, err := MarshalChain(alice.Chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := UnmarshalChain(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTrustStore(ca.Cert)
-	if _, err := ts.VerifyChain(chain, t0.Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalChain("%%%"); err == nil {
-		t.Fatal("garbage chain accepted")
 	}
 }
 
@@ -383,10 +402,7 @@ func TestPropertySignedMessageIntegrity(t *testing.T) {
 	ts := NewTrustStore(ca.Cert)
 	at := t0.Add(time.Minute)
 	f := func(msg []byte, flip uint16) bool {
-		tok, err := proxy.Sign(msg)
-		if err != nil {
-			return false
-		}
+		tok := sign(t, proxy, msg)
 		if _, err := ts.Verify(msg, tok, at); err != nil {
 			return false
 		}
