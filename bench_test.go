@@ -3,9 +3,9 @@ package repro
 // One benchmark per table/figure of the paper's evaluation (Section
 // VIII), plus the design-choice ablations DESIGN.md calls out. Every
 // iteration runs the corresponding experiment end-to-end — simulated
-// TeraGrid, appliance, portal, SOAP services — on a discrete-event clock,
-// and reports the headline virtual-time quantity next to the wall-clock
-// cost of regenerating it.
+// TeraGrid, appliance, portal, SOAP services — in a testing/synctest
+// bubble, and reports the headline virtual-time quantity next to the
+// wall-clock cost of regenerating it.
 //
 //	go test -bench=. -benchmem
 

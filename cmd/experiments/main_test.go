@@ -8,8 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bubble"
 	"repro/internal/experiments"
 )
+
+// TestMain runs the package's tests under GOEXPERIMENT=synctest, where a
+// study's rig takes its bubble.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 func firstLine(t *testing.T, path string) string {
 	t.Helper()

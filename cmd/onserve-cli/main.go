@@ -104,11 +104,15 @@ func (t *keyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return t.next.RoundTrip(r)
 }
 
+// transport carries every request the CLI sends; its tests point it at
+// an in-process network.
+var transport = http.DefaultTransport
+
 func newClient(key string) *http.Client {
 	if key == "" {
-		return http.DefaultClient
+		return &http.Client{Transport: transport}
 	}
-	return &http.Client{Transport: &keyTransport{key: key, next: http.DefaultTransport}}
+	return &http.Client{Transport: &keyTransport{key: key, next: transport}}
 }
 
 func (c cli) upload(fs *flag.FlagSet, args []string) error {

@@ -6,7 +6,7 @@
 // audience ran: big inputs live on the Grid, only the service call
 // crosses the user's network.
 //
-//	go run ./examples/dataprocessing
+//	GOEXPERIMENT=synctest go run ./examples/dataprocessing
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/appliance"
+	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/gridenv"
 	"repro/internal/hop"
@@ -33,10 +34,12 @@ echo analysis pass ${pass} complete
 write report-${pass}.txt 2048
 `
 
-func main() {
-	// One process on an event clock: grid jobs take no host time.
-	clk := vtime.NewAuto()
-	defer clk.Stop()
+// main runs the example in one process, in a testing/synctest bubble:
+// grid jobs take no host time.
+func main() { bubble.Run(run) }
+
+func run() {
+	var clk vtime.Real
 	pipes := netsim.NewNet()
 	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})
 	if err != nil {

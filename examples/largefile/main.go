@@ -5,7 +5,7 @@
 // appliance host, and shows how the staging cache (the paper's suggested
 // improvement) removes the cost for the second invocation.
 //
-//	go run ./examples/largefile
+//	GOEXPERIMENT=synctest go run ./examples/largefile
 package main
 
 import (
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/appliance"
+	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/gridenv"
 	"repro/internal/gsh"
@@ -23,10 +24,12 @@ import (
 	"repro/internal/wsdl"
 )
 
-func main() {
-	// One process on an event clock: a minute of staging takes no host time.
-	clk := vtime.NewAuto()
-	defer clk.Stop()
+// main runs the example in one process, in a testing/synctest bubble:
+// a minute of staging takes no host time.
+func main() { bubble.Run(run) }
+
+func run() {
+	var clk vtime.Real
 	pipes := netsim.NewNet()
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	probe := metrics.NewProbe(rec)

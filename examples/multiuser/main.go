@@ -5,7 +5,7 @@
 // and invokes the generated services — including each other's, since a
 // published service executes under its owner's delegated credential.
 //
-//	go run ./examples/multiuser
+//	GOEXPERIMENT=synctest go run ./examples/multiuser
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/appliance"
+	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/gridenv"
 	"repro/internal/hop"
@@ -26,10 +27,12 @@ import (
 	"repro/internal/wsdl"
 )
 
-func main() {
-	// One process on an event clock: grid jobs take no host time.
-	clk := vtime.NewAuto()
-	defer clk.Stop()
+// main runs the example in one process, in a testing/synctest bubble:
+// grid jobs take no host time.
+func main() { bubble.Run(run) }
+
+func run() {
+	var clk vtime.Real
 	pipes := netsim.NewNet()
 	user := &http.Client{Transport: hop.NewTransport(pipes.DialContext)}
 	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})

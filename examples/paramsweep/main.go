@@ -4,7 +4,7 @@
 // parameter sweep, each invocation becoming one Grid job. The example
 // reports throughput and where the jobs landed on the simulated TeraGrid.
 //
-//	go run ./examples/paramsweep
+//	GOEXPERIMENT=synctest go run ./examples/paramsweep
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/appliance"
+	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/gridenv"
 	"repro/internal/hop"
@@ -32,10 +33,12 @@ echo cell alpha=${alpha} beta=${beta} energy=-${alpha}${beta}
 write cell-${alpha}-${beta}.dat 512
 `
 
-func main() {
-	// One process on an event clock: grid jobs take no host time.
-	clk := vtime.NewAuto()
-	defer clk.Stop()
+// main runs the example in one process, in a testing/synctest bubble:
+// grid jobs take no host time.
+func main() { bubble.Run(run) }
+
+func run() {
+	var clk vtime.Real
 	pipes := netsim.NewNet()
 	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes}) // full 11-site TeraGrid
 	if err != nil {

@@ -6,7 +6,7 @@
 // imports its WSDL, invokes it, and prints the Grid job's output (Use
 // Scenario B).
 //
-//	go run ./examples/quickstart
+//	GOEXPERIMENT=synctest go run ./examples/quickstart
 package main
 
 import (
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/appliance"
+	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/gridenv"
 	"repro/internal/hop"
@@ -34,10 +35,12 @@ echo pi is roughly 3.${digits}
 write estimate.dat 128
 `
 
-func main() {
-	// One process on an event clock: the job's 2s compute takes no host time.
-	clk := vtime.NewAuto()
-	defer clk.Stop()
+// main runs the example in one process, in a testing/synctest bubble:
+// the job's 2s compute takes no host time.
+func main() { bubble.Run(run) }
+
+func run() {
+	var clk vtime.Real
 	pipes := netsim.NewNet()
 	user := &http.Client{Transport: hop.NewTransport(pipes.DialContext)}
 

@@ -9,8 +9,10 @@
 package appliance
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/cyberaide"
 	"repro/internal/netsim"
 	"repro/internal/portal"
+	"repro/internal/sizedio"
 	"repro/internal/soap"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -196,9 +199,11 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		// The SOAP container is the portal's side door: without this
 		// guard a keyless caller could drive generated services (and
 		// their execute operations) directly. SOAP calls authenticate
-		// with the same X-Grid-Key header and pass the invoke policy;
-		// an execute is then admitted like /api/invoke (core.InvokeAs).
-		services = guardServices(parts.Tenancy, container)
+		// with the same X-Grid-Key header; a generated service's execute
+		// and cancel are then admitted like /api/invoke and /api/cancel
+		// (core.InvokeAs, core.CancelAs).
+		generated := func(service string) bool { _, err := ons.ServiceInfo(service); return err == nil }
+		services = guardServices(parts.Tenancy, generated, container)
 	}
 	mux.Handle("/services/", services)
 	mux.Handle("/", p)
@@ -233,11 +238,14 @@ func (a *Appliance) Shutdown() error {
 
 // guardServices authenticates SOAP traffic against the tenant control
 // plane. Reads (WSDL fetches) stay open; POSTs — SOAP calls — need a
-// valid key whose policy permits invoking the addressed service, and
-// carry the caller on in the request's context, where an execute finds
-// the principal it is admitted as. Errors use the portal's JSON envelope
-// so one client error path covers both doors.
-func guardServices(ctl *tenant.Controller, next http.Handler) http.Handler {
+// valid key, and carry the caller on in the request's context, where an
+// operation finds the principal it is admitted as. A generated service's
+// cancel is admitted as a cancel, by core.CancelAs; every other call must
+// be one the policy lets the caller invoke (an execute is then admitted
+// like /api/invoke, by core.InvokeAs). generated reports whether a service
+// is one onServe generated. Errors use the portal's JSON envelope so one
+// client error path covers both doors.
+func guardServices(ctl *tenant.Controller, generated func(service string) bool, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet || r.Method == http.MethodHead {
 			next.ServeHTTP(w, r)
@@ -248,11 +256,24 @@ func guardServices(ctl *tenant.Controller, next http.Handler) http.Handler {
 			portal.WriteError(w, http.StatusUnauthorized, err)
 			return
 		}
+		body, err := sizedio.ReadAll(r.Body, r.ContentLength, soap.MaxRequestBytes)
+		r.Body.Close()
+		if err != nil {
+			code := http.StatusBadRequest
+			if errors.Is(err, sizedio.ErrTooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			portal.WriteError(w, code, err)
+			return
+		}
 		name, _, _ := soap.ServiceName(r.URL.Path)
-		if !ctl.Allows(pr.Owner, tenant.VerbInvoke, name) {
+		msg, err := soap.Decode(body)
+		cancel := err == nil && msg.Operation == "cancel" && generated(name)
+		if !cancel && !ctl.Allows(pr.Owner, tenant.VerbInvoke, name) {
 			portal.WriteError(w, http.StatusForbidden, tenant.ErrForbidden)
 			return
 		}
+		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
 		next.ServeHTTP(w, r.WithContext(core.WithPrincipal(r.Context(), pr)))
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/gsh"
 )
@@ -15,52 +16,50 @@ import (
 // grid and drives publish → invoke → wait → delete through each,
 // asserting the output and the path the profile promises to take.
 func TestProfilesEndToEnd(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		profile    func() Config
-		production bool
-	}{
-		{"paper", Paper, false},
-		{"production", func() Config { return Production("") }, true},
-		{"production-on-disk", func() Config { return Production(t.TempDir()) }, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := boot(t, func(cfg *Config) {
-				wiring := *cfg // the fixture's grid, network, clock and cadence
-				*cfg = tc.profile()
-				cfg.Endpoints, cfg.GridDial, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Clock, wiring.Cost
-				cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
-			})
-			ons := w.app.OnServe
-			rec, err := ons.UploadAndGenerate("alice", "hello.gsh", "", nil, []byte("compute 1m\necho hello\n"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			inv, err := ons.Invoke(rec.Name, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case <-inv.DoneChan():
-			case <-time.After(10 * time.Second):
-				t.Fatalf("invocation stuck in %s", inv.State())
-			}
-			if inv.State() != core.InvDone || inv.Output() != "hello\n" {
-				t.Fatalf("state %s (%s), output %q", inv.State(), inv.Message(), inv.Output())
-			}
-			if err := ons.DeleteService(rec.Name); err != nil {
-				t.Fatal(err)
-			}
-			collected, events, staged := ons.CollectorStats(), ons.EventStats(), ons.StageStats()
-			if tc.production {
-				if events.StreamsOpened < 1 || events.FallbacksToPoll != 0 || staged.ChunkedUploads < 1 {
-					t.Fatalf("production did not collect by push over chunked staging: %+v %+v", events, staged)
+	bubble.Run(func() {
+		for _, tc := range []struct {
+			name       string
+			profile    func() Config
+			production bool
+		}{
+			{"paper", Paper, false},
+			{"production", func() Config { return Production("") }, true},
+			{"production-on-disk", func() Config { return Production(t.TempDir()) }, true},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				w := boot(t, func(cfg *Config) {
+					wiring := *cfg // the fixture's grid, network, clock and cadence
+					*cfg = tc.profile()
+					cfg.Endpoints, cfg.GridDial, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Clock, wiring.Cost
+					cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
+				})
+				ons := w.app.OnServe
+				rec, err := ons.UploadAndGenerate("alice", "hello.gsh", "", nil, []byte("compute 1m\necho hello\n"))
+				if err != nil {
+					t.Fatal(err)
 				}
-			} else if collected.StatusRPCs == 0 || events != (core.EventStats{}) || staged.ChunkedUploads != 0 {
-				t.Fatalf("paper did not collect by tentative polling over a plain PUT: %+v %+v %+v", collected, events, staged)
-			}
-		})
-	}
+				inv, err := ons.Invoke(rec.Name, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				<-inv.DoneChan()
+				if inv.State() != core.InvDone || inv.Output() != "hello\n" {
+					t.Fatalf("state %s (%s), output %q", inv.State(), inv.Message(), inv.Output())
+				}
+				if err := ons.DeleteService(rec.Name); err != nil {
+					t.Fatal(err)
+				}
+				collected, events, staged := ons.CollectorStats(), ons.EventStats(), ons.StageStats()
+				if tc.production {
+					if events.StreamsOpened < 1 || events.FallbacksToPoll != 0 || staged.ChunkedUploads < 1 {
+						t.Fatalf("production did not collect by push over chunked staging: %+v %+v", events, staged)
+					}
+				} else if collected.StatusRPCs == 0 || events != (core.EventStats{}) || staged.ChunkedUploads != 0 {
+					t.Fatalf("paper did not collect by tentative polling over a plain PUT: %+v %+v %+v", collected, events, staged)
+				}
+			})
+		}
+	})
 }
 
 // TestConfigSurface pins the exported fields of Config. The list is the
@@ -117,15 +116,17 @@ func tableLen(ons *core.OnServe, path string) int {
 // its retention bound. What does grow in that loop is the sites' file
 // stores — DeleteService leaves the staged copy behind.
 func TestPublishCycleLeavesNoApplianceState(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		profile func(dbDir string) Config
-	}{
-		{"production", Production},
-		{"paper", func(dbDir string) Config { cfg := Paper(); cfg.DBDir = dbDir; return cfg }},
-	} {
-		t.Run(tc.name, func(t *testing.T) { publishCycleSoak(t, tc.profile) })
-	}
+	bubble.Run(func() {
+		for _, tc := range []struct {
+			name    string
+			profile func(dbDir string) Config
+		}{
+			{"production", Production},
+			{"paper", func(dbDir string) Config { cfg := Paper(); cfg.DBDir = dbDir; return cfg }},
+		} {
+			t.Run(tc.name, func(t *testing.T) { publishCycleSoak(t, tc.profile) })
+		}
+	})
 }
 
 func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
@@ -151,11 +152,7 @@ func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-inv.DoneChan():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("cycle %d stuck in %s", i, inv.State())
-		}
+		<-inv.DoneChan()
 		if inv.State() != core.InvDone {
 			t.Fatalf("cycle %d: %s (%s)", i, inv.State(), inv.Message())
 		}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/metrics"
 	"repro/internal/vtime"
 )
@@ -266,33 +267,34 @@ func TestClosedDB(t *testing.T) {
 }
 
 func TestAccounting(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	rec := metrics.NewRecorder(clk, 3*time.Second)
-	probe := metrics.NewProbe(rec)
-	db, err := Open(Options{Probe: probe, Cost: metrics.Cost{CompressBps: 1 << 20, DecompressBps: 4 << 20}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	blob := make([]byte, 1<<20)
-	db.Table("t").Put("k", nil, blob) // 1 MiB at 1 MiB/s = ~1s CPU
-	if got := time.Duration(rec.Total(metrics.CPU)); got < 800*time.Millisecond {
-		t.Fatalf("compression CPU %v", got)
-	}
-	if rec.Total(metrics.DiskWrite) == 0 {
-		t.Fatal("disk write not accounted")
-	}
-	before := rec.Total(metrics.CPU)
-	if _, err := db.Table("t").Get("k"); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Total(metrics.CPU) <= before {
-		t.Fatal("decompression CPU not accounted")
-	}
-	if rec.Total(metrics.DiskRead) == 0 {
-		t.Fatal("disk read not accounted")
-	}
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		rec := metrics.NewRecorder(clk, 3*time.Second)
+		probe := metrics.NewProbe(rec)
+		db, err := Open(Options{Probe: probe, Cost: metrics.Cost{CompressBps: 1 << 20, DecompressBps: 4 << 20}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		blob := make([]byte, 1<<20)
+		db.Table("t").Put("k", nil, blob) // 1 MiB at 1 MiB/s = ~1s CPU
+		if got := time.Duration(rec.Total(metrics.CPU)); got < 800*time.Millisecond {
+			t.Fatalf("compression CPU %v", got)
+		}
+		if rec.Total(metrics.DiskWrite) == 0 {
+			t.Fatal("disk write not accounted")
+		}
+		before := rec.Total(metrics.CPU)
+		if _, err := db.Table("t").Get("k"); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Total(metrics.CPU) <= before {
+			t.Fatal("decompression CPU not accounted")
+		}
+		if rec.Total(metrics.DiskRead) == 0 {
+			t.Fatal("disk read not accounted")
+		}
+	})
 }
 
 func TestConcurrentAccess(t *testing.T) {

@@ -9,17 +9,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/metrics"
 	"repro/internal/vtime"
 )
+
+// TestMain runs the tests whose probe sleeps on virtual time in a
+// bubble, under GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 // cachedDB opens an in-memory database with the decompressed-blob LRU
 // and a probe, so tests can observe both the cache counters and the
 // modelled disk/CPU accounting a hit is supposed to skip.
 func cachedDB(t *testing.T, cacheBytes int64) (*DB, *metrics.Recorder) {
 	t.Helper()
-	clk := vtime.NewAuto()
-	t.Cleanup(clk.Stop)
+	var clk vtime.Real
 	rec := metrics.NewRecorder(clk, 3*time.Second)
 	db, err := Open(Options{
 		Clock: clk, Probe: metrics.NewProbe(rec), Cost: metrics.DefaultCost(),
@@ -33,38 +37,40 @@ func cachedDB(t *testing.T, cacheBytes int64) (*DB, *metrics.Recorder) {
 }
 
 func TestBlobCacheHitSkipsLoadAndDecompress(t *testing.T) {
-	db, rec := cachedDB(t, 1<<20)
-	tab := db.Table("executables")
-	blob := bytes.Repeat([]byte("payload "), 4096)
-	if err := tab.Put("exe", nil, blob); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := tab.Get("exe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	readsAfterMiss := rec.Total(metrics.DiskRead)
-	cpuAfterMiss := rec.Total(metrics.CPU)
-	if readsAfterMiss == 0 {
-		t.Fatal("miss accounted no disk read")
-	}
-	r2, err := tab.Get("exe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r1.Blob, blob) || !bytes.Equal(r2.Blob, blob) {
-		t.Fatal("blob corrupted through the cache")
-	}
-	if got := rec.Total(metrics.DiskRead); got != readsAfterMiss {
-		t.Fatalf("hit accounted a disk read: %v -> %v", readsAfterMiss, got)
-	}
-	if got := rec.Total(metrics.CPU); got != cpuAfterMiss {
-		t.Fatalf("hit accounted decompress CPU: %v -> %v", cpuAfterMiss, got)
-	}
-	hits, misses, size := db.BlobCacheStats()
-	if hits != 1 || misses != 1 || size != int64(len(blob)) {
-		t.Fatalf("stats hits=%d misses=%d size=%d", hits, misses, size)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		db, rec := cachedDB(t, 1<<20)
+		tab := db.Table("executables")
+		blob := bytes.Repeat([]byte("payload "), 4096)
+		if err := tab.Put("exe", nil, blob); err != nil {
+			t.Fatal(err)
+		}
+		r1, err := tab.Get("exe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		readsAfterMiss := rec.Total(metrics.DiskRead)
+		cpuAfterMiss := rec.Total(metrics.CPU)
+		if readsAfterMiss == 0 {
+			t.Fatal("miss accounted no disk read")
+		}
+		r2, err := tab.Get("exe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r1.Blob, blob) || !bytes.Equal(r2.Blob, blob) {
+			t.Fatal("blob corrupted through the cache")
+		}
+		if got := rec.Total(metrics.DiskRead); got != readsAfterMiss {
+			t.Fatalf("hit accounted a disk read: %v -> %v", readsAfterMiss, got)
+		}
+		if got := rec.Total(metrics.CPU); got != cpuAfterMiss {
+			t.Fatalf("hit accounted decompress CPU: %v -> %v", cpuAfterMiss, got)
+		}
+		hits, misses, size := db.BlobCacheStats()
+		if hits != 1 || misses != 1 || size != int64(len(blob)) {
+			t.Fatalf("stats hits=%d misses=%d size=%d", hits, misses, size)
+		}
+	})
 }
 
 // TestRecordBlobIsSharedAndStable pins Record.Blob's contract: hits alias
@@ -75,106 +81,108 @@ func TestBlobCacheHitSkipsLoadAndDecompress(t *testing.T) {
 // under -race a write into a shared slice anywhere in the engine fails
 // the test even if it happens to write the same bytes.
 func TestRecordBlobIsSharedAndStable(t *testing.T) {
-	const blobBytes = 16 << 10
-	versions := [][]byte{
-		bytes.Repeat([]byte("v0 payload "), blobBytes/11),
-		bytes.Repeat([]byte("v1 payload "), blobBytes/11),
-	}
-	// Room for two blobs: the filler keys below push "k" out of the LRU.
-	db, metered := cachedDB(t, 2*blobBytes)
-	clk := metered.Clock()
-	tab := db.Table("t")
-	if err := tab.Put("k", nil, versions[0]); err != nil {
-		t.Fatal(err)
-	}
-	miss, err := tab.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit, err := tab.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &miss.Blob[0] != &hit.Blob[0] {
-		t.Fatal("a hit returned a copy: the inflate buffer, the cache entry and every reader's view must be one array")
-	}
-
-	type held struct {
-		blob    []byte
-		version int
-	}
-	const readers, rounds = 4, 50
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		kept = []held{{miss.Blob, 0}, {hit.Blob, 0}}
-	)
-	stop := make(chan struct{})
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var mine []held
-			for {
-				// A reader parks between reads, or the event clock could
-				// never step the re-publisher's modelled costs along.
-				select {
-				case <-stop:
-					mu.Lock()
-					kept = append(kept, mine...)
-					mu.Unlock()
-					return
-				case <-clk.After(time.Millisecond):
-				}
-				rec, err := tab.Get("k")
-				if errors.Is(err, ErrNotFound) {
-					continue // between the re-publisher's Delete and Put
-				}
-				if err != nil {
-					t.Errorf("get: %v", err)
-					return
-				}
-				v := int(rec.Blob[1] - '0')
-				if !bytes.Equal(rec.Blob, versions[v]) {
-					t.Errorf("read a torn version %d", v)
-					return
-				}
-				if len(mine) < 64 {
-					mine = append(mine, held{rec.Blob, v})
-				}
-			}
-		}()
-	}
-	for i := 1; i <= rounds; i++ {
-		var err error
-		switch i % 4 {
-		case 0:
-			if err = tab.Delete("k"); err == nil {
-				err = tab.Put("k", nil, versions[i%2])
-			}
-		case 1, 3:
-			err = tab.Put("k", nil, versions[i%2])
-		case 2: // LRU pressure: two other rows read through the cache
-			for _, filler := range []string{"f1", "f2"} {
-				if err = tab.Put(filler, nil, versions[0]); err == nil {
-					_, err = tab.Get(filler)
-				}
-			}
+	bubble.Test(t, func(t *testing.T) {
+		const blobBytes = 16 << 10
+		versions := [][]byte{
+			bytes.Repeat([]byte("v0 payload "), blobBytes/11),
+			bytes.Repeat([]byte("v1 payload "), blobBytes/11),
 		}
+		// Room for two blobs: the filler keys below push "k" out of the LRU.
+		db, metered := cachedDB(t, 2*blobBytes)
+		clk := metered.Clock()
+		tab := db.Table("t")
+		if err := tab.Put("k", nil, versions[0]); err != nil {
+			t.Fatal(err)
+		}
+		miss, err := tab.Get("k")
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	close(stop)
-	wg.Wait()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range kept {
-		if !bytes.Equal(h.blob, versions[h.version]) {
-			t.Fatalf("held blob %d (version %d) changed under its reader", i, h.version)
+		hit, err := tab.Get("k")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if &miss.Blob[0] != &hit.Blob[0] {
+			t.Fatal("a hit returned a copy: the inflate buffer, the cache entry and every reader's view must be one array")
+		}
+
+		type held struct {
+			blob    []byte
+			version int
+		}
+		const readers, rounds = 4, 50
+		var (
+			wg   sync.WaitGroup
+			mu   sync.Mutex
+			kept = []held{{miss.Blob, 0}, {hit.Blob, 0}}
+		)
+		stop := make(chan struct{})
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var mine []held
+				for {
+					// A reader parks between reads, or the bubble's clock could
+					// never step the re-publisher's modelled costs along.
+					select {
+					case <-stop:
+						mu.Lock()
+						kept = append(kept, mine...)
+						mu.Unlock()
+						return
+					case <-clk.After(time.Millisecond):
+					}
+					rec, err := tab.Get("k")
+					if errors.Is(err, ErrNotFound) {
+						continue // between the re-publisher's Delete and Put
+					}
+					if err != nil {
+						t.Errorf("get: %v", err)
+						return
+					}
+					v := int(rec.Blob[1] - '0')
+					if !bytes.Equal(rec.Blob, versions[v]) {
+						t.Errorf("read a torn version %d", v)
+						return
+					}
+					if len(mine) < 64 {
+						mine = append(mine, held{rec.Blob, v})
+					}
+				}
+			}()
+		}
+		for i := 1; i <= rounds; i++ {
+			var err error
+			switch i % 4 {
+			case 0:
+				if err = tab.Delete("k"); err == nil {
+					err = tab.Put("k", nil, versions[i%2])
+				}
+			case 1, 3:
+				err = tab.Put("k", nil, versions[i%2])
+			case 2: // LRU pressure: two other rows read through the cache
+				for _, filler := range []string{"f1", "f2"} {
+					if err = tab.Put(filler, nil, versions[0]); err == nil {
+						_, err = tab.Get(filler)
+					}
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range kept {
+			if !bytes.Equal(h.blob, versions[h.version]) {
+				t.Fatalf("held blob %d (version %d) changed under its reader", i, h.version)
+			}
+		}
+	})
 }
 
 // TestGetHitAllocationIndependentOfBlobSize is the deterministic guard
@@ -182,97 +190,105 @@ func TestRecordBlobIsSharedAndStable(t *testing.T) {
 // it costs the same few small objects (metadata copy, key, Record)
 // whether the blob is 1 KB or 1 MB.
 func TestGetHitAllocationIndependentOfBlobSize(t *testing.T) {
-	hit := func(size int) (allocs float64, bytesPerHit int64) {
-		db, _ := cachedDB(t, 4<<20)
-		tab := db.Table("t")
-		if err := tab.Put("k", map[string]string{"owner": "alice"}, bytes.Repeat([]byte("x"), size)); err != nil {
-			t.Fatal(err)
-		}
-		get := func() {
-			if rec, err := tab.Get("k"); err != nil || len(rec.Blob) != size {
-				t.Fatalf("get: %v", err)
+	bubble.Test(t, func(t *testing.T) {
+		hit := func(size int) (allocs float64, bytesPerHit int64) {
+			db, _ := cachedDB(t, 4<<20)
+			tab := db.Table("t")
+			if err := tab.Put("k", map[string]string{"owner": "alice"}, bytes.Repeat([]byte("x"), size)); err != nil {
+				t.Fatal(err)
 			}
+			get := func() {
+				if rec, err := tab.Get("k"); err != nil || len(rec.Blob) != size {
+					t.Fatalf("get: %v", err)
+				}
+			}
+			get() // populate
+			const runs = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs = testing.AllocsPerRun(runs, get) // runs+1 calls
+			runtime.ReadMemStats(&after)
+			return allocs, int64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 		}
-		get() // populate
-		const runs = 100
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs = testing.AllocsPerRun(runs, get) // runs+1 calls
-		runtime.ReadMemStats(&after)
-		return allocs, int64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-	}
-	smallAllocs, smallBytes := hit(1 << 10)
-	largeAllocs, largeBytes := hit(1 << 20)
-	if smallAllocs != largeAllocs {
-		t.Fatalf("a hit allocates %v objects for 1 KB but %v for 1 MB", smallAllocs, largeAllocs)
-	}
-	if smallBytes >= 1<<10 || largeBytes >= 1<<10 {
-		t.Fatalf("a hit allocates %d B (1 KB blob) / %d B (1 MB blob), want under 1 KB for both", smallBytes, largeBytes)
-	}
+		smallAllocs, smallBytes := hit(1 << 10)
+		largeAllocs, largeBytes := hit(1 << 20)
+		if smallAllocs != largeAllocs {
+			t.Fatalf("a hit allocates %v objects for 1 KB but %v for 1 MB", smallAllocs, largeAllocs)
+		}
+		if smallBytes >= 1<<10 || largeBytes >= 1<<10 {
+			t.Fatalf("a hit allocates %d B (1 KB blob) / %d B (1 MB blob), want under 1 KB for both", smallBytes, largeBytes)
+		}
+	})
 }
 
 func TestBlobCacheInvalidatedByPut(t *testing.T) {
-	db, _ := cachedDB(t, 1<<20)
-	tab := db.Table("t")
-	tab.Put("k", nil, []byte("v1"))
-	if r, _ := tab.Get("k"); string(r.Blob) != "v1" {
-		t.Fatalf("got %q", r.Blob)
-	}
-	tab.Put("k", nil, []byte("v2"))
-	r, err := tab.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(r.Blob) != "v2" {
-		t.Fatalf("stale cached blob served after Put: %q", r.Blob)
-	}
-	if err := tab.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("got %v", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		db, _ := cachedDB(t, 1<<20)
+		tab := db.Table("t")
+		tab.Put("k", nil, []byte("v1"))
+		if r, _ := tab.Get("k"); string(r.Blob) != "v1" {
+			t.Fatalf("got %q", r.Blob)
+		}
+		tab.Put("k", nil, []byte("v2"))
+		r, err := tab.Get("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(r.Blob) != "v2" {
+			t.Fatalf("stale cached blob served after Put: %q", r.Blob)
+		}
+		if err := tab.Delete("k"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.Get("k"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("got %v", err)
+		}
+	})
 }
 
 func TestBlobCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	blob := bytes.Repeat([]byte("x"), 4<<10)
-	db, _ := cachedDB(t, int64(2*len(blob)+(len(blob)/2))) // room for two and a half
-	tab := db.Table("t")
-	for i := 0; i < 3; i++ {
-		tab.Put(fmt.Sprintf("k%d", i), nil, blob)
-	}
-	for i := 0; i < 3; i++ { // cache k0,k1 then k2 evicts k0
-		tab.Get(fmt.Sprintf("k%d", i))
-	}
-	_, _, size := db.BlobCacheStats()
-	if size > int64(2*len(blob)+(len(blob)/2)) {
-		t.Fatalf("cache over budget: %d", size)
-	}
-	_, missesBefore, _ := statsHitsMisses(db)
-	tab.Get("k2") // most recent: must still be a hit
-	hitsAfter, missesAfter, _ := statsHitsMisses(db)
-	if missesAfter != missesBefore || hitsAfter == 0 {
-		t.Fatalf("recent entry evicted: hits=%d misses %d->%d", hitsAfter, missesBefore, missesAfter)
-	}
-	tab.Get("k0") // oldest: evicted, so a miss
-	_, missesFinal, _ := statsHitsMisses(db)
-	if missesFinal != missesAfter+1 {
-		t.Fatalf("LRU tail not evicted: misses %d->%d", missesAfter, missesFinal)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		blob := bytes.Repeat([]byte("x"), 4<<10)
+		db, _ := cachedDB(t, int64(2*len(blob)+(len(blob)/2))) // room for two and a half
+		tab := db.Table("t")
+		for i := 0; i < 3; i++ {
+			tab.Put(fmt.Sprintf("k%d", i), nil, blob)
+		}
+		for i := 0; i < 3; i++ { // cache k0,k1 then k2 evicts k0
+			tab.Get(fmt.Sprintf("k%d", i))
+		}
+		_, _, size := db.BlobCacheStats()
+		if size > int64(2*len(blob)+(len(blob)/2)) {
+			t.Fatalf("cache over budget: %d", size)
+		}
+		_, missesBefore, _ := statsHitsMisses(db)
+		tab.Get("k2") // most recent: must still be a hit
+		hitsAfter, missesAfter, _ := statsHitsMisses(db)
+		if missesAfter != missesBefore || hitsAfter == 0 {
+			t.Fatalf("recent entry evicted: hits=%d misses %d->%d", hitsAfter, missesBefore, missesAfter)
+		}
+		tab.Get("k0") // oldest: evicted, so a miss
+		_, missesFinal, _ := statsHitsMisses(db)
+		if missesFinal != missesAfter+1 {
+			t.Fatalf("LRU tail not evicted: misses %d->%d", missesAfter, missesFinal)
+		}
+	})
 }
 
 func statsHitsMisses(db *DB) (int64, int64, int64) { return db.BlobCacheStats() }
 
 func TestBlobCacheSkipsOversizedBlob(t *testing.T) {
-	db, _ := cachedDB(t, 1<<10)
-	tab := db.Table("t")
-	tab.Put("big", nil, bytes.Repeat([]byte("x"), 4<<10))
-	tab.Get("big")
-	tab.Get("big")
-	hits, _, size := db.BlobCacheStats()
-	if hits != 0 || size != 0 {
-		t.Fatalf("oversized blob cached: hits=%d size=%d", hits, size)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		db, _ := cachedDB(t, 1<<10)
+		tab := db.Table("t")
+		tab.Put("big", nil, bytes.Repeat([]byte("x"), 4<<10))
+		tab.Get("big")
+		tab.Get("big")
+		hits, _, size := db.BlobCacheStats()
+		if hits != 0 || size != 0 {
+			t.Fatalf("oversized blob cached: hits=%d size=%d", hits, size)
+		}
+	})
 }
 
 func TestGroupCommitRoundTripAndReopen(t *testing.T) {

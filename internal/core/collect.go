@@ -244,12 +244,16 @@ func (o *OnServe) pollOutput(inv *Invocation) {
 			continue // transient; keep polling until the watchdog decides
 		}
 		changed := false
-		if out, err := o.parts.Agent.Output(inv.sessionID, inv.JobID); err == nil {
+		out, ferr := o.parts.Agent.Output(inv.sessionID, inv.JobID)
+		if ferr == nil {
 			o.storeOutput(inv, out, false, ps)
 			changed = len(out) != lastLen
 			lastLen = len(out)
 		}
+		// A terminal state whose output did not fetch is polled again: the
+		// snapshot stored so far may miss the end. The watchdog bounds it.
 		st, terminal := terminalState(status.State)
+		terminal = terminal && ferr == nil
 		if changed || terminal {
 			ps.Set("state", status.State)
 			ps.End()

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/gram"
+	"repro/internal/gridsim"
 	"repro/internal/vtime"
 )
 
@@ -124,28 +126,21 @@ func collectorGoroutines() map[string]string {
 	return owned
 }
 
-// waitCollectorsIdle asserts that, once every invocation is terminal and no
-// session is cached, the fixture's collect step parks nothing: watchdogs
-// stopped, pollers and retries returned, stream workers retired. An
-// earlier test's collectors, asleep for good on the clock its cleanup
-// stopped, are not f's (f.stale).
-func (f *fixture) waitCollectorsIdle(t *testing.T) {
+// collectorsIdle asserts that, once every invocation is terminal and no
+// session is cached, the collect step parks nothing a PollInterval and a
+// heartbeat on: watchdogs stopped, pollers and retries returned, stream
+// workers retired (a polling one at its next tick, a streaming one at the
+// next frame, when it finds no job left).
+func (f *fixture) collectorsIdle(t *testing.T) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var owned []string
-		for id, g := range collectorGoroutines() {
-			if _, old := f.stale[id]; !old {
-				owned = append(owned, g)
-			}
+	time.Sleep(f.cfg.PollInterval + gram.DefaultHeartbeatInterval)
+	bubble.Wait()
+	if owned := collectorGoroutines(); len(owned) > 0 {
+		var stacks []string
+		for _, g := range owned {
+			stacks = append(stacks, g)
 		}
-		if len(owned) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d collector goroutines still parked:\n%s", len(owned), strings.Join(owned, "\n\n"))
-		}
-		time.Sleep(time.Millisecond)
+		t.Fatalf("%d collector goroutines still parked:\n%s", len(owned), strings.Join(stacks, "\n\n"))
 	}
 }
 
@@ -163,336 +158,289 @@ func TestWatchdogStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// signalledClock is a Manual clock that says so on changed whenever a
-// waiter is put on it or taken off.
-type signalledClock struct {
-	*vtime.Manual
-	changed chan struct{}
-}
-
-func newSignalledClock() *signalledClock {
-	return &signalledClock{Manual: vtime.NewManual(time.Unix(0, 0)), changed: make(chan struct{}, 1)}
-}
-
-func (c *signalledClock) signal() {
-	select {
-	case c.changed <- struct{}{}:
-	default:
-	}
-}
-
-func (c *signalledClock) AfterFunc(d time.Duration, f func()) vtime.Timer {
-	tm := signalledTimer{c.Manual.AfterFunc(d, f), c}
-	c.signal()
-	return tm
-}
-
-func (c *signalledClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.AfterFunc(d, func() { ch <- c.Now() })
-	return ch
-}
-
-func (c *signalledClock) Sleep(d time.Duration) {
-	if d > 0 {
-		<-c.After(d)
-	}
-}
-
-type signalledTimer struct {
-	vtime.Timer
-	c *signalledClock
-}
-
-func (t signalledTimer) Stop() bool {
-	ok := t.Timer.Stop()
-	t.c.signal()
-	return ok
-}
-
 // TestTerminalInvocationLeavesNoWatchdogPending: on a Manual clock, once
 // an invocation is terminal nothing of it is pending — the tentative
 // poller returned, and stopping its watchdog took the timer off the clock.
 func TestTerminalInvocationLeavesNoWatchdogPending(t *testing.T) {
-	clk := newSignalledClock()
-	f := newFixture(t, func(cfg *Config) { cfg.Clock = clk })
-	f.uploadDemo(t)
-	inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The grid runs on the fixture's event clock, on its own: the poller's
-	// next tick finds the job over.
-	job, err := f.env.Grid.Job(inv.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	deadline := time.NewTimer(10 * time.Second)
-	defer deadline.Stop()
-	for !inv.State().Terminal() || clk.Pending() > 0 {
-		if clk.Pending() == 2 { // the watchdog, and the poller asleep beside it
+	bubble.Test(t, func(t *testing.T) {
+		clk := vtime.NewManual(time.Unix(0, 0))
+		f := newFixture(t, func(cfg *Config) { cfg.Clock = clk })
+		f.uploadDemo(t)
+		inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The grid runs on the bubble's clock, on its own: the poller's next
+		// tick finds the job over.
+		job, err := f.env.Grid.Job(inv.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		for bubble.Wait(); !inv.State().Terminal(); bubble.Wait() {
+			if clk.Pending() != 2 { // the watchdog, and the poller asleep beside it
+				t.Fatalf("invocation %s with %d waiters on the clock", inv.State(), clk.Pending())
+			}
 			clk.Advance(f.cfg.PollInterval)
-			continue
 		}
-		select {
-		case <-clk.changed:
-		case <-deadline.C:
-			t.Fatalf("invocation %s with %d waiters on the clock", inv.State(), clk.Pending())
+		if n := clk.Pending(); n > 0 {
+			t.Fatalf("terminal invocation left %d waiters on the clock", n)
 		}
-	}
-	if inv.State() != InvDone {
-		t.Fatalf("invocation ended %s: %s", inv.State(), inv.Message())
-	}
+		if inv.State() != InvDone {
+			t.Fatalf("invocation ended %s: %s", inv.State(), inv.Message())
+		}
+	})
 }
 
 // TestCollectorContract is what every collector promises, whichever one
 // New chose: rows are job behaviours, columns the two collectors plus the
 // push → poll fallback rung (a stock gatekeeper without /gram/events).
 func TestCollectorContract(t *testing.T) {
-	type column struct {
-		name    string
-		mutate  func(*Config)
-		noPush  bool // gatekeeper answers 404 on /gram/events
-		polls   bool // status RPCs are how this column learns of progress
-		streams bool // a healthy event stream carries this column
-	}
-	columns := []column{
-		{name: "tentative", polls: true},
-		{name: "push", mutate: func(c *Config) { c.PushEvents = true }, streams: true},
-		{name: "push-to-poll", mutate: func(c *Config) { c.PushEvents = true }, noPush: true, polls: true},
-	}
-	type outcome struct {
-		col    column
-		invs   []*Invocation
-		after  CollectorStats // of a fresh fixture, so these are the cell's deltas
-		events EventStats
-		flaky  *flakyGram
-	}
-	rows := []struct {
-		name    string
-		program string
-		n       int // concurrent invocations; 0 means 1
-		timeout time.Duration
-		faults  map[string]int
-		cancel  bool
-		// lateStream opens the event stream only once the grid jobs are
-		// over; noInline strips the snapshot from every frame.
-		lateStream, noInline bool
-		state                InvState
-		check                func(t *testing.T, oc outcome)
-	}{
-		{
-			name: "done-with-output", program: "emit 2s 5 line\n", n: 3, state: InvDone,
-			check: func(t *testing.T, oc outcome) {
-				for _, inv := range oc.invs {
-					if got := strings.Count(inv.Output(), "line"); got != 5 {
-						t.Errorf("final output has %d lines: %q", got, inv.Output())
-					}
-				}
-				if oc.after.OutputFetches+oc.after.OutputInlined == 0 || oc.after.OutputBytes == 0 {
-					t.Errorf("no output collected: %+v", oc.after)
-				}
-				if !oc.col.streams && oc.after.OutputInlined != 0 {
-					t.Errorf("inline output without a stream: %+v", oc.after)
-				}
-			},
-		},
-		{
-			// Three bumps of 4 KB: the last two snapshots are over
-			// gram.InlineOutputMax and only announced.
-			name: "output-over-inline-limit", program: "emit 1m 3 " + strings.Repeat("x", gram.InlineOutputMax/2) + "\n", state: InvDone,
-			check: func(t *testing.T, oc outcome) {
-				if got, want := len(oc.invs[0].Output()), 3*(gram.InlineOutputMax/2+1); got != want {
-					t.Errorf("final output %d bytes, want %d", got, want)
-				}
-				if oc.after.OutputFetches == 0 {
-					t.Errorf("a 12 KB snapshot arrived without a fetch: %+v", oc.after)
-				}
-			},
-		},
-		{
-			name: "finished-before-stream", program: "echo early\n", lateStream: true, state: InvDone,
-			check: func(t *testing.T, oc outcome) {
-				if out := oc.invs[0].Output(); out != "early\n" {
-					t.Errorf("output %q", out)
-				}
-				if oc.after.OutputFetches == 0 || oc.after.OutputInlined != 0 {
-					t.Errorf("replayed frames carry no payload, the output is fetched: %+v", oc.after)
-				}
-			},
-		},
-		{
-			name: "gatekeeper-never-inlines", program: "echo head\ncompute 1m\necho tail\n", noInline: true, state: InvDone,
-			check: func(t *testing.T, oc outcome) {
-				if out := oc.invs[0].Output(); out != "head\ntail\n" {
-					t.Errorf("output %q", out)
-				}
-				if oc.after.OutputFetches == 0 || oc.after.OutputInlined != 0 {
-					t.Errorf("bare frames, the output is fetched: %+v", oc.after)
-				}
-			},
-		},
-		{
-			name: "failed-with-message", program: "compute 4s\nfail kaboom\n", state: InvFailed,
-			check: func(t *testing.T, oc outcome) {
-				if msg := oc.invs[0].Message(); !strings.Contains(msg, "kaboom") {
-					t.Errorf("message %q", msg)
-				}
-			},
-		},
-		{
-			name: "cancel-mid-run", program: "emit 2s 10000 t\n", cancel: true, state: InvCancelled,
-		},
-		{
-			name: "watchdog-kill", program: "compute 23h\n", timeout: 20 * time.Second, state: InvKilled,
-			check: func(t *testing.T, oc outcome) {
-				// The appliance's watchdog or the site's own walltime limit
-				// (derived from the same timeout): both end in KILLED.
-				msg := oc.invs[0].Message()
-				if !strings.Contains(msg, "watchdog") && !strings.Contains(msg, "walltime") {
-					t.Errorf("message %q", msg)
-				}
-			},
-		},
-		{
-			name: "transient-errors-then-recovery", program: "echo head\ncompute 1m\necho tail\n", state: InvDone,
-			faults: map[string]int{"/gram/status": 3, "/gram/status-batch": 3, "/gram/output": 3},
-			check: func(t *testing.T, oc outcome) {
-				if out := oc.invs[0].Output(); out != "head\ntail\n" {
-					t.Errorf("output %q", out)
-				}
-				if oc.flaky.injected == 0 {
-					t.Error("no fault was injected")
-				}
-			},
-		},
-		{
-			name: "output-never-changes", program: "compute 30s\n", state: InvDone,
-			check: func(t *testing.T, oc outcome) {
-				if out := oc.invs[0].Output(); out != "" {
-					t.Errorf("output %q", out)
-				}
-				if oc.after.OutputBytes != 0 {
-					t.Errorf("fetched %d bytes of an empty output", oc.after.OutputBytes)
-				}
-				if oc.col.name == "tentative" {
-					// The paper's poller re-fetches and re-writes the
-					// snapshot on every tick, changed or not.
-					if oc.after.OutputFetches == 0 || oc.after.PollDiskWrites != oc.after.OutputFetches {
-						t.Errorf("tentative poller: %+v", oc.after)
-					}
-					return
-				}
-				if oc.after.OutputFetches != 0 || oc.after.PollDiskWrites != 0 {
-					t.Errorf("unchanged output was fetched or spilled: %+v", oc.after)
-				}
-				if oc.after.OutputNotModified == 0 {
-					t.Errorf("unchanged snapshot never confirmed: %+v", oc.after)
-				}
-			},
-		},
-	}
-	for _, row := range rows {
-		for _, col := range columns {
-			t.Run(row.name+"/"+col.name, func(t *testing.T) {
-				var rt http.RoundTripper = overGrid
-				flaky := &flakyGram{base: rt, left: map[string]int{}}
-				for path, n := range row.faults {
-					flaky.left[path] = n
-				}
-				rt = flaky
-				late := &heldEvents{base: rt, release: make(chan struct{})}
-				if row.lateStream {
-					rt = late
-				}
-				if row.noInline {
-					rt = bareFrames{rt}
-				}
-				if col.noPush {
-					rt = &eventsGate{base: rt, mode: gateNotFound}
-				}
-				f := newFixtureHTTP(t, rt, func(cfg *Config) {
-					if row.timeout > 0 {
-						cfg.InvocationTimeout = row.timeout
-					}
-					if col.mutate != nil {
-						col.mutate(cfg)
-					}
-				})
-				if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte(row.program)); err != nil {
-					t.Fatal(err)
-				}
-				oc := outcome{col: col, flaky: flaky}
-				for i := 0; i < max(row.n, 1); i++ {
-					inv, err := f.ons.Invoke("JobService", nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					oc.invs = append(oc.invs, inv)
-				}
-				if row.cancel {
-					if err := f.ons.CancelInvocation(oc.invs[0].Ticket); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if row.lateStream {
+	bubble.Run(func() {
+		type column struct {
+			name    string
+			mutate  func(*Config)
+			noPush  bool // gatekeeper answers 404 on /gram/events
+			polls   bool // status RPCs are how this column learns of progress
+			streams bool // a healthy event stream carries this column
+		}
+		columns := []column{
+			{name: "tentative", polls: true},
+			{name: "push", mutate: func(c *Config) { c.PushEvents = true }, streams: true},
+			{name: "push-to-poll", mutate: func(c *Config) { c.PushEvents = true }, noPush: true, polls: true},
+		}
+		type outcome struct {
+			col    column
+			invs   []*Invocation
+			after  CollectorStats // of a fresh fixture, so these are the cell's deltas
+			events EventStats
+			flaky  *flakyGram
+		}
+		rows := []struct {
+			name    string
+			program string
+			n       int // concurrent invocations; 0 means 1
+			timeout time.Duration
+			faults  map[string]int
+			cancel  bool
+			// lateStream opens the event stream only once the grid jobs are
+			// over; noInline strips the snapshot from every frame.
+			lateStream, noInline bool
+			state                InvState
+			check                func(t *testing.T, oc outcome)
+		}{
+			{
+				name: "done-with-output", program: "emit 2s 5 line\n", n: 3, state: InvDone,
+				check: func(t *testing.T, oc outcome) {
 					for _, inv := range oc.invs {
-						job, err := f.env.Grid.Job(inv.JobID)
+						if got := strings.Count(inv.Output(), "line"); got != 5 {
+							t.Errorf("final output has %d lines: %q", got, inv.Output())
+						}
+					}
+					if oc.after.OutputFetches+oc.after.OutputInlined == 0 || oc.after.OutputBytes == 0 {
+						t.Errorf("no output collected: %+v", oc.after)
+					}
+					if !oc.col.streams && oc.after.OutputInlined != 0 {
+						t.Errorf("inline output without a stream: %+v", oc.after)
+					}
+				},
+			},
+			{
+				// Three bumps of 4 KB: the last two snapshots are over
+				// gram.InlineOutputMax and only announced.
+				name: "output-over-inline-limit", program: "emit 1m 3 " + strings.Repeat("x", gram.InlineOutputMax/2) + "\n", state: InvDone,
+				check: func(t *testing.T, oc outcome) {
+					if got, want := len(oc.invs[0].Output()), 3*(gram.InlineOutputMax/2+1); got != want {
+						t.Errorf("final output %d bytes, want %d", got, want)
+					}
+					if oc.after.OutputFetches == 0 {
+						t.Errorf("a 12 KB snapshot arrived without a fetch: %+v", oc.after)
+					}
+				},
+			},
+			{
+				name: "finished-before-stream", program: "echo early\n", lateStream: true, state: InvDone,
+				check: func(t *testing.T, oc outcome) {
+					if out := oc.invs[0].Output(); out != "early\n" {
+						t.Errorf("output %q", out)
+					}
+					if oc.after.OutputFetches == 0 || oc.after.OutputInlined != 0 {
+						t.Errorf("replayed frames carry no payload, the output is fetched: %+v", oc.after)
+					}
+				},
+			},
+			{
+				name: "gatekeeper-never-inlines", program: "echo head\ncompute 1m\necho tail\n", noInline: true, state: InvDone,
+				check: func(t *testing.T, oc outcome) {
+					if out := oc.invs[0].Output(); out != "head\ntail\n" {
+						t.Errorf("output %q", out)
+					}
+					if oc.after.OutputFetches == 0 || oc.after.OutputInlined != 0 {
+						t.Errorf("bare frames, the output is fetched: %+v", oc.after)
+					}
+				},
+			},
+			{
+				name: "failed-with-message", program: "compute 4s\nfail kaboom\n", state: InvFailed,
+				check: func(t *testing.T, oc outcome) {
+					if msg := oc.invs[0].Message(); !strings.Contains(msg, "kaboom") {
+						t.Errorf("message %q", msg)
+					}
+				},
+			},
+			{
+				name: "cancel-mid-run", program: "emit 2s 10000 t\n", cancel: true, state: InvCancelled,
+			},
+			{
+				name: "watchdog-kill", program: "compute 23h\n", timeout: 20 * time.Second, state: InvKilled,
+				check: func(t *testing.T, oc outcome) {
+					// The appliance's watchdog or the site's own walltime limit
+					// (derived from the same timeout): both end in KILLED.
+					msg := oc.invs[0].Message()
+					if !strings.Contains(msg, "watchdog") && !strings.Contains(msg, "walltime") {
+						t.Errorf("message %q", msg)
+					}
+				},
+			},
+			{
+				name: "transient-errors-then-recovery", program: "echo head\ncompute 1m\necho tail\n", state: InvDone,
+				faults: map[string]int{"/gram/status": 3, "/gram/status-batch": 3, "/gram/output": 3},
+				check: func(t *testing.T, oc outcome) {
+					if out := oc.invs[0].Output(); out != "head\ntail\n" {
+						t.Errorf("output %q", out)
+					}
+					if oc.flaky.injected == 0 {
+						t.Error("no fault was injected")
+					}
+				},
+			},
+			{
+				name: "output-never-changes", program: "compute 30s\n", state: InvDone,
+				check: func(t *testing.T, oc outcome) {
+					if out := oc.invs[0].Output(); out != "" {
+						t.Errorf("output %q", out)
+					}
+					if oc.after.OutputBytes != 0 {
+						t.Errorf("fetched %d bytes of an empty output", oc.after.OutputBytes)
+					}
+					if oc.col.name == "tentative" {
+						// The paper's poller re-fetches and re-writes the
+						// snapshot on every tick, changed or not.
+						if oc.after.OutputFetches == 0 || oc.after.PollDiskWrites != oc.after.OutputFetches {
+							t.Errorf("tentative poller: %+v", oc.after)
+						}
+						return
+					}
+					if oc.after.OutputFetches != 0 || oc.after.PollDiskWrites != 0 {
+						t.Errorf("unchanged output was fetched or spilled: %+v", oc.after)
+					}
+					if oc.after.OutputNotModified == 0 {
+						t.Errorf("unchanged snapshot never confirmed: %+v", oc.after)
+					}
+				},
+			},
+		}
+		for _, row := range rows {
+			for _, col := range columns {
+				t.Run(row.name+"/"+col.name, func(t *testing.T) {
+					var rt http.RoundTripper = overGrid
+					flaky := &flakyGram{base: rt, left: map[string]int{}}
+					for path, n := range row.faults {
+						flaky.left[path] = n
+					}
+					rt = flaky
+					late := &heldEvents{base: rt, release: make(chan struct{})}
+					if row.lateStream {
+						rt = late
+					}
+					if row.noInline {
+						rt = bareFrames{rt}
+					}
+					if col.noPush {
+						rt = &eventsGate{base: rt, mode: gateNotFound}
+					}
+					f := newFixtureHTTP(t, rt, func(cfg *Config) {
+						if row.timeout > 0 {
+							cfg.InvocationTimeout = row.timeout
+						}
+						if col.mutate != nil {
+							col.mutate(cfg)
+						}
+					})
+					if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte(row.program)); err != nil {
+						t.Fatal(err)
+					}
+					oc := outcome{col: col, flaky: flaky}
+					for i := 0; i < max(row.n, 1); i++ {
+						inv, err := f.ons.Invoke("JobService", nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						<-job.Done()
+						oc.invs = append(oc.invs, inv)
 					}
-					close(late.release)
-				}
-				for _, inv := range oc.invs {
-					waitInv(t, inv, row.name)
-					if inv.State() != row.state {
-						t.Fatalf("state %s (%s), want %s", inv.State(), inv.Message(), row.state)
+					if row.cancel {
+						if err := f.ons.CancelInvocation(oc.invs[0].Ticket); err != nil {
+							t.Fatal(err)
+						}
 					}
-					if inv.EndedAt().IsZero() {
-						t.Error("terminal invocation has no end time")
+					if row.lateStream {
+						for _, inv := range oc.invs {
+							job, err := f.env.Grid.Job(inv.JobID)
+							if err != nil {
+								t.Fatal(err)
+							}
+							<-job.Done()
+						}
+						close(late.release)
 					}
-				}
-				oc.after, oc.events = f.ons.CollectorStats(), f.ons.EventStats()
+					for _, inv := range oc.invs {
+						<-inv.DoneChan()
+						if inv.State() != row.state {
+							t.Fatalf("state %s (%s), want %s", inv.State(), inv.Message(), row.state)
+						}
+						if inv.EndedAt().IsZero() {
+							t.Error("terminal invocation has no end time")
+						}
+					}
+					oc.after, oc.events = f.ons.CollectorStats(), f.ons.EventStats()
 
-				// The path each column promises to have taken.
-				// (A watchdog row may be over before the first tick or frame.)
-				started := row.timeout == 0
-				if col.polls && started && oc.after.StatusRPCs == 0 {
-					t.Errorf("polling collector issued no status RPC: %+v", oc.after)
-				}
-				switch {
-				case col.streams:
-					if (started && oc.events.StreamsOpened == 0) || oc.events.FallbacksToPoll != 0 {
-						t.Errorf("healthy push channel: %+v", oc.events)
+					// The path each column promises to have taken.
+					// (A watchdog row may be over before the first tick or frame.)
+					started := row.timeout == 0
+					if col.polls && started && oc.after.StatusRPCs == 0 {
+						t.Errorf("polling collector issued no status RPC: %+v", oc.after)
 					}
-					// One bootstrap resync per stream is the whole status
-					// budget of the push path.
-					if oc.after.StatusRPCs > oc.events.StreamsOpened {
-						t.Errorf("%d status RPCs over %d streams", oc.after.StatusRPCs, oc.events.StreamsOpened)
+					switch {
+					case col.streams:
+						if (started && oc.events.StreamsOpened == 0) || oc.events.FallbacksToPoll != 0 {
+							t.Errorf("healthy push channel: %+v", oc.events)
+						}
+						// One bootstrap resync per stream is the whole status
+						// budget of the push path.
+						if oc.after.StatusRPCs > oc.events.StreamsOpened {
+							t.Errorf("%d status RPCs over %d streams", oc.after.StatusRPCs, oc.events.StreamsOpened)
+						}
+					case col.noPush:
+						ec := f.ons.collect.(*eventCollector)
+						ec.mu.Lock()
+						latched := ec.unsupported
+						ec.mu.Unlock()
+						if (started && !latched) || oc.events.StreamsOpened != 0 {
+							t.Errorf("stock-server verdict latched=%v, events %+v", latched, oc.events)
+						}
+					default:
+						if oc.events != (EventStats{}) {
+							t.Errorf("poll-only collector touched the push channel: %+v", oc.events)
+						}
 					}
-				case col.noPush:
-					ec := f.ons.collect.(*eventCollector)
-					ec.mu.Lock()
-					latched := ec.unsupported
-					ec.mu.Unlock()
-					if (started && !latched) || oc.events.StreamsOpened != 0 {
-						t.Errorf("stock-server verdict latched=%v, events %+v", latched, oc.events)
+					if row.check != nil {
+						row.check(t, oc)
 					}
-				default:
-					if oc.events != (EventStats{}) {
-						t.Errorf("poll-only collector touched the push channel: %+v", oc.events)
-					}
-				}
-				if row.check != nil {
-					row.check(t, oc)
-				}
-				f.waitCollectorsIdle(t)
-			})
+					f.collectorsIdle(t)
+				})
+			}
 		}
-	}
+	})
 }
 
 // cancelCount counts the /gram/cancel requests that pass through it.
@@ -541,57 +489,98 @@ func (f *fetchFaultAt) RoundTrip(req *http.Request) (*http.Response, error) {
 // PollInterval later: DONE with its whole stdout, its watchdog stopped and
 // no collector goroutine left.
 func TestPushRetriesFailedFinalFetch(t *testing.T) {
-	clk := newSignalledClock()
-	cancels := &cancelCount{base: overGrid}
-	fault := &fetchFaultAt{base: cancels}
-	late := &heldEvents{base: fault, release: make(chan struct{})}
-	f := newFixtureHTTP(t, late, func(cfg *Config) {
-		cfg.Clock = clk
-		cfg.PushEvents = true
-	})
-	if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte("echo head\ncompute 1m\necho tail\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("JobService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := f.env.Grid.Job(inv.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done() // the grid runs on the fixture's event clock
-	fault.arm(clk)
-	failedAt := clk.Now()
-	close(late.release)
-	// Wait for the watchdog, the stream's heartbeat monitor and the two
-	// retries (the resync's terminal state, the replayed DONE frame).
-	deadline := time.NewTimer(10 * time.Second)
-	defer deadline.Stop()
-	for clk.Pending() != 4 {
-		select {
-		case <-clk.changed:
-		case <-deadline.C:
-			t.Fatalf("%d waiters on the clock, %s", clk.Pending(), inv.State())
+	bubble.Test(t, func(t *testing.T) {
+		clk := vtime.NewManual(time.Unix(0, 0))
+		cancels := &cancelCount{base: overGrid}
+		fault := &fetchFaultAt{base: cancels}
+		late := &heldEvents{base: fault, release: make(chan struct{})}
+		f := newFixtureHTTP(t, late, func(cfg *Config) {
+			cfg.Clock = clk
+			cfg.PushEvents = true
+		})
+		if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte("echo head\ncompute 1m\necho tail\n")); err != nil {
+			t.Fatal(err)
 		}
+		inv, err := f.ons.Invoke("JobService", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := f.env.Grid.Job(inv.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done() // the grid runs on the bubble's clock
+		fault.arm(clk)
+		failedAt := clk.Now()
+		close(late.release)
+		// The watchdog, the stream's heartbeat monitor and the two retries
+		// (the resync's terminal state, the replayed DONE frame) wait.
+		bubble.Wait()
+		if n := clk.Pending(); n != 4 {
+			t.Fatalf("%d waiters on the clock, %s", n, inv.State())
+		}
+		if inv.State().Terminal() {
+			t.Fatalf("%s before any fetch succeeded", inv.State())
+		}
+		clk.Advance(f.cfg.PollInterval)
+		<-inv.DoneChan()
+		if inv.State() != InvDone || inv.Output() != "head\ntail\n" {
+			t.Fatalf("%s with output %q (%s), want DONE with the whole stdout", inv.State(), inv.Output(), inv.Message())
+		}
+		if took := inv.EndedAt().Sub(failedAt); took != f.cfg.PollInterval {
+			t.Errorf("ended %v after the failed fetches, want one PollInterval (%v)", took, f.cfg.PollInterval)
+		}
+		// A watchdog left armed would cancel the finished job at its deadline.
+		clk.Advance(f.cfg.InvocationTimeout)
+		if n := cancels.n.Load(); n != 0 {
+			t.Errorf("%d cancels after DONE: the watchdog was not stopped", n)
+		}
+		f.collectorsIdle(t)
+	})
+}
+
+// failFinalFetch fails the first /gram/output fetch made once job is over.
+type failFinalFetch struct {
+	base   http.RoundTripper
+	job    atomic.Pointer[gridsim.Job]
+	failed atomic.Bool
+}
+
+func (f *failFinalFetch) RoundTrip(req *http.Request) (*http.Response, error) {
+	if j := f.job.Load(); req.URL.Path == "/gram/output" && j != nil && j.State().Terminal() && f.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("failFinalFetch: injected fault")
 	}
-	if inv.State().Terminal() {
-		t.Fatalf("%s before any fetch succeeded", inv.State())
-	}
-	clk.Advance(f.cfg.PollInterval)
-	waitInv(t, inv, "final fetch failed")
-	if inv.State() != InvDone || inv.Output() != "head\ntail\n" {
-		t.Fatalf("%s with output %q (%s), want DONE with the whole stdout", inv.State(), inv.Output(), inv.Message())
-	}
-	if took := inv.EndedAt().Sub(failedAt); took != f.cfg.PollInterval {
-		t.Errorf("ended %v after the failed fetches, want one PollInterval (%v)", took, f.cfg.PollInterval)
-	}
-	// A watchdog left armed would cancel the finished job at its deadline.
-	clk.Advance(f.cfg.InvocationTimeout)
-	if n := cancels.n.Load(); n != 0 {
-		t.Errorf("%d cancels after DONE: the watchdog was not stopped", n)
-	}
-	f.waitCollectorsIdle(t)
+	return f.base.RoundTrip(req)
+}
+
+// TestPollRetriesFailedFinalFetch: the output fetch of the poll that sees
+// the job DONE fails. The tentative poller must not finish with the
+// snapshot an earlier poll stored: it polls again, and the invocation
+// ends DONE with the whole stdout.
+func TestPollRetriesFailedFinalFetch(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		fault := &failFinalFetch{base: overGrid}
+		f := newFixtureHTTP(t, fault, nil)
+		if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte("echo head\ncompute 1m\necho tail\n")); err != nil {
+			t.Fatal(err)
+		}
+		inv, err := f.ons.Invoke("JobService", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := f.env.Grid.Job(inv.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault.job.Store(job)
+		<-inv.DoneChan()
+		if !fault.failed.Load() {
+			t.Fatal("no output fetch was made after the job ended")
+		}
+		if inv.State() != InvDone || inv.Output() != "head\ntail\n" {
+			t.Fatalf("%s with output %q (%s), want DONE with the whole stdout", inv.State(), inv.Output(), inv.Message())
+		}
+	})
 }
 
 // heldCancel performs /gram/cancel at the gatekeeper but holds the reply
@@ -619,61 +608,52 @@ func (h *heldCancel) RoundTrip(req *http.Request) (*http.Response, error) {
 // processed before Cancel returns. The reply is held here until it has
 // been; the verdict must still be the watchdog's.
 func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
-	held := &heldCancel{base: overGrid, sent: make(chan struct{}), release: make(chan struct{})}
-	f := newFixtureHTTP(t, held, func(cfg *Config) {
-		cfg.PushEvents = true
-		cfg.InvocationTimeout = 20 * time.Second
-	})
-	// Fill every slot so the invocation's job stays queued: the site's own
-	// walltime limit (same 20s) never starts, and only the appliance's
-	// watchdog can end it.
-	for _, name := range f.env.Grid.SiteNames() {
-		site, _ := f.env.Grid.Site(name)
-		if err := site.Store().Put("/O=Repro/CN=alice", "hog.gsh", []byte("compute 23h\n")); err != nil {
-			t.Fatal(err)
-		}
-		for site.Stats().FreeSlots > 0 {
-			j, err := site.Submit(jsdlFor("hog.gsh"))
-			if err != nil {
+	bubble.Test(t, func(t *testing.T) {
+		held := &heldCancel{base: overGrid, sent: make(chan struct{}), release: make(chan struct{})}
+		f := newFixtureHTTP(t, held, func(cfg *Config) {
+			cfg.PushEvents = true
+			cfg.InvocationTimeout = 20 * time.Second
+		})
+		// Fill every slot so the invocation's job stays queued: the site's own
+		// walltime limit (same 20s) never starts, and only the appliance's
+		// watchdog can end it.
+		for _, name := range f.env.Grid.SiteNames() {
+			site, _ := f.env.Grid.Site(name)
+			if err := site.Store().Put("/O=Repro/CN=alice", "hog.gsh", []byte("compute 23h\n")); err != nil {
 				t.Fatal(err)
 			}
-			defer site.Cancel(j.ID)
+			for site.Stats().FreeSlots > 0 {
+				j, err := site.Submit(jsdlFor("hog.gsh"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer site.Cancel(j.ID)
+			}
 		}
-	}
-	if _, err := f.ons.UploadAndGenerate("alice", "queued.gsh", "", nil, []byte("echo never\n")); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := f.ons.Invoke("QueuedService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-held.sent:
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never cancelled the grid job")
-	}
-	// The pushed CANCELLED frame is the only thing left that touches the
-	// job: it has been processed once the stream worker has reaped it.
-	reaped := func() bool {
-		w := pushWorker(f, inv.sessionID)
-		if w == nil {
-			return true
+		if _, err := f.ons.UploadAndGenerate("alice", "queued.gsh", "", nil, []byte("echo never\n")); err != nil {
+			t.Fatal(err)
 		}
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.jobs[inv.JobID] == nil
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !reaped() {
-		if time.Now().After(deadline) {
-			t.Fatal("CANCELLED frame never processed")
+		inv, err := f.ons.Invoke("QueuedService", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	close(held.release)
-	waitInv(t, inv, "watchdog verdict")
-	if inv.State() != InvKilled || !strings.Contains(inv.Message(), "watchdog") {
-		t.Fatalf("state %s: %s", inv.State(), inv.Message())
-	}
-	f.waitCollectorsIdle(t)
+		<-held.sent
+		// The pushed CANCELLED frame is the only thing left that touches the
+		// job: it has been processed once the stream worker has reaped it.
+		bubble.Wait()
+		if w := pushWorker(f, inv.sessionID); w != nil {
+			w.mu.Lock()
+			pending := w.jobs[inv.JobID] != nil
+			w.mu.Unlock()
+			if pending {
+				t.Fatal("CANCELLED frame never processed")
+			}
+		}
+		close(held.release)
+		<-inv.DoneChan()
+		if inv.State() != InvKilled || !strings.Contains(inv.Message(), "watchdog") {
+			t.Fatalf("state %s: %s", inv.State(), inv.Message())
+		}
+		f.collectorsIdle(t)
+	})
 }

@@ -27,9 +27,35 @@ type executable struct {
 	stageIn []string
 	root    *trace.Span // the db.fetch span's parent
 
-	fetched sync.Once
-	cutOnce sync.Once
+	fetched once
+	cutOnce once
 	cut     *gridftp.Cut
+}
+
+// once runs a function at most once, as sync.Once does, but a later
+// caller waits on a condition, not on a mutex: the first call sleeps on
+// the clock (the cost model charges it time), and a simulation's clock
+// steps only while every goroutine waits on a channel, a condition or a
+// timer.
+type once struct {
+	mu         sync.Mutex
+	done       sync.Cond
+	begun, end bool
+}
+
+// Do calls f if no Do has, and returns once that first call has.
+func (o *once) Do(f func()) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for o.begun && !o.end {
+		o.done.Wait()
+	}
+	if !o.begun {
+		o.begun, o.done.L = true, &o.mu
+		o.mu.Unlock()
+		defer func() { o.mu.Lock(); o.end = true; o.done.Broadcast() }()
+		f()
+	}
 }
 
 // openExecutable pins serviceName's stored executable.

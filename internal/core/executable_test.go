@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/bubble"
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
 	"repro/internal/metrics"
@@ -76,42 +77,44 @@ func loads(probes []string) int {
 // decompress (Fig. 6's first CPU peak), the temporary spill, the logon,
 // the submit (its second) — on the first invocation and on every repeat.
 func TestPaperProfileProbeSequence(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		// Keep the tentative poller out of the window: its first tick is
-		// 180 ms of real time away, an Invoke takes a few.
-		cfg.PollInterval = time.Hour
-		cfg.InvocationTimeout = 100 * time.Hour
-	})
-	content := f.uploadPadded(t, "paper", "echo paper\n", 64<<10)
-	st, err := f.parts.DB.Table(ExecutablesTable).Stat("PaperService")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := metrics.DefaultCost()
-	inflate := time.Duration(float64(len(content)) / cost.DecompressBps * float64(time.Second))
-	want := []string{
-		fmt.Sprintf("%s %d", metrics.DiskRead, st.CompressedSize),
-		fmt.Sprintf("%s %d", metrics.CPU, inflate),
-		fmt.Sprintf("%s %d", metrics.DiskWrite, len(content)),
-		fmt.Sprintf("%s %d", metrics.CPU, cost.Auth),
-		fmt.Sprintf("%s %d", metrics.CPU, cost.JobSubmit),
-	}
-	var invs []*Invocation
-	for i := 0; i < 3; i++ {
-		got := f.probes.record(func() {
-			inv, err := f.ons.Invoke("PaperService", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			invs = append(invs, inv)
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) {
+			// Keep the tentative poller out of the window: its first tick is
+			// 180 ms of real time away, an Invoke takes a few.
+			cfg.PollInterval = time.Hour
+			cfg.InvocationTimeout = 100 * time.Hour
 		})
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("invocation %d made cost-model calls\n  %q\nthe paper profile makes\n  %q", i, got, want)
+		content := f.uploadPadded(t, "paper", "echo paper\n", 64<<10)
+		st, err := f.parts.DB.Table(ExecutablesTable).Stat("PaperService")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, inv := range invs {
-		<-inv.DoneChan() // leave no poller behind
-	}
+		cost := metrics.DefaultCost()
+		inflate := time.Duration(float64(len(content)) / cost.DecompressBps * float64(time.Second))
+		want := []string{
+			fmt.Sprintf("%s %d", metrics.DiskRead, st.CompressedSize),
+			fmt.Sprintf("%s %d", metrics.CPU, inflate),
+			fmt.Sprintf("%s %d", metrics.DiskWrite, len(content)),
+			fmt.Sprintf("%s %d", metrics.CPU, cost.Auth),
+			fmt.Sprintf("%s %d", metrics.CPU, cost.JobSubmit),
+		}
+		var invs []*Invocation
+		for i := 0; i < 3; i++ {
+			got := f.probes.record(func() {
+				inv, err := f.ons.Invoke("PaperService", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				invs = append(invs, inv)
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("invocation %d made cost-model calls\n  %q\nthe paper profile makes\n  %q", i, got, want)
+			}
+		}
+		for _, inv := range invs {
+			<-inv.DoneChan() // leave no poller behind
+		}
+	})
 }
 
 // TestStoredGzipComparesGenerations: the benchmark's own programs are
@@ -123,67 +126,69 @@ func TestPaperProfileProbeSequence(t *testing.T) {
 // is published meanwhile; a handle opened after the re-publish stages the
 // new one's.
 func TestStoredGzipComparesGenerations(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.ChunkedStaging = true
-		cfg.ChunkBytes = 4 << 10
-		cfg.WireCompression = true
-	})
-	v1 := f.uploadPadded(t, "same", "echo v1\n", 32<<10)
-	v2 := gsh.Pad([]byte("echo v2\n"), 32<<10)
-	if len(v2) != len(v1) {
-		t.Fatalf("versions are %d and %d bytes, want equal", len(v1), len(v2))
-	}
-	tab := f.parts.DB.Table(ExecutablesTable)
-	row, err := tab.Stat("SameService")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz1, _, _ := tab.GetCompressed("SameService")
-	sess, _, err := f.ons.gridSession("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"}, trace.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := func() *executable {
-		t.Helper()
-		exe, err := f.ons.openExecutable("SameService", nil)
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) {
+			cfg.ChunkedStaging = true
+			cfg.ChunkBytes = 4 << 10
+			cfg.WireCompression = true
+		})
+		v1 := f.uploadPadded(t, "same", "echo v1\n", 32<<10)
+		v2 := gsh.Pad([]byte("echo v2\n"), 32<<10)
+		if len(v2) != len(v1) {
+			t.Fatalf("versions are %d and %d bytes, want equal", len(v1), len(v2))
+		}
+		tab := f.parts.DB.Table(ExecutablesTable)
+		row, err := tab.Stat("SameService")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return exe
-	}
-	// stage uploads exe to site and checks what the site then holds.
-	stage := func(exe *executable, site string, want []byte) {
-		t.Helper()
-		before := f.ons.StageStats()
-		sum, err := f.ons.uploadExecutable(sess, exe, site, nil)
+		gz1, _, _ := tab.GetCompressed("SameService")
+		sess, _, err := f.ons.gridSession("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"}, trace.SpanContext{})
 		if err != nil {
-			t.Fatalf("staging to %s across a same-size re-publish: %v", site, err)
+			t.Fatal(err)
 		}
-		st, _ := f.env.Grid.Site(site)
-		got, err := st.Store().Get(aliceDN, "SameService.gsh")
-		if err != nil || !bytes.Equal(got, want) || sum != sha256Hex(want) {
-			t.Fatalf("%s holds %d bytes (%v) under checksum %s, want the handle's version under %s", site, len(got), err, sum, sha256Hex(want))
+		open := func() *executable {
+			t.Helper()
+			exe, err := f.ons.openExecutable("SameService", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return exe
 		}
-		after := f.ons.StageStats()
-		if after.Fallbacks != before.Fallbacks || after.WireBytes-before.WireBytes >= uint64(len(want)) {
-			t.Fatalf("%s was not staged over the stored gzip stream: %+v -> %+v", site, before, after)
+		// stage uploads exe to site and checks what the site then holds.
+		stage := func(exe *executable, site string, want []byte) {
+			t.Helper()
+			before := f.ons.StageStats()
+			sum, err := f.ons.uploadExecutable(sess, exe, site, nil)
+			if err != nil {
+				t.Fatalf("staging to %s across a same-size re-publish: %v", site, err)
+			}
+			st, _ := f.env.Grid.Site(site)
+			got, err := st.Store().Get(aliceDN, "SameService.gsh")
+			if err != nil || !bytes.Equal(got, want) || sum != sha256Hex(want) {
+				t.Fatalf("%s holds %d bytes (%v) under checksum %s, want the handle's version under %s", site, len(got), err, sum, sha256Hex(want))
+			}
+			after := f.ons.StageStats()
+			if after.Fallbacks != before.Fallbacks || after.WireBytes-before.WireBytes >= uint64(len(want)) {
+				t.Fatalf("%s was not staged over the stored gzip stream: %+v -> %+v", site, before, after)
+			}
 		}
-	}
 
-	held := open() // pins v1 before the re-publish lands
-	if err := tab.Put("SameService", row.Meta, v2); err != nil {
-		t.Fatal(err)
-	}
-	if file, err := held.file(); err != nil || &file.Gzip[0] != &gz1[0] || file.SHA256 != sha256Hex(v1) {
-		t.Fatalf("a handle opened on v1 describes checksum %s over another stream (%v)", file.SHA256, err)
-	}
-	stage(held, "siteA", v1)
-	stage(held, "siteB", v1)
-	late := open()
-	if file, err := late.file(); err != nil || &file.Gzip[0] == &gz1[0] || file.SHA256 != sha256Hex(v2) {
-		t.Fatalf("a handle opened after the re-publish describes checksum %s over v1's stream (%v)", file.SHA256, err)
-	}
-	stage(late, "siteA", v2)
+		held := open() // pins v1 before the re-publish lands
+		if err := tab.Put("SameService", row.Meta, v2); err != nil {
+			t.Fatal(err)
+		}
+		if file, err := held.file(); err != nil || &file.Gzip[0] != &gz1[0] || file.SHA256 != sha256Hex(v1) {
+			t.Fatalf("a handle opened on v1 describes checksum %s over another stream (%v)", file.SHA256, err)
+		}
+		stage(held, "siteA", v1)
+		stage(held, "siteB", v1)
+		late := open()
+		if file, err := late.file(); err != nil || &file.Gzip[0] == &gz1[0] || file.SHA256 != sha256Hex(v2) {
+			t.Fatalf("a handle opened after the re-publish describes checksum %s over v1's stream (%v)", file.SHA256, err)
+		}
+		stage(late, "siteA", v2)
+	})
 }
 
 // TestHotInvokeReadsNoExecutable: with a copy staged, an invocation opens
@@ -193,96 +198,98 @@ func TestStoredGzipComparesGenerations(t *testing.T) {
 // content each run the fetch step exactly once, when they find out, read
 // the one version the handle pinned as one stream, and end DONE.
 func TestHotInvokeReadsNoExecutable(t *testing.T) {
-	const size = 48 << 10
-	// onlySite makes the cached scheduler snapshot offer one idle site.
-	onlySite := func(f *fixture, name string) {
-		f.ons.mu.Lock()
-		f.ons.stats = []gridsim.SiteStats{{Name: name, Slots: 8, FreeSlots: 8}}
-		f.ons.statsAt = f.clock.Now()
-		f.ons.mu.Unlock()
-	}
+	bubble.Run(func() {
+		const size = 48 << 10
+		// onlySite makes the cached scheduler snapshot offer one idle site.
+		onlySite := func(f *fixture, name string) {
+			f.ons.mu.Lock()
+			f.ons.stats = []gridsim.SiteStats{{Name: name, Slots: 8, FreeSlots: 8}}
+			f.ons.statsAt = f.clock.Now()
+			f.ons.mu.Unlock()
+		}
 
-	t.Run("staged", func(t *testing.T) {
-		f := newFixtureTraced(t, nil, trace.NewCollector(0, 0), func(cfg *Config) {
-			cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
-			cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
+		t.Run("staged", func(t *testing.T) {
+			f := newFixtureTraced(t, nil, trace.NewCollector(0, 0), func(cfg *Config) {
+				cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
+				cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
+			})
+			f.ons.probeTTL = 100 * time.Hour // 30 s is 1.5 ms of this clock
+			content := f.uploadPadded(t, "hot", "echo hot\n", size)
+			inflate := fmt.Sprintf("%s %d", metrics.CPU, time.Duration(
+				float64(len(content))/metrics.DefaultCost().DecompressBps*float64(time.Second)))
+			_, probes, fetches := f.invokeLogged(t, "HotService")
+			if fetches != 1 || !slices.Contains(probes, inflate) {
+				t.Fatalf("cold invocation: %d db.fetch spans, probes %q", fetches, probes)
+			}
+			inv, probes, fetches := f.invokeLogged(t, "HotService")
+			if fetches != 0 || loads(probes) != 0 || slices.Contains(probes, inflate) {
+				t.Fatalf("hot invocation read the executable: %d db.fetch spans, probes %q", fetches, probes)
+			}
+			if inv.Output() != "hot\n" {
+				t.Fatalf("output %q", inv.Output())
+			}
 		})
-		f.ons.probeTTL = 100 * time.Hour // 30 s is 1.5 ms of this clock
-		content := f.uploadPadded(t, "hot", "echo hot\n", size)
-		inflate := fmt.Sprintf("%s %d", metrics.CPU, time.Duration(
-			float64(len(content))/metrics.DefaultCost().DecompressBps*float64(time.Second)))
-		_, probes, fetches := f.invokeLogged(t, "HotService")
-		if fetches != 1 || !slices.Contains(probes, inflate) {
-			t.Fatalf("cold invocation: %d db.fetch spans, probes %q", fetches, probes)
-		}
-		inv, probes, fetches := f.invokeLogged(t, "HotService")
-		if fetches != 0 || loads(probes) != 0 || slices.Contains(probes, inflate) {
-			t.Fatalf("hot invocation read the executable: %d db.fetch spans, probes %q", fetches, probes)
-		}
-		if inv.Output() != "hot\n" {
-			t.Fatalf("output %q", inv.Output())
-		}
-	})
 
-	t.Run("replicate fails", func(t *testing.T) {
-		f := newFixtureTraced(t, nil, trace.NewCollector(0, 0), func(cfg *Config) {
-			cfg.StagingCache, cfg.StatsTTL = true, 100*time.Hour
+		t.Run("replicate fails", func(t *testing.T) {
+			f := newFixtureTraced(t, nil, trace.NewCollector(0, 0), func(cfg *Config) {
+				cfg.StagingCache, cfg.StatsTTL = true, 100*time.Hour
+			})
+			content := f.uploadPadded(t, "fall", "echo fell through\n", size)
+			first, _, _ := f.invokeLogged(t, "FallService")
+			// The staged copy disappears from its site, and only the sibling
+			// has room: the third-party transfer finds nothing to pull.
+			src, _ := f.env.Grid.Site(first.Site)
+			if err := src.Store().Delete(aliceDN, "FallService.gsh"); err != nil {
+				t.Fatal(err)
+			}
+			sibling := map[string]string{"siteA": "siteB", "siteB": "siteA"}[first.Site]
+			onlySite(f, sibling)
+			inv, probes, fetches := f.invokeLogged(t, "FallService")
+			if inv.Site != sibling || f.ons.SubmitStats().Uploads != 2 {
+				t.Fatalf("ran at %s with %d uploads, want the fall-through upload to %s", inv.Site, f.ons.SubmitStats().Uploads, sibling)
+			}
+			if fetches != 1 || loads(probes) != 1 {
+				t.Fatalf("fall-through fetched %d times (%d row reads), want once: %q", fetches, loads(probes), probes)
+			}
+			spans, _ := f.ons.InvocationTrace(inv.Ticket)
+			byName, _ := indexSpans(spans)
+			if st := byName["stage"]; len(st) != 1 || st[0].Attrs["wire"] != "stream" || st[0].Attrs["replicated_from"] != first.Site {
+				t.Fatalf("stage spans %+v, want one that tried %s and then streamed", st, first.Site)
+			}
+			if puts := byName["ftp.put"]; len(puts) != 1 {
+				t.Fatalf("%d ftp.put spans, want the one stream", len(puts))
+			}
+			f.ons.mu.Lock()
+			sum := f.ons.staged["FallService"][sibling]
+			f.ons.mu.Unlock()
+			if inv.Output() != "fell through\n" || sum != sha256Hex(content) {
+				t.Fatalf("output %q, staged checksum %s", inv.Output(), sum)
+			}
 		})
-		content := f.uploadPadded(t, "fall", "echo fell through\n", size)
-		first, _, _ := f.invokeLogged(t, "FallService")
-		// The staged copy disappears from its site, and only the sibling
-		// has room: the third-party transfer finds nothing to pull.
-		src, _ := f.env.Grid.Site(first.Site)
-		if err := src.Store().Delete(aliceDN, "FallService.gsh"); err != nil {
-			t.Fatal(err)
-		}
-		sibling := map[string]string{"siteA": "siteB", "siteB": "siteA"}[first.Site]
-		onlySite(f, sibling)
-		inv, probes, fetches := f.invokeLogged(t, "FallService")
-		if inv.Site != sibling || f.ons.SubmitStats().Uploads != 2 {
-			t.Fatalf("ran at %s with %d uploads, want the fall-through upload to %s", inv.Site, f.ons.SubmitStats().Uploads, sibling)
-		}
-		if fetches != 1 || loads(probes) != 1 {
-			t.Fatalf("fall-through fetched %d times (%d row reads), want once: %q", fetches, loads(probes), probes)
-		}
-		spans, _ := f.ons.InvocationTrace(inv.Ticket)
-		byName, _ := indexSpans(spans)
-		if st := byName["stage"]; len(st) != 1 || st[0].Attrs["wire"] != "stream" || st[0].Attrs["replicated_from"] != first.Site {
-			t.Fatalf("stage spans %+v, want one that tried %s and then streamed", st, first.Site)
-		}
-		if puts := byName["ftp.put"]; len(puts) != 1 {
-			t.Fatalf("%d ftp.put spans, want the one stream", len(puts))
-		}
-		f.ons.mu.Lock()
-		sum := f.ons.staged["FallService"][sibling]
-		f.ons.mu.Unlock()
-		if inv.Output() != "fell through\n" || sum != sha256Hex(content) {
-			t.Fatalf("output %q, staged checksum %s", inv.Output(), sum)
-		}
-	})
 
-	t.Run("possession probe expired, raw wire", func(t *testing.T) {
-		f := newFixtureTraced(t, nil, trace.NewCollector(0, 0), func(cfg *Config) {
-			cfg.StagingCache, cfg.StatsTTL = true, 100*time.Hour
-			cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true
+		t.Run("possession probe expired, raw wire", func(t *testing.T) {
+			f := newFixtureTraced(t, nil, trace.NewCollector(0, 0), func(cfg *Config) {
+				cfg.StagingCache, cfg.StatsTTL = true, 100*time.Hour
+				cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true
+			})
+			f.ons.probeTTL = time.Minute
+			f.uploadPadded(t, "probe", "echo probed\n", size)
+			f.invokeLogged(t, "ProbeService")
+			f.clock.Sleep(2 * time.Minute)
+			// Both sites' answers are stale: two probes, one chunking of the
+			// raw executable, one fetch.
+			sent := f.ons.PlacementStats().ProbesSent
+			inv, probes, fetches := f.invokeLogged(t, "ProbeService")
+			if got := f.ons.PlacementStats().ProbesSent - sent; got != 2 {
+				t.Fatalf("%d possession probes, want 2", got)
+			}
+			if fetches != 1 || loads(probes) != 1 {
+				t.Fatalf("re-probe fetched %d times (%d row reads), want once: %q", fetches, loads(probes), probes)
+			}
+			if inv.Output() != "probed\n" {
+				t.Fatalf("output %q", inv.Output())
+			}
 		})
-		f.ons.probeTTL = time.Minute
-		f.uploadPadded(t, "probe", "echo probed\n", size)
-		f.invokeLogged(t, "ProbeService")
-		f.clock.Sleep(2 * time.Minute)
-		// Both sites' answers are stale: two probes, one chunking of the
-		// raw executable, one fetch.
-		sent := f.ons.PlacementStats().ProbesSent
-		inv, probes, fetches := f.invokeLogged(t, "ProbeService")
-		if got := f.ons.PlacementStats().ProbesSent - sent; got != 2 {
-			t.Fatalf("%d possession probes, want 2", got)
-		}
-		if fetches != 1 || loads(probes) != 1 {
-			t.Fatalf("re-probe fetched %d times (%d row reads), want once: %q", fetches, loads(probes), probes)
-		}
-		if inv.Output() != "probed\n" {
-			t.Fatalf("output %q", inv.Output())
-		}
 	})
 }
 
@@ -294,41 +301,43 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 // the copy it runs is swapped for a small one once staged: what is left
 // is the appliance's side plus a job that costs the grid next to nothing.
 func TestHotInvokeAllocatesNoExecutableSizedObject(t *testing.T) {
-	const size = 1 << 20
-	for _, cacheBytes := range []int64{0, 8 << 20} {
-		db, err := blobdb.Open(blobdb.Options{BlobCacheBytes: cacheBytes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		f := newFixtureDB(t, db, nil, nil, func(cfg *Config) {
-			cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
-			cfg.PushEvents = true
-			cfg.InvocationTimeout, cfg.ProxyLifetime = 100*time.Hour, 100*time.Hour
-		})
-		f.uploadPadded(t, "big", "echo big\n", size)
-		invoke := func() {
-			if _, err := f.ons.ExecuteAndWait("BigService", nil); err != nil {
+	bubble.Test(t, func(t *testing.T) {
+		const size = 1 << 20
+		for _, cacheBytes := range []int64{0, 8 << 20} {
+			db, err := blobdb.Open(blobdb.Options{BlobCacheBytes: cacheBytes})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		invoke() // cold: stages
-		for _, name := range []string{"siteA", "siteB"} {
-			site, _ := f.env.Grid.Site(name)
-			if err := site.Store().Put(aliceDN, "BigService.gsh", []byte("echo big\n")); err != nil {
-				t.Fatal(err)
+			t.Cleanup(func() { db.Close() })
+			f := newFixtureDB(t, db, nil, nil, func(cfg *Config) {
+				cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
+				cfg.PushEvents = true
+				cfg.InvocationTimeout, cfg.ProxyLifetime = 100*time.Hour, 100*time.Hour
+			})
+			f.uploadPadded(t, "big", "echo big\n", size)
+			invoke := func() {
+				if _, err := f.ons.ExecuteAndWait("BigService", nil); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		invoke()
-		const runs = 8
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
+			invoke() // cold: stages
+			for _, name := range []string{"siteA", "siteB"} {
+				site, _ := f.env.Grid.Site(name)
+				if err := site.Store().Put(aliceDN, "BigService.gsh", []byte("echo big\n")); err != nil {
+					t.Fatal(err)
+				}
+			}
 			invoke()
+			const runs = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				invoke()
+			}
+			runtime.ReadMemStats(&after)
+			if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > size/8 {
+				t.Fatalf("BlobCacheBytes=%d: a hot invocation of a %d B executable allocates %d B", cacheBytes, size, perOp)
+			}
 		}
-		runtime.ReadMemStats(&after)
-		if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > size/8 {
-			t.Fatalf("BlobCacheBytes=%d: a hot invocation of a %d B executable allocates %d B", cacheBytes, size, perOp)
-		}
-	}
+	})
 }

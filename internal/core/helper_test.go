@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
+	"repro/internal/soap"
 	"sync"
 	"testing"
 	"time"
@@ -88,10 +88,13 @@ func heldExecutable(o *OnServe, service string, blob []byte) *executable {
 	return &executable{o: o, row: row, service: service, staged: service + ".gsh"}
 }
 
-// newHTTPServer mounts h on a test HTTP server and returns its base URL.
-func newHTTPServer(t *testing.T, h http.Handler) string {
+// newSOAPServer mounts h on an HTTP server on gridNet and returns its base
+// URL and a SOAP client that reaches it.
+func newSOAPServer(t *testing.T, h http.Handler) (string, *soap.Client) {
 	t.Helper()
-	hs := httptest.NewServer(h)
-	t.Cleanup(hs.Close)
-	return hs.URL
+	ln := gridNet.Listen()
+	srv := &http.Server{Handler: h}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return "http://" + ln.Addr().String(), &soap.Client{HTTP: &http.Client{Transport: overGrid}}
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/bubble"
 	"repro/internal/gridftp"
 	"repro/internal/gsh"
 	"repro/internal/trace"
@@ -183,7 +184,7 @@ func invokeTraced(t *testing.T, f *fixture, col *trace.Collector, service string
 	top := f.ons.Tracer().StartRoot("test")
 	inv, err := f.ons.InvokeCtx(service, nil, top.Context())
 	if err == nil {
-		waitInv(t, inv, service)
+		<-inv.DoneChan()
 		if inv.State() != InvDone {
 			err = fmt.Errorf("invocation ended %s: %s", inv.State(), inv.Message())
 		}
@@ -205,78 +206,80 @@ func invokeTraced(t *testing.T, f *fixture, col *trace.Collector, service string
 // TestStreamedEdgeFaults drives every fault the edge between the stored
 // executable and the site can meet through every wire that crosses it.
 func TestStreamedEdgeFaults(t *testing.T) {
-	faults := []struct {
-		name       string
-		fault      func(*faultyEdge, *http.Request) (*http.Response, error)
-		atCommit   bool // on the chunk wire the site's verdict comes at commit, not with a chunk
-		retried    bool
-		definitive bool
-	}{
-		{name: "reset after 10000 body bytes", fault: breakAfter(10000, 0), retried: true},
-		{name: "reset before the first byte", fault: breakAfter(0, 0), retried: true},
-		{name: "stall then close", fault: breakAfter(3000, 30*time.Millisecond), retried: true},
-		{name: "dead keep-alive", fault: deadKeepAlive},
-		{name: "400 checksum mismatch", fault: siteAnswers(http.StatusBadRequest, gridftp.ErrChecksum.Error()+": got 00 want 11"), atCommit: true, definitive: true},
-		{name: "507", fault: siteAnswers(http.StatusInsufficientStorage, "gridsim: quota exceeded"), atCommit: true, definitive: true},
-	}
-	for _, w := range edgeWires {
-		for _, fc := range faults {
-			t.Run(w.wire+"/"+fc.name, func(t *testing.T) {
-				edge := &faultyEdge{stock: w.stock, fault: fc.fault, target: isFilePut}
-				if w.wire == "gzip-chunks" {
-					edge.target = isChunkPut
-					if fc.atCommit {
-						edge.target = isCommit
-					}
-				}
-				col := trace.NewCollector(0, 0)
-				f := newFixtureTraced(t, edge, col, w.knobs)
-				content := f.uploadPadded(t, "edge", "echo edge\n", 64<<10)
-				inv, spans, err := invokeTraced(t, f, col, "EdgeService")
-				if !edge.fired.Load() {
-					t.Fatal("the fault never fired")
-				}
-				st := f.ons.SubmitStats()
-				if want := map[bool]uint64{true: 1}[fc.retried]; st.UploadRetries != want {
-					t.Errorf("%d upload retries, want %d", st.UploadRetries, want)
-				}
-				edge.checkClosed(t)
-				site, _ := f.env.Grid.Site("siteA")
-				held, herr := site.Store().Get(aliceDN, "EdgeService.gsh")
-				if fc.definitive {
-					if err == nil || !strings.Contains(err.Error(), "stage executable") || !errors.Is(err, gridftp.ErrBadInput) {
-						t.Fatalf("invocation error %v, want the site's rejection named as the stage step's", err)
-					}
-					if herr == nil || edge.registered != 0 || st.Uploads != 1 {
-						t.Fatalf("a refused transfer left %d bytes at the site after %d uploads, %d of them registered", len(held), st.Uploads, edge.registered)
-					}
-					if stage := spans["stage"]; len(stage) != 1 || stage[0].Status != "error" || spans["invoke"][0].Status != "error" {
-						t.Fatalf("stage spans %+v under %+v, want one failed stage under a failed invoke", stage, spans["invoke"])
-					}
-					waitFor(t, func() bool { return f.parts.Agent.SessionCount() == 0 })
-					return
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if inv.Site != "siteA" || !bytes.Equal(held, content) || edge.registered != 1 {
-					t.Fatalf("ran at %s; siteA holds %d bytes (%v), registered %d times; want the exact %d bytes exactly once", inv.Site, len(held), herr, edge.registered, len(content))
-				}
-				if stage := spans["stage"]; len(stage) != 1 || stage[0].Attrs["wire"] != w.wire || (stage[0].Attrs["retried"] == "true") != fc.retried {
-					t.Fatalf("stage spans %+v, want one over %s", stage, w.wire)
-				}
-				// A retry and a replay each read the source from the start
-				// again; the chunk wire cuts the stored gzip and opens nothing.
-				wantOpens := map[string]int{"stream": 2, "fallback-put": 2, "gzip-chunks": 0}[w.wire]
-				if len(edge.bodies) != wantOpens {
-					t.Errorf("%d stored streams were opened, want %d", len(edge.bodies), wantOpens)
-				}
-				if fetch := spans["db.fetch"]; len(fetch) != 1 || fetch[0].Attrs["bytes"] != fmt.Sprint(len(content)) || fetch[0].Attrs["stored_bytes"] == "" {
-					t.Errorf("db.fetch spans %+v, want one with both sizes", fetch)
-				}
-			})
+	bubble.Run(func() {
+		faults := []struct {
+			name       string
+			fault      func(*faultyEdge, *http.Request) (*http.Response, error)
+			atCommit   bool // on the chunk wire the site's verdict comes at commit, not with a chunk
+			retried    bool
+			definitive bool
+		}{
+			{name: "reset after 10000 body bytes", fault: breakAfter(10000, 0), retried: true},
+			{name: "reset before the first byte", fault: breakAfter(0, 0), retried: true},
+			{name: "stall then close", fault: breakAfter(3000, 30*time.Millisecond), retried: true},
+			{name: "dead keep-alive", fault: deadKeepAlive},
+			{name: "400 checksum mismatch", fault: siteAnswers(http.StatusBadRequest, gridftp.ErrChecksum.Error()+": got 00 want 11"), atCommit: true, definitive: true},
+			{name: "507", fault: siteAnswers(http.StatusInsufficientStorage, "gridsim: quota exceeded"), atCommit: true, definitive: true},
 		}
-	}
+		for _, w := range edgeWires {
+			for _, fc := range faults {
+				t.Run(w.wire+"/"+fc.name, func(t *testing.T) {
+					edge := &faultyEdge{stock: w.stock, fault: fc.fault, target: isFilePut}
+					if w.wire == "gzip-chunks" {
+						edge.target = isChunkPut
+						if fc.atCommit {
+							edge.target = isCommit
+						}
+					}
+					col := trace.NewCollector(0, 0)
+					f := newFixtureTraced(t, edge, col, w.knobs)
+					content := f.uploadPadded(t, "edge", "echo edge\n", 64<<10)
+					inv, spans, err := invokeTraced(t, f, col, "EdgeService")
+					if !edge.fired.Load() {
+						t.Fatal("the fault never fired")
+					}
+					st := f.ons.SubmitStats()
+					if want := map[bool]uint64{true: 1}[fc.retried]; st.UploadRetries != want {
+						t.Errorf("%d upload retries, want %d", st.UploadRetries, want)
+					}
+					edge.checkClosed(t)
+					site, _ := f.env.Grid.Site("siteA")
+					held, herr := site.Store().Get(aliceDN, "EdgeService.gsh")
+					if fc.definitive {
+						if err == nil || !strings.Contains(err.Error(), "stage executable") || !errors.Is(err, gridftp.ErrBadInput) {
+							t.Fatalf("invocation error %v, want the site's rejection named as the stage step's", err)
+						}
+						if herr == nil || edge.registered != 0 || st.Uploads != 1 {
+							t.Fatalf("a refused transfer left %d bytes at the site after %d uploads, %d of them registered", len(held), st.Uploads, edge.registered)
+						}
+						if stage := spans["stage"]; len(stage) != 1 || stage[0].Status != "error" || spans["invoke"][0].Status != "error" {
+							t.Fatalf("stage spans %+v under %+v, want one failed stage under a failed invoke", stage, spans["invoke"])
+						}
+						waitFor(t, func() bool { return f.parts.Agent.SessionCount() == 0 })
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if inv.Site != "siteA" || !bytes.Equal(held, content) || edge.registered != 1 {
+						t.Fatalf("ran at %s; siteA holds %d bytes (%v), registered %d times; want the exact %d bytes exactly once", inv.Site, len(held), herr, edge.registered, len(content))
+					}
+					if stage := spans["stage"]; len(stage) != 1 || stage[0].Attrs["wire"] != w.wire || (stage[0].Attrs["retried"] == "true") != fc.retried {
+						t.Fatalf("stage spans %+v, want one over %s", stage, w.wire)
+					}
+					// A retry and a replay each read the source from the start
+					// again; the chunk wire cuts the stored gzip and opens nothing.
+					wantOpens := map[string]int{"stream": 2, "fallback-put": 2, "gzip-chunks": 0}[w.wire]
+					if len(edge.bodies) != wantOpens {
+						t.Errorf("%d stored streams were opened, want %d", len(edge.bodies), wantOpens)
+					}
+					if fetch := spans["db.fetch"]; len(fetch) != 1 || fetch[0].Attrs["bytes"] != fmt.Sprint(len(content)) || fetch[0].Attrs["stored_bytes"] == "" {
+						t.Errorf("db.fetch spans %+v, want one with both sizes", fetch)
+					}
+				})
+			}
+		}
+	})
 }
 
 // corruptStoredExecutable publishes content as service in a database under
@@ -327,61 +330,63 @@ func corruptStoredExecutable(t *testing.T, dir, service string, content []byte, 
 // a second read would find the same row. (The chunk wire ships the stored
 // stream as it is and never inflates it; there the site's commit refuses.)
 func TestStreamedEdgeRefusesCorruptRow(t *testing.T) {
-	same := func(comp []byte) []byte { return comp }
-	corruptions := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		sizeOff int
-	}{
-		{"bit flip", func(comp []byte) []byte { comp[len(comp)/2] ^= 0x04; return comp }, 0},
-		{"truncation", func(comp []byte) []byte { return comp[:len(comp)-9] }, 0},
-		{"trailing garbage", func(comp []byte) []byte { return append(comp, "garbage"...) }, 0},
-		{"raw size one over", same, 1},
-		{"raw size one under", same, -1},
-	}
-	for _, w := range edgeWires {
-		if w.wire == "gzip-chunks" {
-			continue
+	bubble.Run(func() {
+		same := func(comp []byte) []byte { return comp }
+		corruptions := []struct {
+			name    string
+			mutate  func([]byte) []byte
+			sizeOff int
+		}{
+			{"bit flip", func(comp []byte) []byte { comp[len(comp)/2] ^= 0x04; return comp }, 0},
+			{"truncation", func(comp []byte) []byte { return comp[:len(comp)-9] }, 0},
+			{"trailing garbage", func(comp []byte) []byte { return append(comp, "garbage"...) }, 0},
+			{"raw size one over", same, 1},
+			{"raw size one under", same, -1},
 		}
-		for _, c := range corruptions {
-			t.Run(w.wire+"/"+c.name, func(t *testing.T) {
-				dir := t.TempDir()
-				content := gsh.Pad([]byte("echo never\n"), 96<<10)
-				corruptStoredExecutable(t, dir, "BadService", content, c.mutate, c.sizeOff)
-				db, err := blobdb.Open(blobdb.Options{Dir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Closed before the fixture's cleanup looks for streams that
-				// no longer match their rows: this one is meant not to.
-				defer db.Close()
-				edge := &faultyEdge{stock: w.stock}
-				col := trace.NewCollector(0, 0)
-				f := newFixtureDB(t, db, edge, col, w.knobs)
-				_, spans, err := invokeTraced(t, f, col, "BadService")
-				if !errors.Is(err, blobdb.ErrCorrupt) || !strings.Contains(err.Error(), "stage executable") {
-					t.Fatalf("invocation error %v, want ErrCorrupt from the stage step", err)
-				}
-				if st := f.ons.SubmitStats(); st.Uploads != 1 || st.UploadRetries != 0 {
-					t.Fatalf("%d uploads, %d retries: a corrupt row is not a transient fault", st.Uploads, st.UploadRetries)
-				}
-				declared := int64(len(content) + c.sizeOff)
-				if sent := atomic.LoadInt64(&edge.sent); sent >= declared || sent == 0 {
-					t.Fatalf("%d of the %d declared body bytes were written", sent, declared)
-				}
-				for _, name := range []string{"siteA", "siteB"} {
-					site, _ := f.env.Grid.Site(name)
-					if got, err := site.Store().Get(aliceDN, "BadService.gsh"); err == nil {
-						t.Fatalf("%s registered %d bytes of a corrupt executable", name, len(got))
+		for _, w := range edgeWires {
+			if w.wire == "gzip-chunks" {
+				continue
+			}
+			for _, c := range corruptions {
+				t.Run(w.wire+"/"+c.name, func(t *testing.T) {
+					dir := t.TempDir()
+					content := gsh.Pad([]byte("echo never\n"), 96<<10)
+					corruptStoredExecutable(t, dir, "BadService", content, c.mutate, c.sizeOff)
+					db, err := blobdb.Open(blobdb.Options{Dir: dir})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if edge.registered != 0 || len(spans["stage"]) != 1 || spans["stage"][0].Status != "error" {
-					t.Fatalf("registered %d times, stage spans %+v", edge.registered, spans["stage"])
-				}
-				edge.checkClosed(t)
-			})
+					// Closed before the fixture's cleanup looks for streams that
+					// no longer match their rows: this one is meant not to.
+					defer db.Close()
+					edge := &faultyEdge{stock: w.stock}
+					col := trace.NewCollector(0, 0)
+					f := newFixtureDB(t, db, edge, col, w.knobs)
+					_, spans, err := invokeTraced(t, f, col, "BadService")
+					if !errors.Is(err, blobdb.ErrCorrupt) || !strings.Contains(err.Error(), "stage executable") {
+						t.Fatalf("invocation error %v, want ErrCorrupt from the stage step", err)
+					}
+					if st := f.ons.SubmitStats(); st.Uploads != 1 || st.UploadRetries != 0 {
+						t.Fatalf("%d uploads, %d retries: a corrupt row is not a transient fault", st.Uploads, st.UploadRetries)
+					}
+					declared := int64(len(content) + c.sizeOff)
+					if sent := atomic.LoadInt64(&edge.sent); sent >= declared || sent == 0 {
+						t.Fatalf("%d of the %d declared body bytes were written", sent, declared)
+					}
+					for _, name := range []string{"siteA", "siteB"} {
+						site, _ := f.env.Grid.Site(name)
+						if got, err := site.Store().Get(aliceDN, "BadService.gsh"); err == nil {
+							t.Fatalf("%s registered %d bytes of a corrupt executable", name, len(got))
+						}
+					}
+					if edge.registered != 0 || len(spans["stage"]) != 1 || spans["stage"][0].Status != "error" {
+						t.Fatalf("registered %d times, stage spans %+v", edge.registered, spans["stage"])
+					}
+					edge.checkClosed(t)
+				})
+			}
 		}
-	}
+	})
 }
 
 // discardSite stands in for the sites' GridFTP servers where only the
@@ -481,85 +486,88 @@ func applianceAlloc() int64 {
 // (~30 KB measured). The grid's goroutines and the pipe's buffer are left
 // out of every count (notAppliance).
 func TestColdStageAllocatesNoExecutableSizedObject(t *testing.T) {
-	const size = 1 << 20
-	for _, tc := range []struct {
-		profile string
-		knobs   func(*Config)
-		sites   http.RoundTripper // nil: the real sites, over hop's own transport
-		bar     int64
-	}{
-		{"paper", nil, &discardSite{}, size / 4},
-		{"production", func(cfg *Config) {
-			cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
-			cfg.PushEvents, cfg.CoalesceStaging = true, true
-			cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
-		}, &discardSite{}, size / 4},
-		{"paper-real-sites", nil, nil, 56 << 10},
-	} {
-		t.Run(tc.profile, func(t *testing.T) {
-			defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-			runtime.MemProfileRate = 1
-			f := newFixtureHTTP(t, tc.sites, func(cfg *Config) {
-				cfg.InvocationTimeout, cfg.ProxyLifetime = 100*time.Hour, 100*time.Hour
-				if tc.knobs != nil {
-					tc.knobs(cfg)
+	bubble.Run(func() {
+		const size = 1 << 20
+		for _, tc := range []struct {
+			profile string
+			knobs   func(*Config)
+			sites   http.RoundTripper // nil: the real sites, over hop's own transport
+			bar     int64
+		}{
+			{"paper", nil, &discardSite{}, size / 4},
+			{"production", func(cfg *Config) {
+				cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
+				cfg.PushEvents, cfg.CoalesceStaging = true, true
+				cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
+			}, &discardSite{}, size / 4},
+			{"paper-real-sites", nil, nil, 56 << 10},
+		} {
+			t.Run(tc.profile, func(t *testing.T) {
+				defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+				runtime.MemProfileRate = 1
+				f := newFixtureHTTP(t, tc.sites, func(cfg *Config) {
+					cfg.InvocationTimeout, cfg.ProxyLifetime = 100*time.Hour, 100*time.Hour
+					if tc.knobs != nil {
+						tc.knobs(cfg)
+					}
+				})
+				f.uploadPadded(t, "big", "echo big\n", size)
+				for _, name := range []string{"siteA", "siteB"} {
+					site, _ := f.env.Grid.Site(name)
+					if err := site.Store().Put(aliceDN, "BigService.gsh", []byte("echo big\n")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				uploaded := f.ons.SubmitStats().Uploads
+				run := func(i int) {
+					// Cold again: nothing staged, nothing known of any site.
+					f.ons.mu.Lock()
+					delete(f.ons.staged, "BigService")
+					f.ons.mu.Unlock()
+					f.ons.forgetPossession("BigService")
+					if out, err := f.ons.ExecuteAndWait("BigService", nil); err != nil || out != "big\n" {
+						t.Fatalf("run %d: %q, %v", i, out, err)
+					}
+				}
+				// No collection inside the window, so that every pool keeps
+				// what it was given.
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				run(-1) // warms pools and connections
+				const runs = 6
+				before := applianceAlloc()
+				for i := 0; i < runs; i++ {
+					run(i)
+				}
+				spent := applianceAlloc() - before
+				if got := f.ons.SubmitStats().Uploads - uploaded; got != runs+1 {
+					t.Fatalf("%d uploads in %d invocations: not every one was cold", got, runs+1)
+				}
+				if st := f.ons.StageStats(); tc.knobs != nil && (st.ChunkedUploads != runs+1 || st.Fallbacks != 0 || st.WireBytes >= st.LogicalBytes) {
+					t.Fatalf("production did not ship the stored gzip in chunks: %+v", st)
+				}
+				if perOp := spent / runs; perOp > tc.bar {
+					t.Fatalf("a cold invocation of a %d B executable allocates %d B", size, perOp)
 				}
 			})
-			f.uploadPadded(t, "big", "echo big\n", size)
-			for _, name := range []string{"siteA", "siteB"} {
-				site, _ := f.env.Grid.Site(name)
-				if err := site.Store().Put(aliceDN, "BigService.gsh", []byte("echo big\n")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			uploaded := f.ons.SubmitStats().Uploads
-			run := func(i int) {
-				// Cold again: nothing staged, nothing known of any site.
-				f.ons.mu.Lock()
-				delete(f.ons.staged, "BigService")
-				f.ons.mu.Unlock()
-				f.ons.forgetPossession("BigService")
-				if out, err := f.ons.ExecuteAndWait("BigService", nil); err != nil || out != "big\n" {
-					t.Fatalf("run %d: %q, %v", i, out, err)
-				}
-			}
-			// No collection inside the window, so that every pool keeps
-			// what it was given. (GOMAXPROCS stays: the event clock looks
-			// with a P of its own.)
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			run(-1) // warms pools and connections
-			const runs = 6
-			before := applianceAlloc()
-			for i := 0; i < runs; i++ {
-				run(i)
-			}
-			spent := applianceAlloc() - before
-			if got := f.ons.SubmitStats().Uploads - uploaded; got != runs+1 {
-				t.Fatalf("%d uploads in %d invocations: not every one was cold", got, runs+1)
-			}
-			if st := f.ons.StageStats(); tc.knobs != nil && (st.ChunkedUploads != runs+1 || st.Fallbacks != 0 || st.WireBytes >= st.LogicalBytes) {
-				t.Fatalf("production did not ship the stored gzip in chunks: %+v", st)
-			}
-			if perOp := spent / runs; perOp > tc.bar {
-				t.Fatalf("a cold invocation of a %d B executable allocates %d B", size, perOp)
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestPaperProfileReleasesSessions: without a session cache every
 // invocation logs on for itself, and is logged out when it is over.
 func TestPaperProfileReleasesSessions(t *testing.T) {
-	f := newFixture(t, nil)
-	f.uploadPadded(t, "brief", "echo brief\n", 1<<10)
-	const invocations = 200
-	for i := 0; i < invocations; i++ {
-		if _, err := f.ons.ExecuteAndWait("BriefService", nil); err != nil {
-			t.Fatal(err)
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		f.uploadPadded(t, "brief", "echo brief\n", 1<<10)
+		const invocations = 200
+		for i := 0; i < invocations; i++ {
+			if _, err := f.ons.ExecuteAndWait("BriefService", nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got := f.parts.Agent.Logons(); got != invocations {
-		t.Fatalf("%d logons for %d invocations", got, invocations)
-	}
-	waitFor(t, func() bool { return f.parts.Agent.SessionCount() == 0 })
+		if got := f.parts.Agent.Logons(); got != invocations {
+			t.Fatalf("%d logons for %d invocations", got, invocations)
+		}
+		waitFor(t, func() bool { return f.parts.Agent.SessionCount() == 0 })
+	})
 }

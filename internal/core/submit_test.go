@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/bubble"
 	"repro/internal/cyberaide"
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
@@ -23,12 +24,12 @@ import (
 )
 
 // newWANFixture wires an onServe over a single-site grid whose servers
-// answer across the paper's shaped WAN (~85 KB/s), on an event clock and
-// gridNet.
+// answer across the paper's shaped WAN (~85 KB/s), over gridNet: call it
+// in a bubble.
 func newWANFixture(t *testing.T, mutate func(*Config)) *fixture {
 	t.Helper()
-	clk := vtime.NewAuto()
-	t.Cleanup(clk.Stop)
+	var clk vtime.Real
+	t.Cleanup(overGrid.CloseIdleConnections)
 	env, err := gridenv.Start(gridenv.Options{
 		Clock:   clk,
 		Sites:   []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
@@ -104,21 +105,15 @@ func (g *uploadGate) RoundTrip(req *http.Request) (*http.Response, error) {
 // open staging flight.
 func awaitStagingWaiters(t *testing.T, o *OnServe, n int) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		got := 0
-		o.mu.Lock()
-		for _, fl := range o.stagingFlights {
-			got += fl.waiters
-		}
-		o.mu.Unlock()
-		if got == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d arrivals joined the staging flight", got, n)
-		}
-		time.Sleep(time.Millisecond)
+	bubble.Wait()
+	got := 0
+	o.mu.Lock()
+	for _, fl := range o.stagingFlights {
+		got += fl.waiters
+	}
+	o.mu.Unlock()
+	if got != n {
+		t.Fatalf("%d of %d arrivals joined the staging flight", got, n)
 	}
 }
 
@@ -178,205 +173,221 @@ func stagingBurst(t *testing.T, f *fixture, n int, gate *uploadGate) SubmitStats
 }
 
 func TestColdBurstStagingStockUploadsPerInvocation(t *testing.T) {
-	f := newWANFixture(t, nil)
-	const n = 8
-	d := stagingBurst(t, f, n, nil)
-	// Paper-faithful: every invocation pushes the full blob across the
-	// WAN again, even while an identical transfer is in flight.
-	if d.Uploads != n {
-		t.Fatalf("stock burst made %d uploads, want %d", d.Uploads, n)
-	}
-	if d.UploadsCoalesced != 0 {
-		t.Fatalf("stock burst coalesced %d uploads", d.UploadsCoalesced)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		f := newWANFixture(t, nil)
+		const n = 8
+		d := stagingBurst(t, f, n, nil)
+		// Paper-faithful: every invocation pushes the full blob across the
+		// WAN again, even while an identical transfer is in flight.
+		if d.Uploads != n {
+			t.Fatalf("stock burst made %d uploads, want %d", d.Uploads, n)
+		}
+		if d.UploadsCoalesced != 0 {
+			t.Fatalf("stock burst coalesced %d uploads", d.UploadsCoalesced)
+		}
+	})
 }
 
 func TestColdBurstStagingCoalescedSingleUpload(t *testing.T) {
-	// The contract is "arrivals while a transfer is in flight share it",
-	// so the test makes the overlap a fact instead of a likelihood: the
-	// leader's PUT is held at the transport until the other n-1
-	// invocations are parked on its flight.
-	gate := newUploadGate()
-	f := newFixtureHTTP(t, gate, func(cfg *Config) {
-		cfg.CoalesceStaging = true
-		cfg.SessionCache = true
-		cfg.StatsTTL = time.Hour
+	bubble.Test(t, func(t *testing.T) {
+		// The contract is "arrivals while a transfer is in flight share it",
+		// so the test makes the overlap a fact instead of a likelihood: the
+		// leader's PUT is held at the transport until the other n-1
+		// invocations are parked on its flight.
+		gate := newUploadGate()
+		f := newFixtureHTTP(t, gate, func(cfg *Config) {
+			cfg.CoalesceStaging = true
+			cfg.SessionCache = true
+			cfg.StatsTTL = time.Hour
+		})
+		const n = 8
+		d := stagingBurst(t, f, n, gate)
+		if d.Uploads != 1 {
+			t.Fatalf("coalesced burst made %d uploads, want exactly 1", d.Uploads)
+		}
+		if d.UploadsCoalesced != n-1 {
+			t.Fatalf("coalesced burst: %d waiters coalesced, want %d", d.UploadsCoalesced, n-1)
+		}
 	})
-	const n = 8
-	d := stagingBurst(t, f, n, gate)
-	if d.Uploads != 1 {
-		t.Fatalf("coalesced burst made %d uploads, want exactly 1", d.Uploads)
-	}
-	if d.UploadsCoalesced != n-1 {
-		t.Fatalf("coalesced burst: %d waiters coalesced, want %d", d.UploadsCoalesced, n-1)
-	}
 }
 
 func TestStagingSessionFaultRetriesWithFreshLogon(t *testing.T) {
-	// A session fault surfacing during staging must flow through Invoke's
-	// invalidate-and-retry path and complete the invocation on a fresh
-	// logon — with and without coalescing (a flight leader's failure is
-	// handed to the pipeline the same way).
-	for _, coalesce := range []bool{false, true} {
-		f := newFixture(t, func(cfg *Config) {
-			cfg.SessionCache = true
-			cfg.StatsTTL = time.Hour
-			cfg.CoalesceStaging = coalesce
-		})
-		f.uploadDemo(t)
-		if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
-			t.Fatal(err)
+	bubble.Test(t, func(t *testing.T) {
+		// A session fault surfacing during staging must flow through Invoke's
+		// invalidate-and-retry path and complete the invocation on a fresh
+		// logon — with and without coalescing (a flight leader's failure is
+		// handed to the pipeline the same way).
+		for _, coalesce := range []bool{false, true} {
+			f := newFixture(t, func(cfg *Config) {
+				cfg.SessionCache = true
+				cfg.StatsTTL = time.Hour
+				cfg.CoalesceStaging = coalesce
+			})
+			f.uploadDemo(t)
+			if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
+				t.Fatal(err)
+			}
+			// Kill the cached session behind onServe's back: the next staging
+			// upload fails with ErrNoSession.
+			f.ons.mu.Lock()
+			cached := f.ons.sessions["alice"].id
+			f.ons.mu.Unlock()
+			f.parts.Agent.Logout(cached)
+			out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "2"})
+			if err != nil {
+				t.Fatalf("coalesce=%v: invocation after session death: %v (%q)", coalesce, err, out)
+			}
 		}
-		// Kill the cached session behind onServe's back: the next staging
-		// upload fails with ErrNoSession.
-		f.ons.mu.Lock()
-		cached := f.ons.sessions["alice"].id
-		f.ons.mu.Unlock()
-		f.parts.Agent.Logout(cached)
-		out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "2"})
-		if err != nil {
-			t.Fatalf("coalesce=%v: invocation after session death: %v (%q)", coalesce, err, out)
-		}
-	}
+	})
 }
 
 func TestReplicateSessionFaultPropagatesWithoutDoomedUpload(t *testing.T) {
-	// Regression: stageExecutable used to swallow every Replicate error
-	// and fall through to a fresh upload. For a session fault the upload
-	// is doomed too — the error must surface (so Invoke's retry fires)
-	// without burning a second WAN round-trip on the dead session.
-	f := newFixture(t, func(cfg *Config) { cfg.StagingCache = true })
-	sess, err := f.parts.Agent.Authenticate("alice", "pw", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exe := heldExecutable(f.ons, "RepService", []byte("echo hi\n"))
-	if err := f.ons.stageExecutable(sess.ID, exe, "siteA", nil); err != nil {
-		t.Fatal(err)
-	}
-	f.parts.Agent.Logout(sess.ID)
-	before := f.ons.SubmitStats().Uploads
-	err = f.ons.stageExecutable(sess.ID, exe, "siteB", nil)
-	if !errors.Is(err, cyberaide.ErrNoSession) {
-		t.Fatalf("replicate session fault not propagated: %v", err)
-	}
-	if got := f.ons.SubmitStats().Uploads; got != before {
-		t.Fatalf("doomed fall-through upload attempted (%d -> %d uploads)", before, got)
-	}
-}
-
-func TestInvocationsSortedByTicket(t *testing.T) {
-	f := newFixture(t, nil)
-	f.uploadDemo(t)
-	var issued []string
-	for i := 0; i < 5; i++ {
-		inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})
+	bubble.Test(t, func(t *testing.T) {
+		// Regression: stageExecutable used to swallow every Replicate error
+		// and fall through to a fresh upload. For a session fault the upload
+		// is doomed too — the error must surface (so Invoke's retry fires)
+		// without burning a second WAN round-trip on the dead session.
+		f := newFixture(t, func(cfg *Config) { cfg.StagingCache = true })
+		sess, err := f.parts.Agent.Authenticate("alice", "pw", time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
-		issued = append(issued, inv.Ticket)
-		<-inv.DoneChan()
-	}
-	listed := f.ons.Invocations()
-	if len(listed) != len(issued) {
-		t.Fatalf("listed %d invocations, want %d", len(listed), len(issued))
-	}
-	for i, inv := range listed {
-		if inv.Ticket != issued[i] {
-			t.Fatalf("listing not in issue order: position %d has %s, want %s", i, inv.Ticket, issued[i])
+		exe := heldExecutable(f.ons, "RepService", []byte("echo hi\n"))
+		if err := f.ons.stageExecutable(sess.ID, exe, "siteA", nil); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !sort.SliceIsSorted(listed, func(i, j int) bool { return listed[i].Ticket < listed[j].Ticket }) {
-		t.Fatal("listing not sorted by ticket")
-	}
+		f.parts.Agent.Logout(sess.ID)
+		before := f.ons.SubmitStats().Uploads
+		err = f.ons.stageExecutable(sess.ID, exe, "siteB", nil)
+		if !errors.Is(err, cyberaide.ErrNoSession) {
+			t.Fatalf("replicate session fault not propagated: %v", err)
+		}
+		if got := f.ons.SubmitStats().Uploads; got != before {
+			t.Fatalf("doomed fall-through upload attempted (%d -> %d uploads)", before, got)
+		}
+	})
+}
+
+func TestInvocationsSortedByTicket(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		f.uploadDemo(t)
+		var issued []string
+		for i := 0; i < 5; i++ {
+			inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			issued = append(issued, inv.Ticket)
+			<-inv.DoneChan()
+		}
+		listed := f.ons.Invocations()
+		if len(listed) != len(issued) {
+			t.Fatalf("listed %d invocations, want %d", len(listed), len(issued))
+		}
+		for i, inv := range listed {
+			if inv.Ticket != issued[i] {
+				t.Fatalf("listing not in issue order: position %d has %s, want %s", i, inv.Ticket, issued[i])
+			}
+		}
+		if !sort.SliceIsSorted(listed, func(i, j int) bool { return listed[i].Ticket < listed[j].Ticket }) {
+			t.Fatal("listing not sorted by ticket")
+		}
+	})
 }
 
 func TestStageInRetryFallsBackToStagedSite(t *testing.T) {
-	// A submission rejected "not staged" sends the pipeline to the next
-	// candidate: the site where the owner actually staged the data.
-	f := newFixture(t, nil)
-	if _, err := f.ons.UploadAndGenerate("alice", "wordcount.gsh", "", nil,
-		[]byte("process corpus.txt 1000\necho counted\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ons.SetStageIn("WordcountService", []string{"corpus.txt"}); err != nil {
-		t.Fatal(err)
-	}
-	// Corpus staged at siteB only; both sites idle, so pickSites tries
-	// siteA first and its submission is rejected "not staged".
-	siteB, _ := f.env.Grid.Site("siteB")
-	siteB.Store().Put("/O=Repro/CN=alice", "corpus.txt", []byte(strings.Repeat("word ", 1000)))
-	inv, err := f.ons.Invoke("WordcountService", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv.Site != "siteB" {
-		t.Fatalf("submitted to %s, want the staged-data fallback siteB", inv.Site)
-	}
-	<-inv.DoneChan()
-	if inv.State() != InvDone {
-		t.Fatalf("state %s: %s", inv.State(), inv.Message())
-	}
+	bubble.Test(t, func(t *testing.T) {
+		// A submission rejected "not staged" sends the pipeline to the next
+		// candidate: the site where the owner actually staged the data.
+		f := newFixture(t, nil)
+		if _, err := f.ons.UploadAndGenerate("alice", "wordcount.gsh", "", nil,
+			[]byte("process corpus.txt 1000\necho counted\n")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.ons.SetStageIn("WordcountService", []string{"corpus.txt"}); err != nil {
+			t.Fatal(err)
+		}
+		// Corpus staged at siteB only; both sites idle, so pickSites tries
+		// siteA first and its submission is rejected "not staged".
+		siteB, _ := f.env.Grid.Site("siteB")
+		siteB.Store().Put("/O=Repro/CN=alice", "corpus.txt", []byte(strings.Repeat("word ", 1000)))
+		inv, err := f.ons.Invoke("WordcountService", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inv.Site != "siteB" {
+			t.Fatalf("submitted to %s, want the staged-data fallback siteB", inv.Site)
+		}
+		<-inv.DoneChan()
+		if inv.State() != InvDone {
+			t.Fatalf("state %s: %s", inv.State(), inv.Message())
+		}
+	})
 }
 
 func TestGridStatsExpiryStampedeCollapsesToOneFetch(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) { cfg.StatsTTL = 30 * time.Second })
-	sess, err := f.parts.Agent.Authenticate("alice", "pw", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plant an expired snapshot so every caller observes a miss at once.
-	f.ons.mu.Lock()
-	f.ons.stats = []gridsim.SiteStats{{Name: "siteA", Slots: 8, FreeSlots: 8}}
-	f.ons.statsAt = f.clock.Now().Add(-time.Hour)
-	f.ons.mu.Unlock()
-	before := f.ons.SubmitStats().StatsRPCs
-	const n = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats, err := f.ons.gridStats(sess.ID)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if len(stats) == 0 {
-				errs <- errors.New("empty stats snapshot")
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	if got := f.ons.SubmitStats().StatsRPCs - before; got != 1 {
-		t.Fatalf("stampede on the expired snapshot cost %d fetches, want 1", got)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.StatsTTL = 30 * time.Second })
+		sess, err := f.parts.Agent.Authenticate("alice", "pw", time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Plant an expired snapshot so every caller observes a miss at once.
+		f.ons.mu.Lock()
+		f.ons.stats = []gridsim.SiteStats{{Name: "siteA", Slots: 8, FreeSlots: 8}}
+		f.ons.statsAt = f.clock.Now().Add(-time.Hour)
+		f.ons.mu.Unlock()
+		before := f.ons.SubmitStats().StatsRPCs
+		const n = 8
+		var wg sync.WaitGroup
+		errs := make(chan error, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stats, err := f.ons.gridStats(sess.ID)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(stats) == 0 {
+					errs <- errors.New("empty stats snapshot")
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		if got := f.ons.SubmitStats().StatsRPCs - before; got != 1 {
+			t.Fatalf("stampede on the expired snapshot cost %d fetches, want 1", got)
+		}
+	})
 }
 
 // TestStagingCacheHitLeadsNoFlight: under CoalesceStaging a staging-cache
 // hit is answered before the flight table is consulted — no key, no
 // flight, no channel: nothing at all is allocated.
 func TestStagingCacheHitLeadsNoFlight(t *testing.T) {
-	f := newFixture(t, func(cfg *Config) {
-		cfg.StagingCache = true
-		cfg.CoalesceStaging = true
-	})
-	exe := heldExecutable(f.ons, "HitService", []byte("echo hi\n"))
-	f.ons.noteStaged("HitService", "siteA", "sum")
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := f.ons.stageExecutable("no-session", exe, "siteA", nil); err != nil {
-			t.Fatal(err)
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) {
+			cfg.StagingCache = true
+			cfg.CoalesceStaging = true
+		})
+		exe := heldExecutable(f.ons, "HitService", []byte("echo hi\n"))
+		f.ons.noteStaged("HitService", "siteA", "sum")
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := f.ons.stageExecutable("no-session", exe, "siteA", nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("a staging-cache hit allocates %.0f objects, want 0", allocs)
+		}
+		if st := f.ons.SubmitStats(); st.Uploads != 0 || st.UploadsCoalesced != 0 || len(f.ons.stagingFlights) != 0 {
+			t.Fatalf("a staging-cache hit staged: %+v, %d flights", st, len(f.ons.stagingFlights))
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("a staging-cache hit allocates %.0f objects, want 0", allocs)
-	}
-	if st := f.ons.SubmitStats(); st.Uploads != 0 || st.UploadsCoalesced != 0 || len(f.ons.stagingFlights) != 0 {
-		t.Fatalf("a staging-cache hit staged: %+v, %d flights", st, len(f.ons.stagingFlights))
-	}
 }

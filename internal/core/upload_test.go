@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/blobdb"
 	"repro/internal/blobdb/blobtest"
+	"repro/internal/bubble"
 	"repro/internal/gsh"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -26,29 +27,31 @@ import (
 // compression, the database write, the service build — however the bytes
 // reached the database.
 func TestUploadProbeSequence(t *testing.T) {
-	f := newFixture(t, nil)
-	content := gsh.Pad([]byte("echo fig8\n"), 64<<10)
-	got := f.probes.record(func() {
-		if _, err := f.ons.UploadAndGenerate("alice", "fig8.gsh", "", nil, content); err != nil {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		content := gsh.Pad([]byte("echo fig8\n"), 64<<10)
+		got := f.probes.record(func() {
+			if _, err := f.ons.UploadAndGenerate("alice", "fig8.gsh", "", nil, content); err != nil {
+				t.Fatal(err)
+			}
+		})
+		st, err := f.parts.DB.Table(ExecutablesTable).Stat("Fig8Service")
+		if err != nil {
 			t.Fatal(err)
 		}
+		cost := metrics.DefaultCost()
+		deflate := time.Duration(float64(len(content)) / cost.CompressBps * float64(time.Second))
+		want := []string{
+			fmt.Sprintf("%s %d", metrics.DiskWrite, len(content)),
+			fmt.Sprintf("%s %d", metrics.DiskRead, len(content)),
+			fmt.Sprintf("%s %d", metrics.CPU, deflate),
+			fmt.Sprintf("%s %d", metrics.DiskWrite, st.CompressedSize+128),
+			fmt.Sprintf("%s %d", metrics.CPU, cost.ServiceBuild),
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("a publish made cost-model calls\n  %q\nthe paper profile makes\n  %q", got, want)
+		}
 	})
-	st, err := f.parts.DB.Table(ExecutablesTable).Stat("Fig8Service")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := metrics.DefaultCost()
-	deflate := time.Duration(float64(len(content)) / cost.CompressBps * float64(time.Second))
-	want := []string{
-		fmt.Sprintf("%s %d", metrics.DiskWrite, len(content)),
-		fmt.Sprintf("%s %d", metrics.DiskRead, len(content)),
-		fmt.Sprintf("%s %d", metrics.CPU, deflate),
-		fmt.Sprintf("%s %d", metrics.DiskWrite, st.CompressedSize+128),
-		fmt.Sprintf("%s %d", metrics.CPU, cost.ServiceBuild),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("a publish made cost-model calls\n  %q\nthe paper profile makes\n  %q", got, want)
-	}
 }
 
 // countingReader counts what is read of an endless run of comment lines.
@@ -114,33 +117,35 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 // TestUploadSpanCarriesStoredBytes: the upload span says what arrived and
 // what a row keeps of it, and says so when the publish is refused too.
 func TestUploadSpanCarriesStoredBytes(t *testing.T) {
-	col := trace.NewCollector(0, 0)
-	f := newFixtureTraced(t, nil, col, nil)
-	content := gsh.Pad([]byte("echo traced\n"), 32<<10)
-	for _, tc := range []struct {
-		user   string
-		status string
-	}{{"alice", "ok"}, {"stranger", "error"}} {
-		file, err := ReadUpload(bytes.NewReader(content), int64(len(content)))
-		if err != nil {
-			t.Fatal(err)
+	bubble.Test(t, func(t *testing.T) {
+		col := trace.NewCollector(0, 0)
+		f := newFixtureTraced(t, nil, col, nil)
+		content := gsh.Pad([]byte("echo traced\n"), 32<<10)
+		for _, tc := range []struct {
+			user   string
+			status string
+		}{{"alice", "ok"}, {"stranger", "error"}} {
+			file, err := ReadUpload(bytes.NewReader(content), int64(len(content)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := f.parts.Tracing.StartRoot("test")
+			_, err = f.ons.UploadAndGenerateFrom(tc.user, "traced.gsh", "", nil, file, root.Context())
+			root.End()
+			if (err != nil) != (tc.status == "error") {
+				t.Fatalf("%s: %v", tc.user, err)
+			}
+			id := root.Context().TraceID
+			byName, _ := indexSpans(col.Trace(hex.EncodeToString(id[:])))
+			if len(byName["upload"]) != 1 {
+				t.Fatalf("%s: %d upload spans", tc.user, len(byName["upload"]))
+			}
+			sp := byName["upload"][0]
+			if sp.Status != tc.status || sp.Attrs["bytes"] != strconv.Itoa(len(content)) || sp.Attrs["stored_bytes"] != strconv.Itoa(len(file.stored.Gzip)) {
+				t.Fatalf("%s: upload span %s %v, the file is %d bytes stored as %d", tc.user, sp.Status, sp.Attrs, len(content), len(file.stored.Gzip))
+			}
 		}
-		root := f.parts.Tracing.StartRoot("test")
-		_, err = f.ons.UploadAndGenerateFrom(tc.user, "traced.gsh", "", nil, file, root.Context())
-		root.End()
-		if (err != nil) != (tc.status == "error") {
-			t.Fatalf("%s: %v", tc.user, err)
-		}
-		id := root.Context().TraceID
-		byName, _ := indexSpans(col.Trace(hex.EncodeToString(id[:])))
-		if len(byName["upload"]) != 1 {
-			t.Fatalf("%s: %d upload spans", tc.user, len(byName["upload"]))
-		}
-		sp := byName["upload"][0]
-		if sp.Status != tc.status || sp.Attrs["bytes"] != strconv.Itoa(len(content)) || sp.Attrs["stored_bytes"] != strconv.Itoa(len(file.stored.Gzip)) {
-			t.Fatalf("%s: upload span %s %v, the file is %d bytes stored as %d", tc.user, sp.Status, sp.Attrs, len(content), len(file.stored.Gzip))
-		}
-	}
+	})
 }
 
 // TestUploadAllocatesNoRawSizedObject is the deterministic guard behind
@@ -150,43 +155,45 @@ func TestUploadSpanCarriesStoredBytes(t *testing.T) {
 // and a fraction of the file's size beside it. A raw copy would be the
 // whole of it again.
 func TestUploadAllocatesNoRawSizedObject(t *testing.T) {
-	const size = 1 << 20
-	db, err := blobdb.Open(blobdb.Options{Dir: t.TempDir(), WALShards: 4, GroupCommit: true, AutoCompact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	f := newFixtureDB(t, db, nil, nil, func(cfg *Config) {
-		cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL, cfg.DirectDBWrite = true, true, 100*time.Hour, true
-		cfg.PushEvents, cfg.CoalesceStaging = true, true
-		cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
-	})
-	content := gsh.Pad([]byte("echo big\n"), size)
-	// The codecs and the log's encode buffers live on free lists, which
-	// neither a collection mid-run nor a second P empties.
-	var spent, stored uint64
-	const runs = 6
-	for i := -1; i < runs; i++ { // the first run fills the lists
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		// One reader over the caller's bytes stands in for the request body.
-		file, err := ReadUpload(bytes.NewReader(content), size)
-		if err == nil {
-			_, err = f.ons.UploadAndGenerateFrom("alice", "big.gsh", "", nil, file, trace.SpanContext{})
-		}
-		runtime.ReadMemStats(&after)
+	bubble.Test(t, func(t *testing.T) {
+		const size = 1 << 20
+		db, err := blobdb.Open(blobdb.Options{Dir: t.TempDir(), WALShards: 4, GroupCommit: true, AutoCompact: true})
 		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if i >= 0 {
-			spent += after.TotalAlloc - before.TotalAlloc
-			stored += uint64(len(file.stored.Gzip))
-		}
-		if err := f.ons.DeleteService("BigService"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if perOp, row := spent/runs, stored/runs; perOp > row+size/4 {
-		t.Fatalf("publishing a %d B executable allocates %d B, its stored stream is %d", size, perOp, row)
-	}
+		t.Cleanup(func() { db.Close() })
+		f := newFixtureDB(t, db, nil, nil, func(cfg *Config) {
+			cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL, cfg.DirectDBWrite = true, true, 100*time.Hour, true
+			cfg.PushEvents, cfg.CoalesceStaging = true, true
+			cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
+		})
+		content := gsh.Pad([]byte("echo big\n"), size)
+		// The codecs and the log's encode buffers live on free lists, which
+		// neither a collection mid-run nor a second P empties.
+		var spent, stored uint64
+		const runs = 6
+		for i := -1; i < runs; i++ { // the first run fills the lists
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			// One reader over the caller's bytes stands in for the request body.
+			file, err := ReadUpload(bytes.NewReader(content), size)
+			if err == nil {
+				_, err = f.ons.UploadAndGenerateFrom("alice", "big.gsh", "", nil, file, trace.SpanContext{})
+			}
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+			if i >= 0 {
+				spent += after.TotalAlloc - before.TotalAlloc
+				stored += uint64(len(file.stored.Gzip))
+			}
+			if err := f.ons.DeleteService("BigService"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if perOp, row := spent/runs, stored/runs; perOp > row+size/4 {
+			t.Fatalf("publishing a %d B executable allocates %d B, its stored stream is %d", size, perOp, row)
+		}
+	})
 }

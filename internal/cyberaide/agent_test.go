@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/gridsim"
 	"repro/internal/jsdl"
 	"repro/internal/metrics"
@@ -31,10 +32,14 @@ import (
 type world struct {
 	agent *Agent
 	grid  *gridsim.Grid
-	clock *vtime.Auto
+	clock vtime.Clock
 	rec   *metrics.Recorder
 	net   *netsim.Net // every server listens on it
 }
+
+// TestMain runs the package's tests under GOEXPERIMENT=synctest, where
+// those that build a simulated grid run it in a bubble.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 // serve runs h on a fresh listener of w's network until the test ends,
 // returning its root URL.
@@ -46,12 +51,11 @@ func (w *world) serve(t *testing.T, h http.Handler) string {
 	return "http://" + ln.Addr().String()
 }
 
-// newWorld boots the grid's servers on one in-process network and an
-// event clock.
+// newWorld boots the grid's servers on one in-process network: call it
+// in a bubble.
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	clk := vtime.NewAuto()
-	t.Cleanup(clk.Stop)
+	var clk vtime.Real
 	w := &world{clock: clk, net: netsim.NewNet()}
 	ca, err := xsec.NewCA("CA", clk.Now(), 10*365*24*time.Hour)
 	if err != nil {
@@ -102,295 +106,311 @@ func newWorld(t *testing.T) *world {
 }
 
 func TestAuthenticateUploadSubmitCollect(t *testing.T) {
-	w := newWorld(t)
-	sess, err := w.agent.Authenticate("alice", "pw", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Identity != "/O=Repro/CN=alice" {
-		t.Fatalf("identity %q", sess.Identity)
-	}
-	if _, err := w.agent.Upload(sess.ID, "siteA", "job.gsh",
-		[]byte("echo result=${x}\ncompute 500ms\nwrite data.out 32\n")); err != nil {
-		t.Fatal(err)
-	}
-	jobID, err := w.agent.Submit(sess.ID, &jsdl.Description{
-		Executable: "job.gsh",
-		Site:       "siteA",
-		Arguments:  map[string]string{"x": "41"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tentative polling until terminal.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := w.agent.Status(sess.ID, jobID)
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		sess, err := w.agent.Authenticate("alice", "pw", time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State == "DONE" {
-			break
+		if sess.Identity != "/O=Repro/CN=alice" {
+			t.Fatalf("identity %q", sess.Identity)
 		}
-		if st.State == "FAILED" || time.Now().After(deadline) {
-			t.Fatalf("job state %s: %s", st.State, st.Message)
+		if _, err := w.agent.Upload(sess.ID, "siteA", "job.gsh",
+			[]byte("echo result=${x}\ncompute 500ms\nwrite data.out 32\n")); err != nil {
+			t.Fatal(err)
 		}
-		w.clock.Sleep(time.Millisecond)
-	}
-	out, err := w.agent.Output(sess.ID, jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != "result=41\n" {
-		t.Fatalf("output %q", out)
-	}
-	artifact, err := w.agent.OutputFile(sess.ID, jobID, "data.out")
-	if err != nil || len(artifact) != 32 {
-		t.Fatalf("artifact %d bytes, err %v", len(artifact), err)
-	}
+		jobID, err := w.agent.Submit(sess.ID, &jsdl.Description{
+			Executable: "job.gsh",
+			Site:       "siteA",
+			Arguments:  map[string]string{"x": "41"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Tentative polling until terminal.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			st, err := w.agent.Status(sess.ID, jobID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == "DONE" {
+				break
+			}
+			if st.State == "FAILED" || time.Now().After(deadline) {
+				t.Fatalf("job state %s: %s", st.State, st.Message)
+			}
+			w.clock.Sleep(time.Millisecond)
+		}
+		out, err := w.agent.Output(sess.ID, jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != "result=41\n" {
+			t.Fatalf("output %q", out)
+		}
+		artifact, err := w.agent.OutputFile(sess.ID, jobID, "data.out")
+		if err != nil || len(artifact) != 32 {
+			t.Fatalf("artifact %d bytes, err %v", len(artifact), err)
+		}
+	})
 }
 
 func TestAuthenticateBadPassphrase(t *testing.T) {
-	w := newWorld(t)
-	if _, err := w.agent.Authenticate("alice", "wrong", time.Hour); !errors.Is(err, myproxy.ErrBadPassphrase) {
-		t.Fatalf("got %v", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		if _, err := w.agent.Authenticate("alice", "wrong", time.Hour); !errors.Is(err, myproxy.ErrBadPassphrase) {
+			t.Fatalf("got %v", err)
+		}
+	})
 }
 
 func TestAuthenticateAccountsCPUCost(t *testing.T) {
-	w := newWorld(t)
-	if _, err := w.agent.Authenticate("alice", "pw", time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if got := time.Duration(w.rec.Total(metrics.CPU)); got < 80*time.Millisecond {
-		t.Fatalf("auth cost not accounted: %v", got)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		if _, err := w.agent.Authenticate("alice", "pw", time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if got := time.Duration(w.rec.Total(metrics.CPU)); got < 80*time.Millisecond {
+			t.Fatalf("auth cost not accounted: %v", got)
+		}
+	})
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	w := newWorld(t)
-	sess, err := w.agent.Authenticate("alice", "pw", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.agent.SessionCount() != 1 {
-		t.Fatal("session not registered")
-	}
-	if _, err := w.agent.Session(sess.ID); err != nil {
-		t.Fatal(err)
-	}
-	w.agent.Logout(sess.ID)
-	if _, err := w.agent.Session(sess.ID); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("got %v", err)
-	}
-	if _, err := w.agent.Upload("ghost", "siteA", "f", nil); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("got %v", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		sess, err := w.agent.Authenticate("alice", "pw", time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.agent.SessionCount() != 1 {
+			t.Fatal("session not registered")
+		}
+		if _, err := w.agent.Session(sess.ID); err != nil {
+			t.Fatal(err)
+		}
+		w.agent.Logout(sess.ID)
+		if _, err := w.agent.Session(sess.ID); !errors.Is(err, ErrNoSession) {
+			t.Fatalf("got %v", err)
+		}
+		if _, err := w.agent.Upload("ghost", "siteA", "f", nil); !errors.Is(err, ErrNoSession) {
+			t.Fatalf("got %v", err)
+		}
+	})
 }
 
 func TestSessionExpires(t *testing.T) {
-	w := newWorld(t)
-	sess, err := w.agent.Authenticate("alice", "pw", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.clock.Sleep(2 * time.Second)
-	if _, err := w.agent.Session(sess.ID); !errors.Is(err, ErrExpired) {
-		t.Fatalf("got %v", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		sess, err := w.agent.Authenticate("alice", "pw", time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.clock.Sleep(2 * time.Second)
+		if _, err := w.agent.Session(sess.ID); !errors.Is(err, ErrExpired) {
+			t.Fatalf("got %v", err)
+		}
+	})
 }
 
 func TestUploadUnknownSite(t *testing.T) {
-	w := newWorld(t)
-	sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
-	if _, err := w.agent.Upload(sess.ID, "atlantis", "f", []byte("x")); !errors.Is(err, ErrUnknownSite) {
-		t.Fatalf("got %v", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
+		if _, err := w.agent.Upload(sess.ID, "atlantis", "f", []byte("x")); !errors.Is(err, ErrUnknownSite) {
+			t.Fatalf("got %v", err)
+		}
+	})
 }
 
 func TestSubmitForcesSessionOwner(t *testing.T) {
-	w := newWorld(t)
-	sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
-	w.agent.Upload(sess.ID, "siteA", "e.gsh", []byte("echo x\n"))
-	// Even a forged owner in the description submits as alice.
-	jobID, err := w.agent.Submit(sess.ID, &jsdl.Description{
-		Executable: "e.gsh", Site: "siteA", Owner: "/O=Repro/CN=mallory",
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
+		w.agent.Upload(sess.ID, "siteA", "e.gsh", []byte("echo x\n"))
+		// Even a forged owner in the description submits as alice.
+		jobID, err := w.agent.Submit(sess.ID, &jsdl.Description{
+			Executable: "e.gsh", Site: "siteA", Owner: "/O=Repro/CN=mallory",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := w.grid.Job(jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Desc.Owner != "/O=Repro/CN=alice" {
+			t.Fatalf("owner %q", job.Desc.Owner)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := w.grid.Job(jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Desc.Owner != "/O=Repro/CN=alice" {
-		t.Fatalf("owner %q", job.Desc.Owner)
-	}
 }
 
 func TestCancelThroughAgent(t *testing.T) {
-	w := newWorld(t)
-	sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
-	w.agent.Upload(sess.ID, "siteA", "slow.gsh", []byte("emit 1s 1000 t\n"))
-	jobID, err := w.agent.Submit(sess.ID, &jsdl.Description{Executable: "slow.gsh", Site: "siteA"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := w.agent.Cancel(sess.ID, jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = st
-	job, _ := w.grid.Job(jobID)
-	select {
-	case <-job.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancel did not terminate job")
-	}
-	if job.State() != gridsim.Cancelled {
-		t.Fatalf("state %s", job.State())
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
+		w.agent.Upload(sess.ID, "siteA", "slow.gsh", []byte("emit 1s 1000 t\n"))
+		jobID, err := w.agent.Submit(sess.ID, &jsdl.Description{Executable: "slow.gsh", Site: "siteA"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := w.agent.Cancel(sess.ID, jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = st
+		job, _ := w.grid.Job(jobID)
+		<-job.Done()
+		if job.State() != gridsim.Cancelled {
+			t.Fatalf("state %s", job.State())
+		}
+	})
 }
 
 func TestGridStatsAndSites(t *testing.T) {
-	w := newWorld(t)
-	sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
-	stats, err := w.agent.GridStats(sess.ID)
-	if err != nil || len(stats) != 2 {
-		t.Fatalf("stats %v err %v", stats, err)
-	}
-	if got := w.agent.Sites(); len(got) != 2 || got[0] != "siteA" || got[1] != "siteB" {
-		t.Fatalf("sites not sorted: %v", got)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
+		stats, err := w.agent.GridStats(sess.ID)
+		if err != nil || len(stats) != 2 {
+			t.Fatalf("stats %v err %v", stats, err)
+		}
+		if got := w.agent.Sites(); len(got) != 2 || got[0] != "siteA" || got[1] != "siteB" {
+			t.Fatalf("sites not sorted: %v", got)
+		}
+	})
 }
 
 func TestAgentStatusBatchAndConditionalOutput(t *testing.T) {
-	w := newWorld(t)
-	sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
-	w.agent.Upload(sess.ID, "siteA", "hi.gsh", []byte("echo hi\n"))
-	jobID, err := w.agent.Submit(sess.ID, &jsdl.Description{Executable: "hi.gsh", Site: "siteA"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, _ := w.grid.Job(jobID)
-	select {
-	case <-job.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("job stuck")
-	}
-	entries, err := w.agent.StatusBatch(sess.ID, []string{jobID, "siteA:job-424242"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || entries[0].State != "DONE" || entries[1].Error == "" {
-		t.Fatalf("entries %+v", entries)
-	}
-	out, ver, changed, err := w.agent.OutputIfChanged(sess.ID, jobID, 0)
-	if err != nil || !changed || out != "hi\n" || ver != entries[0].OutputVersion {
-		t.Fatalf("fetch: out=%q ver=%d changed=%v err=%v", out, ver, changed, err)
-	}
-	if _, _, changed, err = w.agent.OutputIfChanged(sess.ID, jobID, ver); err != nil || changed {
-		t.Fatalf("unchanged snapshot refetched: changed=%v err=%v", changed, err)
-	}
-	if _, err := w.agent.StatusBatch("no-such-session", []string{jobID}); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("got %v", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		sess, _ := w.agent.Authenticate("alice", "pw", time.Hour)
+		w.agent.Upload(sess.ID, "siteA", "hi.gsh", []byte("echo hi\n"))
+		jobID, err := w.agent.Submit(sess.ID, &jsdl.Description{Executable: "hi.gsh", Site: "siteA"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, _ := w.grid.Job(jobID)
+		<-job.Done()
+		entries, err := w.agent.StatusBatch(sess.ID, []string{jobID, "siteA:job-424242"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 2 || entries[0].State != "DONE" || entries[1].Error == "" {
+			t.Fatalf("entries %+v", entries)
+		}
+		out, ver, changed, err := w.agent.OutputIfChanged(sess.ID, jobID, 0)
+		if err != nil || !changed || out != "hi\n" || ver != entries[0].OutputVersion {
+			t.Fatalf("fetch: out=%q ver=%d changed=%v err=%v", out, ver, changed, err)
+		}
+		if _, _, changed, err = w.agent.OutputIfChanged(sess.ID, jobID, ver); err != nil || changed {
+			t.Fatalf("unchanged snapshot refetched: changed=%v err=%v", changed, err)
+		}
+		if _, err := w.agent.StatusBatch("no-such-session", []string{jobID}); !errors.Is(err, ErrNoSession) {
+			t.Fatalf("got %v", err)
+		}
+	})
 }
 
 func TestSOAPFacade(t *testing.T) {
-	w := newWorld(t)
-	container := soap.NewServer(nil, metrics.Cost{})
-	if err := container.Deploy(w.agent.SOAPService()); err != nil {
-		t.Fatal(err)
-	}
-	c := soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(w.net.DialContext)}}
-	url := w.serve(t, container) + "/services/" + ServiceName
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		container := soap.NewServer(nil, metrics.Cost{})
+		if err := container.Deploy(w.agent.SOAPService()); err != nil {
+			t.Fatal(err)
+		}
+		c := soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(w.net.DialContext)}}
+		url := w.serve(t, container) + "/services/" + ServiceName
 
-	sessID, err := c.Call(url, Namespace, "authenticate", []soap.Param{
-		{Name: "user", Value: "alice"},
-		{Name: "passphrase", Value: "pw"},
-		{Name: "lifetimeSeconds", Value: "3600"},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sessID, "sess-") {
-		t.Fatalf("session %q", sessID)
-	}
-
-	data := base64.StdEncoding.EncodeToString([]byte("echo via-soap\n"))
-	if _, err := c.Call(url, Namespace, "upload", []soap.Param{
-		{Name: "session", Value: sessID},
-		{Name: "site", Value: "siteA"},
-		{Name: "name", Value: "s.gsh"},
-		{Name: "dataBase64", Value: data},
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	desc, _ := jsdl.Marshal(&jsdl.Description{
-		Owner: "/O=Repro/CN=alice", Executable: "s.gsh", Site: "siteA",
-	})
-	jobID, err := c.Call(url, Namespace, "submit", []soap.Param{
-		{Name: "session", Value: sessID},
-		{Name: "jsdl", Value: string(desc)},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		stJSON, err := c.Call(url, Namespace, "status", []soap.Param{
-			{Name: "session", Value: sessID}, {Name: "job", Value: jobID},
+		sessID, err := c.Call(url, Namespace, "authenticate", []soap.Param{
+			{Name: "user", Value: "alice"},
+			{Name: "passphrase", Value: "pw"},
+			{Name: "lifetimeSeconds", Value: "3600"},
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st gram.StatusReply
-		if err := json.Unmarshal([]byte(stJSON), &st); err != nil {
+		if !strings.HasPrefix(sessID, "sess-") {
+			t.Fatalf("session %q", sessID)
+		}
+
+		data := base64.StdEncoding.EncodeToString([]byte("echo via-soap\n"))
+		if _, err := c.Call(url, Namespace, "upload", []soap.Param{
+			{Name: "session", Value: sessID},
+			{Name: "site", Value: "siteA"},
+			{Name: "name", Value: "s.gsh"},
+			{Name: "dataBase64", Value: data},
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
-		if st.State == "DONE" {
-			break
+
+		desc, _ := jsdl.Marshal(&jsdl.Description{
+			Owner: "/O=Repro/CN=alice", Executable: "s.gsh", Site: "siteA",
+		})
+		jobID, err := c.Call(url, Namespace, "submit", []soap.Param{
+			{Name: "session", Value: sessID},
+			{Name: "jsdl", Value: string(desc)},
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.State == "FAILED" || time.Now().After(deadline) {
-			t.Fatalf("state %+v", st)
+
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			stJSON, err := c.Call(url, Namespace, "status", []soap.Param{
+				{Name: "session", Value: sessID}, {Name: "job", Value: jobID},
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st gram.StatusReply
+			if err := json.Unmarshal([]byte(stJSON), &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.State == "DONE" {
+				break
+			}
+			if st.State == "FAILED" || time.Now().After(deadline) {
+				t.Fatalf("state %+v", st)
+			}
+			w.clock.Sleep(time.Millisecond)
 		}
-		w.clock.Sleep(time.Millisecond)
-	}
-	out, err := c.Call(url, Namespace, "output", []soap.Param{
-		{Name: "session", Value: sessID}, {Name: "job", Value: jobID},
-	}, nil)
-	if err != nil || out != "via-soap\n" {
-		t.Fatalf("output %q err %v", out, err)
-	}
+		out, err := c.Call(url, Namespace, "output", []soap.Param{
+			{Name: "session", Value: sessID}, {Name: "job", Value: jobID},
+		}, nil)
+		if err != nil || out != "via-soap\n" {
+			t.Fatalf("output %q err %v", out, err)
+		}
+	})
 }
 
 func TestSOAPFacadeFaults(t *testing.T) {
-	w := newWorld(t)
-	container := soap.NewServer(nil, metrics.Cost{})
-	container.Deploy(w.agent.SOAPService())
-	c := soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(w.net.DialContext)}}
-	url := w.serve(t, container) + "/services/" + ServiceName
-	_, err := c.Call(url, Namespace, "authenticate", []soap.Param{
-		{Name: "user", Value: "alice"},
-		{Name: "passphrase", Value: "bad"},
-		{Name: "lifetimeSeconds", Value: "60"},
-	}, nil)
-	var f *soap.Fault
-	if !errors.As(err, &f) {
-		t.Fatalf("got %v", err)
-	}
-	_, err = c.Call(url, Namespace, "upload", []soap.Param{
-		{Name: "session", Value: "ghost"},
-		{Name: "site", Value: "siteA"},
-		{Name: "name", Value: "f"},
-		{Name: "dataBase64", Value: "!!!"},
-	}, nil)
-	if !errors.As(err, &f) {
-		t.Fatalf("got %v", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := newWorld(t)
+		container := soap.NewServer(nil, metrics.Cost{})
+		container.Deploy(w.agent.SOAPService())
+		c := soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(w.net.DialContext)}}
+		url := w.serve(t, container) + "/services/" + ServiceName
+		_, err := c.Call(url, Namespace, "authenticate", []soap.Param{
+			{Name: "user", Value: "alice"},
+			{Name: "passphrase", Value: "bad"},
+			{Name: "lifetimeSeconds", Value: "60"},
+		}, nil)
+		var f *soap.Fault
+		if !errors.As(err, &f) {
+			t.Fatalf("got %v", err)
+		}
+		_, err = c.Call(url, Namespace, "upload", []soap.Param{
+			{Name: "session", Value: "ghost"},
+			{Name: "site", Value: "siteA"},
+			{Name: "name", Value: "f"},
+			{Name: "dataBase64", Value: "!!!"},
+		}, nil)
+		if !errors.As(err, &f) {
+			t.Fatalf("got %v", err)
+		}
+	})
 }
 
 // TestExpiredSessionsAreReaped: nobody logs out a session whose owner has

@@ -94,14 +94,7 @@ func (t variantTable) run(o Options, body func(variant string, r *rig) error) er
 		if v.knobs != nil {
 			v.knobs(&vo.Appliance)
 		}
-		err := func() error {
-			r, err := newRig(vo)
-			if err != nil {
-				return err
-			}
-			defer r.close()
-			return body(v.name, r)
-		}()
+		err := withRig(vo, func(r *rig) error { return body(v.name, r) })
 		if err != nil {
 			return fmt.Errorf("experiments: %s %s: %w", t.what, v.name, err)
 		}

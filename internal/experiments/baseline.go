@@ -10,6 +10,7 @@ import (
 	"repro/internal/hop"
 	"repro/internal/jsdl"
 	"repro/internal/myproxy"
+	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -74,56 +75,57 @@ func BaselineJSE(opts Options, fileKB int) (*BaselineResult, error) {
 
 // baselineDirect is the JSE model: the user's own client, on their own
 // machine across the WAN, drives every grid protocol.
-func baselineDirect(opts Options, program string) (measurement, error) {
-	r, err := newRig(opts)
-	if err != nil {
-		return measurement{}, err
-	}
-	defer r.close()
-	dial := r.uplink.DialContext
-	uplink := hop.NewTransport(dial)
-	return r.measure(func() error {
-		// Step 1: MyProxy logon.
-		mp := &myproxy.Client{Addr: r.env.MyProxyAddr, Dial: dial}
-		proxy, err := mp.Get("alice", "pw", time.Hour)
-		if err != nil {
-			return fmt.Errorf("baseline: logon: %w", err)
-		}
-		// Step 2: choose a site and stage the executable via GridFTP.
-		siteName := r.env.Grid.SiteNames()[0]
-		ftp := &gridftp.Client{BaseURL: r.env.FTPURLs[siteName], Cred: proxy, Transport: uplink}
-		if _, err := ftp.Put("baseline.gsh", []byte(program)); err != nil {
-			return fmt.Errorf("baseline: stage: %w", err)
-		}
-		// Step 3: write the job description; Step 4: submit via GRAM. The
-		// proxy speaks for alice, so the owner is the end-entity identity.
-		gc := &gram.Client{BaseURL: r.env.GramURL, Cred: proxy, Transport: uplink}
-		jobID, err := gc.Submit(&jsdl.Description{
-			Owner: xsec.Identity(proxy.Chain), Executable: "baseline.gsh", Site: siteName,
-		})
-		if err != nil {
-			return fmt.Errorf("baseline: submit: %w", err)
-		}
-		// Step 5: poll status; Step 6: fetch output.
-		st, err := gc.WaitTerminal(jobID, r.clock, 9*time.Second, time.Hour)
-		if err != nil || st.State != "DONE" {
-			return fmt.Errorf("baseline: job %v: %v", st, err)
-		}
-		_, err = gc.Output(jobID)
+func baselineDirect(opts Options, program string) (m measurement, err error) {
+	err = withRig(opts, func(r *rig) (err error) {
+		m, err = r.measure(func() error { return directJob(r, program) })
 		return err
 	})
+	return m, err
+}
+
+// directJob is baselineDirect's job, step by step.
+func directJob(r *rig, program string) error {
+	dial := r.uplink.DialContext
+	uplink := hop.NewTransport(dial)
+	// Step 1: MyProxy logon.
+	mp := &myproxy.Client{Addr: r.env.MyProxyAddr, Dial: dial}
+	proxy, err := mp.Get("alice", "pw", time.Hour)
+	if err != nil {
+		return fmt.Errorf("baseline: logon: %w", err)
+	}
+	// Step 2: choose a site and stage the executable via GridFTP.
+	siteName := r.env.Grid.SiteNames()[0]
+	ftp := &gridftp.Client{BaseURL: r.env.FTPURLs[siteName], Cred: proxy, Transport: uplink}
+	if _, err := ftp.Put("baseline.gsh", []byte(program)); err != nil {
+		return fmt.Errorf("baseline: stage: %w", err)
+	}
+	// Step 3: write the job description; Step 4: submit via GRAM. The
+	// proxy speaks for alice, so the owner is the end-entity identity.
+	gc := &gram.Client{BaseURL: r.env.GramURL, Cred: proxy, Transport: uplink}
+	jobID, err := gc.Submit(&jsdl.Description{
+		Owner: xsec.Identity(proxy.Chain), Executable: "baseline.gsh", Site: siteName,
+	})
+	if err != nil {
+		return fmt.Errorf("baseline: submit: %w", err)
+	}
+	// Step 5: poll status; Step 6: fetch output.
+	st, err := gc.WaitTerminal(jobID, vtime.Real{}, 9*time.Second, time.Hour)
+	if err != nil || st.State != "DONE" {
+		return fmt.Errorf("baseline: job %v: %v", st, err)
+	}
+	_, err = gc.Output(jobID)
+	return err
 }
 
 // baselineSaaS is the same job through onServe: one service invocation.
-func baselineSaaS(opts Options, program string) (measurement, error) {
-	r, err := newRig(opts)
-	if err != nil {
-		return measurement{}, err
-	}
-	defer r.close()
-	svc, err := r.deploy("baseline.gsh", program)
-	if err != nil {
-		return measurement{}, err
-	}
-	return r.measure(func() error { _, err := svc.call(nil); return err })
+func baselineSaaS(opts Options, program string) (m measurement, err error) {
+	err = withRig(opts, func(r *rig) error {
+		svc, err := r.deploy("baseline.gsh", program)
+		if err != nil {
+			return err
+		}
+		m, err = r.measure(func() error { _, err := svc.call(nil); return err })
+		return err
+	})
+	return m, err
 }

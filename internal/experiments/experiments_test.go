@@ -5,8 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/metrics"
 )
+
+// TestMain runs the studies where their rigs take a bubble: under
+// GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestFig6Shape(t *testing.T) {
 	res, err := Fig6(Options{})
@@ -198,22 +203,23 @@ func ablationMap(res *AblationResult) map[string]float64 {
 
 func TestRecorderResetIsolation(t *testing.T) {
 	// Sanity: Reset really drops setup-phase traffic from the series.
-	r, err := newRig(Options{})
+	err := withRig(Options{}, func(r *rig) error {
+		if err := r.uploadViaPortal("x.gsh", "echo x\n"); err != nil {
+			t.Fatal(err)
+		}
+		r.rec.Reset()
+		series := r.rec.Series()
+		var total float64
+		for _, s := range series {
+			total += s.NetInBytes + s.NetOutBytes + s.DiskWriteBytes
+		}
+		if total != 0 {
+			t.Fatalf("series not empty after reset: %v", total)
+		}
+		_ = metrics.CSV(series)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.close()
-	if err := r.uploadViaPortal("x.gsh", "echo x\n"); err != nil {
-		t.Fatal(err)
-	}
-	r.rec.Reset()
-	series := r.rec.Series()
-	var total float64
-	for _, s := range series {
-		total += s.NetInBytes + s.NetOutBytes + s.DiskWriteBytes
-	}
-	if total != 0 {
-		t.Fatalf("series not empty after reset: %v", total)
-	}
-	_ = metrics.CSV(series)
 }

@@ -22,22 +22,20 @@ const largeProgramSize = 5 << 20
 // second when the job is created and submitted; periodic disk writes
 // from the tentative output polling.
 func Fig6(opts Options) (*Result, error) {
-	r, err := newRig(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-	svc, err := r.deploy("smalljob.gsh", smallProgram, "tag")
-	if err != nil {
-		return nil, err
-	}
-
-	// Measurement covers only the Web-service execution.
-	m, err := r.measure(func() error {
-		out, err := svc.call(map[string]string{"tag": "fig6"})
-		if err == nil && !strings.Contains(out, "final fig6") {
-			err = fmt.Errorf("experiments: unexpected job output %q", out)
+	var m measurement
+	err := withRig(opts, func(r *rig) error {
+		svc, err := r.deploy("smalljob.gsh", smallProgram, "tag")
+		if err != nil {
+			return err
 		}
+		// Measurement covers only the Web-service execution.
+		m, err = r.measure(func() error {
+			out, err := svc.call(map[string]string{"tag": "fig6"})
+			if err == nil && !strings.Contains(out, "final fig6") {
+				err = fmt.Errorf("experiments: unexpected job output %q", out)
+			}
+			return err
+		})
 		return err
 	})
 	if err != nil {
@@ -66,16 +64,15 @@ func Fig6(opts Options) (*Result, error) {
 // constant 80-90 KB/s for about 60 seconds; the disk is not the limiting
 // factor.
 func Fig7(opts Options) (*Result, error) {
-	r, err := newRig(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-	svc, err := r.deploy("bigjob.gsh", padded(smallProgram, largeProgramSize), "tag")
-	if err != nil {
-		return nil, err
-	}
-	m, err := r.measure(func() error { _, err := svc.call(map[string]string{"tag": "fig7"}); return err })
+	var m measurement
+	err := withRig(opts, func(r *rig) error {
+		svc, err := r.deploy("bigjob.gsh", padded(smallProgram, largeProgramSize), "tag")
+		if err != nil {
+			return err
+		}
+		m, err = r.measure(func() error { _, err := svc.call(map[string]string{"tag": "fig7"}); return err })
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -124,13 +121,12 @@ func Fig7(opts Options) (*Result, error) {
 // build), and two disk-write peaks — the temporary file and the database
 // insert — the paper's double-write flaw.
 func Fig8(opts Options) (*Result, error) {
-	r, err := newRig(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-	program := padded(smallProgram, largeProgramSize)
-	m, err := r.measure(func() error { return r.uploadViaPortal("genjob.gsh", program, "tag") })
+	var m measurement
+	err := withRig(opts, func(r *rig) (err error) {
+		program := padded(smallProgram, largeProgramSize)
+		m, err = r.measure(func() error { return r.uploadViaPortal("genjob.gsh", program, "tag") })
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

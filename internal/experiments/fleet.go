@@ -67,22 +67,25 @@ func AblationFleet(fleets []int, invocations int) (*AblationResult, error) {
 }
 
 // fleetRig is the booted fleet measurement stack: grid, gateway front
-// door and every shard on one event clock and one in-process network.
+// door and every shard over one in-process network.
 type fleetRig struct {
-	clock *vtime.Auto
 	pipes *netsim.Net
 	env   *gridenv.Env
 	gw    *gateway.Gateway
 }
 
+// withFleetRig runs fn on a fleet of fleetN in a bubble of its own.
+func withFleetRig(fleetN int, fn func(*fleetRig) error) error {
+	return inBubble(func() (*fleetRig, error) { return newFleetRig(fleetN) }, fn)
+}
+
 func newFleetRig(fleetN int) (*fleetRig, error) {
-	clk := vtime.NewAuto()
+	var clk vtime.Real
 	pipes := netsim.NewNet()
 	// The grid's server side stays unshaped; each appliance's own
 	// client-side WAN uplink is the measured link.
 	env, err := bootGrid(clk, pipes, nil, nil)
 	if err != nil {
-		clk.Stop()
 		return nil, err
 	}
 	gw, err := gateway.Boot(gateway.Config{
@@ -107,17 +110,15 @@ func newFleetRig(fleetN int) (*fleetRig, error) {
 	}, pipes.Listen())
 	if err != nil {
 		env.Close()
-		clk.Stop()
 		return nil, err
 	}
 	gw.RegisterUser("alice", aliceAuth)
-	return &fleetRig{clock: clk, pipes: pipes, env: env, gw: gw}, nil
+	return &fleetRig{pipes: pipes, env: env, gw: gw}, nil
 }
 
 func (r *fleetRig) close() {
 	r.gw.Shutdown()
 	r.env.Close()
-	r.clock.Stop()
 }
 
 // door reaches the fleet through its gateway.
@@ -128,13 +129,16 @@ func (r *fleetRig) door() door {
 // fleetBurst boots one fleet, publishes the service set, fires the
 // burst, and accounts gateway + fleet-wide counters. With kill set, one
 // appliance is hard-killed once an eighth of the burst has completed.
-func fleetBurst(study, variant string, fleetN, invocations int, kill bool) ([]AblationRow, error) {
-	r, err := newFleetRig(fleetN)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
+func fleetBurst(study, variant string, fleetN, invocations int, kill bool) (rows []AblationRow, err error) {
+	err = withFleetRig(fleetN, func(r *fleetRig) (err error) {
+		rows, err = r.burst(study, variant, fleetN, invocations, kill)
+		return err
+	})
+	return rows, err
+}
 
+// burst is fleetBurst on its rig.
+func (r *fleetRig) burst(study, variant string, fleetN, invocations int, kill bool) ([]AblationRow, error) {
 	nServices := invocations / 4
 	if nServices < 1 {
 		nServices = 1
@@ -166,14 +170,14 @@ func fleetBurst(study, variant string, fleetN, invocations int, kill bool) ([]Ab
 		}
 	}
 
-	start := r.clock.Now()
+	start := time.Now()
 	var completed, reissues atomic.Uint64
-	err = fanOut(invocations, 0, func(i int) error {
+	err := fanOut(invocations, 0, func(i int) error {
 		var err error
 		for attempt := 0; attempt < 10; attempt++ {
 			if attempt > 0 {
 				reissues.Add(1)
-				r.clock.Sleep(time.Second) // a virtual second's backoff
+				time.Sleep(time.Second) // a virtual second's backoff
 			}
 			if _, err = front.call(services[i%len(services)], fmt.Sprint(i)); err == nil {
 				if completed.Add(1) == 1 && kill {
@@ -192,7 +196,7 @@ func fleetBurst(study, variant string, fleetN, invocations int, kill bool) ([]Ab
 	if err != nil {
 		return nil, err
 	}
-	elapsed := r.clock.Now().Sub(start).Seconds()
+	elapsed := time.Since(start).Seconds()
 
 	st := r.gw.GatewayStats()
 	var submitRPCs, statusRPCs, uploads uint64

@@ -4,16 +4,16 @@
 // scalability discussion of §VIII-D, and the many-small-jobs observation
 // of §VIII-B. Each experiment boots the full stack — simulated TeraGrid,
 // appliance, portal, SOAP container — over in-process pipes (a
-// netsim.Net) on a discrete-event clock (vtime.Auto), shapes the
+// netsim.Net) in a testing/synctest bubble (package bubble), shapes the
 // appliance's grid path to the paper's WAN (~85 KB/s) and its user path
 // to the paper's LAN (1000 Mbit/s), and samples the appliance host's
 // CPU, disk, and network at 3-second virtual intervals exactly as the
 // paper did. Virtual time moves only by modelled cost — link pacing, the
 // metrics cost model, job runtimes, poll intervals — so a figure reads
 // the same on any host, with or without the race detector. The fleet rig
-// runs on the same clock and pipes.
+// runs in a bubble over pipes too.
 //
-// Every study is written in one vocabulary: a rig (newRig, newFleetRig),
+// Every study is written in one vocabulary: a rig (withRig, withFleetRig),
 // the two doors into it (service: the generated SOAP service the figures
 // measure; door: the portal's JSON API), rig.measure, fanOut, since, and
 // a variantTable of the knobs under comparison. Studies is the index of
@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/appliance"
+	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
@@ -148,7 +149,6 @@ var aliceAuth = core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"}
 
 // rig is the booted single-appliance measurement stack.
 type rig struct {
-	clock *vtime.Auto
 	rec   *metrics.Recorder
 	probe *metrics.Probe
 	env   *gridenv.Env
@@ -159,10 +159,30 @@ type rig struct {
 	userHTTP *http.Client
 }
 
-// newRig boots the grid and appliance with the paper's link profiles, on
-// one event clock and one in-process network.
+// inBubble boots a rig in a bubble of its own, runs fn on it and closes
+// it. It returns fn's error once every goroutine the rig started has
+// exited.
+func inBubble[R interface{ close() }](boot func() (R, error), fn func(R) error) (err error) {
+	bubble.Run(func() {
+		var r R
+		if r, err = boot(); err != nil {
+			return
+		}
+		defer r.close()
+		err = fn(r)
+	})
+	return err
+}
+
+// withRig runs fn on the grid and appliance, with the paper's link
+// profiles over one in-process network, in a bubble of its own.
+func withRig(opts Options, fn func(*rig) error) error {
+	return inBubble(func() (*rig, error) { return newRig(opts) }, fn)
+}
+
+// newRig boots the rig withRig runs: call it inside a bubble.
 func newRig(opts Options) (*rig, error) {
-	clk := vtime.NewAuto()
+	var clk vtime.Real
 	pipes := netsim.NewNet()
 	rec := metrics.NewRecorder(clk, sampleInterval)
 	probe := metrics.NewProbe(rec)
@@ -175,12 +195,10 @@ func newRig(opts Options) (*rig, error) {
 	// Grid servers answer the appliance across the WAN.
 	env, err := bootGrid(clk, pipes, wan, col)
 	if err != nil {
-		clk.Stop()
 		return nil, err
 	}
 	fail := func(err error) (*rig, error) {
 		env.Close()
-		clk.Stop()
 		return nil, err
 	}
 
@@ -206,13 +224,12 @@ func newRig(opts Options) (*rig, error) {
 	app.OnServe.RegisterUser("alice", aliceAuth)
 
 	userHTTP := &http.Client{Transport: hop.NewTransport((&netsim.Dialer{Profile: lan, Net: pipes}).DialContext)}
-	return &rig{clock: clk, rec: rec, probe: probe, env: env, app: app, uplink: uplink, userHTTP: userHTTP}, nil
+	return &rig{rec: rec, probe: probe, env: env, app: app, uplink: uplink, userHTTP: userHTTP}, nil
 }
 
 func (r *rig) close() {
 	r.app.Shutdown()
 	r.env.Close()
-	r.clock.Stop()
 }
 
 // measurement is what rig.measure observed while its function ran.
@@ -229,11 +246,11 @@ type measurement struct {
 // took and what the appliance host did meanwhile.
 func (r *rig) measure(fn func() error) (measurement, error) {
 	r.rec.Reset()
-	start := r.clock.Now()
+	start := time.Now()
 	if err := fn(); err != nil {
 		return measurement{}, err
 	}
-	m := measurement{seconds: r.clock.Now().Sub(start).Seconds(), series: r.rec.Series()}
+	m := measurement{seconds: time.Since(start).Seconds(), series: r.rec.Series()}
 	m.sum = seriesSummary(m.series)
 	return m, nil
 }

@@ -107,32 +107,33 @@ func TestVariantTablePick(t *testing.T) {
 // appliance — is a listener on its in-process network, so the rig opens
 // no socket.
 func TestRigRunsOnPipes(t *testing.T) {
-	r, err := newRig(Options{})
+	err := withRig(Options{}, func(r *rig) error {
+		eps := r.env.Endpoints()
+		urls := []string{eps.GramURL, r.app.BaseURL}
+		for _, u := range eps.FTPURLs {
+			urls = append(urls, u)
+		}
+		addrs := []string{eps.MyProxyAddr}
+		for _, u := range urls {
+			parsed, err := url.Parse(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs = append(addrs, parsed.Host)
+		}
+		for _, addr := range addrs {
+			c, err := r.uplink.Net.DialContext(context.Background(), "tcp", addr)
+			if err != nil {
+				t.Fatalf("endpoint %s is not on the rig's pipes: %v", addr, err)
+			}
+			if c.RemoteAddr().Network() != "pipe" {
+				t.Fatalf("endpoint %s answers on %s", addr, c.RemoteAddr().Network())
+			}
+			c.Close()
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer r.close()
-	eps := r.env.Endpoints()
-	urls := []string{eps.GramURL, r.app.BaseURL}
-	for _, u := range eps.FTPURLs {
-		urls = append(urls, u)
-	}
-	addrs := []string{eps.MyProxyAddr}
-	for _, u := range urls {
-		parsed, err := url.Parse(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs = append(addrs, parsed.Host)
-	}
-	for _, addr := range addrs {
-		c, err := r.uplink.Net.DialContext(context.Background(), "tcp", addr)
-		if err != nil {
-			t.Fatalf("endpoint %s is not on the rig's pipes: %v", addr, err)
-		}
-		if c.RemoteAddr().Network() != "pipe" {
-			t.Fatalf("endpoint %s answers on %s", addr, c.RemoteAddr().Network())
-		}
-		c.Close()
 	}
 }

@@ -83,20 +83,19 @@ func Scalability(opts Options, concurrencies []int, fileKB int) (*ScalabilityRes
 // scalabilityInvoke measures conc simultaneous invocations of a service
 // whose executable is fileKB large (staging contends on the WAN).
 func scalabilityInvoke(opts Options, conc, fileKB int) (*ScalabilityRow, error) {
-	r, err := newRig(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-	svc, err := r.deploy("sweep.gsh", padded("compute 1s\necho done ${tag}\n", fileKB<<10), "tag")
-	if err != nil {
-		return nil, err
-	}
-	m, err := r.measure(func() error {
-		return fanOut(conc, 0, func(i int) error {
-			_, err := svc.call(map[string]string{"tag": fmt.Sprint(i)})
+	var m measurement
+	err := withRig(opts, func(r *rig) error {
+		svc, err := r.deploy("sweep.gsh", padded("compute 1s\necho done ${tag}\n", fileKB<<10), "tag")
+		if err != nil {
 			return err
+		}
+		m, err = r.measure(func() error {
+			return fanOut(conc, 0, func(i int) error {
+				_, err := svc.call(map[string]string{"tag": fmt.Sprint(i)})
+				return err
+			})
 		})
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: invoke sweep (conc=%d): %w", conc, err)
@@ -106,16 +105,15 @@ func scalabilityInvoke(opts Options, conc, fileKB int) (*ScalabilityRow, error) 
 
 // scalabilityUpload measures conc simultaneous portal uploads.
 func scalabilityUpload(opts Options, conc, fileKB int) (*ScalabilityRow, error) {
-	r, err := newRig(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
 	program := padded("echo stored\n", fileKB<<10)
-	m, err := r.measure(func() error {
-		return fanOut(conc, 0, func(i int) error {
-			return r.uploadViaPortal(fmt.Sprintf("up%c.gsh", 'a'+i), program)
+	var m measurement
+	err := withRig(opts, func(r *rig) (err error) {
+		m, err = r.measure(func() error {
+			return fanOut(conc, 0, func(i int) error {
+				return r.uploadViaPortal(fmt.Sprintf("up%c.gsh", 'a'+i), program)
+			})
 		})
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: upload sweep (conc=%d): %w", conc, err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/gridsim"
 	"repro/internal/jsdl"
 	"repro/internal/vtime"
@@ -60,9 +61,15 @@ func SchedulerPolicies() (*SchedulerResult, error) {
 	return res, nil
 }
 
-func runPolicyWorkload(policy gridsim.Policy) (*SchedulerRow, error) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
+// runPolicyWorkload runs one policy's workload on a site of its own, in a
+// bubble of its own.
+func runPolicyWorkload(policy gridsim.Policy) (row *SchedulerRow, err error) {
+	bubble.Run(func() { row, err = policyWorkload(policy) })
+	return row, err
+}
+
+func policyWorkload(policy gridsim.Policy) (*SchedulerRow, error) {
+	var clk vtime.Real
 	site := gridsim.NewSite(gridsim.SiteConfig{
 		Name: "abl", Nodes: 2, CoresPerNode: 8, Policy: policy,
 	}, clk)

@@ -106,17 +106,19 @@ func TestAblationFleetShape(t *testing.T) {
 
 // TestFleetRigIsInProcess: every endpoint of the fleet rig — gatekeeper,
 // MyProxy, front door, both GridFTP sites and both shards — is on the
-// rig's pipes, so no byte waits in a socket the event clock cannot see.
+// rig's pipes, so no goroutine waits on a socket, which would hold the
+// bubble's clock.
 func TestFleetRigIsInProcess(t *testing.T) {
-	r, err := newFleetRig(2)
+	err := withFleetRig(2, func(r *fleetRig) error {
+		all := fmt.Sprint(r.env.GramURL, " http://", r.env.MyProxyAddr, " ", r.gw.BaseURL, " ", r.env.FTPURLs["ncsa-abe"],
+			" ", r.env.FTPURLs["sdsc-ds"], " ", r.gw.Fleet()[0].BaseURL, " ", r.gw.Fleet()[1].BaseURL)
+		if !regexp.MustCompile(`^http://pipe[0-9]+:80( http://pipe[0-9]+:80){6}$`).MatchString(all) {
+			t.Fatalf("endpoints %s, want seven on the rig's pipes", all)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer r.close()
-	all := fmt.Sprint(r.env.GramURL, " http://", r.env.MyProxyAddr, " ", r.gw.BaseURL, " ", r.env.FTPURLs["ncsa-abe"],
-		" ", r.env.FTPURLs["sdsc-ds"], " ", r.gw.Fleet()[0].BaseURL, " ", r.gw.Fleet()[1].BaseURL)
-	if !regexp.MustCompile(`^http://pipe[0-9]+:80( http://pipe[0-9]+:80){6}$`).MatchString(all) {
-		t.Fatalf("endpoints %s, want seven on the rig's pipes", all)
 	}
 }
 

@@ -41,23 +41,22 @@ func SmallJobs(opts Options, jobs, workers int) (*SmallJobsResult, error) {
 	jobs = orDefault(jobs, 50)
 	workers = orDefault(workers, 8)
 	const computeSeconds = 1.0
-	r, err := newRig(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.close()
-	svc, err := r.deploy("tiny.gsh", "compute 1s\necho ok ${i}\n", "i")
-	if err != nil {
-		return nil, err
-	}
-	m, err := r.measure(func() error {
-		return fanOut(jobs, workers, func(i int) error {
-			out, err := svc.call(map[string]string{"i": fmt.Sprint(i)})
-			if err == nil && !strings.Contains(out, fmt.Sprintf("ok %d", i)) {
-				err = fmt.Errorf("job %d wrong output %q", i, out)
-			}
+	var m measurement
+	err := withRig(opts, func(r *rig) error {
+		svc, err := r.deploy("tiny.gsh", "compute 1s\necho ok ${i}\n", "i")
+		if err != nil {
 			return err
+		}
+		m, err = r.measure(func() error {
+			return fanOut(jobs, workers, func(i int) error {
+				out, err := svc.call(map[string]string{"i": fmt.Sprint(i)})
+				if err == nil && !strings.Contains(out, fmt.Sprintf("ok %d", i)) {
+					err = fmt.Errorf("job %d wrong output %q", i, out)
+				}
+				return err
+			})
 		})
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: small jobs: %w", err)

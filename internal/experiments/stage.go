@@ -269,11 +269,11 @@ func (b *faultBody) Close() error { return b.rc.Close() }
 // retry after a mid-transfer fault costs: stock restarts from byte zero,
 // chunked resumes from the committed chunk set.
 func stageResume(opts Options, res *AblationResult, size int) error {
-	r, err := newRig(opts)
-	if err != nil {
-		return err
-	}
-	defer r.close()
+	return withRig(opts, func(r *rig) error { return r.stageResume(res, size) })
+}
+
+// stageResume is the package func's comparison on its rig.
+func (r *rig) stageResume(res *AblationResult, size int) error {
 	ftpURL := r.env.FTPURLs[r.env.Grid.SiteNames()[0]]
 	dial := r.uplink.DialContext
 	cred, err := (&myproxy.Client{Addr: r.env.MyProxyAddr, Dial: dial}).Get("alice", "pw", time.Hour)

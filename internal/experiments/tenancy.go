@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/tenant"
 )
@@ -90,12 +91,11 @@ func tenancyRun(o Options, row func(string, float64), burst int, cfg *tenant.Con
 	o.Appliance.StagingCache = true
 	o.Appliance.SessionCache = true
 	o.Tracing = cfg != nil // the on-variant verifies audit <-> trace linkage
-	r, err := newRig(o)
-	if err != nil {
-		return err
-	}
-	defer r.close()
+	return withRig(o, func(r *rig) error { return r.tenancyBurst(row, burst, cfg) })
+}
 
+// tenancyBurst is tenancyRun's measurement on its rig.
+func (r *rig) tenancyBurst(row func(string, float64), burst int, cfg *tenant.Config) (err error) {
 	victim, hog := r.door(""), r.door("")
 	if cfg != nil {
 		victim.Key, hog.Key = "victim-secret", "hog-secret"
@@ -106,9 +106,9 @@ func tenancyRun(o Options, row func(string, float64), burst int, cfg *tenant.Con
 	const service = "ProbejobService"
 	// probe times one victim invocation end to end in virtual ms.
 	probe := func(tag string) (ticket string, ms float64, err error) {
-		start := r.clock.Now()
+		start := time.Now()
 		ticket, err = victim.call(service, tag)
-		return ticket, float64(r.clock.Now().Sub(start).Milliseconds()), err
+		return ticket, float64(time.Since(start).Milliseconds()), err
 	}
 
 	// Solo baseline: the victim's latency with nobody else on the box.
@@ -166,11 +166,31 @@ func tenancyRun(o Options, row func(string, float64), burst int, cfg *tenant.Con
 	row("bound_ok", b2f(p99 <= bound))
 	row("hog_admitted", float64(hogAdmitted.Load()))
 	row("hog_denied", float64(hogDenied.Load()))
+	// No admitted invocation is lost or runs twice: once the grid has
+	// drained, it has finished one job for each.
+	jobs := r.drainGrid()
+	row("grid_jobs", float64(jobs))
+	row("runs_once", b2f(jobs == int(hogAdmitted.Load())+tenancyWarmup+tenancyProbes))
 	if cfg == nil {
 		return nil
 	}
 	return r.tenancyAuditRows(row, lastTicket,
 		int(hogAdmitted.Load())+tenancyWarmup+tenancyProbes, int(hogDenied.Load()))
+}
+
+// drainGrid waits until no job is queued or running on the rig's grid and
+// returns how many it has finished.
+func (r *rig) drainGrid() int {
+	for {
+		busy, done := 0, 0
+		for _, st := range r.env.Grid.Stats() {
+			busy, done = busy+st.Queued+st.Running, done+st.Completed+st.Failed
+		}
+		if busy == 0 {
+			return done
+		}
+		time.Sleep(time.Second)
+	}
 }
 
 // tenancyAuditRows pulls /api/audit and cross-checks it against the

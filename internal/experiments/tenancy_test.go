@@ -22,6 +22,11 @@ func TestAblationTenancyShape(t *testing.T) {
 		if got := vals[study+"/"+variant+"/victim_p99_ms"]; got <= 0 {
 			t.Fatalf("%s victim p99 %v", variant, got)
 		}
+		// No admitted invocation is lost or runs twice on the grid.
+		if got := vals[study+"/"+variant+"/runs_once"]; got != 1 {
+			t.Fatalf("%s: %v grid jobs for %v admitted hog invocations and the victim's %d", variant,
+				vals[study+"/"+variant+"/grid_jobs"], vals[study+"/"+variant+"/hog_admitted"], tenancyWarmup+tenancyProbes)
+		}
 	}
 
 	// Off: nothing is denied — the whole burst lands on the grid.

@@ -12,8 +12,13 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/bubble"
 	"repro/internal/sizedio"
 )
+
+// TestMain runs the package's tests under GOEXPERIMENT=synctest, where
+// those that build a simulated grid run it in a bubble.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 // lowerMaxBody shrinks the body bound for one test, so "one byte too
 // many" does not take a quarter of a gigabyte to say.
@@ -28,49 +33,51 @@ func lowerMaxBody(t *testing.T, limit int64) {
 // the client declared the length or streamed it — and reaches no
 // appliance.
 func TestOversizeRequestBodyRefused(t *testing.T) {
-	const limit = 8 << 10
-	lowerMaxBody(t, limit)
-	w := bootFleet(t, 2, nil)
-	proxied := func() (n uint64) {
-		for _, m := range w.gw.members {
-			n += countsOf(m).Proxied
+	bubble.Test(t, func(t *testing.T) {
+		const limit = 8 << 10
+		lowerMaxBody(t, limit)
+		w := bootFleet(t, 2, nil)
+		proxied := func() (n uint64) {
+			for _, m := range w.gw.members {
+				n += countsOf(m).Proxied
+			}
+			return n
 		}
-		return n
-	}
-	post := func(body io.Reader) (int, string) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, w.gw.BaseURL+"/upload", body)
-		if err != nil {
-			t.Fatal(err)
+		post := func(body io.Reader) (int, string) {
+			t.Helper()
+			req, err := http.NewRequest(http.MethodPost, w.gw.BaseURL+"/upload", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/octet-stream")
+			resp, err := web.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var env struct{ Code string }
+			json.NewDecoder(resp.Body).Decode(&env)
+			return resp.StatusCode, env.Code
 		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := web.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		before := proxied()
+		big := make([]byte, limit+1)
+		for name, body := range map[string]io.Reader{
+			"declared":   bytes.NewReader(big),                      // Content-Length: limit+1
+			"undeclared": struct{ io.Reader }{bytes.NewReader(big)}, // chunked
+		} {
+			if status, code := post(body); status != http.StatusRequestEntityTooLarge || code != "too_large" {
+				t.Errorf("%s body of maxBody+1: status %d code %q, want 413 too_large", name, status, code)
+			}
 		}
-		defer resp.Body.Close()
-		var env struct{ Code string }
-		json.NewDecoder(resp.Body).Decode(&env)
-		return resp.StatusCode, env.Code
-	}
-	before := proxied()
-	big := make([]byte, limit+1)
-	for name, body := range map[string]io.Reader{
-		"declared":   bytes.NewReader(big),                      // Content-Length: limit+1
-		"undeclared": struct{ io.Reader }{bytes.NewReader(big)}, // chunked
-	} {
-		if status, code := post(body); status != http.StatusRequestEntityTooLarge || code != "too_large" {
-			t.Errorf("%s body of maxBody+1: status %d code %q, want 413 too_large", name, status, code)
+		if got := proxied(); got != before {
+			t.Fatalf("an oversize body was proxied (%d -> %d upstream requests)", before, got)
 		}
-	}
-	if got := proxied(); got != before {
-		t.Fatalf("an oversize body was proxied (%d -> %d upstream requests)", before, got)
-	}
-	// At the bound the size is no objection (the route decoder's verdict
-	// on a body that is no upload form is not this test's business).
-	if status, _ := post(bytes.NewReader(big[:limit])); status == http.StatusRequestEntityTooLarge {
-		t.Fatal("a body of exactly maxBody was refused for its size")
-	}
+		// At the bound the size is no objection (the route decoder's verdict
+		// on a body that is no upload form is not this test's business).
+		if status, _ := post(bytes.NewReader(big[:limit])); status == http.StatusRequestEntityTooLarge {
+			t.Fatal("a body of exactly maxBody was refused for its size")
+		}
+	})
 }
 
 // TestOversizeResponseBodyIsAProxyError: the same bound on the way back.

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/hop"
 	"repro/internal/tenant"
@@ -144,36 +145,38 @@ func TestForwardDropsHopByHopHeaders(t *testing.T) {
 // its own connection after each request does not close the gateway's
 // pooled one to the member: five such GETs dial the member no more.
 func TestCallerConnectionCloseKeepsTheMemberConnection(t *testing.T) {
-	var dials atomic.Int32
-	w := bootFleet(t, 1, nil)
-	w.gw.rt = hop.NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		return pipes.DialContext(ctx, network, addr)
+	bubble.Test(t, func(t *testing.T) {
+		var dials atomic.Int32
+		w := bootFleet(t, 1, nil)
+		w.gw.rt = hop.NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			return pipes.DialContext(ctx, network, addr)
+		})
+		get := func(close bool) {
+			req, err := http.NewRequest(http.MethodGet, w.gw.BaseURL+"/api/services", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Close = close
+			resp, err := web.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /api/services: %d", resp.StatusCode)
+			}
+		}
+		get(false) // the member's connection, dialled and pooled
+		before := dials.Load()
+		for i := 0; i < 5; i++ {
+			get(true)
+		}
+		if n := dials.Load() - before; n != 0 {
+			t.Fatalf("five GETs with Connection: close dialled the member %d times, want 0", n)
+		}
 	})
-	get := func(close bool) {
-		req, err := http.NewRequest(http.MethodGet, w.gw.BaseURL+"/api/services", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Close = close
-		resp, err := web.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /api/services: %d", resp.StatusCode)
-		}
-	}
-	get(false) // the member's connection, dialled and pooled
-	before := dials.Load()
-	for i := 0; i < 5; i++ {
-		get(true)
-	}
-	if n := dials.Load() - before; n != 0 {
-		t.Fatalf("five GETs with Connection: close dialled the member %d times, want 0", n)
-	}
 }
 
 // TestForwardDialErrorIsRetryable: a write is retried on a successor only
@@ -202,40 +205,42 @@ func TestForwardDialErrorIsRetryable(t *testing.T) {
 // a delete has to show the caller's key, or every sibling refuses it,
 // audits a denial, and keeps the copy a failover replay left there.
 func TestDeleteSweepActsForTheCaller(t *testing.T) {
-	w := bootFleet(t, 2, func(cfg *Config) {
-		cfg.Appliance.Tenancy = fleetTenancyConfig()
-	})
-	ct, body := multipartUploadProgram(t, "swept.gsh", "alice", "echo ok\n")
-	resp, raw := keyedDo(t, http.MethodPost, w.gw.BaseURL+"/upload", "acme-secret", ct, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("upload: %d %s", resp.StatusCode, raw)
-	}
-	// What a failover replay does: the same upload onto the other shard.
-	fleet := w.gw.Fleet()
-	other := fleet[1-w.gw.PrimaryFor("SweptService")]
-	if resp, raw = keyedDo(t, http.MethodPost, other.BaseURL+"/upload", "acme-secret", ct, body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("replayed upload: %d %s", resp.StatusCode, raw)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		w := bootFleet(t, 2, func(cfg *Config) {
+			cfg.Appliance.Tenancy = fleetTenancyConfig()
+		})
+		ct, body := multipartUploadProgram(t, "swept.gsh", "alice", "echo ok\n")
+		resp, raw := keyedDo(t, http.MethodPost, w.gw.BaseURL+"/upload", "acme-secret", ct, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload: %d %s", resp.StatusCode, raw)
+		}
+		// What a failover replay does: the same upload onto the other shard.
+		fleet := w.gw.Fleet()
+		other := fleet[1-w.gw.PrimaryFor("SweptService")]
+		if resp, raw = keyedDo(t, http.MethodPost, other.BaseURL+"/upload", "acme-secret", ct, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("replayed upload: %d %s", resp.StatusCode, raw)
+		}
 
-	resp, raw = keyedDo(t, http.MethodPost, w.gw.BaseURL+"/api/delete?name=SweptService", "acme-secret", "", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("delete: %d %s", resp.StatusCode, raw)
-	}
-	for i, app := range fleet {
-		_, raw := keyedDo(t, http.MethodGet, app.BaseURL+"/api/services", "acme-secret", "", nil)
-		var infos []core.ExecutableInfo
-		if err := json.Unmarshal(raw, &infos); err != nil {
-			t.Fatalf("shard %d services %q: %v", i, raw, err)
+		resp, raw = keyedDo(t, http.MethodPost, w.gw.BaseURL+"/api/delete?name=SweptService", "acme-secret", "", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete: %d %s", resp.StatusCode, raw)
 		}
-		for _, info := range infos {
-			if info.ServiceName == "SweptService" {
-				t.Errorf("shard %d still holds the deleted service", i)
+		for i, app := range fleet {
+			_, raw := keyedDo(t, http.MethodGet, app.BaseURL+"/api/services", "acme-secret", "", nil)
+			var infos []core.ExecutableInfo
+			if err := json.Unmarshal(raw, &infos); err != nil {
+				t.Fatalf("shard %d services %q: %v", i, raw, err)
+			}
+			for _, info := range infos {
+				if info.ServiceName == "SweptService" {
+					t.Errorf("shard %d still holds the deleted service", i)
+				}
+			}
+			for _, rec := range app.OnServe.Tenancy().Audit("", 100) {
+				if rec.Code == "unauthorized" {
+					t.Errorf("shard %d audited an unauthorized %s: the sweep showed no key", i, rec.Verb)
+				}
 			}
 		}
-		for _, rec := range app.OnServe.Tenancy().Audit("", 100) {
-			if rec.Code == "unauthorized" {
-				t.Errorf("shard %d audited an unauthorized %s: the sweep showed no key", i, rec.Verb)
-			}
-		}
-	}
+	})
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/bubble"
 )
 
 // keyPaths lists every key path of a JSON document, sorted: an object's
@@ -68,31 +70,33 @@ func statsPaths(t *testing.T, base, doc string) []string {
 // appliance with tenancy off, one with tenancy on, and the gateway's
 // document over a tenancy-on fleet.
 func TestStatsDocumentShape(t *testing.T) {
-	off := bootFleet(t, 1, nil)
-	on := bootFleet(t, 2, func(cfg *Config) { cfg.Appliance.Tenancy = fleetTenancyConfig() })
-	var got []string
-	got = append(got, statsPaths(t, off.gw.Fleet()[0].BaseURL, "appliance")...)
-	got = append(got, statsPaths(t, on.gw.Fleet()[0].BaseURL, "appliance+tenancy")...)
-	got = append(got, statsPaths(t, on.gw.BaseURL, "gateway")...)
+	bubble.Test(t, func(t *testing.T) {
+		off := bootFleet(t, 1, nil)
+		on := bootFleet(t, 2, func(cfg *Config) { cfg.Appliance.Tenancy = fleetTenancyConfig() })
+		var got []string
+		got = append(got, statsPaths(t, off.gw.Fleet()[0].BaseURL, "appliance")...)
+		got = append(got, statsPaths(t, on.gw.Fleet()[0].BaseURL, "appliance+tenancy")...)
+		got = append(got, statsPaths(t, on.gw.BaseURL, "gateway")...)
 
-	raw, err := os.ReadFile("testdata/stats-paths.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		wanted := map[string]bool{}
-		for _, p := range want {
-			wanted[p] = true
+		raw, err := os.ReadFile("testdata/stats-paths.txt")
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, p := range got {
-			if !wanted[p] {
-				t.Errorf("new key path %s", p)
+		want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			wanted := map[string]bool{}
+			for _, p := range want {
+				wanted[p] = true
 			}
-			delete(wanted, p)
+			for _, p := range got {
+				if !wanted[p] {
+					t.Errorf("new key path %s", p)
+				}
+				delete(wanted, p)
+			}
+			for p := range wanted {
+				t.Errorf("lost key path %s", p)
+			}
 		}
-		for p := range wanted {
-			t.Errorf("lost key path %s", p)
-		}
-	}
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/gridsim"
 	"repro/internal/hop"
 	"repro/internal/hop/hoptest"
@@ -136,27 +137,29 @@ func (c *canned) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 func TestSubmitAllocations(t *testing.T) {
-	f := newFixture(t)
-	c := &Client{BaseURL: "http://gatekeeper.invalid:2119", Cred: f.client.Cred,
-		Transport: &canned{status: http.StatusOK, body: `{"job_id":"siteA:job-17"}` + "\n"}}
-	desc := f.desc("hello.gsh")
-	if id, err := c.Submit(desc); err != nil || id != "siteA:job-17" {
-		t.Fatalf("submit: %q, %v", id, err)
-	}
-	rt := c.Transport.(*canned)
-	allocs := testing.AllocsPerRun(200, func() {
-		rt.reqs, rt.bodies = rt.reqs[:0], rt.bodies[:0]
-		if _, err := c.Submit(desc); err != nil {
-			t.Fatal(err)
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t)
+		c := &Client{BaseURL: "http://gatekeeper.invalid:2119", Cred: f.client.Cred,
+			Transport: &canned{status: http.StatusOK, body: `{"job_id":"siteA:job-17"}` + "\n"}}
+		desc := f.desc("hello.gsh")
+		if id, err := c.Submit(desc); err != nil || id != "siteA:job-17" {
+			t.Fatalf("submit: %q, %v", id, err)
+		}
+		rt := c.Transport.(*canned)
+		allocs := testing.AllocsPerRun(200, func() {
+			rt.reqs, rt.bodies = rt.reqs[:0], rt.bodies[:0]
+			if _, err := c.Submit(desc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The canned transport's own reply and its read of the body are in the
+		// count (7 objects); what is Submit's is the document, the token, the
+		// request and the job ID.
+		t.Logf("Submit: %.0f objects", allocs)
+		if allocs > 24 {
+			t.Fatalf("Submit allocates %.0f objects, want <= 24", allocs)
 		}
 	})
-	// The canned transport's own reply and its read of the body are in the
-	// count (7 objects); what is Submit's is the document, the token, the
-	// request and the job ID.
-	t.Logf("Submit: %.0f objects", allocs)
-	if allocs > 24 {
-		t.Fatalf("Submit allocates %.0f objects, want <= 24", allocs)
-	}
 }
 
 func TestHotOpFrameDecodeAllocations(t *testing.T) {
@@ -192,108 +195,114 @@ func TestHotOpFrameDecodeAllocations(t *testing.T) {
 // the wire: method, URL, header set and body, as http.NewRequest and
 // Client.Do sent them.
 func TestWireUnchanged(t *testing.T) {
-	f := newFixture(t)
-	rt := &canned{status: http.StatusOK, body: `{"job_id":"siteA:job-1"}`}
-	c := &Client{BaseURL: "http://gk.invalid:2119/root", Cred: f.client.Cred, Transport: rt}
-	desc := f.desc("hello.gsh")
-	doc, _ := jsdl.Marshal(desc)
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t)
+		rt := &canned{status: http.StatusOK, body: `{"job_id":"siteA:job-1"}`}
+		c := &Client{BaseURL: "http://gk.invalid:2119/root", Cred: f.client.Cred, Transport: rt}
+		desc := f.desc("hello.gsh")
+		doc, _ := jsdl.Marshal(desc)
 
-	if _, err := c.Submit(desc); err != nil {
-		t.Fatal(err)
-	}
-	rt.body = `{"entries":[{"job_id":"a"},{"job_id":"b c"}]}`
-	if _, err := c.StatusBatch([]string{"a", "b c"}); err != nil {
-		t.Fatal(err)
-	}
-	c.Trace = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
-	rt.status, rt.header = http.StatusNotModified, http.Header{"Etag": {`"v7"`}}
-	if _, v, changed, err := c.OutputIfChanged("site A:job&1", 7); err != nil || changed || v != 7 {
-		t.Fatalf("conditional fetch: v%d changed=%v %v", v, changed, err)
-	}
+		if _, err := c.Submit(desc); err != nil {
+			t.Fatal(err)
+		}
+		rt.body = `{"entries":[{"job_id":"a"},{"job_id":"b c"}]}`
+		if _, err := c.StatusBatch([]string{"a", "b c"}); err != nil {
+			t.Fatal(err)
+		}
+		c.Trace = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
+		rt.status, rt.header = http.StatusNotModified, http.Header{"Etag": {`"v7"`}}
+		if _, v, changed, err := c.OutputIfChanged("site A:job&1", 7); err != nil || changed || v != 7 {
+			t.Fatalf("conditional fetch: v%d changed=%v %v", v, changed, err)
+		}
 
-	want := []struct {
-		method, url string
-		header      map[string]string
-		body        string
-		signed      string
-	}{
-		{"POST", "http://gk.invalid:2119/root/gram/submit", map[string]string{"Content-Type": "text/xml"}, string(doc), string(doc)},
-		{"POST", "http://gk.invalid:2119/root/gram/status-batch", map[string]string{"Content-Type": "application/json"}, `{"jobs":["a","b c"]}`, `{"jobs":["a","b c"]}`},
-		{"GET", "http://gk.invalid:2119/root/gram/output?job=site+A:job%261", map[string]string{"If-None-Match": `"v7"`, trace.Header: c.Trace}, "", "job:site A:job&1"},
-	}
-	if len(rt.reqs) != len(want) {
-		t.Fatalf("%d requests, want %d", len(rt.reqs), len(want))
-	}
-	for i, w := range want {
-		req := rt.reqs[i]
-		if req.Method != w.method || req.URL.String() != w.url || req.Host != "gk.invalid:2119" {
-			t.Errorf("request %d: %s %s (host %s), want %s %s", i, req.Method, req.URL, req.Host, w.method, w.url)
+		want := []struct {
+			method, url string
+			header      map[string]string
+			body        string
+			signed      string
+		}{
+			{"POST", "http://gk.invalid:2119/root/gram/submit", map[string]string{"Content-Type": "text/xml"}, string(doc), string(doc)},
+			{"POST", "http://gk.invalid:2119/root/gram/status-batch", map[string]string{"Content-Type": "application/json"}, `{"jobs":["a","b c"]}`, `{"jobs":["a","b c"]}`},
+			{"GET", "http://gk.invalid:2119/root/gram/output?job=site+A:job%261", map[string]string{"If-None-Match": `"v7"`, trace.Header: c.Trace}, "", "job:site A:job&1"},
 		}
-		if string(rt.bodies[i]) != w.body || req.ContentLength != int64(len(w.body)) {
-			t.Errorf("request %d: body %q (declared %d), want %q", i, rt.bodies[i], req.ContentLength, w.body)
+		if len(rt.reqs) != len(want) {
+			t.Fatalf("%d requests, want %d", len(rt.reqs), len(want))
 		}
-		got := map[string]string{}
-		for k, vs := range req.Header {
-			if len(vs) != 1 {
-				t.Errorf("request %d: header %s has %d values", i, k, len(vs))
+		for i, w := range want {
+			req := rt.reqs[i]
+			if req.Method != w.method || req.URL.String() != w.url || req.Host != "gk.invalid:2119" {
+				t.Errorf("request %d: %s %s (host %s), want %s %s", i, req.Method, req.URL, req.Host, w.method, w.url)
 			}
-			got[k] = vs[0]
-		}
-		tok := got[TokenHeader]
-		delete(got, TokenHeader)
-		if !reflect.DeepEqual(got, w.header) {
-			t.Errorf("request %d: headers %v, want %v plus the token", i, got, w.header)
-		}
-		if id, err := f.srv.authenticate(&http.Request{Header: http.Header{TokenHeader: {tok}}}, []byte(w.signed)); err != nil || id != f.alice {
-			t.Errorf("request %d: token does not verify over %q: %v", i, w.signed, err)
-		}
-		// A body can be replayed, which is what lets the transport retry a
-		// request that met a dead keep-alive connection.
-		if w.body != "" {
-			if req.GetBody == nil {
-				t.Fatalf("request %d: no GetBody", i)
+			if string(rt.bodies[i]) != w.body || req.ContentLength != int64(len(w.body)) {
+				t.Errorf("request %d: body %q (declared %d), want %q", i, rt.bodies[i], req.ContentLength, w.body)
 			}
-			again, _ := req.GetBody()
-			if b, _ := io.ReadAll(again); string(b) != w.body {
-				t.Errorf("request %d: replayed body %q", i, b)
+			got := map[string]string{}
+			for k, vs := range req.Header {
+				if len(vs) != 1 {
+					t.Errorf("request %d: header %s has %d values", i, k, len(vs))
+				}
+				got[k] = vs[0]
 			}
-		} else if req.Body != nil {
-			t.Errorf("request %d: a body on a bodyless call", i)
+			tok := got[TokenHeader]
+			delete(got, TokenHeader)
+			if !reflect.DeepEqual(got, w.header) {
+				t.Errorf("request %d: headers %v, want %v plus the token", i, got, w.header)
+			}
+			if id, err := f.srv.authenticate(&http.Request{Header: http.Header{TokenHeader: {tok}}}, []byte(w.signed)); err != nil || id != f.alice {
+				t.Errorf("request %d: token does not verify over %q: %v", i, w.signed, err)
+			}
+			// A body can be replayed, which is what lets the transport retry a
+			// request that met a dead keep-alive connection.
+			if w.body != "" {
+				if req.GetBody == nil {
+					t.Fatalf("request %d: no GetBody", i)
+				}
+				again, _ := req.GetBody()
+				if b, _ := io.ReadAll(again); string(b) != w.body {
+					t.Errorf("request %d: replayed body %q", i, b)
+				}
+			} else if req.Body != nil {
+				t.Errorf("request %d: a body on a bodyless call", i)
+			}
 		}
-	}
+	})
 }
 
 // TestDroppedKeepAliveIsRetried: the transport retries a POST that met a
 // dead pooled connection only when it can replay the body (GetBody), and
 // the second submit below meets exactly that.
 func TestDroppedKeepAliveIsRetried(t *testing.T) {
-	f := newFixture(t)
-	var armed atomic.Bool
-	var dials atomic.Int32
-	tr := hop.NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		conn, err := f.net.DialContext(ctx, network, addr)
-		return hoptest.DeadOnReuse{Conn: conn, Armed: &armed}, err
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t)
+		var armed atomic.Bool
+		var dials atomic.Int32
+		tr := hop.NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			conn, err := f.net.DialContext(ctx, network, addr)
+			return hoptest.DeadOnReuse{Conn: conn, Armed: &armed}, err
+		})
+		defer tr.CloseIdleConnections()
+		c := &Client{BaseURL: f.client.BaseURL, Cred: f.client.Cred, Transport: tr}
+		if _, err := c.Submit(f.desc("hello.gsh")); err != nil {
+			t.Fatal(err)
+		}
+		armed.Store(true)
+		if _, err := c.Submit(f.desc("hello.gsh")); err != nil {
+			t.Fatalf("submit over a dead pooled connection: %v", err)
+		}
+		if armed.Load() || dials.Load() != 2 {
+			t.Fatalf("the pooled connection was not reused and redialled: armed=%v dials=%d", armed.Load(), dials.Load())
+		}
 	})
-	defer tr.CloseIdleConnections()
-	c := &Client{BaseURL: f.client.BaseURL, Cred: f.client.Cred, Transport: tr}
-	if _, err := c.Submit(f.desc("hello.gsh")); err != nil {
-		t.Fatal(err)
-	}
-	armed.Store(true)
-	if _, err := c.Submit(f.desc("hello.gsh")); err != nil {
-		t.Fatalf("submit over a dead pooled connection: %v", err)
-	}
-	if armed.Load() || dials.Load() != 2 {
-		t.Fatalf("the pooled connection was not reused and redialled: armed=%v dials=%d", armed.Load(), dials.Load())
-	}
 }
 
 func TestOversizedReplyIsAnError(t *testing.T) {
-	f := newFixture(t)
-	rt := &canned{status: http.StatusOK, body: `{"job_id":"` + strings.Repeat("x", MaxBody) + `"}`}
-	c := &Client{BaseURL: "http://gk.invalid", Cred: f.client.Cred, Transport: rt}
-	if _, err := c.Submit(f.desc("hello.gsh")); !errors.Is(err, sizedio.ErrTooLarge) {
-		t.Fatalf("oversized reply: %v", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t)
+		rt := &canned{status: http.StatusOK, body: `{"job_id":"` + strings.Repeat("x", MaxBody) + `"}`}
+		c := &Client{BaseURL: "http://gk.invalid", Cred: f.client.Cred, Transport: rt}
+		if _, err := c.Submit(f.desc("hello.gsh")); !errors.Is(err, sizedio.ErrTooLarge) {
+			t.Fatalf("oversized reply: %v", err)
+		}
+	})
 }

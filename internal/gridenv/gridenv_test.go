@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/gram"
 	"repro/internal/gridsim"
 	"repro/internal/hop"
@@ -17,6 +18,10 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/vtime"
 )
+
+// TestMain runs the tests that sleep on virtual time in a bubble, under
+// GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestStartDefaultTeraGrid(t *testing.T) {
 	env, err := Start(Options{Clock: vtime.NewManual(time.Unix(0, 0)), Net: netsim.NewNet()})
@@ -37,49 +42,50 @@ func TestStartDefaultTeraGrid(t *testing.T) {
 }
 
 func TestAddUserAndAuthenticateThroughStack(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	pipes := netsim.NewNet()
-	env, err := Start(Options{
-		Clock: clk,
-		Sites: []gridsim.SiteConfig{{Name: "s", Nodes: 1, CoresPerNode: 2}},
-		Net:   pipes,
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		pipes := netsim.NewNet()
+		env, err := Start(Options{
+			Clock: clk,
+			Sites: []gridsim.SiteConfig{{Name: "s", Nodes: 1, CoresPerNode: 2}},
+			Net:   pipes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		cred, err := env.AddUser("dana", "pw", time.Hour*24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cred.Subject() != "/O=Repro/CN=dana" {
+			t.Fatalf("subject %q", cred.Subject())
+		}
+		// The MyProxy server really holds the credential.
+		mp := &myproxy.Client{Addr: env.MyProxyAddr, Dial: pipes.DialContext}
+		proxy, err := mp.Get("dana", "pw", time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// And the delegated proxy is accepted by the gatekeeper.
+		if err := env.StageEverywhere(cred.Subject(), "e.gsh", []byte("echo hi\n")); err != nil {
+			t.Fatal(err)
+		}
+		gc := &gram.Client{BaseURL: env.GramURL, Cred: proxy, Transport: hop.NewTransport(pipes.DialContext)}
+		id, err := gc.Submit(&jsdl.Description{Owner: cred.Subject(), Executable: "e.gsh", Site: "s"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := env.Grid.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		st, err := gc.Status(id)
+		if err != nil || st.State != "DONE" {
+			t.Fatalf("job %v err %v", st, err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	cred, err := env.AddUser("dana", "pw", time.Hour*24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cred.Subject() != "/O=Repro/CN=dana" {
-		t.Fatalf("subject %q", cred.Subject())
-	}
-	// The MyProxy server really holds the credential.
-	mp := &myproxy.Client{Addr: env.MyProxyAddr, Dial: pipes.DialContext}
-	proxy, err := mp.Get("dana", "pw", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// And the delegated proxy is accepted by the gatekeeper.
-	if err := env.StageEverywhere(cred.Subject(), "e.gsh", []byte("echo hi\n")); err != nil {
-		t.Fatal(err)
-	}
-	gc := &gram.Client{BaseURL: env.GramURL, Cred: proxy, Transport: hop.NewTransport(pipes.DialContext)}
-	id, err := gc.Submit(&jsdl.Description{Owner: cred.Subject(), Executable: "e.gsh", Site: "s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := env.Grid.Job(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	st, err := gc.Status(id)
-	if err != nil || st.State != "DONE" {
-		t.Fatalf("job %v err %v", st, err)
-	}
 }
 
 func TestStageEverywhere(t *testing.T) {
@@ -106,22 +112,23 @@ func TestStageEverywhere(t *testing.T) {
 }
 
 func TestShapedListeners(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	env, err := Start(Options{
-		Clock:   clk,
-		Sites:   []gridsim.SiteConfig{{Name: "s", Nodes: 1, CoresPerNode: 1}},
-		Profile: netsim.WAN(clk),
-		Net:     netsim.NewNet(),
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		env, err := Start(Options{
+			Clock:   clk,
+			Sites:   []gridsim.SiteConfig{{Name: "s", Nodes: 1, CoresPerNode: 1}},
+			Profile: netsim.WAN(clk),
+			Net:     netsim.NewNet(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		// Just confirm the environment still functions with shaping on.
+		if _, err := env.AddUser("u", "p", 0); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	// Just confirm the environment still functions with shaping on.
-	if _, err := env.AddUser("u", "p", 0); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCloseIdempotentEnough(t *testing.T) {

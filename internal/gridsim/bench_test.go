@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/jsdl"
+	"repro/internal/vtime"
 )
 
 func BenchmarkSubmitToCompletion(b *testing.B) {
-	clk := autoClock(b)
+	var clk vtime.Real
 	s := NewSite(SiteConfig{Name: "bench", Nodes: 8, CoresPerNode: 8}, clk)
 	if err := s.Store().Put(owner, "e.gsh", []byte("echo done\n")); err != nil {
 		b.Fatal(err)
@@ -28,7 +29,7 @@ func BenchmarkSubmitToCompletion(b *testing.B) {
 }
 
 func BenchmarkSubmitThroughputParallel(b *testing.B) {
-	clk := autoClock(b)
+	var clk vtime.Real
 	g, err := TeraGrid(clk)
 	if err != nil {
 		b.Fatal(err)

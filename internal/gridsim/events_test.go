@@ -4,13 +4,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/jsdl"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
 func busEvent(owner, job string) JobEvent {
 	return JobEvent{Type: EventState, JobID: job, Owner: owner, State: "RUNNING"}
 }
+
+// TestMain runs the tests that sleep on virtual time in a bubble, under
+// GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestEventBusReplayAndLive(t *testing.T) {
 	b := NewEventBus()
@@ -160,46 +166,48 @@ func TestEventBusSubmitterIsolation(t *testing.T) {
 // itself dispatches the job, so its RUNNING event is published before
 // SubmitTraced returns — and must already carry the submitter key.
 func TestSubmitterRecordedBeforeDispatch(t *testing.T) {
-	clk := autoClock(t)
-	g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, _ := g.Site("siteA")
-	if err := site.Store().Put(owner, "hi.gsh", []byte("echo hi\n")); err != nil {
-		t.Fatal(err)
-	}
-	keyed, _, _ := g.Events().Subscribe(owner, "proxy-1", 0)
-	defer g.Events().Unsubscribe(keyed)
-	unkeyed, _, _ := g.Events().Subscribe(owner, "", 0)
-	defer g.Events().Unsubscribe(unkeyed)
-	j, err := g.SubmitTraced(jsdl.Description{Owner: owner, Executable: "hi.gsh"}, "proxy-1", trace.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Submitter != "proxy-1" {
-		t.Fatalf("job submitter %q", j.Submitter)
-	}
-	waitJob(t, j)
-	deadline := time.After(5 * time.Second)
-	for states := 0; states < 2; {
-		select {
-		case ev := <-keyed.C:
-			if ev.JobID != j.ID || ev.Submitter != "proxy-1" {
-				t.Fatalf("event %+v", ev)
-			}
-			if ev.Type == EventState {
-				states++ // RUNNING, then DONE
-			}
-		case <-deadline:
-			t.Fatalf("keyed feed saw %d state events", states)
+	bubble.Test(t, func(t *testing.T) {
+		clk := vtime.Real{}
+		g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	select {
-	case ev := <-unkeyed.C:
-		t.Fatalf("keyless feed received a keyed job's event %+v", ev)
-	default:
-	}
+		site, _ := g.Site("siteA")
+		if err := site.Store().Put(owner, "hi.gsh", []byte("echo hi\n")); err != nil {
+			t.Fatal(err)
+		}
+		keyed, _, _ := g.Events().Subscribe(owner, "proxy-1", 0)
+		defer g.Events().Unsubscribe(keyed)
+		unkeyed, _, _ := g.Events().Subscribe(owner, "", 0)
+		defer g.Events().Unsubscribe(unkeyed)
+		j, err := g.SubmitTraced(jsdl.Description{Owner: owner, Executable: "hi.gsh"}, "proxy-1", trace.SpanContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Submitter != "proxy-1" {
+			t.Fatalf("job submitter %q", j.Submitter)
+		}
+		waitJob(t, j)
+		deadline := time.After(5 * time.Second)
+		for states := 0; states < 2; {
+			select {
+			case ev := <-keyed.C:
+				if ev.JobID != j.ID || ev.Submitter != "proxy-1" {
+					t.Fatalf("event %+v", ev)
+				}
+				if ev.Type == EventState {
+					states++ // RUNNING, then DONE
+				}
+			case <-deadline:
+				t.Fatalf("keyed feed saw %d state events", states)
+			}
+		}
+		select {
+		case ev := <-unkeyed.C:
+			t.Fatalf("keyless feed received a keyed job's event %+v", ev)
+		default:
+		}
+	})
 }
 
 func TestStdoutWithin(t *testing.T) {
@@ -226,11 +234,7 @@ func TestEventBusOverflowNeverBlocksPublisher(t *testing.T) {
 		}
 		close(done)
 	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("publisher blocked on a stalled subscriber")
-	}
+	<-done
 	select {
 	case <-sub.Overflow:
 	default:
@@ -250,61 +254,63 @@ func TestEventBusNilSafe(t *testing.T) {
 // output bumps with advancing versions, and exactly one terminal state
 // whose output version matches the job's final stdout version.
 func TestGridPublishesJobLifecycle(t *testing.T) {
-	clk := autoClock(t)
-	g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, _ := g.Site("siteA")
-	if err := site.Store().Put(owner, "talk.gsh", []byte("echo one\ncompute 500ms\necho two\n")); err != nil {
-		t.Fatal(err)
-	}
-	sub, _, _ := g.Events().Subscribe(owner, "", 0)
-	defer g.Events().Unsubscribe(sub)
-	j, err := g.Submit(jsdl.Description{Owner: owner, Executable: "talk.gsh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, j)
-
-	var sawRunning, sawTerminal bool
-	var outputs int
-	var lastVer, terminalVer uint64
-	deadline := time.After(5 * time.Second)
-	for !sawTerminal {
-		select {
-		case ev := <-sub.C:
-			if ev.JobID != j.ID || ev.Site != "siteA" {
-				t.Fatalf("event %+v", ev)
-			}
-			switch ev.Type {
-			case EventState:
-				switch ev.State {
-				case Running.String():
-					sawRunning = true
-				case Succeeded.String():
-					sawTerminal = true
-					terminalVer = ev.OutputVersion
-				default:
-					t.Fatalf("unexpected state event %+v", ev)
-				}
-			case EventOutput:
-				if ev.OutputVersion <= lastVer {
-					t.Fatalf("output version did not advance: %d -> %d", lastVer, ev.OutputVersion)
-				}
-				lastVer = ev.OutputVersion
-				outputs++
-			}
-		case <-deadline:
-			t.Fatalf("terminal event never arrived (running=%v outputs=%d)", sawRunning, outputs)
+	bubble.Test(t, func(t *testing.T) {
+		clk := vtime.Real{}
+		g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !sawRunning || outputs < 2 {
-		t.Fatalf("lifecycle incomplete: running=%v outputs=%d", sawRunning, outputs)
-	}
-	if terminalVer != j.StdoutVersion() {
-		t.Fatalf("terminal event carries version %d, job at %d", terminalVer, j.StdoutVersion())
-	}
+		site, _ := g.Site("siteA")
+		if err := site.Store().Put(owner, "talk.gsh", []byte("echo one\ncompute 500ms\necho two\n")); err != nil {
+			t.Fatal(err)
+		}
+		sub, _, _ := g.Events().Subscribe(owner, "", 0)
+		defer g.Events().Unsubscribe(sub)
+		j, err := g.Submit(jsdl.Description{Owner: owner, Executable: "talk.gsh"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+
+		var sawRunning, sawTerminal bool
+		var outputs int
+		var lastVer, terminalVer uint64
+		deadline := time.After(5 * time.Second)
+		for !sawTerminal {
+			select {
+			case ev := <-sub.C:
+				if ev.JobID != j.ID || ev.Site != "siteA" {
+					t.Fatalf("event %+v", ev)
+				}
+				switch ev.Type {
+				case EventState:
+					switch ev.State {
+					case Running.String():
+						sawRunning = true
+					case Succeeded.String():
+						sawTerminal = true
+						terminalVer = ev.OutputVersion
+					default:
+						t.Fatalf("unexpected state event %+v", ev)
+					}
+				case EventOutput:
+					if ev.OutputVersion <= lastVer {
+						t.Fatalf("output version did not advance: %d -> %d", lastVer, ev.OutputVersion)
+					}
+					lastVer = ev.OutputVersion
+					outputs++
+				}
+			case <-deadline:
+				t.Fatalf("terminal event never arrived (running=%v outputs=%d)", sawRunning, outputs)
+			}
+		}
+		if !sawRunning || outputs < 2 {
+			t.Fatalf("lifecycle incomplete: running=%v outputs=%d", sawRunning, outputs)
+		}
+		if terminalVer != j.StdoutVersion() {
+			t.Fatalf("terminal event carries version %d, job at %d", terminalVer, j.StdoutVersion())
+		}
+	})
 }
 
 // TestCancelPublishesTerminalEvent covers both cancel paths: a queued
@@ -312,62 +318,64 @@ func TestGridPublishesJobLifecycle(t *testing.T) {
 // (cancelled by interrupting execution) each publish exactly one
 // terminal state event.
 func TestCancelPublishesTerminalEvent(t *testing.T) {
-	clk := autoClock(t)
-	g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, _ := g.Site("siteA")
-	if err := site.Store().Put(owner, "slow.gsh", []byte("emit 500ms 100 tick\n")); err != nil {
-		t.Fatal(err)
-	}
-	sub, _, _ := g.Events().Subscribe(owner, "", 0)
-	defer g.Events().Unsubscribe(sub)
-	// One slot: the first job runs, the second queues behind it.
-	running, err := g.Submit(jsdl.Description{Owner: owner, Executable: "slow.gsh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued, err := g.Submit(jsdl.Description{Owner: owner, Executable: "slow.gsh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := site.Cancel(queued.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := site.Cancel(running.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, running)
-	waitJob(t, queued)
+	bubble.Test(t, func(t *testing.T) {
+		clk := vtime.Real{}
+		g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		site, _ := g.Site("siteA")
+		if err := site.Store().Put(owner, "slow.gsh", []byte("emit 500ms 100 tick\n")); err != nil {
+			t.Fatal(err)
+		}
+		sub, _, _ := g.Events().Subscribe(owner, "", 0)
+		defer g.Events().Unsubscribe(sub)
+		// One slot: the first job runs, the second queues behind it.
+		running, err := g.Submit(jsdl.Description{Owner: owner, Executable: "slow.gsh"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued, err := g.Submit(jsdl.Description{Owner: owner, Executable: "slow.gsh"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := site.Cancel(queued.ID); err != nil {
+			t.Fatal(err)
+		}
+		if err := site.Cancel(running.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, running)
+		waitJob(t, queued)
 
-	cancelled := map[string]int{}
-	deadline := time.After(5 * time.Second)
-	for cancelled[running.ID] == 0 || cancelled[queued.ID] == 0 {
-		select {
-		case ev := <-sub.C:
-			if ev.Type == EventState && ev.State == Cancelled.String() {
-				cancelled[ev.JobID]++
-			}
-		case <-deadline:
-			t.Fatalf("cancel events missing: %v", cancelled)
-		}
-	}
-	// No duplicate terminal publication.
-	drain := time.After(50 * time.Millisecond)
-	for {
-		select {
-		case ev := <-sub.C:
-			if ev.Type == EventState && ev.State == Cancelled.String() {
-				cancelled[ev.JobID]++
-			}
-		case <-drain:
-			for id, n := range cancelled {
-				if n != 1 {
-					t.Fatalf("job %s published %d terminal events", id, n)
+		cancelled := map[string]int{}
+		deadline := time.After(5 * time.Second)
+		for cancelled[running.ID] == 0 || cancelled[queued.ID] == 0 {
+			select {
+			case ev := <-sub.C:
+				if ev.Type == EventState && ev.State == Cancelled.String() {
+					cancelled[ev.JobID]++
 				}
+			case <-deadline:
+				t.Fatalf("cancel events missing: %v", cancelled)
 			}
-			return
 		}
-	}
+		// No duplicate terminal publication.
+		drain := time.After(50 * time.Millisecond)
+		for {
+			select {
+			case ev := <-sub.C:
+				if ev.Type == EventState && ev.State == Cancelled.String() {
+					cancelled[ev.JobID]++
+				}
+			case <-drain:
+				for id, n := range cancelled {
+					if n != 1 {
+						t.Fatalf("job %s published %d terminal events", id, n)
+					}
+				}
+				return
+			}
+		}
+	})
 }

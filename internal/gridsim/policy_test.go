@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/jsdl"
 	"repro/internal/vtime"
 )
@@ -13,7 +14,7 @@ import (
 // pair of executables: quick (100ms) and slow (5s).
 func policySite(t *testing.T, p Policy) *Site {
 	t.Helper()
-	clk := autoClock(t)
+	clk := vtime.Real{}
 	s := NewSite(SiteConfig{Name: "pol", Nodes: 1, CoresPerNode: 4, Policy: p}, clk)
 	stage(t, s, "quick.gsh", "compute 100ms\n")
 	stage(t, s, "slow.gsh", "compute 5s\n")
@@ -39,38 +40,42 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 func TestFCFSHeadBlocksQueue(t *testing.T) {
-	s := policySite(t, PolicyFCFS)
-	// Occupy 3 of 4 slots for a while.
-	hog := submitWide(t, s, "slow.gsh", 3, time.Minute)
-	// Head needs 2: cannot start. A later 1-wide job must NOT overtake
-	// under strict FCFS.
-	head := submitWide(t, s, "slow.gsh", 2, time.Minute)
-	narrow := submitWide(t, s, "quick.gsh", 1, time.Minute)
-	waitJob(t, hog)
-	waitJob(t, head)
-	waitJob(t, narrow)
-	_, narrowStart, _ := narrow.Times()
-	_, headStart, _ := head.Times()
-	if narrowStart.Before(headStart) {
-		t.Fatalf("FCFS violated: narrow started %v before head %v", narrowStart, headStart)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		s := policySite(t, PolicyFCFS)
+		// Occupy 3 of 4 slots for a while.
+		hog := submitWide(t, s, "slow.gsh", 3, time.Minute)
+		// Head needs 2: cannot start. A later 1-wide job must NOT overtake
+		// under strict FCFS.
+		head := submitWide(t, s, "slow.gsh", 2, time.Minute)
+		narrow := submitWide(t, s, "quick.gsh", 1, time.Minute)
+		waitJob(t, hog)
+		waitJob(t, head)
+		waitJob(t, narrow)
+		_, narrowStart, _ := narrow.Times()
+		_, headStart, _ := head.Times()
+		if narrowStart.Before(headStart) {
+			t.Fatalf("FCFS violated: narrow started %v before head %v", narrowStart, headStart)
+		}
+	})
 }
 
 func TestAggressiveBackfillOvertakes(t *testing.T) {
-	s := policySite(t, PolicyAggressive)
-	hog := submitWide(t, s, "slow.gsh", 3, time.Minute)
-	head := submitWide(t, s, "slow.gsh", 2, time.Minute)
-	narrow := submitWide(t, s, "quick.gsh", 1, time.Minute)
-	waitJob(t, narrow)
-	if head.State() == Succeeded {
-		t.Fatal("head finished before the backfilled narrow job")
-	}
-	_, narrowStart, _ := narrow.Times()
-	if narrowStart.IsZero() {
-		t.Fatal("narrow never started")
-	}
-	waitJob(t, hog)
-	waitJob(t, head)
+	bubble.Test(t, func(t *testing.T) {
+		s := policySite(t, PolicyAggressive)
+		hog := submitWide(t, s, "slow.gsh", 3, time.Minute)
+		head := submitWide(t, s, "slow.gsh", 2, time.Minute)
+		narrow := submitWide(t, s, "quick.gsh", 1, time.Minute)
+		waitJob(t, narrow)
+		if head.State() == Succeeded {
+			t.Fatal("head finished before the backfilled narrow job")
+		}
+		_, narrowStart, _ := narrow.Times()
+		if narrowStart.IsZero() {
+			t.Fatal("narrow never started")
+		}
+		waitJob(t, hog)
+		waitJob(t, head)
+	})
 }
 
 func TestConservativeBackfillAllowsHarmlessJobs(t *testing.T) {
@@ -141,29 +146,31 @@ func TestConservativeBackfillAllowsHarmlessJobs(t *testing.T) {
 }
 
 func TestConservativeHeadNotStarved(t *testing.T) {
-	// Under aggressive backfill a stream of narrow jobs can starve a
-	// wide head; conservative must start the head promptly once the
-	// first hog finishes.
-	clk := autoClock(t)
-	s := NewSite(SiteConfig{Name: "st", Nodes: 1, CoresPerNode: 4, Policy: PolicyConservative}, clk)
-	stage(t, s, "medium.gsh", "compute 2s\n")
-	hog := submitWide(t, s, "medium.gsh", 4, 3*time.Second)
-	head := submitWide(t, s, "medium.gsh", 4, time.Minute)
-	// A stream of narrow jobs with walltimes longer than the reservation.
-	var narrows []*Job
-	for i := 0; i < 6; i++ {
-		narrows = append(narrows, submitWide(t, s, "medium.gsh", 1, time.Hour))
-	}
-	waitJob(t, hog)
-	waitJob(t, head)
-	_, headStart, _ := head.Times()
-	for _, n := range narrows {
-		waitJob(t, n)
-		_, ns, _ := n.Times()
-		if ns.Before(headStart) {
-			t.Fatalf("narrow job started %v before reserved head %v", ns, headStart)
+	bubble.Test(t, func(t *testing.T) {
+		// Under aggressive backfill a stream of narrow jobs can starve a
+		// wide head; conservative must start the head promptly once the
+		// first hog finishes.
+		clk := vtime.Real{}
+		s := NewSite(SiteConfig{Name: "st", Nodes: 1, CoresPerNode: 4, Policy: PolicyConservative}, clk)
+		stage(t, s, "medium.gsh", "compute 2s\n")
+		hog := submitWide(t, s, "medium.gsh", 4, 3*time.Second)
+		head := submitWide(t, s, "medium.gsh", 4, time.Minute)
+		// A stream of narrow jobs with walltimes longer than the reservation.
+		var narrows []*Job
+		for i := 0; i < 6; i++ {
+			narrows = append(narrows, submitWide(t, s, "medium.gsh", 1, time.Hour))
 		}
-	}
+		waitJob(t, hog)
+		waitJob(t, head)
+		_, headStart, _ := head.Times()
+		for _, n := range narrows {
+			waitJob(t, n)
+			_, ns, _ := n.Times()
+			if ns.Before(headStart) {
+				t.Fatalf("narrow job started %v before reserved head %v", ns, headStart)
+			}
+		}
+	})
 }
 
 func TestReservationComputation(t *testing.T) {
@@ -191,24 +198,26 @@ func TestReservationComputation(t *testing.T) {
 }
 
 func TestAllPoliciesConserveJobs(t *testing.T) {
-	for _, p := range []Policy{PolicyAggressive, PolicyFCFS, PolicyConservative} {
-		t.Run(p.String(), func(t *testing.T) {
-			s := policySite(t, p)
-			var jobs []*Job
-			for i := 0; i < 16; i++ {
-				cpus := 1 + i%3
-				jobs = append(jobs, submitWide(t, s, "quick.gsh", cpus, time.Hour))
-			}
-			for _, j := range jobs {
-				waitJob(t, j)
-				if j.State() != Succeeded {
-					t.Fatalf("%s: job %s state %s", p, j.ID, j.State())
+	bubble.Run(func() {
+		for _, p := range []Policy{PolicyAggressive, PolicyFCFS, PolicyConservative} {
+			t.Run(p.String(), func(t *testing.T) {
+				s := policySite(t, p)
+				var jobs []*Job
+				for i := 0; i < 16; i++ {
+					cpus := 1 + i%3
+					jobs = append(jobs, submitWide(t, s, "quick.gsh", cpus, time.Hour))
 				}
-			}
-			stats := s.Stats()
-			if stats.Completed != 16 || stats.FreeSlots != 4 {
-				t.Fatalf("%s: stats %+v", p, stats)
-			}
-		})
-	}
+				for _, j := range jobs {
+					waitJob(t, j)
+					if j.State() != Succeeded {
+						t.Fatalf("%s: job %s state %s", p, j.ID, j.State())
+					}
+				}
+				stats := s.Stats()
+				if stats.Completed != 16 || stats.FreeSlots != 4 {
+					t.Fatalf("%s: stats %+v", p, stats)
+				}
+			})
+		}
+	})
 }

@@ -562,7 +562,7 @@ func (s *Site) execute(j *Job, startedAt time.Time) (State, string) {
 // awaitProgram blocks until the program returns, its walltime expires or
 // the job is cancelled, and reports the terminal state that follows. A
 // program that has returned by the time the limit is seen to expire
-// finished within it: on an event clock the two can be ready at one
+// finished within it: on a simulated clock the two can be ready at one
 // instant, and a select with both ready picks at random.
 func awaitProgram(result <-chan error, expired <-chan time.Time, cancel <-chan struct{}) (State, string) {
 	select {

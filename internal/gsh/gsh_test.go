@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/vtime"
 )
 
@@ -21,6 +22,10 @@ func mustParse(t *testing.T, src string) *Program {
 	}
 	return p
 }
+
+// TestMain runs the tests that sleep on virtual time in a bubble, under
+// GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestParseBasicStatements(t *testing.T) {
 	p := mustParse(t, `
@@ -143,16 +148,17 @@ func TestRunComputeUsesCPUHook(t *testing.T) {
 }
 
 func TestRunSleepUsesClock(t *testing.T) {
-	p := mustParse(t, "sleep 10s\n")
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	start := clk.Now()
-	if err := p.Run(&Env{Clock: clk}); err != nil {
-		t.Fatal(err)
-	}
-	if slept := clk.Now().Sub(start); slept != 10*time.Second {
-		t.Fatalf("sleep 10s moved the clock %v", slept)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		p := mustParse(t, "sleep 10s\n")
+		var clk vtime.Real
+		start := clk.Now()
+		if err := p.Run(&Env{Clock: clk}); err != nil {
+			t.Fatal(err)
+		}
+		if slept := clk.Now().Sub(start); slept != 10*time.Second {
+			t.Fatalf("sleep 10s moved the clock %v", slept)
+		}
+	})
 }
 
 func TestRunWrite(t *testing.T) {
@@ -259,20 +265,21 @@ func TestRunLoop(t *testing.T) {
 }
 
 func TestRunEmitPacedOnClock(t *testing.T) {
-	p := mustParse(t, "emit 3s 4 out\n")
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	var out bytes.Buffer
-	start := clk.Now()
-	if err := p.Run(&Env{Clock: clk, Stdout: &out}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := clk.Now().Sub(start); elapsed != 12*time.Second {
-		t.Fatalf("emit finished in %v, want 12s", elapsed)
-	}
-	if got := strings.Count(out.String(), "out"); got != 4 {
-		t.Fatalf("emitted %d lines", got)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		p := mustParse(t, "emit 3s 4 out\n")
+		var clk vtime.Real
+		var out bytes.Buffer
+		start := clk.Now()
+		if err := p.Run(&Env{Clock: clk, Stdout: &out}); err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := clk.Now().Sub(start); elapsed != 12*time.Second {
+			t.Fatalf("emit finished in %v, want 12s", elapsed)
+		}
+		if got := strings.Count(out.String(), "out"); got != 4 {
+			t.Fatalf("emitted %d lines", got)
+		}
+	})
 }
 
 func TestRunStepLimit(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/vtime"
 )
 
@@ -14,6 +15,10 @@ func newTestRecorder() (*vtime.Manual, *Recorder) {
 	clk := vtime.NewManual(time.Unix(0, 0))
 	return clk, NewRecorder(clk, 3*time.Second)
 }
+
+// TestMain runs the tests that sleep on virtual time in a bubble, under
+// GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestAccountGoesToCorrectBucket(t *testing.T) {
 	clk, rec := newTestRecorder()
@@ -189,60 +194,62 @@ func TestNilProbeSafe(t *testing.T) {
 }
 
 func TestProbeBurnAdvancesClockAndAccounts(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	rec := NewRecorder(clk, 3*time.Second)
-	p := NewProbe(rec)
-	p.Burn(2 * time.Second)
-	if got := rec.Total(CPU); math.Abs(got-float64(2*time.Second)) > float64(time.Millisecond) {
-		t.Fatalf("cpu total %v, want 2s worth", time.Duration(got))
-	}
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		rec := NewRecorder(clk, 3*time.Second)
+		p := NewProbe(rec)
+		p.Burn(2 * time.Second)
+		if got := rec.Total(CPU); math.Abs(got-float64(2*time.Second)) > float64(time.Millisecond) {
+			t.Fatalf("cpu total %v, want 2s worth", time.Duration(got))
+		}
+	})
 }
 
 func TestProbeBurnForUsesRate(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	rec := NewRecorder(clk, 3*time.Second)
-	p := NewProbe(rec)
-	p.BurnFor(1<<20, 1<<20) // 1 MiB at 1 MiB/s = 1s of CPU
-	if got := time.Duration(rec.Total(CPU)); got != time.Second {
-		t.Fatalf("cpu total %v, want 1s", got)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		rec := NewRecorder(clk, 3*time.Second)
+		p := NewProbe(rec)
+		p.BurnFor(1<<20, 1<<20) // 1 MiB at 1 MiB/s = 1s of CPU
+		if got := time.Duration(rec.Total(CPU)); got != time.Second {
+			t.Fatalf("cpu total %v, want 1s", got)
+		}
+	})
 }
 
 func TestProbeDiskPacing(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	rec := NewRecorder(clk, 3*time.Second)
-	p := NewProbe(rec)
-	p.DiskWriteBps = 1 << 20
-	start := clk.Now()
-	p.DiskWrite(1 << 20) // takes 1 virtual second
-	if elapsed := clk.Now().Sub(start); elapsed != time.Second {
-		t.Fatalf("paced disk write took %v virtual, want 1s", elapsed)
-	}
-	if rec.Total(DiskWrite) != float64(1<<20) {
-		t.Fatalf("disk bytes = %v", rec.Total(DiskWrite))
-	}
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		rec := NewRecorder(clk, 3*time.Second)
+		p := NewProbe(rec)
+		p.DiskWriteBps = 1 << 20
+		start := clk.Now()
+		p.DiskWrite(1 << 20) // takes 1 virtual second
+		if elapsed := clk.Now().Sub(start); elapsed != time.Second {
+			t.Fatalf("paced disk write took %v virtual, want 1s", elapsed)
+		}
+		if rec.Total(DiskWrite) != float64(1<<20) {
+			t.Fatalf("disk bytes = %v", rec.Total(DiskWrite))
+		}
+	})
 }
 
 func TestProbeDiskUnpacedInstant(t *testing.T) {
-	clk := vtime.NewManual(time.Unix(0, 0))
-	rec := NewRecorder(clk, 3*time.Second)
-	p := NewProbe(rec)
-	done := make(chan struct{})
-	go func() {
-		p.DiskRead(1 << 30) // no rate set: instantaneous
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("unpaced disk read blocked")
-	}
-	if rec.Total(DiskRead) != float64(1<<30) {
-		t.Fatal("bytes not accounted")
-	}
+	// An account that waited on the clock would leave the bubble deadlocked.
+	bubble.Test(t, func(t *testing.T) {
+		clk := vtime.NewManual(time.Unix(0, 0))
+		rec := NewRecorder(clk, 3*time.Second)
+		p := NewProbe(rec)
+		done := make(chan struct{})
+		go func() {
+			p.DiskRead(1 << 30) // no rate set: instantaneous
+			close(done)
+		}()
+		<-done
+		if rec.Total(DiskRead) != float64(1<<30) {
+			t.Fatal("bytes not accounted")
+		}
+	})
 }
 
 func TestDefaultCostSane(t *testing.T) {

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"context"
 	"io"
 	"testing"
 
+	"repro/internal/bubble"
 	"repro/internal/vtime"
 )
 
@@ -23,29 +25,41 @@ func BenchmarkUnshapedConnWrite(b *testing.B) {
 }
 
 func BenchmarkShapedConnWrite(b *testing.B) {
-	// 1 MB/s virtual on the event clock: pacing bookkeeping plus one clock
-	// step per paced wait, no real sleep.
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	c, s := pipePair(b)
-	sc := Wrap(c, clk, NewLink(clk, 1<<20), nil)
-	go io.Copy(io.Discard, s)
+	// 1 MB/s virtual in a bubble: pacing bookkeeping plus one clock step per
+	// paced wait, no real sleep. The pipe's setup is timed too, once.
 	buf := make([]byte, 64<<10)
 	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.Write(buf); err != nil {
+	bubble.Run(func() {
+		var clk vtime.Real
+		pipes := NewNet()
+		ln := pipes.Listen()
+		defer ln.Close()
+		go func() {
+			if s, err := ln.Accept(); err == nil {
+				io.Copy(io.Discard, s)
+				s.Close()
+			}
+		}()
+		c, err := pipes.DialContext(context.Background(), "tcp", ln.Addr().String())
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		defer c.Close()
+		sc := Wrap(c, clk, NewLink(clk, 1<<20), nil)
+		for i := 0; i < b.N; i++ {
+			if _, err := sc.Write(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkLinkTake(b *testing.B) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	l := NewLink(clk, 1<<30)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.take(4 << 10)
-	}
+	bubble.Run(func() {
+		l := NewLink(vtime.Real{}, 1<<30)
+		for i := 0; i < b.N; i++ {
+			l.take(4 << 10)
+		}
+	})
 }

@@ -8,48 +8,54 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/metrics"
 	"repro/internal/vtime"
 )
 
+// TestMain runs the tests that pace on virtual time in a bubble, under
+// GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
+
 func TestLinkPacesToBandwidth(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	l := NewLink(clk, 1<<20) // 1 MiB/s virtual
-	start := clk.Now()
-	l.take(1 << 20)
-	if elapsed := clk.Now().Sub(start); elapsed != time.Second {
-		t.Fatalf("1 MiB at 1 MiB/s took %v virtual, want 1s", elapsed)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		l := NewLink(clk, 1<<20) // 1 MiB/s virtual
+		start := clk.Now()
+		l.take(1 << 20)
+		if elapsed := clk.Now().Sub(start); elapsed != time.Second {
+			t.Fatalf("1 MiB at 1 MiB/s took %v virtual, want 1s", elapsed)
+		}
+	})
 }
 
 func TestUnshapedLinkInstant(t *testing.T) {
-	clk := vtime.NewManual(time.Unix(0, 0))
-	l := NewLink(clk, 0)
-	done := make(chan struct{})
-	go func() { l.take(1 << 30); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("unshaped take blocked")
-	}
+	// A take that blocked on the clock would leave the bubble deadlocked.
+	bubble.Test(t, func(t *testing.T) {
+		clk := vtime.NewManual(time.Unix(0, 0))
+		l := NewLink(clk, 0)
+		done := make(chan struct{})
+		go func() { l.take(1 << 30); close(done) }()
+		<-done
+	})
 }
 
 func TestLinkSerialisesConcurrentSenders(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	l := NewLink(clk, 1<<20)
-	start := clk.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); l.take(512 << 10) }()
-	}
-	wg.Wait()
-	// 4 x 0.5 MiB at 1 MiB/s take 2 virtual seconds in aggregate.
-	if elapsed := clk.Now().Sub(start); elapsed != 2*time.Second {
-		t.Fatalf("shared link finished in %v, want 2s", elapsed)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		l := NewLink(clk, 1<<20)
+		start := clk.Now()
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); l.take(512 << 10) }()
+		}
+		wg.Wait()
+		// 4 x 0.5 MiB at 1 MiB/s take 2 virtual seconds in aggregate.
+		if elapsed := clk.Now().Sub(start); elapsed != 2*time.Second {
+			t.Fatalf("shared link finished in %v, want 2s", elapsed)
+		}
+	})
 }
 
 // TestNilLinkConn: a Conn wrapped with no link is unshaped — bytes go
@@ -81,23 +87,24 @@ func TestNilLinkConn(t *testing.T) {
 }
 
 func TestConnRoundTripPreservesBytes(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	c, s := pipePair(t)
-	link := NewLink(clk, 256<<10)
-	sc := Wrap(c, clk, link, nil)
-	payload := bytes.Repeat([]byte("cyberaide"), 4000) // 36 KB
-	go func() {
-		sc.Write(payload)
-		c.Close()
-	}()
-	got, err := io.ReadAll(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload corrupted: got %d bytes want %d", len(got), len(payload))
-	}
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		c, s := pipePair(t)
+		link := NewLink(clk, 256<<10)
+		sc := Wrap(c, clk, link, nil)
+		payload := bytes.Repeat([]byte("cyberaide"), 4000) // 36 KB
+		go func() {
+			sc.Write(payload)
+			c.Close()
+		}()
+		got, err := io.ReadAll(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("payload corrupted: got %d bytes want %d", len(got), len(payload))
+		}
+	})
 }
 
 func TestConnAccountsTraffic(t *testing.T) {
@@ -120,39 +127,40 @@ func TestConnAccountsTraffic(t *testing.T) {
 	}
 }
 
-// TestTransferDurationMatchesModel: on the event clock a transfer takes
+// TestTransferDurationMatchesModel: in a bubble a transfer takes
 // exactly its bytes over the link's rate, whatever the host did meanwhile.
 func TestTransferDurationMatchesModel(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	pipes := NewNet()
-	ln := pipes.Listen()
-	defer ln.Close()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		if s, err := ln.Accept(); err == nil {
-			io.Copy(io.Discard, s)
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		pipes := NewNet()
+		ln := pipes.Listen()
+		defer ln.Close()
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			if s, err := ln.Accept(); err == nil {
+				io.Copy(io.Discard, s)
+			}
+		}()
+		c, err := pipes.DialContext(context.Background(), "tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	c, err := pipes.DialContext(context.Background(), "tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := NewLink(clk, 85<<10) // the paper's WAN rate
-	sc := Wrap(c, clk, link, nil)
-	size := 256 << 10 // 256 KB takes ~3 virtual seconds
-	start := clk.Now()
-	if _, err := sc.Write(make([]byte, size)); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := clk.Now().Sub(start)
-	c.Close()
-	<-drained
-	want := time.Duration(float64(size) / float64(85<<10) * float64(time.Second))
-	if elapsed != want {
-		t.Fatalf("transfer took %v virtual, want exactly %v", elapsed, want)
-	}
+		link := NewLink(clk, 85<<10) // the paper's WAN rate
+		sc := Wrap(c, clk, link, nil)
+		size := 256 << 10 // 256 KB takes ~3 virtual seconds
+		start := clk.Now()
+		if _, err := sc.Write(make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		elapsed := clk.Now().Sub(start)
+		c.Close()
+		<-drained
+		want := time.Duration(float64(size) / float64(85<<10) * float64(time.Second))
+		if elapsed != want {
+			t.Fatalf("transfer took %v virtual, want exactly %v", elapsed, want)
+		}
+	})
 }
 
 func TestProfilesHaveExpectedRates(t *testing.T) {
@@ -197,39 +205,40 @@ func TestListenerWrapsAccepted(t *testing.T) {
 }
 
 func TestDialerAppliesLatencyAndShaping(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	pipes := NewNet()
-	ln := pipes.Listen()
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		pipes := NewNet()
+		ln := pipes.Listen()
+		defer ln.Close()
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go io.Copy(io.Discard, c)
 			}
-			go io.Copy(io.Discard, c)
+		}()
+		profile := NewProfile(clk, "test", 1<<20, 1<<20, 2*time.Second)
+		d := &Dialer{Profile: profile, Net: pipes}
+		start := clk.Now()
+		c, err := d.DialContext(context.Background(), "tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	profile := NewProfile(clk, "test", 1<<20, 1<<20, 2*time.Second)
-	d := &Dialer{Profile: profile, Net: pipes}
-	start := clk.Now()
-	c, err := d.DialContext(context.Background(), "tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if lat := clk.Now().Sub(start); lat != 2*time.Second {
-		t.Fatalf("dial latency %v virtual, want 2s", lat)
-	}
-	// 64 KiB across the 1 MiB/s up link: 1/16 s more.
-	start = clk.Now()
-	if _, err := c.Write(make([]byte, 64<<10)); err != nil {
-		t.Fatal(err)
-	}
-	if took := clk.Now().Sub(start); took != time.Second/16 {
-		t.Fatalf("64 KiB write took %v virtual, want 62.5ms", took)
-	}
+		defer c.Close()
+		if lat := clk.Now().Sub(start); lat != 2*time.Second {
+			t.Fatalf("dial latency %v virtual, want 2s", lat)
+		}
+		// 64 KiB across the 1 MiB/s up link: 1/16 s more.
+		start = clk.Now()
+		if _, err := c.Write(make([]byte, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if took := clk.Now().Sub(start); took != time.Second/16 {
+			t.Fatalf("64 KiB write took %v virtual, want 62.5ms", took)
+		}
+	})
 }
 
 func TestDialerError(t *testing.T) {

@@ -14,9 +14,10 @@ import (
 // Net is an in-process network. Listen hands out listeners at pipe
 // addresses, and DialContext connects to one over a pair of in-memory
 // streams, buffered both ways as a socket is. Every wait on it — an
-// Accept, a Read, a dial — is a channel operation, so a vtime.Auto clock
-// sees a goroutine blocked there as parked; bytes held in a kernel socket
-// buffer it could not see.
+// Accept, a Read, a dial — is a channel operation, so in a
+// testing/synctest bubble a goroutine blocked there is durably blocked and
+// the bubble's clock can move; one blocked on a kernel socket would hold
+// it.
 type Net struct {
 	mu  sync.Mutex
 	seq int
@@ -112,7 +113,8 @@ func notify(ch chan struct{}) {
 
 // pipeConn is one end of a pipe: it reads in and writes out. Both ends
 // report the listener's address as local and remote. A read deadline is
-// in real time, as net.Conn's is; a Write never waits, so it has none.
+// on the time package's clock, as net.Conn's is (in a bubble, virtual); a
+// Write never waits, so it has none.
 type pipeConn struct {
 	in, out *half
 	addr    net.Addr

@@ -13,10 +13,16 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/vtime"
 	"repro/internal/wsdl"
 )
+
+// TestMain runs the tests that sleep on virtual time in a bubble, under
+// GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	msg := &Message{
@@ -355,21 +361,28 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestServerAccountsRequestHandlingCost(t *testing.T) {
-	clk := vtime.NewAuto()
-	defer clk.Stop()
-	rec := metrics.NewRecorder(clk, 3*time.Second)
-	srv := NewServer(metrics.NewProbe(rec), metrics.Cost{RequestHandling: 500 * time.Millisecond})
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-	srv.Deploy(calcService(t))
-	var c Client
-	if _, err := c.Call(hs.URL+"/services/Calc", "urn:calc", "add",
-		[]Param{{Name: "x", Value: "1"}, {Name: "y", Value: "2"}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := time.Duration(rec.Total(metrics.CPU)); got != 500*time.Millisecond {
-		t.Fatalf("request handling cost accounted as %v, want 500ms", got)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		var clk vtime.Real
+		rec := metrics.NewRecorder(clk, 3*time.Second)
+		srv := NewServer(metrics.NewProbe(rec), metrics.Cost{RequestHandling: 500 * time.Millisecond})
+		// Over an in-process pipe: the cost sleeps on the bubble's clock,
+		// which waits for no socket.
+		pipes := netsim.NewNet()
+		ln := pipes.Listen()
+		hs := &http.Server{Handler: srv}
+		go hs.Serve(ln)
+		defer hs.Close()
+		srv.Deploy(calcService(t))
+		c := Client{HTTP: &http.Client{Transport: &http.Transport{DialContext: pipes.DialContext}}}
+		defer c.HTTP.CloseIdleConnections()
+		if _, err := c.Call("http://"+ln.Addr().String()+"/services/Calc", "urn:calc", "add",
+			[]Param{{Name: "x", Value: "1"}, {Name: "y", Value: "2"}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := time.Duration(rec.Total(metrics.CPU)); got != 500*time.Millisecond {
+			t.Fatalf("request handling cost accounted as %v, want 500ms", got)
+		}
+	})
 }
 
 // Property: Encode/Decode round-trips arbitrary parameter values,

@@ -20,6 +20,10 @@
 set -eu
 
 cd "$(dirname "$0")"
+# The studies and fixtures simulate in testing/synctest bubbles, which
+# go1.24 compiles only under this experiment: set, coverage sees the
+# tagged files and no test binary runs its package again under it.
+export GOEXPERIMENT=synctest
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -1,13 +1,22 @@
 #!/bin/sh
 # Tier-1 verification: vet, build, and the full test suite under the
 # race detector. -short skips the two studies that boot many appliances
-# or write hundreds of MB. The figure studies run on a discrete-event
-# clock over in-process pipes, where virtual time moves only by modelled
-# cost: their verdicts no longer depend on how fast the host is, or on
-# the race detector.
+# or write hundreds of MB. Every simulated run — a study's rig, a test
+# fixture, an example — executes in a testing/synctest bubble over
+# in-process pipes. Inside one the time package's clock is virtual and
+# the Go runtime moves it, to the earliest deadline, only once every
+# goroutine of the bubble is durably blocked; a goroutine that can run
+# holds it. So virtual time moves only by modelled cost, a figure reads
+# the same on any host, with or without the race detector, a deadlock is
+# a panic with every stack instead of a timeout, and a bubble ends only
+# once every goroutine its rig started has exited. go1.24 compiles
+# testing/synctest only under GOEXPERIMENT=synctest: exported here, so
+# coverage and vet see the tagged files and no test binary runs its
+# package again under it (internal/bubble's Main).
 set -eux
 
 cd "$(dirname "$0")"
+export GOEXPERIMENT=synctest
 
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -34,8 +43,10 @@ fi
 # or its owner's lock. Nor does a race dilation or a dilation cap: the
 # studies' clock steps itself, and host speed cannot reach virtual time.
 # Nor does the dilated clock itself, or the per-clock pacing hook it
-# needed: vtime has three clocks, and everything simulated runs on Auto.
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper' . ; then
+# needed, or the event clock that guessed from /proc when every goroutine
+# was parked: vtime has two clocks, and everything simulated runs on Real
+# in a bubble, where the runtime knows.
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap' . ; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
 fi
@@ -73,10 +84,20 @@ go build ./...
 # header lists the five); otherwise delete it.
 ./reach.sh
 go test -race -short ./...
-# The three figures under the detector, three fresh rounds: on the event
-# clock Fig. 7's plateau reads the modelled ~85 KB/s and Fig. 8 keeps its
-# 90 s bound however slow the instrumented code runs.
-go test -race -count=3 -run '^TestFig[678]Shape$' ./internal/experiments
+# The three figures in the lane, plain and under the detector, on one P
+# and on two: each run writes fig6.csv, fig7.csv and fig8.csv byte for
+# byte as results/ holds them, however slow the instrumented code runs.
+lane=$(mktemp -d)
+for race in "" -race; do
+	go build $race -o "$lane/experiments" ./cmd/experiments
+	for procs in 1 2; do
+		for fig in 6 7 8; do
+			GOMAXPROCS=$procs "$lane/experiments" -fig $fig -out "$lane" >/dev/null
+			cmp "$lane/fig$fig.csv" "results/fig$fig.csv"
+		done
+	done
+done
+rm -rf "$lane"
 # The invocation collectors (per-invocation pollers and the push
 # collector — event streams racing cancels, watchdog kills, and a worker
 # falling back to polling its own jobs; the gridsim event bus fanning
@@ -126,9 +147,8 @@ go test -race -count=5 -run '^TestPushEventsStalledStreamFallsBack$|^TestCollect
 # own beside the listener's.
 go test -race -count=5 -run 'HalfOpen|Rejoin|^TestLoopFaults$|^TestTicketWalksItsServiceRing$|NoBackground' ./internal/gateway
 # The fleet, the tenant control plane and the grid's scheduler run their
-# fixtures on the event clock over in-process pipes: three fresh rounds
-# under the detector, so a verdict that still leaned on host timing
-# would show.
+# fixtures in bubbles over in-process pipes: three fresh rounds under the
+# detector, so a verdict that still leaned on host timing would show.
 go test -race -count=3 ./internal/gateway ./internal/tenant ./internal/gridsim
 
 # Fuzzers run their seed corpora as regular tests, but exercise the
