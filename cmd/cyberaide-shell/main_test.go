@@ -17,7 +17,6 @@ import (
 	"repro/internal/hop"
 	"repro/internal/netsim"
 	"repro/internal/soap"
-	"repro/internal/vtime"
 )
 
 // TestMain runs the package's tests under GOEXPERIMENT=synctest, where
@@ -25,13 +24,11 @@ import (
 func TestMain(m *testing.M) { bubble.Main(m) }
 
 // newShell boots a grid and an appliance on one in-process network, and a
-// shell on them, and returns the clock they run on: call it in a bubble.
-func newShell(t *testing.T) (*shell, *bytes.Buffer, vtime.Clock) {
+// shell on them: call it in a bubble.
+func newShell(t *testing.T) (*shell, *bytes.Buffer) {
 	t.Helper()
-	var clk vtime.Real
 	pipes := netsim.NewNet()
 	env, err := gridenv.Start(gridenv.Options{
-		Clock: clk,
 		Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 1, CoresPerNode: 4}},
 		Net:   pipes,
 	})
@@ -42,7 +39,7 @@ func newShell(t *testing.T) (*shell, *bytes.Buffer, vtime.Clock) {
 	if _, err := env.AddUser("alice", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
-	img, err := appliance.BuildImage(appliance.Config{Endpoints: env.Endpoints(), Clock: clk, GridDial: pipes.DialContext})
+	img, err := appliance.BuildImage(appliance.Config{Endpoints: env.Endpoints(), GridDial: pipes.DialContext})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +53,12 @@ func newShell(t *testing.T) (*shell, *bytes.Buffer, vtime.Clock) {
 		agentURL: app.BaseURL + "/services/" + cyberaide.ServiceName,
 		client:   soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(pipes.DialContext)}},
 		out:      &out,
-	}, &out, clk
+	}, &out
 }
 
 func TestShellFullWorkflow(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, out, clk := newShell(t)
+		sh, out := newShell(t)
 
 		// Session required before grid commands.
 		if err := sh.dispatch("status x"); err == nil {
@@ -109,7 +106,7 @@ func TestShellFullWorkflow(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("job never finished: %q", out.String())
 			}
-			clk.Sleep(100 * time.Millisecond)
+			time.Sleep(100 * time.Millisecond)
 		}
 
 		out.Reset()
@@ -124,7 +121,7 @@ func TestShellFullWorkflow(t *testing.T) {
 
 func TestShellUsageAndReplicate(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, out, clk := newShell(t)
+		sh, out := newShell(t)
 		sh.dispatch("auth alice pw")
 		// Usage is empty before any job runs.
 		out.Reset()
@@ -152,7 +149,7 @@ func TestShellUsageAndReplicate(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("job stuck: %q", out.String())
 			}
-			clk.Sleep(100 * time.Millisecond)
+			time.Sleep(100 * time.Millisecond)
 		}
 		out.Reset()
 		if err := sh.dispatch("usage"); err != nil {
@@ -171,7 +168,7 @@ func TestShellUsageAndReplicate(t *testing.T) {
 
 func TestShellCancel(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, out, _ := newShell(t)
+		sh, out := newShell(t)
 		sh.dispatch("auth alice pw")
 		dir := t.TempDir()
 		path := filepath.Join(dir, "long.gsh")
@@ -193,7 +190,7 @@ func TestShellCancel(t *testing.T) {
 
 func TestShellErrors(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, _, _ := newShell(t)
+		sh, _ := newShell(t)
 		if err := sh.dispatch("frobnicate"); err == nil {
 			t.Fatal("unknown command accepted")
 		}
@@ -218,7 +215,7 @@ func TestShellErrors(t *testing.T) {
 
 func TestShellREPLQuit(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, out, _ := newShell(t)
+		sh, out := newShell(t)
 		sh.repl(strings.NewReader("help\nquit\n"))
 		if !strings.Contains(out.String(), "commands:") {
 			t.Fatalf("repl output %q", out.String())

@@ -16,7 +16,6 @@ import (
 	"repro/internal/hop"
 	"repro/internal/netsim"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // TestMain runs the package's tests under GOEXPERIMENT=synctest, where
@@ -29,12 +28,11 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 // CLI's transport is pointed at until the test ends.
 func bootAppliance(t *testing.T) string {
 	t.Helper()
-	var clk vtime.Real
 	pipes := netsim.NewNet()
 	stock := transport
 	transport = hop.NewTransport(pipes.DialContext)
 	t.Cleanup(func() { transport = stock })
-	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})
+	env, err := gridenv.Start(gridenv.Options{Net: pipes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +42,6 @@ func bootAppliance(t *testing.T) string {
 	}
 	img, err := appliance.BuildImage(appliance.Config{
 		Endpoints:    env.Endpoints(),
-		Clock:        clk,
 		PollInterval: 3 * time.Second,
 		Trace:        trace.NewCollector(0, 0),
 		GridDial:     pipes.DialContext,

@@ -22,7 +22,6 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/hop"
 	"repro/internal/netsim"
-	"repro/internal/vtime"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
 )
@@ -39,9 +38,8 @@ write report-${pass}.txt 2048
 func main() { bubble.Run(run) }
 
 func run() {
-	var clk vtime.Real
 	pipes := netsim.NewNet()
-	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})
+	env, err := gridenv.Start(gridenv.Options{Net: pipes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +50,6 @@ func run() {
 
 	img, err := appliance.BuildImage(appliance.Config{
 		Endpoints:    env.Endpoints(),
-		Clock:        clk,
 		PollInterval: 3 * time.Second,
 		GridDial:     pipes.DialContext,
 	})
@@ -96,7 +93,7 @@ func run() {
 		log.Fatal(err)
 	}
 	for pass := 1; pass <= 2; pass++ {
-		start := clk.Now()
+		start := time.Now()
 		ticket, err := proxy.Invoke("execute", map[string]string{"pass": fmt.Sprint(pass)})
 		if err != nil {
 			log.Fatal(err)
@@ -105,7 +102,7 @@ func run() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("pass %d (%.0f virtual s):\n%s", pass, clk.Now().Sub(start).Seconds(), indent(out))
+		fmt.Printf("pass %d (%.0f virtual s):\n%s", pass, time.Since(start).Seconds(), indent(out))
 	}
 	fmt.Println("reports written on the grid; fetch with the outputFile operation if needed")
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/gsh"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/vtime"
 	"repro/internal/wsdl"
 )
 
@@ -29,13 +28,12 @@ import (
 func main() { bubble.Run(run) }
 
 func run() {
-	var clk vtime.Real
 	pipes := netsim.NewNet()
-	rec := metrics.NewRecorder(clk, 3*time.Second)
+	rec := metrics.NewRecorder(3 * time.Second)
 	probe := metrics.NewProbe(rec)
-	wan := netsim.WAN(clk) // ~85 KB/s, the paper's measured path
+	wan := netsim.WAN() // ~85 KB/s, the paper's measured path
 
-	env, err := gridenv.Start(gridenv.Options{Clock: clk, Profile: wan, Net: pipes})
+	env, err := gridenv.Start(gridenv.Options{Profile: wan, Net: pipes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +44,6 @@ func run() {
 
 	img, err := appliance.BuildImage(appliance.Config{
 		Endpoints:    env.Endpoints(),
-		Clock:        clk,
 		Probe:        probe,
 		Cost:         metrics.DefaultCost(),
 		GridDial:     (&netsim.Dialer{Profile: wan, Probe: probe, Net: pipes}).DialContext,
@@ -73,12 +70,12 @@ func run() {
 	fmt.Printf("uploaded bigsim.gsh (%.1f MB) -> BigsimService\n", float64(len(program))/(1<<20))
 
 	for run := 1; run <= 2; run++ {
-		start := clk.Now()
+		start := time.Now()
 		out, err := app.OnServe.ExecuteAndWait("BigsimService", nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		elapsed := clk.Now().Sub(start)
+		elapsed := time.Since(start)
 		fmt.Printf("invocation %d: %q in %.0f virtual seconds", run, out[:len(out)-1], elapsed.Seconds())
 		if run == 1 {
 			fmt.Printf("  (staging 5MB at ~85 KB/s dominates)")

@@ -22,7 +22,6 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/hop"
 	"repro/internal/netsim"
-	"repro/internal/vtime"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
 )
@@ -32,10 +31,9 @@ import (
 func main() { bubble.Run(run) }
 
 func run() {
-	var clk vtime.Real
 	pipes := netsim.NewNet()
 	user := &http.Client{Transport: hop.NewTransport(pipes.DialContext)}
-	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})
+	env, err := gridenv.Start(gridenv.Options{Net: pipes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +48,6 @@ func run() {
 
 	img, err := appliance.BuildImage(appliance.Config{
 		Endpoints:    env.Endpoints(),
-		Clock:        clk,
 		PollInterval: 3 * time.Second,
 		GridDial:     pipes.DialContext,
 	})

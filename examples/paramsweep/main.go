@@ -22,7 +22,6 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/hop"
 	"repro/internal/netsim"
-	"repro/internal/vtime"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
 )
@@ -38,9 +37,8 @@ write cell-${alpha}-${beta}.dat 512
 func main() { bubble.Run(run) }
 
 func run() {
-	var clk vtime.Real
 	pipes := netsim.NewNet()
-	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes}) // full 11-site TeraGrid
+	env, err := gridenv.Start(gridenv.Options{Net: pipes}) // full 11-site TeraGrid
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +48,6 @@ func run() {
 	}
 	img, err := appliance.BuildImage(appliance.Config{
 		Endpoints:    env.Endpoints(),
-		Clock:        clk,
 		PollInterval: 3 * time.Second,
 		GridDial:     pipes.DialContext,
 	})
@@ -92,7 +89,7 @@ func run() {
 	}
 	close(cells)
 
-	start := clk.Now()
+	start := time.Now()
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
@@ -121,7 +118,7 @@ func run() {
 		}()
 	}
 	wg.Wait()
-	elapsed := clk.Now().Sub(start)
+	elapsed := time.Since(start)
 
 	fmt.Printf("%d sweep cells completed in %.1f virtual seconds (%.1f jobs/min)\n",
 		len(results), elapsed.Seconds(), float64(len(results))/elapsed.Minutes())

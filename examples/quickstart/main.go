@@ -24,7 +24,6 @@ import (
 	"repro/internal/portal"
 	"repro/internal/soap"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
 )
@@ -40,12 +39,11 @@ write estimate.dat 128
 func main() { bubble.Run(run) }
 
 func run() {
-	var clk vtime.Real
 	pipes := netsim.NewNet()
 	user := &http.Client{Transport: hop.NewTransport(pipes.DialContext)}
 
 	// 1. The production grid: sites, GRAM, GridFTP, MyProxy, CA.
-	env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes})
+	env, err := gridenv.Start(gridenv.Options{Net: pipes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +56,6 @@ func run() {
 	// 2. Build and boot the onServe appliance.
 	img, err := appliance.BuildImage(appliance.Config{
 		Endpoints:    env.Endpoints(),
-		Clock:        clk,
 		PollInterval: 3 * time.Second,
 		GridDial:     pipes.DialContext,
 	})

@@ -19,7 +19,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
 )
@@ -30,10 +29,8 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
 		pipes := netsim.NewNet()
 		env, err := gridenv.Start(gridenv.Options{
-			Clock: clk,
 			Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
 			Net:   pipes,
 		})
@@ -48,7 +45,6 @@ func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 		dbDir := t.TempDir()
 		img, err := appliance.BuildImage(appliance.Config{
 			Endpoints:    env.Endpoints(),
-			Clock:        clk,
 			DBDir:        dbDir,
 			PollInterval: 2 * time.Second,
 			GridDial:     pipes.DialContext,
@@ -117,10 +113,8 @@ func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 
 func TestIntegrationDiscoveryPipeline(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
 		pipes := netsim.NewNet()
 		env, err := gridenv.Start(gridenv.Options{
-			Clock: clk,
 			Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
 			Net:   pipes,
 		})
@@ -130,7 +124,7 @@ func TestIntegrationDiscoveryPipeline(t *testing.T) {
 		defer env.Close()
 		env.AddUser("alice", "pw", 0)
 		img, _ := appliance.BuildImage(appliance.Config{
-			Endpoints: env.Endpoints(), Clock: clk, PollInterval: 2 * time.Second,
+			Endpoints: env.Endpoints(), PollInterval: 2 * time.Second,
 			GridDial: pipes.DialContext,
 		})
 		app, err := img.Boot(pipes.Listen())

@@ -28,7 +28,6 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 )
 
 // Config describes an appliance image. It is core.Config: the knobs are
@@ -85,9 +84,6 @@ func BuildImage(cfg Config) (*Image, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vtime.Real{}
-	}
 	return &Image{
 		cfg: cfg,
 		Manifest: []string{
@@ -133,12 +129,12 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 	baseURL := "http://" + ln.Addr().String()
 
 	dbOpts := blobdb.Options{
-		Dir: cfg.DBDir, Clock: cfg.Clock, Probe: cfg.Probe, Cost: cfg.Cost,
+		Dir: cfg.DBDir, Probe: cfg.Probe, Cost: cfg.Cost,
 		BlobCacheBytes: cfg.BlobCacheBytes, GroupCommit: cfg.GroupCommit,
 		WALShards: cfg.WALShards, AutoCompact: cfg.AutoCompact,
 	}
 	if cfg.Trace != nil {
-		dbOpts.Tracer = trace.NewTracer("blobdb", cfg.Clock, cfg.Trace)
+		dbOpts.Tracer = trace.NewTracer("blobdb", nil, cfg.Trace)
 	}
 	db, err := blobdb.Open(dbOpts)
 	if err != nil {
@@ -146,22 +142,21 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		return nil, fmt.Errorf("appliance: open database: %w", err)
 	}
 	container := soap.NewServer(cfg.Probe, cfg.Cost)
-	registry := uddi.NewRegistry(cfg.Clock)
+	registry := uddi.NewRegistry(nil)
 	agent := cyberaide.New(cyberaide.Options{
 		Endpoints: cfg.Endpoints,
-		Clock:     cfg.Clock,
 		Probe:     cfg.Probe,
 		Cost:      cfg.Cost,
 		Dial:      cfg.GridDial,
 	})
 	parts := core.Parts{DB: db, Container: container, Registry: registry, Agent: agent, BaseURL: baseURL}
 	if cfg.Trace != nil {
-		parts.Tracing = trace.NewTracer("onserve", cfg.Clock, cfg.Trace)
+		parts.Tracing = trace.NewTracer("onserve", nil, cfg.Trace)
 	}
 	if cfg.Tenancy != nil {
-		topts := tenant.Options{Clock: cfg.Clock, DB: db}
+		topts := tenant.Options{DB: db}
 		if cfg.Trace != nil {
-			topts.Tracer = trace.NewTracer("tenant", cfg.Clock, cfg.Trace)
+			topts.Tracer = trace.NewTracer("tenant", nil, cfg.Trace)
 		}
 		parts.Tenancy, err = tenant.NewController(*cfg.Tenancy, topts)
 		if err != nil {
@@ -223,13 +218,16 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 	}, nil
 }
 
-// Shutdown stops the HTTP server and closes the database. It is
-// idempotent: fleet supervisors (the gateway's Kill path and its final
-// Shutdown sweep) may both reach a crashed appliance.
+// Shutdown stops the HTTP server, ends the invocation collectors (no
+// stream, poll or fetch of the appliance reaches the grid after it) and
+// closes the database. It is idempotent: fleet supervisors (the gateway's
+// Kill path and its final Shutdown sweep) may both reach a crashed
+// appliance.
 func (a *Appliance) Shutdown() error {
 	var err error
 	a.shutdownOnce.Do(func() {
 		a.srv.Close()
+		a.OnServe.Close()
 		a.ln.Close()
 		err = a.DB.Close()
 	})

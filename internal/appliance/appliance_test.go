@@ -21,14 +21,12 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 	"repro/internal/wsclient"
 )
 
 type world struct {
-	app   *Appliance
-	env   *gridenv.Env
-	clock vtime.Clock
+	app *Appliance
+	env *gridenv.Env
 	// web is a browser on the world's in-process network. It shows a
 	// redirect instead of following it: the mux answers a path with an
 	// empty segment that way, before any handler sees it.
@@ -43,10 +41,8 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 // in a bubble.
 func boot(t *testing.T, mutate func(*Config)) *world {
 	t.Helper()
-	var clk vtime.Real
 	pipes := netsim.NewNet()
 	env, err := gridenv.Start(gridenv.Options{
-		Clock: clk,
 		Sites: []gridsim.SiteConfig{
 			{Name: "siteA", Nodes: 2, CoresPerNode: 4},
 			{Name: "siteB", Nodes: 1, CoresPerNode: 4},
@@ -62,7 +58,6 @@ func boot(t *testing.T, mutate func(*Config)) *world {
 	}
 	cfg := Config{
 		Endpoints:         env.Endpoints(),
-		Clock:             clk,
 		Cost:              metrics.DefaultCost(),
 		PollInterval:      2 * time.Second,
 		InvocationTimeout: time.Hour,
@@ -86,7 +81,7 @@ func boot(t *testing.T, mutate func(*Config)) *world {
 	app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
 	web := &http.Client{Transport: &http.Transport{DialContext: pipes.DialContext},
 		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
-	return &world{app: app, env: env, clock: clk, web: web}
+	return &world{app: app, env: env, web: web}
 }
 
 func (w *world) uploadViaPortal(t *testing.T, filename, program string, params [][2]string) map[string]any {
@@ -364,9 +359,8 @@ func TestApplianceHostsToolkitServices(t *testing.T) {
 func TestAppliancePersistentDBSurvivesReboot(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		dir := t.TempDir()
-		var clk vtime.Real
 		pipes := netsim.NewNet()
-		env, err := gridenv.Start(gridenv.Options{Clock: clk, Net: pipes, Sites: []gridsim.SiteConfig{
+		env, err := gridenv.Start(gridenv.Options{Net: pipes, Sites: []gridsim.SiteConfig{
 			{Name: "siteA", Nodes: 1, CoresPerNode: 2},
 		}})
 		if err != nil {
@@ -374,7 +368,7 @@ func TestAppliancePersistentDBSurvivesReboot(t *testing.T) {
 		}
 		defer env.Close()
 		env.AddUser("alice", "pw", 0)
-		cfg := Config{Endpoints: env.Endpoints(), Clock: clk, DBDir: dir, GridDial: pipes.DialContext}
+		cfg := Config{Endpoints: env.Endpoints(), DBDir: dir, GridDial: pipes.DialContext}
 		img, err := BuildImage(cfg)
 		if err != nil {
 			t.Fatal(err)

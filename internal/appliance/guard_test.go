@@ -191,7 +191,7 @@ func TestBuildImageRejectsKnobsWithoutChunkedStaging(t *testing.T) {
 			"WireCompression":    func(c *Config) { c.WireCompression = true },
 		} {
 			dir := filepath.Join(t.TempDir(), "db")
-			cfg := Config{Endpoints: w.env.Endpoints(), Clock: w.clock, DBDir: dir}
+			cfg := Config{Endpoints: w.env.Endpoints(), DBDir: dir}
 			set(&cfg)
 			if _, err := BuildImage(cfg); err == nil || !strings.Contains(err.Error(), "require ChunkedStaging") {
 				t.Errorf("%s without ChunkedStaging: %v", name, err)

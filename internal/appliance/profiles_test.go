@@ -1,9 +1,12 @@
 package appliance
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,9 +31,9 @@ func TestProfilesEndToEnd(t *testing.T) {
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				w := boot(t, func(cfg *Config) {
-					wiring := *cfg // the fixture's grid, network, clock and cadence
+					wiring := *cfg // the fixture's grid, network and cadence
 					*cfg = tc.profile()
-					cfg.Endpoints, cfg.GridDial, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Clock, wiring.Cost
+					cfg.Endpoints, cfg.GridDial, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Cost
 					cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
 				})
 				ons := w.app.OnServe
@@ -69,7 +72,7 @@ func TestProfilesEndToEnd(t *testing.T) {
 // could hide in.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"Endpoints", "Clock", "Probe", "Cost", "DBDir", "GridDial",
+		"Endpoints", "Probe", "Cost", "DBDir", "GridDial",
 		"PollInterval", "InvocationTimeout", "ProxyLifetime", "StagingCache", "DirectDBWrite",
 		"SessionCache", "StatsTTL", "PushEvents", "CoalesceStaging", "ChunkedStaging",
 		"ChunkBytes", "WireCompression", "DataAwarePlacement", "BlobCacheBytes", "GroupCommit",
@@ -131,9 +134,9 @@ func TestPublishCycleLeavesNoApplianceState(t *testing.T) {
 
 func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
 	w := boot(t, func(cfg *Config) {
-		wiring := *cfg // as TestProfilesEndToEnd: the fixture's grid, network, clock and cadence
+		wiring := *cfg // as TestProfilesEndToEnd: the fixture's grid, network and cadence
 		*cfg = profile(t.TempDir())
-		cfg.Endpoints, cfg.GridDial, cfg.Clock, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Clock, wiring.Cost
+		cfg.Endpoints, cfg.GridDial, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Cost
 		cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
 	})
 	ons := w.app.OnServe
@@ -180,7 +183,7 @@ func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
 	settled := func(ok func(map[string]int) bool) map[string]int {
 		got := idle()
 		for deadline := time.Now().Add(5 * time.Second); !ok(got) && time.Now().Before(deadline); got = idle() {
-			w.clock.Sleep(time.Millisecond) // returns once all else is parked
+			time.Sleep(time.Millisecond) // returns once all else is parked
 		}
 		return got
 	}
@@ -201,4 +204,50 @@ func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
 	if n := tableLen(ons, "invocations"); n != cycles+1 {
 		t.Errorf("ticket map holds %d invocations after %d cycles", n, cycles+1)
 	}
+}
+
+// TestShutdownEndsTheCollectors: an appliance shut down while it holds a
+// job sends nothing more to the gatekeeper — no event-stream reconnect,
+// no status poll — though the grid it was attached to goes away after it,
+// as a rig's does, and time runs on.
+func TestShutdownEndsTheCollectors(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		var down atomic.Bool
+		var dials atomic.Int32
+		var poll time.Duration
+		w := boot(t, func(cfg *Config) {
+			wiring := *cfg // the fixture's grid, network and cadence
+			*cfg = Production("")
+			cfg.Endpoints, cfg.Cost = wiring.Endpoints, wiring.Cost
+			cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
+			poll = wiring.PollInterval
+			gatekeeper := strings.TrimPrefix(wiring.Endpoints.GramURL, "http://")
+			cfg.GridDial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+				if addr == gatekeeper && down.Load() {
+					dials.Add(1)
+				}
+				return wiring.GridDial(ctx, network, addr)
+			}
+		})
+		ons := w.app.OnServe
+		rec, err := ons.UploadAndGenerate("alice", "hold.gsh", "", nil, []byte("compute 1h\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := ons.Invoke(rec.Name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bubble.Wait()
+		if ons.EventStats().StreamsOpened != 1 || inv.State().Terminal() {
+			t.Fatalf("held job %s, %+v: want one open stream", inv.State(), ons.EventStats())
+		}
+		down.Store(true)
+		w.app.Shutdown()
+		w.env.Close()
+		time.Sleep(10 * poll)
+		if n := dials.Load(); n != 0 {
+			t.Fatalf("%d dials of the gatekeeper after Shutdown, want 0", n)
+		}
+	})
 }

@@ -41,7 +41,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sizedio"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // File names inside the database directory, beside the per-shard
@@ -179,7 +178,6 @@ type walEntry struct {
 // DB is the database handle. All methods are safe for concurrent use.
 type DB struct {
 	dir    string
-	clock  vtime.Clock
 	probe  *metrics.Probe
 	cost   metrics.Cost
 	tracer *trace.Tracer
@@ -198,8 +196,6 @@ type DB struct {
 type Options struct {
 	// Dir is the storage directory; empty means in-memory only.
 	Dir string
-	// Clock timestamps records; nil means real time.
-	Clock vtime.Clock
 	// Probe accounts CPU (compress/decompress) and disk traffic; may be nil.
 	Probe *metrics.Probe
 	// Cost supplies the compression CPU rates; zero rates disable burning.
@@ -231,8 +227,8 @@ type Options struct {
 	// shard per scan when its sealed garbage passes 50%. Persistent
 	// databases only, at any shard count.
 	AutoCompact bool
-	// CompactEvery is the background compactor's scan cadence (real
-	// time, not the virtual clock); zero means DefaultCompactEvery.
+	// CompactEvery is the background compactor's scan cadence; zero
+	// means DefaultCompactEvery.
 	CompactEvery time.Duration
 	// Tracer records db.replay spans at Open and db.compact spans per
 	// compaction; nil records nothing.
@@ -241,10 +237,6 @@ type Options struct {
 
 // Open opens (creating or recovering) a database.
 func Open(opts Options) (*DB, error) {
-	clock := opts.Clock
-	if clock == nil {
-		clock = vtime.Real{}
-	}
 	n := max(1, opts.WALShards)
 	segLimit := opts.SegmentBytes
 	if segLimit <= 0 {
@@ -252,7 +244,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	db := &DB{
 		dir:      opts.Dir,
-		clock:    clock,
 		probe:    opts.Probe,
 		cost:     opts.Cost,
 		tracer:   opts.Tracer,
@@ -377,7 +368,7 @@ func (t *Table) PutStored(key string, meta map[string]string, s *Stored) error {
 	db.probe.BurnFor(s.RawSize, db.cost.CompressBps)
 	e := &walEntry{
 		Op: "put", Table: t.name, Key: key, Meta: cloneMeta(meta),
-		Comp: s.Gzip, RawSize: s.RawSize, StoredAt: db.clock.Now(), sum: s.Sum,
+		Comp: s.Gzip, RawSize: s.RawSize, StoredAt: time.Now(), sum: s.Sum,
 	}
 	e.Sum = e.sum[:]
 	return db.shardFor(t.name, key).commit(e)
@@ -399,7 +390,7 @@ func (t *Table) SetMeta(key string, meta map[string]string) error {
 	db.probe.DiskRead(len(r.comp))
 	db.probe.BurnFor(r.rawSize, db.cost.DecompressBps)
 	db.probe.BurnFor(r.rawSize, db.cost.CompressBps)
-	return db.shardFor(t.name, key).commit(r.putEntry(t.name, key, cloneMeta(meta), db.clock.Now()))
+	return db.shardFor(t.name, key).commit(r.putEntry(t.name, key, cloneMeta(meta), time.Now()))
 }
 
 func cloneMeta(meta map[string]string) map[string]string {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bubble"
 	"repro/internal/metrics"
-	"repro/internal/vtime"
 )
 
 // compact folds every shard's state into a snapshot and retires the
@@ -268,8 +267,7 @@ func TestClosedDB(t *testing.T) {
 
 func TestAccounting(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
-		rec := metrics.NewRecorder(clk, 3*time.Second)
+		rec := metrics.NewRecorder(3 * time.Second)
 		probe := metrics.NewProbe(rec)
 		db, err := Open(Options{Probe: probe, Cost: metrics.Cost{CompressBps: 1 << 20, DecompressBps: 4 << 20}})
 		if err != nil {
@@ -384,15 +382,16 @@ func TestPropertyPersistenceIdentity(t *testing.T) {
 func key(i int) string { return "k" + string(rune('0'+i)) }
 
 func TestStoredAtUsesClock(t *testing.T) {
-	clk := vtime.NewManual(time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC))
-	db, err := Open(Options{Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	db.Table("t").Put("k", nil, nil)
-	rec, _ := db.Table("t").Stat("k")
-	if !rec.StoredAt.Equal(clk.Now()) {
-		t.Fatalf("stored at %v", rec.StoredAt)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		db, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		db.Table("t").Put("k", nil, nil)
+		rec, _ := db.Table("t").Stat("k")
+		if !rec.StoredAt.Equal(time.Now()) {
+			t.Fatalf("stored at %v", rec.StoredAt)
+		}
+	})
 }

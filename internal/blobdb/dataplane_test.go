@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/sizedio"
-	"repro/internal/vtime"
 )
 
 // bytesPerOp is testing.Benchmark's AllocedBytesPerOp of f.
@@ -310,68 +310,68 @@ func TestGenerationIdentifiesRowVersion(t *testing.T) {
 // --- SetMeta rewrites metadata without touching the blob ---
 
 func TestSetMetaReusesStoredStream(t *testing.T) {
-	for _, opts := range []Options{{}, {WALShards: 2, GroupCommit: true}} {
-		if opts.WALShards > 0 {
-			opts.Dir = t.TempDir()
+	bubble.Test(t, func(t *testing.T) {
+		for _, opts := range []Options{{}, {WALShards: 2, GroupCommit: true}} {
+			if opts.WALShards > 0 {
+				opts.Dir = t.TempDir()
+			}
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab := db.Table("t")
+			blob := benchBlob(32 << 10)
+			if err := tab.Put("k", map[string]string{"owner": "alice"}, blob); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := tab.Stat("k")
+			compBefore, _, _ := tab.GetCompressed("k")
+			time.Sleep(time.Second)
+			if err := tab.SetMeta("k", map[string]string{"owner": "alice", "stage_in": "a.dat"}); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := tab.Get("k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Meta["stage_in"] != "a.dat" || rec.Meta["owner"] != "alice" {
+				t.Fatalf("meta not replaced: %v", rec.Meta)
+			}
+			if !bytes.Equal(rec.Blob, blob) {
+				t.Fatal("blob changed")
+			}
+			if rec.CompressedSize != before.CompressedSize {
+				t.Fatalf("CompressedSize %d -> %d", before.CompressedSize, rec.CompressedSize)
+			}
+			// As after a Put of the same blob: a fresh StoredAt.
+			if !rec.StoredAt.After(before.StoredAt) {
+				t.Fatalf("StoredAt did not advance: %v -> %v", before.StoredAt, rec.StoredAt)
+			}
+			compAfter, _, _ := tab.GetCompressed("k")
+			if &compAfter[0] != &compBefore[0] {
+				t.Fatal("SetMeta re-compressed the blob instead of reusing the stored stream")
+			}
+			if err := tab.SetMeta("absent", nil); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("SetMeta on a missing key: %v", err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if opts.Dir == "" {
+				continue
+			}
+			// The rewrite is durable like any put.
+			db, err = Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err = db.Table("t").Get("k")
+			if err != nil || rec.Meta["stage_in"] != "a.dat" || !bytes.Equal(rec.Blob, blob) {
+				t.Fatalf("after replay: %v %v", err, rec)
+			}
+			db.Close()
 		}
-		clock := vtime.NewManual(time.Date(2010, 7, 1, 0, 0, 0, 0, time.UTC))
-		opts.Clock = clock
-		db, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab := db.Table("t")
-		blob := benchBlob(32 << 10)
-		if err := tab.Put("k", map[string]string{"owner": "alice"}, blob); err != nil {
-			t.Fatal(err)
-		}
-		before, _ := tab.Stat("k")
-		compBefore, _, _ := tab.GetCompressed("k")
-		clock.Advance(time.Second)
-		if err := tab.SetMeta("k", map[string]string{"owner": "alice", "stage_in": "a.dat"}); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := tab.Get("k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Meta["stage_in"] != "a.dat" || rec.Meta["owner"] != "alice" {
-			t.Fatalf("meta not replaced: %v", rec.Meta)
-		}
-		if !bytes.Equal(rec.Blob, blob) {
-			t.Fatal("blob changed")
-		}
-		if rec.CompressedSize != before.CompressedSize {
-			t.Fatalf("CompressedSize %d -> %d", before.CompressedSize, rec.CompressedSize)
-		}
-		// As after a Put of the same blob: a fresh StoredAt.
-		if !rec.StoredAt.After(before.StoredAt) {
-			t.Fatalf("StoredAt did not advance: %v -> %v", before.StoredAt, rec.StoredAt)
-		}
-		compAfter, _, _ := tab.GetCompressed("k")
-		if &compAfter[0] != &compBefore[0] {
-			t.Fatal("SetMeta re-compressed the blob instead of reusing the stored stream")
-		}
-		if err := tab.SetMeta("absent", nil); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("SetMeta on a missing key: %v", err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if opts.Dir == "" {
-			continue
-		}
-		// The rewrite is durable like any put.
-		db, err = Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err = db.Table("t").Get("k")
-		if err != nil || rec.Meta["stage_in"] != "a.dat" || !bytes.Equal(rec.Blob, blob) {
-			t.Fatalf("after replay: %v %v", err, rec)
-		}
-		db.Close()
-	}
+	})
 }
 
 // --- a row whose stream disagrees with raw_size is corrupt ---

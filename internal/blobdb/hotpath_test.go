@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bubble"
 	"repro/internal/metrics"
-	"repro/internal/vtime"
 )
 
 // TestMain runs the tests whose probe sleeps on virtual time in a
@@ -23,10 +22,9 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 // modelled disk/CPU accounting a hit is supposed to skip.
 func cachedDB(t *testing.T, cacheBytes int64) (*DB, *metrics.Recorder) {
 	t.Helper()
-	var clk vtime.Real
-	rec := metrics.NewRecorder(clk, 3*time.Second)
+	rec := metrics.NewRecorder(3 * time.Second)
 	db, err := Open(Options{
-		Clock: clk, Probe: metrics.NewProbe(rec), Cost: metrics.DefaultCost(),
+		Probe: metrics.NewProbe(rec), Cost: metrics.DefaultCost(),
 		BlobCacheBytes: cacheBytes,
 	})
 	if err != nil {
@@ -88,8 +86,7 @@ func TestRecordBlobIsSharedAndStable(t *testing.T) {
 			bytes.Repeat([]byte("v1 payload "), blobBytes/11),
 		}
 		// Room for two blobs: the filler keys below push "k" out of the LRU.
-		db, metered := cachedDB(t, 2*blobBytes)
-		clk := metered.Clock()
+		db, _ := cachedDB(t, 2*blobBytes)
 		tab := db.Table("t")
 		if err := tab.Put("k", nil, versions[0]); err != nil {
 			t.Fatal(err)
@@ -131,7 +128,7 @@ func TestRecordBlobIsSharedAndStable(t *testing.T) {
 						kept = append(kept, mine...)
 						mu.Unlock()
 						return
-					case <-clk.After(time.Millisecond):
+					case <-time.After(time.Millisecond):
 					}
 					rec, err := tab.Get("k")
 					if errors.Is(err, ErrNotFound) {

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/gridftp"
 	"repro/internal/gridsim"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -240,7 +239,7 @@ func TestOldDirectoriesKeepOpening(t *testing.T) {
 	}
 
 	// The real site, and alice's client to it.
-	now := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
+	now := time.Now()
 	ca, err := xsec.NewCA("FTPCA", now, 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +249,7 @@ func TestOldDirectoriesKeepOpening(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := gridsim.NewStore()
-	hs := httptest.NewServer(gridftp.NewServer(store, xsec.NewTrustStore(ca.Cert), vtime.NewManual(now.Add(time.Hour)), nil))
+	hs := httptest.NewServer(gridftp.NewServer(store, xsec.NewTrustStore(ca.Cert), nil))
 	defer hs.Close()
 	ftp := &gridftp.Client{BaseURL: hs.URL, Cred: alice}
 	fileOf := func(key string) gridftp.File {

@@ -3,11 +3,11 @@
 // goroutine the bubble started can run, and jumps to the earliest
 // deadline once every one of them is durably blocked — on a channel, a
 // select, a sync.Cond or a sleep. The rigs, the test fixtures and the
-// examples run the full protocol stack on vtime.Real over in-process
-// pipes (netsim.Net), whose waits are all channel operations, so a
-// 60-second transfer takes as much host time as its bytes cost to move,
-// and no host, with or without the race detector, can stretch or shrink
-// a modelled duration. Run returns only once every goroutine the bubble
+// examples run the full protocol stack, which waits and timestamps with
+// the time package alone, over in-process pipes (netsim.Net), whose waits
+// are all channel operations, so a 60-second transfer takes as much host
+// time as its bytes cost to move, and no host, with or without the race
+// detector, can stretch or shrink a modelled duration. Run returns only once every goroutine the bubble
 // started has exited, so a rig that leaks one fails.
 //
 // go1.24 compiles testing/synctest only under GOEXPERIMENT=synctest.

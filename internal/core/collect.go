@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/gram"
 	"repro/internal/trace"
@@ -50,7 +51,7 @@ type collector interface {
 // same armed watchdog, same output cursor.
 type collectJob struct {
 	inv *Invocation
-	wd  *Watchdog
+	wd  *time.Timer // the watchdog (armWatchdog)
 
 	mu sync.Mutex
 	// lastVer is the output version of the snapshot last stored in the
@@ -92,20 +93,21 @@ func (o *OnServe) finishAs(inv *Invocation, st InvState, message string) {
 	if st == InvDone {
 		message = ""
 	}
-	if inv.finish(st, message, o.clock.Now()) {
+	if inv.finish(st, message, time.Now()) {
 		o.releaseSession(inv.sessionID)
 	}
 }
 
 // armWatchdog starts the invocation's deadline timer ("a watchdog class,
 // that is used to react correctly ... when a process takes too long to
-// complete"). The verdict is recorded before the grid job is cancelled:
-// finish is once-only, so the CANCELLED state that the cancel provokes —
-// which the push collector can be told of before Cancel even returns — is
-// ignored instead of racing the kill for the final state.
-func (o *OnServe) armWatchdog(inv *Invocation) *Watchdog {
-	return NewWatchdog(o.clock, o.cfg.InvocationTimeout, func() {
-		killed := inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), o.clock.Now())
+// complete"): a timer, never a parked goroutine, that runs its kill once
+// unless stopped first. The verdict is recorded before the grid job is
+// cancelled: finish is once-only, so the CANCELLED state that the cancel
+// provokes — which the push collector can be told of before Cancel even
+// returns — is ignored instead of racing the kill for the final state.
+func (o *OnServe) armWatchdog(inv *Invocation) *time.Timer {
+	return time.AfterFunc(o.cfg.InvocationTimeout, func() {
+		killed := inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), time.Now())
 		o.parts.Agent.Cancel(inv.sessionID, inv.JobID)
 		if killed {
 			o.releaseSession(inv.sessionID)
@@ -214,6 +216,10 @@ func (o *OnServe) statusBatch(sessionID string, batch []*collectJob, apply func(
 	}
 }
 
+// msgShutDown is the message of an invocation still running at Close: it
+// ends KILLED, and its grid job is left as it is.
+const msgShutDown = "onserve: appliance shut down"
+
 // tentativePoller is the paper's collector: one polling goroutine per
 // invocation.
 type tentativePoller struct{ o *OnServe }
@@ -224,13 +230,12 @@ func (p tentativePoller) register(inv *Invocation) { go p.o.pollOutput(inv) }
 // request the output tentatively. Finally this may result in a service
 // customer that requests the application's output more often than
 // necessary". Each poll fetches the whole stdout snapshot and writes it
-// to the local disk, whether or not anything changed.
+// to the local disk, whether or not anything changed. Close ends it.
 func (o *OnServe) pollOutput(inv *Invocation) {
 	wd := o.armWatchdog(inv)
 	defer wd.Stop()
 	lastLen := -1
-	for {
-		o.clock.Sleep(o.cfg.PollInterval)
+	for o.pause(o.cfg.PollInterval) {
 		if inv.State().Terminal() {
 			return // watchdog or cancel got there first
 		}
@@ -263,4 +268,5 @@ func (o *OnServe) pollOutput(inv *Invocation) {
 			return
 		}
 	}
+	inv.finish(InvKilled, msgShutDown, time.Now())
 }

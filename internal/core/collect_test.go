@@ -17,7 +17,6 @@ import (
 	"repro/internal/bubble"
 	"repro/internal/gram"
 	"repro/internal/gridsim"
-	"repro/internal/vtime"
 )
 
 // flakyGram fails the first few requests to each listed gatekeeper path
@@ -107,7 +106,7 @@ func (f closerFunc) Close() error { return f() }
 // collectorGoroutines returns the stacks of goroutines the collect step
 // runs, by goroutine ID: tentative pollers, and the push path's stream
 // workers (streaming, with their heartbeat monitors, or polling) and
-// final-fetch retries. A watchdog is a timer on the clock, not a goroutine.
+// final-fetch retries. A watchdog is a timer, not a goroutine.
 func collectorGoroutines() map[string]string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -145,49 +144,49 @@ func (f *fixture) collectorsIdle(t *testing.T) {
 }
 
 // TestWatchdogStartsNoGoroutine: arming a watchdog parks no goroutine of
-// its own; it is a timer on the clock until it fires or is stopped.
+// its own; it is a timer until it fires or is stopped.
 func TestWatchdogStartsNoGoroutine(t *testing.T) {
-	wd := NewWatchdog(vtime.NewManual(time.Unix(0, 0)), time.Hour, func() {})
+	o := &OnServe{cfg: Config{InvocationTimeout: time.Hour}}
+	wd := o.armWatchdog(&Invocation{})
 	defer wd.Stop()
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "created by repro/internal/core.NewWatchdog") {
+		if strings.Contains(g, "created by repro/internal/core.(*OnServe).armWatchdog") {
 			t.Fatalf("an armed watchdog parks a goroutine:\n%s", g)
 		}
 	}
 }
 
-// TestTerminalInvocationLeavesNoWatchdogPending: on a Manual clock, once
-// an invocation is terminal nothing of it is pending — the tentative
-// poller returned, and stopping its watchdog took the timer off the clock.
+// TestTerminalInvocationLeavesNoWatchdogPending: while an invocation runs,
+// one tentative poller collects it beside its watchdog; once it is
+// terminal nothing of it is left — the poller returned, and its watchdog
+// was stopped, so the deadline passes without a cancel reaching the grid
+// (the cached session would carry a fired watchdog's).
 func TestTerminalInvocationLeavesNoWatchdogPending(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.NewManual(time.Unix(0, 0))
-		f := newFixture(t, func(cfg *Config) { cfg.Clock = clk })
+		cancels := &cancelCount{base: overGrid}
+		f := newFixtureHTTP(t, cancels, func(cfg *Config) { cfg.SessionCache = true })
 		f.uploadDemo(t)
 		inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The grid runs on the bubble's clock, on its own: the poller's next
-		// tick finds the job over.
-		job, err := f.env.Grid.Job(inv.JobID)
-		if err != nil {
-			t.Fatal(err)
+		bubble.Wait()
+		if owned := collectorGoroutines(); inv.State().Terminal() || len(owned) != 1 {
+			t.Fatalf("invocation %s with %d collector goroutines, want one poller", inv.State(), len(owned))
 		}
-		<-job.Done()
-		for bubble.Wait(); !inv.State().Terminal(); bubble.Wait() {
-			if clk.Pending() != 2 { // the watchdog, and the poller asleep beside it
-				t.Fatalf("invocation %s with %d waiters on the clock", inv.State(), clk.Pending())
-			}
-			clk.Advance(f.cfg.PollInterval)
-		}
-		if n := clk.Pending(); n > 0 {
-			t.Fatalf("terminal invocation left %d waiters on the clock", n)
-		}
+		<-inv.DoneChan()
 		if inv.State() != InvDone {
 			t.Fatalf("invocation ended %s: %s", inv.State(), inv.Message())
+		}
+		time.Sleep(f.cfg.InvocationTimeout) // past the watchdog's deadline
+		bubble.Wait()
+		if n := cancels.n.Load(); n != 0 {
+			t.Fatalf("%d cancels after DONE: the watchdog was not stopped", n)
+		}
+		if owned := collectorGoroutines(); len(owned) > 0 {
+			t.Fatalf("terminal invocation left %d collector goroutines", len(owned))
 		}
 	})
 }
@@ -456,48 +455,44 @@ func (c *cancelCount) RoundTrip(req *http.Request) (*http.Response, error) {
 	return c.base.RoundTrip(req)
 }
 
-// fetchFaultAt fails every /gram/output fetch made while clk reads at.
-type fetchFaultAt struct {
+// fetchGate fails every /gram/output fetch while it is shut.
+type fetchGate struct {
 	base http.RoundTripper
-
-	mu  sync.Mutex
-	clk vtime.Clock
-	at  time.Time
+	shut atomic.Bool
 }
 
-func (f *fetchFaultAt) arm(clk vtime.Clock) {
-	f.mu.Lock()
-	f.clk, f.at = clk, clk.Now()
-	f.mu.Unlock()
-}
-
-func (f *fetchFaultAt) RoundTrip(req *http.Request) (*http.Response, error) {
-	f.mu.Lock()
-	fail := req.URL.Path == "/gram/output" && f.clk != nil && f.clk.Now().Equal(f.at)
-	f.mu.Unlock()
-	if fail {
-		return nil, errors.New("fetchFaultAt: injected fault")
+func (g *fetchGate) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/gram/output" && g.shut.Load() {
+		return nil, errors.New("fetchGate: injected fault")
 	}
-	return f.base.RoundTrip(req)
+	return g.base.RoundTrip(req)
+}
+
+// retriesParked counts the push collector's final-fetch retries.
+func retriesParked() int {
+	n := 0
+	for _, g := range collectorGoroutines() {
+		if strings.Contains(g, "core.(*eventWorker).finishWhenFetchable") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPushRetriesFailedFinalFetch: the /gram/output fetch behind a
 // terminal event fails. The stream opens only once the job is over, and
-// every fetch made before the appliance's Manual clock moves fails — the
-// bootstrap resync's and the replayed frames' — so the push collector's
-// retries off the stream loop are what end the invocation, one
-// PollInterval later: DONE with its whole stdout, its watchdog stopped and
-// no collector goroutine left.
+// every fetch made before the test opens the gate fails — the bootstrap
+// resync's and the replayed frames' — so the push collector's retries off
+// the stream loop are what end the invocation, one PollInterval later:
+// DONE with its whole stdout, its watchdog stopped and no collector
+// goroutine left.
 func TestPushRetriesFailedFinalFetch(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.NewManual(time.Unix(0, 0))
 		cancels := &cancelCount{base: overGrid}
-		fault := &fetchFaultAt{base: cancels}
+		fault := &fetchGate{base: cancels}
 		late := &heldEvents{base: fault, release: make(chan struct{})}
-		f := newFixtureHTTP(t, late, func(cfg *Config) {
-			cfg.Clock = clk
-			cfg.PushEvents = true
-		})
+		// The cached session would carry a fired watchdog's cancel.
+		f := newFixtureHTTP(t, late, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
 		if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte("echo head\ncompute 1m\necho tail\n")); err != nil {
 			t.Fatal(err)
 		}
@@ -509,20 +504,18 @@ func TestPushRetriesFailedFinalFetch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-job.Done() // the grid runs on the bubble's clock
-		fault.arm(clk)
-		failedAt := clk.Now()
+		<-job.Done()
+		fault.shut.Store(true)
 		close(late.release)
-		// The watchdog, the stream's heartbeat monitor and the two retries
-		// (the resync's terminal state, the replayed DONE frame) wait.
+		// Both fetches fail at this instant, and their two retries (the
+		// resync's terminal state, the replayed DONE frame) wait out a
+		// PollInterval.
 		bubble.Wait()
-		if n := clk.Pending(); n != 4 {
-			t.Fatalf("%d waiters on the clock, %s", n, inv.State())
+		if n := retriesParked(); n != 2 || inv.State().Terminal() {
+			t.Fatalf("%d final-fetch retries parked, want 2; %s", n, inv.State())
 		}
-		if inv.State().Terminal() {
-			t.Fatalf("%s before any fetch succeeded", inv.State())
-		}
-		clk.Advance(f.cfg.PollInterval)
+		fault.shut.Store(false)
+		failedAt := time.Now()
 		<-inv.DoneChan()
 		if inv.State() != InvDone || inv.Output() != "head\ntail\n" {
 			t.Fatalf("%s with output %q (%s), want DONE with the whole stdout", inv.State(), inv.Output(), inv.Message())
@@ -531,10 +524,11 @@ func TestPushRetriesFailedFinalFetch(t *testing.T) {
 			t.Errorf("ended %v after the failed fetches, want one PollInterval (%v)", took, f.cfg.PollInterval)
 		}
 		// A watchdog left armed would cancel the finished job at its deadline.
-		clk.Advance(f.cfg.InvocationTimeout)
+		time.Sleep(f.cfg.InvocationTimeout)
 		if n := cancels.n.Load(); n != 0 {
 			t.Errorf("%d cancels after DONE: the watchdog was not stopped", n)
 		}
+		f.ons.invalidateSession("alice", inv.sessionID) // the stream's worker may retire
 		f.collectorsIdle(t)
 	})
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 )
 
 // Config describes an appliance image: where its Grid is, what it runs
@@ -25,8 +24,6 @@ import (
 type Config struct {
 	// Endpoints locates the production Grid's access points.
 	Endpoints cyberaide.Endpoints
-	// Clock; nil means real time.
-	Clock vtime.Clock
 	// Probe accounts the appliance host's resources; may be nil.
 	Probe *metrics.Probe
 	// Cost is the CPU cost model; zero value disables cost burning.

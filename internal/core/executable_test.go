@@ -204,7 +204,7 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 		onlySite := func(f *fixture, name string) {
 			f.ons.mu.Lock()
 			f.ons.stats = []gridsim.SiteStats{{Name: name, Slots: 8, FreeSlots: 8}}
-			f.ons.statsAt = f.clock.Now()
+			f.ons.statsAt = time.Now()
 			f.ons.mu.Unlock()
 		}
 
@@ -275,7 +275,7 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 			f.ons.probeTTL = time.Minute
 			f.uploadPadded(t, "probe", "echo probed\n", size)
 			f.invokeLogged(t, "ProbeService")
-			f.clock.Sleep(2 * time.Minute)
+			time.Sleep(2 * time.Minute)
 			// Both sites' answers are stale: two probes, one chunking of the
 			// raw executable, one fetch.
 			sent := f.ons.PlacementStats().ProbesSent

@@ -71,7 +71,7 @@ func TestGridSessionExpiryReauthenticates(t *testing.T) {
 		// Age the cached entry past its expiry margin: the next call must
 		// perform a fresh logon instead of handing out the stale session.
 		f.ons.mu.Lock()
-		f.ons.sessions["alice"].expiresAt = f.clock.Now().Add(-time.Second)
+		f.ons.sessions["alice"].expiresAt = time.Now().Add(-time.Second)
 		f.ons.mu.Unlock()
 		id3, cached, err := f.ons.gridSession("alice", auth, trace.SpanContext{})
 		if err != nil || cached {
@@ -134,12 +134,12 @@ func TestDeadSessionIsLoggedOutOfTheAgent(t *testing.T) {
 		// The cache goes on believing in the session past the proxy's end.
 		f.ons.mu.Lock()
 		dead := f.ons.sessions["alice"].id
-		f.ons.sessions["alice"].expiresAt = f.clock.Now().Add(24 * time.Hour)
+		f.ons.sessions["alice"].expiresAt = time.Now().Add(24 * time.Hour)
 		f.ons.mu.Unlock()
 		if dead != inFlight.sessionID || f.parts.Agent.SessionCount() != 1 {
 			t.Fatalf("cached session %q, invocation's %q, %d agent sessions", dead, inFlight.sessionID, f.parts.Agent.SessionCount())
 		}
-		f.clock.Sleep(time.Hour + time.Minute) // the proxy runs out under the job
+		time.Sleep(time.Hour + time.Minute) // the proxy runs out under the job
 		if _, err := f.parts.Agent.Session(dead); !errors.Is(err, cyberaide.ErrExpired) {
 			t.Fatalf("the cached session an hour on: %v, want it expired", err)
 		}
@@ -181,7 +181,7 @@ func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 		// it rather than ask the gatekeeper again.
 		f.ons.mu.Lock()
 		f.ons.stats = []gridsim.SiteStats{{Name: "siteB", Slots: 8, FreeSlots: 8}}
-		f.ons.statsAt = f.clock.Now()
+		f.ons.statsAt = time.Now()
 		f.ons.mu.Unlock()
 		sites, err := f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{})
 		if err != nil {
@@ -192,7 +192,7 @@ func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 		}
 		// Expire the snapshot: the next call refetches both sites.
 		f.ons.mu.Lock()
-		f.ons.statsAt = f.clock.Now().Add(-2 * ttl)
+		f.ons.statsAt = time.Now().Add(-2 * ttl)
 		f.ons.mu.Unlock()
 		sites, err = f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{})
 		if err != nil {

@@ -320,7 +320,7 @@ func (o *OnServe) newInvocation(serviceName, owner, sessID, site, jobID string, 
 		JobID:       jobID,
 		Site:        site,
 		User:        owner,
-		StartedAt:   o.clock.Now(),
+		StartedAt:   time.Now(),
 		sessionID:   sessID,
 		onTerminal:  o.noteTerminal,
 		rootSpan:    root,
@@ -402,7 +402,7 @@ func (o *OnServe) gridSession(owner string, auth UserAuth, tc trace.SpanContext)
 		// in-flight pipelines don't start on a session about to die.
 		margin := o.cfg.ProxyLifetime / 10
 		o.mu.Lock()
-		o.sessions[owner] = &ownerSession{id: sess.ID, expiresAt: o.clock.Now().Add(o.cfg.ProxyLifetime - margin)}
+		o.sessions[owner] = &ownerSession{id: sess.ID, expiresAt: time.Now().Add(o.cfg.ProxyLifetime - margin)}
 		o.mu.Unlock()
 	}
 	return sess.ID, false, nil
@@ -415,7 +415,7 @@ func (o *OnServe) cachedSession(owner string) (id string, ok bool) {
 	o.mu.Lock()
 	s := o.sessions[owner]
 	o.mu.Unlock()
-	if s == nil || !o.clock.Now().Before(s.expiresAt) {
+	if s == nil || !time.Now().Before(s.expiresAt) {
 		return "", false
 	}
 	return s.id, true
@@ -533,13 +533,13 @@ func (o *OnServe) gridStats(sessionID string) ([]gridsim.SiteStats, error) {
 		return o.parts.Agent.GridStats(sessionID)
 	}
 	stats, joined, err := o.statsFlights.do(&o.mu, struct{}{}, func() ([]gridsim.SiteStats, bool) {
-		return o.stats, o.stats != nil && o.clock.Now().Sub(o.statsAt) < ttl
+		return o.stats, o.stats != nil && time.Since(o.statsAt) < ttl
 	}, func() ([]gridsim.SiteStats, error) {
 		o.submit.Update(func(st *SubmitStats) { st.StatsRPCs++ })
 		stats, err := o.parts.Agent.GridStats(sessionID)
 		if err == nil {
 			o.mu.Lock()
-			o.stats, o.statsAt = stats, o.clock.Now()
+			o.stats, o.statsAt = stats, time.Now()
 			o.mu.Unlock()
 		}
 		return stats, err

@@ -31,7 +31,6 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 	"repro/internal/wsdl"
 )
 
@@ -71,7 +70,10 @@ type UserAuth struct {
 type OnServe struct {
 	cfg   Config
 	parts Parts
-	clock vtime.Clock
+	// closed latches in Close: the collectors' stream workers and
+	// pollers return when they next wake instead of going on.
+	closed    chan struct{}
+	closeOnce sync.Once
 	// retention caps the terminal invocations kept in the ticket map
 	// (DefaultInvocationRetention) and probeTTL is how long one
 	// possession probe's answer is trusted (placementProbeTTL): fixed in
@@ -135,9 +137,6 @@ func New(cfg Config, parts Parts) (*OnServe, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vtime.Real{}
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = DefaultPollInterval
 	}
@@ -150,7 +149,7 @@ func New(cfg Config, parts Parts) (*OnServe, error) {
 	o := &OnServe{
 		cfg:            cfg,
 		parts:          parts,
-		clock:          cfg.Clock,
+		closed:         make(chan struct{}),
 		retention:      DefaultInvocationRetention,
 		probeTTL:       placementProbeTTL,
 		users:          make(map[string]UserAuth),
@@ -169,6 +168,29 @@ func New(cfg Config, parts Parts) (*OnServe, error) {
 		o.collect = tentativePoller{o}
 	}
 	return o, nil
+}
+
+// Close ends the collection step: every stream worker closes its stream,
+// and the workers, pollers and final-fetch retries return when they next
+// wake, so nothing of the appliance reaches the grid after it. Each
+// invocation they still held ends KILLED, its watchdog stopped and its
+// grid job left as it is. Close is idempotent.
+func (o *OnServe) Close() { o.closeOnce.Do(func() { close(o.closed) }) }
+
+// pause sleeps d for a collector; false means Close came meanwhile, and
+// the collector returns.
+func (o *OnServe) pause(d time.Duration) bool {
+	time.Sleep(d)
+	return !o.isClosed()
+}
+
+func (o *OnServe) isClosed() bool {
+	select {
+	case <-o.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // Tracer returns the configured tracer (nil when tracing is off).

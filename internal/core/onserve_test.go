@@ -20,7 +20,6 @@ import (
 	"repro/internal/soap"
 	"repro/internal/trace"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 	"repro/internal/wsdl"
 )
 
@@ -28,7 +27,6 @@ type fixture struct {
 	ons   *OnServe
 	env   *gridenv.Env
 	rec   *metrics.Recorder
-	clock vtime.Clock
 	cfg   Config
 	parts Parts
 	// probes logs the cost-model calls made through the fixture's Probe
@@ -73,20 +71,8 @@ func newFixtureTraced(t *testing.T, grid http.RoundTripper, col *trace.Collector
 // closes); nil opens a fresh in-memory one.
 func newFixtureDB(t *testing.T, db *blobdb.DB, grid http.RoundTripper, col *trace.Collector, mutate func(*Config)) *fixture {
 	t.Helper()
-	return newFixtureOn(t, nil, db, grid, col, mutate)
-}
-
-// newFixtureOn is newFixtureDB with the grid and the agent on gridClock
-// (nil: the bubble's clock, which every other part runs on).
-func newFixtureOn(t *testing.T, gridClock vtime.Clock, db *blobdb.DB, grid http.RoundTripper, col *trace.Collector, mutate func(*Config)) *fixture {
-	t.Helper()
-	var clk vtime.Real
 	t.Cleanup(overGrid.CloseIdleConnections)
-	if gridClock == nil {
-		gridClock = clk
-	}
 	env, err := gridenv.Start(gridenv.Options{
-		Clock: gridClock,
 		Sites: []gridsim.SiteConfig{
 			{Name: "siteA", Nodes: 2, CoresPerNode: 4},
 			{Name: "siteB", Nodes: 2, CoresPerNode: 4},
@@ -101,19 +87,18 @@ func newFixtureOn(t *testing.T, gridClock vtime.Clock, db *blobdb.DB, grid http.
 	if _, err := env.AddUser("alice", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
-	probes := &probeLog{Clock: clk}
-	rec := metrics.NewRecorder(probes, 3*time.Second)
-	probes.rec = rec
+	probes := &probeLog{}
+	rec := metrics.NewRecorder(3 * time.Second)
+	rec.Observe = probes.observe
 	probe := metrics.NewProbe(rec)
 	if db == nil {
-		db, err = blobdb.Open(blobdb.Options{Clock: clk, Probe: probe, Cost: metrics.DefaultCost()})
+		db, err = blobdb.Open(blobdb.Options{Probe: probe, Cost: metrics.DefaultCost()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
 	}
 	cfg := Config{
-		Clock:             clk,
 		Probe:             probe,
 		Cost:              metrics.DefaultCost(),
 		PollInterval:      2 * time.Second,
@@ -123,15 +108,15 @@ func newFixtureOn(t *testing.T, gridClock vtime.Clock, db *blobdb.DB, grid http.
 	parts := Parts{
 		DB:        db,
 		Container: soap.NewServer(probe, metrics.DefaultCost()),
-		Registry:  uddi.NewRegistry(clk),
+		Registry:  uddi.NewRegistry(nil),
 		Agent: cyberaide.New(cyberaide.Options{
-			Endpoints: env.Endpoints(), Clock: gridClock, Probe: probe, Cost: metrics.DefaultCost(),
+			Endpoints: env.Endpoints(), Probe: probe, Cost: metrics.DefaultCost(),
 			Dial: gridNet.DialContext, Transport: grid,
 		}),
 		BaseURL: "http://appliance.test",
 	}
 	if col != nil {
-		parts.Tracing = trace.NewTracer("onserve", clk, col)
+		parts.Tracing = trace.NewTracer("onserve", nil, col)
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -144,7 +129,7 @@ func newFixtureOn(t *testing.T, gridClock vtime.Clock, db *blobdb.DB, grid http.
 	// Runs before any database is closed: whatever the test did, nothing
 	// may have written into an executable's shared bytes.
 	t.Cleanup(func() { blobtest.VerifyStored(t, db) })
-	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, parts: parts, probes: probes}
+	return &fixture{ons: ons, env: env, rec: rec, cfg: cfg, parts: parts, probes: probes}
 }
 
 const demoProgram = "echo pi=${digits}\ncompute 1s\nwrite result.dat 256\n"
@@ -644,35 +629,46 @@ func TestNewRejectsKnobsWithoutChunkedStaging(t *testing.T) {
 	})
 }
 
+// watchdogOn is an onServe whose only part the watchdog reaches is an
+// agent with no session, so its kill cancels nothing on any grid, and an
+// invocation for it to watch.
+func watchdogOn(timeout time.Duration) (*OnServe, *Invocation) {
+	o := &OnServe{cfg: Config{InvocationTimeout: timeout}, parts: Parts{Agent: cyberaide.New(cyberaide.Options{})}}
+	return o, &Invocation{state: InvRunning, done: make(chan struct{})}
+}
+
 func TestWatchdogStop(t *testing.T) {
-	clk := vtime.NewManual(time.Unix(0, 0))
-	fired := false
-	wd := NewWatchdog(clk, time.Hour, func() { fired = true })
-	wd.Stop()
-	wd.Stop() // idempotent
-	clk.Advance(2 * time.Hour)
-	if fired || clk.Pending() != 0 {
-		t.Fatalf("stopped watchdog: fired %v, %d timers left on the clock", fired, clk.Pending())
-	}
+	bubble.Test(t, func(t *testing.T) {
+		o, inv := watchdogOn(time.Hour)
+		wd := o.armWatchdog(inv)
+		wd.Stop()
+		wd.Stop() // idempotent
+		time.Sleep(2 * time.Hour)
+		bubble.Wait()
+		if st := inv.State(); st.Terminal() {
+			t.Fatalf("a stopped watchdog ended the invocation %s", st)
+		}
+	})
 }
 
 func TestWatchdogFires(t *testing.T) {
-	clk := vtime.NewManual(time.Unix(0, 0))
-	fired := 0
-	wd := NewWatchdog(clk, 10*time.Second, func() { fired++ })
-	clk.Advance(10*time.Second - 1)
-	if fired != 0 {
-		t.Fatal("watchdog fired before its deadline")
-	}
-	clk.Advance(1) // runs the kill before it returns
-	if fired != 1 {
-		t.Fatal("watchdog did not fire at its deadline")
-	}
-	wd.Stop()
-	clk.Advance(time.Hour)
-	if fired != 1 {
-		t.Fatalf("watchdog fired %d times, want once", fired)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		o, inv := watchdogOn(10 * time.Second)
+		wd := o.armWatchdog(inv)
+		time.Sleep(10*time.Second - 1)
+		bubble.Wait()
+		if inv.State().Terminal() {
+			t.Fatal("watchdog fired before its deadline")
+		}
+		time.Sleep(1)
+		bubble.Wait()
+		if inv.State() != InvKilled || !strings.Contains(inv.Message(), "watchdog") {
+			t.Fatalf("at its deadline: %s (%s), want KILLED by the watchdog", inv.State(), inv.Message())
+		}
+		if wd.Stop() {
+			t.Fatal("a watchdog that fired could still be stopped")
+		}
+	})
 }
 
 func TestGeneratedServiceOverSOAP(t *testing.T) {

@@ -161,7 +161,7 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 	sp.Set("service", exe.service)
 
 	scores := make([]siteScore, len(cands)) // a site not yet scored has no name
-	now, hits := o.clock.Now(), 0
+	now, hits := time.Now(), 0
 	o.poss.mu.Lock()
 	for i, c := range cands {
 		if e, ok := o.cachedPossession(siteKey{exe.service, c.name}, now); ok {
@@ -232,7 +232,7 @@ func (o *OnServe) probePossession(sessionID, site string, exe *executable) (poss
 	key := siteKey{exe.service, site}
 	led := false
 	e, _, _ := o.poss.flights.do(&o.poss.mu, key, func() (possEntry, bool) {
-		return o.cachedPossession(key, o.clock.Now())
+		return o.cachedPossession(key, time.Now())
 	}, func() (possEntry, error) {
 		led = true
 		e := o.probeOnce(sessionID, site, exe)
@@ -246,7 +246,7 @@ func (o *OnServe) probePossession(sessionID, site string, exe *executable) (poss
 
 // probeOnce issues one possession probe against site.
 func (o *OnServe) probeOnce(sessionID, site string, exe *executable) possEntry {
-	now := o.clock.Now()
+	now := time.Now()
 	cut := exe.wireChunks()
 	if cut == nil {
 		// Chunk protocol inapplicable: possession unknown, score the site
@@ -280,7 +280,7 @@ func (o *OnServe) notePossession(serviceName, site string, total int64) {
 		return
 	}
 	o.poss.mu.Lock()
-	o.poss.cache[siteKey{serviceName, site}] = possEntry{missing: 0, total: total, ok: true, at: o.clock.Now()}
+	o.poss.cache[siteKey{serviceName, site}] = possEntry{missing: 0, total: total, ok: true, at: time.Now()}
 	o.poss.mu.Unlock()
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/bubble"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // fillerProgram is a valid gsh program padded with comment lines to
@@ -410,23 +409,6 @@ func TestFmtHelpers(t *testing.T) {
 	}
 }
 
-// stackClock keeps the stack of every goroutine that reads it, so a test
-// can ask on which goroutines a step read the clock.
-type stackClock struct {
-	vtime.Clock
-	mu     sync.Mutex
-	stacks []string
-}
-
-func (c *stackClock) Now() time.Time {
-	buf := make([]byte, 8<<10)
-	buf = buf[:runtime.Stack(buf, false)]
-	c.mu.Lock()
-	c.stacks = append(c.stacks, string(buf))
-	c.mu.Unlock()
-	return c.Clock.Now()
-}
-
 // TestCachedPlacementAllocations: a placement the possession cache answers
 // for every site is scored under one lock, on the caller's goroutine — no
 // probe goroutine — in two objects: the scores and the order.
@@ -439,7 +421,7 @@ func TestCachedPlacementAllocations(t *testing.T) {
 		f.ons.probeTTL = 1000 * time.Hour
 		exe := heldExecutable(f.ons, "CachedService", []byte("echo hi\n"))
 		cands := []siteLoad{{name: "siteA", load: 0.5}, {name: "siteB", load: 0}}
-		now := f.clock.Now()
+		now := time.Now()
 		f.ons.poss.mu.Lock()
 		f.ons.poss.cache[siteKey{"CachedService", "siteA"}] = possEntry{total: 4 << 20, ok: true, at: now}
 		f.ons.poss.cache[siteKey{"CachedService", "siteB"}] = possEntry{missing: 4 << 20, total: 4 << 20, ok: true, at: now}
@@ -450,17 +432,27 @@ func TestCachedPlacementAllocations(t *testing.T) {
 			}
 		}
 
-		clk := &stackClock{Clock: f.clock}
-		f.ons.clock = clk
-		place()
-		f.ons.clock = f.clock
-		if len(clk.stacks) == 0 {
-			t.Fatal("the placement never read the clock")
-		}
-		for _, s := range clk.stacks {
-			if strings.Contains(s, "created by repro/internal/core.(*OnServe).placeDataAware") {
-				t.Fatalf("a placement the cache answers read the clock on a goroutine of its own:\n%s", s)
+		// With the possession cache's lock held, a placement blocks where it
+		// scores the sites the cache answers: that goroutine's stack says
+		// whether it is the caller's.
+		f.ons.poss.mu.Lock()
+		placed := make(chan struct{})
+		go func() { place(); close(placed) }()
+		var scorer string
+		for scorer == "" {
+			runtime.Gosched()
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			for _, g := range strings.Split(string(buf), "\n\n") {
+				if strings.Contains(g, "core.(*OnServe).placeDataAware") && strings.Contains(g, "(*Mutex).Lock") {
+					scorer = g
+				}
 			}
+		}
+		f.ons.poss.mu.Unlock()
+		<-placed
+		if strings.Contains(scorer, "created by repro/internal/core.(*OnServe).placeDataAware") {
+			t.Fatalf("a placement the cache answers scored on a goroutine of its own:\n%s", scorer)
 		}
 		allocs := testing.AllocsPerRun(100, place)
 		t.Logf("cached placement: %.0f objects", allocs)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bubble"
 	"repro/internal/gridsim"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // The tests named for the poll hub drive what replaced it: push against a
@@ -77,18 +76,15 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		// Eight jobs under one cached session: once the gatekeeper turns out
 		// to be stock, the session's worker reads all of them in one
-		// status-batch round-trip per tick. On a Manual clock, the grid's too,
-		// that is an exact count: the clock moves only while the worker sleeps
-		// beside the eight watchdogs, and each job's compute step and walltime.
+		// status-batch round-trip per tick. In a bubble that is an exact
+		// count: each PollInterval the test sleeps holds exactly one of the
+		// worker's ticks, and the jobs' compute steps outlast the test.
 		const n, ticks = 8, 3
-		clk := vtime.NewManual(time.Unix(0, 0))
-		f := newFixtureOn(t, clk, nil, &eventsGate{base: overGrid, mode: gateNotFound}, nil, func(cfg *Config) {
-			cfg.Clock = clk
+		f := newFixtureHTTP(t, &eventsGate{base: overGrid, mode: gateNotFound}, func(cfg *Config) {
 			cfg.PushEvents, cfg.SessionCache = true, true
 			// The site's walltime limit derives from it: the jobs outlive the test.
 			cfg.InvocationTimeout = 100 * time.Hour
 		})
-		const waiters = n + 1 + 2*n
 		if _, err := f.ons.UploadAndGenerate("alice", "long.gsh", "", nil, []byte(strings.Repeat("compute 24h\n", 4))); err != nil {
 			t.Fatal(err)
 		}
@@ -100,15 +96,17 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 			}
 			invs[i] = inv
 		}
+		// The worker ticked while the submits took their modelled time;
+		// count from here.
+		bubble.Wait()
+		base := f.ons.CollectorStats().StatusRPCs
 		tick := func() {
-			t.Helper()
-			waitFor(t, func() bool { return clk.Pending() == waiters })
-			clk.Advance(f.cfg.PollInterval)
+			time.Sleep(f.cfg.PollInterval)
+			bubble.Wait()
 		}
 		for k := 1; k <= ticks; k++ {
 			tick()
-			waitFor(t, func() bool { return clk.Pending() == waiters })
-			if got := f.ons.CollectorStats().StatusRPCs; got != uint64(k) {
+			if got := f.ons.CollectorStats().StatusRPCs - base; got != uint64(k) {
 				t.Fatalf("%d status RPCs after %d ticks of one session", got, k)
 			}
 		}
@@ -131,13 +129,8 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 			}
 		}
 		f.collectorsIdle(t)
-		if got := f.ons.CollectorStats().StatusRPCs; got != ticks+1 {
+		if got := f.ons.CollectorStats().StatusRPCs - base; got != ticks+1 {
 			t.Fatalf("%d status RPCs over %d ticks with jobs to read", got, ticks+1)
-		}
-		// The cancelled jobs' steps still sleep on the grid's clock: run them
-		// out, so that the bubble can end.
-		for bubble.Wait(); clk.Pending() > 0; bubble.Wait() {
-			clk.Advance(24 * time.Hour)
 		}
 	})
 }
@@ -228,7 +221,7 @@ func TestPickSitesZeroSlotSiteSortsLast(t *testing.T) {
 			{Name: "siteA", Slots: 0, FreeSlots: 0, Queued: 0}, // drained
 			{Name: "siteB", Slots: 8, FreeSlots: 2, Queued: 3},
 		}
-		f.ons.statsAt = f.clock.Now()
+		f.ons.statsAt = time.Now()
 		f.ons.mu.Unlock()
 		sites, err := f.ons.pickSites("session-unused-cache-warm", heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{})
 		if err != nil {

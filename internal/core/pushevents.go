@@ -222,7 +222,10 @@ func (w *eventWorker) run() {
 				w.fallback(true)
 				return
 			}
-			o.clock.Sleep(o.cfg.PollInterval)
+			if !o.pause(o.cfg.PollInterval) {
+				w.quit()
+				return
+			}
 			continue
 		}
 		attempts = 0
@@ -242,6 +245,10 @@ func (w *eventWorker) run() {
 			w.syncAll()
 		}
 		frames := w.serve(es)
+		if o.isClosed() {
+			w.quit()
+			return
+		}
 		if w.tryStop() {
 			return
 		}
@@ -257,14 +264,14 @@ func (w *eventWorker) run() {
 	}
 }
 
-// serve consumes one stream until it dies (error, heartbeat timeout) or
-// the worker may retire; it returns how many frames arrived. A heartbeat
-// monitor severs the stream when it has been silent for over three
-// announced intervals.
+// serve consumes one stream until it dies (error, heartbeat timeout,
+// Close) or the worker may retire; it returns how many frames arrived. A
+// heartbeat monitor severs the stream when it has been silent for over
+// three announced intervals, or at Close.
 func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 	o := w.ec.o
 	var lastFrame atomic.Int64
-	lastFrame.Store(o.clock.Now().UnixNano())
+	lastFrame.Store(time.Now().UnixNano())
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -272,9 +279,12 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 			select {
 			case <-stop:
 				return
-			case <-o.clock.After(es.Heartbeat):
+			case <-o.closed:
+				es.Close()
+				return
+			case <-time.After(es.Heartbeat):
 			}
-			if o.clock.Now().UnixNano()-lastFrame.Load() > 3*int64(es.Heartbeat) {
+			if time.Now().UnixNano()-lastFrame.Load() > 3*int64(es.Heartbeat) {
 				es.Close()
 				return
 			}
@@ -287,7 +297,7 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 			return frames
 		}
 		frames++
-		lastFrame.Store(o.clock.Now().UnixNano())
+		lastFrame.Store(time.Now().UnixNano())
 		switch f.Event {
 		case gram.EventHeartbeat:
 			o.push.Update(func(e *EventStats) { e.Heartbeats++ })
@@ -350,6 +360,22 @@ func (w *eventWorker) tryStop() bool {
 	return true
 }
 
+// quit ends the worker at Close: it leaves the collector, and each of its
+// jobs ends KILLED, watchdog stopped.
+func (w *eventWorker) quit() {
+	w.ec.mu.Lock()
+	w.mu.Lock()
+	w.retireLocked()
+	jobs := w.jobs
+	w.jobs = nil
+	w.mu.Unlock()
+	w.ec.mu.Unlock()
+	for _, j := range jobs {
+		j.wd.Stop()
+		j.inv.finish(InvKilled, msgShutDown, time.Now())
+	}
+}
+
 // retireLocked removes the worker from the collector, so the session's
 // next registration starts a fresh one. The caller holds both locks.
 func (w *eventWorker) retireLocked() {
@@ -386,11 +412,14 @@ func (w *eventWorker) fallback(leave bool) {
 // batched. Every PollInterval it reaps its terminal jobs and reads the
 // rest in one status-batch round-trip per gram.MaxBatch, handing each
 // entry to observe; a terminal job whose final fetch failed is simply seen
-// again next tick. It returns once no job is left.
+// again next tick. It returns once no job is left, or at Close.
 func (w *eventWorker) poll() {
 	o := w.ec.o
 	for {
-		o.clock.Sleep(o.cfg.PollInterval)
+		if !o.pause(o.cfg.PollInterval) {
+			w.quit()
+			return
+		}
 		jobs := w.survivors()
 		if len(jobs) == 0 {
 			return
@@ -486,7 +515,7 @@ func (w *eventWorker) apply(j *collectJob, ev gram.EventData) {
 	}
 	ps := o.parts.Tracing.StartSpan("event", j.inv.collectCtx())
 	if ev.AtUnixNano > 0 {
-		ps.SetInt("delivery_us", o.clock.Now().Sub(time.Unix(0, ev.AtUnixNano)).Microseconds())
+		ps.SetInt("delivery_us", time.Since(time.Unix(0, ev.AtUnixNano)).Microseconds())
 	}
 	if !o.observe(j, ev, false, ps) {
 		// Retry the final fetch off the stream loop.
@@ -500,11 +529,10 @@ func (w *eventWorker) apply(j *collectJob, ev gram.EventData) {
 
 // finishWhenFetchable retries a terminal event whose final output fetch
 // failed until it lands (or the invocation went terminal another way).
-// The watchdog bounds the retries.
+// The watchdog bounds the retries, and Close ends them.
 func (w *eventWorker) finishWhenFetchable(j *collectJob, ev gram.EventData) {
 	o := w.ec.o
-	for {
-		o.clock.Sleep(o.cfg.PollInterval)
+	for o.pause(o.cfg.PollInterval) {
 		if j.inv.State().Terminal() || o.observe(j, ev, false, nil) {
 			w.reap(j)
 			return

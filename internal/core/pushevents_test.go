@@ -268,7 +268,7 @@ func TestPushEventsStalledStreamFallsBack(t *testing.T) {
 				// Spread over the first worker's two stalls (each over three
 				// 5-second heartbeats), so that registrations land while it
 				// leaves the collector.
-				f.clock.Sleep(time.Duration(i) * 4 * time.Second)
+				time.Sleep(time.Duration(i) * 4 * time.Second)
 				inv, err := f.ons.Invoke("StalledService", nil)
 				if err != nil {
 					t.Error(err)

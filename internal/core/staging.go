@@ -63,7 +63,7 @@ func (o *OnServe) uploadExecutable(sessionID string, exe *executable, site strin
 	}
 	o.submit.Update(func(st *SubmitStats) { st.UploadRetries++ })
 	sp.Set("retried", "true")
-	o.clock.Sleep(stageRetryBackoff)
+	time.Sleep(stageRetryBackoff)
 	return o.uploadOnce(sessionID, exe, file, site, sp)
 }
 

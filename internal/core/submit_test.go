@@ -20,7 +20,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 )
 
 // newWANFixture wires an onServe over a single-site grid whose servers
@@ -28,12 +27,10 @@ import (
 // in a bubble.
 func newWANFixture(t *testing.T, mutate func(*Config)) *fixture {
 	t.Helper()
-	var clk vtime.Real
 	t.Cleanup(overGrid.CloseIdleConnections)
 	env, err := gridenv.Start(gridenv.Options{
-		Clock:   clk,
 		Sites:   []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
-		Profile: netsim.WAN(clk),
+		Profile: netsim.WAN(),
 		Net:     gridNet,
 	})
 	if err != nil {
@@ -43,9 +40,9 @@ func newWANFixture(t *testing.T, mutate func(*Config)) *fixture {
 	if _, err := env.AddUser("alice", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
-	rec := metrics.NewRecorder(clk, 3*time.Second)
+	rec := metrics.NewRecorder(3 * time.Second)
 	probe := metrics.NewProbe(rec)
-	db, err := blobdb.Open(blobdb.Options{Clock: clk, Probe: probe, Cost: metrics.DefaultCost()})
+	db, err := blobdb.Open(blobdb.Options{Probe: probe, Cost: metrics.DefaultCost()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +50,14 @@ func newWANFixture(t *testing.T, mutate func(*Config)) *fixture {
 	parts := Parts{
 		DB:        db,
 		Container: soap.NewServer(probe, metrics.DefaultCost()),
-		Registry:  uddi.NewRegistry(clk),
+		Registry:  uddi.NewRegistry(nil),
 		Agent: cyberaide.New(cyberaide.Options{
-			Endpoints: env.Endpoints(), Clock: clk, Probe: probe, Cost: metrics.DefaultCost(),
+			Endpoints: env.Endpoints(), Probe: probe, Cost: metrics.DefaultCost(),
 			Dial: gridNet.DialContext,
 		}),
 		BaseURL: "http://appliance.test",
 	}
 	cfg := Config{
-		Clock:             clk,
 		Probe:             probe,
 		Cost:              metrics.DefaultCost(),
 		PollInterval:      2 * time.Second,
@@ -77,7 +73,7 @@ func newWANFixture(t *testing.T, mutate func(*Config)) *fixture {
 		t.Fatal(err)
 	}
 	ons.RegisterUser("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-	return &fixture{ons: ons, env: env, rec: rec, clock: clk, cfg: cfg, parts: parts}
+	return &fixture{ons: ons, env: env, rec: rec, cfg: cfg, parts: parts}
 }
 
 // uploadGate is the grid-bound transport of a fixture whose staging
@@ -336,7 +332,7 @@ func TestGridStatsExpiryStampedeCollapsesToOneFetch(t *testing.T) {
 		// Plant an expired snapshot so every caller observes a miss at once.
 		f.ons.mu.Lock()
 		f.ons.stats = []gridsim.SiteStats{{Name: "siteA", Slots: 8, FreeSlots: 8}}
-		f.ons.statsAt = f.clock.Now().Add(-time.Hour)
+		f.ons.statsAt = time.Now().Add(-time.Hour)
 		f.ons.mu.Unlock()
 		before := f.ons.SubmitStats().StatsRPCs
 		const n = 8

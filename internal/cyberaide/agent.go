@@ -30,7 +30,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/myproxy"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -70,7 +69,6 @@ type Session struct {
 // (and its lock) while carrying its own trace context.
 type Agent struct {
 	endpoints Endpoints
-	clock     vtime.Clock
 	probe     *metrics.Probe
 	cost      metrics.Cost
 	// rt carries GRAM and GridFTP traffic; dial makes MyProxy's
@@ -92,7 +90,6 @@ type sessionTable struct {
 // Options configures New.
 type Options struct {
 	Endpoints Endpoints
-	Clock     vtime.Clock
 	Probe     *metrics.Probe
 	Cost      metrics.Cost
 	// Dial reaches the grid: MyProxy's TCP connection, and GRAM's and
@@ -106,17 +103,12 @@ type Options struct {
 
 // New builds an agent.
 func New(opts Options) *Agent {
-	clock := opts.Clock
-	if clock == nil {
-		clock = vtime.Real{}
-	}
 	rt := opts.Transport
 	if rt == nil && opts.Dial != nil {
 		rt = hop.NewTransport(opts.Dial)
 	}
 	return &Agent{
 		endpoints: opts.Endpoints,
-		clock:     clock,
 		probe:     opts.Probe,
 		cost:      opts.Cost,
 		rt:        rt,
@@ -187,7 +179,7 @@ func (a *Agent) Authenticate(user, passphrase string, lifetime time.Duration) (*
 	for site, url := range a.endpoints.FTPURLs {
 		sess.ftps[site] = &gridftp.Client{BaseURL: url, Cred: proxy, Transport: a.rt}
 	}
-	now := a.clock.Now()
+	now := time.Now()
 	a.state.mu.Lock()
 	for id, old := range a.state.sessions {
 		if !old.validAt(now) {
@@ -214,7 +206,7 @@ func (a *Agent) Session(id string) (*Session, error) {
 	if !ok {
 		return nil, ErrNoSession
 	}
-	if !sess.validAt(a.clock.Now()) {
+	if !sess.validAt(time.Now()) {
 		return nil, ErrExpired
 	}
 	return sess, nil

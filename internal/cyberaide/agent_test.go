@@ -14,7 +14,6 @@ import (
 	"repro/internal/jsdl"
 	"repro/internal/metrics"
 	"repro/internal/soap"
-	"repro/internal/vtime"
 )
 
 // The agent tests need a full grid environment; to avoid an import cycle
@@ -32,7 +31,6 @@ import (
 type world struct {
 	agent *Agent
 	grid  *gridsim.Grid
-	clock vtime.Clock
 	rec   *metrics.Recorder
 	net   *netsim.Net // every server listens on it
 }
@@ -55,32 +53,31 @@ func (w *world) serve(t *testing.T, h http.Handler) string {
 // in a bubble.
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	var clk vtime.Real
-	w := &world{clock: clk, net: netsim.NewNet()}
-	ca, err := xsec.NewCA("CA", clk.Now(), 10*365*24*time.Hour)
+	w := &world{net: netsim.NewNet()}
+	ca, err := xsec.NewCA("CA", time.Now(), 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trust := xsec.NewTrustStore(ca.Cert)
-	grid, err := gridsim.New(clk,
+	grid, err := gridsim.New(
 		gridsim.SiteConfig{Name: "siteA", Nodes: 2, CoresPerNode: 4},
 		gridsim.SiteConfig{Name: "siteB", Nodes: 2, CoresPerNode: 4},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gramURL := w.serve(t, gram.NewServer(grid, trust, clk))
+	gramURL := w.serve(t, gram.NewServer(grid, trust))
 	ftpURLs := map[string]string{}
 	for _, name := range grid.SiteNames() {
 		site, _ := grid.Site(name)
-		ftpURLs[name] = w.serve(t, gridftp.NewServer(site.Store(), trust, clk, hop.NewTransport(w.net.DialContext)))
+		ftpURLs[name] = w.serve(t, gridftp.NewServer(site.Store(), trust, hop.NewTransport(w.net.DialContext)))
 	}
-	mpSrv := myproxy.NewServer(clk)
+	mpSrv := myproxy.NewServer()
 	ln := w.net.Listen()
 	go mpSrv.Serve(ln)
 	t.Cleanup(func() { mpSrv.Close() })
 
-	alice, err := ca.IssueUser("alice", clk.Now(), 30*24*time.Hour)
+	alice, err := ca.IssueUser("alice", time.Now(), 30*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +86,13 @@ func newWorld(t *testing.T) *world {
 		t.Fatal(err)
 	}
 
-	w.rec = metrics.NewRecorder(clk, 3*time.Second)
+	w.rec = metrics.NewRecorder(3 * time.Second)
 	w.agent = New(Options{
 		Endpoints: Endpoints{
 			GramURL:     gramURL,
 			MyProxyAddr: ln.Addr().String(),
 			FTPURLs:     ftpURLs,
 		},
-		Clock: clk,
 		Probe: metrics.NewProbe(w.rec),
 		Cost:  metrics.Cost{Auth: 100 * time.Millisecond},
 		Dial:  w.net.DialContext,
@@ -140,7 +136,7 @@ func TestAuthenticateUploadSubmitCollect(t *testing.T) {
 			if st.State == "FAILED" || time.Now().After(deadline) {
 				t.Fatalf("job state %s: %s", st.State, st.Message)
 			}
-			w.clock.Sleep(time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 		out, err := w.agent.Output(sess.ID, jobID)
 		if err != nil {
@@ -207,7 +203,7 @@ func TestSessionExpires(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.clock.Sleep(2 * time.Second)
+		time.Sleep(2 * time.Second)
 		if _, err := w.agent.Session(sess.ID); !errors.Is(err, ErrExpired) {
 			t.Fatalf("got %v", err)
 		}
@@ -374,7 +370,7 @@ func TestSOAPFacade(t *testing.T) {
 			if st.State == "FAILED" || time.Now().After(deadline) {
 				t.Fatalf("state %+v", st)
 			}
-			w.clock.Sleep(time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 		out, err := c.Call(url, Namespace, "output", []soap.Param{
 			{Name: "session", Value: sessID}, {Name: "job", Value: jobID},
@@ -420,60 +416,61 @@ func TestSOAPFacadeFaults(t *testing.T) {
 // previous proxy ran out, leave one session; a session whose proxy is
 // still good (an invocation may be in flight on it) is never touched.
 func TestExpiredSessionsAreReaped(t *testing.T) {
-	clk := vtime.NewManual(time.Date(2010, 9, 13, 0, 0, 0, 0, time.UTC))
-	ca, err := xsec.NewCA("CA", clk.Now(), 10*365*24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpSrv := myproxy.NewServer(clk)
-	pipes := netsim.NewNet()
-	ln := pipes.Listen()
-	go mpSrv.Serve(ln)
-	t.Cleanup(func() { mpSrv.Close() })
-	alice, err := ca.IssueUser("alice", clk.Now(), 30*24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := (&myproxy.Client{Addr: ln.Addr().String(), Dial: pipes.DialContext}).Put("alice", "pw", alice); err != nil {
-		t.Fatal(err)
-	}
-	agent := New(Options{Endpoints: Endpoints{MyProxyAddr: ln.Addr().String()}, Clock: clk, Dial: pipes.DialContext})
-
-	const lifetime = time.Hour
-	var last *Session
-	for i := 0; i < 15; i++ {
-		if last, err = agent.Authenticate("alice", "pw", lifetime); err != nil {
+	bubble.Test(t, func(t *testing.T) {
+		ca, err := xsec.NewCA("CA", time.Now(), 10*365*24*time.Hour)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := agent.SessionCount(); got != 1 {
-			t.Fatalf("after logon %d the agent holds %d sessions, want 1", i+1, got)
-		}
-		clk.Advance(lifetime + time.Minute)
-	}
-	if _, err := agent.Session(last.ID); !errors.Is(err, ErrExpired) {
-		t.Fatalf("an expired session nobody has reaped yet: %v", err)
-	}
-
-	long, err := agent.Authenticate("alice", "pw", 100*lifetime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agent.Session(last.ID); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("an expired session after the next logon: %v", err)
-	}
-	for i := 0; i < 15; i++ {
-		if _, err := agent.Authenticate("alice", "pw", lifetime); err != nil {
+		mpSrv := myproxy.NewServer()
+		pipes := netsim.NewNet()
+		ln := pipes.Listen()
+		go mpSrv.Serve(ln)
+		t.Cleanup(func() { mpSrv.Close() })
+		alice, err := ca.IssueUser("alice", time.Now(), 30*24*time.Hour)
+		if err != nil {
 			t.Fatal(err)
 		}
-		clk.Advance(lifetime + time.Minute)
-		if sess, err := agent.Session(long.ID); err != nil || sess != long {
-			t.Fatalf("logon %d took a valid session away: %v", i+1, err)
+		if err := (&myproxy.Client{Addr: ln.Addr().String(), Dial: pipes.DialContext}).Put("alice", "pw", alice); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := agent.SessionCount(); got != 2 {
-		t.Fatalf("the agent holds %d sessions, want the long one and the last", got)
-	}
-	if agent.Logons() != 31 {
-		t.Fatalf("%d logons counted, want 31", agent.Logons())
-	}
+		agent := New(Options{Endpoints: Endpoints{MyProxyAddr: ln.Addr().String()}, Dial: pipes.DialContext})
+
+		const lifetime = time.Hour
+		var last *Session
+		for i := 0; i < 15; i++ {
+			if last, err = agent.Authenticate("alice", "pw", lifetime); err != nil {
+				t.Fatal(err)
+			}
+			if got := agent.SessionCount(); got != 1 {
+				t.Fatalf("after logon %d the agent holds %d sessions, want 1", i+1, got)
+			}
+			time.Sleep(lifetime + time.Minute)
+		}
+		if _, err := agent.Session(last.ID); !errors.Is(err, ErrExpired) {
+			t.Fatalf("an expired session nobody has reaped yet: %v", err)
+		}
+
+		long, err := agent.Authenticate("alice", "pw", 100*lifetime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := agent.Session(last.ID); !errors.Is(err, ErrNoSession) {
+			t.Fatalf("an expired session after the next logon: %v", err)
+		}
+		for i := 0; i < 15; i++ {
+			if _, err := agent.Authenticate("alice", "pw", lifetime); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(lifetime + time.Minute)
+			if sess, err := agent.Session(long.ID); err != nil || sess != long {
+				t.Fatalf("logon %d took a valid session away: %v", i+1, err)
+			}
+		}
+		if got := agent.SessionCount(); got != 2 {
+			t.Fatalf("the agent holds %d sessions, want the long one and the last", got)
+		}
+		if agent.Logons() != 31 {
+			t.Fatalf("%d logons counted, want 31", agent.Logons())
+		}
+	})
 }

@@ -40,7 +40,7 @@ func TestReplicateBetweenSites(t *testing.T) {
 			if st.State == "FAILED" || time.Now().After(deadline) {
 				t.Fatalf("replicated job %v", st)
 			}
-			w.clock.Sleep(time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 		out, _ := w.agent.Output(sess.ID, jobID)
 		if out != "replicated\n" {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/hop"
 	"repro/internal/jsdl"
 	"repro/internal/myproxy"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -109,7 +108,7 @@ func directJob(r *rig, program string) error {
 		return fmt.Errorf("baseline: submit: %w", err)
 	}
 	// Step 5: poll status; Step 6: fetch output.
-	st, err := gc.WaitTerminal(jobID, vtime.Real{}, 9*time.Second, time.Hour)
+	st, err := gc.WaitTerminal(jobID, 9*time.Second, time.Hour)
 	if err != nil || st.State != "DONE" {
 		return fmt.Errorf("baseline: job %v: %v", st, err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/hop"
 	"repro/internal/netsim"
 	"repro/internal/portal"
-	"repro/internal/vtime"
 )
 
 // FleetSizes is the default scale-out grid for the fleet ablation.
@@ -80,11 +79,10 @@ func withFleetRig(fleetN int, fn func(*fleetRig) error) error {
 }
 
 func newFleetRig(fleetN int) (*fleetRig, error) {
-	var clk vtime.Real
 	pipes := netsim.NewNet()
 	// The grid's server side stays unshaped; each appliance's own
 	// client-side WAN uplink is the measured link.
-	env, err := bootGrid(clk, pipes, nil, nil)
+	env, err := bootGrid(pipes, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +90,6 @@ func newFleetRig(fleetN int) (*fleetRig, error) {
 		Fleet: fleetN,
 		Appliance: appliance.Config{
 			Endpoints:         env.Endpoints(),
-			Clock:             clk,
 			PollInterval:      3 * time.Second,
 			InvocationTimeout: time.Hour,
 			SessionCache:      true,
@@ -100,10 +97,9 @@ func newFleetRig(fleetN int) (*fleetRig, error) {
 		// Each shard gets its own shaped WAN uplink toward the grid — the
 		// fleet's whole point is multiplying this link.
 		PerShard: func(i int, cfg appliance.Config) appliance.Config {
-			cfg.GridDial = (&netsim.Dialer{Profile: netsim.WAN(clk), Net: pipes}).DialContext
+			cfg.GridDial = (&netsim.Dialer{Profile: netsim.WAN(), Net: pipes}).DialContext
 			return cfg
 		},
-		Clock:         clk,
 		FailThreshold: 2,
 		HalfOpenAfter: 2 * time.Minute,
 		Net:           pipes,

@@ -37,7 +37,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // sampleInterval is the paper's sampling bucket, and bucketS the same in
@@ -51,7 +50,7 @@ const (
 type Options struct {
 	// Appliance is the configuration under test: the paper profile (the
 	// zero value) plus whatever knobs the experiment flips. newRig
-	// completes it with the rig's own wiring — Endpoints, Clock, Probe,
+	// completes it with the rig's own wiring — Endpoints, Probe,
 	// Cost (metrics.DefaultCost unless it brings its own), the shaped
 	// grid and user links, Trace — and a one-hour InvocationTimeout.
 	Appliance appliance.Config
@@ -121,9 +120,8 @@ func renderNotes(notes []string) string {
 // two-site grid (the studies measure the appliance tier, not grid
 // queueing) with the user alice, on pipes (nil: loopback TCP). profile
 // shapes what the grid servers send back; nil leaves it unshaped.
-func bootGrid(clk vtime.Clock, pipes *netsim.Net, profile *netsim.Profile, col *trace.Collector) (*gridenv.Env, error) {
+func bootGrid(pipes *netsim.Net, profile *netsim.Profile, col *trace.Collector) (*gridenv.Env, error) {
 	env, err := gridenv.Start(gridenv.Options{
-		Clock: clk,
 		// In name order: the load broker's idle-grid tie-break favours the
 		// first, which the placement study steers around.
 		Sites: []gridsim.SiteConfig{
@@ -182,18 +180,17 @@ func withRig(opts Options, fn func(*rig) error) error {
 
 // newRig boots the rig withRig runs: call it inside a bubble.
 func newRig(opts Options) (*rig, error) {
-	var clk vtime.Real
 	pipes := netsim.NewNet()
-	rec := metrics.NewRecorder(clk, sampleInterval)
+	rec := metrics.NewRecorder(sampleInterval)
 	probe := metrics.NewProbe(rec)
-	wan := netsim.WAN(clk)
-	lan := netsim.LAN(clk)
+	wan := netsim.WAN()
+	lan := netsim.LAN()
 	var col *trace.Collector
 	if opts.Tracing {
 		col = trace.NewCollector(0, 0)
 	}
 	// Grid servers answer the appliance across the WAN.
-	env, err := bootGrid(clk, pipes, wan, col)
+	env, err := bootGrid(pipes, wan, col)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +201,6 @@ func newRig(opts Options) (*rig, error) {
 
 	cfg := opts.Appliance
 	cfg.Endpoints = env.Endpoints()
-	cfg.Clock = clk
 	cfg.Probe = probe
 	if cfg.Cost == (metrics.Cost{}) {
 		cfg.Cost = metrics.DefaultCost()
@@ -250,6 +246,10 @@ func (r *rig) measure(fn func() error) (measurement, error) {
 	if err := fn(); err != nil {
 		return measurement{}, err
 	}
+	// The reply that ended fn can reach the caller before its sender has
+	// accounted its last bytes, at the same instant: let every goroutine
+	// of the bubble finish what that instant holds before reading.
+	bubble.Wait()
 	m := measurement{seconds: time.Since(start).Seconds(), series: r.rec.Series()}
 	m.sum = seriesSummary(m.series)
 	return m, nil

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bubble"
 	"repro/internal/gridsim"
 	"repro/internal/jsdl"
-	"repro/internal/vtime"
 )
 
 // SchedulerRow summarises one policy's behaviour on the mixed workload.
@@ -69,10 +68,9 @@ func runPolicyWorkload(policy gridsim.Policy) (row *SchedulerRow, err error) {
 }
 
 func policyWorkload(policy gridsim.Policy) (*SchedulerRow, error) {
-	var clk vtime.Real
 	site := gridsim.NewSite(gridsim.SiteConfig{
 		Name: "abl", Nodes: 2, CoresPerNode: 8, Policy: policy,
-	}, clk)
+	})
 	const owner = "/O=Repro/CN=bench"
 	if err := site.Store().Put(owner, "wide.gsh", []byte("compute 20s\n")); err != nil {
 		return nil, err
@@ -81,7 +79,7 @@ func policyWorkload(policy gridsim.Policy) (*SchedulerRow, error) {
 		return nil, err
 	}
 
-	start := clk.Now()
+	start := time.Now()
 	var wide, narrow []*gridsim.Job
 	// Interleave: one wide job, then four narrow, repeated.
 	for round := 0; round < 6; round++ {
@@ -113,7 +111,7 @@ func policyWorkload(policy gridsim.Policy) (*SchedulerRow, error) {
 				j.ID, j.State(), j.ExitMessage(), policy)
 		}
 	}
-	makespan := clk.Now().Sub(start).Seconds()
+	makespan := time.Since(start).Seconds()
 	return &SchedulerRow{
 		Policy:         policy.String(),
 		MakespanS:      makespan,

@@ -48,7 +48,6 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 )
 
 // Config describes a fleet gateway. The zero value of every tuning field
@@ -66,10 +65,8 @@ type Config struct {
 	// FailThreshold consecutive failed hops eject an upstream (default 3).
 	FailThreshold int
 	// HalfOpenAfter is the ejection cooldown after which the next request
-	// sent to the upstream is its half-open trial (default 10s on Clock).
+	// sent to the upstream is its half-open trial (default 10s).
 	HalfOpenAfter time.Duration
-	// Clock times the cooldown; nil means real time.
-	Clock vtime.Clock
 	// Net, when non-nil, is the in-process network the shards listen on
 	// and are dialled through; nil means loopback TCP and hop.Shared().
 	Net *netsim.Net
@@ -86,9 +83,6 @@ func (cfg *Config) fill() {
 	}
 	if cfg.HalfOpenAfter <= 0 {
 		cfg.HalfOpenAfter = 10 * time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = vtime.Real{}
 	}
 }
 
@@ -113,7 +107,6 @@ type catalogEntry struct {
 // Gateway is a booted fleet front door.
 type Gateway struct {
 	cfg     Config
-	clock   vtime.Clock
 	rt      http.RoundTripper
 	tracer  *trace.Tracer
 	ring    *ring
@@ -145,13 +138,12 @@ func Boot(cfg Config, ln net.Listener) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:     cfg,
-		clock:   cfg.Clock,
 		rt:      rt,
 		catalog: make(map[string]*catalogEntry),
 		users:   make(map[string]core.UserAuth),
 	}
 	if cfg.Trace != nil {
-		g.tracer = trace.NewTracer("gateway", cfg.Clock, cfg.Trace)
+		g.tracer = trace.NewTracer("gateway", nil, cfg.Trace)
 	}
 
 	for i := 0; i < cfg.Fleet; i++ {
@@ -647,7 +639,7 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 	}
 	g.stats.Update(func(st *Stats) { st.Scatters++ })
 	replies := g.gather(r, nil)
-	now := g.clock.Now()
+	now := time.Now()
 	docs := make([]shardDoc, len(g.members))
 	// When any shard runs with tenancy on, surface a fleet-wide tenant
 	// block: counters sum across shards, gauges take the fleet max.

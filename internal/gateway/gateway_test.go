@@ -22,13 +22,11 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 )
 
 type fleetWorld struct {
-	gw    *Gateway
-	env   *gridenv.Env
-	clock vtime.Clock
+	gw  *Gateway
+	env *gridenv.Env
 }
 
 // pipes is the in-process network every fleet in these tests runs on —
@@ -44,10 +42,8 @@ var (
 // appliances over pipes: call it in a bubble.
 func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 	t.Helper()
-	var clk vtime.Real
 	t.Cleanup(web.CloseIdleConnections)
 	env, err := gridenv.Start(gridenv.Options{
-		Clock: clk,
 		Sites: []gridsim.SiteConfig{
 			{Name: "siteA", Nodes: 2, CoresPerNode: 8},
 			{Name: "siteB", Nodes: 2, CoresPerNode: 8},
@@ -65,13 +61,11 @@ func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 		Fleet: n,
 		Appliance: appliance.Config{
 			Endpoints:         env.Endpoints(),
-			Clock:             clk,
 			Cost:              metrics.DefaultCost(),
 			PollInterval:      2 * time.Second,
 			InvocationTimeout: time.Hour,
 			GridDial:          pipes.DialContext,
 		},
-		Clock:         clk,
 		HalfOpenAfter: 20 * time.Minute,
 		Net:           pipes,
 	}
@@ -84,7 +78,7 @@ func bootFleet(t *testing.T, n int, mutate func(*Config)) *fleetWorld {
 	}
 	t.Cleanup(func() { gw.Shutdown() })
 	gw.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-	return &fleetWorld{gw: gw, env: env, clock: clk}
+	return &fleetWorld{gw: gw, env: env}
 }
 
 func (w *fleetWorld) upload(t *testing.T, base, filename, program string) uddi.Record {
@@ -450,7 +444,7 @@ func TestFleetConcurrentBurstSurvivesKillAndRejoin(t *testing.T) {
 						return
 					}
 					lastErr = err
-					w.clock.Sleep(time.Second) // re-issue after a backoff
+					time.Sleep(time.Second) // re-issue after a backoff
 				}
 				errs <- fmt.Errorf("call %d never completed: %v", i, lastErr)
 			}()

@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // fault is what one upstream does to every hop that reaches it.
@@ -110,8 +110,8 @@ func fakeGateway(n int, fleet *fakeFleet) (*Gateway, *trace.Collector) {
 	cfg := Config{Fleet: n, FailThreshold: 2}
 	cfg.fill()
 	col := trace.NewCollector(0, 0)
-	g := &Gateway{cfg: cfg, clock: cfg.Clock, rt: fleet,
-		tracer:  trace.NewTracer("gateway", cfg.Clock, col),
+	g := &Gateway{cfg: cfg, rt: fleet,
+		tracer:  trace.NewTracer("gateway", nil, col),
 		catalog: map[string]*catalogEntry{"SService": {service: "SService", contentType: "multipart/form-data; boundary=x"}}}
 	for i := 0; i < n; i++ {
 		g.members = append(g.members, &member{id: fmt.Sprintf("shard-%d", i), idx: i, gw: g, base: fmt.Sprintf("http://%c.invalid", 'a'+i)})
@@ -288,64 +288,64 @@ func TestLoopFaults(t *testing.T) {
 // reply readmits it; a refused dial restarts the cooldown, and the
 // request itself is served by the successor.
 func TestHalfOpenTrialIsARequest(t *testing.T) {
-	for name, trial := range map[string]fault{"reply": healthy, "refused": dialRefused} {
-		t.Run(name, func(t *testing.T) {
-			fleet := &fakeFleet{what: dialRefused, deployed: map[string]bool{}}
-			g, _ := fakeGateway(3, fleet)
-			clk := vtime.NewManual(time.Unix(0, 0))
-			g.clock = clk
-			victim := g.ring.successors("SService")[0]
-			fleet.bad = strings.TrimPrefix(victim.base, "http://")
-			invoke := func() {
-				t.Helper()
-				w := httptest.NewRecorder()
-				g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`)))
-				if w.Code != http.StatusOK {
-					t.Fatalf("status %d: %s", w.Code, w.Body)
+	bubble.Run(func() {
+		for name, trial := range map[string]fault{"reply": healthy, "refused": dialRefused} {
+			t.Run(name, func(t *testing.T) {
+				fleet := &fakeFleet{what: dialRefused, deployed: map[string]bool{}}
+				g, _ := fakeGateway(3, fleet)
+				victim := g.ring.successors("SService")[0]
+				fleet.bad = strings.TrimPrefix(victim.base, "http://")
+				invoke := func() {
+					t.Helper()
+					w := httptest.NewRecorder()
+					g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`)))
+					if w.Code != http.StatusOK {
+						t.Fatalf("status %d: %s", w.Code, w.Body)
+					}
 				}
-			}
-			upstream := func() UpstreamStats { return g.GatewayStats().Upstreams[victim.idx] }
-			for range g.cfg.FailThreshold {
+				upstream := func() UpstreamStats { return g.GatewayStats().Upstreams[victim.idx] }
+				for range g.cfg.FailThreshold {
+					invoke()
+				}
+				if up := upstream(); up.State != "ejected" || up.Ejections != 1 {
+					t.Fatalf("after %d refused dials: %+v", g.cfg.FailThreshold, up)
+				}
+				asked := countsOf(victim).Proxied
 				invoke()
-			}
-			if up := upstream(); up.State != "ejected" || up.Ejections != 1 {
-				t.Fatalf("after %d refused dials: %+v", g.cfg.FailThreshold, up)
-			}
-			asked := countsOf(victim).Proxied
-			invoke()
-			clk.Advance(g.cfg.HalfOpenAfter - time.Nanosecond)
-			invoke()
-			if got := countsOf(victim).Proxied; got != asked {
-				t.Fatalf("asked %d times during the cooldown", got-asked)
-			}
-			clk.Advance(time.Nanosecond)
-			if up := upstream(); up.State != "half-open" || up.HalfOpenTrials != 0 {
-				t.Fatalf("cooldown over, nothing sent: %+v", up)
-			}
-			fleet.mu.Lock()
-			fleet.what = trial
-			fleet.mu.Unlock()
-			invoke()
-			if got := countsOf(victim).Proxied; got != asked+1 {
-				t.Fatalf("the first request after the cooldown asked the member %d times, want 1", got-asked)
-			}
-			up := upstream()
-			switch trial {
-			case healthy:
-				if up.State != "healthy" || up.Recoveries != 1 || up.HalfOpenTrials != 1 || up.ConsecutiveFails != 0 {
-					t.Fatalf("a reply to the trial did not readmit: %+v", up)
+				time.Sleep(g.cfg.HalfOpenAfter - time.Nanosecond)
+				invoke()
+				if got := countsOf(victim).Proxied; got != asked {
+					t.Fatalf("asked %d times during the cooldown", got-asked)
 				}
-			case dialRefused:
-				if up.State != "ejected" || up.Recoveries != 0 || up.HalfOpenTrials != 1 || up.Ejections != 1 {
-					t.Fatalf("a refused trial: %+v", up)
+				time.Sleep(time.Nanosecond)
+				if up := upstream(); up.State != "half-open" || up.HalfOpenTrials != 0 {
+					t.Fatalf("cooldown over, nothing sent: %+v", up)
 				}
+				fleet.mu.Lock()
+				fleet.what = trial
+				fleet.mu.Unlock()
 				invoke()
 				if got := countsOf(victim).Proxied; got != asked+1 {
-					t.Fatal("a refused trial did not restart the cooldown")
+					t.Fatalf("the first request after the cooldown asked the member %d times, want 1", got-asked)
 				}
-			}
-		})
-	}
+				up := upstream()
+				switch trial {
+				case healthy:
+					if up.State != "healthy" || up.Recoveries != 1 || up.HalfOpenTrials != 1 || up.ConsecutiveFails != 0 {
+						t.Fatalf("a reply to the trial did not readmit: %+v", up)
+					}
+				case dialRefused:
+					if up.State != "ejected" || up.Recoveries != 0 || up.HalfOpenTrials != 1 || up.Ejections != 1 {
+						t.Fatalf("a refused trial: %+v", up)
+					}
+					invoke()
+					if got := countsOf(victim).Proxied; got != asked+1 {
+						t.Fatal("a refused trial did not restart the cooldown")
+					}
+				}
+			})
+		}
+	})
 }
 
 // gatedFleet holds every hop to host until open is closed, saying
@@ -370,62 +370,62 @@ func (f gatedFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 // member one request, its trial, and nothing more while that trial is
 // out; the rest of the burst is served without it.
 func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
-	const burst = 8
-	fleet := &fakeFleet{what: dialRefused, deployed: map[string]bool{}}
-	g, _ := fakeGateway(3, fleet)
-	clk := vtime.NewManual(time.Unix(0, 0))
-	g.clock = clk
-	victim := g.ring.successors("SService")[0]
-	fleet.bad = strings.TrimPrefix(victim.base, "http://")
-	serve := func(i int) int {
-		r := httptest.NewRequest(http.MethodGet, "/api/services", nil)
-		if i%2 == 0 {
-			r = httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`))
+	bubble.Test(t, func(t *testing.T) {
+		const burst = 8
+		fleet := &fakeFleet{what: dialRefused, deployed: map[string]bool{}}
+		g, _ := fakeGateway(3, fleet)
+		victim := g.ring.successors("SService")[0]
+		fleet.bad = strings.TrimPrefix(victim.base, "http://")
+		serve := func(i int) int {
+			r := httptest.NewRequest(http.MethodGet, "/api/services", nil)
+			if i%2 == 0 {
+				r = httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`))
+			}
+			w := httptest.NewRecorder()
+			g.ServeHTTP(w, r)
+			return w.Code
 		}
-		w := httptest.NewRecorder()
-		g.ServeHTTP(w, r)
-		return w.Code
-	}
-	for i := range g.cfg.FailThreshold {
-		serve(2 * i)
-	}
-	if up := g.GatewayStats().Upstreams[victim.idx]; up.State != "ejected" {
-		t.Fatalf("after %d refused dials: %+v", g.cfg.FailThreshold, up)
-	}
-	clk.Advance(g.cfg.HalfOpenAfter)
-	fleet.what = healthy
-	events, open := make(chan string, 2*burst), make(chan struct{})
-	g.rt = gatedFleet{fleet, fleet.bad, events, open}
-	asked := countsOf(victim).Proxied
+		for i := range g.cfg.FailThreshold {
+			serve(2 * i)
+		}
+		if up := g.GatewayStats().Upstreams[victim.idx]; up.State != "ejected" {
+			t.Fatalf("after %d refused dials: %+v", g.cfg.FailThreshold, up)
+		}
+		time.Sleep(g.cfg.HalfOpenAfter)
+		fleet.what = healthy
+		events, open := make(chan string, 2*burst), make(chan struct{})
+		g.rt = gatedFleet{fleet, fleet.bad, events, open}
+		asked := countsOf(victim).Proxied
 
-	codes := make(chan int, burst)
-	for i := range burst {
-		go func() {
-			code := serve(i)
-			events <- "done"
-			codes <- code
-		}()
-	}
-	// Until the gate opens, each request of the burst either parks at the
-	// ejected member or is served elsewhere: one event each.
-	parked := 0
-	for range burst {
-		if <-events == "parked" {
-			parked++
+		codes := make(chan int, burst)
+		for i := range burst {
+			go func() {
+				code := serve(i)
+				events <- "done"
+				codes <- code
+			}()
 		}
-	}
-	close(open)
-	for range burst {
-		if code := <-codes; code != http.StatusOK {
-			t.Errorf("status %d", code)
+		// Until the gate opens, each request of the burst either parks at the
+		// ejected member or is served elsewhere: one event each.
+		parked := 0
+		for range burst {
+			if <-events == "parked" {
+				parked++
+			}
 		}
-	}
-	if got := countsOf(victim).Proxied - asked; parked != 1 || got != 1 {
-		t.Fatalf("the ejected member was sent %d requests of the burst (%d at once), want 1", got, parked)
-	}
-	if up := g.GatewayStats().Upstreams[victim.idx]; up.State != "healthy" || up.HalfOpenTrials != 1 || up.Recoveries != 1 {
-		t.Fatalf("after the trial's reply: %+v", up)
-	}
+		close(open)
+		for range burst {
+			if code := <-codes; code != http.StatusOK {
+				t.Errorf("status %d", code)
+			}
+		}
+		if got := countsOf(victim).Proxied - asked; parked != 1 || got != 1 {
+			t.Fatalf("the ejected member was sent %d requests of the burst (%d at once), want 1", got, parked)
+		}
+		if up := g.GatewayStats().Upstreams[victim.idx]; up.State != "healthy" || up.HalfOpenTrials != 1 || up.Recoveries != 1 {
+			t.Fatalf("after the trial's reply: %+v", up)
+		}
+	})
 }
 
 // TestTicketWalksItsServiceRing: a ticket is routed by the service it
@@ -435,102 +435,102 @@ func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 // then the issuer. An issuer that is alive but ejected is asked last, and
 // still answers for its ticket.
 func TestTicketWalksItsServiceRing(t *testing.T) {
-	fleet := &fakeFleet{deployed: map[string]bool{}}
-	g, col := fakeGateway(3, fleet)
-	clk := vtime.NewManual(time.Unix(0, 0))
-	g.clock = clk
-	succ := g.ring.successors("SService")
-	primary := succ[0]
-	const waitTrace = "000000000000000000000000000000b1"
-	serve := func(method, target string) int {
-		t.Helper()
-		w := httptest.NewRecorder()
-		var body io.Reader
-		if method == http.MethodPost {
-			body = strings.NewReader(`{"service":"SService"}`)
+	bubble.Test(t, func(t *testing.T) {
+		fleet := &fakeFleet{deployed: map[string]bool{}}
+		g, col := fakeGateway(3, fleet)
+		succ := g.ring.successors("SService")
+		primary := succ[0]
+		const waitTrace = "000000000000000000000000000000b1"
+		serve := func(method, target string) int {
+			t.Helper()
+			w := httptest.NewRecorder()
+			var body io.Reader
+			if method == http.MethodPost {
+				body = strings.NewReader(`{"service":"SService"}`)
+			}
+			r := httptest.NewRequest(method, target, body)
+			if strings.HasPrefix(target, "/api/wait") {
+				r.Header.Set(trace.Header, waitTrace+"-0123456789abcdef")
+			}
+			g.ServeHTTP(w, r)
+			return w.Code
 		}
-		r := httptest.NewRequest(method, target, body)
-		if strings.HasPrefix(target, "/api/wait") {
-			r.Header.Set(trace.Header, waitTrace+"-0123456789abcdef")
+		hops := func() (n [3]uint64) {
+			for i, m := range succ {
+				n[i] = countsOf(m).Proxied
+			}
+			return n
 		}
-		g.ServeHTTP(w, r)
-		return w.Code
-	}
-	hops := func() (n [3]uint64) {
-		for i, m := range succ {
-			n[i] = countsOf(m).Proxied
+		wait := func(want [3]uint64) {
+			t.Helper()
+			before, routes := hops(), g.stats.Snapshot().TicketRoutes
+			if code := serve(http.MethodGet, "/api/wait?ticket="+fakeTicket); code != http.StatusOK {
+				t.Fatalf("wait: status %d", code)
+			}
+			after := hops()
+			for i := range after {
+				after[i] -= before[i]
+			}
+			if after != want || g.stats.Snapshot().TicketRoutes != routes+1 || g.stats.Snapshot().Scatters != 0 {
+				t.Fatalf("wait asked the walk %v, want %v; %d ticket routes (+1 wanted), %d scatters",
+					after, want, g.stats.Snapshot().TicketRoutes-routes, g.stats.Snapshot().Scatters)
+			}
 		}
-		return n
-	}
-	wait := func(want [3]uint64) {
-		t.Helper()
-		before, routes := hops(), g.stats.Snapshot().TicketRoutes
-		if code := serve(http.MethodGet, "/api/wait?ticket="+fakeTicket); code != http.StatusOK {
-			t.Fatalf("wait: status %d", code)
-		}
-		after := hops()
-		for i := range after {
-			after[i] -= before[i]
-		}
-		if after != want || g.stats.Snapshot().TicketRoutes != routes+1 || g.stats.Snapshot().Scatters != 0 {
-			t.Fatalf("wait asked the walk %v, want %v; %d ticket routes (+1 wanted), %d scatters",
-				after, want, g.stats.Snapshot().TicketRoutes-routes, g.stats.Snapshot().Scatters)
-		}
-	}
 
-	if code := serve(http.MethodPost, "/api/invoke"); code != http.StatusOK || fleet.knows != strings.TrimPrefix(primary.base, "http://") {
-		t.Fatalf("invoke: status %d, issued by %s", code, fleet.knows)
-	}
-	wait([3]uint64{1, 0, 0})
-	if spans := col.Trace(waitTrace); len(spans) != 1 || spans[0].Attrs["upstream"] != primary.id {
-		t.Fatalf("the wait's span does not name the issuer: %+v", spans)
-	}
-
-	// The primary refuses dials until it is ejected; the invoke that
-	// ejects it is issued by the successor.
-	fleet.mu.Lock()
-	fleet.bad, fleet.what = strings.TrimPrefix(primary.base, "http://"), dialRefused
-	fleet.mu.Unlock()
-	for range g.cfg.FailThreshold {
-		if code := serve(http.MethodPost, "/api/invoke"); code != http.StatusOK {
-			t.Fatalf("invoke during the outage: status %d", code)
+		if code := serve(http.MethodPost, "/api/invoke"); code != http.StatusOK || fleet.knows != strings.TrimPrefix(primary.base, "http://") {
+			t.Fatalf("invoke: status %d, issued by %s", code, fleet.knows)
 		}
-	}
-	if fleet.knows != strings.TrimPrefix(succ[1].base, "http://") || g.GatewayStats().Upstreams[primary.idx].State != "ejected" {
-		t.Fatalf("issued by %s, primary %+v", fleet.knows, g.GatewayStats().Upstreams[primary.idx])
-	}
-	wait([3]uint64{0, 1, 0})
+		wait([3]uint64{1, 0, 0})
+		if spans := col.Trace(waitTrace); len(spans) != 1 || spans[0].Attrs["upstream"] != primary.id {
+			t.Fatalf("the wait's span does not name the issuer: %+v", spans)
+		}
 
-	// The primary is back: a read readmits it, and the ticket takes two hops.
-	fleet.mu.Lock()
-	fleet.what = healthy
-	fleet.mu.Unlock()
-	clk.Advance(g.cfg.HalfOpenAfter)
-	if code := serve(http.MethodGet, "/api/service?name=SService"); code != http.StatusOK || g.GatewayStats().Upstreams[primary.idx].State != "healthy" {
-		t.Fatalf("trial read: status %d, primary %+v", code, g.GatewayStats().Upstreams[primary.idx])
-	}
-	wait([3]uint64{1, 1, 0})
+		// The primary refuses dials until it is ejected; the invoke that
+		// ejects it is issued by the successor.
+		fleet.mu.Lock()
+		fleet.bad, fleet.what = strings.TrimPrefix(primary.base, "http://"), dialRefused
+		fleet.mu.Unlock()
+		for range g.cfg.FailThreshold {
+			if code := serve(http.MethodPost, "/api/invoke"); code != http.StatusOK {
+				t.Fatalf("invoke during the outage: status %d", code)
+			}
+		}
+		if fleet.knows != strings.TrimPrefix(succ[1].base, "http://") || g.GatewayStats().Upstreams[primary.idx].State != "ejected" {
+			t.Fatalf("issued by %s, primary %+v", fleet.knows, g.GatewayStats().Upstreams[primary.idx])
+		}
+		wait([3]uint64{0, 1, 0})
 
-	// The primary issues a ticket, then is ejected although alive: its
-	// ticket still reaches it, after the successors' 404s, and its reply
-	// readmits it.
-	serve(http.MethodPost, "/api/invoke")
-	fleet.mu.Lock()
-	fleet.what = dialRefused
-	fleet.mu.Unlock()
-	for range g.cfg.FailThreshold {
-		serve(http.MethodGet, "/api/service?name=SService")
-	}
-	fleet.mu.Lock()
-	fleet.what = healthy
-	fleet.mu.Unlock()
-	if up := g.GatewayStats().Upstreams[primary.idx]; up.State != "ejected" {
-		t.Fatalf("primary %+v, want ejected", up)
-	}
-	wait([3]uint64{1, 1, 1})
-	if up := g.GatewayStats().Upstreams[primary.idx]; up.State != "healthy" || up.HalfOpenTrials != 1 {
-		t.Fatalf("after answering for its ticket: %+v", up)
-	}
+		// The primary is back: a read readmits it, and the ticket takes two hops.
+		fleet.mu.Lock()
+		fleet.what = healthy
+		fleet.mu.Unlock()
+		time.Sleep(g.cfg.HalfOpenAfter)
+		if code := serve(http.MethodGet, "/api/service?name=SService"); code != http.StatusOK || g.GatewayStats().Upstreams[primary.idx].State != "healthy" {
+			t.Fatalf("trial read: status %d, primary %+v", code, g.GatewayStats().Upstreams[primary.idx])
+		}
+		wait([3]uint64{1, 1, 0})
+
+		// The primary issues a ticket, then is ejected although alive: its
+		// ticket still reaches it, after the successors' 404s, and its reply
+		// readmits it.
+		serve(http.MethodPost, "/api/invoke")
+		fleet.mu.Lock()
+		fleet.what = dialRefused
+		fleet.mu.Unlock()
+		for range g.cfg.FailThreshold {
+			serve(http.MethodGet, "/api/service?name=SService")
+		}
+		fleet.mu.Lock()
+		fleet.what = healthy
+		fleet.mu.Unlock()
+		if up := g.GatewayStats().Upstreams[primary.idx]; up.State != "ejected" {
+			t.Fatalf("primary %+v, want ejected", up)
+		}
+		wait([3]uint64{1, 1, 1})
+		if up := g.GatewayStats().Upstreams[primary.idx]; up.State != "healthy" || up.HalfOpenTrials != 1 {
+			t.Fatalf("after answering for its ticket: %+v", up)
+		}
+	})
 }
 
 // TestOrderedMembersAllocations: a key's ordered members — the walk every

@@ -35,7 +35,7 @@ type member struct {
 	killed    bool
 	state     memberState
 	trial     bool      // the half-open trial is out
-	ejectedAt time.Time // gateway clock; start of the half-open cooldown
+	ejectedAt time.Time // start of the half-open cooldown
 	// st holds m's counters and its consecutive failures; ID, Base and
 	// State are filled in by stats.
 	st UpstreamStats
@@ -82,7 +82,7 @@ func (m *member) admit() bool {
 	switch {
 	case m.state == stateHealthy:
 		return true
-	case m.trial || m.gw.clock.Now().Sub(m.ejectedAt) < m.gw.cfg.HalfOpenAfter:
+	case m.trial || time.Since(m.ejectedAt) < m.gw.cfg.HalfOpenAfter:
 		return false
 	}
 	m.trial = true
@@ -92,7 +92,7 @@ func (m *member) admit() bool {
 
 // fail records one failed hop.
 func (m *member) fail() {
-	now := m.gw.clock.Now()
+	now := time.Now()
 	m.mu.Lock()
 	m.st.ConsecutiveFails++
 	switch m.state {

@@ -1,5 +1,7 @@
 package gateway
 
+import "time"
+
 // Stats is the gateway's observability block, surfaced under "gateway"
 // in the front door's /api/stats document and via GatewayStats() —
 // consistent with the appliance's CollectorStats/SubmitStats/
@@ -49,7 +51,7 @@ type UpstreamStats struct {
 
 // GatewayStats snapshots the gateway block.
 func (g *Gateway) GatewayStats() Stats {
-	now := g.clock.Now()
+	now := time.Now()
 	st := g.stats.Snapshot()
 	st.RingMembers, st.VirtualNodes = g.ring.size(), virtualNodes
 	for _, m := range g.members {

@@ -196,7 +196,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	var hbCh <-chan time.Time
 	for {
 		if hbCh == nil {
-			hbCh = s.clock.After(hb)
+			hbCh = time.After(hb)
 		}
 		select {
 		case ev := <-sub.C:

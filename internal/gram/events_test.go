@@ -136,7 +136,7 @@ func TestEventStreamCursorResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.client.WaitTerminal(id2, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := f.client.WaitTerminal(id2, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		es2, err := f.client.Events("sess-1", cursor)
@@ -197,7 +197,7 @@ func TestEventStreamCrossOwnerIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := f.client.WaitTerminal(id, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		heartbeats := 0
@@ -221,7 +221,7 @@ func TestEventStreamCrossOwnerIsolation(t *testing.T) {
 func proxyClients(t *testing.T, f *fixture) (a, b *Client) {
 	t.Helper()
 	mk := func() *Client {
-		proxy, err := f.client.Cred.Delegate(f.clock.Now(), 12*time.Hour)
+		proxy, err := f.client.Cred.Delegate(time.Now(), 12*time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestEventStreamProxyIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.WaitTerminal(early, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := a.WaitTerminal(early, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		esB, err := b.Events("sess-b", 0)
@@ -374,11 +374,11 @@ func TestInlineOutputFitsAFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := f.client.WaitTerminal(id, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		ev := gridsim.JobEvent{Seq: 1<<64 - 1, Type: gridsim.EventState, JobID: id, Owner: f.alice,
-			State: "DONE", Message: strings.Repeat("m", 256), Site: "siteA", OutputVersion: 1<<64 - 1, At: f.clock.Now()}
+			State: "DONE", Message: strings.Repeat("m", 256), Site: "siteA", OutputVersion: 1<<64 - 1, At: time.Now()}
 		var buf bytes.Buffer
 		// 0x01 escapes to \u0001: six bytes for one.
 		if err := writeEventFrame(&buf, busFrame(ev, strings.Repeat("\x01", InlineOutputMax))); err != nil {
@@ -404,7 +404,7 @@ func TestInlineOutputFitsAFrame(t *testing.T) {
 		if id, err = f.client.Submit(f.desc("raw.gsh")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := f.client.WaitTerminal(id, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		ev.JobID, ev.OutputVersion = id, 1

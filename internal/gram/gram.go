@@ -27,7 +27,6 @@ import (
 	"repro/internal/hop"
 	"repro/internal/jsdl"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -96,7 +95,6 @@ type errorReply struct {
 type Server struct {
 	grid   *gridsim.Grid
 	trust  *xsec.TrustStore
-	clock  vtime.Clock
 	tracer *trace.Tracer
 	// heartbeat is the event-stream keepalive cadence; only tests change
 	// it from DefaultHeartbeatInterval.
@@ -110,11 +108,8 @@ type Server struct {
 func (s *Server) SetTracer(t *trace.Tracer) { s.tracer = t }
 
 // NewServer builds a gatekeeper.
-func NewServer(grid *gridsim.Grid, trust *xsec.TrustStore, clock vtime.Clock) *Server {
-	if clock == nil {
-		clock = vtime.Real{}
-	}
-	return &Server{grid: grid, trust: trust, clock: clock, heartbeat: DefaultHeartbeatInterval}
+func NewServer(grid *gridsim.Grid, trust *xsec.TrustStore) *Server {
+	return &Server{grid: grid, trust: trust, heartbeat: DefaultHeartbeatInterval}
 }
 
 // authenticate verifies the signed token over msg and returns the caller
@@ -139,7 +134,7 @@ func (s *Server) authenticateProxy(r *http.Request, msg []byte) (string, *xsec.C
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrDenied, err)
 	}
-	id, err := s.trust.Verify(msg, signed, s.clock.Now())
+	id, err := s.trust.Verify(msg, signed, time.Now())
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrDenied, err)
 	}
@@ -564,13 +559,10 @@ func (c *Client) Usage() ([]gridsim.SiteUsage, error) {
 }
 
 // WaitTerminal polls Status until the job is terminal or the deadline
-// passes, using the given poll interval on clock. This is deliberately
-// the paper's inefficient pattern — there are no callbacks.
-func (c *Client) WaitTerminal(jobID string, clock vtime.Clock, interval, timeout time.Duration) (*StatusReply, error) {
-	if clock == nil {
-		clock = vtime.Real{}
-	}
-	deadline := clock.Now().Add(timeout)
+// passes, polling every interval. This is deliberately the paper's
+// inefficient pattern — there are no callbacks.
+func (c *Client) WaitTerminal(jobID string, interval, timeout time.Duration) (*StatusReply, error) {
+	deadline := time.Now().Add(timeout)
 	for {
 		st, err := c.Status(jobID)
 		if err != nil {
@@ -580,10 +572,10 @@ func (c *Client) WaitTerminal(jobID string, clock vtime.Clock, interval, timeout
 		case "DONE", "FAILED", "CANCELLED", "TIMEOUT":
 			return st, nil
 		}
-		if clock.Now().After(deadline) {
+		if time.Now().After(deadline) {
 			return st, fmt.Errorf("gram: job %s not terminal after %v", jobID, timeout)
 		}
-		clock.Sleep(interval)
+		time.Sleep(interval)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/hop"
 	"repro/internal/jsdl"
 	"repro/internal/netsim"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -20,7 +19,6 @@ var t0 = time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
 
 type fixture struct {
 	grid   *gridsim.Grid
-	clock  vtime.Clock
 	srv    *Server
 	client *Client
 	other  *Client
@@ -30,33 +28,26 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	var clk vtime.Real
-	return newFixtureOn(t, clk)
-}
-
-// newFixtureOn is newFixture with the grid and the gatekeeper on clk.
-func newFixtureOn(t *testing.T, clk vtime.Clock) *fixture {
-	t.Helper()
-	ca, err := xsec.NewCA("GridCA", clk.Now(), 10*365*24*time.Hour)
+	ca, err := xsec.NewCA("GridCA", time.Now(), 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice, err := ca.IssueUser("alice", clk.Now(), 365*24*time.Hour)
+	alice, err := ca.IssueUser("alice", time.Now(), 365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob, err := ca.IssueUser("bob", clk.Now(), 365*24*time.Hour)
+	bob, err := ca.IssueUser("bob", time.Now(), 365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := gridsim.New(clk,
+	grid, err := gridsim.New(
 		gridsim.SiteConfig{Name: "siteA", Nodes: 2, CoresPerNode: 4},
 		gridsim.SiteConfig{Name: "siteB", Nodes: 1, CoresPerNode: 2},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(grid, xsec.NewTrustStore(ca.Cert), clk)
+	srv := NewServer(grid, xsec.NewTrustStore(ca.Cert))
 	pipes := netsim.NewNet()
 	ln := pipes.Listen()
 	hs := netsim.NewHTTPServer(srv)
@@ -70,7 +61,6 @@ func newFixtureOn(t *testing.T, clk vtime.Clock) *fixture {
 	siteA.Store().Put(alice.Subject(), "writer.gsh", []byte("write result.dat 64\necho ok\n"))
 	return &fixture{
 		grid:   grid,
-		clock:  clk,
 		srv:    srv,
 		client: &Client{BaseURL: base, Cred: alice, Transport: rt},
 		other:  &Client{BaseURL: base, Cred: bob, Transport: rt},
@@ -93,7 +83,7 @@ func TestSubmitAndWait(t *testing.T) {
 		if !strings.HasPrefix(id, "siteA:job-") {
 			t.Fatalf("job id %q", id)
 		}
-		st, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour)
+		st, err := f.client.WaitTerminal(id, time.Second, time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +107,7 @@ func TestOutputFileRetrieval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := f.client.WaitTerminal(id, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		data, err := f.client.OutputFile(id, "result.dat")
@@ -161,7 +151,7 @@ func TestJobRequestsEscapeQueryValues(t *testing.T) {
 				if !errors.Is(err, ErrNoSuchJob) || time.Now().After(deadline) {
 					t.Fatalf("%q: %v", name, err)
 				}
-				f.clock.Sleep(time.Millisecond) // not written yet
+				time.Sleep(time.Millisecond) // not written yet
 			}
 			// The job ID is data too: the gatekeeper is asked about exactly the
 			// (non-existent) job named, not about a prefix of it.
@@ -172,7 +162,7 @@ func TestJobRequestsEscapeQueryValues(t *testing.T) {
 			if st, err := f.client.Cancel(id); err != nil || st.JobID != id {
 				t.Fatalf("%q: cancel: %+v, %v", name, st, err)
 			}
-			if st, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil || st.State != "CANCELLED" {
+			if st, err := f.client.WaitTerminal(id, time.Second, time.Hour); err != nil || st.State != "CANCELLED" {
 				t.Fatalf("%q: after cancel: %+v, %v", name, st, err)
 			}
 		}
@@ -181,12 +171,12 @@ func TestJobRequestsEscapeQueryValues(t *testing.T) {
 
 // TestTentativeOutputPollingSeesPartialOutput: a poll that lands while the
 // job runs sees RUNNING and the output so far — the paper's workaround
-// behaviour. The grid runs on a manual clock that moves only while the job
-// is parked on it, so the mid-run poll has one outcome.
+// behaviour. In a bubble the job's ticks land at known instants, and the
+// mid-run poll runs at one of them, once the job is parked again, so it
+// has one outcome.
 func TestTentativeOutputPollingSeesPartialOutput(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.NewManual(t0)
-		f := newFixtureOn(t, clk)
+		f := newFixture(t)
 		siteA, _ := f.grid.Site("siteA")
 		siteA.Store().Put(f.alice, "ticks.gsh", []byte("emit 500ms 3 tick\n"))
 		id, err := f.client.Submit(f.desc("ticks.gsh"))
@@ -197,18 +187,8 @@ func TestTentativeOutputPollingSeesPartialOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// parked waits for the job's two waiters on the clock: its walltime and
-		// the interval before its next tick.
-		parked := func() {
-			t.Helper()
-			bubble.Wait()
-			if n := clk.Pending(); n != 2 {
-				t.Fatalf("%d waiters on the clock, want the job's two", n)
-			}
-		}
-		parked()
-		clk.Advance(500 * time.Millisecond)
-		parked() // one tick written, the next interval begun
+		time.Sleep(500 * time.Millisecond)
+		bubble.Wait() // one tick written, the next interval begun
 		st, err := f.client.Status(id)
 		if err != nil {
 			t.Fatal(err)
@@ -217,11 +197,8 @@ func TestTentativeOutputPollingSeesPartialOutput(t *testing.T) {
 		if err != nil || st.State != "RUNNING" || partial != "tick\n" {
 			t.Fatalf("mid-run poll: %s, %q, %v; want RUNNING with one tick", st.State, partial, err)
 		}
-		clk.Advance(500 * time.Millisecond)
-		parked()
-		clk.Advance(500 * time.Millisecond)
 		<-job.Done()
-		full, err := f.client.WaitTerminal(id, clk, time.Second, time.Hour)
+		full, err := f.client.WaitTerminal(id, time.Second, time.Hour)
 		if err != nil || full.State != "DONE" {
 			t.Fatalf("after the last tick: %+v, %v", full, err)
 		}
@@ -241,7 +218,7 @@ func TestCancel(t *testing.T) {
 		if _, err := f.client.Cancel(id); err != nil {
 			t.Fatal(err)
 		}
-		st, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour)
+		st, err := f.client.WaitTerminal(id, time.Second, time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,10 +258,10 @@ func TestStatusBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.client.WaitTerminal(id1, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := f.client.WaitTerminal(id1, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.client.WaitTerminal(id2, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := f.client.WaitTerminal(id2, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		entries, err := f.client.StatusBatch([]string{id1, "siteA:job-999999", id2})
@@ -345,7 +322,7 @@ func TestConditionalOutputFetch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := f.client.WaitTerminal(id, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		out, ver, changed, err := f.client.OutputIfChanged(id, 0)
@@ -403,7 +380,7 @@ func TestConditionalOutputSeesNewOutput(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatal("no output change observed")
 			}
-			f.clock.Sleep(time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 		f.client.Cancel(id)
 	})
@@ -442,11 +419,11 @@ func TestExpiredProxyRejected(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t)
 		// A proxy that expired a virtual second before the request lands.
-		shortProxy, err := f.client.Cred.Delegate(f.clock.Now(), time.Second)
+		shortProxy, err := f.client.Cred.Delegate(time.Now(), time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.clock.Sleep(2 * time.Second)
+		time.Sleep(2 * time.Second)
 		expired := &Client{BaseURL: f.client.BaseURL, Cred: shortProxy, Transport: f.client.Transport}
 		if _, err := expired.Submit(f.desc("hello.gsh")); !errors.Is(err, ErrDenied) {
 			t.Fatalf("got %v", err)
@@ -491,7 +468,7 @@ func TestUsageAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.client.WaitTerminal(id, f.clock, time.Second, time.Hour); err != nil {
+		if _, err := f.client.WaitTerminal(id, time.Second, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		usage, err = f.client.Usage()
@@ -523,7 +500,7 @@ func TestWaitTerminalTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = f.client.WaitTerminal(id, f.clock, time.Second, 2*time.Second)
+		_, err = f.client.WaitTerminal(id, time.Second, 2*time.Second)
 		if err == nil || !strings.Contains(err.Error(), "not terminal") {
 			t.Fatalf("got %v", err)
 		}
@@ -534,7 +511,7 @@ func TestWaitTerminalTimeout(t *testing.T) {
 func TestProxySubmission(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t)
-		proxy, err := f.client.Cred.Delegate(f.clock.Now(), 12*time.Hour)
+		proxy, err := f.client.Cred.Delegate(time.Now(), 12*time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,7 +520,7 @@ func TestProxySubmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := proxied.WaitTerminal(id, f.clock, time.Second, time.Hour)
+		st, err := proxied.WaitTerminal(id, time.Second, time.Hour)
 		if err != nil || st.State != "DONE" {
 			t.Fatalf("proxied job: %v %v", st, err)
 		}

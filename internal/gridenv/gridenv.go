@@ -20,14 +20,11 @@ import (
 	"repro/internal/myproxy"
 	"repro/internal/netsim"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
 // Options configures Start.
 type Options struct {
-	// Clock drives the grid; nil means real time.
-	Clock vtime.Clock
 	// Sites defaults to gridsim.TeraGrid's machine file.
 	Sites []gridsim.SiteConfig
 	// Profile shapes the grid servers' outbound (server→client) traffic,
@@ -49,7 +46,6 @@ type Options struct {
 
 // Env is a running grid environment. Close shuts every listener down.
 type Env struct {
-	Clock vtime.Clock
 	CA    *xsec.CA
 	Trust *xsec.TrustStore
 	Grid  *gridsim.Grid
@@ -67,15 +63,11 @@ type Env struct {
 
 // Start boots the environment.
 func Start(opts Options) (*Env, error) {
-	clock := opts.Clock
-	if clock == nil {
-		clock = vtime.Real{}
-	}
 	validity := opts.CAValidity
 	if validity <= 0 {
 		validity = 10 * 365 * 24 * time.Hour
 	}
-	ca, err := xsec.NewCA("ReproGridCA", clock.Now(), validity)
+	ca, err := xsec.NewCA("ReproGridCA", time.Now(), validity)
 	if err != nil {
 		return nil, err
 	}
@@ -83,16 +75,15 @@ func Start(opts Options) (*Env, error) {
 
 	var grid *gridsim.Grid
 	if len(opts.Sites) == 0 {
-		grid, err = gridsim.TeraGrid(clock)
+		grid, err = gridsim.TeraGrid()
 	} else {
-		grid, err = gridsim.New(clock, opts.Sites...)
+		grid, err = gridsim.New(opts.Sites...)
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	env := &Env{
-		Clock:   clock,
 		CA:      ca,
 		Trust:   trust,
 		Grid:    grid,
@@ -127,11 +118,11 @@ func Start(opts Options) (*Env, error) {
 
 	// Gatekeeper.
 	if opts.Trace != nil {
-		grid.SetTracer(trace.NewTracer("gridsim", clock, opts.Trace))
+		grid.SetTracer(trace.NewTracer("gridsim", nil, opts.Trace))
 	}
-	gk := gram.NewServer(grid, trust, clock)
+	gk := gram.NewServer(grid, trust)
 	if opts.Trace != nil {
-		gk.SetTracer(trace.NewTracer("gram", clock, opts.Trace))
+		gk.SetTracer(trace.NewTracer("gram", nil, opts.Trace))
 	}
 	if env.GramURL, err = serveHTTP(gk); err != nil {
 		return nil, err
@@ -153,9 +144,9 @@ func Start(opts Options) (*Env, error) {
 			env.Close()
 			return nil, err
 		}
-		ftp := gridftp.NewServer(site.Store(), trust, clock, fetch)
+		ftp := gridftp.NewServer(site.Store(), trust, fetch)
 		if opts.Trace != nil {
-			ftp.SetTracer(trace.NewTracer("gridftp", clock, opts.Trace), name)
+			ftp.SetTracer(trace.NewTracer("gridftp", nil, opts.Trace), name)
 		}
 		url, err := serveHTTP(ftp)
 		if err != nil {
@@ -168,9 +159,9 @@ func Start(opts Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env.myproxySrv = myproxy.NewServer(clock)
+	env.myproxySrv = myproxy.NewServer()
 	if opts.Trace != nil {
-		env.myproxySrv.SetTracer(trace.NewTracer("myproxy", clock, opts.Trace))
+		env.myproxySrv.SetTracer(trace.NewTracer("myproxy", nil, opts.Trace))
 	}
 	go env.myproxySrv.Serve(mpLn)
 	env.MyProxyAddr = mpLn.Addr().String()
@@ -192,7 +183,7 @@ func (e *Env) AddUser(cn, passphrase string, validity time.Duration) (*xsec.Cred
 	if validity <= 0 {
 		validity = 30 * 24 * time.Hour
 	}
-	cred, err := e.CA.IssueUser(cn, e.Clock.Now(), validity)
+	cred, err := e.CA.IssueUser(cn, time.Now(), validity)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/jsdl"
 	"repro/internal/myproxy"
 	"repro/internal/netsim"
-	"repro/internal/vtime"
 )
 
 // TestMain runs the tests that sleep on virtual time in a bubble, under
@@ -24,7 +23,7 @@ import (
 func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestStartDefaultTeraGrid(t *testing.T) {
-	env, err := Start(Options{Clock: vtime.NewManual(time.Unix(0, 0)), Net: netsim.NewNet()})
+	env, err := Start(Options{Net: netsim.NewNet()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +42,8 @@ func TestStartDefaultTeraGrid(t *testing.T) {
 
 func TestAddUserAndAuthenticateThroughStack(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
 		pipes := netsim.NewNet()
 		env, err := Start(Options{
-			Clock: clk,
 			Sites: []gridsim.SiteConfig{{Name: "s", Nodes: 1, CoresPerNode: 2}},
 			Net:   pipes,
 		})
@@ -90,7 +87,6 @@ func TestAddUserAndAuthenticateThroughStack(t *testing.T) {
 
 func TestStageEverywhere(t *testing.T) {
 	env, err := Start(Options{
-		Clock: vtime.Real{},
 		Sites: []gridsim.SiteConfig{
 			{Name: "a", Nodes: 1, CoresPerNode: 1},
 			{Name: "b", Nodes: 1, CoresPerNode: 1},
@@ -113,11 +109,9 @@ func TestStageEverywhere(t *testing.T) {
 
 func TestShapedListeners(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
 		env, err := Start(Options{
-			Clock:   clk,
 			Sites:   []gridsim.SiteConfig{{Name: "s", Nodes: 1, CoresPerNode: 1}},
-			Profile: netsim.WAN(clk),
+			Profile: netsim.WAN(),
 			Net:     netsim.NewNet(),
 		})
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/gridsim"
 	"repro/internal/hop"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -18,19 +17,18 @@ import (
 // alice against each.
 func twoSites(t *testing.T) (srcClient, dstClient *Client, srcStore, dstStore *gridsim.Store) {
 	t.Helper()
-	now := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
+	now := time.Now()
 	ca, err := xsec.NewCA("FTPCA", now, 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alice, _ := ca.IssueUser("alice", now, 365*24*time.Hour)
 	trust := xsec.NewTrustStore(ca.Cert)
-	clk := vtime.NewManual(now.Add(time.Hour))
 
 	srcStore = gridsim.NewStore()
 	dstStore = gridsim.NewStore()
-	srcSrv := httptest.NewServer(NewServer(srcStore, trust, clk, nil))
-	dstSrv := httptest.NewServer(NewServer(dstStore, trust, clk, nil))
+	srcSrv := httptest.NewServer(NewServer(srcStore, trust, nil))
+	dstSrv := httptest.NewServer(NewServer(dstStore, trust, nil))
 	t.Cleanup(srcSrv.Close)
 	t.Cleanup(dstSrv.Close)
 	return &Client{BaseURL: srcSrv.URL, Cred: alice},
@@ -129,18 +127,17 @@ func TestFetchUsesInjectedHTTPClient(t *testing.T) {
 	// The destination server's source-side pull must go through the
 	// injected transport (the rig routes it through the shaped WAN), not
 	// hop's shared one.
-	now := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
+	now := time.Now()
 	ca, err := xsec.NewCA("FTPCA", now, 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alice, _ := ca.IssueUser("alice", now, 365*24*time.Hour)
 	trust := xsec.NewTrustStore(ca.Cert)
-	clk := vtime.NewManual(now.Add(time.Hour))
 	ct := &countingTransport{}
 	srcStore, dstStore := gridsim.NewStore(), gridsim.NewStore()
-	srcSrv := httptest.NewServer(NewServer(srcStore, trust, clk, nil))
-	dstSrv := httptest.NewServer(NewServer(dstStore, trust, clk, ct))
+	srcSrv := httptest.NewServer(NewServer(srcStore, trust, nil))
+	dstSrv := httptest.NewServer(NewServer(dstStore, trust, ct))
 	t.Cleanup(srcSrv.Close)
 	t.Cleanup(dstSrv.Close)
 	src := &Client{BaseURL: srcSrv.URL, Cred: alice}

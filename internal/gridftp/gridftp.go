@@ -22,12 +22,12 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"time"
 
 	"repro/internal/gridsim"
 	"repro/internal/hop"
 	"repro/internal/sizedio"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -57,7 +57,6 @@ var (
 type Server struct {
 	store *gridsim.Store
 	trust *xsec.TrustStore
-	clock vtime.Clock
 	// pull carries outbound third-party transfers; nil means
 	// hop.Shared().
 	pull http.RoundTripper
@@ -81,14 +80,10 @@ func (s *Server) SetTracer(t *trace.Tracer, site string) {
 // NewServer builds a staging server for store. pull carries the server's
 // own outbound traffic — the source-side pulls of third-party transfers —
 // so rigs can route it through a shaped dial; nil means hop.Shared().
-func NewServer(store *gridsim.Store, trust *xsec.TrustStore, clock vtime.Clock, pull http.RoundTripper) *Server {
-	if clock == nil {
-		clock = vtime.Real{}
-	}
+func NewServer(store *gridsim.Store, trust *xsec.TrustStore, pull http.RoundTripper) *Server {
 	return &Server{
 		store:  store,
 		trust:  trust,
-		clock:  clock,
 		pull:   pull,
 		chunks: newChunkStore(defaultChunkStoreBytes),
 	}
@@ -110,7 +105,7 @@ func (s *Server) authenticate(r *http.Request, msg []byte) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrDenied, err)
 	}
-	id, err := s.trust.Verify(msg, signed, s.clock.Now())
+	id, err := s.trust.Verify(msg, signed, time.Now())
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrDenied, err)
 	}

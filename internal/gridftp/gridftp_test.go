@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/gridsim"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -26,7 +25,7 @@ type fixture struct {
 
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
-	now := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
+	now := time.Now()
 	ca, err := xsec.NewCA("FTPCA", now, 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +33,7 @@ func newFixture(t testing.TB) *fixture {
 	alice, _ := ca.IssueUser("alice", now, 365*24*time.Hour)
 	bob, _ := ca.IssueUser("bob", now, 365*24*time.Hour)
 	store := gridsim.NewStore()
-	srv := NewServer(store, xsec.NewTrustStore(ca.Cert), vtime.NewManual(now.Add(time.Hour)), nil)
+	srv := NewServer(store, xsec.NewTrustStore(ca.Cert), nil)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
 	return &fixture{
@@ -190,7 +189,7 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestProxyCredentialWorks(t *testing.T) {
 	f := newFixture(t)
-	proxy, err := f.alice.Cred.Delegate(time.Date(2010, 6, 1, 0, 30, 0, 0, time.UTC), 12*time.Hour)
+	proxy, err := f.alice.Cred.Delegate(time.Now().Add(-30*time.Minute), 12*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +205,14 @@ func TestProxyCredentialWorks(t *testing.T) {
 }
 
 func TestQuotaSurfacesAsError(t *testing.T) {
-	now := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
+	now := time.Now()
 	ca, err := xsec.NewCA("FTPCA", now, 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alice, _ := ca.IssueUser("alice", now, 365*24*time.Hour)
 	store := gridsim.NewStoreWithLimits(1000, 800)
-	srv := NewServer(store, xsec.NewTrustStore(ca.Cert), vtime.NewManual(now.Add(time.Hour)), nil)
+	srv := NewServer(store, xsec.NewTrustStore(ca.Cert), nil)
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	c := &Client{BaseURL: hs.URL, Cred: alice}

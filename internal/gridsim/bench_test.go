@@ -4,12 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/jsdl"
-	"repro/internal/vtime"
 )
 
 func BenchmarkSubmitToCompletion(b *testing.B) {
-	var clk vtime.Real
-	s := NewSite(SiteConfig{Name: "bench", Nodes: 8, CoresPerNode: 8}, clk)
+	s := NewSite(SiteConfig{Name: "bench", Nodes: 8, CoresPerNode: 8})
 	if err := s.Store().Put(owner, "e.gsh", []byte("echo done\n")); err != nil {
 		b.Fatal(err)
 	}
@@ -29,8 +27,7 @@ func BenchmarkSubmitToCompletion(b *testing.B) {
 }
 
 func BenchmarkSubmitThroughputParallel(b *testing.B) {
-	var clk vtime.Real
-	g, err := TeraGrid(clk)
+	g, err := TeraGrid()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bubble"
 	"repro/internal/jsdl"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 func busEvent(owner, job string) JobEvent {
@@ -167,8 +166,7 @@ func TestEventBusSubmitterIsolation(t *testing.T) {
 // SubmitTraced returns — and must already carry the submitter key.
 func TestSubmitterRecordedBeforeDispatch(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
+		g, err := New(SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,8 +253,7 @@ func TestEventBusNilSafe(t *testing.T) {
 // whose output version matches the job's final stdout version.
 func TestGridPublishesJobLifecycle(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
+		g, err := New(SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,8 +316,7 @@ func TestGridPublishesJobLifecycle(t *testing.T) {
 // terminal state event.
 func TestCancelPublishesTerminalEvent(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		g, err := New(clk, SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 1})
+		g, err := New(SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/jsdl"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // Grid errors.
@@ -28,22 +27,17 @@ var (
 
 // Grid federates sites behind a broker.
 type Grid struct {
-	clock vtime.Clock
 	sites map[string]*Site
 	order []string
 	bus   *EventBus
 }
 
 // New builds a grid from site configs.
-func New(clock vtime.Clock, configs ...SiteConfig) (*Grid, error) {
+func New(configs ...SiteConfig) (*Grid, error) {
 	if len(configs) == 0 {
 		return nil, ErrNoSites
 	}
-	if clock == nil {
-		clock = vtime.Real{}
-	}
 	g := &Grid{
-		clock: clock,
 		sites: make(map[string]*Site, len(configs)),
 		bus:   NewEventBus(),
 	}
@@ -54,7 +48,7 @@ func New(clock vtime.Clock, configs ...SiteConfig) (*Grid, error) {
 		if _, dup := g.sites[cfg.Name]; dup {
 			return nil, fmt.Errorf("gridsim: duplicate site %q", cfg.Name)
 		}
-		site := NewSite(cfg, clock)
+		site := NewSite(cfg)
 		site.bus = g.bus
 		g.sites[cfg.Name] = site
 		g.order = append(g.order, cfg.Name)
@@ -191,14 +185,14 @@ func (g *Grid) Stats() []SiteStats {
 // "the TeraGrid is a production Grid infrastructure which contains 11
 // supercomputing centers across U.S." (paper §VIII-A). Capacities are
 // stylised, not historical.
-func TeraGrid(clock vtime.Clock) (*Grid, error) {
+func TeraGrid() (*Grid, error) {
 	mk := func(name string, nodes, cores int, factor float64) SiteConfig {
 		return SiteConfig{
 			Name: name, Nodes: nodes, CoresPerNode: cores,
 			CPUFactor: factor, DefaultWallTime: 12 * time.Hour,
 		}
 	}
-	return New(clock,
+	return New(
 		mk("ncsa-abe", 120, 8, 1.2),
 		mk("sdsc-ds", 96, 8, 1.0),
 		mk("psc-pople", 48, 16, 1.1),

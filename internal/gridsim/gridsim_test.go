@@ -10,15 +10,13 @@ import (
 
 	"repro/internal/bubble"
 	"repro/internal/jsdl"
-	"repro/internal/vtime"
 )
 
 const owner = "/O=Repro/CN=alice"
 
 func testSite(t *testing.T, slots int) *Site {
 	t.Helper()
-	clk := vtime.Real{}
-	return NewSite(SiteConfig{Name: "test", Nodes: 1, CoresPerNode: slots}, clk)
+	return NewSite(SiteConfig{Name: "test", Nodes: 1, CoresPerNode: slots})
 }
 
 func stage(t *testing.T, s *Site, name, src string) {
@@ -179,7 +177,7 @@ func TestNoOversubscription(t *testing.T) {
 		}
 		// Sample running counts every virtual 100 ms while draining the queue:
 		// four waves of 500 ms.
-		for start := s.clock.Now(); ; s.clock.Sleep(100 * time.Millisecond) {
+		for start := time.Now(); ; time.Sleep(100 * time.Millisecond) {
 			stats := s.Stats()
 			if stats.FreeSlots < 0 || stats.Running > slots {
 				t.Fatalf("oversubscribed: %+v", stats)
@@ -193,7 +191,7 @@ func TestNoOversubscription(t *testing.T) {
 			if done == len(jobs) {
 				break
 			}
-			if s.clock.Now().Sub(start) > time.Minute {
+			if time.Now().Sub(start) > time.Minute {
 				t.Fatalf("jobs stuck: %d/%d done", done, len(jobs))
 			}
 		}
@@ -209,8 +207,7 @@ func TestNoOversubscription(t *testing.T) {
 
 func TestWalltimeEnforced(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		s := NewSite(SiteConfig{Name: "t", Nodes: 1, CoresPerNode: 1}, clk)
+		s := NewSite(SiteConfig{Name: "t", Nodes: 1, CoresPerNode: 1})
 		stage(t, s, "endless.gsh", "compute 1h\n")
 		j, err := s.Submit(jsdl.Description{
 			Owner: owner, Executable: "endless.gsh", WallTime: 5 * time.Second,
@@ -275,7 +272,7 @@ func TestCancelRunningJob(t *testing.T) {
 		j := submit(t, s, "ticker.gsh", nil)
 		// Let it start.
 		for j.State() == Queued {
-			s.clock.Sleep(time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 		if err := s.Cancel(j.ID); err != nil {
 			t.Fatal(err)
@@ -328,8 +325,7 @@ func TestStateStrings(t *testing.T) {
 
 func TestGridBrokerPicksLeastLoaded(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		g, err := New(clk,
+		g, err := New(
 			SiteConfig{Name: "small", Nodes: 1, CoresPerNode: 1},
 			SiteConfig{Name: "big", Nodes: 4, CoresPerNode: 4},
 		)
@@ -356,7 +352,7 @@ func TestGridBrokerPicksLeastLoaded(t *testing.T) {
 }
 
 func TestGridSubmitRequiresStagingSomewhere(t *testing.T) {
-	g, _ := New(vtime.Real{}, SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 1})
+	g, _ := New(SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 1})
 	_, err := g.Submit(jsdl.Description{Owner: owner, Executable: "nowhere.gsh"})
 	if !errors.Is(err, ErrNotStaged) {
 		t.Fatalf("got %v", err)
@@ -365,8 +361,7 @@ func TestGridSubmitRequiresStagingSomewhere(t *testing.T) {
 
 func TestGridJobLookup(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		g, _ := New(clk, SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 2})
+		g, _ := New(SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 2})
 		s, _ := g.Site("a")
 		s.Store().Put(owner, "e.gsh", []byte("echo hi\n"))
 		j, err := g.Submit(jsdl.Description{Owner: owner, Executable: "e.gsh", Site: "a"})
@@ -388,8 +383,7 @@ func TestGridJobLookup(t *testing.T) {
 
 func TestGridBatchJobLookup(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		g, _ := New(clk, SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 4})
+		g, _ := New(SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 4})
 		s, _ := g.Site("a")
 		s.Store().Put(owner, "e.gsh", []byte("echo hi\n"))
 		j1, err := g.Submit(jsdl.Description{Owner: owner, Executable: "e.gsh", Site: "a"})
@@ -440,13 +434,13 @@ func TestStdoutVersionTracksAppends(t *testing.T) {
 }
 
 func TestGridConstructionErrors(t *testing.T) {
-	if _, err := New(vtime.Real{}); !errors.Is(err, ErrNoSites) {
+	if _, err := New(); !errors.Is(err, ErrNoSites) {
 		t.Fatalf("got %v", err)
 	}
-	if _, err := New(vtime.Real{}, SiteConfig{Name: ""}); err == nil {
+	if _, err := New(SiteConfig{Name: ""}); err == nil {
 		t.Fatal("nameless site accepted")
 	}
-	if _, err := New(vtime.Real{},
+	if _, err := New(
 		SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 1},
 		SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 1},
 	); err == nil {
@@ -455,7 +449,7 @@ func TestGridConstructionErrors(t *testing.T) {
 }
 
 func TestTeraGridHasElevenSites(t *testing.T) {
-	g, err := TeraGrid(vtime.Real{})
+	g, err := TeraGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,8 +469,7 @@ func TestTeraGridHasElevenSites(t *testing.T) {
 
 func TestManySmallJobsAcrossGrid(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		g, err := TeraGrid(clk)
+		g, err := TeraGrid()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -568,8 +561,7 @@ func TestStoreList(t *testing.T) {
 
 func TestJobOutputQuota(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		s := NewSite(SiteConfig{Name: "test", Nodes: 1, CoresPerNode: 1, MaxJobOutput: 1000}, clk)
+		s := NewSite(SiteConfig{Name: "test", Nodes: 1, CoresPerNode: 1, MaxJobOutput: 1000})
 		// Write more than the per-job quota in two files.
 		stage(t, s, "big.gsh", "write a.dat 600\nwrite b.dat 600\n")
 		j := submit(t, s, "big.gsh", nil)
@@ -619,9 +611,8 @@ func TestJobReadingUnstagedInputFails(t *testing.T) {
 
 func TestCPUFactorSpeedsJobs(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		fast := NewSite(SiteConfig{Name: "fast", Nodes: 1, CoresPerNode: 1, CPUFactor: 4}, clk)
-		slow := NewSite(SiteConfig{Name: "slow", Nodes: 1, CoresPerNode: 1, CPUFactor: 1}, clk)
+		fast := NewSite(SiteConfig{Name: "fast", Nodes: 1, CoresPerNode: 1, CPUFactor: 4})
+		slow := NewSite(SiteConfig{Name: "slow", Nodes: 1, CoresPerNode: 1, CPUFactor: 1})
 		src := "compute 60s\n"
 		fast.Store().Put(owner, "e.gsh", []byte(src))
 		slow.Store().Put(owner, "e.gsh", []byte(src))

@@ -1,21 +1,18 @@
 package gridsim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/bubble"
 	"repro/internal/jsdl"
-	"repro/internal/vtime"
 )
 
 // policySite builds a 4-slot site with the given policy and a staged
 // pair of executables: quick (100ms) and slow (5s).
 func policySite(t *testing.T, p Policy) *Site {
 	t.Helper()
-	clk := vtime.Real{}
-	s := NewSite(SiteConfig{Name: "pol", Nodes: 1, CoresPerNode: 4, Policy: p}, clk)
+	s := NewSite(SiteConfig{Name: "pol", Nodes: 1, CoresPerNode: 4, Policy: p})
 	stage(t, s, "quick.gsh", "compute 100ms\n")
 	stage(t, s, "slow.gsh", "compute 5s\n")
 	return s
@@ -79,70 +76,58 @@ func TestAggressiveBackfillOvertakes(t *testing.T) {
 }
 
 func TestConservativeBackfillAllowsHarmlessJobs(t *testing.T) {
-	// Deterministic version on a manual clock: virtual time advances only
-	// when the test says so, making the mid-flight assertions exact.
-	clk := vtime.NewManual(time.Unix(0, 0))
-	s := NewSite(SiteConfig{Name: "pol", Nodes: 1, CoresPerNode: 4, Policy: PolicyConservative}, clk)
-	stage(t, s, "quick.gsh", "compute 100ms\n")
-	stage(t, s, "slow.gsh", "compute 5s\n")
+	// In a bubble virtual time moves only once every job waits on it, so
+	// each step below lands at one known instant and the mid-flight
+	// assertions are exact: hog runs 0–5 s, harmless 0–0.1 s, head 5–10 s
+	// and harmful 10–10.1 s.
+	bubble.Test(t, func(t *testing.T) {
+		s := NewSite(SiteConfig{Name: "pol", Nodes: 1, CoresPerNode: 4, Policy: PolicyConservative})
+		stage(t, s, "quick.gsh", "compute 100ms\n")
+		stage(t, s, "slow.gsh", "compute 5s\n")
 
-	// Hog: 3 slots, walltime 10s. Head: needs 4, reserved for t≈10s.
-	hog := submitWide(t, s, "slow.gsh", 3, 10*time.Second)
-	head := submitWide(t, s, "slow.gsh", 4, time.Minute)
-	// Narrow short job (walltime 2s ≤ reservation at 10s): may backfill.
-	harmless := submitWide(t, s, "quick.gsh", 1, 2*time.Second)
-	// Narrow long job (walltime 1h > reservation): must NOT backfill.
-	harmful := submitWide(t, s, "quick.gsh", 1, time.Hour)
+		// Hog: 3 slots, walltime 10s. Head: needs 4, reserved for t≈10s.
+		hog := submitWide(t, s, "slow.gsh", 3, 10*time.Second)
+		head := submitWide(t, s, "slow.gsh", 4, time.Minute)
+		// Narrow short job (walltime 2s ≤ reservation at 10s): may backfill.
+		harmless := submitWide(t, s, "quick.gsh", 1, 2*time.Second)
+		// Narrow long job (walltime 1h > reservation): must NOT backfill.
+		harmful := submitWide(t, s, "quick.gsh", 1, time.Hour)
 
-	waitFor := func(what string, done func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("stuck waiting for %s", what)
+		start := time.Now()
+		// advance lets d pass, then waits until every job has acted on it.
+		advance := func(d time.Duration) {
+			time.Sleep(d)
+			bubble.Wait()
+		}
+		states := func(want ...State) {
+			t.Helper()
+			for i, j := range []*Job{hog, harmless, head, harmful} {
+				if j.State() != want[i] {
+					t.Fatalf("at +%v: hog, harmless, head, harmful want %v; %s is %s", time.Since(start), want, j.ID, j.State())
+				}
 			}
 		}
-	}
-	waitState := func(j *Job, want State) {
-		t.Helper()
-		waitFor(j.ID+" "+want.String(), func() bool { return j.State() == want })
-	}
-	// advance moves the clock once n waiters are on it — each running
-	// job's compute step and walltime, and the walltimes of jobs already
-	// over — so no job is yet to sleep on what the step should wake.
-	advance := func(n int, d time.Duration) {
-		t.Helper()
-		waitFor(fmt.Sprint(n, " waiters"), func() bool { return clk.Pending() == n })
-		clk.Advance(d)
-	}
-	// Before any time passes: hog and harmless run, head and harmful wait.
-	waitState(hog, Running)
-	waitState(harmless, Running)
-	if head.State() != Queued || harmful.State() != Queued {
-		t.Fatalf("states: head %s, harmful %s", head.State(), harmful.State())
-	}
+		// Before any time passes: hog and harmless run, head and harmful wait.
+		advance(0)
+		states(Running, Running, Queued, Queued)
+		// harmless completes. Dispatch ran on completion; the harmful
+		// candidate must still be held behind the head's reservation
+		// despite free slots.
+		advance(100 * time.Millisecond)
+		states(Running, Succeeded, Queued, Queued)
+		advance(4900 * time.Millisecond) // hog completes; head (4 slots) starts
+		states(Succeeded, Succeeded, Running, Queued)
+		advance(5 * time.Second) // head completes; harmful finally runs
+		states(Succeeded, Succeeded, Succeeded, Running)
+		advance(time.Second)
+		states(Succeeded, Succeeded, Succeeded, Succeeded)
 
-	advance(4, 100*time.Millisecond) // harmless completes
-	waitState(harmless, Succeeded)
-	// Dispatch ran on completion; the harmful candidate must still be
-	// held behind the head's reservation despite free slots.
-	if st := harmful.State(); st != Queued {
-		t.Fatalf("harmful candidate state %s, want QUEUED", st)
-	}
-
-	advance(3, 5*time.Second) // hog completes; head (4 slots) starts
-	waitState(hog, Succeeded)
-	waitState(head, Running)
-	advance(3, 5*time.Second) // head completes; harmful finally runs
-	waitState(head, Succeeded)
-	waitState(harmful, Running)
-	advance(3, time.Second)
-	waitState(harmful, Succeeded)
-
-	_, harmfulStart, _ := harmful.Times()
-	_, headStart, _ := head.Times()
-	if harmfulStart.Before(headStart) {
-		t.Fatal("harmful candidate overtook the reserved head")
-	}
+		_, harmfulStart, _ := harmful.Times()
+		_, headStart, _ := head.Times()
+		if harmfulStart.Before(headStart) {
+			t.Fatal("harmful candidate overtook the reserved head")
+		}
+	})
 }
 
 func TestConservativeHeadNotStarved(t *testing.T) {
@@ -150,8 +135,7 @@ func TestConservativeHeadNotStarved(t *testing.T) {
 		// Under aggressive backfill a stream of narrow jobs can starve a
 		// wide head; conservative must start the head promptly once the
 		// first hog finishes.
-		clk := vtime.Real{}
-		s := NewSite(SiteConfig{Name: "st", Nodes: 1, CoresPerNode: 4, Policy: PolicyConservative}, clk)
+		s := NewSite(SiteConfig{Name: "st", Nodes: 1, CoresPerNode: 4, Policy: PolicyConservative})
 		stage(t, s, "medium.gsh", "compute 2s\n")
 		hog := submitWide(t, s, "medium.gsh", 4, 3*time.Second)
 		head := submitWide(t, s, "medium.gsh", 4, time.Minute)
@@ -174,27 +158,29 @@ func TestConservativeHeadNotStarved(t *testing.T) {
 }
 
 func TestReservationComputation(t *testing.T) {
-	clk := vtime.NewManual(time.Unix(0, 0))
-	s := NewSite(SiteConfig{Name: "r", Nodes: 1, CoresPerNode: 4, Policy: PolicyConservative}, clk)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Empty site: reservation is immediate.
-	if got := s.reservationLocked(4); !got.Equal(clk.Now()) {
-		t.Fatalf("empty-site reservation %v", got)
-	}
-	// Two running jobs: 2 slots back at t=10, 1 at t=20; 1 slot free now.
-	s.freeSlots = 1
-	s.running["a"] = runInfo{cpus: 2, deadline: time.Unix(10, 0)}
-	s.running["b"] = runInfo{cpus: 1, deadline: time.Unix(20, 0)}
-	if got := s.reservationLocked(3); !got.Equal(time.Unix(10, 0)) {
-		t.Fatalf("reservation for 3 = %v, want t=10", got)
-	}
-	if got := s.reservationLocked(4); !got.Equal(time.Unix(20, 0)) {
-		t.Fatalf("reservation for 4 = %v, want t=20", got)
-	}
-	if got := s.reservationLocked(1); !got.Equal(clk.Now()) {
-		t.Fatalf("reservation for 1 = %v, want now", got)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		s := NewSite(SiteConfig{Name: "r", Nodes: 1, CoresPerNode: 4, Policy: PolicyConservative})
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		now := time.Now() // and for the whole test: nothing sleeps
+		// Empty site: reservation is immediate.
+		if got := s.reservationLocked(4); !got.Equal(now) {
+			t.Fatalf("empty-site reservation %v", got)
+		}
+		// Two running jobs: 2 slots back at t=10, 1 at t=20; 1 slot free now.
+		s.freeSlots = 1
+		s.running["a"] = runInfo{cpus: 2, deadline: now.Add(10 * time.Second)}
+		s.running["b"] = runInfo{cpus: 1, deadline: now.Add(20 * time.Second)}
+		if got := s.reservationLocked(3); !got.Equal(now.Add(10 * time.Second)) {
+			t.Fatalf("reservation for 3 = %v, want t=10", got)
+		}
+		if got := s.reservationLocked(4); !got.Equal(now.Add(20 * time.Second)) {
+			t.Fatalf("reservation for 4 = %v, want t=20", got)
+		}
+		if got := s.reservationLocked(1); !got.Equal(now) {
+			t.Fatalf("reservation for 1 = %v, want now", got)
+		}
+	})
 }
 
 func TestAllPoliciesConserveJobs(t *testing.T) {

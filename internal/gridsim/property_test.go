@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bubble"
 	"repro/internal/jsdl"
-	"repro/internal/vtime"
 )
 
 // Property: for any random mix of job widths and behaviours (success,
@@ -25,8 +24,7 @@ func TestPropertySchedulerConservation(t *testing.T) {
 			if len(widths) > 24 {
 				widths = widths[:24]
 			}
-			var clk vtime.Real
-			s := NewSite(SiteConfig{Name: "prop", Nodes: 2, CoresPerNode: 4}, clk)
+			s := NewSite(SiteConfig{Name: "prop", Nodes: 2, CoresPerNode: 4})
 			s.Store().Put(owner, "ok.gsh", []byte("compute 100ms\n"))
 			s.Store().Put(owner, "bad.gsh", []byte("fail nope\n"))
 			s.Store().Put(owner, "slow.gsh", []byte("compute 30s\n"))
@@ -84,8 +82,7 @@ func TestPropertySchedulerConservation(t *testing.T) {
 // total.
 func TestPropertyGridConservation(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.Real{}
-		g, err := New(clk,
+		g, err := New(
 			SiteConfig{Name: "a", Nodes: 1, CoresPerNode: 2},
 			SiteConfig{Name: "b", Nodes: 2, CoresPerNode: 2},
 			SiteConfig{Name: "c", Nodes: 1, CoresPerNode: 4},

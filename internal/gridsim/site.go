@@ -10,7 +10,6 @@ import (
 	"repro/internal/gsh"
 	"repro/internal/jsdl"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // Site errors.
@@ -90,7 +89,6 @@ type SiteStats struct {
 // backfill, a staging store, and a gsh execution engine.
 type Site struct {
 	cfg    SiteConfig
-	clock  vtime.Clock
 	store  *Store
 	tracer *trace.Tracer
 	// bus receives job transition/output events (nil for a standalone
@@ -126,19 +124,15 @@ type runInfo struct {
 }
 
 // NewSite builds a site from cfg.
-func NewSite(cfg SiteConfig, clock vtime.Clock) *Site {
+func NewSite(cfg SiteConfig) *Site {
 	if cfg.CPUFactor <= 0 {
 		cfg.CPUFactor = 1
 	}
 	if cfg.DefaultWallTime <= 0 {
 		cfg.DefaultWallTime = 12 * time.Hour
 	}
-	if clock == nil {
-		clock = vtime.Real{}
-	}
 	return &Site{
 		cfg:       cfg,
-		clock:     clock,
 		store:     NewStore(),
 		freeSlots: cfg.slots(),
 		jobs:      make(map[string]*Job),
@@ -179,7 +173,7 @@ func (s *Site) publishOutput(j *Job, ver uint64) {
 		Submitter:     j.Submitter,
 		Site:          s.cfg.Name,
 		OutputVersion: ver,
-		At:            s.clock.Now(),
+		At:            time.Now(),
 	})
 }
 
@@ -219,7 +213,7 @@ func (s *Site) SubmitTraced(desc jsdl.Description, submitter string, tc trace.Sp
 	}
 	s.seq++
 	id := fmt.Sprintf("%s:job-%06d", s.cfg.Name, s.seq)
-	now := s.clock.Now()
+	now := time.Now()
 	job := newJob(id, desc, s.cfg.Name, now, s.cfg.MaxJobOutput)
 	// Before enqueue, like the trace below: dispatchLocked may publish
 	// RUNNING at once, and the event must already name its feed.
@@ -266,7 +260,7 @@ func (s *Site) Cancel(id string) error {
 	}
 	s.mu.Unlock()
 	if inQueue {
-		endedAt := s.clock.Now()
+		endedAt := time.Now()
 		if j.finish(Cancelled, "cancelled by user", endedAt) {
 			// Never dispatched: account it here, since no runner will.
 			s.mu.Lock()
@@ -362,7 +356,7 @@ func (s *Site) dispatchLocked() {
 // dispatch ordering regardless of goroutine scheduling.
 func (s *Site) startLocked(j *Job) {
 	s.freeSlots -= j.Desc.CPUs
-	now := s.clock.Now()
+	now := time.Now()
 	s.running[j.ID] = runInfo{
 		cpus:     j.Desc.CPUs,
 		deadline: now.Add(s.wallTimeOf(j)),
@@ -423,7 +417,7 @@ func (s *Site) dispatchFCFSLocked() {
 // from running jobs' walltime deadlines; later jobs may start only if
 // they fit now and their own walltime cannot push the reservation back.
 func (s *Site) dispatchConservativeLocked() {
-	now := s.clock.Now()
+	now := time.Now()
 	remaining := s.queue[:0]
 	var reservation time.Time
 	haveHead := false
@@ -459,7 +453,7 @@ func (s *Site) dispatchConservativeLocked() {
 // walltime deadlines (the conservative bound).
 func (s *Site) reservationLocked(cpus int) time.Time {
 	free := s.freeSlots
-	now := s.clock.Now()
+	now := time.Now()
 	if free >= cpus {
 		return now
 	}
@@ -489,7 +483,7 @@ func (s *Site) run(j *Job, startedAt time.Time) {
 	st, msg := s.execute(j, startedAt)
 	// The end timestamp is taken before the slots are redispatched, so a
 	// successor's start time never precedes this job's end time.
-	endedAt := s.clock.Now()
+	endedAt := time.Now()
 	s.mu.Lock()
 	s.freeSlots += j.Desc.CPUs
 	delete(s.running, j.ID)
@@ -528,10 +522,9 @@ func (s *Site) execute(j *Job, startedAt time.Time) (State, string) {
 	env := &gsh.Env{
 		Args:   j.Desc.Arguments,
 		Stdout: stdoutWriter{j: j, s: s},
-		Clock:  s.clock,
 		CPU: func(d time.Duration) {
 			scaled := time.Duration(float64(d) / s.cfg.CPUFactor)
-			s.clock.Sleep(scaled)
+			time.Sleep(scaled)
 			coreSec := scaled.Seconds() * float64(j.Desc.CPUs)
 			s.mu.Lock()
 			s.cpuSec += coreSec
@@ -548,7 +541,7 @@ func (s *Site) execute(j *Job, startedAt time.Time) (State, string) {
 	result := make(chan error, 1)
 	go func() { result <- prog.Run(env) }()
 
-	st, msg := awaitProgram(result, s.clock.After(wallTime), j.cancel)
+	st, msg := awaitProgram(result, time.After(wallTime), j.cancel)
 	if st == TimedOut {
 		// The interpreter goroutine unwinds at its next statement
 		// boundary; its late writes are ignored because the job will

@@ -7,25 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/vtime"
+	"repro/internal/bubble"
 )
-
-// instantClock makes sleep/emit statements free so fuzzed programs run
-// in microseconds instead of real time. A program never calls AfterFunc:
-// the embedded nil Clock only makes the type one.
-type instantClock struct {
-	vtime.Clock
-	now time.Time
-}
-
-func (c *instantClock) Now() time.Time        { return c.now }
-func (c *instantClock) Sleep(d time.Duration) { c.now = c.now.Add(d) }
-func (c *instantClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.now = c.now.Add(d)
-	ch <- c.now
-	return ch
-}
 
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -55,15 +38,15 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		// Anything that parses must survive a dry run under a no-op
-		// environment.
+		// environment, in a bubble of its own, where sleep and emit
+		// statements cost no host time.
 		env := &Env{
-			Clock:     &instantClock{},
 			CPU:       func(time.Duration) {},
 			WriteFile: func(string, []byte) error { return nil },
 		}
 		// Bound runaway programs with the interpreter's own step limit;
 		// Run must return, not panic.
-		_ = prog.Run(env)
+		bubble.Run(func() { _ = prog.Run(env) })
 	})
 }
 

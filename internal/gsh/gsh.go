@@ -34,8 +34,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/vtime"
 )
 
 // Limits protecting the interpreter from hostile programs.
@@ -301,10 +299,8 @@ type Env struct {
 	Args map[string]string
 	// Stdout receives echo/emit output.
 	Stdout io.Writer
-	// Clock paces sleep/emit. Nil means real time.
-	Clock vtime.Clock
 	// CPU is invoked for compute statements; the worker wires this to its
-	// CPU model. Nil falls back to Clock.Sleep.
+	// CPU model. Nil falls back to time.Sleep.
 	CPU func(d time.Duration)
 	// WriteFile persists an output artifact. Nil discards writes.
 	WriteFile func(name string, data []byte) error
@@ -334,13 +330,6 @@ func (e *Env) cancelled() bool {
 	}
 }
 
-func (e *Env) clock() vtime.Clock {
-	if e.Clock == nil {
-		return vtime.Real{}
-	}
-	return e.Clock
-}
-
 // Run executes the program. It returns ErrJobFailed (wrapped with the
 // program's message) when a fail statement executes.
 func (p *Program) Run(env *Env) error {
@@ -362,10 +351,10 @@ func runBlock(stmts []Stmt, env *Env, steps *int) error {
 			if env.CPU != nil {
 				env.CPU(s.Dur)
 			} else {
-				env.clock().Sleep(s.Dur)
+				time.Sleep(s.Dur)
 			}
 		case "sleep":
-			env.clock().Sleep(s.Dur)
+			time.Sleep(s.Dur)
 		case "echo":
 			if env.Stdout != nil {
 				fmt.Fprintln(env.Stdout, Expand(s.Text, env.Args))
@@ -392,7 +381,7 @@ func runBlock(stmts []Stmt, env *Env, steps *int) error {
 				if env.CPU != nil {
 					env.CPU(d)
 				} else {
-					env.clock().Sleep(d)
+					time.Sleep(d)
 				}
 			}
 			if env.Stdout != nil {
@@ -401,7 +390,7 @@ func runBlock(stmts []Stmt, env *Env, steps *int) error {
 		case "emit":
 			text := Expand(s.Text, env.Args)
 			for n := int64(0); n < s.Count; n++ {
-				env.clock().Sleep(s.Interval)
+				time.Sleep(s.Interval)
 				if env.cancelled() {
 					return ErrCancelled
 				}

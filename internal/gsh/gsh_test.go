@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/bubble"
-	"repro/internal/vtime"
 )
 
 func mustParse(t *testing.T, src string) *Program {
@@ -150,12 +149,11 @@ func TestRunComputeUsesCPUHook(t *testing.T) {
 func TestRunSleepUsesClock(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		p := mustParse(t, "sleep 10s\n")
-		var clk vtime.Real
-		start := clk.Now()
-		if err := p.Run(&Env{Clock: clk}); err != nil {
+		start := time.Now()
+		if err := p.Run(&Env{}); err != nil {
 			t.Fatal(err)
 		}
-		if slept := clk.Now().Sub(start); slept != 10*time.Second {
+		if slept := time.Since(start); slept != 10*time.Second {
 			t.Fatalf("sleep 10s moved the clock %v", slept)
 		}
 	})
@@ -267,13 +265,12 @@ func TestRunLoop(t *testing.T) {
 func TestRunEmitPacedOnClock(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		p := mustParse(t, "emit 3s 4 out\n")
-		var clk vtime.Real
 		var out bytes.Buffer
-		start := clk.Now()
-		if err := p.Run(&Env{Clock: clk, Stdout: &out}); err != nil {
+		start := time.Now()
+		if err := p.Run(&Env{Stdout: &out}); err != nil {
 			t.Fatal(err)
 		}
-		if elapsed := clk.Now().Sub(start); elapsed != 12*time.Second {
+		if elapsed := time.Since(start); elapsed != 12*time.Second {
 			t.Fatalf("emit finished in %v, want 12s", elapsed)
 		}
 		if got := strings.Count(out.String(), "out"); got != 4 {

@@ -17,8 +17,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/vtime"
 )
 
 // Kind identifies a resource dimension tracked by a Recorder.
@@ -51,10 +49,14 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Recorder accumulates resource usage into fixed-width time buckets on a
-// virtual clock. It is safe for concurrent use.
+// Recorder accumulates resource usage into fixed-width time buckets. It
+// is safe for concurrent use.
 type Recorder struct {
-	clock    vtime.Clock
+	// Observe, when set before the recorder is first used, sees every
+	// accounting as it happens, in order, under the recorder's lock: how a
+	// test reads the cost-model calls a step made, call by call.
+	Observe func(k Kind, amount float64)
+
 	interval time.Duration
 	epoch    time.Time
 
@@ -67,33 +69,27 @@ type bucket struct {
 }
 
 // NewRecorder returns a Recorder bucketing at the given interval (the
-// paper uses 3 seconds). The epoch is the clock's time at construction, so
-// bucket 0 starts when the experiment starts.
-func NewRecorder(clock vtime.Clock, interval time.Duration) *Recorder {
+// paper uses 3 seconds). The epoch is the time of construction, so bucket
+// 0 starts when the experiment starts.
+func NewRecorder(interval time.Duration) *Recorder {
 	if interval <= 0 {
 		panic("metrics: non-positive interval")
 	}
 	return &Recorder{
-		clock:    clock,
 		interval: interval,
-		epoch:    clock.Now(),
+		epoch:    time.Now(),
 		buckets:  make(map[int64]*bucket),
 	}
 }
 
-// Reset clears all buckets and moves the epoch to the clock's current
-// time. Experiments call it after setup so the exported series starts at
+// Reset clears all buckets and moves the epoch to the current time. Experiments call it after setup so the exported series starts at
 // the moment the measured phase begins.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	r.buckets = make(map[int64]*bucket)
-	r.epoch = r.clock.Now()
+	r.epoch = time.Now()
 	r.mu.Unlock()
 }
-
-// Clock returns the recorder's clock, shared with components that need to
-// timestamp or pace work consistently with the sampler.
-func (r *Recorder) Clock() vtime.Clock { return r.clock }
 
 // Account adds amount of kind at instant at.
 func (r *Recorder) Account(k Kind, at time.Time, amount float64) {
@@ -102,6 +98,9 @@ func (r *Recorder) Account(k Kind, at time.Time, amount float64) {
 	}
 	r.mu.Lock()
 	r.get(r.index(at)).vals[k] += amount // index reads the epoch Reset moves
+	if r.Observe != nil {
+		r.Observe(k, amount)
+	}
 	r.mu.Unlock()
 }
 
@@ -119,6 +118,9 @@ func (r *Recorder) AccountSpan(k Kind, start time.Time, dur time.Duration, amoun
 	perNano := amount / float64(dur)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.Observe != nil {
+		r.Observe(k, amount)
+	}
 	for cur := start; cur.Before(end); {
 		idx := r.index(cur)
 		bEnd := r.epoch.Add(time.Duration(idx+1) * r.interval)

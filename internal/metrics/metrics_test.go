@@ -8,12 +8,12 @@ import (
 	"time"
 
 	"repro/internal/bubble"
-	"repro/internal/vtime"
 )
 
-func newTestRecorder() (*vtime.Manual, *Recorder) {
-	clk := vtime.NewManual(time.Unix(0, 0))
-	return clk, NewRecorder(clk, 3*time.Second)
+// newTestRecorder returns a recorder of 3-s buckets and its epoch: call
+// it in a bubble, where the clock moves only while everything sleeps.
+func newTestRecorder() (*Recorder, time.Time) {
+	return NewRecorder(3 * time.Second), time.Now()
 }
 
 // TestMain runs the tests that sleep on virtual time in a bubble, under
@@ -21,98 +21,110 @@ func newTestRecorder() (*vtime.Manual, *Recorder) {
 func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestAccountGoesToCorrectBucket(t *testing.T) {
-	clk, rec := newTestRecorder()
-	rec.Account(NetIn, clk.Now(), 100)
-	clk.Advance(7 * time.Second) // bucket 2
-	rec.Account(NetIn, clk.Now(), 50)
-	s := rec.Series()
-	if len(s) != 3 {
-		t.Fatalf("got %d buckets, want 3", len(s))
-	}
-	if s[0].NetInBytes != 100 || s[1].NetInBytes != 0 || s[2].NetInBytes != 50 {
-		t.Fatalf("unexpected series %+v", s)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		rec, _ := newTestRecorder()
+		rec.Account(NetIn, time.Now(), 100)
+		time.Sleep(7 * time.Second) // bucket 2
+		rec.Account(NetIn, time.Now(), 50)
+		s := rec.Series()
+		if len(s) != 3 {
+			t.Fatalf("got %d buckets, want 3", len(s))
+		}
+		if s[0].NetInBytes != 100 || s[1].NetInBytes != 0 || s[2].NetInBytes != 50 {
+			t.Fatalf("unexpected series %+v", s)
+		}
+	})
 }
 
 func TestAccountSpanSplitsAcrossBuckets(t *testing.T) {
-	_, rec := newTestRecorder()
-	// 6 seconds of span starting at t=0 covers buckets 0 and 1 evenly.
-	rec.AccountSpan(DiskWrite, time.Unix(0, 0), 6*time.Second, 600)
-	s := rec.Series()
-	if len(s) != 2 {
-		t.Fatalf("got %d buckets, want 2", len(s))
-	}
-	if math.Abs(s[0].DiskWriteBytes-300) > 1e-6 || math.Abs(s[1].DiskWriteBytes-300) > 1e-6 {
-		t.Fatalf("uneven split: %+v", s)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		rec, t0 := newTestRecorder()
+		// 6 seconds of span starting at t=0 covers buckets 0 and 1 evenly.
+		rec.AccountSpan(DiskWrite, t0, 6*time.Second, 600)
+		s := rec.Series()
+		if len(s) != 2 {
+			t.Fatalf("got %d buckets, want 2", len(s))
+		}
+		if math.Abs(s[0].DiskWriteBytes-300) > 1e-6 || math.Abs(s[1].DiskWriteBytes-300) > 1e-6 {
+			t.Fatalf("uneven split: %+v", s)
+		}
+	})
 }
 
 func TestAccountSpanPartialBucket(t *testing.T) {
-	_, rec := newTestRecorder()
-	// Span [2s, 5s): 1s in bucket 0, 2s in bucket 1.
-	rec.AccountSpan(NetOut, time.Unix(2, 0), 3*time.Second, 900)
-	s := rec.Series()
-	if math.Abs(s[0].NetOutBytes-300) > 1e-6 || math.Abs(s[1].NetOutBytes-600) > 1e-6 {
-		t.Fatalf("wrong partial split: %+v", s)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		rec, t0 := newTestRecorder()
+		// Span [2s, 5s): 1s in bucket 0, 2s in bucket 1.
+		rec.AccountSpan(NetOut, t0.Add(2*time.Second), 3*time.Second, 900)
+		s := rec.Series()
+		if math.Abs(s[0].NetOutBytes-300) > 1e-6 || math.Abs(s[1].NetOutBytes-600) > 1e-6 {
+			t.Fatalf("wrong partial split: %+v", s)
+		}
+	})
 }
 
 func TestCPUPercent(t *testing.T) {
-	_, rec := newTestRecorder()
-	// 1.5s of CPU busy in a 3s bucket = 50%.
-	rec.AccountSpan(CPU, time.Unix(0, 0), 1500*time.Millisecond, float64(1500*time.Millisecond))
-	s := rec.Series()
-	if math.Abs(s[0].CPUPct-50) > 1e-6 {
-		t.Fatalf("cpu pct = %v, want 50", s[0].CPUPct)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		rec, t0 := newTestRecorder()
+		// 1.5s of CPU busy in a 3s bucket = 50%.
+		rec.AccountSpan(CPU, t0, 1500*time.Millisecond, float64(1500*time.Millisecond))
+		s := rec.Series()
+		if math.Abs(s[0].CPUPct-50) > 1e-6 {
+			t.Fatalf("cpu pct = %v, want 50", s[0].CPUPct)
+		}
+	})
 }
 
 func TestTotalConservation(t *testing.T) {
-	f := func(spans []struct {
-		StartSec uint16
-		DurMs    uint16
-		Amount   uint32
-	}) bool {
-		_, rec := newTestRecorder()
-		var want float64
-		for _, sp := range spans {
-			amt := float64(sp.Amount % 1_000_000)
-			rec.AccountSpan(NetIn, time.Unix(int64(sp.StartSec%3600), 0),
-				time.Duration(sp.DurMs)*time.Millisecond, amt)
-			want += amt
+	bubble.Test(t, func(t *testing.T) {
+		f := func(spans []struct {
+			StartSec uint16
+			DurMs    uint16
+			Amount   uint32
+		}) bool {
+			rec, t0 := newTestRecorder()
+			var want float64
+			for _, sp := range spans {
+				amt := float64(sp.Amount % 1_000_000)
+				rec.AccountSpan(NetIn, t0.Add(time.Duration(sp.StartSec%3600)*time.Second),
+					time.Duration(sp.DurMs)*time.Millisecond, amt)
+				want += amt
+			}
+			got := rec.Total(NetIn)
+			return math.Abs(got-want) < 1e-3*math.Max(1, want)
 		}
-		got := rec.Total(NetIn)
-		return math.Abs(got-want) < 1e-3*math.Max(1, want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestSeriesDense(t *testing.T) {
-	clk, rec := newTestRecorder()
-	clk.Advance(30 * time.Second)
-	rec.Account(NetIn, clk.Now(), 1)
-	s := rec.Series()
-	if len(s) != 11 {
-		t.Fatalf("series length %d, want 11 (buckets 0..10)", len(s))
-	}
-	for i := 0; i < 10; i++ {
-		if s[i].NetInBytes != 0 {
-			t.Fatalf("bucket %d not empty", i)
+	bubble.Test(t, func(t *testing.T) {
+		rec, _ := newTestRecorder()
+		time.Sleep(30 * time.Second)
+		rec.Account(NetIn, time.Now(), 1)
+		s := rec.Series()
+		if len(s) != 11 {
+			t.Fatalf("series length %d, want 11 (buckets 0..10)", len(s))
 		}
-	}
+		for i := 0; i < 10; i++ {
+			if s[i].NetInBytes != 0 {
+				t.Fatalf("bucket %d not empty", i)
+			}
+		}
+	})
 }
 
 func TestSeriesEmpty(t *testing.T) {
-	_, rec := newTestRecorder()
+	rec, _ := newTestRecorder()
 	if s := rec.Series(); s != nil {
 		t.Fatalf("expected nil series, got %v", s)
 	}
 }
 
 func TestNegativeTimeClampsToBucketZero(t *testing.T) {
-	_, rec := newTestRecorder()
+	rec, _ := newTestRecorder()
 	rec.Account(NetIn, time.Unix(-100, 0), 42)
 	s := rec.Series()
 	if len(s) != 1 || s[0].NetInBytes != 42 {
@@ -121,8 +133,8 @@ func TestNegativeTimeClampsToBucketZero(t *testing.T) {
 }
 
 func TestCSVHeaderAndRows(t *testing.T) {
-	_, rec := newTestRecorder()
-	rec.Account(NetIn, time.Unix(0, 0), 10)
+	rec, t0 := newTestRecorder()
+	rec.Account(NetIn, t0, 10)
 	out := CSV(rec.Series())
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 {
@@ -137,9 +149,9 @@ func TestCSVHeaderAndRows(t *testing.T) {
 }
 
 func TestChartRendersPeaks(t *testing.T) {
-	_, rec := newTestRecorder()
-	rec.Account(NetIn, time.Unix(0, 0), 100)
-	rec.Account(NetIn, time.Unix(9, 0), 10)
+	rec, t0 := newTestRecorder()
+	rec.Account(NetIn, t0, 100)
+	rec.Account(NetIn, t0.Add(9*time.Second), 10)
 	chart := Chart("net in", "B", rec.Series(), func(s Sample) float64 { return s.NetInBytes })
 	if !strings.Contains(chart, "#") {
 		t.Fatalf("chart has no marks:\n%s", chart)
@@ -150,9 +162,9 @@ func TestChartRendersPeaks(t *testing.T) {
 }
 
 func TestChartFlatZero(t *testing.T) {
-	_, rec := newTestRecorder()
-	rec.Account(CPU, time.Unix(0, 0), 0.0) // nothing recorded
-	rec.Account(NetIn, time.Unix(3, 0), 5) // force non-empty series
+	rec, t0 := newTestRecorder()
+	rec.Account(CPU, t0, 0.0)                    // nothing recorded
+	rec.Account(NetIn, t0.Add(3*time.Second), 5) // force non-empty series
 	chart := Chart("cpu", "%", rec.Series(), func(s Sample) float64 { return s.CPUPct })
 	if !strings.Contains(chart, "flat zero") {
 		t.Fatalf("expected flat-zero annotation:\n%s", chart)
@@ -177,7 +189,7 @@ func TestRecorderRejectsBadInterval(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewRecorder(vtime.Real{}, 0)
+	NewRecorder(0)
 }
 
 func TestNilProbeSafe(t *testing.T) {
@@ -195,8 +207,7 @@ func TestNilProbeSafe(t *testing.T) {
 
 func TestProbeBurnAdvancesClockAndAccounts(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
-		rec := NewRecorder(clk, 3*time.Second)
+		rec := NewRecorder(3 * time.Second)
 		p := NewProbe(rec)
 		p.Burn(2 * time.Second)
 		if got := rec.Total(CPU); math.Abs(got-float64(2*time.Second)) > float64(time.Millisecond) {
@@ -207,8 +218,7 @@ func TestProbeBurnAdvancesClockAndAccounts(t *testing.T) {
 
 func TestProbeBurnForUsesRate(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
-		rec := NewRecorder(clk, 3*time.Second)
+		rec := NewRecorder(3 * time.Second)
 		p := NewProbe(rec)
 		p.BurnFor(1<<20, 1<<20) // 1 MiB at 1 MiB/s = 1s of CPU
 		if got := time.Duration(rec.Total(CPU)); got != time.Second {
@@ -219,13 +229,12 @@ func TestProbeBurnForUsesRate(t *testing.T) {
 
 func TestProbeDiskPacing(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
-		rec := NewRecorder(clk, 3*time.Second)
+		rec := NewRecorder(3 * time.Second)
 		p := NewProbe(rec)
 		p.DiskWriteBps = 1 << 20
-		start := clk.Now()
+		start := time.Now()
 		p.DiskWrite(1 << 20) // takes 1 virtual second
-		if elapsed := clk.Now().Sub(start); elapsed != time.Second {
+		if elapsed := time.Since(start); elapsed != time.Second {
 			t.Fatalf("paced disk write took %v virtual, want 1s", elapsed)
 		}
 		if rec.Total(DiskWrite) != float64(1<<20) {
@@ -237,8 +246,7 @@ func TestProbeDiskPacing(t *testing.T) {
 func TestProbeDiskUnpacedInstant(t *testing.T) {
 	// An account that waited on the clock would leave the bubble deadlocked.
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.NewManual(time.Unix(0, 0))
-		rec := NewRecorder(clk, 3*time.Second)
+		rec := NewRecorder(3 * time.Second)
 		p := NewProbe(rec)
 		done := make(chan struct{})
 		go func() {
@@ -266,16 +274,18 @@ func TestDefaultCostSane(t *testing.T) {
 // a reply while the experiment that read it resets the recorder. Run
 // under -race: Account used to read the epoch outside the lock.
 func TestResetRacesAccount(t *testing.T) {
-	clk, rec := newTestRecorder()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	bubble.Test(t, func(t *testing.T) {
+		rec, _ := newTestRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 1000; i++ {
+				rec.Account(NetOut, time.Now(), 1)
+			}
+		}()
 		for i := 0; i < 1000; i++ {
-			rec.Account(NetOut, clk.Now(), 1)
+			rec.Reset()
 		}
-	}()
-	for i := 0; i < 1000; i++ {
-		rec.Reset()
-	}
-	<-done
+		<-done
+	})
 }

@@ -6,7 +6,7 @@ import "time"
 // *Probe is valid and discards everything, so production code paths can be
 // instrumented unconditionally.
 //
-// CPU and disk operations also *take time* on the probe's clock: Burn and
+// CPU and disk operations also *take time*: Burn and
 // the disk helpers sleep for the modelled duration, which is what makes
 // CPU-heavy phases (decompressing a blob, building a service) show up as
 // utilisation peaks spread over the correct wall-clock span, exactly as in
@@ -38,8 +38,8 @@ func (p *Probe) Burn(d time.Duration) {
 	if p == nil || p.rec == nil || d <= 0 {
 		return
 	}
-	start := p.rec.clock.Now()
-	p.rec.clock.Sleep(d)
+	start := time.Now()
+	time.Sleep(d)
 	p.rec.AccountSpan(CPU, start, d, float64(d))
 }
 
@@ -66,14 +66,14 @@ func (p *Probe) disk(k Kind, n int, bps func() float64) {
 	if p == nil || p.rec == nil || n <= 0 {
 		return
 	}
-	start := p.rec.clock.Now()
+	start := time.Now()
 	rate := bps()
 	if rate <= 0 {
 		p.rec.Account(k, start, float64(n))
 		return
 	}
 	d := time.Duration(float64(n) / rate * float64(time.Second))
-	p.rec.clock.Sleep(d)
+	time.Sleep(d)
 	p.rec.AccountSpan(k, start, d, float64(n))
 }
 

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/trace"
-	"repro/internal/vtime"
 	"repro/internal/xsec"
 )
 
@@ -84,7 +83,6 @@ type stored struct {
 // Server is the repository. Serve accepts connections from any
 // net.Listener (including a netsim-shaped one).
 type Server struct {
-	clock  vtime.Clock
 	tracer *trace.Tracer
 
 	mu    sync.Mutex
@@ -93,12 +91,9 @@ type Server struct {
 	ln    net.Listener
 }
 
-// NewServer returns an empty repository on clock.
-func NewServer(clock vtime.Clock) *Server {
-	if clock == nil {
-		clock = vtime.Real{}
-	}
-	return &Server{clock: clock, creds: make(map[string]*stored)}
+// NewServer returns an empty repository.
+func NewServer() *Server {
+	return &Server{creds: make(map[string]*stored)}
 }
 
 // Serve accepts and handles connections until the listener closes. It
@@ -216,7 +211,7 @@ func (s *Server) get(req *request) response {
 	if err != nil {
 		return response{Error: err.Error()}
 	}
-	now := s.clock.Now()
+	now := time.Now()
 	if !st.cred.Leaf().ValidAt(now) {
 		return response{Error: ErrExpired.Error()}
 	}

@@ -1,17 +1,20 @@
 package myproxy
 
 import (
+	"context"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/vtime"
+	"repro/internal/bubble"
+	"repro/internal/netsim"
 	"repro/internal/xsec"
 )
 
-var t0 = time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
+// TestMain runs the tests that read or move the repository's time in a
+// bubble, under GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 type fixture struct {
 	ca     *xsec.CA
@@ -19,11 +22,14 @@ type fixture struct {
 	trust  *xsec.TrustStore
 	client *Client
 	server *Server
-	clock  *vtime.Manual
+	t0     time.Time // when the CA and alice's certificate were issued
 }
 
+// newFixture serves a repository over in-process pipes, so a test can
+// run it in a bubble.
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
+	t0 := time.Now()
 	ca, err := xsec.NewCA("MyProxyCA", t0, 10*365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -32,21 +38,18 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := vtime.NewManual(t0)
-	srv := NewServer(clock)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewServer()
+	pipes := netsim.NewNet()
+	ln := pipes.Listen()
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return &fixture{
 		ca:     ca,
 		user:   user,
 		trust:  xsec.NewTrustStore(ca.Cert),
-		client: &Client{Addr: ln.Addr().String()},
+		client: &Client{Addr: ln.Addr().String(), Dial: pipes.DialContext},
 		server: srv,
-		clock:  clock,
+		t0:     t0,
 	}
 }
 
@@ -62,7 +65,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if proxy.Leaf().Kind != xsec.KindProxy {
 		t.Fatal("retrieved credential is not a proxy")
 	}
-	id, err := f.trust.VerifyChain(proxy.Chain, t0.Add(time.Minute))
+	id, err := f.trust.VerifyChain(proxy.Chain, f.t0.Add(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +91,18 @@ func TestGetDelegatesFreshProxyEachTime(t *testing.T) {
 }
 
 func TestGetRespectsRequestedLifetime(t *testing.T) {
-	f := newFixture(t)
-	f.client.Put("alice", "pw", f.user)
-	proxy, err := f.client.Get("alice", "pw", 2*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := proxy.Leaf().NotAfter.Sub(t0)
-	if got != 2*time.Hour {
-		t.Fatalf("proxy lifetime %v, want 2h", got)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t)
+		f.client.Put("alice", "pw", f.user)
+		proxy, err := f.client.Get("alice", "pw", 2*time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := proxy.Leaf().NotAfter.Sub(f.t0)
+		if got != 2*time.Hour {
+			t.Fatalf("proxy lifetime %v, want 2h", got)
+		}
+	})
 }
 
 func TestBadPassphrase(t *testing.T) {
@@ -116,18 +121,20 @@ func TestNoSuchUser(t *testing.T) {
 }
 
 func TestExpiredStoredCredential(t *testing.T) {
-	f := newFixture(t)
-	f.client.Put("alice", "pw", f.user)
-	f.clock.Advance(60 * 24 * time.Hour) // past the 30-day user cert
-	if _, err := f.client.Get("alice", "pw", time.Hour); !errors.Is(err, ErrExpired) {
-		t.Fatalf("got %v", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t)
+		f.client.Put("alice", "pw", f.user)
+		time.Sleep(60 * 24 * time.Hour) // past the 30-day user cert
+		if _, err := f.client.Get("alice", "pw", time.Hour); !errors.Is(err, ErrExpired) {
+			t.Fatalf("got %v", err)
+		}
+	})
 }
 
 func TestPutOverwrites(t *testing.T) {
 	f := newFixture(t)
 	f.client.Put("alice", "pw1", f.user)
-	other, _ := f.ca.IssueUser("alice2", t0, 24*time.Hour)
+	other, _ := f.ca.IssueUser("alice2", f.t0, 24*time.Hour)
 	if err := f.client.Put("alice", "pw2", other); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestPutOverwrites(t *testing.T) {
 
 func TestUnknownOp(t *testing.T) {
 	f := newFixture(t)
-	conn, err := net.Dial("tcp", f.client.Addr)
+	conn, err := f.client.Dial(context.Background(), "tcp", f.client.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +171,7 @@ func TestUnknownOp(t *testing.T) {
 
 func TestMalformedFrameRejected(t *testing.T) {
 	f := newFixture(t)
-	conn, err := net.Dial("tcp", f.client.Addr)
+	conn, err := f.client.Dial(context.Background(), "tcp", f.client.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +189,7 @@ func TestMalformedFrameRejected(t *testing.T) {
 
 func TestPutRejectsGarbageCredential(t *testing.T) {
 	f := newFixture(t)
-	conn, err := net.Dial("tcp", f.client.Addr)
+	conn, err := f.client.Dial(context.Background(), "tcp", f.client.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}

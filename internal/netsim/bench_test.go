@@ -6,13 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/bubble"
-	"repro/internal/vtime"
 )
 
 func BenchmarkUnshapedConnWrite(b *testing.B) {
-	clk := vtime.Real{}
 	c, s := pipePair(b)
-	sc := Wrap(c, clk, NewLink(clk, 0), nil)
+	sc := Wrap(c, NewLink(0), nil)
 	go io.Copy(io.Discard, s)
 	buf := make([]byte, 64<<10)
 	b.SetBytes(int64(len(buf)))
@@ -30,7 +28,6 @@ func BenchmarkShapedConnWrite(b *testing.B) {
 	buf := make([]byte, 64<<10)
 	b.SetBytes(int64(len(buf)))
 	bubble.Run(func() {
-		var clk vtime.Real
 		pipes := NewNet()
 		ln := pipes.Listen()
 		defer ln.Close()
@@ -45,7 +42,7 @@ func BenchmarkShapedConnWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer c.Close()
-		sc := Wrap(c, clk, NewLink(clk, 1<<20), nil)
+		sc := Wrap(c, NewLink(1<<20), nil)
 		for i := 0; i < b.N; i++ {
 			if _, err := sc.Write(buf); err != nil {
 				b.Fatal(err)
@@ -57,7 +54,7 @@ func BenchmarkShapedConnWrite(b *testing.B) {
 func BenchmarkLinkTake(b *testing.B) {
 	b.ReportAllocs()
 	bubble.Run(func() {
-		l := NewLink(vtime.Real{}, 1<<30)
+		l := NewLink(1 << 30)
 		for i := 0; i < b.N; i++ {
 			l.take(4 << 10)
 		}

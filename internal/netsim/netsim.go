@@ -1,5 +1,5 @@
 // Package netsim shapes network connections to a modelled bandwidth and
-// latency on a virtual clock. The full protocol stack (SOAP, GRAM,
+// latency. The full protocol stack (SOAP, GRAM,
 // GridFTP, MyProxy) runs over genuine connections — loopback TCP, or the
 // in-process pipes of a Net, which the experiments use — and this
 // package only paces writes and accounts bytes, so transfer durations
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/vtime"
 )
 
 // Link is a unidirectional fluid-FIFO bandwidth model shared by every
@@ -22,8 +21,7 @@ import (
 // order, which reproduces the contention the paper's stress-test
 // discussion predicts for "multiple simultaneous up- and downloads".
 type Link struct {
-	clock vtime.Clock
-	bps   float64
+	bps float64
 
 	mu       sync.Mutex
 	anchor   time.Time // where the current busy period began
@@ -31,10 +29,10 @@ type Link struct {
 	nextFree time.Time
 }
 
-// NewLink returns a link carrying bps bytes per second of virtual time.
-// A non-positive bps means unshaped (infinite bandwidth).
-func NewLink(clock vtime.Clock, bps float64) *Link {
-	return &Link{clock: clock, bps: bps}
+// NewLink returns a link carrying bps bytes per second. A non-positive
+// bps means unshaped (infinite bandwidth).
+func NewLink(bps float64) *Link {
+	return &Link{bps: bps}
 }
 
 // minSleep is the shortest wait take sleeps: every sleep costs the clock
@@ -42,14 +40,13 @@ func NewLink(clock vtime.Clock, bps float64) *Link {
 // later call. Without it a transfer would take one step per 4 KiB chunk.
 const minSleep = time.Millisecond
 
-// take blocks until n bytes may enter the link, returning the virtual
-// instant the last byte clears it. A nil link has no clock to read and
-// returns the zero time at once.
+// take blocks until n bytes may enter the link, returning the instant the
+// last byte clears it. A nil link returns the zero time at once.
 func (l *Link) take(n int) time.Time {
 	if l == nil {
 		return time.Time{}
 	}
-	now := l.clock.Now()
+	now := time.Now()
 	if l.bps <= 0 || n <= 0 {
 		return now
 	}
@@ -67,7 +64,7 @@ func (l *Link) take(n int) time.Time {
 	clear := l.nextFree
 	l.mu.Unlock()
 	if wait := clear.Sub(now); wait >= minSleep {
-		l.clock.Sleep(wait)
+		time.Sleep(wait)
 	}
 	return clear
 }
@@ -79,30 +76,28 @@ type Profile struct {
 	Up      *Link // traffic from the dialing side toward the listener
 	Down    *Link // traffic from the listener back to the dialer
 	Latency time.Duration
-	clock   vtime.Clock
 }
 
 // NewProfile builds a Profile with fresh links.
-func NewProfile(clock vtime.Clock, name string, upBps, downBps float64, latency time.Duration) *Profile {
+func NewProfile(name string, upBps, downBps float64, latency time.Duration) *Profile {
 	return &Profile{
 		Name:    name,
-		Up:      NewLink(clock, upBps),
-		Down:    NewLink(clock, downBps),
+		Up:      NewLink(upBps),
+		Down:    NewLink(downBps),
 		Latency: latency,
-		clock:   clock,
 	}
 }
 
 // WAN returns the paper's wide-area path to a TeraGrid node: the measured
 // transfer rate was "almost constant ... at about 80 to 90 KB/s".
-func WAN(clock vtime.Clock) *Profile {
-	return NewProfile(clock, "wan", 85<<10, 85<<10, 60*time.Millisecond)
+func WAN() *Profile {
+	return NewProfile("wan", 85<<10, 85<<10, 60*time.Millisecond)
 }
 
 // LAN returns the paper's local network: "the used network operates at
 // 1000Mbit/s".
-func LAN(clock vtime.Clock) *Profile {
-	return NewProfile(clock, "lan", 125<<20, 125<<20, 200*time.Microsecond)
+func LAN() *Profile {
+	return NewProfile("lan", 125<<20, 125<<20, 200*time.Microsecond)
 }
 
 // writeChunk is the pacing granularity. Small enough that multi-second
@@ -113,18 +108,17 @@ const writeChunk = 4 << 10
 // accounted to a metrics probe.
 type Conn struct {
 	net.Conn
-	clock vtime.Clock
 	tx    *Link
 	probe *metrics.Probe
 }
 
 // Wrap shapes c: writes are paced on tx (nil: unshaped), and both
 // directions are accounted to probe (which may be nil).
-func Wrap(c net.Conn, clock vtime.Clock, tx *Link, probe *metrics.Probe) *Conn {
+func Wrap(c net.Conn, tx *Link, probe *metrics.Probe) *Conn {
 	if tx == nil {
-		tx = NewLink(clock, 0) // so a write is accounted at the clock's now
+		tx = NewLink(0) // so a write is accounted at the time of writing
 	}
-	return &Conn{Conn: c, clock: clock, tx: tx, probe: probe}
+	return &Conn{Conn: c, tx: tx, probe: probe}
 }
 
 // Write paces the payload through the link in chunks, accounting each
@@ -154,7 +148,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 func (c *Conn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
-		c.probe.NetIn(c.clock.Now(), n)
+		c.probe.NetIn(time.Now(), n)
 	}
 	return n, err
 }
@@ -178,7 +172,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Wrap(c, l.profile.clock, l.profile.Down, l.probe), nil
+	return Wrap(c, l.profile.Down, l.probe), nil
 }
 
 // Dialer produces shaped client connections: writes are paced on the
@@ -197,7 +191,7 @@ func (d *Dialer) DialContext(ctx context.Context, network, addr string) (net.Con
 		return nil, err
 	}
 	if d.Profile.Latency > 0 {
-		d.Profile.clock.Sleep(d.Profile.Latency)
+		time.Sleep(d.Profile.Latency)
 	}
-	return Wrap(c, d.Profile.clock, d.Profile.Up, d.Probe), nil
+	return Wrap(c, d.Profile.Up, d.Probe), nil
 }

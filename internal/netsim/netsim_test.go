@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bubble"
 	"repro/internal/metrics"
-	"repro/internal/vtime"
 )
 
 // TestMain runs the tests that pace on virtual time in a bubble, under
@@ -19,11 +18,10 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestLinkPacesToBandwidth(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
-		l := NewLink(clk, 1<<20) // 1 MiB/s virtual
-		start := clk.Now()
+		l := NewLink(1 << 20) // 1 MiB/s virtual
+		start := time.Now()
 		l.take(1 << 20)
-		if elapsed := clk.Now().Sub(start); elapsed != time.Second {
+		if elapsed := time.Since(start); elapsed != time.Second {
 			t.Fatalf("1 MiB at 1 MiB/s took %v virtual, want 1s", elapsed)
 		}
 	})
@@ -32,8 +30,7 @@ func TestLinkPacesToBandwidth(t *testing.T) {
 func TestUnshapedLinkInstant(t *testing.T) {
 	// A take that blocked on the clock would leave the bubble deadlocked.
 	bubble.Test(t, func(t *testing.T) {
-		clk := vtime.NewManual(time.Unix(0, 0))
-		l := NewLink(clk, 0)
+		l := NewLink(0)
 		done := make(chan struct{})
 		go func() { l.take(1 << 30); close(done) }()
 		<-done
@@ -42,9 +39,8 @@ func TestUnshapedLinkInstant(t *testing.T) {
 
 func TestLinkSerialisesConcurrentSenders(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
-		l := NewLink(clk, 1<<20)
-		start := clk.Now()
+		l := NewLink(1 << 20)
+		start := time.Now()
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
@@ -52,46 +48,46 @@ func TestLinkSerialisesConcurrentSenders(t *testing.T) {
 		}
 		wg.Wait()
 		// 4 x 0.5 MiB at 1 MiB/s take 2 virtual seconds in aggregate.
-		if elapsed := clk.Now().Sub(start); elapsed != 2*time.Second {
+		if elapsed := time.Since(start); elapsed != 2*time.Second {
 			t.Fatalf("shared link finished in %v, want 2s", elapsed)
 		}
 	})
 }
 
 // TestNilLinkConn: a Conn wrapped with no link is unshaped — bytes go
-// through both ways, and each direction is accounted at the clock's now,
-// not at some instant a missing link made up.
+// through both ways, and each direction is accounted at the time it
+// moved, not at some instant a missing link made up.
 func TestNilLinkConn(t *testing.T) {
-	clk := vtime.NewManual(time.Unix(0, 0))
-	rec := metrics.NewRecorder(clk, 3*time.Second)
-	probe := metrics.NewProbe(rec)
-	clk.Advance(10 * time.Second) // the fourth bucket
-	c, s := pipePair(t)
-	sc := Wrap(c, clk, nil, probe)
-	payload := bytes.Repeat([]byte("onserve"), 2000) // over three write chunks
-	go s.Write(payload)
-	got := make([]byte, len(payload))
-	if _, err := io.ReadFull(sc, got); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("read %d bytes through a nil-link conn: %v", len(got), err)
-	}
-	if n, err := sc.Write(payload); err != nil || n != len(payload) {
-		t.Fatalf("write through a nil-link conn: %d, %v", n, err)
-	}
-	if _, err := io.ReadFull(s, got); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("the peer read %d bytes: %v", len(got), err)
-	}
-	series := rec.Series()
-	if len(series) != 4 || series[3].NetInBytes != float64(len(payload)) || series[3].NetOutBytes != float64(len(payload)) {
-		t.Fatalf("accounted %+v, want %d bytes each way in the fourth bucket", series, len(payload))
-	}
+	bubble.Test(t, func(t *testing.T) {
+		rec := metrics.NewRecorder(3 * time.Second)
+		probe := metrics.NewProbe(rec)
+		time.Sleep(10 * time.Second) // the fourth bucket
+		c, s := pipePair(t)
+		sc := Wrap(c, nil, probe)
+		payload := bytes.Repeat([]byte("onserve"), 2000) // over three write chunks
+		go s.Write(payload)
+		got := make([]byte, len(payload))
+		if _, err := io.ReadFull(sc, got); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("read %d bytes through a nil-link conn: %v", len(got), err)
+		}
+		if n, err := sc.Write(payload); err != nil || n != len(payload) {
+			t.Fatalf("write through a nil-link conn: %d, %v", n, err)
+		}
+		if _, err := io.ReadFull(s, got); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("the peer read %d bytes: %v", len(got), err)
+		}
+		series := rec.Series()
+		if len(series) != 4 || series[3].NetInBytes != float64(len(payload)) || series[3].NetOutBytes != float64(len(payload)) {
+			t.Fatalf("accounted %+v, want %d bytes each way in the fourth bucket", series, len(payload))
+		}
+	})
 }
 
 func TestConnRoundTripPreservesBytes(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
 		c, s := pipePair(t)
-		link := NewLink(clk, 256<<10)
-		sc := Wrap(c, clk, link, nil)
+		link := NewLink(256 << 10)
+		sc := Wrap(c, link, nil)
 		payload := bytes.Repeat([]byte("cyberaide"), 4000) // 36 KB
 		go func() {
 			sc.Write(payload)
@@ -108,12 +104,11 @@ func TestConnRoundTripPreservesBytes(t *testing.T) {
 }
 
 func TestConnAccountsTraffic(t *testing.T) {
-	clk := vtime.NewManual(time.Unix(0, 0))
-	rec := metrics.NewRecorder(clk, 3*time.Second)
+	rec := metrics.NewRecorder(3 * time.Second)
 	probe := metrics.NewProbe(rec)
 	c, s := pipePair(t)
-	sc := Wrap(c, clk, NewLink(clk, 0), probe)
-	rs := Wrap(s, clk, NewLink(clk, 0), probe)
+	sc := Wrap(c, NewLink(0), probe)
+	rs := Wrap(s, NewLink(0), probe)
 	msg := make([]byte, 10_000)
 	go func() { sc.Write(msg); c.Close() }()
 	if _, err := io.ReadAll(rs); err != nil {
@@ -131,7 +126,6 @@ func TestConnAccountsTraffic(t *testing.T) {
 // exactly its bytes over the link's rate, whatever the host did meanwhile.
 func TestTransferDurationMatchesModel(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
 		pipes := NewNet()
 		ln := pipes.Listen()
 		defer ln.Close()
@@ -146,14 +140,14 @@ func TestTransferDurationMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		link := NewLink(clk, 85<<10) // the paper's WAN rate
-		sc := Wrap(c, clk, link, nil)
+		link := NewLink(85 << 10) // the paper's WAN rate
+		sc := Wrap(c, link, nil)
 		size := 256 << 10 // 256 KB takes ~3 virtual seconds
-		start := clk.Now()
+		start := time.Now()
 		if _, err := sc.Write(make([]byte, size)); err != nil {
 			t.Fatal(err)
 		}
-		elapsed := clk.Now().Sub(start)
+		elapsed := time.Since(start)
 		c.Close()
 		<-drained
 		want := time.Duration(float64(size) / float64(85<<10) * float64(time.Second))
@@ -164,23 +158,21 @@ func TestTransferDurationMatchesModel(t *testing.T) {
 }
 
 func TestProfilesHaveExpectedRates(t *testing.T) {
-	clk := vtime.Real{}
-	wan := WAN(clk)
+	wan := WAN()
 	if wan.Up.bps != 85<<10 || wan.Down.bps != 85<<10 {
 		t.Fatalf("wan rates: up %v down %v", wan.Up.bps, wan.Down.bps)
 	}
-	lan := LAN(clk)
+	lan := LAN()
 	if lan.Up.bps != 125<<20 {
 		t.Fatalf("lan up rate %v", lan.Up.bps)
 	}
 }
 
 func TestListenerWrapsAccepted(t *testing.T) {
-	clk := vtime.NewManual(time.Unix(0, 0))
-	rec := metrics.NewRecorder(clk, 3*time.Second)
+	rec := metrics.NewRecorder(3 * time.Second)
 	probe := metrics.NewProbe(rec)
 	pipes := NewNet()
-	ln := NewListener(pipes.Listen(), NewProfile(clk, "unshaped", 0, 0, 0), probe)
+	ln := NewListener(pipes.Listen(), NewProfile("unshaped", 0, 0, 0), probe)
 	defer ln.Close()
 	copied := make(chan struct{})
 	go func() {
@@ -206,7 +198,6 @@ func TestListenerWrapsAccepted(t *testing.T) {
 
 func TestDialerAppliesLatencyAndShaping(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
 		pipes := NewNet()
 		ln := pipes.Listen()
 		defer ln.Close()
@@ -219,30 +210,30 @@ func TestDialerAppliesLatencyAndShaping(t *testing.T) {
 				go io.Copy(io.Discard, c)
 			}
 		}()
-		profile := NewProfile(clk, "test", 1<<20, 1<<20, 2*time.Second)
+		profile := NewProfile("test", 1<<20, 1<<20, 2*time.Second)
 		d := &Dialer{Profile: profile, Net: pipes}
-		start := clk.Now()
+		start := time.Now()
 		c, err := d.DialContext(context.Background(), "tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if lat := clk.Now().Sub(start); lat != 2*time.Second {
+		if lat := time.Since(start); lat != 2*time.Second {
 			t.Fatalf("dial latency %v virtual, want 2s", lat)
 		}
 		// 64 KiB across the 1 MiB/s up link: 1/16 s more.
-		start = clk.Now()
+		start = time.Now()
 		if _, err := c.Write(make([]byte, 64<<10)); err != nil {
 			t.Fatal(err)
 		}
-		if took := clk.Now().Sub(start); took != time.Second/16 {
+		if took := time.Since(start); took != time.Second/16 {
 			t.Fatalf("64 KiB write took %v virtual, want 62.5ms", took)
 		}
 	})
 }
 
 func TestDialerError(t *testing.T) {
-	d := &Dialer{Profile: NewProfile(vtime.Real{}, "unshaped", 0, 0, 0), Net: NewNet()}
+	d := &Dialer{Profile: NewProfile("unshaped", 0, 0, 0), Net: NewNet()}
 	if _, err := d.DialContext(context.Background(), "tcp", "pipe1:80"); err == nil {
 		t.Fatal("expected dial error to an address nobody listens on")
 	}

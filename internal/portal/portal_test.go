@@ -24,7 +24,6 @@ import (
 	"repro/internal/soap"
 	"repro/internal/trace"
 	"repro/internal/uddi"
-	"repro/internal/vtime"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
 )
@@ -36,7 +35,6 @@ type fixture struct {
 	container *soap.Server
 	registry  *uddi.Registry
 	url       string
-	clock     vtime.Clock
 	net       *netsim.Net  // the portal and the grid listen on it
 	web       *http.Client // a browser on net
 }
@@ -73,11 +71,9 @@ func (t *rowsT) done() {
 // one in-process network: call it in a bubble.
 func newTracedFixture(t testing.TB, col *trace.Collector) *fixture {
 	t.Helper()
-	var clk vtime.Real
 	pipes := netsim.NewNet()
-	f := &fixture{clock: clk, net: pipes, web: &http.Client{Transport: &http.Transport{DialContext: pipes.DialContext}}}
+	f := &fixture{net: pipes, web: &http.Client{Transport: &http.Transport{DialContext: pipes.DialContext}}}
 	env, err := gridenv.Start(gridenv.Options{
-		Clock: clk,
 		Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
 		Trace: col,
 		Net:   pipes,
@@ -89,7 +85,7 @@ func newTracedFixture(t testing.TB, col *trace.Collector) *fixture {
 	if _, err := env.AddUser("alice", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
-	db, err := blobdb.Open(blobdb.Options{Clock: clk})
+	db, err := blobdb.Open(blobdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +94,8 @@ func newTracedFixture(t testing.TB, col *trace.Collector) *fixture {
 		db.Close()
 	})
 	container := soap.NewServer(nil, metrics.Cost{})
-	registry := uddi.NewRegistry(clk)
-	agent := cyberaide.New(cyberaide.Options{Endpoints: env.Endpoints(), Clock: clk, Dial: pipes.DialContext})
+	registry := uddi.NewRegistry(nil)
+	agent := cyberaide.New(cyberaide.Options{Endpoints: env.Endpoints(), Dial: pipes.DialContext})
 
 	mux := http.NewServeMux()
 	ln, srv := pipes.Listen(), netsim.NewHTTPServer(mux)
@@ -109,9 +105,9 @@ func newTracedFixture(t testing.TB, col *trace.Collector) *fixture {
 
 	parts := core.Parts{DB: db, Container: container, Registry: registry, Agent: agent, BaseURL: f.url}
 	if col != nil {
-		parts.Tracing = trace.NewTracer("onserve", clk, col)
+		parts.Tracing = trace.NewTracer("onserve", nil, col)
 	}
-	ons, err := core.New(core.Config{Clock: clk, PollInterval: 2 * time.Second, Trace: col}, parts)
+	ons, err := core.New(core.Config{PollInterval: 2 * time.Second, Trace: col}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -768,7 +764,7 @@ func TestUploadAndInvokeJoinCallerTrace(t *testing.T) {
 		f := newTracedFixture(t, col)
 		f.upload(t, "joined.gsh", "echo ${x}\n")
 
-		caller := trace.NewTracer("cli", f.clock, col)
+		caller := trace.NewTracer("cli", nil, col)
 		root := caller.StartRoot("cli.invoke")
 		payload, _ := json.Marshal(map[string]any{
 			"service": "JoinedService", "args": map[string]string{"x": "2"},

@@ -20,8 +20,7 @@ func newTenantFixture(t testing.TB, cfg tenant.Config) *fixture {
 	t.Helper()
 	f := newFixture(t)
 	ctl, err := tenant.NewController(cfg, tenant.Options{
-		Clock:  f.clock,
-		Tracer: trace.NewTracer("tenant", f.clock, trace.NewCollector(0, 0)),
+		Tracer: trace.NewTracer("tenant", nil, trace.NewCollector(0, 0)),
 	})
 	if err != nil {
 		t.Fatal(err)

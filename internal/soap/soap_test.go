@@ -16,7 +16,6 @@ import (
 	"repro/internal/bubble"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/vtime"
 	"repro/internal/wsdl"
 )
 
@@ -362,8 +361,7 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestServerAccountsRequestHandlingCost(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var clk vtime.Real
-		rec := metrics.NewRecorder(clk, 3*time.Second)
+		rec := metrics.NewRecorder(3 * time.Second)
 		srv := NewServer(metrics.NewProbe(rec), metrics.Cost{RequestHandling: 500 * time.Millisecond})
 		// Over an in-process pipe: the cost sleeps on the bubble's clock,
 		// which waits for no socket.

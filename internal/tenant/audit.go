@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
-	"repro/internal/vtime"
 )
 
 // AuditTable is the blobdb table audit records persist into when
@@ -51,15 +50,14 @@ type auditLog struct {
 	n       int // live records
 	seq     uint64
 	dropped uint64
-	clock   vtime.Clock
 	db      *blobdb.DB // optional persistence
 }
 
-func newAuditLog(size int, clock vtime.Clock, db *blobdb.DB) *auditLog {
+func newAuditLog(size int, db *blobdb.DB) *auditLog {
 	if size <= 0 {
 		size = 4096
 	}
-	return &auditLog{buf: make([]Record, size), clock: clock, db: db}
+	return &auditLog{buf: make([]Record, size), db: db}
 }
 
 // append stamps and stores the record. It returns the owner of a
@@ -69,7 +67,7 @@ func (l *auditLog) append(r Record) (droppedOwner string, dropped bool) {
 	l.mu.Lock()
 	l.seq++
 	r.Seq = l.seq
-	r.Time = l.clock.Now()
+	r.Time = time.Now()
 	if l.n == len(l.buf) {
 		droppedOwner = l.buf[l.start].Owner
 		dropped = true

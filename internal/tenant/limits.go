@@ -3,16 +3,13 @@ package tenant
 import (
 	"sync"
 	"time"
-
-	"repro/internal/vtime"
 )
 
 // rateLimiter holds one token bucket per owner+verb. Buckets are
-// created lazily and refilled from the controller's clock, so simulated
-// runs refill at virtual speed.
+// created lazily and refilled by elapsed time (virtual in a simulation's
+// bubble).
 type rateLimiter struct {
 	mu      sync.Mutex
-	clock   vtime.Clock
 	buckets map[string]*bucket
 }
 
@@ -21,8 +18,8 @@ type bucket struct {
 	last   time.Time
 }
 
-func newRateLimiter(clock vtime.Clock) *rateLimiter {
-	return &rateLimiter{clock: clock, buckets: make(map[string]*bucket)}
+func newRateLimiter() *rateLimiter {
+	return &rateLimiter{buckets: make(map[string]*bucket)}
 }
 
 // allow consumes one token from owner's bucket for verb. rate is
@@ -42,7 +39,7 @@ func (r *rateLimiter) allow(owner string, verb Verb, rate, burst float64) bool {
 		}
 	}
 	key := owner + "|" + string(verb)
-	now := r.clock.Now()
+	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b := r.buckets[key]
@@ -75,7 +72,6 @@ func (r *rateLimiter) allow(owner string, verb Verb, rate, burst float64) bool {
 // single waiter the way a FIFO queue would.
 type quota struct {
 	mu        sync.Mutex
-	clock     vtime.Clock
 	globalMax int           // 0 = unlimited
 	queueMax  int           // per-owner waiter cap, 0 = unlimited
 	timeout   time.Duration // max queue wait, 0 = wait forever
@@ -102,9 +98,8 @@ type waiter struct {
 	gone    bool // abandoned by timeout; skip on dispatch
 }
 
-func newQuota(clock vtime.Clock, globalMax, queueMax int, timeout time.Duration) *quota {
+func newQuota(globalMax, queueMax int, timeout time.Duration) *quota {
 	return &quota{
-		clock:     clock,
 		globalMax: globalMax,
 		queueMax:  queueMax,
 		timeout:   timeout,
@@ -168,25 +163,25 @@ func (q *quota) acquire(owner string) (queued bool, waited time.Duration, err er
 	}
 	q.mu.Unlock()
 
-	start := q.clock.Now()
+	start := time.Now()
 	var timeoutCh <-chan time.Time
 	if q.timeout > 0 {
-		timeoutCh = q.clock.After(q.timeout)
+		timeoutCh = time.After(q.timeout)
 	}
 	select {
 	case <-w.ch:
-		return true, q.clock.Now().Sub(start), nil
+		return true, time.Since(start), nil
 	case <-timeoutCh:
 		q.mu.Lock()
 		if w.granted {
 			// The grant raced the timeout; the slot is ours.
 			q.mu.Unlock()
-			return true, q.clock.Now().Sub(start), nil
+			return true, time.Since(start), nil
 		}
 		w.gone = true
 		q.waiting--
 		q.mu.Unlock()
-		return true, q.clock.Now().Sub(start), ErrSaturated
+		return true, time.Since(start), ErrSaturated
 	}
 }
 

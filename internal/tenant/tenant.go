@@ -30,7 +30,6 @@ import (
 	"repro/internal/blobdb"
 	"repro/internal/metrics"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // Verb names an auditable action class.
@@ -146,9 +145,6 @@ func LoadConfig(path string) (Config, error) {
 
 // Options carries the controller's runtime dependencies.
 type Options struct {
-	// Clock drives rate refill, queue timeouts, and audit timestamps
-	// (default vtime.Real).
-	Clock vtime.Clock
 	// Tracer, when set, emits a tenant.admit span per admission with
 	// wait-time attributes.
 	Tracer *trace.Tracer
@@ -168,7 +164,6 @@ type ownerState struct {
 // appliance; a fleet runs one per shard (the gateway forwards the
 // key header, per-shard enforcement stays authoritative).
 type Controller struct {
-	clock  vtime.Clock
 	tracer *trace.Tracer
 	keys   keyset
 	rate   *rateLimiter
@@ -182,10 +177,6 @@ type Controller struct {
 
 // NewController builds a controller from a validated Config.
 func NewController(cfg Config, opts Options) (*Controller, error) {
-	clock := opts.Clock
-	if clock == nil {
-		clock = vtime.Real{}
-	}
 	if cfg.Limits.QueueDepth == 0 {
 		cfg.Limits.QueueDepth = 64
 	}
@@ -197,12 +188,11 @@ func NewController(cfg Config, opts Options) (*Controller, error) {
 		db = opts.DB
 	}
 	c := &Controller{
-		clock:  clock,
 		tracer: opts.Tracer,
-		rate:   newRateLimiter(clock),
-		quota: newQuota(clock, cfg.Limits.MaxInFlight, cfg.Limits.QueueDepth,
+		rate:   newRateLimiter(),
+		quota: newQuota(cfg.Limits.MaxInFlight, cfg.Limits.QueueDepth,
 			time.Duration(cfg.Limits.QueueTimeoutMS)*time.Millisecond),
-		audit:  newAuditLog(cfg.Audit.Ring, clock, db),
+		audit:  newAuditLog(cfg.Audit.Ring, db),
 		limits: cfg.Limits,
 		owners: make(map[string]*ownerState),
 	}
@@ -360,7 +350,7 @@ type Admission struct {
 // invocation so audit trace IDs resolve to full waterfalls.
 func (c *Controller) Admit(pr Principal, verb Verb, service string, parent trace.SpanContext) (*Admission, error) {
 	st := c.state(pr.Owner)
-	start := c.clock.Now()
+	start := time.Now()
 	sp := c.tracer.StartSpan("tenant.admit", parent)
 	sp.Set("tenant.owner", pr.Owner)
 	sp.Set("tenant.verb", string(verb))
@@ -371,7 +361,7 @@ func (c *Controller) Admit(pr Principal, verb Verb, service string, parent trace
 		sp.Set("tenant.outcome", "denied")
 		sp.Error(err.Error())
 		sp.End()
-		c.deny(pr.Owner, verb, service, code, traceID(sp.Context()), wait, c.clock.Now().Sub(start))
+		c.deny(pr.Owner, verb, service, code, traceID(sp.Context()), wait, time.Since(start))
 		return nil, err
 	}
 
@@ -503,7 +493,7 @@ func (a *Admission) Finish(ticket string, err error) {
 		Ticket:    ticket,
 		TraceID:   traceID(a.sctx),
 		WaitMS:    ms(a.wait),
-		LatencyMS: ms(a.ctl.clock.Now().Sub(a.start)),
+		LatencyMS: ms(time.Since(a.start)),
 	})
 }
 

@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/bubble"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
-func manualClock() *vtime.Manual {
-	return vtime.NewManual(time.Date(2010, 9, 13, 0, 0, 0, 0, time.UTC))
-}
+// TestMain runs the tests that move or wait on time in a bubble, under
+// GOEXPERIMENT=synctest.
+func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestParseKeyHeader(t *testing.T) {
 	long := make([]byte, maxKeyLen+1)
@@ -131,141 +131,140 @@ func TestPolicyDenyOverrides(t *testing.T) {
 }
 
 func TestRateLimiter(t *testing.T) {
-	clk := manualClock()
-	rl := newRateLimiter(clk)
-	// rate 2/s, burst 2: two immediate tokens, then dry.
-	for i := 0; i < 2; i++ {
+	bubble.Test(t, func(t *testing.T) {
+		rl := newRateLimiter()
+		// rate 2/s, burst 2: two immediate tokens, then dry.
+		for i := 0; i < 2; i++ {
+			if !rl.allow("alice", VerbInvoke, 2, 2) {
+				t.Fatalf("token %d denied", i)
+			}
+		}
+		if rl.allow("alice", VerbInvoke, 2, 2) {
+			t.Fatal("bucket should be empty")
+		}
+		time.Sleep(500 * time.Millisecond) // refills one token
 		if !rl.allow("alice", VerbInvoke, 2, 2) {
-			t.Fatalf("token %d denied", i)
+			t.Fatal("refilled token denied")
 		}
-	}
-	if rl.allow("alice", VerbInvoke, 2, 2) {
-		t.Fatal("bucket should be empty")
-	}
-	clk.Advance(500 * time.Millisecond) // refills one token
-	if !rl.allow("alice", VerbInvoke, 2, 2) {
-		t.Fatal("refilled token denied")
-	}
-	if rl.allow("alice", VerbInvoke, 2, 2) {
-		t.Fatal("second token should not have refilled")
-	}
-	// Other owner+verb buckets are independent; rate 0 is unlimited.
-	if !rl.allow("bob", VerbInvoke, 2, 2) || !rl.allow("alice", VerbUpload, 2, 2) {
-		t.Fatal("buckets not independent")
-	}
-	for i := 0; i < 100; i++ {
-		if !rl.allow("alice", VerbCancel, 0, 0) {
-			t.Fatal("rate 0 must be unlimited")
+		if rl.allow("alice", VerbInvoke, 2, 2) {
+			t.Fatal("second token should not have refilled")
 		}
-	}
+		// Other owner+verb buckets are independent; rate 0 is unlimited.
+		if !rl.allow("bob", VerbInvoke, 2, 2) || !rl.allow("alice", VerbUpload, 2, 2) {
+			t.Fatal("buckets not independent")
+		}
+		for i := 0; i < 100; i++ {
+			if !rl.allow("alice", VerbCancel, 0, 0) {
+				t.Fatal("rate 0 must be unlimited")
+			}
+		}
+	})
 }
 
 // TestQuotaDRRWakeOrder pins the deficit-round-robin interleave: with
 // weights 2:1 and a single slot releasing repeatedly, wakes go
 // A,A,B,A,A,B — not the FIFO A,A,A,A,B,B arrival order.
 func TestQuotaDRRWakeOrder(t *testing.T) {
-	clk := manualClock()
-	q := newQuota(clk, 1, 0, 0)
-	q.configure("A", 0, 2)
-	q.configure("B", 0, 1)
-	q.configure("seed", 0, 1)
-	if queued, _, err := q.acquire("seed"); queued || err != nil {
-		t.Fatalf("seed acquire: queued=%v err=%v", queued, err)
-	}
-
-	woke := make(chan string, 8)
-	// Park waiters one at a time — count them after each spawn — so
-	// arrival order is deterministic.
-	owners := []string{"A", "A", "A", "A", "B", "B"}
-	for i, o := range owners {
-		o := o
-		go func() {
-			if _, _, err := q.acquire(o); err != nil {
-				woke <- "err:" + err.Error()
-				return
-			}
-			woke <- o
-		}()
-		waitFor(t, func() bool {
-			_, waiting, _ := q.gauges()
-			return waiting == i+1
-		})
-	}
-
-	var order []string
-	release := "seed"
-	for i := 0; i < len(owners); i++ {
-		q.release(release)
-		got := <-woke
-		order = append(order, got)
-		release = got // hand the slot back next round
-	}
-	want := []string{"A", "A", "B", "A", "A", "B"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("wake order %v, want %v", order, want)
-	}
-	q.release(release)
-	total, waiting, _ := q.gauges()
-	if total != 0 || waiting != 0 {
-		t.Fatalf("leaked slots: total=%d waiting=%d", total, waiting)
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	for i := 0; i < 2000; i++ {
-		if cond() {
-			return
+	bubble.Test(t, func(t *testing.T) {
+		q := newQuota(1, 0, 0)
+		q.configure("A", 0, 2)
+		q.configure("B", 0, 1)
+		q.configure("seed", 0, 1)
+		if queued, _, err := q.acquire("seed"); queued || err != nil {
+			t.Fatalf("seed acquire: queued=%v err=%v", queued, err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition never held")
+
+		woke := make(chan string, 8)
+		// Park waiters one at a time — count them after each spawn — so
+		// arrival order is deterministic.
+		owners := []string{"A", "A", "A", "A", "B", "B"}
+		for i, o := range owners {
+			o := o
+			go func() {
+				if _, _, err := q.acquire(o); err != nil {
+					woke <- "err:" + err.Error()
+					return
+				}
+				woke <- o
+			}()
+			bubble.Wait()
+			if _, waiting, _ := q.gauges(); waiting != i+1 {
+				t.Fatalf("%d waiters parked, want %d", waiting, i+1)
+			}
+		}
+
+		var order []string
+		release := "seed"
+		for i := 0; i < len(owners); i++ {
+			q.release(release)
+			got := <-woke
+			order = append(order, got)
+			release = got // hand the slot back next round
+		}
+		want := []string{"A", "A", "B", "A", "A", "B"}
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("wake order %v, want %v", order, want)
+		}
+		q.release(release)
+		total, waiting, _ := q.gauges()
+		if total != 0 || waiting != 0 {
+			t.Fatalf("leaked slots: total=%d waiting=%d", total, waiting)
+		}
+	})
 }
 
 func TestQuotaQueueBoundAndOwnerCap(t *testing.T) {
-	clk := manualClock()
-	q := newQuota(clk, 0, 2, 0)
-	q.configure("alice", 1, 1)
-	if queued, _, err := q.acquire("alice"); queued || err != nil {
-		t.Fatalf("first acquire: %v %v", queued, err)
-	}
-	// Owner cap reached: next two queue, third bounces off the bound.
-	for i := 0; i < 2; i++ {
-		go q.acquire("alice")
-		want := i + 1
-		waitFor(t, func() bool { _, w, _ := q.gauges(); return w == want })
-	}
-	if _, _, err := q.acquire("alice"); err != ErrSaturated {
-		t.Fatalf("queue overflow err = %v, want ErrSaturated", err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		q := newQuota(0, 2, 0)
+		q.configure("alice", 1, 1)
+		if queued, _, err := q.acquire("alice"); queued || err != nil {
+			t.Fatalf("first acquire: %v %v", queued, err)
+		}
+		// Owner cap reached: next two queue, third bounces off the bound.
+		for i := 0; i < 2; i++ {
+			go q.acquire("alice")
+			bubble.Wait()
+			if _, w, _ := q.gauges(); w != i+1 {
+				t.Fatalf("%d waiters queued, want %d", w, i+1)
+			}
+		}
+		if _, _, err := q.acquire("alice"); err != ErrSaturated {
+			t.Fatalf("queue overflow err = %v, want ErrSaturated", err)
+		}
+		// Hand the slot down the queue, so both waiters return.
+		q.release("alice")
+		q.release("alice")
+	})
 }
 
 func TestQuotaTimeout(t *testing.T) {
-	clk := manualClock()
-	q := newQuota(clk, 1, 0, time.Second)
-	q.configure("alice", 0, 1)
-	q.acquire("alice")
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := q.acquire("alice")
-		done <- err
-	}()
-	waitFor(t, func() bool { _, w, _ := q.gauges(); return w == 1 })
-	waitFor(t, func() bool { return clk.Pending() > 0 })
-	clk.Advance(2 * time.Second)
-	if err := <-done; err != ErrSaturated {
-		t.Fatalf("timeout err = %v, want ErrSaturated", err)
-	}
-	// The abandoned waiter must not absorb the next release.
-	q.release("alice")
-	if queued, _, err := q.acquire("alice"); err != nil {
-		t.Fatalf("post-timeout acquire failed: queued=%v err=%v", queued, err)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		q := newQuota(1, 0, time.Second)
+		q.configure("alice", 0, 1)
+		q.acquire("alice")
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := q.acquire("alice")
+			done <- err
+		}()
+		bubble.Wait() // the waiter is parked on its timeout
+		if _, w, _ := q.gauges(); w != 1 {
+			t.Fatalf("%d waiters queued, want 1", w)
+		}
+		time.Sleep(2 * time.Second)
+		if err := <-done; err != ErrSaturated {
+			t.Fatalf("timeout err = %v, want ErrSaturated", err)
+		}
+		// The abandoned waiter must not absorb the next release.
+		q.release("alice")
+		if queued, _, err := q.acquire("alice"); err != nil {
+			t.Fatalf("post-timeout acquire failed: queued=%v err=%v", queued, err)
+		}
+	})
 }
 
 func TestAuditRingOverflowNewestFirst(t *testing.T) {
-	clk := manualClock()
-	l := newAuditLog(4, clk, nil)
+	l := newAuditLog(4, nil)
 	for i := 0; i < 10; i++ {
 		owner := "alice"
 		if i%2 == 1 {
@@ -294,13 +293,12 @@ func TestAuditRingOverflowNewestFirst(t *testing.T) {
 }
 
 func TestAuditPersistence(t *testing.T) {
-	clk := manualClock()
-	db, err := blobdb.Open(blobdb.Options{Clock: clk})
+	db, err := blobdb.Open(blobdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	l := newAuditLog(8, clk, db)
+	l := newAuditLog(8, db)
 	l.append(Record{Owner: "alice", Verb: "upload", Outcome: "ok"})
 	l.append(Record{Owner: "alice", Verb: "invoke", Outcome: "denied"})
 	if n := db.Table(AuditTable).Len(); n != 2 {
@@ -317,9 +315,6 @@ func TestAuditPersistence(t *testing.T) {
 
 func newTestController(t *testing.T, cfg Config, opts Options) *Controller {
 	t.Helper()
-	if opts.Clock == nil {
-		opts.Clock = manualClock()
-	}
 	c, err := NewController(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -328,16 +323,15 @@ func newTestController(t *testing.T, cfg Config, opts Options) *Controller {
 }
 
 func TestControllerPipeline(t *testing.T) {
-	clk := manualClock()
 	col := trace.NewCollector(64, 0)
-	tr := trace.NewTracer("tenant", clk, col)
+	tr := trace.NewTracer("tenant", nil, col)
 	c := newTestController(t, Config{
 		Owners: []OwnerConfig{{
 			Name:   "alice",
 			Policy: Policy{Deny: []Rule{{Services: []string{"Admin*"}}}},
 		}},
 		Keys: []KeyConfig{{Key: "alice-key", Owner: "alice"}},
-	}, Options{Clock: clk, Tracer: tr})
+	}, Options{Tracer: tr})
 
 	// Unknown and missing keys deny with one audit record each.
 	if _, err := c.Authenticate("bogus", VerbInvoke); err != ErrUnauthorized {
@@ -393,32 +387,33 @@ func TestControllerPipeline(t *testing.T) {
 }
 
 func TestControllerRateLimitDeny(t *testing.T) {
-	clk := manualClock()
-	c := newTestController(t, Config{
-		Owners: []OwnerConfig{{Name: "alice", Rates: map[string]float64{"invoke": 1}}},
-		Keys:   []KeyConfig{{Key: "k", Owner: "alice"}},
-	}, Options{Clock: clk})
-	pr := Principal{Owner: "alice"}
-	adm, err := c.Admit(pr, VerbInvoke, "S", trace.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adm.Finish("", nil)
-	adm.Release()
-	if _, err := c.Admit(pr, VerbInvoke, "S", trace.SpanContext{}); err != ErrRateLimited {
-		t.Fatalf("err = %v, want ErrRateLimited", err)
-	}
-	// Other verbs are unconstrained, and time refills the bucket.
-	if _, err := c.Admit(pr, VerbCancel, "S", trace.SpanContext{}); err != nil {
-		t.Fatalf("cancel verb limited: %v", err)
-	}
-	clk.Advance(time.Second)
-	if _, err := c.Admit(pr, VerbInvoke, "S", trace.SpanContext{}); err != nil {
-		t.Fatalf("post-refill err = %v", err)
-	}
-	if st := c.Stats(); st.RateLimited != 1 {
-		t.Fatalf("rate-limited counter = %d", st.RateLimited)
-	}
+	bubble.Test(t, func(t *testing.T) {
+		c := newTestController(t, Config{
+			Owners: []OwnerConfig{{Name: "alice", Rates: map[string]float64{"invoke": 1}}},
+			Keys:   []KeyConfig{{Key: "k", Owner: "alice"}},
+		}, Options{})
+		pr := Principal{Owner: "alice"}
+		adm, err := c.Admit(pr, VerbInvoke, "S", trace.SpanContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		adm.Finish("", nil)
+		adm.Release()
+		if _, err := c.Admit(pr, VerbInvoke, "S", trace.SpanContext{}); err != ErrRateLimited {
+			t.Fatalf("err = %v, want ErrRateLimited", err)
+		}
+		// Other verbs are unconstrained, and time refills the bucket.
+		if _, err := c.Admit(pr, VerbCancel, "S", trace.SpanContext{}); err != nil {
+			t.Fatalf("cancel verb limited: %v", err)
+		}
+		time.Sleep(time.Second)
+		if _, err := c.Admit(pr, VerbInvoke, "S", trace.SpanContext{}); err != nil {
+			t.Fatalf("post-refill err = %v", err)
+		}
+		if st := c.Stats(); st.RateLimited != 1 {
+			t.Fatalf("rate-limited counter = %d", st.RateLimited)
+		}
+	})
 }
 
 func TestStatsMerge(t *testing.T) {
@@ -451,7 +446,7 @@ func TestConcurrentAdmitsRaceRelease(t *testing.T) {
 			{Name: "bob", Weight: 1, MaxInFlight: 2},
 		},
 		Limits: LimitsConfig{MaxInFlight: 3, QueueDepth: 64},
-	}, Options{Clock: vtime.Real{}})
+	}, Options{})
 	var wg sync.WaitGroup
 	var denied atomic64
 	for g := 0; g < 8; g++ {
@@ -501,7 +496,7 @@ func (a *atomic64) add(d uint64) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
 func TestKeyRotationMidBurst(t *testing.T) {
 	c := newTestController(t, Config{
 		Keys: []KeyConfig{{Key: "gen-0", Owner: "alice"}},
-	}, Options{Clock: vtime.Real{}})
+	}, Options{})
 	var latest atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -3,8 +3,7 @@
 // GridFTP, GRAM, the grid simulator) holds a Tracer bound to one shared
 // Collector; context crosses process boundaries as the X-Grid-Trace
 // header ("<32-hex trace id>-<16-hex span id>"), so one invocation
-// yields a single cross-service span tree with vtime timings and byte
-// counts.
+// yields a single cross-service span tree with timings and byte counts.
 //
 // Tracing is off by default everywhere. The entire API is nil-safe: a
 // nil *Tracer returns nil *Span values, and every Span method no-ops on
@@ -20,8 +19,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/vtime"
 )
 
 // Header is the HTTP (and SOAP/myproxy) propagation header.
@@ -80,17 +77,15 @@ func Parse(s string) (SpanContext, bool) {
 // state and mints nil spans.
 type Tracer struct {
 	service string
-	clock   vtime.Clock
 	col     *Collector
 }
 
 // NewTracer returns a tracer stamping spans with the given service name,
-// timing them on clock, and delivering ended spans to col.
-func NewTracer(service string, clock vtime.Clock, col *Collector) *Tracer {
-	if clock == nil {
-		clock = vtime.Real{}
-	}
-	return &Tracer{service: service, clock: clock, col: col}
+// timing them on the time package's clock, and delivering ended spans to
+// col. The second parameter is ignored: cmd/bench, frozen until its next
+// revision (ROADMAP item 4(a)), still passes nil there.
+func NewTracer(service string, _ any, col *Collector) *Tracer {
+	return &Tracer{service: service, col: col}
 }
 
 // Collector returns the tracer's span sink (nil on a nil tracer).
@@ -124,7 +119,7 @@ func (t *Tracer) start(name string, parent SpanContext, at time.Time) *Span {
 		return nil
 	}
 	if at.IsZero() {
-		at = t.clock.Now()
+		at = time.Now()
 	}
 	sp := &Span{tracer: t, name: name, start: at}
 	if parent.Valid() {
@@ -202,7 +197,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.EndAt(s.tracer.clock.Now())
+	s.EndAt(time.Now())
 }
 
 // EndAt is End with an explicit end time.

@@ -4,12 +4,10 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/vtime"
 )
 
 func TestContextRoundTrip(t *testing.T) {
-	tr := NewTracer("svc", vtime.Real{}, nil)
+	tr := NewTracer("svc", nil, nil)
 	sp := tr.StartRoot("op")
 	sc := sp.Context()
 	if !sc.Valid() {
@@ -76,17 +74,16 @@ func TestNoAllocationWhenOff(t *testing.T) {
 
 func TestSpanTreeAssembly(t *testing.T) {
 	col := NewCollector(0, 0)
-	clk := vtime.NewManual(time.Unix(100, 0))
-	tr := NewTracer("svc", clk, col)
+	tr := NewTracer("svc", nil, col)
 
-	root := tr.StartRoot("invoke")
+	// A span without a valid parent is a root; the times are the caller's.
+	t0 := time.Unix(100, 0)
+	root := tr.StartSpanAt("invoke", SpanContext{}, t0)
 	root.Set("ticket", "inv-1")
-	clk.Advance(time.Second)
-	child := tr.StartSpan("stage", root.Context())
+	child := tr.StartSpanAt("stage", root.Context(), t0.Add(time.Second))
 	child.SetInt("bytes", 1024)
-	clk.Advance(2 * time.Second)
-	child.End()
-	root.End()
+	child.EndAt(t0.Add(3 * time.Second))
+	root.EndAt(t0.Add(3 * time.Second))
 
 	spans := col.Trace(root.Context().String()[:32])
 	if len(spans) != 2 {
@@ -114,13 +111,14 @@ func TestSpanTreeAssembly(t *testing.T) {
 // descendants whatever their random span ids (32 traces).
 func TestTraceOrdersAncestorsFirstAtOneInstant(t *testing.T) {
 	col := NewCollector(0, 0)
-	tr := NewTracer("svc", vtime.NewManual(time.Unix(100, 0)), col)
+	tr := NewTracer("svc", nil, col)
 	for i := 0; i < 32; i++ {
-		root := tr.StartRoot("invoke")
-		child := tr.StartSpan("stage", root.Context())
-		tr.StartSpan("ftp.put", child.Context()).End()
-		child.End()
-		root.End()
+		at := time.Unix(100, 0)
+		root := tr.StartSpanAt("invoke", SpanContext{}, at)
+		child := tr.StartSpanAt("stage", root.Context(), at)
+		tr.StartSpanAt("ftp.put", child.Context(), at).EndAt(at)
+		child.EndAt(at)
+		root.EndAt(at)
 		spans := col.Trace(root.Context().String()[:32])
 		if got := spans[0].Name + " " + spans[1].Name + " " + spans[2].Name; got != "invoke stage ftp.put" {
 			t.Fatalf("trace %d lists %q, want ancestors first", i, got)
@@ -130,7 +128,7 @@ func TestTraceOrdersAncestorsFirstAtOneInstant(t *testing.T) {
 
 func TestErrorStatusAndDoubleEnd(t *testing.T) {
 	col := NewCollector(0, 0)
-	tr := NewTracer("svc", vtime.Real{}, col)
+	tr := NewTracer("svc", nil, col)
 	sp := tr.StartRoot("op")
 	sp.Error("deadline exceeded")
 	sp.End()
@@ -146,7 +144,7 @@ func TestErrorStatusAndDoubleEnd(t *testing.T) {
 
 func TestUnendedSpanNotRecorded(t *testing.T) {
 	col := NewCollector(0, 0)
-	tr := NewTracer("svc", vtime.Real{}, col)
+	tr := NewTracer("svc", nil, col)
 	sp := tr.StartRoot("abandoned")
 	if got := col.Trace(sp.Context().String()[:32]); len(got) != 0 {
 		t.Fatalf("unended span leaked into the collector: %+v", got)
@@ -155,7 +153,7 @@ func TestUnendedSpanNotRecorded(t *testing.T) {
 
 func TestCollectorEntryBound(t *testing.T) {
 	col := NewCollector(8, 1<<30)
-	tr := NewTracer("svc", vtime.Real{}, col)
+	tr := NewTracer("svc", nil, col)
 	var last *Span
 	for i := 0; i < 50; i++ {
 		last = tr.StartRoot("op")
@@ -173,7 +171,7 @@ func TestCollectorEntryBound(t *testing.T) {
 
 func TestCollectorByteBound(t *testing.T) {
 	col := NewCollector(1<<20, 2048)
-	tr := NewTracer("svc", vtime.Real{}, col)
+	tr := NewTracer("svc", nil, col)
 	for i := 0; i < 64; i++ {
 		sp := tr.StartRoot("op")
 		sp.Set("pad", strings.Repeat("x", 200))
@@ -190,7 +188,7 @@ func TestCollectorByteBound(t *testing.T) {
 
 func TestStartSpanAtAndEndAt(t *testing.T) {
 	col := NewCollector(0, 0)
-	tr := NewTracer("gridsim", vtime.Real{}, col)
+	tr := NewTracer("gridsim", nil, col)
 	t0 := time.Unix(500, 0)
 	sp := tr.StartSpanAt("job.queue", SpanContext{}, t0)
 	sp.EndAt(t0.Add(7 * time.Second))
@@ -206,7 +204,7 @@ func TestStartSpanAtAndEndAt(t *testing.T) {
 // the zero, invalid context — and never panic). Accepted inputs must
 // survive a String/Parse round trip.
 func FuzzParse(f *testing.F) {
-	tr := NewTracer("svc", vtime.Real{}, nil)
+	tr := NewTracer("svc", nil, nil)
 	f.Add(tr.StartRoot("x").Context().String())
 	f.Add("")
 	f.Add(strings.Repeat("0", 32) + "-" + strings.Repeat("0", 16))

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/soap"
-	"repro/internal/vtime"
 	"repro/internal/wsdl"
 )
 
@@ -46,20 +45,16 @@ type Record struct {
 
 // Registry is the in-memory registry. It is safe for concurrent use.
 type Registry struct {
-	clock vtime.Clock
-
 	mu     sync.RWMutex
 	byKey  map[string]*Record
 	byName map[string]*Record
 }
 
-// NewRegistry returns an empty registry on clock (nil = real time).
-func NewRegistry(clock vtime.Clock) *Registry {
-	if clock == nil {
-		clock = vtime.Real{}
-	}
+// NewRegistry returns an empty registry. Its parameter is ignored:
+// cmd/bench, frozen until its next revision (ROADMAP item 4(a)), still
+// passes nil there.
+func NewRegistry(_ any) *Registry {
 	return &Registry{
-		clock:  clock,
 		byKey:  make(map[string]*Record),
 		byName: make(map[string]*Record),
 	}
@@ -78,7 +73,7 @@ func (g *Registry) Publish(r Record) (string, error) {
 		return "", fmt.Errorf("%w: %q", ErrDuplicate, r.Name)
 	}
 	r.Key = newKey()
-	r.PublishedAt = g.clock.Now()
+	r.PublishedAt = time.Now()
 	rec := r
 	g.byKey[rec.Key] = &rec
 	g.byName[rec.Name] = &rec

@@ -44,9 +44,10 @@ fi
 # studies' clock steps itself, and host speed cannot reach virtual time.
 # Nor does the dilated clock itself, or the per-clock pacing hook it
 # needed, or the event clock that guessed from /proc when every goroutine
-# was parked: vtime has two clocks, and everything simulated runs on Real
-# in a bubble, where the runtime knows.
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap' . ; then
+# was parked, or vtime at all, its hand-stepped clock or the watchdog type
+# around one timer: every component calls the time package, which a
+# bubble makes virtual, and the runtime knows when to move it.
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap|repro/internal/vtime|NewManual|NewWatchdog|vtime\.' . ; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
 fi
@@ -124,14 +125,13 @@ rm -rf "$lane"
 # release, key rotation mid-burst, DRR wakeups racing timeouts), and the
 # appliance's own transport (streamed bodies copied through one free list of
 # buffers by concurrent requests, keep-alive connections pooled and
-# released by concurrent hops), and the clocks every component waits on
-# (AfterFunc timers made and stopped while Advance fires them), and the
-# counter stores (metrics.Block updates racing snapshots) are the
+# released by concurrent hops), and the counter stores (metrics.Block
+# updates racing snapshots) are the
 # concurrency hot spots, and the appliance package boots the two
 # supported profiles end to end: run their packages fresh
 # (-count=1 defeats the test cache) so cached "ok" lines can never
 # mask a newly introduced race.
-go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/appliance ./internal/xsec ./internal/hop ./internal/vtime ./internal/metrics
+go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./internal/gram ./internal/gridsim ./internal/gridftp ./internal/netsim ./internal/portal ./internal/soap ./internal/trace ./internal/gateway ./internal/tenant ./internal/appliance ./internal/xsec ./internal/hop ./internal/metrics
 # The transport every internal hop takes has one fault table (dead pooled
 # connections, lost and cut replies, an early 403, a silent peer, a stream
 # closed from another goroutine, oversized heads, broken framing): five
