@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -249,6 +251,54 @@ func TestGetCompressedAliasesImmutableRow(t *testing.T) {
 	second, rawSize, _ := tab.GetCompressed("k")
 	if rawSize != len("version two, longer") || bytes.Equal(second, first) {
 		t.Fatalf("re-publish not visible: rawSize %d", rawSize)
+	}
+}
+
+// TestOpenSharesImmutableMeta: a pinned version's Meta is the row's own
+// map, not a copy, and a re-publish or SetMeta of the key while a reader
+// reads that map installs a new one: the pinned version's reads as it
+// did, and the race detector sees no write into it.
+func TestOpenSharesImmutableMeta(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tab := db.Table("t")
+	if err := tab.Put("k", map[string]string{"owner": "a", "params": "p"}, []byte("version one")); err != nil {
+		t.Fatal(err)
+	}
+	v, err := tab.Open("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := tab.Open("k"); reflect.ValueOf(again.Meta).UnsafePointer() != reflect.ValueOf(v.Meta).UnsafePointer() {
+		t.Fatal("Open copied the row's metadata")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 50 {
+			if err := tab.Put("k", map[string]string{"owner": "b", "params": strconv.Itoa(i)}, []byte("version two")); err != nil {
+				t.Error(err)
+			}
+			if err := tab.SetMeta("k", map[string]string{"owner": "c"}); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if len(v.Meta) != 2 || v.Meta["owner"] != "a" || v.Meta["params"] != "p" {
+			t.Fatalf("the pinned version's metadata changed to %v", v.Meta)
+		}
+	}
+	if now, err := tab.Open("k"); err != nil || len(now.Meta) != 1 || now.Meta["owner"] != "c" {
+		t.Fatalf("after the re-publishes: %v, %v", now, err)
 	}
 }
 

@@ -49,9 +49,11 @@ func ReadStored(r io.Reader, declared, limit int64) (*Stored, error) {
 // Version is one row version, pinned: what Open found under the key,
 // whatever is put there or deleted afterwards.
 type Version struct {
-	Meta    map[string]string // the caller's own copy
-	RawSize int               // length of the bytes Reader yields
-	Gen     uint64            // see Record.Gen
+	// Meta is the row's own map, shared like Gzip and for the same reason:
+	// a re-publish or SetMeta installs a new row with a new map. Read-only.
+	Meta    map[string]string
+	RawSize int    // length of the bytes Reader yields
+	Gen     uint64 // see Record.Gen
 	// Gzip is the stored gzip stream: the row's own slice, shared with every
 	// other reader, the WAL encoder and the compactor. Read-only — safe to
 	// hand out because rows are immutable after apply: a re-publish installs
@@ -69,7 +71,7 @@ func (t *Table) Open(key string) (*Version, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Version{Meta: cloneMeta(r.meta), RawSize: r.rawSize, Gen: r.gen, Gzip: r.comp, r: r}, nil
+	return &Version{Meta: r.meta, RawSize: r.rawSize, Gen: r.gen, Gzip: r.comp, r: r}, nil
 }
 
 // Digest returns the SHA-256 of the raw bytes, recorded when they were

@@ -174,7 +174,7 @@ func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}); err != nil {
+		if _, err := f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Plant a sentinel snapshot: while the TTL holds, pickSites must use
@@ -183,7 +183,7 @@ func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 		f.ons.stats = []gridsim.SiteStats{{Name: "siteB", Slots: 8, FreeSlots: 8}}
 		f.ons.statsAt = time.Now()
 		f.ons.mu.Unlock()
-		sites, err := f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{})
+		sites, err := f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 		f.ons.mu.Lock()
 		f.ons.statsAt = time.Now().Add(-2 * ttl)
 		f.ons.mu.Unlock()
-		sites, err = f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{})
+		sites, err = f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

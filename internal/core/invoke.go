@@ -341,7 +341,8 @@ func (o *OnServe) newInvocation(serviceName, owner, sessID, site, jobID string, 
 // declared stage-in data may only run where the owner staged it, so later
 // candidates are tried when submission reports a staging problem.
 func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[string]string, tc trace.SpanContext) (site, jobID string, err error) {
-	candidates, err := o.pickSites(sessionID, exe, tc)
+	var sites [8]string
+	candidates, err := o.pickSites(sessionID, exe, tc, sites[:])
 	if err != nil {
 		return "", "", err
 	}
@@ -452,25 +453,28 @@ func isSessionFault(err error) bool {
 // chunk possession and the cold-transfer cost of the missing bytes.
 // With Config.StatsTTL set, the snapshot is cached so heavy invocation
 // traffic stops paying one SOAP round-trip per call; slightly stale
-// load data only shifts which site wins, never correctness.
-func (o *OnServe) pickSites(sessionID string, exe *executable, tc trace.SpanContext) ([]string, error) {
+// load data only shifts which site wins, never correctness. The order
+// is written into into[:0]: a caller's [8]string holds eight sites
+// without an allocation.
+func (o *OnServe) pickSites(sessionID string, exe *executable, tc trace.SpanContext, into []string) ([]string, error) {
 	stats, err := o.gridStats(sessionID)
 	if err != nil {
 		return nil, fmt.Errorf("onserve: grid stats: %w", err)
 	}
-	cands := o.siteFilter(exe.owner, o.stageableLoads(stats))
+	var loads [8]siteLoad
+	cands := o.siteFilter(exe.owner, o.stageableLoads(stats, loads[:0]))
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("onserve: no stageable site available")
 	}
 	if o.cfg.DataAwarePlacement {
-		return o.placeDataAware(sessionID, exe, cands, tc), nil
+		return o.placeDataAware(sessionID, exe, cands, tc, into), nil
 	}
 	slices.SortFunc(cands, func(a, b siteLoad) int {
 		return cmp.Or(cmp.Compare(a.load, b.load), strings.Compare(a.name, b.name))
 	})
-	out := make([]string, len(cands))
-	for i, c := range cands {
-		out[i] = c.name
+	out := into[:0]
+	for _, c := range cands {
+		out = append(out, c.name)
 	}
 	return out, nil
 }
@@ -501,10 +505,9 @@ func (o *OnServe) siteFilter(owner string, cands []siteLoad) []siteLoad {
 	return kept
 }
 
-// stageableLoads maps a scheduler-statistics snapshot to the load terms
-// of the sites the agent can stage to (order as reported).
-func (o *OnServe) stageableLoads(stats []gridsim.SiteStats) []siteLoad {
-	cands := make([]siteLoad, 0, len(stats))
+// stageableLoads appends to cands the load terms of the sites in a
+// scheduler-statistics snapshot the agent can stage to (order as reported).
+func (o *OnServe) stageableLoads(stats []gridsim.SiteStats, cands []siteLoad) []siteLoad {
 	for _, st := range stats {
 		if _, ok := o.parts.Agent.SiteURL(st.Name); !ok {
 			continue // no staging endpoint for this site

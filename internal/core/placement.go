@@ -155,12 +155,13 @@ func orderScores(scores []siteScore) {
 // one comparable score, and order best-first. A failed probe degrades that
 // site to possession-unknown — scored on load alone plus a full cold
 // transfer, never an error. The decision is recorded as a "place" span
-// under the invocation.
-func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []siteLoad, tc trace.SpanContext) []string {
+// under the invocation, and the order written into into[:0].
+func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []siteLoad, tc trace.SpanContext, into []string) []string {
 	sp := o.parts.Tracing.StartSpan("place", tc)
 	sp.Set("service", exe.service)
 
-	scores := make([]siteScore, len(cands)) // a site not yet scored has no name
+	var buf [8]siteScore
+	scores := slices.Grow(buf[:0], len(cands))[:len(cands)] // a site not yet scored has no name
 	now, hits := time.Now(), 0
 	o.poss.mu.Lock()
 	for i, c := range cands {
@@ -172,22 +173,7 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 	o.poss.mu.Unlock()
 	o.placement.Update(func(p *PlacementStats) { p.ProbeCacheHits += uint64(hits) })
 	if hits < len(cands) {
-		var wg sync.WaitGroup
-		for i, c := range cands {
-			if scores[i].name != "" {
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e, hit := o.probePossession(sessionID, c.name, exe)
-				scores[i] = scoreSite(c, e)
-				if hit {
-					o.placement.Update(func(p *PlacementStats) { p.ProbeCacheHits++ })
-				}
-			}()
-		}
-		wg.Wait()
+		o.probeScores(sessionID, exe, cands, scores)
 	}
 
 	// The pure load order's winner, for the redirect counter: did
@@ -217,11 +203,40 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 	}
 	sp.End()
 
-	out := make([]string, len(scores))
-	for i, s := range scores {
-		out[i] = s.name
+	out := into[:0]
+	for _, s := range scores {
+		out = append(out, s.name)
 	}
 	return out
+}
+
+// probeScores scores, in parallel, each candidate the possession cache
+// did not answer (its score has no name yet). The probes write into a
+// slice of their own, so that scores, which their goroutines never see,
+// can live on the caller's stack.
+func (o *OnServe) probeScores(sessionID string, exe *executable, cands []siteLoad, scores []siteScore) {
+	probed := make([]siteScore, len(cands))
+	var wg sync.WaitGroup
+	for i, c := range cands {
+		if scores[i].name != "" {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, hit := o.probePossession(sessionID, c.name, exe)
+			probed[i] = scoreSite(c, e)
+			if hit {
+				o.placement.Update(func(p *PlacementStats) { p.ProbeCacheHits++ })
+			}
+		}()
+	}
+	wg.Wait()
+	for i, s := range probed {
+		if s.name != "" {
+			scores[i] = s
+		}
+	}
 }
 
 // probePossession answers "how much of serviceName's wire is already at

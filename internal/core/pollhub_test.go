@@ -223,7 +223,7 @@ func TestPickSitesZeroSlotSiteSortsLast(t *testing.T) {
 		}
 		f.ons.statsAt = time.Now()
 		f.ons.mu.Unlock()
-		sites, err := f.ons.pickSites("session-unused-cache-warm", heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{})
+		sites, err := f.ons.pickSites("session-unused-cache-warm", heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -309,15 +309,11 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 			if f.ID > w.cursor.Load() {
 				w.cursor.Store(f.ID)
 			}
-			ev, err := gram.DecodeEventData(f.Data)
-			if err != nil || ev.JobID == "" {
+			if !w.processFrame(f.Data) {
 				// Malformed frame: the stream framing still holds, but this
 				// event's content is lost — resync rather than guess.
 				w.syncAll()
-				continue
 			}
-			o.push.Update(func(e *EventStats) { e.EventsDelivered++ })
-			w.processEvent(ev)
 		}
 		if w.retirable() {
 			return frames
@@ -473,19 +469,40 @@ func (w *eventWorker) syncAll() {
 	}
 }
 
-// processEvent routes one streamed event to its invocation. An event for
-// a job that has not registered yet is stashed for its registration; one
-// for a job already reaped is late news and dropped.
-func (w *eventWorker) processEvent(ev gram.EventData) {
+// processFrame decodes one state or output frame and routes it to its
+// invocation, or false if the frame is malformed. An event for a job that
+// has not registered yet is stashed for its registration; one for a job
+// already reaped is late news and dropped. The decoder's hook looks the
+// job up under the same lock as the routing, once per frame: the event of
+// a job the worker holds then shares its invocation's ID, not a copy.
+func (w *eventWorker) processFrame(data []byte) bool {
+	var (
+		j     *collectJob
+		asked []byte // the ID the hook looked up
+	)
 	w.mu.Lock()
-	j := w.jobs[ev.JobID]
+	ev, err := gram.DecodeEventData(data, func(id []byte) string {
+		if asked, j = id, w.jobs[string(id)]; j != nil {
+			return j.inv.JobID
+		}
+		return ""
+	})
+	if err != nil || ev.JobID == "" {
+		w.mu.Unlock()
+		return false
+	}
+	if string(asked) != ev.JobID { // json.Unmarshal decoded the frame, not the hand walk
+		j = w.jobs[ev.JobID]
+	}
 	if j == nil && !w.stopped && !w.reaped.has(ev.JobID) {
 		w.stashLocked(ev)
 	}
 	w.mu.Unlock()
+	w.ec.o.push.Update(func(e *EventStats) { e.EventsDelivered++ })
 	if j != nil {
 		w.apply(j, ev)
 	}
+	return true
 }
 
 // stashLocked keeps ev as its job's latest event (the stream is in order).

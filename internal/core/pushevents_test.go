@@ -497,7 +497,7 @@ func TestFullStashEvictsOldestNotNewest(t *testing.T) {
 			t.Fatal("a cached session's worker retired")
 		}
 		for i := 0; i < maxPendingEvents; i++ {
-			w.processEvent(gram.EventData{JobID: fmt.Sprintf("ghost:job-%06d", i), State: "RUNNING"})
+			w.processFrame(fmt.Appendf(nil, `{"job_id":"ghost:job-%06d","state":"RUNNING"}`, i))
 		}
 
 		before := f.ons.CollectorStats().OutputFetches

@@ -246,9 +246,10 @@ func (r *rig) measure(fn func() error) (measurement, error) {
 	if err := fn(); err != nil {
 		return measurement{}, err
 	}
-	// The reply that ended fn can reach the caller before its sender has
-	// accounted its last bytes, at the same instant: let every goroutine
-	// of the bubble finish what that instant holds before reading.
+	// A reply's bytes are accounted before the caller can read them, but
+	// its sender, or a collector it released, may go on to account more
+	// at the same instant: let every goroutine of the bubble finish what
+	// that instant holds before reading.
 	bubble.Wait()
 	m := measurement{seconds: time.Since(start).Seconds(), series: r.rec.Series()}
 	m.sum = seriesSummary(m.series)

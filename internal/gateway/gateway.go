@@ -230,7 +230,8 @@ func (g *Gateway) RegisterUser(user string, auth core.UserAuth) {
 // stickiness target, health aside. Experiments and tests use it to pick a
 // victim shard.
 func (g *Gateway) PrimaryFor(service string) int {
-	succ := g.ring.successors(service)
+	var buf [8]*member
+	succ := g.ring.walk(service, buf[:])
 	if len(succ) == 0 {
 		return -1
 	}
@@ -478,7 +479,8 @@ func pickHealthy(succ []*member) (*member, int) {
 // and a catalog replay when an upstream turns out not to hold a service
 // the fleet owns.
 func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
-	succ := g.ring.successors(rt.Service)
+	var buf [8]*member
+	succ := g.ring.walk(rt.Service, buf[:])
 	m, pos := pickHealthy(succ)
 	if m == nil {
 		portal.WriteError(w, http.StatusServiceUnavailable, errors.New("gateway: no upstreams"))
@@ -599,7 +601,8 @@ func (g *Gateway) catalogGet(service string) *catalogEntry {
 // member that answers other than 404 holds the invocation.
 func (g *Gateway) serveTicket(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
 	g.stats.Update(func(st *Stats) { st.TicketRoutes++ })
-	succ := g.ring.successors(rt.Service)
+	var buf [8]*member
+	succ := g.ring.walk(rt.Service, buf[:])
 	sp := g.startSpan(r, rt, succ[0])
 	m, resp, err := g.first(succ, r, body, sp, func(resp *bufferedResponse) bool { return resp.status != http.StatusNotFound })
 	if m != nil {

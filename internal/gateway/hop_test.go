@@ -59,8 +59,8 @@ func TestForwardAllocations(t *testing.T) {
 	})
 	// Seven of these are the stub's reply.
 	t.Logf("forward: %.0f objects", allocs)
-	if allocs > 16 {
-		t.Fatalf("forward allocates %.0f objects, want <= 16", allocs)
+	if allocs > 12 {
+		t.Fatalf("forward allocates %.0f objects, want <= 12", allocs)
 	}
 }
 

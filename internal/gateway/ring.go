@@ -56,10 +56,10 @@ func (r *ring) rebuild(members []*member) {
 	r.mu.Unlock()
 }
 
-// successors returns every member in ring order starting at key's hash:
-// the primary first, then the failover order. The slice, its one
-// allocation up to 64 members, is freshly made and safe to retain.
-func (r *ring) successors(key string) []*member {
+// walk writes into into[:0] every member in ring order starting at key's
+// hash — the primary first, then the failover order — and returns it: a
+// caller's [8]*member holds a fleet of up to eight, no allocation.
+func (r *ring) walk(key string, into []*member) []*member {
 	h := hash64(key)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -67,7 +67,7 @@ func (r *ring) successors(key string) []*member {
 		return nil
 	}
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]*member, 0, len(r.members))
+	out := into[:0]
 	var small [64]bool
 	seen := small[:]
 	if len(r.members) > len(small) {

@@ -14,6 +14,9 @@ func ringMembers(n int) []*member {
 	return members
 }
 
+// successors is key's walk in a slice of its own.
+func (r *ring) successors(key string) []*member { return r.walk(key, nil) }
+
 // ids names a successor walk.
 func ids(succ []*member) []string {
 	out := make([]string, len(succ))

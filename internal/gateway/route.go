@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
 
 	"repro/internal/core"
@@ -170,12 +169,12 @@ func ticketRoute(ticket string) Route {
 	return Route{Kind: KindAny}
 }
 
-// queryValue parses rawQuery and returns key's value; a query string
-// that does not parse is the caller's 400.
+// queryValue returns key's value in rawQuery; a query string that does
+// not parse is the caller's 400.
 func queryValue(rawQuery, key string) (string, error) {
-	q, err := url.ParseQuery(rawQuery)
+	v, err := portal.QueryGet(rawQuery, key)
 	if err != nil {
 		return "", fmt.Errorf("%w: query: %v", errBadRequest, err)
 	}
-	return q.Get(key), nil
+	return v, nil
 }

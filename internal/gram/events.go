@@ -94,19 +94,22 @@ type EventData struct {
 // once, in any order, no white space) is walked by hand, the state names
 // the grid uses shared rather than allocated; any other document goes to
 // json.Unmarshal, so this accepts, rejects and returns what that does.
-func DecodeEventData(data []byte) (EventData, error) {
+// known, if not nil, returns the caller's own copy of a job ID it holds,
+// or "": the JobID is then that string, and a Site that prefixes it (a
+// job ID is "<site>:<id>") a slice of it, neither allocated.
+func DecodeEventData(data []byte, known func(jobID []byte) string) (EventData, error) {
 	var ev EventData
 	o := flatjson.Open(data)
 	for o.Next() {
 		switch string(o.Key()) {
 		case "job_id":
-			ev.JobID = o.String()
+			ev.JobID = jobID(o.Token(), known)
 		case "state":
 			ev.State = stateName(o.Token())
 		case "message":
 			ev.Message = o.String()
 		case "site":
-			ev.Site = o.String()
+			ev.Site = prefixOf(ev.JobID, o.Token())
 		case "output_version":
 			ev.OutputVersion = o.Uint()
 		case "output":
@@ -123,6 +126,24 @@ func DecodeEventData(data []byte) (EventData, error) {
 	var slow EventData // its own variable, or ev moves to the heap on the fast path too
 	err := json.Unmarshal(data, &slow)
 	return slow, err
+}
+
+// jobID is string(id), or known's copy of it.
+func jobID(id []byte, known func(jobID []byte) string) string {
+	if known != nil {
+		if s := known(id); s != "" {
+			return s
+		}
+	}
+	return string(id)
+}
+
+// prefixOf is string(site), shared with jobID when that is "<site>:…".
+func prefixOf(jobID string, site []byte) string {
+	if n := len(site); len(jobID) > n && jobID[n] == ':' && jobID[:n] == string(site) {
+		return jobID[:n]
+	}
+	return string(site)
 }
 
 // stateName is string(b), shared when b names a job state.

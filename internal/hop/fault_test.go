@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/bubble"
 )
 
 // faultRig is a server and a Transport that dials it through the
@@ -263,35 +265,46 @@ func TestTransportFaults(t *testing.T) {
 			}
 		}},
 		{"event stream closed from another goroutine", func(t *testing.T) {
-			r := (&faultRig{handler: func(w http.ResponseWriter, req *http.Request) {
-				io.WriteString(w, "event: hello\n\n")
-				w.(http.Flusher).Flush()
-				<-req.Context().Done()
-			}}).start(t)
-			req, _ := http.NewRequest(http.MethodGet, r.srv.URL+"/gram/events", nil)
-			resp, err := r.tr.RoundTrip(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			br := bufio.NewReader(resp.Body)
-			if line, err := br.ReadString('\n'); err != nil || line != "event: hello\n" {
-				t.Fatalf("first line %q, %v", line, err)
-			}
-			next := make(chan error, 1)
-			go func() {
-				_, err := br.ReadString('x')
-				next <- err
-			}()
-			resp.Body.Close()
-			select {
-			case err := <-next:
-				if err == nil {
+			// In a bubble over pipes, where every wait is on a channel: a
+			// read that Close left blocked deadlocks the bubble, a panic
+			// that names it.
+			bubble.Test(t, func(t *testing.T) {
+				r := &faultRig{}
+				root, piped, _ := pipeServer(t, func(w http.ResponseWriter, req *http.Request) {
+					if req.Method == http.MethodPost {
+						r.posts.Add(1)
+					} else {
+						r.other.Add(1)
+					}
+					io.WriteString(w, "event: hello\n\n")
+					w.(http.Flusher).Flush()
+					<-req.Context().Done()
+				})
+				r.tr = NewTransport(func(ctx context.Context, network, addr string) (net.Conn, error) {
+					r.dials.Add(1)
+					return piped.dial(ctx, network, addr)
+				})
+				t.Cleanup(r.tr.CloseIdleConnections)
+				req, _ := http.NewRequest(http.MethodGet, root.String()+"/gram/events", nil)
+				resp, err := r.tr.RoundTrip(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				br := bufio.NewReader(resp.Body)
+				if line, err := br.ReadString('\n'); err != nil || line != "event: hello\n" {
+					t.Fatalf("first line %q, %v", line, err)
+				}
+				next := make(chan error, 1)
+				go func() {
+					_, err := br.ReadString('x')
+					next <- err
+				}()
+				resp.Body.Close()
+				if err := <-next; err == nil {
 					t.Fatal("a read of a closed stream succeeded")
 				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("Close did not unblock the read")
-			}
-			r.count(t, 1, 1, 0, 0)
+				r.count(t, 1, 1, 0, 0)
+			})
 		}},
 		{"reply head past http.DefaultMaxHeaderBytes refused, connection closed", func(t *testing.T) {
 			r := (&faultRig{handler: func(w http.ResponseWriter, _ *http.Request) {

@@ -87,6 +87,23 @@ func newPayload(b []byte) *payload {
 	return p
 }
 
+// request is one hop's request and its URL, allocated together.
+type request struct {
+	http.Request
+	url url.URL
+}
+
+// loaded is a request whose body is in memory: the first reading of it
+// comes in the same allocation, each replay is a fresh payload.
+type loaded struct {
+	request
+	body payload
+}
+
+// noHeader is the header of a request sent with none (net/http's
+// transport refuses a nil map). Nothing writes to it.
+var noHeader = http.Header{}
+
 // Do sends method to target — an escaped path with an optional "?query",
 // the form URL.RequestURI returns — under root, over rt (nil means Shared),
 // and reads the reply at its declared length. header is sent as it is and
@@ -97,10 +114,13 @@ func newPayload(b []byte) *payload {
 // as from http.Client.Do.
 func Do(rt http.RoundTripper, method string, root *url.URL, target string, header http.Header, body []byte, limit int64) (Reply, error) {
 	if len(body) == 0 {
-		return DoStream(rt, method, root, target, header, 0, nil, limit)
+		return new(request).send(rt, method, root, target, header, limit)
 	}
-	open := func() (io.ReadCloser, error) { return newPayload(body), nil }
-	return DoStream(rt, method, root, target, header, int64(len(body)), open, limit)
+	l := new(loaded)
+	l.body.Reset(body)
+	l.Body, l.ContentLength = &l.body, int64(len(body))
+	l.GetBody = func() (io.ReadCloser, error) { return newPayload(body), nil }
+	return l.send(rt, method, root, target, header, limit)
 }
 
 // DoStream is Do with a body that is read as it is sent: size bytes from
@@ -109,11 +129,21 @@ func Do(rt http.RoundTripper, method string, root *url.URL, target string, heade
 // possibly after DoStream has returned. A size of zero sends no body and
 // never calls open. An empty method is GET, as for net/http.
 func DoStream(rt http.RoundTripper, method string, root *url.URL, target string, header http.Header, size int64, open func() (io.ReadCloser, error), limit int64) (Reply, error) {
+	q := new(request)
+	if size > 0 {
+		q.ContentLength, q.GetBody = size, open
+	}
+	return q.send(rt, method, root, target, header, limit)
+}
+
+// send fills in q's method, URL and header, opens its body if GetBody is
+// set and Body not yet, and makes the round trip.
+func (q *request) send(rt http.RoundTripper, method string, root *url.URL, target string, header http.Header, limit int64) (Reply, error) {
 	if method == "" {
 		method = http.MethodGet
 	}
 	path, query, hasQuery := strings.Cut(target, "?")
-	u := new(url.URL)
+	u := &q.url
 	*u = *root
 	u.Path, u.RawPath = root.Path+path, ""
 	u.RawQuery, u.ForceQuery = query, hasQuery && query == ""
@@ -125,27 +155,31 @@ func DoStream(rt http.RoundTripper, method string, root *url.URL, target string,
 		u.Path, u.RawPath = root.Path+plain, root.EscapedPath()+path
 	}
 	if header == nil {
-		header = http.Header{} // the transport refuses a nil map
+		header = noHeader
 	}
-	req := &http.Request{Method: method, URL: u, Host: u.Host, Header: header}
-	fail := func(err error) (Reply, error) {
-		return Reply{}, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u.String(), Err: err}
-	}
-	if size > 0 {
-		body, err := open()
+	req := &q.Request
+	req.Method, req.URL, req.Host, req.Header = method, u, u.Host, header
+	if req.GetBody != nil && req.Body == nil {
+		body, err := req.GetBody()
 		if err != nil {
-			return fail(err)
+			return q.fail(err)
 		}
-		req.Body, req.ContentLength, req.GetBody = body, size, open
+		req.Body = body
 	}
 	resp, err := RoundTrip(rt, req)
 	if err != nil {
-		return fail(err)
+		return q.fail(err)
 	}
 	defer resp.Body.Close()
 	data, err := sizedio.ReadAll(resp.Body, resp.ContentLength, limit)
 	if err != nil {
-		return fail(err)
+		return q.fail(err)
 	}
 	return Reply{Status: resp.StatusCode, Header: resp.Header, Body: data}, nil
+}
+
+// fail wraps err as http.Client.Do does.
+func (q *request) fail(err error) (Reply, error) {
+	m := q.Method
+	return Reply{}, &url.Error{Op: m[:1] + strings.ToLower(m[1:]), URL: q.url.String(), Err: err}
 }

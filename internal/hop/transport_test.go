@@ -11,14 +11,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/bubble"
 	"repro/internal/hop/hoptest"
 	"repro/internal/netsim"
 	"repro/internal/sizedio"
@@ -163,8 +164,8 @@ func TestDeadKeepAliveReplaysThroughPooledCopy(t *testing.T) {
 // TestRoundTripAllocations counts a warm GET and a warm 1 KB POST through
 // Do against an in-process server, client and server together (the count
 // is the process's). Over a clone of http.DefaultTransport the pair cost
-// 138 objects (61 + 77); this transport, 85 with net/http's framing and 62
-// with its own.
+// 138 objects (61 + 77); this transport, 85 with net/http's framing, 62
+// with its own, and 54 with each request and each reply one object.
 func TestRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -189,8 +190,8 @@ func TestRoundTripAllocations(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(200, pair)
 	t.Logf("a GET and a 1 KB POST: %.0f objects", allocs)
-	if allocs > 65 {
-		t.Fatalf("a GET and a 1 KB POST allocate %.0f objects, want <= 65", allocs)
+	if allocs > 54 {
+		t.Fatalf("a GET and a 1 KB POST allocate %.0f objects, want <= 54", allocs)
 	}
 }
 
@@ -249,49 +250,63 @@ func idleConns(tr *Transport) int {
 	return len(tr.idle)
 }
 
+// TestMain runs the tests that need a bubble under GOEXPERIMENT=synctest
+// (bubble.Main).
+func TestMain(m *testing.M) { bubble.Main(m) }
+
+// pipeServer serves h over in-process pipes from inside the calling
+// bubble, and returns its root and a Transport that dials it. The server
+// closes in cleanup, and with it every connection it holds.
+func pipeServer(t *testing.T, h http.HandlerFunc) (*url.URL, *Transport, *http.Server) {
+	t.Helper()
+	pipes := netsim.NewNet()
+	ln := pipes.Listen()
+	srv := &http.Server{Handler: h}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	tr := NewTransport(pipes.DialContext)
+	t.Cleanup(tr.CloseIdleConnections)
+	return mustParse(t, "http://"+ln.Addr().String()), tr, srv
+}
+
 // TestTransportStartsNoGoroutine: 64 concurrent hops leave at most
 // http.DefaultMaxIdleConnsPerHost connections pooled and no goroutine the
 // transport made — http.Transport runs two per pooled connection — and
 // once the transport's CloseIdleConnections (what the gateway calls after a
-// failed hop) has run, the pool is empty and the goroutine count is back
-// where it was.
+// failed hop) has run, the pool is empty. The hops run in a bubble, which
+// returns only once every goroutine started in it has exited: the
+// transport's, the server's and the connections' alike.
 func TestTransportStartsNoGoroutine(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
-	}))
-	tr := NewTransport(nil)
-	root := mustParse(t, srv.URL)
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if rep, err := Do(tr, http.MethodGet, root, "/x", nil, nil, 16); err != nil || string(rep.Body) != "ok" {
-				t.Errorf("hop: %+v, %v", rep, err)
+	bubble.Test(t, func(t *testing.T) {
+		root, tr, srv := pipeServer(t, func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte("ok"))
+		})
+		var wg sync.WaitGroup
+		for i := 0; i < 64; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rep, err := Do(tr, http.MethodGet, root, "/x", nil, nil, 16); err != nil || string(rep.Body) != "ok" {
+					t.Errorf("hop: %+v, %v", rep, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := idleConns(tr); n < 1 || n > http.DefaultMaxIdleConnsPerHost {
+			t.Errorf("%d idle connections, want 1..%d", n, http.DefaultMaxIdleConnsPerHost)
+		}
+		buf := make([]byte, 1<<20)
+		for _, line := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n") {
+			if strings.HasPrefix(line, "created by repro/internal/hop.(*") || strings.HasPrefix(line, "created by net/http.(*Transport)") {
+				t.Errorf("a goroutine of the transport: %s", line)
 			}
-		}()
-	}
-	wg.Wait()
-	if n := idleConns(tr); n < 1 || n > http.DefaultMaxIdleConnsPerHost {
-		t.Errorf("%d idle connections, want 1..%d", n, http.DefaultMaxIdleConnsPerHost)
-	}
-	buf := make([]byte, 1<<20)
-	for _, line := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n") {
-		if strings.HasPrefix(line, "created by repro/internal/hop.(*") || strings.HasPrefix(line, "created by net/http.(*Transport)") {
-			t.Errorf("a goroutine of the transport: %s", line)
 		}
-	}
-	tr.CloseIdleConnections()
-	if n := idleConns(tr); n != 0 {
-		t.Errorf("%d idle connections after CloseIdleConnections", n)
-	}
-	srv.Close()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, %d before the hops", runtime.NumGoroutine(), baseline)
+		tr.CloseIdleConnections()
+		if n := idleConns(tr); n != 0 {
+			t.Errorf("%d idle connections after CloseIdleConnections", n)
 		}
-	}
+		srv.Close()
+	})
 }
 
 // TestIdleConnectionsExpireBeforeTheServerDrops: a connection idle for

@@ -154,9 +154,14 @@ func readHead(br *bufio.Reader, buf *[]byte, req *http.Request) (*http.Response,
 		status[0] < '1' || strings.Contains(line, "\n") {
 		return nil, fmt.Errorf("hop: malformed status line %q", line)
 	}
-	// One map, and one array that every field's first value shares.
-	n := strings.Count(rest, "\r\n")
-	h, vals := make(http.Header, n), make([]string, 0, n)
+	// One map, and one array that every field's first value shares: the
+	// reply's own for the first few.
+	rp := new(incoming)
+	n := strings.Count(rest, "\r\n") - 1 // the blank line ends rest
+	h, vals := make(http.Header, n), rp.vals[:0]
+	if n > len(rp.vals) {
+		vals = make([]string, 0, n)
+	}
 	te, codings := "", 0
 	for {
 		if line, rest, _ = strings.Cut(rest, "\r\n"); line == "" {
@@ -180,7 +185,8 @@ func readHead(br *bufio.Reader, buf *[]byte, req *http.Request) (*http.Response,
 			h[key] = vals[len(vals)-1 : len(vals) : len(vals)]
 		}
 	}
-	resp := &http.Response{Status: status, StatusCode: code, Proto: proto, ProtoMajor: 1, ProtoMinor: int(proto[7] - '0'),
+	resp := &rp.resp
+	*resp = http.Response{Status: status, StatusCode: code, Proto: proto, ProtoMajor: 1, ProtoMinor: int(proto[7] - '0'),
 		Header: h, ContentLength: -1, Request: req}
 	if conn := h["Connection"]; resp.ProtoMinor == 0 {
 		resp.Close = hasToken(conn, "close") || !hasToken(conn, "keep-alive")
@@ -211,13 +217,23 @@ func readHead(br *bufio.Reader, buf *[]byte, req *http.Request) (*http.Response,
 		resp.Body, resp.ContentLength = http.NoBody, 0
 	case codings > 0:
 		delete(h, "Content-Length")
-		resp.Body = &replyBody{br: br, r: httputil.NewChunkedReader(br), left: -1, chunked: true}
+		rp.body = replyBody{br: br, r: httputil.NewChunkedReader(br), left: -1, chunked: true}
+		resp.Body = &rp.body
 	case length == 0:
 		resp.Body, resp.ContentLength = http.NoBody, 0
 	default: // without a length, the body ends with the connection
-		resp.Body, resp.ContentLength, resp.Close = &replyBody{br: br, r: br, left: length}, length, resp.Close || length < 0
+		rp.body = replyBody{br: br, r: br, left: length}
+		resp.Body, resp.ContentLength, resp.Close = &rp.body, length, resp.Close || length < 0
 	}
 	return resp, nil
+}
+
+// incoming is one reply as readHead allocates it: the response, its body and
+// the values of its first few header fields.
+type incoming struct {
+	resp http.Response
+	body replyBody
+	vals [3]string
 }
 
 // replyBody reads a body off its connection — left bytes, the chunks, or
@@ -229,8 +245,8 @@ type replyBody struct {
 	r            io.Reader // br, or the chunked reader over it
 	left         int64     // of a Content-Length body; -1 for the others
 	chunked, eof bool      // eof: Read saw the end and reads nothing more
+	keep         bool      // the reply leaves the connection reusable
 	t            *Transport
-	keep         bool                 // the reply leaves the connection reusable
 	c            atomic.Pointer[conn] // nil once the body is done with it
 }
 

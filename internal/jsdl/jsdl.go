@@ -114,60 +114,65 @@ func Marshal(d *Description) ([]byte, error) {
 	if err := dd.Validate(); err != nil {
 		return nil, err
 	}
-	var b bytes.Buffer
-	b.Grow(1024) // a typical document is ~700 bytes
-	b.WriteString(xml.Header)
-	b.WriteString("<JobDefinition>\n  <JobIdentification>\n")
+	b := make([]byte, 0, 1024) // a typical document is ~700 bytes
+	b = append(b, xml.Header...)
+	b = append(b, "<JobDefinition>\n  <JobIdentification>\n"...)
 	if dd.Name != "" {
-		element(&b, "    <JobName>", dd.Name, "</JobName>\n")
+		b = element(b, "    <JobName>", dd.Name, "</JobName>\n")
 	}
-	element(&b, "    <Owner>", dd.Owner, "</Owner>\n")
-	b.WriteString("  </JobIdentification>\n  <Application>\n")
-	element(&b, "    <Executable>", dd.Executable, "</Executable>\n")
-	for _, name := range sortedKeys(dd.Arguments) {
-		element(&b, `    <Argument name="`, name, `">`)
-		element(&b, "", dd.Arguments[name], "</Argument>\n")
+	b = element(b, "    <Owner>", dd.Owner, "</Owner>\n")
+	b = append(b, "  </JobIdentification>\n  <Application>\n"...)
+	b = element(b, "    <Executable>", dd.Executable, "</Executable>\n")
+	var names [8]string
+	for _, name := range sortedKeys(dd.Arguments, names[:]) {
+		b = element(b, `    <Argument name="`, name, `">`)
+		b = element(b, "", dd.Arguments[name], "</Argument>\n")
 	}
-	b.WriteString("  </Application>\n  <Resources>\n")
+	b = append(b, "  </Application>\n  <Resources>\n"...)
 	if dd.Site != "" {
-		element(&b, "    <CandidateHosts>\n      <HostName>", dd.Site, "</HostName>\n    </CandidateHosts>\n")
+		b = element(b, "    <CandidateHosts>\n      <HostName>", dd.Site, "</HostName>\n    </CandidateHosts>\n")
 	} else {
-		b.WriteString("    <CandidateHosts></CandidateHosts>\n")
+		b = append(b, "    <CandidateHosts></CandidateHosts>\n"...)
 	}
-	element(&b, "    <TotalCPUCount>", strconv.Itoa(dd.CPUs), "</TotalCPUCount>\n")
+	b = append(b, "    <TotalCPUCount>"...)
+	b = strconv.AppendInt(b, int64(dd.CPUs), 10)
+	b = append(b, "</TotalCPUCount>\n"...)
 	if secs := int64(dd.WallTime / time.Second); secs != 0 {
-		element(&b, "    <WallTimeLimitSeconds>", strconv.FormatInt(secs, 10), "</WallTimeLimitSeconds>\n")
+		b = append(b, "    <WallTimeLimitSeconds>"...)
+		b = strconv.AppendInt(b, secs, 10)
+		b = append(b, "</WallTimeLimitSeconds>\n"...)
 	}
-	b.WriteString("  </Resources>\n")
+	b = append(b, "  </Resources>\n"...)
 	if len(dd.StageIn) == 0 {
-		b.WriteString("  <DataStaging></DataStaging>\n")
+		b = append(b, "  <DataStaging></DataStaging>\n"...)
 	} else {
-		b.WriteString("  <DataStaging>\n")
+		b = append(b, "  <DataStaging>\n"...)
 		for _, f := range dd.StageIn {
-			element(&b, "    <FileName>", f, "</FileName>\n")
+			b = element(b, "    <FileName>", f, "</FileName>\n")
 		}
-		b.WriteString("  </DataStaging>\n")
+		b = append(b, "  </DataStaging>\n"...)
 	}
-	b.WriteString("</JobDefinition>")
-	return b.Bytes(), nil
+	return append(b, "</JobDefinition>"...), nil
 }
 
-// element writes open, the escaped value, close. Printable ASCII without
+// element appends open, the escaped value, close. Printable ASCII without
 // markup characters — nearly every value — is what xml.EscapeText would
 // copy through unchanged; anything else is left to it.
-func element(b *bytes.Buffer, open, value, close string) {
-	b.WriteString(open)
+func element(b []byte, open, value, close string) []byte {
+	b = append(b, open...)
 	plain := true
 	for i := 0; i < len(value) && plain; i++ {
 		c := value[i]
 		plain = c >= 0x20 && c < 0x7f && c != '"' && c != '\'' && c != '&' && c != '<' && c != '>'
 	}
 	if plain {
-		b.WriteString(value)
+		b = append(b, value...)
 	} else {
-		xml.EscapeText(b, []byte(value)) // a bytes.Buffer write cannot fail
+		var esc bytes.Buffer
+		xml.EscapeText(&esc, []byte(value)) // a bytes.Buffer write cannot fail
+		b = append(b, esc.Bytes()...)
 	}
-	b.WriteString(close)
+	return append(b, close...)
 }
 
 // Unmarshal parses a document produced by Marshal.
@@ -198,8 +203,10 @@ func Unmarshal(data []byte) (*Description, error) {
 	return d, nil
 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns m's keys sorted, in into[:0]: a caller's [8]string
+// holds eight without an allocation.
+func sortedKeys(m map[string]string, into []string) []string {
+	keys := into[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}

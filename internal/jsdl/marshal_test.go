@@ -26,7 +26,7 @@ func marshalEncodingXML(d *Description) ([]byte, error) {
 		WallTimeS:  int64(dd.WallTime / time.Second),
 		StageIn:    dd.StageIn,
 	}
-	for _, name := range sortedKeys(dd.Arguments) {
+	for _, name := range sortedKeys(dd.Arguments, nil) {
 		doc.Args = append(doc.Args, xmlArg{Name: name, Value: dd.Arguments[name]})
 	}
 	out, err := xml.MarshalIndent(&doc, "", "  ")

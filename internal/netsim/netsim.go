@@ -122,7 +122,8 @@ func Wrap(c net.Conn, tx *Link, probe *metrics.Probe) *Conn {
 }
 
 // Write paces the payload through the link in chunks, accounting each
-// chunk as it clears.
+// chunk as it clears: before it is written, as the peer may read it
+// before the write returns, and less what a short write left unsent.
 func (c *Conn) Write(p []byte) (int, error) {
 	var total int
 	for len(p) > 0 {
@@ -131,11 +132,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 			n = writeChunk
 		}
 		at := c.tx.take(n)
+		c.probe.NetOut(at, n)
 		w, err := c.Conn.Write(p[:n])
-		if w > 0 {
-			c.probe.NetOut(at, w)
-			total += w
+		if w < n {
+			c.probe.NetOut(at, w-n)
 		}
+		total += w
 		if err != nil {
 			return total, err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -120,6 +121,64 @@ func TestConnAccountsTraffic(t *testing.T) {
 	if got := rec.Total(metrics.NetIn); got != 10_000 {
 		t.Fatalf("net in %v, want 10000", got)
 	}
+}
+
+// lateWrite is a connection whose Write returns only once released, as
+// a socket's write can return after the peer has read the bytes.
+type lateWrite struct {
+	net.Conn
+	release chan struct{}
+}
+
+func (c lateWrite) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	<-c.release
+	return n, err
+}
+
+// shortWrite writes the first half of each Write and fails.
+type shortWrite struct{ net.Conn }
+
+func (c shortWrite) Write(p []byte) (int, error) {
+	n, _ := c.Conn.Write(p[:len(p)/2])
+	return n, io.ErrShortWrite
+}
+
+// TestConnAccountsBeforeThePeerReads: what the peer has read is already
+// in the recorder, with no wait for the writer to come back from its
+// Write; and a short write counts only the bytes it wrote.
+func TestConnAccountsBeforeThePeerReads(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		rec := metrics.NewRecorder(3 * time.Second)
+		c, s := pipePair(t)
+		release := make(chan struct{})
+		sc := Wrap(lateWrite{c, release}, nil, metrics.NewProbe(rec))
+		payload := bytes.Repeat([]byte("x"), writeChunk)
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := sc.Write(payload)
+			wrote <- err
+		}()
+		if _, err := io.ReadFull(s, make([]byte, len(payload))); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Total(metrics.NetOut); got != float64(len(payload)) {
+			t.Errorf("the peer read %d bytes, the recorder counts %v", len(payload), got)
+		}
+		close(release)
+		if err := <-wrote; err != nil {
+			t.Fatal(err)
+		}
+
+		rec.Reset()
+		sc = Wrap(shortWrite{c}, nil, metrics.NewProbe(rec))
+		if n, err := sc.Write(payload); n != len(payload)/2 || err != io.ErrShortWrite {
+			t.Fatalf("short write: %d, %v", n, err)
+		}
+		if got := rec.Total(metrics.NetOut); got != float64(len(payload)/2) {
+			t.Errorf("a short write of %d bytes counted %v", len(payload)/2, got)
+		}
+	})
 }
 
 // TestTransferDurationMatchesModel: in a bubble a transfer takes

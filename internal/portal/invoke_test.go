@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,4 +77,23 @@ func TestInvokeReadAllocations(t *testing.T) {
 	if allocs > 5 {
 		t.Fatalf("reading an invoke body allocates %.0f objects, want <= 5", allocs)
 	}
+}
+
+// FuzzQueryGet holds the doors' one query scan to net/url: the value
+// url.ParseQuery(raw).Get(key) reads, and ParseQuery's error, for any
+// query and key.
+func FuzzQueryGet(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"a=1;b=2", "a"}, {"%zz", "%zz"}, {"+", " "}, {"", ""}, {"", "ticket"},
+		{"ticket=a&ticket=b", "ticket"}, {"ticket&name=x", "ticket"}, {"x=%41+b&ticket=%zz&ticket=t", "x"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		got, err := QueryGet(raw, key)
+		q, wantErr := url.ParseQuery(raw)
+		if want := q.Get(key); got != want || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("QueryGet(%q, %q) = %q, %v; url.ParseQuery: %q, %v", raw, key, got, err, want, wantErr)
+		}
+	})
 }

@@ -354,7 +354,7 @@ func (p *Portal) registryPage(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "registry browsing not enabled", http.StatusNotFound)
 		return
 	}
-	WriteRegistryPage(w, p.registry.Find(r.URL.Query().Get("pattern")))
+	WriteRegistryPage(w, p.registry.Find(query(r, "pattern")))
 }
 
 // WriteRegistryPage renders the registry browser over recs; the fleet
@@ -373,7 +373,7 @@ func (p *Portal) apiRegistry(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, errors.New("portal: no registry"))
 		return
 	}
-	recs := p.registry.Find(r.URL.Query().Get("pattern"))
+	recs := p.registry.Find(query(r, "pattern"))
 	if recs == nil {
 		recs = []uddi.Record{}
 	}
@@ -404,7 +404,7 @@ body { font-family: monospace; }
 // one row per span, indented by tree depth, with a bar positioned on
 // the trace's own timeline.
 func (p *Portal) tracePage(w http.ResponseWriter, r *http.Request) {
-	ticket := r.URL.Query().Get("ticket")
+	ticket := query(r, "ticket")
 	spans, err := p.onserve.InvocationTrace(ticket)
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
@@ -471,7 +471,7 @@ func (p *Portal) tracePage(w http.ResponseWriter, r *http.Request) {
 // run wsimport themselves. The stub is written from the definition the
 // container serves the service's WSDL from.
 func (p *Portal) apiClient(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	name := query(r, "name")
 	def, err := p.onserve.ServiceDef(name)
 	if err != nil {
 		WriteError(w, statusFor(err), err)
@@ -489,7 +489,7 @@ func (p *Portal) apiClient(w http.ResponseWriter, r *http.Request) {
 
 func (p *Portal) apiOutputFile(w http.ResponseWriter, r *http.Request) {
 	data, err := p.onserve.InvocationOutputFile(
-		r.URL.Query().Get("ticket"), r.URL.Query().Get("name"))
+		query(r, "ticket"), query(r, "name"))
 	if err != nil {
 		WriteError(w, statusFor(err), err)
 		return
@@ -557,7 +557,7 @@ func (p *Portal) apiTrace(w http.ResponseWriter, r *http.Request) {
 	ticket := strings.TrimPrefix(r.URL.Path, "/api/trace")
 	ticket = strings.TrimPrefix(ticket, "/")
 	if ticket == "" {
-		ticket = r.URL.Query().Get("ticket")
+		ticket = query(r, "ticket")
 	}
 	spans, err := p.onserve.InvocationTrace(ticket)
 	if err != nil {
@@ -580,7 +580,7 @@ func (p *Portal) apiServices(w http.ResponseWriter, r *http.Request) {
 }
 
 func (p *Portal) apiService(w http.ResponseWriter, r *http.Request) {
-	info, err := p.onserve.ServiceInfo(r.URL.Query().Get("name"))
+	info, err := p.onserve.ServiceInfo(query(r, "name"))
 	if err != nil {
 		WriteError(w, statusFor(err), err)
 		return
@@ -707,8 +707,56 @@ type AuditReply struct {
 	Records []tenant.Record `json:"records"`
 }
 
+// query is r's first value for key, as r.URL.Query().Get(key) reads it:
+// a query that does not parse is read as far as it does.
+func query(r *http.Request, key string) string {
+	v, _ := QueryGet(r.URL.RawQuery, key)
+	return v
+}
+
+// QueryGet returns url.ParseQuery(raw).Get(key) and ParseQuery's error in
+// one scan and without the map: only a segment with an escape is unescaped.
+func QueryGet(raw, key string) (value string, err error) {
+	found := false
+	for raw != "" {
+		var seg string
+		seg, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(seg, ";") {
+			err = errors.New("invalid semicolon separator in query")
+			continue
+		}
+		if seg == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(seg, "=")
+		k, err1 := queryUnescape(k)
+		if err1 == nil {
+			v, err1 = queryUnescape(v)
+		}
+		if err1 != nil {
+			if err == nil {
+				err = err1
+			}
+			continue
+		}
+		if !found && k == key {
+			value, found = v, true
+		}
+	}
+	return value, err
+}
+
+// queryUnescape is url.QueryUnescape, which returns s itself when it has
+// no escape, without the scan.
+func queryUnescape(s string) (string, error) {
+	if strings.ContainsAny(s, "%+") {
+		return url.QueryUnescape(s)
+	}
+	return s, nil
+}
+
 func (p *Portal) withInvocation(w http.ResponseWriter, r *http.Request, fn func(*core.Invocation)) {
-	inv, err := p.onserve.Invocation(r.URL.Query().Get("ticket"))
+	inv, err := p.onserve.Invocation(query(r, "ticket"))
 	if err != nil {
 		WriteError(w, statusFor(err), err)
 		return
@@ -723,7 +771,7 @@ func (p *Portal) apiStatus(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonType
 		io.WriteString(w, s)
 	})
 }
@@ -752,7 +800,7 @@ func (p *Portal) apiCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tc, _ := trace.Parse(r.Header.Get(trace.Header))
-	if err := p.onserve.CancelAs(pr, r.URL.Query().Get("ticket"), tc); err != nil {
+	if err := p.onserve.CancelAs(pr, query(r, "ticket"), tc); err != nil {
 		WriteError(w, statusFor(err), err)
 		return
 	}
@@ -768,7 +816,7 @@ func (p *Portal) apiDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	name := r.URL.Query().Get("name")
+	name := query(r, "name")
 	tc, _ := trace.Parse(r.Header.Get(trace.Header))
 	adm, ok := p.admit(w, pr, tenant.VerbDelete, name, tc)
 	if !ok {
@@ -793,12 +841,12 @@ func (p *Portal) apiAudit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := 50
-	if s := r.URL.Query().Get("n"); s != "" {
+	if s := query(r, "n"); s != "" {
 		if v, err := strconv.Atoi(s); err == nil && v > 0 {
 			n = v
 		}
 	}
-	recs := ctl.Audit(r.URL.Query().Get("owner"), n)
+	recs := ctl.Audit(query(r, "owner"), n)
 	if recs == nil {
 		recs = []tenant.Record{}
 	}
@@ -887,8 +935,13 @@ func errCode(status int, err error) string {
 	}
 }
 
+// jsonType is every JSON reply's Content-Type value, shared: net/http
+// copies a handler's header before it writes it, and nothing writes into
+// the slice.
+var jsonType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }

@@ -893,3 +893,45 @@ func TestErrorCancelDeleteRepliesRenderLikeTheMaps(t *testing.T) {
 		}
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps nothing, so what an
+// allocation guard counts is the handler's.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+
+// TestWaitDoorAllocations bounds what the JSON door's /api/wait allocates
+// for a finished invocation: one object, the JSON encoder. The ticket's
+// query scan and lookup and the shared Content-Type allocate nothing.
+func TestWaitDoorAllocations(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t)
+		f.upload(t, "flow.gsh", "echo flow=${x}\n")
+		resp, err := f.web.Post(f.url+"/api/invoke", "application/json", strings.NewReader(`{"service":"FlowService","args":{"x":"5"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inv InvokeReply
+		json.NewDecoder(resp.Body).Decode(&inv)
+		resp.Body.Close()
+		req := httptest.NewRequest(http.MethodGet, "/api/wait?ticket="+inv.Ticket, nil)
+		w := &discardWriter{header: http.Header{}}
+		f.portal.ServeHTTP(w, req) // waits for the invocation to finish
+		if w.status != http.StatusOK || w.header.Get("Content-Type") != "application/json" {
+			t.Fatalf("wait: status %d, header %v", w.status, w.header)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			delete(w.header, "Content-Type")
+			f.portal.ServeHTTP(w, req)
+		})
+		t.Logf("/api/wait of a finished invocation: %.0f objects", allocs)
+		if allocs > 1 {
+			t.Fatalf("/api/wait of a finished invocation allocates %.0f objects, want <= 1", allocs)
+		}
+	})
+}

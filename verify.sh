@@ -170,6 +170,9 @@ go test -run='^$' -fuzz=FuzzRoutePath -fuzztime=5s ./internal/gateway
 # and the gateway's service-only reading to it (FuzzRoutePath above holds
 # DecodeRoute to the portal's reading).
 go test -run='^$' -fuzz=FuzzInvokeBody -fuzztime=5s ./internal/portal
+# Both doors read a query's one value by one scan, not url.ParseQuery's
+# map: FuzzQueryGet holds it to net/url, value and error alike.
+go test -run='^$' -fuzz=FuzzQueryGet -fuzztime=5s ./internal/portal
 # Every internal hop's request head is written, and its reply head read,
 # by hand: FuzzRequestHead holds the bytes to (*http.Request).Write's (equal,
 # or both refuse), FuzzReadReply holds a reply hop accepts to what
@@ -216,15 +219,27 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # (the free lists keep their codecs across a GC; they keep at most
 # GOMAXPROCS items each, none past sizedio.MaxKept), and the SOAP door decodes an invocation's
 # envelope in three objects and serves one in eleven, a signed submit
-# costs at most 24 objects, the three event frames of a hot invocation 10
-# and the gateway's proxy hop 16 (a key's ring walk 1); the JSON door reads an invoke body in 5
-# objects and routes it in 1, a placement the possession cache answers
-# costs 2 and no goroutine, a staging-cache hit leads no flight, an
-# armed watchdog parks no goroutine, and a warm internal GET plus a 1 KB
-# POST cost at most 65 objects, client and server together, and a
-# metrics.Block update through a capturing closure none. All ran above; run them fresh and without the race detector's own
-# allocations so a regression reads as a number, not as noise.
-go test -count=1 -run 'TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps' ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics ./internal/sizedio
+# costs at most 16 objects, the three event frames of a hot invocation 2
+# and the gateway's proxy hop 12 (a key's ring walk none); the JSON door reads an invoke body in 5
+# objects, routes it in 1 and answers a finished invocation's /api/wait
+# in 1, a placement the possession cache answers costs nothing and no
+# goroutine, a staging-cache hit leads no flight, an armed watchdog parks
+# no goroutine, and a warm internal GET plus a 1 KB POST cost at most 54
+# objects, client and server together, and a metrics.Block update through
+# a capturing closure none. All ran above; run them fresh and without the race detector's own
+# allocations so a regression reads as a number, not as noise. A name in
+# the list that matches no test of the packages fails here first, so a
+# renamed guard cannot drop out of the run unnoticed.
+guards='TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestWaitDoorAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps'
+guard_pkgs='./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics ./internal/sizedio'
+listed=$(go test -list "^($guards)\$" $guard_pkgs)
+for name in $(echo "$guards" | tr '|' ' '); do
+	if ! echo "$listed" | grep -qx "$name"; then
+		echo "allocation guard $name is no test in $guard_pkgs" >&2
+		exit 1
+	fi
+done
+go test -count=1 -run "^($guards)\$" $guard_pkgs
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
 # it, yet it compiles against internal/... by exported name. Vet it and
