@@ -73,7 +73,7 @@ func TestProfilesEndToEnd(t *testing.T) {
 func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Endpoints", "Probe", "Cost", "DBDir", "GridDial",
-		"PollInterval", "InvocationTimeout", "ProxyLifetime", "StagingCache", "DirectDBWrite",
+		"PollInterval", "InvocationTimeout", "StagingCache", "DirectDBWrite",
 		"SessionCache", "StatsTTL", "PushEvents", "CoalesceStaging", "ChunkedStaging",
 		"ChunkBytes", "WireCompression", "DataAwarePlacement", "BlobCacheBytes", "GroupCommit",
 		"WALShards", "AutoCompact", "Trace", "Tenancy",

@@ -12,7 +12,8 @@
 //
 // go1.24 compiles testing/synctest only under GOEXPERIMENT=synctest.
 // Built without it, Run stops a program with a message that says so, and
-// Main runs the calling package's tests again in a go test that has it.
+// Main runs the calling package's tests again in a go test that has it —
+// or, asked for coverage it could not pass on, fails saying so.
 package bubble
 
 // Test runs f as a subtest of t, named "bubble", in a bubble of its own:

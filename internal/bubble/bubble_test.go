@@ -1,7 +1,11 @@
 package bubble
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +29,22 @@ func TestTimeIsVirtual(t *testing.T) {
 			t.Fatalf("slept %v, want exactly 1h", got)
 		}
 	})
+}
+
+// TestCoverageNeedsTheExperiment: a go test -cover of a package on Main,
+// built without GOEXPERIMENT=synctest, fails and names the experiment,
+// where it would pass with a profile that holds no test's coverage.
+func TestCoverageNeedsTheExperiment(t *testing.T) {
+	cmd := exec.Command("go", "test", "-count=1", "-cover", "-run=^TestTimeIsVirtual$", ".")
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "GOEXPERIMENT=") {
+			cmd.Env = append(cmd.Env, kv)
+		}
+	}
+	out, err := cmd.CombinedOutput()
+	if err == nil || !bytes.Contains(out, []byte("GOEXPERIMENT=synctest")) {
+		t.Fatalf("go test -cover without the experiment: %v\n%s", err, out)
+	}
 }
 
 // TestCleanupRunsInside: a cleanup that stops a goroutine the test body

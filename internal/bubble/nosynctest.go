@@ -29,9 +29,18 @@ var forwarded = map[string]bool{
 
 // Main runs the package's tests, from TestMain, in a go test of the
 // working directory (the package's own) with GOEXPERIMENT=synctest added,
-// forwarding -race and the flags above, and exits with its status.
+// forwarding -race and the flags above, and exits with its status. A
+// binary built for coverage exits 2 instead: the packages -coverpkg named
+// are compiled into it, not passed to it, so the child could not measure
+// what was asked, and a profile of nothing would pass for a run.
 func Main(m interface{ Run() int }) {
 	flag.Parse()
+	for _, name := range []string{"test.gocoverdir", "test.coverprofile"} {
+		if f := flag.Lookup(name); f != nil && f.Value.String() != "" {
+			fmt.Fprintln(os.Stderr, "bubble: coverage of these tests is measured only with GOEXPERIMENT=synctest set for the go test that builds them")
+			os.Exit(2)
+		}
+	}
 	args := []string{"test"}
 	if info, _ := debug.ReadBuildInfo(); info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 		args = append(args, "-race")

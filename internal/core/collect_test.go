@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
-	"io"
+	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,214 +16,68 @@ import (
 	"repro/internal/gridsim"
 )
 
-// flakyGram fails the first few requests to each listed gatekeeper path
-// at the transport, then heals — the transient status/fetch trouble every
-// collector must ride out.
-type flakyGram struct {
-	base http.RoundTripper
-
-	mu       sync.Mutex
-	left     map[string]int // path -> faults still to inject
-	injected int
-}
-
-func (f *flakyGram) RoundTrip(req *http.Request) (*http.Response, error) {
-	f.mu.Lock()
-	fail := f.left[req.URL.Path] > 0
-	if fail {
-		f.left[req.URL.Path]--
-		f.injected++
-	}
-	f.mu.Unlock()
-	if fail {
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, errors.New("flakyGram: injected fault")
-	}
-	return f.base.RoundTrip(req)
-}
-
-// heldEvents delays every /gram/events connection until released: the
-// stream then opens on a job that is already over, so everything about it
-// arrives through the bootstrap resync and as replayed frames.
-type heldEvents struct {
-	base    http.RoundTripper
-	release chan struct{}
-}
-
-func (h *heldEvents) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == "/gram/events" {
-		<-h.release
-	}
-	return h.base.RoundTrip(req)
-}
-
-// bareFrames strips the inline snapshot from every event frame: a
+// stripOutput drops the inline snapshot from an event frame's data: a
 // gatekeeper that streams transitions but inlines nothing.
-type bareFrames struct{ base http.RoundTripper }
-
-func (b bareFrames) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := b.base.RoundTrip(req)
-	if err != nil || req.URL.Path != "/gram/events" || resp.StatusCode != http.StatusOK {
-		return resp, err
+func stripOutput(_ int, line []byte) ([]byte, error) {
+	data, ok := bytes.CutPrefix(line, []byte("data: "))
+	var fields map[string]json.RawMessage
+	if !ok || json.Unmarshal(data, &fields) != nil {
+		return line, nil
 	}
-	body := resp.Body
-	pr, pw := io.Pipe()
-	go func() {
-		br := bufio.NewReader(body)
-		for {
-			line, err := br.ReadBytes('\n')
-			if data, ok := bytes.CutPrefix(line, []byte("data: ")); ok {
-				var fields map[string]json.RawMessage
-				if json.Unmarshal(data, &fields) == nil {
-					delete(fields, "output")
-					data, _ = json.Marshal(fields)
-					line = append(append([]byte("data: "), data...), '\n')
-				}
-			}
-			if _, werr := pw.Write(line); werr != nil || err != nil {
-				pw.CloseWithError(err)
-				body.Close()
-				return
-			}
-		}
-	}()
-	resp.Body = struct {
-		io.Reader
-		io.Closer
-	}{pr, closerFunc(func() error { body.Close(); return pr.Close() })}
-	return resp, nil
+	delete(fields, "output")
+	data, _ = json.Marshal(fields)
+	return append(append([]byte("data: "), data...), '\n'), nil
 }
 
-type closerFunc func() error
-
-func (f closerFunc) Close() error { return f() }
-
-// collectorGoroutines returns the stacks of goroutines the collect step
-// runs, by goroutine ID: tentative pollers, and the push path's stream
-// workers (streaming, with their heartbeat monitors, or polling) and
-// final-fetch retries. A watchdog is a timer, not a goroutine.
-func collectorGoroutines() map[string]string {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	owned := map[string]string{}
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		for _, frame := range []string{
-			"core.(*OnServe).pollOutput", "core.(*eventWorker).",
-		} {
-			if strings.Contains(g, frame) {
-				id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
-				owned[id] = g
-				break
-			}
-		}
-	}
-	return owned
-}
-
-// collectorsIdle asserts that, once every invocation is terminal and no
-// session is cached, the collect step parks nothing a PollInterval and a
-// heartbeat on: watchdogs stopped, pollers and retries returned, stream
-// workers retired (a polling one at its next tick, a streaming one at the
-// next frame, when it finds no job left).
-func (f *fixture) collectorsIdle(t *testing.T) {
-	t.Helper()
-	time.Sleep(f.cfg.PollInterval + gram.DefaultHeartbeatInterval)
-	bubble.Wait()
-	if owned := collectorGoroutines(); len(owned) > 0 {
-		var stacks []string
-		for _, g := range owned {
-			stacks = append(stacks, g)
-		}
-		t.Fatalf("%d collector goroutines still parked:\n%s", len(owned), strings.Join(stacks, "\n\n"))
-	}
-}
-
-// TestWatchdogStartsNoGoroutine: arming a watchdog parks no goroutine of
-// its own; it is a timer until it fires or is stopped.
-func TestWatchdogStartsNoGoroutine(t *testing.T) {
-	o := &OnServe{cfg: Config{InvocationTimeout: time.Hour}}
-	wd := o.armWatchdog(&Invocation{})
-	defer wd.Stop()
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "created by repro/internal/core.(*OnServe).armWatchdog") {
-			t.Fatalf("an armed watchdog parks a goroutine:\n%s", g)
-		}
-	}
-}
-
-// TestTerminalInvocationLeavesNoWatchdogPending: while an invocation runs,
-// one tentative poller collects it beside its watchdog; once it is
-// terminal nothing of it is left — the poller returned, and its watchdog
-// was stopped, so the deadline passes without a cancel reaching the grid
-// (the cached session would carry a fired watchdog's).
-func TestTerminalInvocationLeavesNoWatchdogPending(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		cancels := &cancelCount{base: overGrid}
-		f := newFixtureHTTP(t, cancels, func(cfg *Config) { cfg.SessionCache = true })
-		f.uploadDemo(t)
-		inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "1"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bubble.Wait()
-		if owned := collectorGoroutines(); inv.State().Terminal() || len(owned) != 1 {
-			t.Fatalf("invocation %s with %d collector goroutines, want one poller", inv.State(), len(owned))
-		}
-		<-inv.DoneChan()
-		if inv.State() != InvDone {
-			t.Fatalf("invocation ended %s: %s", inv.State(), inv.Message())
-		}
-		time.Sleep(f.cfg.InvocationTimeout) // past the watchdog's deadline
-		bubble.Wait()
-		if n := cancels.n.Load(); n != 0 {
-			t.Fatalf("%d cancels after DONE: the watchdog was not stopped", n)
-		}
-		if owned := collectorGoroutines(); len(owned) > 0 {
-			t.Fatalf("terminal invocation left %d collector goroutines", len(owned))
-		}
-	})
+// noEventStream is the rule of a gatekeeper without an event stream:
+// under PushEvents, the collector polls.
+func noEventStream() *rule {
+	return &rule{match: "/gram/events", do: answer(404, "gram: unknown endpoint")}
 }
 
 // TestCollectorContract is what every collector promises, whichever one
-// New chose: rows are job behaviours, columns the two collectors plus the
-// push → poll fallback rung (a stock gatekeeper without /gram/events).
+// New chose: rows are job behaviours and faults, columns the two
+// collectors plus the push → poll fallback rung (a stock gatekeeper
+// without /gram/events).
 func TestCollectorContract(t *testing.T) {
 	bubble.Run(func() {
 		type column struct {
 			name    string
-			mutate  func(*Config)
+			push    bool
 			noPush  bool // gatekeeper answers 404 on /gram/events
 			polls   bool // status RPCs are how this column learns of progress
 			streams bool // a healthy event stream carries this column
 		}
 		columns := []column{
 			{name: "tentative", polls: true},
-			{name: "push", mutate: func(c *Config) { c.PushEvents = true }, streams: true},
-			{name: "push-to-poll", mutate: func(c *Config) { c.PushEvents = true }, noPush: true, polls: true},
+			{name: "push", push: true, streams: true},
+			{name: "push-to-poll", push: true, noPush: true, polls: true},
 		}
 		type outcome struct {
 			col    column
 			invs   []*Invocation
 			after  CollectorStats // of a fresh fixture, so these are the cell's deltas
 			events EventStats
-			flaky  *flakyGram
+			rules  []*rule
 		}
 		rows := []struct {
 			name    string
 			program string
 			n       int // concurrent invocations; 0 means 1
 			timeout time.Duration
-			faults  map[string]int
-			cancel  bool
-			// lateStream opens the event stream only once the grid jobs are
-			// over; noInline strips the snapshot from every frame.
-			lateStream, noInline bool
-			state                InvState
-			check                func(t *testing.T, oc outcome)
+			rules   func() []*rule // the row's faults, fresh for each cell
+			// cancel cancels the first invocation; race cancels each one
+			// from a goroutine of its own as it starts.
+			cancel, race bool
+			// late opens the event stream only once the grid jobs are over.
+			late  bool
+			state InvState // "" is any terminal state
+			// out is the first invocation's whole output, msg a part of its
+			// message, where set; fetched says the output was fetched, and
+			// never inlined.
+			out, msg string
+			fetched  bool
+			check    func(t *testing.T, oc outcome)
 		}{
 			{
 				name: "done-with-output", program: "emit 2s 5 line\n", n: 3, state: InvDone,
@@ -236,11 +87,8 @@ func TestCollectorContract(t *testing.T) {
 							t.Errorf("final output has %d lines: %q", got, inv.Output())
 						}
 					}
-					if oc.after.OutputFetches+oc.after.OutputInlined == 0 || oc.after.OutputBytes == 0 {
-						t.Errorf("no output collected: %+v", oc.after)
-					}
-					if !oc.col.streams && oc.after.OutputInlined != 0 {
-						t.Errorf("inline output without a stream: %+v", oc.after)
+					if oc.after.OutputFetches+oc.after.OutputInlined == 0 || oc.after.OutputBytes == 0 || !oc.col.streams && oc.after.OutputInlined != 0 {
+						t.Errorf("no output collected, or inline output without a stream: %+v", oc.after)
 					}
 				},
 			},
@@ -248,67 +96,42 @@ func TestCollectorContract(t *testing.T) {
 				// Three bumps of 4 KB: the last two snapshots are over
 				// gram.InlineOutputMax and only announced.
 				name: "output-over-inline-limit", program: "emit 1m 3 " + strings.Repeat("x", gram.InlineOutputMax/2) + "\n", state: InvDone,
+				out: strings.Repeat(strings.Repeat("x", gram.InlineOutputMax/2)+"\n", 3),
 				check: func(t *testing.T, oc outcome) {
-					if got, want := len(oc.invs[0].Output()), 3*(gram.InlineOutputMax/2+1); got != want {
-						t.Errorf("final output %d bytes, want %d", got, want)
-					}
 					if oc.after.OutputFetches == 0 {
 						t.Errorf("a 12 KB snapshot arrived without a fetch: %+v", oc.after)
 					}
 				},
 			},
+			// Replayed frames carry no payload: the output is fetched.
+			{name: "finished-before-stream", program: "echo early\n", late: true, state: InvDone, out: "early\n", fetched: true},
 			{
-				name: "finished-before-stream", program: "echo early\n", lateStream: true, state: InvDone,
-				check: func(t *testing.T, oc outcome) {
-					if out := oc.invs[0].Output(); out != "early\n" {
-						t.Errorf("output %q", out)
-					}
-					if oc.after.OutputFetches == 0 || oc.after.OutputInlined != 0 {
-						t.Errorf("replayed frames carry no payload, the output is fetched: %+v", oc.after)
-					}
-				},
+				name: "gatekeeper-never-inlines", program: "echo head\ncompute 1m\necho tail\n", state: InvDone, out: "head\ntail\n", fetched: true,
+				rules: func() []*rule { return []*rule{{match: "/gram/events", do: rewrite(stripOutput)}} },
 			},
-			{
-				name: "gatekeeper-never-inlines", program: "echo head\ncompute 1m\necho tail\n", noInline: true, state: InvDone,
-				check: func(t *testing.T, oc outcome) {
-					if out := oc.invs[0].Output(); out != "head\ntail\n" {
-						t.Errorf("output %q", out)
-					}
-					if oc.after.OutputFetches == 0 || oc.after.OutputInlined != 0 {
-						t.Errorf("bare frames, the output is fetched: %+v", oc.after)
-					}
-				},
-			},
-			{
-				name: "failed-with-message", program: "compute 4s\nfail kaboom\n", state: InvFailed,
-				check: func(t *testing.T, oc outcome) {
-					if msg := oc.invs[0].Message(); !strings.Contains(msg, "kaboom") {
-						t.Errorf("message %q", msg)
-					}
-				},
-			},
-			{
-				name: "cancel-mid-run", program: "emit 2s 10000 t\n", cancel: true, state: InvCancelled,
-			},
+			{name: "failed-with-message", program: "compute 4s\nfail kaboom\n", state: InvFailed, msg: "kaboom"},
+			{name: "cancel-mid-run", program: "emit 2s 10000 t\n", cancel: true, state: InvCancelled},
+			// Whichever of the terminal state and CancelInvocation wins, each
+			// invocation finishes exactly once (finish closing DoneChan twice
+			// would panic; -race covers the rest).
+			{name: "cancel-on-completion", program: "compute 1s\necho done\n", n: 8, race: true},
 			{
 				name: "watchdog-kill", program: "compute 23h\n", timeout: 20 * time.Second, state: InvKilled,
 				check: func(t *testing.T, oc outcome) {
 					// The appliance's watchdog or the site's own walltime limit
 					// (derived from the same timeout): both end in KILLED.
-					msg := oc.invs[0].Message()
-					if !strings.Contains(msg, "watchdog") && !strings.Contains(msg, "walltime") {
+					if msg := oc.invs[0].Message(); !strings.Contains(msg, "watchdog") && !strings.Contains(msg, "walltime") {
 						t.Errorf("message %q", msg)
 					}
 				},
 			},
 			{
-				name: "transient-errors-then-recovery", program: "echo head\ncompute 1m\necho tail\n", state: InvDone,
-				faults: map[string]int{"/gram/status": 3, "/gram/status-batch": 3, "/gram/output": 3},
+				name: "transient-errors-then-recovery", program: "echo head\ncompute 1m\necho tail\n", state: InvDone, out: "head\ntail\n",
+				rules: func() []*rule {
+					return []*rule{{match: "/gram/status", n: 3, do: fail}, {match: "/gram/status-batch", n: 3, do: fail}, {match: "/gram/output", n: 3, do: fail}}
+				},
 				check: func(t *testing.T, oc outcome) {
-					if out := oc.invs[0].Output(); out != "head\ntail\n" {
-						t.Errorf("output %q", out)
-					}
-					if oc.flaky.injected == 0 {
+					if oc.rules[0].hits.Load()+oc.rules[1].hits.Load()+oc.rules[2].hits.Load() == 0 {
 						t.Error("no fault was injected")
 					}
 				},
@@ -316,25 +139,18 @@ func TestCollectorContract(t *testing.T) {
 			{
 				name: "output-never-changes", program: "compute 30s\n", state: InvDone,
 				check: func(t *testing.T, oc outcome) {
-					if out := oc.invs[0].Output(); out != "" {
-						t.Errorf("output %q", out)
-					}
-					if oc.after.OutputBytes != 0 {
-						t.Errorf("fetched %d bytes of an empty output", oc.after.OutputBytes)
-					}
-					if oc.col.name == "tentative" {
+					st := oc.after
+					switch {
+					case oc.invs[0].Output() != "" || st.OutputBytes != 0:
+						t.Errorf("output %q, %d bytes fetched", oc.invs[0].Output(), st.OutputBytes)
+					case oc.col.name == "tentative":
 						// The paper's poller re-fetches and re-writes the
 						// snapshot on every tick, changed or not.
-						if oc.after.OutputFetches == 0 || oc.after.PollDiskWrites != oc.after.OutputFetches {
-							t.Errorf("tentative poller: %+v", oc.after)
+						if st.OutputFetches == 0 || st.PollDiskWrites != st.OutputFetches {
+							t.Errorf("tentative poller: %+v", st)
 						}
-						return
-					}
-					if oc.after.OutputFetches != 0 || oc.after.PollDiskWrites != 0 {
-						t.Errorf("unchanged output was fetched or spilled: %+v", oc.after)
-					}
-					if oc.after.OutputNotModified == 0 {
-						t.Errorf("unchanged snapshot never confirmed: %+v", oc.after)
+					case st.OutputFetches != 0 || st.PollDiskWrites != 0 || st.OutputNotModified == 0:
+						t.Errorf("unchanged output was fetched or spilled, or never confirmed: %+v", st)
 					}
 				},
 			},
@@ -342,65 +158,55 @@ func TestCollectorContract(t *testing.T) {
 		for _, row := range rows {
 			for _, col := range columns {
 				t.Run(row.name+"/"+col.name, func(t *testing.T) {
-					var rt http.RoundTripper = overGrid
-					flaky := &flakyGram{base: rt, left: map[string]int{}}
-					for path, n := range row.faults {
-						flaky.left[path] = n
-					}
-					rt = flaky
-					late := &heldEvents{base: rt, release: make(chan struct{})}
-					if row.lateStream {
-						rt = late
-					}
-					if row.noInline {
-						rt = bareFrames{rt}
-					}
-					if col.noPush {
-						rt = &eventsGate{base: rt, mode: gateNotFound}
-					}
-					f := newFixtureHTTP(t, rt, func(cfg *Config) {
+					f := newFixture(t, func(cfg *Config) {
+						cfg.PushEvents = col.push
 						if row.timeout > 0 {
 							cfg.InvocationTimeout = row.timeout
 						}
-						if col.mutate != nil {
-							col.mutate(cfg)
-						}
 					})
-					if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte(row.program)); err != nil {
-						t.Fatal(err)
+					oc := outcome{col: col}
+					if col.noPush {
+						f.grid.add(noEventStream())
 					}
-					oc := outcome{col: col, flaky: flaky}
-					for i := 0; i < max(row.n, 1); i++ {
-						inv, err := f.ons.Invoke("JobService", nil)
-						if err != nil {
-							t.Fatal(err)
-						}
+					late := newGate()
+					if row.late {
+						f.grid.add(&rule{match: "/gram/events", do: hold(late, false)})
+					}
+					if row.rules != nil {
+						oc.rules = row.rules()
+						f.grid.add(oc.rules...)
+					}
+					svc := f.publish(t, "job.gsh", row.program)
+					var cancels sync.WaitGroup
+					for range max(row.n, 1) {
+						inv := f.invoke(t, svc, nil)
 						oc.invs = append(oc.invs, inv)
+						if row.race {
+							cancels.Add(1)
+							go func() { defer cancels.Done(); f.ons.CancelInvocation(inv.Ticket) }()
+						}
 					}
 					if row.cancel {
-						if err := f.ons.CancelInvocation(oc.invs[0].Ticket); err != nil {
-							t.Fatal(err)
-						}
+						must(t, f.ons.CancelInvocation(oc.invs[0].Ticket))
 					}
-					if row.lateStream {
+					if row.late {
 						for _, inv := range oc.invs {
 							job, err := f.env.Grid.Job(inv.JobID)
-							if err != nil {
-								t.Fatal(err)
-							}
+							must(t, err)
 							<-job.Done()
 						}
-						close(late.release)
+						late.open()
 					}
 					for _, inv := range oc.invs {
 						<-inv.DoneChan()
-						if inv.State() != row.state {
-							t.Fatalf("state %s (%s), want %s", inv.State(), inv.Message(), row.state)
+						if st := inv.State(); !st.Terminal() || row.state != "" && st != row.state {
+							t.Fatalf("state %s (%s), want %s", st, inv.Message(), row.state)
 						}
 						if inv.EndedAt().IsZero() {
 							t.Error("terminal invocation has no end time")
 						}
 					}
+					cancels.Wait()
 					oc.after, oc.events = f.ons.CollectorStats(), f.ons.EventStats()
 
 					// The path each column promises to have taken.
@@ -432,6 +238,12 @@ func TestCollectorContract(t *testing.T) {
 							t.Errorf("poll-only collector touched the push channel: %+v", oc.events)
 						}
 					}
+					if inv := oc.invs[0]; row.out != "" && inv.Output() != row.out || !strings.Contains(inv.Message(), row.msg) {
+						t.Errorf("output %q, message %q; want %q and %q in it", inv.Output(), inv.Message(), row.out, row.msg)
+					}
+					if row.fetched && (oc.after.OutputFetches == 0 || oc.after.OutputInlined != 0) {
+						t.Errorf("the output was inlined or never fetched: %+v", oc.after)
+					}
 					if row.check != nil {
 						row.check(t, oc)
 					}
@@ -442,41 +254,29 @@ func TestCollectorContract(t *testing.T) {
 	})
 }
 
-// cancelCount counts the /gram/cancel requests that pass through it.
-type cancelCount struct {
-	base http.RoundTripper
-	n    atomic.Int32
-}
-
-func (c *cancelCount) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == "/gram/cancel" {
-		c.n.Add(1)
-	}
-	return c.base.RoundTrip(req)
-}
-
-// fetchGate fails every /gram/output fetch while it is shut.
-type fetchGate struct {
-	base http.RoundTripper
-	shut atomic.Bool
-}
-
-func (g *fetchGate) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == "/gram/output" && g.shut.Load() {
-		return nil, errors.New("fetchGate: injected fault")
-	}
-	return g.base.RoundTrip(req)
-}
-
-// retriesParked counts the push collector's final-fetch retries.
-func retriesParked() int {
-	n := 0
-	for _, g := range collectorGoroutines() {
-		if strings.Contains(g, "core.(*eventWorker).finishWhenFetchable") {
-			n++
+// TestTerminalInvocationLeavesNoWatchdogPending: while an invocation runs,
+// one tentative poller collects it beside its watchdog; once it is
+// terminal nothing of it is left — the poller returned, and its watchdog
+// was stopped, so the deadline passes without a cancel reaching the grid
+// (the cached session would carry a fired watchdog's).
+func TestTerminalInvocationLeavesNoWatchdogPending(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.SessionCache = true })
+		cancels := &rule{match: "/gram/cancel"}
+		f.grid.add(cancels)
+		f.uploadDemo(t)
+		inv := f.invoke(t, "MontecarloService", digits("1"))
+		bubble.Wait()
+		if owned := collectorGoroutines(); inv.State().Terminal() || len(owned) != 1 {
+			t.Fatalf("invocation %s with %d collector goroutines, want one poller", inv.State(), len(owned))
 		}
-	}
-	return n
+		ends(t, inv, InvDone)
+		time.Sleep(f.cfg.InvocationTimeout) // past the watchdog's deadline
+		bubble.Wait()
+		if n, owned := cancels.hits.Load(), collectorGoroutines(); n != 0 || len(owned) > 0 {
+			t.Fatalf("%d cancels after DONE (the watchdog was not stopped), %d collector goroutines left", n, len(owned))
+		}
+	})
 }
 
 // TestPushRetriesFailedFinalFetch: the /gram/output fetch behind a
@@ -488,63 +288,40 @@ func retriesParked() int {
 // goroutine left.
 func TestPushRetriesFailedFinalFetch(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		cancels := &cancelCount{base: overGrid}
-		fault := &fetchGate{base: cancels}
-		late := &heldEvents{base: fault, release: make(chan struct{})}
 		// The cached session would carry a fired watchdog's cancel.
-		f := newFixtureHTTP(t, late, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
-		if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte("echo head\ncompute 1m\necho tail\n")); err != nil {
-			t.Fatal(err)
-		}
-		inv, err := f.ons.Invoke("JobService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
+		var shut atomic.Bool
+		late, cancels := newGate(), &rule{match: "/gram/cancel"}
+		f.grid.add(cancels, &rule{match: "/gram/output", when: flag(&shut), do: fail}, &rule{match: "/gram/events", do: hold(late, false)})
+		inv := f.invoke(t, f.publish(t, "job.gsh", "echo head\ncompute 1m\necho tail\n"), nil)
 		job, err := f.env.Grid.Job(inv.JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		<-job.Done()
-		fault.shut.Store(true)
-		close(late.release)
+		shut.Store(true)
+		late.open()
 		// Both fetches fail at this instant, and their two retries (the
 		// resync's terminal state, the replayed DONE frame) wait out a
 		// PollInterval.
 		bubble.Wait()
-		if n := retriesParked(); n != 2 || inv.State().Terminal() {
+		if n := len(goroutines("core.(*eventWorker).finishWhenFetchable")); n != 2 || inv.State().Terminal() {
 			t.Fatalf("%d final-fetch retries parked, want 2; %s", n, inv.State())
 		}
-		fault.shut.Store(false)
+		shut.Store(false)
 		failedAt := time.Now()
-		<-inv.DoneChan()
-		if inv.State() != InvDone || inv.Output() != "head\ntail\n" {
-			t.Fatalf("%s with output %q (%s), want DONE with the whole stdout", inv.State(), inv.Output(), inv.Message())
+		if ends(t, inv, InvDone).Output() != "head\ntail\n" {
+			t.Fatalf("output %q, want the whole stdout", inv.Output())
 		}
 		if took := inv.EndedAt().Sub(failedAt); took != f.cfg.PollInterval {
 			t.Errorf("ended %v after the failed fetches, want one PollInterval (%v)", took, f.cfg.PollInterval)
 		}
 		// A watchdog left armed would cancel the finished job at its deadline.
 		time.Sleep(f.cfg.InvocationTimeout)
-		if n := cancels.n.Load(); n != 0 {
+		if n := cancels.hits.Load(); n != 0 {
 			t.Errorf("%d cancels after DONE: the watchdog was not stopped", n)
 		}
 		f.ons.invalidateSession("alice", inv.sessionID) // the stream's worker may retire
 		f.collectorsIdle(t)
 	})
-}
-
-// failFinalFetch fails the first /gram/output fetch made once job is over.
-type failFinalFetch struct {
-	base   http.RoundTripper
-	job    atomic.Pointer[gridsim.Job]
-	failed atomic.Bool
-}
-
-func (f *failFinalFetch) RoundTrip(req *http.Request) (*http.Response, error) {
-	if j := f.job.Load(); req.URL.Path == "/gram/output" && j != nil && j.State().Terminal() && f.failed.CompareAndSwap(false, true) {
-		return nil, errors.New("failFinalFetch: injected fault")
-	}
-	return f.base.RoundTrip(req)
 }
 
 // TestPollRetriesFailedFinalFetch: the output fetch of the poll that sees
@@ -553,47 +330,21 @@ func (f *failFinalFetch) RoundTrip(req *http.Request) (*http.Response, error) {
 // ends DONE with the whole stdout.
 func TestPollRetriesFailedFinalFetch(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		fault := &failFinalFetch{base: overGrid}
-		f := newFixtureHTTP(t, fault, nil)
-		if _, err := f.ons.UploadAndGenerate("alice", "job.gsh", "", nil, []byte("echo head\ncompute 1m\necho tail\n")); err != nil {
-			t.Fatal(err)
-		}
-		inv, err := f.ons.Invoke("JobService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := f.env.Grid.Job(inv.JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fault.job.Store(job)
-		<-inv.DoneChan()
-		if !fault.failed.Load() {
-			t.Fatal("no output fetch was made after the job ended")
-		}
-		if inv.State() != InvDone || inv.Output() != "head\ntail\n" {
-			t.Fatalf("%s with output %q (%s), want DONE with the whole stdout", inv.State(), inv.Output(), inv.Message())
+		f := newFixture(t, nil)
+		var job atomic.Pointer[gridsim.Job]
+		final := &rule{match: "/gram/output", n: 1, do: fail, when: func(*http.Request) bool {
+			j := job.Load()
+			return j != nil && j.State().Terminal()
+		}}
+		f.grid.add(final)
+		inv := f.invoke(t, f.publish(t, "job.gsh", "echo head\ncompute 1m\necho tail\n"), nil)
+		j, err := f.env.Grid.Job(inv.JobID)
+		must(t, err)
+		job.Store(j)
+		if ends(t, inv, InvDone).Output() != "head\ntail\n" || final.hits.Load() == 0 {
+			t.Fatalf("output %q after %d failed fetches of the ended job, want the whole stdout after one", inv.Output(), final.hits.Load())
 		}
 	})
-}
-
-// heldCancel performs /gram/cancel at the gatekeeper but holds the reply
-// until released, so the test decides what the appliance gets to see
-// before its Cancel call returns.
-type heldCancel struct {
-	base    http.RoundTripper
-	sent    chan struct{} // closed once the gatekeeper has cancelled the job
-	release chan struct{}
-	once    sync.Once
-}
-
-func (h *heldCancel) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := h.base.RoundTrip(req)
-	if req.URL.Path == "/gram/cancel" {
-		h.once.Do(func() { close(h.sent) })
-		<-h.release
-	}
-	return resp, err
 }
 
 // TestWatchdogVerdictSurvivesPushedCancel is the regression for the
@@ -603,35 +354,17 @@ func (h *heldCancel) RoundTrip(req *http.Request) (*http.Response, error) {
 // been; the verdict must still be the watchdog's.
 func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		held := &heldCancel{base: overGrid, sent: make(chan struct{}), release: make(chan struct{})}
-		f := newFixtureHTTP(t, held, func(cfg *Config) {
-			cfg.PushEvents = true
-			cfg.InvocationTimeout = 20 * time.Second
-		})
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.InvocationTimeout = true, 20*time.Second })
+		held := newGate()
+		f.grid.add(&rule{match: "/gram/cancel", do: hold(held, true)})
 		// Fill every slot so the invocation's job stays queued: the site's own
 		// walltime limit (same 20s) never starts, and only the appliance's
 		// watchdog can end it.
 		for _, name := range f.env.Grid.SiteNames() {
-			site, _ := f.env.Grid.Site(name)
-			if err := site.Store().Put("/O=Repro/CN=alice", "hog.gsh", []byte("compute 23h\n")); err != nil {
-				t.Fatal(err)
-			}
-			for site.Stats().FreeSlots > 0 {
-				j, err := site.Submit(jsdlFor("hog.gsh"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer site.Cancel(j.ID)
-			}
+			fill(t, f.site(name))
 		}
-		if _, err := f.ons.UploadAndGenerate("alice", "queued.gsh", "", nil, []byte("echo never\n")); err != nil {
-			t.Fatal(err)
-		}
-		inv, err := f.ons.Invoke("QueuedService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-held.sent
+		inv := f.invoke(t, f.publish(t, "queued.gsh", "echo never\n"), nil)
+		<-held.arrived
 		// The pushed CANCELLED frame is the only thing left that touches the
 		// job: it has been processed once the stream worker has reaped it.
 		bubble.Wait()
@@ -643,11 +376,609 @@ func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
 				t.Fatal("CANCELLED frame never processed")
 			}
 		}
-		close(held.release)
-		<-inv.DoneChan()
-		if inv.State() != InvKilled || !strings.Contains(inv.Message(), "watchdog") {
-			t.Fatalf("state %s: %s", inv.State(), inv.Message())
+		held.open()
+		if !strings.Contains(ends(t, inv, InvKilled).Message(), "watchdog") {
+			t.Fatalf("message %q", inv.Message())
 		}
 		f.collectorsIdle(t)
 	})
+}
+
+// pushWorker returns the stream worker of a session (nil once retired).
+func pushWorker(f *fixture, sessionID string) *eventWorker {
+	ec := f.ons.collect.(*eventCollector)
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	return ec.workers[sessionID]
+}
+
+// pushFixture is a fixture whose collector is push, its session cache on
+// when cached.
+func pushFixture(t *testing.T, cached bool, mutate func(*Config)) *fixture {
+	return newFixture(t, func(cfg *Config) {
+		cfg.PushEvents, cfg.SessionCache = true, cached
+		if mutate != nil {
+			mutate(cfg)
+		}
+	})
+}
+
+// batch invokes n overlapping jobs of program and waits for each to end
+// DONE.
+func (f *fixture) batch(t *testing.T, n int, program string) []*Invocation {
+	t.Helper()
+	svc := f.publish(t, "batchy.gsh", program)
+	invs := make([]*Invocation, n)
+	for i := range invs {
+		invs[i] = f.invoke(t, svc, nil)
+	}
+	for _, inv := range invs {
+		ends(t, inv, InvDone)
+	}
+	return invs
+}
+
+func TestPushEventsSteadyStateStatusRPCsNearZero(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// The acceptance bar: under a concurrent burst, the push collector's
+		// only status traffic is the one bootstrap resync per fresh stream —
+		// every poll tick that the polling paths spend on /gram/status*
+		// costs the push path nothing.
+		const n = 8
+		f := pushFixture(t, true, nil)
+		f.batch(t, n, "compute 1m\necho ok\n")
+		stats, es := f.ons.CollectorStats(), f.ons.EventStats()
+		if es.StreamsOpened == 0 || es.EventsDelivered == 0 || es.FallbacksToPoll != 0 || es.StreamsOpened > n {
+			t.Fatalf("push channel under a healthy server, %d invocations: %+v", n, es)
+		}
+		// One sync per stream open is the whole status budget; jobs ran
+		// minutes against a 2s poll interval, so the poll paths would have
+		// spent hundreds of RPCs here.
+		if stats.StatusRPCs > es.StreamsOpened {
+			t.Fatalf("steady-state status RPCs not ≈ 0: %d RPCs over %d streams (%+v)", stats.StatusRPCs, es.StreamsOpened, stats)
+		}
+	})
+}
+
+func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// Sever the stream mid-job and refuse reconnects: the worker must
+		// poll its in-flight invocation instead (watchdog intact) and the
+		// job must still finish. Once the server "heals", the next
+		// invocation rides a fresh stream again.
+		f := pushFixture(t, false, func(cfg *Config) { cfg.InvocationTimeout = 3 * time.Hour })
+		var down atomic.Bool // streams break at their next line, new ones are refused
+		f.grid.add(&rule{match: "/gram/events", when: flag(&down), do: fail}, &rule{match: "/gram/events", do: rewrite(func(_ int, line []byte) ([]byte, error) {
+			if down.Load() {
+				return nil, errInjected
+			}
+			return line, nil
+		})})
+		// Mostly silent and long: the stream is up (and killable) for the
+		// whole middle of the job, and the fallback's ticks stay cheap.
+		inv := f.invoke(t, f.publish(t, "longer.gsh", "echo head\ncompute 2m\necho tail\n"), nil)
+		for f.ons.EventStats().EventsDelivered == 0 { // the stream is up and has carried an event
+			if inv.State().Terminal() {
+				t.Fatalf("the stream carried no event before the job ended: %+v", f.ons.EventStats())
+			}
+			time.Sleep(time.Second)
+		}
+		down.Store(true)
+		if ends(t, inv, InvDone).Output() != "head\ntail\n" {
+			t.Fatalf("output lost across the fallback: %q", inv.Output())
+		}
+		mid := f.ons.EventStats()
+		if mid.FallbacksToPoll == 0 {
+			t.Fatalf("no fallback recorded after the kill: %+v", mid)
+		}
+		// Recovery: the latch is per-failure, not permanent — a healed
+		// server gets a fresh stream for the next invocation.
+		down.Store(false)
+		if inv2 := ends(t, f.invoke(t, f.publish(t, "quick.gsh", "compute 1s\necho back\n"), nil), InvDone); inv2.Output() != "back\n" {
+			t.Fatalf("recovered invocation: %q", inv2.Output())
+		}
+		if after := f.ons.EventStats(); after.StreamsOpened <= mid.StreamsOpened {
+			t.Fatalf("no new stream after recovery: %+v -> %+v", mid, after)
+		}
+	})
+}
+
+// TestPushEventsStalledStreamFallsBack: a gatekeeper whose streams say
+// hello and then nothing. The heartbeat monitor severs each silent stream,
+// two frameless connections send the worker to polling its jobs, and the
+// registrations that race its leaving open fresh streams that stall the
+// same way. Every invocation still ends DONE once, with its whole output.
+func TestPushEventsStalledStreamFallsBack(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		const n = 16
+		f := pushFixture(t, true, func(cfg *Config) { cfg.InvocationTimeout, cfg.PollInterval = 8*time.Hour, 10*time.Second })
+		f.grid.add(&rule{match: "/gram/events", do: rewrite(func(frame int, line []byte) ([]byte, error) {
+			if frame > 0 {
+				return nil, nil // past the hello frame
+			}
+			return line, nil
+		})})
+		svc := f.publish(t, "stalled.gsh", "echo head\ncompute 2m\necho tail\n")
+		invs := make([]*Invocation, n)
+		burst(t, n, func(i int) (err error) {
+			// Spread over the first worker's two stalls (each over three
+			// 5-second heartbeats), so that registrations land while it
+			// leaves the collector.
+			time.Sleep(time.Duration(i) * 4 * time.Second)
+			invs[i], err = f.ons.Invoke(svc, nil)
+			return err
+		})
+		for _, inv := range invs {
+			if ends(t, inv, InvDone).Output() != "head\ntail\n" {
+				t.Fatalf("output %q", inv.Output())
+			}
+		}
+		if done := f.ons.Monitoring().Invocations[string(InvDone)]; done != n {
+			t.Errorf("%d invocations recorded DONE, want %d", done, n)
+		}
+		completed := 0
+		for _, st := range f.env.Grid.Stats() {
+			completed += st.Completed
+		}
+		if completed != n {
+			t.Errorf("the grid completed %d jobs for %d invocations", completed, n)
+		}
+		if es := f.ons.EventStats(); es.FallbacksToPoll == 0 || es.EventsDelivered != 0 {
+			t.Errorf("stalled streams: %+v", es)
+		}
+		f.ons.invalidateSession("alice", invs[0].sessionID)
+		f.collectorsIdle(t)
+	})
+}
+
+func TestPushEventsTwoSessionsDoNotCrossDeliver(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// Two users, two sessions, two streams: each invocation must settle
+		// from its own session's events with its own output.
+		f := pushFixture(t, false, nil)
+		_, err := f.env.AddUser("bob", "pw2", 0)
+		must(t, err)
+		f.ons.RegisterUser("bob", UserAuth{MyProxyUser: "bob", Passphrase: "pw2"})
+		amine := f.publish(t, "amine.gsh", "emit 2s 4 alice-line\n")
+		_, err = f.ons.UploadAndGenerate("bob", "bmine.gsh", "", nil, []byte("emit 2s 7 bob-line\n"))
+		must(t, err)
+		a, b := f.invoke(t, amine, nil), f.invoke(t, "BmineService", nil)
+		ends(t, a, InvDone)
+		if ends(t, b, InvDone); a.Output() != strings.Repeat("alice-line\n", 4) || b.Output() != strings.Repeat("bob-line\n", 7) {
+			t.Fatalf("alice %q, bob %q", a.Output(), b.Output())
+		}
+		if es := f.ons.EventStats(); es.StreamsOpened < 2 {
+			t.Fatalf("two sessions shared a stream: %+v", es)
+		}
+	})
+}
+
+// TestTracePushPathLinksParent is the trace-linkage regression for the
+// push channel: every recorded "event" span parents under its own
+// invocation's collect span (one tree per invocation, no orphans) and
+// the terminal event records its delivery latency.
+func TestTracePushPathLinksParent(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true }, traced())
+		// Long enough that the stream is connected well before the job ends:
+		// the terminal state then arrives as a pushed frame (carrying its
+		// publication timestamp) rather than through the bootstrap resync.
+		for _, inv := range f.batch(t, 3, "echo begin\ncompute 1m\necho fin\n") {
+			byName, byID := f.invocationTree(t, inv)
+			if len(byName["event"]) == 0 {
+				t.Fatal("push collection recorded no event span")
+			}
+			terminalSeen := false
+			for _, sd := range byName["event"] {
+				if p, ok := byID[sd.ParentID]; !ok || p.Name != "collect" {
+					t.Errorf("event span detached from its invocation's collect span: %+v", sd)
+				}
+				if sd.Attrs["state"] == "DONE" {
+					terminalSeen = true
+					if sd.Attrs["delivery_us"] == "" {
+						t.Errorf("terminal event span has no delivery latency: %+v", sd.Attrs)
+					}
+				}
+			}
+			if !terminalSeen {
+				t.Error("no event span recorded the terminal state")
+			}
+			// The push path must not have fallen back to polling mid-test.
+			if len(byName["poll"]) != 0 {
+				t.Errorf("poll spans under the push collector: %d", len(byName["poll"]))
+			}
+		}
+	})
+}
+
+// TestFullStashEvictsOldestNotNewest is the regression for the lost
+// invocation: a full stash refused incoming events, and the events of an
+// in-flight submit are by construction the incoming ones — refused, their
+// job's DONE was gone and the invocation waited for the watchdog. The
+// stash is filled by hand (no real route parks that many any more); then a
+// real job runs to completion while its submit reply is held.
+func TestFullStashEvictsOldestNotNewest(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := pushFixture(t, true, nil)
+		svc := f.publish(t, "quick.gsh", "echo made-it\n")
+		// The first invocation opens the session's stream.
+		warm := ends(t, f.invoke(t, svc, nil), InvDone)
+		w := pushWorker(f, warm.sessionID)
+		if w == nil {
+			t.Fatal("a cached session's worker retired")
+		}
+		for i := range maxPendingEvents {
+			w.processFrame(fmt.Appendf(nil, `{"job_id":"ghost:job-%06d","state":"RUNNING"}`, i))
+		}
+		before := f.ons.CollectorStats().OutputFetches
+		held := newGate()
+		f.grid.add(&rule{match: "/gram/submit", do: hold(held, true)})
+		invoked := make(chan *Invocation, 1)
+		go func() {
+			inv, err := f.ons.Invoke(svc, nil)
+			if err != nil {
+				t.Error(err)
+			}
+			invoked <- inv
+		}()
+		<-held.arrived
+		time.Sleep(time.Minute) // the job runs out while its submit reply is held
+		// Every frame of the job has been consumed once its terminal one is
+		// the stash's entry for it.
+		w.mu.Lock()
+		var mine []string
+		for id, p := range w.pending {
+			if !strings.HasPrefix(id, "ghost:") && p.ev.State == "DONE" {
+				mine = append(mine, id)
+			}
+		}
+		size := len(w.pending)
+		_, oldestKept := w.pending["ghost:job-000000"]
+		_, newerKept := w.pending["ghost:job-000001"]
+		w.mu.Unlock()
+		if len(mine) != 1 || size != maxPendingEvents || oldestKept || !newerKept {
+			t.Fatalf("stash holds %d entries (bound %d) with the held job's DONE %v, oldest kept=%v, second-oldest kept=%v",
+				size, maxPendingEvents, mine, oldestKept, newerKept)
+		}
+		held.open()
+		inv := <-invoked
+		if inv == nil {
+			t.FailNow()
+		}
+		if ends(t, inv, InvDone).Output() != "made-it\n" || inv.JobID != mine[0] {
+			t.Fatalf("job %s, output %q, want %s's", inv.JobID, inv.Output(), mine[0])
+		}
+		if fetches := f.ons.CollectorStats().OutputFetches - before; fetches != 0 {
+			t.Errorf("%d output fetches: the stashed terminal frame carried the snapshot", fetches)
+		}
+	})
+}
+
+// TestPushStreamScopedToItsSession pins the fan-out key and the stream
+// lifetime rule on two sessions of one identity: each stream carries
+// exactly its own session's frames, a worker whose session left the cache
+// retires when its last job does, and the cached session's worker stays —
+// the next invocation costs no stream, resync or fetch — until the session
+// is invalidated.
+func TestPushStreamScopedToItsSession(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := pushFixture(t, true, nil)
+		a := f.invoke(t, f.publish(t, "along.gsh", "echo a1\ncompute 1m\necho a2\n"), nil)
+		bshort := f.publish(t, "bshort.gsh", "emit 2s 3 b-line\n")
+		// A fresh logon: same identity, new proxy, new session.
+		f.ons.invalidateSession("alice", a.sessionID)
+		b := f.invoke(t, bshort, nil)
+		if a.sessionID == b.sessionID {
+			t.Fatal("invalidated session reused")
+		}
+		if ends(t, b, InvDone); strings.Count(b.Output(), "b-line") != 3 {
+			t.Fatalf("session B: %q", b.Output())
+		}
+		// Session A's job is still running and has published at least RUNNING
+		// and its first line: under an identity-wide fan-out B's worker has
+		// heard them and parked them as "not registered yet".
+		wb := pushWorker(f, b.sessionID)
+		if wb == nil {
+			t.Fatal("the cached session's worker retired")
+		}
+		wb.mu.Lock()
+		for id := range wb.pending {
+			t.Errorf("session B's worker stashed an event of job %s", id)
+		}
+		wb.mu.Unlock()
+		if ends(t, a, InvDone).Output() != "a1\na2\n" {
+			t.Fatalf("session A: %q", a.Output())
+		}
+		// A: RUNNING, two bumps, DONE; B: RUNNING, three bumps, DONE — each
+		// delivered once, to its own stream.
+		waitFor(t, func() bool { return pushWorker(f, a.sessionID) == nil })
+		es := f.ons.EventStats()
+		if es.EventsDelivered != 4+5 || es.StreamsOpened != 2 {
+			t.Fatalf("events %+v, want 9 frames over 2 streams", es)
+		}
+		// The cached session keeps its stream: one more invocation rides it.
+		before := f.ons.CollectorStats()
+		if b2 := ends(t, f.invoke(t, bshort, nil), InvDone); b2.sessionID != b.sessionID {
+			t.Fatalf("session %s, want the cached %s", b2.sessionID, b.sessionID)
+		}
+		after, es2 := f.ons.CollectorStats(), f.ons.EventStats()
+		if es2.StreamsOpened != 2 || es2.EventsDelivered != es.EventsDelivered+5 ||
+			after.StatusRPCs != before.StatusRPCs || after.OutputFetches != before.OutputFetches {
+			t.Fatalf("warm stream: events %+v -> %+v, collector %+v -> %+v", es, es2, before, after)
+		}
+		if pushWorker(f, b.sessionID) != wb {
+			t.Fatal("the cached session's worker was replaced")
+		}
+		// ... and lets go of it within a heartbeat of losing the session.
+		f.ons.invalidateSession("alice", b.sessionID)
+		f.collectorsIdle(t)
+		if pushWorker(f, b.sessionID) != nil {
+			t.Fatal("worker still registered after its goroutine ended")
+		}
+	})
+}
+
+// The tests named for the poll hub drive what replaced it: push against a
+// stock gatekeeper, whose session workers poll their own jobs.
+
+// stockFixture is a push fixture against a stock gatekeeper.
+func stockFixture(t *testing.T, cached bool, mutate func(*Config)) *fixture {
+	f := pushFixture(t, cached, mutate)
+	f.grid.add(noEventStream())
+	return f
+}
+
+// cancelOnCompletionTick races CancelInvocation against one job at a
+// time as it completes (the contract's cancel-on-completion row races
+// eight at once): whichever side wins, each invocation finishes exactly
+// once with a terminal state.
+func cancelOnCompletionTick(t *testing.T, f *fixture) {
+	t.Helper()
+	svc := f.publish(t, "quick.gsh", "compute 1s\necho done\n")
+	var wg sync.WaitGroup
+	for range 8 {
+		inv := f.invoke(t, svc, nil)
+		wg.Add(1)
+		go func() { defer wg.Done(); f.ons.CancelInvocation(inv.Ticket) }()
+		<-inv.DoneChan()
+		if st := inv.State(); !st.Terminal() {
+			t.Fatalf("non-terminal state %s after DoneChan", st)
+		}
+	}
+	wg.Wait()
+	f.collectorsIdle(t)
+}
+
+func TestCancelOnCompletionTickStockPoller(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) { cancelOnCompletionTick(t, newFixture(t, nil)) })
+}
+
+func TestCancelOnCompletionTickPushEvents(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) { cancelOnCompletionTick(t, pushFixture(t, false, nil)) })
+}
+
+func TestCancelOnCompletionTickPollHub(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) { cancelOnCompletionTick(t, stockFixture(t, false, nil)) })
+}
+
+func TestPollHubSkipsUnchangedSnapshots(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// A job that is silent for three poll ticks and then emits once: the
+		// poller must confirm the unchanged snapshot without fetching any bytes.
+		f := stockFixture(t, false, nil)
+		inv := ends(t, f.invoke(t, f.publish(t, "quiet.gsh", "compute 10s\necho fin\n"), nil), InvDone)
+		if st := f.ons.CollectorStats(); inv.Output() != "fin\n" || st.OutputNotModified == 0 || st.OutputBytes != 4 || st.PollDiskWrites != 1 {
+			t.Fatalf("output %q, %+v: want silent ticks confirmed, 4 bytes fetched and spilled once", inv.Output(), st)
+		}
+	})
+}
+
+func TestPollHubBatchesStatusRPCs(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// Eight jobs under one cached session: once the gatekeeper turns out
+		// to be stock, the session's worker reads all of them in one
+		// status-batch round-trip per tick. In a bubble that is an exact
+		// count: each PollInterval the test sleeps holds exactly one of the
+		// worker's ticks, and the jobs' compute steps outlast the test.
+		const n, ticks = 8, 3
+		// The site's walltime limit derives from the timeout: the jobs outlive the test.
+		f := stockFixture(t, true, func(cfg *Config) { cfg.InvocationTimeout = 100 * time.Hour })
+		svc := f.publish(t, "long.gsh", strings.Repeat("compute 24h\n", 4))
+		invs := make([]*Invocation, n)
+		for i := range invs {
+			invs[i] = f.invoke(t, svc, nil)
+		}
+		// The worker ticked while the submits took their modelled time;
+		// count from here.
+		bubble.Wait()
+		base := f.ons.CollectorStats().StatusRPCs
+		tick := func() {
+			time.Sleep(f.cfg.PollInterval)
+			bubble.Wait()
+		}
+		for k := 1; k <= ticks; k++ {
+			tick()
+			if got := f.ons.CollectorStats().StatusRPCs - base; got != uint64(k) {
+				t.Fatalf("%d status RPCs after %d ticks of one session", got, k)
+			}
+		}
+		for _, inv := range invs {
+			if inv.State().Terminal() {
+				t.Fatalf("invocation ended %s before the last tick: %s", inv.State(), inv.Message())
+			}
+			must(t, f.ons.CancelInvocation(inv.Ticket))
+		}
+		// One more batch reads the cancellations; the tick after it reaps them
+		// and retires the worker.
+		tick()
+		tick()
+		for _, inv := range invs {
+			ends(t, inv, InvCancelled)
+		}
+		f.collectorsIdle(t)
+		if got := f.ons.CollectorStats().StatusRPCs - base; got != ticks+1 {
+			t.Fatalf("%d status RPCs over %d ticks with jobs to read", got, ticks+1)
+		}
+	})
+}
+
+func TestPollHubIsolatesFailingJob(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// A failing job and a succeeding one share a session, and so a batch;
+		// each must reach its own terminal state.
+		f := stockFixture(t, true, nil)
+		bad := f.invoke(t, f.publish(t, "boom.gsh", "compute 4s\nfail kaboom\n"), nil)
+		good := f.invoke(t, f.publish(t, "fine.gsh", "compute 4s\necho good\n"), nil)
+		if !strings.Contains(ends(t, bad, InvFailed).Message(), "kaboom") || ends(t, good, InvDone).Output() != "good\n" {
+			t.Fatalf("bad: %q, good: %q", bad.Message(), good.Output())
+		}
+	})
+}
+
+// TestTraceEndToEnd is the acceptance check: one quickstart-style
+// invocation with Tracing on yields a single span tree covering logon,
+// blob fetch, staging, submit, polling, and output collection across
+// the onServe core and all four grid services, with byte and duration
+// attributes.
+func TestTraceEndToEnd(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil, traced())
+		f.uploadDemo(t)
+		inv := f.invoke(t, "MontecarloService", digits("7"))
+		byName, byID := f.invocationTree(t, ends(t, inv, InvDone))
+		services := map[string]bool{}
+		for _, spans := range byName {
+			for _, sd := range spans {
+				services[sd.Service] = true
+			}
+		}
+		for _, svc := range []string{"onserve", "myproxy", "gridftp", "gram", "gridsim"} {
+			if !services[svc] {
+				t.Errorf("service %s recorded no spans", svc)
+			}
+		}
+		for _, name := range []string{
+			"invoke", "logon", "db.fetch", "stage", "submit", "collect", "poll",
+			"myproxy.get", "ftp.put", "gram.submit", "job.queue", "job.run",
+		} {
+			if len(byName[name]) == 0 {
+				t.Errorf("span %q missing from the tree", name)
+			}
+		}
+		if len(byName["invoke"]) > 0 {
+			root := byName["invoke"][0]
+			if root.ParentID != "" || root.Status != "ok" || root.Attrs["ticket"] != inv.Ticket || root.DurationMS <= 0 {
+				t.Errorf("root span wrong: %+v, want the ticket %s", root, inv.Ticket)
+			}
+		}
+		for _, name := range []string{"db.fetch", "stage"} {
+			for _, sd := range byName[name] {
+				if sd.Attrs["bytes"] == "" || sd.Attrs["bytes"] == "0" {
+					t.Errorf("%s span has no byte count: %+v", name, sd.Attrs)
+				}
+			}
+		}
+		// The grid-side spans hang off the core's pipeline spans, proving
+		// the header crossed every HTTP boundary.
+		for child, parent := range map[string]string{"myproxy.get": "logon", "ftp.put": "stage", "gram.submit": "submit"} {
+			for _, sd := range byName[child] {
+				if p, ok := byID[sd.ParentID]; !ok || p.Name != parent {
+					t.Errorf("%s parent = %q, want %s", child, p.Name, parent)
+				}
+			}
+		}
+	})
+}
+
+// TestTraceHubPathsLinkParent: with coalesced staging and push fallen
+// back to polling, each submit and each batched status entry still
+// parents under its own invocation's span tree — no orphan spans, and the
+// batched work is attributable per invocation.
+func TestTraceHubPathsLinkParent(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(c *Config) { c.CoalesceStaging, c.PushEvents = true, true }, traced())
+		f.grid.add(noEventStream())
+		f.uploadDemo(t)
+		invs := make([]*Invocation, 3)
+		burst(t, len(invs), func(i int) (err error) {
+			invs[i], err = f.ons.Invoke("MontecarloService", digits("9"))
+			return err
+		})
+		for _, inv := range invs {
+			byName, byID := f.invocationTree(t, ends(t, inv, InvDone))
+			if len(byName["gram.submit"]) == 0 {
+				t.Fatal("submit recorded no gram.submit span")
+			}
+			for _, sd := range byName["gram.submit"] {
+				if p, ok := byID[sd.ParentID]; !ok || p.Name != "submit" {
+					t.Errorf("gram.submit detached from its invocation's submit span")
+				}
+			}
+			if len(byName["poll"]) == 0 {
+				t.Error("fallback polling recorded no poll span")
+			}
+			for _, sd := range byName["poll"] {
+				if p, ok := byID[sd.ParentID]; sd.Attrs["batched"] != "true" || !ok || p.Name != "collect" {
+					t.Errorf("fallback poll span %+v not batched under its invocation's collect span", sd.Attrs)
+				}
+			}
+		}
+	})
+}
+
+const slowProgram = "compute 600s\n"
+
+// TestTraceCancelEndsSpanTree: under the stock poller a cancelled
+// invocation ends its root and collect spans with error status instead of
+// leaking them open (an unended span is never recorded, so presence in the
+// collector proves the end).
+func TestTraceCancelEndsSpanTree(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil, traced())
+		inv := f.invoke(t, f.publish(t, "slow.gsh", slowProgram), nil)
+		must(t, f.ons.CancelInvocation(inv.Ticket))
+		f.treeEndedWithError(t, ends(t, inv, InvCancelled))
+	})
+}
+
+// TestTraceWatchdogEndsSpanTree: under both the stock poller and push
+// fallen back to polling, when the deadline kills the invocation, the span
+// tree still closes, with error status.
+func TestTraceWatchdogEndsSpanTree(t *testing.T) {
+	bubble.Run(func() {
+		for _, tc := range []struct {
+			name     string
+			fallback bool
+		}{{"stock", false}, {"pollhub", true}} {
+			t.Run(tc.name, func(t *testing.T) {
+				f := newFixture(t, func(c *Config) { c.InvocationTimeout, c.PushEvents = 20*time.Second, tc.fallback }, traced())
+				if tc.fallback {
+					f.grid.add(noEventStream())
+				}
+				inv := ends(t, f.invoke(t, f.publish(t, "slow.gsh", slowProgram), nil), InvKilled)
+				// Two enforcement paths race at the same deadline: the client
+				// watchdog, and the site's own walltime limit (derived from
+				// the invocation timeout) observed as a TIMEOUT status. Either
+				// way the invocation is killed and the tree must close.
+				if msg := inv.Message(); !strings.Contains(msg, "watchdog") && !strings.Contains(msg, "walltime") {
+					t.Fatalf("message %q", msg)
+				}
+				f.treeEndedWithError(t, inv)
+			})
+		}
+	})
+}
+
+func (f *fixture) treeEndedWithError(t *testing.T, inv *Invocation) {
+	t.Helper()
+	byName, _ := f.invocationTree(t, inv)
+	for _, name := range []string{"invoke", "collect"} {
+		got := byName[name]
+		if len(got) != 1 {
+			t.Fatalf("%s recorded %d times, want 1 (leaked or unended span)", name, len(got))
+		}
+		if got[0].Status != "error" {
+			t.Errorf("%s span status %q, want error (%+v)", name, got[0].Status, got[0])
+		}
+	}
 }

@@ -40,8 +40,6 @@ type Config struct {
 	PollInterval time.Duration
 	// InvocationTimeout overrides DefaultInvocationTimeout (watchdog).
 	InvocationTimeout time.Duration
-	// ProxyLifetime for per-invocation MyProxy logons; default 12h.
-	ProxyLifetime time.Duration
 	// StagingCache, when true, skips re-uploading an executable whose
 	// checksum is already staged at the target site. The paper leaves
 	// this off — files "will even be reloaded when executed a 2nd time" —

@@ -394,16 +394,16 @@ func (o *OnServe) gridSession(owner string, auth UserAuth, tc trace.SpanContext)
 	if id, ok := o.cachedSession(owner); ok {
 		return id, true, nil
 	}
-	sess, err := o.parts.Agent.WithTrace(tc).Authenticate(auth.MyProxyUser, auth.Passphrase, o.cfg.ProxyLifetime)
+	sess, err := o.parts.Agent.WithTrace(tc).Authenticate(auth.MyProxyUser, auth.Passphrase, cyberaide.DefaultProxyLifetime)
 	if err != nil {
 		return "", false, fmt.Errorf("onserve: authenticate %s: %w", owner, err)
 	}
 	if o.cfg.SessionCache {
 		// Stop reusing a little before the proxy actually expires so
 		// in-flight pipelines don't start on a session about to die.
-		margin := o.cfg.ProxyLifetime / 10
+		const lifetime = cyberaide.DefaultProxyLifetime
 		o.mu.Lock()
-		o.sessions[owner] = &ownerSession{id: sess.ID, expiresAt: time.Now().Add(o.cfg.ProxyLifetime - margin)}
+		o.sessions[owner] = &ownerSession{id: sess.ID, expiresAt: time.Now().Add(lifetime - lifetime/10)}
 		o.mu.Unlock()
 	}
 	return sess.ID, false, nil

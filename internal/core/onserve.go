@@ -143,9 +143,6 @@ func New(cfg Config, parts Parts) (*OnServe, error) {
 	if cfg.InvocationTimeout <= 0 {
 		cfg.InvocationTimeout = DefaultInvocationTimeout
 	}
-	if cfg.ProxyLifetime <= 0 {
-		cfg.ProxyLifetime = 12 * time.Hour
-	}
 	o := &OnServe{
 		cfg:            cfg,
 		parts:          parts,

@@ -1,148 +1,21 @@
 package core
 
 import (
+	"encoding/base64"
 	"errors"
-	"net/http"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/blobdb"
-	"repro/internal/blobdb/blobtest"
 	"repro/internal/bubble"
 	"repro/internal/cyberaide"
-	"repro/internal/gridenv"
 	"repro/internal/gridsim"
-	"repro/internal/hop"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/trace"
-	"repro/internal/uddi"
 	"repro/internal/wsdl"
 )
-
-type fixture struct {
-	ons   *OnServe
-	env   *gridenv.Env
-	rec   *metrics.Recorder
-	cfg   Config
-	parts Parts
-	// probes logs the cost-model calls made through the fixture's Probe
-	// (by the core, the database and the agent) while switched on.
-	probes *probeLog
-}
-
-// gridNet is the in-process network every fixture's grid listens on, and
-// overGrid hop's transport across it: a fault fake in these tests hands
-// what it lets through to overGrid, as production's to hop.Shared(). A
-// fixture closes overGrid's idle connections as it goes: each pipe belongs
-// to the bubble of the test that dialled it.
-var (
-	gridNet  = netsim.NewNet()
-	overGrid = hop.NewTransport(gridNet.DialContext)
-)
-
-// TestMain runs the package's tests where a fixture can be built: in a
-// bubble, under GOEXPERIMENT=synctest.
-func TestMain(m *testing.M) { bubble.Main(m) }
-
-// newFixture wires a full onServe over a two-site grid and gridNet: call
-// it in a bubble, where the time package's clock is virtual.
-func newFixture(t *testing.T, mutate func(*Config)) *fixture {
-	return newFixtureHTTP(t, nil, mutate)
-}
-
-// newFixtureHTTP is newFixture with a caller-supplied grid-bound
-// transport (the staging tests inject transport faults there); nil is
-// hop's over gridNet.
-func newFixtureHTTP(t *testing.T, grid http.RoundTripper, mutate func(*Config)) *fixture {
-	return newFixtureTraced(t, grid, nil, mutate)
-}
-
-// newFixtureTraced is newFixtureHTTP with a shared span collector wired
-// into every grid service and the onServe core.
-func newFixtureTraced(t *testing.T, grid http.RoundTripper, col *trace.Collector, mutate func(*Config)) *fixture {
-	return newFixtureDB(t, nil, grid, col, mutate)
-}
-
-// newFixtureDB is newFixtureTraced over a database the caller opened (and
-// closes); nil opens a fresh in-memory one.
-func newFixtureDB(t *testing.T, db *blobdb.DB, grid http.RoundTripper, col *trace.Collector, mutate func(*Config)) *fixture {
-	t.Helper()
-	t.Cleanup(overGrid.CloseIdleConnections)
-	env, err := gridenv.Start(gridenv.Options{
-		Sites: []gridsim.SiteConfig{
-			{Name: "siteA", Nodes: 2, CoresPerNode: 4},
-			{Name: "siteB", Nodes: 2, CoresPerNode: 4},
-		},
-		Trace: col,
-		Net:   gridNet,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(env.Close)
-	if _, err := env.AddUser("alice", "pw", 0); err != nil {
-		t.Fatal(err)
-	}
-	probes := &probeLog{}
-	rec := metrics.NewRecorder(3 * time.Second)
-	rec.Observe = probes.observe
-	probe := metrics.NewProbe(rec)
-	if db == nil {
-		db, err = blobdb.Open(blobdb.Options{Probe: probe, Cost: metrics.DefaultCost()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-	}
-	cfg := Config{
-		Probe:             probe,
-		Cost:              metrics.DefaultCost(),
-		PollInterval:      2 * time.Second,
-		InvocationTimeout: time.Hour,
-		Trace:             col,
-	}
-	parts := Parts{
-		DB:        db,
-		Container: soap.NewServer(probe, metrics.DefaultCost()),
-		Registry:  uddi.NewRegistry(nil),
-		Agent: cyberaide.New(cyberaide.Options{
-			Endpoints: env.Endpoints(), Probe: probe, Cost: metrics.DefaultCost(),
-			Dial: gridNet.DialContext, Transport: grid,
-		}),
-		BaseURL: "http://appliance.test",
-	}
-	if col != nil {
-		parts.Tracing = trace.NewTracer("onserve", nil, col)
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	ons, err := New(cfg, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ons.RegisterUser("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-	// Runs before any database is closed: whatever the test did, nothing
-	// may have written into an executable's shared bytes.
-	t.Cleanup(func() { blobtest.VerifyStored(t, db) })
-	return &fixture{ons: ons, env: env, rec: rec, cfg: cfg, parts: parts, probes: probes}
-}
-
-const demoProgram = "echo pi=${digits}\ncompute 1s\nwrite result.dat 256\n"
-
-func (f *fixture) uploadDemo(t *testing.T) *uddi.Record {
-	t.Helper()
-	rec, err := f.ons.UploadAndGenerate("alice", "montecarlo.gsh", "estimates pi",
-		[]wsdl.ParamDef{{Name: "digits", Type: wsdl.TypeInt}}, []byte(demoProgram))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
 
 func TestServiceNameFor(t *testing.T) {
 	ok := map[string]string{
@@ -172,9 +45,7 @@ func TestServiceNameFor(t *testing.T) {
 func TestTicketNamesItsService(t *testing.T) {
 	for _, file := range []string{"monte.gsh", "Äpfel.gsh", "数据 v2.gsh"} {
 		svc, err := ServiceNameFor(file)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		ticket := newTicket(7, svc)
 		if got, ok := TicketService(ticket); !ok || got != svc {
 			t.Errorf("TicketService(%q) = %q, %v; want %q", ticket, got, ok, svc)
@@ -205,37 +76,24 @@ func TestUploadAndGenerate(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		rec := f.uploadDemo(t)
-		if rec.Name != "MontecarloService" {
-			t.Fatalf("published %q", rec.Name)
-		}
-		if !strings.HasSuffix(rec.Endpoint, "/services/MontecarloService") {
-			t.Fatalf("endpoint %q", rec.Endpoint)
+		if rec.Name != "MontecarloService" || !strings.HasSuffix(rec.Endpoint, "/services/MontecarloService") {
+			t.Fatalf("published %q at %q", rec.Name, rec.Endpoint)
 		}
 		// Deployed in the container with the full operation set.
 		svc, ok := f.parts.Container.Lookup("MontecarloService")
-		if !ok {
-			t.Fatal("service not deployed")
-		}
 		for _, op := range []string{"execute", "status", "output", "wait", "cancel"} {
-			if svc.Def.Operation(op) == nil {
-				t.Errorf("operation %s missing", op)
+			if !ok || svc.Def.Operation(op) == nil {
+				t.Fatalf("operation %s missing (deployed: %v)", op, ok)
 			}
 		}
-		// Stored in the database.
-		if _, err := f.parts.DB.Table(ExecutablesTable).Stat("MontecarloService"); err != nil {
-			t.Fatal(err)
-		}
-		// Discoverable through UDDI.
-		if got := f.parts.Registry.Find("Monte%"); len(got) != 1 {
-			t.Fatalf("uddi find %v", got)
+		// Stored in the database, discoverable through UDDI.
+		if _, err := f.parts.DB.Table(ExecutablesTable).Stat("MontecarloService"); err != nil || len(f.parts.Registry.Find("Monte%")) != 1 {
+			t.Fatalf("stored: %v; uddi find %v", err, f.parts.Registry.Find("Monte%"))
 		}
 		// Info reflects the upload.
 		info, err := f.ons.ServiceInfo("MontecarloService")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Owner != "alice" || len(info.Params) != 1 || info.Params[0].Name != "digits" {
-			t.Fatalf("info %+v", info)
+		if err != nil || info.Owner != "alice" || len(info.Params) != 1 || info.Params[0].Name != "digits" {
+			t.Fatalf("info %+v, %v", info, err)
 		}
 	})
 }
@@ -243,18 +101,19 @@ func TestUploadAndGenerate(t *testing.T) {
 func TestUploadValidation(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
-		if _, err := f.ons.UploadAndGenerate("stranger", "x.gsh", "", nil, []byte("echo x\n")); !errors.Is(err, ErrNoSuchUser) {
-			t.Fatalf("got %v", err)
-		}
-		if _, err := f.ons.UploadAndGenerate("alice", "x.gsh", "", nil, []byte("not a program")); !errors.Is(err, ErrBadProgram) {
-			t.Fatalf("got %v", err)
-		}
-		if _, err := f.ons.UploadAndGenerate("alice", "x.gsh", "",
-			[]wsdl.ParamDef{{Name: "p", Type: "blob"}}, []byte("echo x\n")); !errors.Is(err, ErrBadName) {
-			t.Fatalf("got %v", err)
-		}
-		if _, err := f.ons.UploadAndGenerate("alice", "///", "", nil, []byte("echo x\n")); !errors.Is(err, ErrBadName) {
-			t.Fatalf("got %v", err)
+		for _, c := range []struct {
+			user, file, program string
+			params              []wsdl.ParamDef
+			want                error
+		}{
+			{"stranger", "x.gsh", "echo x\n", nil, ErrNoSuchUser},
+			{"alice", "x.gsh", "not a program", nil, ErrBadProgram},
+			{"alice", "x.gsh", "echo x\n", []wsdl.ParamDef{{Name: "p", Type: "blob"}}, ErrBadName},
+			{"alice", "///", "echo x\n", nil, ErrBadName},
+		} {
+			if _, err := f.ons.UploadAndGenerate(c.user, c.file, "", c.params, []byte(c.program)); !errors.Is(err, c.want) {
+				t.Fatalf("%+v: got %v", c, err)
+			}
 		}
 	})
 }
@@ -263,8 +122,7 @@ func TestDuplicateUploadRejected(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		f.uploadDemo(t)
-		_, err := f.ons.UploadAndGenerate("alice", "montecarlo.gsh", "again", nil, []byte("echo x\n"))
-		if err == nil {
+		if _, err := f.ons.UploadAndGenerate("alice", "montecarlo.gsh", "again", nil, []byte("echo x\n")); err == nil {
 			t.Fatal("duplicate service published")
 		}
 	})
@@ -274,11 +132,7 @@ func TestInvokeEndToEnd(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		f.uploadDemo(t)
-		out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "314"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out != "pi=314\n" {
+		if out := f.demo(t, "314"); out != "pi=314\n" {
 			t.Fatalf("output %q", out)
 		}
 	})
@@ -288,28 +142,16 @@ func TestInvokeStagesAndRunsOnGrid(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		f.uploadDemo(t)
-		inv, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "3"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		inv := f.invoke(t, "MontecarloService", digits("3"))
 		if inv.Site == "" || inv.JobID == "" || !strings.HasPrefix(inv.Ticket, "inv-") {
 			t.Fatalf("invocation %+v", inv)
 		}
 		job, err := f.env.Grid.Job(inv.JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv.DoneChan()
-		if inv.State() != InvDone {
-			t.Fatalf("state %s: %s", inv.State(), inv.Message())
-		}
-		if job.State() != gridsim.Succeeded {
-			t.Fatalf("grid job %s", job.State())
-		}
+		must(t, err)
+		ends(t, inv, InvDone)
 		// The executable really was staged at the chosen site.
-		site, _ := f.env.Grid.Site(inv.Site)
-		if _, err := site.Store().Size("/O=Repro/CN=alice", "MontecarloService.gsh"); err != nil {
-			t.Fatal("staged file missing:", err)
+		if _, err := f.site(inv.Site).Store().Size(aliceDN, "MontecarloService.gsh"); job.State() != gridsim.Succeeded || err != nil {
+			t.Fatalf("grid job %s, staged file: %v", job.State(), err)
 		}
 	})
 }
@@ -326,11 +168,7 @@ func TestInvokeUnknownService(t *testing.T) {
 func TestInvokeFailingJob(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
-		if _, err := f.ons.UploadAndGenerate("alice", "boom.gsh", "always fails", nil,
-			[]byte("fail exploded\n")); err != nil {
-			t.Fatal(err)
-		}
-		_, err := f.ons.ExecuteAndWait("BoomService", nil)
+		_, err := f.ons.ExecuteAndWait(f.publish(t, "boom.gsh", "fail exploded\n"), nil)
 		if err == nil || !strings.Contains(err.Error(), "FAILED") {
 			t.Fatalf("got %v", err)
 		}
@@ -340,15 +178,7 @@ func TestInvokeFailingJob(t *testing.T) {
 func TestTentativePollingAccumulatesOutput(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
-		if _, err := f.ons.UploadAndGenerate("alice", "ticker.gsh", "", nil,
-			[]byte("emit 2s 5 line\n")); err != nil {
-			t.Fatal(err)
-		}
-		inv, err := f.ons.Invoke("TickerService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv.DoneChan()
+		inv := ends(t, f.invoke(t, f.publish(t, "ticker.gsh", "emit 2s 5 line\n"), nil), InvDone)
 		if got := strings.Count(inv.Output(), "line"); got != 5 {
 			t.Fatalf("final output has %d lines: %q", got, inv.Output())
 		}
@@ -362,112 +192,41 @@ func TestTentativePollingAccumulatesOutput(t *testing.T) {
 func TestCancelInvocation(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
-		if _, err := f.ons.UploadAndGenerate("alice", "slow.gsh", "", nil,
-			[]byte("emit 2s 10000 t\n")); err != nil {
-			t.Fatal(err)
-		}
-		inv, err := f.ons.Invoke("SlowService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.ons.CancelInvocation(inv.Ticket); err != nil {
-			t.Fatal(err)
-		}
-		<-inv.DoneChan()
-		if inv.State() != InvCancelled {
-			t.Fatalf("state %s", inv.State())
-		}
+		inv := f.invoke(t, f.publish(t, "slow.gsh", "emit 2s 10000 t\n"), nil)
+		must(t, f.ons.CancelInvocation(inv.Ticket))
+		ends(t, inv, InvCancelled)
 		if err := f.ons.CancelInvocation(inv.Ticket); err != nil {
 			t.Fatalf("cancel of terminal invocation: %v", err)
 		}
-		if _, err := f.ons.Invocation("inv-xxxxxx-nope"); !errors.Is(err, ErrNoTicket) {
-			t.Fatalf("got %v", err)
-		}
-		if err := f.ons.CancelInvocation("inv-xxxxxx-nope"); !errors.Is(err, ErrNoTicket) {
-			t.Fatalf("got %v", err)
+		_, err := f.ons.Invocation("inv-xxxxxx-nope")
+		if cerr := f.ons.CancelInvocation("inv-xxxxxx-nope"); !errors.Is(err, ErrNoTicket) || !errors.Is(cerr, ErrNoTicket) {
+			t.Fatalf("unknown ticket: %v, cancel %v", err, cerr)
 		}
 	})
+}
+
+// poisonStaged overwrites the copy of the demo executable staged where
+// the last invocation ran with a failing one.
+func (f *fixture) poisonStaged(t *testing.T) (site string) {
+	t.Helper()
+	invs := f.ons.Invocations()
+	site = invs[len(invs)-1].Site
+	must(t, f.site(site).Store().Put(aliceDN, "MontecarloService.gsh", []byte("fail poisoned\n")))
+	return site
 }
 
 func TestStagingCacheAvoidsReupload(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.StagingCache = true })
 		f.uploadDemo(t)
-		if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
-			t.Fatal(err)
-		}
-		inv1 := f.ons.Invocations()[0]
-		site, _ := f.env.Grid.Site(inv1.Site)
+		f.demo(t, "1")
 		// Poison the staged copy: if onServe re-uploads, it will be repaired;
 		// with the cache it stays poisoned and the job fails.
-		if err := site.Store().Put("/O=Repro/CN=alice", "MontecarloService.gsh", []byte("fail poisoned\n")); err != nil {
-			t.Fatal(err)
-		}
-		inv2, err := f.ons.Invoke("MontecarloService", map[string]string{"digits": "2"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		site := f.poisonStaged(t)
+		inv2 := f.invoke(t, "MontecarloService", digits("2"))
 		<-inv2.DoneChan()
-		if inv2.Site == inv1.Site && inv2.State() == InvDone {
+		if inv2.Site == site && inv2.State() == InvDone {
 			t.Fatal("staging cache did not prevent re-upload")
-		}
-	})
-}
-
-func TestStagingCacheReplicatesAcrossSites(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t, func(cfg *Config) { cfg.StagingCache = true })
-		// A long-running first job keeps its site busy so the broker sends
-		// the second invocation to the other site.
-		if _, err := f.ons.UploadAndGenerate("alice", "rep.gsh", "", nil,
-			[]byte("compute 100ms\necho good copy\n")); err != nil {
-			t.Fatal(err)
-		}
-		inv1, err := f.ons.Invoke("RepService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv1.DoneChan()
-		if inv1.State() != InvDone {
-			t.Fatalf("first invocation %s: %s", inv1.State(), inv1.Message())
-		}
-		// Corrupt the database copy: if the appliance re-uploads from the DB
-		// the next job fails; replication from the already-staged good copy
-		// succeeds.
-		meta := map[string]string{"owner": "alice", "description": "", "file_name": "rep.gsh", "params": "null"}
-		if err := f.parts.DB.Table(ExecutablesTable).Put("RepService", meta, []byte("fail poisoned-db\n")); err != nil {
-			t.Fatal(err)
-		}
-		// Saturate inv1's site so the broker must pick the sibling.
-		site, _ := f.env.Grid.Site(inv1.Site)
-		site.Store().Put("/O=Repro/CN=alice", "hog.gsh", []byte("compute 23h\n"))
-		var hogs []string
-		for site.Stats().FreeSlots > 0 {
-			j, err := site.Submit(jsdlFor("hog.gsh"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			hogs = append(hogs, j.ID)
-		}
-		defer func() {
-			for _, id := range hogs {
-				site.Cancel(id)
-			}
-		}()
-
-		inv2, err := f.ons.Invoke("RepService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inv2.Site == inv1.Site {
-			t.Fatalf("placement picked the saturated site %s over its idle sibling", inv2.Site)
-		}
-		<-inv2.DoneChan()
-		if inv2.State() != InvDone {
-			t.Fatalf("replicated invocation %s: %s", inv2.State(), inv2.Message())
-		}
-		if out := inv2.Output(); out != "good copy\n" {
-			t.Fatalf("output %q", out)
 		}
 	})
 }
@@ -476,16 +235,31 @@ func TestNoStagingCacheReuploadsEveryTime(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil) // cache off: the paper's behaviour
 		f.uploadDemo(t)
-		if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
-			t.Fatal(err)
-		}
-		inv1 := f.ons.Invocations()[0]
-		site, _ := f.env.Grid.Site(inv1.Site)
-		site.Store().Put("/O=Repro/CN=alice", "MontecarloService.gsh", []byte("fail poisoned\n"))
+		f.demo(t, "1")
+		f.poisonStaged(t)
 		// Re-invoking repairs the staged copy because the file is re-uploaded.
-		out, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "2"})
-		if err != nil {
-			t.Fatalf("re-invocation failed (%q): %v", out, err)
+		f.demo(t, "2")
+	})
+}
+
+func TestStagingCacheReplicatesAcrossSites(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.StagingCache = true })
+		svc := f.publish(t, "rep.gsh", "compute 100ms\necho good copy\n")
+		inv1 := ends(t, f.invoke(t, svc, nil), InvDone)
+		// Corrupt the database copy: if the appliance re-uploads from the DB
+		// the next job fails; replication from the already-staged good copy
+		// succeeds.
+		meta := map[string]string{"owner": "alice", "description": "", "file_name": "rep.gsh", "params": "null"}
+		must(t, f.parts.DB.Table(ExecutablesTable).Put(svc, meta, []byte("fail poisoned-db\n")))
+		// Saturate inv1's site so the broker must pick the sibling.
+		fill(t, f.site(inv1.Site))
+		inv2 := f.invoke(t, svc, nil)
+		if inv2.Site == inv1.Site {
+			t.Fatalf("placement picked the saturated site %s over its idle sibling", inv2.Site)
+		}
+		if out := ends(t, inv2, InvDone).Output(); out != "good copy\n" {
+			t.Fatalf("output %q", out)
 		}
 	})
 }
@@ -495,36 +269,38 @@ func TestStageInDataService(t *testing.T) {
 		f := newFixture(t, nil)
 		// A data-processing service: reads and processes a corpus the owner
 		// stages separately.
-		if _, err := f.ons.UploadAndGenerate("alice", "wordcount.gsh", "counts words", nil,
-			[]byte("process corpus.txt 1000\necho counted\n")); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.ons.SetStageIn("WordcountService", []string{"corpus.txt"}); err != nil {
-			t.Fatal(err)
-		}
-		info, err := f.ons.ServiceInfo("WordcountService")
+		svc := f.publish(t, "wordcount.gsh", "process corpus.txt 1000\necho counted\n")
+		must(t, f.ons.SetStageIn(svc, []string{"corpus.txt"}))
+		info, err := f.ons.ServiceInfo(svc)
 		if err != nil || len(info.StageIn) != 1 || info.StageIn[0] != "corpus.txt" {
 			t.Fatalf("info %+v err %v", info, err)
 		}
-
 		// Without the data staged anywhere, invocation fails with a staging
 		// error rather than a confusing runtime one.
-		if _, err := f.ons.Invoke("WordcountService", nil); err == nil ||
-			!strings.Contains(err.Error(), "not staged") {
+		if _, err := f.ons.Invoke(svc, nil); err == nil || !strings.Contains(err.Error(), "not staged") {
 			t.Fatalf("got %v", err)
 		}
-
 		// The owner stages the corpus; invocation now runs and reads it.
-		if err := f.env.StageEverywhere("/O=Repro/CN=alice", "corpus.txt",
-			[]byte(strings.Repeat("word ", 10_000))); err != nil {
-			t.Fatal(err)
+		must(t, f.env.StageEverywhere(aliceDN, "corpus.txt", []byte(strings.Repeat("word ", 10_000))))
+		out, err := f.ons.ExecuteAndWait(svc, nil)
+		if err != nil || !strings.Contains(out, "process corpus.txt: 50000 bytes") || !strings.Contains(out, "counted") {
+			t.Fatalf("output %q, %v", out, err)
 		}
-		out, err := f.ons.ExecuteAndWait("WordcountService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(out, "process corpus.txt: 50000 bytes") || !strings.Contains(out, "counted") {
-			t.Fatalf("output %q", out)
+	})
+}
+
+func TestStageInRetryFallsBackToStagedSite(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// A submission rejected "not staged" sends the pipeline to the next
+		// candidate: the site where the owner actually staged the data.
+		f := newFixture(t, nil)
+		svc := f.publish(t, "wordcount.gsh", "process corpus.txt 1000\necho counted\n")
+		must(t, f.ons.SetStageIn(svc, []string{"corpus.txt"}))
+		// Corpus staged at siteB only; both sites idle, so pickSites tries
+		// siteA first and its submission is rejected "not staged".
+		f.site("siteB").Store().Put(aliceDN, "corpus.txt", []byte(strings.Repeat("word ", 1000)))
+		if inv := ends(t, f.invoke(t, svc, nil), InvDone); inv.Site != "siteB" {
+			t.Fatalf("submitted to %s, want the staged-data fallback siteB", inv.Site)
 		}
 	})
 }
@@ -548,20 +324,13 @@ func TestDeleteService(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		f.uploadDemo(t)
-		if err := f.ons.DeleteService("MontecarloService"); err != nil {
-			t.Fatal(err)
+		must(t, f.ons.DeleteService("MontecarloService"))
+		if _, ok := f.parts.Container.Lookup("MontecarloService"); ok || f.parts.Registry.Len() != 0 {
+			t.Fatalf("still deployed %v, %d uddi records", ok, f.parts.Registry.Len())
 		}
-		if _, ok := f.parts.Container.Lookup("MontecarloService"); ok {
-			t.Fatal("service still deployed")
-		}
-		if f.parts.Registry.Len() != 0 {
-			t.Fatal("uddi record remains")
-		}
-		if _, err := f.ons.ServiceInfo("MontecarloService"); !errors.Is(err, ErrNoSuchService) {
-			t.Fatalf("got %v", err)
-		}
-		if err := f.ons.DeleteService("MontecarloService"); !errors.Is(err, ErrNoSuchService) {
-			t.Fatalf("double delete: %v", err)
+		_, err := f.ons.ServiceInfo("MontecarloService")
+		if derr := f.ons.DeleteService("MontecarloService"); !errors.Is(err, ErrNoSuchService) || !errors.Is(derr, ErrNoSuchService) {
+			t.Fatalf("info of a deleted service: %v, double delete: %v", err, derr)
 		}
 		// Name is free for a fresh upload.
 		f.uploadDemo(t)
@@ -572,15 +341,9 @@ func TestServicesListing(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		f.uploadDemo(t)
-		if _, err := f.ons.UploadAndGenerate("alice", "wordcount.gsh", "", nil, []byte("echo 1\n")); err != nil {
-			t.Fatal(err)
-		}
-		list, err := f.ons.Services()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(list) != 2 {
-			t.Fatalf("services %+v", list)
+		f.publish(t, "wordcount.gsh", "echo 1\n")
+		if list, err := f.ons.Services(); err != nil || len(list) != 2 {
+			t.Fatalf("services %+v, %v", list, err)
 		}
 	})
 }
@@ -589,14 +352,10 @@ func TestDoubleWriteAccounting(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		stock := newFixture(t, nil)
 		stock.uploadDemo(t)
-		stockWrites := stock.rec.Total(metrics.DiskWrite)
-
 		direct := newFixture(t, func(cfg *Config) { cfg.DirectDBWrite = true })
 		direct.uploadDemo(t)
-		directWrites := direct.rec.Total(metrics.DiskWrite)
-
-		if stockWrites <= directWrites {
-			t.Fatalf("double-write path (%v) should write more than direct path (%v)", stockWrites, directWrites)
+		if s, d := stock.rec.Total(metrics.DiskWrite), direct.rec.Total(metrics.DiskWrite); s <= d {
+			t.Fatalf("double-write path (%v) should write more than direct path (%v)", s, d)
 		}
 	})
 }
@@ -611,11 +370,11 @@ func TestNewRejectsKnobsWithoutChunkedStaging(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		// Placement probes and stored-gzip shipping both ride the chunk
 		// store; accepted without it they would be silently inert.
+		f := newFixture(t, nil)
 		for name, set := range map[string]func(*Config){
 			"DataAwarePlacement": func(c *Config) { c.DataAwarePlacement = true },
 			"WireCompression":    func(c *Config) { c.WireCompression = true },
 		} {
-			f := newFixture(t, nil)
 			cfg := f.cfg
 			set(&cfg)
 			if _, err := New(cfg, f.parts); err == nil || !strings.Contains(err.Error(), "require ChunkedStaging") {
@@ -671,31 +430,57 @@ func TestWatchdogFires(t *testing.T) {
 	})
 }
 
+// TestWatchdogStartsNoGoroutine: arming a watchdog parks no goroutine of
+// its own; it is a timer until it fires or is stopped.
+func TestWatchdogStartsNoGoroutine(t *testing.T) {
+	o := &OnServe{cfg: Config{InvocationTimeout: time.Hour}}
+	wd := o.armWatchdog(&Invocation{})
+	defer wd.Stop()
+	for _, g := range goroutines("created by repro/internal/core.(*OnServe).armWatchdog") {
+		t.Fatalf("an armed watchdog parks a goroutine:\n%s", g)
+	}
+}
+
+func TestWatchdogCancelRace(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// Cancel and watchdog racing on the same invocation must settle on
+		// exactly one terminal state and never hang.
+		f := newFixture(t, func(cfg *Config) { cfg.InvocationTimeout = 15 * time.Second })
+		svc := f.publish(t, "racy.gsh", "compute 10h\n")
+		for range 5 {
+			inv := f.invoke(t, svc, nil)
+			go f.ons.CancelInvocation(inv.Ticket)
+			<-inv.DoneChan()
+			if st := inv.State(); st != InvCancelled && st != InvKilled {
+				t.Fatalf("state %s", st)
+			}
+		}
+	})
+}
+
+// soapDemo mounts the fixture's container on a server and returns a
+// call of the demo service's operations.
+func (f *fixture) soapDemo(t *testing.T, service string) func(op string, params ...soap.Param) (string, error) {
+	hs, c := newSOAPServer(t, f.parts.Container)
+	return func(op string, params ...soap.Param) (string, error) {
+		return c.Call(hs+"/services/"+service, "urn:onserve:"+service, op, params, nil)
+	}
+}
+
 func TestGeneratedServiceOverSOAP(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		// Full SaaS loop through the deployed SOAP service, as a remote
 		// client would drive it.
 		f := newFixture(t, nil)
 		f.uploadDemo(t)
-		// The container is not mounted on a real HTTP server in this fixture;
-		// mount it.
-		hs, c := newSOAPServer(t, f.parts.Container)
-		url := hs + "/services/MontecarloService"
-		ns := "urn:onserve:MontecarloService"
-		ticket, err := c.Call(url, ns, "execute", []soap.Param{{Name: "digits", Value: "42"}}, nil)
-		if err != nil {
-			t.Fatal(err)
+		call := f.soapDemo(t, "MontecarloService")
+		ticket, err := call("execute", soap.Param{Name: "digits", Value: "42"})
+		must(t, err)
+		if out, err := call("wait", soap.Param{Name: "ticket", Value: ticket}); err != nil || out != "pi=42\n" {
+			t.Fatalf("output %q, %v", out, err)
 		}
-		out, err := c.Call(url, ns, "wait", []soap.Param{{Name: "ticket", Value: ticket}}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out != "pi=42\n" {
-			t.Fatalf("output %q", out)
-		}
-		stJSON, err := c.Call(url, ns, "status", []soap.Param{{Name: "ticket", Value: ticket}}, nil)
-		if err != nil || !strings.Contains(stJSON, "DONE") {
-			t.Fatalf("status %q err %v", stJSON, err)
+		if st, err := call("status", soap.Param{Name: "ticket", Value: ticket}); err != nil || !strings.Contains(st, "DONE") {
+			t.Fatalf("status %q err %v", st, err)
 		}
 	})
 }
@@ -704,13 +489,322 @@ func TestGeneratedServiceRejectsBadArgs(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		f.uploadDemo(t)
-		hs, c := newSOAPServer(t, f.parts.Container)
-		url := hs + "/services/MontecarloService"
-		ns := "urn:onserve:MontecarloService"
-		_, err := c.Call(url, ns, "execute", []soap.Param{{Name: "digits", Value: "not-a-number"}}, nil)
-		var fault *soap.Fault
-		if !errors.As(err, &fault) {
+		_, err := f.soapDemo(t, "MontecarloService")("execute", soap.Param{Name: "digits", Value: "not-a-number"})
+		if fault := (*soap.Fault)(nil); !errors.As(err, &fault) {
 			t.Fatalf("got %v", err)
 		}
 	})
+}
+
+func TestOutputFileThroughGeneratedService(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		call := f.soapDemo(t, f.publish(t, "artifacts.gsh", "write data.bin 64\necho done\n"))
+		ticket, err := call("execute")
+		must(t, err)
+		_, err = call("wait", soap.Param{Name: "ticket", Value: ticket})
+		must(t, err)
+		enc, err := call("outputFile", soap.Param{Name: "ticket", Value: ticket}, soap.Param{Name: "name", Value: "data.bin"})
+		must(t, err)
+		if data, err := base64.StdEncoding.DecodeString(enc); err != nil || len(data) != 64 {
+			t.Fatalf("artifact %d bytes err %v", len(data), err)
+		}
+		// Missing artifact faults.
+		_, err = call("outputFile", soap.Param{Name: "ticket", Value: ticket}, soap.Param{Name: "name", Value: "ghost.bin"})
+		if fault := (*soap.Fault)(nil); !errors.As(err, &fault) {
+			t.Fatalf("got %v", err)
+		}
+	})
+}
+
+func TestInvocationOutputFileBadTicket(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		if _, err := f.ons.InvocationOutputFile("inv-000000-ffffffffffff", "x"); !errors.Is(err, ErrNoTicket) {
+			t.Fatalf("got %v", err)
+		}
+	})
+}
+
+// Failure injection: the middleware must degrade with useful errors, not
+// hangs, when the substrates misbehave.
+
+func TestInvokeWhenAllSitesDraining(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		f.uploadDemo(t)
+		for _, name := range f.env.Grid.SiteNames() {
+			f.site(name).Drain()
+		}
+		if _, err := f.ons.Invoke("MontecarloService", digits("1")); err == nil || !strings.Contains(err.Error(), "submit") {
+			t.Fatalf("got %v", err)
+		}
+	})
+}
+
+func TestInvokeAfterExecutableDeletedFromDB(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		f.uploadDemo(t)
+		// Pull the record out from under the deployed service.
+		must(t, f.parts.DB.Table(ExecutablesTable).Delete("MontecarloService"))
+		if _, err := f.ons.Invoke("MontecarloService", digits("1")); !errors.Is(err, ErrNoSuchService) {
+			t.Fatalf("got %v", err)
+		}
+	})
+}
+
+func TestInvokeWithRevokedMyProxyCredential(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		f.uploadDemo(t)
+		// alice rotates her MyProxy passphrase; the appliance's stored logon
+		// is now stale.
+		f.ons.RegisterUser("alice", UserAuth{MyProxyUser: "alice", Passphrase: "stale"})
+		if _, err := f.ons.Invoke("MontecarloService", digits("1")); err == nil || !strings.Contains(err.Error(), "authenticate") {
+			t.Fatalf("got %v", err)
+		}
+	})
+}
+
+func TestInvokeWithGridDown(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		f.uploadDemo(t)
+		f.env.Close() // the whole grid vanishes
+		if _, err := f.ons.Invoke("MontecarloService", digits("1")); err == nil {
+			t.Fatal("invoke succeeded against a dead grid")
+		}
+	})
+}
+
+func TestStagedFileVanishesBeforeRun(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// Fill every slot of every site with effectively endless hogs, so the
+		// invocation queues wherever it lands; then delete its staged
+		// executable before it can start: the grid job must fail cleanly and
+		// the invocation must follow.
+		f := newFixture(t, nil)
+		f.uploadDemo(t)
+		var release []func()
+		for _, name := range f.env.Grid.SiteNames() {
+			release = append(release, fill(t, f.site(name)))
+		}
+		inv := f.invoke(t, "MontecarloService", digits("2"))
+		if job, err := f.env.Grid.Job(inv.JobID); err != nil || job.State() != gridsim.Queued {
+			t.Fatalf("job %v (%v) with every slot taken, want QUEUED", job, err)
+		}
+		// Queued behind the hogs: remove its staged file, then release slots.
+		f.site(inv.Site).Store().Delete(aliceDN, "MontecarloService.gsh")
+		for _, r := range release {
+			r()
+		}
+		<-inv.DoneChan()
+		if inv.State() == InvDone || !strings.Contains(inv.Message(), "stage-in vanished") {
+			t.Fatalf("ended %s: %q, want the vanished stage-in", inv.State(), inv.Message())
+		}
+	})
+}
+
+// cachedSession is the ID of alice's cached grid session.
+func (f *fixture) cachedSession() string {
+	f.ons.mu.Lock()
+	defer f.ons.mu.Unlock()
+	return f.ons.sessions["alice"].id
+}
+
+func TestSessionCacheReusesSession(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.SessionCache = true })
+		f.uploadDemo(t)
+		for range 3 {
+			f.demo(t, "1")
+		}
+		if n := f.parts.Agent.SessionCount(); n != 1 {
+			t.Fatalf("agent holds %d sessions, want 1 reused session", n)
+		}
+	})
+}
+
+func TestStockAuthenticatesPerInvocation(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil) // cache off: the paper's behaviour
+		f.uploadDemo(t)
+		f.demo(t, "1")
+		f.demo(t, "1")
+		if n := f.parts.Agent.Logons(); n != 2 {
+			t.Fatalf("%d logons, want one fresh logon per invocation", n)
+		}
+		// ... and each is logged out when its invocation is over.
+		waitFor(t, func() bool { return f.parts.Agent.SessionCount() == 0 })
+	})
+}
+
+func TestGridSessionExpiryReauthenticates(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.SessionCache = true })
+		auth := UserAuth{MyProxyUser: "alice", Passphrase: "pw"}
+		id1, cached, err := f.ons.gridSession("alice", auth, trace.SpanContext{})
+		if err != nil || cached {
+			t.Fatalf("first session id=%q cached=%v err=%v", id1, cached, err)
+		}
+		id2, cached, err := f.ons.gridSession("alice", auth, trace.SpanContext{})
+		if err != nil || !cached || id2 != id1 {
+			t.Fatalf("second session id=%q cached=%v err=%v, want cached %q", id2, cached, err, id1)
+		}
+		// Age the cached entry past its expiry margin: the next call must
+		// perform a fresh logon instead of handing out the stale session.
+		f.ons.mu.Lock()
+		f.ons.sessions["alice"].expiresAt = time.Now().Add(-time.Second)
+		f.ons.mu.Unlock()
+		id3, cached, err := f.ons.gridSession("alice", auth, trace.SpanContext{})
+		if err != nil || cached || f.parts.Agent.SessionCount() != 2 {
+			t.Fatalf("expired session id=%q cached=%v err=%v beside %d agent sessions, want a fresh logon (2 sessions)", id3, cached, err, f.parts.Agent.SessionCount())
+		}
+	})
+}
+
+func TestSessionCacheInvalidatedOnAuthFault(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.SessionCache = true })
+		f.uploadDemo(t)
+		f.demo(t, "1")
+		cachedID := f.cachedSession()
+		// Kill the session behind the cache's back (an agent-side expiry): the
+		// next invocation must invalidate the stale entry, re-authenticate and
+		// still succeed.
+		f.parts.Agent.Logout(cachedID)
+		f.demo(t, "2")
+		if f.cachedSession() == cachedID {
+			t.Fatalf("stale session %q still cached", cachedID)
+		}
+	})
+}
+
+// TestDeadSessionIsLoggedOutOfTheAgent: a cached session whose proxy
+// has expired under it is refused by the agent; the invocation that finds
+// out re-authenticates, and the dead session leaves the agent's table
+// with the cache entry instead of staying there for good. An invocation
+// still in flight on the dead session ends as it did before — nothing
+// can poll for it, so the watchdog kills it.
+func TestDeadSessionIsLoggedOutOfTheAgent(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) {
+			cfg.SessionCache = true
+			cfg.InvocationTimeout = cyberaide.DefaultProxyLifetime + time.Hour
+			cfg.PollInterval = time.Minute // 720 polls, not 21600, until the proxy ends
+		})
+		f.uploadDemo(t)
+		inFlight := f.invoke(t, f.publish(t, "long.gsh", "compute 12h30m\necho late\n"), nil)
+		// The cache goes on believing in the session past the proxy's end.
+		f.ons.mu.Lock()
+		dead := f.ons.sessions["alice"].id
+		f.ons.sessions["alice"].expiresAt = time.Now().Add(48 * time.Hour)
+		f.ons.mu.Unlock()
+		if dead != inFlight.sessionID || f.parts.Agent.SessionCount() != 1 {
+			t.Fatalf("cached session %q, invocation's %q, %d agent sessions", dead, inFlight.sessionID, f.parts.Agent.SessionCount())
+		}
+		time.Sleep(cyberaide.DefaultProxyLifetime + time.Minute) // the proxy runs out under the job
+		if _, err := f.parts.Agent.Session(dead); !errors.Is(err, cyberaide.ErrExpired) {
+			t.Fatalf("the cached session past its proxy's lifetime: %v, want it expired", err)
+		}
+		f.demo(t, "2")
+		if fresh := f.cachedSession(); fresh == dead {
+			t.Fatalf("dead session %q still cached", dead)
+		}
+		if _, err := f.parts.Agent.Session(dead); !errors.Is(err, cyberaide.ErrNoSession) || f.parts.Agent.SessionCount() != 1 {
+			t.Fatalf("dead session in the agent's table (%v) beside %d sessions, want the fresh one alone", err, f.parts.Agent.SessionCount())
+		}
+		if !strings.Contains(ends(t, inFlight, InvKilled).Message(), "watchdog") {
+			t.Fatalf("in-flight invocation ended %q, want the watchdog's kill", inFlight.Message())
+		}
+	})
+}
+
+// setStats plants a scheduler snapshot taken at.
+func (f *fixture) setStats(at time.Time, stats ...gridsim.SiteStats) {
+	f.ons.mu.Lock()
+	f.ons.stats, f.ons.statsAt = stats, at
+	f.ons.mu.Unlock()
+}
+
+func TestStatsTTLServesCachedSnapshot(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		ttl := 10 * time.Minute
+		f := newFixture(t, func(cfg *Config) { cfg.StatsTTL = ttl })
+		sessID, _, err := f.ons.gridSession("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"}, trace.SpanContext{})
+		must(t, err)
+		pick := func() []string {
+			sites, err := f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)
+			must(t, err)
+			return sites
+		}
+		pick()
+		// Plant a sentinel snapshot: while the TTL holds, pickSites must use
+		// it rather than ask the gatekeeper again.
+		f.setStats(time.Now(), gridsim.SiteStats{Name: "siteB", Slots: 8, FreeSlots: 8})
+		if sites := pick(); len(sites) != 1 || sites[0] != "siteB" {
+			t.Fatalf("pickSites ignored cached snapshot: %v", sites)
+		}
+		// Expire the snapshot: the next call refetches both sites.
+		f.setStats(time.Now().Add(-2*ttl), gridsim.SiteStats{Name: "siteB", Slots: 8, FreeSlots: 8})
+		if sites := pick(); len(sites) != 2 {
+			t.Fatalf("expired snapshot not refreshed: %v", sites)
+		}
+	})
+}
+
+func TestConcurrentWarmInvocations(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.SessionCache, cfg.StatsTTL = true, 30*time.Second })
+		f.uploadDemo(t)
+		const workers = 8
+		burst(t, workers, func(int) error {
+			_, err := f.ons.ExecuteAndWait("MontecarloService", digits("7"))
+			return err
+		})
+		if n := f.parts.Agent.SessionCount(); n < 1 || n > workers {
+			t.Fatalf("agent sessions %d", n)
+		}
+	})
+}
+
+func TestInvocationPruning(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		f.ons.retention = 2
+		f.uploadDemo(t)
+		var tickets []string
+		for range 4 {
+			inv := f.invoke(t, "MontecarloService", digits("1"))
+			tickets = append(tickets, ends(t, inv, InvDone).Ticket)
+		}
+		waitFor(t, func() bool { return len(f.ons.Invocations()) == 2 })
+		// The two oldest tickets are pruned, the two newest still resolve.
+		for i, ticket := range tickets {
+			if _, err := f.ons.Invocation(ticket); i < 2 && !errors.Is(err, ErrNoTicket) || i >= 2 && err != nil {
+				t.Fatalf("ticket %d (%s): %v", i, ticket, err)
+			}
+		}
+		// Monitoring still tallies all four through the retained counters.
+		if got := f.ons.Monitoring().Invocations[string(InvDone)]; got != 4 {
+			t.Fatalf("monitoring DONE = %d, want 4", got)
+		}
+	})
+}
+
+func TestReplicaSource(t *testing.T) {
+	staged := map[string]map[string]string{
+		"SvcService":   {"siteC": "sum1", "siteA": "sum2"},
+		"OtherService": {"siteZ": "sum3"},
+	}
+	if got := replicaSource(staged["SvcService"]); got != "siteA" {
+		t.Fatalf("replicaSource = %q, want deterministic smallest site siteA", got)
+	}
+	// An unstaged service, and one whose name merely prefixes a staged one.
+	for _, svc := range []string{"MissingService", "Svc"} {
+		if got := replicaSource(staged[svc]); got != "" {
+			t.Fatalf("replicaSource(%s) = %q", svc, got)
+		}
+	}
 }

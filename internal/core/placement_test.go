@@ -1,17 +1,16 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"net/http"
 	"net/url"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bubble"
+	"repro/internal/gridsim"
 	"repro/internal/trace"
 )
 
@@ -28,47 +27,22 @@ func fillerProgram(size int) string {
 }
 
 func TestPlacementScoreWeighting(t *testing.T) {
-	cases := []struct {
-		name           string
-		loadA          float64
-		missA          int64
-		loadB          float64
-		missB          int64
-		wantAFirst     bool
-		wantAFirstNote string
+	for _, c := range []struct {
+		name         string
+		loadA, loadB float64
+		missA, missB int64
+		wantAFirst   bool
 	}{
-		{
-			// A tiny payload is not worth chasing: the idle site wins even
-			// though it holds nothing.
-			name:  "small payload follows load",
-			loadA: 0, missA: 64 << 10, // ~0.75 s transfer
-			loadB: 0.25, missB: 0, // 7.5 s queueing
-			wantAFirst: true,
-		},
-		{
-			// A big payload is: the loaded-but-possessing site beats an idle
-			// site that would cold-transfer everything.
-			name:  "large payload follows data",
-			loadA: 0, missA: 4 << 20, // ~48 s transfer
-			loadB: 0.75, missB: 0, // 22.5 s queueing
-			wantAFirst: false,
-		},
-		{
-			name:  "all else equal lower load wins",
-			loadA: 0.5, missA: 0,
-			loadB: 0.25, missB: 0,
-			wantAFirst: false,
-		},
-		{
-			name:  "all else equal possession wins",
-			loadA: 0.5, missA: 0,
-			loadB: 0.5, missB: 1 << 20,
-			wantAFirst: true,
-		},
-	}
-	for _, c := range cases {
-		a := placementScore(c.loadA, c.missA)
-		b := placementScore(c.loadB, c.missB)
+		// A tiny payload is not worth chasing: the idle site wins even
+		// though it holds nothing (~0.75 s transfer against 7.5 s queueing).
+		{"small payload follows load", 0, 0.25, 64 << 10, 0, true},
+		// A big payload is: the loaded-but-possessing site beats an idle
+		// site that would cold-transfer everything (~48 s against 22.5 s).
+		{"large payload follows data", 0, 0.75, 4 << 20, 0, false},
+		{"all else equal lower load wins", 0.5, 0.25, 0, 0, false},
+		{"all else equal possession wins", 0.5, 0.5, 0, 1 << 20, true},
+	} {
+		a, b := placementScore(c.loadA, c.missA), placementScore(c.loadB, c.missB)
 		if (a < b) != c.wantAFirst {
 			t.Errorf("%s: score A %.2f vs B %.2f, want A first %v", c.name, a, b, c.wantAFirst)
 		}
@@ -76,31 +50,27 @@ func TestPlacementScoreWeighting(t *testing.T) {
 }
 
 func TestOrderScoresDeterministic(t *testing.T) {
-	// Equal scores must order by name no matter the input order.
-	perms := [][]string{
-		{"siteC", "siteA", "siteB"},
-		{"siteB", "siteC", "siteA"},
-		{"siteA", "siteB", "siteC"},
-	}
-	for _, p := range perms {
-		scores := make([]siteScore, len(p))
-		for i, name := range p {
-			scores[i] = siteScore{name: name, score: 7.5}
+	order := func(names []string, score func(i int) float64) string {
+		scores := make([]siteScore, len(names))
+		for i, name := range names {
+			scores[i] = siteScore{name: name, score: score(i)}
 		}
 		orderScores(scores)
-		if scores[0].name != "siteA" || scores[1].name != "siteB" || scores[2].name != "siteC" {
-			t.Fatalf("permutation %v ordered as %v", p, scores)
+		var got []string
+		for _, s := range scores {
+			got = append(got, s.name)
+		}
+		return strings.Join(got, " ")
+	}
+	// Equal scores must order by name no matter the input order.
+	for _, p := range [][]string{{"siteC", "siteA", "siteB"}, {"siteB", "siteC", "siteA"}, {"siteA", "siteB", "siteC"}} {
+		if got := order(p, func(int) float64 { return 7.5 }); got != "siteA siteB siteC" {
+			t.Fatalf("permutation %v ordered as %s", p, got)
 		}
 	}
 	// Unequal scores order ascending regardless of name.
-	scores := []siteScore{
-		{name: "siteA", score: 9},
-		{name: "siteZ", score: 1},
-		{name: "siteM", score: 5},
-	}
-	orderScores(scores)
-	if scores[0].name != "siteZ" || scores[1].name != "siteM" || scores[2].name != "siteA" {
-		t.Fatalf("ordered %v", scores)
+	if got := order([]string{"siteA", "siteZ", "siteM"}, func(i int) float64 { return []float64{9, 1, 5}[i] }); got != "siteZ siteM siteA" {
+		t.Fatalf("ordered %s", got)
 	}
 }
 
@@ -111,67 +81,29 @@ func TestDataAwarePlacementPrefersPossessingSite(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) {
 			cfg.InvocationTimeout = 100 * time.Hour
-			cfg.ChunkedStaging = true
-			cfg.ChunkBytes = 4 << 10
-			cfg.DataAwarePlacement = true
+			cfg.ChunkedStaging, cfg.ChunkBytes, cfg.DataAwarePlacement = true, 4<<10, true
 		})
 		// Far beyond the test's virtual runtime.
 		f.ons.probeTTL = 1000 * time.Hour
-		if _, err := f.ons.UploadAndGenerate("alice", "warm.gsh", "", nil,
-			[]byte(fillerProgram(64<<10))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.ons.ExecuteAndWait("WarmService", nil); err != nil {
-			t.Fatal(err)
-		}
-		inv1 := f.ons.Invocations()[0]
+		svc := f.publish(t, "warm.gsh", fillerProgram(64<<10))
+		inv1 := ends(t, f.invoke(t, svc, nil), InvDone)
 		shipped := f.ons.StageStats().ChunksShipped
 		if shipped == 0 {
 			t.Fatal("cold staging shipped no chunks")
 		}
-
-		inv2, err := f.ons.Invoke("WarmService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv2.DoneChan()
-		if inv2.State() != InvDone {
-			t.Fatalf("second invocation %s: %s", inv2.State(), inv2.Message())
-		}
-		if inv2.Site != inv1.Site {
+		if inv2 := ends(t, f.invoke(t, svc, nil), InvDone); inv2.Site != inv1.Site {
 			t.Fatalf("second invocation left the possessing site: %s then %s", inv1.Site, inv2.Site)
 		}
 		if got := f.ons.StageStats().ChunksShipped; got != shipped {
 			t.Fatalf("warm staging shipped %d chunks, want 0", got-shipped)
 		}
-		st := f.ons.PlacementStats()
-		if st.PlacementsScored != 2 {
-			t.Fatalf("placements scored %d, want 2", st.PlacementsScored)
-		}
 		// First placement probed both sites; the second was answered entirely
 		// from the possession cache (the upload's own credit for the winner,
 		// the still-fresh probe answer for the loser).
-		if st.ProbesSent != 2 {
-			t.Fatalf("probes sent %d, want 2", st.ProbesSent)
-		}
-		if st.ProbeCacheHits != 2 {
-			t.Fatalf("probe cache hits %d, want 2", st.ProbeCacheHits)
+		if st := f.ons.PlacementStats(); st.PlacementsScored != 2 || st.ProbesSent != 2 || st.ProbeCacheHits != 2 {
+			t.Fatalf("%+v: want 2 placements scored, 2 probes sent, 2 cache hits", st)
 		}
 	})
-}
-
-// killSwitch fails every request to one grid host once armed — a site
-// dropping off the network mid-burst.
-type killSwitch struct {
-	host atomic.Value // string
-	dead atomic.Bool
-}
-
-func (k *killSwitch) RoundTrip(req *http.Request) (*http.Response, error) {
-	if k.dead.Load() && req.URL.Host == k.host.Load().(string) {
-		return nil, errors.New("injected: site unreachable")
-	}
-	return overGrid.RoundTrip(req)
 }
 
 // TestPlacementProbeFailureDegradesToLoad kills one site's GridFTP
@@ -180,78 +112,35 @@ func (k *killSwitch) RoundTrip(req *http.Request) (*http.Response, error) {
 // surviving possessing site — degradation, never an error.
 func TestPlacementProbeFailureDegradesToLoad(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		ks := &killSwitch{}
-		ks.host.Store("")
-		f := newFixtureHTTP(t, ks, func(cfg *Config) {
-			cfg.ChunkedStaging = true
-			cfg.DataAwarePlacement = true
-		})
+		f := newFixture(t, func(cfg *Config) { cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true })
 		// Expire possession answers immediately so the burst keeps probing
 		// the dead site instead of coasting on the cache.
 		f.ons.probeTTL = time.Nanosecond
 		// Big enough that the possessing site wins even while the burst loads
 		// it: a full cold transfer scores worse than six busy slots.
-		if _, err := f.ons.UploadAndGenerate("alice", "big.gsh", "", nil,
-			[]byte(fillerProgram(3<<20))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.ons.ExecuteAndWait("BigService", nil); err != nil {
-			t.Fatal(err)
-		}
-		home := f.ons.Invocations()[0].Site
-
+		svc := f.publish(t, "big.gsh", fillerProgram(3<<20))
+		home := ends(t, f.invoke(t, svc, nil), InvDone).Site
 		// Kill the sibling's GridFTP host.
-		var sibling string
-		for _, s := range []string{"siteA", "siteB"} {
-			if s != home {
-				sibling = s
-			}
-		}
+		sibling := map[string]string{"siteA": "siteB", "siteB": "siteA"}[home]
 		ftpURL, ok := f.parts.Agent.SiteURL(sibling)
-		if !ok {
-			t.Fatalf("no FTP URL for %s", sibling)
-		}
 		u, err := url.Parse(ftpURL)
-		if err != nil {
-			t.Fatal(err)
+		if !ok || err != nil {
+			t.Fatalf("no FTP URL for %s: %v", sibling, err)
 		}
-		ks.host.Store(u.Host)
-		ks.dead.Store(true)
-
-		const burst = 6
-		var wg sync.WaitGroup
-		invs := make([]*Invocation, burst)
-		errs := make([]error, burst)
-		for i := 0; i < burst; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				inv, err := f.ons.Invoke("BigService", nil)
-				invs[i], errs[i] = inv, err
-				if err == nil {
-					<-inv.DoneChan()
-				}
-			}()
-		}
-		wg.Wait()
-		for i := 0; i < burst; i++ {
-			if errs[i] != nil {
-				t.Fatalf("invocation %d failed outright: %v", i, errs[i])
+		f.grid.add(&rule{when: func(req *http.Request) bool { return req.URL.Host == u.Host }, do: fail})
+		const n = 6
+		burst(t, n, func(i int) error {
+			inv, err := f.ons.Invoke(svc, nil)
+			if err != nil {
+				return fmt.Errorf("invocation %d failed outright: %w", i, err)
 			}
-			if st := invs[i].State(); st != InvDone {
-				t.Fatalf("invocation %d %s: %s", i, st, invs[i].Message())
+			if <-inv.DoneChan(); inv.State() != InvDone || inv.Site != home {
+				return fmt.Errorf("invocation %d ended %s at %s (%s), want DONE at %s", i, inv.State(), inv.Site, inv.Message(), home)
 			}
-			if invs[i].Site != home {
-				t.Fatalf("invocation %d placed at the dead site %s", i, invs[i].Site)
-			}
-		}
-		st := f.ons.PlacementStats()
-		if st.ProbeFailures == 0 {
-			t.Fatalf("dead site's probes never failed: %+v", st)
-		}
-		if st.PlacementsScored < burst {
-			t.Fatalf("placements scored %d, want at least %d", st.PlacementsScored, burst)
+			return nil
+		})
+		if st := f.ons.PlacementStats(); st.ProbeFailures == 0 || st.PlacementsScored < n {
+			t.Fatalf("%+v: want the dead site's probes failed and at least %d placements scored", st, n)
 		}
 	})
 }
@@ -263,41 +152,15 @@ func TestPlacementProbeFailureDegradesToLoad(t *testing.T) {
 func TestConcurrentPlacementAndReplication(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) {
-			cfg.InvocationTimeout = 100 * time.Hour
-			cfg.StagingCache = true
-			cfg.CoalesceStaging = true
-			cfg.ChunkedStaging = true
-			cfg.ChunkBytes = 4 << 10
-			cfg.DataAwarePlacement = true
-			cfg.StatsTTL = 3 * time.Second
+			cfg.InvocationTimeout, cfg.StatsTTL = 100*time.Hour, 3*time.Second
+			cfg.StagingCache, cfg.CoalesceStaging = true, true
+			cfg.ChunkedStaging, cfg.ChunkBytes, cfg.DataAwarePlacement = true, 4<<10, true
 		})
-		if _, err := f.ons.UploadAndGenerate("alice", "racey.gsh", "", nil,
-			[]byte(fillerProgram(32<<10))); err != nil {
-			t.Fatal(err)
-		}
+		svc := f.publish(t, "racey.gsh", fillerProgram(32<<10))
 		const workers = 8
-		var wg sync.WaitGroup
-		errs := make(chan error, workers)
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := f.ons.ExecuteAndWait("RaceyService", nil); err != nil {
-					errs <- err
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-		st := f.ons.PlacementStats()
-		if st.PlacementsScored != workers {
-			t.Fatalf("placements scored %d, want %d", st.PlacementsScored, workers)
-		}
-		if st.ProbeFailures != 0 {
-			t.Fatalf("healthy grid produced failures: %+v", st)
+		burst(t, workers, func(int) error { _, err := f.ons.ExecuteAndWait(svc, nil); return err })
+		if st := f.ons.PlacementStats(); st.PlacementsScored != workers || st.ProbeFailures != 0 {
+			t.Fatalf("%+v: want %d placements scored on a healthy grid, no failures", st, workers)
 		}
 	})
 }
@@ -308,9 +171,7 @@ func TestPlacementStatsZeroWhenOff(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		f.uploadDemo(t)
-		if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "3"}); err != nil {
-			t.Fatal(err)
-		}
+		f.demo(t, "3")
 		if st := f.ons.PlacementStats(); st != (PlacementStats{}) {
 			t.Fatalf("stock invocation touched placement counters: %+v", st)
 		}
@@ -321,24 +182,17 @@ func TestPlacementStatsZeroWhenOff(t *testing.T) {
 // cached possession answers so a re-published namesake starts cold.
 func TestDeleteServiceForgetsPossession(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t, func(cfg *Config) {
-			cfg.ChunkedStaging = true
-			cfg.DataAwarePlacement = true
-		})
+		f := newFixture(t, func(cfg *Config) { cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true })
 		f.ons.probeTTL = 10 * time.Minute
 		f.uploadDemo(t)
-		if _, err := f.ons.ExecuteAndWait("MontecarloService", map[string]string{"digits": "1"}); err != nil {
-			t.Fatal(err)
-		}
+		f.demo(t, "1")
 		f.ons.poss.mu.Lock()
 		cached := len(f.ons.poss.cache)
 		f.ons.poss.mu.Unlock()
 		if cached == 0 {
 			t.Fatal("placement left no possession answers behind")
 		}
-		if err := f.ons.DeleteService("MontecarloService"); err != nil {
-			t.Fatal(err)
-		}
+		must(t, f.ons.DeleteService("MontecarloService"))
 		f.ons.poss.mu.Lock()
 		for k := range f.ons.poss.cache {
 			if k.service == "MontecarloService" {
@@ -353,59 +207,30 @@ func TestDeleteServiceForgetsPossession(t *testing.T) {
 // service|site pair collapse onto a single probe.
 func TestProbeCacheSingleflight(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t, func(cfg *Config) {
-			cfg.SessionCache = true
-			cfg.ChunkedStaging = true
-			cfg.DataAwarePlacement = true
-		})
+		f := newFixture(t, func(cfg *Config) { cfg.SessionCache, cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true, true })
 		f.ons.probeTTL = 10 * time.Minute
-		if _, err := f.ons.UploadAndGenerate("alice", "flock.gsh", "", nil,
-			[]byte(fillerProgram(16<<10))); err != nil {
-			t.Fatal(err)
-		}
+		f.publish(t, "flock.gsh", fillerProgram(16<<10))
 		auth, err := f.ons.userAuth("alice")
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		sess, _, err := f.ons.gridSession("alice", auth, trace.SpanContext{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		exe, err := f.ons.openExecutable("FlockService", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		const callers = 16
-		var wg sync.WaitGroup
-		for i := 0; i < callers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f.ons.probePossession(sess, "siteA", exe)
-			}()
-		}
-		wg.Wait()
-		st := f.ons.PlacementStats()
-		if st.ProbesSent != 1 {
+		burst(t, callers, func(int) error { f.ons.probePossession(sess, "siteA", exe); return nil })
+		if st := f.ons.PlacementStats(); st.ProbesSent != 1 {
 			t.Fatalf("%d concurrent placements sent %d probes, want 1", callers, st.ProbesSent)
 		}
 	})
 }
 
 func TestFmtHelpers(t *testing.T) {
-	if got := fmtPossession(0.5); got != "0.50" {
-		t.Fatalf("fmtPossession %q", got)
+	if got := fmtPossession(0.5); got != "0.50" || probeLabel(true) != "known" || probeLabel(false) != "unknown" {
+		t.Fatalf("fmtPossession %q, probeLabel %q and %q", got, probeLabel(true), probeLabel(false))
 	}
-	if probeLabel(true) != "known" || probeLabel(false) != "unknown" {
-		t.Fatal("probeLabel labels wrong")
-	}
-	e := possEntry{missing: 25, total: 100, ok: true}
-	if got := e.possession(); got != 0.75 {
-		t.Fatalf("possession %v", got)
-	}
-	bad := possEntry{missing: 100, total: 100}
-	if got := bad.possession(); got != 0 {
-		t.Fatalf("unknown possession %v, want 0", got)
+	known, unknown := possEntry{missing: 25, total: 100, ok: true}, possEntry{missing: 100, total: 100}
+	if known.possession() != 0.75 || unknown.possession() != 0 {
+		t.Fatalf("possession %v, unknown possession %v; want 0.75 and 0", known.possession(), unknown.possession())
 	}
 }
 
@@ -415,10 +240,7 @@ func TestFmtHelpers(t *testing.T) {
 // arrays on the stack.
 func TestCachedPlacementAllocations(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t, func(cfg *Config) {
-			cfg.ChunkedStaging = true
-			cfg.DataAwarePlacement = true
-		})
+		f := newFixture(t, func(cfg *Config) { cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true })
 		f.ons.probeTTL = 1000 * time.Hour
 		exe := heldExecutable(f.ons, "CachedService", []byte("echo hi\n"))
 		cands := []siteLoad{{name: "siteA", load: 0.5}, {name: "siteB", load: 0}}
@@ -457,12 +279,23 @@ func TestCachedPlacementAllocations(t *testing.T) {
 			t.Fatalf("a placement the cache answers scored on a goroutine of its own:\n%s", scorer)
 		}
 		allocs := testing.AllocsPerRun(100, place)
-		t.Logf("cached placement: %.0f objects", allocs)
-		if allocs > 0 {
-			t.Fatalf("a placement the cache answers allocates %.0f objects, want 0", allocs)
+		if st := f.ons.PlacementStats(); allocs > 0 || st.ProbesSent != 0 || st.ProbeCacheHits != 2*(1+101) {
+			t.Fatalf("a placement the cache answers allocates %.0f objects (want 0); %+v, want no probe and two cache hits per placement", allocs, st)
 		}
-		if st := f.ons.PlacementStats(); st.ProbesSent != 0 || st.ProbeCacheHits != 2*(1+101) {
-			t.Fatalf("%+v, want no probe and two cache hits per placement", st)
+	})
+}
+
+func TestPickSitesZeroSlotSiteSortsLast(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		// Regression: a drained site reporting zero slots used to make the
+		// load formula divide by zero, and the resulting NaN corrupted the
+		// sort (the drained site could come back first). A zero-slot site is
+		// fully loaded: it must sort after every site with capacity.
+		f := newFixture(t, func(cfg *Config) { cfg.StatsTTL = time.Hour })
+		f.setStats(time.Now(), gridsim.SiteStats{Name: "siteA"}, gridsim.SiteStats{Name: "siteB", Slots: 8, FreeSlots: 2, Queued: 3})
+		sites, err := f.ons.pickSites("session-unused-cache-warm", heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)
+		if err != nil || len(sites) != 2 || sites[0] != "siteB" || sites[1] != "siteA" {
+			t.Fatalf("zero-slot site not sorted last: %v, %v", sites, err)
 		}
 	})
 }

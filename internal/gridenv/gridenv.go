@@ -23,6 +23,9 @@ import (
 	"repro/internal/xsec"
 )
 
+// caValidity is how long the grid's CA certificate is valid.
+const caValidity = 10 * 365 * 24 * time.Hour
+
 // Options configures Start.
 type Options struct {
 	// Sites defaults to gridsim.TeraGrid's machine file.
@@ -31,8 +34,6 @@ type Options struct {
 	// over Net; nil leaves it unshaped. Client→server shaping belongs to
 	// the caller's dialer.
 	Profile *netsim.Profile
-	// CAValidity defaults to ten years.
-	CAValidity time.Duration
 	// Trace, when non-nil, turns on distributed tracing: every grid
 	// service (GRAM, per-site GridFTP, MyProxy, the simulator's job
 	// lifecycle) records spans into this shared collector. Hand the same
@@ -63,11 +64,7 @@ type Env struct {
 
 // Start boots the environment.
 func Start(opts Options) (*Env, error) {
-	validity := opts.CAValidity
-	if validity <= 0 {
-		validity = 10 * 365 * 24 * time.Hour
-	}
-	ca, err := xsec.NewCA("ReproGridCA", time.Now(), validity)
+	ca, err := xsec.NewCA("ReproGridCA", time.Now(), caValidity)
 	if err != nil {
 		return nil, err
 	}

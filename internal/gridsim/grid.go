@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/jsdl"
 	"repro/internal/trace"
@@ -189,7 +188,7 @@ func TeraGrid() (*Grid, error) {
 	mk := func(name string, nodes, cores int, factor float64) SiteConfig {
 		return SiteConfig{
 			Name: name, Nodes: nodes, CoresPerNode: cores,
-			CPUFactor: factor, DefaultWallTime: 12 * time.Hour,
+			CPUFactor: factor,
 		}
 	}
 	return New(

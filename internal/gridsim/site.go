@@ -51,6 +51,9 @@ func (p Policy) String() string {
 	return "unknown"
 }
 
+// defaultWallTime is the walltime of a job that requests none.
+const defaultWallTime = 12 * time.Hour
+
 // SiteConfig describes one supercomputing centre.
 type SiteConfig struct {
 	// Name identifies the site ("ncsa-abe", ...).
@@ -64,8 +67,6 @@ type SiteConfig struct {
 	// CPUFactor scales compute statement durations: 2.0 runs compute
 	// twice as fast as nominal. Zero means 1.0.
 	CPUFactor float64
-	// DefaultWallTime applies when a job requests none. Zero = 12h.
-	DefaultWallTime time.Duration
 	// MaxJobOutput bounds one job's total output artifacts; zero means
 	// the package default MaxJobOutputBytes.
 	MaxJobOutput int
@@ -127,9 +128,6 @@ type runInfo struct {
 func NewSite(cfg SiteConfig) *Site {
 	if cfg.CPUFactor <= 0 {
 		cfg.CPUFactor = 1
-	}
-	if cfg.DefaultWallTime <= 0 {
-		cfg.DefaultWallTime = 12 * time.Hour
 	}
 	return &Site{
 		cfg:       cfg,
@@ -368,7 +366,7 @@ func (s *Site) wallTimeOf(j *Job) time.Duration {
 	if j.Desc.WallTime > 0 {
 		return j.Desc.WallTime
 	}
-	return s.cfg.DefaultWallTime
+	return defaultWallTime
 }
 
 // dispatchAggressiveLocked starts every queued job that fits, in
@@ -472,7 +470,7 @@ func (s *Site) reservationLocked(cpus int) time.Time {
 		}
 	}
 	// Unreachable for validated submissions (cpus <= site slots).
-	return now.Add(s.cfg.DefaultWallTime)
+	return now.Add(defaultWallTime)
 }
 
 // run executes one job, then returns its slots and records the terminal
@@ -515,10 +513,7 @@ func (s *Site) execute(j *Job, startedAt time.Time) (State, string) {
 		return Failed, "executable rejected: " + err.Error()
 	}
 
-	wallTime := j.Desc.WallTime
-	if wallTime <= 0 {
-		wallTime = s.cfg.DefaultWallTime
-	}
+	wallTime := s.wallTimeOf(j)
 	env := &gsh.Env{
 		Args:   j.Desc.Arguments,
 		Stdout: stdoutWriter{j: j, s: s},
