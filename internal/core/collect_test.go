@@ -66,9 +66,7 @@ func TestCollectorContract(t *testing.T) {
 			n       int // concurrent invocations; 0 means 1
 			timeout time.Duration
 			rules   func() []*rule // the row's faults, fresh for each cell
-			// cancel cancels the first invocation; race cancels each one
-			// from a goroutine of its own as it starts.
-			cancel, race bool
+			cancel  bool           // cancels the first invocation
 			// late opens the event stream only once the grid jobs are over.
 			late  bool
 			state InvState // "" is any terminal state
@@ -111,10 +109,6 @@ func TestCollectorContract(t *testing.T) {
 			},
 			{name: "failed-with-message", program: "compute 4s\nfail kaboom\n", state: InvFailed, msg: "kaboom"},
 			{name: "cancel-mid-run", program: "emit 2s 10000 t\n", cancel: true, state: InvCancelled},
-			// Whichever of the terminal state and CancelInvocation wins, each
-			// invocation finishes exactly once (finish closing DoneChan twice
-			// would panic; -race covers the rest).
-			{name: "cancel-on-completion", program: "compute 1s\necho done\n", n: 8, race: true},
 			{
 				name: "watchdog-kill", program: "compute 23h\n", timeout: 20 * time.Second, state: InvKilled,
 				check: func(t *testing.T, oc outcome) {
@@ -177,14 +171,8 @@ func TestCollectorContract(t *testing.T) {
 						f.grid.add(oc.rules...)
 					}
 					svc := f.publish(t, "job.gsh", row.program)
-					var cancels sync.WaitGroup
 					for range max(row.n, 1) {
-						inv := f.invoke(t, svc, nil)
-						oc.invs = append(oc.invs, inv)
-						if row.race {
-							cancels.Add(1)
-							go func() { defer cancels.Done(); f.ons.CancelInvocation(inv.Ticket) }()
-						}
+						oc.invs = append(oc.invs, f.invoke(t, svc, nil))
 					}
 					if row.cancel {
 						must(t, f.ons.CancelInvocation(oc.invs[0].Ticket))
@@ -206,7 +194,6 @@ func TestCollectorContract(t *testing.T) {
 							t.Error("terminal invocation has no end time")
 						}
 					}
-					cancels.Wait()
 					oc.after, oc.events = f.ons.CollectorStats(), f.ons.EventStats()
 
 					// The path each column promises to have taken.
@@ -392,17 +379,6 @@ func pushWorker(f *fixture, sessionID string) *eventWorker {
 	return ec.workers[sessionID]
 }
 
-// pushFixture is a fixture whose collector is push, its session cache on
-// when cached.
-func pushFixture(t *testing.T, cached bool, mutate func(*Config)) *fixture {
-	return newFixture(t, func(cfg *Config) {
-		cfg.PushEvents, cfg.SessionCache = true, cached
-		if mutate != nil {
-			mutate(cfg)
-		}
-	})
-}
-
 // batch invokes n overlapping jobs of program and waits for each to end
 // DONE.
 func (f *fixture) batch(t *testing.T, n int, program string) []*Invocation {
@@ -425,7 +401,7 @@ func TestPushEventsSteadyStateStatusRPCsNearZero(t *testing.T) {
 		// every poll tick that the polling paths spend on /gram/status*
 		// costs the push path nothing.
 		const n = 8
-		f := pushFixture(t, true, nil)
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
 		f.batch(t, n, "compute 1m\necho ok\n")
 		stats, es := f.ons.CollectorStats(), f.ons.EventStats()
 		if es.StreamsOpened == 0 || es.EventsDelivered == 0 || es.FallbacksToPoll != 0 || es.StreamsOpened > n {
@@ -446,7 +422,7 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 		// poll its in-flight invocation instead (watchdog intact) and the
 		// job must still finish. Once the server "heals", the next
 		// invocation rides a fresh stream again.
-		f := pushFixture(t, false, func(cfg *Config) { cfg.InvocationTimeout = 3 * time.Hour })
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.InvocationTimeout = true, 3*time.Hour })
 		var down atomic.Bool // streams break at their next line, new ones are refused
 		f.grid.add(&rule{match: "/gram/events", when: flag(&down), do: fail}, &rule{match: "/gram/events", do: rewrite(func(_ int, line []byte) ([]byte, error) {
 			if down.Load() {
@@ -491,7 +467,9 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 func TestPushEventsStalledStreamFallsBack(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		const n = 16
-		f := pushFixture(t, true, func(cfg *Config) { cfg.InvocationTimeout, cfg.PollInterval = 8*time.Hour, 10*time.Second })
+		f := newFixture(t, func(cfg *Config) {
+			cfg.PushEvents, cfg.SessionCache, cfg.InvocationTimeout, cfg.PollInterval = true, true, 8*time.Hour, 10*time.Second
+		})
 		f.grid.add(&rule{match: "/gram/events", do: rewrite(func(frame int, line []byte) ([]byte, error) {
 			if frame > 0 {
 				return nil, nil // past the hello frame
@@ -535,7 +513,7 @@ func TestPushEventsTwoSessionsDoNotCrossDeliver(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		// Two users, two sessions, two streams: each invocation must settle
 		// from its own session's events with its own output.
-		f := pushFixture(t, false, nil)
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents = true })
 		_, err := f.env.AddUser("bob", "pw2", 0)
 		must(t, err)
 		f.ons.RegisterUser("bob", UserAuth{MyProxyUser: "bob", Passphrase: "pw2"})
@@ -599,7 +577,7 @@ func TestTracePushPathLinksParent(t *testing.T) {
 // real job runs to completion while its submit reply is held.
 func TestFullStashEvictsOldestNotNewest(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		f := pushFixture(t, true, nil)
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
 		svc := f.publish(t, "quick.gsh", "echo made-it\n")
 		// The first invocation opens the session's stream.
 		warm := ends(t, f.invoke(t, svc, nil), InvDone)
@@ -662,7 +640,7 @@ func TestFullStashEvictsOldestNotNewest(t *testing.T) {
 // is invalidated.
 func TestPushStreamScopedToItsSession(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		f := pushFixture(t, true, nil)
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
 		a := f.invoke(t, f.publish(t, "along.gsh", "echo a1\ncompute 1m\necho a2\n"), nil)
 		bshort := f.publish(t, "bshort.gsh", "emit 2s 3 b-line\n")
 		// A fresh logon: same identity, new proxy, new session.
@@ -721,19 +699,14 @@ func TestPushStreamScopedToItsSession(t *testing.T) {
 // The tests named for the poll hub drive what replaced it: push against a
 // stock gatekeeper, whose session workers poll their own jobs.
 
-// stockFixture is a push fixture against a stock gatekeeper.
-func stockFixture(t *testing.T, cached bool, mutate func(*Config)) *fixture {
-	f := pushFixture(t, cached, mutate)
-	f.grid.add(noEventStream())
-	return f
-}
-
 // cancelOnCompletionTick races CancelInvocation against one job at a
-// time as it completes (the contract's cancel-on-completion row races
-// eight at once): whichever side wins, each invocation finishes exactly
-// once with a terminal state.
-func cancelOnCompletionTick(t *testing.T, f *fixture) {
+// time as it completes, with the grid's faults: whichever side wins, each
+// invocation finishes exactly once (finish closing DoneChan twice would
+// panic) with a terminal state.
+func cancelOnCompletionTick(t *testing.T, push bool, faults ...*rule) {
 	t.Helper()
+	f := newFixture(t, func(cfg *Config) { cfg.PushEvents = push })
+	f.grid.add(faults...)
 	svc := f.publish(t, "quick.gsh", "compute 1s\necho done\n")
 	var wg sync.WaitGroup
 	for range 8 {
@@ -750,22 +723,23 @@ func cancelOnCompletionTick(t *testing.T, f *fixture) {
 }
 
 func TestCancelOnCompletionTickStockPoller(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) { cancelOnCompletionTick(t, newFixture(t, nil)) })
+	bubble.Test(t, func(t *testing.T) { cancelOnCompletionTick(t, false) })
 }
 
 func TestCancelOnCompletionTickPushEvents(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) { cancelOnCompletionTick(t, pushFixture(t, false, nil)) })
+	bubble.Test(t, func(t *testing.T) { cancelOnCompletionTick(t, true) })
 }
 
 func TestCancelOnCompletionTickPollHub(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) { cancelOnCompletionTick(t, stockFixture(t, false, nil)) })
+	bubble.Test(t, func(t *testing.T) { cancelOnCompletionTick(t, true, noEventStream()) })
 }
 
 func TestPollHubSkipsUnchangedSnapshots(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		// A job that is silent for three poll ticks and then emits once: the
 		// poller must confirm the unchanged snapshot without fetching any bytes.
-		f := stockFixture(t, false, nil)
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents = true })
+		f.grid.add(noEventStream())
 		inv := ends(t, f.invoke(t, f.publish(t, "quiet.gsh", "compute 10s\necho fin\n"), nil), InvDone)
 		if st := f.ons.CollectorStats(); inv.Output() != "fin\n" || st.OutputNotModified == 0 || st.OutputBytes != 4 || st.PollDiskWrites != 1 {
 			t.Fatalf("output %q, %+v: want silent ticks confirmed, 4 bytes fetched and spilled once", inv.Output(), st)
@@ -782,7 +756,8 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 		// worker's ticks, and the jobs' compute steps outlast the test.
 		const n, ticks = 8, 3
 		// The site's walltime limit derives from the timeout: the jobs outlive the test.
-		f := stockFixture(t, true, func(cfg *Config) { cfg.InvocationTimeout = 100 * time.Hour })
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache, cfg.InvocationTimeout = true, true, 100*time.Hour })
+		f.grid.add(noEventStream())
 		svc := f.publish(t, "long.gsh", strings.Repeat("compute 24h\n", 4))
 		invs := make([]*Invocation, n)
 		for i := range invs {
@@ -826,12 +801,32 @@ func TestPollHubIsolatesFailingJob(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		// A failing job and a succeeding one share a session, and so a batch;
 		// each must reach its own terminal state.
-		f := stockFixture(t, true, nil)
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
+		f.grid.add(noEventStream())
 		bad := f.invoke(t, f.publish(t, "boom.gsh", "compute 4s\nfail kaboom\n"), nil)
 		good := f.invoke(t, f.publish(t, "fine.gsh", "compute 4s\necho good\n"), nil)
 		if !strings.Contains(ends(t, bad, InvFailed).Message(), "kaboom") || ends(t, good, InvDone).Output() != "good\n" {
 			t.Fatalf("bad: %q, good: %q", bad.Message(), good.Output())
 		}
+	})
+}
+
+// TestPollHubDropsStaleEntryOfKilledJob: the watchdog kills the invocation
+// while a status batch that read its job RUNNING is in flight; the stale
+// entry finds it KILLED and is dropped, and the verdict stays the watchdog's.
+func TestPollHubDropsStaleEntryOfKilledJob(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.InvocationTimeout = true, 20*time.Second })
+		read := newGate()
+		f.grid.add(noEventStream(), &rule{match: "/gram/status-batch", do: hold(read, true)})
+		inv := f.invoke(t, f.publish(t, "slow.gsh", slowProgram), nil)
+		<-read.arrived
+		time.Sleep(f.cfg.InvocationTimeout) // past the watchdog's deadline
+		read.open()
+		if !strings.Contains(ends(t, inv, InvKilled).Message(), "watchdog") {
+			t.Fatalf("message %q", inv.Message())
+		}
+		f.collectorsIdle(t)
 	})
 }
 

@@ -35,16 +35,8 @@ func sha256Hex(b []byte) string {
 // db.fetch spans the invocation recorded.
 func (f *fixture) invokeLogged(t *testing.T, service string) (inv *Invocation, probes []string, fetches int) {
 	t.Helper()
-	probes = f.probes.record(func() {
-		var err error
-		if inv, err = f.ons.Invoke(service, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	<-inv.DoneChan()
-	if inv.State() != InvDone {
-		t.Fatalf("invocation ended %s: %s", inv.State(), inv.Message())
-	}
+	probes = f.probes.record(func() { inv = f.invoke(t, service, nil) })
+	ends(t, inv, InvDone)
 	spans, err := f.ons.InvocationTrace(inv.Ticket)
 	must(t, err)
 	byName, _ := indexSpans(spans)
@@ -89,11 +81,7 @@ func TestPaperProfileProbeSequence(t *testing.T) {
 		}
 		var invs []*Invocation
 		for i := 0; i < 3; i++ {
-			got := f.probes.record(func() {
-				inv, err := f.ons.Invoke("PaperService", nil)
-				must(t, err)
-				invs = append(invs, inv)
-			})
+			got := f.probes.record(func() { invs = append(invs, f.invoke(t, "PaperService", nil)) })
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("invocation %d made cost-model calls\n  %q\nthe paper profile makes\n  %q", i, got, want)
 			}
@@ -114,11 +102,7 @@ func TestPaperProfileProbeSequence(t *testing.T) {
 // new one's.
 func TestStoredGzipComparesGenerations(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t, func(cfg *Config) {
-			cfg.ChunkedStaging = true
-			cfg.ChunkBytes = 4 << 10
-			cfg.WireCompression = true
-		})
+		f := newFixture(t, func(cfg *Config) { chunked(cfg); cfg.WireCompression = true })
 		v1 := f.uploadPadded(t, "same", "echo v1\n", 32<<10)
 		v2 := gsh.Pad([]byte("echo v2\n"), 32<<10)
 		if len(v2) != len(v1) {
@@ -178,10 +162,6 @@ func TestStoredGzipComparesGenerations(t *testing.T) {
 func TestHotInvokeReadsNoExecutable(t *testing.T) {
 	bubble.Run(func() {
 		const size = 48 << 10
-		// onlySite makes the cached scheduler snapshot offer one idle site.
-		onlySite := func(f *fixture, name string) {
-			f.setStats(time.Now(), gridsim.SiteStats{Name: name, Slots: 8, FreeSlots: 8})
-		}
 
 		t.Run("staged", func(t *testing.T) {
 			f := newFixture(t, func(cfg *Config) {
@@ -210,7 +190,7 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 			// has room: the third-party transfer finds nothing to pull.
 			must(t, f.site(first.Site).Store().Delete(aliceDN, "FallService.gsh"))
 			sibling := map[string]string{"siteA": "siteB", "siteB": "siteA"}[first.Site]
-			onlySite(f, sibling)
+			f.setStats(time.Now(), gridsim.SiteStats{Name: sibling, Slots: 8, FreeSlots: 8}) // the one idle site
 			inv, probes, fetches := f.invokeLogged(t, "FallService")
 			if inv.Site != sibling || f.ons.SubmitStats().Uploads != 2 || fetches != 1 || loads(probes) != 1 {
 				t.Fatalf("ran at %s with %d uploads, fetched %d times (%d row reads: %q); want one fall-through upload to %s, fetched once",

@@ -533,19 +533,13 @@ func (l *probeLog) record(f func()) []string {
 // heldExecutable is a handle on blob as service's executable, pinned in a
 // database of its own, for tests that drive one pipeline stage on a
 // service the fixture's database never stored.
-func heldExecutable(o *OnServe, service string, blob []byte) *executable {
+func heldExecutable(t *testing.T, o *OnServe, service string, blob []byte) *executable {
 	db, err := blobdb.Open(blobdb.Options{})
-	if err != nil {
-		panic(err)
-	}
+	must(t, err)
 	tab := db.Table(ExecutablesTable)
-	if err := tab.Put(service, nil, blob); err != nil {
-		panic(err)
-	}
+	must(t, tab.Put(service, nil, blob))
 	row, err := tab.Open(service)
-	if err != nil {
-		panic(err)
-	}
+	must(t, err)
 	return &executable{o: o, row: row, service: service, staged: service + ".gsh"}
 }
 

@@ -380,9 +380,10 @@ func TestNewRejectsKnobsWithoutChunkedStaging(t *testing.T) {
 			if _, err := New(cfg, f.parts); err == nil || !strings.Contains(err.Error(), "require ChunkedStaging") {
 				t.Errorf("%s without ChunkedStaging: %v", name, err)
 			}
-			cfg.ChunkedStaging = true
-			if _, err := New(cfg, f.parts); err != nil {
-				t.Errorf("%s with ChunkedStaging: %v", name, err)
+			// Intervals left unset take their defaults.
+			cfg.ChunkedStaging, cfg.PollInterval, cfg.InvocationTimeout = true, 0, 0
+			if o, err := New(cfg, f.parts); err != nil || o.cfg.PollInterval != DefaultPollInterval || o.cfg.InvocationTimeout != DefaultInvocationTimeout {
+				t.Errorf("%s with ChunkedStaging: %v, or an unset interval kept at 0", name, err)
 			}
 		}
 	})
@@ -735,7 +736,7 @@ func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 		sessID, _, err := f.ons.gridSession("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"}, trace.SpanContext{})
 		must(t, err)
 		pick := func() []string {
-			sites, err := f.ons.pickSites(sessID, heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)
+			sites, err := f.ons.pickSites(sessID, heldExecutable(t, f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)
 			must(t, err)
 			return sites
 		}

@@ -242,7 +242,7 @@ func TestCachedPlacementAllocations(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true })
 		f.ons.probeTTL = 1000 * time.Hour
-		exe := heldExecutable(f.ons, "CachedService", []byte("echo hi\n"))
+		exe := heldExecutable(t, f.ons, "CachedService", []byte("echo hi\n"))
 		cands := []siteLoad{{name: "siteA", load: 0.5}, {name: "siteB", load: 0}}
 		now := time.Now()
 		f.ons.poss.mu.Lock()
@@ -293,7 +293,7 @@ func TestPickSitesZeroSlotSiteSortsLast(t *testing.T) {
 		// fully loaded: it must sort after every site with capacity.
 		f := newFixture(t, func(cfg *Config) { cfg.StatsTTL = time.Hour })
 		f.setStats(time.Now(), gridsim.SiteStats{Name: "siteA"}, gridsim.SiteStats{Name: "siteB", Slots: 8, FreeSlots: 2, Queued: 3})
-		sites, err := f.ons.pickSites("session-unused-cache-warm", heldExecutable(f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)
+		sites, err := f.ons.pickSites("session-unused-cache-warm", heldExecutable(t, f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)
 		if err != nil || len(sites) != 2 || sites[0] != "siteB" || sites[1] != "siteA" {
 			t.Fatalf("zero-slot site not sorted last: %v, %v", sites, err)
 		}
