@@ -2,20 +2,15 @@ package main
 
 import (
 	"bytes"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/appliance"
+	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
 	"repro/internal/cyberaide"
-	"repro/internal/gridenv"
-	"repro/internal/gridsim"
-	"repro/internal/hop"
-	"repro/internal/netsim"
 	"repro/internal/soap"
 )
 
@@ -27,33 +22,30 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 // shell on them: call it in a bubble.
 func newShell(t *testing.T) (*shell, *bytes.Buffer) {
 	t.Helper()
-	pipes := netsim.NewNet()
-	env, err := gridenv.Start(gridenv.Options{
-		Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 1, CoresPerNode: 4}},
-		Net:   pipes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(env.Close)
-	if _, err := env.AddUser("alice", "pw", 0); err != nil {
-		t.Fatal(err)
-	}
-	img, err := appliance.BuildImage(appliance.Config{Endpoints: env.Endpoints(), GridDial: pipes.DialContext})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := img.Boot(pipes.Listen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { app.Shutdown() })
+	f := appliancetest.Boot(t, nil)
 	var out bytes.Buffer
 	return &shell{
-		agentURL: app.BaseURL + "/services/" + cyberaide.ServiceName,
-		client:   soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(pipes.DialContext)}},
+		agentURL: f.App.BaseURL + "/services/" + cyberaide.ServiceName,
+		client:   soap.Client{HTTP: f.Web},
 		out:      &out,
 	}, &out
+}
+
+// waitDone polls the job's status until it reads DONE.
+func waitDone(t *testing.T, sh *shell, out *bytes.Buffer, jobID string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+		out.Reset()
+		if err := sh.dispatch("status " + jobID); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(out.String(), "DONE") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never finished: %q", out.String())
+		}
+	}
 }
 
 func TestShellFullWorkflow(t *testing.T) {
@@ -93,22 +85,7 @@ func TestShellFullWorkflow(t *testing.T) {
 			t.Fatalf("job line %q", line)
 		}
 
-		// Poll until done.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			out.Reset()
-			if err := sh.dispatch("status " + jobID); err != nil {
-				t.Fatal(err)
-			}
-			if strings.Contains(out.String(), "DONE") {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job never finished: %q", out.String())
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-
+		waitDone(t, sh, out, jobID)
 		out.Reset()
 		if err := sh.dispatch("output " + jobID); err != nil {
 			t.Fatal(err)
@@ -138,19 +115,7 @@ func TestShellUsageAndReplicate(t *testing.T) {
 		sh.dispatch("upload siteA " + path)
 		out.Reset()
 		sh.dispatch("submit acct.gsh siteA")
-		jobID := strings.TrimPrefix(strings.TrimSpace(out.String()), "job ")
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			out.Reset()
-			sh.dispatch("status " + jobID)
-			if strings.Contains(out.String(), "DONE") {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job stuck: %q", out.String())
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
+		waitDone(t, sh, out, strings.TrimPrefix(strings.TrimSpace(out.String()), "job "))
 		out.Reset()
 		if err := sh.dispatch("usage"); err != nil {
 			t.Fatal(err)
@@ -158,8 +123,8 @@ func TestShellUsageAndReplicate(t *testing.T) {
 		if !strings.Contains(out.String(), "siteA") || !strings.Contains(out.String(), "jobs=1") {
 			t.Fatalf("usage output %q", out.String())
 		}
-		// Replicate needs a second site; this world has one, so expect a
-		// clean error rather than a hang.
+		// Replicate to a site the grid does not have: a clean error rather
+		// than a hang.
 		if err := sh.dispatch("replicate siteA nowhere acct.gsh"); err == nil {
 			t.Fatal("replicate to unknown site succeeded")
 		}

@@ -7,15 +7,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/appliance"
+	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
-	"repro/internal/core"
-	"repro/internal/gridenv"
-	"repro/internal/hop"
-	"repro/internal/netsim"
-	"repro/internal/trace"
 )
 
 // TestMain runs the package's tests under GOEXPERIMENT=synctest, where
@@ -24,38 +18,14 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 
 // bootAppliance starts a simulated grid and one traced appliance with
 // user alice registered, and returns the appliance's base URL: call it in
-// a bubble. Grid and appliance listen on an in-process network, which the
-// CLI's transport is pointed at until the test ends.
+// a bubble. The CLI's transport is the fixture's user until the test ends.
 func bootAppliance(t *testing.T) string {
 	t.Helper()
-	pipes := netsim.NewNet()
+	f := appliancetest.Boot(t, nil)
 	stock := transport
-	transport = hop.NewTransport(pipes.DialContext)
+	transport = f.Web.Transport
 	t.Cleanup(func() { transport = stock })
-	env, err := gridenv.Start(gridenv.Options{Net: pipes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(env.Close)
-	if _, err := env.AddUser("alice", "s3cret", 0); err != nil {
-		t.Fatal(err)
-	}
-	img, err := appliance.BuildImage(appliance.Config{
-		Endpoints:    env.Endpoints(),
-		PollInterval: 3 * time.Second,
-		Trace:        trace.NewCollector(0, 0),
-		GridDial:     pipes.DialContext,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := img.Boot(pipes.Listen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { app.Shutdown() })
-	app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "s3cret"})
-	return app.BaseURL
+	return f.App.BaseURL
 }
 
 // TestCommandsEndToEnd drives the documented session — upload, list,

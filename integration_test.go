@@ -2,32 +2,27 @@ package repro
 
 // Whole-system integration tests: the five-layer stack of the paper's
 // Fig. 2 exercised exactly as a deployment would be, across reboot and
-// redeployment boundaries.
+// redeployment boundaries, through both front doors of one appliance and
+// of a fleet.
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
-	"mime/multipart"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/appliance"
+	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
 	"repro/internal/core"
-	"repro/internal/gridenv"
+	"repro/internal/gateway"
 	"repro/internal/gridsim"
-	"repro/internal/hop"
-	"repro/internal/netsim"
-	"repro/internal/portal"
 	"repro/internal/soap"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/uddi"
 	"repro/internal/wsclient"
-	"repro/internal/wsdl"
 )
 
 // TestMain runs the package's tests under GOEXPERIMENT=synctest, where
@@ -36,60 +31,27 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 
 func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		pipes := netsim.NewNet()
-		env, err := gridenv.Start(gridenv.Options{
-			Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
-			Net:   pipes,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer env.Close()
-		if _, err := env.AddUser("alice", "pw", 0); err != nil {
-			t.Fatal(err)
-		}
-
 		dbDir := t.TempDir()
-		img, err := appliance.BuildImage(appliance.Config{
-			Endpoints:    env.Endpoints(),
-			DBDir:        dbDir,
-			PollInterval: 2 * time.Second,
-			GridDial:     pipes.DialContext,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := appliancetest.Boot(t, func(cfg *appliance.Config) { cfg.DBDir = dbDir })
 
-		// First boot: upload and run once.
-		app, err := img.Boot(pipes.Listen())
-		if err != nil {
-			t.Fatal(err)
-		}
-		app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-		if _, err := app.OnServe.UploadAndGenerate("alice", "persist.gsh", "survives reboots",
-			[]wsdl.ParamDef{{Name: "n", Type: wsdl.TypeInt}},
-			[]byte("echo round ${n}\ncompute 500ms\n")); err != nil {
-			t.Fatal(err)
-		}
-		out, err := app.OnServe.ExecuteAndWait("PersistService", map[string]string{"n": "1"})
+		// First boot: upload through the form and run once.
+		f.Upload(t, "persist.gsh", "echo round ${n}\ncompute 500ms\n",
+			"description", "survives reboots", "paramName1", "n", "paramType1", "int")
+		out, err := f.App.OnServe.ExecuteAndWait("PersistService", map[string]string{"n": "1"})
 		if err != nil || out != "round 1\n" {
 			t.Fatalf("first run: %q %v", out, err)
-		}
-		if err := app.Shutdown(); err != nil {
-			t.Fatal(err)
 		}
 
 		// Second boot from the same image + database: the stored executable
 		// must be redeployable without re-upload.
-		app2, err := img.Boot(pipes.Listen())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer app2.Shutdown()
-		app2.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
+		f.Reboot(t)
+		app := f.App
 
 		// The database carried the record across the reboot...
-		info, err := app2.OnServe.ServiceInfo("PersistService")
+		if _, err := app.DB.Table(core.ExecutablesTable).Stat("PersistService"); err != nil {
+			t.Fatalf("record lost across reboot: %v", err)
+		}
+		info, err := app.OnServe.ServiceInfo("PersistService")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +59,7 @@ func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 			t.Fatalf("info %+v", info)
 		}
 		// ...and RedeployAll brings the service (and its UDDI record) back.
-		n, err := app2.OnServe.RedeployAll()
+		n, err := app.OnServe.RedeployAll()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,14 +67,14 @@ func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 			t.Fatalf("redeployed %d services", n)
 		}
 		// Idempotent: a second call finds everything live already.
-		if n, err := app2.OnServe.RedeployAll(); err != nil || n != 0 {
+		if n, err := app.OnServe.RedeployAll(); err != nil || n != 0 {
 			t.Fatalf("second redeploy: n=%d err=%v", n, err)
 		}
-		out, err = app2.OnServe.ExecuteAndWait("PersistService", map[string]string{"n": "2"})
+		out, err = app.OnServe.ExecuteAndWait("PersistService", map[string]string{"n": "2"})
 		if err != nil || out != "round 2\n" {
 			t.Fatalf("post-reboot run: %q %v", out, err)
 		}
-		if app2.Registry.Len() != 1 {
+		if app.Registry.Len() != 1 {
 			t.Fatal("uddi record not republished")
 		}
 	})
@@ -120,36 +82,16 @@ func TestIntegrationFullLifecycleAcrossReboot(t *testing.T) {
 
 func TestIntegrationDiscoveryPipeline(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		pipes := netsim.NewNet()
-		env, err := gridenv.Start(gridenv.Options{
-			Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
-			Net:   pipes,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer env.Close()
-		env.AddUser("alice", "pw", 0)
-		img, _ := appliance.BuildImage(appliance.Config{
-			Endpoints: env.Endpoints(), PollInterval: 2 * time.Second,
-			GridDial: pipes.DialContext,
-		})
-		app, err := img.Boot(pipes.Listen())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer app.Shutdown()
-		app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
+		f := appliancetest.Boot(t, nil)
 
 		// Publish three services, discover by pattern, invoke the match.
 		for _, name := range []string{"alphafold.gsh", "alphasort.gsh", "betareduce.gsh"} {
-			if _, err := app.OnServe.UploadAndGenerate("alice", name, "", nil, []byte("echo ran "+name+"\n")); err != nil {
+			if _, err := f.App.OnServe.UploadAndGenerate("alice", name, "", nil, []byte("echo ran "+name+"\n")); err != nil {
 				t.Fatal(err)
 			}
 		}
-		user := &http.Client{Transport: hop.NewTransport(pipes.DialContext)}
-		c := soap.Client{HTTP: user}
-		found, err := c.Call(app.RegistryURL(), uddi.Namespace, "find",
+		c := soap.Client{HTTP: f.Web}
+		found, err := c.Call(f.App.RegistryURL(), uddi.Namespace, "find",
 			[]soap.Param{{Name: "pattern", Value: "Alpha%"}}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +100,7 @@ func TestIntegrationDiscoveryPipeline(t *testing.T) {
 		if err != nil || len(recs) != 2 {
 			t.Fatalf("discovered %d services: %v", len(recs), err)
 		}
-		proxy, err := wsclient.ImportURL(recs[0].Endpoint, user)
+		proxy, err := wsclient.ImportURL(recs[0].Endpoint, f.Web)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,6 +127,19 @@ func (k keyed) RoundTrip(r *http.Request) (*http.Response, error) {
 	return k.rt.RoundTrip(r)
 }
 
+// aliceKeys lets alice's key upload and invoke the services it names,
+// denies Secret*, and keeps her jobs on the sites named site?.
+func aliceKeys() *tenant.Config {
+	return &tenant.Config{
+		Owners: []tenant.OwnerConfig{{Name: "alice", Policy: tenant.Policy{
+			Allow: []tenant.Rule{{Verbs: []string{"upload", "invoke"}, Services: []string{"Art*", "Secret*", "Fleet*"}}},
+			Deny:  []tenant.Rule{{Services: []string{"Secret*"}}},
+			Sites: []string{"site?"},
+		}}},
+		Keys: []tenant.KeyConfig{{Key: "alice-key", Owner: "alice"}},
+	}
+}
+
 // TestIntegrationPortalRoutes drives every page and route an operator or a
 // user reaches on one appliance booted with a keys config: the upload
 // form's stage-in list, an invocation through the SOAP door that writes an
@@ -194,80 +149,19 @@ func (k keyed) RoundTrip(r *http.Request) (*http.Response, error) {
 // a keyless call, a denied service and a site its policy leaves out.
 func TestIntegrationPortalRoutes(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		pipes := netsim.NewNet()
-		env, err := gridenv.Start(gridenv.Options{
-			Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}, {Name: "other", Nodes: 2, CoresPerNode: 4}},
-			Net:   pipes,
-		})
-		if err != nil {
+		f := appliancetest.Boot(t, func(cfg *appliance.Config) { cfg.Tenancy = aliceKeys() },
+			gridsim.SiteConfig{Name: "siteA", Nodes: 2, CoresPerNode: 4}, gridsim.SiteConfig{Name: "other", Nodes: 2, CoresPerNode: 4})
+		if err := f.Env.StageEverywhere("/O=Repro/CN=alice", "corpus.txt", []byte("some words\n")); err != nil {
 			t.Fatal(err)
 		}
-		defer env.Close()
-		if _, err := env.AddUser("alice", "pw", 0); err != nil {
-			t.Fatal(err)
-		}
-		img, err := appliance.BuildImage(appliance.Config{
-			Endpoints: env.Endpoints(), PollInterval: 2 * time.Second, GridDial: pipes.DialContext,
-			Trace: trace.NewCollector(0, 0),
-			Tenancy: &tenant.Config{
-				Owners: []tenant.OwnerConfig{{Name: "alice", Policy: tenant.Policy{
-					Allow: []tenant.Rule{{Verbs: []string{"upload", "invoke"}, Services: []string{"Art*", "Secret*"}}},
-					Deny:  []tenant.Rule{{Services: []string{"Secret*"}}},
-					Sites: []string{"site?"},
-				}}},
-				Keys: []tenant.KeyConfig{{Key: "alice-key", Owner: "alice"}},
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		app, err := img.Boot(pipes.Listen())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer app.Shutdown()
-		app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-		if err := env.StageEverywhere("/O=Repro/CN=alice", "corpus.txt", []byte("some words\n")); err != nil {
-			t.Fatal(err)
-		}
-		pipe := hop.NewTransport(pipes.DialContext)
-		web := &http.Client{Transport: keyed{pipe, "alice-key"}}
-		get := func(path string, want int) string {
-			t.Helper()
-			resp, err := web.Get(app.BaseURL + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != want {
-				t.Fatalf("GET %s: %d %s, want %d", path, resp.StatusCode, body, want)
-			}
-			return string(body)
-		}
-
 		// The upload form, with its stage-in list.
-		var form bytes.Buffer
-		mw := multipart.NewWriter(&form)
-		fw, _ := mw.CreateFormFile("file", "artifacts.gsh")
-		io.WriteString(fw, "process corpus.txt 100\nwrite data.bin 64\necho done ${n}\n")
-		mw.WriteField("user", "alice")
-		mw.WriteField("paramName1", "n")
-		mw.WriteField("paramType1", "int")
-		mw.WriteField("stageIn", "corpus.txt")
-		mw.Close()
-		resp, err := web.Post(app.BaseURL+"/upload", mw.FormDataContentType(), &form)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("upload: %d", resp.StatusCode)
-		}
+		ctype, form := appliancetest.UploadForm("artifacts.gsh", "process corpus.txt 100\nwrite data.bin 64\necho done ${n}\n",
+			"paramName1", "n", "paramType1", "int", "stageIn", "corpus.txt")
+		f.Serve(t, appliancetest.Route{Method: "POST", Path: "/upload", Type: ctype, Body: form, Key: "alice-key", Status: http.StatusOK})
 
 		// An invocation through the SOAP door, as the key's owner.
-		soapc := soap.Client{HTTP: web}
-		url, ns := app.ServicesURL()+"ArtifactsService", "urn:onserve:ArtifactsService"
+		soapc := soap.Client{HTTP: &http.Client{Transport: keyed{f.Web.Transport, "alice-key"}}}
+		url, ns := f.App.ServicesURL()+"ArtifactsService", "urn:onserve:ArtifactsService"
 		ticket, err := soapc.Call(url, ns, "execute", []soap.Param{{Name: "n", Value: "7"}}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -278,40 +172,117 @@ func TestIntegrationPortalRoutes(t *testing.T) {
 
 		// The policy leaves "other" out, which placement would otherwise try
 		// first (equal loads order by name).
-		if inv, err := app.OnServe.Invocation(ticket); err != nil || inv.Site != "siteA" {
+		if inv, err := f.App.OnServe.Invocation(ticket); err != nil || inv.Site != "siteA" {
 			t.Fatalf("invocation %+v, %v: want it placed at siteA", inv, err)
 		}
-		for path, want := range map[string]string{
-			"/":                                  "ArtifactsService",
-			"/registry":                          "ArtifactsService",
-			"/trace?ticket=" + ticket:            "onserve/invoke",
-			"/api/service?name=ArtifactsService": `"stage_in":["corpus.txt"]`,
-			"/api/client?name=ArtifactsService":  `"n": "0", // int`,
-			"/api/registry?pattern=Art%":         "ArtifactsService",
-			app.Container.BasePath():             "ArtifactsService",
-		} {
-			if body := get(path, http.StatusOK); !strings.Contains(body, want) {
-				t.Errorf("GET %s: %.300q, want %q in it", path, body, want)
-			}
+		get := func(path, want string) appliancetest.Route {
+			return appliancetest.Route{Method: "GET", Path: path, Key: "alice-key", Status: http.StatusOK, Want: want}
 		}
-		if n := len(get("/api/outfile?ticket="+ticket+"&name=data.bin", http.StatusOK)); n != 64 {
-			t.Errorf("/api/outfile served %d bytes, want the 64 written", n)
-		}
-
-		// The door: no key, and a service the policy denies.
-		if _, status, err := (portal.Client{Base: app.BaseURL, HTTP: &http.Client{Transport: pipe}}).Invoke("ArtifactsService", nil); err != nil || status != http.StatusUnauthorized {
-			t.Errorf("a keyless invoke: %d, %v; want 401", status, err)
-		}
-		if _, err := soapc.Call(app.ServicesURL()+"SecretService", "urn:onserve:SecretService", "execute", nil, nil); err == nil || !strings.Contains(err.Error(), "http 403") {
+		f.Serve(t,
+			get("/", "ArtifactsService"),
+			get("/registry", "ArtifactsService"),
+			get("/trace?ticket="+ticket, "onserve/invoke"),
+			get("/api/service?name=ArtifactsService", `"stage_in":["corpus.txt"]`),
+			get("/api/client?name=ArtifactsService", `"n": "0", // int`),
+			get("/api/registry?pattern=Art%", "ArtifactsService"),
+			get(f.App.Container.BasePath(), "ArtifactsService"),
+			appliancetest.Route{Method: "GET", Path: "/api/outfile?ticket=" + ticket + "&name=data.bin", Key: "alice-key", Status: http.StatusOK,
+				Check: func(t testing.TB, r appliancetest.Reply) {
+					if len(r.Body) != 64 {
+						t.Errorf("/api/outfile served %d bytes, want the 64 written", len(r.Body))
+					}
+				}},
+			// The door: no key.
+			appliancetest.Route{Method: "POST", Path: "/api/invoke", Type: "application/json", Body: `{"service":"ArtifactsService"}`, Status: http.StatusUnauthorized},
+			appliancetest.Route{Method: "GET", Path: "/api/stats", Status: http.StatusOK, Check: func(t testing.TB, r appliancetest.Reply) {
+				var stats struct {
+					Tenant *tenant.Stats         `json:"tenant"`
+					Trace  *trace.CollectorStats `json:"trace"`
+				}
+				if err := json.Unmarshal([]byte(r.Body), &stats); err != nil || stats.Tenant == nil || stats.Tenant.Keys != 1 ||
+					stats.Tenant.Admitted < 2 || stats.Trace == nil || stats.Trace.Spans == 0 {
+					t.Errorf("/api/stats: tenant %+v, trace %+v (%v)", stats.Tenant, stats.Trace, err)
+				}
+			}},
+		)
+		// ... and a service the policy denies.
+		if _, err := soapc.Call(f.App.ServicesURL()+"SecretService", "urn:onserve:SecretService", "execute", nil, nil); err == nil || !strings.Contains(err.Error(), "http 403") {
 			t.Errorf("a service the policy denies: %v, want 403", err)
 		}
-		var stats struct {
-			Tenant *tenant.Stats         `json:"tenant"`
-			Trace  *trace.CollectorStats `json:"trace"`
+	})
+}
+
+// TestIntegrationFleetRoutes drives the fleet gateway's own routes over a
+// two-member fleet with tenancy on, the fixture's grid beneath it: the
+// home page any member serves, and the scatter routes — /registry,
+// /api/services, /api/stats with the gateway block and the members'
+// tenant blocks merged, /api/audit — each the union of both members.
+func TestIntegrationFleetRoutes(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := appliancetest.Boot(t, nil)
+		gw, err := gateway.Boot(gateway.Config{Fleet: 2, Net: f.Net, Trace: f.Trace, Appliance: appliance.Config{
+			Endpoints: f.Env.Endpoints(), GridDial: f.Net.DialContext, PollInterval: 2 * time.Second, Tenancy: aliceKeys(),
+		}}, f.Net.Listen())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal([]byte(get("/api/stats", http.StatusOK)), &stats); err != nil || stats.Tenant == nil || stats.Tenant.Keys != 1 ||
-			stats.Tenant.Admitted < 2 || stats.Trace == nil || stats.Trace.Spans == 0 {
-			t.Errorf("/api/stats: tenant %+v, trace %+v (%v)", stats.Tenant, stats.Trace, err)
+		t.Cleanup(func() { gw.Shutdown() })
+		gw.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
+		services := []string{"FleetaService", "FleetcService"}
+		if gw.PrimaryFor(services[0]) == gw.PrimaryFor(services[1]) {
+			t.Fatalf("both services map to shard %d: the scatter routes would merge one member", gw.PrimaryFor(services[0]))
 		}
+		for _, file := range []string{"fleetc.gsh", "fleeta.gsh"} {
+			time.Sleep(time.Second) // the audit orders its records by time
+			ctype, form := appliancetest.UploadForm(file, "echo fleet\n")
+			f.Serve(t, appliancetest.Route{Method: "POST", Path: gw.BaseURL + "/upload", Type: ctype, Body: form, Key: "alice-key", Status: http.StatusOK})
+		}
+		get := func(path, want string, check func(t testing.TB, r appliancetest.Reply)) appliancetest.Route {
+			return appliancetest.Route{Method: "GET", Path: gw.BaseURL + path, Status: http.StatusOK, Want: want, Check: check}
+		}
+		decode := func(t testing.TB, r appliancetest.Reply, v any) {
+			if err := json.Unmarshal([]byte(r.Body), v); err != nil {
+				t.Fatalf("%v: %.300q", err, r.Body)
+			}
+		}
+		f.Serve(t,
+			get("/", "Upload file and generate WebService", nil),
+			get("/registry", "2 published", func(t testing.TB, r appliancetest.Reply) {
+				if !strings.Contains(r.Body, services[0]) || !strings.Contains(r.Body, services[1]) {
+					t.Errorf("the fleet's registry page lists not both services:\n%s", r.Body)
+				}
+			}),
+			get("/api/services", "", func(t testing.TB, r appliancetest.Reply) {
+				var infos []core.ExecutableInfo
+				if decode(t, r, &infos); len(infos) != 2 || infos[0].ServiceName != services[0] || infos[1].ServiceName != services[1] {
+					t.Errorf("/api/services: %+v, want %v in order", infos, services)
+				}
+			}),
+			get("/api/stats", "", func(t testing.TB, r appliancetest.Reply) {
+				var doc struct {
+					Gateway *gateway.Stats    `json:"gateway"`
+					Fleet   []json.RawMessage `json:"fleet"`
+					Tenant  *tenant.Stats     `json:"tenant"`
+				}
+				decode(t, r, &doc)
+				if doc.Gateway == nil || doc.Gateway.RingMembers != 2 || doc.Gateway.Routed != 2 || doc.Gateway.Scatters != 3 || len(doc.Fleet) != 2 {
+					t.Errorf("gateway block %+v over %d members: want 2 members, 2 routed, this and 2 earlier scatters", doc.Gateway, len(doc.Fleet))
+				}
+				if doc.Tenant == nil || doc.Tenant.Keys != 1 || doc.Tenant.Admitted != 2 || doc.Tenant.Owners["alice"].Admitted != 2 {
+					t.Errorf("merged tenant block %+v: want one key, and both members' one upload each", doc.Tenant)
+				}
+			}),
+			get("/api/audit", "", func(t testing.TB, r appliancetest.Reply) {
+				var doc struct{ Records []tenant.Record }
+				decode(t, r, &doc)
+				var got []string
+				for _, rec := range doc.Records {
+					got = append(got, rec.Owner+" "+rec.Verb+" "+rec.Outcome+" "+rec.Service)
+				}
+				if want := "alice upload ok " + services[0] + "\nalice upload ok " + services[1]; strings.Join(got, "\n") != want {
+					t.Errorf("the fleet's audit, newest first:\n%s\nwant:\n%s", strings.Join(got, "\n"), want)
+				}
+			}),
+		)
 	})
 }

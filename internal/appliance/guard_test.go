@@ -1,30 +1,28 @@
-package appliance
+package appliance_test
 
 import (
-	"bytes"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/appliance"
+	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
 	"repro/internal/soap"
 	"repro/internal/tenant"
 	"repro/internal/wsdl"
 )
 
-// deployPing deploys a one-operation service straight into w's container
+// deployPing deploys a one-operation service straight into f's container
 // and returns how often its handler ran.
-func deployPing(t *testing.T, w *world, name string) *atomic.Int64 {
+func deployPing(t *testing.T, f *appliancetest.Fixture, name string) *atomic.Int64 {
 	t.Helper()
 	svc := soap.NewService(wsdl.ServiceDef{
 		Name:        name,
 		Namespace:   "urn:" + name,
-		EndpointURL: w.app.ServicesURL() + name,
+		EndpointURL: f.App.ServicesURL() + name,
 		Operations:  []wsdl.OperationDef{{Name: "ping"}},
 	})
 	var ran atomic.Int64
@@ -32,47 +30,53 @@ func deployPing(t *testing.T, w *world, name string) *atomic.Int64 {
 		ran.Add(1)
 		return "pong", nil
 	})
-	if err := w.app.Container.Deploy(svc); err != nil {
+	if err := f.App.Container.Deploy(svc); err != nil {
 		t.Fatal(err)
 	}
 	return &ran
 }
 
-// soapDoor sends one request to the SOAP door; a POST carries a ping
-// envelope for the service named in path. It returns the status and the
-// body, or where a redirect points.
-func soapDoor(t *testing.T, w *world, method, path, key string) (int, string) {
+// soapRoute is one request to the SOAP door at path; a POST carries op's
+// envelope in namespace ns.
+func soapRoute(t *testing.T, method, path, key, ns, op string, params ...soap.Param) appliancetest.Route {
 	t.Helper()
-	var body io.Reader
+	r := appliancetest.Route{Method: method, Path: path, Type: "text/xml; charset=utf-8", Key: key}
 	if method == http.MethodPost {
-		name, _, _ := soap.ServiceName(path)
-		env, err := soap.Encode(&soap.Message{Namespace: "urn:" + name, Operation: "ping"})
+		env, err := soap.Encode(&soap.Message{Namespace: ns, Operation: op, Params: params})
 		if err != nil {
 			t.Fatal(err)
 		}
-		body = bytes.NewReader(env)
+		r.Body = string(env)
 	}
-	req, err := http.NewRequest(method, w.app.BaseURL+path, body)
-	if err != nil {
+	return r
+}
+
+// soapDoor sends one request to the SOAP door; a POST carries a ping
+// envelope for the service named in path. It returns the status and the
+// body, or where a redirect points.
+func soapDoor(t *testing.T, f *appliancetest.Fixture, method, path, key string) (int, string) {
+	t.Helper()
+	name, _, _ := soap.ServiceName(path)
+	r := f.Do(t, soapRoute(t, method, path, key, "urn:"+name, "ping"))
+	return r.Status, r.Body
+}
+
+// callLong calls op of the generated LongService as key's owner.
+func callLong(t *testing.T, f *appliancetest.Fixture, key, op string, params ...soap.Param) (int, string) {
+	t.Helper()
+	r := f.Do(t, soapRoute(t, http.MethodPost, "/services/LongService", key, "urn:onserve:LongService", op, params...))
+	return r.Status, r.Body
+}
+
+// withLong boots an appliance with tenancy cfg on and LongService, a
+// job that runs for hours, published by alice.
+func withLong(t *testing.T, cfg *tenant.Config) *appliancetest.Fixture {
+	t.Helper()
+	f := appliancetest.Boot(t, func(c *appliance.Config) { c.Tenancy = cfg })
+	if _, err := f.App.OnServe.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("emit 2s 10000 t\n")); err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
-	if key != "" {
-		req.Header.Set(tenant.KeyHeader, key)
-	}
-	resp, err := w.web.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	got, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loc := resp.Header.Get("Location"); loc != "" {
-		return resp.StatusCode, loc
-	}
-	return resp.StatusCode, string(got)
+	return f
 }
 
 const pong = `<?xml version="1.0" encoding="UTF-8"?>` + "\n" +
@@ -92,7 +96,7 @@ func noSuchService(name string) string {
 // service the container would run is the one the policy is asked about.
 func TestGuardServices(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		w := boot(t, func(cfg *Config) {
+		f := appliancetest.Boot(t, func(cfg *appliance.Config) {
 			cfg.Tenancy = &tenant.Config{
 				Owners: []tenant.OwnerConfig{{Name: "acme", Policy: tenant.Policy{
 					Deny: []tenant.Rule{{Verbs: []string{"invoke"}, Services: []string{"PayrollService"}}},
@@ -100,7 +104,7 @@ func TestGuardServices(t *testing.T) {
 				Keys: []tenant.KeyConfig{{Key: "acme-secret", Owner: "acme"}},
 			}
 		})
-		payroll, open := deployPing(t, w, "PayrollService"), deployPing(t, w, "OpenService")
+		payroll, open := deployPing(t, f, "PayrollService"), deployPing(t, f, "OpenService")
 
 		const forbidden = `{"code":"forbidden","error":"tenant: policy forbids this action"}` + "\n"
 		for _, tc := range []struct {
@@ -120,7 +124,7 @@ func TestGuardServices(t *testing.T) {
 			{"wsdl stays open", "GET", "/services/PayrollService?wsdl", "", 200, ""},
 			{"index stays open", "GET", "/services/", "", 200, ""},
 		} {
-			status, body := soapDoor(t, w, tc.method, tc.path, tc.key)
+			status, body := soapDoor(t, f, tc.method, tc.path, tc.key)
 			if status != tc.status || (tc.body != "" && body != tc.body) {
 				t.Errorf("%s: %s %s = %d %q, want %d %q", tc.name, tc.method, tc.path, status, body, tc.status, tc.body)
 			}
@@ -129,7 +133,7 @@ func TestGuardServices(t *testing.T) {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest("POST", "/services/PayrollService//", nil)
 		req.Header.Set(tenant.KeyHeader, "acme-secret")
-		guardServices(w.app.OnServe.Tenancy(), func(string) bool { return true }, w.app.Container).ServeHTTP(rec, req)
+		appliance.GuardServices(f.App.OnServe.Tenancy(), func(string) bool { return true }, f.App.Container).ServeHTTP(rec, req)
 		if rec.Code != 403 || rec.Body.String() != forbidden {
 			t.Errorf("guard alone, two slashes: %d %q", rec.Code, rec.Body)
 		}
@@ -148,8 +152,8 @@ func TestGuardServices(t *testing.T) {
 // byte-exact.
 func TestTenancyOffServicesWireGolden(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		w := boot(t, nil)
-		ran := deployPing(t, w, "PayrollService")
+		f := appliancetest.Boot(t, nil)
+		ran := deployPing(t, f, "PayrollService")
 		for _, tc := range []struct {
 			method, path string
 			status       int
@@ -167,7 +171,7 @@ func TestTenancyOffServicesWireGolden(t *testing.T) {
 		} {
 			// A keyed request is served like an anonymous one.
 			for _, key := range []string{"", "some-ignored-key"} {
-				status, body := soapDoor(t, w, tc.method, tc.path, key)
+				status, body := soapDoor(t, f, tc.method, tc.path, key)
 				if status != tc.status || body != tc.body {
 					t.Errorf("%s %s = %d %q, want %d %q", tc.method, tc.path, status, body, tc.status, tc.body)
 				}
@@ -179,93 +183,27 @@ func TestTenancyOffServicesWireGolden(t *testing.T) {
 	})
 }
 
-// TestBuildImageRejectsKnobsWithoutChunkedStaging is core's
-// TestNewRejectsKnobsWithoutChunkedStaging one layer up: the image is
-// refused when it is built, before a database directory exists or a port
-// is bound for it.
-func TestBuildImageRejectsKnobsWithoutChunkedStaging(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		w := boot(t, nil)
-		for name, set := range map[string]func(*Config){
-			"DataAwarePlacement": func(c *Config) { c.DataAwarePlacement = true },
-			"WireCompression":    func(c *Config) { c.WireCompression = true },
-		} {
-			dir := filepath.Join(t.TempDir(), "db")
-			cfg := Config{Endpoints: w.env.Endpoints(), DBDir: dir}
-			set(&cfg)
-			if _, err := BuildImage(cfg); err == nil || !strings.Contains(err.Error(), "require ChunkedStaging") {
-				t.Errorf("%s without ChunkedStaging: %v", name, err)
-			}
-			if _, err := os.Stat(dir); !os.IsNotExist(err) {
-				t.Errorf("%s: refused image left %s behind (%v)", name, dir, err)
-			}
-			cfg.ChunkedStaging = true
-			if _, err := BuildImage(cfg); err != nil {
-				t.Errorf("%s with ChunkedStaging: %v", name, err)
-			}
-		}
-	})
-}
-
 // TestSOAPExecuteIsAdmitted: a generated service's execute is admitted
 // as /api/invoke is. It takes the owner's quota slot, is refused for the
 // same reason when the slot is taken, and is audited either way.
 func TestSOAPExecuteIsAdmitted(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		w := boot(t, func(cfg *Config) {
-			cfg.Tenancy = &tenant.Config{
-				Owners: []tenant.OwnerConfig{{Name: "acme", MaxInFlight: 1}},
-				Keys:   []tenant.KeyConfig{{Key: "acme-secret", Owner: "acme"}},
-			}
+		f := withLong(t, &tenant.Config{
+			Owners: []tenant.OwnerConfig{{Name: "acme", MaxInFlight: 1}},
+			Keys:   []tenant.KeyConfig{{Key: "acme-secret", Owner: "acme"}},
 		})
-		if _, err := w.app.OnServe.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("emit 2s 10000 t\n")); err != nil {
-			t.Fatal(err)
-		}
-		execute := func() (int, string) {
-			t.Helper()
-			env, err := soap.Encode(&soap.Message{Namespace: "urn:onserve:LongService", Operation: "execute"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			req, err := http.NewRequest(http.MethodPost, w.app.ServicesURL()+"LongService", bytes.NewReader(env))
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set("Content-Type", "text/xml; charset=utf-8")
-			req.Header.Set(tenant.KeyHeader, "acme-secret")
-			resp, err := w.web.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			body, _ := io.ReadAll(resp.Body)
-			return resp.StatusCode, string(body)
-		}
-
 		// The slot is free: the SOAP door takes it.
-		if status, body := execute(); status != http.StatusOK || !strings.Contains(body, "inv-") {
+		if status, body := callLong(t, f, "acme-secret", "execute"); status != http.StatusOK || !strings.Contains(body, "inv-") {
 			t.Fatalf("first execute: %d %s", status, body)
 		}
 		// The slot is held: both doors refuse as the quota does.
-		req, err := http.NewRequest(http.MethodPost, w.app.BaseURL+"/api/invoke", strings.NewReader(`{"service":"LongService"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(tenant.KeyHeader, "acme-secret")
-		resp, err := w.web.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), "quota_exceeded") {
-			t.Fatalf("/api/invoke with the slot held: %d %s", resp.StatusCode, body)
-		}
-		if status, body := execute(); status != http.StatusInternalServerError || !strings.Contains(body, tenant.ErrSaturated.Error()) {
+		f.Serve(t, appliancetest.Route{Method: "POST", Path: "/api/invoke", Body: `{"service":"LongService"}`, Key: "acme-secret",
+			Status: http.StatusTooManyRequests, Want: "quota_exceeded"})
+		if status, body := callLong(t, f, "acme-secret", "execute"); status != http.StatusInternalServerError || !strings.Contains(body, tenant.ErrSaturated.Error()) {
 			t.Fatalf("execute with the slot held: %d %s", status, body)
 		}
 
-		recs := w.app.OnServe.Tenancy().Audit("acme", 10)
+		recs := f.App.OnServe.Tenancy().Audit("acme", 10)
 		var got []string
 		for _, r := range recs {
 			got = append(got, r.Verb+" "+r.Outcome+" "+r.Code+" "+r.Service)
@@ -284,52 +222,35 @@ func TestSOAPExecuteIsAdmitted(t *testing.T) {
 	})
 }
 
+// executeLong starts LongService over SOAP as key's owner and returns the
+// ticket.
+func executeLong(t *testing.T, f *appliancetest.Fixture, key string) string {
+	t.Helper()
+	status, body := callLong(t, f, key, "execute")
+	_, rest, _ := strings.Cut(body, "<return>")
+	ticket, _, _ := strings.Cut(rest, "</return>")
+	if status != http.StatusOK || !strings.HasPrefix(ticket, "inv-") {
+		t.Fatalf("execute: %d %s", status, body)
+	}
+	return ticket
+}
+
 // TestSOAPCancelOnlyOwnerCancels: an owner allowed to cancel a service
 // but not to invoke it cancels over SOAP, and its own execute is still
 // refused: each operation is admitted for its own verb.
 func TestSOAPCancelOnlyOwnerCancels(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		w := boot(t, func(cfg *Config) {
-			cfg.Tenancy = &tenant.Config{
-				Owners: []tenant.OwnerConfig{{Name: "janitor", Policy: tenant.Policy{
-					Deny: []tenant.Rule{{Verbs: []string{"invoke"}, Services: []string{"LongService"}}},
-				}}},
-				Keys: []tenant.KeyConfig{{Key: "janitor-secret", Owner: "janitor"}, {Key: "ops-secret", Owner: "ops"}},
-			}
+		f := withLong(t, &tenant.Config{
+			Owners: []tenant.OwnerConfig{{Name: "janitor", Policy: tenant.Policy{
+				Deny: []tenant.Rule{{Verbs: []string{"invoke"}, Services: []string{"LongService"}}},
+			}}},
+			Keys: []tenant.KeyConfig{{Key: "janitor-secret", Owner: "janitor"}, {Key: "ops-secret", Owner: "ops"}},
 		})
-		if _, err := w.app.OnServe.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("emit 2s 10000 t\n")); err != nil {
-			t.Fatal(err)
-		}
-		call := func(key, op string, params ...soap.Param) (int, string) {
-			t.Helper()
-			env, err := soap.Encode(&soap.Message{Namespace: "urn:onserve:LongService", Operation: op, Params: params})
-			if err != nil {
-				t.Fatal(err)
-			}
-			req, err := http.NewRequest(http.MethodPost, w.app.ServicesURL()+"LongService", bytes.NewReader(env))
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set("Content-Type", "text/xml; charset=utf-8")
-			req.Header.Set(tenant.KeyHeader, key)
-			resp, err := w.web.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			body, _ := io.ReadAll(resp.Body)
-			return resp.StatusCode, string(body)
-		}
-		status, body := call("ops-secret", "execute")
-		_, rest, _ := strings.Cut(body, "<return>")
-		ticket, _, _ := strings.Cut(rest, "</return>")
-		if status != http.StatusOK || !strings.HasPrefix(ticket, "inv-") {
-			t.Fatalf("execute: %d %s", status, body)
-		}
-		if status, body := call("janitor-secret", "cancel", soap.Param{Name: "ticket", Value: ticket}); status != http.StatusOK || !strings.Contains(body, "<return>cancelling</return>") {
+		ticket := executeLong(t, f, "ops-secret")
+		if status, body := callLong(t, f, "janitor-secret", "cancel", soap.Param{Name: "ticket", Value: ticket}); status != http.StatusOK || !strings.Contains(body, "<return>cancelling</return>") {
 			t.Fatalf("cancel by a cancel-only owner: %d %s", status, body)
 		}
-		if status, body := call("janitor-secret", "execute"); status == http.StatusOK || !strings.Contains(body, tenant.ErrForbidden.Error()) {
+		if status, body := callLong(t, f, "janitor-secret", "execute"); status == http.StatusOK || !strings.Contains(body, tenant.ErrForbidden.Error()) {
 			t.Fatalf("execute by an owner denied invoke: %d %s", status, body)
 		}
 	})
@@ -341,72 +262,22 @@ func TestSOAPCancelOnlyOwnerCancels(t *testing.T) {
 // once.
 func TestSOAPCancelIsAdmitted(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		w := boot(t, func(cfg *Config) {
-			cfg.Tenancy = &tenant.Config{
-				Owners: []tenant.OwnerConfig{{Name: "acme", Policy: tenant.Policy{
-					Deny: []tenant.Rule{{Verbs: []string{"cancel"}, Services: []string{"LongService"}}},
-				}}},
-				Keys: []tenant.KeyConfig{{Key: "acme-secret", Owner: "acme"}, {Key: "ops-secret", Owner: "ops"}},
-			}
+		f := withLong(t, &tenant.Config{
+			Owners: []tenant.OwnerConfig{{Name: "acme", Policy: tenant.Policy{
+				Deny: []tenant.Rule{{Verbs: []string{"cancel"}, Services: []string{"LongService"}}},
+			}}},
+			Keys: []tenant.KeyConfig{{Key: "acme-secret", Owner: "acme"}, {Key: "ops-secret", Owner: "ops"}},
 		})
-		if _, err := w.app.OnServe.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("emit 2s 10000 t\n")); err != nil {
-			t.Fatal(err)
-		}
-		call := func(key, op string, params ...soap.Param) (int, string) {
-			t.Helper()
-			env, err := soap.Encode(&soap.Message{Namespace: "urn:onserve:LongService", Operation: op, Params: params})
-			if err != nil {
-				t.Fatal(err)
-			}
-			req, err := http.NewRequest(http.MethodPost, w.app.ServicesURL()+"LongService", bytes.NewReader(env))
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set("Content-Type", "text/xml; charset=utf-8")
-			req.Header.Set(tenant.KeyHeader, key)
-			resp, err := w.web.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			body, _ := io.ReadAll(resp.Body)
-			return resp.StatusCode, string(body)
-		}
-		status, body := call("acme-secret", "execute")
-		_, rest, _ := strings.Cut(body, "<return>")
-		ticket, _, _ := strings.Cut(rest, "</return>")
-		if status != http.StatusOK || !strings.HasPrefix(ticket, "inv-") {
-			t.Fatalf("execute: %d %s", status, body)
-		}
+		ticket := executeLong(t, f, "acme-secret")
 		ticketParam := soap.Param{Name: "ticket", Value: ticket}
-
-		req, err := http.NewRequest(http.MethodPost, w.app.BaseURL+"/api/cancel?ticket="+ticket, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(tenant.KeyHeader, "acme-secret")
-		resp, err := w.web.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusForbidden {
-			t.Fatalf("/api/cancel denied by policy: %d", resp.StatusCode)
-		}
-		if status, body := call("acme-secret", "cancel", ticketParam); status != http.StatusInternalServerError || !strings.Contains(body, tenant.ErrForbidden.Error()) {
+		f.Serve(t, appliancetest.Route{Method: "POST", Path: "/api/cancel?ticket=" + ticket, Key: "acme-secret", Status: http.StatusForbidden})
+		if status, body := callLong(t, f, "acme-secret", "cancel", ticketParam); status != http.StatusInternalServerError || !strings.Contains(body, tenant.ErrForbidden.Error()) {
 			t.Fatalf("SOAP cancel denied by policy: %d %s", status, body)
 		}
-		if status, body := call("ops-secret", "cancel", ticketParam); status != http.StatusOK || !strings.Contains(body, "<return>cancelling</return>") {
+		if status, body := callLong(t, f, "ops-secret", "cancel", ticketParam); status != http.StatusOK || !strings.Contains(body, "<return>cancelling</return>") {
 			t.Fatalf("SOAP cancel allowed: %d %s", status, body)
 		}
 
-		audit := func(owner string) []string {
-			var got []string
-			for _, r := range w.app.OnServe.Tenancy().Audit(owner, 10) {
-				got = append(got, r.Verb+" "+r.Outcome+" "+r.Code+" "+r.Service+" "+r.Ticket)
-			}
-			return got
-		}
 		for owner, want := range map[string][]string{
 			"acme": {
 				"cancel denied forbidden LongService ",
@@ -415,7 +286,11 @@ func TestSOAPCancelIsAdmitted(t *testing.T) {
 			},
 			"ops": {"cancel ok  LongService " + ticket},
 		} {
-			if got := audit(owner); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			var got []string
+			for _, r := range f.App.OnServe.Tenancy().Audit(owner, 10) {
+				got = append(got, r.Verb+" "+r.Outcome+" "+r.Code+" "+r.Service+" "+r.Ticket)
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
 				t.Errorf("%s's audit, newest first:\n%s\nwant:\n%s", owner, strings.Join(got, "\n"), strings.Join(want, "\n"))
 			}
 		}

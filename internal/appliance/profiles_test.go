@@ -1,4 +1,4 @@
-package appliance
+package appliance_test
 
 import (
 	"context"
@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/appliance"
+	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/gsh"
@@ -22,21 +24,15 @@ func TestProfilesEndToEnd(t *testing.T) {
 	bubble.Run(func() {
 		for _, tc := range []struct {
 			name       string
-			profile    func() Config
+			profile    func() appliance.Config
 			production bool
 		}{
-			{"paper", Paper, false},
-			{"production", func() Config { return Production("") }, true},
-			{"production-on-disk", func() Config { return Production(t.TempDir()) }, true},
+			{"paper", appliance.Paper, false},
+			{"production", func() appliance.Config { return appliance.Production("") }, true},
+			{"production-on-disk", func() appliance.Config { return appliance.Production(t.TempDir()) }, true},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
-				w := boot(t, func(cfg *Config) {
-					wiring := *cfg // the fixture's grid, network and cadence
-					*cfg = tc.profile()
-					cfg.Endpoints, cfg.GridDial, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Cost
-					cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
-				})
-				ons := w.app.OnServe
+				ons := appliancetest.Boot(t, profile(tc.profile())).App.OnServe
 				rec, err := ons.UploadAndGenerate("alice", "hello.gsh", "", nil, []byte("compute 1m\necho hello\n"))
 				if err != nil {
 					t.Fatal(err)
@@ -65,6 +61,17 @@ func TestProfilesEndToEnd(t *testing.T) {
 	})
 }
 
+// profile is a fixture's mutate that boots p: the fixture's grid, network
+// and cadence, and p's knobs.
+func profile(p appliance.Config) func(*appliance.Config) {
+	return func(cfg *appliance.Config) {
+		wiring := *cfg
+		*cfg = p
+		cfg.Endpoints, cfg.GridDial, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Cost
+		cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
+	}
+}
+
 // TestConfigSurface pins the exported fields of Config. The list is the
 // knob matrix every test, benchmark and operator has to reason about;
 // it only shrinks. It is declared once: Config is core's type, and what
@@ -79,14 +86,14 @@ func TestConfigSurface(t *testing.T) {
 		"WALShards", "AutoCompact", "Trace", "Tenancy",
 	}
 	var got []string
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(appliance.Config{})) {
 		got = append(got, f.Name)
 	}
 	t.Logf("appliance.Config: %d fields", len(got)) // verify.sh prints this
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("appliance.Config fields changed:\n got %v\nwant %v\na new knob needs two callers at the parent commit that want different values", got, want)
 	}
-	if reflect.TypeOf(Config{}) != reflect.TypeOf(core.Config{}) {
+	if reflect.TypeOf(appliance.Config{}) != reflect.TypeOf(core.Config{}) {
 		t.Fatal("appliance.Config is no longer core.Config: the knobs are declared twice")
 	}
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(core.Parts{})) {
@@ -122,25 +129,20 @@ func TestPublishCycleLeavesNoApplianceState(t *testing.T) {
 	bubble.Run(func() {
 		for _, tc := range []struct {
 			name    string
-			profile func(dbDir string) Config
+			profile func(dbDir string) appliance.Config
 		}{
-			{"production", Production},
-			{"paper", func(dbDir string) Config { cfg := Paper(); cfg.DBDir = dbDir; return cfg }},
+			{"production", appliance.Production},
+			{"paper", func(dbDir string) appliance.Config { cfg := appliance.Paper(); cfg.DBDir = dbDir; return cfg }},
 		} {
 			t.Run(tc.name, func(t *testing.T) { publishCycleSoak(t, tc.profile) })
 		}
 	})
 }
 
-func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
-	w := boot(t, func(cfg *Config) {
-		wiring := *cfg // as TestProfilesEndToEnd: the fixture's grid, network and cadence
-		*cfg = profile(t.TempDir())
-		cfg.Endpoints, cfg.GridDial, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Cost
-		cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
-	})
-	ons := w.app.OnServe
-	if _, err := w.env.AddUser("soak", "pw", 0); err != nil {
+func publishCycleSoak(t *testing.T, knobs func(dbDir string) appliance.Config) {
+	f := appliancetest.Boot(t, profile(knobs(t.TempDir())))
+	ons := f.App.OnServe
+	if _, err := f.Env.AddUser("soak", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
 	ons.RegisterUser("soak", core.UserAuth{MyProxyUser: "soak", Passphrase: "pw"})
@@ -165,10 +167,10 @@ func publishCycleSoak(t *testing.T, profile func(dbDir string) Config) {
 	}
 	idle := func() map[string]int {
 		sizes := map[string]int{
-			"container names":   len(w.app.Container.Names()),
-			"registry records":  w.app.Registry.Len(),
-			"agent sessions":    w.app.Agent.SessionCount(),
-			"executables table": len(w.app.DB.Table(core.ExecutablesTable).Keys()),
+			"container names":   len(f.App.Container.Names()),
+			"registry records":  f.App.Registry.Len(),
+			"agent sessions":    f.App.Agent.SessionCount(),
+			"executables table": len(f.App.DB.Table(core.ExecutablesTable).Keys()),
 		}
 		for _, table := range []string{"staged", "poss.cache", "poss.flights", "sessions", "stagingFlights", "statsFlights"} {
 			sizes[table] = tableLen(ons, table)
@@ -215,21 +217,18 @@ func TestShutdownEndsTheCollectors(t *testing.T) {
 		var down atomic.Bool
 		var dials atomic.Int32
 		var poll time.Duration
-		w := boot(t, func(cfg *Config) {
-			wiring := *cfg // the fixture's grid, network and cadence
-			*cfg = Production("")
-			cfg.Endpoints, cfg.Cost = wiring.Endpoints, wiring.Cost
-			cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
-			poll = wiring.PollInterval
-			gatekeeper := strings.TrimPrefix(wiring.Endpoints.GramURL, "http://")
+		f := appliancetest.Boot(t, func(cfg *appliance.Config) {
+			profile(appliance.Production(""))(cfg)
+			poll = cfg.PollInterval
+			gatekeeper, dial := strings.TrimPrefix(cfg.Endpoints.GramURL, "http://"), cfg.GridDial
 			cfg.GridDial = func(ctx context.Context, network, addr string) (net.Conn, error) {
 				if addr == gatekeeper && down.Load() {
 					dials.Add(1)
 				}
-				return wiring.GridDial(ctx, network, addr)
+				return dial(ctx, network, addr)
 			}
 		})
-		ons := w.app.OnServe
+		ons := f.App.OnServe
 		rec, err := ons.UploadAndGenerate("alice", "hold.gsh", "", nil, []byte("compute 1h\n"))
 		if err != nil {
 			t.Fatal(err)
@@ -243,8 +242,8 @@ func TestShutdownEndsTheCollectors(t *testing.T) {
 			t.Fatalf("held job %s, %+v: want one open stream", inv.State(), ons.EventStats())
 		}
 		down.Store(true)
-		w.app.Shutdown()
-		w.env.Close()
+		f.App.Shutdown()
+		f.Env.Close()
 		time.Sleep(10 * poll)
 		if n := dials.Load(); n != 0 {
 			t.Fatalf("%d dials of the gatekeeper after Shutdown, want 0", n)

@@ -59,15 +59,17 @@ type collectJob struct {
 	lastVer uint64
 }
 
-// advance moves the output cursor to ver; false means a concurrent fetch
-// already stored that snapshot or a newer one.
-func (j *collectJob) advance(ver uint64) bool {
+// advance moves the output cursor to ver and keeps out as the output in
+// one step; false means a concurrent fetch already kept that snapshot or
+// a newer one, so a look that loses may end the invocation at once.
+func (j *collectJob) advance(ver uint64, out string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if ver <= j.lastVer {
 		return false
 	}
 	j.lastVer = ver
+	j.inv.setOutput(out)
 	return true
 }
 
@@ -115,10 +117,10 @@ func (o *OnServe) armWatchdog(inv *Invocation) *time.Timer {
 	})
 }
 
-// storeOutput keeps a stdout snapshot, counted by how it arrived — fetched
-// from /gram/output or inline in an event frame: the local spill is a disk
-// write on the appliance (the periodic peaks of Figs. 6 and 7).
-func (o *OnServe) storeOutput(inv *Invocation, out string, inline bool, ps *trace.Span) {
+// spill accounts a kept stdout snapshot, counted by how it arrived —
+// fetched from /gram/output or inline in an event frame: the local spill
+// is a disk write on the appliance (the periodic peaks of Figs. 6 and 7).
+func (o *OnServe) spill(out string, inline bool, ps *trace.Span) {
 	o.collector.Update(func(c *CollectorStats) {
 		if inline {
 			c.OutputInlined++
@@ -129,7 +131,6 @@ func (o *OnServe) storeOutput(inv *Invocation, out string, inline bool, ps *trac
 		c.PollDiskWrites++
 	})
 	o.cfg.Probe.DiskWrite(len(out))
-	inv.setOutput(out)
 	ps.SetInt("bytes", int64(len(out)))
 }
 
@@ -168,8 +169,8 @@ func (o *OnServe) observe(j *collectJob, ev gram.EventData, polled bool, ps *tra
 			if terminal {
 				return false
 			}
-		case changed && j.advance(ver):
-			o.storeOutput(inv, out, inline, ps)
+		case changed && j.advance(ver, out):
+			o.spill(out, inline, ps)
 			stored = true
 		default:
 			o.collector.Update(func(c *CollectorStats) { c.OutputNotModified++ })
@@ -251,7 +252,8 @@ func (o *OnServe) pollOutput(inv *Invocation) {
 		changed := false
 		out, ferr := o.parts.Agent.Output(inv.sessionID, inv.JobID)
 		if ferr == nil {
-			o.storeOutput(inv, out, false, ps)
+			o.spill(out, false, ps)
+			inv.setOutput(out)
 			changed = len(out) != lastLen
 			lastLen = len(out)
 		}

@@ -293,10 +293,28 @@ func TestPushRetriesFailedFinalFetch(t *testing.T) {
 		if n := len(goroutines("core.(*eventWorker).finishWhenFetchable")); n != 2 || inv.State().Terminal() {
 			t.Fatalf("%d final-fetch retries parked, want 2; %s", n, inv.State())
 		}
+		// Both retries fetch the final output before either keeps it: one
+		// moves the output cursor and keeps the output in one step, the
+		// other finds the cursor moved (advance loses); whichever ends the
+		// invocation, its output is the whole stdout.
+		both := newGate()
+		fetched := &rule{match: "/gram/output", n: 2, do: hold(both, true)}
+		f.grid.add(fetched)
 		shut.Store(false)
 		failedAt := time.Now()
+		<-both.arrived
+		bubble.Wait()
+		before := f.ons.CollectorStats()
+		if n := fetched.hits.Load(); n != 2 {
+			t.Fatalf("%d final fetches held, want both retries'", n)
+		}
+		both.open()
 		if ends(t, inv, InvDone).Output() != "head\ntail\n" {
 			t.Fatalf("output %q, want the whole stdout", inv.Output())
+		}
+		bubble.Wait()
+		if st := f.ons.CollectorStats(); st.OutputFetches != before.OutputFetches+1 || st.OutputNotModified != before.OutputNotModified+1 {
+			t.Errorf("after the two fetches: %+v, before %+v; want one stored, one found unmoved", st, before)
 		}
 		if took := inv.EndedAt().Sub(failedAt); took != f.cfg.PollInterval {
 			t.Errorf("ended %v after the failed fetches, want one PollInterval (%v)", took, f.cfg.PollInterval)
@@ -812,19 +830,31 @@ func TestPollHubIsolatesFailingJob(t *testing.T) {
 }
 
 // TestPollHubDropsStaleEntryOfKilledJob: the watchdog kills the invocation
-// while a status batch that read its job RUNNING is in flight; the stale
-// entry finds it KILLED and is dropped, and the verdict stays the watchdog's.
+// while a status batch that read its job RUNNING, with output the
+// appliance has not fetched, is in flight. The batch is held until the
+// watchdog's cancel has landed; the stale entry then finds the invocation
+// KILLED and is dropped: the verdict stays the watchdog's, the output what
+// it was, and no output fetch follows.
 func TestPollHubDropsStaleEntryOfKilledJob(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.InvocationTimeout = true, 20*time.Second })
+		// A cached session outlives the kill: the output stays fetchable.
+		f := newFixture(t, func(cfg *Config) {
+			cfg.PushEvents, cfg.SessionCache, cfg.InvocationTimeout = true, true, 20*time.Second
+		})
 		read := newGate()
-		f.grid.add(noEventStream(), &rule{match: "/gram/status-batch", do: hold(read, true)})
-		inv := f.invoke(t, f.publish(t, "slow.gsh", slowProgram), nil)
+		cancels, fetches := &rule{match: "/gram/cancel"}, &rule{match: "/gram/output"}
+		f.grid.add(noEventStream(), &rule{match: "/gram/status-batch", do: hold(read, true)}, cancels, fetches)
+		inv := f.invoke(t, f.publish(t, "slow.gsh", "echo head\n"+slowProgram), nil)
 		<-read.arrived
 		time.Sleep(f.cfg.InvocationTimeout) // past the watchdog's deadline
+		bubble.Wait()
+		if cancels.hits.Load() != 1 || !strings.Contains(ends(t, inv, InvKilled).Message(), "watchdog") {
+			t.Fatalf("%d cancels, message %q: want the watchdog's kill landed", cancels.hits.Load(), inv.Message())
+		}
 		read.open()
-		if !strings.Contains(ends(t, inv, InvKilled).Message(), "watchdog") {
-			t.Fatalf("message %q", inv.Message())
+		bubble.Wait()
+		if inv.State() != InvKilled || inv.Output() != "" || fetches.hits.Load() != 0 {
+			t.Fatalf("%s, output %q, %d output fetches after the stale entry: want KILLED, no output, none", inv.State(), inv.Output(), fetches.hits.Load())
 		}
 		f.collectorsIdle(t)
 	})

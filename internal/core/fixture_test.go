@@ -79,8 +79,9 @@ func traced() fixtureOpt {
 // onDB builds the fixture over a database the caller opened and closes.
 func onDB(db *blobdb.DB) fixtureOpt { return func(_ *gridenv.Options, into **blobdb.DB) { *into = db } }
 
-// overWAN makes the grid's servers answer across the paper's shaped WAN
-// (~85 KB/s).
+// overWAN puts the paper's shaped WAN (~85 KB/s) between the appliance
+// and the grid both ways: the grid's servers shape what they answer, the
+// agent's dial and the fault table's way out what the appliance sends.
 func overWAN() fixtureOpt {
 	return func(grid *gridenv.Options, _ **blobdb.DB) { grid.Profile = netsim.WAN() }
 }
@@ -119,14 +120,20 @@ func newFixture(t *testing.T, mutate func(*Config), opts ...fixtureOpt) *fixture
 		must(t, err)
 		t.Cleanup(func() { db.Close() })
 	}
-	f := &fixture{env: env, rec: rec, probes: probes, grid: &faults{}, col: grid.Trace}
+	f := &fixture{env: env, rec: rec, probes: probes, grid: &faults{out: overGrid}, col: grid.Trace}
+	dial := gridNet.DialContext
+	if grid.Profile != nil {
+		dial = (&netsim.Dialer{Profile: grid.Profile, Net: gridNet}).DialContext
+		f.grid.out = hop.NewTransport(dial)
+		t.Cleanup(f.grid.out.CloseIdleConnections)
+	}
 	f.cfg = Config{Probe: probe, Cost: cost, PollInterval: 2 * time.Second, InvocationTimeout: time.Hour, Trace: f.col}
 	f.parts = Parts{
 		DB:        db,
 		Container: soap.NewServer(probe, cost),
 		Registry:  uddi.NewRegistry(nil),
 		Agent: cyberaide.New(cyberaide.Options{
-			Endpoints: env.Endpoints(), Probe: probe, Cost: cost, Dial: gridNet.DialContext, Transport: f.grid,
+			Endpoints: env.Endpoints(), Probe: probe, Cost: cost, Dial: dial, Transport: f.grid,
 		}),
 		BaseURL: "http://appliance.test",
 	}
@@ -264,10 +271,11 @@ func (f *fixture) site(name string) *gridsim.Site {
 // body after k bytes, or watch — or none, which only counts. A request
 // meets the rules in the order they were added; the first whose match and
 // when hold applies its action, which may send the request on down the
-// list; past the last rule it goes to the grid over overGrid.
+// list; past the last rule it goes to the grid over out.
 type faults struct {
 	mu    sync.Mutex
 	rules []*rule
+	out   *hop.Transport // overGrid, or a shaped link's own
 }
 
 type rule struct {
@@ -311,7 +319,7 @@ func (ft *faults) from(rules []*rule, req *http.Request) (*http.Response, error)
 		}
 		return r.do(req, func(req *http.Request) (*http.Response, error) { return ft.from(rules[i+1:], req) }, ft.RoundTrip)
 	}
-	return overGrid.RoundTrip(req)
+	return ft.out.RoundTrip(req)
 }
 
 // applies reports whether r takes req, and counts it in hits if so.

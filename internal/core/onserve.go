@@ -491,10 +491,6 @@ func (o *OnServe) DeleteService(serviceName string) error {
 // subsystem is off, which callers treat as "admit everything".
 func (o *OnServe) Tenancy() *tenant.Controller { return o.parts.Tenancy }
 
-// SetTenancy installs the controller after construction. Call it before
-// serving traffic — the admission path reads the field without a lock.
-func (o *OnServe) SetTenancy(ctl *tenant.Controller) { o.parts.Tenancy = ctl }
-
 // Services lists the generated services, sorted by service name. The
 // order is part of the API: a fleet gateway merges listings from many
 // appliances, which only works if every listing is deterministic.

@@ -712,8 +712,8 @@ func applianceAlloc() int64 {
 // behind the benchmark claim: a cold invocation — fetch, logon, stage,
 // submit, collect — of a 1 MB executable allocates a fraction of its size
 // on the appliance, whether the bytes stream into one PUT (the paper
-// profile, ~30 KB measured with the transport, with the grid's replies
-// shaped by the paper's WAN or not) or the stored gzip goes out in chunks
+// profile, ~30 KB measured with the transport, across the paper's WAN
+// or not) or the stored gzip goes out in chunks
 // (production, ~50 KB). Each run of the production row publishes a new
 // version first (republish, outside the count), so the sites hold none of
 // its chunks and every one is shipped. The grid's goroutines and the

@@ -3,12 +3,17 @@ package portal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzInvokeBody holds the one reader of an /api/invoke body to the
@@ -96,4 +101,66 @@ func FuzzQueryGet(f *testing.F) {
 			t.Fatalf("QueryGet(%q, %q) = %q, %v; url.ParseQuery: %q, %v", raw, key, got, err, want, wantErr)
 		}
 	})
+}
+
+// TestHotRepliesRenderLikeTheMaps: /api/invoke and /api/wait answered
+// with map[string]string until their replies became structs; the bytes
+// on the wire are those the maps gave, whatever the values hold.
+func TestHotRepliesRenderLikeTheMaps(t *testing.T) {
+	awkward := []string{"", "plain", "3.14159\n", `quote " backslash \ slash /`, "<script>&amp;</script>",
+		"tab\tnul\x00bell\x07", "non-UTF-8 \xff\xfe", "\u2028 line \u2029 sep", "größe 大小 😀"}
+	render := func(v any) string {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		return rec.Body.String()
+	}
+	for i, a := range awkward {
+		b, c := awkward[(i+1)%len(awkward)], awkward[(i+2)%len(awkward)]
+		got := render(InvokeReply{JobID: a, Site: b, Ticket: c})
+		if want := render(map[string]string{"ticket": c, "job_id": a, "site": b}); got != want {
+			t.Errorf("invoke reply %q, the map gave %q", got, want)
+		}
+		got = render(WaitReply{Message: a, Output: b, State: c})
+		if want := render(map[string]string{"state": c, "message": a, "output": b}); got != want {
+			t.Errorf("wait reply %q, the map gave %q", got, want)
+		}
+	}
+}
+
+// TestErrorCancelDeleteRepliesRenderLikeTheMaps: the last three
+// map[string]string replies, golden and against the maps they were.
+func TestErrorCancelDeleteRepliesRenderLikeTheMaps(t *testing.T) {
+	render := func(status int, write func(w http.ResponseWriter)) string {
+		rec := httptest.NewRecorder()
+		write(rec)
+		if rec.Code != status || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
+		}
+		return rec.Body.String()
+	}
+	asJSON := func(v any) func(http.ResponseWriter) {
+		return func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, v) }
+	}
+	if got, want := render(http.StatusOK, asJSON(deleteReply{Deleted: "MonteService"})), `{"deleted":"MonteService"}`+"\n"; got != want {
+		t.Errorf("delete reply %q, want %q", got, want)
+	}
+	if got, want := render(http.StatusOK, asJSON(cancelReply{State: "cancelling"})), `{"state":"cancelling"}`+"\n"; got != want {
+		t.Errorf("cancel reply %q, want %q", got, want)
+	}
+	got := render(http.StatusNotFound, func(w http.ResponseWriter) { WriteError(w, http.StatusNotFound, core.ErrNoSuchService) })
+	if want := `{"code":"not_found","error":"` + core.ErrNoSuchService.Error() + `"}` + "\n"; got != want {
+		t.Errorf("error envelope %q, want %q", got, want)
+	}
+	for _, s := range []string{"", `quote " backslash \`, "<script>&amp;</script>", "nul\x00 non-UTF-8 \xff", "  größe 😀"} {
+		if got, want := render(http.StatusOK, asJSON(deleteReply{Deleted: s})), render(http.StatusOK, asJSON(map[string]string{"deleted": s})); got != want {
+			t.Errorf("delete reply %q, the map gave %q", got, want)
+		}
+		got := render(http.StatusBadRequest, func(w http.ResponseWriter) { WriteError(w, http.StatusBadRequest, errors.New(s)) })
+		want := render(http.StatusBadRequest, func(w http.ResponseWriter) {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": s, "code": "bad_request"})
+		})
+		if got != want {
+			t.Errorf("error envelope %q, the map gave %q", got, want)
+		}
+	}
 }

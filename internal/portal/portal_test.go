@@ -1,755 +1,291 @@
-package portal
+package portal_test
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"io"
-	"mime/multipart"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/blobdb"
-	"repro/internal/blobdb/blobtest"
+	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
 	"repro/internal/core"
-	"repro/internal/cyberaide"
-	"repro/internal/gridenv"
-	"repro/internal/gridsim"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
-	"repro/internal/soap"
+	"repro/internal/portal"
 	"repro/internal/trace"
 	"repro/internal/uddi"
 	"repro/internal/wsclient"
 	"repro/internal/wsdl"
 )
 
-type fixture struct {
-	portal    *Portal
-	onserve   *core.OnServe
-	db        *blobdb.DB
-	container *soap.Server
-	registry  *uddi.Registry
-	url       string
-	net       *netsim.Net  // the portal and the grid listen on it
-	web       *http.Client // a browser on net
-}
-
 // TestMain runs the package's tests under GOEXPERIMENT=synctest, where
 // those that build a simulated grid run it in a bubble.
 func TestMain(m *testing.M) { bubble.Main(m) }
 
-// newFixture wires a portal over a real onServe + grid; unlike the
-// appliance tests, the SOAP container is mounted on the same mux so the
-// generated endpoints in WSDL documents resolve.
-func newFixture(t testing.TB) *fixture {
-	return newTracedFixture(t, nil)
-}
+const jsonType = "application/json"
 
-// rowsT is a test's T whose cleanups wait for done: the fixture that a
-// test's rows share is built and torn down inside the one bubble they run
-// in, where t's own cleanups, which run after it, could not reach it.
-type rowsT struct {
-	*testing.T
-	cleanups []func()
-}
-
-func (t *rowsT) Cleanup(f func()) { t.cleanups = append(t.cleanups, f) }
-
-func (t *rowsT) done() {
-	for i := len(t.cleanups) - 1; i >= 0; i-- {
-		t.cleanups[i]()
-	}
-}
-
-// newTracedFixture is newFixture with an optional shared span collector
-// wired through the grid environment and the core. Everything runs over
-// one in-process network: call it in a bubble.
-func newTracedFixture(t testing.TB, col *trace.Collector) *fixture {
+// door boots an appliance on which alice published FlowService through
+// the upload form and ran it to its end through the JSON door, with x=5:
+// it printed "flow=5" and wrote artifact-5.bin. It returns the ticket.
+func door(t *testing.T) (*appliancetest.Fixture, string) {
 	t.Helper()
-	pipes := netsim.NewNet()
-	f := &fixture{net: pipes, web: &http.Client{Transport: &http.Transport{DialContext: pipes.DialContext}}}
-	env, err := gridenv.Start(gridenv.Options{
-		Sites: []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}},
-		Trace: col,
-		Net:   pipes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(env.Close)
-	if _, err := env.AddUser("alice", "pw", 0); err != nil {
-		t.Fatal(err)
-	}
-	db, err := blobdb.Open(blobdb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		blobtest.VerifyStored(t, db)
-		db.Close()
-	})
-	container := soap.NewServer(nil, metrics.Cost{})
-	registry := uddi.NewRegistry(nil)
-	agent := cyberaide.New(cyberaide.Options{Endpoints: env.Endpoints(), Dial: pipes.DialContext})
-
-	mux := http.NewServeMux()
-	ln, srv := pipes.Listen(), netsim.NewHTTPServer(mux)
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	f.url = "http://" + ln.Addr().String()
-
-	parts := core.Parts{DB: db, Container: container, Registry: registry, Agent: agent, BaseURL: f.url}
-	if col != nil {
-		parts.Tracing = trace.NewTracer("onserve", nil, col)
-	}
-	ons, err := core.New(core.Config{PollInterval: 2 * time.Second, Trace: col}, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ons.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-	p := New(ons, registry, nil, metrics.Cost{})
-	mux.Handle("/services/", container)
-	mux.Handle("/", p)
-	f.portal, f.onserve, f.db, f.container, f.registry = p, ons, db, container, registry
-	return f
-}
-
-func (f *fixture) upload(t *testing.T, filename, program string) {
-	t.Helper()
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, _ := mw.CreateFormFile("file", filename)
-	io.WriteString(fw, program)
-	mw.WriteField("user", "alice")
-	mw.WriteField("description", "test upload")
-	mw.WriteField("paramName1", "x")
-	mw.WriteField("paramType1", "int")
-	mw.Close()
-	resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("upload failed: %d %s", resp.StatusCode, body)
-	}
-}
-
-func TestRegistryBrowserPage(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		f.upload(t, "browse.gsh", "echo ${x}\n")
-		resp, err := f.web.Get(f.url + "/registry")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		page := string(body)
-		if !strings.Contains(page, "BrowseService") || !strings.Contains(page, "uddi:") {
-			t.Fatalf("registry page missing record:\n%s", page)
-		}
-		// Pattern filtering.
-		resp, _ = f.web.Get(f.url + "/registry?pattern=Nope%25")
-		body, _ = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !strings.Contains(string(body), "0 published") {
-			t.Fatalf("pattern filter broken:\n%s", body)
-		}
-	})
-}
-
-// TestAPIRegistrySortedJSON pins the machine-readable registry listing
-// fleet gateways replicate from: JSON, sorted by service name, with the
-// UDDI '%' pattern filter.
-func TestAPIRegistrySortedJSON(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		// Upload out of name order; the listing must come back sorted.
-		f.upload(t, "zeta.gsh", "echo ${x}\n")
-		f.upload(t, "alpha.gsh", "echo ${x}\n")
-		f.upload(t, "mid.gsh", "echo ${x}\n")
-
-		resp, err := f.web.Get(f.url + "/api/registry")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		var recs []uddi.Record
-		if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 3 {
-			t.Fatalf("got %d records", len(recs))
-		}
-		want := []string{"AlphaService", "MidService", "ZetaService"}
-		for i, rec := range recs {
-			if rec.Name != want[i] {
-				t.Fatalf("listing not sorted: got %v at %d, want %v", rec.Name, i, want[i])
+	f := appliancetest.Boot(t, nil)
+	f.Upload(t, "flow.gsh", "compute 500ms\necho flow=${x}\nwrite artifact-${x}.bin 96\n",
+		"description", "test upload", "paramName1", "x", "paramType1", "int")
+	var inv portal.InvokeReply
+	f.Serve(t, appliancetest.Route{Method: "POST", Path: "/api/invoke", Type: jsonType, Body: `{"service":"FlowService","args":{"x":"5"}}`,
+		Status: http.StatusOK, Check: func(t testing.TB, r appliancetest.Reply) {
+			if json.Unmarshal([]byte(r.Body), &inv); inv.Ticket == "" || inv.JobID == "" || inv.Site == "" {
+				t.Fatalf("invoke reply %s", r.Body)
 			}
-			if rec.Owner != "alice" {
-				t.Fatalf("record %v missing owner", rec)
+		}})
+	f.Serve(t, appliancetest.Route{Method: "GET", Path: "/api/wait?ticket=" + inv.Ticket, Status: http.StatusOK, Want: `"state":"DONE"`})
+	return f, inv.Ticket
+}
+
+// decode reads a reply's JSON body into v.
+func decode(t testing.TB, r appliancetest.Reply, v any) {
+	t.Helper()
+	if err := json.Unmarshal([]byte(r.Body), v); err != nil {
+		t.Fatalf("%v: %.300q", err, r.Body)
+	}
+}
+
+// routes is the door's route table: for each test it names, the requests
+// the test sends, in order, to the appliance door booted, and what each
+// must answer.
+func routes(f *appliancetest.Fixture, ticket string) map[string][]appliancetest.Route {
+	get := func(path string, status int, want string) appliancetest.Route {
+		return appliancetest.Route{Method: "GET", Path: path, Status: status, Want: want}
+	}
+	post := func(path string, status int) appliancetest.Route {
+		return appliancetest.Route{Method: "POST", Path: path, Status: status}
+	}
+	// upload posts an upload form and checks what was published.
+	upload := func(status int, check func(t testing.TB, info *core.ExecutableInfo), parts ...appliancetest.Part) appliancetest.Route {
+		ctype, body := appliancetest.Form(append(parts, appliancetest.Part{Name: "user", Value: "alice"})...)
+		r := appliancetest.Route{Method: "POST", Path: "/upload", Type: ctype, Body: body, Status: status}
+		if check != nil {
+			r.Check = func(t testing.TB, reply appliancetest.Reply) {
+				var rec uddi.Record
+				decode(t, reply, &rec)
+				info, err := f.App.OnServe.ServiceInfo(rec.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, info)
 			}
 		}
+		return r
+	}
+	file := func(name, program string) appliancetest.Part {
+		return appliancetest.Part{Name: "file", File: name, Value: program}
+	}
+	field := func(name, value string) appliancetest.Part { return appliancetest.Part{Name: name, Value: value} }
+	wantState := func(state, output string) func(testing.TB, appliancetest.Reply) {
+		return func(t testing.TB, r appliancetest.Reply) {
+			var doc map[string]string
+			if decode(t, r, &doc); doc["state"] != state || output != "" && doc["output"] != output {
+				t.Errorf("reply %v, want state %s and output %q", doc, state, output)
+			}
+		}
+	}
+	traceDoc := func(t testing.TB, r appliancetest.Reply) {
+		var doc struct {
+			Ticket string           `json:"ticket"`
+			Spans  []trace.SpanData `json:"spans"`
+		}
+		if decode(t, r, &doc); doc.Ticket != ticket || len(doc.Spans) == 0 || doc.Spans[0].Name != "invoke" {
+			t.Errorf("ticket %q, %d spans: want %s's, the invoke root first", doc.Ticket, len(doc.Spans), ticket)
+		}
+	}
+	unknownTicket := "inv-000000-ffffffffffff"
+	return map[string][]appliancetest.Route{
+		"TestHomePageRendersUploadedService": {get("/", 200, "FlowService"), get("/", 200, "Upload file and generate WebService")},
+		"TestHomePage404ForUnknownPaths":     {get("/definitely/not/here", 404, "")},
+		"TestRegistryBrowserPage": {
+			get("/registry", 200, "FlowService"), get("/registry", 200, "uddi:"),
+			get("/registry?pattern=Nope%25", 200, "0 published"),
+		},
+		"TestAPIRegistrySortedJSON": {
+			// Published out of name order; the listing comes back sorted.
+			upload(200, nil, file("zeta.gsh", "echo z\n")), upload(200, nil, file("alpha.gsh", "echo a\n")),
+			{Method: "GET", Path: "/api/registry", Status: 200, Check: func(t testing.TB, r appliancetest.Reply) {
+				var recs []uddi.Record
+				decode(t, r, &recs)
+				var names []string
+				for _, rec := range recs {
+					if names = append(names, rec.Name); rec.Owner != "alice" {
+						t.Errorf("record %v has no owner", rec)
+					}
+				}
+				if got := strings.Join(names, " "); got != "AlphaService FlowService ZetaService" {
+					t.Errorf("listing %s, want sorted by name", got)
+				}
+			}},
+			{Method: "GET", Path: "/api/registry?pattern=Alpha%25", Status: 200, Check: func(t testing.TB, r appliancetest.Reply) {
+				var recs []uddi.Record
+				if decode(t, r, &recs); len(recs) != 1 || recs[0].Name != "AlphaService" {
+					t.Errorf("pattern filter: %v", recs)
+				}
+			}},
+		},
+		"TestClientStubDownload": {{Method: "GET", Path: "/api/client?name=FlowService", Status: 200, Check: func(t testing.TB, r appliancetest.Reply) {
+			for _, want := range []string{"package main", "wsclient.ImportURL", `"execute"`, `"x": "0", // int`, f.App.BaseURL + "/services/FlowService"} {
+				if !strings.Contains(r.Body, want) {
+					t.Errorf("stub missing %q:\n%s", want, r.Body)
+				}
+			}
+			if cd := r.Header.Get("Content-Disposition"); !strings.Contains(cd, "FlowService_client.go") {
+				t.Errorf("disposition %q", cd)
+			}
+			// The stub is written from the deployed definition, with no round
+			// trip to the appliance's own WSDL: it is what a consumer importing
+			// that WSDL would generate, byte for byte.
+			proxy, err := wsclient.ImportURL(f.App.BaseURL+"/services/FlowService", f.Web)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if imported, err := wsclient.GenerateStub(proxy.Def); err != nil || r.Body != string(imported) {
+				t.Errorf("served stub differs from the one the WSDL imports to (%v):\n%s\n---\n%s", err, r.Body, imported)
+			}
+		}}},
+		"TestClientStubUnknownService": {get("/api/client?name=Ghost", 404, "")},
+		"TestServiceDescribeAPI": {
+			{Method: "GET", Path: "/api/service?name=FlowService", Status: 200, Check: func(t testing.TB, r appliancetest.Reply) {
+				var info core.ExecutableInfo
+				if decode(t, r, &info); info.ServiceName != "FlowService" || info.Owner != "alice" {
+					t.Errorf("info %+v", info)
+				}
+			}},
+			{Method: "GET", Path: "/api/services", Status: 200, Check: func(t testing.TB, r appliancetest.Reply) {
+				var services []core.ExecutableInfo
+				if decode(t, r, &services); len(services) != 1 || services[0].ServiceName != "FlowService" {
+					t.Errorf("services %+v", services)
+				}
+			}},
+		},
+		"TestOutputFileDownload": {
+			{Method: "GET", Path: "/api/outfile?ticket=" + ticket + "&name=artifact-5.bin", Status: 200, Check: func(t testing.TB, r appliancetest.Reply) {
+				if len(r.Body) != 96 {
+					t.Errorf("%d bytes, want the 96 written", len(r.Body))
+				}
+			}},
+			// A missing artifact is refused, as the grid's 404 wrapped in a 500.
+			get("/api/outfile?ticket="+ticket+"&name=ghost.bin", 500, "no output file ghost.bin"),
+			get("/api/outfile?ticket="+unknownTicket+"&name=x", 404, ""),
+		},
+		"TestInvokeWaitOutputCancelViaAPI": {
+			{Method: "GET", Path: "/api/wait?ticket=" + ticket, Status: 200, Check: wantState("DONE", "flow=5\n")},
+			{Method: "GET", Path: "/api/output?ticket=" + ticket, Status: 200, Check: func(t testing.TB, r appliancetest.Reply) {
+				if r.Body != "flow=5\n" {
+					t.Errorf("output %q", r.Body)
+				}
+			}},
+			{Method: "GET", Path: "/api/status?ticket=" + ticket, Status: 200, Check: wantState("DONE", "")},
+			// Cancel of a finished invocation is a clean no-op.
+			post("/api/cancel?ticket="+ticket, 200),
+		},
+		"TestDeleteViaAPI": {
+			post("/api/delete?name=FlowService", 200), get("/api/service?name=FlowService", 404, ""),
+			// Method checks on the POST-only endpoints.
+			get("/api/delete?name=x", 405, ""), get("/api/cancel?ticket=x", 405, ""), get("/api/invoke", 405, ""),
+		},
+		"TestInvokeBadJSON": {{Method: "POST", Path: "/api/invoke", Type: jsonType, Body: "{", Status: 400}},
+		"TestMonitoringStats": {{Method: "GET", Path: "/api/stats", Status: 200, Check: func(t testing.TB, r appliancetest.Reply) {
+			var mon core.Monitoring
+			decode(t, r, &mon)
+			if !strings.Contains(fmt.Sprint(mon.Services), "FlowService") || mon.Invocations["DONE"] != 1 {
+				t.Errorf("invocations %+v, services %+v", mon.Invocations, mon.Services)
+			}
+		}}},
+		// The monitoring tallies stay inline (TestMonitoringStats), and the
+		// collector, submission, staging and trace-ring counters ride alongside.
+		"TestStatsSurfacesSubsystemCounters": {{Method: "GET", Path: "/api/stats", Status: 200, Check: func(t testing.TB, r appliancetest.Reply) {
+			var doc map[string]json.RawMessage
+			decode(t, r, &doc)
+			for _, key := range []string{"invocations", "services", "collector", "submit", "stage", "placement", "trace", "db"} {
+				if _, ok := doc[key]; !ok {
+					t.Errorf("/api/stats missing %q: %s", key, r.Body)
+				}
+			}
+			var tr trace.CollectorStats
+			if err := json.Unmarshal(doc["trace"], &tr); err != nil || tr.Spans == 0 {
+				t.Errorf("trace ring empty after a traced invocation: %+v, %v", tr, err)
+			}
+		}}},
+		"TestTraceExportAndWaterfall": {
+			{Method: "GET", Path: "/api/trace/" + ticket, Status: 200, Check: traceDoc},
+			{Method: "GET", Path: "/api/trace?ticket=" + ticket, Status: 200, Check: traceDoc},
+			get("/trace?ticket="+ticket, 200, "onserve/invoke"), get("/trace?ticket="+ticket, 200, "gram/gram.submit"),
+			get("/trace?ticket="+ticket, 200, `class="bar"`),
+			get("/api/trace/no-such-ticket", 404, ""),
+		},
+		"TestUploadParamRowsBeyondThree": {upload(200, func(t testing.TB, info *core.ExecutableInfo) {
+			if len(info.Params) != 4 {
+				t.Errorf("params %+v", info.Params)
+			}
+		}, file("many.gsh", "echo ${a}${b}${c}${d}\n"), field("paramName1", "a"), field("paramType1", "string"), field("paramName2", "b"),
+			field("paramType2", "string"), field("paramName3", "c"), field("paramType3", "string"), field("paramName4", "d"), field("paramType4", "string"))},
+		// Rows 1 and 2 blank, row 3 set — as a browser form would post it.
+		"TestUploadSkipsBlankParamRows": {upload(200, func(t testing.TB, info *core.ExecutableInfo) {
+			if len(info.Params) != 1 || info.Params[0].Name != "later" || info.Params[0].Type != wsdl.TypeString {
+				t.Errorf("params %+v", info.Params)
+			}
+		}, file("gaps.gsh", "echo ${later}\n"), field("paramName1", ""), field("paramType1", ""), field("paramName3", "later"), field("paramType3", ""))},
+		"TestUploadWithStageInField": {upload(200, func(t testing.TB, info *core.ExecutableInfo) {
+			if len(info.StageIn) != 2 || info.StageIn[0] != "a.dat" || info.StageIn[1] != "b.dat" {
+				t.Errorf("stage-in %v", info.StageIn)
+			}
+		}, file("staged.gsh", "read a.dat\nread b.dat\n"), field("stageIn", " a.dat , b.dat "))},
+		"TestUploadRejectsBadParamType": {upload(400, nil, file("badtype.gsh", "echo x\n"), field("paramName1", "p"), field("paramType1", "blob"))},
+		"TestUploadMissingFile":         {upload(400, nil)},
+		"TestUploadNonMultipart":        {{Method: "POST", Path: "/upload", Type: "text/plain", Body: "junk", Status: 400}},
+	}
+}
 
-		resp, err = f.web.Get(f.url + "/api/registry?pattern=Alpha%25")
-		if err != nil {
-			t.Fatal(err)
+// serveRoutes serves t's rows of the route table on a fresh door.
+func serveRoutes(t *testing.T) {
+	name := t.Name()
+	bubble.Test(t, func(t *testing.T) {
+		f, ticket := door(t)
+		rows := routes(f, ticket)[name]
+		if len(rows) == 0 {
+			t.Fatalf("the route table has no rows for %s", name)
 		}
-		defer resp.Body.Close()
-		recs = nil
-		if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 1 || recs[0].Name != "AlphaService" {
-			t.Fatalf("pattern filter: %v", recs)
-		}
+		f.Serve(t, rows...)
 	})
 }
+
+func TestHomePageRendersUploadedService(t *testing.T) { serveRoutes(t) }
+func TestHomePage404ForUnknownPaths(t *testing.T)     { serveRoutes(t) }
+func TestRegistryBrowserPage(t *testing.T)            { serveRoutes(t) }
+func TestAPIRegistrySortedJSON(t *testing.T)          { serveRoutes(t) }
+func TestClientStubDownload(t *testing.T)             { serveRoutes(t) }
+func TestClientStubUnknownService(t *testing.T)       { serveRoutes(t) }
+func TestServiceDescribeAPI(t *testing.T)             { serveRoutes(t) }
+func TestOutputFileDownload(t *testing.T)             { serveRoutes(t) }
+func TestInvokeWaitOutputCancelViaAPI(t *testing.T)   { serveRoutes(t) }
+func TestDeleteViaAPI(t *testing.T)                   { serveRoutes(t) }
+func TestInvokeBadJSON(t *testing.T)                  { serveRoutes(t) }
+func TestMonitoringStats(t *testing.T)                { serveRoutes(t) }
+func TestStatsSurfacesSubsystemCounters(t *testing.T) { serveRoutes(t) }
+func TestTraceExportAndWaterfall(t *testing.T)        { serveRoutes(t) }
+func TestUploadParamRowsBeyondThree(t *testing.T)     { serveRoutes(t) }
+func TestUploadSkipsBlankParamRows(t *testing.T)      { serveRoutes(t) }
+func TestUploadWithStageInField(t *testing.T)         { serveRoutes(t) }
+func TestUploadRejectsBadParamType(t *testing.T)      { serveRoutes(t) }
+func TestUploadMissingFile(t *testing.T)              { serveRoutes(t) }
+func TestUploadNonMultipart(t *testing.T)             { serveRoutes(t) }
 
 func TestRegistryPageWithoutRegistry(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
+		f := appliancetest.Boot(t, nil)
 		rec := httptest.NewRecorder()
-		New(f.onserve, nil, nil, metrics.Cost{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/registry", nil))
+		portal.New(f.App.OnServe, nil, nil, metrics.Cost{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/registry", nil))
 		if rec.Code != http.StatusNotFound {
 			t.Fatalf("status %d", rec.Code)
-		}
-	})
-}
-
-func TestClientStubDownload(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		f.upload(t, "stubbed.gsh", "echo ${x}\n")
-		resp, err := f.web.Get(f.url + "/api/client?name=StubbedService")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		stub := string(body)
-		for _, want := range []string{
-			"package main",
-			"wsclient.ImportURL",
-			`"execute"`,
-			`"x": "0", // int`,
-			f.url + "/services/StubbedService",
-		} {
-			if !strings.Contains(stub, want) {
-				t.Errorf("stub missing %q:\n%s", want, stub)
-			}
-		}
-		if cd := resp.Header.Get("Content-Disposition"); !strings.Contains(cd, "StubbedService_client.go") {
-			t.Fatalf("disposition %q", cd)
-		}
-		// The stub is written from the deployed definition, with no round trip
-		// to the appliance's own WSDL: it is what a consumer importing that
-		// WSDL would generate, byte for byte.
-		proxy, err := wsclient.ImportURL(f.url+"/services/StubbedService", f.web)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imported, err := wsclient.GenerateStub(proxy.Def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(body, imported) {
-			t.Fatalf("served stub differs from the one the WSDL imports to:\n%s\n---\n%s", body, imported)
-		}
-	})
-}
-
-func TestClientStubUnknownService(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		resp, err := f.web.Get(f.url + "/api/client?name=Ghost")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-	})
-}
-
-func TestOutputFileDownload(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		f.upload(t, "writer.gsh", "write artifact-${x}.bin 96\necho ok\n")
-		inv, err := f.onserve.Invoke("WriterService", map[string]string{"x": "7"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv.DoneChan()
-		resp, err := f.web.Get(f.url + "/api/outfile?ticket=" + inv.Ticket + "&name=artifact-7.bin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || len(body) != 96 {
-			t.Fatalf("status %d, %d bytes", resp.StatusCode, len(body))
-		}
-		// Missing artifact and missing ticket.
-		resp, _ = f.web.Get(f.url + "/api/outfile?ticket=" + inv.Ticket + "&name=ghost.bin")
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Fatal("phantom artifact served")
-		}
-		resp, _ = f.web.Get(f.url + "/api/outfile?ticket=inv-000000-ffffffffffff&name=x")
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-	})
-}
-
-func TestUploadParamRowsBeyondThree(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		fw, _ := mw.CreateFormFile("file", "many.gsh")
-		io.WriteString(fw, "echo ${a}${b}${c}${d}\n")
-		mw.WriteField("user", "alice")
-		for i, name := range []string{"a", "b", "c", "d"} {
-			mw.WriteField("paramName"+string(rune('1'+i)), name)
-			mw.WriteField("paramType"+string(rune('1'+i)), "string")
-		}
-		mw.Close()
-		resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		info, err := f.onserve.ServiceInfo("ManyService")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(info.Params) != 4 {
-			t.Fatalf("params %+v", info.Params)
-		}
-	})
-}
-
-func TestUploadSkipsBlankParamRows(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		fw, _ := mw.CreateFormFile("file", "gaps.gsh")
-		io.WriteString(fw, "echo ${later}\n")
-		mw.WriteField("user", "alice")
-		// Row 1 and 2 blank, row 3 set — as a browser form would post it.
-		mw.WriteField("paramName1", "")
-		mw.WriteField("paramType1", "")
-		mw.WriteField("paramName3", "later")
-		mw.WriteField("paramType3", "")
-		mw.Close()
-		resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		info, err := f.onserve.ServiceInfo("GapsService")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(info.Params) != 1 || info.Params[0].Name != "later" || info.Params[0].Type != wsdl.TypeString {
-			t.Fatalf("params %+v", info.Params)
-		}
-	})
-}
-
-func TestUploadRejectsBadParamType(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		fw, _ := mw.CreateFormFile("file", "badtype.gsh")
-		io.WriteString(fw, "echo x\n")
-		mw.WriteField("user", "alice")
-		mw.WriteField("paramName1", "p")
-		mw.WriteField("paramType1", "blob")
-		mw.Close()
-		resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-	})
-}
-
-func TestUploadMissingFile(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		mw.WriteField("user", "alice")
-		mw.Close()
-		resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-	})
-}
-
-func TestUploadNonMultipart(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		resp, err := f.web.Post(f.url+"/upload", "text/plain", strings.NewReader("junk"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-	})
-}
-
-func TestInvokeBadJSON(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		resp, err := f.web.Post(f.url+"/api/invoke", "application/json", strings.NewReader("{"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-	})
-}
-
-func TestHomePage404ForUnknownPaths(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		resp, err := f.web.Get(f.url + "/definitely/not/here")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-	})
-}
-
-func TestMonitoringStats(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		f.upload(t, "mon.gsh", "echo ${x}\n")
-		inv, err := f.onserve.Invoke("MonService", map[string]string{"x": "1"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv.DoneChan()
-		resp, err := f.web.Get(f.url + "/api/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mon core.Monitoring
-		json.NewDecoder(resp.Body).Decode(&mon)
-		resp.Body.Close()
-		if mon.Invocations["DONE"] != 1 {
-			t.Fatalf("invocations %+v", mon.Invocations)
-		}
-		found := false
-		for _, s := range mon.Services {
-			if s.Name == "MonService" {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("services %+v", mon.Services)
-		}
-	})
-}
-
-func TestInvokeWaitOutputCancelViaAPI(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		f.upload(t, "flow.gsh", "compute 500ms\necho flow=${x}\n")
-
-		payload, _ := json.Marshal(map[string]any{
-			"service": "FlowService", "args": map[string]string{"x": "5"},
-		})
-		resp, err := f.web.Post(f.url+"/api/invoke", "application/json", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var inv map[string]string
-		json.NewDecoder(resp.Body).Decode(&inv)
-		resp.Body.Close()
-		ticket := inv["ticket"]
-		if ticket == "" || inv["job_id"] == "" || inv["site"] == "" {
-			t.Fatalf("invoke reply %v", inv)
-		}
-
-		resp, err = f.web.Get(f.url + "/api/wait?ticket=" + ticket)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wait map[string]string
-		json.NewDecoder(resp.Body).Decode(&wait)
-		resp.Body.Close()
-		if wait["state"] != "DONE" || wait["output"] != "flow=5\n" {
-			t.Fatalf("wait reply %v", wait)
-		}
-
-		resp, _ = f.web.Get(f.url + "/api/output?ticket=" + ticket)
-		out, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if string(out) != "flow=5\n" {
-			t.Fatalf("output %q", out)
-		}
-
-		resp, _ = f.web.Get(f.url + "/api/status?ticket=" + ticket)
-		var st map[string]string
-		json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if st["state"] != "DONE" {
-			t.Fatalf("status %v", st)
-		}
-
-		// Cancel of a finished invocation is a clean no-op.
-		resp, err = f.web.Post(f.url+"/api/cancel?ticket="+ticket, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("cancel status %d", resp.StatusCode)
-		}
-	})
-}
-
-func TestDeleteViaAPI(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		f.upload(t, "gone.gsh", "echo x\n")
-		resp, err := f.web.Post(f.url+"/api/delete?name=GoneService", "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		resp, _ = f.web.Get(f.url + "/api/service?name=GoneService")
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status %d after delete", resp.StatusCode)
-		}
-		// Method checks on the POST-only endpoints.
-		for _, path := range []string{"/api/delete?name=x", "/api/cancel?ticket=x", "/api/invoke"} {
-			resp, err := f.web.Get(f.url + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusMethodNotAllowed {
-				t.Fatalf("GET %s status %d", path, resp.StatusCode)
-			}
-		}
-	})
-}
-
-func TestHomePageRendersUploadedService(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		f.upload(t, "shown.gsh", "echo x\n")
-		resp, err := f.web.Get(f.url + "/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		page := string(body)
-		if !strings.Contains(page, "ShownService") || !strings.Contains(page, "Upload file and generate WebService") {
-			t.Fatalf("home page:\n%s", page)
-		}
-	})
-}
-
-func TestUploadWithStageInField(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		fw, _ := mw.CreateFormFile("file", "staged.gsh")
-		io.WriteString(fw, "read a.dat\nread b.dat\n")
-		mw.WriteField("user", "alice")
-		mw.WriteField("stageIn", " a.dat , b.dat ")
-		mw.Close()
-		resp, err := f.web.Post(f.url+"/upload", mw.FormDataContentType(), &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		info, err := f.onserve.ServiceInfo("StagedService")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(info.StageIn) != 2 || info.StageIn[0] != "a.dat" || info.StageIn[1] != "b.dat" {
-			t.Fatalf("stage-in %v", info.StageIn)
-		}
-	})
-}
-
-func TestServiceDescribeAPI(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		f.upload(t, "desc.gsh", "echo ${x}\n")
-		resp, err := f.web.Get(f.url + "/api/service?name=DescService")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var info core.ExecutableInfo
-		json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if info.ServiceName != "DescService" || info.Owner != "alice" {
-			t.Fatalf("info %+v", info)
-		}
-	})
-}
-
-// TestStatsSurfacesSubsystemCounters pins the /api/stats extension: the
-// monitoring tallies stay inline (TestMonitoringStats still decodes the
-// document into core.Monitoring), and the collector, submission, staging
-// and trace-ring counters ride alongside.
-func TestStatsSurfacesSubsystemCounters(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newTracedFixture(t, trace.NewCollector(0, 0))
-		f.upload(t, "stats.gsh", "echo ${x}\n")
-		inv, err := f.onserve.Invoke("StatsService", map[string]string{"x": "1"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv.DoneChan()
-		resp, err := f.web.Get(f.url + "/api/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc map[string]json.RawMessage
-		json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		for _, key := range []string{"invocations", "services", "collector", "submit", "stage", "placement", "trace", "db"} {
-			if _, ok := doc[key]; !ok {
-				t.Errorf("/api/stats missing %q: have %v", key, keys(doc))
-			}
-		}
-		var tr trace.CollectorStats
-		if err := json.Unmarshal(doc["trace"], &tr); err != nil {
-			t.Fatal(err)
-		}
-		if tr.Spans == 0 {
-			t.Fatalf("trace ring empty after a traced invocation: %+v", tr)
-		}
-	})
-}
-
-func keys(m map[string]json.RawMessage) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-// TestTraceExportAndWaterfall drives one invocation and reads its trace
-// back through both the JSON export (path and query forms) and the HTML
-// waterfall page.
-func TestTraceExportAndWaterfall(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newTracedFixture(t, trace.NewCollector(0, 0))
-		f.upload(t, "traced.gsh", "echo ${x}\n")
-		inv, err := f.onserve.Invoke("TracedService", map[string]string{"x": "1"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv.DoneChan()
-
-		for _, url := range []string{
-			f.url + "/api/trace/" + inv.Ticket,
-			f.url + "/api/trace?ticket=" + inv.Ticket,
-		} {
-			resp, err := f.web.Get(url)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var doc struct {
-				Ticket string           `json:"ticket"`
-				Spans  []trace.SpanData `json:"spans"`
-			}
-			json.NewDecoder(resp.Body).Decode(&doc)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s: status %d", url, resp.StatusCode)
-			}
-			if doc.Ticket != inv.Ticket || len(doc.Spans) == 0 {
-				t.Fatalf("%s: ticket %q, %d spans", url, doc.Ticket, len(doc.Spans))
-			}
-			if doc.Spans[0].Name != "invoke" {
-				t.Fatalf("first span %q, want the invoke root", doc.Spans[0].Name)
-			}
-		}
-
-		resp, err := f.web.Get(f.url + "/trace?ticket=" + inv.Ticket)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("waterfall status %d: %s", resp.StatusCode, body)
-		}
-		page := string(body)
-		for _, want := range []string{"onserve/invoke", "gram/gram.submit", "class=\"bar\""} {
-			if !strings.Contains(page, want) {
-				t.Errorf("waterfall missing %q", want)
-			}
-		}
-
-		// Unknown tickets 404; unknown tickets on the page too.
-		resp, err = f.web.Get(f.url + "/api/trace/no-such-ticket")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("unknown ticket status %d", resp.StatusCode)
 		}
 	})
 }
@@ -760,36 +296,34 @@ func TestTraceExportAndWaterfall(t *testing.T) {
 // trace instead of rejecting the request.
 func TestUploadAndInvokeJoinCallerTrace(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		col := trace.NewCollector(0, 0)
-		f := newTracedFixture(t, col)
-		f.upload(t, "joined.gsh", "echo ${x}\n")
-
-		caller := trace.NewTracer("cli", nil, col)
-		root := caller.StartRoot("cli.invoke")
-		payload, _ := json.Marshal(map[string]any{
-			"service": "JoinedService", "args": map[string]string{"x": "2"},
-		})
-		req, _ := http.NewRequest("POST", f.url+"/api/invoke", bytes.NewReader(payload))
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(trace.Header, root.Context().String())
-		resp, err := f.web.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		f, _ := door(t)
+		ons := f.App.OnServe
+		invoke := func(header string) *core.Invocation {
+			t.Helper()
+			req, _ := http.NewRequest("POST", f.App.BaseURL+"/api/invoke", strings.NewReader(`{"service":"FlowService","args":{"x":"2"}}`))
+			req.Header.Set("Content-Type", jsonType)
+			req.Header.Set(trace.Header, header)
+			resp, err := f.Web.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out portal.InvokeReply
+			json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("invoke with %s %q: status %d", trace.Header, header, resp.StatusCode)
+			}
+			inv, err := ons.Invocation(out.Ticket)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-inv.DoneChan()
+			return inv
 		}
-		var out map[string]string
-		json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("invoke status %d", resp.StatusCode)
-		}
-		inv, err := f.onserve.Invocation(out["ticket"])
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv.DoneChan()
+		root := trace.NewTracer("cli", nil, f.Trace).StartRoot("cli.invoke")
+		invoke(root.Context().String())
 		root.End()
-
-		spans := col.Trace(root.Context().String()[:32])
+		spans := f.Trace.Trace(root.Context().String()[:32])
 		var invokeRoot *trace.SpanData
 		for i := range spans {
 			if spans[i].Name == "invoke" {
@@ -804,25 +338,7 @@ func TestUploadAndInvokeJoinCallerTrace(t *testing.T) {
 		}
 
 		// Malformed header: accepted request, fresh root trace.
-		req, _ = http.NewRequest("POST", f.url+"/api/invoke", bytes.NewReader(payload))
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(trace.Header, "zz-not-a-trace")
-		resp, err = f.web.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out2 map[string]string
-		json.NewDecoder(resp.Body).Decode(&out2)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("malformed-header invoke rejected: %d", resp.StatusCode)
-		}
-		inv2, err := f.onserve.Invocation(out2["ticket"])
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-inv2.DoneChan()
-		spans2, err := f.onserve.InvocationTrace(out2["ticket"])
+		spans2, err := ons.InvocationTrace(invoke("zz-not-a-trace").Ticket)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -830,68 +346,6 @@ func TestUploadAndInvokeJoinCallerTrace(t *testing.T) {
 			t.Fatalf("malformed header did not mint a fresh root trace")
 		}
 	})
-}
-
-// TestHotRepliesRenderLikeTheMaps: /api/invoke and /api/wait answered
-// with map[string]string until their replies became structs; the bytes
-// on the wire are those the maps gave, whatever the values hold.
-func TestHotRepliesRenderLikeTheMaps(t *testing.T) {
-	awkward := []string{"", "plain", "3.14159\n", `quote " backslash \ slash /`, "<script>&amp;</script>",
-		"tab\tnul\x00bell\x07", "non-UTF-8 \xff\xfe", "\u2028 line \u2029 sep", "größe 大小 😀"}
-	render := func(v any) string {
-		rec := httptest.NewRecorder()
-		writeJSON(rec, http.StatusOK, v)
-		return rec.Body.String()
-	}
-	for i, a := range awkward {
-		b, c := awkward[(i+1)%len(awkward)], awkward[(i+2)%len(awkward)]
-		got := render(InvokeReply{JobID: a, Site: b, Ticket: c})
-		if want := render(map[string]string{"ticket": c, "job_id": a, "site": b}); got != want {
-			t.Errorf("invoke reply %q, the map gave %q", got, want)
-		}
-		got = render(WaitReply{Message: a, Output: b, State: c})
-		if want := render(map[string]string{"state": c, "message": a, "output": b}); got != want {
-			t.Errorf("wait reply %q, the map gave %q", got, want)
-		}
-	}
-}
-
-// TestErrorCancelDeleteRepliesRenderLikeTheMaps: the last three
-// map[string]string replies, golden and against the maps they were.
-func TestErrorCancelDeleteRepliesRenderLikeTheMaps(t *testing.T) {
-	render := func(status int, write func(w http.ResponseWriter)) string {
-		rec := httptest.NewRecorder()
-		write(rec)
-		if rec.Code != status || rec.Header().Get("Content-Type") != "application/json" {
-			t.Errorf("status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
-		}
-		return rec.Body.String()
-	}
-	asJSON := func(v any) func(http.ResponseWriter) {
-		return func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, v) }
-	}
-	if got, want := render(http.StatusOK, asJSON(deleteReply{Deleted: "MonteService"})), `{"deleted":"MonteService"}`+"\n"; got != want {
-		t.Errorf("delete reply %q, want %q", got, want)
-	}
-	if got, want := render(http.StatusOK, asJSON(cancelReply{State: "cancelling"})), `{"state":"cancelling"}`+"\n"; got != want {
-		t.Errorf("cancel reply %q, want %q", got, want)
-	}
-	got := render(http.StatusNotFound, func(w http.ResponseWriter) { WriteError(w, http.StatusNotFound, core.ErrNoSuchService) })
-	if want := `{"code":"not_found","error":"` + core.ErrNoSuchService.Error() + `"}` + "\n"; got != want {
-		t.Errorf("error envelope %q, want %q", got, want)
-	}
-	for _, s := range []string{"", `quote " backslash \`, "<script>&amp;</script>", "nul\x00 non-UTF-8 \xff", "  größe 😀"} {
-		if got, want := render(http.StatusOK, asJSON(deleteReply{Deleted: s})), render(http.StatusOK, asJSON(map[string]string{"deleted": s})); got != want {
-			t.Errorf("delete reply %q, the map gave %q", got, want)
-		}
-		got := render(http.StatusBadRequest, func(w http.ResponseWriter) { WriteError(w, http.StatusBadRequest, errors.New(s)) })
-		want := render(http.StatusBadRequest, func(w http.ResponseWriter) {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": s, "code": "bad_request"})
-		})
-		if got != want {
-			t.Errorf("error envelope %q, the map gave %q", got, want)
-		}
-	}
 }
 
 // discardWriter is a ResponseWriter that keeps nothing, so what an
@@ -910,24 +364,16 @@ func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 // query scan and lookup and the shared Content-Type allocate nothing.
 func TestWaitDoorAllocations(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t)
-		f.upload(t, "flow.gsh", "echo flow=${x}\n")
-		resp, err := f.web.Post(f.url+"/api/invoke", "application/json", strings.NewReader(`{"service":"FlowService","args":{"x":"5"}}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var inv InvokeReply
-		json.NewDecoder(resp.Body).Decode(&inv)
-		resp.Body.Close()
-		req := httptest.NewRequest(http.MethodGet, "/api/wait?ticket="+inv.Ticket, nil)
+		f, ticket := door(t)
+		req := httptest.NewRequest(http.MethodGet, "/api/wait?ticket="+ticket, nil)
 		w := &discardWriter{header: http.Header{}}
-		f.portal.ServeHTTP(w, req) // waits for the invocation to finish
-		if w.status != http.StatusOK || w.header.Get("Content-Type") != "application/json" {
+		f.App.Portal.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.header.Get("Content-Type") != jsonType {
 			t.Fatalf("wait: status %d, header %v", w.status, w.header)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			delete(w.header, "Content-Type")
-			f.portal.ServeHTTP(w, req)
+			f.App.Portal.ServeHTTP(w, req)
 		})
 		t.Logf("/api/wait of a finished invocation: %.0f objects", allocs)
 		if allocs > 1 {
