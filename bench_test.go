@@ -1,7 +1,7 @@
 package repro
 
 // One benchmark per table/figure of the paper's evaluation (Section
-// VIII), plus the design-choice ablations DESIGN.md calls out. Every
+// VIII), plus the knobs study and the sweeps DESIGN.md calls out. Every
 // iteration runs the corresponding experiment end-to-end — simulated
 // TeraGrid, appliance, portal, SOAP services — in a testing/synctest
 // bubble, and reports the headline virtual-time quantity next to the
@@ -102,28 +102,12 @@ func BenchmarkManySmallJobs(b *testing.B) {
 type metric struct{ study, variant, metric, unit string }
 
 // ablationBenches is every benchmark that runs one ablation study and
-// reports rows of its result: `go test -bench=Ablation/SubmitStock`.
+// reports rows of its result: `go test -bench=Ablation/Polling`.
 var ablationBenches = []struct {
 	name    string
 	run     func() (*experiments.AblationResult, error)
 	metrics []metric
 }{
-	// The paper's temp-file+DB store path against direct streaming
-	// (§VIII-D3).
-	{"DoubleWrite", func() (*experiments.AblationResult, error) {
-		return experiments.AblationDoubleWrite(experiments.Options{}, 1024)
-	}, []metric{
-		{"double-write", "stock", "disk_write_total_kb", "stock_disk_kb"},
-		{"double-write", "direct", "disk_write_total_kb", "direct_disk_kb"},
-	}},
-	// Per-invocation re-upload against the content-hash staging cache
-	// (§VIII-B's suggested improvement).
-	{"StagingCache", func() (*experiments.AblationResult, error) {
-		return experiments.AblationStagingCache(experiments.Options{}, 512, 3)
-	}, []metric{
-		{"staging-cache", "stock", "net_out_total_kb", "stock_wan_kb"},
-		{"staging-cache", "cache", "net_out_total_kb", "cache_wan_kb"},
-	}},
 	// The tentative-poll interval sweep.
 	{"Polling", func() (*experiments.AblationResult, error) {
 		return experiments.AblationPolling(experiments.Options{}, []time.Duration{3 * time.Second, 30 * time.Second})
@@ -139,109 +123,14 @@ var ablationBenches = []struct {
 		{"compression", "fast-8MBps", "upload_cpu_total_s", "fast_cpu_s"},
 		{"compression", "slow-512KBps", "upload_cpu_total_s", "slow_cpu_s"},
 	}},
-	// The paper-faithful invocation pipeline (fresh MyProxy logon and stats
-	// fetch per invocation) — the baseline the warm benchmark is compared
-	// against.
-	{"InvokeHotPathCold", hotPath("stock"), []metric{
-		{"hot-path", "stock", "per_invoke_s", "virtual_s/invoke"},
-		{"hot-path", "stock", "net_out_total_kb", "grid_kb"},
-	}},
-	// The same workload with the session cache and stats TTL on: repeat
-	// invocations skip the logon and the stats round-trip.
-	{"InvokeHotPathWarm", hotPath("warm"), []metric{
-		{"hot-path", "warm", "per_invoke_s", "virtual_s/invoke"},
-		{"hot-path", "warm", "net_out_total_kb", "grid_kb"},
-	}},
-	// The two hot-path levers, each alone.
-	{"SessionCache", hotPath("stock", "session-cache"), []metric{
-		{"hot-path", "stock", "net_out_total_kb", "stock_grid_kb"},
-		{"hot-path", "session-cache", "net_out_total_kb", "cached_grid_kb"},
-	}},
-	{"StatsTTL", hotPath("stock", "stats-ttl"), []metric{
-		{"hot-path", "stock", "net_out_total_kb", "stock_grid_kb"},
-		{"hot-path", "stats-ttl", "net_out_total_kb", "ttl_grid_kb"},
-	}},
-	// The output-collection workload (many simultaneous mostly-silent
-	// invocations) under the paper's one-poller-goroutine-per-invocation
-	// loop: one status round-trip and one full stdout re-fetch per
-	// invocation per tick.
-	{"PollHubStock", pollHubStudy("stock"), []metric{
-		{"poll-hub", "stock", "status_rpcs", "status_rpcs"},
-		{"poll-hub", "stock", "output_bytes_kb", "output_kb"},
-	}},
-	// The push collector: state transitions and output bumps arrive over
-	// one gatekeeper event stream per session, so steady-state status
-	// RPCs collapse to (at most) the handful spent bootstrapping streams.
-	{"PushEvents", pollHubStudy("push"), []metric{
-		{"poll-hub", "push", "status_rpcs", "status_rpcs"},
-		{"poll-hub", "push", "events_delivered", "events"},
-		{"poll-hub", "push", "detect_latency_s", "detect_s"},
-	}},
-	// The submission workload (a simultaneous cold burst of one service)
-	// under the paper's front-end: one stats RPC, one WAN staging upload
-	// and one submit RPC per invocation.
-	{"SubmitStock", submit("stock"), []metric{
-		{"submit", "stock", "uploads", "uploads"},
-		{"submit", "stock", "submit_rpcs", "submit_rpcs"},
-		{"submit", "stock", "stats_rpcs", "stats_rpcs"},
-	}},
-	// The same burst with coalesced staging and the stats singleflight.
-	{"SubmitCoalesced", submit("coalesced"), []metric{
-		{"submit", "coalesced", "uploads", "uploads"},
-		{"submit", "coalesced", "uploads_coalesced", "coalesced"},
-		{"submit", "coalesced", "submit_rpcs", "submit_rpcs"},
-		{"submit", "coalesced", "stats_rpcs", "stats_rpcs"},
-	}},
-	// The staging data plane under the paper's monolithic uncompressed
-	// PUT: the whole executable crosses the WAN on every cold staging and
-	// again in full after any fault.
-	{"StageStock", stage("stock"), []metric{
-		{"stage-cold", "stock", "stage_s", "stage_virtual_s"},
-		{"stage-cold", "stock", "wan_wire_b", "wan_wire_b"},
-		{"stage-resume", "stock", "retry_wire_b", "retry_wire_b"},
-	}},
-	// Chunked content-addressed staging shipping the stored gzip stream:
-	// fewer cold wire bytes by the payload's gzip ratio, and a faulted
-	// transfer resumes from its committed chunks.
-	{"StageChunked", stage("chunked-gzip"), []metric{
-		{"stage-cold", "chunked-gzip", "stage_s", "stage_virtual_s"},
-		{"stage-cold", "chunked-gzip", "wan_wire_b", "wan_wire_b"},
-		{"stage-cold", "chunked-gzip", "chunks_shipped", "chunks_shipped"},
-		{"stage-resume", "chunked", "retry_wire_b", "retry_wire_b"},
-	}},
-	// The stock one-write-per-put WAL path against batched group commit
-	// (real time, on-disk WAL).
-	{"WALGroupCommit", func() (*experiments.AblationResult, error) {
-		return experiments.AblationGroupCommit(64, 8, 16)
+	// A retry after a mid-transfer fault: the monolithic PUT restarts from
+	// byte zero, the chunked protocol resumes from its committed chunks.
+	{"StageResume", func() (*experiments.AblationResult, error) {
+		return experiments.AblationStage(experiments.Options{}, 256)
 	}, []metric{
-		{"group-commit", "stock", "wal_writes", "stock_wal_writes"},
-		{"group-commit", "group", "wal_writes", "group_wal_writes"},
-		{"group-commit", "group", "wal_syncs", "group_wal_syncs"},
+		{"stage-resume", "stock", "retry_wire_b", "stock_retry_wire_b"},
+		{"stage-resume", "chunked", "retry_wire_b", "chunked_retry_wire_b"},
 	}},
-}
-
-func hotPath(variants ...string) func() (*experiments.AblationResult, error) {
-	return func() (*experiments.AblationResult, error) {
-		return experiments.AblationHotPath(experiments.Options{}, 256, 3, variants...)
-	}
-}
-
-func pollHubStudy(variant string) func() (*experiments.AblationResult, error) {
-	return func() (*experiments.AblationResult, error) {
-		return experiments.AblationPollHub(experiments.Options{}, 16, variant)
-	}
-}
-
-func submit(variant string) func() (*experiments.AblationResult, error) {
-	return func() (*experiments.AblationResult, error) {
-		return experiments.AblationSubmit(experiments.Options{}, 16, variant)
-	}
-}
-
-func stage(variant string) func() (*experiments.AblationResult, error) {
-	return func() (*experiments.AblationResult, error) {
-		return experiments.AblationStage(experiments.Options{}, 256, variant)
-	}
 }
 
 // BenchmarkAblation runs every row of ablationBenches as a
@@ -259,6 +148,31 @@ func BenchmarkAblation(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkKnobs runs the knobs study — Paper, Production, and Paper+K and
+// Production−K for each of Production's knobs, on the figures and four
+// workloads — and reports, for each knob, Production−K's virtual duration
+// on the scenario it was built for next to Production's.
+func BenchmarkKnobs(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.Knobs(experiments.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range []metric{
+			{"hot8", "production", "duration_s", "hot8_prod_virtual_s"},
+			{"hot8", "production-PushEvents", "duration_s", "hot8_prod-push_virtual_s"},
+			{"hot8", "production-SessionCache", "duration_s", "hot8_prod-session_virtual_s"},
+			{"cold16", "production", "duration_s", "cold16_prod_virtual_s"},
+			{"cold16", "production-CoalesceStaging", "duration_s", "cold16_prod-coalesce_virtual_s"},
+			{"fig7", "production", "net_out_b", "fig7_prod_wan_b"},
+			{"fig7", "production-WireCompression", "net_out_b", "fig7_prod-gzip_wan_b"},
+			{"fig8", "production-DirectDBWrite", "disk_write_b", "fig8_prod-direct_disk_b"},
+		} {
+			report(b, res, m)
+		}
 	}
 }
 

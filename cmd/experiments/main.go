@@ -8,7 +8,7 @@
 //	experiments -fig 7            # one figure -> results/fig7.csv
 //	experiments -all              # everything
 //	experiments -scalability
-//	experiments -hotpath          # one ablation -> results/hotpath.json
+//	experiments -knobs            # the knobs study -> results/knobs.json
 package main
 
 import (
@@ -46,7 +46,7 @@ func run(args []string, stdout io.Writer) error {
 	all := fs.Bool("all", false, "run every experiment")
 	outDir := fs.String("out", "results", "directory for CSV output")
 	fs.IntVar(&p.Jobs, "jobs", 50, "job count for -smalljobs")
-	fs.IntVar(&p.ReplayRecords, "replay-records", 1_000_000, "record count for the -blobdb cold-boot replay study")
+	fs.IntVar(&p.ReplayRecords, "replay-records", 1_000_000, "record count for the -blobdb replay (warm reopen) study")
 	fs.IntVar(&p.TenancyBurst, "tenancy-burst", 1000, "hog burst size for -tenancy")
 	pick := map[string]*bool{}
 	use := []string{"-fig N"}

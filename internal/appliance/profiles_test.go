@@ -82,7 +82,7 @@ func TestConfigSurface(t *testing.T) {
 		"Endpoints", "Probe", "Cost", "DBDir", "GridDial",
 		"PollInterval", "InvocationTimeout", "StagingCache", "DirectDBWrite",
 		"SessionCache", "StatsTTL", "PushEvents", "CoalesceStaging", "ChunkedStaging",
-		"ChunkBytes", "WireCompression", "DataAwarePlacement", "BlobCacheBytes", "GroupCommit",
+		"WireCompression", "DataAwarePlacement", "BlobCacheBytes", "GroupCommit",
 		"WALShards", "AutoCompact", "Trace", "Tenancy",
 	}
 	var got []string
@@ -181,16 +181,14 @@ func publishCycleSoak(t *testing.T, knobs func(dbDir string) appliance.Config) {
 	// session's event stream; what it leaves behind is the idle state every
 	// later cycle must return to. A session that is not cached is logged
 	// out by whoever records its invocation's end, just after the waiters
-	// here are woken.
-	settled := func(ok func(map[string]int) bool) map[string]int {
-		got := idle()
-		for deadline := time.Now().Add(5 * time.Second); !ok(got) && time.Now().Before(deadline); got = idle() {
-			time.Sleep(time.Millisecond) // returns once all else is parked
-		}
-		return got
+	// here are woken: the tables are read once every other goroutine is
+	// parked.
+	settled := func() map[string]int {
+		bubble.Wait()
+		return idle()
 	}
 	cycle(0)
-	want := settled(func(got map[string]int) bool { return got["agent sessions"] == got["sessions"] })
+	want := settled()
 	if want["agent sessions"] != want["sessions"] {
 		t.Fatalf("idle with %d agent sessions, %d of them cached", want["agent sessions"], want["sessions"])
 	}
@@ -198,7 +196,7 @@ func publishCycleSoak(t *testing.T, knobs func(dbDir string) appliance.Config) {
 	for i := 1; i <= cycles; i++ {
 		cycle(i)
 	}
-	if got := settled(func(got map[string]int) bool { return reflect.DeepEqual(got, want) }); !reflect.DeepEqual(got, want) {
+	if got := settled(); !reflect.DeepEqual(got, want) {
 		t.Errorf("after %d publish cycles:\n got %v\nidle %v", cycles, got, want)
 	}
 	// One ticket per cycle and nothing else: the ticket map is the one

@@ -93,9 +93,6 @@ type Config struct {
 	// PUT. Sites whose servers predate the chunk protocol transparently
 	// fall back to that PUT.
 	ChunkedStaging bool
-	// ChunkBytes is the chunk size for ChunkedStaging; 0 means
-	// gridftp.DefaultChunkBytes.
-	ChunkBytes int
 	// WireCompression, with ChunkedStaging, ships the database's stored
 	// gzip bytes across the WAN instead of the inflated executable; the
 	// site decompresses at commit. Off by default (the paper stages the

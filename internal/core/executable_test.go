@@ -19,6 +19,7 @@ import (
 	"repro/internal/blobdb"
 	"repro/internal/blobdb/blobtest"
 	"repro/internal/bubble"
+	"repro/internal/gridftp"
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
 	"repro/internal/metrics"
@@ -103,8 +104,8 @@ func TestPaperProfileProbeSequence(t *testing.T) {
 func TestStoredGzipComparesGenerations(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { chunked(cfg); cfg.WireCompression = true })
-		v1 := f.uploadPadded(t, "same", "echo v1\n", 32<<10)
-		v2 := gsh.Pad([]byte("echo v2\n"), 32<<10)
+		v1 := f.uploadPadded(t, "same", "echo v1\n", 8*gridftp.DefaultChunkBytes)
+		v2 := gsh.Pad([]byte("echo v2\n"), 8*gridftp.DefaultChunkBytes)
 		if len(v2) != len(v1) {
 			t.Fatalf("versions are %d and %d bytes, want equal", len(v1), len(v2))
 		}

@@ -99,8 +99,8 @@ func (inv *Invocation) Message() string {
 func (inv *Invocation) DoneChan() <-chan struct{} { return inv.done }
 
 // EndedAt returns when the invocation reached a terminal state (zero
-// while still in flight) — the collector-side endpoint of the
-// completion-detection latency the pollhub ablation measures.
+// while still in flight): the collector-side end of the
+// completion-detection latency.
 func (inv *Invocation) EndedAt() time.Time {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()

@@ -114,7 +114,7 @@ func (x *executable) wireChunks() *gridftp.Cut {
 		if !file.GzipWire() {
 			x.fetch()
 		}
-		x.cut, _ = file.Cut(x.o.cfg.ChunkBytes)
+		x.cut, _ = file.Cut(gridftp.DefaultChunkBytes)
 	})
 	return x.cut
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bubble"
+	"repro/internal/gridftp"
 	"repro/internal/gridsim"
 	"repro/internal/trace"
 )
@@ -81,11 +82,11 @@ func TestDataAwarePlacementPrefersPossessingSite(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) {
 			cfg.InvocationTimeout = 100 * time.Hour
-			cfg.ChunkedStaging, cfg.ChunkBytes, cfg.DataAwarePlacement = true, 4<<10, true
+			cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true
 		})
 		// Far beyond the test's virtual runtime.
 		f.ons.probeTTL = 1000 * time.Hour
-		svc := f.publish(t, "warm.gsh", fillerProgram(64<<10))
+		svc := f.publish(t, "warm.gsh", fillerProgram(16*gridftp.DefaultChunkBytes))
 		inv1 := ends(t, f.invoke(t, svc, nil), InvDone)
 		shipped := f.ons.StageStats().ChunksShipped
 		if shipped == 0 {
@@ -154,9 +155,9 @@ func TestConcurrentPlacementAndReplication(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) {
 			cfg.InvocationTimeout, cfg.StatsTTL = 100*time.Hour, 3*time.Second
 			cfg.StagingCache, cfg.CoalesceStaging = true, true
-			cfg.ChunkedStaging, cfg.ChunkBytes, cfg.DataAwarePlacement = true, 4<<10, true
+			cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true
 		})
-		svc := f.publish(t, "racey.gsh", fillerProgram(32<<10))
+		svc := f.publish(t, "racey.gsh", fillerProgram(8*gridftp.DefaultChunkBytes))
 		const workers = 8
 		burst(t, workers, func(int) error { _, err := f.ons.ExecuteAndWait(svc, nil); return err })
 		if st := f.ons.PlacementStats(); st.PlacementsScored != workers || st.ProbeFailures != 0 {

@@ -76,7 +76,7 @@ func (o *OnServe) uploadOnce(sessionID string, exe *executable, file gridftp.Fil
 		sp.Set("wire", "stream")
 		return ag.UploadFile(sessionID, site, exe.staged, file)
 	}
-	stats, err := ag.UploadChunked(sessionID, site, exe.staged, file, o.cfg.ChunkBytes)
+	stats, err := ag.UploadChunked(sessionID, site, exe.staged, file)
 	if err != nil {
 		return "", err
 	}

@@ -95,8 +95,9 @@ func TestRetryableStageErrClassification(t *testing.T) {
 	}
 }
 
-// chunked turns chunked staging on with 4 KB chunks.
-func chunked(cfg *Config) { cfg.ChunkedStaging, cfg.ChunkBytes = true, 4<<10 }
+// chunked turns chunked staging on: a payload of n*gridftp.DefaultChunkBytes
+// cuts into n chunks.
+func chunked(cfg *Config) { cfg.ChunkedStaging = true }
 
 func TestChunkedStagingEndToEnd(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
@@ -389,11 +390,11 @@ func TestStagingSharesStoredStreamWhileRepublished(t *testing.T) {
 		t.Cleanup(func() { db.Close() })
 		f := newFixture(t, func(cfg *Config) {
 			cfg.SessionCache, cfg.StatsTTL = true, time.Hour
-			cfg.ChunkedStaging, cfg.ChunkBytes, cfg.WireCompression, cfg.DataAwarePlacement = true, 4<<10, true, true
+			cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
 		}, onDB(db))
 		// Two versions of one length, as a re-published benchmark program has:
 		// only the row generation tells storedGzip whose stream it is reading.
-		versions := [][]byte{gsh.Pad([]byte("echo v1\n"), 48<<10), gsh.Pad([]byte("echo v2\n"), 48<<10)}
+		versions := [][]byte{gsh.Pad([]byte("echo v1\n"), 12*gridftp.DefaultChunkBytes), gsh.Pad([]byte("echo v2\n"), 12*gridftp.DefaultChunkBytes)}
 		if len(versions[0]) != len(versions[1]) {
 			t.Fatalf("versions are %d and %d bytes, want equal", len(versions[0]), len(versions[1]))
 		}
@@ -438,7 +439,7 @@ var edgeWires = []struct {
 	stock bool // the sites' servers predate the chunk protocol
 }{
 	{"stream", nil, false},
-	{"gzip-chunks", func(cfg *Config) { cfg.ChunkedStaging, cfg.ChunkBytes, cfg.WireCompression = true, 8<<10, true }, false},
+	{"gzip-chunks", func(cfg *Config) { cfg.ChunkedStaging, cfg.WireCompression = true, true }, false},
 	{"fallback-put", func(cfg *Config) { cfg.ChunkedStaging, cfg.WireCompression = true, true }, true},
 }
 
@@ -533,7 +534,7 @@ func TestStreamedEdgeFaults(t *testing.T) {
 					}
 					fault := &rule{match: target, n: 1, do: fc.fault}
 					f.grid.add(fault)
-					content := f.uploadPadded(t, "edge", "echo edge\n", 64<<10)
+					content := f.uploadPadded(t, "edge", "echo edge\n", 8*gridftp.DefaultChunkBytes)
 					inv, spans, err := invokeTraced(t, f, "EdgeService")
 					if fault.hits.Load() == 0 {
 						t.Fatal("the fault never fired")

@@ -285,18 +285,19 @@ func (a *Agent) UploadFile(sessionID, site, name string, f gridftp.File) (string
 }
 
 // UploadChunked stages a file via the chunked, content-addressed GridFTP
-// protocol: probe the site for chunks it already holds, ship only the
-// missing ones, commit the manifest. f.Gzip, when non-nil, rides the wire
+// protocol, in chunks of gridftp.DefaultChunkBytes: probe the site for
+// chunks it already holds, ship only the missing ones, commit the
+// manifest. f.Gzip, when non-nil, rides the wire
 // in place of the file's bytes when smaller (the site inflates at commit).
 // Against a site whose server does not speak the chunk protocol the
 // transfer silently downgrades to a plain PUT — see the returned stats'
 // Fallback field.
-func (a *Agent) UploadChunked(sessionID, site, name string, f gridftp.File, chunkBytes int) (*gridftp.ChunkedPutStats, error) {
+func (a *Agent) UploadChunked(sessionID, site, name string, f gridftp.File) (*gridftp.ChunkedPutStats, error) {
 	ftp, err := a.ftp(sessionID, site)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := ftp.PutChunkedFile(name, f, chunkBytes)
+	stats, err := ftp.PutChunkedFile(name, f, gridftp.DefaultChunkBytes)
 	if err != nil {
 		return nil, fmt.Errorf("cyberaide: stage %s to %s (chunked): %w", name, site, err)
 	}

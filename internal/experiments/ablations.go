@@ -52,38 +52,10 @@ type variant struct {
 }
 
 // variantTable is a study's variants in the order they are reported.
-// what names the study in errors ("unknown hot-path variant").
+// what names the study in errors.
 type variantTable struct {
 	what string
 	all  []variant
-}
-
-func (t variantTable) names() []string {
-	names := make([]string, len(t.all))
-	for i, v := range t.all {
-		names[i] = v.name
-	}
-	return names
-}
-
-// pick returns the table cut down to names, in the order given; no names
-// picks every variant.
-func (t variantTable) pick(names ...string) (variantTable, error) {
-	if len(names) == 0 {
-		return t, nil
-	}
-	picked := variantTable{what: t.what}
-next:
-	for _, name := range names {
-		for _, v := range t.all {
-			if v.name == name {
-				picked.all = append(picked.all, v)
-				continue next
-			}
-		}
-		return picked, fmt.Errorf("experiments: unknown %s variant %q", t.what, name)
-	}
-	return picked, nil
 }
 
 // run boots one rig per variant — o with the variant's knobs applied —
@@ -111,88 +83,6 @@ func padded(script string, size int) string {
 func (r *rig) timedUpload(fileName string, fileKB int) (measurement, error) {
 	program := padded("echo x\n", fileKB<<10)
 	return r.measure(func() error { return r.uploadViaPortal(fileName, program) })
-}
-
-var doubleWriteTable = variantTable{"double-write", []variant{
-	{"stock", nil},
-	{"direct", func(c *appliance.Config) { c.DirectDBWrite = true }},
-}}
-
-// AblationDoubleWrite compares the paper's temp-file-then-database store
-// path against direct-to-database streaming (§VIII-D3 calls the former
-// "not optimal and may lead to performance drops").
-func AblationDoubleWrite(opts Options, fileKB int) (*AblationResult, error) {
-	fileKB = orDefault(fileKB, 1024)
-	res := &AblationResult{Notes: []string{
-		"stock spills the upload to a temp file and reads it back before the DB insert",
-		"direct streams the upload straight into the database",
-	}}
-	err := doubleWriteTable.run(opts, func(variant string, r *rig) error {
-		m, err := r.timedUpload("ab.gsh", fileKB)
-		if err != nil {
-			return err
-		}
-		row := res.at("double-write", variant)
-		row("disk_write_total_kb", m.sum["disk_write_total_b"]/1024)
-		row("upload_latency_s", m.seconds)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-var stagingCacheTable = variantTable{"staging-cache", []variant{
-	{"stock", nil},
-	{"cache", func(c *appliance.Config) { c.StagingCache = true }},
-}}
-
-// AblationStagingCache compares re-uploading the executable on every
-// invocation (the paper's behaviour) against a content-hash staging
-// cache (the paper's suggested "upload strategy that avoids frequent
-// uploads of the same file").
-func AblationStagingCache(opts Options, fileKB, invocations int) (*AblationResult, error) {
-	fileKB = orDefault(fileKB, 512)
-	invocations = orDefault(invocations, 3)
-	res := &AblationResult{Notes: []string{
-		fmt.Sprintf("%d invocations of a %d KB executable over the ~85 KB/s WAN", invocations, fileKB),
-		"the cache pays the upload once; stock pays it per invocation",
-	}}
-	// Fine polling keeps completion-detection quantisation from drowning
-	// the staging-time difference under comparison.
-	opts.Appliance.PollInterval = 3 * time.Second
-	err := stagingCacheTable.run(opts, func(variant string, r *rig) error {
-		m, err := r.backToBack("cachejob.gsh", fileKB, invocations)
-		if err != nil {
-			return err
-		}
-		row := res.at("staging-cache", variant)
-		row("net_out_total_kb", m.sum["net_out_total_b"]/1024)
-		row("makespan_s", m.seconds)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// backToBack deploys a fileKB one-second job and measures invocations
-// sequential calls of it.
-func (r *rig) backToBack(fileName string, fileKB, invocations int) (measurement, error) {
-	svc, err := r.deploy(fileName, padded("compute 1s\necho ok\n", fileKB<<10))
-	if err != nil {
-		return measurement{}, err
-	}
-	return r.measure(func() error {
-		for i := 0; i < invocations; i++ {
-			if _, err := svc.call(nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // AblationPolling sweeps the tentative-poll interval, quantifying the

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/portal"
@@ -52,9 +53,13 @@ func (s *service) call(args map[string]string) (string, error) {
 	return s.wait(ticket)
 }
 
-// burst is n simultaneous argument-less calls.
+// burst is n argument-less calls started 1 ms apart, in index order.
 func (s *service) burst(n int) error {
-	return fanOut(n, 0, func(int) error { _, err := s.call(nil); return err })
+	return fanOut(n, 0, func(i int) error {
+		time.Sleep(time.Duration(i) * time.Millisecond)
+		_, err := s.call(nil)
+		return err
+	})
 }
 
 // door is the portal's client (form and JSON API) on an appliance or on a

@@ -145,32 +145,6 @@ func TestSmallJobs(t *testing.T) {
 	}
 }
 
-func TestAblationDoubleWrite(t *testing.T) {
-	res, err := AblationDoubleWrite(Options{}, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := ablationMap(res)
-	if vals["double-write/stock/disk_write_total_kb"] <= vals["double-write/direct/disk_write_total_kb"] {
-		t.Fatalf("direct write should reduce disk traffic: %v", vals)
-	}
-}
-
-func TestAblationStagingCache(t *testing.T) {
-	res, err := AblationStagingCache(Options{}, 768, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := ablationMap(res)
-	stock, cache := vals["staging-cache/stock/net_out_total_kb"], vals["staging-cache/cache/net_out_total_kb"]
-	if cache >= stock/2 {
-		t.Fatalf("cache should cut WAN traffic ~3x: stock %v KB vs cache %v KB", stock, cache)
-	}
-	if vals["staging-cache/cache/makespan_s"] >= vals["staging-cache/stock/makespan_s"] {
-		t.Fatalf("cache no faster than stock: %v", vals)
-	}
-}
-
 func TestAblationPolling(t *testing.T) {
 	res, err := AblationPolling(Options{}, []time.Duration{3 * time.Second, 30 * time.Second})
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/metrics"
 )
@@ -15,6 +16,10 @@ const smallProgram = "# tiny grid job\ncompute 2s\nemit 9s 3 partial-output ${ta
 // largeProgramSize is Fig. 7's "much larger file (~5MB)".
 const largeProgramSize = 5 << 20
 
+// largeProgram is the Fig. 7 and Fig. 8 workload: the small program
+// padded to largeProgramSize, built once.
+var largeProgram = sync.OnceValue(func() string { return padded(smallProgram, largeProgramSize) })
+
 // Fig6 reproduces "Web service execution: CPU utilization, network and
 // hard disk I/O (3 seconds interval)". Expected shape: hard-disk use very
 // low; traffic dominated by the security credential exchange; one CPU
@@ -22,22 +27,7 @@ const largeProgramSize = 5 << 20
 // second when the job is created and submitted; periodic disk writes
 // from the tentative output polling.
 func Fig6(opts Options) (*Result, error) {
-	var m measurement
-	err := withRig(opts, func(r *rig) error {
-		svc, err := r.deploy("smalljob.gsh", smallProgram, "tag")
-		if err != nil {
-			return err
-		}
-		// Measurement covers only the Web-service execution.
-		m, err = r.measure(func() error {
-			out, err := svc.call(map[string]string{"tag": "fig6"})
-			if err == nil && !strings.Contains(out, "final fig6") {
-				err = fmt.Errorf("experiments: unexpected job output %q", out)
-			}
-			return err
-		})
-		return err
-	})
+	m, err := measureOn(opts, fig6)
 	if err != nil {
 		return nil, err
 	}
@@ -64,15 +54,7 @@ func Fig6(opts Options) (*Result, error) {
 // constant 80-90 KB/s for about 60 seconds; the disk is not the limiting
 // factor.
 func Fig7(opts Options) (*Result, error) {
-	var m measurement
-	err := withRig(opts, func(r *rig) error {
-		svc, err := r.deploy("bigjob.gsh", padded(smallProgram, largeProgramSize), "tag")
-		if err != nil {
-			return err
-		}
-		m, err = r.measure(func() error { _, err := svc.call(map[string]string{"tag": "fig7"}); return err })
-		return err
-	})
+	m, err := measureOn(opts, fig7)
 	if err != nil {
 		return nil, err
 	}
@@ -121,12 +103,7 @@ func Fig7(opts Options) (*Result, error) {
 // build), and two disk-write peaks — the temporary file and the database
 // insert — the paper's double-write flaw.
 func Fig8(opts Options) (*Result, error) {
-	var m measurement
-	err := withRig(opts, func(r *rig) (err error) {
-		program := padded(smallProgram, largeProgramSize)
-		m, err = r.measure(func() error { return r.uploadViaPortal("genjob.gsh", program, "tag") })
-		return err
-	})
+	m, err := measureOn(opts, fig8)
 	if err != nil {
 		return nil, err
 	}
@@ -144,4 +121,41 @@ func Fig8(opts Options) (*Result, error) {
 			"two disk-write activity phases: the file is written twice (temp file, then database)",
 		},
 	}, nil
+}
+
+// measureOn boots a rig with opts and measures scenario on it.
+func measureOn(opts Options, scenario func(*rig) (measurement, error)) (m measurement, err error) {
+	err = withRig(opts, func(r *rig) error { m, err = scenario(r); return err })
+	return m, err
+}
+
+// fig6 deploys the small program and measures one Web-service execution
+// of it.
+func fig6(r *rig) (measurement, error) {
+	svc, err := r.deploy("smalljob.gsh", smallProgram, "tag")
+	if err != nil {
+		return measurement{}, err
+	}
+	return r.measure(func() error {
+		out, err := svc.call(map[string]string{"tag": "fig6"})
+		if err == nil && !strings.Contains(out, "final fig6") {
+			err = fmt.Errorf("experiments: unexpected job output %q", out)
+		}
+		return err
+	})
+}
+
+// fig7 deploys the ~5 MB program and measures one Web-service execution
+// of it.
+func fig7(r *rig) (measurement, error) {
+	svc, err := r.deploy("bigjob.gsh", largeProgram(), "tag")
+	if err != nil {
+		return measurement{}, err
+	}
+	return r.measure(func() error { _, err := svc.call(map[string]string{"tag": "fig7"}); return err })
+}
+
+// fig8 measures one portal upload of the ~5 MB program.
+func fig8(r *rig) (measurement, error) {
+	return r.measure(func() error { return r.uploadViaPortal("genjob.gsh", largeProgram(), "tag") })
 }

@@ -16,8 +16,9 @@
 // Every study is written in one vocabulary: a rig (withRig, withFleetRig),
 // the two doors into it (service: the generated SOAP service the figures
 // measure; door: the portal's JSON API), rig.measure, fanOut, since, and
-// a variantTable of the knobs under comparison. Studies is the index of
-// what exists, which cmd/experiments runs.
+// the configurations under comparison — the knobs study's (Knobs) for
+// appliance.Production's knobs, a variantTable for a sweep. Studies is the
+// index of what exists, which cmd/experiments runs.
 package experiments
 
 import (
@@ -236,11 +237,14 @@ type measurement struct {
 	// sum its seriesSummary.
 	series []metrics.Sample
 	sum    map[string]float64
+	// gridRPCs is how many requests the appliance sent the grid.
+	gridRPCs uint64
 }
 
 // measure resets the recorder, runs fn and reports the virtual time it
 // took and what the appliance host did meanwhile.
 func (r *rig) measure(fn func() error) (measurement, error) {
+	requests := r.gridRPCs()
 	r.rec.Reset()
 	start := time.Now()
 	if err := fn(); err != nil {
@@ -251,9 +255,26 @@ func (r *rig) measure(fn func() error) (measurement, error) {
 	// at the same instant: let every goroutine of the bubble finish what
 	// that instant holds before reading.
 	bubble.Wait()
-	m := measurement{seconds: time.Since(start).Seconds(), series: r.rec.Series()}
+	m := measurement{seconds: time.Since(start).Seconds(), series: r.rec.Series(), gridRPCs: requests()}
 	m.sum = seriesSummary(m.series)
 	return m, nil
+}
+
+// gridRPCs returns a function counting the requests the appliance has
+// sent the grid since, from the counters core keeps: MyProxy logons,
+// statistics fetches, stagings, submits, status polls, output fetches,
+// event streams and possession probes. A staging is one PUT, or on the
+// chunk protocol a probe, the chunks shipped and a commit.
+func (r *rig) gridRPCs() func() uint64 {
+	o := r.app.OnServe
+	logons := r.app.Agent.Logons()
+	submit, stage, collect := since(o.SubmitStats), since(o.StageStats), since(o.CollectorStats)
+	events, place := since(o.EventStats), since(o.PlacementStats)
+	return func() uint64 {
+		s, st, c := submit(), stage(), collect()
+		return r.app.Agent.Logons() - logons + s.StatsRPCs + s.Uploads + st.ChunkedUploads + st.ChunksShipped +
+			s.SubmitRPCs + c.StatusRPCs + c.OutputFetches + events().StreamsOpened + place().ProbesSent
+	}
 }
 
 // fanOut runs fn(0) … fn(n-1) on n goroutines, at most width of them at

@@ -3,14 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/appliance"
 	"repro/internal/core"
 )
 
@@ -66,40 +63,6 @@ func TestSinceReportsGrowthOfEveryCounter(t *testing.T) {
 	}
 	if cur.Uploads != 5 {
 		t.Fatal("since wrote through to the counters it read")
-	}
-}
-
-func TestVariantTablePick(t *testing.T) {
-	table := variantTable{"demo", []variant{
-		{"stock", nil},
-		{"a", func(c *appliance.Config) { c.SessionCache = true }},
-		{"b", func(c *appliance.Config) { c.StagingCache = true }},
-	}}
-	if got := fmt.Sprint(table.names()); got != "[stock a b]" {
-		t.Fatalf("names %s", got)
-	}
-	all, err := table.pick()
-	if err != nil || len(all.all) != 3 {
-		t.Fatalf("pick() = %v, %v", all.names(), err)
-	}
-	some, err := table.pick("b", "stock")
-	if err != nil || fmt.Sprint(some.names()) != "[b stock]" || some.what != "demo" {
-		t.Fatalf("pick(b, stock) = %v, %v", some.names(), err)
-	}
-	if _, err := table.pick("a", "nope"); err == nil || !strings.Contains(err.Error(), `unknown demo variant "nope"`) {
-		t.Fatalf("pick(nope) error = %v", err)
-	}
-	// Every exported variant list is its table's names, in order.
-	for name, pair := range map[string][2][]string{
-		"hot-path":  {HotPathVariants, hotPathTable.names()},
-		"poll-hub":  {PollHubVariants, pollHubTable.names()},
-		"submit":    {SubmitVariants, submitTable.names()},
-		"stage":     {StageVariants, stageTable.names()},
-		"placement": {PlacementVariants, placementTable.names()},
-	} {
-		if len(pair[0]) == 0 || fmt.Sprint(pair[0]) != fmt.Sprint(pair[1]) {
-			t.Errorf("%s: exported %v, table %v", name, pair[0], pair[1])
-		}
 	}
 }
 

@@ -9,29 +9,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/appliance"
-	"repro/internal/core"
 	"repro/internal/gridftp"
 	"repro/internal/hop"
 	"repro/internal/myproxy"
 )
 
-func chunked(c *appliance.Config) { c.ChunkedStaging, c.ChunkBytes = true, stageChunkBytes }
-
-var stageTable = variantTable{"stage", []variant{
-	{"stock", nil},
-	{"chunked", chunked},
-	{"chunked-gzip", func(c *appliance.Config) { chunked(c); c.WireCompression = true }},
-}}
-
-// StageVariants lists the staging data-plane ablation variants: the
-// paper's monolithic uncompressed PUT per staging, the chunked
-// content-addressed protocol over raw bytes, and the same protocol
-// shipping the database's stored gzip stream.
-var StageVariants = stageTable.names()
-
-// stageChunkBytes is the chunk size the ablation runs with: small enough
-// that a one-line edit of the test payload dirties exactly one chunk.
+// stageChunkBytes is the chunk size the resume legs hand the gridftp
+// client.
 const stageChunkBytes = 64 << 10
 
 // compressibleProgram builds a valid gsh program of roughly size bytes
@@ -60,7 +44,8 @@ func compressibleProgram(size int) string {
 // program: the noise token of the first comment line past the middle of
 // the file is overwritten. One chunk changes, every other chunk's bytes —
 // and so their digests — stay identical, which is what the re-publish
-// dedup leg relies on. A program with no such line comes back unchanged.
+// scenario of the knobs study relies on. A program with no such line
+// comes back unchanged.
 func perturbProgram(program string) string {
 	mid := len(program) / 2
 	i := strings.Index(program[mid:], "\n# block ")
@@ -72,153 +57,22 @@ func perturbProgram(program string) string {
 	return program[:tok] + strings.Repeat("f", 48) + program[tok+48:]
 }
 
-// AblationStage measures the staging data plane: cold stage wall-clock
-// and WAN wire bytes, the re-publish delta (a small in-place edit of the
-// executable), and resume after a mid-transfer fault. fileKB sizes the
-// staged payload (default 1536 KB ≈ 18 s on the paper's ~85 KB/s uplink).
-//
-// With no explicit variants, every entry of StageVariants runs; the
-// resume study always compares stock against chunked.
-func AblationStage(opts Options, fileKB int, variants ...string) (*AblationResult, error) {
+// AblationStage measures what a retry after a mid-transfer fault costs
+// the staging data plane: the paper's monolithic PUT restarts from byte
+// zero, the chunked protocol resumes from the chunks committed before the
+// fault. fileKB sizes the payload (default 1536 KB). What the chunk
+// protocol saves on a cold or a re-published staging is the knobs
+// study's (ChunkedStaging, WireCompression).
+func AblationStage(opts Options, fileKB int) (*AblationResult, error) {
 	fileKB = orDefault(fileKB, 1536)
-	table, err := stageTable.pick(variants...)
-	if err != nil {
-		return nil, err
-	}
 	res := &AblationResult{Notes: []string{
-		fmt.Sprintf("one %d KB executable staged across the ~85 KB/s WAN; chunk size %d KB", fileKB, stageChunkBytes>>10),
-		"stage_s = cold invocation minus warm invocation (staging cache serves the warm one), so auth/submit/poll overhead subtracts out",
-		"wan_wire_b is the probe's WAN net-out during the leg (requests, tokens and manifests included); chunk_wire_b counts chunk payload bytes only",
-		"chunked-gzip's chunk payload shrinks by exactly payload_gzip_ratio; stage_speedup_x trails wire_reduction_x only by fixed per-request overhead and poll-tick phase",
-		"re-publish rewrites one comment token in place mid-file: raw chunking re-ships one chunk, stock re-ships everything",
-		"chunked-gzip ships the database's stored gzip stream: fewest cold bytes, but the edit perturbs the gzip stream from that point on, so its re-publish delta is worse than raw chunking — compression and delta-dedup trade off",
-		"the shared netsim link serialises bytes FIFO: chunk pipelining hides per-request latency, never multiplies bandwidth — wins come from shipping fewer bytes",
+		fmt.Sprintf("one %d KB executable over the ~85 KB/s WAN, straight through the gridftp client; chunk size %d KB", fileKB, stageChunkBytes>>10),
 		"resume: the WAN faults after 60% of the file; chunks committed before the fault are not re-shipped on retry, stock restarts from byte zero",
 	}}
-	program := compressibleProgram(fileKB << 10)
-	programV2 := perturbProgram(program)
-	if len(program) != len(programV2) || program == programV2 {
-		return nil, errors.New("experiments: stage payload perturbation failed")
-	}
-
-	// Session cache on (auth is measured elsewhere) and staging cache on (it
-	// provides the warm no-transfer measurement). A tight poll keeps the
-	// cold-minus-warm subtraction from being quantised by poll-tick phase
-	// (the figures' 9 s default would put ±9 s of noise on an ~18 s
-	// measurement).
-	o := opts
-	o.Appliance.SessionCache = true
-	o.Appliance.StagingCache = true
-	o.Appliance.PollInterval = time.Second
-	err = table.run(o, func(variant string, r *rig) error {
-		return stageColdRepublish(r, res, variant, program, programV2)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Derived speedups against the stock baseline, so "reduced in
-	// proportion to the gzip ratio" can be read straight off one row:
-	// wire_reduction_x tracks the ratio exactly (bytes are deterministic),
-	// stage_speedup_x approaches it from below by the fixed per-request
-	// overhead (probe, commit and chunk-PUT round-trips).
-	coldOf := func(variant, metric string) float64 {
-		for _, row := range res.Rows {
-			if row.Study == "stage-cold" && row.Variant == variant && row.Metric == metric {
-				return row.Value
-			}
-		}
-		return 0
-	}
-	for _, variant := range table.names() {
-		if variant == "stock" {
-			continue
-		}
-		row := res.at("stage-cold", variant)
-		if base, v := coldOf("stock", "stage_s"), coldOf(variant, "stage_s"); base > 0 && v > 0 {
-			row("stage_speedup_x", base/v)
-		}
-		if base, v := coldOf("stock", "wan_wire_b"), coldOf(variant, "wan_wire_b"); base > 0 && v > 0 {
-			row("wire_reduction_x", base/v)
-		}
-	}
-
 	if err := stageResume(opts, res, fileKB<<10); err != nil {
 		return nil, fmt.Errorf("experiments: stage resume: %w", err)
 	}
 	return res, nil
-}
-
-// stageColdRepublish runs the cold, warm and re-publish legs on one
-// booted rig and appends their rows.
-func stageColdRepublish(r *rig, res *AblationResult, variant, program, programV2 string) error {
-	// Prime the session cache with a separate tiny service so the cold
-	// leg of the real payload pays for staging, not for the MyProxy
-	// logon.
-	warmup, err := r.deploy("warmup.gsh", "compute 1s\necho ok\n")
-	if err != nil {
-		return err
-	}
-	if _, err := warmup.call(nil); err != nil {
-		return fmt.Errorf("warm-up: %w", err)
-	}
-	svc, err := r.deploy("stagejob.gsh", program)
-	if err != nil {
-		return err
-	}
-	gzRatio := 0.0
-	if rec, err := r.app.DB.Table(core.ExecutablesTable).Stat("StagejobService"); err == nil && rec.CompressedSize > 0 {
-		gzRatio = float64(len(program)) / float64(rec.CompressedSize)
-	}
-
-	// leg measures one invocation and what staging it shipped.
-	leg := func(name string) (measurement, core.StageStats, error) {
-		staged := since(r.app.OnServe.StageStats)
-		m, err := r.measure(func() error { _, err := svc.call(nil); return err })
-		if err != nil {
-			return m, core.StageStats{}, fmt.Errorf("%s invoke: %w", name, err)
-		}
-		return m, staged(), nil
-	}
-	cold, coldStats, err := leg("cold")
-	if err != nil {
-		return err
-	}
-	warm, _, err := leg("warm")
-	if err != nil {
-		return err
-	}
-
-	// Re-publish: delete the service, upload the in-place edited payload,
-	// invoke. The staging cache entry dies with the service, so staging
-	// happens again — what differs per variant is how many bytes it costs.
-	if err := r.app.OnServe.DeleteService("StagejobService"); err != nil {
-		return err
-	}
-	if svc, err = r.deploy("stagejob.gsh", programV2); err != nil {
-		return err
-	}
-	repub, repubStats, err := leg("re-publish")
-	if err != nil {
-		return err
-	}
-
-	row := res.at("stage-cold", variant)
-	row("stage_s", max(cold.seconds-warm.seconds, 0))
-	row("invoke_cold_s", cold.seconds)
-	row("invoke_warm_s", warm.seconds)
-	row("logical_b", float64(len(program)))
-	row("wan_wire_b", cold.sum["net_out_total_b"])
-	row("payload_gzip_ratio", gzRatio)
-	row("chunk_wire_b", float64(coldStats.WireBytes))
-	row("chunks_shipped", float64(coldStats.ChunksShipped))
-	row("chunks_deduped", float64(coldStats.ChunksDeduped))
-	row = res.at("stage-republish", variant)
-	row("wan_wire_b", repub.sum["net_out_total_b"])
-	row("chunk_wire_b", float64(repubStats.WireBytes))
-	row("chunks_shipped", float64(repubStats.ChunksShipped))
-	row("chunks_deduped", float64(repubStats.ChunksDeduped))
-	return nil
 }
 
 // faultTransport errors every request body read once budget bytes have

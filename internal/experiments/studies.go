@@ -6,7 +6,7 @@ type Params struct {
 	Options Options
 	// Jobs is the job count of the smalljobs study (-jobs).
 	Jobs int
-	// ReplayRecords sizes the blobdb study's cold-boot replay
+	// ReplayRecords sizes the blobdb study's replay, a warm reopen
 	// (-replay-records).
 	ReplayRecords int
 	// TenancyBurst is the tenancy study's hog burst (-tenancy-burst).
@@ -61,11 +61,9 @@ var Studies = []Study{
 	{"smalljobs", "run the §VIII-B many-small-jobs check", "", func(p Params) (rendered, error) {
 		return SmallJobs(p.Options, p.Jobs, 8)
 	}},
-	{"ablations", "run the design-choice ablations", "", func(p Params) (rendered, error) {
+	{"ablations", "run the poll-interval, cost-model and scheduler-policy sweeps", "", func(p Params) (rendered, error) {
 		var all several
 		for _, run := range []func() (rendered, error){
-			func() (rendered, error) { return AblationDoubleWrite(p.Options, 1024) },
-			func() (rendered, error) { return AblationStagingCache(p.Options, 768, 3) },
 			func() (rendered, error) { return AblationPolling(p.Options, nil) },
 			func() (rendered, error) { return AblationCompression(p.Options, 4096) },
 			func() (rendered, error) { return SchedulerPolicies() },
@@ -78,32 +76,13 @@ var Studies = []Study{
 		}
 		return all, nil
 	}},
-	{"hotpath", "run the invocation hot-path ablations", "hotpath.json", func(p Params) (rendered, error) {
-		res, err := AblationHotPath(p.Options, 256, 3)
-		if err != nil {
-			return nil, err
-		}
-		gc, err := AblationGroupCommit(64, 8, 16)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, gc.Rows...)
-		res.Notes = append(res.Notes, gc.Notes...)
-		return res, nil
+	{"knobs", "weigh each of Production's knobs: Paper+K and Production-K on the figures and four workloads", "knobs.json", func(p Params) (rendered, error) {
+		return Knobs(p.Options)
 	}},
-	{"pollhub", "run the poll-hub output-collection ablation", "pollhub.json", func(p Params) (rendered, error) {
-		return AblationPollHub(p.Options, 64)
-	}},
-	{"submit", "run the coalesced-submission front-end ablation", "submit.json", func(p Params) (rendered, error) {
-		return AblationSubmit(p.Options, 64)
-	}},
-	{"stage", "run the chunked-staging data-plane ablation", "stage.json", func(p Params) (rendered, error) {
+	{"stage", "run the chunked-staging resume-after-fault ablation", "stage.json", func(p Params) (rendered, error) {
 		return AblationStage(p.Options, 0)
 	}},
-	{"placement", "run the data-aware placement ablation", "placement.json", func(p Params) (rendered, error) {
-		return AblationPlacement(p.Options, 64, nil)
-	}},
-	{"blobdb", "run the storage-engine sharding/compaction/replay ablation", "blobdb.json", func(p Params) (rendered, error) {
+	{"blobdb", "run the storage-engine sharding/compaction/replay/group-commit ablation", "blobdb.json", func(p Params) (rendered, error) {
 		return AblationBlobDB(p.ReplayRecords)
 	}},
 	{"trace", "run the traced small/large paper/production breakdown", "trace.json", func(p Params) (rendered, error) {

@@ -221,19 +221,11 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case ev := <-sub.C:
+			// One event, one flush: the wire does not depend on how many
+			// events published at one instant had queued by the time the
+			// writer looked.
 			if err := writeEventFrame(w, s.liveFrame(ev)); err != nil {
 				return
-			}
-			// Drain whatever queued behind it before flushing once.
-			for drained := false; !drained; {
-				select {
-				case ev := <-sub.C:
-					if err := writeEventFrame(w, s.liveFrame(ev)); err != nil {
-						return
-					}
-				default:
-					drained = true
-				}
 			}
 			flusher.Flush()
 		case <-sub.Overflow:

@@ -42,8 +42,14 @@ var (
 	ErrDenied    = errors.New("gram: authentication or authorization failed")
 	ErrNotOwner  = errors.New("gram: job belongs to another identity")
 	ErrNoSuchJob = errors.New("gram: no such job")
-	ErrBadInput  = errors.New("gram: malformed request")
+	// ErrNoSuchFile: the job exists, but not the output file asked for.
+	ErrNoSuchFile = errors.New("gram: no such output file")
+	ErrBadInput   = errors.New("gram: malformed request")
 )
+
+// codeNoSuchFile is errorReply.Code on the 404 of a missing output file,
+// which is how the client tells it from the 404 of a missing job.
+const codeNoSuchFile = "no_such_file"
 
 // StatusReply is the gatekeeper's job status answer.
 type StatusReply struct {
@@ -89,6 +95,8 @@ type SubmitReply struct {
 // errorReply is the uniform error body.
 type errorReply struct {
 	Error string `json:"error"`
+	// Code tells apart errors that share a status; empty for most.
+	Code string `json:"code,omitempty"`
 }
 
 // Server is the gatekeeper for one grid.
@@ -167,7 +175,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			name := r.URL.Query().Get("name")
 			data := j.OutputFile(name)
 			if data == nil {
-				writeJSON(w, http.StatusNotFound, errorReply{Error: "no output file " + name})
+				writeJSON(w, http.StatusNotFound, errorReply{Error: "no output file " + name, Code: codeNoSuchFile})
 				return
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
@@ -619,6 +627,8 @@ func decodeError(status int, body []byte) error {
 		sentinel = ErrNotOwner
 	case status == http.StatusForbidden:
 		sentinel = ErrDenied
+	case status == http.StatusNotFound && er.Code == codeNoSuchFile:
+		sentinel = ErrNoSuchFile
 	case status == http.StatusNotFound:
 		sentinel = ErrNoSuchJob
 	default:

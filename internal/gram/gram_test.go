@@ -117,9 +117,12 @@ func TestOutputFileRetrieval(t *testing.T) {
 		if len(data) != 64 {
 			t.Fatalf("artifact %d bytes", len(data))
 		}
-		if _, err := f.client.OutputFile(id, "ghost.dat"); !errors.Is(err, ErrNoSuchJob) {
-			// 404 for a missing artifact maps to the not-found sentinel.
-			t.Fatalf("got %v", err)
+		// The 404 of a missing artifact says so; the job's is another.
+		if _, err := f.client.OutputFile(id, "ghost.dat"); !errors.Is(err, ErrNoSuchFile) || errors.Is(err, ErrNoSuchJob) {
+			t.Fatalf("missing artifact: got %v, want ErrNoSuchFile", err)
+		}
+		if _, err := f.client.OutputFile("siteA:job-999999", "result.dat"); !errors.Is(err, ErrNoSuchJob) || errors.Is(err, ErrNoSuchFile) {
+			t.Fatalf("missing job: got %v, want ErrNoSuchJob", err)
 		}
 	})
 }
@@ -148,7 +151,7 @@ func TestJobRequestsEscapeQueryValues(t *testing.T) {
 					}
 					break
 				}
-				if !errors.Is(err, ErrNoSuchJob) || time.Now().After(deadline) {
+				if !errors.Is(err, ErrNoSuchFile) || time.Now().After(deadline) {
 					t.Fatalf("%q: %v", name, err)
 				}
 				time.Sleep(time.Millisecond) // not written yet

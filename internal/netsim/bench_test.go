@@ -56,7 +56,7 @@ func BenchmarkLinkTake(b *testing.B) {
 	bubble.Run(func() {
 		l := NewLink(1 << 30)
 		for i := 0; i < b.N; i++ {
-			l.take(4 << 10)
+			l.take(4<<10, "")
 		}
 	})
 }

@@ -10,6 +10,7 @@ package netsim
 import (
 	"context"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,6 +21,9 @@ import (
 // connection that sends across it. Concurrent senders serialise in FIFO
 // order, which reproduces the contention the paper's stress-test
 // discussion predicts for "multiple simultaneous up- and downloads".
+// Senders that reach the link at one instant have no arrival order: they
+// are admitted in the order of their keys (the address across the link),
+// so which goes first does not depend on which goroutine ran first.
 type Link struct {
 	bps float64
 
@@ -27,6 +31,22 @@ type Link struct {
 	anchor   time.Time // where the current busy period began
 	sent     float64   // bytes taken since anchor
 	nextFree time.Time
+	// The takes of instant at, in admission order after base bytes, and
+	// the takes of earlier instants still waiting for their bytes to clear.
+	at      time.Time
+	base    float64
+	seq     uint64
+	batch   []admission
+	waiting []admission
+}
+
+// admission is one take's place on a link.
+type admission struct {
+	seq   uint64
+	key   string
+	n     float64
+	clear time.Time
+	left  bool // its take returned: a later take of its instant queues behind it
 }
 
 // NewLink returns a link carrying bps bytes per second. A non-positive
@@ -40,9 +60,10 @@ func NewLink(bps float64) *Link {
 // later call. Without it a transfer would take one step per 4 KiB chunk.
 const minSleep = time.Millisecond
 
-// take blocks until n bytes may enter the link, returning the instant the
-// last byte clears it. A nil link returns the zero time at once.
-func (l *Link) take(n int) time.Time {
+// take blocks until n bytes sent by key may enter the link, returning the
+// instant the last byte clears it. A nil link returns the zero time at
+// once.
+func (l *Link) take(n int, key string) time.Time {
 	if l == nil {
 		return time.Time{}
 	}
@@ -57,16 +78,62 @@ func (l *Link) take(n int) time.Time {
 	if now.After(l.nextFree) {
 		l.anchor, l.sent = now, 0
 	}
-	// Timed from the anchor rather than chunk by chunk, so no rounding
-	// accumulates over a long transfer.
-	l.sent += float64(n)
-	l.nextFree = l.anchor.Add(time.Duration(l.sent / l.bps * float64(time.Second)))
-	clear := l.nextFree
-	l.mu.Unlock()
-	if wait := clear.Sub(now); wait >= minSleep {
-		time.Sleep(wait)
+	if !now.Equal(l.at) {
+		l.waiting = slices.DeleteFunc(l.waiting, func(a admission) bool { return a.left })
+		for _, a := range l.batch {
+			if !a.left {
+				l.waiting = append(l.waiting, a)
+			}
+		}
+		l.at, l.base, l.batch = now, l.sent, l.batch[:0]
 	}
-	return clear
+	// This instant's takes queue in key order behind any that returned;
+	// every one from the new take on is scheduled again. Timed from the
+	// anchor rather than chunk by chunk, so no rounding accumulates over
+	// a long transfer.
+	l.seq++
+	seq, i := l.seq, len(l.batch)
+	for i > 0 && !l.batch[i-1].left && l.batch[i-1].key > key {
+		i--
+	}
+	l.batch = slices.Insert(l.batch, i, admission{seq: seq, key: key, n: float64(n)})
+	l.sent = l.base
+	for j := range l.batch {
+		l.sent += l.batch[j].n
+		l.batch[j].clear = l.anchor.Add(time.Duration(l.sent / l.bps * float64(time.Second)))
+	}
+	l.nextFree = l.batch[len(l.batch)-1].clear
+	// A take admitted later at this instant may move this one's clear
+	// back: sleep until the clear it has when it wakes.
+	for {
+		a := l.place(seq)
+		wait := a.clear.Sub(time.Now())
+		if wait < minSleep {
+			a.left = true
+			clear := a.clear
+			l.mu.Unlock()
+			return clear
+		}
+		l.mu.Unlock()
+		time.Sleep(wait)
+		l.mu.Lock()
+	}
+}
+
+// place is take seq's admission, which it has not left: in this
+// instant's batch, or waiting from an earlier one.
+func (l *Link) place(seq uint64) *admission {
+	for j := range l.batch {
+		if l.batch[j].seq == seq {
+			return &l.batch[j]
+		}
+	}
+	for j := range l.waiting {
+		if l.waiting[j].seq == seq {
+			return &l.waiting[j]
+		}
+	}
+	panic("netsim: take lost its admission")
 }
 
 // Profile bundles the two directions of a path plus a one-way latency
@@ -109,6 +176,7 @@ const writeChunk = 4 << 10
 type Conn struct {
 	net.Conn
 	tx    *Link
+	key   string // the address across the link: tx's order at one instant
 	probe *metrics.Probe
 }
 
@@ -118,7 +186,11 @@ func Wrap(c net.Conn, tx *Link, probe *metrics.Probe) *Conn {
 	if tx == nil {
 		tx = NewLink(0) // so a write is accounted at the time of writing
 	}
-	return &Conn{Conn: c, tx: tx, probe: probe}
+	var key string
+	if addr := c.RemoteAddr(); addr != nil {
+		key = addr.String()
+	}
+	return &Conn{Conn: c, tx: tx, key: key, probe: probe}
 }
 
 // Write paces the payload through the link in chunks, accounting each
@@ -131,7 +203,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if n > writeChunk {
 			n = writeChunk
 		}
-		at := c.tx.take(n)
+		at := c.tx.take(n, c.key)
 		c.probe.NetOut(at, n)
 		w, err := c.Conn.Write(p[:n])
 		if w < n {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"maps"
 	"net"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ func TestLinkPacesToBandwidth(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		l := NewLink(1 << 20) // 1 MiB/s virtual
 		start := time.Now()
-		l.take(1 << 20)
+		l.take(1<<20, "")
 		if elapsed := time.Since(start); elapsed != time.Second {
 			t.Fatalf("1 MiB at 1 MiB/s took %v virtual, want 1s", elapsed)
 		}
@@ -33,7 +34,7 @@ func TestUnshapedLinkInstant(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		l := NewLink(0)
 		done := make(chan struct{})
-		go func() { l.take(1 << 30); close(done) }()
+		go func() { l.take(1<<30, ""); close(done) }()
 		<-done
 	})
 }
@@ -45,12 +46,56 @@ func TestLinkSerialisesConcurrentSenders(t *testing.T) {
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
-			go func() { defer wg.Done(); l.take(512 << 10) }()
+			go func() { defer wg.Done(); l.take(512<<10, "") }()
 		}
 		wg.Wait()
 		// 4 x 0.5 MiB at 1 MiB/s take 2 virtual seconds in aggregate.
 		if elapsed := time.Since(start); elapsed != 2*time.Second {
 			t.Fatalf("shared link finished in %v, want 2s", elapsed)
+		}
+	})
+}
+
+// TestLinkAdmitsOneInstantInKeyOrder: senders that reach a link at one
+// instant clear in the order of their keys, whichever goroutine ran
+// first, and a sender whose take already returned keeps its place.
+func TestLinkAdmitsOneInstantInKeyOrder(t *testing.T) {
+	for _, order := range [][]string{{"a", "b", "c"}, {"c", "b", "a"}, {"b", "c", "a"}} {
+		bubble.Test(t, func(t *testing.T) {
+			l := NewLink(1 << 20)
+			start := time.Now()
+			clears := map[string]time.Duration{}
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			for _, key := range order {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					at := l.take(256<<10, key)
+					mu.Lock()
+					clears[key] = at.Sub(start)
+					mu.Unlock()
+				}()
+				bubble.Wait() // this sender reached the link before the next starts
+			}
+			wg.Wait()
+			want := map[string]time.Duration{"a": 250 * time.Millisecond, "b": 500 * time.Millisecond, "c": 750 * time.Millisecond}
+			if !maps.Equal(clears, want) {
+				t.Errorf("arriving %v: cleared at %v, want %v", order, clears, want)
+			}
+		})
+	}
+	bubble.Test(t, func(t *testing.T) {
+		l := NewLink(1 << 20)
+		start := time.Now()
+		small := l.take(512, "z") // under minSleep: returns at once, its place kept
+		big := l.take(256<<10, "a")
+		both := float64(256<<10 + 512)
+		if got, want := big.Sub(start), time.Duration(both/(1<<20)*float64(time.Second)); got != want {
+			t.Errorf("a take behind one that returned cleared at %v, want %v", got, want)
+		}
+		if small.After(big) {
+			t.Errorf("the returned take moved behind the later one: %v > %v", small, big)
 		}
 	})
 }

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flatjson"
+	"repro/internal/gram"
 	"repro/internal/metrics"
 	"repro/internal/sizedio"
 	"repro/internal/tenant"
@@ -887,7 +888,8 @@ func (p *Portal) admit(w http.ResponseWriter, pr tenant.Principal, verb tenant.V
 
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, core.ErrNoSuchService), errors.Is(err, core.ErrNoTicket):
+	case errors.Is(err, core.ErrNoSuchService), errors.Is(err, core.ErrNoTicket),
+		errors.Is(err, gram.ErrNoSuchFile):
 		return http.StatusNotFound
 	case errors.Is(err, core.ErrBadName), errors.Is(err, core.ErrBadProgram),
 		errors.Is(err, core.ErrNoSuchUser):
@@ -914,6 +916,8 @@ func errCode(status int, err error) string {
 		return "rate_limited"
 	case errors.Is(err, tenant.ErrSaturated):
 		return "quota_exceeded"
+	case errors.Is(err, gram.ErrNoSuchFile):
+		return "no_such_file"
 	}
 	switch status {
 	case http.StatusBadRequest:

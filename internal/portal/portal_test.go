@@ -172,8 +172,8 @@ func routes(f *appliancetest.Fixture, ticket string) map[string][]appliancetest.
 					t.Errorf("%d bytes, want the 96 written", len(r.Body))
 				}
 			}},
-			// A missing artifact is refused, as the grid's 404 wrapped in a 500.
-			get("/api/outfile?ticket="+ticket+"&name=ghost.bin", 500, "no output file ghost.bin"),
+			// A missing artifact is a missing file, not a missing job.
+			get("/api/outfile?ticket="+ticket+"&name=ghost.bin", 404, `"code":"no_such_file"`),
 			get("/api/outfile?ticket="+unknownTicket+"&name=x", 404, ""),
 		},
 		"TestInvokeWaitOutputCancelViaAPI": {

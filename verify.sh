@@ -24,14 +24,17 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-# The submit hub and the pre-replicator were deleted end to end (PR 21,
-# EXPERIMENTS.md "submit" and "placement" hold the measurements): no
-# name of either comes back. cmd/bench is frozen and still names two of
-# them in a comment (ROADMAP 4b). Nor does the poll hub, as a setting
-# (PR 24) or as code (PR 28: a push worker whose stream is gone polls
-# its own jobs; EXPERIMENTS.md "pollhub" holds the hub's last column and
-# the study keeps its name), or the SOAP guard's private error writer (it
-# answers through portal.WriteError). Nor does the gateway's replicated
+# The submit hub and the pre-replicator were deleted end to end
+# (EXPERIMENTS.md, "Knobs", quotes their last measurements): no name of
+# either comes back. cmd/bench is frozen and still names two of them in
+# a comment (ROADMAP 4b). Nor does the poll hub, as a setting or as code
+# (a push worker whose stream is gone polls its own jobs; the same
+# section keeps the hub's last column), or the SOAP guard's private error
+# writer (it answers through portal.WriteError). Nor do the knob
+# comparisons that each flipped one of Production's knobs against a
+# baseline of its own, or their variant lists: the knobs study weighs
+# every knob on the two profiles. Nor does a chunk size in the
+# configuration: the appliance cuts at gridftp.DefaultChunkBytes. Nor does the gateway's replicated
 # UDDI view, its pull loop or its endpoint: the ring keys on the service
 # name alone, so nothing needs a service's owner. Nor does the gateway's
 # active prober or its knobs: the requests it proxies are its health check.
@@ -49,7 +52,8 @@ fi
 # bubble makes virtual, and the runtime knows when to move it. Nor does a
 # setting nobody set (the proxy lifetime, the CA's validity, a site's
 # default walltime are constants).
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\.ProxyLifetime\b|ProxyLifetime:|\.CAValidity\b|CAValidity:|\.DefaultWallTime\b|DefaultWallTime:|SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap|repro/internal/vtime|NewManual|NewWatchdog|vtime\.' . ; then
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\.ProxyLifetime\b|ProxyLifetime:|\.CAValidity\b|CAValidity:|\.DefaultWallTime\b|DefaultWallTime:|SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap|repro/internal/vtime|NewManual|NewWatchdog|vtime\.|AblationHotPath|AblationPollHub|AblationSubmit|AblationPlacement|AblationDoubleWrite|AblationStagingCache|HotPathVariants|PollHubVariants|SubmitVariants|StageVariants|PlacementVariants|\b(cfg|Appliance|c|o\.cfg)\.ChunkBytes\b' . ||
+	grep -nE '^\s+ChunkBytes\b' internal/core/config.go; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
 fi
@@ -107,9 +111,10 @@ go build ./...
 # header lists the five); otherwise delete it.
 ./reach.sh
 go test -race -short ./...
-# The three figures in the lane, plain and under the detector, on one P
-# and on two: each run writes fig6.csv, fig7.csv and fig8.csv byte for
-# byte as results/ holds them, however slow the instrumented code runs.
+# The three figures and the knobs study in the lane, plain and under the
+# detector, on one P and on two: each run writes fig6.csv, fig7.csv,
+# fig8.csv and knobs.json byte for byte as results/ holds them, however
+# slow the instrumented code runs.
 lane=$(mktemp -d)
 for race in "" -race; do
 	go build $race -o "$lane/experiments" ./cmd/experiments
@@ -118,6 +123,8 @@ for race in "" -race; do
 			GOMAXPROCS=$procs "$lane/experiments" -fig $fig -out "$lane" >/dev/null
 			cmp "$lane/fig$fig.csv" "results/fig$fig.csv"
 		done
+		GOMAXPROCS=$procs "$lane/experiments" -knobs -out "$lane" >/dev/null
+		cmp "$lane/knobs.json" results/knobs.json
 	done
 done
 rm -rf "$lane"
