@@ -598,13 +598,18 @@ func (g *Gateway) catalogGet(service string) *catalogEntry {
 // serveTicket routes a ticket-addressed request by the service its
 // ticket names, along that service's ring walk: the primary issued the
 // ticket, or a successor did while the primary was ejected. The first
-// member that answers other than 404 holds the invocation.
+// member that answers other than the portal's not_found holds the
+// invocation: a 404 with another code (an output file the job never
+// wrote) is the holder's answer.
 func (g *Gateway) serveTicket(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
 	g.stats.Update(func(st *Stats) { st.TicketRoutes++ })
 	var buf [8]*member
 	succ := g.ring.walk(rt.Service, buf[:])
 	sp := g.startSpan(r, rt, succ[0])
-	m, resp, err := g.first(succ, r, body, sp, func(resp *bufferedResponse) bool { return resp.status != http.StatusNotFound })
+	m, resp, err := g.first(succ, r, body, sp, func(resp *bufferedResponse) bool {
+		var miss portal.ErrorReply
+		return resp.status != http.StatusNotFound || json.Unmarshal(resp.body, &miss) != nil || miss.Code != "not_found"
+	})
 	if m != nil {
 		sp.Set("upstream", m.id)
 	}
