@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
@@ -20,7 +19,7 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 
 // newShell boots a grid and an appliance on one in-process network, and a
 // shell on them: call it in a bubble.
-func newShell(t *testing.T) (*shell, *bytes.Buffer) {
+func newShell(t *testing.T) (*shell, *bytes.Buffer, *appliancetest.Fixture) {
 	t.Helper()
 	f := appliancetest.Boot(t, nil)
 	var out bytes.Buffer
@@ -28,29 +27,30 @@ func newShell(t *testing.T) (*shell, *bytes.Buffer) {
 		agentURL: f.App.BaseURL + "/services/" + cyberaide.ServiceName,
 		client:   soap.Client{HTTP: f.Web},
 		out:      &out,
-	}, &out
+	}, &out, f
 }
 
-// waitDone polls the job's status until it reads DONE.
-func waitDone(t *testing.T, sh *shell, out *bytes.Buffer, jobID string) {
+// waitDone waits for the grid job to end and requires the shell's status
+// of it to read DONE.
+func waitDone(t *testing.T, f *appliancetest.Fixture, sh *shell, out *bytes.Buffer, jobID string) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Millisecond) {
-		out.Reset()
-		if err := sh.dispatch("status " + jobID); err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(out.String(), "DONE") {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never finished: %q", out.String())
-		}
+	job, err := f.Env.Grid.Job(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	out.Reset()
+	if err := sh.dispatch("status " + jobID); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "DONE") {
+		t.Fatalf("job ended: %q", out.String())
 	}
 }
 
 func TestShellFullWorkflow(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, out := newShell(t)
+		sh, out, f := newShell(t)
 
 		// Session required before grid commands.
 		if err := sh.dispatch("status x"); err == nil {
@@ -85,7 +85,7 @@ func TestShellFullWorkflow(t *testing.T) {
 			t.Fatalf("job line %q", line)
 		}
 
-		waitDone(t, sh, out, jobID)
+		waitDone(t, f, sh, out, jobID)
 		out.Reset()
 		if err := sh.dispatch("output " + jobID); err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestShellFullWorkflow(t *testing.T) {
 
 func TestShellUsageAndReplicate(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, out := newShell(t)
+		sh, out, f := newShell(t)
 		sh.dispatch("auth alice pw")
 		// Usage is empty before any job runs.
 		out.Reset()
@@ -115,7 +115,7 @@ func TestShellUsageAndReplicate(t *testing.T) {
 		sh.dispatch("upload siteA " + path)
 		out.Reset()
 		sh.dispatch("submit acct.gsh siteA")
-		waitDone(t, sh, out, strings.TrimPrefix(strings.TrimSpace(out.String()), "job "))
+		waitDone(t, f, sh, out, strings.TrimPrefix(strings.TrimSpace(out.String()), "job "))
 		out.Reset()
 		if err := sh.dispatch("usage"); err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestShellUsageAndReplicate(t *testing.T) {
 
 func TestShellCancel(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, out := newShell(t)
+		sh, out, _ := newShell(t)
 		sh.dispatch("auth alice pw")
 		dir := t.TempDir()
 		path := filepath.Join(dir, "long.gsh")
@@ -155,7 +155,7 @@ func TestShellCancel(t *testing.T) {
 
 func TestShellErrors(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, _ := newShell(t)
+		sh, _, _ := newShell(t)
 		if err := sh.dispatch("frobnicate"); err == nil {
 			t.Fatal("unknown command accepted")
 		}
@@ -180,7 +180,7 @@ func TestShellErrors(t *testing.T) {
 
 func TestShellREPLQuit(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		sh, out := newShell(t)
+		sh, out, _ := newShell(t)
 		sh.repl(strings.NewReader("help\nquit\n"))
 		if !strings.Contains(out.String(), "commands:") {
 			t.Fatalf("repl output %q", out.String())

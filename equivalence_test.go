@@ -262,6 +262,10 @@ func (s *script) run() {
 	s.publish("slow.gsh", "compute 10m\necho never\n")
 	s.publish("corpus.gsh", "read corpus.txt\necho read ${n}\n", "paramName1", "n", "paramType1", "int", "stageIn", "corpus.txt")
 
+	// A job that runs through the steps below, one per door, until each
+	// is cancelled mid-run.
+	slowJSON, slowSOAP := s.invoke("SlowService", ""), s.call("SlowService", "execute")
+
 	// Invoke with parameters, through both doors; an output file written,
 	// and one never written.
 	ticket := s.invoke("GreetService", `"who":"json"`)
@@ -285,14 +289,10 @@ func (s *script) run() {
 	s.call("BrokenService", "wait", soap.Param{Name: "ticket", Value: s.call("BrokenService", "execute")})
 
 	// Cancel mid-run, through both doors.
-	ticket = s.invoke("SlowService", "")
-	time.Sleep(time.Minute)
-	s.do("cancel", "POST", "/api/cancel?ticket="+ticket, "", "")
-	s.wait(ticket)
-	ticket = s.call("SlowService", "execute")
-	time.Sleep(time.Minute)
-	s.call("SlowService", "cancel", soap.Param{Name: "ticket", Value: ticket})
-	s.call("SlowService", "wait", soap.Param{Name: "ticket", Value: ticket})
+	s.do("cancel", "POST", "/api/cancel?ticket="+slowJSON, "", "")
+	s.wait(slowJSON)
+	s.call("SlowService", "cancel", soap.Param{Name: "ticket", Value: slowSOAP})
+	s.call("SlowService", "wait", soap.Param{Name: "ticket", Value: slowSOAP})
 
 	// The stage-in list.
 	s.wait(s.invoke("CorpusService", `"n":"3"`))

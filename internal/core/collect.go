@@ -36,14 +36,15 @@ type CollectorStats struct {
 // CollectorStats snapshots the collection-path counters.
 func (o *OnServe) CollectorStats() CollectorStats { return o.collector.Snapshot() }
 
-// collector is the seam of the pipeline's fifth step. Invoke hands every
-// freshly submitted invocation to the one collector New chose — the
-// paper's tentative poller, or the push collector, whose stream workers
-// poll their own jobs when the stream is absent or dead — and that
-// collector owns the invocation until it is terminal: it arms the
-// watchdog, stores output as it appears and records the final state.
+// collector is the seam of the pipeline's fifth step. Invoke registers
+// every invocation, under its job's name, with the one collector New chose
+// (the paper's tentative poller, or the push collector, whose stream
+// workers poll their own jobs when the stream is absent or dead) before the
+// submit, and tells it through submitted how the submit ended. A collector
+// keeps nothing of a failed one; an accepted one it owns until terminal:
+// it arms the watchdog, stores output as it appears, records the end.
 type collector interface {
-	register(inv *Invocation)
+	register(inv *Invocation) (submitted func(ok bool))
 }
 
 // collectJob is one in-flight invocation's record in the push collector.
@@ -222,10 +223,17 @@ func (o *OnServe) statusBatch(sessionID string, batch []*collectJob, apply func(
 const msgShutDown = "onserve: appliance shut down"
 
 // tentativePoller is the paper's collector: one polling goroutine per
-// invocation.
+// invocation, started once the submit reply is in, so the first poll
+// comes one PollInterval after it.
 type tentativePoller struct{ o *OnServe }
 
-func (p tentativePoller) register(inv *Invocation) { go p.o.pollOutput(inv) }
+func (p tentativePoller) register(inv *Invocation) func(bool) {
+	return func(ok bool) {
+		if ok {
+			go p.o.pollOutput(inv)
+		}
+	}
+}
 
 // pollOutput is the paper's workaround loop: "the local client has to
 // request the output tentatively. Finally this may result in a service

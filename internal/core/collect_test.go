@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -587,69 +586,6 @@ func TestTracePushPathLinksParent(t *testing.T) {
 	})
 }
 
-// TestFullStashEvictsOldestNotNewest is the regression for the lost
-// invocation: a full stash refused incoming events, and the events of an
-// in-flight submit are by construction the incoming ones — refused, their
-// job's DONE was gone and the invocation waited for the watchdog. The
-// stash is filled by hand (no real route parks that many any more); then a
-// real job runs to completion while its submit reply is held.
-func TestFullStashEvictsOldestNotNewest(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
-		svc := f.publish(t, "quick.gsh", "echo made-it\n")
-		// The first invocation opens the session's stream.
-		warm := ends(t, f.invoke(t, svc, nil), InvDone)
-		w := pushWorker(f, warm.sessionID)
-		if w == nil {
-			t.Fatal("a cached session's worker retired")
-		}
-		for i := range maxPendingEvents {
-			w.processFrame(fmt.Appendf(nil, `{"job_id":"ghost:job-%06d","state":"RUNNING"}`, i))
-		}
-		before := f.ons.CollectorStats().OutputFetches
-		held := newGate()
-		f.grid.add(&rule{match: "/gram/submit", do: hold(held, true)})
-		invoked := make(chan *Invocation, 1)
-		go func() {
-			inv, err := f.ons.Invoke(svc, nil)
-			if err != nil {
-				t.Error(err)
-			}
-			invoked <- inv
-		}()
-		<-held.arrived
-		time.Sleep(time.Minute) // the job runs out while its submit reply is held
-		// Every frame of the job has been consumed once its terminal one is
-		// the stash's entry for it.
-		w.mu.Lock()
-		var mine []string
-		for id, p := range w.pending {
-			if !strings.HasPrefix(id, "ghost:") && p.ev.State == "DONE" {
-				mine = append(mine, id)
-			}
-		}
-		size := len(w.pending)
-		_, oldestKept := w.pending["ghost:job-000000"]
-		_, newerKept := w.pending["ghost:job-000001"]
-		w.mu.Unlock()
-		if len(mine) != 1 || size != maxPendingEvents || oldestKept || !newerKept {
-			t.Fatalf("stash holds %d entries (bound %d) with the held job's DONE %v, oldest kept=%v, second-oldest kept=%v",
-				size, maxPendingEvents, mine, oldestKept, newerKept)
-		}
-		held.open()
-		inv := <-invoked
-		if inv == nil {
-			t.FailNow()
-		}
-		if ends(t, inv, InvDone).Output() != "made-it\n" || inv.JobID != mine[0] {
-			t.Fatalf("job %s, output %q, want %s's", inv.JobID, inv.Output(), mine[0])
-		}
-		if fetches := f.ons.CollectorStats().OutputFetches - before; fetches != 0 {
-			t.Errorf("%d output fetches: the stashed terminal frame carried the snapshot", fetches)
-		}
-	})
-}
-
 // TestPushStreamScopedToItsSession pins the fan-out key and the stream
 // lifetime rule on two sessions of one identity: each stream carries
 // exactly its own session's frames, a worker whose session left the cache
@@ -671,15 +607,17 @@ func TestPushStreamScopedToItsSession(t *testing.T) {
 			t.Fatalf("session B: %q", b.Output())
 		}
 		// Session A's job is still running and has published at least RUNNING
-		// and its first line: under an identity-wide fan-out B's worker has
-		// heard them and parked them as "not registered yet".
+		// and its first line: B's worker holds no job of A's session (and the
+		// frame count below says its stream carried none of them).
 		wb := pushWorker(f, b.sessionID)
 		if wb == nil {
 			t.Fatal("the cached session's worker retired")
 		}
 		wb.mu.Lock()
-		for id := range wb.pending {
-			t.Errorf("session B's worker stashed an event of job %s", id)
+		for id, j := range wb.jobs {
+			if j.inv.sessionID != b.sessionID {
+				t.Errorf("session B's worker holds job %s of session %s", id, j.inv.sessionID)
+			}
 		}
 		wb.mu.Unlock()
 		if ends(t, a, InvDone).Output() != "a1\na2\n" {

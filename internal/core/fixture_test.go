@@ -266,8 +266,8 @@ func (f *fixture) site(name string) *gridsim.Site {
 }
 
 // A fault table is the grid transport of every fixture: a list of rules,
-// each a request match, a "when", and one action — fail, hold until
-// released, answer a status, rewrite the reply stream, break the request
+// each a request match, a "when", and one action — fail, lose the reply,
+// hold until released, answer a status, rewrite the reply stream, break the request
 // body after k bytes, or watch — or none, which only counts. A request
 // meets the rules in the order they were added; the first whose match and
 // when hold applies its action, which may send the request on down the
@@ -359,6 +359,18 @@ var errInjected = errors.New("injected fault: connection reset by peer")
 func fail(req *http.Request, _, _ roundTrip) (*http.Response, error) {
 	if req.Body != nil {
 		req.Body.Close()
+	}
+	return nil, errInjected
+}
+
+// lose sends the request on and drops its reply, as a connection that
+// breaks once the grid has acted does: the grid did the work, the
+// appliance hears only errInjected.
+func lose(req *http.Request, next, _ roundTrip) (*http.Response, error) {
+	resp, err := next(req)
+	if err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
 	return nil, errInjected
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/blobdb"
 	"repro/internal/cyberaide"
+	"repro/internal/gram"
 	"repro/internal/gridsim"
 	"repro/internal/jsdl"
 	"repro/internal/soap"
@@ -275,7 +276,8 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 	if err != nil {
 		return nil, err
 	}
-	site, jobID, err := o.stageAndSubmit(sessID, exe, args, root.Context())
+	inv := o.newInvocation(serviceName, exe.owner, root)
+	err = o.stageAndSubmit(inv, sessID, exe, args)
 	if err != nil && cached && isSessionFault(err) {
 		// The agent has refused the session, so nothing can use it
 		// again: drop it from the cache and from the agent's table.
@@ -284,14 +286,17 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 		if sessID, _, err = o.authenticate(exe.owner, auth, root); err != nil {
 			return nil, err
 		}
-		site, jobID, err = o.stageAndSubmit(sessID, exe, args, root.Context())
+		err = o.stageAndSubmit(inv, sessID, exe, args)
 	}
 	if err != nil {
 		o.releaseSession(sessID)
 		return nil, err
 	}
-	inv := o.newInvocation(serviceName, exe.owner, sessID, site, jobID, root)
-	o.collect.register(inv)
+	o.mu.Lock()
+	o.invocations[inv.Ticket] = inv
+	o.mu.Unlock()
+	root.Set("site", inv.Site)
+	root.Set("job_id", inv.JobID)
 	return inv, nil
 }
 
@@ -309,30 +314,24 @@ func (o *OnServe) authenticate(owner string, auth UserAuth, root *trace.Span) (s
 	return sessID, cached, err
 }
 
-// newInvocation issues the ticket and opens the collect span the
-// collector's per-event spans hang under.
-func (o *OnServe) newInvocation(serviceName, owner, sessID, site, jobID string, root *trace.Span) *Invocation {
+// newInvocation issues the ticket, which resolves once the submit
+// succeeded, and opens the collect span the per-event spans hang under.
+func (o *OnServe) newInvocation(serviceName, owner string, root *trace.Span) *Invocation {
 	o.mu.Lock()
 	o.seq++
 	inv := &Invocation{
 		Ticket:      newTicket(o.seq, serviceName),
 		Service:     serviceName,
-		JobID:       jobID,
-		Site:        site,
 		User:        owner,
 		StartedAt:   time.Now(),
-		sessionID:   sessID,
 		onTerminal:  o.noteTerminal,
 		rootSpan:    root,
 		collectSpan: o.parts.Tracing.StartSpan("collect", root.Context()),
 		state:       InvRunning,
 		done:        make(chan struct{}),
 	}
-	o.invocations[inv.Ticket] = inv
 	o.mu.Unlock()
 	root.Set("ticket", inv.Ticket)
-	root.Set("site", site)
-	root.Set("job_id", jobID)
 	return inv
 }
 
@@ -340,11 +339,15 @@ func (o *OnServe) newInvocation(serviceName, owner, sessID, site, jobID string, 
 // the stage and submit steps under one agent session. Services with
 // declared stage-in data may only run where the owner staged it, so later
 // candidates are tried when submission reports a staging problem.
-func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[string]string, tc trace.SpanContext) (site, jobID string, err error) {
+// The job is named (jobID) and registered under the name before its
+// submit, which is sent once more under it if it failed in transport: it
+// may have reached the grid, which answers with the job it holds.
+func (o *OnServe) stageAndSubmit(inv *Invocation, sessionID string, exe *executable, args map[string]string) (err error) {
+	tc := inv.rootSpan.Context()
 	var sites [8]string
 	candidates, err := o.pickSites(sessionID, exe, tc, sites[:])
 	if err != nil {
-		return "", "", err
+		return err
 	}
 	for i, candidate := range candidates {
 		st := o.parts.Tracing.StartSpan("stage", tc)
@@ -353,15 +356,17 @@ func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[str
 		err = o.stageExecutable(sessionID, exe, candidate, st)
 		endSpan(st, err)
 		if err != nil {
-			return "", "", err
+			return err
 		}
 		// Job description generation + submission: "a job description is
 		// generated by using the specified parameters and the name of the
 		// executable. Finally, the job is submitted to the Grid." This is
 		// the second CPU peak of Fig. 6.
 		o.cfg.Probe.Burn(o.cfg.Cost.JobSubmit)
+		inv.sessionID, inv.Site, inv.JobID = sessionID, candidate, jobID(inv.Ticket, candidate)
 		desc := jsdl.Description{
 			Name:       exe.service,
+			ID:         inv.JobID[len(candidate)+1:],
 			Executable: exe.staged,
 			Site:       candidate,
 			Arguments:  args,
@@ -370,20 +375,42 @@ func (o *OnServe) stageAndSubmit(sessionID string, exe *executable, args map[str
 		}
 		sb := o.parts.Tracing.StartSpan("submit", tc)
 		sb.Set("site", candidate)
-		o.submit.Update(func(st *SubmitStats) { st.SubmitRPCs++ })
-		if jobID, err = o.parts.Agent.WithTrace(sb.Context()).Submit(sessionID, &desc); err == nil {
-			sb.Set("job_id", jobID)
+		submitted := o.collect.register(inv)
+		agent := o.parts.Agent.WithTrace(sb.Context())
+		for range 2 {
+			o.submit.Update(func(st *SubmitStats) { st.SubmitRPCs++ })
+			if _, err = agent.Submit(sessionID, &desc); !errors.Is(err, gram.ErrNoReply) {
+				break
+			}
+		}
+		submitted(err == nil)
+		if err == nil {
+			sb.Set("job_id", inv.JobID)
 			sb.End()
-			return candidate, jobID, nil
+			return nil
 		}
 		endSpan(sb, err)
 		// Only a missing stage-in file justifies trying the next site.
-		if len(exe.stageIn) == 0 || i == len(candidates)-1 ||
-			!strings.Contains(err.Error(), "not staged") {
+		if len(exe.stageIn) == 0 || i == len(candidates)-1 || !errors.Is(err, gram.ErrNotStaged) {
 			break
 		}
 	}
-	return "", "", fmt.Errorf("onserve: submit: %w", err)
+	return fmt.Errorf("onserve: submit: %w", err)
+}
+
+// jobID names the job a ticket submits to site: "<site>:" and the
+// ticket's 48 random bits in ten base-32 digits, which keep it apart
+// across a fleet's appliances as they keep the ticket. Ten is the width of
+// a site-assigned job-NNNNNN, so every poll, frame and reply keeps its
+// size, and no '-' makes it one of those.
+func jobID(ticket, site string) string {
+	n, _ := strconv.ParseUint(ticket[len(ticket)-12:], 16, 64)
+	var buf [64]byte
+	id := append(append(buf[:0], site...), ':')
+	for range 10 {
+		id, n = append(id, "0123456789abcdefghijklmnopqrstuv"[n&31]), n>>5
+	}
+	return string(id)
 }
 
 // gridSession returns an authenticated session ID for owner: the cached

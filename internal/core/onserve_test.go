@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/base64"
 	"errors"
+	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 	"testing"
@@ -529,6 +531,91 @@ func TestInvocationOutputFileBadTicket(t *testing.T) {
 
 // Failure injection: the middleware must degrade with useful errors, not
 // hangs, when the substrates misbehave.
+
+// TestLostSubmitReplyRunsOnce: the grid accepts a submit whose reply
+// never reaches the appliance. The appliance sends it again under the
+// job's name, the gatekeeper answers with the job it already runs, and
+// the invocation ends DONE with exactly one grid job, whichever collector
+// follows it.
+func TestLostSubmitReplyRunsOnce(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		for _, push := range []bool{false, true} {
+			t.Run(fmt.Sprintf("push=%v", push), func(t *testing.T) {
+				f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = push, push })
+				svc := f.publish(t, "once.gsh", "echo once\n")
+				f.grid.add(&rule{match: "/gram/submit", n: 1, do: lose})
+				inv, err := f.ons.Invoke(svc, nil)
+				bubble.Wait()
+				ran := 0
+				for _, name := range f.env.Grid.SiteNames() {
+					st := f.site(name).Stats()
+					ran += st.Completed + st.Failed + st.Running + st.Queued
+				}
+				if err != nil {
+					t.Fatalf("invocation failed (%v) while %d grid job(s) ran", err, ran)
+				}
+				if ends(t, inv, InvDone).Output() != "once\n" || ran != 1 {
+					t.Fatalf("output %q from %d grid jobs, want one", inv.Output(), ran)
+				}
+				if _, err := f.env.Grid.Job(inv.JobID); err != nil {
+					t.Fatalf("no grid job under the invocation's name %s: %v", inv.JobID, err)
+				}
+			})
+		}
+	})
+}
+
+// TestFailedSubmitLeavesNothing: a submit the grid refuses (a 4xx, not
+// resent) or never hears (a broken connection, resent once) fails the
+// invocation, and nothing of it stays behind: no ticket, no job held by a
+// collector, no watchdog to fire, no collector goroutine.
+func TestFailedSubmitLeavesNothing(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		for _, tc := range []struct {
+			name  string
+			push  bool
+			do    action
+			sends int64
+		}{
+			{"refused/poll", false, answer(http.StatusBadRequest, "gram: bad description"), 1},
+			{"refused/push", true, answer(http.StatusBadRequest, "gram: bad description"), 1},
+			{"unreachable/poll", false, fail, 2},
+			{"unreachable/push", true, fail, 2},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = tc.push, tc.push })
+				svc := f.publish(t, "never.gsh", "echo never\n")
+				submits, cancels := &rule{match: "/gram/submit", do: tc.do}, &rule{match: "/gram/cancel"}
+				f.grid.add(submits, cancels)
+				if _, err := f.ons.Invoke(svc, nil); err == nil {
+					t.Fatal("invoke succeeded")
+				}
+				if n := submits.hits.Load(); n != tc.sends {
+					t.Errorf("%d submits sent, want %d", n, tc.sends)
+				}
+				if n := len(f.ons.Invocations()); n != 0 {
+					t.Errorf("%d tickets left", n)
+				}
+				if tc.push {
+					ec := f.ons.collect.(*eventCollector)
+					ec.mu.Lock()
+					if n := len(ec.workers); n != 0 {
+						t.Errorf("%d stream workers left", n)
+					}
+					ec.mu.Unlock()
+				}
+				time.Sleep(f.cfg.InvocationTimeout + time.Minute)
+				bubble.Wait()
+				if n := cancels.hits.Load(); n != 0 {
+					t.Errorf("a watchdog fired: %d cancels", n)
+				}
+				if owned := collectorGoroutines(); len(owned) != 0 {
+					t.Errorf("%d collector goroutines left", len(owned))
+				}
+			})
+		}
+	})
+}
 
 func TestInvokeWhenAllSitesDraining(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {

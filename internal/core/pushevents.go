@@ -17,8 +17,8 @@ type EventStats struct {
 	// (including reconnects).
 	StreamsOpened uint64 `json:"streams_opened"`
 	// EventsDelivered counts the state/output frames the streams carried:
-	// routed to an invocation, stashed for one about to register, or
-	// discarded as late news of one already finished.
+	// routed to an invocation, or dropped as news of a job the worker does
+	// not hold (one already finished).
 	EventsDelivered uint64 `json:"events_delivered"`
 	// Heartbeats counts keepalive frames received.
 	Heartbeats uint64 `json:"heartbeats"`
@@ -44,20 +44,6 @@ const maxConnectAttempts = 3
 // falling back — one flaky drop is retried, a dead server is not.
 const maxServeStrikes = 2
 
-// maxPendingEvents caps the stash of events for jobs whose registration
-// has not landed yet (latest event per job wins). A stream carries only
-// its own session's jobs, so the stash holds in-flight submits and sits
-// near empty; if it ever fills, the oldest entry makes room — the newest
-// is by construction the in-flight submit's.
-const maxPendingEvents = 4096
-
-// maxReapedJobs is how many finished jobs a worker remembers in order to
-// discard their late frames. Such a frame was published before its job
-// was reaped, so it is among the next frames to arrive: one stream
-// buffer's worth of recent reaps covers them, and a frame that misses
-// the memory is merely stashed until the stash's bound evicts it.
-const maxReapedJobs = 1024
-
 // eventCollector is the push-based replacement for periodic polling
 // (Config.PushEvents): one long-lived /gram/events stream per session
 // carries the transitions of every job submitted under that session, and
@@ -77,7 +63,8 @@ type eventCollector struct {
 }
 
 // eventWorker owns one session's stream: the connect/reconnect loop,
-// the cursor, and the set of in-flight invocations events route to.
+// the cursor, and the set of in-flight invocations events route to, each
+// under its job's name from before its submit.
 //
 // Lifetime: a worker lives as long as its session is the one core would
 // hand its owner's next invocation (the session cache's entry, inside its
@@ -93,17 +80,10 @@ type eventWorker struct {
 	owner     string
 	sessionID string
 
+	started bool // under ec.mu: its loop runs, since a submit succeeded
+
 	mu   sync.Mutex
 	jobs map[string]*collectJob // jobID -> entry
-	// pending stashes the latest event per job that arrived (via replay
-	// or a publish racing the submit reply) before its invocation was
-	// added; register applies it immediately. Bounded by maxPendingEvents,
-	// oldest (lowest n) evicted first.
-	pending map[string]pendingEvent
-	stashed uint64 // pending entries ever stashed; orders them
-	// reaped remembers the jobs finished most recently, so that their late
-	// frames are not mistaken for a registration yet to come.
-	reaped reapedJobs
 	// stopped latches when the worker retired; a register that observes
 	// it retries against a fresh worker.
 	stopped bool
@@ -113,60 +93,17 @@ type eventWorker struct {
 	cursor atomic.Uint64
 }
 
-// pendingEvent is one stashed event and its arrival rank.
-type pendingEvent struct {
-	ev gram.EventData
-	n  uint64
-}
-
-// reapedJobs is a bounded memory of job IDs: adding one beyond
-// maxReapedJobs forgets the oldest.
-type reapedJobs struct {
-	ring []string // grows to maxReapedJobs, then wraps at next
-	next int
-	set  map[string]struct{}
-}
-
-func (r *reapedJobs) add(jobID string) {
-	if r.set == nil {
-		r.set = make(map[string]struct{})
-	}
-	if len(r.ring) < maxReapedJobs {
-		r.ring = append(r.ring, jobID)
-	} else {
-		delete(r.set, r.ring[r.next])
-		r.ring[r.next] = jobID
-		r.next = (r.next + 1) % maxReapedJobs
-	}
-	r.set[jobID] = struct{}{}
-}
-
-func (r *reapedJobs) has(jobID string) bool {
-	_, ok := r.set[jobID]
-	return ok
-}
-
-// register hands a freshly submitted invocation to its session's stream
-// worker (starting one if needed). Against a known-stock gatekeeper the
-// worker it starts polls from the start.
-func (ec *eventCollector) register(inv *Invocation) {
+// register adds inv, watchdog armed, to its session's worker (made if
+// there is none) before the submit. The worker's loop (a stream, or polls
+// against a known-stock gatekeeper) starts once a submit succeeded; a
+// failed one takes its job out, and a worker that never started.
+func (ec *eventCollector) register(inv *Invocation) func(bool) {
 	for {
 		ec.mu.Lock()
 		w := ec.workers[inv.sessionID]
 		if w == nil {
-			w = &eventWorker{
-				ec:        ec,
-				owner:     inv.User,
-				sessionID: inv.sessionID,
-				jobs:      make(map[string]*collectJob),
-				pending:   make(map[string]pendingEvent),
-			}
+			w = &eventWorker{ec: ec, owner: inv.User, sessionID: inv.sessionID, jobs: make(map[string]*collectJob)}
 			ec.workers[inv.sessionID] = w
-			if ec.unsupported {
-				go w.poll()
-			} else {
-				go w.run()
-			}
 		}
 		w.mu.Lock()
 		if w.stopped {
@@ -178,19 +115,29 @@ func (ec *eventCollector) register(inv *Invocation) {
 		}
 		j := &collectJob{inv: inv, wd: ec.o.armWatchdog(inv)}
 		w.jobs[inv.JobID] = j
-		pend, havePend := w.pending[inv.JobID]
-		if havePend {
-			delete(w.pending, inv.JobID)
-		}
 		w.mu.Unlock()
 		ec.mu.Unlock()
-		if havePend {
-			// The job's events outran its registration (replay on a fresh
-			// stream, or publish racing the submit reply): apply the latest
-			// one now so a terminal state is never lost.
-			w.apply(j, pend.ev)
+		return func(ok bool) {
+			ec.mu.Lock()
+			defer ec.mu.Unlock()
+			switch {
+			case ok && !w.started:
+				w.started = true
+				if ec.unsupported {
+					go w.poll()
+				} else {
+					go w.run()
+				}
+			case !ok:
+				j.wd.Stop()
+				w.mu.Lock()
+				delete(w.jobs, inv.JobID)
+				if !w.started && len(w.jobs) == 0 {
+					w.retireLocked()
+				}
+				w.mu.Unlock()
+			}
 		}
-		return
 	}
 }
 
@@ -322,9 +269,7 @@ func (w *eventWorker) serve(es *gram.EventStream) (frames int) {
 }
 
 // retirable is the lifetime rule (see eventWorker): no registered job, and
-// a session core will not submit under again. A stash entry does not keep
-// a worker: its submit registers with a fresh worker, whose bootstrap
-// resync reads the job's state.
+// a session core will not submit under again.
 func (w *eventWorker) retirable() bool {
 	w.mu.Lock()
 	idle := len(w.jobs) == 0
@@ -470,11 +415,10 @@ func (w *eventWorker) syncAll() {
 }
 
 // processFrame decodes one state or output frame and routes it to its
-// invocation, or false if the frame is malformed. An event for a job that
-// has not registered yet is stashed for its registration; one for a job
-// already reaped is late news and dropped. The decoder's hook looks the
-// job up under the same lock as the routing, once per frame: the event of
-// a job the worker holds then shares its invocation's ID, not a copy.
+// invocation, or false if the frame is malformed. An event for a job the
+// worker does not hold is dropped. The decoder's hook looks the job up
+// under the same lock as the routing, once per frame: the event of a job
+// the worker holds then shares its invocation's ID, not a copy.
 func (w *eventWorker) processFrame(data []byte) bool {
 	var (
 		j     *collectJob
@@ -494,31 +438,12 @@ func (w *eventWorker) processFrame(data []byte) bool {
 	if string(asked) != ev.JobID { // json.Unmarshal decoded the frame, not the hand walk
 		j = w.jobs[ev.JobID]
 	}
-	if j == nil && !w.stopped && !w.reaped.has(ev.JobID) {
-		w.stashLocked(ev)
-	}
 	w.mu.Unlock()
 	w.ec.o.push.Update(func(e *EventStats) { e.EventsDelivered++ })
 	if j != nil {
 		w.apply(j, ev)
 	}
 	return true
-}
-
-// stashLocked keeps ev as its job's latest event (the stream is in order).
-// A full stash never refuses it: the entry stashed longest ago goes.
-func (w *eventWorker) stashLocked(ev gram.EventData) {
-	if _, held := w.pending[ev.JobID]; !held && len(w.pending) >= maxPendingEvents {
-		oldest, rank := "", w.stashed+1
-		for id, p := range w.pending {
-			if p.n < rank {
-				oldest, rank = id, p.n
-			}
-		}
-		delete(w.pending, oldest)
-	}
-	w.stashed++
-	w.pending[ev.JobID] = pendingEvent{ev: ev, n: w.stashed}
 }
 
 // apply lets observe act on one event — pushed, replayed, or synthesised
@@ -557,14 +482,13 @@ func (w *eventWorker) finishWhenFetchable(j *collectJob, ev gram.EventData) {
 	}
 }
 
-// reap drops a terminal invocation's entry, remembering the job so its
-// late frames are dropped too, and stops its watchdog.
+// reap drops a terminal invocation's entry, so its late frames are
+// dropped too, and stops its watchdog.
 func (w *eventWorker) reap(j *collectJob) {
 	j.wd.Stop()
 	w.mu.Lock()
 	if w.jobs[j.inv.JobID] == j {
 		delete(w.jobs, j.inv.JobID)
-		w.reaped.add(j.inv.JobID)
 	}
 	w.mu.Unlock()
 }

@@ -37,7 +37,7 @@ const TokenHeader = "X-Grid-Token"
 // through GridFTP, not GRAM).
 const MaxBody = 1 << 20
 
-// Errors reconstructed client-side from HTTP status + message.
+// Errors reconstructed client-side from HTTP status + code.
 var (
 	ErrDenied    = errors.New("gram: authentication or authorization failed")
 	ErrNotOwner  = errors.New("gram: job belongs to another identity")
@@ -45,11 +45,19 @@ var (
 	// ErrNoSuchFile: the job exists, but not the output file asked for.
 	ErrNoSuchFile = errors.New("gram: no such output file")
 	ErrBadInput   = errors.New("gram: malformed request")
+	ErrNotStaged  = errors.New("gram: executable not staged at site")
+	ErrNameTaken  = errors.New("gram: job name held by another submitter")
+	// ErrNoReply: the request failed in transport; the gatekeeper may have acted.
+	ErrNoReply = errors.New("gram: no reply")
 )
 
-// codeNoSuchFile is errorReply.Code on the 404 of a missing output file,
-// which is how the client tells it from the 404 of a missing job.
-const codeNoSuchFile = "no_such_file"
+// byCode tells apart the errors that share a status (errorReply.Code).
+var byCode = map[string]error{
+	"no_such_file": ErrNoSuchFile,
+	"not_owner":    ErrNotOwner,
+	"not_staged":   ErrNotStaged,
+	"name_taken":   ErrNameTaken,
+}
 
 // StatusReply is the gatekeeper's job status answer.
 type StatusReply struct {
@@ -175,7 +183,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			name := r.URL.Query().Get("name")
 			data := j.OutputFile(name)
 			if data == nil {
-				writeJSON(w, http.StatusNotFound, errorReply{Error: "no output file " + name, Code: codeNoSuchFile})
+				writeJSON(w, http.StatusNotFound, errorReply{Error: "no output file " + name, Code: "no_such_file"})
 				return
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
@@ -224,7 +232,14 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		sp.Error(err.Error())
 		sp.End()
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
+		status, code := http.StatusBadRequest, ""
+		switch {
+		case errors.Is(err, gridsim.ErrNotStaged):
+			code = "not_staged"
+		case errors.Is(err, gridsim.ErrNameTaken):
+			status, code = http.StatusConflict, "name_taken"
+		}
+		writeJSON(w, status, errorReply{Error: err.Error(), Code: code})
 		return
 	}
 	sp.Set("site", job.Site)
@@ -304,7 +319,7 @@ func (s *Server) withJob(w http.ResponseWriter, r *http.Request, fn func(*gridsi
 		return
 	}
 	if job.Desc.Owner != id {
-		writeJSON(w, http.StatusForbidden, errorReply{Error: ErrNotOwner.Error()})
+		writeJSON(w, http.StatusForbidden, errorReply{Error: ErrNotOwner.Error(), Code: "not_owner"})
 		return
 	}
 	fn(job)
@@ -398,7 +413,7 @@ func (c *Client) send(method, target string, signed []byte, contentType, etag st
 		body, limit)
 	if err != nil {
 		path, _, _ := strings.Cut(target, "?")
-		return reply, fmt.Errorf("gram: %s: %w", path, err)
+		return reply, fmt.Errorf("%w: %s: %w", ErrNoReply, path, err)
 	}
 	return reply, nil
 }
@@ -614,21 +629,18 @@ func jobTarget(path, jobID string, extra url.Values) string {
 	return t
 }
 
-// decodeError maps server errors back to sentinel errors where possible.
+// decodeError maps a server error to its code's sentinel, else its status's.
 func decodeError(status int, body []byte) error {
 	var er errorReply
 	msg := string(body)
 	if json.Unmarshal(body, &er) == nil && er.Error != "" {
 		msg = er.Error
 	}
-	var sentinel error
+	sentinel := byCode[er.Code]
 	switch {
-	case status == http.StatusForbidden && msg == ErrNotOwner.Error():
-		sentinel = ErrNotOwner
+	case sentinel != nil:
 	case status == http.StatusForbidden:
 		sentinel = ErrDenied
-	case status == http.StatusNotFound && er.Code == codeNoSuchFile:
-		sentinel = ErrNoSuchFile
 	case status == http.StatusNotFound:
 		sentinel = ErrNoSuchJob
 	default:

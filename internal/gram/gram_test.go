@@ -399,10 +399,64 @@ func TestSubmitOwnerMustMatchIdentity(t *testing.T) {
 	})
 }
 
+// TestSubmitNamedJob holds the gatekeeper to its naming rules: a
+// description with an ID names its job "<site>:<ID>"; sent again by the
+// same submitter it returns that job, which runs once; from another owner,
+// or from the same owner under another proxy, it is refused as name_taken
+// and the job already there is not shown; without an ID the site assigns
+// job-NNNNNN.
+func TestSubmitNamedJob(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t)
+		proxy, err := f.client.Cred.Delegate(time.Now(), time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bob := f.other.Cred.Subject()
+		siteA, _ := f.grid.Site("siteA")
+		siteA.Store().Put(bob, "hello.gsh", []byte("echo bob\n"))
+		named := func(owner string) *jsdl.Description {
+			return &jsdl.Description{Owner: owner, ID: "k3v9q0a1zz", Executable: "hello.gsh", Site: "siteA"}
+		}
+		for _, row := range []struct {
+			name string
+			c    *Client
+			desc *jsdl.Description
+			id   string // the job ID the reply names, or a prefix of it
+			err  error
+		}{
+			{"named", f.client, named(f.alice), "siteA:k3v9q0a1zz", nil},
+			{"same name, same submitter", f.client, named(f.alice), "siteA:k3v9q0a1zz", nil},
+			{"same name, another owner", f.other, named(bob), "", ErrNameTaken},
+			{"same name, another proxy", &Client{BaseURL: f.client.BaseURL, Cred: proxy, Transport: f.client.Transport}, named(f.alice), "", ErrNameTaken},
+			{"no name", f.client, f.desc("hello.gsh"), "siteA:job-", nil},
+		} {
+			id, err := row.c.Submit(row.desc)
+			if !errors.Is(err, row.err) || !strings.HasPrefix(id, row.id) || (row.id == "") != (id == "") {
+				t.Errorf("%s: job %q, %v; want %q, %v", row.name, id, err, row.id, row.err)
+			}
+			if err != nil && strings.Contains(err.Error(), "hello") {
+				t.Errorf("%s: the refusal shows the other job: %v", row.name, err)
+			}
+			if id != "" {
+				if _, err := f.client.WaitTerminal(id, time.Second, time.Hour); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if out, err := f.client.Output("siteA:k3v9q0a1zz"); err != nil || out != "hello\n" {
+			t.Fatalf("output %q, %v", out, err)
+		}
+		if st := siteA.Stats(); st.Completed != 2 || st.Running+st.Queued+st.Failed != 0 {
+			t.Fatalf("siteA ran %+v: want the named job once and the unnamed one", st)
+		}
+	})
+}
+
 func TestSubmitUnstagedExecutable(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t)
-		if _, err := f.client.Submit(f.desc("ghost.gsh")); !errors.Is(err, ErrBadInput) {
+		if _, err := f.client.Submit(f.desc("ghost.gsh")); !errors.Is(err, ErrNotStaged) {
 			t.Fatalf("got %v", err)
 		}
 	})

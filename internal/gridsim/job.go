@@ -50,7 +50,7 @@ const MaxJobOutputBytes = 64 << 20
 
 // Job is one unit of work inside a site.
 type Job struct {
-	// ID is globally unique: "<site>:job-<n>".
+	// ID is globally unique: "<site>:job-<n>", or "<site>:<Desc.ID>".
 	ID string
 	// Desc is the submitted description (normalized).
 	Desc jsdl.Description

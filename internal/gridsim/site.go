@@ -18,6 +18,7 @@ var (
 	ErrTooManyCPUs = errors.New("gridsim: job requests more CPUs than the site has")
 	ErrNoSuchJob   = errors.New("gridsim: no such job")
 	ErrDraining    = errors.New("gridsim: site is draining")
+	ErrNameTaken   = errors.New("gridsim: job name held by another submitter")
 )
 
 // Policy selects a site's batch scheduling discipline.
@@ -187,7 +188,8 @@ func (s *Site) Submit(desc jsdl.Description) (*Job, error) {
 // SubmitTraced is Submit on behalf of a remote submitter: submitter
 // becomes the job's Submitter key, and when tc is valid (and the site has
 // a tracer) the job records "job.queue" and "job.run" spans under it at
-// exact scheduler timestamps.
+// exact scheduler timestamps. An ID names the job "<site>:<ID>": sent again by
+// its owner and submitter it returns that job; from anyone else, ErrNameTaken.
 func (s *Site) SubmitTraced(desc jsdl.Description, submitter string, tc trace.SpanContext) (*Job, error) {
 	desc.Normalize()
 	if err := desc.Validate(); err != nil {
@@ -205,12 +207,25 @@ func (s *Site) SubmitTraced(desc jsdl.Description, submitter string, tc trace.Sp
 		}
 	}
 	s.mu.Lock()
+	var id string
+	if desc.ID != "" {
+		id = s.cfg.Name + ":" + desc.ID
+		if j := s.jobs[id]; j != nil {
+			s.mu.Unlock()
+			if j.Desc.Owner != desc.Owner || j.Submitter != submitter {
+				return nil, fmt.Errorf("%w: %s", ErrNameTaken, id)
+			}
+			return j, nil
+		}
+	}
 	if s.draining {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	s.seq++
-	id := fmt.Sprintf("%s:job-%06d", s.cfg.Name, s.seq)
+	if id == "" {
+		s.seq++
+		id = fmt.Sprintf("%s:job-%06d", s.cfg.Name, s.seq)
+	}
 	now := time.Now()
 	job := newJob(id, desc, s.cfg.Name, now, s.cfg.MaxJobOutput)
 	// Before enqueue, like the trace below: dispatchLocked may publish

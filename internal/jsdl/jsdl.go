@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -37,6 +38,10 @@ type Description struct {
 	Name string
 	// Owner is the distinguished name of the submitting identity.
 	Owner string
+	// ID, when set, names the job at its site (up to 64 digits and
+	// lower-case letters), so a submit sent again finds the job it started.
+	// Empty lets the site assign job-NNNNNN, which no ID can spell.
+	ID string
 	// Executable names the staged file to run (gsh program).
 	Executable string
 	// Arguments are passed to the executable as named parameters.
@@ -66,6 +71,9 @@ func (d *Description) Validate() error {
 	if d.Owner == "" {
 		return fmt.Errorf("%w: owner required", ErrInvalid)
 	}
+	if len(d.ID) > 64 || strings.Trim(d.ID, "0123456789abcdefghijklmnopqrstuvwxyz") != "" {
+		return fmt.Errorf("%w: id %q is not up to 64 digits and lower-case letters", ErrInvalid, d.ID)
+	}
 	if d.CPUs < 0 || d.CPUs > MaxCPUs {
 		return fmt.Errorf("%w: cpus %d out of range", ErrInvalid, d.CPUs)
 	}
@@ -88,6 +96,7 @@ type xmlDoc struct {
 	XMLName    xml.Name `xml:"JobDefinition"`
 	Name       string   `xml:"JobIdentification>JobName,omitempty"`
 	Owner      string   `xml:"JobIdentification>Owner"`
+	ID         string   `xml:"JobIdentification>SubmissionID,omitempty"`
 	Executable string   `xml:"Application>Executable"`
 	Args       []xmlArg `xml:"Application>Argument"`
 	Site       string   `xml:"Resources>CandidateHosts>HostName,omitempty"`
@@ -104,7 +113,7 @@ type xmlArg struct {
 // Marshal renders the description as XML: the document
 // xml.MarshalIndent(&xmlDoc{...}, "", "  ") would produce, byte for byte
 // (the gatekeeper parses these bytes and the recorded results were taken
-// with them), written directly because the shape is fixed — seven fields,
+// with them), written directly because the shape is fixed — eight fields,
 // no reflection, one buffer. The quirks are encoding/xml's and are kept:
 // an empty site or stage-in list still opens and closes its parent
 // element.
@@ -121,6 +130,9 @@ func Marshal(d *Description) ([]byte, error) {
 		b = element(b, "    <JobName>", dd.Name, "</JobName>\n")
 	}
 	b = element(b, "    <Owner>", dd.Owner, "</Owner>\n")
+	if dd.ID != "" {
+		b = element(b, "    <SubmissionID>", dd.ID, "</SubmissionID>\n")
+	}
 	b = append(b, "  </JobIdentification>\n  <Application>\n"...)
 	b = element(b, "    <Executable>", dd.Executable, "</Executable>\n")
 	var names [8]string
@@ -184,6 +196,7 @@ func Unmarshal(data []byte) (*Description, error) {
 	d := &Description{
 		Name:       doc.Name,
 		Owner:      doc.Owner,
+		ID:         doc.ID,
 		Executable: doc.Executable,
 		Site:       doc.Site,
 		CPUs:       doc.CPUs,

@@ -20,6 +20,7 @@ func marshalEncodingXML(d *Description) ([]byte, error) {
 	doc := xmlDoc{
 		Name:       dd.Name,
 		Owner:      dd.Owner,
+		ID:         dd.ID,
 		Executable: dd.Executable,
 		Site:       dd.Site,
 		CPUs:       dd.CPUs,
@@ -53,6 +54,7 @@ func TestMarshalMatchesEncodingXML(t *testing.T) {
 	cases := map[string]Description{
 		"full":    full,
 		"minimal": {Owner: "o", Executable: "e"},
+		"named":   {Owner: "o", ID: "k3v9q0a1zz", Executable: "e"},
 		// encoding/xml opens a field's parent elements before it decides
 		// the field is empty: these two keep their empty wrappers.
 		"empty collections": {Owner: "o", Executable: "e", Arguments: map[string]string{}, StageIn: []string{}},
@@ -68,6 +70,7 @@ func TestMarshalMatchesEncodingXML(t *testing.T) {
 			Arguments: map[string]string{"k\x01": "v\x1f", "é": "日本語 \U0001F600"},
 		},
 		"invalid description": {Owner: "o"},
+		"invalid id":          {Owner: "o", ID: "job-000001", Executable: "e"},
 	}
 	for name, d := range cases {
 		d := d

@@ -51,8 +51,11 @@ fi
 # around one timer: every component calls the time package, which a
 # bubble makes virtual, and the runtime knows when to move it. Nor does a
 # setting nobody set (the proxy lifetime, the CA's validity, a site's
-# default walltime are constants).
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\.ProxyLifetime\b|ProxyLifetime:|\.CAValidity\b|CAValidity:|\.DefaultWallTime\b|DefaultWallTime:|SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap|repro/internal/vtime|NewManual|NewWatchdog|vtime\.|AblationHotPath|AblationPollHub|AblationSubmit|AblationPlacement|AblationDoubleWrite|AblationStagingCache|HotPathVariants|PollHubVariants|SubmitVariants|StageVariants|PlacementVariants|\b(cfg|Appliance|c|o\.cfg)\.ChunkBytes\b' . ||
+# default walltime are constants). Nor does the push worker's stash of
+# frames that outran their job's registration, or its memory of reaped jobs:
+# core registers an invocation under its job's name before the submit goes
+# out, so a frame for a name no worker holds is dropped.
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\.ProxyLifetime\b|ProxyLifetime:|\.CAValidity\b|CAValidity:|\.DefaultWallTime\b|DefaultWallTime:|SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap|repro/internal/vtime|NewManual|NewWatchdog|vtime\.|AblationHotPath|AblationPollHub|AblationSubmit|AblationPlacement|AblationDoubleWrite|AblationStagingCache|HotPathVariants|PollHubVariants|SubmitVariants|StageVariants|PlacementVariants|\b(cfg|Appliance|c|o\.cfg)\.ChunkBytes\b|maxPendingEvents|maxReapedJobs|pendingEvent|stashLocked|reapedJobs' . ||
 	grep -nE '^\s+ChunkBytes\b' internal/core/config.go; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
@@ -89,6 +92,14 @@ fi
 doors="internal/appliance/*_test.go internal/portal/*_test.go ./*_test.go $(find cmd -path cmd/bench -prune -o -name '*_test.go' -print)"
 if grep -n 'gridenv\.Start(\|BuildImage(' $doors; then
 	echo "a front-door test boots a grid or an image of its own (see above): use appliancetest.Boot" >&2
+	exit 1
+fi
+
+# One error vocabulary on the grid's hops: gram's replies carry a code and
+# the client maps it to a sentinel, so no program file of core or gram
+# tells one error from another by its text (errors.Is does).
+if grep -rnE --include='*.go' --exclude='*_test.go' '\.Error\(\) *(==|!=)|(==|!=) *[A-Za-z_.]+\.Error\(\)|strings\.[A-Za-z]+\([^)]*\.Error\(\)' internal/core internal/gram; then
+	echo "a program file compares an error's text (see above): compare with errors.Is against a sentinel" >&2
 	exit 1
 fi
 
