@@ -167,10 +167,10 @@ func proxyGrid(t *testing.T, f *appliancetest.Fixture) *gridProxy {
 // parameters and a stage-in list, invocations through the JSON door and
 // the SOAP door, a stdout too large to ride in an event frame whose first
 // fetch fails, a failing job, a cancel mid-run, an output file written
-// and one never written, the client stub, the WSDL and the registry, and
-// a delete and a re-publish of an edited program under the same name.
-// lines is what the user saw, with what varies by run (tickets, hosts)
-// written as placeholders.
+// and one never written, the client stub, the WSDL and the registry page,
+// and a delete and a re-publish of an edited program under the same name.
+// lines is what the user saw, with what varies by run (tickets, hosts,
+// times, UDDI keys) written as placeholders.
 type script struct {
 	t       *testing.T
 	f       *appliancetest.Fixture
