@@ -121,12 +121,14 @@ func line(lines []string, i int) string {
 
 // gridProxy stands between the appliance and the grid's HTTP services
 // (the gatekeeper and every site's GridFTP server). It counts the
-// requests that cross it, and answers 503 to the first output fetch
-// after failOutput is set.
+// requests that cross it, answers 503 to the first output fetch after
+// failOutput is set, and cuts every output-file fetch's reply short while
+// cutOutfile is.
 type gridProxy struct {
 	endpoints  cyberaide.Endpoints
 	trips      atomic.Int64
 	failOutput atomic.Bool
+	cutOutfile atomic.Bool
 }
 
 func proxyGrid(t *testing.T, f *appliancetest.Fixture) *gridProxy {
@@ -148,6 +150,14 @@ func proxyGrid(t *testing.T, f *appliancetest.Fixture) *gridProxy {
 				http.Error(w, `{"error":"gatekeeper overloaded"}`, http.StatusServiceUnavailable)
 				return
 			}
+			if r.URL.Path == "/gram/outfile" && p.cutOutfile.Load() {
+				// A reply's head, and the connection closes before its body.
+				if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+					io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 64\r\n\r\n")
+					conn.Close()
+				}
+				return
+			}
 			rp.ServeHTTP(w, r)
 		}))
 		go srv.Serve(ln)
@@ -167,8 +177,8 @@ func proxyGrid(t *testing.T, f *appliancetest.Fixture) *gridProxy {
 // parameters and a stage-in list, invocations through the JSON door and
 // the SOAP door, a stdout too large to ride in an event frame whose first
 // fetch fails, a failing job, a cancel mid-run, an output file written
-// and one never written, the client stub, the WSDL and the registry page,
-// and a delete and a re-publish of an edited program under the same name.
+// and one never written, the client stub, the WSDL, the registry page and
+// its listing, and a delete and a re-publish of an edited program under the same name.
 // lines is what the user saw, with what varies by run (tickets, hosts,
 // times, UDDI keys) written as placeholders.
 type script struct {
@@ -302,6 +312,7 @@ func (s *script) run() {
 	s.do("client stub", "GET", "/api/client?name=GreetService", "", "")
 	s.do("wsdl", "GET", "/services/GreetService?wsdl", "", "")
 	s.do("registry", "GET", "/registry", "", "")
+	s.do("registry listing", "GET", "/api/registry", "", "")
 
 	// Delete, then re-publish an edited program under the same name; the
 	// service's holder restarts empty before the next call.

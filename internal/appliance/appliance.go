@@ -21,6 +21,7 @@ import (
 	"repro/internal/blobdb"
 	"repro/internal/core"
 	"repro/internal/cyberaide"
+	"repro/internal/errcode"
 	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/sizedio"
@@ -251,24 +252,24 @@ func guardServices(ctl *tenant.Controller, generated func(service string) bool, 
 		}
 		pr, err := ctl.Authenticate(r.Header.Get(tenant.KeyHeader), tenant.VerbInvoke)
 		if err != nil {
-			portal.WriteError(w, http.StatusUnauthorized, err)
+			portal.WriteError(w, err)
 			return
 		}
 		body, err := sizedio.ReadAll(r.Body, r.ContentLength, soap.MaxRequestBytes)
 		r.Body.Close()
 		if err != nil {
-			code := http.StatusBadRequest
+			status := http.StatusBadRequest
 			if errors.Is(err, sizedio.ErrTooLarge) {
-				code = http.StatusRequestEntityTooLarge
+				status = http.StatusRequestEntityTooLarge
 			}
-			portal.WriteError(w, code, err)
+			errcode.Refuse(status, err.Error()).Write(w)
 			return
 		}
 		name, _, _ := soap.ServiceName(r.URL.Path)
 		msg, err := soap.Decode(body)
 		cancel := err == nil && msg.Operation == "cancel" && generated(name)
 		if !cancel && !ctl.Allows(pr.Owner, tenant.VerbInvoke, name) {
-			portal.WriteError(w, http.StatusForbidden, tenant.ErrForbidden)
+			portal.WriteError(w, tenant.ErrForbidden)
 			return
 		}
 		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,6 +26,8 @@ import (
 	"unicode"
 
 	"repro/internal/blobdb"
+	"repro/internal/errcode"
+	"repro/internal/gram"
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
 	"repro/internal/metrics"
@@ -58,6 +61,38 @@ var (
 	ErrNoTicket      = errors.New("onserve: no such invocation ticket")
 	ErrBadProgram    = errors.New("onserve: uploaded executable is not a valid gsh program")
 )
+
+// causes is the one table both doors name an error by: the JSON door
+// answers with the row's status and code, the SOAP door with a fault that
+// carries the code. The first row whose sentinel the error wraps decides;
+// an error no row names is the appliance's own failure, or the grid's.
+var causes = []struct {
+	err    error
+	status int
+	code   string
+}{
+	{ErrNoSuchService, http.StatusNotFound, errcode.NotFound},
+	{ErrNoTicket, http.StatusNotFound, errcode.NotFound},
+	{gram.ErrNoSuchFile, http.StatusNotFound, errcode.NoSuchFile},
+	{ErrBadName, http.StatusBadRequest, errcode.BadRequest},
+	{ErrBadProgram, http.StatusBadRequest, errcode.BadRequest},
+	{ErrNoSuchUser, http.StatusBadRequest, errcode.BadRequest},
+	{tenant.ErrUnauthorized, http.StatusUnauthorized, errcode.Unauthorized},
+	{tenant.ErrForbidden, http.StatusForbidden, errcode.Forbidden},
+	{tenant.ErrRateLimited, http.StatusTooManyRequests, errcode.RateLimited},
+	{tenant.ErrSaturated, http.StatusTooManyRequests, errcode.QuotaExceeded},
+}
+
+// Cause is the status and the code both doors answer err with (causes),
+// 500 internal for an error no row names.
+func Cause(err error) (status int, code string) {
+	for _, c := range causes {
+		if errors.Is(err, c.err) {
+			return c.status, c.code
+		}
+	}
+	return http.StatusInternalServerError, errcode.Internal
+}
 
 // UserAuth holds the MyProxy logon data onServe uses to act for a portal
 // user.

@@ -109,9 +109,10 @@ func (o *OnServe) uploadOnce(sessionID string, exe *executable, file gridftp.Fil
 
 // retryableStageErr reports whether a failed transfer is worth the one
 // bounded retry: transient transport trouble is, a session fault, the
-// server's definitive rejection or a corrupt stored row — which a second
-// read finds corrupt again — is not. A checksum mismatch is retryable —
-// both transfer paths are idempotent.
+// server's definitive rejection (its own 400 checksum mismatch among them)
+// or a corrupt stored row — which a second read finds corrupt again — is
+// not. A checksum mismatch the client detects itself in the site's reply
+// is retried: both transfer paths are idempotent.
 func retryableStageErr(err error) bool {
 	if err == nil || isSessionFault(err) {
 		return false

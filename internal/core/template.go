@@ -51,8 +51,11 @@ func (o *OnServe) buildService(serviceName, description string, params []wsdl.Pa
 		},
 	}
 	svc := soap.NewService(def)
+	// A fault names its cause as the JSON door does (Cause); its HTTP
+	// status stays 500, as SOAP 1.1 has it.
 	fault := func(err error) (string, error) {
-		return "", &soap.Fault{Code: soap.FaultClient, String: err.Error()}
+		status, code := Cause(err)
+		return "", soap.FaultFor(status, err.Error(), code)
 	}
 	svc.MustBind("execute", func(req *soap.Request) (string, error) {
 		// Malformed headers degrade to a new root trace, never a fault.

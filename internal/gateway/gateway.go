@@ -5,7 +5,8 @@
 // alone places a service: one shard owns everything downstream of it —
 // its staged executable, cached stats, the invocations it issued, whose
 // tickets name it — while read-style fan-out endpoints (/api/services,
-// /api/stats, /api/audit, /registry) scatter-gather and merge.
+// /api/stats, /api/audit, /api/registry and its /registry page)
+// scatter-gather and merge.
 //
 // The traffic the gateway proxies is its health check: a failed hop
 // counts against the upstream, FailThreshold of them in a row eject it,
@@ -40,6 +41,7 @@ import (
 
 	"repro/internal/appliance"
 	"repro/internal/core"
+	"repro/internal/errcode"
 	"repro/internal/hop"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -352,13 +354,13 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, sizedio.ErrTooLarge) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			portal.WriteError(w, status, fmt.Errorf("gateway: read body: %w", err))
+			errcode.Refuse(status, "gateway: read body: "+err.Error()).Write(w)
 			return
 		}
 	}
 	rt, err := DecodeRoute(r.Method, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body)
 	if err != nil {
-		portal.WriteError(w, http.StatusBadRequest, err)
+		errcode.Refuse(http.StatusBadRequest, err.Error()).Write(w)
 		return
 	}
 	switch rt.Kind {
@@ -483,7 +485,7 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 	succ := g.ring.walk(rt.Service, buf[:])
 	m, pos := pickHealthy(succ)
 	if m == nil {
-		portal.WriteError(w, http.StatusServiceUnavailable, errors.New("gateway: no upstreams"))
+		errcode.Refuse(http.StatusServiceUnavailable, "gateway: no upstreams").Write(w)
 		return
 	}
 	g.stats.Update(func(st *Stats) {
@@ -510,7 +512,7 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, rt Route, b
 	}
 	if err != nil {
 		sp.End()
-		portal.WriteError(w, http.StatusBadGateway, fmt.Errorf("gateway: upstream %s: %w", m.id, err))
+		errcode.Refuse(http.StatusBadGateway, fmt.Sprintf("gateway: upstream %s: %v", m.id, err)).Write(w)
 		return
 	}
 
@@ -598,24 +600,27 @@ func (g *Gateway) catalogGet(service string) *catalogEntry {
 // serveTicket routes a ticket-addressed request by the service its
 // ticket names, along that service's ring walk: the primary issued the
 // ticket, or a successor did while the primary was ejected. The first
-// member that answers other than the portal's not_found holds the
-// invocation: a 404 with another code (an output file the job never
-// wrote) is the holder's answer.
+// member that answers other than not_found (errcode.Decode's, so a 404
+// page with no envelope is one too) holds the invocation: a 404 with
+// another code (an output file the job never wrote) is the holder's answer.
 func (g *Gateway) serveTicket(w http.ResponseWriter, r *http.Request, rt Route, body []byte) {
 	g.stats.Update(func(st *Stats) { st.TicketRoutes++ })
 	var buf [8]*member
 	succ := g.ring.walk(rt.Service, buf[:])
 	sp := g.startSpan(r, rt, succ[0])
 	m, resp, err := g.first(succ, r, body, sp, func(resp *bufferedResponse) bool {
-		var miss portal.ErrorReply
-		return resp.status != http.StatusNotFound || json.Unmarshal(resp.body, &miss) != nil || miss.Code != "not_found"
+		if resp.status != http.StatusNotFound {
+			return true
+		}
+		code, _ := errcode.Decode(resp.status, resp.body)
+		return code != errcode.NotFound
 	})
 	if m != nil {
 		sp.Set("upstream", m.id)
 	}
 	sp.End()
 	if resp == nil {
-		portal.WriteError(w, http.StatusBadGateway, fmt.Errorf("gateway: no upstream answered: %w", err))
+		errcode.Refuse(http.StatusBadGateway, fmt.Sprintf("gateway: no upstream answered: %v", err)).Write(w)
 		return
 	}
 	resp.write(w)
@@ -631,7 +636,7 @@ func (g *Gateway) serveAny(w http.ResponseWriter, r *http.Request, body []byte) 
 	}
 	_, resp, err := g.first(order, r, body, nil, func(*bufferedResponse) bool { return true })
 	if resp == nil {
-		portal.WriteError(w, http.StatusBadGateway, err)
+		errcode.Refuse(http.StatusBadGateway, err.Error()).Write(w)
 		return
 	}
 	resp.write(w)
@@ -724,13 +729,18 @@ func (g *Gateway) serveServices(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveRegistry gathers every member's /api/registry listing (the
-// caller's ?pattern= included) and renders the union on the portal's own
-// registry page.
+// caller's ?pattern= included) and answers the union: the listing itself
+// on /api/registry, the portal's own registry page on /registry.
 func (g *Gateway) serveRegistry(w http.ResponseWriter, r *http.Request) {
 	g.stats.Update(func(st *Stats) { st.Scatters++ })
 	listing := &http.Request{Method: http.MethodGet, Header: r.Header,
 		URL: &url.URL{Path: "/api/registry", RawQuery: r.URL.RawQuery}}
-	portal.WriteRegistryPage(w, union(g.gather(listing, nil), func(rec uddi.Record) string { return rec.Name }))
+	recs := union(g.gather(listing, nil), func(rec uddi.Record) string { return rec.Name })
+	if r.URL.Path == listing.URL.Path {
+		writeJSON(w, http.StatusOK, recs)
+		return
+	}
+	portal.WriteRegistryPage(w, recs)
 }
 
 // union decodes each 200 reply as a JSON list and merges the lists,

@@ -94,6 +94,10 @@ func (f *fakeFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 			return reply(http.StatusNotFound, `{"code":"not_found","error":"no such ticket"}`)
 		}
 		return reply(http.StatusOK, `{"state":"cancelling"}`)
+	case "/trace": // an HTML page: its 404 is plain text
+		if req.URL.Host != f.knows {
+			return reply(http.StatusNotFound, "no such ticket\n")
+		}
 	case "/api/services":
 		return reply(http.StatusOK, `[{"service_name":"`+strings.ToUpper(req.URL.Host[:1])+`Service"}]`)
 	}
@@ -509,6 +513,10 @@ func TestTicketWalksItsServiceRing(t *testing.T) {
 			t.Fatalf("trial read: status %d, primary %+v", code, g.GatewayStats().Upstreams[primary.idx])
 		}
 		wait([3]uint64{1, 1, 0})
+		// A 404 with no envelope is a not_found too: the trace page walks on.
+		if code := serve(http.MethodGet, "/trace?ticket="+fakeTicket); code != http.StatusOK {
+			t.Fatalf("trace page: status %d", code)
+		}
 
 		// The primary issues a ticket, then is ejected although alive: its
 		// ticket still reaches it, after the successors' 404s, and its reply

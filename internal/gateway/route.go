@@ -43,8 +43,8 @@ const (
 	// KindAudit scatter-gathers /api/audit across the fleet and merges
 	// the per-shard tenancy audit records newest-first.
 	KindAudit
-	// KindRegistry scatter-gathers /api/registry and renders the portal's
-	// registry page over the union.
+	// KindRegistry scatter-gathers /api/registry and answers the union:
+	// as JSON on /api/registry, on the portal's page on /registry.
 	KindRegistry
 )
 
@@ -148,7 +148,7 @@ func DecodeRoute(method, path, rawQuery, contentType string, body []byte) (Route
 		return Route{Kind: KindStats}, nil
 	case "/api/audit":
 		return Route{Kind: KindAudit}, nil
-	case "/registry":
+	case "/registry", "/api/registry":
 		return Route{Kind: KindRegistry}, nil
 	}
 	if t, ok := strings.CutPrefix(path, "/api/trace/"); ok {

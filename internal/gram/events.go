@@ -23,6 +23,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"repro/internal/errcode"
 	"repro/internal/flatjson"
 	"repro/internal/gridsim"
 	"repro/internal/hop"
@@ -171,7 +172,7 @@ type helloData struct {
 // degrades, never crashes); the token is verified over the fixed message
 // "events" like the other identity-scoped endpoints, and nothing is
 // subscribed before it verifies.
-func (s *Server) events(w http.ResponseWriter, r *http.Request) {
+func (s *Server) events(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	session := r.URL.Query().Get("session")
 	// Cursor: Last-Event-ID header wins (SSE convention), else the
 	// ?since query; malformed values degrade to 0 = full replay.
@@ -181,13 +182,11 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	}
 	id, proxy, err := s.authenticateProxy(r, []byte("events"))
 	if err != nil {
-		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorReply{Error: "gram: streaming unsupported"})
-		return
+		return errcode.Refuse(http.StatusInternalServerError, "gram: streaming unsupported")
 	}
 	sub, replay, resync := s.grid.Events().Subscribe(id, proxy.Fingerprint(), cursor)
 	defer s.grid.Events().Unsubscribe(sub)
@@ -198,18 +197,18 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	hello, _ := json.Marshal(helloData{HeartbeatS: int(hb / time.Second), Session: session})
 	if err := writeEventFrame(w, EventFrame{Event: EventHello, Data: hello}); err != nil {
-		return
+		return nil
 	}
 	if resync {
 		if err := writeEventFrame(w, EventFrame{Event: EventResync}); err != nil {
-			return
+			return nil
 		}
 	}
 	for _, ev := range replay {
 		// Replayed frames announce versions only: a reconnect must not
 		// re-ship a snapshot per retained event.
 		if err := writeEventFrame(w, busFrame(ev, "")); err != nil {
-			return
+			return nil
 		}
 	}
 	flusher.Flush()
@@ -225,23 +224,23 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 			// events published at one instant had queued by the time the
 			// writer looked.
 			if err := writeEventFrame(w, s.liveFrame(ev)); err != nil {
-				return
+				return nil
 			}
 			flusher.Flush()
 		case <-sub.Overflow:
 			// The subscriber buffer spilled: the client's view has a gap.
 			if err := writeEventFrame(w, EventFrame{Event: EventResync}); err != nil {
-				return
+				return nil
 			}
 			flusher.Flush()
 		case <-hbCh:
 			hbCh = nil
 			if err := writeEventFrame(w, EventFrame{Event: EventHeartbeat}); err != nil {
-				return
+				return nil
 			}
 			flusher.Flush()
 		case <-r.Context().Done():
-			return
+			return nil
 		}
 	}
 }
@@ -432,7 +431,7 @@ func (c *Client) Events(session string, since uint64) (*EventStream, error) {
 		if resp.StatusCode == http.StatusNotFound {
 			return nil, fmt.Errorf("%w: http 404", ErrNoEvents)
 		}
-		return nil, decodeError(resp.StatusCode, body)
+		return nil, errcode.Err(resp.StatusCode, body, sentinels, ErrBadInput)
 	}
 	es := &EventStream{body: resp.Body, br: bufio.NewReader(resp.Body)}
 	first, err := es.Next()

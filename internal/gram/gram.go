@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/errcode"
 	"repro/internal/flatjson"
 	"repro/internal/gridsim"
 	"repro/internal/hop"
@@ -51,12 +52,15 @@ var (
 	ErrNoReply = errors.New("gram: no reply")
 )
 
-// byCode tells apart the errors that share a status (errorReply.Code).
-var byCode = map[string]error{
-	"no_such_file": ErrNoSuchFile,
-	"not_owner":    ErrNotOwner,
-	"not_staged":   ErrNotStaged,
-	"name_taken":   ErrNameTaken,
+// sentinels names the error each code of a gatekeeper's reply stands
+// for; a reply whose code is not listed is ErrBadInput.
+var sentinels = map[string]error{
+	errcode.Forbidden:  ErrDenied,
+	errcode.NotOwner:   ErrNotOwner,
+	errcode.NotFound:   ErrNoSuchJob,
+	errcode.NoSuchFile: ErrNoSuchFile,
+	errcode.NotStaged:  ErrNotStaged,
+	errcode.NameTaken:  ErrNameTaken,
 }
 
 // StatusReply is the gatekeeper's job status answer.
@@ -98,13 +102,6 @@ type BatchReply struct {
 // SubmitReply returns the assigned job ID.
 type SubmitReply struct {
 	JobID string `json:"job_id"`
-}
-
-// errorReply is the uniform error body.
-type errorReply struct {
-	Error string `json:"error"`
-	// Code tells apart errors that share a status; empty for most.
-	Code string `json:"code,omitempty"`
 }
 
 // Server is the gatekeeper for one grid.
@@ -159,93 +156,97 @@ func (s *Server) authenticateProxy(r *http.Request, msg []byte) (string, *xsec.C
 
 // ServeHTTP implements http.Handler under the /gram/ prefix.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if refused := s.route(w, r); refused != nil {
+		refused.Write(w)
+	}
+}
+
+// route serves r, or returns the refusal ServeHTTP writes.
+func (s *Server) route(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/gram/submit":
-		s.submit(w, r)
+		return s.submit(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/gram/status":
-		s.withJob(w, r, func(j *gridsim.Job) { writeJSON(w, http.StatusOK, statusOf(j)) })
+		return s.withJob(r, func(j *gridsim.Job) *errcode.Refusal {
+			writeJSON(w, http.StatusOK, statusOf(j))
+			return nil
+		})
 	case r.Method == http.MethodPost && r.URL.Path == "/gram/status-batch":
-		s.statusBatch(w, r)
+		return s.statusBatch(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/gram/output":
-		s.withJob(w, r, func(j *gridsim.Job) {
+		return s.withJob(r, func(j *gridsim.Job) *errcode.Refusal {
 			out, ver := j.StdoutVersioned()
 			etag := outputETag(ver)
 			w.Header().Set("ETag", etag)
 			if r.Header.Get("If-None-Match") == etag {
 				w.WriteHeader(http.StatusNotModified)
-				return
+				return nil
 			}
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			io.WriteString(w, out)
+			return nil
 		})
 	case r.Method == http.MethodGet && r.URL.Path == "/gram/outfile":
-		s.withJob(w, r, func(j *gridsim.Job) {
+		return s.withJob(r, func(j *gridsim.Job) *errcode.Refusal {
 			name := r.URL.Query().Get("name")
 			data := j.OutputFile(name)
 			if data == nil {
-				writeJSON(w, http.StatusNotFound, errorReply{Error: "no output file " + name, Code: "no_such_file"})
-				return
+				return &errcode.Refusal{Status: http.StatusNotFound, Code: errcode.NoSuchFile, Msg: "no output file " + name}
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Write(data)
+			return nil
 		})
 	case r.Method == http.MethodPost && r.URL.Path == "/gram/cancel":
-		s.cancel(w, r)
+		return s.cancel(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/gram/sites":
-		s.sites(w, r)
+		return s.sites(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/gram/usage":
-		s.usage(w, r)
+		return s.usage(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/gram/events":
-		s.events(w, r)
-	default:
-		writeJSON(w, http.StatusNotFound, errorReply{Error: "gram: unknown endpoint"})
+		return s.events(w, r)
 	}
+	return errcode.Refuse(http.StatusNotFound, "gram: unknown endpoint")
 }
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	// The trace header is decoded before authentication; a malformed
 	// header degrades to "untraced", never to a rejection.
 	tc, _ := trace.Parse(r.Header.Get(trace.Header))
 	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBody+1))
 	if err != nil || len(body) > MaxBody {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "gram: bad body"})
-		return
+		return errcode.Refuse(http.StatusBadRequest, "gram: bad body")
 	}
 	id, proxy, err := s.authenticateProxy(r, body)
 	if err != nil {
-		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	desc, err := jsdl.Unmarshal(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("%v: %v", ErrBadInput, err)})
-		return
+		return errcode.Refuse(http.StatusBadRequest, fmt.Sprintf("%v: %v", ErrBadInput, err))
 	}
 	if desc.Owner != id {
-		writeJSON(w, http.StatusForbidden, errorReply{
-			Error: fmt.Sprintf("%v: description owner %q, authenticated %q", ErrDenied, desc.Owner, id),
-		})
-		return
+		return errcode.Refuse(http.StatusForbidden, fmt.Sprintf("%v: description owner %q, authenticated %q", ErrDenied, desc.Owner, id))
 	}
 	sp := s.startSubmitSpan(tc)
 	job, err := s.grid.SubmitTraced(*desc, proxy.Fingerprint(), sp.Context())
 	if err != nil {
 		sp.Error(err.Error())
 		sp.End()
-		status, code := http.StatusBadRequest, ""
+		status, code := http.StatusBadRequest, errcode.BadRequest
 		switch {
 		case errors.Is(err, gridsim.ErrNotStaged):
-			code = "not_staged"
+			code = errcode.NotStaged
 		case errors.Is(err, gridsim.ErrNameTaken):
-			status, code = http.StatusConflict, "name_taken"
+			status, code = http.StatusConflict, errcode.NameTaken
 		}
-		writeJSON(w, status, errorReply{Error: err.Error(), Code: code})
-		return
+		return &errcode.Refusal{Status: status, Code: code, Msg: err.Error()}
 	}
 	sp.Set("site", job.Site)
 	sp.Set("job_id", job.ID)
 	sp.End()
 	writeJSON(w, http.StatusOK, SubmitReply{JobID: job.ID})
+	return nil
 }
 
 // startSubmitSpan opens a "gram.submit" span under the caller's context,
@@ -262,27 +263,21 @@ func (s *Server) startSubmitSpan(tc trace.SpanContext) *trace.Span {
 // signed over the body, like submit). Failures are reported per entry:
 // an unknown or foreign job yields an entry with Error set and never
 // fails the batch.
-func (s *Server) statusBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) statusBatch(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBody+1))
 	if err != nil || len(body) > MaxBody {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "gram: bad body"})
-		return
+		return errcode.Refuse(http.StatusBadRequest, "gram: bad body")
 	}
 	id, err := s.authenticate(r, body)
 	if err != nil {
-		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	var req batchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("%v: %v", ErrBadInput, err)})
-		return
+		return errcode.Refuse(http.StatusBadRequest, fmt.Sprintf("%v: %v", ErrBadInput, err))
 	}
 	if len(req.Jobs) == 0 || len(req.Jobs) > MaxBatch {
-		writeJSON(w, http.StatusBadRequest, errorReply{
-			Error: fmt.Sprintf("%v: batch of %d jobs (1..%d)", ErrBadInput, len(req.Jobs), MaxBatch),
-		})
-		return
+		return errcode.Refuse(http.StatusBadRequest, fmt.Sprintf("%v: batch of %d jobs (1..%d)", ErrBadInput, len(req.Jobs), MaxBatch))
 	}
 	jobs, errs := s.grid.Jobs(req.Jobs)
 	entries := make([]BatchEntry, len(req.Jobs))
@@ -302,61 +297,58 @@ func (s *Server) statusBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, BatchReply{Entries: entries})
+	return nil
 }
 
 // withJob authenticates (token over "job:<id>"), resolves and authorizes
 // the job, then runs fn.
-func (s *Server) withJob(w http.ResponseWriter, r *http.Request, fn func(*gridsim.Job)) {
+func (s *Server) withJob(r *http.Request, fn func(*gridsim.Job) *errcode.Refusal) *errcode.Refusal {
 	jobID := r.URL.Query().Get("job")
 	id, err := s.authenticate(r, []byte("job:"+jobID))
 	if err != nil {
-		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	job, err := s.grid.Job(jobID)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorReply{Error: fmt.Sprintf("%v: %s", ErrNoSuchJob, jobID)})
-		return
+		return errcode.Refuse(http.StatusNotFound, fmt.Sprintf("%v: %s", ErrNoSuchJob, jobID))
 	}
 	if job.Desc.Owner != id {
-		writeJSON(w, http.StatusForbidden, errorReply{Error: ErrNotOwner.Error(), Code: "not_owner"})
-		return
+		return &errcode.Refusal{Status: http.StatusForbidden, Code: errcode.NotOwner, Msg: ErrNotOwner.Error()}
 	}
-	fn(job)
+	return fn(job)
 }
 
-func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
-	s.withJob(w, r, func(j *gridsim.Job) {
+func (s *Server) cancel(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
+	return s.withJob(r, func(j *gridsim.Job) *errcode.Refusal {
 		site, err := s.grid.Site(j.Site)
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorReply{Error: err.Error()})
-			return
+			return errcode.Refuse(http.StatusInternalServerError, err.Error())
 		}
 		if err := site.Cancel(j.ID); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorReply{Error: err.Error()})
-			return
+			return errcode.Refuse(http.StatusInternalServerError, err.Error())
 		}
 		writeJSON(w, http.StatusOK, statusOf(j))
+		return nil
 	})
 }
 
-func (s *Server) sites(w http.ResponseWriter, r *http.Request) {
+func (s *Server) sites(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	if _, err := s.authenticate(r, []byte("sites")); err != nil {
-		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	writeJSON(w, http.StatusOK, s.grid.Stats())
+	return nil
 }
 
 // usage reports the authenticated caller's accounting (jobs run and
 // core-seconds consumed per site) — what allocations are billed against.
-func (s *Server) usage(w http.ResponseWriter, r *http.Request) {
+func (s *Server) usage(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	id, err := s.authenticate(r, []byte("usage"))
 	if err != nil {
-		writeJSON(w, http.StatusForbidden, errorReply{Error: err.Error()})
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	writeJSON(w, http.StatusOK, s.grid.Usage(id))
+	return nil
 }
 
 func statusOf(j *gridsim.Job) StatusReply {
@@ -425,7 +417,7 @@ func okBody(reply hop.Reply, err error) ([]byte, error) {
 		return nil, err
 	}
 	if reply.Status != http.StatusOK {
-		return nil, decodeError(reply.Status, reply.Body)
+		return nil, errcode.Err(reply.Status, reply.Body, sentinels, ErrBadInput)
 	}
 	return reply.Body, nil
 }
@@ -527,7 +519,7 @@ func (c *Client) OutputIfChanged(jobID string, since uint64) (out string, versio
 		return "", since, false, nil
 	}
 	if reply.Status != http.StatusOK {
-		return "", 0, false, decodeError(reply.Status, reply.Body)
+		return "", 0, false, errcode.Err(reply.Status, reply.Body, sentinels, ErrBadInput)
 	}
 	version = since
 	if v, ok := parseOutputETag(reply.Header.Get("ETag")); ok {
@@ -627,24 +619,4 @@ func jobTarget(path, jobID string, extra url.Values) string {
 		t += "&" + extra.Encode()
 	}
 	return t
-}
-
-// decodeError maps a server error to its code's sentinel, else its status's.
-func decodeError(status int, body []byte) error {
-	var er errorReply
-	msg := string(body)
-	if json.Unmarshal(body, &er) == nil && er.Error != "" {
-		msg = er.Error
-	}
-	sentinel := byCode[er.Code]
-	switch {
-	case sentinel != nil:
-	case status == http.StatusForbidden:
-		sentinel = ErrDenied
-	case status == http.StatusNotFound:
-		sentinel = ErrNoSuchJob
-	default:
-		sentinel = ErrBadInput
-	}
-	return fmt.Errorf("%w: http %d: %s", sentinel, status, msg)
 }

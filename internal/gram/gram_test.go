@@ -142,19 +142,9 @@ func TestJobRequestsEscapeQueryValues(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				data, err := f.client.OutputFile(id, name)
-				if err == nil {
-					if len(data) != 32 {
-						t.Fatalf("%q: fetched %d bytes, want the 32-byte artifact", name, len(data))
-					}
-					break
-				}
-				if !errors.Is(err, ErrNoSuchFile) || time.Now().After(deadline) {
-					t.Fatalf("%q: %v", name, err)
-				}
-				time.Sleep(time.Millisecond) // not written yet
+			bubble.Wait() // the job parks in its 23 h compute once both files are written
+			if data, err := f.client.OutputFile(id, name); err != nil || len(data) != 32 {
+				t.Fatalf("%q: fetched %d bytes, %v; want the 32-byte artifact", name, len(data), err)
 			}
 			// The job ID is data too: the gatekeeper is asked about exactly the
 			// (non-existent) job named, not about a prefix of it.
@@ -430,6 +420,9 @@ func TestSubmitNamedJob(t *testing.T) {
 			{"same name, another owner", f.other, named(bob), "", ErrNameTaken},
 			{"same name, another proxy", &Client{BaseURL: f.client.BaseURL, Cred: proxy, Transport: f.client.Transport}, named(f.alice), "", ErrNameTaken},
 			{"no name", f.client, f.desc("hello.gsh"), "siteA:job-", nil},
+			// The client reads a reply's code, and a reply without one by its status.
+			{"coded reply", cannedClient(f, http.StatusConflict, `{"code":"name_taken","error":"taken"}`), named(f.alice), "", ErrNameTaken},
+			{"code-less reply", cannedClient(f, http.StatusForbidden, `{"error":"denied"}`), named(f.alice), "", ErrDenied},
 		} {
 			id, err := row.c.Submit(row.desc)
 			if !errors.Is(err, row.err) || !strings.HasPrefix(id, row.id) || (row.id == "") != (id == "") {
@@ -451,6 +444,12 @@ func TestSubmitNamedJob(t *testing.T) {
 			t.Fatalf("siteA ran %+v: want the named job once and the unnamed one", st)
 		}
 	})
+}
+
+// cannedClient is alice's client on a gatekeeper that answers every
+// request with status and body.
+func cannedClient(f *fixture, status int, body string) *Client {
+	return &Client{BaseURL: "http://gk.invalid", Cred: f.client.Cred, Transport: &canned{status: status, body: body}}
 }
 
 func TestSubmitUnstagedExecutable(t *testing.T) {

@@ -87,12 +87,9 @@ func (c *Client) haveChunksOne(digests []string) ([]string, error) {
 	}
 	sum := sha256.Sum256(body)
 	reply, err := c.do(call{method: http.MethodPost, target: "/ftp/chunks/have",
-		op: "CHUNK-HAVE", checksum: hex.EncodeToString(sum[:]), contentType: "application/json", body: body})
+		op: "CHUNK-HAVE", checksum: hex.EncodeToString(sum[:]), contentType: "application/json", body: body, want: http.StatusOK})
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: chunks/have: %w", err)
-	}
-	if reply.Status != http.StatusOK {
-		return nil, replyError(reply)
 	}
 	var have haveReply
 	if err := json.Unmarshal(reply.Body, &have); err != nil {
@@ -103,13 +100,10 @@ func (c *Client) haveChunksOne(digests []string) ([]string, error) {
 
 // PutChunk ships one wire chunk under its digest.
 func (c *Client) PutChunk(digest string, chunk []byte) error {
-	reply, err := c.do(call{method: http.MethodPut, target: "/ftp/chunk/" + digest,
-		op: "CHUNK-PUT", name: digest, contentType: "application/octet-stream", body: chunk})
+	_, err := c.do(call{method: http.MethodPut, target: "/ftp/chunk/" + digest,
+		op: "CHUNK-PUT", name: digest, contentType: "application/octet-stream", body: chunk, want: http.StatusCreated})
 	if err != nil {
 		return fmt.Errorf("gridftp: put chunk %s: %w", digest[:12], err)
-	}
-	if reply.Status != http.StatusCreated {
-		return replyError(reply)
 	}
 	return nil
 }
@@ -128,12 +122,9 @@ func (c *Client) Commit(name, encoding, fileSha256 string, chunks []string) (str
 	}
 	reply, err := c.do(call{method: http.MethodPost, target: "/ftp/commit",
 		op: "CHUNK-COMMIT", name: name, checksum: fileSha256,
-		contentType: "application/json", header: EncodingHeader, value: encoding, body: body})
+		contentType: "application/json", header: EncodingHeader, value: encoding, body: body, want: http.StatusCreated})
 	if err != nil {
 		return "", fmt.Errorf("gridftp: commit %s: %w", name, err)
-	}
-	if reply.Status != http.StatusCreated {
-		return "", replyError(reply)
 	}
 	return reply.Header.Get(ChecksumHeader), nil
 }

@@ -35,6 +35,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/errcode"
 	"repro/internal/sizedio"
 )
 
@@ -196,21 +197,18 @@ func parseManifest(body []byte) (*chunkManifest, error) {
 // haveChunks answers the dedup/resume probe: which of these digests does
 // the server not hold? The request body (not the chunk data) is bound
 // into the auth token.
-func (s *Server) haveChunks(w http.ResponseWriter, r *http.Request) {
+func (s *Server) haveChunks(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "gridftp: read have request: "+err.Error())
-		return
+		return errcode.Refuse(http.StatusBadRequest, "gridftp: read have request: "+err.Error())
 	}
 	req, err := parseHaveRequest(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return errcode.Refuse(http.StatusBadRequest, err.Error())
 	}
 	sum := sha256.Sum256(body)
 	if _, err := s.authenticate(r, signPayload("CHUNK-HAVE", "", hex.EncodeToString(sum[:]))); err != nil {
-		httpError(w, http.StatusForbidden, err.Error())
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	missing := make([]string, 0, len(req.Digests))
 	seen := make(map[string]bool, len(req.Digests))
@@ -225,73 +223,64 @@ func (s *Server) haveChunks(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(haveReply{Missing: missing})
+	return nil
 }
 
 // putChunk stores one wire chunk under its digest. Integrity-checked
 // (the body must hash to the digest in the path) and idempotent: a
 // re-shipped chunk answers 201 again without rewriting.
-func (s *Server) putChunk(w http.ResponseWriter, r *http.Request, digest string) {
+func (s *Server) putChunk(w http.ResponseWriter, r *http.Request, digest string) *errcode.Refusal {
 	if !validDigest(digest) {
-		httpError(w, http.StatusBadRequest, ErrBadInput.Error()+": malformed chunk digest")
-		return
+		return errcode.Refuse(http.StatusBadRequest, ErrBadInput.Error()+": malformed chunk digest")
 	}
 	body, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxChunkBytes)
 	if errors.Is(err, sizedio.ErrTooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, "gridftp: chunk too large")
-		return
+		return errcode.Refuse(http.StatusRequestEntityTooLarge, "gridftp: chunk too large")
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "gridftp: read chunk: "+err.Error())
-		return
+		return errcode.Refuse(http.StatusBadRequest, "gridftp: read chunk: "+err.Error())
 	}
 	if len(body) == 0 {
-		httpError(w, http.StatusBadRequest, ErrBadInput.Error()+": empty chunk")
-		return
+		return errcode.Refuse(http.StatusBadRequest, ErrBadInput.Error()+": empty chunk")
 	}
 	sum := sha256.Sum256(body)
 	if got := hex.EncodeToString(sum[:]); got != digest {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("%v: chunk hashes to %s not %s", ErrChecksum, got, digest))
-		return
+		return errcode.Refuse(http.StatusBadRequest, fmt.Sprintf("%v: chunk hashes to %s not %s", ErrChecksum, got, digest))
 	}
 	if _, err := s.authenticate(r, signPayload("CHUNK-PUT", digest, "")); err != nil {
-		httpError(w, http.StatusForbidden, err.Error())
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	s.chunks.put(digest, body)
 	w.Header().Set(ChecksumHeader, digest)
 	w.WriteHeader(http.StatusCreated)
+	return nil
 }
 
 // commit assembles a manifest's chunks into one file, inflates it when
 // the manifest negotiated gzip, verifies the whole-file SHA-256, and
 // registers the result in the site store under the authenticated
 // identity. This is the only chunked operation that takes ownership.
-func (s *Server) commit(w http.ResponseWriter, r *http.Request) {
+func (s *Server) commit(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "gridftp: read commit request: "+err.Error())
-		return
+		return errcode.Refuse(http.StatusBadRequest, "gridftp: read commit request: "+err.Error())
 	}
 	m, err := parseManifest(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return errcode.Refuse(http.StatusBadRequest, err.Error())
 	}
 	id, err := s.authenticate(r, signPayload("CHUNK-COMMIT", m.Name, m.FileSha256))
 	if err != nil {
-		httpError(w, http.StatusForbidden, err.Error())
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	var wire bytes.Buffer
 	for _, d := range m.Chunks {
 		chunk, ok := s.chunks.get(d)
 		if !ok {
-			httpError(w, http.StatusConflict, fmt.Sprintf("%v: missing chunk %s", ErrNoChunk, d))
-			return
+			return errcode.Refuse(http.StatusConflict, fmt.Sprintf("%v: missing chunk %s", ErrNoChunk, d))
 		}
 		if wire.Len()+len(chunk) > MaxFileBytes {
-			httpError(w, http.StatusRequestEntityTooLarge, "gridftp: assembled file too large")
-			return
+			return errcode.Refuse(http.StatusRequestEntityTooLarge, "gridftp: assembled file too large")
 		}
 		wire.Write(chunk)
 	}
@@ -299,33 +288,29 @@ func (s *Server) commit(w http.ResponseWriter, r *http.Request) {
 	if m.Encoding == "gzip" {
 		zr, err := gzip.NewReader(bytes.NewReader(data))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, ErrBadInput.Error()+": bad gzip stream: "+err.Error())
-			return
+			return errcode.Refuse(http.StatusBadRequest, ErrBadInput.Error()+": bad gzip stream: "+err.Error())
 		}
 		inflated, err := io.ReadAll(io.LimitReader(zr, MaxFileBytes+1))
 		if closeErr := zr.Close(); err == nil {
 			err = closeErr
 		}
 		if err != nil {
-			httpError(w, http.StatusBadRequest, ErrBadInput.Error()+": bad gzip stream: "+err.Error())
-			return
+			return errcode.Refuse(http.StatusBadRequest, ErrBadInput.Error()+": bad gzip stream: "+err.Error())
 		}
 		if len(inflated) > MaxFileBytes {
-			httpError(w, http.StatusRequestEntityTooLarge, "gridftp: inflated file too large")
-			return
+			return errcode.Refuse(http.StatusRequestEntityTooLarge, "gridftp: inflated file too large")
 		}
 		data = inflated
 	}
 	sum := sha256.Sum256(data)
 	checksum := hex.EncodeToString(sum[:])
 	if checksum != m.FileSha256 {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("%v: assembled file hashes to %s not %s", ErrChecksum, checksum, m.FileSha256))
-		return
+		return errcode.Refuse(http.StatusBadRequest, fmt.Sprintf("%v: assembled file hashes to %s not %s", ErrChecksum, checksum, m.FileSha256))
 	}
 	if err := s.store.Put(id, m.Name, data); err != nil {
-		httpError(w, http.StatusInsufficientStorage, err.Error())
-		return
+		return errcode.Refuse(http.StatusInsufficientStorage, err.Error())
 	}
 	w.Header().Set(ChecksumHeader, checksum)
 	w.WriteHeader(http.StatusCreated)
+	return nil
 }

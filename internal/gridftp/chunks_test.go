@@ -125,13 +125,42 @@ func TestChunkPutEmptyRejected(t *testing.T) {
 	}
 }
 
+// TestCommitMissingChunk: a commit that names a chunk the site lacks is
+// ErrNoChunk, read from the reply's code (not its status), or from its
+// status when the reply carries no code.
 func TestCommitMissingChunk(t *testing.T) {
 	f := newFixture(t)
 	data := []byte("never shipped")
-	_, err := f.alice.Commit("f.gsh", "", digestOf(data), []string{digestOf(data)})
-	if !errors.Is(err, ErrNoChunk) {
-		t.Fatalf("got %v", err)
+	canned := func(status int, body string) *Client {
+		return &Client{BaseURL: "http://ftp.invalid", Cred: f.alice.Cred, Transport: cannedReply{status, body}}
 	}
+	for _, row := range []struct {
+		name string
+		c    *Client
+	}{
+		{"the site", f.alice},
+		{"coded reply", canned(http.StatusBadRequest, `{"code":"conflict","error":"missing chunk"}`)},
+		{"code-less reply", canned(http.StatusConflict, `{"error":"missing chunk"}`)},
+	} {
+		if _, err := row.c.Commit("f.gsh", "", digestOf(data), []string{digestOf(data)}); !errors.Is(err, ErrNoChunk) {
+			t.Errorf("%s: got %v", row.name, err)
+		}
+	}
+}
+
+// cannedReply answers every request with its status and body.
+type cannedReply struct {
+	status int
+	body   string
+}
+
+func (c cannedReply) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		io.Copy(io.Discard, req.Body)
+		req.Body.Close()
+	}
+	return &http.Response{StatusCode: c.status, Header: http.Header{}, ContentLength: int64(len(c.body)),
+		Body: io.NopCloser(strings.NewReader(c.body))}, nil
 }
 
 func TestCommitWrongFileChecksum(t *testing.T) {
@@ -293,15 +322,17 @@ func TestConcurrentPutChunkedSameName(t *testing.T) {
 	}
 }
 
-// stockServer mimics a server predating the chunk protocol: every /ftp/
-// path is parsed as a file name, and the "/" inside the chunk paths makes
-// them bad file names (400) — the downgrade signal PutChunked relies on.
+// stockServer mimics a server predating the chunk protocol and the error
+// codes: every /ftp/ path is parsed as a file name, and the "/" inside the
+// chunk paths makes them bad file names (400, with no code) — the
+// downgrade signal PutChunked relies on.
 func stockServer(t *testing.T, srv *Server) *httptest.Server {
 	t.Helper()
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimPrefix(r.URL.Path, "/ftp/")
 		if strings.Contains(name, "/") {
-			httpError(w, http.StatusBadRequest, "gridftp: bad file name")
+			w.WriteHeader(http.StatusBadRequest)
+			io.WriteString(w, `{"error":"gridftp: bad file name"}`)
 			return
 		}
 		srv.ServeHTTP(w, r)

@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/errcode"
 	"repro/internal/gridsim"
 	"repro/internal/hop"
 	"repro/internal/sizedio"
@@ -187,105 +188,100 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// serve answers r, or writes the refusal route returns.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
+	if refused := s.route(w, r); refused != nil {
+		refused.Write(w)
+	}
+}
+
+// route serves r, or returns its refusal.
+func (s *Server) route(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	if r.URL.Path == "/ftp-fetch" && r.Method == http.MethodPost {
-		s.fetch(w, r)
-		return
+		return s.fetch(w, r)
 	}
 	// Chunked-transfer endpoints live under /ftp/ but contain "/" in the
 	// trailing component, so stock servers reject them with 400 — that is
 	// the downgrade signal clients use to fall back to a plain PUT. They
 	// must therefore be routed before the generic /ftp/<name> parse.
 	if r.URL.Path == "/ftp/chunks/have" && r.Method == http.MethodPost {
-		s.haveChunks(w, r)
-		return
+		return s.haveChunks(w, r)
 	}
 	if digest, ok := strings.CutPrefix(r.URL.Path, "/ftp/chunk/"); ok && r.Method == http.MethodPut {
-		s.putChunk(w, r, digest)
-		return
+		return s.putChunk(w, r, digest)
 	}
 	if r.URL.Path == "/ftp/commit" && r.Method == http.MethodPost {
-		s.commit(w, r)
-		return
+		return s.commit(w, r)
 	}
 	if !strings.HasPrefix(r.URL.Path, "/ftp/") {
-		httpError(w, http.StatusNotFound, "gridftp: unknown endpoint")
-		return
+		return errcode.Refuse(http.StatusNotFound, "gridftp: unknown endpoint")
 	}
 	name, err := url.PathUnescape(strings.TrimPrefix(r.URL.Path, "/ftp/"))
 	if err != nil || name == "" || strings.Contains(name, "/") {
-		httpError(w, http.StatusBadRequest, ErrBadInput.Error()+": bad file name")
-		return
+		return errcode.Refuse(http.StatusBadRequest, ErrBadInput.Error()+": bad file name")
 	}
 	switch r.Method {
 	case http.MethodPut:
-		s.put(w, r, name)
+		return s.put(w, r, name)
 	case http.MethodGet:
-		s.get(w, r, name)
+		return s.get(w, r, name)
 	case http.MethodDelete:
-		s.delete(w, r, name)
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "gridftp: method not allowed")
+		return s.delete(w, r, name)
 	}
+	return errcode.Refuse(http.StatusMethodNotAllowed, "gridftp: method not allowed")
 }
 
-func (s *Server) put(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) put(w http.ResponseWriter, r *http.Request, name string) *errcode.Refusal {
 	body, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxFileBytes)
 	if errors.Is(err, sizedio.ErrTooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, "gridftp: file too large")
-		return
+		return errcode.Refuse(http.StatusRequestEntityTooLarge, "gridftp: file too large")
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "gridftp: read body: "+err.Error())
-		return
+		return errcode.Refuse(http.StatusBadRequest, "gridftp: read body: "+err.Error())
 	}
 	sum := sha256.Sum256(body)
 	checksum := hex.EncodeToString(sum[:])
 	if want := r.Header.Get(ChecksumHeader); want != checksum {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("%v: got %s want %s", ErrChecksum, checksum, want))
-		return
+		return errcode.Refuse(http.StatusBadRequest, fmt.Sprintf("%v: got %s want %s", ErrChecksum, checksum, want))
 	}
 	id, err := s.authenticate(r, signPayload(http.MethodPut, name, checksum))
 	if err != nil {
-		httpError(w, http.StatusForbidden, err.Error())
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	if err := s.store.Put(id, name, body); err != nil {
-		httpError(w, http.StatusInsufficientStorage, err.Error())
-		return
+		return errcode.Refuse(http.StatusInsufficientStorage, err.Error())
 	}
 	w.Header().Set(ChecksumHeader, checksum)
 	w.WriteHeader(http.StatusCreated)
+	return nil
 }
 
-func (s *Server) get(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) get(w http.ResponseWriter, r *http.Request, name string) *errcode.Refusal {
 	id, err := s.authenticate(r, signPayload(http.MethodGet, name, ""))
 	if err != nil {
-		httpError(w, http.StatusForbidden, err.Error())
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	data, err := s.store.Get(id, name)
 	if err != nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("%v: %s", ErrNoFile, name))
-		return
+		return errcode.Refuse(http.StatusNotFound, fmt.Sprintf("%v: %s", ErrNoFile, name))
 	}
 	sum := sha256.Sum256(data)
 	w.Header().Set(ChecksumHeader, hex.EncodeToString(sum[:]))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(data)
+	return nil
 }
 
-func (s *Server) delete(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) delete(w http.ResponseWriter, r *http.Request, name string) *errcode.Refusal {
 	id, err := s.authenticate(r, signPayload(http.MethodDelete, name, ""))
 	if err != nil {
-		httpError(w, http.StatusForbidden, err.Error())
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	if err := s.store.Delete(id, name); err != nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("%v: %s", ErrNoFile, name))
-		return
+		return errcode.Refuse(http.StatusNotFound, fmt.Sprintf("%v: %s", ErrNoFile, name))
 	}
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 // fetchRequest asks this server to pull a file from another GridFTP
@@ -300,31 +296,26 @@ type fetchRequest struct {
 
 // fetch pulls name from another site's server and stores it locally
 // under the authenticated identity.
-func (s *Server) fetch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) fetch(w http.ResponseWriter, r *http.Request) *errcode.Refusal {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<10))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "gridftp: read fetch request: "+err.Error())
-		return
+		return errcode.Refuse(http.StatusBadRequest, "gridftp: read fetch request: "+err.Error())
 	}
 	var req fetchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, ErrBadInput.Error()+": "+err.Error())
-		return
+		return errcode.Refuse(http.StatusBadRequest, ErrBadInput.Error()+": "+err.Error())
 	}
 	if req.Name == "" || strings.Contains(req.Name, "/") || req.SourceURL == "" {
-		httpError(w, http.StatusBadRequest, ErrBadInput.Error()+": bad fetch fields")
-		return
+		return errcode.Refuse(http.StatusBadRequest, ErrBadInput.Error()+": bad fetch fields")
 	}
 	id, err := s.authenticate(r, signPayload("FETCH", req.Name, req.SourceURL))
 	if err != nil {
-		httpError(w, http.StatusForbidden, err.Error())
-		return
+		return errcode.Refuse(http.StatusForbidden, err.Error())
 	}
 	// Pull from the source with the enclosed capability.
 	getReq, err := http.NewRequest(http.MethodGet, req.SourceURL+"/ftp/"+url.PathEscape(req.Name), nil)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return errcode.Refuse(http.StatusBadRequest, err.Error())
 	}
 	getReq.Header.Set(TokenHeader, req.SourceToken)
 	if tc := r.Header.Get(trace.Header); tc != "" {
@@ -332,43 +323,32 @@ func (s *Server) fetch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := hop.RoundTrip(s.pull, getReq)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "gridftp: fetch from source: "+err.Error())
-		return
+		return errcode.Refuse(http.StatusBadGateway, "gridftp: fetch from source: "+err.Error())
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		srcBody, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		httpError(w, http.StatusBadGateway,
+		return errcode.Refuse(http.StatusBadGateway,
 			fmt.Sprintf("gridftp: source answered %d: %s", resp.StatusCode, srcBody))
-		return
 	}
 	data, err := sizedio.ReadAll(resp.Body, resp.ContentLength, MaxFileBytes)
 	if errors.Is(err, sizedio.ErrTooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, "gridftp: fetched file too large")
-		return
+		return errcode.Refuse(http.StatusRequestEntityTooLarge, "gridftp: fetched file too large")
 	}
 	if err != nil {
-		httpError(w, http.StatusBadGateway, err.Error())
-		return
+		return errcode.Refuse(http.StatusBadGateway, err.Error())
 	}
 	sum := sha256.Sum256(data)
 	checksum := hex.EncodeToString(sum[:])
 	if want := resp.Header.Get(ChecksumHeader); want != "" && want != checksum {
-		httpError(w, http.StatusBadGateway, ErrChecksum.Error()+": source payload damaged")
-		return
+		return errcode.Refuse(http.StatusBadGateway, ErrChecksum.Error()+": source payload damaged")
 	}
 	if err := s.store.Put(id, req.Name, data); err != nil {
-		httpError(w, http.StatusInsufficientStorage, err.Error())
-		return
+		return errcode.Refuse(http.StatusInsufficientStorage, err.Error())
 	}
 	w.Header().Set(ChecksumHeader, checksum)
 	w.WriteHeader(http.StatusCreated)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	return nil
 }
 
 // Client stages files to and from one site's GridFTP server. Every call
@@ -405,9 +385,11 @@ type call struct {
 	body               []byte
 	file               *File // sent in place of body, streamed
 	limit              int64
+	want               int // the reply's status on success
 }
 
-// do signs and sends rq and returns the reply whatever its status.
+// do signs and sends rq and returns the reply, or the error a reply of
+// another status than rq.want names (sentinels).
 func (c *Client) do(rq call) (hop.Reply, error) {
 	tok, err := c.sign(rq.op, rq.name, rq.checksum)
 	if err != nil {
@@ -421,10 +403,16 @@ func (c *Client) do(rq call) (hop.Reply, error) {
 		rq.limit = 1 << 20
 	}
 	header := hop.Header(TokenHeader, tok, trace.Header, c.Trace, "Content-Type", rq.contentType, rq.header, rq.value)
+	var reply hop.Reply
 	if rq.file != nil {
-		return hop.DoStream(c.Transport, rq.method, root, rq.target, header, rq.file.Size, rq.file.Open, rq.limit)
+		reply, err = hop.DoStream(c.Transport, rq.method, root, rq.target, header, rq.file.Size, rq.file.Open, rq.limit)
+	} else {
+		reply, err = hop.Do(c.Transport, rq.method, root, rq.target, header, rq.body, rq.limit)
 	}
-	return hop.Do(c.Transport, rq.method, root, rq.target, header, rq.body, rq.limit)
+	if err == nil && reply.Status != rq.want {
+		err = errcode.Err(reply.Status, reply.Body, sentinels, ErrBadInput)
+	}
+	return reply, err
 }
 
 // File is what one transfer sends: Size bytes that hash to SHA256, read
@@ -463,12 +451,9 @@ func (c *Client) Put(name string, data []byte) (string, error) {
 func (c *Client) PutFile(name string, f File) (string, error) {
 	reply, err := c.do(call{method: http.MethodPut, target: filePath(name),
 		op: http.MethodPut, name: name, checksum: f.SHA256,
-		contentType: "application/octet-stream", header: ChecksumHeader, value: f.SHA256, file: &f})
+		contentType: "application/octet-stream", header: ChecksumHeader, value: f.SHA256, file: &f, want: http.StatusCreated})
 	if err != nil {
 		return "", fmt.Errorf("gridftp: put %s: %w", name, err)
-	}
-	if reply.Status != http.StatusCreated {
-		return "", replyError(reply)
 	}
 	if got := reply.Header.Get(ChecksumHeader); got != f.SHA256 {
 		return "", fmt.Errorf("%w: server stored %s, sent %s", ErrChecksum, got, f.SHA256)
@@ -478,12 +463,9 @@ func (c *Client) PutFile(name string, f File) (string, error) {
 
 // Get downloads name, verifying the checksum trailer.
 func (c *Client) Get(name string) ([]byte, error) {
-	reply, err := c.do(call{method: http.MethodGet, target: filePath(name), op: http.MethodGet, name: name, limit: MaxFileBytes})
+	reply, err := c.do(call{method: http.MethodGet, target: filePath(name), op: http.MethodGet, name: name, limit: MaxFileBytes, want: http.StatusOK})
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: get %s: %w", name, err)
-	}
-	if reply.Status != http.StatusOK {
-		return nil, replyError(reply)
 	}
 	sum := sha256.Sum256(reply.Body)
 	if want := reply.Header.Get(ChecksumHeader); want != hex.EncodeToString(sum[:]) {
@@ -494,12 +476,9 @@ func (c *Client) Get(name string) ([]byte, error) {
 
 // Delete removes name.
 func (c *Client) Delete(name string) error {
-	reply, err := c.do(call{method: http.MethodDelete, target: filePath(name), op: http.MethodDelete, name: name})
+	_, err := c.do(call{method: http.MethodDelete, target: filePath(name), op: http.MethodDelete, name: name, want: http.StatusNoContent})
 	if err != nil {
 		return fmt.Errorf("gridftp: delete %s: %w", name, err)
-	}
-	if reply.Status != http.StatusNoContent {
-		return replyError(reply)
 	}
 	return nil
 }
@@ -523,37 +502,20 @@ func (c *Client) FetchFrom(sourceURL, name string) (string, error) {
 		return "", err
 	}
 	reply, err := c.do(call{method: http.MethodPost, target: "/ftp-fetch", op: "FETCH", name: name, checksum: sourceURL,
-		contentType: "application/json", body: body})
+		contentType: "application/json", body: body, want: http.StatusCreated})
 	if err != nil {
 		return "", fmt.Errorf("gridftp: fetch %s from %s: %w", name, sourceURL, err)
-	}
-	if reply.Status != http.StatusCreated {
-		return "", replyError(reply)
 	}
 	return reply.Header.Get(ChecksumHeader), nil
 }
 
 func filePath(name string) string { return "/ftp/" + url.PathEscape(name) }
 
-// replyError names the error a reply of an unexpected status carries.
-func replyError(reply hop.Reply) error {
-	var er struct {
-		Error string `json:"error"`
-	}
-	msg := string(reply.Body)
-	if json.Unmarshal(reply.Body, &er) == nil && er.Error != "" {
-		msg = er.Error
-	}
-	var sentinel error
-	switch reply.Status {
-	case http.StatusForbidden:
-		sentinel = ErrDenied
-	case http.StatusNotFound:
-		sentinel = ErrNoFile
-	case http.StatusConflict:
-		sentinel = ErrNoChunk
-	default:
-		sentinel = ErrBadInput
-	}
-	return fmt.Errorf("%w: http %d: %s", sentinel, reply.Status, msg)
+// sentinels names the error each code of a site's reply stands for; a
+// reply whose code is not listed is ErrBadInput: a bad request, a file or
+// manifest too large, a full store, a failed third-party fetch.
+var sentinels = map[string]error{
+	errcode.Forbidden: ErrDenied,
+	errcode.NotFound:  ErrNoFile,
+	errcode.Conflict:  ErrNoChunk,
 }

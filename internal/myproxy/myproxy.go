@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/errcode"
 	"repro/internal/trace"
 	"repro/internal/xsec"
 )
@@ -37,8 +38,8 @@ const (
 	DefaultLifetime = 12 * time.Hour
 )
 
-// Errors surfaced to clients as response strings and re-materialised by
-// the client into these values.
+// Errors surfaced to clients as response codes and re-materialised by
+// the client into these values (sentinels).
 var (
 	ErrNoSuchUser    = errors.New("myproxy: no credential stored for user")
 	ErrBadPassphrase = errors.New("myproxy: bad passphrase")
@@ -67,11 +68,21 @@ type request struct {
 	Trace      string          `json:"trace,omitempty"`
 }
 
-// response is the single wire message the server answers with.
+// response is the single wire message the server answers with. A refusal
+// names its cause by an errcode code.
 type response struct {
 	OK         bool            `json:"ok"`
+	Code       string          `json:"code,omitempty"`
 	Error      string          `json:"error,omitempty"`
 	Credential json.RawMessage `json:"credential,omitempty"`
+}
+
+// sentinels names the error each code of a refusal stands for; a refusal
+// under another code is an error of its message alone.
+var sentinels = map[string]error{
+	errcode.NotFound:     ErrNoSuchUser,
+	errcode.Unauthorized: ErrBadPassphrase,
+	errcode.Forbidden:    ErrExpired,
 }
 
 type stored struct {
@@ -136,7 +147,7 @@ func (s *Server) handle(c net.Conn) {
 	defer c.Close()
 	var req request
 	if err := readMsg(c, &req); err != nil {
-		writeMsg(c, response{Error: ErrProtocol.Error()})
+		writeMsg(c, response{Code: errcode.BadRequest, Error: ErrProtocol.Error()})
 		return
 	}
 	resp := s.dispatch(&req)
@@ -153,7 +164,15 @@ func (s *Server) dispatch(req *request) response {
 			sp.Set("user", req.User)
 		}
 	}
-	resp := s.dispatchOp(req)
+	var resp response
+	switch req.Op {
+	case OpPut:
+		resp = s.put(req)
+	case OpGet:
+		resp = s.get(req)
+	default:
+		resp = response{Code: errcode.BadRequest, Error: fmt.Sprintf("myproxy: unknown op %q", req.Op)}
+	}
 	if resp.Error != "" {
 		sp.Error(resp.Error)
 	}
@@ -161,25 +180,14 @@ func (s *Server) dispatch(req *request) response {
 	return resp
 }
 
-func (s *Server) dispatchOp(req *request) response {
-	switch req.Op {
-	case OpPut:
-		return s.put(req)
-	case OpGet:
-		return s.get(req)
-	default:
-		return response{Error: fmt.Sprintf("myproxy: unknown op %q", req.Op)}
-	}
-}
-
 func (s *Server) put(req *request) response {
 	cred, err := xsec.UnmarshalCredential(req.Credential)
 	if err != nil || cred.Leaf() == nil {
-		return response{Error: ErrProtocol.Error() + ": bad credential"}
+		return response{Code: errcode.BadRequest, Error: ErrProtocol.Error() + ": bad credential"}
 	}
 	var salt [16]byte
 	if _, err := rand.Read(salt[:]); err != nil {
-		return response{Error: "myproxy: entropy unavailable"}
+		return response{Code: errcode.Internal, Error: "myproxy: entropy unavailable"}
 	}
 	st := &stored{
 		cred:     cred,
@@ -192,28 +200,20 @@ func (s *Server) put(req *request) response {
 	return response{OK: true}
 }
 
-func (s *Server) lookup(req *request) (*stored, error) {
+func (s *Server) get(req *request) response {
 	s.mu.Lock()
 	st, ok := s.creds[req.User]
 	s.mu.Unlock()
 	if !ok {
-		return nil, ErrNoSuchUser
+		return response{Code: errcode.NotFound, Error: ErrNoSuchUser.Error()}
 	}
 	want := hashPass(st.salt, req.Passphrase)
 	if subtle.ConstantTimeCompare(want[:], st.passHash[:]) != 1 {
-		return nil, ErrBadPassphrase
-	}
-	return st, nil
-}
-
-func (s *Server) get(req *request) response {
-	st, err := s.lookup(req)
-	if err != nil {
-		return response{Error: err.Error()}
+		return response{Code: errcode.Unauthorized, Error: ErrBadPassphrase.Error()}
 	}
 	now := time.Now()
 	if !st.cred.Leaf().ValidAt(now) {
-		return response{Error: ErrExpired.Error()}
+		return response{Code: errcode.Forbidden, Error: ErrExpired.Error()}
 	}
 	lifetime := DefaultLifetime
 	if req.LifetimeS > 0 {
@@ -221,11 +221,11 @@ func (s *Server) get(req *request) response {
 	}
 	proxy, err := st.cred.Delegate(now, lifetime)
 	if err != nil {
-		return response{Error: err.Error()}
+		return response{Code: errcode.Internal, Error: err.Error()}
 	}
 	b, err := proxy.Marshal()
 	if err != nil {
-		return response{Error: err.Error()}
+		return response{Code: errcode.Internal, Error: err.Error()}
 	}
 	return response{OK: true, Credential: b}
 }
@@ -272,20 +272,12 @@ func (c *Client) roundTrip(req request) (*response, error) {
 		return nil, err
 	}
 	if !resp.OK {
-		return nil, mapError(resp.Error)
+		if err, ok := sentinels[resp.Code]; ok {
+			return nil, err
+		}
+		return nil, errors.New(resp.Error)
 	}
 	return &resp, nil
-}
-
-// mapError re-materialises well-known server errors so callers can use
-// errors.Is across the wire.
-func mapError(msg string) error {
-	for _, e := range []error{ErrNoSuchUser, ErrBadPassphrase, ErrExpired} {
-		if msg == e.Error() {
-			return e
-		}
-	}
-	return errors.New(msg)
 }
 
 // Put stores cred for user under passphrase.

@@ -3,6 +3,7 @@ package myproxy
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -105,11 +106,39 @@ func TestGetRespectsRequestedLifetime(t *testing.T) {
 	})
 }
 
+// TestBadPassphrase: a refusal is read by its code, never by its text: a
+// reply with no code is an error of its message alone.
 func TestBadPassphrase(t *testing.T) {
 	f := newFixture(t)
 	f.client.Put("alice", "right", f.user)
-	if _, err := f.client.Get("alice", "wrong", time.Hour); !errors.Is(err, ErrBadPassphrase) {
-		t.Fatalf("got %v", err)
+	for _, row := range []struct {
+		name string
+		c    *Client
+		is   bool // the error is ErrBadPassphrase
+	}{
+		{"the repository", f.client, true},
+		{"coded reply", &Client{Dial: answering(response{Code: "unauthorized", Error: "refused"})}, true},
+		{"code-less reply", &Client{Dial: answering(response{Error: ErrBadPassphrase.Error()})}, false},
+	} {
+		_, err := row.c.Get("alice", "wrong", time.Hour)
+		if err == nil || errors.Is(err, ErrBadPassphrase) != row.is {
+			t.Errorf("%s: got %v, want ErrBadPassphrase: %v", row.name, err, row.is)
+		}
+	}
+}
+
+// answering dials a repository that reads one request and sends resp.
+func answering(resp response) func(context.Context, string, string) (net.Conn, error) {
+	return func(context.Context, string, string) (net.Conn, error) {
+		client, server := net.Pipe()
+		go func() {
+			defer server.Close()
+			var req request
+			if readMsg(server, &req) == nil {
+				writeMsg(server, resp)
+			}
+		}()
+		return client, nil
 	}
 }
 

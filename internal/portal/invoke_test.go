@@ -3,7 +3,6 @@ package portal
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/errcode"
 )
 
 // FuzzInvokeBody holds the one reader of an /api/invoke body to the
@@ -147,7 +147,7 @@ func TestErrorCancelDeleteRepliesRenderLikeTheMaps(t *testing.T) {
 	if got, want := render(http.StatusOK, asJSON(cancelReply{State: "cancelling"})), `{"state":"cancelling"}`+"\n"; got != want {
 		t.Errorf("cancel reply %q, want %q", got, want)
 	}
-	got := render(http.StatusNotFound, func(w http.ResponseWriter) { WriteError(w, http.StatusNotFound, core.ErrNoSuchService) })
+	got := render(http.StatusNotFound, func(w http.ResponseWriter) { WriteError(w, core.ErrNoSuchService) })
 	if want := `{"code":"not_found","error":"` + core.ErrNoSuchService.Error() + `"}` + "\n"; got != want {
 		t.Errorf("error envelope %q, want %q", got, want)
 	}
@@ -155,7 +155,7 @@ func TestErrorCancelDeleteRepliesRenderLikeTheMaps(t *testing.T) {
 		if got, want := render(http.StatusOK, asJSON(deleteReply{Deleted: s})), render(http.StatusOK, asJSON(map[string]string{"deleted": s})); got != want {
 			t.Errorf("delete reply %q, the map gave %q", got, want)
 		}
-		got := render(http.StatusBadRequest, func(w http.ResponseWriter) { WriteError(w, http.StatusBadRequest, errors.New(s)) })
+		got := render(http.StatusBadRequest, func(w http.ResponseWriter) { errcode.Refuse(http.StatusBadRequest, s).Write(w) })
 		want := render(http.StatusBadRequest, func(w http.ResponseWriter) {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": s, "code": "bad_request"})
 		})

@@ -21,8 +21,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/errcode"
 	"repro/internal/flatjson"
-	"repro/internal/gram"
 	"repro/internal/metrics"
 	"repro/internal/sizedio"
 	"repro/internal/tenant"
@@ -53,7 +53,7 @@ func New(ons *core.OnServe, registry *uddi.Registry, probe *metrics.Probe, cost 
 	p := &Portal{onserve: ons, registry: registry, probe: probe, cost: cost}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", p.home)
-	mux.HandleFunc("/upload", p.upload)
+	mux.HandleFunc("/upload", postOnly(p.upload))
 	mux.HandleFunc("/registry", p.registryPage)
 	mux.HandleFunc("/trace", p.tracePage)
 	mux.HandleFunc("/api/stats", p.apiStats)
@@ -63,16 +63,27 @@ func New(ons *core.OnServe, registry *uddi.Registry, probe *metrics.Probe, cost 
 	mux.HandleFunc("/api/registry", p.apiRegistry)
 	mux.HandleFunc("/api/service", p.apiService)
 	mux.HandleFunc("/api/client", p.apiClient)
-	mux.HandleFunc("/api/invoke", p.apiInvoke)
+	mux.HandleFunc("/api/invoke", postOnly(p.apiInvoke))
 	mux.HandleFunc("/api/status", p.apiStatus)
 	mux.HandleFunc("/api/output", p.apiOutput)
 	mux.HandleFunc("/api/outfile", p.apiOutputFile)
 	mux.HandleFunc("/api/wait", p.apiWait)
-	mux.HandleFunc("/api/cancel", p.apiCancel)
-	mux.HandleFunc("/api/delete", p.apiDelete)
+	mux.HandleFunc("/api/cancel", postOnly(p.apiCancel))
+	mux.HandleFunc("/api/delete", postOnly(p.apiDelete))
 	mux.HandleFunc("/api/audit", p.apiAudit)
 	p.mux = mux
 	return p
+}
+
+// postOnly refuses every method but POST before h runs.
+func postOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			errcode.Refuse(http.StatusMethodNotAllowed, "POST only").Write(w)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -123,10 +134,6 @@ func (p *Portal) home(w http.ResponseWriter, r *http.Request) {
 // the form's information is passed through, the file lands on the portal
 // server, and the onServe function generates and publishes the service.
 func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
 	// The key rides in the header block, so authentication happens
 	// before a single body byte is parsed; policy runs later, once the
 	// multipart form has yielded the service name.
@@ -142,7 +149,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, sizedio.ErrTooLarge) || errors.As(err, &tooLarge) {
 			status, err = http.StatusRequestEntityTooLarge, errors.New("portal: file too large")
 		}
-		WriteError(w, status, err)
+		errcode.Refuse(status, err.Error()).Write(w)
 		return
 	}
 	// Reception CPU (Fig. 8): proportional to the upload size.
@@ -187,7 +194,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	rec, err := p.onserve.UploadAndGenerateFrom(user, form.fileName, description, params, form.file, adm.ParentFor(tc))
 	if err != nil {
 		adm.Finish("", err)
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return
 	}
 	// Optional comma-separated stage-in declaration: input files the
@@ -201,7 +208,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := p.onserve.SetStageIn(rec.Name, files); err != nil {
 			adm.Finish("", err)
-			WriteError(w, statusFor(err), err)
+			WriteError(w, err)
 			return
 		}
 	}
@@ -371,7 +378,7 @@ func WriteRegistryPage(w http.ResponseWriter, recs []uddi.Record) {
 // UDDI '%' wildcard.
 func (p *Portal) apiRegistry(w http.ResponseWriter, r *http.Request) {
 	if p.registry == nil {
-		WriteError(w, http.StatusNotFound, errors.New("portal: no registry"))
+		errcode.Refuse(http.StatusNotFound, "portal: no registry").Write(w)
 		return
 	}
 	recs := p.registry.Find(query(r, "pattern"))
@@ -408,7 +415,8 @@ func (p *Portal) tracePage(w http.ResponseWriter, r *http.Request) {
 	ticket := query(r, "ticket")
 	spans, err := p.onserve.InvocationTrace(ticket)
 	if err != nil {
-		http.Error(w, err.Error(), statusFor(err))
+		status, _ := core.Cause(err)
+		http.Error(w, err.Error(), status)
 		return
 	}
 	type row struct {
@@ -475,12 +483,12 @@ func (p *Portal) apiClient(w http.ResponseWriter, r *http.Request) {
 	name := query(r, "name")
 	def, err := p.onserve.ServiceDef(name)
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return
 	}
 	stub, err := wsclient.GenerateStub(def)
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err)
+		WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/x-go; charset=utf-8")
@@ -492,7 +500,7 @@ func (p *Portal) apiOutputFile(w http.ResponseWriter, r *http.Request) {
 	data, err := p.onserve.InvocationOutputFile(
 		query(r, "ticket"), query(r, "name"))
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -562,7 +570,7 @@ func (p *Portal) apiTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	spans, err := p.onserve.InvocationTrace(ticket)
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return
 	}
 	if spans == nil {
@@ -574,7 +582,7 @@ func (p *Portal) apiTrace(w http.ResponseWriter, r *http.Request) {
 func (p *Portal) apiServices(w http.ResponseWriter, r *http.Request) {
 	services, err := p.onserve.Services()
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, services)
@@ -583,17 +591,13 @@ func (p *Portal) apiServices(w http.ResponseWriter, r *http.Request) {
 func (p *Portal) apiService(w http.ResponseWriter, r *http.Request) {
 	info, err := p.onserve.ServiceInfo(query(r, "name"))
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
 }
 
 func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
 	pr, ok := p.authenticate(w, tenant.VerbInvoke, r)
 	if !ok {
 		return
@@ -602,13 +606,13 @@ func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 	req, err := ReadInvokeRequest(r.Body, r.ContentLength)
 	r.Body.Close() // read whole: the server need not look for more of it
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		errcode.Refuse(http.StatusBadRequest, err.Error()).Write(w)
 		return
 	}
 	tc, _ := trace.Parse(r.Header.Get(trace.Header))
 	inv, err := p.onserve.InvokeAs(pr, req.Service, req.Args, tc)
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, InvokeReply{JobID: inv.JobID, Site: inv.Site, Ticket: inv.Ticket})
@@ -685,22 +689,16 @@ type WaitReply struct {
 	State   string `json:"state"`
 }
 
-// cancelReply, deleteReply and ErrorReply are the bodies of /api/cancel,
-// /api/delete and every error envelope, maps until they followed the two
-// above; ErrorReply declares "code" before "error" because that is the
-// order a map's keys were written in. AuditReply, the body of /api/audit,
-// is in that order for the same reason.
+// cancelReply and deleteReply are the bodies of /api/cancel and
+// /api/delete, maps until they followed the two above. AuditReply, the
+// body of /api/audit, declares its fields in the order a map's keys were
+// written in, as errcode.Refusal does.
 type cancelReply struct {
 	State string `json:"state"`
 }
 
 type deleteReply struct {
 	Deleted string `json:"deleted"`
-}
-
-type ErrorReply struct {
-	Code  string `json:"code"`
-	Error string `json:"error"`
 }
 
 type AuditReply struct {
@@ -759,7 +757,7 @@ func queryUnescape(s string) (string, error) {
 func (p *Portal) withInvocation(w http.ResponseWriter, r *http.Request, fn func(*core.Invocation)) {
 	inv, err := p.onserve.Invocation(query(r, "ticket"))
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return
 	}
 	fn(inv)
@@ -769,7 +767,7 @@ func (p *Portal) apiStatus(w http.ResponseWriter, r *http.Request) {
 	p.withInvocation(w, r, func(inv *core.Invocation) {
 		s, err := inv.StatusJSON()
 		if err != nil {
-			WriteError(w, http.StatusInternalServerError, err)
+			WriteError(w, err)
 			return
 		}
 		w.Header()["Content-Type"] = jsonType
@@ -792,27 +790,19 @@ func (p *Portal) apiWait(w http.ResponseWriter, r *http.Request) {
 }
 
 func (p *Portal) apiCancel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
 	pr, ok := p.authenticate(w, tenant.VerbCancel, r)
 	if !ok {
 		return
 	}
 	tc, _ := trace.Parse(r.Header.Get(trace.Header))
 	if err := p.onserve.CancelAs(pr, query(r, "ticket"), tc); err != nil {
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, cancelReply{State: "cancelling"})
 }
 
 func (p *Portal) apiDelete(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
 	pr, ok := p.authenticate(w, tenant.VerbDelete, r)
 	if !ok {
 		return
@@ -825,7 +815,7 @@ func (p *Portal) apiDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := p.onserve.DeleteService(name); err != nil {
 		adm.Finish("", err)
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return
 	}
 	adm.Finish("", nil)
@@ -864,7 +854,7 @@ func (p *Portal) authenticate(w http.ResponseWriter, verb tenant.Verb, r *http.R
 	}
 	pr, err := ctl.Authenticate(r.Header.Get(tenant.KeyHeader), verb)
 	if err != nil {
-		WriteError(w, http.StatusUnauthorized, err)
+		WriteError(w, err)
 		return tenant.Principal{}, false
 	}
 	return pr, true
@@ -880,63 +870,10 @@ func (p *Portal) admit(w http.ResponseWriter, pr tenant.Principal, verb tenant.V
 	}
 	adm, err := ctl.Admit(pr, verb, service, tc)
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		WriteError(w, err)
 		return nil, false
 	}
 	return adm, true
-}
-
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, core.ErrNoSuchService), errors.Is(err, core.ErrNoTicket),
-		errors.Is(err, gram.ErrNoSuchFile):
-		return http.StatusNotFound
-	case errors.Is(err, core.ErrBadName), errors.Is(err, core.ErrBadProgram),
-		errors.Is(err, core.ErrNoSuchUser):
-		return http.StatusBadRequest
-	case errors.Is(err, tenant.ErrUnauthorized):
-		return http.StatusUnauthorized
-	case errors.Is(err, tenant.ErrForbidden):
-		return http.StatusForbidden
-	case errors.Is(err, tenant.ErrRateLimited), errors.Is(err, tenant.ErrSaturated):
-		return http.StatusTooManyRequests
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// errCode classifies an error for the JSON envelope. Machine-readable
-// codes stay stable while error strings evolve; the two 429 classes
-// are distinguished so clients can tell "slow down" (rate_limited,
-// retry after the bucket refills) from "the appliance is saturated"
-// (quota_exceeded, retry after in-flight work drains).
-func errCode(status int, err error) string {
-	switch {
-	case errors.Is(err, tenant.ErrRateLimited):
-		return "rate_limited"
-	case errors.Is(err, tenant.ErrSaturated):
-		return "quota_exceeded"
-	case errors.Is(err, gram.ErrNoSuchFile):
-		return "no_such_file"
-	}
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusUnauthorized:
-		return "unauthorized"
-	case http.StatusForbidden:
-		return "forbidden"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusRequestEntityTooLarge:
-		return "too_large"
-	case http.StatusBadGateway:
-		return "bad_gateway"
-	default:
-		return "internal"
-	}
 }
 
 // jsonType is every JSON reply's Content-Type value, shared: net/http
@@ -950,10 +887,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// WriteError writes the API error envelope {"error":..., "code":...}.
-// HTML pages (/, /registry, /trace) keep their plain responses; every
-// /api/* and /upload error speaks this envelope, and the fleet gateway
-// passes it through verbatim and writes its own refusals with it.
-func WriteError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorReply{Code: errCode(status, err), Error: err.Error()})
+// WriteError answers err in the error envelope (errcode.Refusal) under the
+// status and code core.Cause names it by. HTML pages (/, /registry,
+// /trace) keep their plain responses; every /api/* and /upload error
+// speaks this envelope, the door's own refusals through errcode.Refuse,
+// and the fleet gateway passes it through verbatim.
+func WriteError(w http.ResponseWriter, err error) {
+	status, code := core.Cause(err)
+	(&errcode.Refusal{Status: status, Code: code, Msg: err.Error()}).Write(w)
 }

@@ -205,7 +205,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if rest != "" {
 			name = strings.TrimSuffix(name+"/"+rest, "/")
 		}
-		s.fault(w, http.StatusNotFound, &Fault{Code: FaultClient, String: "no such service: " + name})
+		s.refuse(w, http.StatusNotFound, "no such service: "+name)
 		return
 	}
 	switch r.Method {
@@ -266,50 +266,38 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	body, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxRequestBytes)
 	r.Body.Close()
 	if errors.Is(err, sizedio.ErrTooLarge) {
-		s.fault(w, http.StatusRequestEntityTooLarge, &Fault{Code: FaultClient, String: "request too large"})
+		s.refuse(w, http.StatusRequestEntityTooLarge, "request too large")
 		return
 	}
 	if err != nil {
-		s.fault(w, http.StatusBadRequest, &Fault{Code: FaultClient, String: "read body: " + err.Error()})
+		s.refuse(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
 	msg, err := Decode(body)
 	if err != nil {
-		s.fault(w, http.StatusBadRequest, &Fault{Code: FaultClient, String: err.Error()})
+		s.refuse(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	op := svc.Def.Operation(msg.Operation)
 	if op == nil {
-		s.fault(w, http.StatusBadRequest, &Fault{
-			Code:   FaultClient,
-			String: fmt.Sprintf("service %s has no operation %q", svc.Def.Name, msg.Operation),
-		})
+		s.refuse(w, http.StatusBadRequest, fmt.Sprintf("service %s has no operation %q", svc.Def.Name, msg.Operation))
 		return
 	}
 	args := msg.ParamMap()
 	for _, p := range op.Params {
 		v, ok := args[p.Name]
 		if !ok {
-			s.fault(w, http.StatusBadRequest, &Fault{
-				Code:   FaultClient,
-				String: fmt.Sprintf("missing parameter %q for %s", p.Name, op.Name),
-			})
+			s.refuse(w, http.StatusBadRequest, fmt.Sprintf("missing parameter %q for %s", p.Name, op.Name))
 			return
 		}
 		if err := wsdl.CheckValue(p.Type, v); err != nil {
-			s.fault(w, http.StatusBadRequest, &Fault{
-				Code:   FaultClient,
-				String: fmt.Sprintf("parameter %q: %v", p.Name, err),
-			})
+			s.refuse(w, http.StatusBadRequest, fmt.Sprintf("parameter %q: %v", p.Name, err))
 			return
 		}
 	}
 	h := svc.handlers[op.Name]
 	if h == nil {
-		s.fault(w, http.StatusInternalServerError, &Fault{
-			Code:   FaultServer,
-			String: fmt.Sprintf("operation %q deployed without handler", op.Name),
-		})
+		s.refuse(w, http.StatusInternalServerError, fmt.Sprintf("operation %q deployed without handler", op.Name))
 		return
 	}
 	result, err := h(&Request{
@@ -332,6 +320,22 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	writeEnvelope(buf, nil, svc.Def.Namespace, msg.Operation, "Response", ret[:])
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	w.Write(buf.Bytes())
+}
+
+// FaultFor is the fault that answers a refusal of status: a Client fault
+// for a 4xx, the caller's to mend, a Server fault otherwise. detail, when
+// set, names the cause (an errcode code).
+func FaultFor(status int, msg, detail string) *Fault {
+	f := &Fault{Code: FaultServer, String: msg, Detail: detail}
+	if status < http.StatusInternalServerError {
+		f.Code = FaultClient
+	}
+	return f
+}
+
+// refuse answers status with FaultFor's fault of msg.
+func (s *Server) refuse(w http.ResponseWriter, status int, msg string) {
+	s.fault(w, status, FaultFor(status, msg, ""))
 }
 
 func (s *Server) fault(w http.ResponseWriter, status int, f *Fault) {

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/errcode"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -275,7 +276,7 @@ func (c *Controller) Authenticate(header string, verb Verb) (Principal, error) {
 	sp.Set("tenant.outcome", "denied")
 	sp.Error(ErrUnauthorized.Error())
 	sp.End()
-	c.deny(UnknownOwner, verb, "", "unauthorized", traceID(sp.Context()), 0, 0)
+	c.deny(UnknownOwner, verb, "", errcode.Unauthorized, traceID(sp.Context()), 0, 0)
 	return Principal{}, ErrUnauthorized
 }
 
@@ -367,11 +368,11 @@ func (c *Controller) Admit(pr Principal, verb Verb, service string, parent trace
 
 	if !st.cfg.Policy.Allows(verb, service) {
 		st.counts.Update(func(o *OwnerStats) { o.Denied++ })
-		return deny("forbidden", ErrForbidden, 0)
+		return deny(errcode.Forbidden, ErrForbidden, 0)
 	}
 	if !c.rate.allow(pr.Owner, verb, st.cfg.Rates[string(verb)], st.cfg.Bursts[string(verb)]) {
 		st.counts.Update(func(o *OwnerStats) { o.RateLimited++ })
-		return deny("rate_limited", ErrRateLimited, 0)
+		return deny(errcode.RateLimited, ErrRateLimited, 0)
 	}
 	var (
 		queued bool
@@ -388,7 +389,7 @@ func (c *Controller) Admit(pr Principal, verb Verb, service string, parent trace
 					o.Queued++
 				}
 			})
-			return deny("quota_exceeded", ErrSaturated, waited)
+			return deny(errcode.QuotaExceeded, ErrSaturated, waited)
 		}
 		slot = true
 	}
@@ -482,7 +483,7 @@ func (a *Admission) Finish(ticket string, err error) {
 	a.mu.Unlock()
 	outcome, code := "ok", ""
 	if err != nil {
-		outcome, code = "error", "internal"
+		outcome, code = "error", errcode.Internal
 	}
 	a.ctl.record(Record{
 		Owner:     a.owner,

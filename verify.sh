@@ -54,8 +54,12 @@ fi
 # default walltime are constants). Nor does the push worker's stash of
 # frames that outran their job's registration, or its memory of reaped jobs:
 # core registers an invocation under its job's name before the submit goes
-# out, so a frame for a name no worker holds is dropped.
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\.ProxyLifetime\b|ProxyLifetime:|\.CAValidity\b|CAValidity:|\.DefaultWallTime\b|DefaultWallTime:|SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap|repro/internal/vtime|NewManual|NewWatchdog|vtime\.|AblationHotPath|AblationPollHub|AblationSubmit|AblationPlacement|AblationDoubleWrite|AblationStagingCache|HotPathVariants|PollHubVariants|SubmitVariants|StageVariants|PlacementVariants|\b(cfg|Appliance|c|o\.cfg)\.ChunkBytes\b|maxPendingEvents|maxReapedJobs|pendingEvent|stashLocked|reapedJobs' . ||
+# out, so a frame for a name no worker holds is dropped. Nor does a private
+# copy of the error vocabulary (the portal's two switches, myproxy's text
+# match, gram's and gridftp's writers and decoders): internal/errcode holds
+# the codes, the envelope and the decoder, and core's causes table the
+# sentinel → (status, code) rows.
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\.ProxyLifetime\b|ProxyLifetime:|\.CAValidity\b|CAValidity:|\.DefaultWallTime\b|DefaultWallTime:|SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap|repro/internal/vtime|NewManual|NewWatchdog|vtime\.|AblationHotPath|AblationPollHub|AblationSubmit|AblationPlacement|AblationDoubleWrite|AblationStagingCache|HotPathVariants|PollHubVariants|SubmitVariants|StageVariants|PlacementVariants|\b(cfg|Appliance|c|o\.cfg)\.ChunkBytes\b|maxPendingEvents|maxReapedJobs|pendingEvent|stashLocked|reapedJobs|statusFor|errCode|mapError|replyError|httpError|errorReply|decodeError|byCode' . ||
 	grep -nE '^\s+ChunkBytes\b' internal/core/config.go; then
 	echo "a deleted name is back (see above)" >&2
 	exit 1
@@ -95,10 +99,11 @@ if grep -n 'gridenv\.Start(\|BuildImage(' $doors; then
 	exit 1
 fi
 
-# One error vocabulary on the grid's hops: gram's replies carry a code and
-# the client maps it to a sentinel, so no program file of core or gram
-# tells one error from another by its text (errors.Is does).
-if grep -rnE --include='*.go' --exclude='*_test.go' '\.Error\(\) *(==|!=)|(==|!=) *[A-Za-z_.]+\.Error\(\)|strings\.[A-Za-z]+\([^)]*\.Error\(\)' internal/core internal/gram; then
+# One error vocabulary on every hop: a reply carries an errcode code and
+# each client maps it to a sentinel, so no program file under internal/ or
+# cmd/ (cmd/bench aside) tells one error from another by its text
+# (errors.Is does).
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '\.Error\(\) *(==|!=)|(==|!=) *[A-Za-z_.]+\.Error\(\)|strings\.[A-Za-z]+\([^)]*\.Error\(\)' internal cmd; then
 	echo "a program file compares an error's text (see above): compare with errors.Is against a sentinel" >&2
 	exit 1
 fi
