@@ -15,6 +15,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path"
+	"strings"
 	"sync"
 	"time"
 
@@ -189,7 +191,6 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 	}
 
 	p := portal.New(ons, registry, cfg.Probe, cfg.Cost)
-	mux := http.NewServeMux()
 	var services http.Handler = container
 	if parts.Tenancy != nil {
 		// The SOAP container is the portal's side door: without this
@@ -201,9 +202,7 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		generated := func(service string) bool { _, err := ons.ServiceInfo(service); return err == nil }
 		services = guardServices(parts.Tenancy, generated, container)
 	}
-	mux.Handle("/services/", services)
-	mux.Handle("/", p)
-	srv := netsim.NewHTTPServer(mux)
+	srv := netsim.NewHTTPServer(newRoot(services, p))
 	go srv.Serve(ln)
 
 	return &Appliance{
@@ -217,6 +216,48 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		srv:       srv,
 		ln:        ln,
 	}, nil
+}
+
+// root dispatches the appliance's requests without a ServeMux prefix
+// match, which costs 3 objects a request: a clean path under "/services/"
+// goes to the SOAP container, any other clean path to the portal, whose
+// API patterns are exact and cost none. What a mux would rewrite — a path
+// that is not clean or carries escapes, "/services" (redirected to
+// "/services/"), a CONNECT — goes to mux, which holds the same two routes
+// and answers it as a single mux would.
+type root struct {
+	services, portal http.Handler
+	mux              *http.ServeMux
+}
+
+func newRoot(services, portal http.Handler) *root {
+	mux := http.NewServeMux()
+	mux.Handle("/services/", services)
+	mux.Handle("/", portal)
+	return &root{services: services, portal: portal, mux: mux}
+}
+
+func (h *root) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	p := r.URL.Path
+	switch {
+	case r.Method == http.MethodConnect || r.URL.RawPath != "" || !clean(p) || p == "/services":
+		h.mux.ServeHTTP(w, r)
+	case strings.HasPrefix(p, "/services/"):
+		h.services.ServeHTTP(w, r)
+	default:
+		h.portal.ServeHTTP(w, r)
+	}
+}
+
+// clean reports whether a ServeMux would serve p as it stands, not
+// redirect it: p is rooted and path.Clean keeps it, but for the trailing
+// slash of a path other than "/".
+func clean(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	c := path.Clean(p)
+	return c == p || c != "/" && p[len(p)-1] == '/' && c == p[:len(p)-1]
 }
 
 // Shutdown stops the HTTP server, ends the invocation collectors (no

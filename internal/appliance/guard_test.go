@@ -1,6 +1,7 @@
 package appliance_test
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -293,6 +294,89 @@ func TestSOAPCancelIsAdmitted(t *testing.T) {
 			if strings.Join(got, "\n") != strings.Join(want, "\n") {
 				t.Errorf("%s's audit, newest first:\n%s\nwant:\n%s", owner, strings.Join(got, "\n"), strings.Join(want, "\n"))
 			}
+		}
+	})
+}
+
+// TestRouteTable holds each spelling of a path to the answer — status,
+// Location and body — of a ServeMux routing "/services/" to the SOAP
+// container and "/" to the portal: a clean path skips that mux, whatever
+// a mux would rewrite still meets it.
+func TestRouteTable(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := appliancetest.Boot(t, nil)
+		deployPing(t, f, "Ping")
+		home := httptest.NewRecorder()
+		f.App.Portal.ServeHTTP(home, httptest.NewRequest("GET", "/", nil))
+		for _, tc := range []struct {
+			method, path   string
+			status         int
+			location, body string
+		}{
+			{"GET", "/services", 301, "/services/", `<a href="/services/">Moved Permanently</a>.` + "\n\n"},
+			{"GET", "/services/", 200, "", "CyberaideAgent\nPing\nUDDIRegistry\n"},
+			{"POST", "/services/Ping/extra", 404, "", noSuchService("Ping/extra")},
+			{"GET", "/services/./Ping", 301, "/services/Ping", `<a href="/services/Ping">Moved Permanently</a>.` + "\n\n"},
+			{"GET", "/services/../api/stats", 301, "/api/stats", `<a href="/api/stats">Moved Permanently</a>.` + "\n\n"},
+			{"POST", "//services/Ping", 301, "/services/Ping", ""},
+			{"GET", "/api/trace/x", 404, "", `{"code":"not_found","error":"onserve: no such invocation ticket: \"x\""}` + "\n"},
+			{"GET", "/", 200, "", home.Body.String()},
+			{"GET", "/nope", 404, "", "404 page not found\n"},
+			{"CONNECT", "/services/../api/stats", 404, "", noSuchService("../api/stats")},
+		} {
+			req, err := http.NewRequest(tc.method, f.App.BaseURL+tc.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := f.Web.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loc := resp.Header.Get("Location"); resp.StatusCode != tc.status || loc != tc.location || string(body) != tc.body {
+				t.Errorf("%s %s = %d %q %q, want %d %q %q", tc.method, tc.path, resp.StatusCode, loc, body, tc.status, tc.location, tc.body)
+			}
+		}
+	})
+}
+
+// TestDispatchAllocations: a SOAP call and an /api/invoke reach their
+// handlers without a routing object. The portal stands in as a mux of its
+// shape, a catch-all and exact API paths; a prefix match in a ServeMux
+// costs 3 objects a request, an exact one none.
+func TestDispatchAllocations(t *testing.T) {
+	var served string
+	leaf := func(name string) http.Handler {
+		return http.HandlerFunc(func(http.ResponseWriter, *http.Request) { served = name })
+	}
+	portal := http.NewServeMux()
+	portal.Handle("/", leaf("home"))
+	portal.Handle("/api/invoke", leaf("invoke"))
+	h := appliance.NewRoot(leaf("soap"), portal)
+	w := httptest.NewRecorder()
+	for _, tc := range []struct{ path, want string }{{"/services/pi", "soap"}, {"/api/invoke", "invoke"}} {
+		req := httptest.NewRequest(http.MethodPost, tc.path, nil)
+		if n := testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) }); n != 0 || served != tc.want {
+			t.Errorf("%s: %v objects to reach %q, want 0 to reach %q", tc.path, n, served, tc.want)
+		}
+	}
+}
+
+// TestSOAPExecuteContentType: a generated service's execute, answered
+// over a listener by net/http, is text/xml by its sniffed first bytes.
+func TestSOAPExecuteContentType(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := appliancetest.Boot(t, nil)
+		if _, err := f.App.OnServe.UploadAndGenerate("alice", "hi.gsh", "", nil, []byte("echo hi\n")); err != nil {
+			t.Fatal(err)
+		}
+		r := f.Do(t, soapRoute(t, http.MethodPost, "/services/HiService", "", "urn:onserve:HiService", "execute"))
+		if ct := r.Header.Get("Content-Type"); r.Status != http.StatusOK || !strings.Contains(r.Body, "<return>inv-") || ct != "text/xml; charset=utf-8" {
+			t.Fatalf("execute: %d, Content-Type %q, %s", r.Status, ct, r.Body)
 		}
 	})
 }

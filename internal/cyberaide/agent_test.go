@@ -352,25 +352,17 @@ func TestSOAPFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			stJSON, err := c.Call(url, Namespace, "status", []soap.Param{
-				{Name: "session", Value: sessID}, {Name: "job", Value: jobID},
-			}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st gram.StatusReply
-			if err := json.Unmarshal([]byte(stJSON), &st); err != nil {
-				t.Fatal(err)
-			}
-			if st.State == "DONE" {
-				break
-			}
-			if st.State == "FAILED" || time.Now().After(deadline) {
-				t.Fatalf("state %+v", st)
-			}
-			time.Sleep(time.Millisecond)
+		job, _ := w.grid.Job(jobID)
+		<-job.Done()
+		stJSON, err := c.Call(url, Namespace, "status", []soap.Param{
+			{Name: "session", Value: sessID}, {Name: "job", Value: jobID},
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st gram.StatusReply
+		if err := json.Unmarshal([]byte(stJSON), &st); err != nil || st.State != "DONE" {
+			t.Fatalf("state %+v, %v", st, err)
 		}
 		out, err := c.Call(url, Namespace, "output", []soap.Param{
 			{Name: "session", Value: sessID}, {Name: "job", Value: jobID},

@@ -23,7 +23,8 @@ type faultRig struct {
 	tr           *Transport
 	srv          *httptest.Server
 	armed        atomic.Bool  // the next write on a pooled connection fails
-	dials        atomic.Int32 // connections the transport opened
+	dials        atomic.Int32 // connections the transport opened, or tried to past dialLimit
+	dialLimit    int32        // when set, a dial past this many is refused
 	conns        atomic.Int32 // connections the server accepted
 	posts, other atomic.Int32 // requests the handler was given
 	abort        atomic.Int32 // handler calls left to drop without a reply
@@ -66,6 +67,15 @@ func (r *faultRig) start(t *testing.T) *faultRig {
 	dial := deadOnReuseDial(&r.armed, &r.dials)
 	if r.plainDialler {
 		dial = nil
+	}
+	if limit, next := r.dialLimit, dial; limit > 0 {
+		dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			if r.dials.Load() >= limit {
+				r.dials.Add(1)
+				return nil, errors.New("dial refused past the rig's limit")
+			}
+			return next(ctx, network, addr)
+		}
 	}
 	r.tr = NewTransport(dial)
 	t.Cleanup(r.tr.CloseIdleConnections)
@@ -172,6 +182,15 @@ func TestTransportFaults(t *testing.T) {
 			r.abort.Store(1)
 			r.ok(t, http.MethodGet)
 			r.count(t, 2, 3, 0, 1)
+		}},
+		{"every request dropped, a GET on a fresh connection not sent again", func(t *testing.T) {
+			// The limit turns an endless resend into a failed count.
+			r := (&faultRig{dialLimit: 3}).start(t)
+			r.abort.Store(1 << 20)
+			if _, err := r.do(t, http.MethodGet, ""); err == nil {
+				t.Fatal("a GET with no reply succeeded")
+			}
+			r.count(t, 1, 1, 0, 0)
 		}},
 		{"reply reset halfway", func(t *testing.T) {
 			r := (&faultRig{handler: func(w http.ResponseWriter, _ *http.Request) {

@@ -187,8 +187,8 @@ func (t *Transport) release(c *conn, keep bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c.reused, c.idleSince = true, time.Now()
-	t.expireLocked(c.idleSince)
+	now := time.Now()
+	t.expireLocked(now)
 	same := 0
 	for _, o := range t.idle {
 		if o.addr == c.addr {
@@ -199,6 +199,10 @@ func (t *Transport) release(c *conn, keep bool) {
 		c.nc.Close()
 		return
 	}
+	// Only a pooled connection counts as reused: a request that failed on
+	// a fresh one is not sent again, else a peer that drops every request
+	// would be dialled for ever.
+	c.reused, c.idleSince = true, now
 	t.idle = append(t.idle, c)
 }
 

@@ -30,17 +30,31 @@ type nsDecl struct{ prefix, uri string }
 // comment, a CDATA section's edge, a child element) forced it to be
 // rebuilt. DESIGN.md §6 "the SOAP door" gives the accepted grammar.
 func Decode(data []byte) (*Message, error) {
-	s := string(data)
+	var paramArr [8]Param // backs the parameters until a ninth arrives
+	msg := new(Message)
+	params, err := decode(string(data), msg, paramArr[:0])
+	if err != nil {
+		return nil, err
+	}
+	if len(params) > 0 {
+		msg.Params = append(make([]Param, 0, len(params)), params...)
+	}
+	return msg, nil
+}
+
+// decode walks the envelope s into msg, all but its parameters, which it
+// appends to params and returns: the caller chooses what backs them, and
+// Decode's array stays on its stack. Every string it stores is s or a
+// substring of it, unless a value had to be rebuilt.
+func decode(s string, msg *Message, params []Param) ([]Param, error) {
 	var (
-		open     [maxDepth]string // qualified names of the open elements, as written
-		marks    [maxDepth]int    // len(decls) before each open element's own declarations
-		declArr  [8]nsDecl
-		decls    = declArr[:0]
-		paramArr [8]Param // backs params until a ninth parameter arrives
-		params   = paramArr[:0]
-		asm      assembler
-		depth    int
-		i        int
+		open    [maxDepth]string // qualified names of the open elements, as written
+		marks   [maxDepth]int    // len(decls) before each open element's own declarations
+		declArr [8]nsDecl
+		decls   = declArr[:0]
+		asm     assembler
+		depth   int
+		i       int
 	)
 	if strings.HasPrefix(s, "<?xml") {
 		end, err := skipXMLDecl(s)
@@ -141,7 +155,7 @@ func Decode(data []byte) (*Message, error) {
 	if depth > 0 {
 		return nil, syntaxError(len(s), "unexpected end of document")
 	}
-	return asm.result(params)
+	return params, asm.result(msg)
 }
 
 func syntaxError(pos int, what string) error {
@@ -275,22 +289,19 @@ func (a *assembler) end(depth int, params []Param) []Param {
 	return params
 }
 
-func (a *assembler) result(params []Param) (*Message, error) {
+func (a *assembler) result(msg *Message) error {
 	if !a.closed {
-		return nil, fmt.Errorf("%w: no envelope", ErrNotSOAP)
+		return fmt.Errorf("%w: no envelope", ErrNotSOAP)
 	}
 	if a.haveFault {
 		f := a.fault
-		return nil, &f
+		return &f
 	}
 	if !a.haveOp {
-		return nil, ErrNoOperation
+		return ErrNoOperation
 	}
-	msg := &Message{Namespace: a.namespace, Operation: a.operation, Headers: a.headers}
-	if len(params) > 0 {
-		msg.Params = append(make([]Param, 0, len(params)), params...)
-	}
-	return msg, nil
+	msg.Namespace, msg.Operation, msg.Headers = a.namespace, a.operation, a.headers
+	return nil
 }
 
 // startTag is a scanned start tag: its qualified name as written, the

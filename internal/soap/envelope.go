@@ -112,7 +112,8 @@ func Encode(m *Message) ([]byte, error) {
 
 // writeEnvelope resets buf and builds in it the envelope of the operation
 // element named op+suffix in namespace. Names go out as they are; values
-// are escaped.
+// are escaped. The envelope must start with the XML declaration: a
+// result reply sets no Content-Type and is sniffed as text/xml from it.
 func writeEnvelope(buf *bytes.Buffer, headers map[string]string, namespace, op, suffix string, params []Param) {
 	buf.Reset()
 	buf.WriteString(envelopeOpen)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/sizedio"
@@ -247,12 +248,23 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// call is what one invocation allocates for itself, as one object: the
+// status observer, the handler's Request and the decoded Message with the
+// first parameters' backing. It is fresh for each call, so a handler that
+// keeps req.Msg or req.Args keeps memory nothing else reuses.
+type call struct {
+	statusWriter
+	req    Request
+	msg    Message
+	params [4]Param
+}
+
 func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	w = sw
+	c := &call{statusWriter: statusWriter{ResponseWriter: w, status: http.StatusOK}}
+	w = &c.statusWriter
 	defer svc.stats.Update(func(st *ServiceStats) {
 		st.Requests++
-		if sw.status >= 400 {
+		if c.status >= 400 {
 			st.Faults++
 		}
 	})
@@ -263,7 +275,7 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	// One buffer of the declared length; a request that declares more
 	// than the limit is refused before any of its body is read. Closed
 	// once read, so the server need not look for more of it.
-	body, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxRequestBytes)
+	raw, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxRequestBytes)
 	r.Body.Close()
 	if errors.Is(err, sizedio.ErrTooLarge) {
 		s.refuse(w, http.StatusRequestEntityTooLarge, "request too large")
@@ -273,11 +285,15 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 		s.refuse(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	msg, err := Decode(body)
+	// The buffer is the request's string: nothing writes it after
+	// ReadAll, and nothing but the Message's substrings holds it.
+	params, err := decode(unsafe.String(unsafe.SliceData(raw), len(raw)), &c.msg, c.params[:0])
 	if err != nil {
 		s.refuse(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	msg := &c.msg
+	msg.Params = params
 	op := svc.Def.Operation(msg.Operation)
 	if op == nil {
 		s.refuse(w, http.StatusBadRequest, fmt.Sprintf("service %s has no operation %q", svc.Def.Name, msg.Operation))
@@ -300,10 +316,11 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 		s.refuse(w, http.StatusInternalServerError, fmt.Sprintf("operation %q deployed without handler", op.Name))
 		return
 	}
-	result, err := h(&Request{
+	c.req = Request{
 		Msg: msg, Args: args, RemoteAddr: r.RemoteAddr, Service: svc, Op: op,
 		Trace: r.Header.Get(trace.Header), Context: r.Context(),
-	})
+	}
+	result, err := h(&c.req)
 	if err != nil {
 		var f *Fault
 		if !errors.As(err, &f) {
@@ -313,12 +330,15 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 		return
 	}
 	// The reply goes from the build buffer to the connection: Write
-	// copies what it is given, so the buffer is free once it returns.
+	// copies what it is given, so the buffer is free once it returns. It
+	// sets no header. The envelope starts with the XML declaration, which
+	// net/http's sniffing (http.DetectContentType) names "text/xml;
+	// charset=utf-8", and a header map the handler never asked for is
+	// never cloned.
 	buf := encBufs.Get()
 	defer encBufs.Put(buf)
 	ret := [1]Param{{Name: "return", Value: result}}
 	writeEnvelope(buf, nil, svc.Def.Namespace, msg.Operation, "Response", ret[:])
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	w.Write(buf.Bytes())
 }
 

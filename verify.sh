@@ -262,8 +262,10 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # and under a quarter of it beside that, a 256 KB stored read or logged put
 # right after two collections allocates its stream and 16 KB beside it
 # (the free lists keep their codecs across a GC; they keep at most
-# GOMAXPROCS items each, none past sizedio.MaxKept), and the SOAP door decodes an invocation's
-# envelope in three objects and serves one in eleven, a signed submit
+# GOMAXPROCS items each, none past sizedio.MaxKept), the appliance routes
+# a SOAP call and an /api/invoke to their handlers in no object, and the
+# SOAP door decodes an invocation's envelope in three objects and serves
+# one in six, a signed submit
 # costs at most 16 objects, the three event frames of a hot invocation 2
 # and the gateway's proxy hop 12 (a key's ring walk none); the JSON door reads an invoke body in 5
 # objects, routes it in 1 and answers a finished invocation's /api/wait
@@ -275,8 +277,8 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # allocations so a regression reads as a number, not as noise. A name in
 # the list that matches no test of the packages fails here first, so a
 # renamed guard cannot drop out of the run unnoticed.
-guards='TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestWaitDoorAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps'
-guard_pkgs='./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics ./internal/sizedio'
+guards='TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestDispatchAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestWaitDoorAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps'
+guard_pkgs='./internal/appliance ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics ./internal/sizedio'
 listed=$(go test -list "^($guards)\$" $guard_pkgs)
 for name in $(echo "$guards" | tr '|' ' '); do
 	if ! echo "$listed" | grep -qx "$name"; then
