@@ -9,10 +9,8 @@
 package appliance
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"path"
@@ -296,8 +294,9 @@ func guardServices(ctl *tenant.Controller, generated func(service string) bool, 
 			portal.WriteError(w, err)
 			return
 		}
-		body, err := sizedio.ReadAll(r.Body, r.ContentLength, soap.MaxRequestBytes)
-		r.Body.Close()
+		// The call is read and decoded once, here: the container serves it
+		// from the context.
+		ctx, msg, err := soap.Peek(r.Context(), r)
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, sizedio.ErrTooLarge) {
@@ -307,14 +306,12 @@ func guardServices(ctl *tenant.Controller, generated func(service string) bool, 
 			return
 		}
 		name, _, _ := soap.ServiceName(r.URL.Path)
-		msg, err := soap.Decode(body)
-		cancel := err == nil && msg.Operation == "cancel" && generated(name)
+		cancel := msg != nil && msg.Operation == "cancel" && generated(name)
 		if !cancel && !ctl.Allows(pr.Owner, tenant.VerbInvoke, name) {
 			portal.WriteError(w, tenant.ErrForbidden)
 			return
 		}
-		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
-		next.ServeHTTP(w, r.WithContext(core.WithPrincipal(r.Context(), pr)))
+		next.ServeHTTP(w, r.WithContext(core.WithPrincipal(ctx, pr)))
 	})
 }
 

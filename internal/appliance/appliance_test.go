@@ -1,7 +1,11 @@
 package appliance_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +15,10 @@ import (
 	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
 	"repro/internal/cyberaide"
+	"repro/internal/metrics"
 	"repro/internal/portal"
 	"repro/internal/soap"
+	"repro/internal/tenant"
 	"repro/internal/uddi"
 	"repro/internal/wsclient"
 )
@@ -154,6 +160,44 @@ func TestApplianceHostsToolkitServices(t *testing.T) {
 		joined := strings.Join(names, ",")
 		if !strings.Contains(joined, "UDDIRegistry") || !strings.Contains(joined, "CyberaideAgent") {
 			t.Fatalf("toolkit services missing: %v", names)
+		}
+	})
+}
+
+// TestGuardedSOAPStatusAllocations: with tenancy on, the SOAP door reads
+// and decodes a call once, in the guard, and the container serves what the
+// guard read. A status call through both, the test's recorder included,
+// costs 36 objects; 43 when the container read and decoded it again.
+func TestGuardedSOAPStatusAllocations(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := appliancetest.Boot(t, func(c *appliance.Config) {
+			c.Cost = metrics.Cost{} // nothing sleeps, so nothing else runs, while the count runs
+			c.Tenancy = &tenant.Config{Keys: []tenant.KeyConfig{{Key: "acme-secret", Owner: "acme"}}}
+		})
+		if _, err := f.App.OnServe.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("compute 23h\n")); err != nil {
+			t.Fatal(err)
+		}
+		inv, err := f.App.OnServe.Invoke("LongService", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, _ := soap.Encode(&soap.Message{Namespace: "urn:onserve:LongService", Operation: "status",
+			Params: []soap.Param{{Name: "ticket", Value: inv.Ticket}}})
+		door := appliance.GuardServices(f.App.OnServe.Tenancy(), func(string) bool { return true }, f.App.Container)
+		body := bytes.NewReader(env)
+		req := httptest.NewRequest(http.MethodPost, "/services/LongService", body)
+		req.Header.Set(tenant.KeyHeader, "acme-secret")
+		allocs := testing.AllocsPerRun(50, func() {
+			body.Reset(env)
+			req.Body, req.ContentLength = io.NopCloser(body), int64(len(env))
+			w := httptest.NewRecorder()
+			door.ServeHTTP(w, req)
+			if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "RUNNING") {
+				t.Fatalf("status: %d %s", w.Code, w.Body)
+			}
+		})
+		if allocs > 36 && !raceEnabled {
+			t.Fatalf("a guarded SOAP status call allocates %.0f objects, want at most 36", allocs)
 		}
 	})
 }

@@ -25,66 +25,82 @@ import (
 	"repro/internal/trace"
 )
 
-// Fixture is a booted appliance over a grid where alice holds a
-// credential (passphrase "pw") and is registered with the appliance.
-type Fixture struct {
+// Grid is a simulated grid on an in-process network, where alice holds a
+// credential (passphrase "pw"), and the appliance configuration wired to
+// it: what a fixture boots its appliance, or a gateway its members, over.
+type Grid struct {
 	Net   *netsim.Net
 	Env   *gridenv.Env
-	Trace *trace.Collector // the grid's spans, and the appliance's unless its Config drops it
-	Image *appliance.Image
-	App   *appliance.Appliance
+	Trace *trace.Collector // the grid's spans, and the appliances' unless a Config drops it
+	// Config reaches the grid over Net, traces into Trace and polls every
+	// 2 s under a one-hour watchdog.
+	Config appliance.Config
 	// Web is the user's client on Net. It shows a redirect instead of
 	// following it: the mux answers a path with an empty segment that way.
 	Web *http.Client
-	cfg appliance.Config // what Build starts from
+	// Base is where Do sends a Route whose Path is no whole URL.
+	Base string
 }
 
-// Boot starts the grid (sites, or siteA with two nodes and siteB with one)
-// and an appliance whose Config mutate may edit: it arrives wired to the
-// grid, traced into the fixture's collector, polling every 2 s under a
-// one-hour watchdog. Call it in a bubble. At cleanup every stored row is
-// checked against its digest (blobtest.VerifyStored) and both shut down.
-func Boot(t testing.TB, mutate func(*appliance.Config), sites ...gridsim.SiteConfig) *Fixture {
+// StartGrid starts the grid (sites, or siteA with two nodes and siteB with
+// one) and stops it at cleanup. Call it in a bubble.
+func StartGrid(t testing.TB, sites ...gridsim.SiteConfig) *Grid {
 	t.Helper()
 	if sites == nil {
 		sites = []gridsim.SiteConfig{{Name: "siteA", Nodes: 2, CoresPerNode: 4}, {Name: "siteB", Nodes: 1, CoresPerNode: 4}}
 	}
-	f := &Fixture{Net: netsim.NewNet(), Trace: trace.NewCollector(0, 0)}
-	env, err := gridenv.Start(gridenv.Options{Sites: sites, Trace: f.Trace, Net: f.Net})
+	g := &Grid{Net: netsim.NewNet(), Trace: trace.NewCollector(0, 0)}
+	env, err := gridenv.Start(gridenv.Options{Sites: sites, Trace: g.Trace, Net: g.Net})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Env = env
+	g.Env = env
 	t.Cleanup(env.Close)
 	if _, err := env.AddUser("alice", "pw", 0); err != nil {
 		t.Fatal(err)
 	}
-	f.cfg = appliance.Config{
+	g.Config = appliance.Config{
 		Endpoints:         env.Endpoints(),
-		GridDial:          f.Net.DialContext,
+		GridDial:          g.Net.DialContext,
 		Cost:              metrics.DefaultCost(),
 		PollInterval:      2 * time.Second,
 		InvocationTimeout: time.Hour,
-		Trace:             f.Trace,
+		Trace:             g.Trace,
 	}
+	user := hop.NewTransport(g.Net.DialContext)
+	g.Web = &http.Client{Transport: user, CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	t.Cleanup(user.CloseIdleConnections)
+	return g
+}
+
+// Fixture is a booted appliance over a Grid, alice registered with it.
+type Fixture struct {
+	*Grid
+	Image *appliance.Image
+	App   *appliance.Appliance
+}
+
+// Boot starts a Grid and an appliance whose Config mutate may edit. Call
+// it in a bubble. At cleanup every stored row is checked against its
+// digest (blobtest.VerifyStored) and both shut down.
+func Boot(t testing.TB, mutate func(*appliance.Config), sites ...gridsim.SiteConfig) *Fixture {
+	t.Helper()
+	f := &Fixture{Grid: StartGrid(t, sites...)}
+	var err error
 	if f.Image, err = f.Build(mutate); err != nil {
 		t.Fatal(err)
 	}
-	user := hop.NewTransport(f.Net.DialContext)
-	f.Web = &http.Client{Transport: user, CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
 	f.Reboot(t)
 	t.Cleanup(func() {
 		blobtest.VerifyStored(t, f.App.DB)
 		f.App.Shutdown()
-		user.CloseIdleConnections()
 	})
 	return f
 }
 
-// Build builds an image from the configuration Boot starts from, the
-// fixture's grid wiring and cadence, with mutate applied.
-func (f *Fixture) Build(mutate func(*appliance.Config)) (*appliance.Image, error) {
-	cfg := f.cfg
+// Build builds an image from the grid's Config with mutate applied.
+func (g *Grid) Build(mutate func(*appliance.Config)) (*appliance.Image, error) {
+	cfg := g.Config
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -106,7 +122,7 @@ func (f *Fixture) Reboot(t testing.TB) {
 		t.Fatal(err)
 	}
 	app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
-	f.App = app
+	f.App, f.Base = app, app.BaseURL
 }
 
 // Part is one part of an upload form: a text field, or a file when File
@@ -146,10 +162,10 @@ func UploadForm(file, program string, fields ...string) (contentType, body strin
 
 // Upload publishes program as file through the upload form (UploadForm)
 // and returns the reply; it fails the test unless the form is accepted.
-func (f *Fixture) Upload(t testing.TB, file, program string, fields ...string) string {
+func (g *Grid) Upload(t testing.TB, file, program string, fields ...string) string {
 	t.Helper()
 	ctype, body := UploadForm(file, program, fields...)
-	reply := f.Do(t, Route{Method: http.MethodPost, Path: "/upload", Type: ctype, Body: body})
+	reply := g.Do(t, Route{Method: http.MethodPost, Path: "/upload", Type: ctype, Body: body})
 	if reply.Status != http.StatusOK {
 		t.Fatalf("upload of %s: %d %s", file, reply.Status, reply.Body)
 	}
@@ -160,7 +176,7 @@ func (f *Fixture) Upload(t testing.TB, file, program string, fields ...string) s
 // appliance must answer to it.
 type Route struct {
 	Method     string
-	Path       string // on the appliance, or a whole URL
+	Path       string // on Base, or a whole URL
 	Type, Body string // the request's Content-Type, where set, and body
 	Key        string // the X-Grid-Key header, where set
 	Status     int
@@ -178,11 +194,11 @@ type Reply struct {
 }
 
 // Do sends r's request from the user's client and returns the reply.
-func (f *Fixture) Do(t testing.TB, r Route) Reply {
+func (g *Grid) Do(t testing.TB, r Route) Reply {
 	t.Helper()
 	url := r.Path
 	if !strings.HasPrefix(url, "http://") {
-		url = f.App.BaseURL + url
+		url = g.Base + url
 	}
 	req, err := http.NewRequest(r.Method, url, strings.NewReader(r.Body))
 	if err != nil {
@@ -194,7 +210,7 @@ func (f *Fixture) Do(t testing.TB, r Route) Reply {
 	if r.Key != "" {
 		req.Header.Set(tenant.KeyHeader, r.Key)
 	}
-	resp, err := f.Web.Do(req)
+	resp, err := g.Web.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +228,11 @@ func (f *Fixture) Do(t testing.TB, r Route) Reply {
 
 // Serve sends each route's request in turn, holds the reply to the row's
 // verdict, and returns the replies.
-func (f *Fixture) Serve(t testing.TB, routes ...Route) []Reply {
+func (g *Grid) Serve(t testing.TB, routes ...Route) []Reply {
 	t.Helper()
 	replies := make([]Reply, len(routes))
 	for i, r := range routes {
-		reply := f.Do(t, r)
+		reply := g.Do(t, r)
 		if reply.Status != r.Status || !strings.Contains(reply.Body, r.Want) {
 			t.Errorf("%s %s: %d %.300q, want %d with %q", r.Method, r.Path, reply.Status, reply.Body, r.Status, r.Want)
 		} else if r.Check != nil {

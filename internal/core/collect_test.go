@@ -13,6 +13,7 @@ import (
 	"repro/internal/bubble"
 	"repro/internal/gram"
 	"repro/internal/gridsim"
+	"repro/internal/hop/hoptest"
 )
 
 // stripOutput drops the inline snapshot from an event frame's data: a
@@ -30,8 +31,8 @@ func stripOutput(_ int, line []byte) ([]byte, error) {
 
 // noEventStream is the rule of a gatekeeper without an event stream:
 // under PushEvents, the collector polls.
-func noEventStream() *rule {
-	return &rule{match: "/gram/events", do: answer(404, "gram: unknown endpoint")}
+func noEventStream() *hoptest.Rule {
+	return &hoptest.Rule{Match: "/gram/events", Do: hoptest.Answer(404, "gram: unknown endpoint")}
 }
 
 // TestCollectorContract is what every collector promises, whichever one
@@ -57,15 +58,15 @@ func TestCollectorContract(t *testing.T) {
 			invs   []*Invocation
 			after  CollectorStats // of a fresh fixture, so these are the cell's deltas
 			events EventStats
-			rules  []*rule
+			rules  []*hoptest.Rule
 		}
 		rows := []struct {
 			name    string
 			program string
 			n       int // concurrent invocations; 0 means 1
 			timeout time.Duration
-			rules   func() []*rule // the row's faults, fresh for each cell
-			cancel  bool           // cancels the first invocation
+			rules   func() []*hoptest.Rule // the row's faults, fresh for each cell
+			cancel  bool                   // cancels the first invocation
 			// late opens the event stream only once the grid jobs are over.
 			late  bool
 			state InvState // "" is any terminal state
@@ -104,7 +105,9 @@ func TestCollectorContract(t *testing.T) {
 			{name: "finished-before-stream", program: "echo early\n", late: true, state: InvDone, out: "early\n", fetched: true},
 			{
 				name: "gatekeeper-never-inlines", program: "echo head\ncompute 1m\necho tail\n", state: InvDone, out: "head\ntail\n", fetched: true,
-				rules: func() []*rule { return []*rule{{match: "/gram/events", do: rewrite(stripOutput)}} },
+				rules: func() []*hoptest.Rule {
+					return []*hoptest.Rule{{Match: "/gram/events", Do: hoptest.Rewrite(stripOutput)}}
+				},
 			},
 			{name: "failed-with-message", program: "compute 4s\nfail kaboom\n", state: InvFailed, msg: "kaboom"},
 			{name: "cancel-mid-run", program: "emit 2s 10000 t\n", cancel: true, state: InvCancelled},
@@ -120,11 +123,11 @@ func TestCollectorContract(t *testing.T) {
 			},
 			{
 				name: "transient-errors-then-recovery", program: "echo head\ncompute 1m\necho tail\n", state: InvDone, out: "head\ntail\n",
-				rules: func() []*rule {
-					return []*rule{{match: "/gram/status", n: 3, do: fail}, {match: "/gram/status-batch", n: 3, do: fail}, {match: "/gram/output", n: 3, do: fail}}
+				rules: func() []*hoptest.Rule {
+					return []*hoptest.Rule{{Match: "/gram/status", N: 3, Do: hoptest.Fail}, {Match: "/gram/status-batch", N: 3, Do: hoptest.Fail}, {Match: "/gram/output", N: 3, Do: hoptest.Fail}}
 				},
 				check: func(t *testing.T, oc outcome) {
-					if oc.rules[0].hits.Load()+oc.rules[1].hits.Load()+oc.rules[2].hits.Load() == 0 {
+					if oc.rules[0].Hits.Load()+oc.rules[1].Hits.Load()+oc.rules[2].Hits.Load() == 0 {
 						t.Error("no fault was injected")
 					}
 				},
@@ -159,15 +162,15 @@ func TestCollectorContract(t *testing.T) {
 					})
 					oc := outcome{col: col}
 					if col.noPush {
-						f.grid.add(noEventStream())
+						f.grid.Add(noEventStream())
 					}
-					late := newGate()
+					late := hoptest.NewGate()
 					if row.late {
-						f.grid.add(&rule{match: "/gram/events", do: hold(late, false)})
+						f.grid.Add(&hoptest.Rule{Match: "/gram/events", Do: hoptest.Hold(late, false)})
 					}
 					if row.rules != nil {
 						oc.rules = row.rules()
-						f.grid.add(oc.rules...)
+						f.grid.Add(oc.rules...)
 					}
 					svc := f.publish(t, "job.gsh", row.program)
 					for range max(row.n, 1) {
@@ -182,7 +185,7 @@ func TestCollectorContract(t *testing.T) {
 							must(t, err)
 							<-job.Done()
 						}
-						late.open()
+						late.Open()
 					}
 					for _, inv := range oc.invs {
 						<-inv.DoneChan()
@@ -248,8 +251,8 @@ func TestCollectorContract(t *testing.T) {
 func TestTerminalInvocationLeavesNoWatchdogPending(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.SessionCache = true })
-		cancels := &rule{match: "/gram/cancel"}
-		f.grid.add(cancels)
+		cancels := &hoptest.Rule{Match: "/gram/cancel"}
+		f.grid.Add(cancels)
 		f.uploadDemo(t)
 		inv := f.invoke(t, "MontecarloService", digits("1"))
 		bubble.Wait()
@@ -259,7 +262,7 @@ func TestTerminalInvocationLeavesNoWatchdogPending(t *testing.T) {
 		ends(t, inv, InvDone)
 		time.Sleep(f.cfg.InvocationTimeout) // past the watchdog's deadline
 		bubble.Wait()
-		if n, owned := cancels.hits.Load(), collectorGoroutines(); n != 0 || len(owned) > 0 {
+		if n, owned := cancels.Hits.Load(), collectorGoroutines(); n != 0 || len(owned) > 0 {
 			t.Fatalf("%d cancels after DONE (the watchdog was not stopped), %d collector goroutines left", n, len(owned))
 		}
 	})
@@ -277,14 +280,14 @@ func TestPushRetriesFailedFinalFetch(t *testing.T) {
 		// The cached session would carry a fired watchdog's cancel.
 		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
 		var shut atomic.Bool
-		late, cancels := newGate(), &rule{match: "/gram/cancel"}
-		f.grid.add(cancels, &rule{match: "/gram/output", when: flag(&shut), do: fail}, &rule{match: "/gram/events", do: hold(late, false)})
+		late, cancels := hoptest.NewGate(), &hoptest.Rule{Match: "/gram/cancel"}
+		f.grid.Add(cancels, &hoptest.Rule{Match: "/gram/output", When: hoptest.Flag(&shut), Do: hoptest.Fail}, &hoptest.Rule{Match: "/gram/events", Do: hoptest.Hold(late, false)})
 		inv := f.invoke(t, f.publish(t, "job.gsh", "echo head\ncompute 1m\necho tail\n"), nil)
 		job, err := f.env.Grid.Job(inv.JobID)
 		must(t, err)
 		<-job.Done()
 		shut.Store(true)
-		late.open()
+		late.Open()
 		// Both fetches fail at this instant, and their two retries (the
 		// resync's terminal state, the replayed DONE frame) wait out a
 		// PollInterval.
@@ -296,18 +299,18 @@ func TestPushRetriesFailedFinalFetch(t *testing.T) {
 		// moves the output cursor and keeps the output in one step, the
 		// other finds the cursor moved (advance loses); whichever ends the
 		// invocation, its output is the whole stdout.
-		both := newGate()
-		fetched := &rule{match: "/gram/output", n: 2, do: hold(both, true)}
-		f.grid.add(fetched)
+		both := hoptest.NewGate()
+		fetched := &hoptest.Rule{Match: "/gram/output", N: 2, Do: hoptest.Hold(both, true)}
+		f.grid.Add(fetched)
 		shut.Store(false)
 		failedAt := time.Now()
-		<-both.arrived
+		<-both.Arrived
 		bubble.Wait()
 		before := f.ons.CollectorStats()
-		if n := fetched.hits.Load(); n != 2 {
+		if n := fetched.Hits.Load(); n != 2 {
 			t.Fatalf("%d final fetches held, want both retries'", n)
 		}
-		both.open()
+		both.Open()
 		if ends(t, inv, InvDone).Output() != "head\ntail\n" {
 			t.Fatalf("output %q, want the whole stdout", inv.Output())
 		}
@@ -320,7 +323,7 @@ func TestPushRetriesFailedFinalFetch(t *testing.T) {
 		}
 		// A watchdog left armed would cancel the finished job at its deadline.
 		time.Sleep(f.cfg.InvocationTimeout)
-		if n := cancels.hits.Load(); n != 0 {
+		if n := cancels.Hits.Load(); n != 0 {
 			t.Errorf("%d cancels after DONE: the watchdog was not stopped", n)
 		}
 		f.ons.invalidateSession("alice", inv.sessionID) // the stream's worker may retire
@@ -336,17 +339,17 @@ func TestPollRetriesFailedFinalFetch(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		var job atomic.Pointer[gridsim.Job]
-		final := &rule{match: "/gram/output", n: 1, do: fail, when: func(*http.Request) bool {
+		final := &hoptest.Rule{Match: "/gram/output", N: 1, Do: hoptest.Fail, When: func(*http.Request) bool {
 			j := job.Load()
 			return j != nil && j.State().Terminal()
 		}}
-		f.grid.add(final)
+		f.grid.Add(final)
 		inv := f.invoke(t, f.publish(t, "job.gsh", "echo head\ncompute 1m\necho tail\n"), nil)
 		j, err := f.env.Grid.Job(inv.JobID)
 		must(t, err)
 		job.Store(j)
-		if ends(t, inv, InvDone).Output() != "head\ntail\n" || final.hits.Load() == 0 {
-			t.Fatalf("output %q after %d failed fetches of the ended job, want the whole stdout after one", inv.Output(), final.hits.Load())
+		if ends(t, inv, InvDone).Output() != "head\ntail\n" || final.Hits.Load() == 0 {
+			t.Fatalf("output %q after %d failed fetches of the ended job, want the whole stdout after one", inv.Output(), final.Hits.Load())
 		}
 	})
 }
@@ -359,8 +362,8 @@ func TestPollRetriesFailedFinalFetch(t *testing.T) {
 func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.InvocationTimeout = true, 20*time.Second })
-		held := newGate()
-		f.grid.add(&rule{match: "/gram/cancel", do: hold(held, true)})
+		held := hoptest.NewGate()
+		f.grid.Add(&hoptest.Rule{Match: "/gram/cancel", Do: hoptest.Hold(held, true)})
 		// Fill every slot so the invocation's job stays queued: the site's own
 		// walltime limit (same 20s) never starts, and only the appliance's
 		// watchdog can end it.
@@ -368,7 +371,7 @@ func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
 			fill(t, f.site(name))
 		}
 		inv := f.invoke(t, f.publish(t, "queued.gsh", "echo never\n"), nil)
-		<-held.arrived
+		<-held.Arrived
 		// The pushed CANCELLED frame is the only thing left that touches the
 		// job: it has been processed once the stream worker has reaped it.
 		bubble.Wait()
@@ -380,7 +383,7 @@ func TestWatchdogVerdictSurvivesPushedCancel(t *testing.T) {
 				t.Fatal("CANCELLED frame never processed")
 			}
 		}
-		held.open()
+		held.Open()
 		if !strings.Contains(ends(t, inv, InvKilled).Message(), "watchdog") {
 			t.Fatalf("message %q", inv.Message())
 		}
@@ -441,9 +444,9 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 		// invocation rides a fresh stream again.
 		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.InvocationTimeout = true, 3*time.Hour })
 		var down atomic.Bool // streams break at their next line, new ones are refused
-		f.grid.add(&rule{match: "/gram/events", when: flag(&down), do: fail}, &rule{match: "/gram/events", do: rewrite(func(_ int, line []byte) ([]byte, error) {
+		f.grid.Add(&hoptest.Rule{Match: "/gram/events", When: hoptest.Flag(&down), Do: hoptest.Fail}, &hoptest.Rule{Match: "/gram/events", Do: hoptest.Rewrite(func(_ int, line []byte) ([]byte, error) {
 			if down.Load() {
-				return nil, errInjected
+				return nil, hoptest.ErrInjected
 			}
 			return line, nil
 		})})
@@ -487,7 +490,7 @@ func TestPushEventsStalledStreamFallsBack(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) {
 			cfg.PushEvents, cfg.SessionCache, cfg.InvocationTimeout, cfg.PollInterval = true, true, 8*time.Hour, 10*time.Second
 		})
-		f.grid.add(&rule{match: "/gram/events", do: rewrite(func(frame int, line []byte) ([]byte, error) {
+		f.grid.Add(&hoptest.Rule{Match: "/gram/events", Do: hoptest.Rewrite(func(frame int, line []byte) ([]byte, error) {
 			if frame > 0 {
 				return nil, nil // past the hello frame
 			}
@@ -659,10 +662,10 @@ func TestPushStreamScopedToItsSession(t *testing.T) {
 // time as it completes, with the grid's faults: whichever side wins, each
 // invocation finishes exactly once (finish closing DoneChan twice would
 // panic) with a terminal state.
-func cancelOnCompletionTick(t *testing.T, push bool, faults ...*rule) {
+func cancelOnCompletionTick(t *testing.T, push bool, faults ...*hoptest.Rule) {
 	t.Helper()
 	f := newFixture(t, func(cfg *Config) { cfg.PushEvents = push })
-	f.grid.add(faults...)
+	f.grid.Add(faults...)
 	svc := f.publish(t, "quick.gsh", "compute 1s\necho done\n")
 	var wg sync.WaitGroup
 	for range 8 {
@@ -695,7 +698,7 @@ func TestPollHubSkipsUnchangedSnapshots(t *testing.T) {
 		// A job that is silent for three poll ticks and then emits once: the
 		// poller must confirm the unchanged snapshot without fetching any bytes.
 		f := newFixture(t, func(cfg *Config) { cfg.PushEvents = true })
-		f.grid.add(noEventStream())
+		f.grid.Add(noEventStream())
 		inv := ends(t, f.invoke(t, f.publish(t, "quiet.gsh", "compute 10s\necho fin\n"), nil), InvDone)
 		if st := f.ons.CollectorStats(); inv.Output() != "fin\n" || st.OutputNotModified == 0 || st.OutputBytes != 4 || st.PollDiskWrites != 1 {
 			t.Fatalf("output %q, %+v: want silent ticks confirmed, 4 bytes fetched and spilled once", inv.Output(), st)
@@ -713,7 +716,7 @@ func TestPollHubBatchesStatusRPCs(t *testing.T) {
 		const n, ticks = 8, 3
 		// The site's walltime limit derives from the timeout: the jobs outlive the test.
 		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache, cfg.InvocationTimeout = true, true, 100*time.Hour })
-		f.grid.add(noEventStream())
+		f.grid.Add(noEventStream())
 		svc := f.publish(t, "long.gsh", strings.Repeat("compute 24h\n", 4))
 		invs := make([]*Invocation, n)
 		for i := range invs {
@@ -758,7 +761,7 @@ func TestPollHubIsolatesFailingJob(t *testing.T) {
 		// A failing job and a succeeding one share a session, and so a batch;
 		// each must reach its own terminal state.
 		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = true, true })
-		f.grid.add(noEventStream())
+		f.grid.Add(noEventStream())
 		bad := f.invoke(t, f.publish(t, "boom.gsh", "compute 4s\nfail kaboom\n"), nil)
 		good := f.invoke(t, f.publish(t, "fine.gsh", "compute 4s\necho good\n"), nil)
 		if !strings.Contains(ends(t, bad, InvFailed).Message(), "kaboom") || ends(t, good, InvDone).Output() != "good\n" {
@@ -779,20 +782,20 @@ func TestPollHubDropsStaleEntryOfKilledJob(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) {
 			cfg.PushEvents, cfg.SessionCache, cfg.InvocationTimeout = true, true, 20*time.Second
 		})
-		read := newGate()
-		cancels, fetches := &rule{match: "/gram/cancel"}, &rule{match: "/gram/output"}
-		f.grid.add(noEventStream(), &rule{match: "/gram/status-batch", do: hold(read, true)}, cancels, fetches)
+		read := hoptest.NewGate()
+		cancels, fetches := &hoptest.Rule{Match: "/gram/cancel"}, &hoptest.Rule{Match: "/gram/output"}
+		f.grid.Add(noEventStream(), &hoptest.Rule{Match: "/gram/status-batch", Do: hoptest.Hold(read, true)}, cancels, fetches)
 		inv := f.invoke(t, f.publish(t, "slow.gsh", "echo head\n"+slowProgram), nil)
-		<-read.arrived
+		<-read.Arrived
 		time.Sleep(f.cfg.InvocationTimeout) // past the watchdog's deadline
 		bubble.Wait()
-		if cancels.hits.Load() != 1 || !strings.Contains(ends(t, inv, InvKilled).Message(), "watchdog") {
-			t.Fatalf("%d cancels, message %q: want the watchdog's kill landed", cancels.hits.Load(), inv.Message())
+		if cancels.Hits.Load() != 1 || !strings.Contains(ends(t, inv, InvKilled).Message(), "watchdog") {
+			t.Fatalf("%d cancels, message %q: want the watchdog's kill landed", cancels.Hits.Load(), inv.Message())
 		}
-		read.open()
+		read.Open()
 		bubble.Wait()
-		if inv.State() != InvKilled || inv.Output() != "" || fetches.hits.Load() != 0 {
-			t.Fatalf("%s, output %q, %d output fetches after the stale entry: want KILLED, no output, none", inv.State(), inv.Output(), fetches.hits.Load())
+		if inv.State() != InvKilled || inv.Output() != "" || fetches.Hits.Load() != 0 {
+			t.Fatalf("%s, output %q, %d output fetches after the stale entry: want KILLED, no output, none", inv.State(), inv.Output(), fetches.Hits.Load())
 		}
 		f.collectorsIdle(t)
 	})
@@ -860,7 +863,7 @@ func TestTraceEndToEnd(t *testing.T) {
 func TestTraceHubPathsLinkParent(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(c *Config) { c.CoalesceStaging, c.PushEvents = true, true }, traced())
-		f.grid.add(noEventStream())
+		f.grid.Add(noEventStream())
 		f.uploadDemo(t)
 		invs := make([]*Invocation, 3)
 		burst(t, len(invs), func(i int) (err error) {
@@ -916,7 +919,7 @@ func TestTraceWatchdogEndsSpanTree(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				f := newFixture(t, func(c *Config) { c.InvocationTimeout, c.PushEvents = 20*time.Second, tc.fallback }, traced())
 				if tc.fallback {
-					f.grid.add(noEventStream())
+					f.grid.Add(noEventStream())
 				}
 				inv := ends(t, f.invoke(t, f.publish(t, "slow.gsh", slowProgram), nil), InvKilled)
 				// Two enforcement paths race at the same deadline: the client

@@ -1,19 +1,13 @@
 package core
 
 import (
-	"bufio"
-	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"path"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +20,7 @@ import (
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
 	"repro/internal/hop"
+	"repro/internal/hop/hoptest"
 	"repro/internal/jsdl"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -40,7 +35,8 @@ import (
 func TestMain(m *testing.M) { bubble.Main(m) }
 
 // gridNet is the in-process network every fixture's grid listens on, and
-// overGrid hop's transport across it: what a fixture's fault table lets
+// overGrid hop's transport across it: what a fixture's fault table (a
+// hoptest.Faults: a rule is a path match, a "when" and one action) lets
 // through goes to overGrid, as production's grid traffic goes to
 // hop.Shared(). A fixture closes overGrid's idle connections as it goes:
 // each pipe belongs to the bubble of the test that dialled it.
@@ -61,7 +57,7 @@ type fixture struct {
 	// (by the core, the database and the agent) while switched on.
 	probes *probeLog
 	// grid is the fault table every GRAM and GridFTP request crosses.
-	grid *faults
+	grid *hoptest.Faults
 	// col collects every service's spans when the fixture is traced.
 	col *trace.Collector
 }
@@ -120,12 +116,13 @@ func newFixture(t *testing.T, mutate func(*Config), opts ...fixtureOpt) *fixture
 		must(t, err)
 		t.Cleanup(func() { db.Close() })
 	}
-	f := &fixture{env: env, rec: rec, probes: probes, grid: &faults{out: overGrid}, col: grid.Trace}
+	f := &fixture{env: env, rec: rec, probes: probes, grid: &hoptest.Faults{Out: overGrid}, col: grid.Trace}
 	dial := gridNet.DialContext
 	if grid.Profile != nil {
 		dial = (&netsim.Dialer{Profile: grid.Profile, Net: gridNet}).DialContext
-		f.grid.out = hop.NewTransport(dial)
-		t.Cleanup(f.grid.out.CloseIdleConnections)
+		out := hop.NewTransport(dial)
+		f.grid.Out = out
+		t.Cleanup(out.CloseIdleConnections)
 	}
 	f.cfg = Config{Probe: probe, Cost: cost, PollInterval: 2 * time.Second, InvocationTimeout: time.Hour, Trace: f.col}
 	f.parts = Parts{
@@ -263,256 +260,6 @@ func (f *fixture) site(name string) *gridsim.Site {
 		panic(err)
 	}
 	return s
-}
-
-// A fault table is the grid transport of every fixture: a list of rules,
-// each a request match, a "when", and one action — fail, lose the reply,
-// hold until released, answer a status, rewrite the reply stream, break the request
-// body after k bytes, or watch — or none, which only counts. A request
-// meets the rules in the order they were added; the first whose match and
-// when hold applies its action, which may send the request on down the
-// list; past the last rule it goes to the grid over out.
-type faults struct {
-	mu    sync.Mutex
-	rules []*rule
-	out   *hop.Transport // overGrid, or a shaped link's own
-}
-
-type rule struct {
-	// match is "[METHOD ]pattern", the pattern as path.Match reads it
-	// ("PUT /ftp/*" is a file upload and no chunk); empty matches all.
-	match string
-	// when, if set, must hold too, when the request is made.
-	when func(*http.Request) bool
-	// n bounds how many requests the rule applies to; 0 is every one.
-	n int64
-	// do is the action; nil only counts.
-	do action
-	// hits counts the requests the rule applied to.
-	hits atomic.Int64
-}
-
-// action does a rule's one thing to req. next sends req on down the
-// table; top sends a request from the table's first rule, as a replay.
-type action func(req *http.Request, next, top roundTrip) (*http.Response, error)
-
-type roundTrip func(*http.Request) (*http.Response, error)
-
-// add appends rules to the table; requests already past it do not see them.
-func (ft *faults) add(rules ...*rule) {
-	ft.mu.Lock()
-	ft.rules = append(ft.rules[:len(ft.rules):len(ft.rules)], rules...)
-	ft.mu.Unlock()
-}
-
-func (ft *faults) RoundTrip(req *http.Request) (*http.Response, error) {
-	ft.mu.Lock()
-	rules := ft.rules
-	ft.mu.Unlock()
-	return ft.from(rules, req)
-}
-
-func (ft *faults) from(rules []*rule, req *http.Request) (*http.Response, error) {
-	for i, r := range rules {
-		if !r.applies(req) || r.do == nil {
-			continue
-		}
-		return r.do(req, func(req *http.Request) (*http.Response, error) { return ft.from(rules[i+1:], req) }, ft.RoundTrip)
-	}
-	return ft.out.RoundTrip(req)
-}
-
-// applies reports whether r takes req, and counts it in hits if so.
-func (r *rule) applies(req *http.Request) bool {
-	method, pattern, ok := strings.Cut(r.match, " ")
-	if !ok {
-		method, pattern = "", r.match
-	}
-	if method != "" && method != req.Method {
-		return false
-	}
-	if matched, _ := path.Match(pattern, req.URL.Path); pattern != "" && !matched {
-		return false
-	}
-	if r.when != nil && !r.when(req) {
-		return false
-	}
-	for {
-		h := r.hits.Load()
-		if r.n > 0 && h >= r.n {
-			return false
-		}
-		if r.hits.CompareAndSwap(h, h+1) {
-			return true
-		}
-	}
-}
-
-// flag is a when that holds while its value is true.
-func flag(b *atomic.Bool) func(*http.Request) bool {
-	return func(*http.Request) bool { return b.Load() }
-}
-
-var errInjected = errors.New("injected fault: connection reset by peer")
-
-// fail drops the request as a broken connection does.
-func fail(req *http.Request, _, _ roundTrip) (*http.Response, error) {
-	if req.Body != nil {
-		req.Body.Close()
-	}
-	return nil, errInjected
-}
-
-// lose sends the request on and drops its reply, as a connection that
-// breaks once the grid has acted does: the grid did the work, the
-// appliance hears only errInjected.
-func lose(req *http.Request, next, _ roundTrip) (*http.Response, error) {
-	resp, err := next(req)
-	if err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	return nil, errInjected
-}
-
-// gate holds requests until it opens; arrived is closed once the first
-// is held.
-type gate struct {
-	arrived, release chan struct{}
-	once             sync.Once
-}
-
-func newGate() *gate { return &gate{arrived: make(chan struct{}), release: make(chan struct{})} }
-
-func (g *gate) open() { close(g.release) }
-
-// hold parks each request at g until g opens: before it is sent or, with
-// reply, once its reply is in — the grid has acted, the appliance has not
-// heard.
-func hold(g *gate, reply bool) action {
-	return func(req *http.Request, next, _ roundTrip) (*http.Response, error) {
-		var resp *http.Response
-		var err error
-		if reply {
-			resp, err = next(req)
-		}
-		g.once.Do(func() { close(g.arrived) })
-		<-g.release
-		if !reply {
-			resp, err = next(req)
-		}
-		return resp, err
-	}
-}
-
-// answer consumes the request as a server would and replies status with
-// msg as the JSON error.
-func answer(status int, msg string) action {
-	return func(req *http.Request, _, _ roundTrip) (*http.Response, error) {
-		if req.Body != nil {
-			io.Copy(io.Discard, req.Body)
-			req.Body.Close()
-		}
-		body := `{"error":` + strconv.Quote(msg) + `}`
-		return &http.Response{StatusCode: status, Header: http.Header{"Content-Type": {"application/json"}},
-			Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body)), Request: req}, nil
-	}
-}
-
-// rewrite passes a 200 reply's stream through edit a line at a time;
-// frame counts the blank lines (ends of frames) before the line. A nil
-// result drops the line; an error cuts the stream there.
-func rewrite(edit func(frame int, line []byte) ([]byte, error)) action {
-	return func(req *http.Request, next, _ roundTrip) (*http.Response, error) {
-		resp, err := next(req)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			return resp, err
-		}
-		body := resp.Body
-		pr, pw := io.Pipe()
-		go func() {
-			br := bufio.NewReader(body)
-			for frame := 0; ; {
-				line, err := br.ReadBytes('\n')
-				out, cut := edit(frame, line)
-				if string(line) == "\n" {
-					frame++
-				}
-				if cut == nil && len(out) > 0 {
-					_, cut = pw.Write(out)
-				}
-				if cut != nil || err != nil {
-					pw.CloseWithError(cmp.Or(cut, err))
-					body.Close()
-					return
-				}
-			}
-		}()
-		resp.Body = struct {
-			io.Reader
-			io.Closer
-		}{pr, closerFunc(func() error { body.Close(); return pr.Close() })}
-		return resp, nil
-	}
-}
-
-type closerFunc func() error
-
-func (c closerFunc) Close() error { return c() }
-
-// breakAfter reads k bytes of the request's body, waits, and drops the
-// connection. With replay it then sends the request again on a fresh
-// body, as hop does when the pooled connection it picked was dead.
-func breakAfter(k int64, wait time.Duration, replay bool) action {
-	return func(req *http.Request, _, top roundTrip) (*http.Response, error) {
-		io.CopyN(io.Discard, req.Body, k)
-		time.Sleep(wait)
-		req.Body.Close()
-		if !replay {
-			return nil, errInjected
-		}
-		again, err := req.GetBody()
-		if err != nil {
-			return nil, err
-		}
-		req = req.Clone(req.Context())
-		req.Body = again
-		return top(req)
-	}
-}
-
-// watch keeps what it sees pass: each request body (to check later that
-// it was closed), the bytes read off them, and the 201 Created replies.
-type watch struct {
-	mu      sync.Mutex
-	bodies  []io.ReadCloser
-	sent    atomic.Int64
-	created atomic.Int64
-}
-
-func (w *watch) do(req *http.Request, next, _ roundTrip) (*http.Response, error) {
-	w.mu.Lock()
-	w.bodies = append(w.bodies, req.Body)
-	w.mu.Unlock()
-	req.Body = countedBody{req.Body, &w.sent}
-	resp, err := next(req)
-	// A replay crossed the watch too: its reply is counted there.
-	if err == nil && resp.StatusCode == http.StatusCreated && resp.Request == req {
-		w.created.Add(1)
-	}
-	return resp, err
-}
-
-// countedBody counts the bytes read off a request body.
-type countedBody struct {
-	io.ReadCloser
-	n *atomic.Int64
-}
-
-func (c countedBody) Read(p []byte) (int, error) {
-	n, err := c.ReadCloser.Read(p)
-	c.n.Add(int64(n))
-	return n, err
 }
 
 // probeLog is the Observe hook of the fixture's recorder. Every Burn,

@@ -13,6 +13,7 @@ import (
 	"repro/internal/bubble"
 	"repro/internal/cyberaide"
 	"repro/internal/gridsim"
+	"repro/internal/hop/hoptest"
 	"repro/internal/metrics"
 	"repro/internal/soap"
 	"repro/internal/trace"
@@ -543,7 +544,7 @@ func TestLostSubmitReplyRunsOnce(t *testing.T) {
 			t.Run(fmt.Sprintf("push=%v", push), func(t *testing.T) {
 				f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = push, push })
 				svc := f.publish(t, "once.gsh", "echo once\n")
-				f.grid.add(&rule{match: "/gram/submit", n: 1, do: lose})
+				f.grid.Add(&hoptest.Rule{Match: "/gram/submit", N: 1, Do: hoptest.Lose})
 				inv, err := f.ons.Invoke(svc, nil)
 				bubble.Wait()
 				ran := 0
@@ -574,23 +575,23 @@ func TestFailedSubmitLeavesNothing(t *testing.T) {
 		for _, tc := range []struct {
 			name  string
 			push  bool
-			do    action
+			do    hoptest.Action
 			sends int64
 		}{
-			{"refused/poll", false, answer(http.StatusBadRequest, "gram: bad description"), 1},
-			{"refused/push", true, answer(http.StatusBadRequest, "gram: bad description"), 1},
-			{"unreachable/poll", false, fail, 2},
-			{"unreachable/push", true, fail, 2},
+			{"refused/poll", false, hoptest.Answer(http.StatusBadRequest, "gram: bad description"), 1},
+			{"refused/push", true, hoptest.Answer(http.StatusBadRequest, "gram: bad description"), 1},
+			{"unreachable/poll", false, hoptest.Fail, 2},
+			{"unreachable/push", true, hoptest.Fail, 2},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.SessionCache = tc.push, tc.push })
 				svc := f.publish(t, "never.gsh", "echo never\n")
-				submits, cancels := &rule{match: "/gram/submit", do: tc.do}, &rule{match: "/gram/cancel"}
-				f.grid.add(submits, cancels)
+				submits, cancels := &hoptest.Rule{Match: "/gram/submit", Do: tc.do}, &hoptest.Rule{Match: "/gram/cancel"}
+				f.grid.Add(submits, cancels)
 				if _, err := f.ons.Invoke(svc, nil); err == nil {
 					t.Fatal("invoke succeeded")
 				}
-				if n := submits.hits.Load(); n != tc.sends {
+				if n := submits.Hits.Load(); n != tc.sends {
 					t.Errorf("%d submits sent, want %d", n, tc.sends)
 				}
 				if n := len(f.ons.Invocations()); n != 0 {
@@ -606,7 +607,7 @@ func TestFailedSubmitLeavesNothing(t *testing.T) {
 				}
 				time.Sleep(f.cfg.InvocationTimeout + time.Minute)
 				bubble.Wait()
-				if n := cancels.hits.Load(); n != 0 {
+				if n := cancels.Hits.Load(); n != 0 {
 					t.Errorf("a watchdog fired: %d cancels", n)
 				}
 				if owned := collectorGoroutines(); len(owned) != 0 {

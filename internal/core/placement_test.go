@@ -12,6 +12,7 @@ import (
 	"repro/internal/bubble"
 	"repro/internal/gridftp"
 	"repro/internal/gridsim"
+	"repro/internal/hop/hoptest"
 	"repro/internal/trace"
 )
 
@@ -128,7 +129,7 @@ func TestPlacementProbeFailureDegradesToLoad(t *testing.T) {
 		if !ok || err != nil {
 			t.Fatalf("no FTP URL for %s: %v", sibling, err)
 		}
-		f.grid.add(&rule{when: func(req *http.Request) bool { return req.URL.Host == u.Host }, do: fail})
+		f.grid.Add(&hoptest.Rule{When: func(req *http.Request) bool { return req.URL.Host == u.Host }, Do: hoptest.Fail})
 		const n = 6
 		burst(t, n, func(i int) error {
 			inv, err := f.ons.Invoke(svc, nil)

@@ -26,17 +26,18 @@ import (
 	"repro/internal/gridftp"
 	"repro/internal/gridsim"
 	"repro/internal/gsh"
+	"repro/internal/hop/hoptest"
 	"repro/internal/trace"
 )
 
 // blips fails the first n file PUTs with a transport error — the WAN blip
 // the bounded upload retry exists for.
-func blips(n int64) *rule { return &rule{match: "PUT /ftp/*", n: n, do: fail} }
+func blips(n int64) *hoptest.Rule { return &hoptest.Rule{Match: "PUT /ftp/*", N: n, Do: hoptest.Fail} }
 
 func TestUploadRetriesTransientFault(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
-		f.grid.add(blips(1))
+		f.grid.Add(blips(1))
 		f.uploadDemo(t)
 		f.demo(t, "1")
 		if st := f.ons.SubmitStats(); st.UploadRetries != 1 || st.Uploads != 2 {
@@ -49,7 +50,7 @@ func TestUploadGivesUpAfterSecondFault(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		// One candidate site: no failover to mask the exhausted retry.
 		f := newFixture(t, func(cfg *Config) { cfg.StatsTTL = 0 })
-		f.grid.add(blips(2))
+		f.grid.Add(blips(2))
 		f.uploadDemo(t)
 		_, err := f.ons.ExecuteAndWait("MontecarloService", digits("1"))
 		// Both attempts at the first site fail; the pipeline moves on to the
@@ -179,11 +180,11 @@ func stagingBurst(t *testing.T, f *fixture, n int, coalesce bool) SubmitStats {
 	_, err := f.ons.ExecuteAndWait("BurstService", nil)
 	must(t, err)
 	before := f.ons.SubmitStats()
-	leader := newGate()
+	leader := hoptest.NewGate()
 	if coalesce {
-		f.grid.add(&rule{match: "PUT /ftp/*", do: hold(leader, false)})
+		f.grid.Add(&hoptest.Rule{Match: "PUT /ftp/*", Do: hoptest.Hold(leader, false)})
 		go func() {
-			<-leader.arrived
+			<-leader.Arrived
 			// Every other arrival parks on the one open staging flight.
 			bubble.Wait()
 			waiters := 0
@@ -195,7 +196,7 @@ func stagingBurst(t *testing.T, f *fixture, n int, coalesce bool) SubmitStats {
 			if waiters != n-1 {
 				t.Errorf("%d of %d arrivals joined the staging flight", waiters, n-1)
 			}
-			leader.open()
+			leader.Open()
 		}()
 	}
 	burst(t, n, func(int) error { _, err := f.ons.ExecuteAndWait("BurstService", nil); return err })
@@ -447,21 +448,21 @@ var edgeWires = []struct {
 // file PUTs (their stored streams, the bytes read off them, and which the
 // site registered) and the commits, and answers the chunk endpoints as a
 // stock server does when the sites predate the chunk protocol.
-type edge struct{ put, commit watch }
+type edge struct{ put, commit hoptest.Watch }
 
 func newEdge(f *fixture, stock bool) *edge {
 	e := &edge{}
-	f.grid.add(&rule{match: "PUT /ftp/*", do: e.put.do}, &rule{match: "POST /ftp/commit", do: e.commit.do})
+	f.grid.Add(&hoptest.Rule{Match: "PUT /ftp/*", Do: e.put.Do}, &hoptest.Rule{Match: "POST /ftp/commit", Do: e.commit.Do})
 	if stock {
 		for _, chunky := range []string{"/ftp/chunk/*", "/ftp/chunks/have", "/ftp/commit"} {
-			f.grid.add(&rule{match: chunky, do: answer(http.StatusBadRequest, gridftp.ErrBadInput.Error()+": bad file name")})
+			f.grid.Add(&hoptest.Rule{Match: chunky, Do: hoptest.Answer(http.StatusBadRequest, gridftp.ErrBadInput.Error()+": bad file name")})
 		}
 	}
 	return e
 }
 
 // registered counts the file PUTs and commits the real site answered 201.
-func (e *edge) registered() int64 { return e.put.created.Load() + e.commit.created.Load() }
+func (e *edge) registered() int64 { return e.put.Created.Load() + e.commit.Created.Load() }
 
 // checkClosed fails unless every stored stream a file PUT carried has
 // been closed — which is what hands its gzip.Reader back to the pool.
@@ -469,11 +470,10 @@ func (e *edge) registered() int64 { return e.put.created.Load() + e.commit.creat
 // nothing to wait for.
 func (e *edge) checkClosed(t *testing.T) {
 	t.Helper()
-	e.put.mu.Lock()
-	defer e.put.mu.Unlock()
-	for i, body := range e.put.bodies {
+	bodies := e.put.Bodies()
+	for i, body := range bodies {
 		if _, err := body.Read(make([]byte, 1)); !errors.Is(err, fs.ErrClosed) {
-			t.Fatalf("request body %d of %d is not closed: Read says %v", i+1, len(e.put.bodies), err)
+			t.Fatalf("request body %d of %d is not closed: Read says %v", i+1, len(bodies), err)
 		}
 	}
 }
@@ -511,17 +511,17 @@ func TestStreamedEdgeFaults(t *testing.T) {
 	bubble.Run(func() {
 		faults := []struct {
 			name       string
-			fault      action
+			fault      hoptest.Action
 			atCommit   bool // on the chunk wire the site's verdict comes at commit, not with a chunk
 			retried    bool
 			definitive bool
 		}{
-			{name: "reset after 10000 body bytes", fault: breakAfter(10000, 0, false), retried: true},
-			{name: "reset before the first byte", fault: breakAfter(0, 0, false), retried: true},
-			{name: "stall then close", fault: breakAfter(3000, 30*time.Millisecond, false), retried: true},
-			{name: "dead keep-alive", fault: breakAfter(100, 0, true)},
-			{name: "400 checksum mismatch", fault: answer(http.StatusBadRequest, gridftp.ErrChecksum.Error()+": got 00 want 11"), atCommit: true, definitive: true},
-			{name: "507", fault: answer(http.StatusInsufficientStorage, "gridsim: quota exceeded"), atCommit: true, definitive: true},
+			{name: "reset after 10000 body bytes", fault: hoptest.BreakAfter(10000, 0, false), retried: true},
+			{name: "reset before the first byte", fault: hoptest.BreakAfter(0, 0, false), retried: true},
+			{name: "stall then close", fault: hoptest.BreakAfter(3000, 30*time.Millisecond, false), retried: true},
+			{name: "dead keep-alive", fault: hoptest.BreakAfter(100, 0, true)},
+			{name: "400 checksum mismatch", fault: hoptest.Answer(http.StatusBadRequest, gridftp.ErrChecksum.Error()+": got 00 want 11"), atCommit: true, definitive: true},
+			{name: "507", fault: hoptest.Answer(http.StatusInsufficientStorage, "gridsim: quota exceeded"), atCommit: true, definitive: true},
 		}
 		for _, w := range edgeWires {
 			for _, fc := range faults {
@@ -532,11 +532,11 @@ func TestStreamedEdgeFaults(t *testing.T) {
 					if w.wire != "gzip-chunks" {
 						target = "PUT /ftp/*"
 					}
-					fault := &rule{match: target, n: 1, do: fc.fault}
-					f.grid.add(fault)
+					fault := &hoptest.Rule{Match: target, N: 1, Do: fc.fault}
+					f.grid.Add(fault)
 					content := f.uploadPadded(t, "edge", "echo edge\n", 8*gridftp.DefaultChunkBytes)
 					inv, spans, err := invokeTraced(t, f, "EdgeService")
-					if fault.hits.Load() == 0 {
+					if fault.Hits.Load() == 0 {
 						t.Fatal("the fault never fired")
 					}
 					st := f.ons.SubmitStats()
@@ -570,8 +570,8 @@ func TestStreamedEdgeFaults(t *testing.T) {
 					// A retry and a replay each read the source from the start
 					// again; the chunk wire cuts the stored gzip and opens nothing.
 					wantOpens := map[string]int{"stream": 2, "fallback-put": 2, "gzip-chunks": 0}[w.wire]
-					if len(edge.put.bodies) != wantOpens {
-						t.Errorf("%d stored streams were opened, want %d", len(edge.put.bodies), wantOpens)
+					if len(edge.put.Bodies()) != wantOpens {
+						t.Errorf("%d stored streams were opened, want %d", len(edge.put.Bodies()), wantOpens)
 					}
 					if fetch := spans["db.fetch"]; len(fetch) != 1 || fetch[0].Attrs["bytes"] != fmt.Sprint(len(content)) || fetch[0].Attrs["stored_bytes"] == "" {
 						t.Errorf("db.fetch spans %+v, want one with both sizes", fetch)
@@ -651,7 +651,7 @@ func TestStreamedEdgeRefusesCorruptRow(t *testing.T) {
 						t.Fatalf("%d uploads, %d retries: a corrupt row is not a transient fault", st.Uploads, st.UploadRetries)
 					}
 					declared := int64(len(content) + c.sizeOff)
-					if sent := edge.put.sent.Load(); sent >= declared || sent == 0 {
+					if sent := edge.put.Sent.Load(); sent >= declared || sent == 0 {
 						t.Fatalf("%d of the %d declared body bytes were written", sent, declared)
 					}
 					for _, name := range []string{"siteA", "siteB"} {

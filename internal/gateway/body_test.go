@@ -9,24 +9,14 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/bubble"
+	"repro/internal/hop/hoptest"
 	"repro/internal/sizedio"
 )
-
-// TestMain runs the package's tests under GOEXPERIMENT=synctest, where
-// those that build a simulated grid run it in a bubble.
-func TestMain(m *testing.M) { bubble.Main(m) }
-
-// lowerMaxBody shrinks the body bound for one test, so "one byte too
-// many" does not take a quarter of a gigabyte to say.
-func lowerMaxBody(t *testing.T, limit int64) {
-	old := maxBody
-	maxBody = limit
-	t.Cleanup(func() { maxBody = old })
-}
 
 // TestOversizeRequestBodyRefused: a request body past maxBody used to be
 // cut at the limit and proxied truncated. It is refused with 413 — whether
@@ -36,24 +26,21 @@ func TestOversizeRequestBodyRefused(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		const limit = 8 << 10
 		lowerMaxBody(t, limit)
-		w := bootFleet(t, 2, nil)
+		f := newFleet(t, 2, nil)
 		proxied := func() (n uint64) {
-			for _, m := range w.gw.members {
+			for _, m := range f.members {
 				n += countsOf(m).Proxied
 			}
 			return n
 		}
+		// hop sends no body of unknown length: a client of net/http's
+		// streams the undeclared one.
+		web := &http.Client{Transport: &http.Transport{DialContext: f.Net.DialContext}}
+		defer web.CloseIdleConnections()
 		post := func(body io.Reader) (int, string) {
 			t.Helper()
-			req, err := http.NewRequest(http.MethodPost, w.gw.BaseURL+"/upload", body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set("Content-Type", "application/octet-stream")
-			resp, err := web.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resp, err := web.Post(f.BaseURL+"/upload", "application/octet-stream", body)
+			must(t, err)
 			defer resp.Body.Close()
 			var env struct{ Code string }
 			json.NewDecoder(resp.Body).Decode(&env)
@@ -84,35 +71,32 @@ func TestOversizeRequestBodyRefused(t *testing.T) {
 // An upstream response past maxBody is a failed hop, not a reply cut
 // short and relayed as if it were whole.
 func TestOversizeResponseBodyIsAProxyError(t *testing.T) {
-	const limit = 8 << 10
-	lowerMaxBody(t, limit)
-	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-		if r.URL.Path == "/declared" {
-			w.Header().Set("Content-Length", strconv.Itoa(n))
-		}
-		for sent := 0; sent < n; sent += 1 << 10 {
-			w.Write(make([]byte, min(1<<10, n-sent)))
-			if r.URL.Path != "/declared" {
-				w.(http.Flusher).Flush() // forces chunked framing
+	bubble.Test(t, func(t *testing.T) {
+		const limit = 8 << 10
+		lowerMaxBody(t, limit)
+		f := newFleet(t, 1, nil)
+		// The member answers ?n= bytes, with their length or chunked.
+		f.faults.Add(&hoptest.Rule{Do: func(req *http.Request, on hoptest.Path) (*http.Response, error) {
+			n, _ := strconv.Atoi(req.URL.Query().Get("n"))
+			var chunked []string
+			if req.URL.Path == "/undeclared" {
+				chunked = []string{"Transfer-Encoding", "chunked"}
+			}
+			return hoptest.Respond(http.StatusOK, strings.Repeat("x", n), chunked...)(req, on)
+		}})
+		m := f.members[0]
+		for i, path := range []string{"/declared", "/undeclared"} {
+			get := func(n int) (*bufferedResponse, error) {
+				return f.forward(m, httptest.NewRequest(http.MethodGet, path+"?n="+strconv.Itoa(n), nil), nil, nil)
+			}
+			if _, err := get(limit + 1); !errors.Is(err, sizedio.ErrTooLarge) || countsOf(m).ProxyErrors != uint64(i+1) {
+				t.Errorf("%s response of maxBody+1: err %v, %d proxy errors; want ErrTooLarge counted once", path, err, countsOf(m).ProxyErrors-uint64(i))
+			}
+			if resp, err := get(limit); err != nil || len(resp.body) != limit {
+				t.Errorf("%s response of exactly maxBody: %v", path, err)
 			}
 		}
-	}))
-	defer upstream.Close()
-	g := &Gateway{rt: upstream.Client().Transport}
-	for _, path := range []string{"/declared", "/undeclared"} {
-		m := &member{id: "big", base: upstream.URL, gw: g}
-		get := func(n int) (*bufferedResponse, error) {
-			r := httptest.NewRequest(http.MethodGet, path+"?n="+strconv.Itoa(n), nil)
-			return g.forward(m, r, nil, nil)
-		}
-		if _, err := get(limit + 1); !errors.Is(err, sizedio.ErrTooLarge) || countsOf(m).ProxyErrors != 1 {
-			t.Errorf("%s response of maxBody+1: err %v, %d proxy errors; want ErrTooLarge counted once", path, err, countsOf(m).ProxyErrors)
-		}
-		if resp, err := get(limit); err != nil || len(resp.body) != limit {
-			t.Errorf("%s response of exactly maxBody: %v", path, err)
-		}
-	}
+	})
 }
 
 // TestCatalogKeepsTheUploadBuffer: an upload's body is the request's own

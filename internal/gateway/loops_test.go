@@ -3,125 +3,32 @@ package gateway
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
-	"syscall"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bubble"
+	"repro/internal/hop/hoptest"
 	"repro/internal/trace"
 )
 
-// fault is what one upstream does to every hop that reaches it.
-type fault int
-
-const (
-	healthy      fault = iota
-	dialRefused        // no connection: not one byte sent
-	resetOnReply       // the request is written, then the connection dies
-	replyTooBig        // a 200 whose body runs past maxBody
-	status500          // the appliance answers, badly
-	status404          // the appliance answers that it knows no such thing
-)
-
-var faultNames = map[fault]string{dialRefused: "dial refused", resetOnReply: "reset after the request was written",
-	replyTooBig: "reply past maxBody", status500: "5xx", status404: "404"}
-
-// fakeFleet is the transport under a gateway whose members exist only as
-// host names: the one seam gateway→appliance faults are injected at. The
-// host bad suffers what; every other host is well. It watches for the one
-// thing no loop may do: send a write again after a hop that failed once
-// its bytes had reached an upstream.
-type fakeFleet struct {
-	mu        sync.Mutex
-	bad       string
-	what      fault
-	knows     string          // the host that issued fakeTicket: its last invoke's
-	deployed  map[string]bool // hosts that have seen POST /upload
-	ambiguous bool
-	resent    bool
-}
-
-func (f *fakeFleet) RoundTrip(req *http.Request) (*http.Response, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	what := healthy
-	if req.URL.Host == f.bad {
-		what = f.what
-	}
-	if what == dialRefused {
-		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
-	}
-	if req.Body != nil {
-		io.Copy(io.Discard, req.Body)
-		req.Body.Close()
-	}
-	write := req.Method == http.MethodPost && req.URL.Path != "/upload"
-	if write && f.ambiguous {
-		f.resent = true
-	}
-	reply := func(status int, body string) (*http.Response, error) {
-		return &http.Response{StatusCode: status, ContentLength: int64(len(body)),
-			Header: http.Header{"Content-Type": {"application/json"}}, Body: io.NopCloser(strings.NewReader(body))}, nil
-	}
-	switch what {
-	case resetOnReply:
-		f.ambiguous = f.ambiguous || write
-		return nil, &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
-	case replyTooBig:
-		f.ambiguous = f.ambiguous || write
-		return reply(http.StatusOK, strings.Repeat("x", int(maxBody)+1))
-	case status500:
-		return reply(http.StatusInternalServerError, `{"code":"internal","error":"boom"}`)
-	case status404:
-		if req.URL.Path == "/upload" {
-			f.deployed[req.URL.Host] = true
-		} else if !f.deployed[req.URL.Host] {
-			return reply(http.StatusNotFound, `{"code":"not_found","error":"no such service"}`)
+// serviceFleet is a fleet of three, FailThreshold 2 and the default
+// cooldown, where alice's SService is published through the front door
+// and on the other members past it: the gateway has catalogued it, and
+// every member holds it.
+func serviceFleet(t *testing.T) *fleet {
+	t.Helper()
+	f := newFleet(t, 3, func(cfg *Config) { cfg.FailThreshold, cfg.HalfOpenAfter = 2, 0 })
+	primary := f.PrimaryFor(publish(t, f.front, "s.gsh", "echo s\n"))
+	for i := range f.members {
+		if i != primary {
+			publish(t, f.door(i), "s.gsh", "echo s\n")
 		}
 	}
-	switch req.URL.Path {
-	case "/api/invoke":
-		f.knows = req.URL.Host
-		return reply(http.StatusOK, `{"job_id":"siteA:job-1","site":"siteA","ticket":"`+fakeTicket+`"}`)
-	case "/api/cancel", "/api/wait":
-		if req.URL.Host != f.knows {
-			return reply(http.StatusNotFound, `{"code":"not_found","error":"no such ticket"}`)
-		}
-		return reply(http.StatusOK, `{"state":"cancelling"}`)
-	case "/trace": // an HTML page: its 404 is plain text
-		if req.URL.Host != f.knows {
-			return reply(http.StatusNotFound, "no such ticket\n")
-		}
-	case "/api/services":
-		return reply(http.StatusOK, `[{"service_name":"`+strings.ToUpper(req.URL.Host[:1])+`Service"}]`)
-	}
-	return reply(http.StatusOK, `{}`)
-}
-
-// fakeTicket is the ticket every fakeFleet member issues: one of
-// SService's.
-const fakeTicket = "inv-000001-SService-0123456789ab"
-
-// fakeGateway is a gateway of n members over fleet: everything Boot
-// builds but the appliances and the listener.
-func fakeGateway(n int, fleet *fakeFleet) (*Gateway, *trace.Collector) {
-	cfg := Config{Fleet: n, FailThreshold: 2}
-	cfg.fill()
-	col := trace.NewCollector(0, 0)
-	g := &Gateway{cfg: cfg, rt: fleet,
-		tracer:  trace.NewTracer("gateway", nil, col),
-		catalog: map[string]*catalogEntry{"SService": {service: "SService", contentType: "multipart/form-data; boundary=x"}}}
-	for i := 0; i < n; i++ {
-		g.members = append(g.members, &member{id: fmt.Sprintf("shard-%d", i), idx: i, gw: g, base: fmt.Sprintf("http://%c.invalid", 'a'+i)})
-	}
-	g.ring = newRing(g.members)
-	return g, col
+	return f
 }
 
 // onceWriter fails the test when a handler writes a second response.
@@ -138,11 +45,31 @@ func (w *onceWriter) WriteHeader(status int) {
 	w.ResponseRecorder.WriteHeader(status)
 }
 
-// countsOf reads m's counters.
-func countsOf(m *member) UpstreamStats { return m.stats(time.Time{}) }
+// lost is a fault that answers every request 404 until an upload reaches
+// the member, which it answers as the member would: the member had lost
+// a service, and the upload puts it back.
+func lost() hoptest.Action {
+	var back atomic.Bool
+	return func(req *http.Request, on hoptest.Path) (*http.Response, error) {
+		switch {
+		case req.URL.Path == "/upload":
+			back.Store(true)
+			return hoptest.Respond(http.StatusOK, `{}`)(req, on)
+		case back.Load():
+			return on.Next(req)
+		}
+		return hoptest.Respond(http.StatusNotFound, `{"code":"not_found","error":"no such service"}`)(req, on)
+	}
+}
+
+// keyed is the request to SService that keyed loops send.
+func keyed() *http.Request {
+	return httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`))
+}
 
 // TestLoopFaults is one table for the gateway→appliance edge: each way a
-// hop can go wrong, met through each of the loops every proxied request
+// hop can go wrong, a rule of the fleet's fault table on the first member
+// of the loop's order, met through each of the loops every proxied request
 // takes — ask under serveKeyed's retry rule, first (along a ticket's
 // service walk), gather. Per cell:
 // exactly one response, of the expected status; every attempt counted
@@ -157,133 +84,134 @@ func TestLoopFaults(t *testing.T) {
 		attempts []uint64 // per member: victim, next, last
 		fails    int      // the victim's failed attempts per request: 0 or 1
 	}
+	always := func(a hoptest.Action) func() hoptest.Action { return func() hoptest.Action { return a } }
+	faults := []struct {
+		name    string
+		reached bool                  // the request reached the member before the hop failed
+		do      func() hoptest.Action // a fresh fault for each cell
+	}{
+		{"dial refused", false, always(hoptest.Refuse)},
+		{"reset after the request was written", true, always(hoptest.Lose)},
+		{"reply past maxBody", true, always(hoptest.Replace(hoptest.Respond(http.StatusOK, strings.Repeat("x", 1<<10+1))))},
+		{"5xx", false, always(hoptest.Respond(http.StatusInternalServerError, `{"code":"internal","error":"boom"}`))},
+		{"404", false, lost},
+	}
 	loops := []struct {
 		name    string
-		request func() *http.Request
-		traced  bool
-		replays bool                       // a 404 replays the catalogued upload
-		order   func(g *Gateway) []*member // the first of it suffers the fault
-		want    map[fault]want
+		request func(ticket string) *http.Request
+		gather  bool // asks the members in order, not SService's walk, and opens no span
 	}{
-		{
-			name: "ask under the keyed rule",
-			request: func() *http.Request {
-				return httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`))
-			},
-			traced:  true,
-			replays: true,
-			order:   func(g *Gateway) []*member { return g.ring.successors("SService") },
-			want: map[fault]want{
-				dialRefused:  {http.StatusOK, []uint64{1, 1, 0}, 1}, // provably unsent: retried on the successor
-				resetOnReply: {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
-				replyTooBig:  {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
-				status500:    {http.StatusInternalServerError, []uint64{1, 0, 0}, 0},
-				status404:    {http.StatusOK, []uint64{2, 0, 0}, 0}, // catalogued: replayed, asked again
-			},
-		},
-		{
-			name: "first",
-			request: func() *http.Request {
-				return httptest.NewRequest(http.MethodPost, "/api/cancel?ticket="+fakeTicket, nil)
-			},
-			traced: true,
-			order:  func(g *Gateway) []*member { return g.ring.successors("SService") },
-			want: map[fault]want{
-				dialRefused:  {http.StatusOK, []uint64{1, 1, 1}, 1},
-				resetOnReply: {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
-				replyTooBig:  {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
-				status500:    {http.StatusInternalServerError, []uint64{1, 0, 0}, 0},
-				status404:    {http.StatusOK, []uint64{1, 1, 1}, 0},
-			},
-		},
-		{
-			name:    "gather",
-			request: func() *http.Request { return httptest.NewRequest(http.MethodGet, "/api/services", nil) },
-			order:   func(g *Gateway) []*member { return g.members },
-			want: map[fault]want{
-				dialRefused:  {http.StatusOK, []uint64{1, 1, 1}, 1},
-				resetOnReply: {http.StatusOK, []uint64{1, 1, 1}, 1},
-				replyTooBig:  {http.StatusOK, []uint64{1, 1, 1}, 1},
-				status500:    {http.StatusOK, []uint64{1, 1, 1}, 0},
-				status404:    {http.StatusOK, []uint64{1, 1, 1}, 0},
-			},
-		},
+		{"ask under the keyed rule", func(string) *http.Request { return keyed() }, false},
+		{"first", func(ticket string) *http.Request {
+			return httptest.NewRequest(http.MethodPost, "/api/cancel?ticket="+ticket, nil)
+		}, false},
+		{"gather", func(string) *http.Request { return httptest.NewRequest(http.MethodGet, "/api/services", nil) }, true},
 	}
-	for _, loop := range loops {
-		for what, want := range loop.want {
-			t.Run(loop.name+"/"+faultNames[what], func(t *testing.T) {
-				fleet := &fakeFleet{what: what, deployed: map[string]bool{}}
-				g, col := fakeGateway(3, fleet)
-				order := loop.order(g)
-				victim := order[0]
-				fleet.bad = strings.TrimPrefix(victim.base, "http://")
-				fleet.knows = strings.TrimPrefix(order[2].base, "http://")
+	cells := map[string]want{
+		"ask under the keyed rule/dial refused":                        {http.StatusOK, []uint64{1, 1, 0}, 1}, // provably unsent: retried on the successor
+		"ask under the keyed rule/reset after the request was written": {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
+		"ask under the keyed rule/reply past maxBody":                  {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
+		"ask under the keyed rule/5xx":                                 {http.StatusInternalServerError, []uint64{1, 0, 0}, 0},
+		"ask under the keyed rule/404":                                 {http.StatusOK, []uint64{2, 0, 0}, 0}, // catalogued: replayed, asked again
+		"first/dial refused":                                           {http.StatusOK, []uint64{1, 1, 1}, 1},
+		"first/reset after the request was written":                    {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
+		"first/reply past maxBody":                                     {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
+		"first/5xx":                                                    {http.StatusInternalServerError, []uint64{1, 0, 0}, 0},
+		"first/404":                                                    {http.StatusOK, []uint64{1, 1, 1}, 0},
+		"gather/dial refused":                                          {http.StatusOK, []uint64{1, 1, 1}, 1},
+		"gather/reset after the request was written":                   {http.StatusOK, []uint64{1, 1, 1}, 1},
+		"gather/reply past maxBody":                                    {http.StatusOK, []uint64{1, 1, 1}, 1},
+		"gather/5xx":                                                   {http.StatusOK, []uint64{1, 1, 1}, 0},
+		"gather/404":                                                   {http.StatusOK, []uint64{1, 1, 1}, 0},
+	}
+	bubble.Run(func() {
+		for _, loop := range loops {
+			for _, fault := range faults {
+				want := cells[loop.name+"/"+fault.name]
+				t.Run(loop.name+"/"+fault.name, func(t *testing.T) {
+					f := serviceFleet(t)
+					order := f.ring.walk("SService", nil)
+					if loop.gather {
+						order = f.members
+					}
+					victim := order[0]
+					// The last of the walk issued the ticket, which the others
+					// do not know.
+					inv, _, err := f.door(order[2].idx).Invoke("SService", nil)
+					must(t, err)
+					// The victim, admitted, is asked first: a write that reaches
+					// a member after the victim's fault reached it is sent again.
+					hit, writes := &hoptest.Rule{When: at(victim, nil), Do: fault.do()}, &hoptest.Rule{Match: "POST /api/*"}
+					f.faults.Add(hit, writes)
+					asked := make([]uint64, len(order))
+					for i, m := range order {
+						asked[i] = countsOf(m).Proxied
+					}
 
-				serve := func(traceID string) int {
-					t.Helper()
-					fleet.ambiguous = false // one request's history, not the last one's
-					r := loop.request()
-					r.Header.Set(trace.Header, traceID+"-0123456789abcdef")
-					w := &onceWriter{ResponseRecorder: httptest.NewRecorder(), t: t}
-					g.ServeHTTP(w, r)
-					if w.headers != 1 {
-						t.Fatalf("%d responses written", w.headers)
+					serve := func(traceID string) int {
+						t.Helper()
+						r := loop.request(inv.Ticket)
+						r.Header.Set(trace.Header, traceID+"-0123456789abcdef")
+						w := &onceWriter{ResponseRecorder: httptest.NewRecorder(), t: t}
+						hits, sent := hit.Hits.Load(), writes.Hits.Load()
+						f.ServeHTTP(w, r)
+						if w.headers != 1 {
+							t.Fatalf("%d responses written", w.headers)
+						}
+						if fault.reached && hit.Hits.Load() > hits && writes.Hits.Load()-sent > 1 {
+							t.Error("a write was sent again after a hop that failed once its bytes had reached an upstream")
+						}
+						return w.Code
 					}
-					return w.Code
-				}
-				const firstTrace = "000000000000000000000000000000a1"
-				if status := serve(firstTrace); status != want.status {
-					t.Fatalf("status %d, want %d", status, want.status)
-				}
-				for i, m := range order {
-					if got := countsOf(m).Proxied; got != want.attempts[i] {
-						t.Errorf("member %d of the order was asked %d times, want %d", i, got, want.attempts[i])
+					const firstTrace = "000000000000000000000000000000a1"
+					if status := serve(firstTrace); status != want.status {
+						t.Fatalf("status %d, want %d", status, want.status)
 					}
-					fails := 0
-					if m == victim {
-						fails = want.fails
+					for i, m := range order {
+						if got := countsOf(m).Proxied - asked[i]; got != want.attempts[i] {
+							t.Errorf("member %d of the order was asked %d times, want %d", i, got, want.attempts[i])
+						}
+						fails := 0
+						if m == victim {
+							fails = want.fails
+						}
+						if countsOf(m).ProxyErrors != uint64(fails) || countsOf(m).ConsecutiveFails != fails {
+							t.Errorf("member %d: %d proxy errors, %d consecutive fails; want %d of each", i, countsOf(m).ProxyErrors, countsOf(m).ConsecutiveFails, fails)
+						}
 					}
-					if countsOf(m).ProxyErrors != uint64(fails) || countsOf(m).ConsecutiveFails != fails {
-						t.Errorf("member %d: %d proxy errors, %d consecutive fails; want %d of each", i, countsOf(m).ProxyErrors, countsOf(m).ConsecutiveFails, fails)
+					// A second attempt on the victim follows a catalog replay onto it.
+					if got := countsOf(victim).Redeploys; got != want.attempts[0]-1 {
+						t.Errorf("%d redeploys onto the victim, want %d", got, want.attempts[0]-1)
 					}
-				}
-				if what == status404 && loop.replays && countsOf(victim).Redeploys != 1 {
-					t.Errorf("%d redeploys onto the member that answered 404, want 1", countsOf(victim).Redeploys)
-				}
-				spans := col.Trace(firstTrace)
-				switch {
-				case !loop.traced && len(spans) != 0:
-					t.Errorf("%d spans from a loop that opens none", len(spans))
-				case loop.traced && len(spans) != 1:
-					t.Fatalf("%d spans ended, want 1", len(spans))
-				case loop.traced && (spans[0].Status == "error") != (want.fails > 0):
-					t.Errorf("span status %q after %d failed attempts", spans[0].Status, want.fails)
-				}
+					switch spans := f.spans(firstTrace); {
+					case loop.gather && len(spans) != 0:
+						t.Errorf("%d spans from a loop that opens none", len(spans))
+					case !loop.gather && len(spans) != 1:
+						t.Fatalf("%d spans ended, want 1", len(spans))
+					case !loop.gather && (spans[0].Status == "error") != (want.fails > 0):
+						t.Errorf("span status %q after %d failed attempts", spans[0].Status, want.fails)
+					}
 
-				// Again, up to the threshold: a member that keeps failing is
-				// ejected exactly once and then no longer asked; one that
-				// answers, however badly, stays.
-				serve("000000000000000000000000000000a2")
-				st := g.GatewayStats()
-				up := st.Upstreams[victim.idx]
-				if want.fails > 0 {
-					if up.State != "ejected" || up.Ejections != 1 || up.ProxyErrors != 2 {
-						t.Errorf("after %d failed attempts: %+v", g.cfg.FailThreshold, up)
+					// Again, up to the threshold: a member that keeps failing is
+					// ejected exactly once and then no longer asked; one that
+					// answers, however badly, stays.
+					serve("000000000000000000000000000000a2")
+					if up := f.up(victim); want.fails > 0 {
+						if up.State != "ejected" || up.Ejections != 1 || up.ProxyErrors != 2 {
+							t.Errorf("after %d failed attempts: %+v", f.cfg.FailThreshold, up)
+						}
+						before := countsOf(victim).Proxied
+						serve("000000000000000000000000000000a3")
+						if got := countsOf(victim).Proxied; got != before {
+							t.Errorf("the ejected member was asked again (%d -> %d)", before, got)
+						}
+					} else if up.State != "healthy" || up.ConsecutiveFails != 0 || up.ProxyErrors != 0 {
+						t.Errorf("a member that answered was counted against: %+v", up)
 					}
-					before := countsOf(victim).Proxied
-					serve("000000000000000000000000000000a3")
-					if got := countsOf(victim).Proxied; got != before {
-						t.Errorf("the ejected member was asked again (%d -> %d)", before, got)
-					}
-				} else if up.State != "healthy" || up.ConsecutiveFails != 0 || up.ProxyErrors != 0 {
-					t.Errorf("a member that answered was counted against: %+v", up)
-				}
-				if fleet.resent {
-					t.Error("a write was sent again after a hop that failed once its bytes had reached an upstream")
-				}
-			})
+				})
+			}
 		}
-	}
+	})
 }
 
 // TestHalfOpenTrialIsARequest: the trial that readmits an ejected member
@@ -293,55 +221,46 @@ func TestLoopFaults(t *testing.T) {
 // request itself is served by the successor.
 func TestHalfOpenTrialIsARequest(t *testing.T) {
 	bubble.Run(func() {
-		for name, trial := range map[string]fault{"reply": healthy, "refused": dialRefused} {
-			t.Run(name, func(t *testing.T) {
-				fleet := &fakeFleet{what: dialRefused, deployed: map[string]bool{}}
-				g, _ := fakeGateway(3, fleet)
-				victim := g.ring.successors("SService")[0]
-				fleet.bad = strings.TrimPrefix(victim.base, "http://")
+		for _, refused := range []bool{false, true} {
+			t.Run(map[bool]string{false: "reply", true: "refused"}[refused], func(t *testing.T) {
+				f := serviceFleet(t)
+				victim := f.ring.walk("SService", nil)[0]
+				down := f.down(victim)
+				down.Store(true)
 				invoke := func() {
 					t.Helper()
-					w := httptest.NewRecorder()
-					g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`)))
-					if w.Code != http.StatusOK {
-						t.Fatalf("status %d: %s", w.Code, w.Body)
+					if code := f.code(keyed()); code != http.StatusOK {
+						t.Fatalf("status %d", code)
 					}
 				}
-				upstream := func() UpstreamStats { return g.GatewayStats().Upstreams[victim.idx] }
-				for range g.cfg.FailThreshold {
+				for range f.cfg.FailThreshold {
 					invoke()
 				}
-				if up := upstream(); up.State != "ejected" || up.Ejections != 1 {
-					t.Fatalf("after %d refused dials: %+v", g.cfg.FailThreshold, up)
+				if up := f.up(victim); up.State != "ejected" || up.Ejections != 1 {
+					t.Fatalf("after %d refused dials: %+v", f.cfg.FailThreshold, up)
 				}
 				asked := countsOf(victim).Proxied
 				invoke()
-				time.Sleep(g.cfg.HalfOpenAfter - time.Nanosecond)
+				time.Sleep(f.cfg.HalfOpenAfter - time.Nanosecond)
 				invoke()
 				if got := countsOf(victim).Proxied; got != asked {
 					t.Fatalf("asked %d times during the cooldown", got-asked)
 				}
 				time.Sleep(time.Nanosecond)
-				if up := upstream(); up.State != "half-open" || up.HalfOpenTrials != 0 {
+				if up := f.up(victim); up.State != "half-open" || up.HalfOpenTrials != 0 {
 					t.Fatalf("cooldown over, nothing sent: %+v", up)
 				}
-				fleet.mu.Lock()
-				fleet.what = trial
-				fleet.mu.Unlock()
+				down.Store(refused)
 				invoke()
 				if got := countsOf(victim).Proxied; got != asked+1 {
 					t.Fatalf("the first request after the cooldown asked the member %d times, want 1", got-asked)
 				}
-				up := upstream()
-				switch trial {
-				case healthy:
-					if up.State != "healthy" || up.Recoveries != 1 || up.HalfOpenTrials != 1 || up.ConsecutiveFails != 0 {
-						t.Fatalf("a reply to the trial did not readmit: %+v", up)
-					}
-				case dialRefused:
-					if up.State != "ejected" || up.Recoveries != 0 || up.HalfOpenTrials != 1 || up.Ejections != 1 {
-						t.Fatalf("a refused trial: %+v", up)
-					}
+				switch up := f.up(victim); {
+				case !refused && (up.State != "healthy" || up.Recoveries != 1 || up.HalfOpenTrials != 1 || up.ConsecutiveFails != 0):
+					t.Fatalf("a reply to the trial did not readmit: %+v", up)
+				case refused && (up.State != "ejected" || up.Recoveries != 0 || up.HalfOpenTrials != 1 || up.Ejections != 1):
+					t.Fatalf("a refused trial: %+v", up)
+				case refused:
 					invoke()
 					if got := countsOf(victim).Proxied; got != asked+1 {
 						t.Fatal("a refused trial did not restart the cooldown")
@@ -352,23 +271,6 @@ func TestHalfOpenTrialIsARequest(t *testing.T) {
 	})
 }
 
-// gatedFleet holds every hop to host until open is closed, saying
-// "parked" on events first.
-type gatedFleet struct {
-	*fakeFleet
-	host   string
-	events chan<- string
-	open   <-chan struct{}
-}
-
-func (f gatedFleet) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Host == f.host {
-		f.events <- "parked"
-		<-f.open
-	}
-	return f.fakeFleet.RoundTrip(req)
-}
-
 // TestHalfOpenAdmitsOneTrialAtATime: a burst of keyed requests and
 // scatters that arrives once the cooldown has passed sends the ejected
 // member one request, its trial, and nothing more while that trial is
@@ -376,48 +278,38 @@ func (f gatedFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		const burst = 8
-		fleet := &fakeFleet{what: dialRefused, deployed: map[string]bool{}}
-		g, _ := fakeGateway(3, fleet)
-		victim := g.ring.successors("SService")[0]
-		fleet.bad = strings.TrimPrefix(victim.base, "http://")
+		f := serviceFleet(t)
+		victim := f.ring.walk("SService", nil)[0]
+		down := f.down(victim)
+		down.Store(true)
+		gate := hoptest.NewGate()
+		trial := &hoptest.Rule{When: at(victim, nil), Do: hoptest.Hold(gate, false)}
+		f.faults.Add(trial)
 		serve := func(i int) int {
-			r := httptest.NewRequest(http.MethodGet, "/api/services", nil)
 			if i%2 == 0 {
-				r = httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`))
+				return f.code(keyed())
 			}
-			w := httptest.NewRecorder()
-			g.ServeHTTP(w, r)
-			return w.Code
+			return f.code(httptest.NewRequest(http.MethodGet, "/api/services", nil))
 		}
-		for i := range g.cfg.FailThreshold {
+		for i := range f.cfg.FailThreshold {
 			serve(2 * i)
 		}
-		if up := g.GatewayStats().Upstreams[victim.idx]; up.State != "ejected" {
-			t.Fatalf("after %d refused dials: %+v", g.cfg.FailThreshold, up)
+		if up := f.up(victim); up.State != "ejected" {
+			t.Fatalf("after %d refused dials: %+v", f.cfg.FailThreshold, up)
 		}
-		time.Sleep(g.cfg.HalfOpenAfter)
-		fleet.what = healthy
-		events, open := make(chan string, 2*burst), make(chan struct{})
-		g.rt = gatedFleet{fleet, fleet.bad, events, open}
+		time.Sleep(f.cfg.HalfOpenAfter)
+		down.Store(false)
 		asked := countsOf(victim).Proxied
 
 		codes := make(chan int, burst)
 		for i := range burst {
-			go func() {
-				code := serve(i)
-				events <- "done"
-				codes <- code
-			}()
+			go func() { codes <- serve(i) }()
 		}
-		// Until the gate opens, each request of the burst either parks at the
-		// ejected member or is served elsewhere: one event each.
-		parked := 0
-		for range burst {
-			if <-events == "parked" {
-				parked++
-			}
-		}
-		close(open)
+		// Each request of the burst is past its admission once it blocks:
+		// parked at the ejected member, or served elsewhere.
+		bubble.Wait()
+		parked := trial.Hits.Load()
+		gate.Open()
 		for range burst {
 			if code := <-codes; code != http.StatusOK {
 				t.Errorf("status %d", code)
@@ -426,7 +318,7 @@ func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 		if got := countsOf(victim).Proxied - asked; parked != 1 || got != 1 {
 			t.Fatalf("the ejected member was sent %d requests of the burst (%d at once), want 1", got, parked)
 		}
-		if up := g.GatewayStats().Upstreams[victim.idx]; up.State != "healthy" || up.HalfOpenTrials != 1 || up.Recoveries != 1 {
+		if up := f.up(victim); up.State != "healthy" || up.HalfOpenTrials != 1 || up.Recoveries != 1 {
 			t.Fatalf("after the trial's reply: %+v", up)
 		}
 	})
@@ -440,24 +332,19 @@ func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 // still answers for its ticket.
 func TestTicketWalksItsServiceRing(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		fleet := &fakeFleet{deployed: map[string]bool{}}
-		g, col := fakeGateway(3, fleet)
-		succ := g.ring.successors("SService")
+		f := serviceFleet(t)
+		succ := f.ring.walk("SService", nil)
 		primary := succ[0]
+		down := f.down(primary)
 		const waitTrace = "000000000000000000000000000000b1"
-		serve := func(method, target string) int {
+		var ticket string
+		issue := func() {
 			t.Helper()
-			w := httptest.NewRecorder()
-			var body io.Reader
-			if method == http.MethodPost {
-				body = strings.NewReader(`{"service":"SService"}`)
+			inv, status, err := f.front.Invoke("SService", nil)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("invoke: status %d, %v", status, err)
 			}
-			r := httptest.NewRequest(method, target, body)
-			if strings.HasPrefix(target, "/api/wait") {
-				r.Header.Set(trace.Header, waitTrace+"-0123456789abcdef")
-			}
-			g.ServeHTTP(w, r)
-			return w.Code
+			ticket = inv.Ticket
 		}
 		hops := func() (n [3]uint64) {
 			for i, m := range succ {
@@ -467,75 +354,65 @@ func TestTicketWalksItsServiceRing(t *testing.T) {
 		}
 		wait := func(want [3]uint64) {
 			t.Helper()
-			before, routes := hops(), g.stats.Snapshot().TicketRoutes
-			if code := serve(http.MethodGet, "/api/wait?ticket="+fakeTicket); code != http.StatusOK {
+			before, routes := hops(), f.stats.Snapshot().TicketRoutes
+			r := httptest.NewRequest(http.MethodGet, "/api/wait?ticket="+ticket, nil)
+			r.Header.Set(trace.Header, waitTrace+"-0123456789abcdef")
+			if code := f.code(r); code != http.StatusOK {
 				t.Fatalf("wait: status %d", code)
 			}
 			after := hops()
 			for i := range after {
 				after[i] -= before[i]
 			}
-			if after != want || g.stats.Snapshot().TicketRoutes != routes+1 || g.stats.Snapshot().Scatters != 0 {
+			if after != want || f.stats.Snapshot().TicketRoutes != routes+1 || f.stats.Snapshot().Scatters != 0 {
 				t.Fatalf("wait asked the walk %v, want %v; %d ticket routes (+1 wanted), %d scatters",
-					after, want, g.stats.Snapshot().TicketRoutes-routes, g.stats.Snapshot().Scatters)
+					after, want, f.stats.Snapshot().TicketRoutes-routes, f.stats.Snapshot().Scatters)
 			}
 		}
 
-		if code := serve(http.MethodPost, "/api/invoke"); code != http.StatusOK || fleet.knows != strings.TrimPrefix(primary.base, "http://") {
-			t.Fatalf("invoke: status %d, issued by %s", code, fleet.knows)
-		}
+		issue()
 		wait([3]uint64{1, 0, 0})
-		if spans := col.Trace(waitTrace); len(spans) != 1 || spans[0].Attrs["upstream"] != primary.id {
+		if spans := f.spans(waitTrace); len(spans) != 1 || spans[0].Attrs["upstream"] != primary.id {
 			t.Fatalf("the wait's span does not name the issuer: %+v", spans)
 		}
 
 		// The primary refuses dials until it is ejected; the invoke that
 		// ejects it is issued by the successor.
-		fleet.mu.Lock()
-		fleet.bad, fleet.what = strings.TrimPrefix(primary.base, "http://"), dialRefused
-		fleet.mu.Unlock()
-		for range g.cfg.FailThreshold {
-			if code := serve(http.MethodPost, "/api/invoke"); code != http.StatusOK {
-				t.Fatalf("invoke during the outage: status %d", code)
-			}
+		down.Store(true)
+		for range f.cfg.FailThreshold {
+			issue()
 		}
-		if fleet.knows != strings.TrimPrefix(succ[1].base, "http://") || g.GatewayStats().Upstreams[primary.idx].State != "ejected" {
-			t.Fatalf("issued by %s, primary %+v", fleet.knows, g.GatewayStats().Upstreams[primary.idx])
+		if up := f.up(primary); up.State != "ejected" {
+			t.Fatalf("primary %+v, want ejected", up)
 		}
 		wait([3]uint64{0, 1, 0})
 
 		// The primary is back: a read readmits it, and the ticket takes two hops.
-		fleet.mu.Lock()
-		fleet.what = healthy
-		fleet.mu.Unlock()
-		time.Sleep(g.cfg.HalfOpenAfter)
-		if code := serve(http.MethodGet, "/api/service?name=SService"); code != http.StatusOK || g.GatewayStats().Upstreams[primary.idx].State != "healthy" {
-			t.Fatalf("trial read: status %d, primary %+v", code, g.GatewayStats().Upstreams[primary.idx])
+		down.Store(false)
+		time.Sleep(f.cfg.HalfOpenAfter)
+		if code := f.code(httptest.NewRequest(http.MethodGet, "/api/service?name=SService", nil)); code != http.StatusOK || f.up(primary).State != "healthy" {
+			t.Fatalf("trial read: status %d, primary %+v", code, f.up(primary))
 		}
 		wait([3]uint64{1, 1, 0})
 		// A 404 with no envelope is a not_found too: the trace page walks on.
-		if code := serve(http.MethodGet, "/trace?ticket="+fakeTicket); code != http.StatusOK {
+		if code := f.code(httptest.NewRequest(http.MethodGet, "/trace?ticket="+ticket, nil)); code != http.StatusOK {
 			t.Fatalf("trace page: status %d", code)
 		}
 
 		// The primary issues a ticket, then is ejected although alive: its
 		// ticket still reaches it, after the successors' 404s, and its reply
 		// readmits it.
-		serve(http.MethodPost, "/api/invoke")
-		fleet.mu.Lock()
-		fleet.what = dialRefused
-		fleet.mu.Unlock()
-		for range g.cfg.FailThreshold {
-			serve(http.MethodGet, "/api/service?name=SService")
+		issue()
+		down.Store(true)
+		for range f.cfg.FailThreshold {
+			f.code(httptest.NewRequest(http.MethodGet, "/api/service?name=SService", nil))
 		}
-		fleet.mu.Lock()
-		fleet.what = healthy
-		fleet.mu.Unlock()
-		if up := g.GatewayStats().Upstreams[primary.idx]; up.State != "ejected" {
+		down.Store(false)
+		if up := f.up(primary); up.State != "ejected" {
 			t.Fatalf("primary %+v, want ejected", up)
 		}
 		wait([3]uint64{1, 1, 1})
-		if up := g.GatewayStats().Upstreams[primary.idx]; up.State != "healthy" || up.HalfOpenTrials != 1 {
+		if up := f.up(primary); up.State != "healthy" || up.HalfOpenTrials != 1 {
 			t.Fatalf("after answering for its ticket: %+v", up)
 		}
 	})
@@ -545,10 +422,10 @@ func TestTicketWalksItsServiceRing(t *testing.T) {
 // keyed and ticket request takes — cost no object: they go into the
 // caller's array.
 func TestOrderedMembersAllocations(t *testing.T) {
-	g, _ := fakeGateway(4, &fakeFleet{})
+	r := newRing(ringMembers(4))
 	allocs := testing.AllocsPerRun(200, func() {
 		var buf [8]*member
-		if succ := g.ring.walk("SService", buf[:]); len(succ) != 4 {
+		if succ := r.walk("SService", buf[:]); len(succ) != 4 {
 			t.Fatalf("%d successors", len(succ))
 		}
 	})
@@ -589,13 +466,13 @@ func TestPrimaryForIsStable(t *testing.T) {
 			0xe72a2d94f23516b5},
 	}
 	for n, want := range golden {
-		g, _ := fakeGateway(n, &fakeFleet{})
+		g := &Gateway{ring: newRing(ringMembers(n))}
 		var primaries strings.Builder
 		walks := fnv.New64a()
 		for i := range 1000 {
 			key := fmt.Sprintf("Svc%dService", i)
 			fmt.Fprint(&primaries, g.PrimaryFor(key))
-			for _, m := range g.ring.successors(key) {
+			for _, m := range g.ring.walk(key, nil) {
 				fmt.Fprintf(walks, "%d,", m.idx)
 			}
 		}

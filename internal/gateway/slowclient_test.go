@@ -20,19 +20,17 @@ func TestListenersDropSlowClients(t *testing.T) {
 	t.Cleanup(func() { netsim.ReadHeaderTimeout = stock })
 	for _, l := range []struct {
 		name string
-		url  func(*fleetWorld) string
+		url  func(*fleet) string
 	}{
-		{"gridenv", func(w *fleetWorld) string { return w.env.GramURL }},
-		{"appliance", func(w *fleetWorld) string { return w.gw.Fleet()[0].BaseURL }},
-		{"gateway", func(w *fleetWorld) string { return w.gw.BaseURL }},
+		{"gridenv", func(f *fleet) string { return f.Env.GramURL }},
+		{"appliance", func(f *fleet) string { return f.Fleet()[0].BaseURL }},
+		{"gateway", func(f *fleet) string { return f.BaseURL }},
 	} {
 		bubble.Run(func() {
 			t.Run(l.name, func(t *testing.T) {
-				w := bootFleet(t, 1, nil)
-				conn, err := pipes.DialContext(context.Background(), "tcp", strings.TrimPrefix(l.url(w), "http://"))
-				if err != nil {
-					t.Fatal(err)
-				}
+				f := newFleet(t, 1, nil)
+				conn, err := f.Net.DialContext(context.Background(), "tcp", strings.TrimPrefix(l.url(f), "http://"))
+				must(t, err)
 				defer conn.Close()
 				if _, err := conn.Write([]byte("GET /api/st")); err != nil {
 					t.Fatal(err)

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -46,17 +47,10 @@ func keyPaths(doc any) []string {
 	return paths
 }
 
-func statsPaths(t *testing.T, base, doc string) []string {
+func statsPaths(t *testing.T, f *fleet, base, doc string) []string {
 	t.Helper()
-	resp, err := web.Get(base + "/api/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var v any
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
+	must(t, json.Unmarshal([]byte(f.Do(t, row{Method: http.MethodGet, Path: base + "/api/stats"}).Body), &v))
 	paths := keyPaths(v)
 	for i, p := range paths {
 		paths[i] = doc + " " + p
@@ -71,17 +65,16 @@ func statsPaths(t *testing.T, base, doc string) []string {
 // document over a tenancy-on fleet.
 func TestStatsDocumentShape(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		off := bootFleet(t, 1, nil)
-		on := bootFleet(t, 2, func(cfg *Config) { cfg.Appliance.Tenancy = fleetTenancyConfig() })
+		// Recorded untraced: a traced appliance adds its trace block.
+		off := newFleet(t, 1, func(cfg *Config) { cfg.Appliance.Trace = nil })
+		on := newFleet(t, 2, func(cfg *Config) { cfg.Appliance.Trace, cfg.Appliance.Tenancy = nil, fleetTenancyConfig() })
 		var got []string
-		got = append(got, statsPaths(t, off.gw.Fleet()[0].BaseURL, "appliance")...)
-		got = append(got, statsPaths(t, on.gw.Fleet()[0].BaseURL, "appliance+tenancy")...)
-		got = append(got, statsPaths(t, on.gw.BaseURL, "gateway")...)
+		got = append(got, statsPaths(t, off, off.Fleet()[0].BaseURL, "appliance")...)
+		got = append(got, statsPaths(t, on, on.Fleet()[0].BaseURL, "appliance+tenancy")...)
+		got = append(got, statsPaths(t, on, on.BaseURL, "gateway")...)
 
 		raw, err := os.ReadFile("testdata/stats-paths.txt")
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		want := strings.Split(strings.TrimSpace(string(raw)), "\n")
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			wanted := map[string]bool{}

@@ -164,8 +164,8 @@ func TestSubmitAllocations(t *testing.T) {
 		// count (7 objects); what is Submit's is the document, the token, the
 		// request and the job ID.
 		t.Logf("Submit: %.0f objects", allocs)
-		if allocs > 16 {
-			t.Fatalf("Submit allocates %.0f objects, want <= 16", allocs)
+		if allocs > 15 {
+			t.Fatalf("Submit allocates %.0f objects, want <= 15", allocs)
 		}
 	})
 }

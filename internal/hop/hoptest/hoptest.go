@@ -1,4 +1,5 @@
-// Package hoptest holds a pooled connection's fault for tests of hop's users.
+// Package hoptest holds the faults of a hop for tests of hop's users: a
+// pooled connection's, and a fault table to send every request through.
 package hoptest
 
 import (

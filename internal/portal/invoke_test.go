@@ -79,8 +79,8 @@ func TestInvokeReadAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("invoke read: %.0f objects", allocs)
-	if allocs > 5 {
-		t.Fatalf("reading an invoke body allocates %.0f objects, want <= 5", allocs)
+	if allocs > 4 {
+		t.Fatalf("reading an invoke body allocates %.0f objects, want <= 4", allocs)
 	}
 }
 

@@ -78,6 +78,10 @@ const MaxPrealloc = 8 << 20
 // the caller's limit.
 var ErrTooLarge = errors.New("sizedio: stream exceeds size limit")
 
+// probes lends the one-byte reads that find an honest sender at EOF: a
+// byte on the stack would escape to the heap through the Read call.
+var probes = NewFreeList(func() *[1]byte { return new([1]byte) })
+
 // ReadAll reads r to EOF and returns what it read. declared is the
 // length the sender announced, negative when it announced none; an
 // honest sender below MaxPrealloc costs exactly one allocation of
@@ -94,13 +98,15 @@ func ReadAll(r io.Reader, declared, limit int64) ([]byte, error) {
 		if len(buf) == cap(buf) {
 			// Full. An honest sender is at EOF now; probe with one byte
 			// on the side so finding that out does not reallocate.
-			var one [1]byte
+			one := probes.Get()
 			n, err := r.Read(one[:])
+			b := one[0]
+			probes.Put(one)
 			if n > 0 {
 				if int64(len(buf)) >= limit {
 					return nil, ErrTooLarge
 				}
-				buf = append(grow(buf, declared, limit), one[0])
+				buf = append(grow(buf, declared, limit), b)
 			}
 			if err == io.EOF {
 				return buf, nil

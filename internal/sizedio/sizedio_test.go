@@ -59,9 +59,25 @@ func TestReadAllHonestSenderCostsOneBuffer(t *testing.T) {
 	if cap(got) != len(src) {
 		t.Fatalf("buffer of %d bytes for a %d-byte stream", cap(got), len(src))
 	}
-	// The buffer and the one-byte EOF probe.
-	if allocs > 2 {
-		t.Fatalf("%v allocations, want the buffer and the probe", allocs)
+	// The buffer: the one-byte EOF probe comes off a free list.
+	if allocs > 1 {
+		t.Fatalf("%v allocations, want the buffer alone", allocs)
+	}
+}
+
+// TestReadAllAllocations: a small body of declared length, a request's,
+// costs one object: the buffer. The one-byte EOF probe comes off a free
+// list.
+func TestReadAllAllocations(t *testing.T) {
+	src := payload(200)
+	r := bytes.NewReader(src)
+	var got []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(src)
+		got, _ = ReadAll(r, int64(len(src)), 1<<20)
+	})
+	if !bytes.Equal(got, src) || cap(got) != len(src) || allocs != 1 {
+		t.Fatalf("%d bytes in a buffer of %d, %v objects; want the %d bytes in one object of their size", len(got), cap(got), allocs, len(src))
 	}
 }
 

@@ -251,16 +251,68 @@ func (w *statusWriter) WriteHeader(code int) {
 // call is what one invocation allocates for itself, as one object: the
 // status observer, the handler's Request and the decoded Message with the
 // first parameters' backing. It is fresh for each call, so a handler that
-// keeps req.Msg or req.Args keeps memory nothing else reuses.
+// keeps req.Msg or req.Args keeps memory nothing else reuses. refused and
+// why, when set, are the reply read gave the body.
 type call struct {
 	statusWriter
-	req    Request
-	msg    Message
-	params [4]Param
+	req     Request
+	msg     Message
+	params  [4]Param
+	refused int
+	why     string
+}
+
+// read reads r's body into one buffer of the declared length — a request
+// that declares more than the limit is refused before any of it is read —
+// closes it, so the server need not look for more of it, and decodes it
+// into c. It returns the read's error; a body that does not decode is
+// refused when the call is served.
+func (c *call) read(r *http.Request) error {
+	raw, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxRequestBytes)
+	r.Body.Close()
+	switch {
+	case errors.Is(err, sizedio.ErrTooLarge):
+		c.refused, c.why = http.StatusRequestEntityTooLarge, "request too large"
+	case err != nil:
+		c.refused, c.why = http.StatusBadRequest, "read body: "+err.Error()
+	default:
+		// The buffer is the request's string: nothing writes it after
+		// ReadAll, and nothing but the Message's substrings holds it.
+		params, derr := decode(unsafe.String(unsafe.SliceData(raw), len(raw)), &c.msg, c.params[:0])
+		if derr != nil {
+			c.refused, c.why = http.StatusBadRequest, derr.Error()
+		}
+		c.msg.Params = params
+	}
+	return err
+}
+
+type peekKey struct{}
+
+// Peek reads and decodes a SOAP call for a handler in front of the
+// container that must see its operation first. It returns ctx with the
+// call in it, for the request the handler passes on: the container serves
+// that call without reading or decoding its body again. The message is nil
+// when the body does not decode (the container refuses it); an error is
+// the body's read failing, sizedio.ErrTooLarge past MaxRequestBytes.
+func Peek(ctx context.Context, r *http.Request) (context.Context, *Message, error) {
+	c := new(call)
+	if err := c.read(r); err != nil {
+		return ctx, nil, err
+	}
+	ctx = context.WithValue(ctx, peekKey{}, c)
+	if c.refused != 0 {
+		return ctx, nil, nil
+	}
+	return ctx, &c.msg, nil
 }
 
 func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
-	c := &call{statusWriter: statusWriter{ResponseWriter: w, status: http.StatusOK}}
+	c, peeked := r.Context().Value(peekKey{}).(*call)
+	if !peeked {
+		c = new(call)
+	}
+	c.statusWriter = statusWriter{ResponseWriter: w, status: http.StatusOK}
 	w = &c.statusWriter
 	defer svc.stats.Update(func(st *ServiceStats) {
 		st.Requests++
@@ -272,28 +324,14 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	// Container overhead per request (Fig. 8's CPU commentary).
 	s.probe.Burn(s.cost.RequestHandling)
 
-	// One buffer of the declared length; a request that declares more
-	// than the limit is refused before any of its body is read. Closed
-	// once read, so the server need not look for more of it.
-	raw, err := sizedio.ReadAll(r.Body, r.ContentLength, MaxRequestBytes)
-	r.Body.Close()
-	if errors.Is(err, sizedio.ErrTooLarge) {
-		s.refuse(w, http.StatusRequestEntityTooLarge, "request too large")
-		return
+	if !peeked {
+		c.read(r)
 	}
-	if err != nil {
-		s.refuse(w, http.StatusBadRequest, "read body: "+err.Error())
-		return
-	}
-	// The buffer is the request's string: nothing writes it after
-	// ReadAll, and nothing but the Message's substrings holds it.
-	params, err := decode(unsafe.String(unsafe.SliceData(raw), len(raw)), &c.msg, c.params[:0])
-	if err != nil {
-		s.refuse(w, http.StatusBadRequest, err.Error())
+	if c.refused != 0 {
+		s.refuse(w, c.refused, c.why)
 		return
 	}
 	msg := &c.msg
-	msg.Params = params
 	op := svc.Def.Operation(msg.Operation)
 	if op == nil {
 		s.refuse(w, http.StatusBadRequest, fmt.Sprintf("service %s has no operation %q", svc.Def.Name, msg.Operation))

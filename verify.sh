@@ -79,25 +79,39 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'http\.Transport\{|http\.Def
 	exit 1
 fi
 
-# One fault vocabulary: internal/core's tests reach the grid through one
-# transport, the fixture's fault table (a rule is a path match, a "when"
-# and one action), so no test of core declares a RoundTrip of its own.
-roundtrips=$(cat internal/core/*_test.go | grep -c '^func (.*) RoundTrip(' || true)
-if [ "$roundtrips" != 1 ]; then
-	grep -n '^func (.*) RoundTrip(' internal/core/*_test.go >&2 || true
-	echo "internal/core's tests declare $roundtrips RoundTrip methods, want the fault table's alone" >&2
+# One fault vocabulary: core's tests reach the grid, and the gateway's its
+# members, through one fault table, internal/hop/hoptest's Faults (a rule
+# is a path match, a "when" and one action), so neither declares a
+# RoundTrip of its own.
+if grep -n '^func (.*) RoundTrip(' internal/core/*_test.go internal/gateway/*_test.go; then
+	echo "a test of core or the gateway declares a RoundTrip of its own (see above): add a rule to hoptest's fault table" >&2
 	exit 1
 fi
 
 # One front-door fixture: the tests of the appliance, the portal, the
-# root package and the commands (cmd/bench, a module of its own, aside)
-# boot a grid and an appliance through internal/appliance/appliancetest
-# alone, so none of them starts a grid or builds an image itself.
-doors="internal/appliance/*_test.go internal/portal/*_test.go ./*_test.go $(find cmd -path cmd/bench -prune -o -name '*_test.go' -print)"
+# gateway, the root package and the commands (cmd/bench, a module of its
+# own, aside) boot a grid and an appliance through
+# internal/appliance/appliancetest alone (the gateway its members over
+# appliancetest.StartGrid), so none of them starts a grid or builds an
+# image itself.
+doors="internal/appliance/*_test.go internal/portal/*_test.go internal/gateway/*_test.go ./*_test.go $(find cmd -path cmd/bench -prune -o -name '*_test.go' -print)"
 if grep -n 'gridenv\.Start(\|BuildImage(' $doors; then
-	echo "a front-door test boots a grid or an image of its own (see above): use appliancetest.Boot" >&2
+	echo "a front-door test boots a grid or an image of its own (see above): use appliancetest" >&2
 	exit 1
 fi
+
+# tests pkgs name...: fails unless each name is a test of one of pkgs, so
+# a renamed test cannot drop out of a -run list below unnoticed.
+tests() {
+	have=$(go test -list . $1)
+	shift
+	for name in "$@"; do
+		if ! echo "$have" | grep -qx "$name"; then
+			echo "$name is no test in the packages it is run in" >&2
+			exit 1
+		fi
+	done
+}
 
 # One error vocabulary on every hop: a reply carries an errcode code and
 # each client maps it to a sentinel, so no program file under internal/ or
@@ -181,16 +195,21 @@ go test -race -count=1 ./internal/core ./internal/blobdb ./internal/cyberaide ./
 # connections, lost and cut replies, an early 403, a silent peer, a stream
 # closed from another goroutine, oversized heads, broken framing): five
 # fresh rounds under the detector.
+tests ./internal/hop TestTransportFaults
 go test -race -count=5 -run '^TestTransportFaults$' ./internal/hop
 # So has the event-stream edge's fallback: a stream that says hello and
 # then nothing, with registrations racing the worker's leaving, and every
 # collector promise kept by a worker polling behind a stock gatekeeper.
+tests ./internal/core TestPushEventsStalledStreamFallsBack TestCollectorContract
 go test -race -count=5 -run '^TestPushEventsStalledStreamFallsBack$|^TestCollectorContract$/.*/push-to-poll' ./internal/core
 # So has the gateway's health circuit, which only requests move: the
-# half-open trial by request, a rejoin filled on demand, the loop fault
-# table, a ticket's walk along its service ring, and no goroutine of its
-# own beside the listener's.
-go test -race -count=5 -run 'HalfOpen|Rejoin|^TestLoopFaults$|^TestTicketWalksItsServiceRing$|NoBackground' ./internal/gateway
+# half-open trial by request, a kill and a rejoin filled on demand, the
+# loop fault table, a ticket's walk along its service ring, a request of
+# each kind with an affinity-free one moving past a dead member, and no
+# goroutine of its own beside the listener's.
+gateway_race='TestHalfOpenTrialIsARequest|TestHalfOpenAdmitsOneTrialAtATime|TestFleetKillFailoverAndRejoin|TestFleetConcurrentBurstSurvivesKillAndRejoin|TestRejoinUploadsNothingUntilAsked|TestDeleteAfterRejoinSweepsTheFleet|TestFleetTenancyFailoverReplaysAsTheUploader|TestLoopFaults|TestTicketWalksItsServiceRing|TestFleetRoutingSticksAndMerges|TestGatewayRunsNoBackgroundGoroutine'
+tests ./internal/gateway $(echo "$gateway_race" | tr '|' ' ')
+go test -race -count=5 -run "^($gateway_race)\$" ./internal/gateway
 # The fleet, the tenant control plane and the grid's scheduler run their
 # fixtures in bubbles over in-process pipes: three fresh rounds under the
 # detector, so a verdict that still leaned on host timing would show.
@@ -265,9 +284,12 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # GOMAXPROCS items each, none past sizedio.MaxKept), the appliance routes
 # a SOAP call and an /api/invoke to their handlers in no object, and the
 # SOAP door decodes an invocation's envelope in three objects and serves
-# one in six, a signed submit
-# costs at most 16 objects, the three event frames of a hot invocation 2
-# and the gateway's proxy hop 12 (a key's ring walk none); the JSON door reads an invoke body in 5
+# one in five (with tenancy on, a status call through the guard, which
+# reads and decodes it for the container, in 36 with the test's
+# recorder), a declared 200-byte body is read in one, a signed submit
+# costs at most 15 objects, the three event frames of a hot invocation 2
+# and the gateway's proxy hop 10, five of them the fault table's reply (a
+# key's ring walk none); the JSON door reads an invoke body in 4
 # objects, routes it in 1 and answers a finished invocation's /api/wait
 # in 1, a placement the possession cache answers costs nothing and no
 # goroutine, a staging-cache hit leads no flight, an armed watchdog parks
@@ -275,17 +297,10 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # objects, client and server together, and a metrics.Block update through
 # a capturing closure none. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise. A name in
-# the list that matches no test of the packages fails here first, so a
-# renamed guard cannot drop out of the run unnoticed.
-guards='TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestDispatchAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestWaitDoorAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps'
+# the list that matches no test of the packages fails here first (tests).
+guards='TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestDispatchAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestWaitDoorAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps|TestReadAllAllocations|TestGuardedSOAPStatusAllocations'
 guard_pkgs='./internal/appliance ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics ./internal/sizedio'
-listed=$(go test -list "^($guards)\$" $guard_pkgs)
-for name in $(echo "$guards" | tr '|' ' '); do
-	if ! echo "$listed" | grep -qx "$name"; then
-		echo "allocation guard $name is no test in $guard_pkgs" >&2
-		exit 1
-	fi
-done
+tests "$guard_pkgs" $(echo "$guards" | tr '|' ' ')
 go test -count=1 -run "^($guards)\$" $guard_pkgs
 
 # bench-smoke: cmd/bench is a module of its own, so nothing above reaches
