@@ -51,14 +51,11 @@ func StartGrid(t testing.TB, sites ...gridsim.SiteConfig) *Grid {
 	}
 	g := &Grid{Net: netsim.NewNet(), Trace: trace.NewCollector(0, 0)}
 	env, err := gridenv.Start(gridenv.Options{Sites: sites, Trace: g.Trace, Net: g.Net})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	g.Env = env
 	t.Cleanup(env.Close)
-	if _, err := env.AddUser("alice", "pw", 0); err != nil {
-		t.Fatal(err)
-	}
+	_, err = env.AddUser("alice", "pw", 0)
+	must(t, err)
 	g.Config = appliance.Config{
 		Endpoints:         env.Endpoints(),
 		GridDial:          g.Net.DialContext,
@@ -87,9 +84,8 @@ func Boot(t testing.TB, mutate func(*appliance.Config), sites ...gridsim.SiteCon
 	t.Helper()
 	f := &Fixture{Grid: StartGrid(t, sites...)}
 	var err error
-	if f.Image, err = f.Build(mutate); err != nil {
-		t.Fatal(err)
-	}
+	f.Image, err = f.Build(mutate)
+	must(t, err)
 	f.Reboot(t)
 	t.Cleanup(func() {
 		blobtest.VerifyStored(t, f.App.DB)
@@ -113,14 +109,10 @@ func (g *Grid) Build(mutate func(*appliance.Config)) (*appliance.Image, error) {
 func (f *Fixture) Reboot(t testing.TB) {
 	t.Helper()
 	if f.App != nil {
-		if err := f.App.Shutdown(); err != nil {
-			t.Fatal(err)
-		}
+		must(t, f.App.Shutdown())
 	}
 	app, err := f.Image.Boot(f.Net.Listen())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	app.OnServe.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
 	f.App, f.Base = app, app.BaseURL
 }
@@ -201,9 +193,7 @@ func (g *Grid) Do(t testing.TB, r Route) Reply {
 		url = g.Base + url
 	}
 	req, err := http.NewRequest(r.Method, url, strings.NewReader(r.Body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if r.Type != "" {
 		req.Header.Set("Content-Type", r.Type)
 	}
@@ -211,14 +201,10 @@ func (g *Grid) Do(t testing.TB, r Route) Reply {
 		req.Header.Set(tenant.KeyHeader, r.Key)
 	}
 	resp, err := g.Web.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	reply := Reply{Status: resp.StatusCode, Header: resp.Header, Body: string(body)}
 	if loc := resp.Header.Get("Location"); loc != "" {
 		reply.Body = loc
@@ -241,4 +227,12 @@ func (g *Grid) Serve(t testing.TB, routes ...Route) []Reply {
 		replies[i] = reply
 	}
 	return replies
+}
+
+// must fails the test on err.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -2,10 +2,12 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,10 +31,9 @@ func TestMain(m *testing.M) { bubble.Main(m) }
 // row is appliancetest's Route: a request, and the verdict on its reply.
 type row = appliancetest.Route
 
-// fleet is a gateway Boot built over appliancetest's grid: members and
-// front door listen on the grid's network and trace into its collector,
-// Do and Serve send their rows to the front door, and every hop to a
-// member crosses faults, whose rules are the gateway→member faults.
+// fleet is a gateway Boot built over appliancetest's grid, whose network
+// and collector it uses: Do and Serve send rows to the front door, and
+// every hop to a member crosses faults, the gateway→member fault table.
 type fleet struct {
 	*Gateway
 	*appliancetest.Grid
@@ -70,6 +71,16 @@ func newFleet(t *testing.T, n int, mutate func(*Config)) *fleet {
 	return f
 }
 
+// statsDoc is the front door's /api/stats document.
+type statsDoc struct {
+	Gateway Stats `json:"gateway"`
+	Fleet   []struct {
+		State string          `json:"state"`
+		Stats json.RawMessage `json:"stats"`
+	} `json:"fleet"`
+	Tenant *tenant.Stats `json:"tenant"`
+}
+
 // door is a client of member i's own door, past the gateway.
 func (f *fleet) door(i int) portal.Client {
 	return portal.Client{Base: f.Fleet()[i].BaseURL, HTTP: f.Web, Key: f.front.Key}
@@ -84,9 +95,22 @@ func publish(t *testing.T, c portal.Client, file, program string) string {
 	return rec.Name
 }
 
-// run invokes service through c and waits for its end. An error says which
-// step failed, so a caller can re-issue.
-func run(c portal.Client, service string, args map[string]string) (ticket, output string, err error) {
+// publishAll publishes program through the front door as alice's files
+// <stem>0.gsh … and returns their services' names.
+func (f *fleet) publishAll(t *testing.T, stem string, n int, program string) (services []string) {
+	for i := range n {
+		services = append(services, publish(t, f.front, fmt.Sprintf("%s%d.gsh", stem, i), program))
+	}
+	return services
+}
+
+// run invokes service through c with argument x, where set, and waits
+// for its end. An error says which step failed, so a caller can re-issue.
+func run(c portal.Client, service, x string) (ticket, output string, err error) {
+	var args map[string]string
+	if x != "" {
+		args = map[string]string{"x": x}
+	}
 	inv, status, err := c.Invoke(service, args)
 	if err != nil || status != http.StatusOK {
 		return "", "", fmt.Errorf("invoke: status %d: %v", status, err)
@@ -98,16 +122,30 @@ func run(c portal.Client, service string, args map[string]string) (ticket, outpu
 	return inv.Ticket, done.Output, err
 }
 
-// failover runs service through the front door until it ends, at most
-// five times: a first attempt after a kill may die on a pooled connection,
-// ambiguously, and is then the caller's to re-issue, not the gateway's.
-func (f *fleet) failover(service string, args map[string]string) (output string, err error) {
-	for attempt := 0; attempt < 5; attempt++ {
-		if _, output, err = run(f.front, service, args); err == nil {
-			break
-		}
+// invoke runs service through the front door with x, up to tries times (a
+// first attempt after a kill may die on a pooled connection, ambiguously:
+// the caller's to re-issue), and wants it to print want. It returns the ticket.
+func (f *fleet) invoke(t *testing.T, tries int, service, x, want string) (ticket string) {
+	t.Helper()
+	ticket, out, err := run(f.front, service, x)
+	for try := 1; err != nil && try < tries; try++ {
+		ticket, out, err = run(f.front, service, x)
 	}
-	return output, err
+	if err != nil || out != want {
+		t.Fatalf("%s(x=%s): %q, %v; want %q", service, x, out, err, want)
+	}
+	return ticket
+}
+
+// get is a row that reads path and wants status with want in the body.
+func get(path string, status int, want string) row {
+	return row{Method: http.MethodGet, Path: path, Status: status, Want: want}
+}
+
+// read is a row that reads path, wants 200, and holds the body to check.
+func read(path string, check func(t testing.TB, body string)) row {
+	return row{Method: http.MethodGet, Path: path, Status: http.StatusOK,
+		Check: func(t testing.TB, reply appliancetest.Reply) { check(t, reply.Body) }}
 }
 
 // at is a rule's When for the requests to m, while on holds where set.
@@ -123,10 +161,8 @@ func (f *fleet) holders(t *testing.T, service string) (n int) {
 	for _, app := range f.Fleet() {
 		infos, err := app.OnServe.Services()
 		must(t, err)
-		for _, info := range infos {
-			if info.ServiceName == service {
-				n++
-			}
+		if slices.ContainsFunc(infos, func(info core.ExecutableInfo) bool { return info.ServiceName == service }) {
+			n++
 		}
 	}
 	return n
@@ -160,6 +196,21 @@ func (f *fleet) down(m *member) *atomic.Bool {
 	return on
 }
 
+// eject turns down on and sends serve FailThreshold times, which must
+// eject m; it returns m's stats then.
+func (f *fleet) eject(t *testing.T, m *member, down *atomic.Bool, serve func()) UpstreamStats {
+	t.Helper()
+	down.Store(true)
+	for range f.cfg.FailThreshold {
+		serve()
+	}
+	up := f.up(m)
+	if up.State != "ejected" {
+		t.Fatalf("after %d refused dials: %+v", f.cfg.FailThreshold, up)
+	}
+	return up
+}
+
 // spans are the gateway's spans of the trace id.
 func (f *fleet) spans(id string) (spans []trace.SpanData) {
 	for _, sd := range f.Trace.Trace(id) {
@@ -187,6 +238,15 @@ func (f *fleet) ejectPrimary(t *testing.T, service string) {
 		if i == 20 {
 			t.Fatal("the killed shard was never ejected")
 		}
-		f.Do(t, row{Method: http.MethodGet, Path: "/api/service?name=" + service})
+		f.Do(t, get("/api/service?name="+service, 0, ""))
 	}
+}
+
+// bounce kills service's primary, has requests eject it, and rejoins it.
+func (f *fleet) bounce(t *testing.T, service string) {
+	t.Helper()
+	victim := f.PrimaryFor(service)
+	must(t, f.Kill(victim))
+	f.ejectPrimary(t, service)
+	must(t, f.Rejoin(victim))
 }

@@ -1,32 +1,44 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bubble"
 	"repro/internal/hop/hoptest"
+	"repro/internal/sizedio"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
+// sent is a request as a member would have seen it, body read.
+type sent struct {
+	*http.Request
+	body []byte
+}
+
 // answered is a fleet of one whose member is never reached: reply answers
-// every hop, with the request it saw kept in *last and its body in *sent.
-func answered(t *testing.T, reply hoptest.Action, last **http.Request, sent *[]byte) (*fleet, *member) {
-	f := newFleet(t, 1, nil)
+// every hop, and the request it saw last is kept in the sent it returns.
+func answered(t *testing.T, reply hoptest.Action) (*fleet, *member, *sent) {
+	f, last := newFleet(t, 1, nil), &sent{}
 	f.faults.Add(&hoptest.Rule{Do: func(req *http.Request, on hoptest.Path) (*http.Response, error) {
-		*last, *sent = req, nil
+		last.Request, last.body = req, nil
 		if req.Body != nil {
-			*sent, _ = io.ReadAll(req.Body)
+			last.body, _ = io.ReadAll(req.Body)
 		}
 		return reply(req, on)
 	}})
-	return f, f.members[0]
+	return f, f.members[0], last
 }
 
 func TestForwardAllocations(t *testing.T) {
@@ -42,7 +54,6 @@ func TestForwardAllocations(t *testing.T) {
 			}
 		})
 		// Five of these are the rule's reply, five the gateway's hop.
-		t.Logf("forward: %.0f objects", allocs)
 		if allocs > 10 {
 			t.Fatalf("forward allocates %.0f objects, want <= 10", allocs)
 		}
@@ -54,18 +65,11 @@ func TestForwardAllocations(t *testing.T) {
 // as http.NewRequest and Client.Do sent them.
 func TestForwardedInvokeOnTheWire(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var req *http.Request
-		var sent []byte
 		body := `{"job_id":"siteA:job-1","site":"siteA","ticket":"t-1"}` + "\n"
-		f, m := answered(t, hoptest.Respond(http.StatusOK, body, "Content-Length", strconv.Itoa(len(body))), &req, &sent)
+		f, m, req := answered(t, hoptest.Respond(http.StatusOK, body, "Content-Length", strconv.Itoa(len(body))))
 		payload := `{"service":"S","args":{"n":"1"}}`
-		caller := http.Header{
-			"Content-Type":   {"application/json"},
-			"Content-Length": {"32"},
-			tenant.KeyHeader: {"acme-secret"},
-			trace.Header:     {"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
-			"Accept":         {"a", "b"},
-		}
+		caller := http.Header{"Content-Type": {"application/json"}, "Content-Length": {"32"}, tenant.KeyHeader: {"acme-secret"},
+			trace.Header: {"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"}, "Accept": {"a", "b"}}
 		for _, traced := range []bool{false, true} {
 			r := httptest.NewRequest(http.MethodPost, "/api/invoke?x=a%20b&y", strings.NewReader(payload))
 			r.Header = caller.Clone()
@@ -78,8 +82,8 @@ func TestForwardedInvokeOnTheWire(t *testing.T) {
 			if req.Method != http.MethodPost || req.URL.String() != m.base+"/api/invoke?x=a%20b&y" || "http://"+req.Host != m.base {
 				t.Errorf("traced=%v: sent %s %s (host %s)", traced, req.Method, req.URL, req.Host)
 			}
-			if string(sent) != payload || req.ContentLength != int64(len(payload)) || req.GetBody == nil {
-				t.Errorf("traced=%v: body %q, declared %d, replayable %v", traced, sent, req.ContentLength, req.GetBody != nil)
+			if string(req.body) != payload || req.ContentLength != int64(len(payload)) || req.GetBody == nil {
+				t.Errorf("traced=%v: body %q, declared %d, replayable %v", traced, req.body, req.ContentLength, req.GetBody != nil)
 			}
 			want := caller.Clone()
 			if traced {
@@ -104,10 +108,8 @@ func TestForwardedInvokeOnTheWire(t *testing.T) {
 // header is not changed, and the rest of it goes on.
 func TestForwardDropsHopByHopHeaders(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
-		var req *http.Request
-		var sent []byte
-		f, m := answered(t, hoptest.Respond(http.StatusOK, `{}`, "Connection", "X-Member-Private", "X-Member-Private", "1",
-			"Keep-Alive", "timeout=5", "Transfer-Encoding", "chunked", "Upgrade", "h2c", "X-Kept", "yes"), &req, &sent)
+		f, m, req := answered(t, hoptest.Respond(http.StatusOK, `{}`, "Connection", "X-Member-Private", "X-Member-Private", "1",
+			"Keep-Alive", "timeout=5", "Transfer-Encoding", "chunked", "Upgrade", "h2c", "X-Kept", "yes"))
 		r := httptest.NewRequest(http.MethodGet, "/api/services", nil)
 		r.Header = http.Header{"Connection": {"close, X-Caller-Private"}, "X-Caller-Private": {"1"},
 			"Te": {"trailers"}, "Proxy-Authorization": {"Basic eA=="}, tenant.KeyHeader: {"acme-secret"}}
@@ -133,8 +135,7 @@ func TestCallerConnectionCloseKeepsTheMemberConnection(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFleet(t, 1, nil)
 		get := func(close bool) {
-			req, err := http.NewRequest(http.MethodGet, f.BaseURL+"/api/services", nil)
-			must(t, err)
+			req, _ := http.NewRequest(http.MethodGet, f.BaseURL+"/api/services", nil)
 			req.Close = close
 			resp, err := f.Web.Do(req)
 			must(t, err)
@@ -146,7 +147,7 @@ func TestCallerConnectionCloseKeepsTheMemberConnection(t *testing.T) {
 		}
 		get(false) // the member's connection, dialled and pooled
 		before := f.dials.Load()
-		for i := 0; i < 5; i++ {
+		for range 5 {
 			get(true)
 		}
 		if n := f.dials.Load() - before; n != 0 {
@@ -166,9 +167,7 @@ func TestDeleteSweepActsForTheCaller(t *testing.T) {
 		// What a failover replay does: the same upload onto the other shard.
 		other := 1 - f.PrimaryFor("SweptService")
 		publish(t, f.door(other), "swept.gsh", "echo ok\n")
-		if err := f.front.Delete("SweptService"); err != nil {
-			t.Fatalf("delete: %v", err)
-		}
+		must(t, f.front.Delete("SweptService"))
 		if n := f.holders(t, "SweptService"); n != 0 {
 			t.Errorf("%d shards still hold the deleted service", n)
 		}
@@ -180,4 +179,108 @@ func TestDeleteSweepActsForTheCaller(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestOversizeRequestBodyRefused: a request body past maxBody, declared
+// or streamed, is refused 413 and reaches no appliance.
+func TestOversizeRequestBodyRefused(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		const limit = 8 << 10
+		lowerMaxBody(t, limit)
+		f := newFleet(t, 2, nil)
+		proxied := &hoptest.Rule{} // counts the requests sent to a member
+		f.faults.Add(proxied)
+		// hop sends no body of unknown length: a client of net/http's
+		// streams the undeclared one.
+		web := &http.Client{Transport: &http.Transport{DialContext: f.Net.DialContext}}
+		defer web.CloseIdleConnections()
+		post := func(body io.Reader) (int, string) {
+			t.Helper()
+			resp, err := web.Post(f.BaseURL+"/upload", "application/octet-stream", body)
+			must(t, err)
+			defer resp.Body.Close()
+			var env struct{ Code string }
+			json.NewDecoder(resp.Body).Decode(&env)
+			return resp.StatusCode, env.Code
+		}
+		big := make([]byte, limit+1)
+		for name, body := range map[string]io.Reader{
+			"declared":   bytes.NewReader(big),                      // Content-Length: limit+1
+			"undeclared": struct{ io.Reader }{bytes.NewReader(big)}, // chunked
+		} {
+			if status, code := post(body); status != http.StatusRequestEntityTooLarge || code != "too_large" {
+				t.Errorf("%s body of maxBody+1: status %d code %q, want 413 too_large", name, status, code)
+			}
+		}
+		if n := proxied.Hits.Load(); n != 0 {
+			t.Fatalf("an oversize body was proxied (%d upstream requests)", n)
+		}
+		// At the bound the size is no objection (the route decoder's verdict
+		// on a body that is no upload form is not this test's business).
+		if status, _ := post(bytes.NewReader(big[:limit])); status == http.StatusRequestEntityTooLarge {
+			t.Fatal("a body of exactly maxBody was refused for its size")
+		}
+	})
+}
+
+// TestOversizeResponseBodyIsAProxyError: the same bound on the way back.
+// An upstream response past maxBody is a failed hop, not a reply cut
+// short and relayed as if it were whole.
+func TestOversizeResponseBodyIsAProxyError(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		const limit = 8 << 10
+		lowerMaxBody(t, limit)
+		// The member answers ?n= bytes, with their length or chunked.
+		f, m, _ := answered(t, func(req *http.Request, on hoptest.Path) (*http.Response, error) {
+			n, _ := strconv.Atoi(req.URL.Query().Get("n"))
+			var chunked []string
+			if req.URL.Path == "/undeclared" {
+				chunked = []string{"Transfer-Encoding", "chunked"}
+			}
+			return hoptest.Respond(http.StatusOK, strings.Repeat("x", n), chunked...)(req, on)
+		})
+		for i, path := range []string{"/declared", "/undeclared"} {
+			get := func(n int) (*bufferedResponse, error) {
+				return f.forward(m, httptest.NewRequest(http.MethodGet, path+"?n="+strconv.Itoa(n), nil), nil, nil)
+			}
+			if _, err := get(limit + 1); !errors.Is(err, sizedio.ErrTooLarge) || countsOf(m).ProxyErrors != uint64(i+1) {
+				t.Errorf("%s response of maxBody+1: err %v, %d proxy errors; want ErrTooLarge counted once", path, err, countsOf(m).ProxyErrors-uint64(i))
+			}
+			if resp, err := get(limit); err != nil || len(resp.body) != limit {
+				t.Errorf("%s response of exactly maxBody: %v", path, err)
+			}
+		}
+	})
+}
+
+// TestCatalogKeepsTheUploadBuffer: the catalog keeps an upload's own
+// request buffer, which nothing reuses, not a copy: learning a 1 MB upload
+// allocates nothing of its size. A buffer that grew past its body (an
+// upload of unknown length) is copied to the body's size, without slack.
+func TestCatalogKeepsTheUploadBuffer(t *testing.T) {
+	t.Run("unknown length", func(t *testing.T) {
+		g := &Gateway{catalog: map[string]*catalogEntry{}}
+		body := make([]byte, 1<<20+1, 2<<20)
+		g.learn(Route{Kind: KindUpload, Service: "Chunked"}, nil, nil, body, http.StatusOK)
+		if e := g.catalog["Chunked"]; e == nil || len(e.body) != len(body) || cap(e.body) != len(body) {
+			t.Fatal("the catalog keeps the slack of a buffer that grew past its body")
+		}
+	})
+	g := &Gateway{catalog: map[string]*catalogEntry{}}
+	body := make([]byte, 1<<20)
+	rt := Route{Kind: KindUpload, Service: "BigService"}
+	g.learn(rt, nil, nil, body, http.StatusOK)
+	if e := g.catalog["BigService"]; e == nil || unsafe.SliceData(e.body) != unsafe.SliceData(body) || len(e.body) != len(body) {
+		t.Fatal("the catalog entry does not share the request's buffer")
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		g.learn(rt, nil, nil, body, http.StatusOK)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+		t.Fatalf("learning a 1 MB upload allocates %d bytes, want < 4 KB", per)
+	}
 }

@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"fmt"
-	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -31,19 +29,13 @@ func serviceFleet(t *testing.T) *fleet {
 	return f
 }
 
-// onceWriter fails the test when a handler writes a second response.
+// onceWriter counts the responses a handler writes.
 type onceWriter struct {
 	*httptest.ResponseRecorder
-	t       *testing.T
 	headers int
 }
 
-func (w *onceWriter) WriteHeader(status int) {
-	if w.headers++; w.headers > 1 {
-		w.t.Errorf("a second response (%d) was written", status)
-	}
-	w.ResponseRecorder.WriteHeader(status)
-}
+func (w *onceWriter) WriteHeader(status int) { w.headers++; w.ResponseRecorder.WriteHeader(status) }
 
 // lost is a fault that answers every request 404 until an upload reaches
 // the member, which it answers as the member would: the member had lost
@@ -62,27 +54,41 @@ func lost() hoptest.Action {
 	}
 }
 
+// proxied is how often each of three members has been asked.
+func proxied(members []*member) (n [3]uint64) {
+	for i, m := range members {
+		n[i] = countsOf(m).Proxied
+	}
+	return n
+}
+
 // keyed is the request to SService that keyed loops send.
 func keyed() *http.Request {
 	return httptest.NewRequest(http.MethodPost, "/api/invoke", strings.NewReader(`{"service":"SService"}`))
 }
 
+// ask serves a keyed request and fails the test unless it answers 200.
+func (f *fleet) ask(t *testing.T) {
+	t.Helper()
+	if code := f.code(keyed()); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+}
+
 // TestLoopFaults is one table for the gateway→appliance edge: each way a
-// hop can go wrong, a rule of the fleet's fault table on the first member
-// of the loop's order, met through each of the loops every proxied request
-// takes — ask under serveKeyed's retry rule, first (along a ticket's
-// service walk), gather. Per cell:
-// exactly one response, of the expected status; every attempt counted
-// once, as a failure or as a success, on the member it went to; a write
-// never sent again once its bytes reached an upstream; the member ejected
-// after FailThreshold failed attempts and left alone from then on; the
-// request's span ended, in error when the request failed.
+// hop can go wrong, a rule on the first member of the loop's order, met
+// through each loop a proxied request takes — ask under serveKeyed's retry
+// rule, first (along a ticket's service walk), gather. Per cell: exactly
+// one response, of the expected status; every attempt counted once, on
+// the member it went to; no write sent again once its bytes reached a
+// member; ejection after FailThreshold failed attempts, and no request to
+// the member after; the span ended, in error when the request failed.
 func TestLoopFaults(t *testing.T) {
 	lowerMaxBody(t, 1<<10)
 	type want struct {
 		status   int
-		attempts []uint64 // per member: victim, next, last
-		fails    int      // the victim's failed attempts per request: 0 or 1
+		attempts [3]uint64 // per member of the order: victim, next, last
+		fails    int       // the victim's failed attempts per request: 0 or 1
 	}
 	always := func(a hoptest.Action) func() hoptest.Action { return func() hoptest.Action { return a } }
 	faults := []struct {
@@ -107,27 +113,18 @@ func TestLoopFaults(t *testing.T) {
 		}, false},
 		{"gather", func(string) *http.Request { return httptest.NewRequest(http.MethodGet, "/api/services", nil) }, true},
 	}
-	cells := map[string]want{
-		"ask under the keyed rule/dial refused":                        {http.StatusOK, []uint64{1, 1, 0}, 1}, // provably unsent: retried on the successor
-		"ask under the keyed rule/reset after the request was written": {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
-		"ask under the keyed rule/reply past maxBody":                  {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
-		"ask under the keyed rule/5xx":                                 {http.StatusInternalServerError, []uint64{1, 0, 0}, 0},
-		"ask under the keyed rule/404":                                 {http.StatusOK, []uint64{2, 0, 0}, 0}, // catalogued: replayed, asked again
-		"first/dial refused":                                           {http.StatusOK, []uint64{1, 1, 1}, 1},
-		"first/reset after the request was written":                    {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
-		"first/reply past maxBody":                                     {http.StatusBadGateway, []uint64{1, 0, 0}, 1},
-		"first/5xx":                                                    {http.StatusInternalServerError, []uint64{1, 0, 0}, 0},
-		"first/404":                                                    {http.StatusOK, []uint64{1, 1, 1}, 0},
-		"gather/dial refused":                                          {http.StatusOK, []uint64{1, 1, 1}, 1},
-		"gather/reset after the request was written":                   {http.StatusOK, []uint64{1, 1, 1}, 1},
-		"gather/reply past maxBody":                                    {http.StatusOK, []uint64{1, 1, 1}, 1},
-		"gather/5xx":                                                   {http.StatusOK, []uint64{1, 1, 1}, 0},
-		"gather/404":                                                   {http.StatusOK, []uint64{1, 1, 1}, 0},
+	// cells[loop][fault]. Under the keyed rule a refused dial, provably
+	// unsent, is retried on the successor, and a 404 of a catalogued
+	// service is replayed onto the member and asked again.
+	cells := [3][5]want{
+		{{200, [3]uint64{1, 1, 0}, 1}, {502, [3]uint64{1, 0, 0}, 1}, {502, [3]uint64{1, 0, 0}, 1}, {500, [3]uint64{1, 0, 0}, 0}, {200, [3]uint64{2, 0, 0}, 0}},
+		{{200, [3]uint64{1, 1, 1}, 1}, {502, [3]uint64{1, 0, 0}, 1}, {502, [3]uint64{1, 0, 0}, 1}, {500, [3]uint64{1, 0, 0}, 0}, {200, [3]uint64{1, 1, 1}, 0}},
+		{{200, [3]uint64{1, 1, 1}, 1}, {200, [3]uint64{1, 1, 1}, 1}, {200, [3]uint64{1, 1, 1}, 1}, {200, [3]uint64{1, 1, 1}, 0}, {200, [3]uint64{1, 1, 1}, 0}},
 	}
 	bubble.Run(func() {
-		for _, loop := range loops {
-			for _, fault := range faults {
-				want := cells[loop.name+"/"+fault.name]
+		for l, loop := range loops {
+			for k, fault := range faults {
+				want := cells[l][k]
 				t.Run(loop.name+"/"+fault.name, func(t *testing.T) {
 					f := serviceFleet(t)
 					order := f.ring.walk("SService", nil)
@@ -143,19 +140,14 @@ func TestLoopFaults(t *testing.T) {
 					// a member after the victim's fault reached it is sent again.
 					hit, writes := &hoptest.Rule{When: at(victim, nil), Do: fault.do()}, &hoptest.Rule{Match: "POST /api/*"}
 					f.faults.Add(hit, writes)
-					asked := make([]uint64, len(order))
-					for i, m := range order {
-						asked[i] = countsOf(m).Proxied
-					}
-
+					asked := proxied(order)
 					serve := func(traceID string) int {
 						t.Helper()
 						r := loop.request(inv.Ticket)
 						r.Header.Set(trace.Header, traceID+"-0123456789abcdef")
-						w := &onceWriter{ResponseRecorder: httptest.NewRecorder(), t: t}
+						w := &onceWriter{ResponseRecorder: httptest.NewRecorder()}
 						hits, sent := hit.Hits.Load(), writes.Hits.Load()
-						f.ServeHTTP(w, r)
-						if w.headers != 1 {
+						if f.ServeHTTP(w, r); w.headers != 1 {
 							t.Fatalf("%d responses written", w.headers)
 						}
 						if fault.reached && hit.Hits.Load() > hits && writes.Hits.Load()-sent > 1 {
@@ -168,15 +160,10 @@ func TestLoopFaults(t *testing.T) {
 						t.Fatalf("status %d, want %d", status, want.status)
 					}
 					for i, m := range order {
-						if got := countsOf(m).Proxied - asked[i]; got != want.attempts[i] {
-							t.Errorf("member %d of the order was asked %d times, want %d", i, got, want.attempts[i])
-						}
-						fails := 0
-						if m == victim {
-							fails = want.fails
-						}
-						if countsOf(m).ProxyErrors != uint64(fails) || countsOf(m).ConsecutiveFails != fails {
-							t.Errorf("member %d: %d proxy errors, %d consecutive fails; want %d of each", i, countsOf(m).ProxyErrors, countsOf(m).ConsecutiveFails, fails)
+						fails := map[bool]int{true: want.fails}[m == victim]
+						if c := countsOf(m); c.Proxied-asked[i] != want.attempts[i] || c.ProxyErrors != uint64(fails) || c.ConsecutiveFails != fails {
+							t.Errorf("member %d of the order: asked %d times, %d proxy errors, %d consecutive fails; want %d, %d, %d",
+								i, c.Proxied-asked[i], c.ProxyErrors, c.ConsecutiveFails, want.attempts[i], fails, fails)
 						}
 					}
 					// A second attempt on the victim follows a catalog replay onto it.
@@ -201,9 +188,8 @@ func TestLoopFaults(t *testing.T) {
 							t.Errorf("after %d failed attempts: %+v", f.cfg.FailThreshold, up)
 						}
 						before := countsOf(victim).Proxied
-						serve("000000000000000000000000000000a3")
-						if got := countsOf(victim).Proxied; got != before {
-							t.Errorf("the ejected member was asked again (%d -> %d)", before, got)
+						if serve("000000000000000000000000000000a3"); countsOf(victim).Proxied != before {
+							t.Errorf("the ejected member was asked again (%d -> %d)", before, countsOf(victim).Proxied)
 						}
 					} else if up.State != "healthy" || up.ConsecutiveFails != 0 || up.ProxyErrors != 0 {
 						t.Errorf("a member that answered was counted against: %+v", up)
@@ -214,44 +200,43 @@ func TestLoopFaults(t *testing.T) {
 	})
 }
 
+// cooled is a serviceFleet whose SService primary, refusing dials, keyed
+// requests ejected, and which then sat out its cooldown asked by none of
+// the requests sent meanwhile. Its dials are still refused.
+func cooled(t *testing.T) (f *fleet, victim *member, down *atomic.Bool) {
+	t.Helper()
+	f = serviceFleet(t)
+	victim = f.ring.walk("SService", nil)[0]
+	down = f.down(victim)
+	if up := f.eject(t, victim, down, func() { f.ask(t) }); up.Ejections != 1 {
+		t.Fatalf("after %d refused dials: %+v", f.cfg.FailThreshold, up)
+	}
+	asked := countsOf(victim).Proxied
+	f.ask(t)
+	time.Sleep(f.cfg.HalfOpenAfter - time.Nanosecond)
+	f.ask(t)
+	if got := countsOf(victim).Proxied; got != asked {
+		t.Fatalf("asked %d times during the cooldown", got-asked)
+	}
+	time.Sleep(time.Nanosecond)
+	if up := f.up(victim); up.State != "half-open" || up.HalfOpenTrials != 0 {
+		t.Fatalf("cooldown over, nothing sent: %+v", up)
+	}
+	return f, victim, down
+}
+
 // TestHalfOpenTrialIsARequest: the trial that readmits an ejected member
-// is a request, not a probe. During the cooldown the member is never
-// asked; once the cooldown has passed, the next keyed request asks it. A
-// reply readmits it; a refused dial restarts the cooldown, and the
-// request itself is served by the successor.
+// is a request, not a probe: the first keyed request after the cooldown.
+// A reply readmits the member; a refused dial restarts the cooldown, and
+// the successor serves the request.
 func TestHalfOpenTrialIsARequest(t *testing.T) {
 	bubble.Run(func() {
 		for _, refused := range []bool{false, true} {
 			t.Run(map[bool]string{false: "reply", true: "refused"}[refused], func(t *testing.T) {
-				f := serviceFleet(t)
-				victim := f.ring.walk("SService", nil)[0]
-				down := f.down(victim)
-				down.Store(true)
-				invoke := func() {
-					t.Helper()
-					if code := f.code(keyed()); code != http.StatusOK {
-						t.Fatalf("status %d", code)
-					}
-				}
-				for range f.cfg.FailThreshold {
-					invoke()
-				}
-				if up := f.up(victim); up.State != "ejected" || up.Ejections != 1 {
-					t.Fatalf("after %d refused dials: %+v", f.cfg.FailThreshold, up)
-				}
+				f, victim, down := cooled(t)
 				asked := countsOf(victim).Proxied
-				invoke()
-				time.Sleep(f.cfg.HalfOpenAfter - time.Nanosecond)
-				invoke()
-				if got := countsOf(victim).Proxied; got != asked {
-					t.Fatalf("asked %d times during the cooldown", got-asked)
-				}
-				time.Sleep(time.Nanosecond)
-				if up := f.up(victim); up.State != "half-open" || up.HalfOpenTrials != 0 {
-					t.Fatalf("cooldown over, nothing sent: %+v", up)
-				}
 				down.Store(refused)
-				invoke()
+				f.ask(t)
 				if got := countsOf(victim).Proxied; got != asked+1 {
 					t.Fatalf("the first request after the cooldown asked the member %d times, want 1", got-asked)
 				}
@@ -261,8 +246,7 @@ func TestHalfOpenTrialIsARequest(t *testing.T) {
 				case refused && (up.State != "ejected" || up.Recoveries != 0 || up.HalfOpenTrials != 1 || up.Ejections != 1):
 					t.Fatalf("a refused trial: %+v", up)
 				case refused:
-					invoke()
-					if got := countsOf(victim).Proxied; got != asked+1 {
+					if f.ask(t); countsOf(victim).Proxied != asked+1 {
 						t.Fatal("a refused trial did not restart the cooldown")
 					}
 				}
@@ -278,32 +262,19 @@ func TestHalfOpenTrialIsARequest(t *testing.T) {
 func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		const burst = 8
-		f := serviceFleet(t)
-		victim := f.ring.walk("SService", nil)[0]
-		down := f.down(victim)
-		down.Store(true)
+		f, victim, down := cooled(t)
 		gate := hoptest.NewGate()
 		trial := &hoptest.Rule{When: at(victim, nil), Do: hoptest.Hold(gate, false)}
 		f.faults.Add(trial)
-		serve := func(i int) int {
-			if i%2 == 0 {
-				return f.code(keyed())
-			}
-			return f.code(httptest.NewRequest(http.MethodGet, "/api/services", nil))
-		}
-		for i := range f.cfg.FailThreshold {
-			serve(2 * i)
-		}
-		if up := f.up(victim); up.State != "ejected" {
-			t.Fatalf("after %d refused dials: %+v", f.cfg.FailThreshold, up)
-		}
-		time.Sleep(f.cfg.HalfOpenAfter)
 		down.Store(false)
 		asked := countsOf(victim).Proxied
-
 		codes := make(chan int, burst)
 		for i := range burst {
-			go func() { codes <- serve(i) }()
+			r := keyed()
+			if i%2 == 1 {
+				r = httptest.NewRequest(http.MethodGet, "/api/services", nil)
+			}
+			go func() { codes <- f.code(r) }()
 		}
 		// Each request of the burst is past its admission once it blocks:
 		// parked at the ejected member, or served elsewhere.
@@ -324,12 +295,11 @@ func TestHalfOpenAdmitsOneTrialAtATime(t *testing.T) {
 	})
 }
 
-// TestTicketWalksItsServiceRing: a ticket is routed by the service it
-// names, along that service's successor walk, and nothing is scattered.
-// The primary's ticket costs one hop. A ticket a successor issued while
-// the primary was ejected costs two once the primary is back: its 404,
-// then the issuer. An issuer that is alive but ejected is asked last, and
-// still answers for its ticket.
+// TestTicketWalksItsServiceRing: a ticket walks its service's successors,
+// and nothing is scattered. The primary's ticket costs one hop; one a
+// successor issued while the primary was ejected costs two once it is
+// back (its 404, then the issuer); an issuer alive but ejected is asked
+// last, and answers.
 func TestTicketWalksItsServiceRing(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := serviceFleet(t)
@@ -346,27 +316,21 @@ func TestTicketWalksItsServiceRing(t *testing.T) {
 			}
 			ticket = inv.Ticket
 		}
-		hops := func() (n [3]uint64) {
-			for i, m := range succ {
-				n[i] = countsOf(m).Proxied
-			}
-			return n
-		}
+		read := func() int { return f.code(httptest.NewRequest(http.MethodGet, "/api/service?name=SService", nil)) }
 		wait := func(want [3]uint64) {
 			t.Helper()
-			before, routes := hops(), f.stats.Snapshot().TicketRoutes
+			before, routes := proxied(succ), f.stats.Snapshot().TicketRoutes
 			r := httptest.NewRequest(http.MethodGet, "/api/wait?ticket="+ticket, nil)
 			r.Header.Set(trace.Header, waitTrace+"-0123456789abcdef")
 			if code := f.code(r); code != http.StatusOK {
 				t.Fatalf("wait: status %d", code)
 			}
-			after := hops()
+			after := proxied(succ)
 			for i := range after {
 				after[i] -= before[i]
 			}
-			if after != want || f.stats.Snapshot().TicketRoutes != routes+1 || f.stats.Snapshot().Scatters != 0 {
-				t.Fatalf("wait asked the walk %v, want %v; %d ticket routes (+1 wanted), %d scatters",
-					after, want, f.stats.Snapshot().TicketRoutes-routes, f.stats.Snapshot().Scatters)
+			if st := f.stats.Snapshot(); after != want || st.TicketRoutes != routes+1 || st.Scatters != 0 {
+				t.Fatalf("wait asked the walk %v, want %v; %d ticket routes (+1 wanted), %d scatters", after, want, st.TicketRoutes-routes, st.Scatters)
 			}
 		}
 
@@ -378,19 +342,13 @@ func TestTicketWalksItsServiceRing(t *testing.T) {
 
 		// The primary refuses dials until it is ejected; the invoke that
 		// ejects it is issued by the successor.
-		down.Store(true)
-		for range f.cfg.FailThreshold {
-			issue()
-		}
-		if up := f.up(primary); up.State != "ejected" {
-			t.Fatalf("primary %+v, want ejected", up)
-		}
+		f.eject(t, primary, down, issue)
 		wait([3]uint64{0, 1, 0})
 
 		// The primary is back: a read readmits it, and the ticket takes two hops.
 		down.Store(false)
 		time.Sleep(f.cfg.HalfOpenAfter)
-		if code := f.code(httptest.NewRequest(http.MethodGet, "/api/service?name=SService", nil)); code != http.StatusOK || f.up(primary).State != "healthy" {
+		if code := read(); code != http.StatusOK || f.up(primary).State != "healthy" {
 			t.Fatalf("trial read: status %d, primary %+v", code, f.up(primary))
 		}
 		wait([3]uint64{1, 1, 0})
@@ -403,84 +361,11 @@ func TestTicketWalksItsServiceRing(t *testing.T) {
 		// ticket still reaches it, after the successors' 404s, and its reply
 		// readmits it.
 		issue()
-		down.Store(true)
-		for range f.cfg.FailThreshold {
-			f.code(httptest.NewRequest(http.MethodGet, "/api/service?name=SService", nil))
-		}
+		f.eject(t, primary, down, func() { read() })
 		down.Store(false)
-		if up := f.up(primary); up.State != "ejected" {
-			t.Fatalf("primary %+v, want ejected", up)
-		}
 		wait([3]uint64{1, 1, 1})
 		if up := f.up(primary); up.State != "healthy" || up.HalfOpenTrials != 1 {
 			t.Fatalf("after answering for its ticket: %+v", up)
 		}
 	})
-}
-
-// TestOrderedMembersAllocations: a key's ordered members — the walk every
-// keyed and ticket request takes — cost no object: they go into the
-// caller's array.
-func TestOrderedMembersAllocations(t *testing.T) {
-	r := newRing(ringMembers(4))
-	allocs := testing.AllocsPerRun(200, func() {
-		var buf [8]*member
-		if succ := r.walk("SService", buf[:]); len(succ) != 4 {
-			t.Fatalf("%d successors", len(succ))
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("the ordered members of a key cost %.0f objects, want 0", allocs)
-	}
-}
-
-// TestPrimaryForIsStable: the ring places 1 000 service names where it
-// always has, primaries and whole successor walks, on fleets of four and
-// five. results/fleet.json and every fleet study assume this placement.
-func TestPrimaryForIsStable(t *testing.T) {
-	golden := map[int]struct {
-		primaries string // PrimaryFor of Svc<i>Service, i = 0..999
-		walks     uint64 // FNV-64a of every walk's member indices
-	}{
-		4: {"1220232303132323203323122020033133022302200003301211310222231120133301212232321200230213031000021111" +
-			"0110130321003103002003332213320031032330021230231022122201231033233313200031122130332002133212221312" +
-			"1332203313100030333323202301001221022211333101023012113313222201333113020111321332030303322102113102" +
-			"1103011323321223222300023000213300102301101112013323101213331200321111332030332121103033130331101210" +
-			"0331100232232012202220232030020113330202233120212000011331121003213102202330030101000133320131321010" +
-			"2120031011121131312311030231123103033000030002323302010121013231323103332010113321313220013313230321" +
-			"2230213113213000211200113302300230122010211232232331012301322023112322013031212321002312230301313312" +
-			"1331300223111331300130302003123123121212333331331110313213330022311122300131201233110333002301212200" +
-			"2230313013333013212023131332331003331300213130310020103201213300321323003201333220310003033331021031" +
-			"1010303002223233112213213333300230323101312113200330310230001022313323210323332333020003003303300232",
-			0xd82bc5f364d6ee5},
-		5: {"4220232343132343203324442020033133042302200043301241340222431144133301412232424200230244031400024111" +
-			"4110430321003403002003334213324041032330441234241044124404231433233313400031122130334002133244241312" +
-			"1342443313100440333344242301001221022211333104023014113313222241334114020141421432040304324102113142" +
-			"1104041343441423242300443000214404404441101412013323101213434200341141332430334141103044140344101210" +
-			"4331104432232044202220432030420113340202233120242400014434144403213404204434034101000144420131321010" +
-			"2120031011124131412311030231123143034000030042323302010121043231324143332414113341313440013343230421" +
-			"2430243113414040241200413302300434122010241232442331442301324023112324014434414321002442240341313312" +
-			"1331404423411431300130304404123443121212333344331110313213330422311142400434201243110333042301214204" +
-			"2240313043333043212023431332334003331304413134310020104201413300321343003241334220310003033331421031" +
-			"1010303002243433112413243333300430324101312113200334310430001024313324244344332333024043044303300232",
-			0xe72a2d94f23516b5},
-	}
-	for n, want := range golden {
-		g := &Gateway{ring: newRing(ringMembers(n))}
-		var primaries strings.Builder
-		walks := fnv.New64a()
-		for i := range 1000 {
-			key := fmt.Sprintf("Svc%dService", i)
-			fmt.Fprint(&primaries, g.PrimaryFor(key))
-			for _, m := range g.ring.walk(key, nil) {
-				fmt.Fprintf(walks, "%d,", m.idx)
-			}
-		}
-		if primaries.String() != want.primaries {
-			t.Errorf("fleet of %d: primaries moved:\n got %s\nwant %s", n, primaries.String(), want.primaries)
-		}
-		if walks.Sum64() != want.walks {
-			t.Errorf("fleet of %d: successor walks moved", n)
-		}
-	}
 }

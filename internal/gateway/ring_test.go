@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 )
@@ -24,14 +25,13 @@ func TestRingRemapFraction(t *testing.T) {
 	smaller := newRing(ringMembers(members)[:members-1]) // drop shard-15
 
 	moved := 0
-	for i := 0; i < keys; i++ {
+	for i := range keys {
 		key := fmt.Sprintf("Svc%d|owner%d", i, i%97)
-		before := full.walk(key, nil)[0].id
-		after := smaller.walk(key, nil)[0].id
-		if before != after {
-			if before != "shard-15" {
-				t.Fatalf("key %q moved %s -> %s although its owner survived", key, before, after)
-			}
+		switch before, after := full.walk(key, nil)[0].id, smaller.walk(key, nil)[0].id; {
+		case before == after:
+		case before != "shard-15":
+			t.Fatalf("key %q moved %s -> %s although its owner survived", key, before, after)
+		default:
 			moved++
 		}
 	}
@@ -45,17 +45,12 @@ func TestRingRemapFraction(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	r := newRing(ringMembers(8))
-	counts := make(map[string]int)
-	for i := 0; i < 8192; i++ {
-		counts[r.walk(fmt.Sprintf("S%d|u%d", i, i), nil)[0].id]++
+	counts := make([]int, 8)
+	for i := range 8192 {
+		counts[r.walk(fmt.Sprintf("S%d|u%d", i, i), nil)[0].idx]++
 	}
-	var spread []int
-	for _, c := range counts {
-		spread = append(spread, c)
-	}
-	slices.Sort(spread)
 	// 64 vnodes keeps shards within a loose factor of each other.
-	if min, max := spread[0], spread[len(spread)-1]; len(spread) != 8 || max > 4*min {
+	if min, max := slices.Min(counts), slices.Max(counts); max > 4*min {
 		t.Fatalf("unbalanced ring: min %d max %d (%v)", min, max, counts)
 	}
 }
@@ -69,5 +64,45 @@ func TestRingRebuildRestoresMapping(t *testing.T) {
 	r.rebuild(members)
 	if got := r.walk(key, nil)[0].id; got != orig {
 		t.Fatalf("rebuild with original members moved %q: %s -> %s", key, orig, got)
+	}
+}
+
+// TestOrderedMembersAllocations: a key's ordered members — the walk every
+// keyed and ticket request takes — cost no object: they go into the
+// caller's array.
+func TestOrderedMembersAllocations(t *testing.T) {
+	r := newRing(ringMembers(4))
+	allocs := testing.AllocsPerRun(200, func() {
+		var buf [8]*member
+		if succ := r.walk("SService", buf[:]); len(succ) != 4 {
+			t.Fatalf("%d successors", len(succ))
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("the ordered members of a key cost %.0f objects, want 0", allocs)
+	}
+}
+
+// TestPrimaryForIsStable: the ring places 1 000 service names where it
+// always has, primaries and whole successor walks, on fleets of four and
+// five. results/fleet.json and every fleet study assume this placement.
+func TestPrimaryForIsStable(t *testing.T) {
+	golden := map[int][2]uint64{ // FNV-64a of the primaries of Svc<i>Service, i = 0..999, and of their walks
+		4: {0x59f7577b1da93ade, 0xd82bc5f364d6ee5},
+		5: {0x393c70397ef3d3ee, 0xe72a2d94f23516b5},
+	}
+	for n, want := range golden {
+		g := &Gateway{ring: newRing(ringMembers(n))}
+		primaries, walks := fnv.New64a(), fnv.New64a()
+		for i := range 1000 {
+			key := fmt.Sprintf("Svc%dService", i)
+			fmt.Fprint(primaries, g.PrimaryFor(key))
+			for _, m := range g.ring.walk(key, nil) {
+				fmt.Fprintf(walks, "%d,", m.idx)
+			}
+		}
+		if got := [2]uint64{primaries.Sum64(), walks.Sum64()}; got != want {
+			t.Errorf("fleet of %d: placement moved: primaries, walks %#x, want %#x", n, got, want)
+		}
 	}
 }

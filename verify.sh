@@ -335,4 +335,4 @@ set +x
 count() { find "$@" -name '*.go' ! -name '*_test.go' ! -path '*/appliancetest/*' -exec cat {} + | wc -l; }
 lines() { find . -path ./cmd/bench -prune -o -path ./.git -prune -o -name "$1" ! -name "$2" -print | xargs cat | wc -l; }
 fields=$(go test -count=1 -v -run '^TestConfigSurface$' ./internal/appliance | grep -o 'appliance.Config: [0-9]* fields' || true)
-echo "non-test Go lines, internal/core + internal/appliance + internal/blobdb + internal/experiments: $(count internal/core internal/appliance internal/blobdb internal/experiments) (without internal/appliance: $(count internal/core internal/blobdb internal/experiments), ROADMAP item 4: <= 8000); internal/experiments + cmd/experiments: $(count internal/experiments cmd/experiments); internal/gateway + internal/portal + cmd/onserve-cli: $(count internal/gateway internal/portal cmd/onserve-cli); internal/core test lines: $(find internal/core -name '*_test.go' -exec cat {} + | wc -l); front-door test lines: $(cat internal/appliance/*_test.go internal/portal/*_test.go integration_test.go cmd/onserve/*_test.go cmd/onserve-cli/*_test.go cmd/cyberaide-shell/*_test.go internal/appliance/appliancetest/*.go | wc -l); repository Go lines, test vs non-test: $(lines '*_test.go' '') vs $(lines '*.go' '*_test.go'); $fields"
+echo "non-test Go lines, internal/core + internal/appliance + internal/blobdb + internal/experiments: $(count internal/core internal/appliance internal/blobdb internal/experiments) (without internal/appliance: $(count internal/core internal/blobdb internal/experiments), ROADMAP item 4: <= 8000); internal/experiments + cmd/experiments: $(count internal/experiments cmd/experiments); internal/gateway + internal/portal + cmd/onserve-cli: $(count internal/gateway internal/portal cmd/onserve-cli); internal/core test lines: $(find internal/core -name '*_test.go' -exec cat {} + | wc -l); internal/gateway test lines: $(cat internal/gateway/*_test.go | wc -l); front-door test lines: $(cat internal/appliance/*_test.go internal/portal/*_test.go integration_test.go cmd/onserve/*_test.go cmd/onserve-cli/*_test.go cmd/cyberaide-shell/*_test.go internal/appliance/appliancetest/*.go | wc -l); repository Go lines, test vs non-test: $(lines '*_test.go' '') vs $(lines '*.go' '*_test.go'); $fields"
