@@ -51,6 +51,7 @@ func TestProfileEquivalence(t *testing.T) {
 		}
 		var paper []string
 		var paperTrips int64
+		bob := core.UserAuth{MyProxyUser: "bob", Passphrase: "pw"}
 		for _, sh := range shapes {
 			t.Run(sh.name, func(t *testing.T) {
 				f := appliancetest.Boot(t, nil)
@@ -66,6 +67,7 @@ func TestProfileEquivalence(t *testing.T) {
 					}
 					f.Image = img
 					f.Reboot(t)
+					f.App.OnServe.RegisterUser("bob", bob)
 					s.base = f.App.BaseURL
 				} else {
 					gw, err := gateway.Boot(gateway.Config{Fleet: sh.fleet, Net: f.Net, Trace: f.Trace, Appliance: cfg}, f.Net.Listen())
@@ -74,6 +76,7 @@ func TestProfileEquivalence(t *testing.T) {
 					}
 					t.Cleanup(func() { gw.Shutdown() })
 					gw.RegisterUser("alice", core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"})
+					gw.RegisterUser("bob", bob)
 					s.base = gw.BaseURL
 					// The member that holds a service goes down and comes back
 					// empty: the fleet gets the service back from its catalog.
@@ -174,7 +177,8 @@ func proxyGrid(t *testing.T, f *appliancetest.Fixture) *gridProxy {
 }
 
 // script is the user's side of TestProfileEquivalence: a publish with
-// parameters and a stage-in list, invocations through the JSON door and
+// parameters and a stage-in list, another owner's upload of a name taken
+// and the owner's own re-upload without a delete, invocations through the JSON door and
 // the SOAP door, a stdout too large to ride in an event frame whose first
 // fetch fails, a failing job, a cancel mid-run, an output file written
 // and one never written, the client stub, the WSDL, the registry page and
@@ -271,6 +275,13 @@ func (s *script) run() {
 	s.publish("broken.gsh", "echo before\nfail boom\n")
 	s.publish("slow.gsh", "compute 10m\necho never\n")
 	s.publish("corpus.gsh", "read corpus.txt\necho read ${n}\n", "paramName1", "n", "paramType1", "int", "stageIn", "corpus.txt")
+
+	// Another owner uploads a name alice holds: refused, and the calls
+	// below still run her program.
+	ctype, form := appliancetest.UploadForm("greet.gsh", "echo bob was here\n", "user", "bob")
+	s.do("another owner uploads the same name", "POST", "/upload", ctype, form)
+	ctype, form = appliancetest.UploadForm("greet.gsh", "echo hello again\n")
+	s.do("re-upload without delete", "POST", "/upload", ctype, form)
 
 	// A job that runs through the steps below, one per door, until each
 	// is cancelled mid-run.

@@ -23,6 +23,7 @@ import (
 // door answers 500 with a fault that blames the caller (Client) only for a
 // 4xx cause and carries the code as its detail, unless the tenancy guard
 // in front of the container refused the caller first, with the envelope.
+// An upload has no SOAP call: its row drives the JSON door alone.
 func TestErrorCodesAcrossDoors(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := appliancetest.Boot(t, nil)
@@ -90,7 +91,8 @@ func TestErrorCodesAcrossDoors(t *testing.T) {
 			code    string
 			status  int
 			guarded bool // the SOAP door's guard answers, before the container
-			// drive sends the JSON door's request and the SOAP door's call.
+			// drive sends the JSON door's request and the SOAP door's call,
+			// if there is one.
 			drive func(d *door) (jsonReply, soapReply appliancetest.Reply)
 		}{
 			{"not_found", 404, false, func(d *door) (appliancetest.Reply, appliancetest.Reply) {
@@ -101,6 +103,12 @@ func TestErrorCodesAcrossDoors(t *testing.T) {
 				ticket := d.finished()
 				return d.do("GET", "/api/outfile?ticket="+ticket+"&name=missing.dat", "", "", ""),
 					d.soap("GreetService", "outputFile", "alice-key", soap.Param{Name: "ticket", Value: ticket}, soap.Param{Name: "name", Value: "missing.dat"})
+			}},
+			// A name is taken until a delete, its owner's own upload included
+			// (bob, refused by another owner, is TestRefusedUploadKeepsTheOwnersService).
+			{"name_taken", 409, false, func(d *door) (appliancetest.Reply, appliancetest.Reply) {
+				ctype, form := appliancetest.UploadForm("greet.gsh", "echo not greet\n")
+				return d.do("POST", "/upload", "alice-key", ctype, form), appliancetest.Reply{}
 			}},
 			{"bad_request", 400, false, func(d *door) (appliancetest.Reply, appliancetest.Reply) {
 				return d.invoke("OrphanService", "alice-key"), d.soap("OrphanService", "execute", "alice-key")
@@ -134,6 +142,9 @@ func TestErrorCodesAcrossDoors(t *testing.T) {
 				jsonReply, soapReply := row.drive(d)
 				if got := envelopeCode(jsonReply); jsonReply.Status != row.status || got != row.code {
 					t.Errorf("%s, %s, JSON door: %d %q (%.200s), want %d %q", row.code, d.name, jsonReply.Status, got, jsonReply.Body, row.status, row.code)
+				}
+				if soapReply.Status == 0 {
+					continue
 				}
 				if row.guarded {
 					if got := envelopeCode(soapReply); soapReply.Status != row.status || got != row.code {
@@ -213,4 +224,52 @@ func (d *door) soap(service, op, key string, params ...soap.Param) appliancetest
 		d.t.Fatal(err)
 	}
 	return d.do("POST", "/services/"+service, key, "text/xml; charset=utf-8", string(env))
+}
+
+// TestRefusedUploadKeepsTheOwnersService: alice publishes montecarlo.gsh,
+// and bob's upload of the same name is refused with 409 name_taken before
+// anything of his is stored. Alice's service is untouched: both doors
+// still run her program, her row still names her, and its WSDL answers.
+func TestRefusedUploadKeepsTheOwnersService(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := appliancetest.Boot(t, nil)
+		f.App.OnServe.RegisterUser("bob", core.UserAuth{MyProxyUser: "bob", Passphrase: "pw"})
+		d := &door{name: "appliance", t: t, f: f, base: f.App.BaseURL}
+		for _, up := range []struct {
+			user, program string
+			status        int
+		}{
+			{"alice", "echo alice's montecarlo\n", http.StatusOK},
+			{"bob", "echo bob's montecarlo\n", http.StatusConflict},
+			{"alice", "echo alice again\n", http.StatusConflict},
+		} {
+			ctype, form := appliancetest.UploadForm("montecarlo.gsh", up.program, "user", up.user)
+			r := d.do("POST", "/upload", "", ctype, form)
+			if r.Status != up.status || (up.status == http.StatusConflict && envelopeCode(r) != "name_taken") {
+				t.Errorf("%s's upload: %d %s, want %d", up.user, r.Status, r.Body, up.status)
+			}
+		}
+
+		var reply struct{ Ticket string }
+		json.Unmarshal([]byte(d.invoke("MontecarloService", "").Body), &reply)
+		if r := d.do("GET", "/api/wait?ticket="+reply.Ticket, "", "", ""); !strings.Contains(r.Body, "alice's montecarlo") {
+			t.Errorf("JSON door: %d %s, want alice's program", r.Status, r.Body)
+		}
+		c := soap.Client{HTTP: f.Web}
+		url := f.App.BaseURL + "/services/MontecarloService"
+		ticket, err := c.Call(url, "urn:onserve:MontecarloService", "execute", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Call(url, "urn:onserve:MontecarloService", "wait", []soap.Param{{Name: "ticket", Value: ticket}}, nil)
+		if err != nil || !strings.Contains(out, "alice's montecarlo") {
+			t.Errorf("SOAP door: %q, %v, want alice's program", out, err)
+		}
+		if info, err := f.App.OnServe.ServiceInfo("MontecarloService"); err != nil || info.Owner != "alice" {
+			t.Errorf("stored row: %+v, %v, want alice's", info, err)
+		}
+		if r := d.do("GET", "/services/MontecarloService?wsdl", "", "", ""); r.Status != http.StatusOK || !strings.Contains(r.Body, "MontecarloService") {
+			t.Errorf("?wsdl: %d %.200s", r.Status, r.Body)
+		}
+	})
 }

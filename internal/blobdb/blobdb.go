@@ -524,20 +524,33 @@ func (t *Table) Stat(key string) (*Record, error) {
 	return r.record(key, nil), nil
 }
 
+// Has reports whether a record is stored under key: Stat without the
+// record, and without the error it makes of an absent one.
+func (t *Table) Has(key string) bool {
+	r, closed := t.stored(key)
+	return r != nil && !closed
+}
+
 // row returns the row now stored under key. Rows are immutable once
 // applied, so it stays readable after the shard lock is gone.
 func (t *Table) row(key string) (*row, error) {
-	s := t.db.shardFor(t.name, key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	r, closed := t.stored(key)
+	switch {
+	case closed:
 		return nil, ErrClosed
-	}
-	r, ok := s.tables[t.name][key]
-	if !ok {
+	case r == nil:
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, t.name, key)
 	}
 	return r, nil
+}
+
+// stored returns the row under key, nil if there is none, and whether
+// the shard is closed.
+func (t *Table) stored(key string) (r *row, closed bool) {
+	s := t.db.shardFor(t.name, key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tables[t.name][key], s.closed
 }
 
 // Delete removes a record.

@@ -935,6 +935,27 @@ func TestTraceWatchdogEndsSpanTree(t *testing.T) {
 	})
 }
 
+// TestGridTimeoutEndsKilled: a job the grid reports TIMEOUT ends its
+// invocation KILLED with the grid's message, at the first poll that sees
+// it, long before the watchdog's deadline.
+func TestGridTimeoutEndsKilled(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil, traced())
+		timedOut := &hoptest.Rule{Match: "/gram/status", Do: hoptest.Respond(http.StatusOK,
+			`{"job_id":"siteA:job-1","state":"TIMEOUT","message":"walltime limit exceeded","site":"siteA"}`)}
+		f.grid.Add(timedOut)
+		start := time.Now()
+		inv := ends(t, f.invoke(t, f.publish(t, "slow.gsh", slowProgram), nil), InvKilled)
+		if took := time.Since(start); inv.Message() != "walltime limit exceeded" || took >= f.cfg.InvocationTimeout {
+			t.Fatalf("killed after %v with %q, want the grid's message before the watchdog's %v", took, inv.Message(), f.cfg.InvocationTimeout)
+		}
+		if timedOut.Hits.Load() != 1 {
+			t.Errorf("%d status polls answered TIMEOUT, want the one that ended it", timedOut.Hits.Load())
+		}
+		f.treeEndedWithError(t, inv)
+	})
+}
+
 func (f *fixture) treeEndedWithError(t *testing.T, inv *Invocation) {
 	t.Helper()
 	byName, _ := f.invocationTree(t, inv)

@@ -60,6 +60,7 @@ var (
 	ErrNoSuchUser    = errors.New("onserve: user has no grid credentials registered")
 	ErrNoTicket      = errors.New("onserve: no such invocation ticket")
 	ErrBadProgram    = errors.New("onserve: uploaded executable is not a valid gsh program")
+	ErrNameTaken     = errors.New("onserve: service name taken")
 )
 
 // causes is the one table both doors name an error by: the JSON door
@@ -77,6 +78,7 @@ var causes = []struct {
 	{ErrBadName, http.StatusBadRequest, errcode.BadRequest},
 	{ErrBadProgram, http.StatusBadRequest, errcode.BadRequest},
 	{ErrNoSuchUser, http.StatusBadRequest, errcode.BadRequest},
+	{ErrNameTaken, http.StatusConflict, errcode.NameTaken},
 	{tenant.ErrUnauthorized, http.StatusUnauthorized, errcode.Unauthorized},
 	{tenant.ErrForbidden, http.StatusForbidden, errcode.Forbidden},
 	{tenant.ErrRateLimited, http.StatusTooManyRequests, errcode.RateLimited},
@@ -139,7 +141,10 @@ type OnServe struct {
 	// staged is the staging cache (Config.StagingCache; empty forever
 	// without it): service -> site -> staged checksum.
 	staged map[string]map[string]string
-	seq    int
+	// claimed holds the service names an upload is storing, deploying
+	// and publishing.
+	claimed map[string]bool
+	seq     int
 	// sessions caches one authenticated agent session per owner
 	// (Config.SessionCache).
 	sessions map[string]*ownerSession
@@ -187,6 +192,7 @@ func New(cfg Config, parts Parts) (*OnServe, error) {
 		users:          make(map[string]UserAuth),
 		invocations:    make(map[string]*Invocation),
 		staged:         make(map[string]map[string]string),
+		claimed:        make(map[string]bool),
 		sessions:       make(map[string]*ownerSession),
 		termTallies:    make(map[InvState]int),
 		statsFlights:   make(flights[struct{}, []gridsim.SiteStats]),
@@ -394,6 +400,11 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 		return nil, fmt.Errorf("%w: %v", ErrBadProgram, file.program)
 	}
 
+	if err := o.claim(serviceName); err != nil {
+		return nil, err
+	}
+	defer o.release(serviceName)
+
 	// Storage (paper §VII-A "Storage"). The stock implementation spills
 	// the upload to a temporary file and then inserts it into the
 	// database — "there are at least two write operations and one read
@@ -413,7 +424,8 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 		"file_name":   fileName,
 		"params":      string(paramsJSON),
 	}
-	if err := o.parts.DB.Table(ExecutablesTable).PutStored(serviceName, meta, file.stored); err != nil {
+	tab := o.parts.DB.Table(ExecutablesTable)
+	if err := tab.PutStored(serviceName, meta, file.stored); err != nil {
 		return nil, fmt.Errorf("onserve: store executable: %w", err)
 	}
 
@@ -422,6 +434,7 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 	o.cfg.Probe.Burn(o.cfg.Cost.ServiceBuild)
 	svc := o.buildService(serviceName, description, params)
 	if err := o.parts.Container.Deploy(svc); err != nil {
+		tab.Delete(serviceName)
 		return nil, fmt.Errorf("onserve: deploy %s: %w", serviceName, err)
 	}
 
@@ -436,7 +449,14 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 	}
 	key, err := o.parts.Registry.Publish(rec)
 	if err != nil {
+		// The claim found the name free, so the row and the service are
+		// this call's own; a record published past the claim, straight
+		// into the registry, is another's.
 		o.parts.Container.Undeploy(serviceName)
+		tab.Delete(serviceName)
+		if errors.Is(err, uddi.ErrDuplicate) {
+			err = fmt.Errorf("%w: %w", ErrNameTaken, err)
+		}
 		return nil, fmt.Errorf("onserve: publish %s: %w", serviceName, err)
 	}
 	published, err := o.parts.Registry.Get(key)
@@ -444,6 +464,32 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 		return nil, err
 	}
 	return &published, nil
+}
+
+// claim takes name for one upload. A name is taken, whoever holds it,
+// while another upload has it claimed or while a service of that name is
+// stored or deployed, that is until a delete: the upload is then refused
+// with ErrNameTaken before anything is stored. release gives the claim
+// back.
+func (o *OnServe) claim(name string) error {
+	o.mu.Lock()
+	busy := o.claimed[name]
+	o.claimed[name] = true
+	o.mu.Unlock()
+	if !busy {
+		_, deployed := o.parts.Container.Lookup(name)
+		if !deployed && !o.parts.DB.Table(ExecutablesTable).Has(name) {
+			return nil
+		}
+		o.release(name)
+	}
+	return fmt.Errorf("%w: %s", ErrNameTaken, name)
+}
+
+func (o *OnServe) release(name string) {
+	o.mu.Lock()
+	delete(o.claimed, name)
+	o.mu.Unlock()
 }
 
 // SetStageIn declares the staged input files every invocation of the

@@ -125,8 +125,53 @@ func TestDuplicateUploadRejected(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
 		f.uploadDemo(t)
-		if _, err := f.ons.UploadAndGenerate("alice", "montecarlo.gsh", "again", nil, []byte("echo x\n")); err == nil {
-			t.Fatal("duplicate service published")
+		if _, err := f.ons.UploadAndGenerate("alice", "montecarlo.gsh", "again", nil, []byte("echo x\n")); !errors.Is(err, ErrNameTaken) {
+			t.Fatalf("duplicate upload: %v, want ErrNameTaken", err)
+		}
+		// Taken until a delete: the service still runs the first program.
+		if out := f.demo(t, "3"); out != "pi=3\n" {
+			t.Fatalf("output %q after a refused re-upload", out)
+		}
+		if err := f.ons.DeleteService("MontecarloService"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.ons.UploadAndGenerate("alice", "montecarlo.gsh", "again", nil, []byte("echo x\n")); err != nil {
+			t.Fatalf("upload after a delete: %v", err)
+		}
+	})
+}
+
+// TestConcurrentUploadsOfOneName: two owners upload one name at once.
+// The service build's CPU burst holds the first upload's claim open while
+// the second asks; one is published, the other refused with nothing of it
+// stored, and the row names the winner.
+func TestConcurrentUploadsOfOneName(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, nil)
+		_, err := f.env.AddUser("bob", "pw", 0)
+		must(t, err)
+		f.ons.RegisterUser("bob", UserAuth{MyProxyUser: "bob", Passphrase: "pw"})
+		errs := make(chan error, 2)
+		for _, user := range []string{"alice", "bob"} {
+			go func() {
+				_, err := f.ons.UploadAndGenerate(user, "montecarlo.gsh", "", nil, []byte("echo "+user+"\n"))
+				errs <- err
+			}()
+		}
+		var taken int
+		for range 2 {
+			if err := <-errs; errors.Is(err, ErrNameTaken) {
+				taken++
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		info, err := f.ons.ServiceInfo("MontecarloService")
+		if taken != 1 || err != nil {
+			t.Fatalf("%d of two uploads refused (want 1); row: %+v, %v", taken, info, err)
+		}
+		if out := f.demo(t, ""); out != info.Owner+"\n" {
+			t.Fatalf("the service runs %q, its row names %s", out, info.Owner)
 		}
 	})
 }

@@ -26,7 +26,7 @@ const (
 	Internal         = "internal"
 	NotStaged        = "not_staged" // gram: the executable is not at the site
 	NotOwner         = "not_owner"  // gram: the job is another identity's
-	NameTaken        = "name_taken" // gram: another submitter holds the job name
+	NameTaken        = "name_taken" // another holds the name: a job's (gram), a service's (core)
 	Conflict         = "conflict"   // gridftp: a commit names a chunk the site lacks
 )
 

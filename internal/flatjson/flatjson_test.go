@@ -2,6 +2,7 @@ package flatjson
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -13,7 +14,17 @@ type doc struct {
 	Name string            `json:"name"`
 	U    uint64            `json:"u"`
 	I    int64             `json:"i"`
-	M    map[string]string `json:"m"`
+	M    map[string]string `json:"m,omitempty"`
+	F    float64           `json:"f"`
+	B    bool              `json:"b"`
+	A    []elem            `json:"a"`
+	R    json.RawMessage   `json:"r,omitempty"`
+}
+
+// elem is an element of doc's array.
+type elem struct {
+	S string  `json:"s"`
+	F float64 `json:"f"`
 }
 
 // walk decodes data the way the package's callers do: known members by
@@ -36,11 +47,46 @@ func walk(data []byte) (d doc, ok bool) {
 			o.Skip()
 		case "skippedm":
 			o.Map(false)
+		case "f":
+			d.F = o.Float()
+		case "b":
+			d.B = o.Bool()
+		case "a":
+			a := o.Array()
+			d.A = walkElems(&a)
+			o.Resume(&a)
+		case "r":
+			// Raw leaves the value to its caller, which here judges it
+			// as encoding/json does.
+			if d.R = o.Raw(); !json.Valid(d.R) {
+				o.Fail()
+			}
 		default:
 			o.Fail()
 		}
 	}
 	return d, o.Done()
+}
+
+// walkElems reads an array of elems, as the package's callers do.
+func walkElems(a *Array) []elem {
+	out := []elem{}
+	for a.Next() {
+		var e elem
+		el := a.Elem()
+		for el.Next() {
+			switch string(el.Key()) {
+			case "s":
+				e.S = el.String()
+			case "f":
+				e.F = el.Float()
+			default:
+				el.Fail()
+			}
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 func TestAcceptedShape(t *testing.T) {
@@ -69,6 +115,15 @@ func TestAcceptedShape(t *testing.T) {
 			doc{M: map[string]string{"a": "", "b": "", "c": "", "d": "", "e": "", "f": "", "g": "", "h": "", "i": ""}}},
 		{`{"skippedm":{"x":"\t","y":""},"s":"b"}`, doc{S: "b"}},
 		{`{"skippedm":null}`, doc{}},
+		{`{"f":0,"b":true}`, doc{B: true}},
+		{`{"f":-0.5e+3,"b":false}`, doc{F: -500}},
+		{`{"f":1E-7}`, doc{F: 1e-7}},
+		{`{"f":12.25}`, doc{F: 12.25}},
+		{`{"a":[]}`, doc{A: []elem{}}},
+		{`{"a":[{}]}`, doc{A: []elem{{}}}},
+		{`{"a":[{"s":"x","f":2},{"f":3,"s":"y"}],"s":"z"}`, doc{S: "z", A: []elem{{"x", 2}, {"y", 3}}}},
+		{`{"r":{},"s":"a"}`, doc{S: "a", R: json.RawMessage(`{}`)}},
+		{`{"r":[{"a":["}",{"b":1}]},"]"]}`, doc{R: json.RawMessage(`[{"a":["}",{"b":1}]},"]"]`)}},
 	} {
 		got, ok := walk([]byte(tc.in))
 		if !ok || !reflect.DeepEqual(got, tc.want) {
@@ -141,6 +196,32 @@ func TestDoneReportsFalse(t *testing.T) {
 		"surrogate in a map key":    `{"m":{"\ud800":"1"}}`,
 		"number in a skipped map":   `{"skippedm":{"x":1}}`,
 		"bad escape in skipped map": `{"skippedm":{"x":"\x"}}`,
+		"minus zero":                `{"i":-0}`,
+		"float with no digits":      `{"f":-}`,
+		"float's leading zero":      `{"f":01}`,
+		"float's bare point":        `{"f":1.}`,
+		"float's point first":       `{"f":.5}`,
+		"float's plus sign":         `{"f":+1}`,
+		"float's empty exponent":    `{"f":1e}`,
+		"float past float64":        `{"f":1e400}`,
+		"float as a word":           `{"f":Inf}`,
+		"hex float":                 `{"f":0x1p-2}`,
+		"bool cut short":            `{"b":tru}`,
+		"bool in upper case":        `{"b":True}`,
+		"null for a bool":           `{"b":null}`,
+		"null for an array":         `{"a":null}`,
+		"object for an array":       `{"a":{}}`,
+		"array never closed":        `{"a":[{}`,
+		"comma before an array end": `{"a":[{},]}`,
+		"string in an array":        `{"a":["s"]}`,
+		"white space in an array":   `{"a":[ {}]}`,
+		"unknown member in element": `{"a":[{"x":""}]}`,
+		"duplicate in an element":   `{"a":[{"s":"","s":""}]}`,
+		"raw string":                `{"r":"s"}`,
+		"raw number":                `{"r":1}`,
+		"raw never closed":          `{"r":{"a":[1}`,
+		"raw's string never closed": `{"r":{"a":"}}`,
+		"raw not JSON":              `{"r":{a}}`,
 	} {
 		if got, ok := walk([]byte(in)); ok {
 			t.Errorf("%s: %s accepted as %+v", why, in, got)
@@ -154,6 +235,77 @@ func TestFailureLatches(t *testing.T) {
 	o := Open([]byte(`["s"]`))
 	if o.Next() || o.Key() != nil || o.String() != "" || o.Token() != nil || o.Uint() != 0 || o.Int() != 0 || o.Map(true) != nil || o.Done() {
 		t.Fatal("a walk that failed at the first byte still returned something")
+	}
+}
+
+// TestArrayDocument: a whole document may be an array of flat objects,
+// as a trailing newline is allowed after an object; an array member the
+// caller did not resume past fails the walk.
+func TestArrayDocument(t *testing.T) {
+	for in, want := range map[string]bool{`[]`: true, `[{"s":"a"},{"f":1}]` + "\n": true, `[{}]]`: false, `[{}`: false, `{}`: false} {
+		a := OpenArray([]byte(in))
+		walkElems(&a)
+		if a.Done() != want {
+			t.Errorf("%s: done %v, want %v", in, a.Done(), want)
+		}
+	}
+	o := Open([]byte(`{"a":[{}],"s":"x"}`))
+	for o.Next() {
+		if string(o.Key()) == "a" {
+			a := o.Array()
+			walkElems(&a)
+			continue
+		}
+		o.Skip()
+	}
+	if o.Done() {
+		t.Error("a walk went on past an array it did not resume after")
+	}
+}
+
+// TestShareAndPlain: with a shared copy, String returns a substring of it
+// for a value without escapes; Plain tells which values json.Marshal
+// writes as they stand.
+func TestShareAndPlain(t *testing.T) {
+	in := `{"s":"a/b","name":"x<y","i":1,"m":null,"skipped":"\u0061","b":true,"f":1}`
+	shared := string([]byte(in))
+	o := Open([]byte(in))
+	o.Share(shared)
+	plain := map[string]bool{}
+	for o.Next() {
+		k := string(o.Key())
+		switch k {
+		case "s", "name", "skipped":
+			v := o.String()
+			plain[k] = o.Plain()
+			if k == "s" && v != "a/b" {
+				t.Fatalf("s read as %q", v)
+			}
+		case "i":
+			o.Int()
+		case "m":
+			o.Map(false)
+		case "b":
+			o.Bool()
+		case "f":
+			o.Float()
+		}
+	}
+	if !o.Done() {
+		t.Fatal("walk refused")
+	}
+	if want := map[string]bool{"s": true, "name": false, "skipped": false}; !reflect.DeepEqual(plain, want) {
+		t.Errorf("plain %v, want %v", plain, want)
+	}
+	b := []byte(in)
+	if n := testing.AllocsPerRun(100, func() {
+		o := Open(b)
+		o.Share(shared)
+		if o.Next() && o.String() != "a/b" {
+			t.Fatal("s read wrong")
+		}
+	}); n != 0 {
+		t.Errorf("a shared string cost %.0f objects", n)
 	}
 }
 
@@ -184,6 +336,7 @@ func FuzzWalkMatchesEncodingJSON(f *testing.F) {
 		`{"s":"\ud800"}`, "{\"s\":\"\xff\"}", `{"u":01}`, `{"i":-9223372036854775808}`, `{"s":"a","s":"b"}`,
 		`{"skipped":"\u0000","s":"日本語"}`, ` {"s":"a"}`, `{"S":"a"}`, `{"s":null}`, `{"u":18446744073709551615}`,
 		`{"m":{"a":"1","a":"2","\u00e9":""}}`, `{"m":null}`, `{"m":{}}`, `{"m":{"a":1}}`, `{"skippedm":{"x":"y"},"s":"a"}`,
+		`{"f":-0,"b":false}`, `{"f":1.5e-300}`, `{"f":1e400}`, `{"a":[{"s":"x","f":2.5},{}]}`, `{"a":[{},]}`, `{"r":{"x":[1,"]"]}}`, `{"r":{]}`,
 	} {
 		f.Add([]byte(in))
 	}
@@ -197,12 +350,24 @@ func FuzzWalkMatchesEncodingJSON(f *testing.F) {
 		// The same bytes as a value: whatever they are, a document
 		// encoding/json writes around them reads back the same both ways.
 		// The integers stay inside what the walk reads: nineteen digits,
-		// and int64 short of its minimum. The map is null for an even
-		// length, else holds the bytes as a key and as a value.
+		// and int64 short of its minimum. For an even length the bytes are
+		// a raw value's, for an odd one a map's key and value: the walk
+		// reads at most eight members.
 		n := uint64(len(data)) * 0x9E3779B97F4A7C15 >> 1
-		in := doc{S: string(data), U: n, I: -int64(n)}
-		if len(data)%2 == 1 {
+		f := math.Float64frombits(n)
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			f = float64(n)
+		}
+		raw, err := json.Marshal(map[string][]string{string(data): {string(data)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := doc{S: string(data), U: n, I: -int64(n), F: f, B: n%2 == 1, A: []elem{{S: string(data), F: -f}}}
+		if len(data)%2 == 0 {
+			in.R = raw
+		} else {
 			in.M = map[string]string{string(data): string(data), "k": ""}
+			in.A = append(in.A, elem{})
 		}
 		written, err := json.Marshal(in)
 		if err != nil {

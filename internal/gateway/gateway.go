@@ -834,7 +834,7 @@ func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Spa
 			header.Set(trace.Header, tc.String())
 		}
 	}
-	reply, err := hop.Do(g.rt, r.Method, root, r.URL.RequestURI(), header, body, maxBody)
+	reply, err := hop.Do(g.rt, r.Method, root, requestTarget(r), header, body, maxBody)
 	if err != nil {
 		m.mu.Lock()
 		m.st.ProxyErrors++
@@ -854,6 +854,18 @@ func (g *Gateway) forward(m *member, r *http.Request, body []byte, sp *trace.Spa
 	delete(reply.Header, "Content-Length")
 	dropHopHeaders(reply.Header)
 	return &bufferedResponse{status: reply.Status, header: reply.Header, body: reply.Body}, nil
+}
+
+// requestTarget is the target forward sends r on: the one the caller sent,
+// when the server read it in origin form and r.URL still says the same,
+// else (a request the gateway built, or rewrote) r.URL's, built again.
+func requestTarget(r *http.Request) string {
+	if t := r.RequestURI; strings.HasPrefix(t, "/") {
+		if path, query, _ := strings.Cut(t, "?"); query == r.URL.RawQuery && path == r.URL.EscapedPath() {
+			return t
+		}
+	}
+	return r.URL.RequestURI()
 }
 
 // startSpan opens the gateway-side span for one proxied request. Nil

@@ -12,6 +12,7 @@
 package gram
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -466,11 +467,45 @@ func (c *Client) Submit(desc *jsdl.Description) (string, error) {
 
 // Status polls the job state.
 func (c *Client) Status(jobID string) (*StatusReply, error) {
+	doc, err := okBody(c.send(http.MethodGet, jobTarget("/gram/status", jobID, nil), jobMessage(jobID), "", "", nil, MaxBody))
+	if err != nil {
+		return nil, err
+	}
+	if reply, ok := statusReply(doc, jobID); ok {
+		return &reply, nil
+	}
 	var reply StatusReply
-	if err := c.call(http.MethodGet, jobTarget("/gram/status", jobID, nil), jobMessage(jobID), "", nil, &reply); err != nil {
+	if err := json.Unmarshal(doc, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
+}
+
+// statusReply reads the reply the gatekeeper's encoder writes, a flat
+// StatusReply, as DecodeEventData reads an event: the caller's job ID and
+// the state names shared, not allocated. Any other document is
+// encoding/json's to judge.
+func statusReply(doc []byte, jobID string) (r StatusReply, ok bool) {
+	o := flatjson.Open(doc)
+	for o.Next() {
+		switch string(o.Key()) {
+		case "job_id":
+			if id := o.Token(); string(id) == jobID {
+				r.JobID = jobID
+			} else {
+				r.JobID = string(id)
+			}
+		case "state":
+			r.State = stateName(o.Token())
+		case "message":
+			r.Message = o.String()
+		case "site":
+			r.Site = prefixOf(r.JobID, o.Token())
+		default:
+			o.Fail()
+		}
+	}
+	return r, o.Done()
 }
 
 // Output fetches the job's stdout snapshot — called repeatedly by the
@@ -557,11 +592,55 @@ func (c *Client) Cancel(jobID string) (*StatusReply, error) {
 
 // Sites fetches grid-wide scheduler statistics.
 func (c *Client) Sites() ([]gridsim.SiteStats, error) {
+	doc, err := okBody(c.send(http.MethodGet, "/gram/sites", []byte("sites"), "", "", nil, MaxBody))
+	if err != nil {
+		return nil, err
+	}
+	if reply, ok := sitesReply(doc); ok {
+		return reply, nil
+	}
 	var reply []gridsim.SiteStats
-	if err := c.call(http.MethodGet, "/gram/sites", []byte("sites"), "", nil, &reply); err != nil {
+	if err := json.Unmarshal(doc, &reply); err != nil {
 		return nil, err
 	}
 	return reply, nil
+}
+
+// sitesReply reads the reply the gatekeeper's encoder writes, an array of
+// flat SiteStats, its names sharing one copy of doc. Any other document
+// is encoding/json's to judge.
+func sitesReply(doc []byte) ([]gridsim.SiteStats, bool) {
+	// Each element but the last ends "},": enough room whatever the names hold.
+	out := make([]gridsim.SiteStats, 0, bytes.Count(doc, []byte("},"))+1)
+	a := flatjson.OpenArray(doc)
+	a.Share(string(doc))
+	for a.Next() {
+		out = append(out, gridsim.SiteStats{})
+		st, el := &out[len(out)-1], a.Elem()
+		for el.Next() {
+			switch string(el.Key()) {
+			case "Name":
+				st.Name = el.String()
+			case "Slots":
+				st.Slots = int(el.Int())
+			case "FreeSlots":
+				st.FreeSlots = int(el.Int())
+			case "Queued":
+				st.Queued = int(el.Int())
+			case "Running":
+				st.Running = int(el.Int())
+			case "Completed":
+				st.Completed = int(el.Int())
+			case "Failed":
+				st.Failed = int(el.Int())
+			case "CPUSeconds":
+				st.CPUSeconds = el.Float()
+			default:
+				el.Fail()
+			}
+		}
+	}
+	return out, a.Done()
 }
 
 // Usage fetches the caller's per-site accounting.

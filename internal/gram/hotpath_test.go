@@ -323,3 +323,90 @@ func TestOversizedReplyIsAnError(t *testing.T) {
 		}
 	})
 }
+
+// pollReplies are a status and a sites reply as the gatekeeper writes
+// them.
+func pollReplies(t testing.TB) (status, sites []byte) {
+	t.Helper()
+	var sb, tb bytes.Buffer
+	if err := json.NewEncoder(&sb).Encode(StatusReply{JobID: "siteA:job-17", State: "RUNNING", Site: "siteA"}); err != nil {
+		t.Fatal(err)
+	}
+	stats := []gridsim.SiteStats{
+		{Name: "siteA", Slots: 64, FreeSlots: 60, Queued: 1, Running: 4, Completed: 1234, Failed: 5, CPUSeconds: 98765.4321},
+		{Name: "siteB", Slots: 32, FreeSlots: 32, CPUSeconds: 0},
+		{Name: "siteC", Slots: 16, Running: 16, Queued: 9, CPUSeconds: 1e21},
+	}
+	if err := json.NewEncoder(&tb).Encode(stats); err != nil {
+		t.Fatal(err)
+	}
+	return sb.Bytes(), tb.Bytes()
+}
+
+// FuzzStatusReply holds the status walk to encoding/json: for any bytes
+// it accepts, the same reply, with or without the caller's job ID to
+// share.
+func FuzzStatusReply(f *testing.F) {
+	status, _ := pollReplies(f)
+	f.Add(status)
+	for _, doc := range []string{
+		`{}`, `{"job_id":"a:b","state":"FAILED","message":"exit 3: \\ / \b","site":"a"}`, `{"job_id":"a:b","site":"ab"}`,
+		`{"site":"a","job_id":"a:b"}`, `{"state":"D\u004fNE"}`, `{"STATE":"DONE"}`, `{"state":null}`, `{"job_id":"j","job_id":"k"}`,
+		`{"message":"\ud800"}`, `{"state":"DONE","extra":1}`, `{"state":"DONE"}` + "\n\n", ` {}`, `[]`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want StatusReply
+		wantErr := json.Unmarshal(data, &want)
+		for _, jobID := range []string{"", want.JobID, strings.Clone(want.JobID)} {
+			if got, ok := statusReply(data, jobID); ok && (wantErr != nil || got != want) {
+				t.Fatalf("%q:\nwalk          %+v\nencoding/json %+v (%v)", data, got, want, wantErr)
+			}
+		}
+	})
+}
+
+// FuzzSitesReply holds the sites walk to encoding/json: for any bytes it
+// accepts, the same stats, an empty array not nil.
+func FuzzSitesReply(f *testing.F) {
+	_, sites := pollReplies(f)
+	f.Add(sites)
+	for _, doc := range []string{
+		`[]`, `null`, `[{}]`, `[{"Name":"a","CPUSeconds":-0}]`, `[{"CPUSeconds":1.5e-7},{"CPUSeconds":12E+2}]`,
+		`[{"CPUSeconds":1e400}]`, `[{"CPUSeconds":01}]`, `[{"Slots":1.0}]`, `[{"Slots":-0}]`, `[{"name":"a"}]`,
+		`[{"Name":"a"},]`, `[{"Name":"a"}`, `[{"Name":"},{"}]`, `[{"Name":"a","Name":"b"}]`, `[ {}]`, `{}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want []gridsim.SiteStats
+		wantErr := json.Unmarshal(data, &want)
+		if got, ok := sitesReply(data); ok && (wantErr != nil || !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%q:\nwalk          %+v\nencoding/json %+v (%v)", data, got, want, wantErr)
+		}
+	})
+}
+
+// TestPollReplyAllocations counts the decode of the two replies an
+// invocation of the paper profile reads on every call.
+func TestPollReplyAllocations(t *testing.T) {
+	status, sites := pollReplies(t)
+	jobID := "siteA:job-17"
+	if r, ok := statusReply(status, jobID); !ok || r.JobID != jobID || r.State != "RUNNING" || r.Site != "siteA" {
+		t.Fatalf("status reply: %+v, %v", r, ok)
+	}
+	if s, ok := sitesReply(sites); !ok || len(s) != 3 || s[0].CPUSeconds != 98765.4321 || s[2].Name != "siteC" {
+		t.Fatalf("sites reply: %+v, %v", s, ok)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		statusReply(status, jobID)
+		sitesReply(sites)
+	})
+	// The status reply shares the caller's job ID and the state's name; the
+	// stats are their slice and one string their names share.
+	t.Logf("a status and a sites reply: %.0f objects", allocs)
+	if allocs > 2 {
+		t.Fatalf("a status and a sites reply cost %.0f objects, want <= 2", allocs)
+	}
+}

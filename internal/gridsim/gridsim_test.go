@@ -270,9 +270,11 @@ func TestCancelRunningJob(t *testing.T) {
 		s := testSite(t, 1)
 		stage(t, s, "ticker.gsh", "emit 200ms 1000 tick\n")
 		j := submit(t, s, "ticker.gsh", nil)
-		// Let it start.
-		for j.State() == Queued {
-			time.Sleep(time.Millisecond)
+		// Let it start: once the site has nothing left to do, the job is
+		// running, parked on its first tick.
+		bubble.Wait()
+		if j.State() != Running {
+			t.Fatalf("state %s before the cancel, want running", j.State())
 		}
 		if err := s.Cancel(j.ID); err != nil {
 			t.Fatal(err)

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/errcode"
+	"repro/internal/flatjson"
 	"repro/internal/trace"
 	"repro/internal/xsec"
 )
@@ -258,6 +259,15 @@ func (c *Client) dial() (net.Conn, error) {
 }
 
 func (c *Client) roundTrip(req request) (*response, error) {
+	msg, err := c.exchange(req)
+	if err != nil {
+		return nil, err
+	}
+	return decodeResponse(msg)
+}
+
+// exchange sends req and returns the server's answer, undecoded.
+func (c *Client) exchange(req request) ([]byte, error) {
 	req.Trace = c.Trace
 	conn, err := c.dial()
 	if err != nil {
@@ -267,9 +277,14 @@ func (c *Client) roundTrip(req request) (*response, error) {
 	if err := writeMsg(conn, req); err != nil {
 		return nil, err
 	}
+	return readBody(conn)
+}
+
+// decodeResponse decodes an answer; a refusal becomes its error.
+func decodeResponse(msg []byte) (*response, error) {
 	var resp response
-	if err := readMsg(conn, &resp); err != nil {
-		return nil, err
+	if err := json.Unmarshal(msg, &resp); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	if !resp.OK {
 		if err, ok := sentinels[resp.Code]; ok {
@@ -292,34 +307,79 @@ func (c *Client) Put(user, passphrase string, cred *xsec.Credential) error {
 
 // Get logs on and returns a freshly delegated proxy valid for lifetime.
 func (c *Client) Get(user, passphrase string, lifetime time.Duration) (*xsec.Credential, error) {
-	resp, err := c.roundTrip(request{
+	msg, err := c.exchange(request{
 		Op: OpGet, User: user, Passphrase: passphrase,
 		LifetimeS: int64(lifetime / time.Second),
 	})
 	if err != nil {
 		return nil, err
 	}
+	return decodeGet(msg)
+}
+
+// decodeGet reads Get's answer. The one a server writes on success,
+// {"ok":true,"credential":{…}} around a credential in Marshal's shape, is
+// walked once and the credential decoded where it stands; any other
+// answer goes, as the same bytes, to encoding/json.
+func decodeGet(msg []byte) (*xsec.Credential, error) {
+	if cred, ok := getResponse(msg); ok {
+		return cred, nil
+	}
+	resp, err := decodeResponse(msg)
+	if err != nil {
+		return nil, err
+	}
 	return xsec.UnmarshalCredential(resp.Credential)
+}
+
+// getResponse is decodeGet's walk: ok false leaves msg to encoding/json.
+func getResponse(msg []byte) (*xsec.Credential, bool) {
+	var granted bool
+	var raw []byte
+	o := flatjson.Open(msg)
+	for o.Next() {
+		switch string(o.Key()) {
+		case "ok":
+			granted = o.Bool()
+		case "credential":
+			raw = o.Raw()
+		default:
+			o.Fail()
+		}
+	}
+	if !o.Done() || !granted || raw == nil {
+		return nil, false
+	}
+	return xsec.DecodeCredential(raw)
 }
 
 // readMsg reads one length-prefixed JSON message.
 func readMsg(r io.Reader, v any) error {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return fmt.Errorf("%w: short length: %v", ErrProtocol, err)
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > MaxMessage {
-		return fmt.Errorf("%w: message of %d bytes exceeds limit", ErrProtocol, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("%w: short body: %v", ErrProtocol, err)
+	buf, err := readBody(r)
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(buf, v); err != nil {
 		return fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	return nil
+}
+
+// readBody reads one length-prefixed message, undecoded.
+func readBody(r io.Reader) ([]byte, error) {
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		return nil, fmt.Errorf("%w: short length: %v", ErrProtocol, err)
+	}
+	n := binary.BigEndian.Uint32(lenBuf[:])
+	if n > MaxMessage {
+		return nil, fmt.Errorf("%w: message of %d bytes exceeds limit", ErrProtocol, n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("%w: short body: %v", ErrProtocol, err)
+	}
+	return buf, nil
 }
 
 // writeMsg writes one length-prefixed JSON message.

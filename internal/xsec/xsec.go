@@ -25,6 +25,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/flatjson"
 )
 
 // Errors returned by chain verification.
@@ -108,6 +110,11 @@ func (c *Certificate) ValidAt(at time.Time) bool {
 type Credential struct {
 	Chain []Certificate      `json:"chain"`
 	Key   ed25519.PrivateKey `json:"key"`
+
+	// wire is the chain's JSON as DecodeCredential received it, when
+	// json.Marshal writes the chain back to the same bytes: SignToken's
+	// head is built from it instead.
+	wire string
 
 	// What every token SignToken makes starts with, encoded on first
 	// use: the chain does not change for the life of a credential.
@@ -439,6 +446,9 @@ func (c *Credential) Marshal() ([]byte, error) { return json.Marshal(c) }
 
 // UnmarshalCredential decodes a credential produced by Marshal.
 func UnmarshalCredential(b []byte) (*Credential, error) {
+	if c, ok := DecodeCredential(b); ok {
+		return c, nil
+	}
 	var c Credential
 	if err := json.Unmarshal(b, &c); err != nil {
 		return nil, fmt.Errorf("xsec: decode credential: %w", err)
@@ -446,29 +456,178 @@ func UnmarshalCredential(b []byte) (*Credential, error) {
 	return &c, nil
 }
 
+// maxWireChain is the longest chain DecodeCredential reads: a proxy
+// delegated MaxProxyDepth times, its user and a CA.
+const maxWireChain = MaxProxyDepth + 2
+
+// certMembers are a certificate's members in the order json.Marshal
+// writes them.
+var certMembers = [...]string{"serial", "kind", "subject", "issuer", "not_before", "not_after", "public_key", "signature"}
+
+// DecodeCredential decodes, without reflection, a credential in the shape
+// Marshal writes: {"chain":[certificates],"key":"…"}, each certificate a
+// flat object of the members above, byte strings in canonical base64. It
+// returns what encoding/json decodes; ok false means b is outside that
+// shape and is UnmarshalCredential's to judge. The strings share one copy
+// of b, and the keys and signatures one array. When json.Marshal would
+// write the chain back as it was received — every member in order, no
+// escape, times as RFC3339Nano writes them — the credential keeps those
+// bytes for SignToken; its chain must then not change at all.
+func DecodeCredential(b []byte) (c *Credential, ok bool) {
+	var (
+		certs    [maxWireChain]Certificate
+		b64      [2*maxWireChain + 1][]byte // each certificate's key and signature, then the private key
+		n        int
+		chain    bool
+		key      []byte
+		verbatim = true
+		from, to int // the chain's bytes
+	)
+	s := string(b)
+	o := flatjson.Open(b)
+	o.Share(s)
+	for o.Next() {
+		switch string(o.Key()) {
+		case "chain":
+			chain, from = true, o.Offset()
+			a := o.Array()
+			for ; a.Next(); n++ {
+				if n == len(certs) {
+					a.Elem().Fail()
+					continue
+				}
+				verbatim = decodeCert(a.Elem(), &certs[n], &b64[2*n], &b64[2*n+1]) && verbatim
+			}
+			o.Resume(&a)
+			to = o.Offset()
+		case "key":
+			key = o.Token()
+		default:
+			o.Fail()
+		}
+	}
+	if !o.Done() {
+		return nil, false
+	}
+	size := base64.StdEncoding.DecodedLen(len(key))
+	for _, t := range b64[:2*n] {
+		size += base64.StdEncoding.DecodedLen(len(t))
+	}
+	buf := make([]byte, size)
+	decode := func(t []byte) ([]byte, bool) {
+		m, err := base64.StdEncoding.Strict().Decode(buf, t)
+		out := buf[:m:m]
+		buf = buf[m:]
+		return out, err == nil
+	}
+	c = &Credential{}
+	if chain {
+		c.Chain = make([]Certificate, n)
+		for i := range c.Chain {
+			c.Chain[i] = certs[i]
+			cert := &c.Chain[i]
+			if b64[2*i] != nil {
+				if cert.PublicKey, ok = decode(b64[2*i]); !ok {
+					return nil, false
+				}
+			}
+			if b64[2*i+1] != nil {
+				if cert.Signature, ok = decode(b64[2*i+1]); !ok {
+					return nil, false
+				}
+			}
+		}
+		if verbatim && n > 0 {
+			c.wire = s[from:to]
+		}
+	}
+	if key != nil {
+		if c.Key, ok = decode(key); !ok {
+			return nil, false
+		}
+	}
+	return c, true
+}
+
+// decodeCert walks one certificate of a chain into c, leaving its public
+// key and signature in base64 for the caller, and reports whether
+// json.Marshal would write it back as it stands.
+func decodeCert(el *flatjson.Object, c *Certificate, pub, sig *[]byte) (verbatim bool) {
+	verbatim = true
+	i := 0
+	for ; el.Next(); i++ {
+		k := string(el.Key())
+		verbatim = verbatim && i < len(certMembers) && k == certMembers[i]
+		switch k {
+		case "serial":
+			c.Serial = el.String()
+			verbatim = verbatim && el.Plain()
+		case "kind":
+			c.Kind = CertKind(el.Int())
+		case "subject":
+			c.Subject = el.String()
+			verbatim = verbatim && el.Plain()
+		case "issuer":
+			c.Issuer = el.String()
+			verbatim = verbatim && el.Plain()
+		case "not_before":
+			verbatim = decodeTime(el, &c.NotBefore) && verbatim
+		case "not_after":
+			verbatim = decodeTime(el, &c.NotAfter) && verbatim
+		case "public_key":
+			*pub = el.Token()
+		case "signature":
+			*sig = el.Token()
+		default:
+			el.Fail()
+		}
+	}
+	return verbatim && i == len(certMembers)
+}
+
+// decodeTime reads a time as time.Time's UnmarshalJSON does and reports
+// whether MarshalJSON writes it back as it stands.
+func decodeTime(el *flatjson.Object, t *time.Time) (verbatim bool) {
+	text := el.Token()
+	if err := t.UnmarshalText(text); err != nil {
+		el.Fail()
+		return false
+	}
+	var buf [len(time.RFC3339Nano) + 8]byte
+	return string(t.AppendFormat(buf[:0], time.RFC3339Nano)) == string(text)
+}
+
 // SignToken signs msg and returns the token in its protocol-header form:
 // the base64 of a Signed's JSON, whose Signature is msg's SHA-256 signed
 // with c's key. A session signs every
 // request with one credential, so everything before the signature —
-// the JSON of the chain, in base64 — is encoded once per credential and
+// the JSON of the chain, in base64 — is encoded once per credential, from
+// the chain's bytes as received when DecodeCredential kept them, and
 // each token costs the signature and the one string it is returned in.
-// The chain must not change after the first call.
+// The chain must not change after the first call, nor after a decode
+// that kept its bytes.
 func (c *Credential) SignToken(msg []byte) (string, error) {
 	if c.Leaf() == nil {
 		return "", ErrEmptyChain
 	}
 	c.headOnce.Do(func() {
-		chain, err := json.Marshal(c.Chain)
-		if err != nil {
-			c.headErr = err
-			return
+		chain := c.wire
+		if chain == "" {
+			b, err := json.Marshal(c.Chain)
+			if err != nil {
+				c.headErr = err
+				return
+			}
+			chain = string(b)
 		}
-		head := `{"chain":` + string(chain) + `,"signature":"`
+		const open, sigOpen = `{"chain":`, `,"signature":"`
+		head := make([]byte, 0, len(open)+len(chain)+len(sigOpen))
+		head = append(append(append(head, open...), chain...), sigOpen...)
 		// Base64 works in groups of three bytes: a prefix of whole
 		// groups encodes the same whatever follows it.
-		whole := len(head) - len(head)%3
-		c.headB64 = base64.StdEncoding.EncodeToString([]byte(head[:whole]))
-		c.headRest = head[whole:]
+		rest := len(head) % 3
+		c.headB64 = base64.StdEncoding.EncodeToString(head[:len(head)-rest])
+		c.headRest = sigOpen[len(sigOpen)-rest:]
 	})
 	if c.headErr != nil {
 		return "", c.headErr

@@ -255,6 +255,14 @@ go test -run='^$' -fuzz=FuzzEventData -fuzztime=5s ./internal/gram
 # whatever it accepts it decodes alike, and what json.Marshal writes from
 # strings and integers it accepts.
 go test -run='^$' -fuzz=FuzzWalkMatchesEncodingJSON -fuzztime=5s ./internal/flatjson
+# The grid replies an invocation of the paper profile reads on every call
+# are walked too, each held, differentially, to encoding/json: the proxy
+# a MyProxy logon returns, on its own and inside the answer around it, and
+# the gatekeeper's status and sites replies.
+go test -run='^$' -fuzz=FuzzCredential -fuzztime=5s ./internal/xsec
+go test -run='^$' -fuzz=FuzzGetResponse -fuzztime=5s ./internal/myproxy
+go test -run='^$' -fuzz=FuzzStatusReply -fuzztime=5s ./internal/gram
+go test -run='^$' -fuzz=FuzzSitesReply -fuzztime=5s ./internal/gram
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=15s ./internal/soap
 # jsdl.Marshal writes its document by hand and must stay byte-identical
 # to encoding/xml's rendering of the same description.
@@ -287,10 +295,12 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # one in five (with tenancy on, a status call through the guard, which
 # reads and decodes it for the container, in 36 with the test's
 # recorder), a declared 200-byte body is read in one, a signed submit
-# costs at most 15 objects, the three event frames of a hot invocation 2
-# and the gateway's proxy hop 10, five of them the fault table's reply (a
-# key's ring walk none); the JSON door reads an invoke body in 4
-# objects, routes it in 1 and answers a finished invocation's /api/wait
+# costs at most 15 objects, the three event frames of a hot invocation 2,
+# a status and a sites reply 2, a logon's proxy with its first token 9
+# (decoded alone or inside MyProxy's answer), and the gateway's proxy hop
+# 9, five of them the fault table's reply (a key's ring walk none); the
+# JSON door reads an invoke body in 4 objects, routes it in 1 and answers
+# a finished invocation's /api/wait
 # in 1, a placement the possession cache answers costs nothing and no
 # goroutine, a staging-cache hit leads no flight, an armed watchdog parks
 # no goroutine, and a warm internal GET plus a 1 KB POST cost at most 54
@@ -298,8 +308,8 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # a capturing closure none. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise. A name in
 # the list that matches no test of the packages fails here first (tests).
-guards='TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestDispatchAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestWaitDoorAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps|TestReadAllAllocations|TestGuardedSOAPStatusAllocations'
-guard_pkgs='./internal/appliance ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics ./internal/sizedio'
+guards='TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestDispatchAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestWaitDoorAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps|TestReadAllAllocations|TestGuardedSOAPStatusAllocations|TestPollReplyAllocations|TestLogonAllocations'
+guard_pkgs='./internal/appliance ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics ./internal/sizedio ./internal/xsec ./internal/myproxy'
 tests "$guard_pkgs" $(echo "$guards" | tr '|' ' ')
 go test -count=1 -run "^($guards)\$" $guard_pkgs
 
