@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bubble/jsonwarm"
 	"repro/internal/metrics"
 	"repro/internal/sizedio"
 	"repro/internal/trace"
@@ -160,6 +161,9 @@ func (r *row) putEntry(table, key string, meta map[string]string, storedAt time.
 	}
 	return e
 }
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() { jsonwarm.List(&walEntry{}, layoutManifest{}) }
 
 // walEntry is one log record.
 type walEntry struct {

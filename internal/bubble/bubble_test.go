@@ -2,14 +2,19 @@ package bubble
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/bubble/jsonwarm"
 )
 
 func TestMain(m *testing.M) { Main(m) }
@@ -154,4 +159,61 @@ func TestEqualDeadlinesFireTogether(t *testing.T) {
 			t.Fatalf("woke at %v, want [1s 1s 2s]", woke)
 		}
 	})
+}
+
+// TestSideBySideEncodeFreshTypes: eight bubbles start at once and encode
+// types nothing has encoded before, each beside a sleeper whose timer the
+// clock would jump to if an encode waited on another bubble's build of
+// its encoder. The types are on jsonwarm's list, so Run builds them
+// first: no encode moves a clock, and every bubble ends.
+func TestSideBySideEncodeFreshTypes(t *testing.T) {
+	values := freshTypes(64)
+	jsonwarm.List(values...)
+	start := make(chan struct{}) // made outside the bubbles: waiting on it holds their clocks
+	var moved atomic.Int32
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			Run(func() {
+				go time.Sleep(time.Hour)
+				<-start
+				began := time.Now()
+				for _, v := range values {
+					if _, err := json.Marshal(v); err != nil {
+						t.Error(err)
+					}
+				}
+				if time.Since(began) != 0 {
+					moved.Add(1)
+				}
+			})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := moved.Load(); n != 0 {
+		t.Fatalf("in %d of 8 bubbles an encode waited for another bubble's", n)
+	}
+}
+
+// freshCount keeps the types of every freshTypes call apart.
+var freshCount atomic.Int64
+
+// freshTypes returns zero values of n struct types made for the call,
+// each with fields of several kinds, so that building its encoder takes a
+// while.
+func freshTypes(n int) []any {
+	kinds := []reflect.Type{reflect.TypeOf(""), reflect.TypeOf([]int(nil)), reflect.TypeOf(map[string]float64(nil)), reflect.TypeOf(struct{ A, B string }{})}
+	values := make([]any, n)
+	for i := range values {
+		id := freshCount.Add(1)
+		fields := make([]reflect.StructField, 32)
+		for j := range fields {
+			fields[j] = reflect.StructField{Name: fmt.Sprintf("F%d_%d", id, j), Type: kinds[j%len(kinds)]}
+		}
+		values[i] = reflect.New(reflect.StructOf(fields)).Elem().Interface()
+	}
+	return values
 }

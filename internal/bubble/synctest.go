@@ -6,6 +6,8 @@ import (
 	"os"
 	"runtime/debug"
 	"testing/synctest"
+
+	"repro/internal/bubble/jsonwarm"
 )
 
 // Run calls f in a new bubble and returns once every goroutine in it has
@@ -13,9 +15,12 @@ import (
 // to wake one, Run panics, printing every goroutine's stack. What f did
 // happens before Run returns: f ends by closing a channel the caller then
 // receives from, which the race detector sees, as it does not see
-// synctest.Run's own wait.
+// synctest.Run's own wait. Before the bubble starts, every type on
+// jsonwarm's list has its encoder built, so that bubbles side by side
+// never wait on each other's build.
 func Run(f func()) {
 	debug.SetTraceback("all")
+	jsonwarm.Warm()
 	done := make(chan struct{})
 	synctest.Run(func() {
 		defer close(done)

@@ -21,7 +21,7 @@ type CollectorStats struct {
 	// OutputFetches counts output fetches that returned a body.
 	OutputFetches uint64 `json:"output_fetches"`
 	// OutputInlined counts snapshots stored straight from an event frame
-	// that carried them (Config.PushEvents), at no fetch.
+	// that carried them, at no fetch.
 	OutputInlined uint64 `json:"output_inlined"`
 	// OutputNotModified counts polls that confirmed an unchanged
 	// snapshot without transferring it (version match or 304).
@@ -36,13 +36,11 @@ type CollectorStats struct {
 // CollectorStats snapshots the collection-path counters.
 func (o *OnServe) CollectorStats() CollectorStats { return o.collector.Snapshot() }
 
-// collector is the seam of the pipeline's fifth step. Invoke registers
-// every invocation, under its job's name, with the one collector New chose
-// (the paper's tentative poller, or the push collector, whose stream
-// workers poll their own jobs when the stream is absent or dead) before the
-// submit, and tells it through submitted how the submit ended. A collector
-// keeps nothing of a failed one; an accepted one it owns until terminal:
-// it arms the watchdog, stores output as it appears, records the end.
+// collector is the collect step: Invoke registers every invocation with
+// it, under its job's name, before the submit, and tells it through
+// submitted how the submit ended. It keeps nothing of a failed one, and
+// owns an accepted one until terminal: it arms the watchdog, stores
+// output as it appears, records the end.
 type collector interface {
 	register(inv *Invocation) (submitted func(ok bool))
 }
@@ -97,7 +95,7 @@ func (o *OnServe) finishAs(inv *Invocation, st InvState, message string) {
 		message = ""
 	}
 	if inv.finish(st, message, time.Now()) {
-		o.releaseSession(inv.sessionID)
+		o.logout(inv.sessionID)
 	}
 }
 
@@ -113,7 +111,7 @@ func (o *OnServe) armWatchdog(inv *Invocation) *time.Timer {
 		killed := inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), time.Now())
 		o.parts.Agent.Cancel(inv.sessionID, inv.JobID)
 		if killed {
-			o.releaseSession(inv.sessionID)
+			o.logout(inv.sessionID)
 		}
 	})
 }

@@ -326,7 +326,7 @@ func TestPushRetriesFailedFinalFetch(t *testing.T) {
 		if n := cancels.Hits.Load(); n != 0 {
 			t.Errorf("%d cancels after DONE: the watchdog was not stopped", n)
 		}
-		f.ons.invalidateSession("alice", inv.sessionID) // the stream's worker may retire
+		f.ons.auth.(*sessionCache).invalidate("alice", inv.sessionID) // the stream's worker may retire
 		f.collectorsIdle(t)
 	})
 }
@@ -444,20 +444,29 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 		// invocation rides a fresh stream again.
 		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.InvocationTimeout = true, 3*time.Hour })
 		var down atomic.Bool // streams break at their next line, new ones are refused
-		f.grid.Add(&hoptest.Rule{Match: "/gram/events", When: hoptest.Flag(&down), Do: hoptest.Fail}, &hoptest.Rule{Match: "/gram/events", Do: hoptest.Rewrite(func(_ int, line []byte) ([]byte, error) {
+		// carried closes once a frame with data, a state or output event,
+		// has passed whole.
+		carried := make(chan struct{})
+		closeCarried := sync.OnceFunc(func() { close(carried) })
+		var dataIn atomic.Int64 // 1 + the frame a data line last passed in
+		f.grid.Add(&hoptest.Rule{Match: "/gram/events", When: hoptest.Flag(&down), Do: hoptest.Fail}, &hoptest.Rule{Match: "/gram/events", Do: hoptest.Rewrite(func(frame int, line []byte) ([]byte, error) {
 			if down.Load() {
 				return nil, hoptest.ErrInjected
+			}
+			if bytes.HasPrefix(line, []byte("data:")) {
+				dataIn.Store(int64(frame) + 1)
+			} else if string(line) == "\n" && dataIn.Load() == int64(frame)+1 {
+				closeCarried()
 			}
 			return line, nil
 		})})
 		// Mostly silent and long: the stream is up (and killable) for the
 		// whole middle of the job, and the fallback's ticks stay cheap.
 		inv := f.invoke(t, f.publish(t, "longer.gsh", "echo head\ncompute 2m\necho tail\n"), nil)
-		for f.ons.EventStats().EventsDelivered == 0 { // the stream is up and has carried an event
-			if inv.State().Terminal() {
-				t.Fatalf("the stream carried no event before the job ended: %+v", f.ons.EventStats())
-			}
-			time.Sleep(time.Second)
+		select {
+		case <-carried:
+		case <-inv.DoneChan():
+			t.Fatalf("the stream carried no event before the job ended: %+v", f.ons.EventStats())
 		}
 		down.Store(true)
 		if ends(t, inv, InvDone).Output() != "head\ntail\n" {
@@ -524,7 +533,7 @@ func TestPushEventsStalledStreamFallsBack(t *testing.T) {
 		if es := f.ons.EventStats(); es.FallbacksToPoll == 0 || es.EventsDelivered != 0 {
 			t.Errorf("stalled streams: %+v", es)
 		}
-		f.ons.invalidateSession("alice", invs[0].sessionID)
+		f.ons.auth.(*sessionCache).invalidate("alice", invs[0].sessionID)
 		f.collectorsIdle(t)
 	})
 }
@@ -601,7 +610,7 @@ func TestPushStreamScopedToItsSession(t *testing.T) {
 		a := f.invoke(t, f.publish(t, "along.gsh", "echo a1\ncompute 1m\necho a2\n"), nil)
 		bshort := f.publish(t, "bshort.gsh", "emit 2s 3 b-line\n")
 		// A fresh logon: same identity, new proxy, new session.
-		f.ons.invalidateSession("alice", a.sessionID)
+		f.ons.auth.(*sessionCache).invalidate("alice", a.sessionID)
 		b := f.invoke(t, bshort, nil)
 		if a.sessionID == b.sessionID {
 			t.Fatal("invalidated session reused")
@@ -647,7 +656,7 @@ func TestPushStreamScopedToItsSession(t *testing.T) {
 			t.Fatal("the cached session's worker was replaced")
 		}
 		// ... and lets go of it within a heartbeat of losing the session.
-		f.ons.invalidateSession("alice", b.sessionID)
+		f.ons.auth.(*sessionCache).invalidate("alice", b.sessionID)
 		f.collectorsIdle(t)
 		if pushWorker(f, b.sessionID) != nil {
 			t.Fatal("worker still registered after its goroutine ended")

@@ -90,16 +90,12 @@ func (x *executable) fetch() {
 	})
 }
 
-// file describes the executable to a transfer; the stored gzip stream
-// rides along when wire compression is on.
+// file describes the executable to a transfer. The stored gzip stream
+// rides along: a wire that ships the raw file drops or ignores it.
 func (x *executable) file() (gridftp.File, error) {
 	sum, err := x.row.Digest()
 	if err != nil {
 		return gridftp.File{}, fmt.Errorf("onserve: load executable: %w", err)
 	}
-	f := gridftp.File{Size: int64(x.row.RawSize), SHA256: hex.EncodeToString(sum[:]), Open: x.row.Reader}
-	if x.o.cfg.WireCompression {
-		f.Gzip = x.row.Gzip
-	}
-	return f, nil
+	return gridftp.File{Size: int64(x.row.RawSize), SHA256: hex.EncodeToString(sum[:]), Open: x.row.Reader, Gzip: x.row.Gzip}, nil
 }

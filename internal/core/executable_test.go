@@ -113,7 +113,7 @@ func TestStoredGzipComparesGenerations(t *testing.T) {
 		row, err := tab.Stat("SameService")
 		must(t, err)
 		gz1, _, _ := tab.GetCompressed("SameService")
-		sess, _, err := f.ons.gridSession("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"}, trace.SpanContext{})
+		sess, _, err := f.ons.auth.session("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"}, trace.SpanContext{})
 		must(t, err)
 		open := func() *executable {
 			t.Helper()
@@ -125,7 +125,7 @@ func TestStoredGzipComparesGenerations(t *testing.T) {
 		stage := func(exe *executable, site string, want []byte) {
 			t.Helper()
 			before := f.ons.StageStats()
-			sum, err := f.ons.uploadExecutable(sess, exe, site, nil)
+			sum, err := uploadEach{f.ons}.fill(sess, exe, site, "", nil)
 			if err != nil {
 				t.Fatalf("staging to %s across a same-size re-publish: %v", site, err)
 			}
@@ -169,7 +169,7 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 				cfg.StagingCache, cfg.SessionCache, cfg.StatsTTL = true, true, 100*time.Hour
 				cfg.ChunkedStaging, cfg.WireCompression, cfg.DataAwarePlacement = true, true, true
 			}, traced())
-			f.ons.probeTTL = 100 * time.Hour // 30 s is 1.5 ms of this clock
+			f.ons.poss.ttl = 100 * time.Hour // 30 s is 1.5 ms of this clock
 			content := f.uploadPadded(t, "hot", "echo hot\n", size)
 			inflate := fmt.Sprintf("%s %d", metrics.CPU, time.Duration(
 				float64(len(content))/metrics.DefaultCost().DecompressBps*float64(time.Second)))
@@ -201,9 +201,10 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 			if st := byName["stage"]; len(st) != 1 || st[0].Attrs["wire"] != "stream" || st[0].Attrs["replicated_from"] != first.Site || len(byName["ftp.put"]) != 1 {
 				t.Fatalf("stage spans %+v with %d ftp.put, want one that tried %s and then streamed once", st, len(byName["ftp.put"]), first.Site)
 			}
-			f.ons.mu.Lock()
-			sum := f.ons.staged["FallService"][sibling]
-			f.ons.mu.Unlock()
+			c := f.ons.stage.(*stagingCache)
+			c.mu.Lock()
+			sum := c.sites["FallService"][sibling]
+			c.mu.Unlock()
 			if inv.Output() != "fell through\n" || sum != sha256Hex(content) {
 				t.Fatalf("output %q, staged checksum %s", inv.Output(), sum)
 			}
@@ -214,7 +215,7 @@ func TestHotInvokeReadsNoExecutable(t *testing.T) {
 				cfg.StagingCache, cfg.StatsTTL = true, 100*time.Hour
 				cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true
 			}, traced())
-			f.ons.probeTTL = time.Minute
+			f.ons.poss.ttl = time.Minute
 			f.uploadPadded(t, "probe", "echo probed\n", size)
 			f.invokeLogged(t, "ProbeService")
 			time.Sleep(2 * time.Minute)

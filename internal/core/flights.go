@@ -26,7 +26,8 @@ type flight[V any] struct {
 // air. cached is called with mu held, run without; a run that feeds a
 // cache stores its result before it returns, so no caller finds neither
 // the flight nor the fresh entry. joined reports a result taken from
-// another caller's successful flight.
+// another caller's successful flight. A nil fl shares no flight: each
+// caller cached does not answer runs its own.
 func (fl flights[K, V]) do(mu *sync.Mutex, key K, cached func() (V, bool), run func() (V, error)) (v V, joined bool, err error) {
 	for {
 		mu.Lock()
@@ -35,6 +36,11 @@ func (fl flights[K, V]) do(mu *sync.Mutex, key K, cached func() (V, bool), run f
 				mu.Unlock()
 				return v, false, nil
 			}
+		}
+		if fl == nil {
+			mu.Unlock()
+			v, err = run()
+			return v, false, err
 		}
 		if f := fl[key]; f != nil {
 			f.waiters++

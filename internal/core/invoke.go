@@ -1,27 +1,24 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/bubble/jsonwarm"
 	"repro/internal/cyberaide"
 	"repro/internal/gram"
-	"repro/internal/gridsim"
 	"repro/internal/jsdl"
 	"repro/internal/soap"
 	"repro/internal/tenant"
 	"repro/internal/trace"
+	"repro/internal/wsdl"
 )
 
 // InvState is an invocation's lifecycle state.
@@ -44,6 +41,9 @@ func (s InvState) Terminal() bool {
 	}
 	return false
 }
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() { jsonwarm.List(map[string]string{}, []wsdl.ParamDef{}) }
 
 // Invocation tracks one execute() call from ticket issue to final output.
 type Invocation struct {
@@ -174,19 +174,14 @@ func (inv *Invocation) finish(s InvState, msg string, at time.Time) bool {
 }
 
 // Invoke is Use Scenario B (paper §VII-B): translate one Web-service
-// invocation into the JSE model. The pipeline follows the paper's steps
-// literally: file retrieval from the database, authentication through
-// the Cyberaide agent, upload to the Grid, job description generation
-// and submission — then the collector takes over.
+// invocation into the JSE model, the paper's steps in its order.
 func (o *OnServe) Invoke(serviceName string, args map[string]string) (*Invocation, error) {
 	return o.InvokeCtx(serviceName, args, trace.SpanContext{})
 }
 
-// InvokeCtx is Invoke with a caller trace context: with Config.Trace
-// set, the invocation records an "invoke" root span (under the caller's
-// context when valid, a new root trace otherwise) with child spans for
-// every pipeline stage, and propagates context to every grid service.
-// With Trace nil this is Invoke — no spans, no allocations.
+// InvokeCtx is Invoke under a caller trace context: with Config.Trace
+// set, an "invoke" root span (a new trace if the context is invalid)
+// with a child per step. With Trace nil this is Invoke, at no cost.
 func (o *OnServe) InvokeCtx(serviceName string, args map[string]string, parent trace.SpanContext) (*Invocation, error) {
 	root := o.parts.Tracing.StartSpan("invoke", parent)
 	root.Set("service", serviceName)
@@ -247,15 +242,12 @@ func endSpan(sp *trace.Span, err error) {
 }
 
 // invoke runs the five steps — fetch, authenticate, stage, submit,
-// collect — each under one span of root. An auth fault on a cached
-// session invalidates it and the grid-facing steps run once more on a
-// fresh logon.
-//
-// The fetch step runs here, where the paper puts it, unless the staging
-// cache records a staged copy of the service somewhere: then most likely
-// nothing will send the executable, and a stage that does fetches through
-// the handle. Without Config.StagingCache nothing is ever recorded, so
-// the paper profile always fetches here.
+// collect — each under one span of root; if the grid refuses a session
+// the authenticate step would hand out again, the grid-facing steps run
+// once more on a fresh logon. The fetch runs here, where the paper puts
+// it, unless the stage step records a staged copy of the service: then
+// most likely nothing will send the executable, and a stage that does
+// fetches through the handle.
 func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace.Span) (*Invocation, error) {
 	exe, err := o.openExecutable(serviceName, root)
 	if err != nil {
@@ -266,30 +258,23 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 	if err != nil {
 		return nil, err
 	}
-	o.mu.Lock()
-	staged := len(o.staged[serviceName]) > 0
-	o.mu.Unlock()
-	if !staged {
+	if _, sibling := o.stage.recorded(serviceName, ""); sibling == "" {
 		exe.fetch()
 	}
-	sessID, cached, err := o.authenticate(exe.owner, auth, root)
+	sessID, err := o.authenticate(exe.owner, auth, root)
 	if err != nil {
 		return nil, err
 	}
 	inv := o.newInvocation(serviceName, exe.owner, root)
 	err = o.stageAndSubmit(inv, sessID, exe, args)
-	if err != nil && cached && isSessionFault(err) {
-		// The agent has refused the session, so nothing can use it
-		// again: drop it from the cache and from the agent's table.
-		o.invalidateSession(exe.owner, sessID)
-		o.parts.Agent.Logout(sessID)
-		if sessID, _, err = o.authenticate(exe.owner, auth, root); err != nil {
+	if err != nil && o.auth.refused(exe.owner, sessID, err) {
+		if sessID, err = o.authenticate(exe.owner, auth, root); err != nil {
 			return nil, err
 		}
 		err = o.stageAndSubmit(inv, sessID, exe, args)
 	}
 	if err != nil {
-		o.releaseSession(sessID)
+		o.logout(sessID)
 		return nil, err
 	}
 	o.mu.Lock()
@@ -300,18 +285,15 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 	return inv, nil
 }
 
-// authenticate is the logon step: "Before any use of the Grid is
-// possible, an authentication is required and performed by the Cyberaide
-// agent." With the session cache on, the previous logon's session is
-// reused until its proxy nears expiry.
-func (o *OnServe) authenticate(owner string, auth UserAuth, root *trace.Span) (sessID string, cached bool, err error) {
+// authenticate is the logon step under its span.
+func (o *OnServe) authenticate(owner string, auth UserAuth, root *trace.Span) (string, error) {
 	sp := o.parts.Tracing.StartSpan("logon", root.Context())
-	sessID, cached, err = o.gridSession(owner, auth, sp.Context())
+	sessID, reused, err := o.auth.session(owner, auth, sp.Context())
 	if err == nil {
-		sp.Set("cached", strconv.FormatBool(cached))
+		sp.Set("cached", strconv.FormatBool(reused))
 	}
 	endSpan(sp, err)
-	return sessID, cached, err
+	return sessID, err
 }
 
 // newInvocation issues the ticket, which resolves once the submit
@@ -413,281 +395,6 @@ func jobID(ticket, site string) string {
 	return string(id)
 }
 
-// gridSession returns an authenticated session ID for owner: the cached
-// one when Config.SessionCache is on and the proxy is comfortably inside
-// its lifetime, a fresh MyProxy logon otherwise. cached reports whether
-// the ID came from the cache (and so may need the fault-retry path).
-func (o *OnServe) gridSession(owner string, auth UserAuth, tc trace.SpanContext) (id string, cached bool, err error) {
-	if id, ok := o.cachedSession(owner); ok {
-		return id, true, nil
-	}
-	sess, err := o.parts.Agent.WithTrace(tc).Authenticate(auth.MyProxyUser, auth.Passphrase, cyberaide.DefaultProxyLifetime)
-	if err != nil {
-		return "", false, fmt.Errorf("onserve: authenticate %s: %w", owner, err)
-	}
-	if o.cfg.SessionCache {
-		// Stop reusing a little before the proxy actually expires so
-		// in-flight pipelines don't start on a session about to die.
-		const lifetime = cyberaide.DefaultProxyLifetime
-		o.mu.Lock()
-		o.sessions[owner] = &ownerSession{id: sess.ID, expiresAt: time.Now().Add(lifetime - lifetime/10)}
-		o.mu.Unlock()
-	}
-	return sess.ID, false, nil
-}
-
-// cachedSession returns the session owner's next invocation would reuse:
-// the cached one (Config.SessionCache; nothing is ever cached without it)
-// while its proxy is comfortably inside its lifetime.
-func (o *OnServe) cachedSession(owner string) (id string, ok bool) {
-	o.mu.Lock()
-	s := o.sessions[owner]
-	o.mu.Unlock()
-	if s == nil || !time.Now().Before(s.expiresAt) {
-		return "", false
-	}
-	return s.id, true
-}
-
-// releaseSession logs out the session one invocation logged on with, once
-// nothing of that invocation will use it again: it is terminal, or failed
-// before a ticket existed. With Config.SessionCache the session is the
-// owner's, shared and kept, and this does nothing.
-func (o *OnServe) releaseSession(id string) {
-	if !o.cfg.SessionCache {
-		o.parts.Agent.Logout(id)
-	}
-}
-
-// invalidateSession drops owner's cached session if it still is id.
-func (o *OnServe) invalidateSession(owner, id string) {
-	o.mu.Lock()
-	if s := o.sessions[owner]; s != nil && s.id == id {
-		delete(o.sessions, owner)
-	}
-	o.mu.Unlock()
-}
-
-// isSessionFault reports whether err is an agent auth fault — the only
-// failures a cached session justifies retrying with a fresh logon.
-func isSessionFault(err error) bool {
-	return errors.Is(err, cyberaide.ErrExpired) || errors.Is(err, cyberaide.ErrNoSession)
-}
-
-// pickSites asks the gatekeeper for scheduler statistics and orders the
-// stageable sites best-first: by load alone (the paper's behaviour),
-// or — with Config.DataAwarePlacement — by a score that also weighs
-// chunk possession and the cold-transfer cost of the missing bytes.
-// With Config.StatsTTL set, the snapshot is cached so heavy invocation
-// traffic stops paying one SOAP round-trip per call; slightly stale
-// load data only shifts which site wins, never correctness. The order
-// is written into into[:0]: a caller's [8]string holds eight sites
-// without an allocation.
-func (o *OnServe) pickSites(sessionID string, exe *executable, tc trace.SpanContext, into []string) ([]string, error) {
-	stats, err := o.gridStats(sessionID)
-	if err != nil {
-		return nil, fmt.Errorf("onserve: grid stats: %w", err)
-	}
-	var loads [8]siteLoad
-	cands := o.siteFilter(exe.owner, o.stageableLoads(stats, loads[:0]))
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("onserve: no stageable site available")
-	}
-	if o.cfg.DataAwarePlacement {
-		return o.placeDataAware(sessionID, exe, cands, tc, into), nil
-	}
-	slices.SortFunc(cands, func(a, b siteLoad) int {
-		return cmp.Or(cmp.Compare(a.load, b.load), strings.Compare(a.name, b.name))
-	})
-	out := into[:0]
-	for _, c := range cands {
-		out = append(out, c.name)
-	}
-	return out, nil
-}
-
-// siteLoad is one stageable site's load term: committed plus queued
-// work per slot.
-type siteLoad struct {
-	name string
-	load float64
-}
-
-// siteFilter drops candidate sites the owner's tenancy policy
-// excludes. The principal here is the service's owner, not the
-// invoking caller: placement is a property of whose executable runs
-// where, and the core never sees the caller's key. With tenancy off
-// (or an unconstrained owner) the slice passes through untouched.
-func (o *OnServe) siteFilter(owner string, cands []siteLoad) []siteLoad {
-	ctl := o.parts.Tenancy
-	if ctl == nil || owner == "" {
-		return cands
-	}
-	kept := cands[:0]
-	for _, c := range cands {
-		if ctl.SiteAllowed(owner, c.name) {
-			kept = append(kept, c)
-		}
-	}
-	return kept
-}
-
-// stageableLoads appends to cands the load terms of the sites in a
-// scheduler-statistics snapshot the agent can stage to (order as reported).
-func (o *OnServe) stageableLoads(stats []gridsim.SiteStats, cands []siteLoad) []siteLoad {
-	for _, st := range stats {
-		if _, ok := o.parts.Agent.SiteURL(st.Name); !ok {
-			continue // no staging endpoint for this site
-		}
-		// A drained site (zero slots) counts as fully loaded: dividing by
-		// Slots would yield NaN/Inf and corrupt the sort order.
-		load := math.Inf(1)
-		if st.Slots > 0 {
-			load = float64(st.Slots-st.FreeSlots+st.Queued) / float64(st.Slots)
-		}
-		cands = append(cands, siteLoad{name: st.Name, load: load})
-	}
-	return cands
-}
-
-// gridStats fetches (or serves from the TTL cache) the gatekeeper's
-// scheduler statistics. With the TTL on, concurrent callers that all
-// observe an expired snapshot collapse onto one in-flight fetch instead
-// of stampeding the gatekeeper with identical requests; a leader
-// failure wakes the waiters, and the next one through retries.
-func (o *OnServe) gridStats(sessionID string) ([]gridsim.SiteStats, error) {
-	ttl := o.cfg.StatsTTL
-	if ttl <= 0 {
-		// Paper-faithful: one scheduler round-trip per invocation.
-		o.submit.Update(func(st *SubmitStats) { st.StatsRPCs++ })
-		return o.parts.Agent.GridStats(sessionID)
-	}
-	stats, joined, err := o.statsFlights.do(&o.mu, struct{}{}, func() ([]gridsim.SiteStats, bool) {
-		return o.stats, o.stats != nil && time.Since(o.statsAt) < ttl
-	}, func() ([]gridsim.SiteStats, error) {
-		o.submit.Update(func(st *SubmitStats) { st.StatsRPCs++ })
-		stats, err := o.parts.Agent.GridStats(sessionID)
-		if err == nil {
-			o.mu.Lock()
-			o.stats, o.statsAt = stats, time.Now()
-			o.mu.Unlock()
-		}
-		return stats, err
-	})
-	if joined {
-		o.submit.Update(func(st *SubmitStats) { st.StatsCollapsed++ })
-	}
-	return stats, err
-}
-
-// stageExecutable makes sure the service's executable is present at the
-// target site. With Config.CoalesceStaging on, transfers single-flight
-// per service|site, and the contract is about overlap, not about bursts:
-// an invocation that arrives while a transfer for its key is in flight
-// blocks on that transfer's result instead of starting its own; one that
-// arrives after the flight has landed starts a new one (StagingCache is
-// what spares that). A cold burst therefore costs one WAN transfer per
-// site exactly when its arrivals overlap the leader's transfer — a
-// property of timing the caller does not control. A leader failure
-// wakes the waiters and exactly one of them takes over (each failed
-// flight releases its leader with the error), so the stampede can never
-// come back through the retry path.
-func (o *OnServe) stageExecutable(sessionID string, exe *executable, site string, sp *trace.Span) error {
-	if !o.cfg.CoalesceStaging {
-		return o.stageExecutableOnce(sessionID, exe, site, sp)
-	}
-	hit := false // a staging-cache hit is answered before any flight
-	_, joined, err := o.stagingFlights.do(&o.mu, siteKey{exe.service, site}, func() (struct{}, bool) {
-		hit = o.staged[exe.service][site] != ""
-		return struct{}{}, hit
-	}, func() (struct{}, error) {
-		return struct{}{}, o.stageExecutableOnce(sessionID, exe, site, sp)
-	})
-	if hit {
-		sp.Set("cache", "hit")
-	}
-	if joined {
-		o.submit.Update(func(st *SubmitStats) { st.UploadsCoalesced++ })
-		sp.Set("coalesced", "true")
-	}
-	return err
-}
-
-// stageExecutableOnce performs one staging transfer: through the
-// staging cache and site-to-site replication when enabled, otherwise by
-// uploading across the WAN — the paper's behaviour, where files "will
-// even be reloaded when executed a 2nd time".
-func (o *OnServe) stageExecutableOnce(sessionID string, exe *executable, site string, sp *trace.Span) error {
-	if o.cfg.StagingCache {
-		o.mu.Lock()
-		sites := o.staged[exe.service]
-		cached := sites[site]
-		// Not at the target site, but maybe at a sibling: a GridFTP
-		// third-party transfer moves it site-to-site without re-crossing
-		// the appliance's WAN link.
-		replicateFrom := ""
-		if cached == "" {
-			replicateFrom = replicaSource(sites)
-		}
-		o.mu.Unlock()
-		if cached != "" {
-			sp.Set("cache", "hit")
-			return nil
-		}
-		if replicateFrom != "" {
-			sp.Set("replicated_from", replicateFrom)
-			sum, err := o.parts.Agent.WithTrace(sp.Context()).Replicate(sessionID, replicateFrom, site, exe.staged)
-			if err == nil {
-				o.noteStaged(exe.service, site, sum)
-				return nil
-			}
-			// A session fault would doom the fresh upload too: surface it
-			// so Invoke's invalidate-and-retry path fires instead of
-			// burning a second WAN round-trip on a dead session.
-			if isSessionFault(err) {
-				return fmt.Errorf("onserve: stage executable: %w", err)
-			}
-			// On any other replication failure, fall through to a fresh
-			// upload.
-		}
-	}
-	checksum, err := o.uploadExecutable(sessionID, exe, site, sp)
-	if err != nil {
-		return fmt.Errorf("onserve: stage executable: %w", err)
-	}
-	if o.cfg.StagingCache {
-		o.noteStaged(exe.service, site, checksum)
-	}
-	return nil
-}
-
-// noteStaged records in the staging cache that site holds service's
-// executable with the given checksum.
-func (o *OnServe) noteStaged(service, site, checksum string) {
-	o.mu.Lock()
-	sites := o.staged[service]
-	if sites == nil {
-		sites = make(map[string]string)
-		o.staged[service] = sites
-	}
-	sites[site] = checksum
-	o.mu.Unlock()
-}
-
-// replicaSource picks the site a staged replica is pulled from, out of
-// the sites the staging cache records for one service. The smallest name
-// wins so the choice is deterministic (map iteration order is not), which
-// keeps replication fan-out stable and testable.
-func replicaSource(sites map[string]string) string {
-	best := ""
-	for site := range sites {
-		if best == "" || site < best {
-			best = site
-		}
-	}
-	return best
-}
-
 // noteTerminal records a newly terminal invocation and prunes the
 // oldest terminal tickets beyond the retention cap, so sustained traffic
 // cannot grow the ticket map without bound. Pruned invocations stay in
@@ -771,11 +478,11 @@ func (o *OnServe) InvocationOutputFile(ticket, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sessID, _, err := o.gridSession(inv.User, auth, trace.SpanContext{})
+	sessID, _, err := o.auth.session(inv.User, auth, trace.SpanContext{})
 	if err != nil {
 		return nil, err
 	}
-	defer o.releaseSession(sessID)
+	defer o.logout(sessID)
 	return o.parts.Agent.OutputFile(sessID, inv.JobID, name)
 }
 

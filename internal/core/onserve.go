@@ -107,55 +107,28 @@ type UserAuth struct {
 type OnServe struct {
 	cfg   Config
 	parts Parts
+	steps // the pipeline's strategies, resolved from cfg in New
 	// closed latches in Close: the collectors' stream workers and
 	// pollers return when they next wake instead of going on.
 	closed    chan struct{}
 	closeOnce sync.Once
 	// retention caps the terminal invocations kept in the ticket map
-	// (DefaultInvocationRetention) and probeTTL is how long one
-	// possession probe's answer is trusted (placementProbeTTL): fixed in
-	// New, fields so that this package's tests can shrink them.
+	// (DefaultInvocationRetention); tests shrink it.
 	retention int
-	probeTTL  time.Duration
-	// collect is the pipeline's fifth step, chosen once in New: the push
-	// collector (Config.PushEvents), or the paper's tentative poller.
-	collect collector
-	// collector tallies the output-collection work every collector does.
-	collector metrics.Block[CollectorStats]
-	// push tallies the event-stream work (Config.PushEvents).
-	push metrics.Block[EventStats]
-	// submit tallies the submission-path work (uploads, submit RPCs,
-	// stats fetches).
-	submit metrics.Block[SubmitStats]
-	// stage tallies the chunked staging data plane (Config.ChunkedStaging).
-	stage metrics.Block[StageStats]
-	// placement tallies the data-aware placement control plane
-	// (Config.DataAwarePlacement).
-	placement metrics.Block[PlacementStats]
-	// poss is the possession probe cache data-aware placement reads.
-	poss possState
+	// The counters the *Stats methods snapshot.
+	collector metrics.Block[CollectorStats] // output collection, either collector
+	push      metrics.Block[EventStats]     // event streams
+	submit    metrics.Block[SubmitStats]    // uploads, submit RPCs, stats fetches
+	chunked   metrics.Block[StageStats]     // the chunked staging data plane
+	placement metrics.Block[PlacementStats] // data-aware placement
 
 	mu          sync.Mutex
 	users       map[string]UserAuth    // portal user -> myproxy logon
 	invocations map[string]*Invocation // ticket -> invocation
-	// staged is the staging cache (Config.StagingCache; empty forever
-	// without it): service -> site -> staged checksum.
-	staged map[string]map[string]string
 	// claimed holds the service names an upload is storing, deploying
 	// and publishing.
 	claimed map[string]bool
 	seq     int
-	// sessions caches one authenticated agent session per owner
-	// (Config.SessionCache).
-	sessions map[string]*ownerSession
-	// stats / statsAt cache the grid-stats snapshot (Config.StatsTTL);
-	// statsFlights is the in-flight refresh concurrent callers share.
-	stats        []gridsim.SiteStats
-	statsAt      time.Time
-	statsFlights flights[struct{}, []gridsim.SiteStats]
-	// stagingFlights holds in-flight staging transfers by service and
-	// site (Config.CoalesceStaging).
-	stagingFlights flights[siteKey, struct{}]
 	// termOrder tracks terminal tickets oldest-first for pruning;
 	// termTallies retains per-state counts of pruned invocations so
 	// Monitoring stays correct.
@@ -163,19 +136,10 @@ type OnServe struct {
 	termTallies map[InvState]int
 }
 
-// ownerSession is one cached authenticated session.
-type ownerSession struct {
-	id        string
-	expiresAt time.Time
-}
-
 // New builds an OnServe configured by cfg over the components in parts.
 func New(cfg Config, parts Parts) (*OnServe, error) {
 	if parts.DB == nil || parts.Container == nil || parts.Registry == nil || parts.Agent == nil {
 		return nil, errors.New("onserve: DB, Container, Registry and Agent are required")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = DefaultPollInterval
@@ -184,28 +148,82 @@ func New(cfg Config, parts Parts) (*OnServe, error) {
 		cfg.InvocationTimeout = DefaultInvocationTimeout
 	}
 	o := &OnServe{
-		cfg:            cfg,
-		parts:          parts,
-		closed:         make(chan struct{}),
-		retention:      DefaultInvocationRetention,
-		probeTTL:       placementProbeTTL,
-		users:          make(map[string]UserAuth),
-		invocations:    make(map[string]*Invocation),
-		staged:         make(map[string]map[string]string),
-		claimed:        make(map[string]bool),
-		sessions:       make(map[string]*ownerSession),
-		termTallies:    make(map[InvState]int),
-		statsFlights:   make(flights[struct{}, []gridsim.SiteStats]),
-		stagingFlights: make(flights[siteKey, struct{}]),
+		cfg:         cfg,
+		parts:       parts,
+		closed:      make(chan struct{}),
+		retention:   DefaultInvocationRetention,
+		users:       make(map[string]UserAuth),
+		invocations: make(map[string]*Invocation),
+		claimed:     make(map[string]bool),
+		termTallies: make(map[InvState]int),
 	}
-	o.poss.cache = make(map[siteKey]possEntry)
-	o.poss.flights = make(flights[siteKey, possEntry])
-	if cfg.PushEvents {
-		o.collect = &eventCollector{o: o, workers: make(map[string]*eventWorker)}
-	} else {
-		o.collect = tentativePoller{o}
+	var err error
+	if o.steps, err = newSteps(cfg, o); err != nil {
+		return nil, err
 	}
 	return o, nil
+}
+
+// steps are the pipeline's strategies, one value per step (DESIGN.md §6
+// tabulates them).
+type steps struct {
+	spillUpload    func(size int)             // store: the paper's temporary spill, or none
+	auth           authenticator              // authenticate
+	logout         func(id string)            // authenticate: end an invocation's own session; a cached one stays
+	stats          siteStats                  // place: statistics per call, or cached
+	poss           *possession                // place: order by load (nil), or data-aware
+	wire           wire                       // stage: one PUT, or chunks
+	stage          stager                     // stage: upload each time, or a staging cache
+	stagingFlights flights[siteKey, struct{}] // stage: nil, or coalescing
+	collect        collector                  // collect: tentative poller, or push
+	forgets        []func(service string)     // drop what the steps keep of a service
+}
+
+// newSteps resolves cfg into the strategies for o: the one function that
+// reads a strategy knob. The knobs that need the chunk store (the
+// possession oracle, the stored gzip's wire) are refused without it.
+func newSteps(cfg Config, o *OnServe) (steps, error) {
+	if !cfg.ChunkedStaging && (cfg.DataAwarePlacement || cfg.WireCompression) {
+		return steps{}, errors.New("onserve: DataAwarePlacement and WireCompression require ChunkedStaging")
+	}
+	probe := cfg.Probe
+	s := steps{
+		spillUpload: func(n int) { probe.DiskWrite(n); probe.DiskRead(n) },
+		auth:        logonPerCall{o},
+		logout:      func(id string) { o.parts.Agent.Logout(id) },
+		stats:       statsPerCall{o},
+		wire:        putWire{o},
+		stage:       uploadEach{o},
+		collect:     tentativePoller{o},
+	}
+	if cfg.DirectDBWrite {
+		s.spillUpload = func(int) {}
+	}
+	if cfg.SessionCache {
+		s.auth, s.logout = &sessionCache{logonPerCall: logonPerCall{o}, sessions: make(map[string]*ownerSession)}, func(string) {}
+	}
+	if cfg.StatsTTL > 0 {
+		s.stats = &statsCache{statsPerCall: statsPerCall{o}, ttl: cfg.StatsTTL, flights: make(flights[struct{}, []gridsim.SiteStats])}
+	}
+	if cfg.DataAwarePlacement {
+		s.poss = &possession{o: o, gzip: cfg.WireCompression, ttl: placementProbeTTL,
+			cache: make(map[siteKey]possEntry), flights: make(flights[siteKey, possEntry])}
+		s.forgets = append(s.forgets, s.poss.forget)
+	}
+	if cfg.ChunkedStaging {
+		s.wire = &chunkWire{o: o, gzip: cfg.WireCompression}
+	}
+	if cfg.StagingCache {
+		cache := &stagingCache{uploadEach: uploadEach{o}, sites: make(map[string]map[string]string)}
+		s.stage, s.forgets = cache, append(s.forgets, cache.forget)
+	}
+	if cfg.CoalesceStaging {
+		s.stagingFlights = make(flights[siteKey, struct{}])
+	}
+	if cfg.PushEvents {
+		s.collect = &eventCollector{o: o, workers: make(map[string]*eventWorker)}
+	}
+	return s, nil
 }
 
 // Close ends the collection step: every stream worker closes its stream,
@@ -410,10 +428,7 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 	// database — "there are at least two write operations and one read
 	// operation necessary just to store one file" (§VIII-D3). These are
 	// the two disk-write peaks of Fig. 8.
-	if !o.cfg.DirectDBWrite {
-		o.cfg.Probe.DiskWrite(file.RawSize()) // temp spill
-		o.cfg.Probe.DiskRead(file.RawSize())  // read back for the insert
-	}
+	o.spillUpload(file.RawSize())
 	paramsJSON, err := json.Marshal(params)
 	if err != nil {
 		return nil, err
@@ -561,10 +576,9 @@ func (o *OnServe) DeleteService(serviceName string) error {
 	if err := o.parts.DB.Table(ExecutablesTable).Delete(serviceName); err != nil {
 		return err
 	}
-	o.mu.Lock()
-	delete(o.staged, serviceName)
-	o.mu.Unlock()
-	o.forgetPossession(serviceName)
+	for _, forget := range o.forgets {
+		forget(serviceName)
+	}
 	return nil
 }
 

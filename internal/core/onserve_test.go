@@ -442,6 +442,7 @@ func TestNewRejectsKnobsWithoutChunkedStaging(t *testing.T) {
 // invocation for it to watch.
 func watchdogOn(timeout time.Duration) (*OnServe, *Invocation) {
 	o := &OnServe{cfg: Config{InvocationTimeout: timeout}, parts: Parts{Agent: cyberaide.New(cyberaide.Options{})}}
+	o.steps, _ = newSteps(o.cfg, o)
 	return o, &Invocation{state: InvRunning, done: make(chan struct{})}
 }
 
@@ -741,10 +742,14 @@ func TestStagedFileVanishesBeforeRun(t *testing.T) {
 }
 
 // cachedSession is the ID of alice's cached grid session.
-func (f *fixture) cachedSession() string {
-	f.ons.mu.Lock()
-	defer f.ons.mu.Unlock()
-	return f.ons.sessions["alice"].id
+func (f *fixture) cachedSession() string { return f.aliceSession().id }
+
+// aliceSession is alice's entry in the session cache, read under its lock.
+func (f *fixture) aliceSession() *ownerSession {
+	c := f.ons.auth.(*sessionCache)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sessions["alice"]
 }
 
 func TestSessionCacheReusesSession(t *testing.T) {
@@ -778,20 +783,18 @@ func TestGridSessionExpiryReauthenticates(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.SessionCache = true })
 		auth := UserAuth{MyProxyUser: "alice", Passphrase: "pw"}
-		id1, cached, err := f.ons.gridSession("alice", auth, trace.SpanContext{})
+		id1, cached, err := f.ons.auth.session("alice", auth, trace.SpanContext{})
 		if err != nil || cached {
 			t.Fatalf("first session id=%q cached=%v err=%v", id1, cached, err)
 		}
-		id2, cached, err := f.ons.gridSession("alice", auth, trace.SpanContext{})
+		id2, cached, err := f.ons.auth.session("alice", auth, trace.SpanContext{})
 		if err != nil || !cached || id2 != id1 {
 			t.Fatalf("second session id=%q cached=%v err=%v, want cached %q", id2, cached, err, id1)
 		}
 		// Age the cached entry past its expiry margin: the next call must
 		// perform a fresh logon instead of handing out the stale session.
-		f.ons.mu.Lock()
-		f.ons.sessions["alice"].expiresAt = time.Now().Add(-time.Second)
-		f.ons.mu.Unlock()
-		id3, cached, err := f.ons.gridSession("alice", auth, trace.SpanContext{})
+		f.aliceSession().expiresAt = time.Now().Add(-time.Second)
+		id3, cached, err := f.ons.auth.session("alice", auth, trace.SpanContext{})
 		if err != nil || cached || f.parts.Agent.SessionCount() != 2 {
 			t.Fatalf("expired session id=%q cached=%v err=%v beside %d agent sessions, want a fresh logon (2 sessions)", id3, cached, err, f.parts.Agent.SessionCount())
 		}
@@ -831,10 +834,8 @@ func TestDeadSessionIsLoggedOutOfTheAgent(t *testing.T) {
 		f.uploadDemo(t)
 		inFlight := f.invoke(t, f.publish(t, "long.gsh", "compute 12h30m\necho late\n"), nil)
 		// The cache goes on believing in the session past the proxy's end.
-		f.ons.mu.Lock()
-		dead := f.ons.sessions["alice"].id
-		f.ons.sessions["alice"].expiresAt = time.Now().Add(48 * time.Hour)
-		f.ons.mu.Unlock()
+		dead := f.cachedSession()
+		f.aliceSession().expiresAt = time.Now().Add(48 * time.Hour)
 		if dead != inFlight.sessionID || f.parts.Agent.SessionCount() != 1 {
 			t.Fatalf("cached session %q, invocation's %q, %d agent sessions", dead, inFlight.sessionID, f.parts.Agent.SessionCount())
 		}
@@ -857,16 +858,17 @@ func TestDeadSessionIsLoggedOutOfTheAgent(t *testing.T) {
 
 // setStats plants a scheduler snapshot taken at.
 func (f *fixture) setStats(at time.Time, stats ...gridsim.SiteStats) {
-	f.ons.mu.Lock()
-	f.ons.stats, f.ons.statsAt = stats, at
-	f.ons.mu.Unlock()
+	c := f.ons.stats.(*statsCache)
+	c.mu.Lock()
+	c.snap, c.at = stats, at
+	c.mu.Unlock()
 }
 
 func TestStatsTTLServesCachedSnapshot(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		ttl := 10 * time.Minute
 		f := newFixture(t, func(cfg *Config) { cfg.StatsTTL = ttl })
-		sessID, _, err := f.ons.gridSession("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"}, trace.SpanContext{})
+		sessID, _, err := f.ons.auth.session("alice", UserAuth{MyProxyUser: "alice", Passphrase: "pw"}, trace.SpanContext{})
 		must(t, err)
 		pick := func() []string {
 			sites, err := f.ons.pickSites(sessID, heldExecutable(t, f.ons, "MontecarloService", nil), trace.SpanContext{}, nil)

@@ -1,15 +1,15 @@
-// Data-aware placement (Config.DataAwarePlacement): pickSites stops
-// ordering sites by load alone and instead scores every candidate by
-// the estimated seconds until its job could be running — the queue/load
-// term plus the cold-transfer time of whatever wire chunks the site is
-// still missing. Possession is discovered through the chunk store's
-// dedup probe (POST /ftp/chunks/have), which PR 4 already exposes as a
-// free data-locality oracle; a TTL cache per service and site with
-// singleflight makes a 64-way burst cost one probe per site, not 64.
+// The place step orders the stageable sites best-first: the paper's by
+// load alone, data-aware placement by the estimated seconds until the job
+// could be running — the load term plus the cold-transfer time of the
+// wire chunks the site still lacks, which the chunk store's dedup probe
+// (POST /ftp/chunks/have) tells, cached per service and site with
+// singleflight, so a 64-way burst costs one probe per site, not 64.
 package core
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,22 +17,19 @@ import (
 	"time"
 
 	"repro/internal/gridftp"
+	"repro/internal/gridsim"
 	"repro/internal/trace"
 )
 
 const (
 	// placementProbeTTL is how long one possession probe's answer is
-	// trusted. Staleness is benign in both directions: chunks only
-	// accumulate (an overestimate of missing bytes just re-probes
-	// sooner), and eviction at the site is healed by the upload path's
-	// own probe-and-ship cycle.
+	// trusted. Staleness is benign: chunks only accumulate, and eviction
+	// at the site is healed by the upload's own probe-and-ship cycle.
 	placementProbeTTL = 30 * time.Second
-	// placementLoadPenalty converts the load term (committed+queued work
-	// per slot) into comparable seconds: one full load unit is scored as
-	// this much queueing delay. It is a coarse stand-in for the paper
-	// grid's job granularity, not a calibrated estimator — the point is
-	// that a near-idle site must transfer a lot of bytes to beat a
-	// possessing site with a slot or two taken.
+	// placementLoadPenalty scores one full load unit (committed+queued
+	// work per slot) as this much queueing delay: a coarse stand-in, not
+	// a calibrated estimator, by which a near-idle site must transfer a
+	// lot of bytes to beat a possessing site with a slot or two taken.
 	placementLoadPenalty = 30 * time.Second
 	// placementWANBps mirrors netsim.WAN's shaped rate ("about 80 to 90
 	// KB/s"), the path every cold chunk crosses.
@@ -40,7 +37,6 @@ const (
 )
 
 // PlacementStats counts the data-aware placement control plane's work.
-// All zero while Config.DataAwarePlacement is off.
 type PlacementStats struct {
 	// ProbesSent counts possession probes issued to sites (one per site
 	// per cache miss; concurrent misses collapse onto one probe).
@@ -61,9 +57,102 @@ type PlacementStats struct {
 // PlacementStats snapshots the placement control-plane counters.
 func (o *OnServe) PlacementStats() PlacementStats { return o.placement.Snapshot() }
 
-// siteKey names one service at one site: the key of the possession cache
-// and of the staging flights.
+// siteKey names one service at one site.
 type siteKey struct{ service, site string }
+
+// siteStats is the place step's source of scheduler statistics.
+type siteStats interface {
+	fetch(sessionID string) ([]gridsim.SiteStats, error)
+}
+
+// statsPerCall is the paper's: one scheduler round-trip per invocation.
+type statsPerCall struct{ o *OnServe }
+
+func (s statsPerCall) fetch(sessionID string) ([]gridsim.SiteStats, error) {
+	s.o.submit.Update(func(st *SubmitStats) { st.StatsRPCs++ })
+	return s.o.parts.Agent.GridStats(sessionID)
+}
+
+// statsCache keeps a snapshot for ttl (staleness only shifts which site
+// wins); callers that find it expired share one fetch.
+type statsCache struct {
+	statsPerCall
+	ttl     time.Duration
+	mu      sync.Mutex
+	snap    []gridsim.SiteStats
+	at      time.Time
+	flights flights[struct{}, []gridsim.SiteStats]
+}
+
+func (c *statsCache) fetch(sessionID string) ([]gridsim.SiteStats, error) {
+	stats, joined, err := c.flights.do(&c.mu, struct{}{}, func() ([]gridsim.SiteStats, bool) {
+		return c.snap, c.snap != nil && time.Since(c.at) < c.ttl
+	}, func() ([]gridsim.SiteStats, error) {
+		stats, err := c.statsPerCall.fetch(sessionID)
+		if err == nil {
+			c.mu.Lock()
+			c.snap, c.at = stats, time.Now()
+			c.mu.Unlock()
+		}
+		return stats, err
+	})
+	if joined {
+		c.o.submit.Update(func(st *SubmitStats) { st.StatsCollapsed++ })
+	}
+	return stats, err
+}
+
+// pickSites is the place step: it orders the stageable sites best-first
+// into into[:0], so a caller's [8]string holds eight without allocating.
+func (o *OnServe) pickSites(sessionID string, exe *executable, tc trace.SpanContext, into []string) ([]string, error) {
+	stats, err := o.stats.fetch(sessionID)
+	if err != nil {
+		return nil, fmt.Errorf("onserve: grid stats: %w", err)
+	}
+	var loads [8]siteLoad
+	cands := o.stageableLoads(exe.owner, stats, loads[:0])
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("onserve: no stageable site available")
+	}
+	return o.poss.order(sessionID, exe, cands, tc, into), nil
+}
+
+// siteLoad is one stageable site's load term: committed plus queued
+// work per slot.
+type siteLoad struct {
+	name string
+	load float64
+}
+
+// cmpLoad orders sites by load, equal loads by name.
+func cmpLoad(a, b siteLoad) int {
+	return cmp.Or(cmp.Compare(a.load, b.load), strings.Compare(a.name, b.name))
+}
+
+// stageableLoads appends to cands the load terms of the sites in a
+// scheduler-statistics snapshot the agent can stage to and owner's
+// tenancy policy allows (order as reported). The principal is the
+// service's owner, not the invoking caller: placement is a property of
+// whose executable runs where, and the core never sees the caller's key.
+func (o *OnServe) stageableLoads(owner string, stats []gridsim.SiteStats, cands []siteLoad) []siteLoad {
+	ctl := o.parts.Tenancy
+	for _, st := range stats {
+		if _, ok := o.parts.Agent.SiteURL(st.Name); !ok {
+			continue // no staging endpoint for this site
+		}
+		if ctl != nil && owner != "" && !ctl.SiteAllowed(owner, st.Name) {
+			continue
+		}
+		// A drained site (zero slots) counts as fully loaded: dividing by
+		// Slots would yield NaN/Inf and corrupt the sort order.
+		load := math.Inf(1)
+		if st.Slots > 0 {
+			load = float64(st.Slots-st.FreeSlots+st.Queued) / float64(st.Slots)
+		}
+		cands = append(cands, siteLoad{name: st.Name, load: load})
+	}
+	return cands
+}
 
 // possEntry is one cached possession answer for a service at a site.
 type possEntry struct {
@@ -85,19 +174,25 @@ func (e *possEntry) possession() float64 {
 	return 1 - float64(e.missing)/float64(e.total)
 }
 
-// possState is the possession probe cache: answers by service and site
-// plus the in-flight probes concurrent bursts collapse onto.
-type possState struct {
+// possession is data-aware placement: answers by service and site
+// trusted for ttl, the probes in flight, and whether the chunk wire ships
+// the stored gzip. A nil possession is the paper's placement, by load: a
+// static call, unlike an interface's, keeps the caller's arrays on its
+// stack.
+type possession struct {
+	o       *OnServe
+	gzip    bool
+	ttl     time.Duration
 	mu      sync.Mutex
 	cache   map[siteKey]possEntry
 	flights flights[siteKey, possEntry]
 }
 
-// cachedPossession is the cache's answer for key while it is fresh at
-// now. o.poss.mu is held.
-func (o *OnServe) cachedPossession(key siteKey, now time.Time) (possEntry, bool) {
-	e, ok := o.poss.cache[key]
-	return e, ok && now.Sub(e.at) < o.probeTTL
+// cached is the cache's answer for key while it is fresh at now. p.mu is
+// held.
+func (p *possession) cached(key siteKey, now time.Time) (possEntry, bool) {
+	e, ok := p.cache[key]
+	return e, ok && now.Sub(e.at) < p.ttl
 }
 
 // wireChunks is how the executable would chunk on the wire, cut on first
@@ -105,11 +200,14 @@ func (o *OnServe) cachedPossession(key siteKey, now time.Time) (possEntry, bool)
 // pass — and no fetch, which runs only when the raw bytes, not the stored
 // gzip, are the wire. Nil means possession cannot be probed: the chunk
 // protocol does not apply, or the row does not read (the stage step says).
-func (x *executable) wireChunks() *gridftp.Cut {
+func (x *executable) wireChunks(gzip bool) *gridftp.Cut {
 	x.cutOnce.Do(func() {
 		file, err := x.file()
 		if err != nil {
 			return
+		}
+		if !gzip {
+			file.Gzip = nil
 		}
 		if !file.GzipWire() {
 			x.fetch()
@@ -128,7 +226,6 @@ func placementScore(load float64, missingBytes int64) float64 {
 // siteScore is one candidate's scored placement verdict.
 type siteScore struct {
 	name       string
-	load       float64
 	possession float64
 	missing    int64
 	probed     bool // false: possession unknown (probe failed/unsupported)
@@ -136,8 +233,8 @@ type siteScore struct {
 }
 
 func scoreSite(c siteLoad, e possEntry) siteScore {
-	return siteScore{name: c.name, load: c.load, possession: e.possession(), missing: e.missing,
-		probed: e.ok, score: placementScore(c.load, e.missing)}
+	return siteScore{name: c.name, possession: e.possession(), missing: e.missing, probed: e.ok,
+		score: placementScore(c.load, e.missing)}
 }
 
 // orderScores sorts scored candidates best-first with a deterministic
@@ -149,47 +246,45 @@ func orderScores(scores []siteScore) {
 	})
 }
 
-// placeDataAware is pickSites' scoring branch: score every site the
-// possession cache answers under one lock, probe the others in parallel
-// (singleflight absorbs bursts), fold possession with the load term into
-// one comparable score, and order best-first. A failed probe degrades that
-// site to possession-unknown — scored on load alone plus a full cold
-// transfer, never an error. The decision is recorded as a "place" span
-// under the invocation, and the order written into into[:0].
-func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []siteLoad, tc trace.SpanContext, into []string) []string {
+// order writes cands' names into into[:0], best first, ties by name: by
+// load for a nil possession, else scored from the cache under one lock
+// and from parallel probes, a failed one as a full cold transfer. A
+// "place" span records the decision.
+func (p *possession) order(sessionID string, exe *executable, cands []siteLoad, tc trace.SpanContext, into []string) []string {
+	out := into[:0]
+	if p == nil {
+		slices.SortFunc(cands, cmpLoad)
+		for _, c := range cands {
+			out = append(out, c.name)
+		}
+		return out
+	}
+	o := p.o
 	sp := o.parts.Tracing.StartSpan("place", tc)
 	sp.Set("service", exe.service)
-
 	var buf [8]siteScore
 	scores := slices.Grow(buf[:0], len(cands))[:len(cands)] // a site not yet scored has no name
 	now, hits := time.Now(), 0
-	o.poss.mu.Lock()
+	p.mu.Lock()
 	for i, c := range cands {
-		if e, ok := o.cachedPossession(siteKey{exe.service, c.name}, now); ok {
+		if e, ok := p.cached(siteKey{exe.service, c.name}, now); ok {
 			scores[i] = scoreSite(c, e)
 			hits++
 		}
 	}
-	o.poss.mu.Unlock()
-	o.placement.Update(func(p *PlacementStats) { p.ProbeCacheHits += uint64(hits) })
+	p.mu.Unlock()
+	o.placement.Update(func(ps *PlacementStats) { ps.ProbeCacheHits += uint64(hits) })
 	if hits < len(cands) {
-		o.probeScores(sessionID, exe, cands, scores)
+		p.probeScores(sessionID, exe, cands, scores)
 	}
 
-	// The pure load order's winner, for the redirect counter: did
-	// possession overrule it?
-	loadWinner := cands[0]
-	for _, c := range cands[1:] {
-		if c.load < loadWinner.load || (c.load == loadWinner.load && c.name < loadWinner.name) {
-			loadWinner = c
-		}
-	}
+	// Did possession overrule the pure load order's winner?
 	orderScores(scores)
-	redirected := scores[0].name != loadWinner.name
-	o.placement.Update(func(p *PlacementStats) {
-		p.PlacementsScored++
+	redirected := scores[0].name != slices.MinFunc(cands, cmpLoad).name
+	o.placement.Update(func(ps *PlacementStats) {
+		ps.PlacementsScored++
 		if redirected {
-			p.PlacementsRedirected++
+			ps.PlacementsRedirected++
 		}
 	})
 	if redirected {
@@ -203,18 +298,16 @@ func (o *OnServe) placeDataAware(sessionID string, exe *executable, cands []site
 	}
 	sp.End()
 
-	out := into[:0]
 	for _, s := range scores {
 		out = append(out, s.name)
 	}
 	return out
 }
 
-// probeScores scores, in parallel, each candidate the possession cache
-// did not answer (its score has no name yet). The probes write into a
-// slice of their own, so that scores, which their goroutines never see,
-// can live on the caller's stack.
-func (o *OnServe) probeScores(sessionID string, exe *executable, cands []siteLoad, scores []siteScore) {
+// probeScores scores, in parallel, each candidate the cache did not
+// answer (its score has no name yet), through a slice of their own, so
+// that scores, which the probes never see, can live on the caller's stack.
+func (p *possession) probeScores(sessionID string, exe *executable, cands []siteLoad, scores []siteScore) {
 	probed := make([]siteScore, len(cands))
 	var wg sync.WaitGroup
 	for i, c := range cands {
@@ -224,10 +317,10 @@ func (o *OnServe) probeScores(sessionID string, exe *executable, cands []siteLoa
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, hit := o.probePossession(sessionID, c.name, exe)
+			e, hit := p.probe(sessionID, c.name, exe)
 			probed[i] = scoreSite(c, e)
 			if hit {
-				o.placement.Update(func(p *PlacementStats) { p.ProbeCacheHits++ })
+				p.o.placement.Update(func(ps *PlacementStats) { ps.ProbeCacheHits++ })
 			}
 		}()
 	}
@@ -239,30 +332,30 @@ func (o *OnServe) probeScores(sessionID string, exe *executable, cands []siteLoa
 	}
 }
 
-// probePossession answers "how much of serviceName's wire is already at
-// site?" from the TTL cache when fresh, otherwise through one batched
-// HaveChunks probe concurrent callers share. hit reports whether the
-// answer came without issuing a new probe (cache or joined flight).
-func (o *OnServe) probePossession(sessionID, site string, exe *executable) (possEntry, bool) {
+// probe answers "how much of the service's wire is already at site?"
+// from the TTL cache when fresh, otherwise through one batched HaveChunks
+// probe concurrent callers share. hit reports whether the answer came
+// without issuing a new probe (cache or joined flight).
+func (p *possession) probe(sessionID, site string, exe *executable) (possEntry, bool) {
 	key := siteKey{exe.service, site}
 	led := false
-	e, _, _ := o.poss.flights.do(&o.poss.mu, key, func() (possEntry, bool) {
-		return o.cachedPossession(key, time.Now())
+	e, _, _ := p.flights.do(&p.mu, key, func() (possEntry, bool) {
+		return p.cached(key, time.Now())
 	}, func() (possEntry, error) {
 		led = true
-		e := o.probeOnce(sessionID, site, exe)
-		o.poss.mu.Lock()
-		o.poss.cache[key] = e
-		o.poss.mu.Unlock()
+		e := p.probeOnce(sessionID, site, exe)
+		p.mu.Lock()
+		p.cache[key] = e
+		p.mu.Unlock()
 		return e, nil
 	})
 	return e, !led
 }
 
 // probeOnce issues one possession probe against site.
-func (o *OnServe) probeOnce(sessionID, site string, exe *executable) possEntry {
+func (p *possession) probeOnce(sessionID, site string, exe *executable) possEntry {
 	now := time.Now()
-	cut := exe.wireChunks()
+	cut := exe.wireChunks(p.gzip)
 	if cut == nil {
 		// Chunk protocol inapplicable: possession unknown, score the site
 		// as a full cold transfer of the raw blob.
@@ -270,14 +363,14 @@ func (o *OnServe) probeOnce(sessionID, site string, exe *executable) possEntry {
 		return possEntry{missing: size, total: size, at: now}
 	}
 	total := cut.WireBytes
-	o.placement.Update(func(p *PlacementStats) { p.ProbesSent++ })
-	missing, err := o.parts.Agent.HaveChunks(sessionID, site, cut.Digests())
+	p.o.placement.Update(func(ps *PlacementStats) { ps.ProbesSent++ })
+	missing, err := p.o.parts.Agent.HaveChunks(sessionID, site, cut.Digests())
 	if err != nil {
 		// Degradation, not failure: the site is scored possession-unknown
 		// — the load term plus a full cold transfer — so a dead or
 		// stock-protocol server costs it the possession credit but never
 		// fails pickSites.
-		o.placement.Update(func(p *PlacementStats) { p.ProbeFailures++ })
+		p.o.placement.Update(func(ps *PlacementStats) { ps.ProbeFailures++ })
 		return possEntry{missing: total, total: total, at: now}
 	}
 	var missingBytes int64
@@ -287,28 +380,26 @@ func (o *OnServe) probeOnce(sessionID, site string, exe *executable) possEntry {
 	return possEntry{missing: missingBytes, total: total, ok: true, at: now}
 }
 
-// notePossession records that site now holds serviceName's full wire
-// (a staging just completed there), so the next
-// placement credits it without waiting out the probe TTL.
-func (o *OnServe) notePossession(serviceName, site string, total int64) {
-	if !o.cfg.DataAwarePlacement {
+// note records that a staging just put the service's full wire at site,
+// credited without waiting out the probe TTL.
+func (p *possession) note(service, site string, total int64) {
+	if p == nil {
 		return
 	}
-	o.poss.mu.Lock()
-	o.poss.cache[siteKey{serviceName, site}] = possEntry{missing: 0, total: total, ok: true, at: time.Now()}
-	o.poss.mu.Unlock()
+	p.mu.Lock()
+	p.cache[siteKey{service, site}] = possEntry{missing: 0, total: total, ok: true, at: time.Now()}
+	p.mu.Unlock()
 }
 
-// forgetPossession drops every cached possession answer for serviceName
-// (DeleteService).
-func (o *OnServe) forgetPossession(serviceName string) {
-	o.poss.mu.Lock()
-	for k := range o.poss.cache {
-		if k.service == serviceName {
-			delete(o.poss.cache, k)
+// forget drops every cached possession answer for service.
+func (p *possession) forget(service string) {
+	p.mu.Lock()
+	for k := range p.cache {
+		if k.service == service {
+			delete(p.cache, k)
 		}
 	}
-	o.poss.mu.Unlock()
+	p.mu.Unlock()
 }
 
 func fmtPossession(f float64) string {

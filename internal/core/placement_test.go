@@ -86,7 +86,7 @@ func TestDataAwarePlacementPrefersPossessingSite(t *testing.T) {
 			cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true
 		})
 		// Far beyond the test's virtual runtime.
-		f.ons.probeTTL = 1000 * time.Hour
+		f.ons.poss.ttl = 1000 * time.Hour
 		svc := f.publish(t, "warm.gsh", fillerProgram(16*gridftp.DefaultChunkBytes))
 		inv1 := ends(t, f.invoke(t, svc, nil), InvDone)
 		shipped := f.ons.StageStats().ChunksShipped
@@ -117,7 +117,7 @@ func TestPlacementProbeFailureDegradesToLoad(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true })
 		// Expire possession answers immediately so the burst keeps probing
 		// the dead site instead of coasting on the cache.
-		f.ons.probeTTL = time.Nanosecond
+		f.ons.poss.ttl = time.Nanosecond
 		// Big enough that the possessing site wins even while the burst loads
 		// it: a full cold transfer scores worse than six busy slots.
 		svc := f.publish(t, "big.gsh", fillerProgram(3<<20))
@@ -185,7 +185,7 @@ func TestPlacementStatsZeroWhenOff(t *testing.T) {
 func TestDeleteServiceForgetsPossession(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true })
-		f.ons.probeTTL = 10 * time.Minute
+		f.ons.poss.ttl = 10 * time.Minute
 		f.uploadDemo(t)
 		f.demo(t, "1")
 		f.ons.poss.mu.Lock()
@@ -210,16 +210,16 @@ func TestDeleteServiceForgetsPossession(t *testing.T) {
 func TestProbeCacheSingleflight(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.SessionCache, cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true, true })
-		f.ons.probeTTL = 10 * time.Minute
+		f.ons.poss.ttl = 10 * time.Minute
 		f.publish(t, "flock.gsh", fillerProgram(16<<10))
 		auth, err := f.ons.userAuth("alice")
 		must(t, err)
-		sess, _, err := f.ons.gridSession("alice", auth, trace.SpanContext{})
+		sess, _, err := f.ons.auth.session("alice", auth, trace.SpanContext{})
 		must(t, err)
 		exe, err := f.ons.openExecutable("FlockService", nil)
 		must(t, err)
 		const callers = 16
-		burst(t, callers, func(int) error { f.ons.probePossession(sess, "siteA", exe); return nil })
+		burst(t, callers, func(int) error { f.ons.poss.probe(sess, "siteA", exe); return nil })
 		if st := f.ons.PlacementStats(); st.ProbesSent != 1 {
 			t.Fatalf("%d concurrent placements sent %d probes, want 1", callers, st.ProbesSent)
 		}
@@ -243,7 +243,7 @@ func TestFmtHelpers(t *testing.T) {
 func TestCachedPlacementAllocations(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.ChunkedStaging, cfg.DataAwarePlacement = true, true })
-		f.ons.probeTTL = 1000 * time.Hour
+		f.ons.poss.ttl = 1000 * time.Hour
 		exe := heldExecutable(t, f.ons, "CachedService", []byte("echo hi\n"))
 		cands := []siteLoad{{name: "siteA", load: 0.5}, {name: "siteB", load: 0}}
 		now := time.Now()
@@ -253,7 +253,7 @@ func TestCachedPlacementAllocations(t *testing.T) {
 		f.ons.poss.mu.Unlock()
 		place := func() {
 			var sites [8]string
-			if order := f.ons.placeDataAware("", exe, cands, trace.SpanContext{}, sites[:]); len(order) != 2 || order[0] != "siteA" {
+			if order := f.ons.poss.order("", exe, cands, trace.SpanContext{}, sites[:]); len(order) != 2 || order[0] != "siteA" {
 				t.Fatalf("placed %s, want the possessing siteA first", strings.Join(order, " "))
 			}
 		}
@@ -270,19 +270,39 @@ func TestCachedPlacementAllocations(t *testing.T) {
 			buf := make([]byte, 1<<20)
 			buf = buf[:runtime.Stack(buf, true)]
 			for _, g := range strings.Split(string(buf), "\n\n") {
-				if strings.Contains(g, "core.(*OnServe).placeDataAware") && strings.Contains(g, "(*Mutex).Lock") {
+				if strings.Contains(g, "core.(*possession).order") && strings.Contains(g, "(*Mutex).Lock") {
 					scorer = g
 				}
 			}
 		}
 		f.ons.poss.mu.Unlock()
 		<-placed
-		if strings.Contains(scorer, "created by repro/internal/core.(*OnServe).placeDataAware") {
+		if strings.Contains(scorer, "created by repro/internal/core.(*possession).order") {
 			t.Fatalf("a placement the cache answers scored on a goroutine of its own:\n%s", scorer)
 		}
 		allocs := testing.AllocsPerRun(100, place)
 		if st := f.ons.PlacementStats(); allocs > 0 || st.ProbesSent != 0 || st.ProbeCacheHits != 2*(1+101) {
 			t.Fatalf("a placement the cache answers allocates %.0f objects (want 0); %+v, want no probe and two cache hits per placement", allocs, st)
+		}
+	})
+}
+
+// TestLoadPlacementAllocations: the paper's placement, by load alone,
+// over a statistics snapshot the TTL cache answers, orders the sites into
+// the caller's [8]string and allocates nothing.
+func TestLoadPlacementAllocations(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		f := newFixture(t, func(cfg *Config) { cfg.StatsTTL = 1000 * time.Hour })
+		f.setStats(time.Now(), gridsim.SiteStats{Name: "siteA", Slots: 8, FreeSlots: 2}, gridsim.SiteStats{Name: "siteB", Slots: 8, FreeSlots: 8})
+		exe := heldExecutable(t, f.ons, "LoadService", []byte("echo hi\n"))
+		allocs := testing.AllocsPerRun(100, func() {
+			var sites [8]string
+			if order, err := f.ons.pickSites("", exe, trace.SpanContext{}, sites[:]); err != nil || len(order) != 2 || order[0] != "siteB" {
+				t.Fatalf("placed %s (%v), want the idle siteB first", strings.Join(order, " "), err)
+			}
+		})
+		if st := f.ons.SubmitStats(); allocs > 0 || st.StatsRPCs != 0 {
+			t.Fatalf("a placement by load over a cached snapshot allocates %.0f objects (want 0) and fetched statistics %d times", allocs, st.StatsRPCs)
 		}
 	})
 }

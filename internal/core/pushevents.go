@@ -9,9 +9,9 @@ import (
 	"repro/internal/gram"
 )
 
-// EventStats counts the push-collection path's work (Config.PushEvents):
-// how many event streams were opened, what flowed over them, and how
-// often the collector had to fall back down the ladder (push → poll).
+// EventStats counts the push-collection path's work: how many event
+// streams were opened, what flowed over them, and how often the collector
+// had to fall back down the ladder (push → poll).
 type EventStats struct {
 	// StreamsOpened counts successful /gram/events connections
 	// (including reconnects).
@@ -44,13 +44,13 @@ const maxConnectAttempts = 3
 // falling back — one flaky drop is retried, a dead server is not.
 const maxServeStrikes = 2
 
-// eventCollector is the push-based replacement for periodic polling
-// (Config.PushEvents): one long-lived /gram/events stream per session
-// carries the transitions of every job submitted under that session, and
-// the stdout snapshot with them while it is small, so steady-state status
-// RPCs and output fetches drop to zero and detection latency is bounded by
-// delivery, not the poll interval. The ladder degrades in place: a worker
-// whose stream is dead, or whose gatekeeper is stock (404 on
+// eventCollector is the push-based replacement for periodic polling:
+// one long-lived /gram/events stream per session carries the
+// transitions of every job submitted under that session, and the stdout
+// snapshot with them while it is small, so steady-state status RPCs and
+// output fetches drop to zero and detection latency is bounded by
+// delivery, not the poll interval. The ladder degrades in place: a
+// worker whose stream is dead, or whose gatekeeper is stock (404 on
 // /gram/events), polls its own jobs (see poll).
 type eventCollector struct {
 	o *OnServe
@@ -63,18 +63,18 @@ type eventCollector struct {
 }
 
 // eventWorker owns one session's stream: the connect/reconnect loop,
-// the cursor, and the set of in-flight invocations events route to, each
-// under its job's name from before its submit.
+// the cursor, and the set of in-flight invocations events route to,
+// each under its job's name from before its submit.
 //
-// Lifetime: a worker lives as long as its session is the one core would
-// hand its owner's next invocation (the session cache's entry, inside its
-// lifetime) and retires once it is not and no job is registered. So a
-// cached session keeps one stream across invocations — the next one costs
-// no reconnect, replay or bootstrap status RPC — and a session nobody
-// will submit under again holds no stream and no goroutine. There is no
-// linger timer: the check runs after every frame, and an idle stream's
-// next frame is a heartbeat. A worker that polls retires once its last
-// job does.
+// Lifetime: a worker lives as long as its session is the one the
+// authenticate step would hand its owner's next invocation, and retires
+// once it is not and no job is registered. So a cached session keeps
+// one stream across invocations — the next one costs no reconnect,
+// replay or bootstrap status RPC — and a session nobody will submit
+// under again holds no stream and no goroutine. There is no linger
+// timer: the check runs after every frame, and an idle stream's next
+// frame is a heartbeat. A worker that polls retires once its last job
+// does.
 type eventWorker struct {
 	ec        *eventCollector
 	owner     string
@@ -277,7 +277,7 @@ func (w *eventWorker) retirable() bool {
 	if !idle {
 		return false
 	}
-	id, cached := w.ec.o.cachedSession(w.owner)
+	id, cached := w.ec.o.auth.current(w.owner)
 	return !cached || id != w.sessionID
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/blobdb"
@@ -15,8 +17,7 @@ import (
 const stageRetryBackoff = 500 * time.Millisecond
 
 // StageStats counts the chunked staging data plane's work: what crossed
-// the WAN versus what the content-addressed chunk store absorbed. All
-// zero while Config.ChunkedStaging is off.
+// the WAN versus what the content-addressed chunk store absorbed.
 type StageStats struct {
 	// ChunkedUploads is how many stagings went through the chunk
 	// protocol (including ones that resumed or fully deduped).
@@ -41,46 +42,173 @@ type StageStats struct {
 }
 
 // StageStats snapshots the staging data-plane counters.
-func (o *OnServe) StageStats() StageStats { return o.stage.Snapshot() }
+func (o *OnServe) StageStats() StageStats { return o.chunked.Snapshot() }
 
-// uploadExecutable performs stageExecutableOnce's WAN transfer: through
-// the chunk protocol when Config.ChunkedStaging is on, as the paper's
-// monolithic PUT otherwise. Either way a transiently failed transfer is
-// retried exactly once after a short backoff — a blip at second 59 of a
-// 60 s WAN upload no longer kills the invocation — and the retry reads
-// the executable from the start again. Session faults are never retried
-// here (Invoke's invalidate-and-retry owns those), and neither are the
-// server's definitive rejections or a stored stream found corrupt.
-func (o *OnServe) uploadExecutable(sessionID string, exe *executable, site string, sp *trace.Span) (string, error) {
-	exe.fetch()
-	file, err := exe.file()
-	if err != nil {
-		return "", err
-	}
-	checksum, err := o.uploadOnce(sessionID, exe, file, site, sp)
-	if err == nil || !retryableStageErr(err) {
-		return checksum, err
-	}
-	o.submit.Update(func(st *SubmitStats) { st.UploadRetries++ })
-	sp.Set("retried", "true")
-	time.Sleep(stageRetryBackoff)
-	return o.uploadOnce(sessionID, exe, file, site, sp)
+// stager is the stage step's memory of staged copies, looked up and
+// filled under the lock of the flights that coalesce the fills.
+type stager interface {
+	// recorded reports whether site holds a copy of service's executable
+	// and, if not, a sibling that does (for site "", any site that does).
+	recorded(service, site string) (here bool, sibling string)
+	// fill stages exe at site, which holds no recorded copy.
+	fill(sessionID string, exe *executable, site, sibling string, sp *trace.Span) (checksum string, err error)
 }
 
-// uploadOnce is one transfer attempt of file, exe's content. The stage
-// span's wire attribute says which way the bytes went.
-func (o *OnServe) uploadOnce(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (string, error) {
-	o.submit.Update(func(st *SubmitStats) { st.Uploads++ })
-	ag := o.parts.Agent.WithTrace(sp.Context())
-	if !o.cfg.ChunkedStaging {
-		sp.Set("wire", "stream")
-		return ag.UploadFile(sessionID, site, exe.staged, file)
+// uploadEach is the paper's stager, whose files "will even be reloaded
+// when executed a 2nd time": every staging crosses the WAN. A transient
+// failure is retried once, after a short backoff, from the first byte;
+// session faults (Invoke's to retry), definitive rejections and a
+// corrupt stored stream are not.
+type uploadEach struct{ o *OnServe }
+
+func (uploadEach) recorded(string, string) (bool, string) { return false, "" }
+
+func (u uploadEach) fill(sessionID string, exe *executable, site, _ string, sp *trace.Span) (string, error) {
+	exe.fetch()
+	var checksum string
+	file, err := exe.file()
+	if err == nil {
+		checksum, err = u.o.wire.send(sessionID, exe, file, site, sp)
+		if err != nil && retryableStageErr(err) {
+			u.o.submit.Update(func(st *SubmitStats) { st.UploadRetries++ })
+			sp.Set("retried", "true")
+			time.Sleep(stageRetryBackoff)
+			checksum, err = u.o.wire.send(sessionID, exe, file, site, sp)
+		}
 	}
-	stats, err := ag.UploadChunked(sessionID, site, exe.staged, file)
+	if err != nil {
+		return "", fmt.Errorf("onserve: stage executable: %w", err)
+	}
+	return checksum, nil
+}
+
+// stagingCache records which site holds which checksum of a service's
+// executable, and pulls a sibling's copy across by a GridFTP third-party
+// transfer, without re-crossing the appliance's WAN link.
+type stagingCache struct {
+	uploadEach
+	mu    sync.Mutex
+	sites map[string]map[string]string // service -> site -> staged checksum
+}
+
+func (c *stagingCache) recorded(service, site string) (bool, string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sites := c.sites[service]
+	if sites[site] != "" {
+		return true, ""
+	}
+	return false, replicaSource(sites)
+}
+
+// replicaSource picks the site a staged replica is pulled from, out of
+// the sites the staging cache records for one service. The smallest name
+// wins so the choice is deterministic (map iteration order is not), which
+// keeps replication fan-out stable and testable.
+func replicaSource(sites map[string]string) string {
+	best := ""
+	for site := range sites {
+		if best == "" || site < best {
+			best = site
+		}
+	}
+	return best
+}
+
+func (c *stagingCache) fill(sessionID string, exe *executable, site, sibling string, sp *trace.Span) (sum string, err error) {
+	if sibling != "" {
+		sp.Set("replicated_from", sibling)
+		sum, err = c.o.parts.Agent.WithTrace(sp.Context()).Replicate(sessionID, sibling, site, exe.staged)
+		// A session fault would doom an upload too: Invoke retries it.
+		// Any other failure falls through to an upload.
+		if isSessionFault(err) {
+			return "", fmt.Errorf("onserve: stage executable: %w", err)
+		}
+	}
+	if sibling == "" || err != nil {
+		sum, err = c.uploadEach.fill(sessionID, exe, site, "", sp)
+	}
+	if err == nil {
+		c.record(exe.service, site, sum)
+	}
+	return sum, err
+}
+
+// record notes that site holds service's executable with checksum.
+func (c *stagingCache) record(service, site, checksum string) {
+	c.mu.Lock()
+	if c.sites[service] == nil {
+		c.sites[service] = make(map[string]string)
+	}
+	c.sites[service][site] = checksum
+	c.mu.Unlock()
+}
+
+// forget drops what is recorded of service.
+func (c *stagingCache) forget(service string) {
+	c.mu.Lock()
+	delete(c.sites, service)
+	c.mu.Unlock()
+}
+
+// stageExecutable is the stage step: it makes sure site holds the
+// service's executable, a recorded copy answered before any flight.
+// Coalesced, a staging that arrives while another of its key is in flight
+// takes that one's outcome; if the leader fails, one waiter takes over.
+func (o *OnServe) stageExecutable(sessionID string, exe *executable, site string, sp *trace.Span) error {
+	here, sibling := false, ""
+	_, joined, err := o.stagingFlights.do(&o.mu, siteKey{exe.service, site}, func() (struct{}, bool) {
+		here, sibling = o.stage.recorded(exe.service, site)
+		return struct{}{}, here
+	}, func() (struct{}, error) {
+		_, err := o.stage.fill(sessionID, exe, site, sibling, sp)
+		return struct{}{}, err
+	})
+	if here {
+		sp.Set("cache", "hit")
+	}
+	if joined {
+		o.submit.Update(func(st *SubmitStats) { st.UploadsCoalesced++ })
+		sp.Set("coalesced", "true")
+	}
+	return err
+}
+
+// wire is how a staging's bytes cross the WAN, one attempt at a time;
+// the stage span's wire attribute names it.
+type wire interface {
+	send(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (checksum string, err error)
+}
+
+// putWire is the paper's: one monolithic PUT of the raw file.
+type putWire struct{ o *OnServe }
+
+func (w putWire) send(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (string, error) {
+	w.o.submit.Update(func(st *SubmitStats) { st.Uploads++ })
+	sp.Set("wire", "stream")
+	return w.o.parts.Agent.WithTrace(sp.Context()).UploadFile(sessionID, site, exe.staged, file)
+}
+
+// chunkWire is the chunked, content-addressed GridFTP protocol: only the
+// chunks a site lacks cross the WAN, a killed transfer resumes, and a
+// stock server takes the PUT. With gzip the chunks are cut from the
+// stored gzip stream (fewer bytes; an edit perturbs the rest of it).
+type chunkWire struct {
+	o    *OnServe
+	gzip bool
+}
+
+func (w *chunkWire) send(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (string, error) {
+	o := w.o
+	o.submit.Update(func(st *SubmitStats) { st.Uploads++ })
+	if !w.gzip {
+		file.Gzip = nil
+	}
+	stats, err := o.parts.Agent.WithTrace(sp.Context()).UploadChunked(sessionID, site, exe.staged, file)
 	if err != nil {
 		return "", err
 	}
-	o.stage.Update(func(st *StageStats) {
+	o.chunked.Update(func(st *StageStats) {
 		st.ChunkedUploads++
 		st.ChunksShipped += uint64(stats.ChunksShipped)
 		st.ChunksDeduped += uint64(stats.ChunksDeduped)
@@ -98,11 +226,10 @@ func (o *OnServe) uploadOnce(sessionID string, exe *executable, file gridftp.Fil
 	sp.SetInt("chunks_shipped", int64(stats.ChunksShipped))
 	sp.SetInt("chunks_deduped", int64(stats.ChunksDeduped))
 	if !stats.Fallback {
-		// The site's chunk store now holds the full wire: credit it in
-		// the possession cache without waiting out the probe TTL. A
-		// fallback PUT leaves the chunk store untouched, so it earns no
-		// credit.
-		o.notePossession(exe.service, site, stats.LogicalBytes)
+		// The site's chunk store now holds the full wire: credit it in the
+		// possession cache without waiting out the probe TTL. A fallback
+		// PUT leaves the chunk store untouched, so it earns no credit.
+		o.poss.note(exe.service, site, stats.LogicalBytes)
 	}
 	return stats.Checksum, nil
 }

@@ -65,7 +65,7 @@ func TestUploadGivesUpAfterSecondFault(t *testing.T) {
 func TestSessionFaultNotRetried(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
-		_, err := f.ons.uploadExecutable("no-such-session", heldExecutable(t, f.ons, "XService", []byte("x")), "siteA", nil)
+		_, err := uploadEach{f.ons}.fill("no-such-session", heldExecutable(t, f.ons, "XService", []byte("x")), "siteA", "", nil)
 		if st := f.ons.SubmitStats(); !errors.Is(err, cyberaide.ErrNoSession) || st.UploadRetries != 0 || st.Uploads != 1 {
 			t.Fatalf("session fault %v: %d retries, %d uploads; want ErrNoSession, none, 1", err, st.UploadRetries, st.Uploads)
 		}
@@ -301,7 +301,7 @@ func TestGridStatsExpiryStampedeCollapsesToOneFetch(t *testing.T) {
 		f.setStats(time.Now().Add(-time.Hour), gridsim.SiteStats{Name: "siteA", Slots: 8, FreeSlots: 8})
 		before := f.ons.SubmitStats().StatsRPCs
 		burst(t, 8, func(int) error {
-			stats, err := f.ons.gridStats(sess.ID)
+			stats, err := f.ons.stats.fetch(sess.ID)
 			if err == nil && len(stats) == 0 {
 				err = errors.New("empty stats snapshot")
 			}
@@ -320,7 +320,7 @@ func TestStagingCacheHitLeadsNoFlight(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, func(cfg *Config) { cfg.StagingCache, cfg.CoalesceStaging = true, true })
 		exe := heldExecutable(t, f.ons, "HitService", []byte("echo hi\n"))
-		f.ons.noteStaged("HitService", "siteA", "sum")
+		f.ons.stage.(*stagingCache).record("HitService", "siteA", "sum")
 		allocs := testing.AllocsPerRun(100, func() {
 			must(t, f.ons.stageExecutable("no-session", exe, "siteA", nil))
 		})
@@ -761,10 +761,9 @@ func TestColdStageAllocatesNoExecutableSizedObject(t *testing.T) {
 						republish(t, f, meta.Meta, versions[i])
 					}
 					// Cold again: nothing staged, nothing known of any site.
-					f.ons.mu.Lock()
-					delete(f.ons.staged, "BigService")
-					f.ons.mu.Unlock()
-					f.ons.forgetPossession("BigService")
+					for _, forget := range f.ons.forgets {
+						forget("BigService")
+					}
 					if out, err := f.ons.ExecuteAndWait("BigService", nil); err != nil || out != "big\n" {
 						t.Fatalf("run %d: %q, %v", i, out, err)
 					}

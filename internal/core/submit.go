@@ -9,7 +9,7 @@ type SubmitStats struct {
 	// (Agent.Upload calls).
 	Uploads uint64 `json:"uploads"`
 	// UploadsCoalesced counts stagings served by another invocation's
-	// in-flight upload (Config.CoalesceStaging) instead of their own.
+	// in-flight upload instead of their own.
 	UploadsCoalesced uint64 `json:"uploads_coalesced"`
 	// UploadRetries counts transfers that failed transiently and were
 	// retried once after a backoff (each retry is also in Uploads).
@@ -21,7 +21,7 @@ type SubmitStats struct {
 	// to the gatekeeper.
 	StatsRPCs uint64 `json:"stats_rpcs"`
 	// StatsCollapsed counts pickSites callers that shared an in-flight
-	// statistics fetch instead of issuing their own (Config.StatsTTL).
+	// statistics fetch instead of issuing their own.
 	StatsCollapsed uint64 `json:"stats_collapsed"`
 }
 

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"time"
 
+	"repro/internal/bubble/jsonwarm"
+	"repro/internal/gram"
+	"repro/internal/gridsim"
 	"repro/internal/jsdl"
 	"repro/internal/soap"
 	"repro/internal/wsdl"
@@ -15,6 +18,9 @@ const (
 	ServiceName = "CyberaideAgent"
 	Namespace   = "urn:repro:cyberaide"
 )
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() { jsonwarm.List(&gram.StatusReply{}, []gridsim.SiteUsage{}) }
 
 // SOAPService exposes the agent as a Web service, "the Cyberaide agent
 // is a Web service and exposes its functions as Web methods" (paper §VI).

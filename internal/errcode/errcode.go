@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"repro/internal/bubble/jsonwarm"
 )
 
 // The codes: the JSON door's eleven (DESIGN §6), then four that tell
@@ -43,6 +45,9 @@ var byStatus = map[int]string{
 	http.StatusRequestEntityTooLarge: TooLarge,
 	http.StatusBadGateway:            BadGateway,
 }
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() { jsonwarm.List(&Refusal{}) }
 
 // A Refusal is an error reply: a handler returns it, and Write answers
 // with its body, the envelope of every error reply. Code comes first: the

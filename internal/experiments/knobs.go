@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 
 	"repro/internal/appliance"
@@ -117,11 +118,10 @@ func Knobs(opts Options) (*AblationResult, error) {
 	return runKnobs(opts, knobConfigs())
 }
 
-// runKnobs is Knobs over configs: scenario by scenario, each
-// configuration in a bubble of its own, one after another. (Bubbles side
-// by side must not meet a type encoding/json has not encoded yet at
-// once: the second waits on the first's WaitGroup, across bubbles, which
-// synctest reports as a deadlock.)
+// runKnobs is Knobs over configs: each scenario and configuration on a
+// rig in a bubble of its own, GOMAXPROCS of them side by side (bubble.Run
+// builds the encoders they share before each starts), reported scenario
+// by scenario in configs' order.
 func runKnobs(opts Options, configs []knobConfig) (*AblationResult, error) {
 	res := &AblationResult{Notes: []string{
 		"paper and production are the two supported profiles; paper+K turns one of production's knobs on, production-K turns it off (with what needs it: WireCompression and DataAwarePlacement need ChunkedStaging)",
@@ -129,22 +129,26 @@ func runKnobs(opts Options, configs []knobConfig) (*AblationResult, error) {
 		"duration_s is the measured window's virtual time; net_out_b, net_in_b and disk_write_b are the appliance host's, as the figures count them (the WAN to the grid and the LAN to the user)",
 		"grid_rpcs: MyProxy logons, statistics fetches, stagings (one PUT, or a chunk probe, the chunks shipped and a commit), submits, status polls, output fetches, event streams and possession probes, from the counters core keeps",
 	}}
-	for _, sc := range knobScenarios {
-		for _, config := range configs {
-			o := opts
-			o.Appliance = config.cfg
-			var m measurement
-			err := withRig(o, func(r *rig) (err error) { m, err = sc.run(r); return err })
-			if err != nil {
-				return nil, fmt.Errorf("experiments: knobs %s %s: %w", sc.name, config.name, err)
-			}
-			row := res.at(sc.name, config.name)
-			row("duration_s", m.seconds)
-			row("net_out_b", m.sum["net_out_total_b"])
-			row("net_in_b", m.sum["net_in_total_b"])
-			row("disk_write_b", m.sum["disk_write_total_b"])
-			row("grid_rpcs", float64(m.gridRPCs))
+	ms := make([]measurement, len(knobScenarios)*len(configs))
+	err := fanOut(len(ms), runtime.GOMAXPROCS(0), func(i int) error {
+		sc, config := knobScenarios[i/len(configs)], configs[i%len(configs)]
+		o := opts
+		o.Appliance = config.cfg
+		if err := withRig(o, func(r *rig) (err error) { ms[i], err = sc.run(r); return err }); err != nil {
+			return fmt.Errorf("experiments: knobs %s %s: %w", sc.name, config.name, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range ms {
+		row := res.at(knobScenarios[i/len(configs)].name, configs[i%len(configs)].name)
+		row("duration_s", m.seconds)
+		row("net_out_b", m.sum["net_out_total_b"])
+		row("net_in_b", m.sum["net_in_total_b"])
+		row("disk_write_b", m.sum["disk_write_total_b"])
+		row("grid_rpcs", float64(m.gridRPCs))
 	}
 	return res, nil
 }

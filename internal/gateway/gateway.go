@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/appliance"
+	"repro/internal/bubble/jsonwarm"
 	"repro/internal/core"
 	"repro/internal/errcode"
 	"repro/internal/hop"
@@ -642,14 +643,21 @@ func (g *Gateway) serveAny(w http.ResponseWriter, r *http.Request, body []byte) 
 	resp.write(w)
 }
 
+// The types this package sends through encoding/json (jsonwarm).
+func init() {
+	jsonwarm.List(map[string]any{}, Stats{}, []shardDoc{}, tenant.Stats{}, portal.AuditReply{}, []core.ExecutableInfo{}, []uddi.Record{})
+}
+
+// shardDoc is one member's entry in the fleet's /api/stats.
+type shardDoc struct {
+	ID    string          `json:"id"`
+	Base  string          `json:"base"`
+	State string          `json:"state"`
+	Stats json.RawMessage `json:"stats,omitempty"`
+}
+
 // serveStats gathers /api/stats and prepends the gateway block.
 func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
-	type shardDoc struct {
-		ID    string          `json:"id"`
-		Base  string          `json:"base"`
-		State string          `json:"state"`
-		Stats json.RawMessage `json:"stats,omitempty"`
-	}
 	g.stats.Update(func(st *Stats) { st.Scatters++ })
 	replies := g.gather(r, nil)
 	now := time.Now()

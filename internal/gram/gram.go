@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bubble/jsonwarm"
 	"repro/internal/errcode"
 	"repro/internal/flatjson"
 	"repro/internal/gridsim"
@@ -75,6 +76,12 @@ type StatusReply struct {
 // MaxBatch caps how many jobs one status-batch request may name; the
 // client chunks larger sets transparently.
 const MaxBatch = 256
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() {
+	jsonwarm.List(StatusReply{}, SubmitReply{}, BatchReply{}, batchRequest{}, helloData{}, EventData{},
+		[]gridsim.SiteStats{}, []gridsim.SiteUsage{})
+}
 
 // batchRequest is the status-batch request body.
 type batchRequest struct {

@@ -35,6 +35,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/bubble/jsonwarm"
 	"repro/internal/errcode"
 	"repro/internal/sizedio"
 )
@@ -121,6 +122,9 @@ func validDigest(s string) bool {
 	}
 	return true
 }
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() { jsonwarm.List(haveRequest{}, haveReply{}, chunkManifest{}, fetchRequest{}) }
 
 // haveRequest is the dedup/resume probe body.
 type haveRequest struct {

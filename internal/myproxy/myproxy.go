@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bubble/jsonwarm"
 	"repro/internal/errcode"
 	"repro/internal/flatjson"
 	"repro/internal/trace"
@@ -56,6 +57,9 @@ const (
 	OpPut Op = "put" // store a credential
 	OpGet Op = "get" // retrieve a freshly delegated proxy
 )
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() { jsonwarm.List(request{}, response{}) }
 
 // request is the single wire message a client sends. Trace carries the
 // caller's X-Grid-Trace context (the TCP protocol has no headers, so the

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/bubble/jsonwarm"
 	"repro/internal/core"
 	"repro/internal/errcode"
 	"repro/internal/flatjson"
@@ -505,6 +506,12 @@ func (p *Portal) apiOutputFile(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(data)
+}
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() {
+	jsonwarm.List(&uddi.Record{}, []uddi.Record{}, statsPayload{}, map[string]any{}, "", []trace.SpanData{}, []core.ExecutableInfo{},
+		&core.ExecutableInfo{}, InvokeRequest{}, InvokeReply{}, WaitReply{}, cancelReply{}, deleteReply{}, AuditReply{})
 }
 
 // statsPayload is the /api/stats document: the monitoring tallies the

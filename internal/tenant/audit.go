@@ -7,11 +7,15 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
+	"repro/internal/bubble/jsonwarm"
 )
 
 // AuditTable is the blobdb table audit records persist into when
 // Config.Audit.Persist is set.
 const AuditTable = "tenant_audit"
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() { jsonwarm.List(Record{}) }
 
 // Record is one audited action. Every upload/invoke/cancel/delete that
 // reaches the admission pipeline produces exactly one record: denials

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bubble/jsonwarm"
 	"repro/internal/soap"
 	"repro/internal/wsdl"
 )
@@ -31,6 +32,9 @@ var (
 	ErrDuplicate = errors.New("uddi: service name already published")
 	ErrBadRecord = errors.New("uddi: record is missing required fields")
 )
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() { jsonwarm.List(Record{}, []Record{}) }
 
 // Record is one published businessService.
 type Record struct {

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bubble/jsonwarm"
 	"repro/internal/flatjson"
 )
 
@@ -66,6 +67,9 @@ func (k CertKind) String() string {
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
+
+// The types this package sends through encoding/json (jsonwarm).
+func init() { jsonwarm.List(&Certificate{}, []Certificate{}, &Credential{}) }
 
 // Certificate is the signed public statement binding a subject name to a
 // public key.

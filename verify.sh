@@ -65,6 +65,21 @@ if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\.
 	exit 1
 fi
 
+# Each step of the invocation pipeline picks its strategy once: newSteps
+# (beside core.New) resolves the strategy knobs into one value per
+# step, and no other code of internal/core reads one (comments aside).
+if awk '
+	FNR == 1 { steps = 0 }
+	/^func newSteps\(/ { steps = 1 }
+	{ line = $0; sub(/\/\/.*/, "", line) }
+	!steps && line ~ /\.(SessionCache|StatsTTL|StagingCache|CoalesceStaging|ChunkedStaging|WireCompression|DataAwarePlacement|DirectDBWrite|PushEvents)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+	steps && /^}/ { steps = 0 }
+	END { exit !found }
+' $(ls internal/core/*.go | grep -v '_test\.go$'); then
+	echo "a strategy knob is read outside newSteps (see above): resolve it into a strategy there" >&2
+	exit 1
+fi
+
 # One way out to the grid: every hop between this repository's processes
 # rides hop's transport, so the figures and the fault tables measure the
 # client stack production ships. No program file under internal/ or
@@ -302,13 +317,13 @@ go test -run='^$' -fuzz=FuzzScannerSplits -fuzztime=5s ./internal/gsh
 # JSON door reads an invoke body in 4 objects, routes it in 1 and answers
 # a finished invocation's /api/wait
 # in 1, a placement the possession cache answers costs nothing and no
-# goroutine, a staging-cache hit leads no flight, an armed watchdog parks
+# goroutine, nor does one by load over a cached snapshot, a staging-cache hit leads no flight, an armed watchdog parks
 # no goroutine, and a warm internal GET plus a 1 KB POST cost at most 54
 # objects, client and server together, and a metrics.Block update through
 # a capturing closure none. All ran above; run them fresh and without the race detector's own
 # allocations so a regression reads as a number, not as noise. A name in
 # the list that matches no test of the packages fails here first (tests).
-guards='TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestDispatchAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestWaitDoorAllocations|TestCachedPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps|TestReadAllAllocations|TestGuardedSOAPStatusAllocations|TestPollReplyAllocations|TestLogonAllocations'
+guards='TestGetHitAllocationIndependentOfBlobSize|TestHotInvokeAllocatesNoExecutableSizedObject|TestColdStageAllocatesNoExecutableSizedObject|TestUploadAllocatesNoRawSizedObject|TestHotDoorAllocations|TestDispatchAllocations|TestSubmitAllocations|TestHotOpFrameDecodeAllocations|TestForwardAllocations|TestOrderedMembersAllocations|TestStreamedBodyAllocations|TestInvokeReadAllocations|TestDecodeRouteAllocations|TestWaitDoorAllocations|TestCachedPlacementAllocations|TestLoadPlacementAllocations|TestStagingCacheHitLeadsNoFlight|TestWatchdogStartsNoGoroutine|TestRoundTripAllocations|TestBlockUpdateAllocations|TestReadStoredByteBudgetAcrossGC|TestPutWALByteBudgetAcrossGC|TestFreeListsKeepNothingLarge|TestFreeListBoundsWhatItKeeps|TestReadAllAllocations|TestGuardedSOAPStatusAllocations|TestPollReplyAllocations|TestLogonAllocations'
 guard_pkgs='./internal/appliance ./internal/blobdb ./internal/core ./internal/soap ./internal/gram ./internal/gateway ./internal/hop ./internal/portal ./internal/metrics ./internal/sizedio ./internal/xsec ./internal/myproxy'
 tests "$guard_pkgs" $(echo "$guards" | tr '|' ' ')
 go test -count=1 -run "^($guards)\$" $guard_pkgs
