@@ -38,7 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bubble/jsonwarm"
+	"repro/internal/jsonwarm"
 	"repro/internal/metrics"
 	"repro/internal/sizedio"
 	"repro/internal/trace"

@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bubble/jsonwarm"
+	"repro/internal/jsonwarm"
 )
 
 func TestMain(m *testing.M) { Main(m) }
@@ -162,12 +162,12 @@ func TestEqualDeadlinesFireTogether(t *testing.T) {
 }
 
 // TestSideBySideEncodeFreshTypes: eight bubbles start at once and encode
-// types nothing has encoded before, each beside a sleeper whose timer the
-// clock would jump to if an encode waited on another bubble's build of
-// its encoder. The types are on jsonwarm's list, so Run builds them
+// types nothing has encoded before, each beside a pending timer the clock
+// would jump to if an encode waited on another bubble's build of its
+// encoder. The types are on jsonwarm's list, so Run builds them
 // first: no encode moves a clock, and every bubble ends.
 func TestSideBySideEncodeFreshTypes(t *testing.T) {
-	values := freshTypes(64)
+	values := freshTypes(256)
 	jsonwarm.List(values...)
 	start := make(chan struct{}) // made outside the bubbles: waiting on it holds their clocks
 	var moved atomic.Int32
@@ -177,7 +177,7 @@ func TestSideBySideEncodeFreshTypes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			Run(func() {
-				go time.Sleep(time.Hour)
+				defer time.NewTimer(time.Hour).Stop()
 				<-start
 				began := time.Now()
 				for _, v := range values {

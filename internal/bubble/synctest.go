@@ -7,7 +7,7 @@ import (
 	"runtime/debug"
 	"testing/synctest"
 
-	"repro/internal/bubble/jsonwarm"
+	"repro/internal/jsonwarm"
 )
 
 // Run calls f in a new bubble and returns once every goroutine in it has

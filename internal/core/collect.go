@@ -95,7 +95,7 @@ func (o *OnServe) finishAs(inv *Invocation, st InvState, message string) {
 		message = ""
 	}
 	if inv.finish(st, message, time.Now()) {
-		o.logout(inv.sessionID)
+		o.auth.end(inv.User, inv.sessionID, false, nil)
 	}
 }
 
@@ -111,7 +111,7 @@ func (o *OnServe) armWatchdog(inv *Invocation) *time.Timer {
 		killed := inv.finish(InvKilled, fmt.Sprintf("watchdog: invocation exceeded %v", o.cfg.InvocationTimeout), time.Now())
 		o.parts.Agent.Cancel(inv.sessionID, inv.JobID)
 		if killed {
-			o.logout(inv.sessionID)
+			o.auth.end(inv.User, inv.sessionID, false, nil)
 		}
 	})
 }

@@ -444,19 +444,22 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 		// invocation rides a fresh stream again.
 		f := newFixture(t, func(cfg *Config) { cfg.PushEvents, cfg.InvocationTimeout = true, 3*time.Hour })
 		var down atomic.Bool // streams break at their next line, new ones are refused
-		// carried closes once a frame with data, a state or output event,
-		// has passed whole.
+		// carried closes when the rule lets through the blank line that
+		// ends the first state or output frame.
 		carried := make(chan struct{})
 		closeCarried := sync.OnceFunc(func() { close(carried) })
-		var dataIn atomic.Int64 // 1 + the frame a data line last passed in
+		var jobFrame atomic.Int64 // 1 + the frame a job event's line last began
 		f.grid.Add(&hoptest.Rule{Match: "/gram/events", When: hoptest.Flag(&down), Do: hoptest.Fail}, &hoptest.Rule{Match: "/gram/events", Do: hoptest.Rewrite(func(frame int, line []byte) ([]byte, error) {
 			if down.Load() {
 				return nil, hoptest.ErrInjected
 			}
-			if bytes.HasPrefix(line, []byte("data:")) {
-				dataIn.Store(int64(frame) + 1)
-			} else if string(line) == "\n" && dataIn.Load() == int64(frame)+1 {
-				closeCarried()
+			switch string(line) {
+			case "event: " + gram.EventState + "\n", "event: " + gram.EventOutput + "\n":
+				jobFrame.Store(int64(frame) + 1)
+			case "\n":
+				if jobFrame.Load() == int64(frame)+1 {
+					closeCarried()
+				}
 			}
 			return line, nil
 		})})
@@ -467,6 +470,10 @@ func TestPushEventsMidStreamKillFallsBackThenRecovers(t *testing.T) {
 		case <-carried:
 		case <-inv.DoneChan():
 			t.Fatalf("the stream carried no event before the job ended: %+v", f.ons.EventStats())
+		}
+		bubble.Wait() // the worker has read the frame and settled
+		if f.ons.EventStats().EventsDelivered == 0 {
+			t.Fatalf("the stream carried no event before the kill: %+v", f.ons.EventStats())
 		}
 		down.Store(true)
 		if ends(t, inv, InvDone).Output() != "head\ntail\n" {

@@ -90,12 +90,11 @@ func (x *executable) fetch() {
 	})
 }
 
-// file describes the executable to a transfer. The stored gzip stream
-// rides along: a wire that ships the raw file drops or ignores it.
+// file describes the raw executable to a transfer.
 func (x *executable) file() (gridftp.File, error) {
 	sum, err := x.row.Digest()
 	if err != nil {
 		return gridftp.File{}, fmt.Errorf("onserve: load executable: %w", err)
 	}
-	return gridftp.File{Size: int64(x.row.RawSize), SHA256: hex.EncodeToString(sum[:]), Open: x.row.Reader, Gzip: x.row.Gzip}, nil
+	return gridftp.File{Size: int64(x.row.RawSize), SHA256: hex.EncodeToString(sum[:]), Open: x.row.Reader}, nil
 }

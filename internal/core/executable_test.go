@@ -125,7 +125,7 @@ func TestStoredGzipComparesGenerations(t *testing.T) {
 		stage := func(exe *executable, site string, want []byte) {
 			t.Helper()
 			before := f.ons.StageStats()
-			sum, err := uploadEach{f.ons}.fill(sess, exe, site, "", nil)
+			sum, err := uploadEach{o: f.ons}.fill(sess, exe, site, "", nil)
 			if err != nil {
 				t.Fatalf("staging to %s across a same-size re-publish: %v", site, err)
 			}
@@ -141,13 +141,13 @@ func TestStoredGzipComparesGenerations(t *testing.T) {
 
 		held := open() // pins v1 before the re-publish lands
 		must(t, tab.Put("SameService", row.Meta, v2))
-		if file, err := held.file(); err != nil || &file.Gzip[0] != &gz1[0] || file.SHA256 != sha256Hex(v1) {
+		if file, err := f.ons.wire.file(held); err != nil || &file.Gzip[0] != &gz1[0] || file.SHA256 != sha256Hex(v1) {
 			t.Fatalf("a handle opened on v1 describes checksum %s over another stream (%v)", file.SHA256, err)
 		}
 		stage(held, "siteA", v1)
 		stage(held, "siteB", v1)
 		late := open()
-		if file, err := late.file(); err != nil || &file.Gzip[0] == &gz1[0] || file.SHA256 != sha256Hex(v2) {
+		if file, err := f.ons.wire.file(late); err != nil || &file.Gzip[0] == &gz1[0] || file.SHA256 != sha256Hex(v2) {
 			t.Fatalf("a handle opened after the re-publish describes checksum %s over v1's stream (%v)", file.SHA256, err)
 		}
 		stage(late, "siteA", v2)

@@ -11,10 +11,10 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
-	"repro/internal/bubble/jsonwarm"
 	"repro/internal/cyberaide"
 	"repro/internal/gram"
 	"repro/internal/jsdl"
+	"repro/internal/jsonwarm"
 	"repro/internal/soap"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -258,23 +258,24 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 	if err != nil {
 		return nil, err
 	}
-	if _, sibling := o.stage.recorded(serviceName, ""); sibling == "" {
+	if !o.stage.staged(serviceName) {
 		exe.fetch()
 	}
-	sessID, err := o.authenticate(exe.owner, auth, root)
+	sessID, reused, err := o.authenticate(exe.owner, auth, root)
 	if err != nil {
 		return nil, err
 	}
 	inv := o.newInvocation(serviceName, exe.owner, root)
 	err = o.stageAndSubmit(inv, sessID, exe, args)
-	if err != nil && o.auth.refused(exe.owner, sessID, err) {
-		if sessID, err = o.authenticate(exe.owner, auth, root); err != nil {
+	if err != nil && o.auth.end(exe.owner, sessID, reused, err) {
+		if sessID, _, err = o.authenticate(exe.owner, auth, root); err != nil {
 			return nil, err
 		}
-		err = o.stageAndSubmit(inv, sessID, exe, args)
+		if err = o.stageAndSubmit(inv, sessID, exe, args); err != nil {
+			o.auth.end(exe.owner, sessID, false, err)
+		}
 	}
 	if err != nil {
-		o.logout(sessID)
 		return nil, err
 	}
 	o.mu.Lock()
@@ -286,14 +287,14 @@ func (o *OnServe) invoke(serviceName string, args map[string]string, root *trace
 }
 
 // authenticate is the logon step under its span.
-func (o *OnServe) authenticate(owner string, auth UserAuth, root *trace.Span) (string, error) {
+func (o *OnServe) authenticate(owner string, auth UserAuth, root *trace.Span) (string, bool, error) {
 	sp := o.parts.Tracing.StartSpan("logon", root.Context())
 	sessID, reused, err := o.auth.session(owner, auth, sp.Context())
 	if err == nil {
 		sp.Set("cached", strconv.FormatBool(reused))
 	}
 	endSpan(sp, err)
-	return sessID, err
+	return sessID, reused, err
 }
 
 // newInvocation issues the ticket, which resolves once the submit
@@ -482,7 +483,7 @@ func (o *OnServe) InvocationOutputFile(ticket, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer o.logout(sessID)
+	defer o.auth.end(inv.User, sessID, false, nil)
 	return o.parts.Agent.OutputFile(sessID, inv.JobID, name)
 }
 

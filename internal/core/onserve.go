@@ -169,14 +169,12 @@ func New(cfg Config, parts Parts) (*OnServe, error) {
 type steps struct {
 	spillUpload    func(size int)             // store: the paper's temporary spill, or none
 	auth           authenticator              // authenticate
-	logout         func(id string)            // authenticate: end an invocation's own session; a cached one stays
 	stats          siteStats                  // place: statistics per call, or cached
 	poss           *possession                // place: order by load (nil), or data-aware
 	wire           wire                       // stage: one PUT, or chunks
 	stage          stager                     // stage: upload each time, or a staging cache
 	stagingFlights flights[siteKey, struct{}] // stage: nil, or coalescing
 	collect        collector                  // collect: tentative poller, or push
-	forgets        []func(service string)     // drop what the steps keep of a service
 }
 
 // newSteps resolves cfg into the strategies for o: the one function that
@@ -190,32 +188,30 @@ func newSteps(cfg Config, o *OnServe) (steps, error) {
 	s := steps{
 		spillUpload: func(n int) { probe.DiskWrite(n); probe.DiskRead(n) },
 		auth:        logonPerCall{o},
-		logout:      func(id string) { o.parts.Agent.Logout(id) },
 		stats:       statsPerCall{o},
 		wire:        putWire{o},
-		stage:       uploadEach{o},
+		stage:       uploadEach{o, &records{}},
 		collect:     tentativePoller{o},
 	}
 	if cfg.DirectDBWrite {
 		s.spillUpload = func(int) {}
 	}
 	if cfg.SessionCache {
-		s.auth, s.logout = &sessionCache{logonPerCall: logonPerCall{o}, sessions: make(map[string]*ownerSession)}, func(string) {}
+		s.auth = &sessionCache{logonPerCall: logonPerCall{o}, sessions: make(map[string]*ownerSession)}
 	}
 	if cfg.StatsTTL > 0 {
 		s.stats = &statsCache{statsPerCall: statsPerCall{o}, ttl: cfg.StatsTTL, flights: make(flights[struct{}, []gridsim.SiteStats])}
 	}
-	if cfg.DataAwarePlacement {
-		s.poss = &possession{o: o, gzip: cfg.WireCompression, ttl: placementProbeTTL,
-			cache: make(map[siteKey]possEntry), flights: make(flights[siteKey, possEntry])}
-		s.forgets = append(s.forgets, s.poss.forget)
-	}
 	if cfg.ChunkedStaging {
-		s.wire = &chunkWire{o: o, gzip: cfg.WireCompression}
+		chunks := &chunkWire{o: o, gzip: cfg.WireCompression}
+		s.wire = chunks
+		if cfg.DataAwarePlacement {
+			s.poss = &possession{o: o, wire: chunks, ttl: placementProbeTTL,
+				cache: make(map[siteKey]possEntry), flights: make(flights[siteKey, possEntry])}
+		}
 	}
 	if cfg.StagingCache {
-		cache := &stagingCache{uploadEach: uploadEach{o}, sites: make(map[string]map[string]string)}
-		s.stage, s.forgets = cache, append(s.forgets, cache.forget)
+		s.stage = &stagingCache{uploadEach{o, &records{sites: make(map[string]map[string]string)}}}
 	}
 	if cfg.CoalesceStaging {
 		s.stagingFlights = make(flights[siteKey, struct{}])
@@ -576,9 +572,8 @@ func (o *OnServe) DeleteService(serviceName string) error {
 	if err := o.parts.DB.Table(ExecutablesTable).Delete(serviceName); err != nil {
 		return err
 	}
-	for _, forget := range o.forgets {
-		forget(serviceName)
-	}
+	o.stage.forget(serviceName)
+	o.poss.forget(serviceName)
 	return nil
 }
 

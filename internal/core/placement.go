@@ -175,13 +175,13 @@ func (e *possEntry) possession() float64 {
 }
 
 // possession is data-aware placement: answers by service and site
-// trusted for ttl, the probes in flight, and whether the chunk wire ships
-// the stored gzip. A nil possession is the paper's placement, by load: a
+// trusted for ttl, the probes in flight, and the chunk wire whose chunks
+// it asks about. A nil possession is the paper's placement, by load: a
 // static call, unlike an interface's, keeps the caller's arrays on its
 // stack.
 type possession struct {
 	o       *OnServe
-	gzip    bool
+	wire    *chunkWire
 	ttl     time.Duration
 	mu      sync.Mutex
 	cache   map[siteKey]possEntry
@@ -200,14 +200,11 @@ func (p *possession) cached(key siteKey, now time.Time) (possEntry, bool) {
 // pass — and no fetch, which runs only when the raw bytes, not the stored
 // gzip, are the wire. Nil means possession cannot be probed: the chunk
 // protocol does not apply, or the row does not read (the stage step says).
-func (x *executable) wireChunks(gzip bool) *gridftp.Cut {
+func (x *executable) wireChunks(w *chunkWire) *gridftp.Cut {
 	x.cutOnce.Do(func() {
-		file, err := x.file()
+		file, err := w.file(x)
 		if err != nil {
 			return
-		}
-		if !gzip {
-			file.Gzip = nil
 		}
 		if !file.GzipWire() {
 			x.fetch()
@@ -355,7 +352,7 @@ func (p *possession) probe(sessionID, site string, exe *executable) (possEntry, 
 // probeOnce issues one possession probe against site.
 func (p *possession) probeOnce(sessionID, site string, exe *executable) possEntry {
 	now := time.Now()
-	cut := exe.wireChunks(p.gzip)
+	cut := exe.wireChunks(p.wire)
 	if cut == nil {
 		// Chunk protocol inapplicable: possession unknown, score the site
 		// as a full cold transfer of the raw blob.
@@ -393,6 +390,9 @@ func (p *possession) note(service, site string, total int64) {
 
 // forget drops every cached possession answer for service.
 func (p *possession) forget(service string) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	for k := range p.cache {
 		if k.service == service {

@@ -18,9 +18,11 @@ type authenticator interface {
 	session(owner string, auth UserAuth, tc trace.SpanContext) (id string, reused bool, err error)
 	// current is the session owner's next invocation would reuse, if any.
 	current(owner string) (id string, ok bool)
-	// refused reports whether err refuses that session: it is then logged
-	// out and forgotten, and the caller may retry on a fresh one.
-	refused(owner, id string, err error) bool
+	// end is told that an invocation is done with the session session
+	// handed out (reused or not), err saying why if it failed. It reports
+	// whether the caller may retry on a fresh one: err refused a reused
+	// session, which is then logged out and forgotten.
+	end(owner, id string, reused bool, err error) (retry bool)
 }
 
 // logonPerCall is the paper's: a MyProxy logon per invocation, logged
@@ -35,8 +37,13 @@ func (l logonPerCall) session(owner string, auth UserAuth, tc trace.SpanContext)
 	return sess.ID, false, nil
 }
 
-func (logonPerCall) current(string) (string, bool)      { return "", false }
-func (logonPerCall) refused(string, string, error) bool { return false }
+func (logonPerCall) current(string) (string, bool) { return "", false }
+
+// end logs the invocation's own session out.
+func (l logonPerCall) end(_, id string, _ bool, _ error) bool {
+	l.o.parts.Agent.Logout(id)
+	return false
+}
 
 // sessionCache keeps one session per owner, shared by its invocations,
 // until its proxy nears expiry or the grid refuses it.
@@ -78,8 +85,9 @@ func (c *sessionCache) current(owner string) (string, bool) {
 	return s.id, true
 }
 
-func (c *sessionCache) refused(owner, id string, err error) bool {
-	if !isSessionFault(err) {
+// end keeps the session, the owner's, unless err refused it.
+func (c *sessionCache) end(owner, id string, reused bool, err error) bool {
+	if !reused || !isSessionFault(err) {
 		return false
 	}
 	c.invalidate(owner, id)

@@ -47,26 +47,71 @@ func (o *OnServe) StageStats() StageStats { return o.chunked.Snapshot() }
 // stager is the stage step's memory of staged copies, looked up and
 // filled under the lock of the flights that coalesce the fills.
 type stager interface {
+	// staged reports whether any site holds a recorded copy of service's
+	// executable.
+	staged(service string) bool
 	// recorded reports whether site holds a copy of service's executable
-	// and, if not, a sibling that does (for site "", any site that does).
+	// and, if not, a sibling that does.
 	recorded(service, site string) (here bool, sibling string)
 	// fill stages exe at site, which holds no recorded copy.
 	fill(sessionID string, exe *executable, site, sibling string, sp *trace.Span) (checksum string, err error)
+	// forget drops what is recorded of service.
+	forget(service string)
+}
+
+// records are the staged copies a stager recorded: which site holds
+// which checksum of a service's executable.
+type records struct {
+	mu    sync.Mutex
+	sites map[string]map[string]string // service -> site -> staged checksum
+}
+
+func (r *records) staged(service string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.sites[service]) > 0
+}
+
+func (r *records) recorded(service, site string) (bool, string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sites := r.sites[service]
+	if sites[site] != "" {
+		return true, ""
+	}
+	return false, replicaSource(sites)
+}
+
+// record notes that site holds service's executable with checksum.
+func (r *records) record(service, site, checksum string) {
+	r.mu.Lock()
+	if r.sites[service] == nil {
+		r.sites[service] = make(map[string]string)
+	}
+	r.sites[service][site] = checksum
+	r.mu.Unlock()
+}
+
+func (r *records) forget(service string) {
+	r.mu.Lock()
+	delete(r.sites, service)
+	r.mu.Unlock()
 }
 
 // uploadEach is the paper's stager, whose files "will even be reloaded
-// when executed a 2nd time": every staging crosses the WAN. A transient
-// failure is retried once, after a short backoff, from the first byte;
-// session faults (Invoke's to retry), definitive rejections and a
-// corrupt stored stream are not.
-type uploadEach struct{ o *OnServe }
-
-func (uploadEach) recorded(string, string) (bool, string) { return false, "" }
+// when executed a 2nd time": every staging crosses the WAN, and none is
+// recorded. A transient failure is retried once, after a short backoff,
+// from the first byte; session faults (Invoke's to retry), definitive
+// rejections and a corrupt stored stream are not.
+type uploadEach struct {
+	o *OnServe
+	*records
+}
 
 func (u uploadEach) fill(sessionID string, exe *executable, site, _ string, sp *trace.Span) (string, error) {
 	exe.fetch()
 	var checksum string
-	file, err := exe.file()
+	file, err := u.o.wire.file(exe)
 	if err == nil {
 		checksum, err = u.o.wire.send(sessionID, exe, file, site, sp)
 		if err != nil && retryableStageErr(err) {
@@ -82,24 +127,10 @@ func (u uploadEach) fill(sessionID string, exe *executable, site, _ string, sp *
 	return checksum, nil
 }
 
-// stagingCache records which site holds which checksum of a service's
-// executable, and pulls a sibling's copy across by a GridFTP third-party
-// transfer, without re-crossing the appliance's WAN link.
-type stagingCache struct {
-	uploadEach
-	mu    sync.Mutex
-	sites map[string]map[string]string // service -> site -> staged checksum
-}
-
-func (c *stagingCache) recorded(service, site string) (bool, string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sites := c.sites[service]
-	if sites[site] != "" {
-		return true, ""
-	}
-	return false, replicaSource(sites)
-}
+// stagingCache records each copy it stages, and pulls a sibling's copy
+// across by a GridFTP third-party transfer, without re-crossing the
+// appliance's WAN link.
+type stagingCache struct{ uploadEach }
 
 // replicaSource picks the site a staged replica is pulled from, out of
 // the sites the staging cache records for one service. The smallest name
@@ -134,23 +165,6 @@ func (c *stagingCache) fill(sessionID string, exe *executable, site, sibling str
 	return sum, err
 }
 
-// record notes that site holds service's executable with checksum.
-func (c *stagingCache) record(service, site, checksum string) {
-	c.mu.Lock()
-	if c.sites[service] == nil {
-		c.sites[service] = make(map[string]string)
-	}
-	c.sites[service][site] = checksum
-	c.mu.Unlock()
-}
-
-// forget drops what is recorded of service.
-func (c *stagingCache) forget(service string) {
-	c.mu.Lock()
-	delete(c.sites, service)
-	c.mu.Unlock()
-}
-
 // stageExecutable is the stage step: it makes sure site holds the
 // service's executable, a recorded copy answered before any flight.
 // Coalesced, a staging that arrives while another of its key is in flight
@@ -177,11 +191,15 @@ func (o *OnServe) stageExecutable(sessionID string, exe *executable, site string
 // wire is how a staging's bytes cross the WAN, one attempt at a time;
 // the stage span's wire attribute names it.
 type wire interface {
+	// file describes exe as the wire ships it.
+	file(exe *executable) (gridftp.File, error)
 	send(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (checksum string, err error)
 }
 
 // putWire is the paper's: one monolithic PUT of the raw file.
 type putWire struct{ o *OnServe }
+
+func (putWire) file(exe *executable) (gridftp.File, error) { return exe.file() }
 
 func (w putWire) send(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (string, error) {
 	w.o.submit.Update(func(st *SubmitStats) { st.Uploads++ })
@@ -198,12 +216,19 @@ type chunkWire struct {
 	gzip bool
 }
 
+// file is exe's raw file, with the stored gzip stream riding along when
+// the chunks are cut from it.
+func (w *chunkWire) file(exe *executable) (gridftp.File, error) {
+	file, err := exe.file()
+	if w.gzip {
+		file.Gzip = exe.row.Gzip
+	}
+	return file, err
+}
+
 func (w *chunkWire) send(sessionID string, exe *executable, file gridftp.File, site string, sp *trace.Span) (string, error) {
 	o := w.o
 	o.submit.Update(func(st *SubmitStats) { st.Uploads++ })
-	if !w.gzip {
-		file.Gzip = nil
-	}
 	stats, err := o.parts.Agent.WithTrace(sp.Context()).UploadChunked(sessionID, site, exe.staged, file)
 	if err != nil {
 		return "", err

@@ -65,7 +65,7 @@ func TestUploadGivesUpAfterSecondFault(t *testing.T) {
 func TestSessionFaultNotRetried(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := newFixture(t, nil)
-		_, err := uploadEach{f.ons}.fill("no-such-session", heldExecutable(t, f.ons, "XService", []byte("x")), "siteA", "", nil)
+		_, err := uploadEach{o: f.ons}.fill("no-such-session", heldExecutable(t, f.ons, "XService", []byte("x")), "siteA", "", nil)
 		if st := f.ons.SubmitStats(); !errors.Is(err, cyberaide.ErrNoSession) || st.UploadRetries != 0 || st.Uploads != 1 {
 			t.Fatalf("session fault %v: %d retries, %d uploads; want ErrNoSession, none, 1", err, st.UploadRetries, st.Uploads)
 		}
@@ -761,9 +761,8 @@ func TestColdStageAllocatesNoExecutableSizedObject(t *testing.T) {
 						republish(t, f, meta.Meta, versions[i])
 					}
 					// Cold again: nothing staged, nothing known of any site.
-					for _, forget := range f.ons.forgets {
-						forget("BigService")
-					}
+					f.ons.stage.forget("BigService")
+					f.ons.poss.forget("BigService")
 					if out, err := f.ons.ExecuteAndWait("BigService", nil); err != nil || out != "big\n" {
 						t.Fatalf("run %d: %q, %v", i, out, err)
 					}

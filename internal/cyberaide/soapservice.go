@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"time"
 
-	"repro/internal/bubble/jsonwarm"
 	"repro/internal/gram"
 	"repro/internal/gridsim"
 	"repro/internal/jsdl"
+	"repro/internal/jsonwarm"
 	"repro/internal/soap"
 	"repro/internal/wsdl"
 )

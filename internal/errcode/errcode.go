@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/bubble/jsonwarm"
+	"repro/internal/jsonwarm"
 )
 
 // The codes: the JSON door's eleven (DESIGN §6), then four that tell

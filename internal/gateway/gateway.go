@@ -40,10 +40,10 @@ import (
 	"time"
 
 	"repro/internal/appliance"
-	"repro/internal/bubble/jsonwarm"
 	"repro/internal/core"
 	"repro/internal/errcode"
 	"repro/internal/hop"
+	"repro/internal/jsonwarm"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/portal"

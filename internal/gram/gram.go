@@ -23,12 +23,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bubble/jsonwarm"
 	"repro/internal/errcode"
 	"repro/internal/flatjson"
 	"repro/internal/gridsim"
 	"repro/internal/hop"
 	"repro/internal/jsdl"
+	"repro/internal/jsonwarm"
 	"repro/internal/trace"
 	"repro/internal/xsec"
 )

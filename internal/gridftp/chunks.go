@@ -35,8 +35,8 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/bubble/jsonwarm"
 	"repro/internal/errcode"
+	"repro/internal/jsonwarm"
 	"repro/internal/sizedio"
 )
 

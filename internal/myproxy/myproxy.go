@@ -24,9 +24,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bubble/jsonwarm"
 	"repro/internal/errcode"
 	"repro/internal/flatjson"
+	"repro/internal/jsonwarm"
 	"repro/internal/trace"
 	"repro/internal/xsec"
 )

@@ -20,10 +20,10 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/bubble/jsonwarm"
 	"repro/internal/core"
 	"repro/internal/errcode"
 	"repro/internal/flatjson"
+	"repro/internal/jsonwarm"
 	"repro/internal/metrics"
 	"repro/internal/sizedio"
 	"repro/internal/tenant"

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/blobdb"
-	"repro/internal/bubble/jsonwarm"
+	"repro/internal/jsonwarm"
 )
 
 // AuditTable is the blobdb table audit records persist into when

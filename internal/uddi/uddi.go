@@ -21,7 +21,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bubble/jsonwarm"
+	"repro/internal/jsonwarm"
 	"repro/internal/soap"
 	"repro/internal/wsdl"
 )

@@ -26,8 +26,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bubble/jsonwarm"
 	"repro/internal/flatjson"
+	"repro/internal/jsonwarm"
 )
 
 // Errors returned by chain verification.
