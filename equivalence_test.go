@@ -23,7 +23,6 @@ import (
 	"repro/internal/cyberaide"
 	"repro/internal/gateway"
 	"repro/internal/hop"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/uddi"
@@ -57,7 +56,7 @@ func TestProfileEquivalence(t *testing.T) {
 				f := appliancetest.Boot(t, nil)
 				grid := proxyGrid(t, f)
 				cfg := sh.knobs(t)
-				cfg.Endpoints, cfg.GridDial, cfg.Cost = grid.endpoints, f.Net.DialContext, metrics.DefaultCost()
+				cfg.Endpoints, cfg.GridDial = grid.endpoints, f.Net.DialContext
 				cfg.PollInterval, cfg.InvocationTimeout = 2*time.Second, time.Hour
 				s := &script{t: t, f: f, grid: grid, restart: func(string) {}}
 				if sh.fleet == 0 {

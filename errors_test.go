@@ -12,7 +12,6 @@ import (
 	"repro/internal/bubble"
 	"repro/internal/core"
 	"repro/internal/gateway"
-	"repro/internal/metrics"
 	"repro/internal/soap"
 	"repro/internal/tenant"
 )
@@ -29,7 +28,7 @@ func TestErrorCodesAcrossDoors(t *testing.T) {
 		f := appliancetest.Boot(t, nil)
 		grid := proxyGrid(t, f)
 		cfg := appliance.Paper()
-		cfg.Endpoints, cfg.GridDial, cfg.Cost, cfg.Trace = grid.endpoints, f.Net.DialContext, metrics.DefaultCost(), f.Trace
+		cfg.Endpoints, cfg.GridDial, cfg.Trace = grid.endpoints, f.Net.DialContext, f.Trace
 		cfg.PollInterval, cfg.InvocationTimeout = 2*time.Second, time.Hour
 		cfg.Tenancy = &tenant.Config{
 			Owners: []tenant.OwnerConfig{

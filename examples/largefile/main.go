@@ -30,7 +30,7 @@ func main() { bubble.Run(run) }
 func run() {
 	pipes := netsim.NewNet()
 	rec := metrics.NewRecorder(3 * time.Second)
-	probe := metrics.NewProbe(rec)
+	probe := metrics.NewProbe(rec, metrics.DefaultCost())
 	wan := netsim.WAN() // ~85 KB/s, the paper's measured path
 
 	env, err := gridenv.Start(gridenv.Options{Profile: wan, Net: pipes})
@@ -45,7 +45,6 @@ func run() {
 	img, err := appliance.BuildImage(appliance.Config{
 		Endpoints:    env.Endpoints(),
 		Probe:        probe,
-		Cost:         metrics.DefaultCost(),
 		GridDial:     (&netsim.Dialer{Profile: wan, Probe: probe, Net: pipes}).DialContext,
 		PollInterval: 9 * time.Second,
 		StagingCache: true, // demonstrate the paper's suggested improvement

@@ -130,7 +130,7 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 	baseURL := "http://" + ln.Addr().String()
 
 	dbOpts := blobdb.Options{
-		Dir: cfg.DBDir, Probe: cfg.Probe, Cost: cfg.Cost,
+		Dir: cfg.DBDir, Probe: cfg.Probe,
 		BlobCacheBytes: cfg.BlobCacheBytes, GroupCommit: cfg.GroupCommit,
 		WALShards: cfg.WALShards, AutoCompact: cfg.AutoCompact,
 	}
@@ -142,12 +142,11 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		ln.Close()
 		return nil, fmt.Errorf("appliance: open database: %w", err)
 	}
-	container := soap.NewServer(cfg.Probe, cfg.Cost)
+	container := soap.NewServer(cfg.Probe)
 	registry := uddi.NewRegistry(nil)
 	agent := cyberaide.New(cyberaide.Options{
 		Endpoints: cfg.Endpoints,
 		Probe:     cfg.Probe,
-		Cost:      cfg.Cost,
 		Dial:      cfg.GridDial,
 	})
 	parts := core.Parts{DB: db, Container: container, Registry: registry, Agent: agent, BaseURL: baseURL}
@@ -188,7 +187,7 @@ func (img *Image) Boot(ln net.Listener) (*Appliance, error) {
 		return nil, err
 	}
 
-	p := portal.New(ons, registry, cfg.Probe, cfg.Cost)
+	p := portal.New(ons, registry, cfg.Probe)
 	var services http.Handler = container
 	if parts.Tenancy != nil {
 		// The SOAP container is the portal's side door: without this

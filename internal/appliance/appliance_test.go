@@ -15,7 +15,6 @@ import (
 	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
 	"repro/internal/cyberaide"
-	"repro/internal/metrics"
 	"repro/internal/portal"
 	"repro/internal/soap"
 	"repro/internal/tenant"
@@ -171,7 +170,6 @@ func TestApplianceHostsToolkitServices(t *testing.T) {
 func TestGuardedSOAPStatusAllocations(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := appliancetest.Boot(t, func(c *appliance.Config) {
-			c.Cost = metrics.Cost{} // nothing sleeps, so nothing else runs, while the count runs
 			c.Tenancy = &tenant.Config{Keys: []tenant.KeyConfig{{Key: "acme-secret", Owner: "acme"}}}
 		})
 		if _, err := f.App.OnServe.UploadAndGenerate("alice", "long.gsh", "", nil, []byte("compute 23h\n")); err != nil {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/gridenv"
 	"repro/internal/gridsim"
 	"repro/internal/hop"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -59,7 +58,6 @@ func StartGrid(t testing.TB, sites ...gridsim.SiteConfig) *Grid {
 	g.Config = appliance.Config{
 		Endpoints:         env.Endpoints(),
 		GridDial:          g.Net.DialContext,
-		Cost:              metrics.DefaultCost(),
 		PollInterval:      2 * time.Second,
 		InvocationTimeout: time.Hour,
 		Trace:             g.Trace,

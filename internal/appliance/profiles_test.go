@@ -67,7 +67,7 @@ func profile(p appliance.Config) func(*appliance.Config) {
 	return func(cfg *appliance.Config) {
 		wiring := *cfg
 		*cfg = p
-		cfg.Endpoints, cfg.GridDial, cfg.Cost = wiring.Endpoints, wiring.GridDial, wiring.Cost
+		cfg.Endpoints, cfg.GridDial = wiring.Endpoints, wiring.GridDial
 		cfg.PollInterval, cfg.InvocationTimeout = wiring.PollInterval, wiring.InvocationTimeout
 	}
 }
@@ -79,7 +79,7 @@ func profile(p appliance.Config) func(*appliance.Config) {
 // could hide in.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"Endpoints", "Probe", "Cost", "DBDir", "GridDial",
+		"Endpoints", "Probe", "DBDir", "GridDial",
 		"PollInterval", "InvocationTimeout", "StagingCache", "DirectDBWrite",
 		"SessionCache", "StatsTTL", "PushEvents", "CoalesceStaging", "ChunkedStaging",
 		"WireCompression", "DataAwarePlacement", "BlobCacheBytes", "GroupCommit",

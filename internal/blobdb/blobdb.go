@@ -183,7 +183,6 @@ type walEntry struct {
 type DB struct {
 	dir    string
 	probe  *metrics.Probe
-	cost   metrics.Cost
 	tracer *trace.Tracer
 
 	segLimit int64
@@ -202,8 +201,6 @@ type Options struct {
 	Dir string
 	// Probe accounts CPU (compress/decompress) and disk traffic; may be nil.
 	Probe *metrics.Probe
-	// Cost supplies the compression CPU rates; zero rates disable burning.
-	Cost metrics.Cost
 	// BlobCacheBytes bounds a decompressed-blob LRU in front of Get; zero
 	// disables it. Nothing in the product calls Get since staging reads
 	// through Open, so only cmd/bench and tests set this (ROADMAP 4b).
@@ -249,7 +246,6 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{
 		dir:      opts.Dir,
 		probe:    opts.Probe,
-		cost:     opts.Cost,
 		tracer:   opts.Tracer,
 		segLimit: segLimit,
 	}
@@ -369,7 +365,7 @@ func (t *Table) PutStored(key string, meta map[string]string, s *Stored) error {
 		return ErrBadrecord
 	}
 	db := t.db
-	db.probe.BurnFor(s.RawSize, db.cost.CompressBps)
+	db.probe.Compress(s.RawSize)
 	e := &walEntry{
 		Op: "put", Table: t.name, Key: key, Meta: cloneMeta(meta),
 		Comp: s.Gzip, RawSize: s.RawSize, StoredAt: time.Now(), sum: s.Sum,
@@ -392,8 +388,8 @@ func (t *Table) SetMeta(key string, meta map[string]string) error {
 	// did (row read, inflate, re-compress), so virtual-time results do
 	// not move; only the real work is gone.
 	db.probe.DiskRead(len(r.comp))
-	db.probe.BurnFor(r.rawSize, db.cost.DecompressBps)
-	db.probe.BurnFor(r.rawSize, db.cost.CompressBps)
+	db.probe.Decompress(r.rawSize)
+	db.probe.Compress(r.rawSize)
 	return db.shardFor(t.name, key).commit(r.putEntry(t.name, key, cloneMeta(meta), time.Now()))
 }
 
@@ -421,7 +417,7 @@ func (t *Table) Get(key string) (*Record, error) {
 		}
 	}
 	db.probe.DiskRead(len(r.comp))
-	db.probe.BurnFor(r.rawSize, db.cost.DecompressBps)
+	db.probe.Decompress(r.rawSize)
 	in, err := openInflater(r.comp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -694,7 +690,7 @@ func deflate(rawHint int, fill func(zw io.Writer) error) ([]byte, error) {
 	// header and trailer), so a fresh scratch buffer comes in one
 	// allocation instead of doubling its way up from 64 bytes.
 	scratch.Grow(rawHint + rawHint>>10 + 64)
-	// BestSpeed: the compression *cost model* lives in Put's probe burn;
+	// BestSpeed: the compression *cost model* lives in Put's probe charge;
 	// the real gzip pass only needs to shrink the stored bytes, and
 	// keeping it cheap keeps the host time of experiment runs down.
 	zw := gzipWriters.Get()

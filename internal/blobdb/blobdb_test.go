@@ -268,8 +268,8 @@ func TestClosedDB(t *testing.T) {
 func TestAccounting(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		rec := metrics.NewRecorder(3 * time.Second)
-		probe := metrics.NewProbe(rec)
-		db, err := Open(Options{Probe: probe, Cost: metrics.Cost{CompressBps: 1 << 20, DecompressBps: 4 << 20}})
+		probe := metrics.NewProbe(rec, metrics.Cost{CompressBps: 1 << 20, DecompressBps: 4 << 20})
+		db, err := Open(Options{Probe: probe})
 		if err != nil {
 			t.Fatal(err)
 		}

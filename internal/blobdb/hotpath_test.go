@@ -24,7 +24,7 @@ func cachedDB(t *testing.T, cacheBytes int64) (*DB, *metrics.Recorder) {
 	t.Helper()
 	rec := metrics.NewRecorder(3 * time.Second)
 	db, err := Open(Options{
-		Probe: metrics.NewProbe(rec), Cost: metrics.DefaultCost(),
+		Probe:          metrics.NewProbe(rec, metrics.DefaultCost()),
 		BlobCacheBytes: cacheBytes,
 	})
 	if err != nil {

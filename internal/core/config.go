@@ -24,10 +24,8 @@ import (
 type Config struct {
 	// Endpoints locates the production Grid's access points.
 	Endpoints cyberaide.Endpoints
-	// Probe accounts the appliance host's resources; may be nil.
+	// Probe accounts the host's resources by its cost model; may be nil.
 	Probe *metrics.Probe
-	// Cost is the CPU cost model; zero value disables cost burning.
-	Cost metrics.Cost
 	// DBDir persists the database; empty keeps it in memory.
 	DBDir string
 	// GridDial is how the appliance reaches the grid: MyProxy's connection,

@@ -82,7 +82,7 @@ func (x *executable) fetch() {
 		o, raw, stored := x.o, x.row.RawSize, len(x.row.Gzip)
 		sp := o.parts.Tracing.StartSpan("db.fetch", x.root.Context())
 		o.cfg.Probe.DiskRead(stored)
-		o.cfg.Probe.BurnFor(raw, o.cfg.Cost.DecompressBps)
+		o.cfg.Probe.Decompress(raw)
 		sp.SetInt("bytes", int64(raw))
 		sp.SetInt("stored_bytes", int64(stored))
 		sp.End()

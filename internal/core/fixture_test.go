@@ -110,9 +110,9 @@ func newFixture(t *testing.T, mutate func(*Config), opts ...fixtureOpt) *fixture
 	probes := &probeLog{}
 	rec := metrics.NewRecorder(3 * time.Second)
 	rec.Observe = probes.observe
-	probe, cost := metrics.NewProbe(rec), metrics.DefaultCost()
+	probe := metrics.NewProbe(rec, metrics.DefaultCost())
 	if db == nil {
-		db, err = blobdb.Open(blobdb.Options{Probe: probe, Cost: cost})
+		db, err = blobdb.Open(blobdb.Options{Probe: probe})
 		must(t, err)
 		t.Cleanup(func() { db.Close() })
 	}
@@ -124,13 +124,13 @@ func newFixture(t *testing.T, mutate func(*Config), opts ...fixtureOpt) *fixture
 		f.grid.Out = out
 		t.Cleanup(out.CloseIdleConnections)
 	}
-	f.cfg = Config{Probe: probe, Cost: cost, PollInterval: 2 * time.Second, InvocationTimeout: time.Hour, Trace: f.col}
+	f.cfg = Config{Probe: probe, PollInterval: 2 * time.Second, InvocationTimeout: time.Hour, Trace: f.col}
 	f.parts = Parts{
 		DB:        db,
-		Container: soap.NewServer(probe, cost),
+		Container: soap.NewServer(probe),
 		Registry:  uddi.NewRegistry(nil),
 		Agent: cyberaide.New(cyberaide.Options{
-			Endpoints: env.Endpoints(), Probe: probe, Cost: cost, Dial: dial, Transport: f.grid,
+			Endpoints: env.Endpoints(), Probe: probe, Dial: dial, Transport: f.grid,
 		}),
 		BaseURL: "http://appliance.test",
 	}
@@ -262,8 +262,8 @@ func (f *fixture) site(name string) *gridsim.Site {
 	return s
 }
 
-// probeLog is the Observe hook of the fixture's recorder. Every Burn,
-// DiskRead and DiskWrite accounts exactly once, so the log says what each
+// probeLog is the Observe hook of the fixture's recorder. Every CPU
+// charge, DiskRead and DiskWrite accounts exactly once, so the log says what each
 // call was: kind, amount, order — the sequence the paper's figures are
 // drawn from.
 type probeLog struct {

@@ -345,7 +345,7 @@ func (o *OnServe) stageAndSubmit(inv *Invocation, sessionID string, exe *executa
 		// generated by using the specified parameters and the name of the
 		// executable. Finally, the job is submitted to the Grid." This is
 		// the second CPU peak of Fig. 6.
-		o.cfg.Probe.Burn(o.cfg.Cost.JobSubmit)
+		o.cfg.Probe.JobSubmit()
 		inv.sessionID, inv.Site, inv.JobID = sessionID, candidate, jobID(inv.Ticket, candidate)
 		desc := jsdl.Description{
 			Name:       exe.service,

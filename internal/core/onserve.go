@@ -442,7 +442,7 @@ func (o *OnServe) uploadAndGenerate(user, fileName, description string, params [
 
 	// Service build (paper §VII-A "Service build"): the ant-build stand-in
 	// instantiates the service template — a CPU burst on the appliance.
-	o.cfg.Probe.Burn(o.cfg.Cost.ServiceBuild)
+	o.cfg.Probe.ServiceBuild()
 	svc := o.buildService(serviceName, description, params)
 	if err := o.parts.Container.Deploy(svc); err != nil {
 		tab.Delete(serviceName)
@@ -538,7 +538,7 @@ func (o *OnServe) RedeployAll() (int, error) {
 		if _, deployed := o.parts.Container.Lookup(info.ServiceName); deployed {
 			continue
 		}
-		o.cfg.Probe.Burn(o.cfg.Cost.ServiceBuild)
+		o.cfg.Probe.ServiceBuild()
 		svc := o.buildService(info.ServiceName, info.Description, info.Params)
 		if err := o.parts.Container.Deploy(svc); err != nil {
 			return n, fmt.Errorf("onserve: redeploy %s: %w", info.ServiceName, err)

@@ -70,7 +70,6 @@ type Session struct {
 type Agent struct {
 	endpoints Endpoints
 	probe     *metrics.Probe
-	cost      metrics.Cost
 	// rt carries GRAM and GridFTP traffic; dial makes MyProxy's
 	// connection (see Options).
 	rt   http.RoundTripper
@@ -91,7 +90,6 @@ type sessionTable struct {
 type Options struct {
 	Endpoints Endpoints
 	Probe     *metrics.Probe
-	Cost      metrics.Cost
 	// Dial reaches the grid: MyProxy's TCP connection, and GRAM's and
 	// GridFTP's through hop.NewTransport(Dial) unless Transport is set. Nil
 	// dials TCP.
@@ -110,7 +108,6 @@ func New(opts Options) *Agent {
 	return &Agent{
 		endpoints: opts.Endpoints,
 		probe:     opts.Probe,
-		cost:      opts.Cost,
 		rt:        rt,
 		dial:      opts.Dial,
 		state:     &sessionTable{sessions: make(map[string]*Session)},
@@ -163,7 +160,7 @@ func (a *Agent) Authenticate(user, passphrase string, lifetime time.Duration) (*
 	if lifetime <= 0 {
 		lifetime = DefaultProxyLifetime
 	}
-	a.probe.Burn(a.cost.Auth)
+	a.probe.Auth()
 	mp := &myproxy.Client{Addr: a.endpoints.MyProxyAddr, Dial: a.dial, Trace: a.trace.String()}
 	proxy, err := mp.Get(user, passphrase, lifetime)
 	if err != nil {

@@ -93,8 +93,7 @@ func newWorld(t *testing.T) *world {
 			MyProxyAddr: ln.Addr().String(),
 			FTPURLs:     ftpURLs,
 		},
-		Probe: metrics.NewProbe(w.rec),
-		Cost:  metrics.Cost{Auth: 100 * time.Millisecond},
+		Probe: metrics.NewProbe(w.rec, metrics.Cost{Auth: 100 * time.Millisecond}),
 		Dial:  w.net.DialContext,
 	})
 	w.grid = grid
@@ -312,7 +311,7 @@ func TestAgentStatusBatchAndConditionalOutput(t *testing.T) {
 func TestSOAPFacade(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		w := newWorld(t)
-		container := soap.NewServer(nil, metrics.Cost{})
+		container := soap.NewServer(nil)
 		if err := container.Deploy(w.agent.SOAPService()); err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +375,7 @@ func TestSOAPFacade(t *testing.T) {
 func TestSOAPFacadeFaults(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		w := newWorld(t)
-		container := soap.NewServer(nil, metrics.Cost{})
+		container := soap.NewServer(nil)
 		container.Deploy(w.agent.SOAPService())
 		c := soap.Client{HTTP: &http.Client{Transport: hop.NewTransport(w.net.DialContext)}}
 		url := w.serve(t, container) + "/services/" + ServiceName

@@ -28,19 +28,13 @@ func TestReplicateBetweenSites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			st, err := w.agent.Status(sess.ID, jobID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.State == "DONE" {
-				break
-			}
-			if st.State == "FAILED" || time.Now().After(deadline) {
-				t.Fatalf("replicated job %v", st)
-			}
-			time.Sleep(time.Millisecond)
+		job, err := w.grid.Job(jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		if st, err := w.agent.Status(sess.ID, jobID); err != nil || st.State != "DONE" {
+			t.Fatalf("replicated job %v, %v", st, err)
 		}
 		out, _ := w.agent.Output(sess.ID, jobID)
 		if out != "replicated\n" {

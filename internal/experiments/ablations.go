@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/appliance"
 	"repro/internal/gsh"
 	"repro/internal/metrics"
 )
@@ -44,11 +43,11 @@ func (r *AblationResult) at(study, variant string) func(metric string, v float64
 	}
 }
 
-// variant is one column of a study: a name and the knobs it turns on top
-// of the study's shared configuration (nil: none, the stock column).
+// variant is one column of a study: a name and what it sets on top of
+// the study's shared Options (nil: nothing, the stock column).
 type variant struct {
-	name  string
-	knobs func(*appliance.Config)
+	name string
+	set  func(*Options)
 }
 
 // variantTable is a study's variants in the order they are reported.
@@ -58,13 +57,13 @@ type variantTable struct {
 	all  []variant
 }
 
-// run boots one rig per variant — o with the variant's knobs applied —
-// runs body on it and shuts it down.
+// run boots one rig per variant — o with the variant's settings applied
+// — runs body on it and shuts it down.
 func (t variantTable) run(o Options, body func(variant string, r *rig) error) error {
 	for _, v := range t.all {
 		vo := o
-		if v.knobs != nil {
-			v.knobs(&vo.Appliance)
+		if v.set != nil {
+			v.set(&vo)
 		}
 		err := withRig(vo, func(r *rig) error { return body(v.name, r) })
 		if err != nil {
@@ -100,7 +99,7 @@ func AblationPolling(opts Options, intervals []time.Duration) (*AblationResult, 
 	table := variantTable{what: "poll-interval"}
 	for _, interval := range intervals {
 		table.all = append(table.all, variant{interval.String(),
-			func(c *appliance.Config) { c.PollInterval = interval }})
+			func(o *Options) { o.Appliance.PollInterval = interval }})
 	}
 	err := table.run(opts, func(variant string, r *rig) error {
 		svc, err := r.deploy("polljob.gsh", "emit 6s 10 progress-line\n")
@@ -123,11 +122,10 @@ func AblationPolling(opts Options, intervals []time.Duration) (*AblationResult, 
 }
 
 // compressAt is the default cost model with gzip running at bps.
-func compressAt(bps float64) func(*appliance.Config) {
-	return func(c *appliance.Config) {
-		c.Cost = metrics.DefaultCost()
-		c.Cost.CompressBps = bps
-		c.Cost.DecompressBps = 3 * bps
+func compressAt(bps float64) func(*Options) {
+	return func(o *Options) {
+		o.Cost = metrics.DefaultCost()
+		o.Cost.CompressBps, o.Cost.DecompressBps = bps, 3*bps
 	}
 }
 

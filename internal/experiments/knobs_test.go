@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -83,14 +84,7 @@ func TestKnobs(t *testing.T) {
 	if got, want := len(res.Rows), len(configs)*len(knobScenarios)*5; got != want {
 		t.Fatalf("%d rows, want %d", got, want)
 	}
-	blob, err := os.ReadFile(filepath.Join(resultsDir, "knobs.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var checkedIn AblationResult
-	if err := json.Unmarshal(blob, &checkedIn); err != nil {
-		t.Fatalf("results/knobs.json: %v", err)
-	}
+	blob, checkedIn := checkedInKnobs(t)
 	want := checkedIn.Rows
 	if testing.Short() {
 		want = nil
@@ -119,6 +113,19 @@ func TestKnobs(t *testing.T) {
 		t.Fatal("regenerated knobs study differs from results/knobs.json (its notes?)")
 	}
 	knobVerdicts(t, ablationMap(res))
+}
+
+// checkedInKnobs reads results/knobs.json, as bytes and as a result.
+func checkedInKnobs(t *testing.T) ([]byte, AblationResult) {
+	blob, err := os.ReadFile(filepath.Join(resultsDir, "knobs.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res AblationResult
+	if err := json.Unmarshal(blob, &res); err != nil {
+		t.Fatalf("results/knobs.json: %v", err)
+	}
+	return blob, res
 }
 
 // knobVerdicts judges each knob, one subtest each, on the scenario it
@@ -161,6 +168,45 @@ func knobVerdicts(t *testing.T, vals map[string]float64) {
 				t.Errorf("%s %s: %s %v, production %v: production loses nothing without the knob", v.scenario, v.metric, v.without, without, prod)
 			}
 		})
+	}
+}
+
+// TestPushRowRepeats runs the knobs study's fig6 paper+PushEvents row
+// many times side by side, on more threads than cores so that the
+// scheduler varies its order, and wants every run to read what
+// results/knobs.json holds. The row once read 12 bytes less in and
+// 0.14 ms shorter, about once in a thousand runs: a job's output
+// announcement raced its next write at one instant, and the event
+// stream's frame carried whichever the gatekeeper saw.
+func TestPushRowRepeats(t *testing.T) {
+	runs := 1500
+	if testing.Short() {
+		runs = 200
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	configs := knobConfigs()
+	config := configs[slices.IndexFunc(configs, func(c knobConfig) bool { return c.name == "paper+PushEvents" })]
+	ms := make([]measurement, runs)
+	err := fanOut(runs, runtime.GOMAXPROCS(0), func(i int) error {
+		return withRig(Options{Appliance: config.cfg}, func(r *rig) (err error) { ms[i], err = fig6(r); return err })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, checkedIn := checkedInKnobs(t)
+	want := ablationMap(&checkedIn)
+	at := func(metric string) float64 { return want["fig6/"+config.name+"/"+metric] }
+	differ := 0
+	for _, m := range ms {
+		if m.seconds != at("duration_s") || m.sum["net_in_total_b"] != at("net_in_b") {
+			if differ++; differ == 1 {
+				t.Errorf("a run read duration_s %v, net_in_b %v; results/knobs.json has %v, %v",
+					m.seconds, m.sum["net_in_total_b"], at("duration_s"), at("net_in_b"))
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d runs differ", differ, runs)
 	}
 }
 

@@ -22,6 +22,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -50,11 +51,13 @@ const (
 // Options tunes an experiment run.
 type Options struct {
 	// Appliance is the configuration under test: the paper profile (the
-	// zero value) plus whatever knobs the experiment flips. newRig
-	// completes it with the rig's own wiring — Endpoints, Probe,
-	// Cost (metrics.DefaultCost unless it brings its own), the shaped
-	// grid and user links, Trace — and a one-hour InvocationTimeout.
+	// zero value) plus whatever knobs the experiment flips. newRig adds
+	// its own wiring — Endpoints, Probe, the shaped grid and user links,
+	// Trace — and a one-hour InvocationTimeout.
 	Appliance appliance.Config
+	// Cost is the host's cost model the rig's probe charges; the zero
+	// value means metrics.DefaultCost.
+	Cost metrics.Cost
 	// Tracing turns on the distributed tracer: one collector shared by
 	// the grid environment and the appliance, so each invocation yields
 	// a single cross-service span tree (read back via door.trace).
@@ -148,10 +151,9 @@ var aliceAuth = core.UserAuth{MyProxyUser: "alice", Passphrase: "pw"}
 
 // rig is the booted single-appliance measurement stack.
 type rig struct {
-	rec   *metrics.Recorder
-	probe *metrics.Probe
-	env   *gridenv.Env
-	app   *appliance.Appliance
+	rec *metrics.Recorder
+	env *gridenv.Env
+	app *appliance.Appliance
 	// uplink dials across the shaped WAN, as the appliance does.
 	uplink *netsim.Dialer
 	// userHTTP reaches the appliance over the shaped LAN.
@@ -183,7 +185,7 @@ func withRig(opts Options, fn func(*rig) error) error {
 func newRig(opts Options) (*rig, error) {
 	pipes := netsim.NewNet()
 	rec := metrics.NewRecorder(sampleInterval)
-	probe := metrics.NewProbe(rec)
+	probe := metrics.NewProbe(rec, cmp.Or(opts.Cost, metrics.DefaultCost()))
 	wan := netsim.WAN()
 	lan := netsim.LAN()
 	var col *trace.Collector
@@ -203,9 +205,6 @@ func newRig(opts Options) (*rig, error) {
 	cfg := opts.Appliance
 	cfg.Endpoints = env.Endpoints()
 	cfg.Probe = probe
-	if cfg.Cost == (metrics.Cost{}) {
-		cfg.Cost = metrics.DefaultCost()
-	}
 	uplink := &netsim.Dialer{Profile: wan, Probe: probe, Net: pipes}
 	cfg.GridDial = uplink.DialContext
 	cfg.InvocationTimeout = time.Hour
@@ -221,7 +220,7 @@ func newRig(opts Options) (*rig, error) {
 	app.OnServe.RegisterUser("alice", aliceAuth)
 
 	userHTTP := &http.Client{Transport: hop.NewTransport((&netsim.Dialer{Profile: lan, Net: pipes}).DialContext)}
-	return &rig{rec: rec, probe: probe, env: env, app: app, uplink: uplink, userHTTP: userHTTP}, nil
+	return &rig{rec: rec, env: env, app: app, uplink: uplink, userHTTP: userHTTP}, nil
 }
 
 func (r *rig) close() {

@@ -104,7 +104,7 @@ func TraceBreakdown(opts Options, largeBytes int) (*TraceResult, error) {
 	largeBytes = orDefault(largeBytes, largeProgramSize)
 	table := variantTable{"trace", []variant{
 		{"stock", nil},
-		{"production", func(c *appliance.Config) { *c = appliance.Production("") }},
+		{"production", func(o *Options) { o.Appliance = appliance.Production("") }},
 	}}
 	res := &TraceResult{
 		Name:  "trace",

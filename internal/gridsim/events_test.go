@@ -1,6 +1,8 @@
 package gridsim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -306,6 +308,41 @@ func TestGridPublishesJobLifecycle(t *testing.T) {
 		}
 		if terminalVer != j.StdoutVersion() {
 			t.Fatalf("terminal event carries version %d, job at %d", terminalVer, j.StdoutVersion())
+		}
+	})
+}
+
+// TestOutputAnnouncedAfterItsInstant: a job's output versions are
+// announced once it has written everything it writes at that instant, so
+// a subscriber woken by the first announcement of an instant already
+// finds the instant's last version, whichever goroutine runs first.
+func TestOutputAnnouncedAfterItsInstant(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		g, err := New(SiteConfig{Name: "siteA", Nodes: 1, CoresPerNode: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		site, _ := g.Site("siteA")
+		if err := site.Store().Put(owner, "pair.gsh", []byte("echo one\necho two\ncompute 1s\necho three\n")); err != nil {
+			t.Fatal(err)
+		}
+		sub, _, _ := g.Events().Subscribe(owner, "", 0)
+		defer g.Events().Unsubscribe(sub)
+		j, err := g.Submit(jsdl.Description{Owner: owner, Executable: "pair.gsh"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []string
+		for ev := range sub.C {
+			if ev.Type == EventOutput {
+				seen = append(seen, fmt.Sprintf("v%d@v%d", ev.OutputVersion, j.StdoutVersion()))
+			}
+			if ev.State == Succeeded.String() {
+				break
+			}
+		}
+		if want := []string{"v1@v2", "v2@v2", "v3@v3"}; !slices.Equal(seen, want) {
+			t.Fatalf("announced version @ job's version when read: %q, want %q", seen, want)
 		}
 	})
 }

@@ -184,29 +184,34 @@ func (j *Job) Times() (submitted, started, ended time.Time) {
 	return j.submitted, j.started, j.ended
 }
 
-// writeStdout appends to the job's stdout stream and returns the new
-// output version (unchanged when p is empty).
-func (j *Job) writeStdout(p []byte) (n int, ver uint64, err error) {
+// writeStdout appends to the job's stdout stream, a new output version
+// unless p is empty.
+func (j *Job) writeStdout(p []byte) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if len(p) > 0 {
 		j.stdoutVer++
 	}
-	n, err = j.stdout.Write(p)
-	return n, j.stdoutVer, err
+	return j.stdout.Write(p)
 }
 
+// stdoutWriter is a running job's stdout. A write appends at once, and
+// gsh's Flush announces it: so a reader an announcement wakes finds every
+// write of that instant, whichever goroutine the scheduler runs first.
 type stdoutWriter struct {
-	j *Job
-	s *Site
+	j         *Job
+	s         *Site
+	announced uint64 // the last version Flush announced
 }
 
-func (w stdoutWriter) Write(p []byte) (int, error) {
-	n, ver, err := w.j.writeStdout(p)
-	if len(p) > 0 && w.s != nil {
-		w.s.publishOutput(w.j, ver)
+func (w *stdoutWriter) Write(p []byte) (int, error) { return w.j.writeStdout(p) }
+
+// Flush announces every version written since the last Flush, in order.
+func (w *stdoutWriter) Flush() {
+	for ver := w.j.StdoutVersion(); w.announced < ver; {
+		w.announced++
+		w.s.publishOutput(w.j, w.announced)
 	}
-	return n, err
 }
 
 // writeOutput stores an output artifact, enforcing the per-job quota.

@@ -531,7 +531,7 @@ func (s *Site) execute(j *Job, startedAt time.Time) (State, string) {
 	wallTime := s.wallTimeOf(j)
 	env := &gsh.Env{
 		Args:   j.Desc.Arguments,
-		Stdout: stdoutWriter{j: j, s: s},
+		Stdout: &stdoutWriter{j: j, s: s},
 		CPU: func(d time.Duration) {
 			scaled := time.Duration(float64(d) / s.cfg.CPUFactor)
 			time.Sleep(scaled)

@@ -297,7 +297,8 @@ func parseCount(args []string, line int) (int64, error) {
 type Env struct {
 	// Args are the invocation parameters substituted into ${name}.
 	Args map[string]string
-	// Stdout receives echo/emit output.
+	// Stdout receives echo/emit output. One with a Flush() method is
+	// flushed before each wait on the clock, and at the end.
 	Stdout io.Writer
 	// CPU is invoked for compute statements; the worker wires this to its
 	// CPU model. Nil falls back to time.Sleep.
@@ -318,6 +319,26 @@ var ErrCancelled = errors.New("gsh: execution cancelled")
 // ErrNoInput reports a read/process statement on a node without staging.
 var ErrNoInput = errors.New("gsh: no staged input available")
 
+// wait flushes Stdout and blocks the program for d on the clock: compute
+// time when cpu is set and so is CPU.
+func (e *Env) wait(d time.Duration, cpu bool) {
+	if d > 0 {
+		e.flush()
+	}
+	if cpu && e.CPU != nil {
+		e.CPU(d)
+		return
+	}
+	time.Sleep(d)
+}
+
+// flush flushes Stdout, if it can be.
+func (e *Env) flush() {
+	if f, ok := e.Stdout.(interface{ Flush() }); ok {
+		f.Flush()
+	}
+}
+
 func (e *Env) cancelled() bool {
 	if e.Done == nil {
 		return false
@@ -334,6 +355,7 @@ func (e *Env) cancelled() bool {
 // program's message) when a fail statement executes.
 func (p *Program) Run(env *Env) error {
 	steps := 0
+	defer env.flush()
 	return runBlock(p.Stmts, env, &steps)
 }
 
@@ -348,13 +370,9 @@ func runBlock(stmts []Stmt, env *Env, steps *int) error {
 		s := &stmts[i]
 		switch s.Op {
 		case "compute":
-			if env.CPU != nil {
-				env.CPU(s.Dur)
-			} else {
-				time.Sleep(s.Dur)
-			}
+			env.wait(s.Dur, true)
 		case "sleep":
-			time.Sleep(s.Dur)
+			env.wait(s.Dur, false)
 		case "echo":
 			if env.Stdout != nil {
 				fmt.Fprintln(env.Stdout, Expand(s.Text, env.Args))
@@ -377,12 +395,7 @@ func runBlock(stmts []Stmt, env *Env, steps *int) error {
 			}
 			if s.Op == "process" {
 				// Size/rate of CPU-bound work; rate is KB per second.
-				d := time.Duration(float64(len(data)) / float64(s.Size<<10) * float64(time.Second))
-				if env.CPU != nil {
-					env.CPU(d)
-				} else {
-					time.Sleep(d)
-				}
+				env.wait(time.Duration(float64(len(data))/float64(s.Size<<10)*float64(time.Second)), true)
 			}
 			if env.Stdout != nil {
 				fmt.Fprintf(env.Stdout, "%s %s: %d bytes\n", s.Op, name, len(data))
@@ -390,7 +403,7 @@ func runBlock(stmts []Stmt, env *Env, steps *int) error {
 		case "emit":
 			text := Expand(s.Text, env.Args)
 			for n := int64(0); n < s.Count; n++ {
-				time.Sleep(s.Interval)
+				env.wait(s.Interval, false)
 				if env.cancelled() {
 					return ErrCancelled
 				}

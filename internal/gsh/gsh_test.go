@@ -146,6 +146,28 @@ func TestRunComputeUsesCPUHook(t *testing.T) {
 	}
 }
 
+// flushLog is a Stdout that logs each Write as W and each Flush as F.
+type flushLog struct{ ops string }
+
+func (l *flushLog) Write(p []byte) (int, error) { l.ops += "W"; return len(p), nil }
+func (l *flushLog) Flush()                      { l.ops += "F" }
+
+// TestRunFlushesBeforeEachWait: a Stdout that can be flushed is flushed
+// before every wait on the clock and once at the end, so what was written
+// before a flush is everything the program writes at that instant.
+func TestRunFlushesBeforeEachWait(t *testing.T) {
+	bubble.Test(t, func(t *testing.T) {
+		p := mustParse(t, "echo a\necho b\ncompute 1s\necho c\nemit 1s 2 d\necho e\n")
+		var out flushLog
+		if err := p.Run(&Env{Stdout: &out, CPU: func(time.Duration) {}}); err != nil {
+			t.Fatal(err)
+		}
+		if want := "WWFWFWFWWF"; out.ops != want {
+			t.Fatalf("writes and flushes %q, want %q", out.ops, want)
+		}
+	})
+}
+
 func TestRunSleepUsesClock(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		p := mustParse(t, "sleep 10s\n")

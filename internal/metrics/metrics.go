@@ -5,8 +5,8 @@
 //
 // Network byte counts are real: they are reported by the shaped
 // connections in internal/netsim as traffic actually crosses them. CPU
-// and disk are accounted through an explicit cost model (package-level
-// operations call Probe methods), because the host CPU a simulated run
+// and disk are accounted through an explicit cost model (components name
+// their charges on a Probe), because the host CPU a simulated run
 // spends has nothing to do with the virtual time it models.
 package metrics
 

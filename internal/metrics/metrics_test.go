@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,22 +196,17 @@ func TestRecorderRejectsBadInterval(t *testing.T) {
 
 func TestNilProbeSafe(t *testing.T) {
 	var p *Probe
-	p.Burn(time.Second)
-	p.BurnFor(100, 1000)
 	p.DiskRead(10)
 	p.DiskWrite(10)
 	p.NetIn(time.Now(), 5)
 	p.NetOut(time.Now(), 5)
-	if p.Recorder() != nil {
-		t.Fatal("nil probe recorder should be nil")
-	}
 }
 
 func TestProbeBurnAdvancesClockAndAccounts(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		rec := NewRecorder(3 * time.Second)
-		p := NewProbe(rec)
-		p.Burn(2 * time.Second)
+		p := NewProbe(rec, Cost{})
+		p.burn(2 * time.Second)
 		if got := rec.Total(CPU); math.Abs(got-float64(2*time.Second)) > float64(time.Millisecond) {
 			t.Fatalf("cpu total %v, want 2s worth", time.Duration(got))
 		}
@@ -219,38 +216,79 @@ func TestProbeBurnAdvancesClockAndAccounts(t *testing.T) {
 func TestProbeBurnForUsesRate(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		rec := NewRecorder(3 * time.Second)
-		p := NewProbe(rec)
-		p.BurnFor(1<<20, 1<<20) // 1 MiB at 1 MiB/s = 1s of CPU
+		p := NewProbe(rec, Cost{})
+		p.burnFor(1<<20, 1<<20) // 1 MiB at 1 MiB/s = 1s of CPU
 		if got := time.Duration(rec.Total(CPU)); got != time.Second {
 			t.Fatalf("cpu total %v, want 1s", got)
 		}
 	})
 }
 
-func TestProbeDiskPacing(t *testing.T) {
-	bubble.Test(t, func(t *testing.T) {
-		rec := NewRecorder(3 * time.Second)
-		p := NewProbe(rec)
-		p.DiskWriteBps = 1 << 20
-		start := time.Now()
-		p.DiskWrite(1 << 20) // takes 1 virtual second
-		if elapsed := time.Since(start); elapsed != time.Second {
-			t.Fatalf("paced disk write took %v virtual, want 1s", elapsed)
-		}
-		if rec.Total(DiskWrite) != float64(1<<20) {
-			t.Fatalf("disk bytes = %v", rec.Total(DiskWrite))
-		}
-	})
+// TestProbeCharges: every charge a component names on a probe accounts
+// what the cost model prices it at, in one accounting, over exactly that
+// much virtual time; a zero model charges no CPU; and a nil probe — what
+// the real-clock benchmark runs — accounts nothing and allocates nothing.
+func TestProbeCharges(t *testing.T) {
+	const n = 1234567 // bytes: not a multiple of any rate
+	c := DefaultCost()
+	atRate := func(bps float64) time.Duration { return time.Duration(float64(n) / bps * float64(time.Second)) }
+	for _, tc := range []struct {
+		name   string
+		charge func(*Probe)
+		kind   Kind
+		amount float64       // accounted
+		took   time.Duration // virtual time the charge blocks
+		model  bool          // priced by the cost model: a zero Cost charges nothing
+	}{
+		{"Compress", func(p *Probe) { p.Compress(n) }, CPU, float64(atRate(c.CompressBps)), atRate(c.CompressBps), true},
+		{"Decompress", func(p *Probe) { p.Decompress(n) }, CPU, float64(atRate(c.DecompressBps)), atRate(c.DecompressBps), true},
+		{"Receive", func(p *Probe) { p.Receive(n) }, CPU, float64(atRate(c.ReceiveBps)), atRate(c.ReceiveBps), true},
+		{"ServiceBuild", (*Probe).ServiceBuild, CPU, float64(c.ServiceBuild), c.ServiceBuild, true},
+		{"JobSubmit", (*Probe).JobSubmit, CPU, float64(c.JobSubmit), c.JobSubmit, true},
+		{"Auth", (*Probe).Auth, CPU, float64(c.Auth), c.Auth, true},
+		{"Request", (*Probe).Request, CPU, float64(c.RequestHandling), c.RequestHandling, true},
+		{"DiskRead", func(p *Probe) { p.DiskRead(n) }, DiskRead, n, 0, false},
+		{"DiskWrite", func(p *Probe) { p.DiskWrite(n) }, DiskWrite, n, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bubble.Test(t, func(t *testing.T) {
+				for _, cost := range []Cost{c, {}} {
+					rec := NewRecorder(3 * time.Second)
+					var log []string
+					rec.Observe = func(k Kind, amount float64) { log = append(log, fmt.Sprintf("%s %v", k, amount)) }
+					amount, took := tc.amount, tc.took
+					if cost == (Cost{}) && tc.model {
+						amount, took = 0, 0
+					}
+					start := time.Now()
+					tc.charge(NewProbe(rec, cost))
+					if got := time.Since(start); got != took {
+						t.Errorf("cost %+v: took %v virtual, want %v", cost, got, took)
+					}
+					var want []string
+					if amount != 0 {
+						want = []string{fmt.Sprintf("%s %v", tc.kind, amount)}
+					}
+					if !slices.Equal(log, want) {
+						t.Errorf("cost %+v: accounted %q, want %q", cost, log, want)
+					}
+				}
+			})
+			if allocs := testing.AllocsPerRun(100, func() { tc.charge(nil) }); allocs != 0 {
+				t.Errorf("a nil probe's charge allocates %v objects, want 0", allocs)
+			}
+		})
+	}
 }
 
 func TestProbeDiskUnpacedInstant(t *testing.T) {
 	// An account that waited on the clock would leave the bubble deadlocked.
 	bubble.Test(t, func(t *testing.T) {
 		rec := NewRecorder(3 * time.Second)
-		p := NewProbe(rec)
+		p := NewProbe(rec, DefaultCost())
 		done := make(chan struct{})
 		go func() {
-			p.DiskRead(1 << 30) // no rate set: instantaneous
+			p.DiskRead(1 << 30) // disk time is not modelled: instantaneous
 			close(done)
 		}()
 		<-done

@@ -2,40 +2,57 @@ package metrics
 
 import "time"
 
-// Probe is the hook components use to report resource consumption. A nil
-// *Probe is valid and discards everything, so production code paths can be
-// instrumented unconditionally.
-//
-// CPU and disk operations also *take time*: Burn and
-// the disk helpers sleep for the modelled duration, which is what makes
-// CPU-heavy phases (decompressing a blob, building a service) show up as
-// utilisation peaks spread over the correct wall-clock span, exactly as in
-// the paper's figures.
+// Probe is the hook components use to report resource consumption, and
+// the one place the host's cost model is known: a component names what
+// it did (Decompress, JobSubmit, Request, ...) and the probe prices it by
+// its Cost. A nil *Probe accounts nothing, so production code paths can
+// be instrumented unconditionally. CPU charges also *take time*: they
+// sleep for the modelled duration, which spreads a CPU-heavy phase
+// (decompressing a blob, building a service) as a utilisation peak over
+// the correct span, exactly as in the paper's figures.
 type Probe struct {
-	rec *Recorder
-	// DiskReadBps / DiskWriteBps model hard-disk bandwidth. Zero means the
-	// operation is instantaneous (bytes still accounted).
-	DiskReadBps  float64
-	DiskWriteBps float64
+	rec  *Recorder
+	cost Cost
 }
 
-// NewProbe returns a probe feeding rec.
-func NewProbe(rec *Recorder) *Probe {
-	return &Probe{rec: rec}
-}
+// NewProbe returns a probe feeding rec and charging by cost.
+func NewProbe(rec *Recorder, cost Cost) *Probe { return &Probe{rec: rec, cost: cost} }
 
-// Recorder returns the underlying recorder, or nil.
-func (p *Probe) Recorder() *Recorder {
+// noCost is a nil probe's model: it charges nothing.
+var noCost Cost
+
+func (p *Probe) model() *Cost {
 	if p == nil {
-		return nil
+		return &noCost
 	}
-	return p.rec
+	return &p.cost
 }
 
-// Burn models a CPU burst: it blocks for d of virtual time and accounts d
+// Compress charges gzip over n raw bytes.
+func (p *Probe) Compress(n int) { p.burnFor(n, p.model().CompressBps) }
+
+// Decompress charges inflating n raw bytes.
+func (p *Probe) Decompress(n int) { p.burnFor(n, p.model().DecompressBps) }
+
+// Receive charges receiving and buffering an n-byte upload.
+func (p *Probe) Receive(n int) { p.burnFor(n, p.model().ReceiveBps) }
+
+// ServiceBuild charges building and deploying one service.
+func (p *Probe) ServiceBuild() { p.burn(p.model().ServiceBuild) }
+
+// JobSubmit charges generating a job description and submitting it.
+func (p *Probe) JobSubmit() { p.burn(p.model().JobSubmit) }
+
+// Auth charges retrieving and verifying a credential.
+func (p *Probe) Auth() { p.burn(p.model().Auth) }
+
+// Request charges the container's handling of one HTTP request.
+func (p *Probe) Request() { p.burn(p.model().RequestHandling) }
+
+// burn models a CPU burst: it blocks for d of virtual time and accounts d
 // of CPU busy time spread over the burst.
-func (p *Probe) Burn(d time.Duration) {
-	if p == nil || p.rec == nil || d <= 0 {
+func (p *Probe) burn(d time.Duration) {
+	if d <= 0 || p.rec == nil {
 		return
 	}
 	start := time.Now()
@@ -43,61 +60,42 @@ func (p *Probe) Burn(d time.Duration) {
 	p.rec.AccountSpan(CPU, start, d, float64(d))
 }
 
-// BurnFor models processing n bytes at bps bytes/second of CPU-bound work
-// (compression, checksumming, service build). Zero bps is a no-op.
-func (p *Probe) BurnFor(n int, bps float64) {
-	if p == nil || bps <= 0 || n <= 0 {
-		return
+// burnFor models processing n bytes at bps bytes/second of CPU-bound work.
+// Zero bps is a no-op.
+func (p *Probe) burnFor(n int, bps float64) {
+	if bps > 0 && n > 0 {
+		p.burn(time.Duration(float64(n) / bps * float64(time.Second)))
 	}
-	p.Burn(time.Duration(float64(n) / bps * float64(time.Second)))
 }
 
-// DiskRead accounts (and paces, if DiskReadBps is set) an n-byte read.
-func (p *Probe) DiskRead(n int) {
-	p.disk(DiskRead, n, func() float64 { return p.DiskReadBps })
+// DiskRead accounts an n-byte read, at once: disk time is not modelled.
+func (p *Probe) DiskRead(n int) { p.disk(DiskRead, n) }
+
+// DiskWrite accounts an n-byte write, at once.
+func (p *Probe) DiskWrite(n int) { p.disk(DiskWrite, n) }
+
+func (p *Probe) disk(k Kind, n int) {
+	if p != nil && n > 0 {
+		p.account(k, time.Now(), n)
+	}
 }
 
-// DiskWrite accounts (and paces, if DiskWriteBps is set) an n-byte write.
-func (p *Probe) DiskWrite(n int) {
-	p.disk(DiskWrite, n, func() float64 { return p.DiskWriteBps })
-}
-
-func (p *Probe) disk(k Kind, n int, bps func() float64) {
-	if p == nil || p.rec == nil || n <= 0 {
-		return
-	}
-	start := time.Now()
-	rate := bps()
-	if rate <= 0 {
-		p.rec.Account(k, start, float64(n))
-		return
-	}
-	d := time.Duration(float64(n) / rate * float64(time.Second))
-	time.Sleep(d)
-	p.rec.AccountSpan(k, start, d, float64(n))
-}
-
-// NetIn accounts n bytes received at instant at. Called by netsim as
-// traffic actually arrives; no pacing happens here.
-func (p *Probe) NetIn(at time.Time, n int) {
-	if p == nil || p.rec == nil {
-		return
-	}
-	p.rec.Account(NetIn, at, float64(n))
-}
+// NetIn accounts n bytes received at instant at, as netsim sees them.
+func (p *Probe) NetIn(at time.Time, n int) { p.account(NetIn, at, n) }
 
 // NetOut accounts n bytes sent at instant at.
-func (p *Probe) NetOut(at time.Time, n int) {
-	if p == nil || p.rec == nil {
-		return
+func (p *Probe) NetOut(at time.Time, n int) { p.account(NetOut, at, n) }
+
+func (p *Probe) account(k Kind, at time.Time, n int) {
+	if p != nil && p.rec != nil {
+		p.rec.Account(k, at, float64(n))
 	}
-	p.rec.Account(NetOut, at, float64(n))
 }
 
-// Cost collects the CPU cost model for the 2010-era appliance host the
-// paper measured. Rates are bytes per second of one core; durations are
-// fixed bursts. The absolute values are calibration knobs — the figure
-// shapes depend only on their relative magnitudes.
+// Cost is the CPU cost model a Probe charges, for the 2010-era appliance
+// host the paper measured. Rates are bytes per second of one core;
+// durations are fixed bursts. The absolute values are calibration knobs —
+// the figure shapes depend only on their relative magnitudes.
 type Cost struct {
 	// CompressBps / DecompressBps model gzip in the blob database. The
 	// paper's Fig. 6 attributes a CPU peak to "loading and decompressing

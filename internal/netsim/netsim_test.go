@@ -106,7 +106,7 @@ func TestLinkAdmitsOneInstantInKeyOrder(t *testing.T) {
 func TestNilLinkConn(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		rec := metrics.NewRecorder(3 * time.Second)
-		probe := metrics.NewProbe(rec)
+		probe := metrics.NewProbe(rec, metrics.Cost{})
 		time.Sleep(10 * time.Second) // the fourth bucket
 		c, s := pipePair(t)
 		sc := Wrap(c, nil, probe)
@@ -151,7 +151,7 @@ func TestConnRoundTripPreservesBytes(t *testing.T) {
 
 func TestConnAccountsTraffic(t *testing.T) {
 	rec := metrics.NewRecorder(3 * time.Second)
-	probe := metrics.NewProbe(rec)
+	probe := metrics.NewProbe(rec, metrics.Cost{})
 	c, s := pipePair(t)
 	sc := Wrap(c, NewLink(0), probe)
 	rs := Wrap(s, NewLink(0), probe)
@@ -197,7 +197,7 @@ func TestConnAccountsBeforeThePeerReads(t *testing.T) {
 		rec := metrics.NewRecorder(3 * time.Second)
 		c, s := pipePair(t)
 		release := make(chan struct{})
-		sc := Wrap(lateWrite{c, release}, nil, metrics.NewProbe(rec))
+		sc := Wrap(lateWrite{c, release}, nil, metrics.NewProbe(rec, metrics.Cost{}))
 		payload := bytes.Repeat([]byte("x"), writeChunk)
 		wrote := make(chan error, 1)
 		go func() {
@@ -216,7 +216,7 @@ func TestConnAccountsBeforeThePeerReads(t *testing.T) {
 		}
 
 		rec.Reset()
-		sc = Wrap(shortWrite{c}, nil, metrics.NewProbe(rec))
+		sc = Wrap(shortWrite{c}, nil, metrics.NewProbe(rec, metrics.Cost{}))
 		if n, err := sc.Write(payload); n != len(payload)/2 || err != io.ErrShortWrite {
 			t.Fatalf("short write: %d, %v", n, err)
 		}
@@ -274,7 +274,7 @@ func TestProfilesHaveExpectedRates(t *testing.T) {
 
 func TestListenerWrapsAccepted(t *testing.T) {
 	rec := metrics.NewRecorder(3 * time.Second)
-	probe := metrics.NewProbe(rec)
+	probe := metrics.NewProbe(rec, metrics.Cost{})
 	pipes := NewNet()
 	ln := NewListener(pipes.Listen(), NewProfile("unshaped", 0, 0, 0), probe)
 	defer ln.Close()

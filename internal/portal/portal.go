@@ -43,15 +43,14 @@ type Portal struct {
 	onserve  *core.OnServe
 	registry *uddi.Registry
 	probe    *metrics.Probe
-	cost     metrics.Cost
 	mux      *http.ServeMux
 }
 
 // New builds a portal for ons. registry enables the /registry browser
 // page (the UDDI inspection tool the paper notes its solution lacks);
 // probe may be nil.
-func New(ons *core.OnServe, registry *uddi.Registry, probe *metrics.Probe, cost metrics.Cost) *Portal {
-	p := &Portal{onserve: ons, registry: registry, probe: probe, cost: cost}
+func New(ons *core.OnServe, registry *uddi.Registry, probe *metrics.Probe) *Portal {
+	p := &Portal{onserve: ons, registry: registry, probe: probe}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", p.home)
 	mux.HandleFunc("/upload", postOnly(p.upload))
@@ -142,7 +141,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	p.probe.Burn(p.cost.RequestHandling)
+	p.probe.Request()
 	form, err := readUploadForm(w, r)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -154,7 +153,7 @@ func (p *Portal) upload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Reception CPU (Fig. 8): proportional to the upload size.
-	p.probe.BurnFor(form.file.RawSize(), p.cost.ReceiveBps)
+	p.probe.Receive(form.file.RawSize())
 
 	user := form.fields.Get("user")
 	description := form.fields.Get("description")
@@ -609,7 +608,7 @@ func (p *Portal) apiInvoke(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	p.probe.Burn(p.cost.RequestHandling)
+	p.probe.Request()
 	req, err := ReadInvokeRequest(r.Body, r.ContentLength)
 	r.Body.Close() // read whole: the server need not look for more of it
 	if err != nil {

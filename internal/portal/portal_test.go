@@ -11,7 +11,6 @@ import (
 	"repro/internal/appliance/appliancetest"
 	"repro/internal/bubble"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/portal"
 	"repro/internal/trace"
 	"repro/internal/uddi"
@@ -283,7 +282,7 @@ func TestRegistryPageWithoutRegistry(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		f := appliancetest.Boot(t, nil)
 		rec := httptest.NewRecorder()
-		portal.New(f.App.OnServe, nil, nil, metrics.Cost{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/registry", nil))
+		portal.New(f.App.OnServe, nil, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/registry", nil))
 		if rec.Code != http.StatusNotFound {
 			t.Fatalf("status %d", rec.Code)
 		}

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/wsdl"
 )
 
@@ -46,7 +45,7 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 func BenchmarkServerRoundTrip(b *testing.B) {
-	srv := NewServer(nil, metrics.Cost{})
+	srv := NewServer(nil)
 	svc := NewService(wsdl.ServiceDef{
 		Name: "Bench", Namespace: "urn:bench",
 		Operations: []wsdl.OperationDef{{Name: "echo", Params: []wsdl.ParamDef{

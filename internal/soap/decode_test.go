@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/wsdl"
 )
 
@@ -623,7 +622,7 @@ func TestHotDoorAllocations(t *testing.T) {
 		}
 	}
 
-	srv := NewServer(nil, metrics.Cost{})
+	srv := NewServer(nil)
 	srv.Deploy(hotService())
 	body := bytes.NewReader(wait)
 	req := httptest.NewRequest(http.MethodPost, "/services/pi", body)
@@ -648,7 +647,7 @@ func TestHotDoorAllocations(t *testing.T) {
 // TestOversizeRequestRefusedUnread: a request that declares more than
 // MaxRequestBytes gets the 413 fault and none of its body is read.
 func TestOversizeRequestRefusedUnread(t *testing.T) {
-	srv := NewServer(nil, metrics.Cost{})
+	srv := NewServer(nil)
 	srv.Deploy(hotService())
 	body := &countingReader{}
 	req := httptest.NewRequest(http.MethodPost, "/services/pi", body)
@@ -680,7 +679,7 @@ func (r *countingReader) Read(p []byte) (int, error) {
 // TestServerReplyBytes: what the server writes for a result and for a
 // fault is what Encode and writeFault render.
 func TestServerReplyBytes(t *testing.T) {
-	srv := NewServer(nil, metrics.Cost{})
+	srv := NewServer(nil)
 	svc := hotService()
 	svc.MustBind("wait", func(req *Request) (string, error) {
 		if req.Args["ticket"] == "bad" {

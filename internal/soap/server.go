@@ -94,19 +94,17 @@ func (s *Service) MustBind(op string, h Handler) {
 // description.
 type Server struct {
 	probe *metrics.Probe
-	cost  metrics.Cost
 
 	mu       sync.RWMutex
 	services map[string]*Service
 }
 
-// NewServer returns an empty container. probe may be nil; cost models the
-// per-request container overhead the paper attributes to "tomcat handling
-// the request and loading the java-classes".
-func NewServer(probe *metrics.Probe, cost metrics.Cost) *Server {
+// NewServer returns an empty container. probe, which may be nil, charges
+// the per-request container overhead the paper attributes to "tomcat
+// handling the request and loading the java-classes".
+func NewServer(probe *metrics.Probe) *Server {
 	return &Server{
 		probe:    probe,
-		cost:     cost,
 		services: make(map[string]*Service),
 	}
 }
@@ -322,7 +320,7 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, svc *Service) {
 	})
 
 	// Container overhead per request (Fig. 8's CPU commentary).
-	s.probe.Burn(s.cost.RequestHandling)
+	s.probe.Request()
 
 	if !peeked {
 		c.read(r)

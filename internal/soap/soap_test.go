@@ -168,7 +168,7 @@ func calcService(t *testing.T) *Service {
 
 func newContainer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(nil, metrics.Cost{})
+	srv := NewServer(nil)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
 	return srv, hs
@@ -362,7 +362,7 @@ func TestMethodNotAllowed(t *testing.T) {
 func TestServerAccountsRequestHandlingCost(t *testing.T) {
 	bubble.Test(t, func(t *testing.T) {
 		rec := metrics.NewRecorder(3 * time.Second)
-		srv := NewServer(metrics.NewProbe(rec), metrics.Cost{RequestHandling: 500 * time.Millisecond})
+		srv := NewServer(metrics.NewProbe(rec, metrics.Cost{RequestHandling: 500 * time.Millisecond}))
 		// Over an in-process pipe: the cost sleeps on the bubble's clock,
 		// which waits for no socket.
 		pipes := netsim.NewNet()

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/wsdl"
 )
 
@@ -14,7 +13,7 @@ import (
 // (un)deployment under concurrent invocations — the paper's appliance
 // deploys generated services while others are being called.
 func TestConcurrentDeployUndeployInvoke(t *testing.T) {
-	srv := NewServer(nil, metrics.Cost{})
+	srv := NewServer(nil)
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 

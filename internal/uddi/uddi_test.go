@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/soap"
 )
 
@@ -154,7 +153,7 @@ func TestMatchPatternProperties(t *testing.T) {
 func soapFixture(t *testing.T) (*Registry, *soap.Client, string) {
 	t.Helper()
 	g := NewRegistry(nil)
-	srv := soap.NewServer(nil, metrics.Cost{})
+	srv := soap.NewServer(nil)
 	if err := srv.Deploy(g.SOAPService()); err != nil {
 		t.Fatal(err)
 	}

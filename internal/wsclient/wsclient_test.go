@@ -7,14 +7,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/soap"
 	"repro/internal/wsdl"
 )
 
 func deployCalc(t *testing.T) (*soap.Server, *httptest.Server) {
 	t.Helper()
-	srv := soap.NewServer(nil, metrics.Cost{})
+	srv := soap.NewServer(nil)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
 	svc := soap.NewService(wsdl.ServiceDef{

@@ -58,10 +58,21 @@ fi
 # copy of the error vocabulary (the portal's two switches, myproxy's text
 # match, gram's and gridftp's writers and decoders): internal/errcode holds
 # the codes, the envelope and the decoder, and core's causes table the
-# sentinel → (status, code) rows.
-if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\.ProxyLifetime\b|ProxyLifetime:|\.CAValidity\b|CAValidity:|\.DefaultWallTime\b|DefaultWallTime:|SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap|repro/internal/vtime|NewManual|NewWatchdog|vtime\.|AblationHotPath|AblationPollHub|AblationSubmit|AblationPlacement|AblationDoubleWrite|AblationStagingCache|HotPathVariants|PollHubVariants|SubmitVariants|StageVariants|PlacementVariants|\b(cfg|Appliance|c|o\.cfg)\.ChunkBytes\b|maxPendingEvents|maxReapedJobs|pendingEvent|stashLocked|reapedJobs|statusFor|errCode|mapError|replyError|httpError|errorReply|decodeError|byCode' . ||
+# sentinel → (status, code) rows. Nor does the probe's disk pacing, which
+# no program set: a disk charge is accounted at once.
+if grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build '\.ProxyLifetime\b|ProxyLifetime:|\.CAValidity\b|CAValidity:|\.DefaultWallTime\b|DefaultWallTime:|SubmitHub|SubmitBatch|submit-batch|ReplicateTopK|ReplicateWorkers|ReplicateBudgetBytes|DrainReplicator|SubmitMany|PollHubShards|\.PollHub\b|PollHub:|\bpollHub\b|newPollHub|hubShard|hubAlone|pollHubShards|writeGuardError|PullInterval|refreshView|newView|gateway/uddi|ViewPulls|view_pulls|ProbeInterval|ProbeTimeout|probeFails|ProbeFails|probe_fails|ticketTable|invokeTicket|serveInternal|TestTicketTableIsBounded|gateway/stats|GridHTTP|MyProxyDial|UserProfile|InvSubmitting|submitCounters|collectorCounters|eventCounters|stageCounters|placementCounters|statsMu|wanOpts|capScale|NewScaled|vtime\.Scaled|MinSleep|minSleeper|NewAuto|vtime\.Auto|othersAsleep|parkGap|repro/internal/vtime|NewManual|NewWatchdog|vtime\.|AblationHotPath|AblationPollHub|AblationSubmit|AblationPlacement|AblationDoubleWrite|AblationStagingCache|HotPathVariants|PollHubVariants|SubmitVariants|StageVariants|PlacementVariants|\b(cfg|Appliance|c|o\.cfg)\.ChunkBytes\b|maxPendingEvents|maxReapedJobs|pendingEvent|stashLocked|reapedJobs|statusFor|errCode|mapError|replyError|httpError|errorReply|decodeError|byCode|DiskReadBps|DiskWriteBps' . ||
 	grep -nE '^\s+ChunkBytes\b' internal/core/config.go; then
 	echo "a deleted name is back (see above)" >&2
+	exit 1
+fi
+
+# One cost model, and the probe carries it: a component is handed a
+# metrics.Probe and names its charge on it (probe.Decompress(n),
+# probe.Request()), so no program file outside internal/metrics, and the
+# experiments rig that picks the model a study runs, names metrics.Cost.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'metrics\.Cost\b' . |
+	grep -vE '^\./internal/(metrics|experiments)/'; then
+	echo "a program file outside internal/metrics and internal/experiments names metrics.Cost (see above): hand it a probe built with the model" >&2
 	exit 1
 fi
 
